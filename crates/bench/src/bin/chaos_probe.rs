@@ -154,10 +154,13 @@ fn main() {
     if let Some(addr) = connect {
         let id = client_id.unwrap_or_else(|| usage("--connect requires --client-id"));
         fedknow_obs::set_context("proc.name", &format!("client{id}"));
-        spec.join_over(Method::FedKnow, &addr, id)
-            .expect("join failed");
-        println!("[chaos_probe] client {id} finished against {addr}");
+        let joined = spec.join_over(Method::FedKnow, &addr, id);
         dump_probe_bundle();
+        if let Err(e) = joined {
+            eprintln!("[chaos_probe] client {id} against {addr}: {e}");
+            std::process::exit(1);
+        }
+        println!("[chaos_probe] client {id} finished against {addr}");
         return;
     }
 

@@ -1,25 +1,24 @@
-//! Message-passing federation: server and clients as actor threads.
+//! The wire link: server and clients as actor threads.
 //!
-//! [`FederationRuntime`] runs the same synchronous FedAvg protocol as
-//! [`Simulation`], but instead of calling clients as functions, the
-//! server and every client run as independent threads exchanging
-//! [`WireMsg`] frames over a [`Transport`]. Faults are realized at the
-//! wire seam: a crash is a genuinely closed connection followed by a
-//! `Rejoin` redial, a lost upload is a frame dropped in flight (with the
-//! bookkeeping arriving over the reliable `UploadFailed` control
-//! message), corruption damages the parameter bytes inside the frame,
-//! and stragglers delay delivery.
+//! [`FederationRuntime`] drives the one round `engine` over a
+//! `ClientLink` that, instead of calling clients as functions,
+//! exchanges [`WireMsg`] frames with one actor thread (or process) per
+//! client over a [`Transport`]. This module is only that wire half:
+//! connections, the server inbox, send fan-outs and reply collection on
+//! one side, the client's message loop on the other. The ledger — fault
+//! log, byte accounting, simulated deadline math — is the engine's, so
+//! a seeded run reports the same on every backend as in process.
 //!
-//! The run's *ledger* — fault event log, byte accounting, simulated
-//! deadline math — is the shared [`protocol`] code, driven by the same
-//! pure [`FaultPlan`] both sides draw from. That is what makes a seeded
-//! run produce the identical fault log and bit-identical final model on
-//! every backend, while the faults themselves are still physically real
-//! on the wire. Liveness comes from physical signals (uploads, control
-//! messages, connection closes); a generous wall-clock deadline per
-//! collect phase is only a safety net — when it fires, the server
-//! degrades gracefully (proceeds without the missing client and counts
-//! `transport.round_timeouts`) instead of hanging.
+//! Faults are realized at the wire seam from the pure [`FaultPlan`]
+//! both sides draw from: a crash is a genuinely closed connection
+//! followed by a `Rejoin` redial, a lost upload is a frame dropped in
+//! flight (with the bookkeeping arriving over the reliable
+//! `UploadFailed` control message), corruption damages the parameter
+//! bytes inside the frame, and stragglers delay delivery. Liveness
+//! comes from physical signals (uploads, control messages, connection
+//! closes); a generous wall-clock deadline per wait is only a safety
+//! net — when it fires, the link hands the engine no reply for that
+//! client (counting `transport.round_timeouts`) instead of hanging.
 //!
 //! Malformed frames — bytes that fail frame or message decoding —
 //! quarantine the connection: the reader stops, the event is counted
@@ -27,58 +26,41 @@
 //! and the peer is treated as disconnected. No [`FaultKind`] is logged
 //! for them: the fault ledger stays a pure function of the seed.
 //!
-//! [`Simulation`]: crate::sim::Simulation
 //! [`Transport`]: crate::transport::Transport
-//! [`FaultPlan`]: crate::faults::FaultPlan
 //! [`FaultKind`]: crate::faults::FaultKind
 
-use crate::client::{CommBytes, FclClient, Payload};
+use crate::client::{FclClient, Payload};
 use crate::comm::CommModel;
 use crate::device::DeviceProfile;
-use crate::faults::{FaultEvent, FaultPlan, RoundFaults};
+use crate::engine::{self, client_round, ClientLink, RoundContribution, RoundEnv, RunState};
+use crate::faults::{FaultPlan, RoundFaults};
 use crate::framing::TraceCtx;
-use crate::metrics::{mean_matrix, AccuracyMatrix};
-use crate::proto::{UploadMeta, WireMsg};
-use crate::protocol;
-use crate::server::fedavg;
-use crate::sim::{PhaseBreakdown, SimConfig, SimError, SimReport};
+use crate::proto::{DecodeError, WireMsg};
+use crate::sim::{SimConfig, SimError, SimReport, Simulation};
 use crate::transport::{
     bind, send_upload_faulty, MsgRx, MsgTx, Transport, TransportError, TransportKind,
     TransportListener, WireStats, WireStatsSnapshot,
 };
 use crate::wiretrace;
 use fedknow_data::ClientDataset;
-use fedknow_math::rng::substream;
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Wall-clock knobs of the actor runtime. None of them affect the
-/// simulated ledger — they only bound how long the real threads wait.
-#[derive(Debug, Clone, Copy)]
-pub struct ActorConfig {
-    /// Safety-net deadline per collect phase (uploads, task-done rows,
-    /// eval rows). When it fires the server proceeds without the
-    /// missing clients instead of hanging.
-    pub round_deadline: Duration,
-    /// Real delay per unit of drawn straggler slowdown applied before a
-    /// straggler's upload leaves the client.
-    pub straggle_delay: Duration,
-    /// Retries (with backoff) for server-side sends.
-    pub send_retries: u32,
-}
+// Wall-clock bounds of the actor threads. None of them touches the
+// simulated ledger — they only bound how long real threads wait.
 
-impl Default for ActorConfig {
-    fn default() -> Self {
-        Self {
-            round_deadline: Duration::from_secs(30),
-            straggle_delay: Duration::from_millis(1),
-            send_retries: 3,
-        }
-    }
-}
+/// Safety-net deadline per wait (a connection, uploads, task-done rows,
+/// eval rows). When it fires the server proceeds without the missing
+/// clients instead of hanging.
+const ROUND_DEADLINE: Duration = Duration::from_secs(30);
+/// Real delay per unit of drawn straggler slowdown applied before a
+/// straggler's upload leaves the client.
+const STRAGGLE_DELAY: Duration = Duration::from_millis(1);
+/// Retries (with backoff) for server-side sends.
+const SEND_RETRIES: u32 = 3;
 
 /// What a connection's reader thread forwards into the server inbox.
 /// `epoch` identifies the connection (monotonically increasing per
@@ -100,31 +82,24 @@ enum NetEvent {
         /// the moment the event leaves the inbox.
         ctx: Option<TraceCtx>,
     },
-    Closed {
-        client: u32,
-        epoch: u64,
-    },
-    Malformed {
-        client: u32,
-        epoch: u64,
-    },
+    /// The connection ended: a clean close, or a quarantine after a
+    /// frame that would not decode.
+    Closed { client: u32, epoch: u64 },
 }
 
-/// The transport-backed federation driver. Construction mirrors
-/// [`Simulation::new`]; [`Self::run`] produces a [`SimReport`] that is
-/// bit-identical (fault log included) to the in-process driver's for
-/// the same seed and configuration.
+/// The transport-backed federation. Construction is that of
+/// [`Simulation::new`]; [`Self::run`] drives the same round engine over
+/// the wire link, so its [`SimReport`] is bit-identical (fault log
+/// included) to the in-process one for the same seed and configuration.
 ///
 /// [`Simulation::new`]: crate::sim::Simulation::new
 pub struct FederationRuntime {
-    clients: Vec<Box<dyn FclClient>>,
-    data: Vec<ClientDataset>,
-    devices: Vec<DeviceProfile>,
-    comm: CommModel,
-    cfg: SimConfig,
-    model_bytes: u64,
+    /// The clients, data, devices, link model and configuration — what
+    /// a [`Simulation`] holds, here run over a wire.
+    ///
+    /// [`Simulation`]: crate::sim::Simulation
+    fleet: Simulation,
     kind: TransportKind,
-    actor_cfg: ActorConfig,
 }
 
 impl FederationRuntime {
@@ -140,30 +115,8 @@ impl FederationRuntime {
         model_bytes: u64,
         kind: TransportKind,
     ) -> Self {
-        assert_eq!(clients.len(), data.len(), "one dataset per client");
-        assert_eq!(clients.len(), devices.len(), "one device per client");
-        assert!(!clients.is_empty());
-        let t0 = data[0].tasks.len();
-        assert!(
-            data.iter().all(|d| d.tasks.len() == t0),
-            "task counts differ across clients"
-        );
-        Self {
-            clients,
-            data,
-            devices,
-            comm,
-            cfg,
-            model_bytes,
-            kind,
-            actor_cfg: ActorConfig::default(),
-        }
-    }
-
-    /// Override the wall-clock knobs.
-    pub fn with_actor_config(mut self, actor_cfg: ActorConfig) -> Self {
-        self.actor_cfg = actor_cfg;
-        self
+        let fleet = Simulation::new(clients, data, devices, comm, cfg, model_bytes);
+        Self { fleet, kind }
     }
 
     /// Run the federation over the transport and report, exactly as
@@ -177,14 +130,8 @@ impl FederationRuntime {
     /// Run and also return the wire-seam byte ledger — the actual
     /// data-plane/overhead bytes this run put on the transport.
     pub fn run_with_stats(self) -> Result<(SimReport, WireStatsSnapshot), SimError> {
-        fedknow_obs::init_from_env();
-        fedknow_verify::init_from_env();
-        if fedknow_obs::is_enabled() {
-            fedknow_obs::set_context("sim.transport", self.kind.label());
-        }
         let stats = Arc::new(WireStats::new());
-        let (transport, listener) =
-            bind(self.kind, stats.clone()).map_err(|e| SimError::BadCheckpoint(e.to_string()))?;
+        let (transport, listener) = bind(self.kind, stats.clone())?;
         self.run_inner(listener, stats, Some(transport))
     }
 
@@ -195,14 +142,8 @@ impl FederationRuntime {
     /// the seed as [`Self::run_with_stats`] — only which side of the
     /// wire the clients live on changes.
     pub fn serve_at(self, addr: &str) -> Result<(SimReport, WireStatsSnapshot), SimError> {
-        fedknow_obs::init_from_env();
-        fedknow_verify::init_from_env();
-        if fedknow_obs::is_enabled() {
-            fedknow_obs::set_context("sim.transport", "tcp");
-        }
         let stats = Arc::new(WireStats::new());
-        let listener = crate::transport::bind_tcp_at(addr, stats.clone())
-            .map_err(|e| SimError::BadCheckpoint(e.to_string()))?;
+        let listener = crate::transport::bind_tcp_at(addr, stats.clone())?;
         self.run_inner(listener, stats, None)
     }
 
@@ -216,94 +157,92 @@ impl FederationRuntime {
         stats: Arc<WireStats>,
         transport: Option<Arc<dyn Transport>>,
     ) -> Result<(SimReport, WireStatsSnapshot), SimError> {
-        wiretrace::seed_trace_id(self.cfg.seed);
-        let obs_before = fedknow_obs::snapshot();
-        let run_span = fedknow_obs::span("run");
-
-        let n = self.clients.len();
-        let method = self.clients[0].method_name().to_string();
-        let plan = FaultPlan::new(self.cfg.seed, self.cfg.faults);
-        let inert = plan.config().is_inert();
-
-        // Reader threads register here so teardown can join them.
-        let readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
-        let stop = Arc::new(AtomicBool::new(false));
-        let depth = Arc::new(AtomicU64::new(0));
-        let (inbox_tx, inbox_rx) = mpsc::channel();
-        let pump = {
-            let (inbox, readers, stop, stats, depth) = (
-                inbox_tx,
-                readers.clone(),
-                stop.clone(),
-                stats.clone(),
-                depth.clone(),
-            );
-            std::thread::spawn(move || accept_pump(listener, inbox, readers, stop, stats, depth))
+        let Simulation {
+            clients,
+            data,
+            devices,
+            comm,
+            cfg,
+            model_bytes,
+        } = self.fleet;
+        wiretrace::seed_trace_id(cfg.seed);
+        let n = clients.len();
+        let num_tasks = data[0].tasks.len();
+        let method = clients[0].method_name();
+        let env = RoundEnv {
+            devices: &devices,
+            comm: &comm,
+            cfg: &cfg,
         };
-
-        // Spawn one actor thread per client; each owns its algorithm
-        // instance, dataset, and seeded RNG substream. In serve mode
-        // the clients live in other processes and dial in instead.
-        let num_tasks = self.data[0].tasks.len();
-        let mut client_threads = Vec::with_capacity(n);
-        if let Some(transport) = transport {
-            let mut data_iter = self.data.into_iter();
-            for (c, client) in self.clients.into_iter().enumerate() {
-                let actor = ClientActor {
-                    id: c as u32,
-                    client,
-                    data: data_iter.next().expect("dataset per client"),
-                    rng: substream(self.cfg.seed, 0xF1_0000 + c as u64),
-                    plan: plan.clone(),
-                    inert,
-                    model_bytes: self.model_bytes,
-                    iters_per_round: self.cfg.iters_per_round,
-                    transport: transport.clone(),
-                    straggle_delay: self.actor_cfg.straggle_delay,
-                    upload_sent_at: None,
-                };
-                client_threads.push(std::thread::spawn(move || actor.run()));
+        let report = engine::run_reported(&env, method, RunState::fresh(n), |st| {
+            if fedknow_obs::is_enabled() {
+                let kind = transport.as_ref().map_or(TransportKind::Tcp, |t| t.kind());
+                fedknow_obs::set_context("sim.transport", kind.label());
             }
-        }
+            // Reader threads register here so teardown can join them.
+            let readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
+                Arc::new(Mutex::new(Vec::new()));
+            let stop = Arc::new(AtomicBool::new(false));
+            let depth = Arc::new(AtomicU64::new(0));
+            let (inbox_tx, inbox_rx) = mpsc::channel();
+            let pump = {
+                let (readers, stop, stats, depth) =
+                    (readers.clone(), stop.clone(), stats.clone(), depth.clone());
+                std::thread::spawn(move || {
+                    accept_pump(listener, inbox_tx, readers, stop, stats, depth)
+                })
+            };
 
-        let mut server = ServerActor {
-            n,
-            num_tasks,
-            devices: self.devices,
-            comm: self.comm,
-            cfg: self.cfg,
-            plan,
-            inert,
-            actor_cfg: self.actor_cfg,
-            inbox: inbox_rx,
-            depth,
-            txs: (0..n).map(|_| None).collect(),
-            epoch_of: vec![0; n],
-            rejoin_base_down: vec![0; n],
-            stash: VecDeque::new(),
-        };
-        let result = server.drive(method);
+            // One actor thread per client, each owning its algorithm
+            // instance, dataset, and seeded RNG substream. In serve mode
+            // the clients live in other processes and dial in instead.
+            let mut client_threads = Vec::with_capacity(n);
+            if let Some(transport) = transport {
+                for (c, (client, data)) in clients.into_iter().zip(data).enumerate() {
+                    let actor = ClientActor::new(
+                        c as u32,
+                        client,
+                        data,
+                        &cfg,
+                        model_bytes,
+                        transport.clone(),
+                    );
+                    client_threads.push(std::thread::spawn(move || actor.run()));
+                }
+            }
 
-        // Teardown: clients exit on Shutdown (or on their dead
-        // connections), which unblocks their readers; the pump stops on
-        // the flag.
-        stop.store(true, Ordering::Relaxed);
-        drop(server);
-        for t in client_threads {
-            let _ = t.join();
-        }
-        let _ = pump.join();
-        for r in readers.lock().expect("reader registry").drain(..) {
-            let _ = r.join();
-        }
+            let mut server = ServerActor {
+                n,
+                inbox: inbox_rx,
+                depth,
+                txs: (0..n).map(|_| None).collect(),
+                epoch_of: vec![0; n],
+                rejoin_base_down: vec![0; n],
+                stash: VecDeque::new(),
+                round_scope: None,
+            };
+            let result = match server.await_hellos() {
+                Ok(()) => engine::advance(&mut server, &env, st, num_tasks),
+                Err(e) => Err(e.into()),
+            };
 
-        let mut report = result?;
-        drop(run_span);
-        report.phase_breakdown = obs_before.and_then(|before| {
-            fedknow_obs::snapshot().map(|after| PhaseBreakdown::from_metrics(&after.since(&before)))
-        });
-        fedknow_obs::flush();
+            // Teardown: clients exit on Shutdown (or on their dead
+            // connections), which unblocks their readers; the pump stops
+            // on the flag.
+            for c in 0..n {
+                server.send(c, &WireMsg::Shutdown);
+            }
+            stop.store(true, Ordering::Relaxed);
+            drop(server);
+            for t in client_threads {
+                let _ = t.join();
+            }
+            let _ = pump.join();
+            for r in readers.lock().expect("reader registry").drain(..) {
+                let _ = r.join();
+            }
+            result
+        })?;
         Ok((report, stats.snapshot()))
     }
 }
@@ -313,6 +252,8 @@ impl FederationRuntime {
 /// `Shutdown`. The fault plan is rebuilt from `cfg` — the same pure
 /// function of the seed the server constructs — so a multi-process run
 /// injects the identical fault sequence as the in-process backends.
+/// Anything short of a `Shutdown` — the dial failing, the server
+/// vanishing, a message this client cannot honour — is an error.
 pub fn run_remote_client(
     transport: Arc<dyn Transport>,
     id: u32,
@@ -320,27 +261,12 @@ pub fn run_remote_client(
     data: ClientDataset,
     cfg: &SimConfig,
     model_bytes: u64,
-    straggle_delay: Duration,
-) {
+) -> Result<(), TransportError> {
     fedknow_obs::init_from_env();
     wiretrace::seed_trace_id(cfg.seed);
-    let plan = FaultPlan::new(cfg.seed, cfg.faults);
-    let inert = plan.config().is_inert();
-    let actor = ClientActor {
-        id,
-        client,
-        data,
-        rng: substream(cfg.seed, 0xF1_0000 + u64::from(id)),
-        plan,
-        inert,
-        model_bytes,
-        iters_per_round: cfg.iters_per_round,
-        transport,
-        straggle_delay,
-        upload_sent_at: None,
-    };
-    actor.run();
+    let result = ClientActor::new(id, client, data, cfg, model_bytes, transport).run();
     fedknow_obs::flush();
+    result
 }
 
 /// Accept connections for the whole run, spawning a reader thread per
@@ -386,7 +312,7 @@ fn inbox_push(inbox: &mpsc::Sender<NetEvent>, depth: &AtomicU64, ev: NetEvent) -
 /// Drain one connection into the server inbox. The first message must
 /// identify the peer (`Hello` or `Rejoin`); anything else quarantines
 /// the connection on the spot. A clean close forwards `Closed`; a torn
-/// frame or undecodable message forwards `Malformed` and stops reading
+/// frame or undecodable message is counted, then also forwards `Closed`
 /// — the connection is quarantined.
 fn reader(
     mut rx: MsgRx,
@@ -396,39 +322,9 @@ fn reader(
     stats: Arc<WireStats>,
     depth: Arc<AtomicU64>,
 ) {
-    let client = match rx.recv_traced() {
-        Ok(Some((WireMsg::Hello { client }, _))) => {
-            tx.set_peer(client);
-            rx.set_peer(client);
-            let _ = inbox_push(
-                &inbox,
-                &depth,
-                NetEvent::Connected {
-                    client,
-                    epoch,
-                    rejoin: false,
-                    base_down: 0,
-                    tx: Box::new(tx),
-                },
-            );
-            client
-        }
-        Ok(Some((WireMsg::Rejoin { client, base_down }, _))) => {
-            tx.set_peer(client);
-            rx.set_peer(client);
-            let _ = inbox_push(
-                &inbox,
-                &depth,
-                NetEvent::Connected {
-                    client,
-                    epoch,
-                    rejoin: true,
-                    base_down,
-                    tx: Box::new(tx),
-                },
-            );
-            client
-        }
+    let (client, rejoin, base_down) = match rx.recv_traced() {
+        Ok(Some((WireMsg::Hello { client }, _))) => (client, false, 0),
+        Ok(Some((WireMsg::Rejoin { client, base_down }, _))) => (client, true, base_down),
         Ok(Some(_)) | Err(_) => {
             // Unidentified or hostile peer: quarantine silently.
             stats.on_malformed();
@@ -438,6 +334,18 @@ fn reader(
         }
         Ok(None) => return,
     };
+    tx.set_peer(client);
+    rx.set_peer(client);
+    let connected = NetEvent::Connected {
+        client,
+        epoch,
+        rejoin,
+        base_down,
+        tx: Box::new(tx),
+    };
+    if inbox_push(&inbox, &depth, connected).is_err() {
+        return;
+    }
     loop {
         match rx.recv_traced() {
             Ok(Some((msg, ctx))) => {
@@ -455,7 +363,7 @@ fn reader(
                     "transport.quarantine client {client} epoch {epoch}: {e}"
                 ));
                 fedknow_obs::dump_trigger("transport_malformed");
-                let _ = inbox_push(&inbox, &depth, NetEvent::Malformed { client, epoch });
+                let _ = inbox_push(&inbox, &depth, NetEvent::Closed { client, epoch });
                 return;
             }
         }
@@ -472,48 +380,71 @@ struct ClientActor {
     data: ClientDataset,
     rng: StdRng,
     plan: FaultPlan,
-    inert: bool,
     model_bytes: u64,
     iters_per_round: usize,
     transport: Arc<dyn Transport>,
-    straggle_delay: Duration,
     /// When the last round's upload (or its `UploadFailed` fallback)
     /// hit the wire — the server's `Ack` closes the RTT sample.
     upload_sent_at: Option<Instant>,
 }
 
 impl ClientActor {
-    fn connect(&self) -> Option<crate::transport::Conn> {
-        let mut conn = self.transport.connect().ok()?;
-        conn.tx.set_peer(self.id);
-        conn.rx.set_peer(self.id);
-        Some(conn)
+    fn new(
+        id: u32,
+        client: Box<dyn FclClient>,
+        data: ClientDataset,
+        cfg: &SimConfig,
+        model_bytes: u64,
+        transport: Arc<dyn Transport>,
+    ) -> Self {
+        Self {
+            id,
+            client,
+            data,
+            rng: engine::client_rng(cfg.seed, id as usize),
+            plan: FaultPlan::new(cfg.seed, cfg.faults),
+            model_bytes,
+            iters_per_round: cfg.iters_per_round,
+            transport,
+            upload_sent_at: None,
+        }
     }
 
-    fn run(mut self) {
-        let Some(mut conn) = self.connect() else {
-            return;
-        };
-        if conn.tx.send(&WireMsg::Hello { client: self.id }).is_err() {
-            return;
+    fn connect(&self) -> Result<crate::transport::Conn, TransportError> {
+        let mut conn = self.transport.connect()?;
+        conn.tx.set_peer(self.id);
+        conn.rx.set_peer(self.id);
+        Ok(conn)
+    }
+
+    /// The task a server-sent index names. The index is outside input:
+    /// one past this client's stream is rejected like a malformed frame.
+    fn task(&self, index: u32) -> Result<usize, TransportError> {
+        let index = index as usize;
+        if index < self.data.tasks.len() {
+            Ok(index)
+        } else {
+            Err(DecodeError::Invalid("task index past the client's stream").into())
         }
+    }
+
+    /// Play the protocol to `Shutdown`. Any other way out — the server
+    /// gone, the stream damaged, an index this client cannot honour —
+    /// drops the connection and returns the error.
+    fn run(mut self) -> Result<(), TransportError> {
+        let mut conn = self.connect()?;
+        conn.tx.send(&WireMsg::Hello { client: self.id })?;
         let mut step = 0usize;
         loop {
-            let msg = match conn.rx.recv_traced() {
-                Ok(Some((m, ctx))) => {
-                    // The client consumes synchronously: `handled`
-                    // immediately follows `in`.
-                    if let Some(c) = &ctx {
-                        wiretrace::record_recv("handled", c, Some(self.id), m.label(), 0);
-                    }
-                    m
-                }
-                // Server gone or stream damaged: nothing left to do.
-                _ => return,
-            };
+            let (msg, ctx) = conn.rx.recv_traced()?.ok_or(TransportError::Closed)?;
+            // The client consumes synchronously: `handled` immediately
+            // follows `in`.
+            if let Some(c) = &ctx {
+                wiretrace::record_recv("handled", c, Some(self.id), msg.label(), 0);
+            }
             match msg {
                 WireMsg::StartTask { task } => {
-                    step = task as usize;
+                    step = self.task(task)?;
                     self.client
                         .start_task(&self.data.tasks[step], &mut self.rng);
                 }
@@ -525,7 +456,7 @@ impl ClientActor {
                     // when the server lives in another process: sent
                     // frames stamp it into their trace context.
                     fedknow_obs::set_round(round);
-                    let f = if self.inert {
+                    let f = if self.plan.config().is_inert() {
                         RoundFaults::none()
                     } else {
                         self.plan.draw(self.id as usize, round)
@@ -535,23 +466,15 @@ impl ClientActor {
                         // real, then redial as a rejoiner. No training,
                         // no RNG draws — exactly the in-process skip.
                         drop(conn);
-                        conn = match self.connect() {
-                            Some(c) => c,
-                            None => return,
-                        };
+                        conn = self.connect()?;
                         let base_down = self.client.base_comm(self.model_bytes).down;
-                        let rejoin = WireMsg::Rejoin {
+                        conn.tx.send(&WireMsg::Rejoin {
                             client: self.id,
                             base_down,
-                        };
-                        if conn.tx.send(&rejoin).is_err() {
-                            return;
-                        }
+                        })?;
                         continue;
                     }
-                    if self.round(round, step, &f, &mut conn.tx).is_err() {
-                        return;
-                    }
+                    self.round(round, step, &f, &mut conn.tx)?;
                 }
                 WireMsg::Ack { .. } => {
                     // Upload → Ack round trip: one RTT sample for the
@@ -578,27 +501,21 @@ impl ClientActor {
                 }
                 WireMsg::FinishTask => {
                     self.client.finish_task(&mut self.rng);
-                    let done = WireMsg::TaskDone {
+                    conn.tx.send(&WireMsg::TaskDone {
                         client: self.id,
                         retained: self.client.retained_bytes(),
-                    };
-                    if conn.tx.send(&done).is_err() {
-                        return;
-                    }
+                    })?;
                 }
                 WireMsg::Eval { upto } => {
-                    let row: Vec<f64> = (0..=upto as usize)
+                    let row: Vec<f64> = (0..=self.task(upto)?)
                         .map(|k| self.client.evaluate(&self.data.tasks[k]))
                         .collect();
-                    let msg = WireMsg::EvalRow {
+                    conn.tx.send(&WireMsg::EvalRow {
                         client: self.id,
                         row,
-                    };
-                    if conn.tx.send(&msg).is_err() {
-                        return;
-                    }
+                    })?;
                 }
-                WireMsg::Shutdown => return,
+                WireMsg::Shutdown => return Ok(()),
                 // The server never sends anything else.
                 _ => {}
             }
@@ -617,58 +534,37 @@ impl ClientActor {
         f: &RoundFaults,
         tx: &mut MsgTx,
     ) -> Result<(), TransportError> {
-        let mut flops = 0u64;
-        let mut loss_sum = 0.0f64;
-        for _ in 0..self.iters_per_round {
-            let s = self.client.train_iteration(&mut self.rng);
-            flops += s.flops;
-            loss_sum += s.loss;
-        }
-        let params = self.client.upload();
-        let had_params = params.is_some();
-        let mut payloads = self.client.payload_out();
-        for p in &mut payloads {
-            p.from_client = self.id as usize;
-        }
-        let extra = self.client.extra_comm();
-        let base = self.client.base_comm(self.model_bytes);
-        let meta = UploadMeta {
-            weight: self.data.tasks[step].train.len() as u64,
-            flops,
-            loss_sum,
-            iters: self.iters_per_round as u64,
-            base_up: base.up,
-            base_down: base.down,
-            extra_up: extra.up,
-            extra_down: extra.down,
-            had_params,
-        };
+        let RoundContribution {
+            meta,
+            params,
+            payloads,
+        } = client_round(
+            self.id as usize,
+            self.client.as_mut(),
+            &self.data.tasks[step],
+            &mut self.rng,
+            self.iters_per_round,
+            self.model_bytes,
+        );
         // One logical upload per round: every frame it produces — lost
         // retry attempts, the delivery, the UploadFailed fallback —
         // shares this parent span, so the merged timeline groups them.
         let _upload_scope = wiretrace::parent_scope(wiretrace::next_span_id());
-        if !had_params {
-            // Nothing to lose on the wire: the bookkeeping travels the
-            // control plane untouched by upload faults.
-            tx.send(&WireMsg::Upload {
-                round,
-                client: self.id,
-                meta,
-                params: None,
-                payloads,
-            })?;
-            self.upload_sent_at = Some(Instant::now());
-            return Ok(());
-        }
         let msg = WireMsg::Upload {
             round,
             client: self.id,
             meta,
             params,
-            payloads: payloads.clone(),
+            payloads,
         };
-        let delivered = send_upload_faulty(tx, &msg, f, self.straggle_delay)?;
-        if !delivered {
+        if !meta.had_params {
+            // Nothing to lose on the wire: the bookkeeping travels the
+            // control plane untouched by upload faults.
+            tx.send(&msg)?;
+        } else if !send_upload_faulty(tx, &msg, f, STRAGGLE_DELAY)? {
+            let WireMsg::Upload { payloads, .. } = msg else {
+                unreachable!("built as an Upload above");
+            };
             tx.send(&WireMsg::UploadFailed {
                 round,
                 client: self.id,
@@ -681,22 +577,12 @@ impl ClientActor {
     }
 }
 
-/// What the server holds of one client's round contribution.
-struct RoundContribution {
-    meta: UploadMeta,
-    params: Option<Vec<f32>>,
-    payloads: Vec<Payload>,
-}
-
+/// The wire half of the server: connections, the inbox the reader
+/// threads feed, and the send/collect fan-outs that carry the round
+/// engine's calls as framed messages. It holds no ledger state — that
+/// is the engine's [`RunState`].
 struct ServerActor {
     n: usize,
-    num_tasks: usize,
-    devices: Vec<DeviceProfile>,
-    comm: CommModel,
-    cfg: SimConfig,
-    plan: FaultPlan,
-    inert: bool,
-    actor_cfg: ActorConfig,
     inbox: mpsc::Receiver<NetEvent>,
     /// Inbox backlog gauge; readers increment on push, [`Self::popped`]
     /// decrements on pop.
@@ -710,6 +596,10 @@ struct ServerActor {
     /// so one client's prompt reply is never discarded while the server
     /// waits on another client's reconnection.
     stash: VecDeque<NetEvent>,
+    /// `(round, span)`: every server frame of one round — Resync,
+    /// RoundStart fan-out, upload Acks, the aggregate Broadcast —
+    /// carries one round-scoped parent span.
+    round_scope: Option<(u64, u64)>,
 }
 
 impl ServerActor {
@@ -736,7 +626,7 @@ impl ServerActor {
                     self.rejoin_base_down[c] = base_down;
                 }
             }
-            NetEvent::Closed { client, epoch } | NetEvent::Malformed { client, epoch } => {
+            NetEvent::Closed { client, epoch } => {
                 let c = client as usize;
                 if c < self.n && self.epoch_of[c] == epoch {
                     self.txs[c] = None;
@@ -785,10 +675,8 @@ impl ServerActor {
     /// Pop the next event for a collect loop: stashed messages first
     /// (replies that arrived during a bookkeeping wait), then the inbox.
     fn next_event(&mut self, deadline: Instant) -> Option<NetEvent> {
-        if let Some(ev) = self.stash.pop_front() {
-            return Some(ev);
-        }
-        self.recv_until(deadline)
+        let stashed = self.stash.pop_front();
+        stashed.or_else(|| self.recv_until(deadline))
     }
 
     /// Block (bounded) until client `c` has a live connection — e.g. a
@@ -796,7 +684,7 @@ impl ServerActor {
     /// Client messages arriving meanwhile are stashed, not dropped:
     /// they are replies another collect loop is still owed.
     fn ensure_conn(&mut self, c: usize) -> bool {
-        let deadline = Instant::now() + self.actor_cfg.round_deadline;
+        let deadline = Instant::now() + ROUND_DEADLINE;
         while self.txs[c].is_none() {
             let Some(ev) = self.recv_until(deadline) else {
                 fedknow_obs::count("transport.round_timeouts", 1);
@@ -819,7 +707,7 @@ impl ServerActor {
         let Some(tx) = self.txs[c].as_mut() else {
             return false;
         };
-        if tx.send_with_retry(msg, self.actor_cfg.send_retries).is_ok() {
+        if tx.send_with_retry(msg, SEND_RETRIES).is_ok() {
             return true;
         }
         fedknow_obs::mark(&format!("transport.send_failed client {c}"));
@@ -828,462 +716,199 @@ impl ServerActor {
         false
     }
 
-    /// The task/round loop — the server-side mirror of
-    /// [`Simulation::advance`], with every ledger step delegated to the
-    /// shared [`protocol`] functions in the identical order.
-    ///
-    /// [`Simulation::advance`]: crate::sim::Simulation
-    fn drive(&mut self, method: String) -> Result<SimReport, SimError> {
-        let n = self.n;
-        // Wait for every client's Hello before the first task.
-        for c in 0..n {
-            if !self.ensure_conn(c) {
-                return Err(SimError::BadCheckpoint(format!(
-                    "client {c} never connected"
-                )));
-            }
+    /// Wait for every client's Hello before the first task.
+    fn await_hellos(&mut self) -> Result<(), TransportError> {
+        match (0..self.n).find(|&c| !self.ensure_conn(c)) {
+            Some(c) => Err(TransportError::NeverConnected(c as u32)),
+            None => Ok(()),
         }
-
-        let mut active = vec![true; n];
-        let mut missed_broadcast = vec![false; n];
-        let mut dropouts: Vec<(usize, usize)> = Vec::new();
-        let mut matrices = vec![AccuracyMatrix::new(); n];
-        let mut task_compute: Vec<f64> = Vec::new();
-        let mut task_comm: Vec<f64> = Vec::new();
-        let mut task_loss: Vec<f64> = Vec::new();
-        let mut total_bytes = 0u64;
-        let mut prev_global: Option<Vec<f32>> = None;
-        let mut last_global: Option<Vec<f32>> = None;
-        let mut fault_log: Vec<FaultEvent> = Vec::new();
-
-        let num_tasks = self.num_tasks;
-        let deadline_factor = self.plan.config().deadline_factor;
-        for step in 0..num_tasks {
-            let _task_span = fedknow_obs::obs_span!("task.{step}");
-            self.drain_pending();
-            for c in (0..n).filter(|&c| active[c]) {
-                if self.ensure_conn(c) {
-                    self.send(c, &WireMsg::StartTask { task: step as u32 });
-                }
-            }
-
-            let mut compute_secs = 0.0f64;
-            let mut comm_secs = 0.0f64;
-            let mut loss_sum = 0.0f64;
-            let mut loss_iters = 0usize;
-
-            for round in 0..self.cfg.rounds_per_task {
-                let _round_span = fedknow_obs::obs_span!("round.{round}");
-                let global_round = (step * self.cfg.rounds_per_task + round) as u64;
-                fedknow_obs::set_round(global_round);
-                // Every server frame of this round — RoundStart fanout,
-                // upload Acks, the aggregate Broadcast — carries one
-                // round-scoped parent span.
-                let _round_scope = wiretrace::parent_scope(wiretrace::next_span_id());
-
-                let faults =
-                    protocol::draw_round_faults(&self.plan, self.inert, &active, global_round);
-
-                // Rejoin resyncs: re-send the missed broadcast before
-                // the round, charged exactly as the in-process ledger
-                // charges it.
-                self.drain_pending();
-                let mut rejoin_secs = vec![0.0f64; n];
-                for c in 0..n {
-                    if !active[c] || faults[c].crash || !missed_broadcast[c] {
-                        continue;
-                    }
-                    missed_broadcast[c] = false;
-                    if let Some(g) = last_global.clone() {
-                        if self.ensure_conn(c) {
-                            self.send(
-                                c,
-                                &WireMsg::Resync {
-                                    round: global_round,
-                                    global: g,
-                                },
-                            );
-                        }
-                        rejoin_secs[c] = protocol::charge_rejoin(
-                            self.rejoin_base_down[c],
-                            &self.comm,
-                            global_round,
-                            c,
-                            &mut total_bytes,
-                            &mut fault_log,
-                        );
-                    }
-                }
-
-                let part = protocol::mark_crashes(
-                    &active,
-                    &faults,
-                    self.inert,
-                    global_round,
-                    &mut fault_log,
-                );
-
-                // The round begins for every active client — the ones
-                // drawn to crash realize it by closing their connection
-                // on receipt. The server knows the plan too: a crashed
-                // client's connection is doomed, so stop using it now
-                // rather than racing its close (a frame sent after the
-                // client slams the socket is silently gone). The next
-                // send to that client goes through `ensure_conn`, which
-                // synchronizes on the rejoin redial.
-                for c in 0..n {
-                    if active[c] && self.ensure_conn(c) {
-                        self.send(
-                            c,
-                            &WireMsg::RoundStart {
-                                round: global_round,
-                            },
-                        );
-                        if faults[c].crash {
-                            self.txs[c] = None;
-                        }
-                    }
-                }
-
-                // Collect: physical liveness. Every participant owes
-                // either an Upload or an UploadFailed control message;
-                // crashed clients owe nothing (their close is the
-                // signal). The wall deadline only degrades, never
-                // ledgers.
-                let contributions = self.collect_round(global_round, &part);
-
-                // From here on the ledger replays the in-process round
-                // body, in its exact order, over the received data.
-                for rc in contributions.iter().flatten() {
-                    loss_sum += rc.meta.loss_sum;
-                    loss_iters += rc.meta.iters as usize;
-                }
-                let flops: Vec<Option<u64>> = contributions
-                    .iter()
-                    .map(|rc| rc.as_ref().map(|rc| rc.meta.flops))
-                    .collect();
-                let assess = protocol::assess_compute(
-                    &flops,
-                    &self.devices,
-                    &faults,
-                    deadline_factor,
-                    global_round,
-                    &mut fault_log,
-                );
-                compute_secs += assess.round_compute;
-
-                let mut uploads: Vec<Option<Vec<f32>>> = Vec::with_capacity(n);
-                let mut weights: Vec<usize> = Vec::with_capacity(n);
-                let mut attempts = vec![0u32; n];
-                let mut backoff = vec![0.0f64; n];
-                for c in 0..n {
-                    let Some(rc) = &contributions[c] else {
-                        uploads.push(None);
-                        weights.push(0);
-                        continue;
-                    };
-                    weights.push(rc.meta.weight as usize);
-                    let mut up = rc.params.clone();
-                    // Damage was already applied in flight; only the
-                    // ledger entry happens here.
-                    let staged = protocol::stage_upload(
-                        &mut up,
-                        rc.meta.had_params,
-                        &faults[c],
-                        &self.plan,
-                        assess.deadline_missed[c],
-                        false,
-                        global_round,
-                        c,
-                        &mut fault_log,
-                    );
-                    attempts[c] = staged.attempts;
-                    backoff[c] = staged.backoff;
-                    uploads.push(up);
-                }
-
-                let agg = fedavg(&uploads, &weights)?;
-                protocol::quarantine_rejected(
-                    &agg.rejected,
-                    &mut uploads,
-                    global_round,
-                    &mut fault_log,
-                );
-                let global = agg.global;
-                protocol::fold_aggregate_telemetry(&uploads, &global, &mut prev_global);
-
-                let mut payloads: Vec<Payload> = Vec::new();
-                let mut payload_up = vec![0u64; n];
-                for (c, rc) in contributions.iter().enumerate() {
-                    let Some(rc) = rc else { continue };
-                    for p in &rc.payloads {
-                        payload_up[c] += p.size_bytes();
-                        payloads.push(p.clone());
-                    }
-                }
-                let payload_total: u64 = payloads.iter().map(|p| p.size_bytes()).sum();
-
-                let mut base = vec![CommBytes::default(); n];
-                let mut extra = vec![CommBytes::default(); n];
-                for (c, rc) in contributions.iter().enumerate() {
-                    if let Some(rc) = rc {
-                        base[c] = CommBytes {
-                            up: rc.meta.base_up,
-                            down: rc.meta.base_down,
-                        };
-                        extra[c] = CommBytes {
-                            up: rc.meta.extra_up,
-                            down: rc.meta.extra_down,
-                        };
-                    }
-                }
-                let round_comm = protocol::account_comm(
-                    &protocol::RoundCommInputs {
-                        part: &part,
-                        base: &base,
-                        extra: &extra,
-                        payload_up: &payload_up,
-                        payload_total,
-                        attempts: &attempts,
-                        backoff: &backoff,
-                        rejoin_secs: &rejoin_secs,
-                        have_global: global.is_some(),
-                    },
-                    &self.comm,
-                    &mut total_bytes,
-                );
-                comm_secs += round_comm;
-
-                protocol::fold_round_telemetry(
-                    global_round,
-                    &active,
-                    &part,
-                    &faults,
-                    &assess.actual,
-                    uploads.iter().filter(|u| u.is_some()).count() as u64,
-                    agg.rejected.len() as u64,
-                    assess.round_compute + round_comm,
-                    self.depth.load(Ordering::Relaxed),
-                );
-
-                // Broadcast to every participant. The message always
-                // goes out (the client waits on it), but the modeled
-                // download is only charged when a global exists — which
-                // account_comm already handled.
-                let bcast = WireMsg::Broadcast {
-                    round: global_round,
-                    global: global.clone(),
-                    payloads,
-                };
-                for c in (0..n).filter(|&c| part[c]) {
-                    self.send(c, &bcast);
-                }
-                if let Some(g) = &global {
-                    for c in 0..n {
-                        if active[c] && !part[c] {
-                            missed_broadcast[c] = true;
-                        }
-                    }
-                    last_global = Some(g.clone());
-                }
-            }
-
-            // Task boundary: consolidate, then the OOM check over the
-            // reported retained bytes.
-            self.drain_pending();
-            for c in (0..n).filter(|&c| active[c]) {
-                if self.ensure_conn(c) {
-                    self.send(c, &WireMsg::FinishTask);
-                }
-            }
-            let retained = self.collect_task_done(&active);
-            for c in 0..n {
-                if active[c] && self.devices[c].would_oom(retained[c]) {
-                    active[c] = false;
-                    dropouts.push((c, step));
-                }
-            }
-
-            // Evaluation: every client, dropped ones included (they
-            // keep their stale model).
-            self.drain_pending();
-            for c in 0..n {
-                if self.ensure_conn(c) {
-                    self.send(c, &WireMsg::Eval { upto: step as u32 });
-                }
-            }
-            let rows = self.collect_eval_rows(step);
-            for (m, row) in matrices.iter_mut().zip(rows) {
-                m.push_row(row)?;
-            }
-            if fedknow_obs::is_enabled() {
-                protocol::record_forgetting(&matrices, step);
-            }
-
-            task_compute.push(compute_secs);
-            task_comm.push(comm_secs);
-            task_loss.push(if loss_iters > 0 {
-                loss_sum / loss_iters as f64
-            } else {
-                0.0
-            });
-        }
-
-        for c in 0..n {
-            self.send(c, &WireMsg::Shutdown);
-        }
-        self.txs.iter_mut().for_each(|t| *t = None);
-
-        Ok(SimReport {
-            method,
-            accuracy: mean_matrix(&matrices),
-            task_compute_seconds: task_compute,
-            task_comm_seconds: task_comm,
-            total_bytes,
-            dropouts,
-            task_mean_loss: task_loss,
-            phase_breakdown: None,
-            fault_log,
-        })
     }
 
-    /// Collect this round's contributions from every participant. Each
-    /// owes exactly one Upload or UploadFailed; an Ack goes back for
-    /// whichever arrives. Crash closes and rejoin redials are absorbed
-    /// as bookkeeping. The wall deadline degrades gracefully: missing
-    /// clients are dropped from the round and counted, never ledgered.
-    fn collect_round(&mut self, round: u64, part: &[bool]) -> Vec<Option<RoundContribution>> {
-        let n = self.n;
-        let mut out: Vec<Option<RoundContribution>> = (0..n).map(|_| None).collect();
-        let mut pending: Vec<bool> = part.to_vec();
+    /// Make `round`'s span the ambient wire parent, allocating it the
+    /// first time the round is seen.
+    fn enter_round(&mut self, round: u64) -> wiretrace::ParentGuard {
+        let span = match self.round_scope {
+            Some((r, span)) if r == round => span,
+            _ => wiretrace::next_span_id(),
+        };
+        self.round_scope = Some((round, span));
+        wiretrace::parent_scope(span)
+    }
+
+    /// Send `msg` to every client `mask` selects, waiting (bounded)
+    /// for a crashed client's redial first.
+    fn fan_out(&mut self, mask: &[bool], msg: &WireMsg) {
+        self.drain_pending();
+        for c in (0..self.n).filter(|&c| mask[c]) {
+            if self.ensure_conn(c) {
+                self.send(c, msg);
+            }
+        }
+    }
+
+    /// Wait until every client `pending` selects has sent the reply
+    /// `take` claims (a message that is not the one owed comes back as
+    /// `Some`). Crash closes and rejoin redials are absorbed as
+    /// bookkeeping. The wall deadline degrades gracefully: a missing
+    /// client is counted and marked, never ledgered.
+    fn collect(
+        &mut self,
+        mut pending: Vec<bool>,
+        what: &str,
+        mut take: impl FnMut(&mut Self, usize, WireMsg) -> Option<WireMsg>,
+    ) {
         let mut missing = pending.iter().filter(|&&p| p).count();
-        let deadline = Instant::now() + self.actor_cfg.round_deadline;
+        let deadline = Instant::now() + ROUND_DEADLINE;
         while missing > 0 {
             let Some(ev) = self.next_event(deadline) else {
-                for (c, p) in pending.iter().enumerate() {
-                    if *p {
-                        fedknow_obs::count("transport.round_timeouts", 1);
-                        fedknow_obs::mark(&format!(
-                            "transport.degraded round {round}: no upload from client {c}"
-                        ));
-                    }
+                for c in (0..self.n).filter(|&c| pending[c]) {
+                    fedknow_obs::count("transport.round_timeouts", 1);
+                    fedknow_obs::mark(&format!("transport.degraded: no {what} from client {c}"));
                 }
                 fedknow_obs::dump_trigger("transport_timeout");
                 break;
             };
             match ev {
-                NetEvent::Msg {
-                    client,
-                    msg:
-                        WireMsg::Upload {
-                            round: r,
-                            meta,
-                            params,
-                            payloads,
-                            ..
-                        },
-                    ..
-                } if r == round && (client as usize) < n && pending[client as usize] => {
-                    let c = client as usize;
-                    out[c] = Some(RoundContribution {
-                        meta,
-                        params,
-                        payloads,
-                    });
-                    pending[c] = false;
-                    missing -= 1;
-                    self.send(c, &WireMsg::Ack { round, client });
-                }
-                NetEvent::Msg {
-                    client,
-                    msg:
-                        WireMsg::UploadFailed {
-                            round: r,
-                            meta,
-                            payloads,
-                            ..
-                        },
-                    ..
-                } if r == round && (client as usize) < n && pending[client as usize] => {
-                    let c = client as usize;
-                    out[c] = Some(RoundContribution {
-                        meta,
-                        params: None,
-                        payloads,
-                    });
-                    pending[c] = false;
-                    missing -= 1;
-                    self.send(c, &WireMsg::Ack { round, client });
+                NetEvent::Msg { client, msg, ctx }
+                    if (client as usize) < self.n && pending[client as usize] =>
+                {
+                    match take(self, client as usize, msg) {
+                        None => {
+                            pending[client as usize] = false;
+                            missing -= 1;
+                        }
+                        Some(msg) => self.handle(NetEvent::Msg { client, msg, ctx }),
+                    }
                 }
                 other => self.handle(other),
             }
         }
+    }
+}
+
+impl ClientLink for ServerActor {
+    fn start_task(&mut self, step: usize, active: &[bool]) {
+        self.fan_out(active, &WireMsg::StartTask { task: step as u32 });
+    }
+
+    fn resync(&mut self, c: usize, round: u64, global: &[f32]) -> u64 {
+        let _scope = self.enter_round(round);
+        self.drain_pending();
+        if self.ensure_conn(c) {
+            let global = global.to_vec();
+            self.send(c, &WireMsg::Resync { round, global });
+        }
+        self.rejoin_base_down[c]
+    }
+
+    fn round(
+        &mut self,
+        round: u64,
+        _step: usize,
+        part: &[bool],
+        faults: &[RoundFaults],
+    ) -> Vec<Option<RoundContribution>> {
+        let _scope = self.enter_round(round);
+        self.drain_pending();
+        // The round begins for every active client, crashed ones
+        // included (`faults` draws a crash only for an active client) —
+        // they realize the crash by closing their connection on
+        // receipt. The server knows the plan too: a crashed client's
+        // connection is doomed, so stop using it now rather than racing
+        // its close (a frame sent after the client slams the socket is
+        // silently gone). The next send to that client goes through
+        // `ensure_conn`, which synchronizes on the rejoin redial.
+        for c in 0..self.n {
+            if (part[c] || faults[c].crash) && self.ensure_conn(c) {
+                self.send(c, &WireMsg::RoundStart { round });
+                if faults[c].crash {
+                    self.txs[c] = None;
+                }
+            }
+        }
+        // Collect: physical liveness. Every participant owes exactly
+        // one Upload or UploadFailed control message, and an Ack goes
+        // back for whichever arrives; crashed clients owe nothing
+        // (their close is the signal). The wall deadline only degrades,
+        // never ledgers.
+        let mut out: Vec<Option<RoundContribution>> = part.iter().map(|_| None).collect();
+        self.collect(part.to_vec(), "upload", |server, c, msg| {
+            let (meta, params, payloads) = match msg {
+                WireMsg::Upload {
+                    round: r,
+                    meta,
+                    params,
+                    payloads,
+                    ..
+                } if r == round => (meta, params, payloads),
+                WireMsg::UploadFailed {
+                    round: r,
+                    meta,
+                    payloads,
+                    ..
+                } if r == round => (meta, None, payloads),
+                other => return Some(other),
+            };
+            out[c] = Some(RoundContribution {
+                meta,
+                params,
+                payloads,
+            });
+            let client = c as u32;
+            server.send(c, &WireMsg::Ack { round, client });
+            None
+        });
         out
     }
 
-    /// Collect `TaskDone` from every active client; a missing one
-    /// reports its previous retained size of zero (degradation path).
-    fn collect_task_done(&mut self, active: &[bool]) -> Vec<u64> {
-        let n = self.n;
-        let mut retained = vec![0u64; n];
-        let mut pending: Vec<bool> = active.to_vec();
-        let mut missing = pending.iter().filter(|&&p| p).count();
-        let deadline = Instant::now() + self.actor_cfg.round_deadline;
-        while missing > 0 {
-            let Some(ev) = self.next_event(deadline) else {
-                fedknow_obs::count("transport.round_timeouts", 1);
-                fedknow_obs::mark("transport.degraded: missing TaskDone rows");
-                fedknow_obs::dump_trigger("transport_timeout");
-                break;
-            };
-            match ev {
-                NetEvent::Msg {
-                    client,
-                    msg: WireMsg::TaskDone { retained: r, .. },
-                    ..
-                } if (client as usize) < n && pending[client as usize] => {
-                    retained[client as usize] = r;
-                    pending[client as usize] = false;
-                    missing -= 1;
-                }
-                other => self.handle(other),
-            }
+    fn broadcast(
+        &mut self,
+        part: &[bool],
+        round: u64,
+        global: Option<&[f32]>,
+        payloads: Vec<Payload>,
+    ) {
+        let _scope = self.enter_round(round);
+        // The message always goes out (it closes the client's round);
+        // the modeled download is only charged when a global exists.
+        let bcast = WireMsg::Broadcast {
+            round,
+            global: global.map(<[f32]>::to_vec),
+            payloads,
+        };
+        for c in (0..self.n).filter(|&c| part[c]) {
+            self.send(c, &bcast);
         }
+    }
+
+    fn finish_task(&mut self, active: &[bool]) -> Vec<Option<u64>> {
+        self.fan_out(active, &WireMsg::FinishTask);
+        let mut retained = vec![None; self.n];
+        self.collect(active.to_vec(), "TaskDone", |_, c, msg| match msg {
+            WireMsg::TaskDone { retained: r, .. } => {
+                retained[c] = Some(r);
+                None
+            }
+            other => Some(other),
+        });
         retained
     }
 
-    /// Collect one evaluation row from every client. A missing row (a
-    /// degraded client) evaluates to zeros so the matrix stays
-    /// rectangular.
-    fn collect_eval_rows(&mut self, step: usize) -> Vec<Vec<f64>> {
-        let n = self.n;
-        let mut rows: Vec<Option<Vec<f64>>> = (0..n).map(|_| None).collect();
-        let mut missing = n;
-        let deadline = Instant::now() + self.actor_cfg.round_deadline;
-        while missing > 0 {
-            let Some(ev) = self.next_event(deadline) else {
-                fedknow_obs::count("transport.round_timeouts", 1);
-                fedknow_obs::mark("transport.degraded: missing eval rows");
-                fedknow_obs::dump_trigger("transport_timeout");
-                break;
-            };
-            match ev {
-                NetEvent::Msg {
-                    client,
-                    msg: WireMsg::EvalRow { row, .. },
-                    ..
-                } if (client as usize) < n
-                    && rows[client as usize].is_none()
-                    && row.len() == step + 1 =>
-                {
-                    rows[client as usize] = Some(row);
-                    missing -= 1;
-                }
-                other => self.handle(other),
+    fn evaluate(&mut self, step: usize) -> Vec<Option<Vec<f64>>> {
+        let all = vec![true; self.n];
+        self.fan_out(&all, &WireMsg::Eval { upto: step as u32 });
+        let mut rows = vec![None; self.n];
+        self.collect(all, "eval row", |_, c, msg| match msg {
+            WireMsg::EvalRow { row, .. } if row.len() == step + 1 => {
+                rows[c] = Some(row);
+                None
             }
-        }
-        rows.into_iter()
-            .map(|r| r.unwrap_or_else(|| vec![0.0; step + 1]))
-            .collect()
+            other => Some(other),
+        });
+        rows
+    }
+
+    fn queue_depth(&self) -> u64 {
+        self.depth.load(Ordering::Relaxed)
     }
 }

@@ -18,18 +18,21 @@
 //!   bandwidth, per client, per round.
 //! * [`metrics`] — the accuracy matrix, average accuracy, and the paper's
 //!   forgetting-rate definition (§V-D).
-//! * [`sim`] — the synchronized task/round/iteration loop, with clients
-//!   trained in parallel threads.
-//! * [`framing`] / [`proto`] / [`transport`] / [`actor`] — the
-//!   transport-backed federation: length-prefixed frames, typed wire
-//!   messages, swappable channel/TCP/Unix-socket backends with fault
-//!   injection at the wire seam, and the server/client actor threads
-//!   that reproduce the simulator's ledger bit-for-bit.
+//! * `engine` (private) — the one synchronized task/round/iteration
+//!   loop and its ledger, written over a small client-link seam.
+//! * [`sim`] — [`Simulation`]: that loop over direct calls, with clients
+//!   trained in parallel threads; checkpoint/resume.
+//! * [`framing`] / [`proto`] / [`transport`] / [`actor`] —
+//!   [`FederationRuntime`]: the same loop over framed messages:
+//!   length-prefixed frames, typed wire messages, swappable
+//!   channel/TCP/Unix-socket backends with fault injection at the wire
+//!   seam, and the server/client actor threads.
 
 pub mod actor;
 pub mod client;
 pub mod comm;
 pub mod device;
+mod engine;
 pub mod faults;
 pub mod framing;
 pub mod metrics;
@@ -41,7 +44,7 @@ pub mod trainer;
 pub mod transport;
 pub mod wiretrace;
 
-pub use actor::{run_remote_client, ActorConfig, FederationRuntime};
+pub use actor::{run_remote_client, FederationRuntime};
 pub use client::{CommBytes, FclClient, IterationStats, ModelTemplate, Payload};
 pub use comm::{CommModel, InvalidBandwidth};
 pub use device::DeviceProfile;

@@ -1,25 +1,22 @@
 //! The round protocol's *ledger*: fault drawing, compute/deadline
 //! assessment, upload staging, communication accounting, and telemetry
-//! folds, shared verbatim between the in-process [`Simulation`] and the
-//! transport-backed [`FederationRuntime`].
+//! folds — the steps the round [`engine`] calls, in its one fixed
+//! order, on what a [`ClientLink`] hands back.
 //!
-//! Both drivers execute the same synchronous FedAvg round, but one calls
-//! clients as functions while the other exchanges frames over a
-//! [`Transport`]. Everything that feeds the [`SimReport`] — the fault
-//! event log (order included), byte and link-time accounting, simulated
-//! deadline math — lives here as pure-ish functions of the round's
-//! inputs, so a seeded run produces the identical fault log and
-//! bit-identical final model no matter which driver ran it.
+//! Everything that feeds the [`SimReport`] — the fault event log (order
+//! included), byte and link-time accounting, simulated deadline math —
+//! lives here as pure-ish functions of the round's inputs. Nothing in
+//! this module knows how a client was reached.
 //!
-//! [`Simulation`]: crate::sim::Simulation
-//! [`FederationRuntime`]: crate::actor::FederationRuntime
-//! [`Transport`]: crate::transport::Transport
+//! [`engine`]: crate::engine
+//! [`ClientLink`]: crate::engine::ClientLink
+//! [`SimReport`]: crate::sim::SimReport
 
-use crate::client::CommBytes;
 use crate::comm::CommModel;
 use crate::device::DeviceProfile;
 use crate::faults::{FaultEvent, FaultKind, FaultPlan, RoundFaults};
 use crate::metrics::AccuracyMatrix;
+use crate::proto::UploadMeta;
 use crate::server::{RejectReason, RejectedUpload};
 
 /// Append one fault to the run's log, mirroring it into the
@@ -48,8 +45,7 @@ pub(crate) fn record_fault(
 
 /// Draw this round's fault schedule on the coordinator, in client order,
 /// from per-`(client, round)` substreams — a pure function of the seed
-/// and config, independent of thread count and of which driver runs the
-/// round.
+/// and config, independent of thread count and of the link.
 pub(crate) fn draw_round_faults(
     plan: &FaultPlan,
     inert: bool,
@@ -201,13 +197,11 @@ pub(crate) struct StagedUpload {
 /// corruption, loss/retry with backoff, and deadline exclusion, logging
 /// Corrupt / UploadRetry / UploadLost events in the protocol's order.
 ///
-/// `had_upload` is whether the client produced an upload at all (in the
-/// in-process driver: `up.is_some()` before staging; on a transport:
-/// the client reports it in its upload metadata, because a fully lost
-/// upload arrives as nothing). `apply_damage` distinguishes the two
-/// drivers' corruption seams: the in-process driver damages the decoded
-/// vector here, while a transport damages the bytes in flight and only
-/// the *event* is ledgered here.
+/// `had_upload` is whether the client produced an upload at all — it
+/// reports that in its upload metadata, because on a wire a fully lost
+/// upload arrives as nothing. The link has already realized the damage
+/// (dropped frames, corrupted bytes); only the *events* are ledgered
+/// here, and an upload the server must not use is nulled.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn stage_upload(
     up: &mut Option<Vec<f32>>,
@@ -215,7 +209,6 @@ pub(crate) fn stage_upload(
     f: &RoundFaults,
     plan: &FaultPlan,
     deadline_missed: bool,
-    apply_damage: bool,
     round: u64,
     client: usize,
     log: &mut Vec<FaultEvent>,
@@ -228,11 +221,6 @@ pub(crate) fn stage_upload(
         return staged;
     }
     if let Some(corr) = f.corruption {
-        if apply_damage {
-            if let Some(v) = up.as_mut() {
-                corr.apply(v);
-            }
-        }
         record_fault(log, round, client, FaultKind::Corrupt, corr.mode as u64);
     }
     staged.attempts = f.upload_attempts();
@@ -281,14 +269,11 @@ pub(crate) fn quarantine_rejected(
 pub(crate) struct RoundCommInputs<'a> {
     /// Participation this round.
     pub part: &'a [bool],
-    /// Per-client base model bytes (up/down), read only for participants.
-    pub base: &'a [CommBytes],
-    /// Per-client method extra bytes, read only for participants.
-    pub extra: &'a [CommBytes],
+    /// Per-client modeled base-model and method-extra bytes (up/down),
+    /// read only for participants.
+    pub meta: &'a [UploadMeta],
     /// Per-client payload bytes published this round.
     pub payload_up: &'a [u64],
-    /// Total payload bytes published this round.
-    pub payload_total: u64,
     /// Per-client upload transmissions (0 when nothing was sent).
     pub attempts: &'a [u32],
     /// Per-client retry backoff seconds.
@@ -308,16 +293,17 @@ pub(crate) fn account_comm(
     comm: &CommModel,
     total_bytes: &mut u64,
 ) -> f64 {
+    let payload_total: u64 = i.payload_up.iter().sum();
     let mut round_comm: f64 = 0.0;
     for c in 0..i.part.len() {
         if !i.part[c] {
             continue;
         }
+        let m = &i.meta[c];
         // Clients download every payload but their own.
-        let payload_down = i.payload_total - i.payload_up[c];
-        let up_bytes = i.base[c].up * i.attempts[c] as u64 + i.extra[c].up + i.payload_up[c];
-        let down_bytes =
-            if i.have_global { i.base[c].down } else { 0 } + i.extra[c].down + payload_down;
+        let payload_down = payload_total - i.payload_up[c];
+        let up_bytes = m.base_up * i.attempts[c] as u64 + m.extra_up + i.payload_up[c];
+        let down_bytes = if i.have_global { m.base_down } else { 0 } + m.extra_down + payload_down;
         *total_bytes += up_bytes + down_bytes;
         fedknow_obs::count("comm.upload_bytes", up_bytes);
         fedknow_obs::count("comm.download_bytes", down_bytes);
@@ -522,14 +508,10 @@ mod tests {
         };
         let mut log_a = Vec::new();
         let mut up_a = Some(vec![1.0f32; 4]);
-        let a = stage_upload(
-            &mut up_a, true, &f, &plan, false, true, round, 0, &mut log_a,
-        );
+        let a = stage_upload(&mut up_a, true, &f, &plan, false, round, 0, &mut log_a);
         let mut log_b = Vec::new();
         let mut up_b: Option<Vec<f32>> = None;
-        let b = stage_upload(
-            &mut up_b, true, &f, &plan, false, false, round, 0, &mut log_b,
-        );
+        let b = stage_upload(&mut up_b, true, &f, &plan, false, round, 0, &mut log_b);
         assert_eq!(up_a, None);
         assert_eq!(up_b, None);
         assert_eq!(a.attempts, b.attempts);

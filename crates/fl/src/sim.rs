@@ -1,14 +1,15 @@
-//! The synchronized federated continual learning loop.
+//! The in-process simulation: the round `engine` over the link that
+//! never serializes, plus the run's public types.
 //!
-//! Mirrors the paper's §III-A protocol: every client trains its current
-//! task for `r` aggregation rounds of `v` local iterations; after each
-//! round the server FedAvg-aggregates the uploads and broadcasts the
-//! global model. At every task boundary each client is evaluated on all
-//! tasks it has learned so far, filling one row of its accuracy matrix.
-//!
-//! Clients train in parallel threads (they are independent between
-//! aggregations), but all randomness is drawn from per-client streams, so
-//! results are bit-identical regardless of thread count.
+//! The paper's §III-A protocol — every client trains its current task
+//! for `r` aggregation rounds of `v` local iterations; after each round
+//! the server FedAvg-aggregates the uploads and broadcasts the global
+//! model; at every task boundary each client is evaluated on all tasks
+//! it has learned so far — is the engine's loop. [`Simulation`] reaches
+//! its clients by direct trait calls fanned over worker threads (they
+//! are independent between aggregations); all randomness is drawn from
+//! per-client streams, so results are bit-identical regardless of
+//! thread count.
 //!
 //! ## Faults and resilience
 //!
@@ -32,14 +33,17 @@
 //! into a freshly built simulation and completes the run; for methods
 //! whose state is their flat parameter vector the resumed [`SimReport`]
 //! is bit-identical to an uninterrupted run.
+//!
+//! [`FaultPlan`]: crate::faults::FaultPlan
 
-use crate::client::{CommBytes, FclClient, Payload};
+use crate::client::{FclClient, Payload};
 use crate::comm::CommModel;
 use crate::device::DeviceProfile;
-use crate::faults::{FaultConfig, FaultEvent, FaultKind, FaultPlan};
-use crate::metrics::{mean_matrix, AccuracyMatrix, RowLengthMismatch};
-use crate::protocol;
-use crate::server::{fedavg, AggregateError};
+use crate::engine::{self, client_round, ClientLink, RoundContribution, RoundEnv, RunState};
+use crate::faults::{FaultConfig, FaultEvent, FaultKind, RoundFaults};
+use crate::metrics::{AccuracyMatrix, RowLengthMismatch};
+use crate::server::AggregateError;
+use crate::transport::TransportError;
 use fedknow_data::ClientDataset;
 use fedknow_math::rng::substream;
 use fedknow_nn::checkpoint::Checkpoint as ParamCheckpoint;
@@ -85,6 +89,11 @@ pub enum SimError {
     Aggregate(AggregateError),
     /// A [`SimCheckpoint`] does not fit this simulation.
     BadCheckpoint(String),
+    /// The transport under a [`FederationRuntime`] could not be set up,
+    /// or a peer never arrived.
+    ///
+    /// [`FederationRuntime`]: crate::actor::FederationRuntime
+    Transport(TransportError),
 }
 
 impl std::fmt::Display for SimError {
@@ -93,6 +102,7 @@ impl std::fmt::Display for SimError {
             SimError::Row(e) => write!(f, "evaluation row mismatch: {e}"),
             SimError::Aggregate(e) => write!(f, "aggregation call malformed: {e}"),
             SimError::BadCheckpoint(e) => write!(f, "checkpoint rejected: {e}"),
+            SimError::Transport(e) => write!(f, "transport failed: {e}"),
         }
     }
 }
@@ -108,6 +118,12 @@ impl From<RowLengthMismatch> for SimError {
 impl From<AggregateError> for SimError {
     fn from(e: AggregateError) -> Self {
         SimError::Aggregate(e)
+    }
+}
+
+impl From<TransportError> for SimError {
+    fn from(e: TransportError) -> Self {
+        SimError::Transport(e)
     }
 }
 
@@ -291,39 +307,13 @@ impl SimCheckpoint {
 /// A configured simulation: clients (one algorithm instance each), their
 /// datasets, devices, and the link model.
 pub struct Simulation {
-    clients: Vec<Box<dyn FclClient>>,
-    data: Vec<ClientDataset>,
-    devices: Vec<DeviceProfile>,
-    comm: CommModel,
-    cfg: SimConfig,
+    pub(crate) clients: Vec<Box<dyn FclClient>>,
+    pub(crate) data: Vec<ClientDataset>,
+    pub(crate) devices: Vec<DeviceProfile>,
+    pub(crate) comm: CommModel,
+    pub(crate) cfg: SimConfig,
     /// Base model size on the wire (bytes).
-    model_bytes: u64,
-}
-
-/// Mutable driver state threaded through the task loop — everything a
-/// [`SimCheckpoint`] must capture besides the clients themselves.
-struct RunState {
-    next_task: usize,
-    rngs: Vec<StdRng>,
-    active: Vec<bool>,
-    missed_broadcast: Vec<bool>,
-    dropouts: Vec<(usize, usize)>,
-    matrices: Vec<AccuracyMatrix>,
-    task_compute: Vec<f64>,
-    task_comm: Vec<f64>,
-    task_loss: Vec<f64>,
-    total_bytes: u64,
-    prev_global: Option<Vec<f32>>,
-    last_global: Option<Vec<f32>>,
-    fault_log: Vec<FaultEvent>,
-}
-
-/// Per-round, per-client training result gathered from the worker
-/// threads.
-struct RoundOutcome {
-    flops: u64,
-    loss_sum: f64,
-    iters: usize,
+    pub(crate) model_bytes: u64,
 }
 
 impl Simulation {
@@ -355,24 +345,10 @@ impl Simulation {
         }
     }
 
-    /// Register run-identifying context with the observability layer so a
-    /// postmortem bundle records *what* was running, not just how it died.
-    /// No-op while obs is disabled.
-    fn register_obs_context(&self) {
-        if !fedknow_obs::is_enabled() {
-            return;
-        }
-        fedknow_obs::set_context("sim.method", self.clients[0].method_name());
-        fedknow_obs::set_context("sim.seed", &self.cfg.seed.to_string());
-        if let Ok(cfg) = serde_json::to_string(&self.cfg) {
-            fedknow_obs::set_context("sim.config", &cfg);
-        }
-    }
-
     /// Run the full task sequence and produce the report.
     pub fn run(&mut self) -> Result<SimReport, SimError> {
-        let st = self.fresh_state();
-        self.drive(st)
+        let (st, rngs) = self.fresh_state();
+        self.drive(st, rngs)
     }
 
     /// Run the first `tasks` tasks and capture a checkpoint at that
@@ -380,21 +356,20 @@ impl Simulation {
     /// identically configured simulation completes the run;
     /// `tasks >= the stream length` checkpoints the completed run.
     pub fn checkpoint(&mut self, tasks: usize) -> Result<SimCheckpoint, SimError> {
-        fedknow_obs::init_from_env();
-        fedknow_verify::init_from_env();
-        self.register_obs_context();
-        let mut st = self.fresh_state();
+        engine::init_run(&self.cfg, self.clients[0].method_name());
+        let (mut st, mut rngs) = self.fresh_state();
         let until = tasks.min(self.data[0].tasks.len());
-        self.advance(&mut st, until)?;
+        let (mut link, env) = self.split(&mut rngs);
+        engine::advance(&mut link, &env, &mut st, until)?;
         fedknow_obs::mark(&format!("checkpoint.capture tasks={until}"));
-        let ck = self.capture(&st);
+        let ck = self.capture(&st, &rngs);
         if fedknow_verify::is_enabled() {
             // Capturing must be a pure read: a second capture of the same
             // state has to be identical, or resume would replay from a
             // snapshot that drifted from the run it claims to freeze.
             fedknow_verify::report(
                 "sim.checkpoint_stable",
-                if self.capture(&st) == ck {
+                if self.capture(&st, &rngs) == ck {
                     Ok(())
                 } else {
                     Err("capturing the same state twice produced different checkpoints".into())
@@ -413,33 +388,38 @@ impl Simulation {
     pub fn resume(&mut self, ck: &SimCheckpoint) -> Result<SimReport, SimError> {
         fedknow_obs::init_from_env();
         fedknow_obs::mark(&format!("checkpoint.resume next_task={}", ck.next_task));
-        let st = self.restore_state(ck)?;
-        self.drive(st)
+        let (st, rngs) = self.restore_state(ck)?;
+        self.drive(st, rngs)
     }
 
-    fn fresh_state(&self) -> RunState {
+    /// The ledger and the per-client training streams (derived from the
+    /// seed) before the first task.
+    fn fresh_state(&self) -> (RunState, Vec<StdRng>) {
         let n = self.clients.len();
-        RunState {
-            next_task: 0,
-            rngs: (0..n)
-                .map(|c| substream(self.cfg.seed, 0xF1_0000 + c as u64))
-                .collect(),
-            active: vec![true; n],
-            missed_broadcast: vec![false; n],
-            dropouts: Vec::new(),
-            matrices: vec![AccuracyMatrix::new(); n],
-            task_compute: Vec::new(),
-            task_comm: Vec::new(),
-            task_loss: Vec::new(),
-            total_bytes: 0,
-            prev_global: None,
-            last_global: None,
-            fault_log: Vec::new(),
-        }
+        let rng = |c| engine::client_rng(self.cfg.seed, c);
+        (RunState::fresh(n), (0..n).map(rng).collect())
+    }
+
+    /// This simulation as the engine sees it: the in-process link over
+    /// the clients, and the fixed environment of the run.
+    fn split<'a>(&'a mut self, rngs: &'a mut [StdRng]) -> (LocalLink<'a>, RoundEnv<'a>) {
+        let link = LocalLink {
+            clients: &mut self.clients,
+            data: &self.data,
+            rngs,
+            cfg: &self.cfg,
+            model_bytes: self.model_bytes,
+        };
+        let env = RoundEnv {
+            devices: &self.devices,
+            comm: &self.comm,
+            cfg: &self.cfg,
+        };
+        (link, env)
     }
 
     /// Snapshot the driver state and every client's parameters.
-    fn capture(&mut self, st: &RunState) -> SimCheckpoint {
+    fn capture(&mut self, st: &RunState, rngs: &[StdRng]) -> SimCheckpoint {
         let client_params = self
             .clients
             .iter_mut()
@@ -471,14 +451,14 @@ impl Simulation {
             prev_global: st.prev_global.clone(),
             last_global: st.last_global.clone(),
             fault_log: st.fault_log.clone(),
-            rng_states: st.rngs.iter().map(|r| r.state().to_vec()).collect(),
+            rng_states: rngs.iter().map(|r| r.state().to_vec()).collect(),
             client_params,
         }
     }
 
     /// Validate a checkpoint against this simulation and rebuild the
     /// driver state, restoring client parameters and RNG streams.
-    fn restore_state(&mut self, ck: &SimCheckpoint) -> Result<RunState, SimError> {
+    fn restore_state(&mut self, ck: &SimCheckpoint) -> Result<(RunState, Vec<StdRng>), SimError> {
         let n = self.clients.len();
         let bad = |msg: String| SimError::BadCheckpoint(msg);
         if ck.version != SimCheckpoint::VERSION {
@@ -561,9 +541,8 @@ impl Simulation {
             let mut scratch = substream(0, 0xC0DE ^ c as u64);
             self.clients[c].restore_checkpoint(&saved.params, &mut scratch);
         }
-        Ok(RunState {
+        let st = RunState {
             next_task: ck.next_task,
-            rngs,
             active: ck.active.clone(),
             missed_broadcast: ck.missed_broadcast.clone(),
             dropouts: ck.dropouts.clone(),
@@ -575,307 +554,66 @@ impl Simulation {
             prev_global: ck.prev_global.clone(),
             last_global: ck.last_global.clone(),
             fault_log: ck.fault_log.clone(),
-        })
+        };
+        Ok((st, rngs))
     }
 
     /// Run the remaining tasks and assemble the report.
-    fn drive(&mut self, mut st: RunState) -> Result<SimReport, SimError> {
-        fedknow_obs::init_from_env();
-        fedknow_verify::init_from_env();
-        // At high client counts, head-sample client spans (anomalous
-        // clients still record) unless the user pinned a rate.
-        let n = self.clients.len();
-        if n > 256 && std::env::var_os(fedknow_obs::ENV_SPAN_SAMPLE).is_none() {
-            fedknow_obs::set_span_sample((n / 256) as u64);
-        }
-        self.register_obs_context();
-        let obs_before = fedknow_obs::snapshot();
-        let run_span = fedknow_obs::span("run");
+    fn drive(&mut self, st: RunState, mut rngs: Vec<StdRng>) -> Result<SimReport, SimError> {
         let num_tasks = self.data[0].tasks.len();
-        self.advance(&mut st, num_tasks)?;
-
-        // Close the run span before diffing so its duration is included,
-        // then attribute this run's metrics by snapshot difference.
-        drop(run_span);
-        let phase_breakdown = obs_before.and_then(|before| {
-            fedknow_obs::snapshot().map(|after| PhaseBreakdown::from_metrics(&after.since(&before)))
-        });
-        fedknow_obs::flush();
-
-        Ok(SimReport {
-            method: self.clients[0].method_name().to_string(),
-            accuracy: mean_matrix(&st.matrices),
-            task_compute_seconds: st.task_compute,
-            task_comm_seconds: st.task_comm,
-            total_bytes: st.total_bytes,
-            dropouts: st.dropouts,
-            task_mean_loss: st.task_loss,
-            phase_breakdown,
-            fault_log: st.fault_log,
+        let method = self.clients[0].method_name();
+        let (mut link, env) = self.split(&mut rngs);
+        engine::run_reported(&env, method, st, |st| {
+            engine::advance(&mut link, &env, st, num_tasks)
         })
     }
+}
 
-    /// Advance the task loop from `st.next_task` up to (not including)
-    /// `until`.
-    fn advance(&mut self, st: &mut RunState, until: usize) -> Result<(), SimError> {
-        let n = self.clients.len();
-        let plan = FaultPlan::new(self.cfg.seed, self.cfg.faults);
-        let inert = plan.config().is_inert();
-        let deadline_factor = plan.config().deadline_factor;
+/// The link that never serializes: every [`ClientLink`] call is a
+/// direct trait call on the client, fanned over worker threads.
+struct LocalLink<'a> {
+    clients: &'a mut [Box<dyn FclClient>],
+    data: &'a [ClientDataset],
+    /// Per-client training streams (checkpointed with the run).
+    rngs: &'a mut [StdRng],
+    cfg: &'a SimConfig,
+    model_bytes: u64,
+}
 
-        for step in st.next_task..until {
-            let _task_span = fedknow_obs::obs_span!("task.{step}");
-            // Task start on every active client.
-            self.for_each_active(&st.active, &mut st.rngs, |_c, client, data, rng| {
-                client.start_task(&data.tasks[step], rng);
-            });
+/// One client's share of a fan-out: its index, algorithm instance,
+/// training stream, and result slot.
+type Job<'j, T> = (
+    usize,
+    &'j mut Box<dyn FclClient>,
+    &'j mut StdRng,
+    &'j mut Option<T>,
+);
 
-            let mut compute_secs = 0.0f64;
-            let mut comm_secs = 0.0f64;
-            let mut loss_sum = 0.0f64;
-            let mut loss_iters = 0usize;
-
-            for round in 0..self.cfg.rounds_per_task {
-                let _round_span = fedknow_obs::obs_span!("round.{round}");
-                // Global round index: the ambient tag every deep
-                // instrumentation site (integrator, restorer) stamps
-                // its series points with.
-                let global_round = (step * self.cfg.rounds_per_task + round) as u64;
-                fedknow_obs::set_round(global_round);
-
-                // Fault draws happen here, on the coordinator thread and
-                // in client order, from per-(client, round) substreams —
-                // the schedule is independent of thread count.
-                let faults = protocol::draw_round_faults(&plan, inert, &st.active, global_round);
-
-                // Rejoin: a client that crashed earlier and is back this
-                // round is re-sent the broadcast it missed (charged as a
-                // model download) before training resumes.
-                let mut rejoin_secs = vec![0.0f64; n];
-                for c in 0..n {
-                    if !st.active[c] || faults[c].crash || !st.missed_broadcast[c] {
-                        continue;
-                    }
-                    st.missed_broadcast[c] = false;
-                    if let Some(g) = &st.last_global {
-                        self.clients[c].receive_global(g, &mut st.rngs[c]);
-                        let down = self.clients[c].base_comm(self.model_bytes).down;
-                        rejoin_secs[c] = protocol::charge_rejoin(
-                            down,
-                            &self.comm,
-                            global_round,
-                            c,
-                            &mut st.total_bytes,
-                            &mut st.fault_log,
-                        );
-                    }
-                }
-
-                // Participation this round: active minus fresh crashes.
-                let part = protocol::mark_crashes(
-                    &st.active,
-                    &faults,
-                    inert,
-                    global_round,
-                    &mut st.fault_log,
-                );
-
-                // Local training, parallel across clients.
-                let outcomes = self.train_round(&part, &mut st.rngs);
-                for o in outcomes.iter().flatten() {
-                    loss_sum += o.loss_sum;
-                    loss_iters += o.iters;
-                }
-
-                // The slowest participant gates the synchronous round;
-                // stragglers run `slowdown ×` their nominal time, and an
-                // optional deadline (a multiple of the slowest *nominal*
-                // time) caps how long the server waits.
-                let flops: Vec<Option<u64>> = outcomes
-                    .iter()
-                    .map(|o| o.as_ref().map(|o| o.flops))
-                    .collect();
-                let assess = protocol::assess_compute(
-                    &flops,
-                    &self.devices,
-                    &faults,
-                    deadline_factor,
-                    global_round,
-                    &mut st.fault_log,
-                );
-                compute_secs += assess.round_compute;
-
-                // Uploads, with in-flight loss and corruption applied.
-                // `attempts` counts transmissions of the base upload
-                // (retries burn wire bytes even when they fail).
-                let mut uploads: Vec<Option<Vec<f32>>> = Vec::with_capacity(n);
-                let mut weights: Vec<usize> = Vec::with_capacity(n);
-                let mut attempts = vec![0u32; n];
-                let mut backoff = vec![0.0f64; n];
-                for c in 0..n {
-                    if !part[c] {
-                        uploads.push(None);
-                        weights.push(0);
-                        continue;
-                    }
-                    weights.push(self.data[c].tasks[step].train.len());
-                    let mut up = self.clients[c].upload();
-                    let had_upload = up.is_some();
-                    let staged = protocol::stage_upload(
-                        &mut up,
-                        had_upload,
-                        &faults[c],
-                        &plan,
-                        assess.deadline_missed[c],
-                        true,
-                        global_round,
-                        c,
-                        &mut st.fault_log,
-                    );
-                    attempts[c] = staged.attempts;
-                    backoff[c] = staged.backoff;
-                    uploads.push(up);
-                }
-
-                // Aggregation; validation quarantines malformed uploads.
-                let agg = fedavg(&uploads, &weights)?;
-                protocol::quarantine_rejected(
-                    &agg.rejected,
-                    &mut uploads,
-                    global_round,
-                    &mut st.fault_log,
-                );
-                let global = agg.global;
-                protocol::fold_aggregate_telemetry(&uploads, &global, &mut st.prev_global);
-
-                // Method payload exchange through the server (e.g.
-                // FedWEIT adaptive weights).
-                let mut payloads: Vec<Payload> = Vec::new();
-                let mut payload_up = vec![0u64; n];
-                for (c, client) in self.clients.iter_mut().enumerate() {
-                    if !part[c] {
-                        continue;
-                    }
-                    for mut p in client.payload_out() {
-                        p.from_client = c;
-                        payload_up[c] += p.size_bytes();
-                        payloads.push(p);
-                    }
-                }
-                let payload_total: u64 = payloads.iter().map(|p| p.size_bytes()).sum();
-
-                // Communication accounting (per client, gated by the
-                // slowest link; lost attempts burn bytes, retry backoff
-                // and rejoin downloads are charged as link time).
-                let mut base = vec![CommBytes::default(); n];
-                let mut extra = vec![CommBytes::default(); n];
-                for c in 0..n {
-                    if part[c] {
-                        extra[c] = self.clients[c].extra_comm();
-                        base[c] = self.clients[c].base_comm(self.model_bytes);
-                    }
-                }
-                let round_comm = protocol::account_comm(
-                    &protocol::RoundCommInputs {
-                        part: &part,
-                        base: &base,
-                        extra: &extra,
-                        payload_up: &payload_up,
-                        payload_total,
-                        attempts: &attempts,
-                        backoff: &backoff,
-                        rejoin_secs: &rejoin_secs,
-                        have_global: global.is_some(),
-                    },
-                    &self.comm,
-                    &mut st.total_bytes,
-                );
-                comm_secs += round_comm;
-
-                // Per-round telemetry fold: cohorted client compute
-                // times, slowest-decile anomaly marking (those clients'
-                // spans bypass head sampling), and the streaming health
-                // engine's SLO update.
-                protocol::fold_round_telemetry(
-                    global_round,
-                    &st.active,
-                    &part,
-                    &faults,
-                    &assess.actual,
-                    uploads.iter().filter(|u| u.is_some()).count() as u64,
-                    agg.rejected.len() as u64,
-                    assess.round_compute + round_comm,
-                    0,
-                );
-
-                // Broadcast the aggregated model and the payload set;
-                // crashed clients miss it and are owed a rejoin.
-                if let Some(g) = &global {
-                    self.receive_round(&part, &mut st.rngs, g);
-                    for (c, &went) in part.iter().enumerate() {
-                        if st.active[c] && !went {
-                            st.missed_broadcast[c] = true;
-                        }
-                    }
-                    st.last_global = Some(g.clone());
-                }
-                if !payloads.is_empty() {
-                    let payloads = &payloads;
-                    self.for_each_active(&part, &mut st.rngs, |_c, client, _data, rng| {
-                        client.payloads_in(payloads, rng);
-                    });
-                }
-            }
-
-            // Task end: consolidate knowledge, then check memory budgets.
-            self.for_each_active(&st.active, &mut st.rngs, |_c, client, _data, rng| {
-                client.finish_task(rng);
-            });
-            for (c, is_active) in st.active.iter_mut().enumerate() {
-                if *is_active && self.devices[c].would_oom(self.clients[c].retained_bytes()) {
-                    *is_active = false;
-                    st.dropouts.push((c, step));
-                }
-            }
-
-            // Evaluation row: every client, all learned tasks (dropped
-            // clients keep their stale model).
-            let rows = self.evaluate_all(step);
-            for (m, row) in st.matrices.iter_mut().zip(rows) {
-                m.push_row(row)?;
-            }
-            if fedknow_obs::is_enabled() {
-                protocol::record_forgetting(&st.matrices, step);
-            }
-
-            st.task_compute.push(compute_secs);
-            st.task_comm.push(comm_secs);
-            st.task_loss.push(if loss_iters > 0 {
-                loss_sum / loss_iters as f64
-            } else {
-                0.0
-            });
-            st.next_task = step + 1;
-        }
-        Ok(())
-    }
-
-    /// Apply `f(index, client, data, rng)` to every active client, in
-    /// parallel when configured. Determinism holds because each client's
-    /// randomness comes only from its own stream.
-    fn for_each_active<F>(&mut self, active: &[bool], rngs: &mut [StdRng], f: F)
+impl LocalLink<'_> {
+    /// `f(index, client, data, rng)` for every client `mask` selects, in
+    /// parallel when configured; results by client index. Determinism
+    /// holds because each client's randomness comes only from its own
+    /// stream.
+    fn fan_out<T, F>(&mut self, mask: &[bool], f: F) -> Vec<Option<T>>
     where
-        F: Fn(usize, &mut dyn FclClient, &ClientDataset, &mut StdRng) + Sync,
+        T: Send,
+        F: Fn(usize, &mut dyn FclClient, &ClientDataset, &mut StdRng) -> T + Sync,
     {
-        let data = &self.data;
-        let mut jobs: Vec<(usize, &mut Box<dyn FclClient>, &mut StdRng)> = self
+        let data = self.data;
+        let mut out: Vec<Option<T>> = mask.iter().map(|_| None).collect();
+        let mut jobs: Vec<Job<'_, T>> = self
             .clients
             .iter_mut()
-            .zip(rngs.iter_mut())
+            .zip(self.rngs.iter_mut())
+            .zip(out.iter_mut())
             .enumerate()
-            .filter(|(c, _)| active[*c])
-            .map(|(c, (client, rng))| (c, client, rng))
+            .filter(|(c, _)| mask[*c])
+            .map(|(c, ((client, rng), slot))| (c, client, rng, slot))
             .collect();
+        let run = |(c, client, rng, slot): &mut Job<'_, T>| {
+            let _client_span = fedknow_obs::client_span(*c as u64);
+            **slot = Some(f(*c, client.as_mut(), &data[*c], rng));
+        };
         if self.cfg.parallel && jobs.len() > 1 {
             let threads = std::thread::available_parallelism()
                 .map(|p| p.get())
@@ -884,78 +622,92 @@ impl Simulation {
             // Worker threads start with empty span stacks; hand them the
             // parent path so client spans nest under run/task/round.
             let parent = fedknow_obs::current_path();
-            let parent = &parent;
+            let (parent, run) = (&parent, &run);
             crossbeam::thread::scope(|s| {
                 for chunk_jobs in jobs.chunks_mut(chunk) {
-                    s.spawn(|_| {
+                    s.spawn(move |_| {
                         let _path = fedknow_obs::inherit_path(parent);
-                        for (c, client, rng) in chunk_jobs.iter_mut() {
-                            let _client_span = fedknow_obs::client_span(*c as u64);
-                            f(*c, client.as_mut(), &data[*c], rng);
-                        }
+                        chunk_jobs.iter_mut().for_each(run);
                     });
                 }
             })
             .expect("worker thread panicked");
         } else {
-            for (c, client, rng) in jobs {
-                let _client_span = fedknow_obs::client_span(c as u64);
-                f(c, client.as_mut(), &data[c], rng);
-            }
+            jobs.iter_mut().for_each(run);
         }
+        drop(jobs);
+        out
+    }
+}
+
+impl ClientLink for LocalLink<'_> {
+    fn start_task(&mut self, step: usize, active: &[bool]) {
+        self.fan_out(active, |_c, client, data, rng| {
+            client.start_task(&data.tasks[step], rng)
+        });
     }
 
-    /// Run `iters_per_round` iterations on every participating client;
-    /// returns per-client outcome (`None` for absent clients).
-    fn train_round(&mut self, active: &[bool], rngs: &mut [StdRng]) -> Vec<Option<RoundOutcome>> {
-        let iters = self.cfg.iters_per_round;
-        let results: Vec<parking_lot::Mutex<Option<RoundOutcome>>> = (0..self.clients.len())
-            .map(|_| parking_lot::Mutex::new(None))
-            .collect();
-        self.for_each_active(active, rngs, |c, client, _data, rng| {
-            let mut flops = 0u64;
-            let mut loss_sum = 0.0f64;
-            for _ in 0..iters {
-                let stats = client.train_iteration(rng);
-                flops += stats.flops;
-                loss_sum += stats.loss;
+    fn resync(&mut self, c: usize, _round: u64, global: &[f32]) -> u64 {
+        self.clients[c].receive_global(global, &mut self.rngs[c]);
+        self.clients[c].base_comm(self.model_bytes).down
+    }
+
+    fn round(
+        &mut self,
+        _round: u64,
+        step: usize,
+        part: &[bool],
+        faults: &[RoundFaults],
+    ) -> Vec<Option<RoundContribution>> {
+        let (iters, model_bytes) = (self.cfg.iters_per_round, self.model_bytes);
+        self.fan_out(part, |c, client, data, rng| {
+            let mut rc = client_round(c, client, &data.tasks[step], rng, iters, model_bytes);
+            // In-flight corruption, applied where a wire link damages
+            // the frame's bytes.
+            if let (Some(corr), Some(v)) = (faults[c].corruption, rc.params.as_mut()) {
+                corr.apply(v);
             }
-            *results[c].lock() = Some(RoundOutcome {
-                flops,
-                loss_sum,
-                iters,
-            });
-        });
-        results.into_iter().map(|m| m.into_inner()).collect()
+            rc
+        })
     }
 
-    /// Broadcast the global model to the given clients.
-    fn receive_round(&mut self, active: &[bool], rngs: &mut [StdRng], global: &[f32]) {
-        self.for_each_active(active, rngs, |_c, client, _data, rng| {
-            client.receive_global(global, rng);
+    fn broadcast(
+        &mut self,
+        part: &[bool],
+        _round: u64,
+        global: Option<&[f32]>,
+        payloads: Vec<Payload>,
+    ) {
+        if global.is_none() && payloads.is_empty() {
+            return;
+        }
+        let payloads = &payloads;
+        self.fan_out(part, |_c, client, _data, rng| {
+            if let Some(g) = global {
+                client.receive_global(g, rng);
+            }
+            if !payloads.is_empty() {
+                client.payloads_in(payloads, rng);
+            }
         });
     }
 
-    /// Evaluate every client (dropped ones included — they keep a stale
-    /// model) on its learned tasks `0..=step`, in the client's own task
-    /// order.
-    fn evaluate_all(&mut self, step: usize) -> Vec<Vec<f64>> {
+    fn finish_task(&mut self, active: &[bool]) -> Vec<Option<u64>> {
+        self.fan_out(active, |_c, client, _data, rng| {
+            client.finish_task(rng);
+            client.retained_bytes()
+        })
+    }
+
+    fn evaluate(&mut self, step: usize) -> Vec<Option<Vec<f64>>> {
+        // Evaluation draws no randomness, so the training streams the
+        // fan-out hands over stay untouched.
         let all = vec![true; self.clients.len()];
-        // Evaluation draws no randomness; a scratch RNG set satisfies the
-        // signature without perturbing the training streams.
-        let mut scratch: Vec<StdRng> = (0..self.clients.len())
-            .map(|c| substream(0, c as u64))
-            .collect();
-        let results: Vec<parking_lot::Mutex<Vec<f64>>> = (0..self.clients.len())
-            .map(|_| parking_lot::Mutex::new(Vec::new()))
-            .collect();
-        self.for_each_active(&all, &mut scratch, |c, client, data, _rng| {
-            let row: Vec<f64> = (0..=step)
+        self.fan_out(&all, |_c, client, data, _rng| {
+            (0..=step)
                 .map(|k| client.evaluate(&data.tasks[k]))
-                .collect();
-            *results[c].lock() = row;
-        });
-        results.into_iter().map(|m| m.into_inner()).collect()
+                .collect()
+        })
     }
 }
 
@@ -963,7 +715,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::client::{FclClient, IterationStats};
-    use crate::faults::RoundFaults;
+    use crate::faults::{FaultPlan, RoundFaults};
     use fedknow_data::{generate::generate, partition, ClientTask, DatasetSpec, PartitionConfig};
 
     /// Minimal client: a 4-parameter vector that drifts upward each

@@ -91,6 +91,8 @@ pub enum TransportError {
     AcceptTimeout,
     /// Setting up the endpoint failed.
     Setup(std::io::ErrorKind),
+    /// This client never connected to the server.
+    NeverConnected(u32),
 }
 
 impl std::fmt::Display for TransportError {
@@ -101,6 +103,7 @@ impl std::fmt::Display for TransportError {
             TransportError::Closed => write!(f, "connection closed by peer"),
             TransportError::AcceptTimeout => write!(f, "no connection within the accept deadline"),
             TransportError::Setup(k) => write!(f, "endpoint setup failed: {k}"),
+            TransportError::NeverConnected(c) => write!(f, "client {c} never connected"),
         }
     }
 }

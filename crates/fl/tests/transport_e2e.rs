@@ -5,9 +5,11 @@
 //! with the modeled communication ledger.
 
 use fedknow_data::{generate::generate, partition, ClientTask, DatasetSpec, PartitionConfig};
+use fedknow_fl::transport::{bind, tcp_connector};
 use fedknow_fl::{
-    CommModel, DeviceProfile, FaultConfig, FclClient, FederationRuntime, IterationStats, Payload,
-    SimConfig, SimReport, Simulation, TransportKind, WireStatsSnapshot,
+    run_remote_client, CommModel, DecodeError, DeviceProfile, FaultConfig, FclClient,
+    FederationRuntime, IterationStats, Payload, SimConfig, SimError, SimReport, Simulation,
+    TransportError, TransportKind, WireMsg, WireStats, WireStatsSnapshot,
 };
 use fedknow_math::SparseVec;
 
@@ -307,4 +309,94 @@ fn payload_wire_bytes_exceed_modeled_by_the_own_payload_echo() {
         rounds * clients * own_payload,
         "surplus must be exactly the own-payload echo"
     );
+}
+
+/// One stub client and its data shard, as a remote process would hold
+/// them.
+fn lone_client() -> (Box<dyn FclClient>, fedknow_data::ClientDataset) {
+    (stub_clients().remove(0), tiny_data().remove(0))
+}
+
+#[test]
+fn serve_at_on_a_bound_address_is_a_transport_error() {
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = taken.local_addr().expect("addr").to_string();
+    let err = FederationRuntime::new(
+        stub_clients(),
+        tiny_data(),
+        devices(),
+        CommModel::paper_default(),
+        config(FaultConfig::default()),
+        MODEL_BYTES,
+        TransportKind::Tcp,
+    )
+    .serve_at(&addr)
+    .expect_err("the address is taken");
+    assert!(
+        matches!(
+            err,
+            SimError::Transport(TransportError::Setup(std::io::ErrorKind::AddrInUse))
+        ),
+        "a failed bind is a transport failure, not a bad checkpoint: {err}"
+    );
+}
+
+#[test]
+fn a_server_that_drops_the_connection_fails_the_remote_client() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let server = std::thread::spawn(move || drop(listener.accept().expect("accept")));
+    let stats = std::sync::Arc::new(WireStats::new());
+    let transport = tcp_connector(&addr, stats).expect("connector");
+    let (client, data) = lone_client();
+    let cfg = config(FaultConfig::default());
+    let started = std::time::Instant::now();
+    let err = run_remote_client(transport, 0, client, data, &cfg, MODEL_BYTES)
+        .expect_err("the server vanished before Shutdown");
+    server.join().expect("server thread");
+    // The peer is gone: a close, or a reset while reading.
+    assert!(
+        matches!(err, TransportError::Closed | TransportError::Frame(_)),
+        "{err}"
+    );
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(5),
+        "a dead server must fail the client at once, not after the dial window"
+    );
+}
+
+#[test]
+fn out_of_range_task_indices_are_rejected_like_malformed_frames() {
+    for hostile in [WireMsg::Eval { upto: 99 }, WireMsg::StartTask { task: 99 }] {
+        let stats = std::sync::Arc::new(WireStats::new());
+        let (transport, mut listener) = bind(TransportKind::Channel, stats).expect("bind");
+        let (client, data) = lone_client();
+        let cfg = config(FaultConfig::default());
+        let remote = std::thread::spawn(move || {
+            run_remote_client(transport, 0, client, data, &cfg, MODEL_BYTES)
+        });
+        // Scripted server: take the Hello, then send an index far past
+        // the client's three tasks.
+        let mut conn = listener
+            .accept(std::time::Duration::from_secs(5))
+            .expect("the client dials in");
+        assert_eq!(
+            conn.rx.recv().expect("hello"),
+            Some(WireMsg::Hello { client: 0 })
+        );
+        conn.tx.send(&hostile).expect("send");
+        assert_eq!(
+            conn.rx.recv().expect("clean close"),
+            None,
+            "the client must hang up, not answer {hostile:?}"
+        );
+        let err = remote
+            .join()
+            .expect("the client must not panic")
+            .expect_err("an index past the stream is an error");
+        assert!(
+            matches!(err, TransportError::Decode(DecodeError::Invalid(_))),
+            "{err}"
+        );
+    }
 }

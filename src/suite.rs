@@ -154,7 +154,8 @@ impl RunSpec {
     /// Join a multi-process federation as client `client_id`: assemble
     /// the same spec the server assembled, keep only this client's
     /// algorithm instance and data shard, and drive it against the
-    /// server at `addr` until `Shutdown`.
+    /// server at `addr` until `Shutdown`. A dial that fails or a server
+    /// that goes away first is an error.
     pub fn join_over(&self, method: Method, addr: &str, client_id: u32) -> Result<(), SimError> {
         let dataset = generate(&self.dataset, self.seed);
         let (mut clients, mut parts, cfg, model_bytes) = self.assemble(method, &dataset);
@@ -163,17 +164,8 @@ impl RunSpec {
         let client = clients.swap_remove(c);
         let data = parts.swap_remove(c);
         let stats = std::sync::Arc::new(fedknow_fl::transport::WireStats::new());
-        let transport = fedknow_fl::transport::tcp_connector(addr, stats)
-            .map_err(|e| SimError::BadCheckpoint(e.to_string()))?;
-        fedknow_fl::run_remote_client(
-            transport,
-            client_id,
-            client,
-            data,
-            &cfg,
-            model_bytes,
-            fedknow_fl::ActorConfig::default().straggle_delay,
-        );
+        let transport = fedknow_fl::transport::tcp_connector(addr, stats)?;
+        fedknow_fl::run_remote_client(transport, client_id, client, data, &cfg, model_bytes)?;
         Ok(())
     }
 
