@@ -67,6 +67,29 @@ impl Method {
         Method::FedWeit,
     ];
 
+    /// Every method [`build_client`] can instantiate.
+    pub const ALL: [Method; 14] = [
+        Method::FedKnow,
+        Method::Gem,
+        Method::Bcn,
+        Method::Co2l,
+        Method::Ewc,
+        Method::Mas,
+        Method::AgsCl,
+        Method::FedAvg,
+        Method::Apfl,
+        Method::FedRep,
+        Method::Flcn,
+        Method::FedWeit,
+        Method::FedWeitOwn,
+        Method::AGem,
+    ];
+
+    /// The method whose [`Method::name`] is `name`.
+    pub fn from_name(name: &str) -> Option<Method> {
+        Self::ALL.into_iter().find(|m| m.name() == name)
+    }
+
     /// Stable report name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -262,5 +285,15 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 12, "duplicate method names");
+    }
+
+    #[test]
+    fn every_method_round_trips_through_its_name() {
+        for m in Method::ALL {
+            assert_eq!(Method::from_name(m.name()), Some(m));
+        }
+        assert!(Method::ALL.starts_with(&Method::COMPARISON));
+        assert_eq!(Method::from_name("agem"), Some(Method::AGem));
+        assert_eq!(Method::from_name("sgd"), None);
     }
 }

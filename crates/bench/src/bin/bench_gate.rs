@@ -6,11 +6,11 @@
 //! bench_gate prev.json new.json       # diff one explicit pair
 //! ```
 //!
-//! Flags: `--results DIR` (default the repo's `results/`), `--acc-tol`,
-//! `--forget-tol` (absolute), `--wall-tol`, `--gflops-tol`, `--rss-tol`,
-//! `--bytes-tol`, `--throughput-tol` (relative), and `--report-only` to
-//! print the diff without failing — the mode CI runs on every push so
-//! regressions are visible before the gate is hardened.
+//! Flags: `--results DIR` (default the repo's `results/`) and
+//! `--report-only` to print the diff without failing — the mode CI runs
+//! on every push so regressions are visible before the gate is
+//! hardened. There are no tolerance flags: each metric carries the
+//! tolerance its writer recorded, and the baseline's is the one applied.
 //!
 //! Exit status: 0 when everything is within tolerance (or
 //! `--report-only`), 1 on a regression, 2 on usage/IO errors, 3 when a
@@ -18,14 +18,13 @@
 //! to a note under `--report-only`, since a fresh checkout legitimately
 //! has unrotated records).
 
-use fedknow_bench::gate::{bench_record_path, compare, read_bench_record, GateReport, Tolerance};
-use std::path::PathBuf;
+use fedknow_bench::gate::{bench_record_path, compare, read_bench_record, GateReport};
+use std::path::{Path, PathBuf};
 
 /// Exit code for "record exists but its baseline doesn't".
 const EXIT_NO_BASELINE: i32 = 3;
 
 fn main() {
-    let mut tol = Tolerance::default();
     let mut results_dir = fedknow_bench::results_dir();
     let mut report_only = false;
     let mut pair: Vec<PathBuf> = Vec::new();
@@ -37,34 +36,6 @@ fn main() {
                 i += 1;
                 results_dir = PathBuf::from(argv.get(i).unwrap_or_else(|| usage("--results DIR")));
             }
-            "--acc-tol" => {
-                i += 1;
-                tol.accuracy_drop = parse_f64(&argv, i, "--acc-tol");
-            }
-            "--forget-tol" => {
-                i += 1;
-                tol.forgetting_rise = parse_f64(&argv, i, "--forget-tol");
-            }
-            "--wall-tol" => {
-                i += 1;
-                tol.wall_rise = parse_f64(&argv, i, "--wall-tol");
-            }
-            "--gflops-tol" => {
-                i += 1;
-                tol.gflops_drop = parse_f64(&argv, i, "--gflops-tol");
-            }
-            "--rss-tol" => {
-                i += 1;
-                tol.rss_rise = parse_f64(&argv, i, "--rss-tol");
-            }
-            "--bytes-tol" => {
-                i += 1;
-                tol.telemetry_bytes_rise = parse_f64(&argv, i, "--bytes-tol");
-            }
-            "--throughput-tol" => {
-                i += 1;
-                tol.throughput_drop = parse_f64(&argv, i, "--throughput-tol");
-            }
             "--report-only" => report_only = true,
             other if !other.starts_with("--") => pair.push(PathBuf::from(other)),
             other => usage(&format!("unknown flag {other}")),
@@ -73,15 +44,13 @@ fn main() {
     }
 
     let (reports, missing) = match pair.len() {
-        0 => scan_results(&results_dir, &tol),
+        0 => scan_results(&results_dir),
         2 => {
             if !pair[0].exists() {
                 missing_baseline_exit(&pair[0].display().to_string(), report_only);
                 return;
             }
-            let prev = read_bench_record(&pair[0]).unwrap_or_else(|e| die(&e));
-            let new = read_bench_record(&pair[1]).unwrap_or_else(|e| die(&e));
-            (vec![compare(&prev, &new, &tol)], Vec::new())
+            (vec![diff(&pair[0], &pair[1])], Vec::new())
         }
         _ => usage("expected zero or exactly two record paths"),
     };
@@ -135,9 +104,15 @@ fn missing_baseline_exit(what: &str, report_only: bool) {
     std::process::exit(EXIT_NO_BASELINE);
 }
 
+/// Diff one record pair; an unreadable record is fatal.
+fn diff(prev: &Path, new: &Path) -> GateReport {
+    let read = |path| read_bench_record(path).unwrap_or_else(|e| die(&e));
+    compare(&read(prev), &read(new))
+}
+
 /// Diff every current/previous record pair under `dir`; also collect
 /// the names of current records that have no baseline at all.
-fn scan_results(dir: &std::path::Path, tol: &Tolerance) -> (Vec<GateReport>, Vec<String>) {
+fn scan_results(dir: &Path) -> (Vec<GateReport>, Vec<String>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return (Vec::new(), Vec::new());
     };
@@ -163,24 +138,14 @@ fn scan_results(dir: &std::path::Path, tol: &Tolerance) -> (Vec<GateReport>, Vec
             missing.push(name.clone());
             continue;
         }
-        let prev = read_bench_record(&prev_path).unwrap_or_else(|e| die(&e));
-        let new = read_bench_record(&cur).unwrap_or_else(|e| die(&e));
-        reports.push(compare(&prev, &new, tol));
+        reports.push(diff(&prev_path, &cur));
     }
     (reports, missing)
 }
 
-fn parse_f64(argv: &[String], i: usize, flag: &str) -> f64 {
-    argv.get(i)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| usage(&format!("{flag} expects a number")))
-}
-
 fn usage(msg: &str) -> ! {
     eprintln!(
-        "error: {msg}\nusage: bench_gate [--results DIR] [--acc-tol X] [--forget-tol X] \
-         [--wall-tol X] [--gflops-tol X] [--rss-tol X] [--bytes-tol X] [--throughput-tol X] \
-         [--report-only] [prev.json new.json]"
+        "error: {msg}\nusage: bench_gate [--results DIR] [--report-only] [prev.json new.json]"
     );
     std::process::exit(2)
 }

@@ -17,15 +17,17 @@
 //!    and reports achieved GFLOP/s and arithmetic intensity.
 //!
 //! The run is distilled into `results/BENCH_kernels.json` through the
-//! usual rotation machinery, so `bench_gate` diffs each kernel's
-//! throughput against the previous record (`--gflops-tol`, default a
-//! generous 50%, because CI cores vary).
+//! usual rotation machinery — one `gflops <kernel> [<shape>]` metric per
+//! point — so `bench_gate` diffs each kernel's throughput against the
+//! previous record; the roofline detail (`flops`, `bytes`, `min_ns`,
+//! intensity) goes to `results/kernels.json` for `obs_perf --record`.
 //!
 //! Exit status: 0 on success, 1 when a cross-check fails, 2 on usage
 //! errors.
 
-use fedknow_bench::gate::KernelEntry;
-use fedknow_bench::{results_dir, write_bench_record, BenchRecord};
+use fedknow_bench::{
+    results_dir, write_bench_record, write_json_to, BenchRecord, Better, KernelEntry, Metric, Tol,
+};
 use fedknow_math::flops::{self, Cost};
 use fedknow_math::qp::{integrate_gradient, QpConfig};
 use fedknow_math::{distance, Tensor};
@@ -351,7 +353,6 @@ fn main() {
     // kernels themselves, so timing runs with it on too — exactly the
     // condition a profiled training run sees.
     fedknow_obs::enable();
-    let started = Instant::now();
 
     let mut entries: Vec<KernelEntry> = Vec::new();
     eprintln!("[kernel_bench] reps={} (min-of-k)", opts.reps);
@@ -395,22 +396,17 @@ fn main() {
     }
     println!("[kernel_bench] all FLOP/byte models cross-checked against oracle trips and counters");
 
-    let rec = BenchRecord {
-        name: "kernels".to_string(),
-        scale: if opts.smoke { "smoke" } else { "quick" }.to_string(),
-        seed: opts.seed,
-        final_accuracy: 0.0,
-        final_forgetting: 0.0,
-        wall_seconds: started.elapsed().as_secs_f64(),
-        phases: Vec::new(),
-        kernels: Some(entries),
-        scale_stats: None,
-    };
-    match write_bench_record(&opts.results, &rec) {
-        Ok(path) => println!("[bench] {}", path.display()),
-        Err(e) => {
-            eprintln!("[bench] record not written: {e}");
-            std::process::exit(2);
-        }
-    }
+    // A kernel may lose up to 60% of its throughput before the gate
+    // fails: shared CI cores vary that much.
+    let metrics = entries
+        .iter()
+        .map(|e| {
+            let name = format!("gflops {} [{}]", e.kernel, e.shape);
+            Metric::new(name, e.gflops, "GF/s", Better::Higher, Tol::Rel(0.6))
+        })
+        .collect();
+    let scale = if opts.smoke { "smoke" } else { "quick" };
+    let rec = BenchRecord::new("kernels", scale, opts.seed, metrics);
+    write_bench_record(&opts.results, &rec);
+    write_json_to(&opts.results, "kernels", &entries);
 }

@@ -1,6 +1,6 @@
 //! Generate EXPERIMENTS.md from the JSON results under `results/`.
 //!
-//! Run the per-figure binaries first (any scale), then this one; it
+//! Run the `figures` driver first (any scale), then this one; it
 //! records paper-vs-measured for every table and figure, so the document
 //! always reflects the latest campaign.
 

@@ -3,7 +3,7 @@
 //! time went.
 //!
 //! ```text
-//! FEDKNOW_OBS=/tmp/run.jsonl cargo run --release --bin fig4_main -- --scale smoke
+//! FEDKNOW_OBS=/tmp/run.jsonl cargo run --release --bin figures -- --fig 4 --scale smoke
 //! cargo run --release --bin obs_dash -- /tmp/run.jsonl
 //! ```
 //!

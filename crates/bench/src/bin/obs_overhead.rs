@@ -7,21 +7,23 @@
 //! per-frame context stamping, the four-point message lifecycle,
 //! RTT/queue-depth instruments — is inside the measured region.
 //!
-//! The recorder ratio lands in `BENCH_obs_overhead.json` — in the
-//! `final_forgetting` slot, so the bench gate's "forgetting may not
-//! rise" tolerance doubles as an overhead-regression gate: a change
-//! that makes the recorder more expensive shows up as a rise between
-//! the rotated `.prev.json` and the fresh record. The binary itself
-//! also enforces the absolute budget (5%) on both ratios and exits
-//! non-zero past it. Note the off baseline exercises the disabled paths
-//! of *both* facilities — one relaxed atomic load per obs call site and
-//! one per allocator call — so the budget also bounds the
-//! tracker-disarmed tax on ordinary runs.
+//! Both ratios land in `BENCH_obs_overhead.json` as `recorder_overhead`
+//! and `recorder_alloc_overhead` (neither may rise by more than 0.02),
+//! with the three raw timings as context: a change that makes the
+//! recorder more expensive shows up as a rise between the rotated
+//! `.prev.json` and the fresh record. The binary itself also enforces
+//! the absolute budget (5%) on both ratios and exits non-zero past it.
+//! Note the off baseline exercises the disabled paths of *both*
+//! facilities — one relaxed atomic load per obs call site and one per
+//! allocator call — so the budget also bounds the tracker-disarmed tax
+//! on ordinary runs.
 
 use fedknow_baselines::Method;
-use fedknow_bench::{parse_args, results_dir, scaled_spec, write_bench_record, BenchRecord};
+use fedknow_bench::{
+    parse_args, results_dir, scaled_spec, write_bench_record, BenchRecord, Better, Metric, Tol,
+};
 use fedknow_data::DatasetSpec;
-use fedknow_fl::{SimReport, TransportKind};
+use fedknow_fl::TransportKind;
 use fedknow_suite::RunSpec;
 use std::time::Instant;
 
@@ -31,26 +33,18 @@ const MAX_OVERHEAD: f64 = 0.05;
 /// Runs per condition; min-of-k suppresses scheduler noise.
 const RUNS: usize = 3;
 
-fn timed_run(spec: &RunSpec) -> (u64, SimReport) {
+fn timed_run(spec: &RunSpec) -> u64 {
     let started = Instant::now();
     // Transport-backed so the wire path — frame tracing contexts, the
     // four-point message lifecycle, RTT/queue-depth instruments — is
     // inside the measured region, not just the training loop.
-    let (report, _stats) = spec
-        .run_over(Method::FedKnow, TransportKind::Channel)
+    spec.run_over(Method::FedKnow, TransportKind::Channel)
         .expect("simulation failed");
-    (started.elapsed().as_nanos() as u64, report)
+    started.elapsed().as_nanos() as u64
 }
 
-fn min_of_k(spec: &RunSpec) -> (u64, SimReport) {
-    let mut best = timed_run(spec);
-    for _ in 1..RUNS {
-        let next = timed_run(spec);
-        if next.0 < best.0 {
-            best = next;
-        }
-    }
-    best
+fn min_of_k(spec: &RunSpec) -> u64 {
+    (0..RUNS).map(|_| timed_run(spec)).min().expect("RUNS > 0")
 }
 
 fn main() {
@@ -68,23 +62,22 @@ fn main() {
     eprintln!("[obs_overhead] warmup ...");
     let _ = timed_run(&spec);
     eprintln!("[obs_overhead] recorder off: {RUNS} runs ...");
-    let (off_ns, _) = min_of_k(&spec);
+    let off_ns = min_of_k(&spec);
 
     // One-way switch: spans, metrics and the ring recorder all on.
     fedknow_obs::enable();
     eprintln!("[obs_overhead] recorder on: {RUNS} runs ...");
-    let (on_ns, report) = min_of_k(&spec);
+    let on_ns = min_of_k(&spec);
 
     // Recorder plus the scoped allocation tracker: every heap alloc now
     // pays a handful of atomic adds on top of the span accounting.
     fedknow_obs::alloc::set_tracking(true);
     eprintln!("[obs_overhead] recorder + alloc tracker on: {RUNS} runs ...");
-    let (alloc_ns, _) = min_of_k(&spec);
+    let alloc_ns = min_of_k(&spec);
     fedknow_obs::alloc::set_tracking(false);
 
     let overhead = (on_ns as f64 / off_ns.max(1) as f64 - 1.0).max(0.0);
     let alloc_overhead = (alloc_ns as f64 / off_ns.max(1) as f64 - 1.0).max(0.0);
-    let tasks = report.accuracy.num_tasks();
     println!(
         "[obs_overhead] off {} on {} alloc-on {} -> overhead {:.2}% / with tracker {:.2}% (budget {:.0}%)",
         fedknow_bench::fmt_ns(off_ns),
@@ -95,27 +88,16 @@ fn main() {
         100.0 * MAX_OVERHEAD,
     );
 
-    let rec = BenchRecord {
-        name: "obs_overhead".to_string(),
-        scale: args.scale.name().to_string(),
-        seed: args.seed,
-        final_accuracy: report.accuracy.avg_accuracy_after(tasks - 1),
-        // The overhead ratio rides the forgetting slot so the gate's
-        // rise tolerance bounds recorder-cost regressions.
-        final_forgetting: overhead,
-        wall_seconds: on_ns as f64 / 1e9,
-        phases: vec![
-            ("recorder_off_ns".to_string(), off_ns),
-            ("recorder_on_ns".to_string(), on_ns),
-            ("recorder_alloc_on_ns".to_string(), alloc_ns),
-        ],
-        kernels: None,
-        scale_stats: None,
-    };
-    match write_bench_record(&results_dir(), &rec) {
-        Ok(path) => println!("[bench] {}", path.display()),
-        Err(e) => eprintln!("[bench] record not written: {e}"),
-    }
+    let ratio = |name, value| Metric::new(name, value, "ratio", Better::Lower, Tol::Abs(0.02));
+    let metrics = vec![
+        ratio("recorder_overhead", overhead),
+        ratio("recorder_alloc_overhead", alloc_overhead),
+        Metric::info("recorder_off_ns", off_ns as f64, "ns"),
+        Metric::info("recorder_on_ns", on_ns as f64, "ns"),
+        Metric::info("recorder_alloc_on_ns", alloc_ns as f64, "ns"),
+    ];
+    let rec = BenchRecord::new("obs_overhead", args.scale.name(), args.seed, metrics);
+    write_bench_record(&results_dir(), &rec);
     if overhead > MAX_OVERHEAD {
         eprintln!(
             "[obs_overhead] FAIL: recorder overhead {:.2}% exceeds the {:.0}% budget",

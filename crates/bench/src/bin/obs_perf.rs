@@ -1,8 +1,8 @@
 //! Roofline-style performance report from profiler output.
 //!
 //! ```text
-//! obs_perf                        # render results/BENCH_kernels.json
-//! obs_perf --record PATH          # render an explicit kernel record
+//! obs_perf                        # render results/kernels.json
+//! obs_perf --record PATH          # render an explicit kernel_bench detail file
 //! obs_perf --trace run.jsonl      # top spans/kernels from a JSONL trace
 //! obs_perf --trace run.jsonl --top 8
 //! ```
@@ -19,8 +19,7 @@
 //! phase — plus the `flops.*`/`bytes.*` counter totals, and allocation
 //! columns when the trace was taken under `FEDKNOW_PROF_ALLOC=1`.
 
-use fedknow_bench::fmt_ns;
-use fedknow_bench::gate::{read_bench_record, KernelEntry};
+use fedknow_bench::{fmt_ns, KernelEntry};
 use fedknow_obs::{read_jsonl, Aggregate};
 use std::path::PathBuf;
 
@@ -60,8 +59,7 @@ fn main() {
     match trace {
         Some(path) => render_trace(&path, top),
         None => {
-            let path =
-                record.unwrap_or_else(|| fedknow_bench::results_dir().join("BENCH_kernels.json"));
+            let path = record.unwrap_or_else(|| fedknow_bench::results_dir().join("kernels.json"));
             render_record(&path);
         }
     }
@@ -78,13 +76,14 @@ fn die(msg: &str) -> ! {
 }
 
 fn render_record(path: &std::path::Path) {
-    let rec = read_bench_record(path).unwrap_or_else(|e| die(&e));
-    let Some(kernels) = &rec.kernels else {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| die(&format!("read {}: {e}", path.display())));
+    let kernels: Vec<KernelEntry> = serde_json::from_str(&text).unwrap_or_else(|_| {
         die(&format!(
-            "{} carries no kernel entries — run kernel_bench first",
+            "{} is not a kernel_bench detail file (results/kernels.json) — run kernel_bench first",
             path.display()
-        ));
-    };
+        ))
+    });
     if kernels.is_empty() {
         die("kernel record is empty");
     }
@@ -98,7 +97,6 @@ fn render_record(path: &std::path::Path) {
     let balance = peak_gflops / peak_gbps.max(f64::MIN_POSITIVE);
 
     println!("record        {}", path.display());
-    println!("scale         {} (seed {})", rec.scale, rec.seed);
     println!("compute roof  {peak_gflops:.3} GFLOP/s (best observed)");
     println!("memory roof   {peak_gbps:.3} GB/s (best observed)");
     println!("balance       {balance:.3} FLOP/byte");

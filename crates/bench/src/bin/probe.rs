@@ -1,6 +1,6 @@
 //! Free-form single-run probe: run one method on one configuration and
 //! print its curves. Useful for hyper-parameter exploration beyond the
-//! fixed per-figure binaries.
+//! fixed figures.
 //!
 //! ```text
 //! probe --method fedknow --dataset cifar100 --tasks 4 --clients 6 \
@@ -22,37 +22,15 @@ fn main() {
             .cloned()
             .unwrap_or_else(|| default.to_string())
     };
-    let method = match get("--method", "fedknow").as_str() {
-        "fedknow" => Method::FedKnow,
-        "gem" => Method::Gem,
-        "bcn" => Method::Bcn,
-        "co2l" => Method::Co2l,
-        "ewc" => Method::Ewc,
-        "mas" => Method::Mas,
-        "agscl" => Method::AgsCl,
-        "fedavg" => Method::FedAvg,
-        "apfl" => Method::Apfl,
-        "fedrep" => Method::FedRep,
-        "flcn" => Method::Flcn,
-        "fedweit" => Method::FedWeit,
-        "fedweit-own" => Method::FedWeitOwn,
-        other => {
-            eprintln!("unknown method {other}");
-            std::process::exit(2);
-        }
-    };
-    let dataset = match get("--dataset", "cifar100").as_str() {
-        "cifar100" => DatasetSpec::cifar100(),
-        "fc100" => DatasetSpec::fc100(),
-        "core50" => DatasetSpec::core50(),
-        "miniimagenet" => DatasetSpec::mini_imagenet(),
-        "tinyimagenet" => DatasetSpec::tiny_imagenet(),
-        "svhn" => DatasetSpec::svhn(),
-        other => {
-            eprintln!("unknown dataset {other}");
-            std::process::exit(2);
-        }
-    };
+    let (method, dataset) = (get("--method", "fedknow"), get("--dataset", "cifar100"));
+    let method = Method::from_name(&method).unwrap_or_else(|| {
+        eprintln!("unknown method {method}");
+        std::process::exit(2);
+    });
+    let dataset = DatasetSpec::by_name(&dataset).unwrap_or_else(|| {
+        eprintln!("unknown dataset {dataset}");
+        std::process::exit(2);
+    });
     let model = match get("--model", "auto").as_str() {
         "auto" => fedknow_bench::paper_model_for(&dataset.name),
         "sixcnn" => ModelKind::SixCnn,

@@ -9,12 +9,13 @@
 //! `results/resilience.json`.
 
 use fedknow_baselines::Method;
+use fedknow_bench::figures::shrunk_cluster;
 use fedknow_bench::{
     parse_args, print_table, results_dir, scaled_spec, write_bench_record, write_json, BenchRecord,
     Scale,
 };
 use fedknow_data::DatasetSpec;
-use fedknow_fl::{CommModel, DeviceProfile, FaultConfig, FaultKind, SimReport};
+use fedknow_fl::{CommModel, FaultConfig, FaultKind, SimReport};
 use serde::Serialize;
 
 /// One (method, fault-rate) cell of the sweep.
@@ -68,16 +69,7 @@ fn main() {
     let base = scaled_spec(DatasetSpec::cifar100(), args.scale, args.seed);
     // The heterogeneous mini-cluster: fast AGX down to Nano, so the
     // deadline and straggler machinery actually has a spread to bite on.
-    let mut devices = vec![
-        DeviceProfile::jetson_agx(),
-        DeviceProfile::jetson_tx2(),
-        DeviceProfile::jetson_nx(),
-        DeviceProfile::jetson_nano(),
-    ];
-    devices.truncate(base.num_clients);
-    while devices.len() < base.num_clients {
-        devices.push(DeviceProfile::jetson_nx());
-    }
+    let devices = shrunk_cluster(base.num_clients);
 
     let mut rows: Vec<ResilienceRow> = Vec::new();
     for method in [Method::FedKnow, Method::FedAvg] {
@@ -121,10 +113,7 @@ fn main() {
                     &report,
                     started.elapsed().as_secs_f64(),
                 );
-                match write_bench_record(&results_dir(), &rec) {
-                    Ok(path) => println!("[bench] {}", path.display()),
-                    Err(e) => eprintln!("[bench] record not written: {e}"),
-                }
+                write_bench_record(&results_dir(), &rec);
             }
             if rate == 0.0 {
                 let tasks = report.accuracy.num_tasks();

@@ -1,17 +1,18 @@
 //! Differential-oracle suite as a bench binary.
 //!
 //! Runs every production hot kernel against its slow f64 oracle and
-//! writes `BENCH_verify.json` for the regression gate: `final_accuracy`
-//! is the pass fraction over compared cases (1.0 when healthy),
-//! `final_forgetting` the failure fraction (0.0 when healthy), so any
-//! kernel/oracle divergence trips the gate like an accuracy regression
-//! would. `FEDKNOW_VERIFY_CASES` / `FEDKNOW_VERIFY_SEED` bound a CI run;
+//! writes `BENCH_verify.json` for the regression gate: `pass_fraction`
+//! over compared cases (1.0 when healthy; may not drop by more than
+//! 0.02) plus each kernel's compared-case count as context, so any
+//! kernel/oracle divergence trips the gate. `FEDKNOW_VERIFY_CASES` / `FEDKNOW_VERIFY_SEED` bound a CI run;
 //! `--scale smoke` lowers the default case count.
 //!
 //! Exits non-zero on any mismatch, after printing each failing case's
 //! reproducer seed.
 
-use fedknow_bench::{parse_args, results_dir, write_bench_record, BenchRecord, Scale};
+use fedknow_bench::{
+    parse_args, results_dir, write_bench_record, BenchRecord, Better, Metric, Scale, Tol,
+};
 use fedknow_math::Tensor;
 use fedknow_nn::conv::Conv2d;
 use fedknow_nn::Layer;
@@ -109,7 +110,6 @@ fn main() {
 
     let mut compared = 0usize;
     let mut failed = 0usize;
-    let mut phases = Vec::new();
     for r in &reports {
         println!(
             "[verify] {:16} {:4} cases, {:4} compared, {} failed",
@@ -120,28 +120,25 @@ fn main() {
         );
         compared += r.compared();
         failed += r.failures.len();
-        phases.push((r.kernel.clone(), r.compared() as u64));
     }
     let pass_fraction = if compared == 0 {
         0.0
     } else {
         (compared - failed) as f64 / compared as f64
     };
-    let rec = BenchRecord {
-        name: "verify".to_string(),
-        scale: args.scale.name().to_string(),
-        seed,
-        final_accuracy: pass_fraction,
-        final_forgetting: 1.0 - pass_fraction,
-        wall_seconds: wall,
-        phases,
-        kernels: None,
-        scale_stats: None,
-    };
-    match write_bench_record(&results_dir(), &rec) {
-        Ok(path) => println!("[bench] {}", path.display()),
-        Err(e) => eprintln!("[bench] record not written: {e}"),
-    }
+    let pass = Metric::new(
+        "pass_fraction",
+        pass_fraction,
+        "fraction",
+        Better::Higher,
+        Tol::Abs(0.02),
+    );
+    let counts = reports
+        .iter()
+        .map(|r| Metric::info(r.kernel.as_str(), r.compared() as f64, "cases"));
+    let metrics = std::iter::once(pass).chain(counts).collect();
+    let rec = BenchRecord::new("verify", args.scale.name(), seed, metrics);
+    write_bench_record(&results_dir(), &rec);
     println!(
         "[verify] total: {compared} compared, {failed} failed ({:.1}s)",
         wall

@@ -1,85 +1,98 @@
 //! Normalized benchmark records and the regression gate.
 //!
-//! Every figure binary can distil its run into a [`BenchRecord`] and
-//! write it as `results/BENCH_<name>.json`; the previous record (if
-//! any) is rotated to `BENCH_<name>.prev.json`. The `bench_gate`
-//! binary then diffs the pair with configurable tolerances and exits
-//! non-zero on a regression — cheap CI insurance that a change didn't
-//! silently cost accuracy or wall-time.
+//! A [`BenchRecord`] is a named list of [`Metric`]s, each carrying its
+//! own unit, direction and tolerance, written as
+//! `results/BENCH_<name>.json`; the previous record (if any) is rotated
+//! to `BENCH_<name>.prev.json`. The `bench_gate` binary diffs the pair
+//! metric by metric and exits non-zero when one moved past its
+//! tolerance in its bad direction — cheap CI insurance that a change
+//! didn't silently cost accuracy, throughput or memory.
 
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
-/// One microbenchmarked kernel/shape point from `kernel_bench`:
-/// modelled work (via `fedknow_math::flops`), min-of-k wall time, and
-/// the derived roofline coordinates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct KernelEntry {
-    /// Kernel name, matching the `flops.<kernel>` counter namespace
-    /// (`matmul`, `conv2d_fwd`, `qp`, …).
-    pub kernel: String,
-    /// Human-readable shape tag (`128x128x128`, `b8 3->32 k3 s1 p1 32x32`).
-    pub shape: String,
-    /// Modelled FLOPs for one invocation.
-    pub flops: u64,
-    /// Modelled bytes moved for one invocation.
-    pub bytes: u64,
-    /// Fastest observed invocation, nanoseconds (min-of-k).
-    pub min_ns: u64,
-    /// Achieved GFLOP/s at the fastest invocation.
-    pub gflops: f64,
-    /// Arithmetic intensity, FLOPs per byte.
-    pub intensity: f64,
+/// Which way a metric should move.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Better {
+    /// A drop past tolerance is a regression (accuracy, GF/s).
+    Higher,
+    /// A rise past tolerance is a regression (forgetting, seconds, bytes).
+    Lower,
+    /// Context only — recorded, never gated.
+    Info,
 }
 
-/// Telemetry-at-scale stats from the `scale_probe` driver: how much
-/// memory and telemetry a synthetic round sweep at high client counts
-/// cost. Gated to catch the bounded-memory guarantees silently
-/// regressing back to O(clients).
+/// How far a metric may move in its bad direction before the gate fails.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub enum Tol {
+    /// Absolute difference (fractions living in `[0, 1]`).
+    Abs(f64),
+    /// Fraction of the baseline value (0.5 = may move by half of it);
+    /// a zero baseline is never divided by and never regresses.
+    Rel(f64),
+}
+
+/// One measured quantity of a benchmark run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScaleStats {
-    /// Synthetic clients per round.
-    pub clients: u64,
-    /// Rounds driven.
-    pub rounds: u64,
-    /// Client-rounds processed per wall second.
-    pub clients_per_sec: f64,
-    /// Peak resident set (`VmHWM`), bytes.
-    pub peak_rss_bytes: u64,
-    /// Serialized telemetry footprint divided by client count.
-    pub telemetry_bytes_per_client: f64,
+pub struct Metric {
+    /// What was measured; the gate pairs metrics across records by it.
+    pub name: String,
+    /// The measurement.
+    pub value: f64,
+    /// Unit of `value` (`fraction`, `s`, `ns`, `GF/s`, `bytes`, …).
+    pub unit: String,
+    /// Direction of goodness.
+    pub better: Better,
+    /// Allowed movement in the bad direction (unused for [`Better::Info`]).
+    pub tol: Tol,
+}
+
+impl Metric {
+    /// A metric gated in direction `better` within `tol`.
+    pub fn new(name: impl Into<String>, value: f64, unit: &str, better: Better, tol: Tol) -> Self {
+        Self {
+            name: name.into(),
+            value,
+            unit: unit.to_string(),
+            better,
+            tol,
+        }
+    }
+
+    /// An ungated context metric.
+    pub fn info(name: impl Into<String>, value: f64, unit: &str) -> Self {
+        Self::new(name, value, unit, Better::Info, Tol::Abs(0.0))
+    }
 }
 
 /// A normalized, diffable summary of one benchmark run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BenchRecord {
-    /// Benchmark name (`fig4_cifar100`, …).
+    /// Benchmark name (`fig4_cifar100`, `kernels`, …).
     pub name: String,
     /// Scale the run used (`smoke`/`quick`/`paper`) — records at
     /// different scales are never comparable.
     pub scale: String,
     /// Experiment seed.
     pub seed: u64,
-    /// Final average accuracy over learned tasks.
-    pub final_accuracy: f64,
-    /// Final average forgetting rate.
-    pub final_forgetting: f64,
-    /// Real wall-clock seconds of the run.
-    pub wall_seconds: f64,
-    /// Phase totals `(metric, total_ns)`, name-sorted; empty when the
-    /// observability layer was disabled.
-    pub phases: Vec<(String, u64)>,
-    /// Per-kernel roofline points (`kernel_bench` records only; `None`
-    /// for simulation records and anything written before the field
-    /// existed — the vendored serde maps a missing key to `None`).
-    pub kernels: Option<Vec<KernelEntry>>,
-    /// Telemetry-at-scale stats (`scale_probe` records only; `None`
-    /// elsewhere, same missing-key convention as `kernels`).
-    pub scale_stats: Option<ScaleStats>,
+    /// Everything the run measured.
+    pub metrics: Vec<Metric>,
 }
 
 impl BenchRecord {
-    /// Distil a finished simulation report.
+    /// A record of `metrics` for the run `name` at `scale` and `seed`.
+    pub fn new(name: &str, scale: &str, seed: u64, metrics: Vec<Metric>) -> Self {
+        Self {
+            name: name.to_string(),
+            scale: scale.to_string(),
+            seed,
+            metrics,
+        }
+    }
+
+    /// Distil a finished simulation report: final average accuracy and
+    /// forgetting, real wall seconds, and (when the observability layer
+    /// was on) the name-sorted phase totals as context.
     pub fn from_report(
         name: &str,
         scale: &str,
@@ -87,33 +100,31 @@ impl BenchRecord {
         report: &fedknow_fl::SimReport,
         wall_seconds: f64,
     ) -> Self {
-        let curve = report.accuracy.accuracy_curve();
-        let forgetting = report.accuracy.forgetting_curve();
-        let phases = report
-            .phase_breakdown
-            .as_ref()
-            .map(|b| {
-                let mut v: Vec<(String, u64)> = b
-                    .phases
-                    .iter()
-                    .filter(|p| p.name.ends_with("_ns"))
-                    .map(|p| (p.name.clone(), p.total_ns))
-                    .collect();
-                v.sort();
-                v
-            })
-            .unwrap_or_default();
-        Self {
-            name: name.to_string(),
-            scale: scale.to_string(),
-            seed,
-            final_accuracy: curve.last().copied().unwrap_or(0.0),
-            final_forgetting: forgetting.last().copied().unwrap_or(0.0),
-            wall_seconds,
-            phases,
-            kernels: None,
-            scale_stats: None,
-        }
+        let last = |curve: Vec<f64>| curve.last().copied().unwrap_or(0.0);
+        let (accuracy, forgetting) = (
+            last(report.accuracy.accuracy_curve()),
+            last(report.accuracy.forgetting_curve()),
+        );
+        use {Better::*, Tol::*};
+        let mut metrics = vec![
+            Metric::new("final_accuracy", accuracy, "fraction", Higher, Abs(0.02)),
+            Metric::new("final_forgetting", forgetting, "fraction", Lower, Abs(0.02)),
+            // Generous: CI machines are noisy.
+            Metric::new("wall_seconds", wall_seconds, "s", Lower, Rel(0.5)),
+        ];
+        // Name-sorted already: a breakdown is built from a `BTreeMap`.
+        let phases = report.phase_breakdown.iter().flat_map(|b| &b.phases);
+        metrics.extend(
+            phases
+                .filter(|p| p.name.ends_with("_ns"))
+                .map(|p| Metric::info(p.name.as_str(), p.total_ns as f64, "ns")),
+        );
+        Self::new(name, scale, seed, metrics)
+    }
+
+    /// Look a metric up by name.
+    pub fn metric(&self, name: &str) -> Option<&Metric> {
+        self.metrics.iter().find(|m| m.name == name)
     }
 }
 
@@ -123,64 +134,39 @@ pub fn bench_record_path(dir: &Path, name: &str) -> PathBuf {
 }
 
 /// Write `dir/BENCH_<name>.json`, first rotating any existing record to
-/// `BENCH_<name>.prev.json` so the gate has a pair to diff.
-pub fn write_bench_record(dir: &Path, rec: &BenchRecord) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
+/// `BENCH_<name>.prev.json` so the gate has a pair to diff, and
+/// announce the path. A record that cannot be written is fatal (exit
+/// 2), like a figure file that cannot be.
+pub fn write_bench_record(dir: &Path, rec: &BenchRecord) {
     let path = bench_record_path(dir, &rec.name);
-    if path.exists() {
-        std::fs::rename(&path, dir.join(format!("BENCH_{}.prev.json", rec.name)))?;
+    let write = || -> std::io::Result<()> {
+        std::fs::create_dir_all(dir)?;
+        if path.exists() {
+            std::fs::rename(&path, dir.join(format!("BENCH_{}.prev.json", rec.name)))?;
+        }
+        let json = serde_json::to_string_pretty(rec).expect("serialise bench record");
+        std::fs::write(&path, json)
+    };
+    if let Err(e) = write() {
+        eprintln!("[bench] {} not written: {e}", path.display());
+        std::process::exit(2);
     }
-    let json = serde_json::to_string_pretty(rec).expect("serialise bench record");
-    std::fs::write(&path, json)?;
-    Ok(path)
+    println!("[bench] {}", path.display());
 }
 
 /// Read a record back; errors carry the path for usable CLI messages.
+/// A file in an older record shape (no `metrics` list) is an error, not
+/// an empty record that would gate nothing.
 pub fn read_bench_record(path: &Path) -> Result<BenchRecord, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    serde_json::from_str(&text).map_err(|e| format!("parse {}: {e}", path.display()))
-}
-
-/// Regression tolerances. Accuracy/forgetting tolerances are absolute
-/// (accuracies live in `[0, 1]`); wall-time tolerance is relative,
-/// generous by default because CI machines are noisy.
-#[derive(Debug, Clone, Copy)]
-pub struct Tolerance {
-    /// Max allowed drop in `final_accuracy`.
-    pub accuracy_drop: f64,
-    /// Max allowed rise in `final_forgetting`.
-    pub forgetting_rise: f64,
-    /// Max allowed relative rise in `wall_seconds` (0.5 = +50%).
-    pub wall_rise: f64,
-    /// Max allowed relative drop in a kernel's achieved GFLOP/s
-    /// (0.5 = the kernel may lose up to half its throughput). Generous
-    /// because CI machines vary wildly in per-core throughput.
-    pub gflops_drop: f64,
-    /// Max allowed relative rise in `scale_probe` peak RSS (0.5 =
-    /// +50%). Generous: RSS includes allocator noise.
-    pub rss_rise: f64,
-    /// Max allowed relative rise in telemetry bytes per client —
-    /// tighter than the others because bytes/client is deterministic
-    /// for a fixed cohort/name configuration.
-    pub telemetry_bytes_rise: f64,
-    /// Max allowed relative drop in `scale_probe` client-rounds/sec
-    /// throughput (0.6 = may lose up to 60% before failing).
-    pub throughput_drop: f64,
-}
-
-impl Default for Tolerance {
-    fn default() -> Self {
-        Self {
-            accuracy_drop: 0.02,
-            forgetting_rise: 0.02,
-            wall_rise: 0.5,
-            gflops_drop: 0.5,
-            rss_rise: 0.5,
-            telemetry_bytes_rise: 0.25,
-            throughput_drop: 0.6,
-        }
-    }
+    serde_json::from_str(&text).map_err(|e| {
+        format!(
+            "parse {}: {e}\n  not a {{name, scale, seed, metrics}} record — \
+             regenerate it with the binary that writes it",
+            path.display()
+        )
+    })
 }
 
 /// One compared metric.
@@ -238,8 +224,11 @@ impl GateReport {
     }
 }
 
-/// Diff two records under the given tolerances.
-pub fn compare(prev: &BenchRecord, new: &BenchRecord, tol: &Tolerance) -> GateReport {
+/// Diff two records: every gated baseline metric the new record also
+/// carries is held to the *baseline's* tolerance. Metrics only one side
+/// has (a new kernel shape, a reshaped probe) are a different
+/// experiment, not a regression, and are skipped.
+pub fn compare(prev: &BenchRecord, new: &BenchRecord) -> GateReport {
     if prev.scale != new.scale {
         return GateReport {
             name: new.name.clone(),
@@ -250,79 +239,25 @@ pub fn compare(prev: &BenchRecord, new: &BenchRecord, tol: &Tolerance) -> GateRe
             findings: Vec::new(),
         };
     }
-    let mut findings = vec![
-        Finding {
-            metric: "final_accuracy".to_string(),
-            prev: prev.final_accuracy,
-            new: new.final_accuracy,
-            regressed: prev.final_accuracy - new.final_accuracy > tol.accuracy_drop,
-        },
-        Finding {
-            metric: "final_forgetting".to_string(),
-            prev: prev.final_forgetting,
-            new: new.final_forgetting,
-            regressed: new.final_forgetting - prev.final_forgetting > tol.forgetting_rise,
-        },
-        Finding {
-            metric: "wall_seconds".to_string(),
-            prev: prev.wall_seconds,
-            new: new.wall_seconds,
-            regressed: prev.wall_seconds > 0.0
-                && (new.wall_seconds - prev.wall_seconds) / prev.wall_seconds > tol.wall_rise,
-        },
-    ];
-    // Per-kernel throughput: every (kernel, shape) point present in both
-    // records is gated on its relative GFLOP/s drop. Points only one
-    // side has (new shapes, retired shapes) are not comparable and are
-    // skipped rather than failed.
-    if let (Some(prev_k), Some(new_k)) = (&prev.kernels, &new.kernels) {
-        for pk in prev_k {
-            let Some(nk) = new_k
-                .iter()
-                .find(|nk| nk.kernel == pk.kernel && nk.shape == pk.shape)
-            else {
-                continue;
-            };
-            findings.push(Finding {
-                metric: format!("gflops {} [{}]", pk.kernel, pk.shape),
-                prev: pk.gflops,
-                new: nk.gflops,
-                regressed: pk.gflops > 0.0 && (pk.gflops - nk.gflops) / pk.gflops > tol.gflops_drop,
-            });
-        }
-    }
-    // Telemetry-at-scale stats: comparable only when both runs probed
-    // the same client/round shape (a shape change is a different
-    // experiment, not a regression).
-    if let (Some(ps), Some(ns)) = (&prev.scale_stats, &new.scale_stats) {
-        if ps.clients == ns.clients && ps.rounds == ns.rounds {
-            findings.push(Finding {
-                metric: "peak_rss_bytes".to_string(),
-                prev: ps.peak_rss_bytes as f64,
-                new: ns.peak_rss_bytes as f64,
-                regressed: ps.peak_rss_bytes > 0
-                    && (ns.peak_rss_bytes as f64 - ps.peak_rss_bytes as f64)
-                        / ps.peak_rss_bytes as f64
-                        > tol.rss_rise,
-            });
-            findings.push(Finding {
-                metric: "telemetry_b_per_client".to_string(),
-                prev: ps.telemetry_bytes_per_client,
-                new: ns.telemetry_bytes_per_client,
-                regressed: ps.telemetry_bytes_per_client > 0.0
-                    && (ns.telemetry_bytes_per_client - ps.telemetry_bytes_per_client)
-                        / ps.telemetry_bytes_per_client
-                        > tol.telemetry_bytes_rise,
-            });
-            findings.push(Finding {
-                metric: "clients_per_sec".to_string(),
-                prev: ps.clients_per_sec,
-                new: ns.clients_per_sec,
-                regressed: ps.clients_per_sec > 0.0
-                    && (ps.clients_per_sec - ns.clients_per_sec) / ps.clients_per_sec
-                        > tol.throughput_drop,
-            });
-        }
+    let mut findings = Vec::new();
+    for p in &prev.metrics {
+        let Some(n) = new.metric(&p.name) else {
+            continue;
+        };
+        let worse_by = match p.better {
+            Better::Higher => p.value - n.value,
+            Better::Lower => n.value - p.value,
+            Better::Info => continue,
+        };
+        findings.push(Finding {
+            metric: p.name.clone(),
+            prev: p.value,
+            new: n.value,
+            regressed: match p.tol {
+                Tol::Abs(t) => worse_by > t,
+                Tol::Rel(t) => p.value > 0.0 && worse_by / p.value > t,
+            },
+        });
     }
     GateReport {
         name: new.name.clone(),
@@ -335,182 +270,106 @@ pub fn compare(prev: &BenchRecord, new: &BenchRecord, tol: &Tolerance) -> GateRe
 mod tests {
     use super::*;
 
-    fn record(acc: f64, forget: f64, wall: f64) -> BenchRecord {
-        BenchRecord {
-            name: "fig4_cifar100".to_string(),
-            scale: "smoke".to_string(),
-            seed: 42,
-            final_accuracy: acc,
-            final_forgetting: forget,
-            wall_seconds: wall,
-            phases: vec![("qp.solve_ns".to_string(), 12345)],
-            kernels: None,
-            scale_stats: None,
-        }
+    fn record(metrics: Vec<Metric>) -> BenchRecord {
+        BenchRecord::new("fig4_cifar100", "smoke", 42, metrics)
     }
 
-    fn scale_stats(rss: u64, bytes_per_client: f64, rate: f64) -> ScaleStats {
-        ScaleStats {
-            clients: 100_000,
-            rounds: 5,
-            clients_per_sec: rate,
-            peak_rss_bytes: rss,
-            telemetry_bytes_per_client: bytes_per_client,
-        }
+    fn sim_record(acc: f64, forget: f64, wall: f64) -> BenchRecord {
+        use {Better::*, Tol::*};
+        record(vec![
+            Metric::new("final_accuracy", acc, "fraction", Higher, Abs(0.02)),
+            Metric::new("final_forgetting", forget, "fraction", Lower, Abs(0.02)),
+            Metric::new("wall_seconds", wall, "s", Lower, Rel(0.5)),
+            Metric::info("qp.solve_ns", 12345.0, "ns"),
+        ])
     }
 
-    fn kernel(kernel: &str, shape: &str, gflops: f64) -> KernelEntry {
-        KernelEntry {
-            kernel: kernel.to_string(),
-            shape: shape.to_string(),
-            flops: 1_000_000,
-            bytes: 100_000,
-            min_ns: 1_000,
-            gflops,
-            intensity: 10.0,
+    /// Direction x tolerance kind x movement, one row each. `None`
+    /// means the metric must produce no finding at all.
+    #[test]
+    fn every_direction_tolerance_and_movement() {
+        use Better::{Higher, Info, Lower};
+        use Tol::{Abs, Rel};
+        let cases: &[(Better, Tol, f64, f64, Option<bool>)] = &[
+            // better / within tolerance / past tolerance / zero baseline
+            (Higher, Abs(0.02), 0.50, 0.60, Some(false)),
+            (Higher, Abs(0.02), 0.50, 0.485, Some(false)),
+            (Higher, Abs(0.02), 0.50, 0.47, Some(true)),
+            (Higher, Abs(0.02), 0.0, -0.5, Some(true)),
+            (Higher, Rel(0.5), 4.0, 5.0, Some(false)),
+            (Higher, Rel(0.5), 4.0, 3.2, Some(false)),
+            (Higher, Rel(0.5), 4.0, 1.5, Some(true)),
+            (Higher, Rel(0.5), 0.0, -9.0, Some(false)),
+            (Lower, Abs(0.02), 0.10, 0.05, Some(false)),
+            (Lower, Abs(0.02), 0.10, 0.11, Some(false)),
+            (Lower, Abs(0.02), 0.10, 0.15, Some(true)),
+            (Lower, Abs(0.02), 0.0, 0.5, Some(true)),
+            (Lower, Rel(0.5), 10.0, 9.0, Some(false)),
+            (Lower, Rel(0.5), 10.0, 11.0, Some(false)),
+            (Lower, Rel(0.5), 10.0, 16.0, Some(true)),
+            (Lower, Rel(0.5), 0.0, 100.0, Some(false)),
+            // Info is recorded, never compared, whichever way it moves.
+            (Info, Abs(0.0), 1.0, 100.0, None),
+            (Info, Rel(0.0), 100.0, 1.0, None),
+        ];
+        for &(better, tol, prev, new, expect) in cases {
+            let metric = |name: &str, value| Metric::new(name, value, "u", better, tol);
+            let r = compare(
+                &record(vec![metric("m", prev)]),
+                &record(vec![metric("m", new)]),
+            );
+            let got = r.findings.first().map(|f| f.regressed);
+            assert_eq!(
+                got,
+                expect,
+                "{better:?} {tol:?} {prev} -> {new}: {}",
+                r.render()
+            );
+            assert_eq!(r.regressed(), expect == Some(true));
+            // The same movement under another name is a different
+            // experiment: skipped, never failed.
+            let renamed = compare(
+                &record(vec![metric("m [20000x3]", prev)]),
+                &record(vec![metric("m [7x3]", new)]),
+            );
+            assert!(renamed.findings.is_empty(), "{}", renamed.render());
         }
     }
 
     #[test]
-    fn improvement_and_noise_pass() {
-        let tol = Tolerance::default();
-        let up = compare(&record(0.5, 0.1, 10.0), &record(0.6, 0.05, 9.0), &tol);
-        assert!(!up.regressed(), "{}", up.render());
-        let noise = compare(&record(0.5, 0.1, 10.0), &record(0.495, 0.11, 11.0), &tol);
-        assert!(!noise.regressed(), "{}", noise.render());
+    fn the_baseline_tolerance_is_the_one_applied() {
+        let gflops =
+            |value, tol| record(vec![Metric::new("g", value, "GF/s", Better::Higher, tol)]);
+        let (tight, loose) = (gflops(4.0, Tol::Rel(0.1)), gflops(3.0, Tol::Rel(0.9)));
+        assert!(compare(&tight, &loose).regressed());
+        assert!(!compare(&loose, &tight).regressed());
     }
 
     #[test]
-    fn five_percent_accuracy_drop_regresses() {
-        let tol = Tolerance::default();
-        let r = compare(&record(0.60, 0.1, 10.0), &record(0.57, 0.1, 10.0), &tol);
+    fn five_percent_accuracy_drop_regresses_by_name() {
+        let r = compare(&sim_record(0.60, 0.1, 10.0), &sim_record(0.57, 0.1, 10.0));
         assert!(r.regressed());
         assert!(r.render().contains("REGRESSION"), "{}", r.render());
         assert!(r.render().contains("final_accuracy"));
-    }
-
-    #[test]
-    fn forgetting_and_wall_regressions_detected() {
-        let tol = Tolerance::default();
-        let f = compare(&record(0.5, 0.10, 10.0), &record(0.5, 0.15, 10.0), &tol);
-        assert!(f.regressed());
-        let w = compare(&record(0.5, 0.1, 10.0), &record(0.5, 0.1, 16.0), &tol);
-        assert!(w.regressed());
-        // Zero previous wall time never divides.
-        let z = compare(&record(0.5, 0.1, 0.0), &record(0.5, 0.1, 100.0), &tol);
-        assert!(!z.regressed());
+        assert!(!r.render().contains("qp.solve_ns"), "Info is not rendered");
     }
 
     #[test]
     fn scale_mismatch_is_incomparable_not_regressed() {
-        let mut newer = record(0.1, 0.9, 99.0);
+        let mut newer = sim_record(0.1, 0.9, 99.0);
         newer.scale = "quick".to_string();
-        let r = compare(&record(0.6, 0.1, 1.0), &newer, &Tolerance::default());
+        let r = compare(&sim_record(0.6, 0.1, 1.0), &newer);
         assert!(!r.regressed());
         assert!(r.render().contains("SKIPPED"));
     }
 
     #[test]
     fn record_json_roundtrip() {
-        let r = record(0.5, 0.125, 10.5);
+        let r = sim_record(0.5, 0.125, 10.5);
         let json = serde_json::to_string_pretty(&r).unwrap();
         let back: BenchRecord = serde_json::from_str(&json).unwrap();
         assert_eq!(back.name, r.name);
-        assert_eq!(back.final_accuracy, 0.5);
-        assert_eq!(back.final_forgetting, 0.125);
-        assert_eq!(back.phases, r.phases);
-    }
-
-    #[test]
-    fn record_without_kernels_key_still_parses() {
-        // Records written before the `kernels` field existed have no
-        // such key; the vendored serde feeds `Null` to `Option<_>`.
-        let legacy = r#"{
-            "name": "fig4_cifar100", "scale": "smoke", "seed": 42,
-            "final_accuracy": 0.5, "final_forgetting": 0.1,
-            "wall_seconds": 10.0, "phases": []
-        }"#;
-        let r: BenchRecord = serde_json::from_str(legacy).unwrap();
-        assert!(r.kernels.is_none());
-    }
-
-    #[test]
-    fn kernel_throughput_halving_regresses() {
-        let tol = Tolerance::default();
-        let mut prev = record(0.5, 0.1, 10.0);
-        prev.kernels = Some(vec![
-            kernel("matmul", "128x128x128", 4.0),
-            kernel("conv2d_fwd", "b8 3->32", 2.0),
-        ]);
-        let mut new = prev.clone();
-        // Noise-level wobble passes...
-        new.kernels = Some(vec![
-            kernel("matmul", "128x128x128", 3.2),
-            kernel("conv2d_fwd", "b8 3->32", 2.1),
-        ]);
-        let ok = compare(&prev, &new, &tol);
-        assert!(!ok.regressed(), "{}", ok.render());
-        // ...but losing more than half the throughput fails.
-        new.kernels = Some(vec![
-            kernel("matmul", "128x128x128", 1.5),
-            kernel("conv2d_fwd", "b8 3->32", 2.0),
-        ]);
-        let bad = compare(&prev, &new, &tol);
-        assert!(bad.regressed());
-        assert!(bad.render().contains("gflops matmul"), "{}", bad.render());
-    }
-
-    #[test]
-    fn unmatched_kernel_shapes_are_skipped_not_failed() {
-        let tol = Tolerance::default();
-        let mut prev = record(0.5, 0.1, 10.0);
-        prev.kernels = Some(vec![kernel("matmul", "64x64x64", 4.0)]);
-        let mut new = record(0.5, 0.1, 10.0);
-        new.kernels = Some(vec![kernel("matmul", "128x128x128", 0.1)]);
-        let r = compare(&prev, &new, &tol);
-        assert!(!r.regressed(), "{}", r.render());
-    }
-
-    #[test]
-    fn scale_stat_regressions_detected() {
-        let tol = Tolerance::default();
-        let mut prev = record(0.5, 0.1, 10.0);
-        prev.scale_stats = Some(scale_stats(100 << 20, 2.0, 1_000_000.0));
-        // Noise passes.
-        let mut new = record(0.5, 0.1, 10.0);
-        new.scale_stats = Some(scale_stats(110 << 20, 2.2, 900_000.0));
-        let ok = compare(&prev, &new, &tol);
-        assert!(!ok.regressed(), "{}", ok.render());
-        // Telemetry bytes per client blowing up fails…
-        new.scale_stats = Some(scale_stats(100 << 20, 4.0, 1_000_000.0));
-        let bytes = compare(&prev, &new, &tol);
-        assert!(bytes.regressed());
-        assert!(
-            bytes.render().contains("telemetry_b_per_client"),
-            "{}",
-            bytes.render()
-        );
-        // …as do doubled RSS and a collapsed throughput.
-        new.scale_stats = Some(scale_stats(200 << 20, 2.0, 1_000_000.0));
-        assert!(compare(&prev, &new, &tol).regressed());
-        new.scale_stats = Some(scale_stats(100 << 20, 2.0, 100_000.0));
-        assert!(compare(&prev, &new, &tol).regressed());
-        // A different probe shape is skipped, not failed.
-        let mut reshaped = scale_stats(300 << 20, 9.0, 1.0);
-        reshaped.clients = 7;
-        new.scale_stats = Some(reshaped);
-        assert!(!compare(&prev, &new, &tol).regressed());
-    }
-
-    #[test]
-    fn record_without_scale_stats_key_still_parses() {
-        let legacy = r#"{
-            "name": "scale_probe", "scale": "smoke", "seed": 42,
-            "final_accuracy": 0.0, "final_forgetting": 0.0,
-            "wall_seconds": 10.0, "phases": []
-        }"#;
-        let r: BenchRecord = serde_json::from_str(legacy).unwrap();
-        assert!(r.scale_stats.is_none());
+        assert_eq!(back.metrics, r.metrics);
     }
 
     #[test]
@@ -519,12 +378,14 @@ mod tests {
             .join("../../target/test-scratch")
             .join(format!("gate_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        write_bench_record(&dir, &record(0.5, 0.1, 10.0)).unwrap();
-        write_bench_record(&dir, &record(0.6, 0.1, 10.0)).unwrap();
-        let cur = read_bench_record(&bench_record_path(&dir, "fig4_cifar100")).unwrap();
-        let prev = read_bench_record(&dir.join("BENCH_fig4_cifar100.prev.json")).unwrap();
-        assert_eq!(cur.final_accuracy, 0.6);
-        assert_eq!(prev.final_accuracy, 0.5);
+        write_bench_record(&dir, &sim_record(0.5, 0.1, 10.0));
+        write_bench_record(&dir, &sim_record(0.6, 0.1, 10.0));
+        let acc = |file: &str| {
+            let rec = read_bench_record(&dir.join(file)).unwrap();
+            rec.metric("final_accuracy").unwrap().value
+        };
+        assert_eq!(acc("BENCH_fig4_cifar100.json"), 0.6);
+        assert_eq!(acc("BENCH_fig4_cifar100.prev.json"), 0.5);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,9 +1,18 @@
-//! Experiment harness shared by the per-figure binaries.
+//! Experiment harness: the figure driver and what the bench binaries
+//! share.
 //!
-//! Every binary accepts `--scale smoke|quick|paper` (default `quick`) and
-//! `--seed N`, builds its runs through [`scaled_spec`], prints
-//! human-readable tables, and writes machine-readable JSON under
-//! `results/` — EXPERIMENTS.md is generated from those files.
+//! * [`figures`] — every table and figure of the paper's evaluation as
+//!   one driver (the `figures` binary, `--fig` picks which to run). Each
+//!   builds its runs through [`scaled_spec`], prints human-readable
+//!   tables, and writes machine-readable JSON under `results/` —
+//!   EXPERIMENTS.md is generated from those files.
+//! * [`gate`] — the one [`BenchRecord`] every gated binary writes (a
+//!   list of named metrics, each with its unit, direction and
+//!   tolerance) and the one loop `bench_gate` diffs a pair with.
+//! * [`dash`] — rendering shared by the `obs_*` trace views.
+//!
+//! Binaries that run at a scale accept `--scale smoke|quick|paper`
+//! (default `quick`) and `--seed N` through [`parse_args`].
 //!
 //! Scales: `smoke` is a seconds-long sanity pass, `quick` (default)
 //! reproduces every curve's *shape* in minutes on one CPU core, and
@@ -14,15 +23,14 @@ use fedknow_baselines::factory::MethodConfig;
 use fedknow_data::DatasetSpec;
 use fedknow_nn::ModelKind;
 use fedknow_suite::RunSpec;
-use serde::Serialize;
-use std::path::PathBuf;
+use serde::{Deserialize, Serialize};
+use std::path::{Path, PathBuf};
 
 pub mod dash;
+pub mod figures;
 pub mod gate;
 
-pub use gate::{
-    compare, read_bench_record, write_bench_record, BenchRecord, ScaleStats, Tolerance,
-};
+pub use gate::{compare, read_bench_record, write_bench_record, BenchRecord, Better, Metric, Tol};
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,21 +71,25 @@ pub struct Args {
     pub scale: Scale,
     /// Experiment seed.
     pub seed: u64,
-    /// Optional comma-separated filter (dataset/model names) — binaries
-    /// that iterate over a set honour it.
+    /// Optional comma-separated dataset names — Fig. 4 runs these
+    /// instead of its per-scale default set.
     pub only: Option<Vec<String>>,
+    /// Which figures the `figures` driver runs (comma-separated ids of
+    /// [`figures::FIGURES`]); all of them when absent.
+    pub fig: Option<Vec<String>>,
     /// Optional transport backend: run over the actor runtime instead
     /// of the in-process simulator. Binaries that support it honour it.
     pub transport: Option<fedknow_fl::TransportKind>,
 }
 
-/// Parse `--scale`, `--seed`, `--only` and `--transport` from
+/// Parse `--scale`, `--seed`, `--only`, `--fig` and `--transport` from
 /// `std::env::args`, with defaults. Exits with a usage message on
 /// malformed input.
 pub fn parse_args() -> Args {
     let mut scale = Scale::Quick;
     let mut seed = 42u64;
     let mut only: Option<Vec<String>> = None;
+    let mut fig: Option<Vec<String>> = None;
     let mut transport: Option<fedknow_fl::TransportKind> = None;
     let argv: Vec<String> = std::env::args().collect();
     let mut i = 1;
@@ -97,15 +109,16 @@ pub fn parse_args() -> Args {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage("--seed expects an integer"));
             }
-            "--only" => {
+            flag @ ("--only" | "--fig") => {
                 i += 1;
-                only = Some(
-                    argv.get(i)
-                        .unwrap_or_else(|| usage("--only expects a comma-separated list"))
-                        .split(',')
-                        .map(str::to_string)
-                        .collect(),
-                );
+                let list = argv
+                    .get(i)
+                    .unwrap_or_else(|| usage(&format!("{flag} expects a comma-separated list")))
+                    .split(',')
+                    .map(str::to_string)
+                    .collect();
+                let slot = if flag == "--fig" { &mut fig } else { &mut only };
+                *slot = Some(list);
             }
             "--transport" => {
                 i += 1;
@@ -123,14 +136,15 @@ pub fn parse_args() -> Args {
         scale,
         seed,
         only,
+        fig,
         transport,
     }
 }
 
-fn usage(msg: &str) -> ! {
+pub(crate) fn usage(msg: &str) -> ! {
     eprintln!(
         "error: {msg}\nusage: <bin> [--scale smoke|quick|paper] [--seed N] [--only a,b,c] \
-         [--transport channel|tcp|unix]"
+         [--fig id,id] [--transport channel|tcp|unix]"
     );
     std::process::exit(2)
 }
@@ -182,8 +196,12 @@ pub fn scaled_spec(base: DatasetSpec, scale: Scale, seed: u64) -> RunSpec {
 /// Write a serialisable result to `results/<name>.json` (repo-relative,
 /// falling back to the current directory).
 pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir).expect("create results dir");
+    write_json_to(&results_dir(), name, value)
+}
+
+/// [`write_json`] into an explicit directory.
+pub fn write_json_to<T: Serialize>(dir: &Path, name: &str, value: &T) {
+    std::fs::create_dir_all(dir).expect("create results dir");
     let path = dir.join(format!("{name}.json"));
     let json = serde_json::to_string_pretty(value).expect("serialise result");
     std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
@@ -199,6 +217,20 @@ pub fn results_dir() -> PathBuf {
         .and_then(|p| p.parent())
         .map(|root| root.join("results"))
         .unwrap_or_else(|| PathBuf::from("results"))
+}
+
+/// Peak resident set size of this process in bytes (Linux `VmHWM`); 0
+/// where the platform has no `/proc/self/status`.
+pub fn peak_rss_bytes() -> u64 {
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return 0;
+    };
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|l| l.trim().trim_end_matches("kB").trim().parse::<u64>().ok())
+        .map(|kb| kb * 1024)
+        .unwrap_or(0)
 }
 
 /// Print a fixed-width table: header plus rows of (label, values).
@@ -340,9 +372,32 @@ mod tests {
     }
 }
 
+/// One microbenchmarked kernel/shape point from `kernel_bench`:
+/// modelled work (via `fedknow_math::flops`), min-of-k wall time, and
+/// the derived roofline coordinates. `results/kernels.json` is a list
+/// of these; `obs_perf --record` draws the roofline from it.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct KernelEntry {
+    /// Kernel name, matching the `flops.<kernel>` counter namespace
+    /// (`matmul`, `conv2d_fwd`, `qp`, …).
+    pub kernel: String,
+    /// Human-readable shape tag (`128x128x128`, `b8 3->32 k3 s1 p1 32x32`).
+    pub shape: String,
+    /// Modelled FLOPs for one invocation.
+    pub flops: u64,
+    /// Modelled bytes moved for one invocation.
+    pub bytes: u64,
+    /// Fastest observed invocation, nanoseconds (min-of-k).
+    pub min_ns: u64,
+    /// Achieved GFLOP/s at the fastest invocation.
+    pub gflops: f64,
+    /// Arithmetic intensity, FLOPs per byte.
+    pub intensity: f64,
+}
+
 /// One method's curves from a finished run — the unit every figure's
 /// JSON output is built from.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MethodCurve {
     /// Method name.
     pub method: String,

@@ -93,6 +93,14 @@ impl DatasetSpec {
         ]
     }
 
+    /// The analogue called `name`: a benchmark of [`Self::all_benchmarks`]
+    /// or the `svhn` search set.
+    pub fn by_name(name: &str) -> Option<DatasetSpec> {
+        let mut known = Self::all_benchmarks();
+        known.push(Self::svhn());
+        known.into_iter().find(|s| s.name == name)
+    }
+
     fn named(name: &str, num_tasks: usize, classes_per_task: usize, salt: u64) -> Self {
         Self {
             name: name.to_string(),
@@ -170,6 +178,16 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), salts.len());
+    }
+
+    #[test]
+    fn by_name_finds_every_analogue() {
+        let mut all = DatasetSpec::all_benchmarks();
+        all.push(DatasetSpec::svhn());
+        for s in all {
+            assert_eq!(DatasetSpec::by_name(&s.name), Some(s));
+        }
+        assert_eq!(DatasetSpec::by_name("mnist"), None);
     }
 
     #[test]

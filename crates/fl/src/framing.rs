@@ -331,7 +331,7 @@ mod tests {
         // gigabytes. Bit 31 is the ctx flag, so the claimed length is
         // the masked word — still far beyond the cap.
         let wire = u32::MAX.to_le_bytes().to_vec();
-        let claimed = u64::from(u32::MAX & !FRAME_FLAG_CTX);
+        let claimed = u64::from(!FRAME_FLAG_CTX);
         let mut r = wire.as_slice();
         assert_eq!(
             read_frame(&mut r).unwrap_err(),
