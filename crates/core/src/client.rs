@@ -7,7 +7,7 @@ use crate::integrator::GradientIntegrator;
 use crate::restorer::GradientRestorer;
 use fedknow_data::ClientTask;
 use fedknow_fl::{FclClient, IterationStats, LocalTrainer, ModelTemplate};
-use fedknow_math::SparseVec;
+use fedknow_math::{SparseVec, Tensor};
 use fedknow_nn::optim::{LrSchedule, Sgd};
 use fedknow_obs::HistHandle;
 use rand::rngs::StdRng;
@@ -34,10 +34,15 @@ pub struct FedKnowClient {
     /// Post-aggregation fine-tune schedule (Theorem 1: O(r^{-1})).
     global_opt: Sgd,
     knowledges: Vec<SparseVec>,
+    /// Per retained task, its knowledge's pseudo-labels on every training
+    /// sample of the current task (`[N, C]`, row = position in
+    /// `task.train`): a cache `start_task` builds and `finish_task` /
+    /// `restore_checkpoint` drop, not retained state.
+    teacher: Vec<Tensor>,
     /// Indices into `knowledges` of the current signature tasks.
     selected: Vec<usize>,
-    /// FLOPs spent outside train_iteration (selection, fine-tunes),
-    /// charged to the next iteration's stats.
+    /// FLOPs not yet reported (table build, selection, fine-tunes,
+    /// restores), charged to the next iteration's stats.
     pending_flops: u64,
 }
 
@@ -69,6 +74,7 @@ impl FedKnowClient {
             global_opt,
             cfg,
             knowledges: Vec::new(),
+            teacher: Vec::new(),
             selected: Vec::new(),
             pending_flops: 0,
         }
@@ -89,28 +95,42 @@ impl FedKnowClient {
         &mut self.trainer
     }
 
+    /// Restored gradient (Eq. 2) of retained task `i` on the batch the
+    /// trainer drew last: that batch's rows of the task's pseudo-label
+    /// table, and one backward pass over the activations of the training
+    /// forward that produced `logits`.
+    fn replay(&mut self, i: usize, logits: &Tensor) -> Vec<f32> {
+        let target = self.teacher[i].gather_rows(self.trainer.batch_indices());
+        // One backward: 2/3 of an iteration.
+        self.pending_flops += self.trainer.iteration_flops() * 2 / 3;
+        self.restorer
+            .replay(&mut self.trainer.model, logits, &target)
+    }
+
+    /// [`Self::replay`] for every current signature task.
+    fn replay_selected(&mut self, logits: &Tensor) -> Vec<Vec<f32>> {
+        (0..self.selected.len())
+            .map(|s| self.replay(self.selected[s], logits))
+            .collect()
+    }
+
     /// Re-rank signature tasks on a fresh batch (run at task start and
     /// after every aggregation, so selection tracks the moving model).
     fn reselect(&mut self, rng: &mut StdRng) {
-        if self.knowledges.is_empty() || self.trainer.num_samples() == 0 {
-            self.selected.clear();
+        self.selected.clear();
+        // No table, nothing to rank: no knowledge yet, no samples, k = 0.
+        if self.teacher.is_empty() {
             return;
         }
         let (x, labels) = self.trainer.next_batch(rng);
-        self.trainer.compute_grads(&x, &labels);
+        let (_, logits) = self.trainer.compute_grads_logits(&x, &labels);
         let g = self.trainer.model.flat_grads();
-        self.selected = self.restorer.select_signature_tasks(
-            &mut self.trainer.model,
-            &self.knowledges,
-            &x,
-            &g,
-            self.cfg.k,
-            self.cfg.metric,
-        );
-        // Selection restores all m candidates: m × (4/3) iterations of
-        // work, plus the probe forward/backward.
-        let probe = self.trainer.iteration_flops();
-        self.pending_flops += probe + self.knowledges.len() as u64 * probe * 4 / 3;
+        // The probe forward/backward; each candidate's backward is
+        // debited by `replay`.
+        self.pending_flops += self.trainer.iteration_flops();
+        let (restorer, k, metric) = (self.restorer, self.cfg.k, self.cfg.metric);
+        let restored = (0..self.teacher.len()).map(|i| self.replay(i, &logits));
+        self.selected = restorer.select_among(restored, &g, k, metric);
     }
 }
 
@@ -118,29 +138,39 @@ impl FclClient for FedKnowClient {
     fn start_task(&mut self, task: &ClientTask, rng: &mut StdRng) {
         self.trainer.set_task(task, rng);
         self.global_opt.reset();
+        // A retained task's pseudo-labels on a training sample cannot
+        // change while this task trains (the knowledge is frozen, the
+        // data is fixed), so compute them once per sample here instead
+        // of once per restore. Dropped by `finish_task`.
+        self.teacher.clear();
+        if self.cfg.k > 0 && !task.train.is_empty() {
+            let shape = self.trainer.image_shape().to_vec();
+            for knowledge in &self.knowledges {
+                self.teacher.push(self.restorer.pseudo_label_table(
+                    &mut self.trainer.model,
+                    knowledge,
+                    &task.train,
+                    &shape,
+                ));
+            }
+            self.pending_flops +=
+                self.teacher.len() as u64 * self.trainer.model.flops(task.train.len());
+        }
         self.reselect(rng);
     }
 
     fn train_iteration(&mut self, rng: &mut StdRng) -> IterationStats {
         let (x, labels) = self.trainer.next_batch(rng);
-        let loss = self.trainer.compute_grads(&x, &labels);
+        let (loss, logits) = self.trainer.compute_grads_logits(&x, &labels);
         let g = self.trainer.model.flat_grads();
-        let mut flops = self.trainer.iteration_flops() + self.pending_flops;
-        self.pending_flops = 0;
         let update = if self.selected.is_empty() {
             g
         } else {
-            let restored: Vec<Vec<f32>> = self
-                .selected
-                .iter()
-                .map(|&i| {
-                    self.restorer
-                        .restore(&mut self.trainer.model, &self.knowledges[i], &x)
-                })
-                .collect();
-            flops += self.selected.len() as u64 * self.trainer.iteration_flops() * 4 / 3;
+            let restored = self.replay_selected(&logits);
             self.integrator.integrate(&g, &restored)
         };
+        let flops = self.trainer.iteration_flops() + self.pending_flops;
+        self.pending_flops = 0;
         let lr = self.trainer.opt.next_lr() as f32;
         self.trainer.model.apply_update(&update, lr);
         IterationStats {
@@ -166,29 +196,23 @@ impl FclClient for FedKnowClient {
                 .map_or(epoch, |n| n.min(epoch.max(1)));
             for _ in 0..iters {
                 let (x, labels) = self.trainer.next_batch(rng);
-                // Gradient after aggregation (at the global weights).
-                self.trainer.compute_grads(&x, &labels);
-                let g_after = self.trainer.model.flat_grads();
                 // Gradient before aggregation (at the saved local
-                // weights), on the same batch.
+                // weights) first...
                 let now = self.trainer.model.flat_params();
                 self.trainer.model.set_flat_params(&local);
                 self.trainer.compute_grads(&x, &labels);
                 let g_before = self.trainer.model.flat_grads();
+                // ...so that the gradient after aggregation (at the
+                // adopted weights, same batch) is the forward the
+                // signature-task restores replay.
                 self.trainer.model.set_flat_params(&now);
+                let (_, logits) = self.trainer.compute_grads_logits(&x, &labels);
+                let g_after = self.trainer.model.flat_grads();
                 // Constraints: the post-aggregation gradient (negative-
                 // transfer prevention) plus the signature-task gradients
                 // (the fine-tune must not undo forgetting prevention).
                 let mut constraints = vec![g_after];
-                for &i in &self.selected {
-                    constraints.push(self.restorer.restore(
-                        &mut self.trainer.model,
-                        &self.knowledges[i],
-                        &x,
-                    ));
-                }
-                self.pending_flops +=
-                    self.selected.len() as u64 * self.trainer.iteration_flops() * 4 / 3;
+                constraints.extend(self.replay_selected(&logits));
                 let update = self.integrator.integrate(&g_before, &constraints);
                 let lr = self.global_opt.next_lr() as f32;
                 self.trainer.model.apply_update(&update, lr);
@@ -219,6 +243,7 @@ impl FclClient for FedKnowClient {
         }
         self.knowledges.push(knowledge);
         self.selected.clear();
+        self.teacher.clear();
     }
 
     fn evaluate(&mut self, task: &ClientTask) -> f64 {
@@ -275,6 +300,7 @@ impl FclClient for FedKnowClient {
                 .push(SparseVec::new(dense_len, indices, values));
         }
         self.selected.clear();
+        self.teacher.clear();
     }
 
     fn method_name(&self) -> &'static str {
@@ -441,6 +467,74 @@ mod tests {
         // Re-checkpointing reproduces the stream bit-for-bit — the
         // pending-FLOPs debit and every limb survive the round trip.
         assert_eq!(fresh.checkpoint_params().unwrap(), saved);
+    }
+
+    #[test]
+    fn teacher_tables_live_from_start_task_to_finish_task() {
+        let (mut c, tasks) = setup(3);
+        let mut rng = seeded(7);
+        for (t, task) in tasks.iter().enumerate() {
+            assert!(c.teacher.is_empty(), "no table outside a task");
+            let before = c.retained_bytes();
+            c.start_task(task, &mut rng);
+            // One table per retained task, one row per training sample.
+            assert_eq!(c.teacher.len(), t);
+            for table in &c.teacher {
+                assert_eq!(table.shape()[0], task.train.len());
+            }
+            assert_eq!(c.retained_bytes(), before, "a cache, not retained state");
+            c.train_iteration(&mut rng);
+            let global = c.upload().unwrap();
+            c.receive_global(&global, &mut rng);
+            assert_eq!(c.teacher.len(), t);
+            c.finish_task(&mut rng);
+        }
+        assert!(c.teacher.is_empty());
+
+        // A checkpoint restored in the middle of a task drops the table
+        // with the selection; the next task start rebuilds both.
+        let saved = c.checkpoint_params().unwrap();
+        c.start_task(&tasks[0], &mut rng);
+        assert_eq!(c.teacher.len(), 3);
+        c.restore_checkpoint(&saved, &mut rng);
+        assert!(c.teacher.is_empty());
+        assert!(c.selected().is_empty());
+        c.start_task(&tasks[0], &mut rng);
+        assert_eq!(c.teacher.len(), 3);
+        assert_eq!(c.selected().len(), 2);
+    }
+
+    #[test]
+    fn nothing_to_restore_without_samples_or_with_k_zero() {
+        let (mut c, mut tasks) = setup(2);
+        let mut rng = seeded(8);
+        c.start_task(&tasks[0], &mut rng);
+        c.train_iteration(&mut rng);
+        c.finish_task(&mut rng);
+        // A task that lost all its samples: no table, no selection, and
+        // training and aggregation stay harmless no-ops.
+        tasks[1].train.clear();
+        c.start_task(&tasks[1], &mut rng);
+        assert!(c.teacher.is_empty() && c.selected().is_empty());
+        assert_eq!(c.train_iteration(&mut rng).loss, 0.0);
+        let global = c.upload().unwrap();
+        c.receive_global(&global, &mut rng);
+        assert!(c.teacher.is_empty() && c.selected().is_empty());
+        assert_eq!(c.upload().unwrap(), global);
+
+        // k = 0: knowledge is still retained, never restored from.
+        let (mut c, tasks) = setup(2);
+        c.cfg.k = 0;
+        for task in &tasks {
+            c.start_task(task, &mut rng);
+            assert!(c.teacher.is_empty() && c.selected().is_empty());
+            c.train_iteration(&mut rng);
+            let global = c.upload().unwrap();
+            c.receive_global(&global, &mut rng);
+            assert!(c.teacher.is_empty() && c.selected().is_empty());
+            c.finish_task(&mut rng);
+        }
+        assert_eq!(c.knowledges().len(), 2);
     }
 
     #[test]

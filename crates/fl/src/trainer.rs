@@ -29,6 +29,8 @@ pub struct LocalTrainer {
     image_shape: Vec<usize>,
     train_data: Vec<Sample>,
     batcher: Option<Batcher>,
+    /// See [`LocalTrainer::batch_indices`].
+    batch_indices: Vec<usize>,
 }
 
 impl LocalTrainer {
@@ -41,6 +43,7 @@ impl LocalTrainer {
             image_shape,
             train_data: Vec::new(),
             batcher: None,
+            batch_indices: Vec::new(),
         }
     }
 
@@ -64,18 +67,40 @@ impl LocalTrainer {
     /// Draw the next minibatch of the current task.
     pub fn next_batch(&mut self, rng: &mut StdRng) -> (Tensor, Vec<usize>) {
         let batcher = self.batcher.as_mut().expect("set_task before next_batch");
-        let idx: Vec<usize> = batcher.next_batch(rng).to_vec();
-        let samples: Vec<&Sample> = idx.iter().map(|&i| &self.train_data[i]).collect();
+        self.batch_indices.clear();
+        self.batch_indices
+            .extend_from_slice(batcher.next_batch(rng));
+        let samples: Vec<&Sample> = self
+            .batch_indices
+            .iter()
+            .map(|&i| &self.train_data[i])
+            .collect();
         to_tensor(&samples, &self.image_shape)
+    }
+
+    /// Positions in the task's training set (the `task.train` handed to
+    /// [`LocalTrainer::set_task`]) of the samples in the last batch
+    /// [`LocalTrainer::next_batch`] returned, row for row — the key into
+    /// anything a client precomputed per training sample.
+    pub fn batch_indices(&self) -> &[usize] {
+        &self.batch_indices
     }
 
     /// Zero grads, forward, cross-entropy, backward. Returns the loss and
     /// leaves gradients in the model's buffers. An empty batch is a
     /// no-op with zero loss (zero gradients), never a NaN.
     pub fn compute_grads(&mut self, x: &Tensor, labels: &[usize]) -> f32 {
+        self.compute_grads_logits(x, labels).0
+    }
+
+    /// [`LocalTrainer::compute_grads`], also handing back the training
+    /// forward's logits (`[0, classes]` for an empty batch). The model
+    /// keeps that forward's activations, so the caller can run further
+    /// backward passes against other losses on the same logits.
+    pub fn compute_grads_logits(&mut self, x: &Tensor, labels: &[usize]) -> (f32, Tensor) {
         self.model.zero_grad();
         if labels.is_empty() {
-            return 0.0;
+            return (0.0, Tensor::zeros(&[0, self.model.num_classes()]));
         }
         let logits = {
             let _t = CONV_FWD_NS.timer();
@@ -84,7 +109,7 @@ impl LocalTrainer {
         let (loss, grad) = cross_entropy(&logits, labels);
         let _t = CONV_BWD_NS.timer();
         self.model.backward(grad);
-        loss
+        (loss, logits)
     }
 
     /// One plain SGD iteration on the current task. Returns the loss.

@@ -191,6 +191,19 @@ impl Tensor {
         self.data[i * self.shape.dims[1] + j]
     }
 
+    /// The slices `rows` of the leading dimension, stacked in that order
+    /// (repeats allowed): `[N, ...]` → `[rows.len(), ...]`.
+    pub fn gather_rows(&self, rows: &[usize]) -> Tensor {
+        let mut shape = self.shape().to_vec();
+        let per = self.data.len() / shape[0].max(1);
+        let mut data = Vec::with_capacity(rows.len() * per);
+        for &r in rows {
+            data.extend_from_slice(&self.data[r * per..(r + 1) * per]);
+        }
+        shape[0] = rows.len();
+        Tensor::from_vec(data, &shape)
+    }
+
     fn from_pooled(data: Vec<f32>, shape: &[usize]) -> Self {
         debug_assert_eq!(data.len(), shape.iter().product::<usize>());
         Self {
@@ -500,6 +513,18 @@ mod tests {
     fn argmax_rows_picks_largest() {
         let t = Tensor::from_vec(vec![0.1, 0.9, 0.0, 5.0, -2.0, 3.0], &[2, 3]);
         assert_eq!(t.argmax_rows(), vec![1, 0]);
+    }
+
+    #[test]
+    fn gather_rows_stacks_leading_slices_in_order() {
+        let t = Tensor::from_vec((0..12).map(|x| x as f32).collect(), &[3, 2, 2]);
+        let g = t.gather_rows(&[2, 0, 2]);
+        assert_eq!(g.shape(), &[3, 2, 2]);
+        assert_eq!(
+            g.data(),
+            &[8.0, 9.0, 10.0, 11.0, 0.0, 1.0, 2.0, 3.0, 8.0, 9.0, 10.0, 11.0]
+        );
+        assert_eq!(t.gather_rows(&[]).shape(), &[0, 2, 2]);
     }
 
     #[test]

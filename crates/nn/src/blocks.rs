@@ -175,7 +175,7 @@ impl Layer for SEScale {
     fn backward(&mut self, grad: Tensor) -> Tensor {
         let x = self
             .cached_input
-            .take()
+            .as_ref()
             .expect("backward before forward(train)");
         let s = x.shape().to_vec();
         let (b, c, h, w) = (s[0], s[1], s[2], s[3]);

@@ -34,6 +34,13 @@ pub trait Layer: Send {
 
     /// Backward pass: consume ∂L/∂output, accumulate parameter gradients,
     /// return ∂L/∂input.
+    ///
+    /// May be called any number of times after one `forward(x, true)`:
+    /// it reads the cached activations without consuming them, so each
+    /// call differentiates the same forward against a new output
+    /// gradient. Parameter gradients accumulate across calls; the caller
+    /// zeroes them in between (FedKNOW's restorer replays one training
+    /// forward once per signature task this way).
     fn backward(&mut self, grad: Tensor) -> Tensor;
 
     /// Visit every (parameter, gradient) pair in a deterministic order.

@@ -11,13 +11,17 @@
 //!    1, 2, 4 and 8 threads are bit-identical. Federated rounds rely on
 //!    this: a client's update must not depend on how many cores its edge
 //!    device has.
+//!
+//! And two the FedKNOW restorer leans on: `backward` can be replayed over
+//! one training forward, and an eval-mode forward treats every row of a
+//! batch independently.
 
 use fedknow_math::rng::seeded;
 use fedknow_math::{parallel, pool, Tensor};
 use fedknow_nn::conv::Conv2d;
 use fedknow_nn::loss::cross_entropy;
 use fedknow_nn::models::six_cnn;
-use fedknow_nn::Layer;
+use fedknow_nn::{Layer, ModelKind};
 
 fn input(shape: &[usize], seed: u64) -> Tensor {
     let mut rng = seeded(seed);
@@ -135,4 +139,75 @@ fn workspace_reuse_is_bit_identical_to_fresh_allocation() {
     let fresh = run(false);
     assert_eq!(pooled.0, fresh.0, "logits differ with pooling enabled");
     assert_eq!(pooled.1, fresh.1, "params differ with pooling enabled");
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `backward` may be replayed: after one training forward, every
+/// `zero_grad` + `backward(g)` yields the same gradients, and they are
+/// the gradients of a fresh forward + backward. FedKNOW's restorer runs
+/// one backward per signature task over a single forward.
+#[test]
+fn backward_replays_over_one_forward_for_every_model() {
+    let x = input(&[3, 3, 8, 8], 49);
+    let g = input(&[3, 5], 50);
+    for kind in ModelKind::ALL {
+        let build = || kind.build(&mut seeded(51), 3, 5, 1.0);
+        let mut m = build();
+        let _ = m.forward(x.clone(), true);
+        let mut replays = Vec::new();
+        for _ in 0..2 {
+            m.zero_grad();
+            let gx = m.backward(g.clone());
+            replays.push((bits(gx.data()), bits(&m.flat_grads())));
+        }
+        let mut fresh = build();
+        let _ = fresh.forward(x.clone(), true);
+        let gx = fresh.backward(g.clone());
+        let reference = (bits(gx.data()), bits(&fresh.flat_grads()));
+        for (n, replay) in replays.iter().enumerate() {
+            assert!(
+                *replay == reference,
+                "{}: backward #{} differs from a fresh forward+backward",
+                kind.name(),
+                n + 1
+            );
+        }
+    }
+}
+
+/// Eval-mode rows are independent: a sample's logits do not depend on
+/// which batch it is forwarded in, where in it, or how large it is
+/// (BatchNorm reads its running statistics in eval mode). FedKNOW caches
+/// a teacher's pseudo-labels per training sample on the strength of this.
+#[test]
+fn eval_forward_rows_do_not_depend_on_the_batch_for_every_model() {
+    // 67 rows cross the GEMM's 64-row block and every register tile.
+    let x = input(&[67, 3, 8, 8], 52);
+    for kind in ModelKind::ALL {
+        let mut m = kind.build(&mut seeded(53), 3, 5, 1.0);
+        // Move the running statistics off their initial values.
+        let _ = m.forward(x.clone(), true);
+        let whole = m.forward(x.clone(), false);
+        let row = |i: usize| bits(&whole.data()[i * 5..(i + 1) * 5]);
+        for i in [0, 5, 63, 64, 66] {
+            let alone = m.forward(x.gather_rows(&[i]), false);
+            assert!(
+                bits(alone.data()) == row(i),
+                "{}: sample {i} alone",
+                kind.name()
+            );
+        }
+        let mix = [66usize, 2, 64, 0, 5, 2, 31, 63];
+        let mixed = m.forward(x.gather_rows(&mix), false);
+        for (r, &i) in mix.iter().enumerate() {
+            assert!(
+                bits(&mixed.data()[r * 5..(r + 1) * 5]) == row(i),
+                "{}: sample {i} at row {r} of a reordered batch",
+                kind.name()
+            );
+        }
+    }
 }
