@@ -16,6 +16,11 @@
 //! 2. **times a min-of-k sweep** (`--reps`, default 15, `--smoke` 5)
 //!    and reports achieved GFLOP/s and arithmetic intensity.
 //!
+//! It then times every layer of the SixCnn, forward and backward, inside
+//! one batch-12 training step (the `cnn_*` ladder workloads' step) and
+//! prints the per-layer µs table — where a train step's time goes beside
+//! what its kernels could deliver. Those rows are `Info` metrics.
+//!
 //! The run is distilled into `results/BENCH_kernels.json` through the
 //! usual rotation machinery — one `gflops <kernel> [<shape>]` metric per
 //! point — so `bench_gate` diffs each kernel's throughput against the
@@ -30,8 +35,10 @@ use fedknow_bench::{
 };
 use fedknow_math::flops::{self, Cost};
 use fedknow_math::qp::{integrate_gradient, QpConfig};
+use fedknow_math::rng::normal_vec;
 use fedknow_math::{distance, Tensor};
 use fedknow_nn::conv::Conv2d;
+use fedknow_nn::models::six_cnn_layers;
 use fedknow_nn::Layer;
 use fedknow_verify::oracle::{self, ConvSpec};
 use rand::rngs::StdRng;
@@ -130,12 +137,19 @@ fn counted_invocation(kernel: &str, mut f: impl FnMut()) -> (u64, u64) {
 
 /// Fastest of `warmup + reps` invocations, nanoseconds.
 fn min_of_k(reps: usize, mut f: impl FnMut()) -> u64 {
-    f();
-    f();
+    min_of_k_with(reps, || (), |()| f())
+}
+
+/// [`min_of_k`] for an `f` that consumes its argument: `setup` builds one
+/// per invocation, outside the timed region.
+fn min_of_k_with<T>(reps: usize, mut setup: impl FnMut() -> T, mut f: impl FnMut(T)) -> u64 {
+    f(setup());
+    f(setup());
     let mut best = u64::MAX;
     for _ in 0..reps {
+        let arg = setup();
         let t = Instant::now();
-        f();
+        f(arg);
         best = best.min(t.elapsed().as_nanos() as u64);
     }
     best
@@ -269,6 +283,67 @@ fn bench_conv(
     out.push(entry("conv2d_bwd", &shape, bwd, bwd_ns));
 }
 
+/// One row of the per-layer table.
+struct LayerRow {
+    label: String,
+    fwd_ns: u64,
+    bwd_ns: u64,
+}
+
+/// Fastest forward and backward of every SixCnn layer inside one training
+/// step at the ladder's `cnn_*` batch (12 × 3×16×16). Activations are the
+/// real ones of a forward over N(0, 1) inputs, so the data-dependent
+/// layers (ReLU, MaxPool) see the sign-random values training gives them.
+fn bench_sixcnn_layers(opts: &Opts) -> Vec<LayerRow> {
+    const BATCH: usize = 12;
+    // Layers run for 10–500 µs: more repetitions than the kernels' sweep,
+    // same min-of-k reading.
+    let reps = opts.reps * 20;
+    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let mut layers = six_cnn_layers(&mut rng, 3, 10, 1.0).into_layers();
+    let shape = [BATCH, 3, 16, 16];
+    let x = normal_vec(&mut rng, shape.iter().product(), 0.0, 1.0);
+    // acts[i] is layer i's input; out_grads[i] the gradient at its output.
+    let mut acts = vec![Tensor::from_vec(x, &shape)];
+    for l in &mut layers {
+        let y = l.forward(acts.last().expect("non-empty").clone(), true);
+        acts.push(y);
+    }
+    let logits = acts.last().expect("non-empty");
+    let mut g = Tensor::from_vec(normal_vec(&mut rng, logits.len(), 0.0, 1.0), logits.shape());
+    let mut out_grads = Vec::with_capacity(layers.len());
+    for l in layers.iter_mut().rev() {
+        out_grads.push(g.clone());
+        g = l.backward(g);
+    }
+    out_grads.reverse();
+    layers
+        .iter_mut()
+        .enumerate()
+        .map(|(i, l)| {
+            let fwd_ns = min_of_k_with(
+                reps,
+                || acts[i].clone(),
+                |x| {
+                    black_box(l.forward(x, true));
+                },
+            );
+            let bwd_ns = min_of_k_with(
+                reps,
+                || out_grads[i].clone(),
+                |g| {
+                    black_box(l.backward(g));
+                },
+            );
+            LayerRow {
+                label: format!("{i:02} {} {:?}", l.name(), acts[i].shape()),
+                fwd_ns,
+                bwd_ns,
+            }
+        })
+        .collect()
+}
+
 fn bench_qp(opts: &Opts, k: usize, n: usize, out: &mut Vec<KernelEntry>) {
     let shape = format!("k{k} n{n}");
     let g = vals(n, 7);
@@ -372,6 +447,12 @@ fn main() {
     // A deep-layer workhorse shape: per-sample GEMM [64, 288] × [288, 256],
     // big enough that panel packing and fused patch tiles dominate.
     bench_conv(&opts, 4, 32, 64, 16, &mut entries);
+    // The ladder's own per-sample shapes at its batch 12: SixCnn's second
+    // and fourth conv (`cnn_*` workloads) and ResNet18's last stage
+    // (`resnet_fedknow_t4`), where N = oh·ow is 256, 64 and 4.
+    bench_conv(&opts, 12, 8, 8, 16, &mut entries);
+    bench_conv(&opts, 12, 16, 16, 8, &mut entries);
+    bench_conv(&opts, 12, 64, 64, 2, &mut entries);
     // Signature-task machinery: GEM dual QP, Wasserstein ranking, and
     // the server's weighted average.
     bench_qp(&opts, 8, 4096, &mut entries);
@@ -396,15 +477,54 @@ fn main() {
     }
     println!("[kernel_bench] all FLOP/byte models cross-checked against oracle trips and counters");
 
+    let layers = bench_sixcnn_layers(&opts);
+    let us = |ns: u64| ns as f64 / 1e3;
+    let (fwd_total, bwd_total) = layers
+        .iter()
+        .fold((0, 0), |(f, b), r| (f + r.fwd_ns, b + r.bwd_ns));
+    println!(
+        "\nsixcnn train step, batch 12, per layer (min-of-k)\n{:<34}{:>10}{:>10}",
+        "layer [input shape]", "fwd us", "bwd us"
+    );
+    for r in &layers {
+        println!(
+            "{:<34}{:>10.1}{:>10.1}",
+            r.label,
+            us(r.fwd_ns),
+            us(r.bwd_ns)
+        );
+    }
+    println!(
+        "{:<34}{:>10.1}{:>10.1}",
+        "total",
+        us(fwd_total),
+        us(bwd_total)
+    );
+
     // A kernel may lose up to 60% of its throughput before the gate
     // fails: shared CI cores vary that much.
-    let metrics = entries
+    let mut metrics: Vec<Metric> = entries
         .iter()
         .map(|e| {
             let name = format!("gflops {} [{}]", e.kernel, e.shape);
             Metric::new(name, e.gflops, "GF/s", Better::Higher, Tol::Rel(0.6))
         })
         .collect();
+    for (dir, total, pick) in [
+        ("fwd", fwd_total, (|r| r.fwd_ns) as fn(&LayerRow) -> u64),
+        ("bwd", bwd_total, |r| r.bwd_ns),
+    ] {
+        metrics.extend(
+            layers.iter().map(|r| {
+                Metric::info(format!("sixcnn b12 {dir} [{}]", r.label), us(pick(r)), "us")
+            }),
+        );
+        metrics.push(Metric::info(
+            format!("sixcnn b12 {dir} [total]"),
+            us(total),
+            "us",
+        ));
+    }
     let scale = if opts.smoke { "smoke" } else { "quick" };
     let rec = BenchRecord::new("kernels", scale, opts.seed, metrics);
     write_bench_record(&opts.results, &rec);

@@ -18,9 +18,16 @@
 //! | scalar         | 4×16  | autovectorized f32 arrays         |
 //!
 //! The left and right operands are abstracted as [`APanels`]/[`BPanels`]
-//! pack sources, so `fedknow-nn`'s fused conv2d can feed im2col *patch
-//! panels* straight into the same blocked kernel without materializing
-//! the full column matrix.
+//! pack sources, so `fedknow-nn`'s fused conv2d forward can feed im2col
+//! *patch panels* straight into the same blocked kernel without
+//! materializing the full column matrix.
+//!
+//! The four dense sources fall in two classes. [`DenseATrans`] and
+//! [`DenseB`] are stored along the packing direction: a packed row is a
+//! straight copy. [`DenseA`] and [`DenseBTrans`] are stored across it (k
+//! contiguous), so packing them is a transpose; they share one blocked
+//! walk, `pack_transposed`, that moves 16-deep blocks of 8 source rows at
+//! a time instead of one strided scalar store per element.
 //!
 //! ## Determinism
 //!
@@ -64,7 +71,8 @@ pub trait BPanels: Sync {
     fn pack(&self, dst: &mut [f32], k0: usize, kc: usize, j0: usize, nc: usize, nr: usize);
 }
 
-/// Dense row-major left operand `[m, k]` with row stride `k`.
+/// Dense row-major left operand `[m, k]` with row stride `k`. Packing
+/// transposes (k is contiguous in the source, rows are in the strip).
 pub struct DenseA<'a> {
     /// Row-major data, at least `m·k` long.
     pub data: &'a [f32],
@@ -74,25 +82,12 @@ pub struct DenseA<'a> {
 
 impl APanels for DenseA<'_> {
     fn pack(&self, dst: &mut [f32], i0: usize, mc: usize, k0: usize, kc: usize, mr: usize) {
-        for (s, rows) in (0..mc).step_by(mr).enumerate() {
-            let hm = mr.min(mc - rows);
-            let strip = &mut dst[s * kc * mr..(s * kc * mr) + kc * mr];
-            if hm < mr {
-                strip.fill(0.0);
-            }
-            // Row-major source: read each A row contiguously, scatter at
-            // stride `mr` into the (L1-resident) strip.
-            for r in 0..hm {
-                let src = &self.data[(i0 + rows + r) * self.k + k0..][..kc];
-                for (p, &v) in src.iter().enumerate() {
-                    strip[p * mr + r] = v;
-                }
-            }
-        }
+        pack_transposed(&self.data[i0 * self.k + k0..], self.k, mc, kc, dst, mr);
     }
 }
 
 /// Transposed left operand: stored `[k, m]`, logically `A = storedᵀ`.
+/// Packing copies: a stored row already runs along m.
 pub struct DenseATrans<'a> {
     /// Stored row-major `[k, m]` data.
     pub data: &'a [f32],
@@ -105,17 +100,19 @@ impl APanels for DenseATrans<'_> {
         for (s, rows) in (0..mc).step_by(mr).enumerate() {
             let hm = mr.min(mc - rows);
             let strip = &mut dst[s * kc * mr..(s * kc * mr) + kc * mr];
-            for p in 0..kc {
-                let src = &self.data[(k0 + p) * self.m + i0 + rows..];
-                for r in 0..mr {
-                    strip[p * mr + r] = if r < hm { src[r] } else { 0.0 };
-                }
+            if hm < mr {
+                strip.fill(0.0);
+            }
+            for (p, row) in strip.chunks_exact_mut(mr).enumerate() {
+                let src = &self.data[(k0 + p) * self.m + i0 + rows..][..hm];
+                row[..hm].copy_from_slice(src);
             }
         }
     }
 }
 
-/// Dense row-major right operand `[k, n]` with row stride `n`.
+/// Dense row-major right operand `[k, n]` with row stride `n`. Packing
+/// copies `nr`-float runs of each row.
 pub struct DenseB<'a> {
     /// Row-major data, at least `k·n` long.
     pub data: &'a [f32],
@@ -139,6 +136,7 @@ impl BPanels for DenseB<'_> {
 }
 
 /// Transposed right operand: stored `[n, k]`, logically `B = storedᵀ`.
+/// Packing transposes, like [`DenseA`].
 pub struct DenseBTrans<'a> {
     /// Stored row-major `[n, k]` data.
     pub data: &'a [f32],
@@ -148,21 +146,63 @@ pub struct DenseBTrans<'a> {
 
 impl BPanels for DenseBTrans<'_> {
     fn pack(&self, dst: &mut [f32], k0: usize, kc: usize, j0: usize, nc: usize, nr: usize) {
-        for (s, cols) in (0..nc).step_by(nr).enumerate() {
-            let w = nr.min(nc - cols);
-            let strip = &mut dst[s * kc * nr..(s * kc * nr) + kc * nr];
-            for j in 0..nr {
-                if j < w {
-                    let src = &self.data[(j0 + cols + j) * self.k + k0..][..kc];
-                    for (p, &v) in src.iter().enumerate() {
-                        strip[p * nr + j] = v;
-                    }
-                } else {
-                    for p in 0..kc {
-                        strip[p * nr + j] = 0.0;
-                    }
+        pack_transposed(&self.data[j0 * self.k + k0..], self.k, nc, kc, dst, nr);
+    }
+}
+
+/// Depth of the blocks the transposing packs walk: 16 floats, one cache
+/// line of a source row.
+const TB: usize = 16;
+
+/// The pack of a source stored across the packing direction, shared by
+/// [`DenseA`] and [`DenseBTrans`]: source row `x` (starting at
+/// `src[x·stride]`, running along k) becomes column `x % r` of strip
+/// `x / r`,
+///
+/// `dst[(x / r)·kc·r + p·r + x % r] = src[x·stride + p]`, `x < xc`, `p < kc`,
+///
+/// and the columns of the last strip past `xc` are zeroed.
+///
+/// Walking one source row at a time stores every element to a different
+/// cache line of the strip. When `r` is a multiple of 8 (every B tile, and
+/// the AVX-512 A tile) an aligned group of 8 source rows lands in 8
+/// adjacent columns of one strip, so the bulk is done in 8-row × `TB`-deep
+/// blocks — read as row segments, transposed in a stack tile, written as
+/// 8-float runs, bounds checked once per segment and run rather than per
+/// element. The ragged edges (and any other `r`) take the element walk.
+fn pack_transposed(src: &[f32], stride: usize, xc: usize, kc: usize, dst: &mut [f32], r: usize) {
+    let strips = xc.div_ceil(r);
+    let dst = &mut dst[..strips * kc * r];
+    if !xc.is_multiple_of(r) {
+        dst[(strips - 1) * kc * r..].fill(0.0);
+    }
+    let col = |x: usize| (x / r) * kc * r + x % r;
+    let (xb, kb) = if r.is_multiple_of(8) {
+        (xc - xc % 8, kc - kc % TB)
+    } else {
+        (0, 0)
+    };
+    for x in (0..xb).step_by(8) {
+        let run = &mut dst[col(x)..];
+        for p0 in (0..kb).step_by(TB) {
+            let mut tile = [[0.0f32; 8]; TB];
+            for j in 0..8 {
+                let seg = &src[(x + j) * stride + p0..][..TB];
+                for (t, &v) in tile.iter_mut().zip(seg) {
+                    t[j] = v;
                 }
             }
+            for (p, t) in tile.iter().enumerate() {
+                run[(p0 + p) * r..][..8].copy_from_slice(t);
+            }
+        }
+    }
+    for x in 0..xc {
+        let done = if x < xb { kb } else { 0 };
+        let row = &src[x * stride..][..kc];
+        let out = &mut dst[col(x)..];
+        for p in done..kc {
+            out[p * r] = row[p];
         }
     }
 }
@@ -722,7 +762,9 @@ mod tests {
         let b = vals(k * nr, 11);
         let mut full = vec![0.0f32; m * nr];
         gemm_dense(m, k, nr, &a, &b, &mut full);
-        for &n in &[1usize, 7, 8, 9, 15, 16, 17, 31, 32, 33, nr - 1] {
+        // (`nr` is 16 under the AVX2 and scalar tiles: skip wider prefixes.)
+        let widths = [1usize, 7, 8, 9, 15, 16, 17, 31, 32, 33, nr - 1];
+        for n in widths.into_iter().filter(|&n| n <= nr) {
             // B's first n columns, densely packed.
             let bn: Vec<f32> = (0..k)
                 .flat_map(|p| b[p * nr..p * nr + n].to_vec())

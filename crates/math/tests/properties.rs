@@ -3,6 +3,7 @@
 use fedknow_math::distance::{
     cosine_distance, euclidean, most_dissimilar, wasserstein_1d, DistanceMetric,
 };
+use fedknow_math::gemm::{APanels, BPanels, DenseA, DenseATrans, DenseB, DenseBTrans};
 use fedknow_math::qp::{integrate_gradient, QpConfig};
 use fedknow_math::sparse::SparseVec;
 use fedknow_math::tensor::Tensor;
@@ -10,6 +11,68 @@ use proptest::prelude::*;
 
 fn vec_f32(len: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-10.0f32..10.0, len)
+}
+
+/// The packed layout both pack traits document, read off a naive indexer:
+/// `dst[s·kc·r + p·r + j] = logical(x0 + s·r + j, k0 + p)` for the `xc`
+/// rows (A) or columns (B) of the block, zero beyond them.
+fn packed_reference(
+    logical: impl Fn(usize, usize) -> f32,
+    (x0, xc): (usize, usize),
+    (k0, kc): (usize, usize),
+    r: usize,
+) -> Vec<f32> {
+    let mut want = vec![0.0f32; xc.div_ceil(r) * kc * r];
+    for (idx, v) in want.iter_mut().enumerate() {
+        let (s, p, j) = (idx / (kc * r), (idx / r) % kc, idx % r);
+        if s * r + j < xc {
+            *v = logical(x0 + s * r + j, k0 + p);
+        }
+    }
+    want
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Every dense pack source fills exactly the documented strip layout —
+    /// partial last strips, blocks smaller than one tile, `kc` not a
+    /// multiple of 16 — for the `(mr, nr)` of all three microkernels, and
+    /// writes nothing past the block.
+    #[test]
+    fn pack_sources_match_the_naive_indexer(
+        extent in 1usize..130, depth in 1usize..80, tile in 0usize..3,
+        a in 0usize..1000, b in 0usize..1000, c in 0usize..1000, d in 0usize..1000,
+    ) {
+        let (mr, nr) = [(8usize, 48usize), (6, 16), (4, 16)][tile];
+        let x0 = a % extent;
+        let xc = 1 + b % (extent - x0);
+        let k0 = c % depth;
+        let kc = 1 + d % (depth - k0);
+        // logical(x, p): x indexes A's rows / B's columns, p the k
+        // dimension; non-zero everywhere so padding is distinguishable.
+        let logical = |x: usize, p: usize| (x * depth + p + 1) as f32;
+        let x_major: Vec<f32> = (0..extent * depth).map(|i| logical(i / depth, i % depth)).collect();
+        let k_major: Vec<f32> = (0..extent * depth).map(|i| logical(i % extent, i / extent)).collect();
+        let check = |name: &str, r: usize, pack: &dyn Fn(&mut [f32])| -> Result<(), TestCaseError> {
+            let want = packed_reference(logical, (x0, xc), (k0, kc), r);
+            let mut got = vec![f32::NAN; want.len() + 7];
+            pack(&mut got);
+            let (body, tail) = got.split_at(want.len());
+            prop_assert!(
+                body.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits()),
+                "{name} r={r} x0={x0} xc={xc} k0={k0} kc={kc} extent={extent} depth={depth}"
+            );
+            prop_assert!(tail.iter().all(|v| v.is_nan()), "{name} wrote past its block");
+            Ok(())
+        };
+        let (da, dat) = (DenseA { data: &x_major, k: depth }, DenseATrans { data: &k_major, m: extent });
+        let (db, dbt) = (DenseB { data: &k_major, n: extent }, DenseBTrans { data: &x_major, k: depth });
+        check("DenseA", mr, &|dst| da.pack(dst, x0, xc, k0, kc, mr))?;
+        check("DenseATrans", mr, &|dst| dat.pack(dst, x0, xc, k0, kc, mr))?;
+        check("DenseB", nr, &|dst| db.pack(dst, k0, kc, x0, xc, nr))?;
+        check("DenseBTrans", nr, &|dst| dbt.pack(dst, k0, kc, x0, xc, nr))?;
+    }
 }
 
 proptest! {

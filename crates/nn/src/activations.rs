@@ -29,10 +29,10 @@ impl Layer for ReLU {
             self.mask.clear();
             self.mask.extend(x.data().iter().map(|&v| v > 0.0));
         }
+        // A select, not a conditional store: activations are sign-random,
+        // so a branch here mispredicts every other element.
         for v in x.data_mut() {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
+            *v = if *v < 0.0 { 0.0 } else { *v };
         }
         x
     }
@@ -44,9 +44,7 @@ impl Layer for ReLU {
             "ReLU backward before forward(train)"
         );
         for (g, &m) in grad.data_mut().iter_mut().zip(&self.mask) {
-            if !m {
-                *g = 0.0;
-            }
+            *g = if m { *g } else { 0.0 };
         }
         grad
     }
@@ -128,6 +126,23 @@ mod tests {
         assert_eq!(y.data(), &[0.0, 0.0, 2.0]);
         let g = r.backward(Tensor::from_vec(vec![1.0, 1.0, 1.0], &[3]));
         assert_eq!(g.data(), &[0.0, 0.0, 1.0]);
+    }
+
+    /// `-0.0` and NaN are not `< 0.0`, so the clamp leaves both as they
+    /// are; neither is `> 0.0`, so the mask drops their gradient.
+    #[test]
+    fn relu_leaves_negative_zero_and_nan_and_masks_them() {
+        let mut r = ReLU::new();
+        let x = Tensor::from_vec(vec![-0.0, f32::NAN, 0.0, -3.0, f32::MIN_POSITIVE], &[5]);
+        let y = r.forward(x, true);
+        assert_eq!(y.data()[0].to_bits(), (-0.0f32).to_bits());
+        assert!(y.data()[1].is_nan());
+        assert_eq!(y.data()[2].to_bits(), 0.0f32.to_bits());
+        assert_eq!(y.data()[3].to_bits(), 0.0f32.to_bits());
+        assert_eq!(y.data()[4], f32::MIN_POSITIVE);
+        assert_eq!(r.mask, [false, false, false, false, true]);
+        let g = r.backward(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0], &[5]));
+        assert_eq!(g.data(), &[0.0, 0.0, 0.0, 0.0, 5.0]);
     }
 
     #[test]

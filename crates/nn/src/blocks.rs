@@ -18,8 +18,7 @@ use rand::rngs::StdRng;
 pub struct Residual {
     main: Sequential,
     shortcut: Option<Sequential>,
-    final_relu: bool,
-    relu_mask: Vec<bool>,
+    final_relu: Option<ReLU>,
 }
 
 impl Residual {
@@ -28,8 +27,7 @@ impl Residual {
         Self {
             main,
             shortcut,
-            final_relu,
-            relu_mask: Vec::new(),
+            final_relu: final_relu.then(ReLU::new),
         }
     }
 }
@@ -48,32 +46,17 @@ impl Layer for Residual {
         );
         let mut y = main_out;
         y.add_assign(&short_out);
-        if self.final_relu {
-            if train {
-                self.relu_mask = y.data().iter().map(|&v| v > 0.0).collect();
-            }
-            for v in y.data_mut() {
-                if *v < 0.0 {
-                    *v = 0.0;
-                }
-            }
+        match &mut self.final_relu {
+            Some(relu) => relu.forward(y, train),
+            None => y,
         }
-        y
     }
 
-    fn backward(&mut self, mut grad: Tensor) -> Tensor {
-        if self.final_relu {
-            assert_eq!(
-                grad.len(),
-                self.relu_mask.len(),
-                "backward before forward(train)"
-            );
-            for (g, &m) in grad.data_mut().iter_mut().zip(&self.relu_mask) {
-                if !m {
-                    *g = 0.0;
-                }
-            }
-        }
+    fn backward(&mut self, grad: Tensor) -> Tensor {
+        let grad = match &mut self.final_relu {
+            Some(relu) => relu.backward(grad),
+            None => grad,
+        };
         let mut gx = self.main.backward(grad.clone());
         let gs = match &mut self.shortcut {
             Some(s) => s.backward(grad),

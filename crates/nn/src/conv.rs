@@ -9,16 +9,29 @@
 //! ## Fusion
 //!
 //! The classical im2col lowering materialises a `[cg·k², oh·ow]` column
-//! matrix per (sample, group) — `k²` times the input — and then runs a
-//! GEMM over it. Here the column matrix is never built: [`PatchPanels`]
-//! implements the GEMM's [`BPanels`] pack-source trait and fills each
-//! packed `KC × NR` panel tile-by-tile straight from the input planes
-//! (stride-1 rows degrade to `copy_from_slice`). The forward pass is one
-//! blocked GEMM per (sample, group) writing directly into the output
-//! tensor; the weight-gradient GEMM reads patches through the transposed
-//! source [`PatchPanelsT`]. Only the input-gradient path keeps a
-//! materialised column buffer (`gcol`), because col2im is a
-//! scatter-accumulate.
+//! matrix per (sample, group) — `k²` times the input — keeps it for the
+//! backward pass, and runs GEMMs over it. Here:
+//!
+//! * **Forward is fused.** The column matrix is never built:
+//!   [`PatchPanels`] implements the GEMM's [`BPanels`] pack-source trait
+//!   and fills each packed `KC × NR` panel straight from the input planes,
+//!   one blocked GEMM per (sample, group) writing directly into the
+//!   output tensor.
+//! * **Backward materialises one sample's column matrix, for the length
+//!   of that sample's backward.** A full-width `PatchPanels` pack *is*
+//!   row-major im2col, written into the `gcol` scratch the input-gradient
+//!   path already owns. The weight-gradient GEMM `gW = gy · colᵀ` reads it
+//!   through [`DenseBTrans`], whose transposing pack moves 8×16 blocks;
+//!   packing `colᵀ` straight from the image instead would assemble every
+//!   panel row from `k`-float runs, which costs several times the GEMM it
+//!   feeds. The input-gradient GEMM then overwrites `gcol` with `W_gᵀ ·
+//!   gy` and `col2im` scatter-accumulates it. Nothing outlives the call.
+//! * **A same-padded stride-1 convolution moves whole planes.** Row
+//!   `(c, ky, kx)` of its column matrix is input plane `c` shifted by
+//!   `(ky − pad)·w + (kx − pad)` with the columns that left the image
+//!   zeroed ([`PatchGeom::same`]), so both the patch pack and `col2im`
+//!   are one long copy / accumulate per row plus a strided fix-up. Other
+//!   geometries (stride 2, unpadded) gather element by element.
 //!
 //! The training cache is therefore just the input tensor itself (taken by
 //! ownership — `forward` consumes its argument), not `k²`-inflated column
@@ -38,7 +51,7 @@
 //! bit-identity across thread counts.
 
 use crate::layer::{Layer, ParamVisitor};
-use fedknow_math::gemm::{self, BPanels, DenseA, DenseATrans, DenseB};
+use fedknow_math::gemm::{self, BPanels, DenseA, DenseATrans, DenseB, DenseBTrans};
 use fedknow_math::rng::kaiming_vec;
 use fedknow_math::{flops, parallel, pool, Tensor};
 use fedknow_obs::PerfCounter;
@@ -68,6 +81,36 @@ impl PatchGeom {
     fn fan_split(&self, f: usize) -> (usize, usize, usize) {
         let kk = self.k * self.k;
         (f / kk, (f % kk) / self.k, f % self.k)
+    }
+
+    /// Stride 1 with the output as wide as the input (`2·pad = k − 1`, so
+    /// as tall too): output position `q` of kernel tap `(ky, kx)` sits at
+    /// input position `q + (ky − pad)·w + (kx − pad)` of the flattened
+    /// plane. Every stride-1 convolution of the model zoo is one; the
+    /// patch pack and col2im move whole shifted planes for them and
+    /// gather element by element for every other geometry.
+    #[inline]
+    fn same(&self) -> bool {
+        self.stride == 1 && self.ow == self.w
+    }
+
+    /// For a [`same`](Self::same) geometry, how far tap `(ky, kx)` sits
+    /// from its output position in the flattened plane.
+    #[inline]
+    fn tap_shift(&self, ky: usize, kx: usize) -> isize {
+        (ky as isize - self.pad as isize) * self.w as isize + kx as isize - self.pad as isize
+    }
+
+    /// For a [`same`](Self::same) geometry, the output columns `ox` whose
+    /// tap `kx` falls outside the image row.
+    #[inline]
+    fn wrapped_columns(&self, kx: usize) -> std::ops::Range<usize> {
+        let w = self.w;
+        if kx < self.pad {
+            0..w.min(self.pad - kx)
+        } else {
+            w - w.min(kx - self.pad)..w
+        }
     }
 }
 
@@ -105,14 +148,45 @@ impl BPanels for PatchPanels<'_> {
                 }
             }
             let plane = &self.x[c * h * w..(c + 1) * h * w];
+            if self.g.same() {
+                // Output position q reads `plane[q + shift]`, so this row
+                // of the column matrix is the plane itself, shifted: one
+                // copy per strip, clamped to the plane at both ends (the
+                // rows above and below the image), after which the
+                // columns whose ix left the image — the copy wrapped them
+                // into the neighbouring image row — are zeroed.
+                let shift = self.g.tap_shift(ky, kx);
+                let wrapped = self.g.wrapped_columns(kx);
+                for s in 0..nstrips {
+                    let j = j0 + s * nr;
+                    let wd = nr.min(nc - s * nr);
+                    let drow = &mut dst[s * kc * nr + p * nr..s * kc * nr + p * nr + nr];
+                    let lo = (-shift - j as isize).clamp(0, wd as isize) as usize;
+                    let hi = ((h * w) as isize - shift - j as isize).clamp(lo as isize, wd as isize)
+                        as usize;
+                    drow[..lo].fill(0.0);
+                    drow[hi..].fill(0.0);
+                    if hi > lo {
+                        let s0 = ((j + lo) as isize + shift) as usize;
+                        drow[lo..hi].copy_from_slice(&plane[s0..s0 + (hi - lo)]);
+                    }
+                    let mut row = j / ow * ow;
+                    while row < j + wd {
+                        for q in (row + wrapped.start).max(j)..(row + wrapped.end).min(j + wd) {
+                            drow[q - j] = 0.0;
+                        }
+                        row += ow;
+                    }
+                }
+                continue;
+            }
             let (mut oy, mut ox) = (oy0, ox0);
             for s in 0..nstrips {
                 let wd = nr.min(nc - s * nr);
                 let drow = &mut dst[s * kc * nr + p * nr..s * kc * nr + p * nr + nr];
                 drow[wd..].fill(0.0);
-                // Columns are consecutive output positions; fill one
-                // output row (fixed oy) at a time so the stride-1 case is
-                // a bounds-clamped memcpy from the input row.
+                // Columns are consecutive output positions; gather one
+                // output row (fixed oy) at a time.
                 let mut j = 0;
                 while j < wd {
                     let seg = (ow - ox).min(wd - j);
@@ -122,28 +196,13 @@ impl BPanels for PatchPanels<'_> {
                         dseg.fill(0.0);
                     } else {
                         let irow = &plane[iy as usize * w..(iy as usize + 1) * w];
-                        if stride == 1 {
-                            // ix = ox + kx - pad; valid ox ∈ [a, b).
-                            let off = kx as isize - pad as isize;
-                            let a = (-off).max(0) as usize;
-                            let b = (w as isize - off).max(0) as usize;
-                            let lo = a.clamp(ox, ox + seg);
-                            let hi = b.clamp(ox, ox + seg);
-                            dseg[..lo - ox].fill(0.0);
-                            dseg[hi.max(lo) - ox..].fill(0.0);
-                            if hi > lo {
-                                let ix0 = (lo as isize + off) as usize;
-                                dseg[lo - ox..hi - ox].copy_from_slice(&irow[ix0..ix0 + (hi - lo)]);
-                            }
-                        } else {
-                            for (t, d) in dseg.iter_mut().enumerate() {
-                                let ix = ((ox + t) * stride + kx) as isize - pad as isize;
-                                *d = if ix >= 0 && (ix as usize) < w {
-                                    irow[ix as usize]
-                                } else {
-                                    0.0
-                                };
-                            }
+                        for (t, d) in dseg.iter_mut().enumerate() {
+                            let ix = ((ox + t) * stride + kx) as isize - pad as isize;
+                            *d = if ix >= 0 && (ix as usize) < w {
+                                irow[ix as usize]
+                            } else {
+                                0.0
+                            };
                         }
                     }
                     j += seg;
@@ -151,80 +210,6 @@ impl BPanels for PatchPanels<'_> {
                     if ox == ow {
                         ox = 0;
                         oy += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The *transposed* im2col matrix `[oh·ow, cg·k²]` of one (sample, group)
-/// as a GEMM pack source — the right operand of the weight-gradient GEMM
-/// `gW = gy · colᵀ`.
-struct PatchPanelsT<'a> {
-    x: &'a [f32],
-    g: PatchGeom,
-}
-
-impl BPanels for PatchPanelsT<'_> {
-    fn pack(&self, dst: &mut [f32], k0: usize, kc: usize, j0: usize, nc: usize, nr: usize) {
-        let PatchGeom {
-            k,
-            stride,
-            pad,
-            h,
-            w,
-            ow,
-        } = self.g;
-        let nstrips = nc.div_ceil(nr);
-        let (mut oy, mut ox) = (k0 / ow, k0 % ow);
-        for p in 0..kc {
-            let iy0 = (oy * stride) as isize - pad as isize;
-            let ix0 = (ox * stride) as isize - pad as isize;
-            ox += 1;
-            if ox == ow {
-                ox = 0;
-                oy += 1;
-            }
-            // Columns walk the fan dimension (c, ky, kx) with kx fastest;
-            // a constant-kx run is contiguous in the input row, so each
-            // (c, ky) sub-run is a bounds-clamped memcpy of ≤ k floats.
-            let (mut c, mut ky, mut kx) = self.g.fan_split(j0);
-            for s in 0..nstrips {
-                let wd = nr.min(nc - s * nr);
-                let drow = &mut dst[s * kc * nr + p * nr..s * kc * nr + p * nr + nr];
-                drow[wd..].fill(0.0);
-                let mut j = 0;
-                while j < wd {
-                    let run = (k - kx).min(wd - j);
-                    let dseg = &mut drow[j..j + run];
-                    let iy = iy0 + ky as isize;
-                    if iy < 0 || iy >= h as isize {
-                        dseg.fill(0.0);
-                    } else {
-                        // ix = ix0 + kx; valid kx ∈ [a, b).
-                        let a = (-ix0).max(0) as usize;
-                        let b = (w as isize - ix0).max(0) as usize;
-                        let lo = a.clamp(kx, kx + run);
-                        let hi = b.clamp(kx, kx + run);
-                        dseg[..lo - kx].fill(0.0);
-                        dseg[hi.max(lo) - kx..].fill(0.0);
-                        if hi > lo {
-                            let base = c * h * w + iy as usize * w;
-                            let s0 = (ix0 + lo as isize) as usize;
-                            dseg[lo - kx..hi - kx]
-                                .copy_from_slice(&self.x[base + s0..base + s0 + (hi - lo)]);
-                        }
-                    }
-                    j += run;
-                    kx += run;
-                    if kx == k {
-                        kx = 0;
-                        ky += 1;
-                        if ky == k {
-                            ky = 0;
-                            c += 1;
-                        }
                     }
                 }
             }
@@ -246,8 +231,8 @@ pub struct Conv2d {
     grad_weight: Tensor,
     grad_bias: Tensor,
     /// Input cached (by ownership) from the training forward pass — the
-    /// fused backward re-reads patches from it instead of from stored
-    /// column matrices.
+    /// backward rebuilds each sample's column matrix from it instead of
+    /// storing column matrices.
     cached_input: Option<Tensor>,
 }
 
@@ -370,10 +355,10 @@ impl Conv2d {
         }
     }
 
-    /// Fused backward for one sample: writes the input gradient into
-    /// `gx_s` (zeroed on entry) and the per-group weight-gradient
-    /// contributions into `gw_s` (`groups·ocg·fan`, overwritten), using
-    /// `gcol` (`fan·ncols`) as scratch.
+    /// Backward for one sample: writes the input gradient into `gx_s`
+    /// (zeroed on entry) and the per-group weight-gradient contributions
+    /// into `gw_s` (`groups·ocg·fan`, overwritten). `gcol` (`fan·ncols`)
+    /// is scratch: first the group's column matrix, then its gradient.
     #[allow(clippy::too_many_arguments)]
     fn bwd_sample(
         &self,
@@ -394,13 +379,19 @@ impl Conv2d {
         for gi in 0..self.groups {
             let gy = &grad_s[gi * ocg * ncols..(gi + 1) * ocg * ncols];
             let xg = &xs[gi * cg * h * w..(gi + 1) * cg * h * w];
-            // gW_g [ocg, fan] = gy [ocg, ncols] × patchesᵀ [ncols, fan]
+            // One full-width "strip" of the patch pack is the row-major
+            // column matrix [fan, ncols].
+            PatchPanels { x: xg, g }.pack(gcol, 0, fan, 0, ncols, ncols);
+            // gW_g [ocg, fan] = gy [ocg, ncols] × colᵀ [ncols, fan]
             gemm::gemm(
                 ocg,
                 ncols,
                 fan,
                 &DenseA { data: gy, k: ncols },
-                &PatchPanelsT { x: xg, g },
+                &DenseBTrans {
+                    data: gcol,
+                    k: ncols,
+                },
                 &mut gw_s[gi * ocg * fan..(gi + 1) * ocg * fan],
             );
             // gcol [fan, ncols] = W_gᵀ × gy, then scatter back to gx.
@@ -423,8 +414,10 @@ impl Conv2d {
     }
 
     /// Scatter-accumulate a `[cg·k², oh·ow]` col-gradient into one group's
-    /// input-gradient planes.
-    fn col2im(&self, col: &[f32], gx: &mut [f32], h: usize, w: usize) {
+    /// input-gradient planes. `col` is scratch: the same-padded stride-1
+    /// walk zeroes the entries it must not add.
+    fn col2im(&self, col: &mut [f32], gx: &mut [f32], h: usize, w: usize) {
+        let g = self.geom(h, w);
         let (oh, ow) = self.out_hw(h, w);
         let k = self.kernel;
         let ncols = oh * ow;
@@ -435,34 +428,43 @@ impl Conv2d {
             for ky in 0..k {
                 for kx in 0..k {
                     let row = ((c * k + ky) * k + kx) * ncols;
+                    if g.same() {
+                        // The mirror of the patch pack: `plane[q + shift]
+                        // += col[q]` over the whole row at once, clamped
+                        // to the plane, with the wrapped columns' entries
+                        // zeroed first. Adding their +0.0 is exact: an
+                        // accumulator that starts at +0.0 never holds -0.0.
+                        let crow = &mut col[row..row + ncols];
+                        let wrapped = g.wrapped_columns(kx);
+                        if !wrapped.is_empty() {
+                            for r in crow.chunks_exact_mut(ow) {
+                                r[wrapped.clone()].fill(0.0);
+                            }
+                        }
+                        let shift = g.tap_shift(ky, kx);
+                        let lo = (-shift).clamp(0, ncols as isize) as usize;
+                        let hi =
+                            (ncols as isize - shift).clamp(lo as isize, ncols as isize) as usize;
+                        if hi > lo {
+                            let d0 = (lo as isize + shift) as usize;
+                            for (d, &v) in plane[d0..d0 + (hi - lo)].iter_mut().zip(&crow[lo..hi]) {
+                                *d += v;
+                            }
+                        }
+                        continue;
+                    }
                     for oy in 0..oh {
                         let iy = (oy * self.stride + ky) as isize - pad as isize;
                         if iy < 0 || iy >= h as isize {
                             continue;
                         }
                         let iy = iy as usize;
-                        if self.stride == 1 {
-                            // ix = ox + kx - pad; valid ox ∈ [a, b) — a
-                            // contiguous accumulate on both sides.
-                            let off = kx as isize - pad as isize;
-                            let a = ((-off).max(0) as usize).min(ow);
-                            let b = (((w as isize - off).max(0)) as usize).min(ow);
-                            if b > a {
-                                let ix0 = (a as isize + off) as usize;
-                                let dst = &mut plane[iy * w + ix0..iy * w + ix0 + (b - a)];
-                                let src = &col[row + oy * ow + a..row + oy * ow + b];
-                                for (d, &v) in dst.iter_mut().zip(src) {
-                                    *d += v;
-                                }
+                        for ox in 0..ow {
+                            let ix = (ox * self.stride + kx) as isize - pad as isize;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
                             }
-                        } else {
-                            for ox in 0..ow {
-                                let ix = (ox * self.stride + kx) as isize - pad as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                plane[iy * w + ix as usize] += col[row + oy * ow + ox];
-                            }
+                            plane[iy * w + ix as usize] += col[row + oy * ow + ox];
                         }
                     }
                 }

@@ -29,7 +29,7 @@ pub use inception::inception_v3;
 pub use mobilenet::mobilenet_v2;
 pub use resnet::{resnet152, resnet18, resnext50, senet18, wide_resnet50};
 pub use shufflenet::shufflenet_v2;
-pub use sixcnn::six_cnn;
+pub use sixcnn::{six_cnn, six_cnn_layers};
 
 /// Which architecture to instantiate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

@@ -14,10 +14,22 @@ use rand::rngs::StdRng;
 /// Build the 6-layer CNN. Base widths (at `width_mult = 1`) are 8/8/16/16
 /// channels and a 32-unit hidden fully-connected layer.
 pub fn six_cnn(rng: &mut StdRng, in_channels: usize, num_classes: usize, width_mult: f64) -> Model {
+    let seq = six_cnn_layers(rng, in_channels, num_classes, width_mult);
+    Model::new(seq, &[in_channels, 16, 16], num_classes)
+}
+
+/// The layer stack of [`six_cnn`], for callers that time or inspect the
+/// layers one by one (`kernel_bench`'s per-layer table).
+pub fn six_cnn_layers(
+    rng: &mut StdRng,
+    in_channels: usize,
+    num_classes: usize,
+    width_mult: f64,
+) -> Sequential {
     let c1 = scaled(8, width_mult);
     let c2 = scaled(16, width_mult);
     let hidden = scaled(32, width_mult);
-    let seq = Sequential::new()
+    Sequential::new()
         .push(Conv2d::conv3x3(rng, in_channels, c1, 1))
         .push(ReLU::new())
         .push(Conv2d::conv3x3(rng, c1, c1, 1))
@@ -31,8 +43,7 @@ pub fn six_cnn(rng: &mut StdRng, in_channels: usize, num_classes: usize, width_m
         .push(GlobalAvgPool::new())
         .push(Linear::new(rng, c2, hidden))
         .push(ReLU::new())
-        .push(Linear::new(rng, hidden, num_classes));
-    Model::new(seq, &[in_channels, 16, 16], num_classes)
+        .push(Linear::new(rng, hidden, num_classes))
 }
 
 #[cfg(test)]

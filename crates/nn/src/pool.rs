@@ -39,7 +39,7 @@ impl Layer for MaxPool2d {
         let (b, c, h, w) = (s[0], s[1], s[2], s[3]);
         let (oh, ow) = self.out_hw(h, w);
         let k = self.kernel;
-        let mut out = pool::take_filled(b * c * oh * ow, f32::NEG_INFINITY);
+        let mut out = pool::take(b * c * oh * ow);
         if train {
             self.in_shape.clear();
             self.in_shape.extend_from_slice(s);
@@ -51,19 +51,28 @@ impl Layer for MaxPool2d {
             let plane = &xd[bc * h * w..(bc + 1) * h * w];
             for oy in 0..oh {
                 for ox in 0..ow {
-                    let oidx = bc * oh * ow + oy * ow + ox;
+                    // Running best and its index live in locals and are
+                    // updated by selects: which element of a window wins
+                    // is data-random, so a compare-and-store mispredicts.
+                    // Strict `>` from -inf: the first maximum wins, NaN
+                    // never does, an unbeaten window keeps index 0.
+                    let (mut best, mut arg) = (f32::NEG_INFINITY, 0u32);
                     for ky in 0..k {
-                        for kx in 0..k {
-                            let iy = oy * k + ky;
-                            let ix = ox * k + kx;
-                            let v = plane[iy * w + ix];
-                            if v > out[oidx] {
-                                out[oidx] = v;
-                                if train {
-                                    self.argmax[oidx] = (bc * h * w + iy * w + ix) as u32;
-                                }
-                            }
+                        let row = (oy * k + ky) * w + ox * k;
+                        for (kx, &v) in plane[row..row + k].iter().enumerate() {
+                            let wins = v > best;
+                            best = if wins { v } else { best };
+                            arg = if wins {
+                                (bc * h * w + row + kx) as u32
+                            } else {
+                                arg
+                            };
                         }
+                    }
+                    let oidx = bc * oh * ow + oy * ow + ox;
+                    out[oidx] = best;
+                    if train {
+                        self.argmax[oidx] = arg;
                     }
                 }
             }
@@ -216,6 +225,30 @@ mod tests {
         assert_eq!(y.data(), &[4.0]);
         let gx = p.backward(Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]));
         assert_eq!(gx.data(), &[0.0, 0.0, 0.0, 5.0]);
+    }
+
+    /// The comparison is a strict `>` against a running best that starts
+    /// at `-inf`: the first of equal maxima keeps the gradient, and a
+    /// window nothing beats (all NaN, all `-inf`) yields `-inf` routed to
+    /// flat index 0.
+    #[test]
+    fn maxpool_ties_go_to_the_first_and_unbeaten_windows_stay_neg_inf() {
+        let mut p = MaxPool2d::new(2);
+        let (nan, ninf) = (f32::NAN, f32::NEG_INFINITY);
+        #[rustfmt::skip]
+        let x = Tensor::from_vec(
+            vec![
+                1.0, 7.0,   nan, nan,   ninf, ninf,
+                7.0, 7.0,   nan, nan,   ninf, ninf,
+            ],
+            &[1, 1, 2, 6],
+        );
+        let y = p.forward(x, true);
+        assert_eq!(y.data(), &[7.0, ninf, ninf]);
+        assert_eq!(p.argmax, [1, 0, 0]);
+        let gx = p.backward(Tensor::from_vec(vec![1.0, 2.0, 4.0], &[1, 1, 1, 3]));
+        assert_eq!(gx.data()[..2], [6.0, 1.0]);
+        assert!(gx.data()[2..].iter().all(|&v| v == 0.0));
     }
 
     #[test]
