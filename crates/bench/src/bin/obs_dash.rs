@@ -19,7 +19,7 @@
 //!   `obs_report` view, condensed).
 
 use fedknow_bench::dash::{heat_strip, mean_per_index, sparkline};
-use fedknow_bench::{fmt_metric, fmt_ns};
+use fedknow_bench::{fmt_metric, fmt_ns, phase_share};
 use fedknow_obs::{read_jsonl, Aggregate};
 
 fn main() {
@@ -47,35 +47,9 @@ fn main() {
 
     print_forgetting(&agg);
     print_trajectories(&agg);
-    print_sketches(&agg);
     print_faults(&agg);
     print_health(&agg);
     print_phases(&agg, wall);
-}
-
-/// Per-round sketch quantile sparklines (`sketch.<name>.p50`/`.p99`
-/// series folded out of the round sketches). Silent when the run
-/// recorded no sketches.
-fn print_sketches(agg: &Aggregate) {
-    let rows: Vec<(&String, &Vec<(u64, f64)>)> = agg
-        .series
-        .iter()
-        .filter(|(name, _)| name.starts_with("sketch."))
-        .collect();
-    if rows.is_empty() {
-        return;
-    }
-    println!("\n== sketch quantiles per round ==");
-    for (name, points) in rows {
-        let vals: Vec<f64> = mean_per_index(points).into_iter().map(|(_, v)| v).collect();
-        let last = vals.last().copied().unwrap_or(0.0);
-        println!(
-            "  {:<28} {}  last {last:.4}  rounds {}",
-            name.trim_start_matches("sketch."),
-            sparkline(&vals),
-            vals.len()
-        );
-    }
 }
 
 /// Streaming health-engine verdict: per-SLO state and value from the
@@ -254,18 +228,13 @@ fn print_phases(agg: &Aggregate, wall: u64) {
     phases.sort_by_key(|(_, xs)| std::cmp::Reverse(xs.iter().sum::<u64>()));
     for (name, xs) in phases.into_iter().take(10) {
         let total: u64 = xs.iter().sum();
-        let share = if wall > 0 && name.ends_with("_ns") {
-            format!("{:.1}%", 100.0 * total as f64 / wall as f64)
-        } else {
-            "-".to_string()
-        };
         println!(
             "{:<30}{:>10}{:>12}{:>12}{:>8}",
             name,
             xs.len(),
             fmt_metric(name, total),
             fmt_metric(name, total / xs.len().max(1) as u64),
-            share,
+            phase_share(name, total, wall),
         );
     }
 }

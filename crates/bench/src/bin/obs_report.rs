@@ -9,7 +9,8 @@
 //!
 //! * **phases** — every sampled metric (`qp.solve_ns`, `conv.fwd_ns`,
 //!   …): count, total, mean, exact p50/p99, and share of wall-time
-//!   (the `run` span). With parallel clients, shares can sum past 100%.
+//!   (the `run` span; `-` for counts and for simulated `*.sim_*` time).
+//!   With parallel clients, shares can sum past 100%.
 //! * **spans** — the run hierarchy rolled up by shape (`task.3` →
 //!   `task.*`), so all rounds/clients at the same depth aggregate. Each
 //!   row carries the kernel FLOPs attributed to its spans (achieved
@@ -20,7 +21,7 @@
 
 use std::collections::BTreeMap;
 
-use fedknow_bench::{fmt_metric, fmt_ns};
+use fedknow_bench::{fmt_metric, fmt_ns, phase_share};
 use fedknow_obs::{read_jsonl, Aggregate, SpanStat};
 
 fn main() {
@@ -60,11 +61,6 @@ fn main() {
         let mean = total as f64 / count as f64;
         let p50 = agg.quantile(name, 0.5).unwrap_or(0);
         let p99 = agg.quantile(name, 0.99).unwrap_or(0);
-        let share = if wall > 0 && name.ends_with("_ns") {
-            format!("{:.1}%", 100.0 * total as f64 / wall as f64)
-        } else {
-            "-".to_string()
-        };
         println!(
             "{:<28}{:>10}{:>12}{:>12}{:>12}{:>12}{:>8}",
             name,
@@ -73,7 +69,7 @@ fn main() {
             fmt_metric(name, mean as u64),
             fmt_metric(name, p50),
             fmt_metric(name, p99),
-            share,
+            phase_share(name, total, wall),
         );
     }
 

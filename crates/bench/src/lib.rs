@@ -275,6 +275,18 @@ pub fn fmt_metric(name: &str, value: u64) -> String {
     }
 }
 
+/// A phase total as a share of wall time, for the phase tables of
+/// `obs_report`, `obs_dash` and [`print_phase_breakdown`]. Only
+/// wall-clock durations have one: counts (`qp.iters`) and simulated
+/// time (`comm.sim_transfer_ns`, `client.sim_compute_ns`) print `-`.
+pub fn phase_share(name: &str, total_ns: u64, wall_ns: u64) -> String {
+    if wall_ns > 0 && name.ends_with("_ns") && !name.contains(".sim_") {
+        format!("{:.1}%", 100.0 * total_ns as f64 / wall_ns as f64)
+    } else {
+        "-".to_string()
+    }
+}
+
 /// Print a run's [`fedknow_fl::PhaseBreakdown`] as a per-phase summary
 /// table — the single reporting path the bench binaries share with
 /// `obs_report`. Phase shares are relative to the `span.run_ns` wall
@@ -294,11 +306,6 @@ pub fn print_phase_breakdown(b: &fedknow_fl::PhaseBreakdown) {
         .collect();
     phases.sort_by_key(|p| std::cmp::Reverse(p.total_ns));
     for p in phases {
-        let share = if wall > 0 && p.name.ends_with("_ns") {
-            format!("{:.1}%", 100.0 * p.total_ns as f64 / wall as f64)
-        } else {
-            "-".to_string()
-        };
         println!(
             "{:<28}{:>10}{:>12}{:>12}{:>12}{:>12}{:>8}",
             p.name,
@@ -307,7 +314,7 @@ pub fn print_phase_breakdown(b: &fedknow_fl::PhaseBreakdown) {
             fmt_metric(&p.name, p.mean_ns as u64),
             fmt_metric(&p.name, p.p50_ns),
             fmt_metric(&p.name, p.p99_ns),
-            share,
+            phase_share(&p.name, p.total_ns, wall),
         );
     }
     if !b.counters.is_empty() {
@@ -328,6 +335,14 @@ mod tests {
         assert_eq!(fmt_ns(1_500), "1.50µs");
         assert_eq!(fmt_ns(2_500_000), "2.50ms");
         assert_eq!(fmt_ns(3_210_000_000), "3.21s");
+    }
+
+    #[test]
+    fn phase_share_is_for_wall_clock_time_only() {
+        assert_eq!(phase_share("qp.solve_ns", 250, 1_000), "25.0%");
+        assert_eq!(phase_share("comm.sim_transfer_ns", 4_620, 1_000), "-");
+        assert_eq!(phase_share("qp.iters", 250, 1_000), "-");
+        assert_eq!(phase_share("qp.solve_ns", 250, 0), "-");
     }
 
     #[test]

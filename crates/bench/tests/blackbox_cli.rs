@@ -181,16 +181,13 @@ fn panic_hook_flushes_jsonl_and_dumps_bundle() {
         "panic hook must flush buffered JSONL events"
     );
 
-    // And it dumped a postmortem bundle (plus the paired Prometheus
-    // snapshot) before the process died.
+    // And it dumped a postmortem bundle before the process died.
     let panic_bundles = bundles(&dir, "panic");
     assert_eq!(
         panic_bundles.len(),
         1,
         "one panic bundle: {panic_bundles:?}"
     );
-    let prom = panic_bundles[0].with_extension("prom");
-    assert!(prom.exists(), "paired Prometheus snapshot missing");
     let text = std::fs::read_to_string(&panic_bundles[0]).expect("read panic bundle");
     assert!(
         text.contains("\"reason\":") && text.contains("panic"),

@@ -478,15 +478,11 @@ impl ClientActor {
                 }
                 WireMsg::Ack { .. } => {
                     // Upload → Ack round trip: one RTT sample for the
-                    // health engine and this connection's cohort.
+                    // health engine and the RTT histogram.
                     if let Some(t0) = self.upload_sent_at.take() {
                         let rtt = t0.elapsed();
                         fedknow_obs::observe_message_rtt(rtt.as_secs_f64());
-                        fedknow_obs::client_value(
-                            "transport.conn.rtt_ns",
-                            u64::from(self.id),
-                            rtt.as_nanos() as f64,
-                        );
+                        fedknow_obs::record("transport.rtt_ns", rtt.as_nanos() as u64);
                     }
                 }
                 WireMsg::Broadcast {

@@ -191,12 +191,6 @@ pub(crate) fn run_reported(
     body: impl FnOnce(&mut RunState) -> Result<(), SimError>,
 ) -> Result<SimReport, SimError> {
     init_run(env.cfg, method);
-    // At high client counts, head-sample client spans (anomalous
-    // clients still record) unless the user pinned a rate.
-    let n = env.devices.len();
-    if n > 256 && std::env::var_os(fedknow_obs::ENV_SPAN_SAMPLE).is_none() {
-        fedknow_obs::set_span_sample((n / 256) as u64);
-    }
     let obs_before = fedknow_obs::snapshot();
     let run_span = fedknow_obs::span("run");
     body(&mut st)?;

@@ -384,9 +384,8 @@ pub(crate) fn fold_aggregate_telemetry(
     }
 }
 
-/// Per-round telemetry fold: cohorted client compute times,
-/// slowest-decile anomaly marking (those clients' spans bypass head
-/// sampling), and the streaming health engine's SLO update.
+/// Per-round telemetry fold: the clients' simulated compute times and
+/// the streaming health engine's SLO update.
 /// `queue_depth` is the server inbox backlog observed at fold time —
 /// zero for the in-process backend, whose "inbox" is a function call.
 #[allow(clippy::too_many_arguments)]
@@ -406,24 +405,8 @@ pub(crate) fn fold_round_telemetry(
     }
     fedknow_obs::observe_queue_depth(queue_depth as f64);
     let n = active.len();
-    let mut times: Vec<f64> = Vec::with_capacity(n);
-    for (c, a) in actual.iter().enumerate() {
-        if let Some(a) = *a {
-            fedknow_obs::client_value("client.compute_s", c as u64, a);
-            times.push(a);
-        }
-    }
-    if times.len() >= 10 {
-        times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = times[times.len() / 2];
-        let decile = times[times.len() - times.len() / 10];
-        for (c, a) in actual.iter().enumerate() {
-            if let Some(a) = *a {
-                if a >= decile && a > 1.5 * median {
-                    fedknow_obs::mark_anomalous(c as u64);
-                }
-            }
-        }
+    for seconds in actual.iter().flatten() {
+        fedknow_obs::record("client.sim_compute_ns", (seconds * 1e9) as u64);
     }
     fedknow_obs::observe_round(&fedknow_obs::RoundObservation {
         round,
@@ -465,9 +448,6 @@ pub(crate) fn record_forgetting(matrices: &[AccuracyMatrix], step: usize) {
         .sum::<f64>()
         / matrices.len() as f64;
     fedknow_obs::series_at("fl.avg_forgetting", step as u64, avg);
-    // The health engine's drift SLO watches task-over-task rises in
-    // this average.
-    fedknow_obs::observe_forgetting(avg);
 }
 
 #[cfg(test)]

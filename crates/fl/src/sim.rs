@@ -611,7 +611,7 @@ impl LocalLink<'_> {
             .map(|(c, ((client, rng), slot))| (c, client, rng, slot))
             .collect();
         let run = |(c, client, rng, slot): &mut Job<'_, T>| {
-            let _client_span = fedknow_obs::client_span(*c as u64);
+            let _client_span = fedknow_obs::obs_span!("client.{c}");
             **slot = Some(f(*c, client.as_mut(), &data[*c], rng));
         };
         if self.cfg.parallel && jobs.len() > 1 {

@@ -162,7 +162,7 @@ impl WireStats {
         Self::default()
     }
 
-    fn on_send(&self, data_bytes: u64, total_frame: u64, delivered: bool, conn: Option<u32>) {
+    fn on_send(&self, data_bytes: u64, total_frame: u64, delivered: bool) {
         let overhead = total_frame - data_bytes;
         self.payload.fetch_add(data_bytes, Ordering::Relaxed);
         self.overhead.fetch_add(overhead, Ordering::Relaxed);
@@ -170,23 +170,12 @@ impl WireStats {
         fedknow_obs::count("transport.bytes.payload", data_bytes);
         fedknow_obs::count("transport.bytes.overhead", overhead);
         fedknow_obs::count("transport.frames", 1);
-        // Per-connection attribution rides the cohort governor: bounded
-        // `FEDKNOW_OBS_COHORTS` slots however large the fleet, instead
-        // of one metric name per connection.
-        if let Some(c) = conn {
-            fedknow_obs::client_value("transport.conn.frame_bytes", c.into(), total_frame as f64);
-        }
+        fedknow_obs::record("transport.frame_bytes", total_frame);
         if !delivered {
             self.frames_dropped.fetch_add(1, Ordering::Relaxed);
             self.bytes_dropped.fetch_add(total_frame, Ordering::Relaxed);
             fedknow_obs::count("transport.frames_dropped", 1);
-            if let Some(c) = conn {
-                fedknow_obs::client_value(
-                    "transport.conn.dropped_bytes",
-                    c.into(),
-                    total_frame as f64,
-                );
-            }
+            fedknow_obs::count("transport.bytes_dropped", total_frame);
         }
     }
 
@@ -228,13 +217,13 @@ pub struct MsgTx {
     inner: TxInner,
     stats: Arc<WireStats>,
     /// The peer's client id, once known (set after Hello/accept) —
-    /// used for per-connection telemetry and wire lifecycle records.
+    /// carried by the wire lifecycle records.
     peer: Option<u32>,
 }
 
 impl MsgTx {
-    /// Attribute this half to a peer client id (per-connection
-    /// telemetry + trace events carry it from now on).
+    /// Attribute this half to a peer client id (trace events carry it
+    /// from now on).
     pub fn set_peer(&mut self, client: u32) {
         self.peer = Some(client);
     }
@@ -264,8 +253,7 @@ impl MsgTx {
         let ctx = wiretrace::ctx_for_send();
         wiretrace::record_send("enq", &ctx, self.peer, label, enc.data_bytes);
         let frame = encode_frame_traced(&enc.buf, Some(&ctx))?;
-        self.stats
-            .on_send(enc.data_bytes, frame.len() as u64, true, self.peer);
+        self.stats.on_send(enc.data_bytes, frame.len() as u64, true);
         self.transmit(frame)?;
         wiretrace::record_send("out", &ctx, self.peer, label, enc.data_bytes);
         Ok(())
@@ -284,7 +272,7 @@ impl MsgTx {
     pub(crate) fn drop_encoded_labeled(&mut self, enc: &Encoded, label: &str) {
         let ctx = wiretrace::ctx_for_send();
         let total = (FRAME_HEADER_BYTES + TRACE_CTX_BYTES + enc.buf.len()) as u64;
-        self.stats.on_send(enc.data_bytes, total, false, self.peer);
+        self.stats.on_send(enc.data_bytes, total, false);
         wiretrace::record_send("drop", &ctx, self.peer, label, enc.data_bytes);
     }
 

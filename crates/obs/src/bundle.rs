@@ -13,8 +13,7 @@
 //!   summaries, series),
 //! * every thread's drained flight-recorder ring (see [`crate::ring`]).
 //!
-//! Alongside the JSON bundle a Prometheus text snapshot
-//! (`<stem>.prom`) is written and the JSONL sink is flushed, so a
+//! Before the bundle is written the JSONL sink is flushed, so a
 //! crashing run never loses buffered events. Bundles convert to
 //! Chrome/Perfetto timelines with the `obs_trace` CLI (see
 //! [`crate::trace`]).
@@ -106,32 +105,6 @@ pub struct SeriesDump {
     pub points: Vec<(u64, f64)>,
 }
 
-/// A quantile-sketch summary at dump time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SketchDump {
-    /// Sketch name.
-    pub name: String,
-    /// Values folded in.
-    pub count: u64,
-    /// Their sum.
-    pub sum: f64,
-    /// Median estimate.
-    pub p50: f64,
-    /// 99th-percentile estimate.
-    pub p99: f64,
-    /// Largest value.
-    pub max: f64,
-}
-
-/// One cohorted client metric at dump time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CohortDump {
-    /// Metric name.
-    pub name: String,
-    /// Per-cohort stats (with exemplars), index-sorted.
-    pub cohorts: crate::cohort::CohortSnapshot,
-}
-
 /// A serialisable dump of the metrics registry. (The live
 /// [`MetricsSnapshot`] is map-based and stays the programmatic API;
 /// this flat form is what lands in the bundle JSON.)
@@ -145,10 +118,6 @@ pub struct MetricsDump {
     pub hists: Vec<HistDump>,
     /// All series.
     pub series: Vec<SeriesDump>,
-    /// All quantile-sketch summaries (absent in pre-sketch bundles).
-    pub sketches: Option<Vec<SketchDump>>,
-    /// All cohorted client metrics (absent in pre-sketch bundles).
-    pub cohorts: Option<Vec<CohortDump>>,
 }
 
 impl MetricsDump {
@@ -191,28 +160,6 @@ impl MetricsDump {
                     points: points.clone(),
                 })
                 .collect(),
-            sketches: Some(
-                s.sketches
-                    .iter()
-                    .map(|(name, sk)| SketchDump {
-                        name: name.clone(),
-                        count: sk.count,
-                        sum: sk.sum,
-                        p50: sk.quantile(0.5),
-                        p99: sk.quantile(0.99),
-                        max: sk.max,
-                    })
-                    .collect(),
-            ),
-            cohorts: Some(
-                s.cohorts
-                    .iter()
-                    .map(|(name, cs)| CohortDump {
-                        name: name.clone(),
-                        cohorts: cs.clone(),
-                    })
-                    .collect(),
-            ),
         }
     }
 }
@@ -313,10 +260,10 @@ fn sanitize_reason(reason: &str) -> String {
 }
 
 /// Write a postmortem bundle for `reason` to `FEDKNOW_TRACE_DIR`,
-/// flushing the JSONL sink and writing a Prometheus snapshot
-/// alongside. Returns the bundle path, or `None` when no trace
-/// directory is configured. Never panics — a failing dump must not
-/// mask the failure that triggered it (I/O errors go to stderr).
+/// flushing the JSONL sink first. Returns the bundle path, or `None`
+/// when no trace directory is configured. Never panics — a failing
+/// dump must not mask the failure that triggered it (I/O errors go to
+/// stderr).
 pub fn dump_now(reason: &str) -> Option<PathBuf> {
     let dir = trace_dir()?;
     // A crashing run must keep its streamed events too.
@@ -329,13 +276,12 @@ pub fn dump_now(reason: &str) -> Option<PathBuf> {
         return None;
     }
     let seq = DUMP_SEQ.fetch_add(1, Ordering::Relaxed);
-    let stem = format!(
-        "bundle-{}-p{}-{seq}",
+    let bundle = collect_bundle(reason);
+    let path = dir.join(format!(
+        "bundle-{}-p{}-{seq}.json",
         sanitize_reason(reason),
         std::process::id()
-    );
-    let bundle = collect_bundle(reason);
-    let path = dir.join(format!("{stem}.json"));
+    ));
     match serde_json::to_string(&bundle) {
         Ok(json) => {
             if let Err(e) = std::fs::write(&path, json) {
@@ -347,9 +293,6 @@ pub fn dump_now(reason: &str) -> Option<PathBuf> {
             eprintln!("fedknow-obs: cannot serialise bundle: {e}");
             return None;
         }
-    }
-    if let Err(e) = crate::prom::write_prometheus_file(dir.join(format!("{stem}.prom"))) {
-        eprintln!("fedknow-obs: cannot write Prometheus snapshot: {e}");
     }
     eprintln!(
         "fedknow-obs: postmortem bundle ({reason}) -> {}",
@@ -377,9 +320,8 @@ pub fn dump_trigger(reason: &str) -> Option<PathBuf> {
 
 /// Install the crash-time flush hook (idempotent): on panic, a note is
 /// recorded, the JSONL sink is flushed, and — when a trace directory
-/// is configured — a `panic` bundle plus Prometheus snapshot are
-/// written before the previous hook (the default backtrace printer)
-/// runs.
+/// is configured — a `panic` bundle is written before the previous
+/// hook (the default backtrace printer) runs.
 pub(crate) fn install_panic_hook() {
     use std::sync::Once;
     static INSTALLED: Once = Once::new();
@@ -432,27 +374,6 @@ mod tests {
                     name: "fl.participation".to_string(),
                     points: vec![(0, 1.0), (1, 0.8)],
                 }],
-                sketches: Some(vec![SketchDump {
-                    name: "client.compute_s".to_string(),
-                    count: 10,
-                    sum: 15.0,
-                    p50: 1.5,
-                    p99: 3.0,
-                    max: 3.0,
-                }]),
-                cohorts: Some(vec![CohortDump {
-                    name: "client.compute_s".to_string(),
-                    cohorts: crate::cohort::CohortSnapshot {
-                        cohorts: vec![crate::cohort::CohortStat {
-                            cohort: 0,
-                            count: 2,
-                            sum: 3.0,
-                            min: 1.0,
-                            max: 2.0,
-                            exemplars: vec![(0, 1.0), (64, 2.0)],
-                        }],
-                    },
-                }]),
             },
             health: {
                 let mut e = crate::health::HealthEngine::new();
@@ -485,16 +406,53 @@ mod tests {
 
     #[test]
     fn pre_sketch_bundles_still_parse() {
-        // Schema-v1 bundles written before sketches/cohorts/health
-        // existed must keep loading (obs_trace reads old dumps).
+        // Schema-v1 bundles written before health and pid existed must
+        // keep loading (obs_trace reads old dumps).
         let json = r#"{"version":1,"reason":"old","round":3,"context":[],
             "metrics":{"counters":[],"gauges":[],"hists":[],"series":[]},
             "tracks":[]}"#;
         let b: PostmortemBundle = serde_json::from_str(json).unwrap();
         assert_eq!(b.round, 3);
-        assert!(b.metrics.sketches.is_none());
-        assert!(b.metrics.cohorts.is_none());
         assert!(b.health.is_none());
         assert!(b.pid.is_none());
+    }
+
+    #[test]
+    fn bundles_with_sketches_and_cohorts_still_load() {
+        // Bundles written by binaries that still had quantile sketches,
+        // cohort sets and the forgetting_drift SLO carry keys this
+        // schema no longer names; they must parse (unknown keys are
+        // skipped) and still convert to a valid trace.
+        let json = r#"{"version":1,"reason":"probe","round":3,
+            "context":[{"key":"sim.seed","value":"7"}],
+            "metrics":{
+              "counters":[{"name":"transport.frames","value":61}],
+              "gauges":[{"name":"health.slo.forgetting_drift","value":2.0}],
+              "hists":[{"name":"qp.solve_ns","count":2,"sum":900,"p50":400,"p99":500,"max":500}],
+              "series":[{"name":"sketch.client.compute_s.p50","points":[[0,0.0004],[1,0.0005]]}],
+              "sketches":[{"name":"client.compute_s","count":6,"sum":0.0043,
+                           "p50":0.0004,"p99":0.0013,"max":0.0013}],
+              "cohorts":[{"name":"client.compute_s","cohorts":{"cohorts":[
+                {"cohort":0,"count":4,"sum":0.0025,"min":0.0002,"max":0.001,
+                 "exemplars":[[0,0.0002],[0,0.001]]}]}}]},
+            "health":{"rounds":4,"round_p50_seconds":0.045,"round_p99_seconds":0.588,
+              "slos":[{"name":"forgetting_drift","state":"Critical","value":0.33,
+                       "warn":0.05,"critical":0.15}]},
+            "pid":6245,
+            "tracks":[{"thread":"ThreadId(1)","dropped":0,"events":[
+              {"ts_ns":10,"round":0,"data":{"Begin":{"path":"run"}}},
+              {"ts_ns":20,"round":0,"data":{"Count":{"name":"transport.frames","delta":1}}},
+              {"ts_ns":90,"round":0,"data":{"End":{"path":"run","dur_ns":80}}}]}]}"#;
+        let b: PostmortemBundle = serde_json::from_str(json).unwrap();
+        assert_eq!(b.metrics.counters[0].value, 61);
+        assert_eq!(b.metrics.series[0].points.len(), 2);
+        assert_eq!(b.health.unwrap().worst(), crate::health::SloState::Critical);
+        assert_eq!(b.tracks[0].events.len(), 3);
+
+        let value: serde_json::Value = serde_json::from_str(json).unwrap();
+        let trace = crate::trace::bundle_to_trace(&value).unwrap();
+        let stats = crate::trace::validate(&trace).unwrap();
+        assert_eq!(stats.slices, 1);
+        assert_eq!(stats.counters, 1);
     }
 }

@@ -1,14 +1,14 @@
 //! Streaming health engine: per-round telemetry folded into SLO
 //! states in constant memory.
 //!
-//! Each round the simulation (or the `scale_probe` driver) hands the
-//! engine one [`RoundObservation`] — counts of expected/completed
-//! clients, stragglers, quarantined uploads, lost uploads, and the
-//! round's duration. The engine folds these into exponentially
-//! weighted rates plus a quantile sketch of round times; nothing it
-//! holds grows with rounds or clients.
+//! Each round the simulation hands the engine one [`RoundObservation`]
+//! — counts of expected/completed clients, stragglers, quarantined
+//! uploads, lost uploads, and the round's duration. The engine folds
+//! these into exponentially weighted rates plus a [`LogHistogram`] of
+//! round times (nanoseconds); nothing it holds grows with rounds or
+//! clients.
 //!
-//! Seven SLOs are evaluated against fixed threshold rules after every
+//! Six SLOs are evaluated against fixed threshold rules after every
 //! fold:
 //!
 //! | SLO                     | value                         | warn | critical |
@@ -17,7 +17,6 @@
 //! | `quarantine_rate`       | EWMA of quarantined/expected  | 0.01 | 0.05     |
 //! | `upload_loss_rate`      | EWMA of lost/expected         | 0.05 | 0.20     |
 //! | `round_p99_ratio`       | round-time p99 / p50          | 4.0  | 10.0     |
-//! | `forgetting_drift`      | rise in avg forgetting / task | 0.05 | 0.15     |
 //! | `transport.rtt_p99`     | message RTT p99, seconds      | 1.0  | 10.0     |
 //! | `transport.queue_depth` | max server inbox depth        | 64   | 512      |
 //!
@@ -26,12 +25,12 @@
 //! published as `health.transport.*` gauges at the next round fold.
 //!
 //! The resulting [`HealthSnapshot`] is exposed through the obs facade
-//! ([`crate::health_snapshot`]), mirrored into `health.*` gauges (and
-//! from there `/metrics`), and embedded in postmortem bundles.
+//! ([`crate::health_snapshot`]), mirrored into `health.*` gauges, and
+//! embedded in postmortem bundles.
 
 use serde::{Deserialize, Serialize};
 
-use crate::sketch::QuantileSketch;
+use crate::hist::LogHistogram;
 
 /// EWMA smoothing factor for per-round rates (weight of the newest
 /// round).
@@ -139,16 +138,19 @@ fn rule(name: &str, value: f64, warn: f64, critical: f64) -> SloStatus {
     }
 }
 
+/// Seconds as the whole nanoseconds the distributions are kept in.
+fn to_ns(seconds: f64) -> u64 {
+    (seconds.max(0.0) * 1e9) as u64
+}
+
 /// The constant-memory fold over round observations.
 pub struct HealthEngine {
     rounds: u64,
-    round_time: QuantileSketch,
+    round_time_ns: LogHistogram,
     straggler_rate: f64,
     quarantine_rate: f64,
     loss_rate: f64,
-    prev_forgetting: Option<f64>,
-    forgetting_drift: f64,
-    msg_rtt: QuantileSketch,
+    msg_rtt_ns: LogHistogram,
     queue_depth_max: f64,
 }
 
@@ -163,13 +165,11 @@ impl HealthEngine {
     pub fn new() -> Self {
         Self {
             rounds: 0,
-            round_time: QuantileSketch::default(),
+            round_time_ns: LogHistogram::new(),
             straggler_rate: 0.0,
             quarantine_rate: 0.0,
             loss_rate: 0.0,
-            prev_forgetting: None,
-            forgetting_drift: 0.0,
-            msg_rtt: QuantileSketch::default(),
+            msg_rtt_ns: LogHistogram::new(),
             queue_depth_max: 0.0,
         }
     }
@@ -190,15 +190,15 @@ impl HealthEngine {
         self.quarantine_rate =
             Self::ewma(self.quarantine_rate, o.quarantined as f64 / denom, first);
         self.loss_rate = Self::ewma(self.loss_rate, o.uploads_lost as f64 / denom, first);
-        self.round_time.insert(o.round_seconds.max(0.0));
+        self.round_time_ns.record(to_ns(o.round_seconds));
         self.rounds += 1;
     }
 
     /// Fold one wire message's round-trip time (seconds) into the
-    /// transport RTT sketch — constant memory however many messages the
-    /// run moves.
+    /// transport RTT histogram — constant memory however many messages
+    /// the run moves.
     pub fn observe_message_rtt(&mut self, rtt_seconds: f64) {
-        self.msg_rtt.insert(rtt_seconds.max(0.0));
+        self.msg_rtt_ns.record(to_ns(rtt_seconds));
     }
 
     /// Fold one observation of the server inbox depth; the SLO tracks
@@ -209,31 +209,23 @@ impl HealthEngine {
         }
     }
 
-    /// Fold a task boundary's average forgetting; the SLO watches the
-    /// rise relative to the previous boundary.
-    pub fn observe_forgetting(&mut self, avg_forgetting: f64) {
-        if let Some(prev) = self.prev_forgetting {
-            self.forgetting_drift = (avg_forgetting - prev).max(0.0);
-        }
-        self.prev_forgetting = Some(avg_forgetting);
-    }
-
     /// Evaluate every SLO against the current fold.
     pub fn snapshot(&self) -> HealthSnapshot {
-        let p50 = self.round_time.quantile(0.5);
-        let p99 = self.round_time.quantile(0.99);
+        let round_time = self.round_time_ns.snapshot();
+        let p50 = round_time.quantile(0.5) as f64 / 1e9;
+        let p99 = round_time.quantile(0.99) as f64 / 1e9;
+        let rtt_p99 = self.msg_rtt_ns.snapshot().quantile(0.99) as f64 / 1e9;
         let p99_ratio = if p50 > 0.0 { p99 / p50 } else { 1.0 };
         HealthSnapshot {
             rounds: self.rounds,
             round_p50_seconds: p50,
             round_p99_seconds: p99,
             slos: vec![
-                rule("forgetting_drift", self.forgetting_drift, 0.05, 0.15),
                 rule("quarantine_rate", self.quarantine_rate, 0.01, 0.05),
                 rule("round_p99_ratio", p99_ratio, 4.0, 10.0),
                 rule("straggler_rate", self.straggler_rate, 0.05, 0.20),
                 rule("transport.queue_depth", self.queue_depth_max, 64.0, 512.0),
-                rule("transport.rtt_p99", self.msg_rtt.quantile(0.99), 1.0, 10.0),
+                rule("transport.rtt_p99", rtt_p99, 1.0, 10.0),
                 rule("upload_loss_rate", self.loss_rate, 0.05, 0.20),
             ],
         }
@@ -310,29 +302,6 @@ mod tests {
         let s = e.snapshot();
         let slo = s.slo("round_p99_ratio").unwrap();
         assert_eq!(slo.state, SloState::Critical, "ratio {}", slo.value);
-    }
-
-    #[test]
-    fn forgetting_drift_watches_rises_only() {
-        let mut e = HealthEngine::new();
-        e.observe_round(&clean_round(0));
-        e.observe_forgetting(0.10);
-        assert_eq!(
-            e.snapshot().slo("forgetting_drift").unwrap().state,
-            SloState::Ok,
-            "first observation sets the baseline"
-        );
-        e.observe_forgetting(0.30);
-        assert_eq!(
-            e.snapshot().slo("forgetting_drift").unwrap().state,
-            SloState::Critical
-        );
-        e.observe_forgetting(0.05);
-        assert_eq!(
-            e.snapshot().slo("forgetting_drift").unwrap().state,
-            SloState::Ok,
-            "improvement clamps drift to zero"
-        );
     }
 
     #[test]

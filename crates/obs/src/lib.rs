@@ -40,43 +40,32 @@
 
 pub mod alloc;
 pub mod bundle;
-pub mod cohort;
 pub mod event;
 pub mod handle;
 pub mod health;
 pub mod hist;
-pub mod http;
 pub mod perf;
-pub mod prom;
 pub mod registry;
 pub mod ring;
 pub mod sink;
-pub mod sketch;
 pub mod span;
 pub mod trace;
 
 pub use alloc::{AllocStats, TrackingAllocator, ENV_PROF_ALLOC};
 pub use bundle::{
-    collect_bundle, dump_now, dump_trigger, set_context, CohortDump, ContextEntry, MetricsDump,
-    PostmortemBundle, SketchDump, ThreadTrack, ENV_TRACE_DIR,
-};
-pub use cohort::{
-    cohort_count, cohort_of, CohortSet, CohortSnapshot, CohortStat, DEFAULT_COHORTS, ENV_COHORTS,
+    collect_bundle, dump_now, dump_trigger, set_context, ContextEntry, MetricsDump,
+    PostmortemBundle, ThreadTrack, ENV_TRACE_DIR,
 };
 pub use event::{CountEvent, Event, GaugeEvent, PointEvent, SampleEvent, SpanEnd, SpanPerf};
 pub use handle::{CounterHandle, HandleTimer, HistHandle};
 pub use health::{HealthEngine, HealthSnapshot, RoundObservation, SloState, SloStatus};
 pub use hist::{HistSnapshot, LogHistogram};
-pub use http::MetricsServer;
 pub use perf::PerfCounter;
-pub use prom::{prometheus_text, write_prometheus};
 pub use registry::{
-    Counter, Gauge, MetricsSnapshot, Registry, Series, DEFAULT_MAX_NAMES, ENV_MAX_NAMES,
-    SERIES_POINT_CAP,
+    Counter, Gauge, MetricsSnapshot, Registry, Series, DEFAULT_MAX_NAMES, SERIES_POINT_CAP,
 };
 pub use ring::{now_ns, RingBuf, RingData, RingRecord, DEFAULT_TRACE_CAP, ENV_TRACE_CAP};
-pub use sink::{read_jsonl, Aggregate, JsonlSink, Sink, SpanStat, ENV_MAX_MB};
-pub use sketch::{QuantileSketch, Sketch, SketchSnapshot, DEFAULT_ALPHA};
+pub use sink::{read_jsonl, Aggregate, JsonlSink, Sink, SpanStat};
 pub use span::{current_path, inherit_path, span, timer, PathGuard, SpanGuard, TimerGuard};
 
 use parking_lot::Mutex;
@@ -87,16 +76,6 @@ use std::sync::OnceLock;
 /// Environment variable naming the JSONL output path.
 pub const ENV_JSONL: &str = "FEDKNOW_OBS";
 
-/// Environment variable naming the `host:port` to serve live Prometheus
-/// metrics on (e.g. `FEDKNOW_OBS_ADDR=127.0.0.1:9184`). Port 0 picks an
-/// ephemeral port, printed to stderr at startup.
-pub const ENV_ADDR: &str = "FEDKNOW_OBS_ADDR";
-
-/// Environment variable setting the client-span head-sampling rate
-/// (`FEDKNOW_OBS_SPAN_SAMPLE=N` records 1-in-N client spans; anomalous
-/// clients are always recorded — see [`mark_anomalous`]).
-pub const ENV_SPAN_SAMPLE: &str = "FEDKNOW_OBS_SPAN_SAMPLE";
-
 /// Every binary linking this crate routes heap allocation through the
 /// tracking wrapper. Disabled it costs one relaxed load per allocator
 /// call; `FEDKNOW_PROF_ALLOC=1` turns the accounting on (see [`alloc`]).
@@ -105,21 +84,11 @@ static GLOBAL_ALLOC: TrackingAllocator = TrackingAllocator;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static STATE: OnceLock<State> = OnceLock::new();
-static SERVER: OnceLock<Option<MetricsServer>> = OnceLock::new();
 /// Ambient round index for series points recorded deep in the stack
 /// (integrator, restorer) that don't know the round they run in.
 static ROUND: AtomicU64 = AtomicU64::new(0);
-/// Client-span head-sampling rate: record 1-in-N client spans
-/// (1 = record everything, the default).
-static SPAN_SAMPLE: AtomicU64 = AtomicU64::new(1);
 /// The streaming health engine (armed lazily on first observation).
 static HEALTH: OnceLock<Mutex<health::HealthEngine>> = OnceLock::new();
-/// Bounded open-addressed set of anomalous client ids (stored as
-/// `client + 1`; 0 = empty). Full table = new anomalies are dropped,
-/// never grown.
-static ANOMALIES: OnceLock<Vec<AtomicU64>> = OnceLock::new();
-const ANOMALY_SLOTS: usize = 1024;
-const ANOMALY_PROBES: usize = 16;
 
 struct State {
     registry: Registry,
@@ -151,28 +120,18 @@ pub fn is_enabled() -> bool {
 }
 
 /// Enable observability if `FEDKNOW_OBS` (JSONL sink),
-/// `FEDKNOW_OBS_ADDR` (live `/metrics` endpoint) or
-/// `FEDKNOW_TRACE_DIR` (postmortem bundle directory) is set in the
-/// environment. When the address variable is set, a background HTTP
-/// server is started once per process, serving Prometheus text
-/// exposition from registry snapshots. Whenever observability comes
-/// up, the flight recorder starts and the crash-flush panic hook is
-/// installed (see [`bundle`]). Idempotent; returns whether
-/// observability is enabled afterwards.
+/// `FEDKNOW_TRACE_DIR` (postmortem bundle directory) or
+/// `FEDKNOW_PROF_ALLOC` (allocation accounting) is set in the
+/// environment. Whenever observability comes up, the flight recorder
+/// starts and the crash-flush panic hook is installed (see [`bundle`]).
+/// Idempotent; returns whether observability is enabled afterwards.
 pub fn init_from_env() -> bool {
     let jsonl = std::env::var_os(ENV_JSONL).is_some();
-    let addr = std::env::var(ENV_ADDR).ok();
     let trace_dir = std::env::var_os(ENV_TRACE_DIR).is_some();
     let prof_alloc = std::env::var_os(ENV_PROF_ALLOC).is_some();
-    if !is_enabled() && (jsonl || addr.is_some() || trace_dir || prof_alloc) {
+    if !is_enabled() && (jsonl || trace_dir || prof_alloc) {
         state();
         ENABLED.store(true, Ordering::Release);
-    }
-    if let Some(n) = std::env::var(ENV_SPAN_SAMPLE)
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-    {
-        set_span_sample(n);
     }
     if is_enabled() {
         // Allocation tracking needs the registry mirror, hence piggy-
@@ -184,25 +143,7 @@ pub fn init_from_env() -> bool {
         ring::enable_ring();
         bundle::install_panic_hook();
     }
-    if let Some(addr) = addr {
-        SERVER.get_or_init(|| match MetricsServer::serve(&addr) {
-            Ok(s) => {
-                eprintln!("fedknow-obs: serving /metrics on http://{}", s.local_addr());
-                Some(s)
-            }
-            Err(e) => {
-                eprintln!("fedknow-obs: cannot bind {ENV_ADDR}={addr}: {e}");
-                None
-            }
-        });
-    }
     is_enabled()
-}
-
-/// The address the live `/metrics` endpoint is bound to, if
-/// [`init_from_env`] started one.
-pub fn metrics_addr() -> Option<std::net::SocketAddr> {
-    SERVER.get()?.as_ref().map(|s| s.local_addr())
 }
 
 /// Enable the in-memory registry and the flight recorder from code
@@ -307,121 +248,12 @@ pub fn series_at(name: &str, index: u64, value: f64) {
     }
 }
 
-/// Record `value` into the quantile sketch `name`. Registry-only by
-/// design: per-value events would make telemetry bytes O(values), so
-/// sketch contents surface through snapshots, `/metrics`, and the
-/// per-round `sketch.<name>.p50`/`.p99` series emitted by
-/// [`observe_round`]. No-op when disabled.
-pub fn sketch_record(name: &str, value: f64) {
-    if !is_enabled() {
-        return;
-    }
-    state().registry.record_sketch(name, value);
-}
-
-/// Record a client-keyed `value`: folds into the client's cohort
-/// (bounded `FEDKNOW_OBS_COHORTS` slots with reservoir exemplars) and
-/// into the same-named quantile sketch. This is the bounded-memory
-/// replacement for per-client metric names. No-op when disabled.
-pub fn client_value(name: &str, client: u64, value: f64) {
-    if !is_enabled() {
-        return;
-    }
-    state().registry.record_client(name, client, value);
-}
-
-/// Set the client-span head-sampling rate: 1-in-`n` client spans are
-/// recorded (anomalous clients always are). `n = 1` records everything.
-pub fn set_span_sample(n: u64) {
-    SPAN_SAMPLE.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The current client-span head-sampling rate.
-pub fn span_sample_rate() -> u64 {
-    SPAN_SAMPLE.load(Ordering::Relaxed).max(1)
-}
-
-fn anomaly_table() -> &'static [AtomicU64] {
-    ANOMALIES.get_or_init(|| (0..ANOMALY_SLOTS).map(|_| AtomicU64::new(0)).collect())
-}
-
-/// Mark a client anomalous (faulted, quarantined, slowest-decile):
-/// its spans bypass head sampling from now on. The set is bounded —
-/// once [`ANOMALY_SLOTS`] distinct clients are marked, further marks
-/// are dropped rather than grown.
-pub fn mark_anomalous(client: u64) {
-    if !is_enabled() {
-        return;
-    }
-    let table = anomaly_table();
-    let key = client.wrapping_add(1);
-    let start = (splitmix64(client) % ANOMALY_SLOTS as u64) as usize;
-    for p in 0..ANOMALY_PROBES {
-        let slot = &table[(start + p) % ANOMALY_SLOTS];
-        let cur = slot.load(Ordering::Relaxed);
-        if cur == key {
-            return;
-        }
-        if cur == 0
-            && slot
-                .compare_exchange(0, key, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-        {
-            return;
-        }
-    }
-}
-
-/// Whether a client has been marked anomalous.
-pub fn client_is_anomalous(client: u64) -> bool {
-    let Some(table) = ANOMALIES.get() else {
-        return false;
-    };
-    let key = client.wrapping_add(1);
-    let start = (splitmix64(client) % ANOMALY_SLOTS as u64) as usize;
-    for p in 0..ANOMALY_PROBES {
-        match table[(start + p) % ANOMALY_SLOTS].load(Ordering::Relaxed) {
-            0 => return false,
-            k if k == key => return true,
-            _ => {}
-        }
-    }
-    false
-}
-
-/// Whether this client's span would be recorded under the current
-/// sampling rate (head sample, or anomaly override).
-pub fn client_span_sampled(client: u64) -> bool {
-    let n = span_sample_rate();
-    n <= 1 || client.is_multiple_of(n) || client_is_anomalous(client)
-}
-
-/// Open a span for one client's work, with bounded cardinality and
-/// head sampling: the span is named `client.<cohort>` (not
-/// `client.<id>`, which would create one histogram per client), and at
-/// high client counts only 1-in-[`span_sample_rate`] clients are
-/// recorded — except anomalous ones, which always are. Returns an
-/// inert guard when disabled or sampled out.
-pub fn client_span(client: u64) -> SpanGuard {
-    if !is_enabled() || !client_span_sampled(client) {
-        return SpanGuard::inert();
-    }
-    span(&format!("client.{}", cohort::cohort_of(client)))
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 fn health_engine() -> &'static Mutex<health::HealthEngine> {
     HEALTH.get_or_init(|| Mutex::new(health::HealthEngine::new()))
 }
 
-/// Publish a health snapshot into `health.*` gauges so `/metrics`,
-/// JSONL sinks and bundles all see SLO state without extra plumbing.
+/// Publish a health snapshot into `health.*` gauges so JSONL sinks and
+/// bundles see SLO state without extra plumbing.
 fn publish_health(h: &health::HealthSnapshot) {
     gauge("health.rounds", h.rounds as f64);
     gauge("health.round_p50_seconds", h.round_p50_seconds);
@@ -433,36 +265,16 @@ fn publish_health(h: &health::HealthSnapshot) {
     }
 }
 
-/// Fold one round of telemetry: every sketch's current round merges
-/// into its cumulative sketch (emitting per-round `sketch.<name>.p50`
-/// / `.p99` series points for dashboards), and the streaming health
-/// engine updates its SLO states (mirrored into `health.*` gauges).
-/// The simulation calls this once per round. No-op when disabled.
+/// Fold one round of telemetry: the streaming health engine updates
+/// its SLO states (mirrored into `health.*` gauges). The simulation
+/// calls this once per round. No-op when disabled.
 pub fn observe_round(o: &health::RoundObservation) {
     if !is_enabled() {
         return;
     }
-    for (name, snap) in state().registry.fold_sketches() {
-        series_at(&format!("sketch.{name}.p50"), o.round, snap.quantile(0.5));
-        series_at(&format!("sketch.{name}.p99"), o.round, snap.quantile(0.99));
-    }
     let snap = {
         let mut eng = health_engine().lock();
         eng.observe_round(o);
-        eng.snapshot()
-    };
-    publish_health(&snap);
-}
-
-/// Feed a task boundary's average forgetting to the health engine's
-/// drift SLO. No-op when disabled.
-pub fn observe_forgetting(avg_forgetting: f64) {
-    if !is_enabled() {
-        return;
-    }
-    let snap = {
-        let mut eng = health_engine().lock();
-        eng.observe_forgetting(avg_forgetting);
         eng.snapshot()
     };
     publish_health(&snap);
@@ -490,9 +302,6 @@ pub fn round_index() -> u64 {
 /// fault-plan label, `detail` mirrors the fl layer's `FaultEvent`
 /// detail field). One relaxed load when the recorder is off.
 pub fn fault(client: u64, kind: &str, detail: u64) {
-    // Faulted clients are anomalous by definition: their spans bypass
-    // head sampling so postmortems always have the interesting traces.
-    mark_anomalous(client);
     if !ring::ring_enabled() {
         return;
     }
@@ -588,15 +397,6 @@ pub(crate) fn record_in_registry(name: &str, value: u64) {
     }
 }
 
-/// Count into the registry without emitting a sink event. The sink's
-/// own rotation accounting uses this: routing those counts through
-/// [`count`] would re-enter the sink it is rotating.
-pub(crate) fn count_in_registry(name: &str, delta: u64) {
-    if is_enabled() {
-        state().registry.add(name, delta);
-    }
-}
-
 /// Send an event to the JSONL sink, if attached.
 pub(crate) fn dispatch(event: &Event) {
     if !is_enabled() {
@@ -662,12 +462,7 @@ mod tests {
         LIFECYCLE_COUNTER.add(9);
         LIFECYCLE_HIST.record(9);
         LIFECYCLE_KERNEL.op(100, 50);
-        sketch_record("lifecycle.sk", 9.0);
-        client_value("lifecycle.cv", 1, 9.0);
-        mark_anomalous(1);
-        assert!(!client_is_anomalous(1));
         observe_round(&RoundObservation::default());
-        observe_forgetting(0.5);
         assert!(health_snapshot().is_none());
         assert_eq!(perf::thread_totals(), (0, 0));
         {
@@ -739,14 +534,7 @@ mod tests {
         let s2 = snapshot().unwrap().since(&s0);
         assert_eq!(s2.counters["lifecycle.handle_c"], 6);
 
-        // Sketches, cohorts, and the health engine — and the
-        // disabled-phase calls above left no trace in any of them.
-        assert!(!s0.sketches.contains_key("lifecycle.sk"));
-        assert!(!s0.cohorts.contains_key("lifecycle.cv"));
-        sketch_record("lifecycle.sk", 10.0);
-        sketch_record("lifecycle.sk", 20.0);
-        client_value("lifecycle.cv", 1, 3.0);
-        client_value("lifecycle.cv", 2, 5.0);
+        // The health engine: one folded round publishes the gauges.
         observe_round(&RoundObservation {
             round: 3,
             expected: 2,
@@ -754,38 +542,12 @@ mod tests {
             round_seconds: 1.0,
             ..Default::default()
         });
-        observe_forgetting(0.01);
         let s3 = snapshot().unwrap().since(&s0);
-        assert_eq!(s3.sketches["lifecycle.sk"].count, 2);
-        assert_eq!(s3.sketches["lifecycle.cv"].count, 2);
-        assert_eq!(s3.cohorts["lifecycle.cv"].total_count(), 2);
-        // observe_round folded the sketches into per-round series…
-        assert!(s3.series.contains_key("sketch.lifecycle.sk.p50"));
-        assert!(s3.series.contains_key("sketch.lifecycle.sk.p99"));
-        // …and published the health gauges.
         assert_eq!(s3.gauges["health.rounds"], 1.0);
         assert!(s3.gauges.contains_key("health.slo.straggler_rate"));
         let h = health_snapshot().unwrap();
         assert_eq!(h.rounds, 1);
         assert_eq!(h.worst(), SloState::Ok);
-
-        // Anomaly marking and span sampling.
-        assert_eq!(span_sample_rate(), 1);
-        set_span_sample(10);
-        assert!(client_span_sampled(0), "head sample keeps 1-in-10");
-        assert!(!client_span_sampled(7));
-        mark_anomalous(7);
-        assert!(client_is_anomalous(7));
-        assert!(client_span_sampled(7), "anomalies bypass sampling");
-        {
-            let _g = client_span(20); // cohort 20, sampled in
-            assert_eq!(current_path(), "client.20");
-        }
-        {
-            let _g = client_span(13); // sampled out: inert, no path pushed
-            assert_eq!(current_path(), "");
-        }
-        set_span_sample(1);
 
         // Worker-thread path inheritance.
         let root = span("lifecycle_root");

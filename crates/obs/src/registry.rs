@@ -1,7 +1,6 @@
-//! The metrics registry: named counters, histograms, gauges,
-//! round-indexed time series, quantile sketches and cohort sets, plus
-//! immutable snapshots that can be diffed to attribute metrics to a
-//! single run.
+//! The metrics registry: named counters, histograms, gauges and
+//! round-indexed time series, plus immutable snapshots that can be
+//! diffed to attribute metrics to a single run.
 //!
 //! ## Bounded cardinality
 //!
@@ -10,8 +9,8 @@
 //! keep it O(1):
 //!
 //! * **Name cap** — each instrument kind holds at most
-//!   [`Registry::max_names`] distinct names (`FEDKNOW_OBS_MAX_NAMES`,
-//!   default [`DEFAULT_MAX_NAMES`]). Creation attempts past the cap
+//!   [`Registry::max_names`] distinct names ([`DEFAULT_MAX_NAMES`] for
+//!   the process-wide registry). Creation attempts past the cap
 //!   are routed to a shared per-kind `obs.overflow` instrument and
 //!   counted in the `obs.name_overflow` counter — loud, not silent.
 //! * **Series point cap** — every [`Series`] keeps at most
@@ -26,15 +25,9 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::cohort::{CohortSet, CohortSnapshot};
 use crate::hist::{HistSnapshot, LogHistogram};
-use crate::sketch::{Sketch, SketchSnapshot};
 
-/// Environment variable capping distinct dynamic metric names per
-/// instrument kind.
-pub const ENV_MAX_NAMES: &str = "FEDKNOW_OBS_MAX_NAMES";
-
-/// Default per-kind name cap.
+/// Per-kind name cap of [`Registry::new`].
 pub const DEFAULT_MAX_NAMES: usize = 512;
 
 /// Hard cap on points retained per series (~1 MiB per series worst
@@ -135,8 +128,6 @@ pub struct Registry {
     hists: Mutex<BTreeMap<String, Arc<LogHistogram>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     series: Mutex<BTreeMap<String, Arc<Series>>>,
-    sketches: Mutex<BTreeMap<String, Arc<Sketch>>>,
-    cohorts: Mutex<BTreeMap<String, Arc<CohortSet>>>,
     /// Per-kind cap on distinct names.
     max_names: usize,
     /// Writes routed to an overflow instrument because of the cap.
@@ -146,23 +137,16 @@ pub struct Registry {
     overflow_hist: Arc<LogHistogram>,
     overflow_gauge: Arc<Gauge>,
     overflow_series: Arc<Series>,
-    overflow_sketch: Arc<Sketch>,
-    overflow_cohort: Arc<CohortSet>,
 }
 
 impl Default for Registry {
     fn default() -> Self {
-        let max = std::env::var(ENV_MAX_NAMES)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|n| n.max(8))
-            .unwrap_or(DEFAULT_MAX_NAMES);
-        Self::with_max_names(max)
+        Self::with_max_names(DEFAULT_MAX_NAMES)
     }
 }
 
 impl Registry {
-    /// An empty registry with the environment-configured name cap.
+    /// An empty registry with the [`DEFAULT_MAX_NAMES`] name cap.
     pub fn new() -> Self {
         Self::default()
     }
@@ -174,16 +158,12 @@ impl Registry {
             hists: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             series: Mutex::new(BTreeMap::new()),
-            sketches: Mutex::new(BTreeMap::new()),
-            cohorts: Mutex::new(BTreeMap::new()),
             max_names: max_names.max(1),
             overflow: AtomicU64::new(0),
             overflow_counter: Arc::new(Counter::default()),
             overflow_hist: Arc::new(LogHistogram::new()),
             overflow_gauge: Arc::new(Gauge::default()),
             overflow_series: Arc::new(Series::default()),
-            overflow_sketch: Arc::new(Sketch::default()),
-            overflow_cohort: Arc::new(CohortSet::default()),
         }
     }
 
@@ -243,21 +223,6 @@ impl Registry {
         self.slot(&self.series, name, Series::default, &self.overflow_series)
     }
 
-    /// The quantile sketch named `name`, created if absent.
-    pub fn sketch(&self, name: &str) -> Arc<Sketch> {
-        self.slot(&self.sketches, name, Sketch::default, &self.overflow_sketch)
-    }
-
-    /// The cohort set named `name`, created if absent.
-    pub fn cohort(&self, name: &str) -> Arc<CohortSet> {
-        self.slot(
-            &self.cohorts,
-            name,
-            CohortSet::default,
-            &self.overflow_cohort,
-        )
-    }
-
     /// Add `delta` to the counter named `name`.
     pub fn add(&self, name: &str, delta: u64) {
         self.counter(name).add(delta);
@@ -276,37 +241,6 @@ impl Registry {
     /// Append a point to the series named `name`.
     pub fn push_series(&self, name: &str, index: u64, value: f64) {
         self.series(name).push(index, value);
-    }
-
-    /// Record `value` into the sketch named `name`.
-    pub fn record_sketch(&self, name: &str, value: f64) {
-        self.sketch(name).record(value);
-    }
-
-    /// Record a client-keyed value into the cohort set named `name`
-    /// (and into the same-named sketch, so the global distribution is
-    /// queryable alongside the per-cohort fold).
-    pub fn record_client(&self, name: &str, client: u64, value: f64) {
-        self.cohort(name).record(client, value);
-        self.sketch(name).record(value);
-    }
-
-    /// Fold every sketch's current round into its cumulative sketch;
-    /// returns the per-name folded-round snapshots (non-empty only).
-    pub fn fold_sketches(&self) -> Vec<(String, SketchSnapshot)> {
-        let handles: Vec<(String, Arc<Sketch>)> = self
-            .sketches
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), Arc::clone(v)))
-            .collect();
-        handles
-            .into_iter()
-            .filter_map(|(name, s)| {
-                let snap = s.fold_round();
-                (snap.count > 0).then_some((name, snap))
-            })
-            .collect()
     }
 
     /// Copy every metric into an immutable snapshot.
@@ -337,18 +271,6 @@ impl Registry {
             .map(|(k, v)| (k.clone(), v.points()))
             .collect();
         drop(series_map);
-        let mut sketches: BTreeMap<String, SketchSnapshot> = self
-            .sketches
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.snapshot()))
-            .collect();
-        let cohorts = self
-            .cohorts
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.snapshot()))
-            .collect();
         // Governor visibility: over-cap writes and their shared sinks.
         let overflow = self.overflow.load(Relaxed);
         if overflow > 0 {
@@ -360,10 +282,6 @@ impl Registry {
             if oh.count() > 0 {
                 hists.insert(OVERFLOW_NAME.to_string(), oh);
             }
-            let os = self.overflow_sketch.snapshot();
-            if os.count > 0 {
-                sketches.insert(OVERFLOW_NAME.to_string(), os);
-            }
         }
         if dropped > 0 {
             counters.insert("obs.series_dropped".to_string(), dropped);
@@ -373,8 +291,6 @@ impl Registry {
             hists,
             gauges,
             series,
-            sketches,
-            cohorts,
         }
     }
 }
@@ -390,10 +306,6 @@ pub struct MetricsSnapshot {
     pub gauges: BTreeMap<String, f64>,
     /// Series points `(index, value)` by name, index-sorted.
     pub series: BTreeMap<String, Vec<(u64, f64)>>,
-    /// Quantile-sketch snapshots by name.
-    pub sketches: BTreeMap<String, SketchSnapshot>,
-    /// Cohort-set snapshots by name.
-    pub cohorts: BTreeMap<String, CohortSnapshot>,
 }
 
 impl MetricsSnapshot {
@@ -437,31 +349,11 @@ impl MetricsSnapshot {
                 (v.len() > seen).then(|| (k.clone(), v[seen..].to_vec()))
             })
             .collect();
-        let empty_sketch = SketchSnapshot::default();
-        let sketches = self
-            .sketches
-            .iter()
-            .filter_map(|(k, v)| {
-                let d = v.since(earlier.sketches.get(k).unwrap_or(&empty_sketch));
-                (d.count > 0).then(|| (k.clone(), d))
-            })
-            .collect();
-        let empty_cohort = CohortSnapshot::default();
-        let cohorts = self
-            .cohorts
-            .iter()
-            .filter_map(|(k, v)| {
-                let d = v.since(earlier.cohorts.get(k).unwrap_or(&empty_cohort));
-                (!d.cohorts.is_empty()).then(|| (k.clone(), d))
-            })
-            .collect();
         MetricsSnapshot {
             counters,
             hists,
             gauges,
             series,
-            sketches,
-            cohorts,
         }
     }
 }
@@ -541,43 +433,6 @@ mod tests {
         // Unchanged metrics drop out of the diff entirely.
         let none = r.snapshot().since(&r.snapshot());
         assert!(none.counters.is_empty() && none.hists.is_empty());
-    }
-
-    #[test]
-    fn sketches_snapshot_and_diff() {
-        let r = Registry::new();
-        r.record_sketch("lat", 10.0);
-        r.record_sketch("lat", 20.0);
-        let before = r.snapshot();
-        assert_eq!(before.sketches["lat"].count, 2);
-        r.record_sketch("lat", 30.0);
-        let d = r.snapshot().since(&before);
-        assert_eq!(d.sketches["lat"].count, 1);
-    }
-
-    #[test]
-    fn client_values_land_in_cohorts_and_sketch() {
-        let r = Registry::new();
-        for c in 0..100u64 {
-            r.record_client("train_ns", c, c as f64);
-        }
-        let s = r.snapshot();
-        assert_eq!(s.sketches["train_ns"].count, 100);
-        assert_eq!(s.cohorts["train_ns"].total_count(), 100);
-        assert!(s.cohorts["train_ns"].cohorts.len() <= 100);
-    }
-
-    #[test]
-    fn fold_sketches_resets_rounds() {
-        let r = Registry::new();
-        r.record_sketch("lat", 5.0);
-        let folded = r.fold_sketches();
-        assert_eq!(folded.len(), 1);
-        assert_eq!(folded[0].0, "lat");
-        assert_eq!(folded[0].1.count, 1);
-        // Nothing new this round: fold reports nothing, cumulative holds.
-        assert!(r.fold_sketches().is_empty());
-        assert_eq!(r.snapshot().sketches["lat"].count, 1);
     }
 
     #[test]

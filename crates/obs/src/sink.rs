@@ -9,18 +9,11 @@
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use parking_lot::Mutex;
 
 use crate::event::Event;
-
-/// Environment variable capping the JSONL sink's file size, in MiB.
-/// When the current file crosses the cap it is rotated to `<path>.1`
-/// (replacing any previous rotation) and a fresh file is started, so a
-/// run keeps at most the newest ~2x cap of events on disk. Unset or
-/// `0` = unbounded (the historical behaviour).
-pub const ENV_MAX_MB: &str = "FEDKNOW_OBS_MAX_MB";
 
 /// A destination for observability events.
 pub trait Sink: Send + Sync {
@@ -30,97 +23,29 @@ pub trait Sink: Send + Sync {
     fn flush(&self) {}
 }
 
-struct SinkInner {
-    writer: BufWriter<File>,
-    bytes: u64,
-}
-
-/// Appends one JSON object per event to a file (JSONL), with optional
-/// size-capped rotation (see [`ENV_MAX_MB`]).
+/// Appends one JSON object per event to a file (JSONL).
 pub struct JsonlSink {
-    inner: Mutex<SinkInner>,
-    path: PathBuf,
-    max_bytes: Option<u64>,
+    writer: Mutex<BufWriter<File>>,
 }
 
 impl JsonlSink {
-    /// Create (truncating) the file at `path`, honouring
-    /// `FEDKNOW_OBS_MAX_MB` from the environment.
+    /// Create (truncating) the file at `path`.
     pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let max_bytes = std::env::var(ENV_MAX_MB)
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&mb| mb > 0)
-            .map(|mb| mb * 1024 * 1024);
-        Self::with_max_bytes(path, max_bytes)
-    }
-
-    /// Create (truncating) the file at `path` with an explicit size
-    /// cap in bytes (`None` = unbounded).
-    pub fn with_max_bytes(path: impl AsRef<Path>, max_bytes: Option<u64>) -> std::io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let file = File::create(&path)?;
         Ok(Self {
-            inner: Mutex::new(SinkInner {
-                writer: BufWriter::new(file),
-                bytes: 0,
-            }),
-            path,
-            max_bytes,
+            writer: Mutex::new(BufWriter::new(File::create(path)?)),
         })
-    }
-
-    /// The path rotated-out events move to: `<path>.1`.
-    pub fn rotated_path(path: impl AsRef<Path>) -> PathBuf {
-        let mut name = path.as_ref().as_os_str().to_os_string();
-        name.push(".1");
-        PathBuf::from(name)
-    }
-
-    /// Rotate the current file to `<path>.1` and start a fresh one.
-    /// Accounting goes registry-only (`obs.sink_rotations`,
-    /// `obs.sink_rotated_bytes`): emitting events here would re-enter
-    /// the sink being rotated.
-    fn rotate(&self, g: &mut SinkInner) {
-        let _ = g.writer.flush();
-        let rotated = g.bytes;
-        let _ = std::fs::rename(&self.path, Self::rotated_path(&self.path));
-        match File::create(&self.path) {
-            Ok(f) => {
-                g.writer = BufWriter::new(f);
-                g.bytes = 0;
-                crate::count_in_registry("obs.sink_rotations", 1);
-                crate::count_in_registry("obs.sink_rotated_bytes", rotated);
-            }
-            Err(e) => {
-                // Keep writing through the old handle (now pointing at
-                // the renamed file): observability must never take
-                // down a run.
-                eprintln!(
-                    "fedknow-obs: cannot recreate {} after rotation: {e}",
-                    self.path.display()
-                );
-            }
-        }
     }
 }
 
 impl Sink for JsonlSink {
     fn emit(&self, event: &Event) {
         let line = serde_json::to_string(event).expect("event serialises");
-        let mut g = self.inner.lock();
         // Ignore write errors: observability must never take down a run.
-        let _ = writeln!(g.writer, "{line}");
-        g.bytes += line.len() as u64 + 1;
-        if let Some(max) = self.max_bytes {
-            if g.bytes >= max {
-                self.rotate(&mut g);
-            }
-        }
+        let _ = writeln!(self.writer.lock(), "{line}");
     }
 
     fn flush(&self) {
-        let _ = self.inner.lock().writer.flush();
+        let _ = self.writer.lock().flush();
     }
 }
 
@@ -248,60 +173,6 @@ impl Aggregate {
 mod tests {
     use super::*;
     use crate::event::{CountEvent, GaugeEvent, PointEvent, SampleEvent, SpanEnd};
-
-    fn count_event(delta: u64) -> Event {
-        Event::Count(CountEvent {
-            name: "rotate.c".into(),
-            delta,
-        })
-    }
-
-    #[test]
-    fn capped_sink_rotates_keeping_newest() {
-        let path =
-            std::env::temp_dir().join(format!("fedknow_obs_rotate_{}.jsonl", std::process::id()));
-        let rotated = JsonlSink::rotated_path(&path);
-        let _ = std::fs::remove_file(&rotated);
-        let line_len = serde_json::to_string(&count_event(0)).unwrap().len() as u64 + 1;
-        // Cap at 10 lines' worth; write 25 -> two rotations.
-        let sink = JsonlSink::with_max_bytes(&path, Some(10 * line_len)).unwrap();
-        for i in 0..25u64 {
-            sink.emit(&count_event(i));
-        }
-        sink.flush();
-        // .1 holds the second batch of 10 (newest rotated file wins)…
-        let old = read_jsonl(&rotated).unwrap();
-        assert_eq!(old.len(), 10);
-        let Event::Count(first) = &old[0] else {
-            panic!("expected count")
-        };
-        assert_eq!(first.delta, 10);
-        // …and the live file holds the newest 5.
-        let new = read_jsonl(&path).unwrap();
-        assert_eq!(new.len(), 5);
-        let Event::Count(last) = &new[4] else {
-            panic!("expected count")
-        };
-        assert_eq!(last.delta, 24);
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&rotated);
-    }
-
-    #[test]
-    fn uncapped_sink_never_rotates() {
-        let path =
-            std::env::temp_dir().join(format!("fedknow_obs_norotate_{}.jsonl", std::process::id()));
-        let rotated = JsonlSink::rotated_path(&path);
-        let _ = std::fs::remove_file(&rotated);
-        let sink = JsonlSink::with_max_bytes(&path, None).unwrap();
-        for i in 0..100u64 {
-            sink.emit(&count_event(i));
-        }
-        sink.flush();
-        assert_eq!(read_jsonl(&path).unwrap().len(), 100);
-        assert!(!rotated.exists());
-        let _ = std::fs::remove_file(&path);
-    }
 
     fn sample(name: &str, value: u64) -> Event {
         Event::Sample(SampleEvent {

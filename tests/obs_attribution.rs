@@ -69,4 +69,13 @@ fn obs_attributes_time_to_every_paper_phase() {
     );
     assert!(agg.spans.contains_key("run"));
     assert!(agg.quantile("qp.solve_ns", 0.5).is_some());
+
+    // A clean run is a healthy run: no SLO leaves Ok.
+    let health = fedknow_obs::health_snapshot().expect("obs enabled");
+    assert_eq!(
+        health.worst(),
+        fedknow_obs::SloState::Ok,
+        "SLOs tripped on a clean run: {:?}",
+        health.slos
+    );
 }
