@@ -5,7 +5,7 @@
 //! requests an explicit postmortem bundle (`dump_now("probe")`), or —
 //! under `--panic-after-tasks N` — checkpoints after `N` tasks and
 //! panics on purpose so tests can assert the panic hook flushes the
-//! JSONL sink and writes a `panic` bundle from a dying process.
+//! JSONL stream and writes a `panic` bundle from a dying process.
 //!
 //! ```text
 //! FEDKNOW_TRACE_DIR=out/ chaos_probe [--scale smoke|quick|paper] [--seed N]
@@ -17,7 +17,7 @@
 //! `--listen`/`--connect` split the probe across OS processes: one
 //! `--listen 127.0.0.1:PORT` server plus one `--connect` process per
 //! client, each dumping its own postmortem bundle into its own
-//! `FEDKNOW_TRACE_DIR`. `obs_trace merge` fuses the bundles into a
+//! `FEDKNOW_TRACE_DIR`. `obs trace merge` fuses the bundles into a
 //! single clock-aligned timeline with causal flow links across the
 //! processes.
 //!

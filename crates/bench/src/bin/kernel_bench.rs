@@ -25,7 +25,7 @@
 //! usual rotation machinery — one `gflops <kernel> [<shape>]` metric per
 //! point — so `bench_gate` diffs each kernel's throughput against the
 //! previous record; the roofline detail (`flops`, `bytes`, `min_ns`,
-//! intensity) goes to `results/kernels.json` for `obs_perf --record`.
+//! intensity) goes to `results/kernels.json` for `obs roofline`.
 //!
 //! Exit status: 0 on success, 1 when a cross-check fails, 2 on usage
 //! errors.

@@ -56,7 +56,7 @@ fn main() {
     };
     // All timing below comes from the obs layer (phase timers + the run
     // span) rather than an ad-hoc Instant, so this binary reports
-    // through the same path as obs_report and the JSONL trace.
+    // through the same path as `obs report` and the JSONL stream.
     fedknow_obs::enable();
     let report = spec.run(method).expect("simulation failed");
     let curve = MethodCurve::from_report(&report);

@@ -9,7 +9,7 @@
 //! * [`gate`] — the one [`BenchRecord`] every gated binary writes (a
 //!   list of named metrics, each with its unit, direction and
 //!   tolerance) and the one loop `bench_gate` diffs a pair with.
-//! * [`dash`] — rendering shared by the `obs_*` trace views.
+//! * [`report`] — the `obs report` view of a stream or a bundle.
 //!
 //! Binaries that run at a scale accept `--scale smoke|quick|paper`
 //! (default `quick`) and `--seed N` through [`parse_args`].
@@ -26,9 +26,9 @@ use fedknow_suite::RunSpec;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
-pub mod dash;
 pub mod figures;
 pub mod gate;
+pub mod report;
 
 pub use gate::{compare, read_bench_record, write_bench_record, BenchRecord, Better, Metric, Tol};
 
@@ -275,8 +275,7 @@ pub fn fmt_metric(name: &str, value: u64) -> String {
     }
 }
 
-/// A phase total as a share of wall time, for the phase tables of
-/// `obs_report`, `obs_dash` and [`print_phase_breakdown`]. Only
+/// A phase total as a share of wall time, for [`print_phase_table`]. Only
 /// wall-clock durations have one: counts (`qp.iters`) and simulated
 /// time (`comm.sim_transfer_ns`, `client.sim_compute_ns`) print `-`.
 pub fn phase_share(name: &str, total_ns: u64, wall_ns: u64) -> String {
@@ -287,25 +286,15 @@ pub fn phase_share(name: &str, total_ns: u64, wall_ns: u64) -> String {
     }
 }
 
-/// Print a run's [`fedknow_fl::PhaseBreakdown`] as a per-phase summary
-/// table — the single reporting path the bench binaries share with
-/// `obs_report`. Phase shares are relative to the `span.run_ns` wall
-/// time; with parallel clients the phase totals can legitimately sum to
-/// more than 100%.
-pub fn print_phase_breakdown(b: &fedknow_fl::PhaseBreakdown) {
-    let wall = b.phase("span.run_ns").map(|p| p.total_ns).unwrap_or(0);
-    println!("\n== phase breakdown (wall {}) ==", fmt_ns(wall));
+/// The phase table of `obs report` and [`print_phase_breakdown`]: the
+/// `top` largest phases by total, each with its share of `wall`.
+pub fn print_phase_table(mut phases: Vec<fedknow_fl::PhaseStat>, wall: u64, top: usize) {
     println!(
         "{:<28}{:>10}{:>12}{:>12}{:>12}{:>12}{:>8}",
         "phase", "count", "total", "mean", "p50", "p99", "share"
     );
-    let mut phases: Vec<_> = b
-        .phases
-        .iter()
-        .filter(|p| !p.name.starts_with("span."))
-        .collect();
     phases.sort_by_key(|p| std::cmp::Reverse(p.total_ns));
-    for p in phases {
+    for p in phases.into_iter().take(top) {
         println!(
             "{:<28}{:>10}{:>12}{:>12}{:>12}{:>12}{:>8}",
             p.name,
@@ -317,6 +306,18 @@ pub fn print_phase_breakdown(b: &fedknow_fl::PhaseBreakdown) {
             phase_share(&p.name, p.total_ns, wall),
         );
     }
+}
+
+/// Print a run's [`fedknow_fl::PhaseBreakdown`] as a per-phase summary
+/// table — the single reporting path the bench binaries share with
+/// `obs report`. Phase shares are relative to the `span.run_ns` wall
+/// time; with parallel clients the phase totals can legitimately sum to
+/// more than 100%.
+pub fn print_phase_breakdown(b: &fedknow_fl::PhaseBreakdown) {
+    let wall = b.phase("span.run_ns").map(|p| p.total_ns).unwrap_or(0);
+    println!("\n== phase breakdown (wall {}) ==", fmt_ns(wall));
+    let phases = b.phases.iter().filter(|p| !p.name.starts_with("span."));
+    print_phase_table(phases.cloned().collect(), wall, usize::MAX);
     if !b.counters.is_empty() {
         println!("{:<28}{:>10}", "counter", "total");
         for (name, v) in &b.counters {
@@ -390,7 +391,7 @@ mod tests {
 /// One microbenchmarked kernel/shape point from `kernel_bench`:
 /// modelled work (via `fedknow_math::flops`), min-of-k wall time, and
 /// the derived roofline coordinates. `results/kernels.json` is a list
-/// of these; `obs_perf --record` draws the roofline from it.
+/// of these; `obs roofline` draws the roofline from it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelEntry {
     /// Kernel name, matching the `flops.<kernel>` counter namespace

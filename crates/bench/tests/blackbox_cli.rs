@@ -1,11 +1,12 @@
 //! End-to-end coverage of the black-box flight recorder: a chaos run
 //! with injected crashes must leave a postmortem bundle whose tail
-//! contains the fault records, the panic hook must flush the JSONL sink
-//! and dump a bundle from a dying process, and `obs_trace` must turn
-//! any of it into Chrome trace JSON that passes its own validator.
+//! contains the fault records, the panic hook must flush the JSONL
+//! stream and dump a bundle from a dying process, `obs trace` must turn
+//! any of it into Chrome trace JSON that passes its own validator, and
+//! `obs report` must read the bundle like the stream.
 //!
-//! Everything here spawns child processes (`chaos_probe`, `obs_trace`)
-//! so the one-way obs/verify gates never leak between tests.
+//! Everything here spawns child processes (`chaos_probe`, `obs`) so the
+//! one-way obs/verify gates never leak between tests.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -30,11 +31,15 @@ fn run_probe(trace_dir: &Path, jsonl: Option<&Path>, args: &[&str]) -> Output {
     cmd.args(args).output().expect("spawn chaos_probe")
 }
 
-fn run_trace(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_obs_trace"))
+fn run_obs(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_obs"))
         .args(args)
         .output()
-        .expect("spawn obs_trace")
+        .expect("spawn obs")
+}
+
+fn run_trace(args: &[&str]) -> Output {
+    run_obs(&[&["trace"], args].concat())
 }
 
 /// Bundles named `bundle-<reason>-*.json` under `dir`.
@@ -56,8 +61,9 @@ fn bundles(dir: &Path, reason: &str) -> Vec<PathBuf> {
 }
 
 /// The injected-crash chaos run must produce a bundle whose event tail
-/// contains the fault record, and `obs_trace` must convert it into
-/// valid trace JSON with a per-client fault instant.
+/// contains the fault record, `obs trace` must convert it into valid
+/// trace JSON with a per-client fault instant, and `obs report` must
+/// show the violation and the faults.
 #[test]
 fn chaos_run_produces_convertible_bundle_with_fault_tail() {
     let dir = scratch("chaos");
@@ -141,10 +147,27 @@ fn chaos_run_produces_convertible_bundle_with_fault_tail() {
         summary_out.contains("run") && summary_out.contains("total ms"),
         "{summary_out}"
     );
+
+    // The bundle reports like a stream: the forced violation, a fault
+    // row, and how it was recorded.
+    let report = run_obs(&["report", bundle_path]);
+    let report_out = String::from_utf8_lossy(&report.stdout);
+    assert!(report.status.success(), "{report_out}");
+    for needle in [
+        "violation probe.forced",
+        "fault crash",
+        "sim.seed",
+        "obs.trace_dir",
+        "== spans",
+    ] {
+        assert!(report_out.contains(needle), "no `{needle}`:\n{report_out}");
+    }
+    // Dumped mid-run, it still has a wall time to take shares of.
+    assert!(!report_out.contains("wall time   0ns"), "{report_out}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A process that panics mid-run must still flush the JSONL sink and
+/// A process that panics mid-run must still flush the JSONL stream and
 /// write a `panic` bundle through the hook — the whole point of a
 /// black box.
 #[test]
@@ -173,12 +196,14 @@ fn panic_hook_flushes_jsonl_and_dumps_bundle() {
         "panic message must surface: {stderr}"
     );
 
-    // The hook flushed the buffered sink: the JSONL is non-empty and
-    // every line parses back as an event.
-    let events = fedknow_obs::read_jsonl(&jsonl).expect("jsonl must parse");
+    // The hook flushed the buffered stream: every line parses back as
+    // a record, and the last thing in it is the panic note.
+    let stream = fedknow_obs::Recording::load(&jsonl).expect("stream must parse");
+    let agg = fedknow_obs::Aggregate::from_records(&stream);
     assert!(
-        !events.is_empty(),
-        "panic hook must flush buffered JSONL events"
+        agg.notes.iter().any(|n| n.contains("deliberate panic")),
+        "the panic note must be in the stream: {:?}",
+        agg.notes
     );
 
     // And it dumped a postmortem bundle before the process died.
@@ -227,17 +252,81 @@ fn no_trace_dir_means_no_bundle() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// obs_trace exit codes: 2 for usage, 1 for garbage input.
+/// The committed fixture recording (two threads, nested spans, a fault,
+/// a violation, one delivered and one dropped wire frame) reports to
+/// the committed text, byte for byte — as the stream it is, and with
+/// the same records wrapped as a postmortem bundle.
 #[test]
-fn obs_trace_cli_errors() {
-    let out = run_trace(&[]);
-    assert_eq!(out.status.code(), Some(2));
-    let out = run_trace(&["frobnicate", "x.json"]);
-    assert_eq!(out.status.code(), Some(2));
+fn fixture_reports_byte_for_byte_as_stream_and_as_bundle() {
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let stream = fixtures.join("recording.jsonl");
+    let expected = std::fs::read_to_string(fixtures.join("recording.report.txt")).unwrap();
+
+    let dir = scratch("fixture");
+    let bundle = dir.join("bundle.json");
+    let wrapped = fedknow_obs::PostmortemBundle {
+        version: fedknow_obs::bundle::BUNDLE_VERSION,
+        reason: "fixture".to_string(),
+        round: 0,
+        context: Vec::new(),
+        metrics: fedknow_obs::MetricsDump::default(),
+        health: None,
+        pid: None,
+        tracks: fedknow_obs::Recording::load(&stream).unwrap().tracks,
+    };
+    std::fs::write(&bundle, serde_json::to_string(&wrapped).unwrap()).unwrap();
+
+    for input in [&stream, &bundle] {
+        let out = run_obs(&["report", input.to_str().unwrap()]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(String::from_utf8_lossy(&out.stdout), expected, "{input:?}");
+        let ok = run_trace(&["validate", input.to_str().unwrap()]);
+        let ok_out = String::from_utf8_lossy(&ok.stdout);
+        assert!(
+            ok.status.success()
+                && ok_out.contains("5 slices, 7 instants")
+                && ok_out.contains("2 flows / 1 finished"),
+            "{ok_out}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `obs` exit codes: 2 for usage, 1 for garbage input.
+#[test]
+fn obs_cli_errors() {
+    for usage in [
+        &[][..],
+        &["frobnicate"],
+        &["trace"],
+        &["trace", "frobnicate", "x.json"],
+        &["report"],
+        &["report", "x.jsonl", "--top", "many"],
+        &["roofline", "--record"],
+    ] {
+        assert_eq!(run_obs(usage).status.code(), Some(2), "{usage:?}");
+    }
     let dir = scratch("badinput");
     let bad = dir.join("bad.json");
     std::fs::write(&bad, "{\"neither\": \"bundle nor trace\"}").unwrap();
     let out = run_trace(&["validate", bad.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1));
+    let out = run_obs(&["report", bad.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    // A stream written before the record became the one event is
+    // rejected with the line number, not read by a second reader.
+    let old = dir.join("old.jsonl");
+    std::fs::write(
+        &old,
+        "{\"Count\":{\"name\":\"x\",\"delta\":1}}\n{\"Count\":{\"name\":\"x\",\"delta\":1}}\n",
+    )
+    .unwrap();
+    let out = run_obs(&["report", old.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("line 1"));
     let _ = std::fs::remove_dir_all(&dir);
 }

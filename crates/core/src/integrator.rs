@@ -13,7 +13,7 @@
 //!   the QP moved the gradient, `‖g' − g‖ / ‖g‖` (per-mille histogram
 //!   plus a per-round f64 series).
 //! * series `integrate.conflict_angle_deg` — mean pre-QP angle per
-//!   call, round-indexed for trajectory plots (`obs_dash`).
+//!   call, round-indexed for trajectory plots (`obs report`).
 
 use fedknow_math::qp::{integrate_gradient, QpConfig};
 use fedknow_math::MathError;

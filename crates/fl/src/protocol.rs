@@ -423,7 +423,7 @@ pub(crate) fn fold_round_telemetry(
 
 /// Task-boundary forgetting telemetry: after learning task `step`,
 /// per-task series `fl.forgetting.task{k}` (mean over clients, indexed
-/// by `step` — the heat-strip rows in `obs_dash`), the aggregate
+/// by `step` — the heat-strip rows in `obs report`), the aggregate
 /// series `fl.avg_forgetting`, and a per-client per-task histogram
 /// `fl.client_forgetting_pm` (per-mille) exposing the distribution
 /// behind the means.

@@ -178,7 +178,8 @@ pub struct PhaseStat {
 /// counter delta (byte counters, QP fallback/fast-path events). Built by
 /// diffing registry snapshots taken at the start and end of
 /// [`Simulation::run`], so concurrent runs in other threads of the same
-/// process can pollute it — per-run JSONL files are the precise source.
+/// process can pollute it — a per-run `FEDKNOW_OBS` stream (or a
+/// bundle), read with `obs report`, is the precise source.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PhaseBreakdown {
     /// One entry per histogram metric, name-sorted.

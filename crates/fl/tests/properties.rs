@@ -1,13 +1,16 @@
-//! Property-based tests for aggregation, metrics, and the determinism of
-//! the fault-injected round protocol.
+//! Property-based tests for aggregation, metrics, the determinism of
+//! the fault-injected round protocol, and the message codec on hostile
+//! bytes.
 
 use fedknow_data::{generate::generate, partition, ClientTask, DatasetSpec, PartitionConfig};
 use fedknow_fl::metrics::AccuracyMatrix;
+use fedknow_fl::proto::{decode_msg, encode_msg};
 use fedknow_fl::server::fedavg;
 use fedknow_fl::{
-    CommModel, DeviceProfile, FaultConfig, FclClient, IterationStats, SimConfig, SimReport,
-    Simulation,
+    CommModel, DeviceProfile, FaultConfig, FclClient, IterationStats, Payload, SimConfig,
+    SimReport, Simulation, UploadMeta, WireMsg,
 };
+use fedknow_math::SparseVec;
 use proptest::prelude::*;
 
 /// Tiny drifting client for protocol-level properties.
@@ -180,5 +183,96 @@ proptest! {
         let resumed = faulty_sim(seed, false).resume(&ck).expect("resume completes");
         prop_assert_eq!(&uninterrupted.fault_log, &resumed.fault_log);
         prop_assert_eq!(&uninterrupted, &resumed);
+    }
+}
+
+/// One message of every wire shape: fixed fields only, a parameter
+/// vector, sparse payloads, both, an evaluation row.
+fn sample_msgs() -> Vec<WireMsg> {
+    let payload = |from| Payload {
+        from_client: from,
+        tag: 42,
+        sparse: SparseVec::new(10, vec![1, 3, 7], vec![0.5, -1.5, 3.25]),
+    };
+    vec![
+        WireMsg::Hello { client: 3 },
+        WireMsg::Rejoin {
+            client: 1,
+            base_down: 99,
+        },
+        WireMsg::Resync {
+            round: 2,
+            global: vec![0.25; 9],
+        },
+        WireMsg::Upload {
+            round: 1,
+            client: 0,
+            meta: UploadMeta::default(),
+            params: Some(vec![1.0; 8]),
+            payloads: vec![payload(0), payload(1)],
+        },
+        WireMsg::UploadFailed {
+            round: 1,
+            client: 2,
+            meta: UploadMeta::default(),
+            payloads: vec![payload(2)],
+        },
+        WireMsg::Broadcast {
+            round: 4,
+            global: None,
+            payloads: vec![payload(1)],
+        },
+        WireMsg::EvalRow {
+            client: 1,
+            row: vec![0.5, 0.25, 1.0],
+        },
+        WireMsg::Shutdown,
+    ]
+}
+
+/// Decode hostile bytes: any outcome but a panic, and no allocation
+/// beyond a small multiple of the buffer (a claimed length is checked
+/// against the bytes behind it before anything is reserved). The
+/// multiple covers the decoded form of the densest input: a 72-byte
+/// `Payload` per 20 wire bytes.
+fn decode_within_budget(buf: &[u8]) -> Result<(), TestCaseError> {
+    fedknow_obs::alloc::set_tracking(true);
+    let (_, before) = fedknow_obs::alloc::thread_totals();
+    let decoded = decode_msg(buf);
+    let (_, after) = fedknow_obs::alloc::thread_totals();
+    drop(decoded);
+    let budget = 16 * buf.len() as u64 + 256;
+    prop_assert!(
+        after - before <= budget,
+        "decoding {} bytes allocated {}",
+        buf.len(),
+        after - before
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `decode_msg` on arbitrary bytes (behind every tag), and on every
+    /// valid encoding with one byte flipped or the tail cut.
+    #[test]
+    fn decode_msg_survives_hostile_bytes(
+        tag in 0u8..16,
+        bytes in prop::collection::vec(any::<u8>(), 0..200),
+        at in 0usize..10_000,
+        flip in 1u8..=255,
+    ) {
+        decode_within_budget(&bytes)?;
+        decode_within_budget(&[&[tag][..], &bytes].concat())?;
+        for msg in sample_msgs() {
+            let enc = encode_msg(&msg).buf;
+            let at = at % enc.len();
+            let mut flipped = enc.clone();
+            flipped[at] ^= flip;
+            decode_within_budget(&flipped)?;
+            decode_within_budget(&enc[..at])?;
+            prop_assert!(decode_msg(&enc).is_ok());
+        }
     }
 }

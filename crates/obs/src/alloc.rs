@@ -14,7 +14,7 @@
 //!   flush time), and
 //! * per-thread running totals, which span guards diff to attribute
 //!   allocation counts to span paths (see
-//!   [`SpanPerf`](crate::event::SpanPerf)) — the per-call-site
+//!   [`SpanPerf`](crate::ring::SpanPerf)) — the per-call-site
 //!   inventory the workspace-reuse optimisation work burns down.
 //!
 //! The accounting path must never allocate (it runs inside `alloc`):
@@ -25,9 +25,6 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering::Relaxed};
-
-/// Environment variable enabling allocation tracking (`1`/any non-`0`).
-pub const ENV_PROF_ALLOC: &str = "FEDKNOW_PROF_ALLOC";
 
 static TRACKING: AtomicBool = AtomicBool::new(false);
 static TOTAL_ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -53,17 +50,6 @@ pub fn tracking_enabled() -> bool {
 /// [`init_from_env`](crate::init_from_env)).
 pub fn set_tracking(on: bool) {
     TRACKING.store(on, Relaxed);
-}
-
-/// Enable tracking if [`ENV_PROF_ALLOC`] is set to anything but `0` or
-/// the empty string. Returns whether tracking is on afterwards.
-pub fn init_from_env() -> bool {
-    if let Ok(v) = std::env::var(ENV_PROF_ALLOC) {
-        if !v.is_empty() && v != "0" {
-            set_tracking(true);
-        }
-    }
-    tracking_enabled()
 }
 
 /// A point-in-time copy of the global allocation totals.
@@ -98,7 +84,7 @@ pub fn thread_totals() -> (u64, u64) {
 
 /// Mirror the global totals into the metrics registry (`alloc.count`,
 /// `alloc.bytes` counters; `alloc.peak_bytes`, `alloc.live_bytes`
-/// gauges) so snapshots, reports and the Prometheus endpoint see them.
+/// gauges) so snapshots and reports see them.
 /// Called from the flush path; cheap no-op when nothing was tracked.
 pub(crate) fn sync_registry() {
     if !crate::is_enabled() {

@@ -13,10 +13,10 @@
 //!   summaries, series),
 //! * every thread's drained flight-recorder ring (see [`crate::ring`]).
 //!
-//! Before the bundle is written the JSONL sink is flushed, so a
-//! crashing run never loses buffered events. Bundles convert to
-//! Chrome/Perfetto timelines with the `obs_trace` CLI (see
-//! [`crate::trace`]).
+//! Before the bundle is written the JSONL stream is flushed, so a
+//! crashing run never loses buffered records. `obs report` reads a
+//! bundle like a stream, and `obs trace` converts either to a
+//! Chrome/Perfetto timeline (see [`crate::trace`]).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,12 +25,8 @@ use std::sync::{Mutex, MutexGuard};
 use serde::{Deserialize, Serialize};
 
 use crate::registry::MetricsSnapshot;
-use crate::ring::{self, RingRecord};
-
-/// Environment variable naming the directory postmortem bundles are
-/// written to. Setting it enables observability (and the recorder) on
-/// its own.
-pub const ENV_TRACE_DIR: &str = "FEDKNOW_TRACE_DIR";
+use crate::ring::{self, ThreadTrack};
+use crate::ENV_TRACE_DIR;
 
 /// Bundle schema version.
 pub const BUNDLE_VERSION: u32 = 1;
@@ -48,17 +44,6 @@ pub struct ContextEntry {
     pub key: String,
     /// Context value (free-form; configs are embedded as JSON text).
     pub value: String,
-}
-
-/// One thread's drained ring.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ThreadTrack {
-    /// Thread label (`ThreadId(..)` debug form, as in JSONL events).
-    pub thread: String,
-    /// Records lost to the ring bound before this dump.
-    pub dropped: u64,
-    /// Held records, oldest first.
-    pub events: Vec<RingRecord>,
 }
 
 /// A counter's value at dump time.
@@ -220,11 +205,6 @@ pub fn context_entries() -> Vec<ContextEntry> {
         .collect()
 }
 
-/// The configured bundle directory, if `FEDKNOW_TRACE_DIR` is set.
-pub fn trace_dir() -> Option<PathBuf> {
-    std::env::var_os(ENV_TRACE_DIR).map(PathBuf::from)
-}
-
 /// Assemble a bundle from the current process state without writing
 /// it anywhere.
 pub fn collect_bundle(reason: &str) -> PostmortemBundle {
@@ -232,14 +212,6 @@ pub fn collect_bundle(reason: &str) -> PostmortemBundle {
         .as_ref()
         .map(MetricsDump::from_snapshot)
         .unwrap_or_default();
-    let tracks = ring::drain_all()
-        .into_iter()
-        .map(|(thread, dropped, events)| ThreadTrack {
-            thread,
-            dropped,
-            events,
-        })
-        .collect();
     PostmortemBundle {
         version: BUNDLE_VERSION,
         reason: reason.to_string(),
@@ -248,7 +220,7 @@ pub fn collect_bundle(reason: &str) -> PostmortemBundle {
         metrics,
         health: crate::health_snapshot().filter(|h| h.rounds > 0),
         pid: Some(std::process::id()),
-        tracks,
+        tracks: ring::drain_all(),
     }
 }
 
@@ -260,15 +232,15 @@ fn sanitize_reason(reason: &str) -> String {
 }
 
 /// Write a postmortem bundle for `reason` to `FEDKNOW_TRACE_DIR`,
-/// flushing the JSONL sink first. Returns the bundle path, or `None`
+/// flushing the JSONL stream first. Returns the bundle path, or `None`
 /// when no trace directory is configured. Never panics — a failing
 /// dump must not mask the failure that triggered it (I/O errors go to
 /// stderr).
 pub fn dump_now(reason: &str) -> Option<PathBuf> {
-    let dir = trace_dir()?;
-    // A crashing run must keep its streamed events too.
+    let dir = crate::config().trace_dir.as_ref()?;
+    // A crashing run must keep its streamed records too.
     crate::flush();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
+    if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!(
             "fedknow-obs: cannot create {ENV_TRACE_DIR}={}: {e}",
             dir.display()
@@ -306,7 +278,7 @@ pub fn dump_now(reason: &str) -> Option<PathBuf> {
 /// keep the first occurrences without flooding the directory. Cheap
 /// no-op when `FEDKNOW_TRACE_DIR` is unset.
 pub fn dump_trigger(reason: &str) -> Option<PathBuf> {
-    trace_dir()?;
+    crate::config().trace_dir.as_ref()?;
     {
         let mut counts = lock(&AUTO_DUMPS);
         match counts.iter_mut().find(|(r, _)| r == reason) {
@@ -319,7 +291,7 @@ pub fn dump_trigger(reason: &str) -> Option<PathBuf> {
 }
 
 /// Install the crash-time flush hook (idempotent): on panic, a note is
-/// recorded, the JSONL sink is flushed, and — when a trace directory
+/// recorded, the JSONL stream is flushed, and — when a trace directory
 /// is configured — a `panic` bundle is written before the previous
 /// hook (the default backtrace printer) runs.
 pub(crate) fn install_panic_hook() {
@@ -339,7 +311,7 @@ pub(crate) fn install_panic_hook() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::RingData;
+    use crate::ring::{RingData, RingRecord};
 
     #[test]
     fn context_overwrites_by_key() {
@@ -407,7 +379,7 @@ mod tests {
     #[test]
     fn pre_sketch_bundles_still_parse() {
         // Schema-v1 bundles written before health and pid existed must
-        // keep loading (obs_trace reads old dumps).
+        // keep loading (`obs` reads old dumps).
         let json = r#"{"version":1,"reason":"old","round":3,"context":[],
             "metrics":{"counters":[],"gauges":[],"hists":[],"series":[]},
             "tracks":[]}"#;

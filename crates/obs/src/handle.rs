@@ -22,13 +22,11 @@
 //!
 //! Handles keep full parity with the string API: they feed the same
 //! registry slots (so `registry.counter(name)` sees the same totals)
-//! and still emit JSONL events when a sink is attached — the sink path
-//! allocates anyway, so nothing is saved by skipping it.
+//! and emit the same `Count` / `Sample` records.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use crate::event::{CountEvent, Event, SampleEvent};
 use crate::hist::LogHistogram;
 use crate::registry::Counter;
 use crate::ring::RingData;
@@ -59,22 +57,13 @@ impl CounterHandle {
         if !crate::is_enabled() {
             return;
         }
-        let s = crate::state();
         self.cell
-            .get_or_init(|| s.registry.counter(self.name))
+            .get_or_init(|| crate::state().registry.counter(self.name))
             .add(delta);
-        if crate::ring::ring_enabled() {
-            crate::ring::record(RingData::Count {
-                name: self.name.to_string(),
-                delta,
-            });
-        }
-        if s.jsonl.is_some() {
-            crate::dispatch(&Event::Count(CountEvent {
-                name: self.name.to_string(),
-                delta,
-            }));
-        }
+        crate::ring::emit(RingData::Count {
+            name: self.name.to_string(),
+            delta,
+        });
     }
 }
 
@@ -104,22 +93,13 @@ impl HistHandle {
         if !crate::is_enabled() {
             return;
         }
-        let s = crate::state();
         self.cell
-            .get_or_init(|| s.registry.hist(self.name))
+            .get_or_init(|| crate::state().registry.hist(self.name))
             .record(value);
-        if crate::ring::ring_enabled() {
-            crate::ring::record(RingData::Sample {
-                name: self.name.to_string(),
-                value,
-            });
-        }
-        if s.jsonl.is_some() {
-            crate::dispatch(&Event::Sample(SampleEvent {
-                name: self.name.to_string(),
-                value,
-            }));
-        }
+        crate::ring::emit(RingData::Sample {
+            name: self.name.to_string(),
+            value,
+        });
     }
 
     /// RAII timer recording elapsed nanoseconds into this histogram on

@@ -1,8 +1,10 @@
 //! # fedknow-obs
 //!
 //! Observability for the FedKNOW simulation stack: hierarchical spans,
-//! phase timers, and a thread-safe metrics registry of counters and
-//! log-bucketed histograms, with an optional JSONL event sink.
+//! phase timers, a thread-safe metrics registry of counters and
+//! log-bucketed histograms, and one telemetry event — the flight
+//! recorder's [`RingRecord`] — kept in bounded per-thread rings and,
+//! optionally, streamed to a JSONL file.
 //!
 //! ## Cost model
 //!
@@ -11,15 +13,17 @@
 //! immediately — no clock reads, no allocation, no locks. It turns on
 //! in two ways:
 //!
-//! * `FEDKNOW_OBS=<path>` in the environment (checked by
-//!   [`init_from_env`], which the simulation calls once per run):
-//!   enables the in-memory registry **and** streams every event to
-//!   `<path>` as JSONL, one object per line.
-//! * [`enable`] from code (used by the report binaries and tests):
-//!   enables the in-memory registry; JSONL is still only attached if
-//!   the environment variable is set.
+//! * `FEDKNOW_OBS=<path>`, `FEDKNOW_TRACE_DIR=<dir>` or
+//!   `FEDKNOW_PROF_ALLOC=1` in the environment (checked by
+//!   [`init_from_env`], which the simulation calls once per run).
+//! * [`enable`] from code (used by the report binaries and tests).
 //!
-//! Once enabled, observability stays enabled for the process.
+//! Either way the four `FEDKNOW_OBS` / `FEDKNOW_TRACE_DIR` /
+//! `FEDKNOW_TRACE_CAP` / `FEDKNOW_PROF_ALLOC` variables are read once,
+//! the first time observability is asked for, and their effective
+//! values are registered as `obs.*` context entries so every bundle
+//! says how it was recorded. Once enabled, observability stays enabled
+//! for the process.
 //!
 //! ## Vocabulary
 //!
@@ -32,15 +36,18 @@
 //!   `qp.fallback`) and histogram samples (`qp.iters`).
 //! * [`snapshot`] — copy of the registry; [`MetricsSnapshot::since`]
 //!   attributes metrics to a single run by diffing two snapshots.
-//! * [`ring`] — the always-on flight recorder: bounded per-thread ring
-//!   buffers mirroring every event, drained into postmortem
-//!   [`bundle`]s on panic, strict verify violations, injected faults,
-//!   or an explicit [`dump_now`]; [`trace`] renders either bundles or
-//!   JSONL as Chrome/Perfetto timelines.
+//! * [`ring`] — the one event and the flight recorder: every site above
+//!   builds one [`RingData`], which lands in the recording thread's
+//!   bounded ring and, with `FEDKNOW_OBS=<path>`, as one line of the
+//!   JSONL stream. Rings are drained into postmortem [`bundle`]s on
+//!   panic, strict verify violations, injected faults, or an explicit
+//!   [`dump_now`].
+//! * [`Recording`] — the one reader: loads a stream or a bundle into
+//!   records per thread; [`Aggregate`] totals it for reports and
+//!   [`trace`] renders it as a Chrome/Perfetto timeline.
 
 pub mod alloc;
 pub mod bundle;
-pub mod event;
 pub mod handle;
 pub mod health;
 pub mod hist;
@@ -51,12 +58,11 @@ pub mod sink;
 pub mod span;
 pub mod trace;
 
-pub use alloc::{AllocStats, TrackingAllocator, ENV_PROF_ALLOC};
+pub use alloc::{AllocStats, TrackingAllocator};
 pub use bundle::{
     collect_bundle, dump_now, dump_trigger, set_context, ContextEntry, MetricsDump,
-    PostmortemBundle, ThreadTrack, ENV_TRACE_DIR,
+    PostmortemBundle,
 };
-pub use event::{CountEvent, Event, GaugeEvent, PointEvent, SampleEvent, SpanEnd, SpanPerf};
 pub use handle::{CounterHandle, HandleTimer, HistHandle};
 pub use health::{HealthEngine, HealthSnapshot, RoundObservation, SloState, SloStatus};
 pub use hist::{HistSnapshot, LogHistogram};
@@ -64,17 +70,26 @@ pub use perf::PerfCounter;
 pub use registry::{
     Counter, Gauge, MetricsSnapshot, Registry, Series, DEFAULT_MAX_NAMES, SERIES_POINT_CAP,
 };
-pub use ring::{now_ns, RingBuf, RingData, RingRecord, DEFAULT_TRACE_CAP, ENV_TRACE_CAP};
-pub use sink::{read_jsonl, Aggregate, JsonlSink, Sink, SpanStat};
+pub use ring::{now_ns, RingBuf, RingData, RingRecord, SpanPerf, ThreadTrack, DEFAULT_TRACE_CAP};
+pub use sink::{Aggregate, JsonlSink, LoadError, Recording, SpanStat};
 pub use span::{current_path, inherit_path, span, timer, PathGuard, SpanGuard, TimerGuard};
 
 use parking_lot::Mutex;
 
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// Environment variable naming the JSONL output path.
+/// Environment variable naming the JSONL stream path.
 pub const ENV_JSONL: &str = "FEDKNOW_OBS";
+/// Environment variable naming the directory postmortem bundles are
+/// written to. Setting it enables observability on its own.
+pub const ENV_TRACE_DIR: &str = "FEDKNOW_TRACE_DIR";
+/// Environment variable bounding each thread's ring, in records. `0`
+/// turns the in-memory ring off.
+pub const ENV_TRACE_CAP: &str = "FEDKNOW_TRACE_CAP";
+/// Environment variable enabling allocation tracking (`1`/any non-`0`).
+pub const ENV_PROF_ALLOC: &str = "FEDKNOW_PROF_ALLOC";
 
 /// Every binary linking this crate routes heap allocation through the
 /// tracking wrapper. Disabled it costs one relaxed load per allocator
@@ -90,26 +105,66 @@ static ROUND: AtomicU64 = AtomicU64::new(0);
 /// The streaming health engine (armed lazily on first observation).
 static HEALTH: OnceLock<Mutex<health::HealthEngine>> = OnceLock::new();
 
+/// The four observability variables, read once — the first time
+/// [`init_from_env`] or [`enable`] runs.
+pub(crate) struct Config {
+    jsonl: Option<String>,
+    pub(crate) trace_dir: Option<PathBuf>,
+    pub(crate) trace_cap: usize,
+    prof_alloc: bool,
+}
+
+pub(crate) fn config() -> &'static Config {
+    static CONFIG: OnceLock<Config> = OnceLock::new();
+    CONFIG.get_or_init(|| Config {
+        jsonl: std::env::var(ENV_JSONL).ok(),
+        trace_dir: std::env::var_os(ENV_TRACE_DIR).map(PathBuf::from),
+        trace_cap: std::env::var(ENV_TRACE_CAP)
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(DEFAULT_TRACE_CAP),
+        prof_alloc: std::env::var(ENV_PROF_ALLOC).is_ok_and(|v| !v.is_empty() && v != "0"),
+    })
+}
+
 struct State {
     registry: Registry,
     jsonl: Option<JsonlSink>,
 }
 
+/// Bring observability up: open the stream, start the recorder, and
+/// register the effective configuration as bundle context.
 fn state() -> &'static State {
     STATE.get_or_init(|| {
-        let jsonl = std::env::var(ENV_JSONL).ok().and_then(|path| {
-            if let Some(parent) = std::path::Path::new(&path).parent() {
+        let cfg = config();
+        let jsonl = cfg.jsonl.as_ref().and_then(|path| {
+            if let Some(parent) = std::path::Path::new(path).parent() {
                 let _ = std::fs::create_dir_all(parent);
             }
-            JsonlSink::create(&path)
+            JsonlSink::create(path)
                 .map_err(|e| eprintln!("fedknow-obs: cannot open {ENV_JSONL}={path}: {e}"))
                 .ok()
         });
+        let trace_dir = cfg.trace_dir.as_ref().map(|d| d.display().to_string());
+        for (key, value) in [
+            ("obs.jsonl", cfg.jsonl.clone()),
+            ("obs.trace_dir", trace_dir),
+            ("obs.trace_cap", Some(cfg.trace_cap.to_string())),
+            ("obs.prof_alloc", Some(cfg.prof_alloc.to_string())),
+        ] {
+            set_context(key, value.as_deref().unwrap_or("unset"));
+        }
+        ring::start(cfg.trace_cap > 0 || jsonl.is_some());
         State {
             registry: Registry::new(),
             jsonl,
         }
     })
+}
+
+/// The attached JSONL stream, if any.
+pub(crate) fn stream() -> Option<&'static JsonlSink> {
+    STATE.get()?.jsonl.as_ref()
 }
 
 /// Whether observability is on. One relaxed atomic load — this is the
@@ -119,39 +174,33 @@ pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Enable observability if `FEDKNOW_OBS` (JSONL sink),
+/// Enable observability if `FEDKNOW_OBS` (JSONL stream),
 /// `FEDKNOW_TRACE_DIR` (postmortem bundle directory) or
 /// `FEDKNOW_PROF_ALLOC` (allocation accounting) is set in the
-/// environment. Whenever observability comes up, the flight recorder
-/// starts and the crash-flush panic hook is installed (see [`bundle`]).
-/// Idempotent; returns whether observability is enabled afterwards.
+/// environment. Whenever observability is up, the crash-flush panic
+/// hook is installed (see [`bundle`]). Idempotent; returns whether
+/// observability is enabled afterwards.
 pub fn init_from_env() -> bool {
-    let jsonl = std::env::var_os(ENV_JSONL).is_some();
-    let trace_dir = std::env::var_os(ENV_TRACE_DIR).is_some();
-    let prof_alloc = std::env::var_os(ENV_PROF_ALLOC).is_some();
-    if !is_enabled() && (jsonl || trace_dir || prof_alloc) {
-        state();
-        ENABLED.store(true, Ordering::Release);
+    let cfg = config();
+    if cfg.jsonl.is_some() || cfg.trace_dir.is_some() || cfg.prof_alloc {
+        enable();
     }
     if is_enabled() {
         // Allocation tracking needs the registry mirror, hence piggy-
-        // backs on general enablement (it still costs nothing unless
-        // FEDKNOW_PROF_ALLOC itself is set).
-        alloc::init_from_env();
-    }
-    if is_enabled() {
-        ring::enable_ring();
+        // backs on general enablement.
+        if cfg.prof_alloc {
+            alloc::set_tracking(true);
+        }
         bundle::install_panic_hook();
     }
     is_enabled()
 }
 
 /// Enable the in-memory registry and the flight recorder from code
-/// (the JSONL sink is still attached only when `FEDKNOW_OBS` is set).
+/// (the JSONL stream is still attached only when `FEDKNOW_OBS` is set).
 /// Idempotent.
 pub fn enable() {
     state();
-    ring::enable_ring();
     ENABLED.store(true, Ordering::Release);
 }
 
@@ -160,20 +209,11 @@ pub fn count(name: &str, delta: u64) {
     if !is_enabled() {
         return;
     }
-    let s = state();
-    s.registry.add(name, delta);
-    if ring::ring_enabled() {
-        ring::record(RingData::Count {
-            name: name.to_string(),
-            delta,
-        });
-    }
-    if s.jsonl.is_some() {
-        dispatch(&Event::Count(CountEvent {
-            name: name.to_string(),
-            delta,
-        }));
-    }
+    state().registry.add(name, delta);
+    ring::emit(RingData::Count {
+        name: name.to_string(),
+        delta,
+    });
 }
 
 /// Record `value` into the histogram `name`. No-op when disabled.
@@ -181,20 +221,11 @@ pub fn record(name: &str, value: u64) {
     if !is_enabled() {
         return;
     }
-    let s = state();
-    s.registry.record(name, value);
-    if ring::ring_enabled() {
-        ring::record(RingData::Sample {
-            name: name.to_string(),
-            value,
-        });
-    }
-    if s.jsonl.is_some() {
-        dispatch(&Event::Sample(SampleEvent {
-            name: name.to_string(),
-            value,
-        }));
-    }
+    state().registry.record(name, value);
+    ring::emit(RingData::Sample {
+        name: name.to_string(),
+        value,
+    });
 }
 
 /// Set the gauge `name` to `value`. No-op when disabled.
@@ -202,20 +233,11 @@ pub fn gauge(name: &str, value: f64) {
     if !is_enabled() {
         return;
     }
-    let s = state();
-    s.registry.set_gauge(name, value);
-    if ring::ring_enabled() {
-        ring::record(RingData::Gauge {
-            name: name.to_string(),
-            value,
-        });
-    }
-    if s.jsonl.is_some() {
-        dispatch(&Event::Gauge(GaugeEvent {
-            name: name.to_string(),
-            value,
-        }));
-    }
+    state().registry.set_gauge(name, value);
+    ring::emit(RingData::Gauge {
+        name: name.to_string(),
+        value,
+    });
 }
 
 /// Append a point to the series `name` at the current ambient round
@@ -230,29 +252,19 @@ pub fn series_at(name: &str, index: u64, value: f64) {
     if !is_enabled() {
         return;
     }
-    let s = state();
-    s.registry.push_series(name, index, value);
-    if ring::ring_enabled() {
-        ring::record(RingData::Point {
-            name: name.to_string(),
-            index,
-            value,
-        });
-    }
-    if s.jsonl.is_some() {
-        dispatch(&Event::Point(PointEvent {
-            name: name.to_string(),
-            index,
-            value,
-        }));
-    }
+    state().registry.push_series(name, index, value);
+    ring::emit(RingData::Point {
+        name: name.to_string(),
+        index,
+        value,
+    });
 }
 
 fn health_engine() -> &'static Mutex<health::HealthEngine> {
     HEALTH.get_or_init(|| Mutex::new(health::HealthEngine::new()))
 }
 
-/// Publish a health snapshot into `health.*` gauges so JSONL sinks and
+/// Publish a health snapshot into `health.*` gauges so streams and
 /// bundles see SLO state without extra plumbing.
 fn publish_health(h: &health::HealthSnapshot) {
     gauge("health.rounds", h.rounds as f64);
@@ -300,12 +312,12 @@ pub fn round_index() -> u64 {
 
 /// Record a fault injection into the flight recorder (`kind` is the
 /// fault-plan label, `detail` mirrors the fl layer's `FaultEvent`
-/// detail field). One relaxed load when the recorder is off.
+/// detail field). One relaxed load when disabled.
 pub fn fault(client: u64, kind: &str, detail: u64) {
-    if !ring::ring_enabled() {
+    if !is_enabled() {
         return;
     }
-    ring::record(RingData::Fault {
+    ring::emit(RingData::Fault {
         client,
         kind: kind.to_string(),
         detail,
@@ -317,7 +329,7 @@ pub fn fault(client: u64, kind: &str, detail: u64) {
 /// connection (client id), `trace`/`span`/`parent` the frame's trace
 /// context, `msg` the message-kind label, `bytes` the payload size and
 /// `peer_ts_ns` the sender's send timestamp on receive-side records
-/// (0 elsewhere). One relaxed load when the recorder is off.
+/// (0 elsewhere). One relaxed load when disabled.
 #[allow(clippy::too_many_arguments)]
 pub fn wire_event(
     phase: &str,
@@ -329,10 +341,10 @@ pub fn wire_event(
     bytes: u64,
     peer_ts_ns: u64,
 ) {
-    if !ring::ring_enabled() {
+    if !is_enabled() {
         return;
     }
-    ring::record(RingData::Wire {
+    ring::emit(RingData::Wire {
         phase: phase.to_string(),
         conn,
         trace,
@@ -366,44 +378,33 @@ pub fn observe_queue_depth(depth: f64) {
 }
 
 /// Record a runtime invariant violation into the flight recorder.
-/// One relaxed load when the recorder is off.
+/// One relaxed load when disabled.
 pub fn violation(check: &str, detail: &str) {
-    if !ring::ring_enabled() {
+    if !is_enabled() {
         return;
     }
-    ring::record(RingData::Violation {
+    ring::emit(RingData::Violation {
         check: check.to_string(),
         detail: detail.to_string(),
     });
 }
 
 /// Record a free-form marker (checkpoint/resume boundaries, panics)
-/// into the flight recorder. One relaxed load when the recorder is
-/// off.
+/// into the flight recorder. One relaxed load when disabled.
 pub fn mark(note: &str) {
-    if !ring::ring_enabled() {
+    if !is_enabled() {
         return;
     }
-    ring::record(RingData::Note {
+    ring::emit(RingData::Note {
         note: note.to_string(),
     });
 }
 
-/// Record into the registry without emitting a sink event (spans emit
-/// their own richer event).
+/// Record into the registry without emitting a `Sample` record (spans
+/// emit their own richer `End`).
 pub(crate) fn record_in_registry(name: &str, value: u64) {
     if is_enabled() {
         state().registry.record(name, value);
-    }
-}
-
-/// Send an event to the JSONL sink, if attached.
-pub(crate) fn dispatch(event: &Event) {
-    if !is_enabled() {
-        return;
-    }
-    if let Some(j) = &state().jsonl {
-        j.emit(event);
     }
 }
 
@@ -427,13 +428,13 @@ pub fn snapshot() -> Option<MetricsSnapshot> {
 }
 
 /// Flush observability state at the end of a run: emit the growth of
-/// the `flops.*`/`bytes.*`/`alloc.*` perf counters as JSONL `Count`
-/// events (they are registry-only on the hot path), then flush the
-/// JSONL sink (the global sink is never dropped).
+/// the `flops.*`/`bytes.*`/`alloc.*` perf counters as `Count` records
+/// (they are registry-only on the hot path), then flush the JSONL
+/// stream (the global stream is never dropped).
 pub fn flush() {
     if is_enabled() {
         perf::flush_deltas();
-        if let Some(j) = &state().jsonl {
+        if let Some(j) = stream() {
             j.flush();
         }
     }
@@ -561,6 +562,6 @@ mod tests {
         });
         assert_eq!(current_path(), "lifecycle_root");
         drop(root);
-        flush(); // no JSONL sink attached; must be a no-op
+        flush(); // no JSONL stream attached; must be a no-op
     }
 }

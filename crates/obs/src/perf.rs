@@ -3,17 +3,18 @@
 //! A [`PerfCounter`] is the hot-path variant of
 //! [`CounterHandle`](crate::handle::CounterHandle): it feeds the pair of
 //! registry counters `flops.<kernel>` / `bytes.<kernel>` **only** — no
-//! ring record, no JSONL event — because kernel call sites (every
-//! `matmul`, every conv image) fire orders of magnitude more often than
-//! round-level metrics and per-call sink events would dominate the run.
-//! The JSONL stream still sees the totals: [`flush_deltas`] (called from
-//! [`flush`](crate::flush) at the end of a run) emits one `Count` event
-//! per perf counter carrying the delta since the previous flush.
+//! record per call — because kernel call sites (every `matmul`, every
+//! conv image) fire orders of magnitude more often than round-level
+//! metrics and per-call records would dominate the run. Recordings
+//! still see the totals: [`flush_deltas`] (called from
+//! [`flush`](crate::flush) at the end of a run and before every dump)
+//! emits one `Count` record per perf counter carrying the delta since
+//! the previous flush.
 //!
 //! Each `op` also adds to per-thread running totals; span guards
 //! snapshot those at open and attribute the difference to the span on
-//! close (see [`SpanPerf`](crate::event::SpanPerf)), which is what lets
-//! `obs_report` print *achieved GFLOP/s per phase*.
+//! close (see [`SpanPerf`](crate::ring::SpanPerf)), which is what lets
+//! `obs report` print *achieved GFLOP/s per phase*.
 //!
 //! Kernel namespaces are disjoint by construction: `conv2d_fwd`/
 //! `conv2d_bwd` call the uncounted `*_raw` GEMM variants internally and
@@ -24,8 +25,8 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::event::{CountEvent, Event};
 use crate::registry::Counter;
+use crate::ring::RingData;
 
 thread_local! {
     static TL_FLOPS: Cell<u64> = const { Cell::new(0) };
@@ -95,17 +96,17 @@ pub fn thread_totals() -> (u64, u64) {
     (TL_FLOPS.with(Cell::get), TL_BYTES.with(Cell::get))
 }
 
-/// Perf counter totals already emitted to the JSONL sink, by name.
+/// Perf counter totals already emitted as records, by name.
 static EMITTED: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
 
 /// Whether `name` belongs to the perf namespaces that are accumulated
-/// in the registry only and emitted to JSONL as deltas at flush time.
+/// in the registry only and emitted as delta records at flush time.
 pub(crate) fn is_perf_metric(name: &str) -> bool {
     name.starts_with("flops.") || name.starts_with("bytes.") || name.starts_with("alloc.")
 }
 
 /// Emit the growth of every `flops.*` / `bytes.*` / `alloc.*` registry
-/// counter since the previous call as `Count` events on the JSONL sink.
+/// counter since the previous call as `Count` records.
 /// Called from [`flush`](crate::flush); safe to call repeatedly.
 pub(crate) fn flush_deltas() {
     if !crate::is_enabled() {
@@ -121,10 +122,10 @@ pub(crate) fn flush_deltas() {
         }
         let prev = emitted.get(name).copied().unwrap_or(0);
         if total > prev {
-            crate::dispatch(&Event::Count(CountEvent {
+            crate::ring::emit(RingData::Count {
                 name: name.clone(),
                 delta: total - prev,
-            }));
+            });
             emitted.insert(name.clone(), total);
         }
     }

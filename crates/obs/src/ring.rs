@@ -1,14 +1,18 @@
-//! The flight recorder: per-thread, fixed-capacity ring buffers of
-//! compact timestamped records.
+//! The one telemetry event and the flight recorder that holds it.
 //!
-//! Every instrumentation event (span begin/end, counter delta, gauge
-//! update, series point, fault injection, verify violation, free-form
-//! note) is mirrored into the recording thread's ring. Rings are
-//! bounded — `FEDKNOW_TRACE_CAP` records per thread, default 65 536 —
-//! so a run of any length holds only the most recent window, like an
-//! aircraft black box. When a dump trigger fires (panic, strict verify
-//! violation, injected fault, explicit [`crate::dump_now`]), every
-//! ring is drained into a postmortem bundle (see [`crate::bundle`]).
+//! Every instrumentation site (span begin/end, counter delta, histogram
+//! sample, gauge update, series point, fault injection, verify
+//! violation, free-form note, wire lifecycle point) builds one
+//! [`RingData`] and hands it to [`emit`], which stamps it into a
+//! [`RingRecord`], appends it to the `FEDKNOW_OBS` JSONL stream when
+//! one is attached, and pushes it into the recording thread's ring.
+//! Rings are bounded — `FEDKNOW_TRACE_CAP` records per thread, default
+//! 65 536 — so a run of any length holds only the most recent window,
+//! like an aircraft black box. When a dump trigger fires (panic, strict
+//! verify violation, injected fault, explicit [`crate::dump_now`]),
+//! every ring is drained into a postmortem bundle (see
+//! [`crate::bundle`]). Stream and bundle therefore carry the same
+//! records; [`crate::sink::Recording`] reads either.
 //!
 //! ## Cost model
 //!
@@ -17,8 +21,8 @@
 //! enabled, a record is a thread-local borrow, an uncontended
 //! mutex lock (contended only while a dump drains), and
 //! a slot write — bounded memory, no reallocation after the ring
-//! fills. `FEDKNOW_TRACE_CAP=0` switches recording off entirely while
-//! the rest of the observability stack stays up.
+//! fills. `FEDKNOW_TRACE_CAP=0` switches the in-memory ring off while
+//! the stream and the rest of the observability stack stay up.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -26,10 +30,6 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
-
-/// Environment variable bounding each thread's ring, in records.
-/// `0` disables recording.
-pub const ENV_TRACE_CAP: &str = "FEDKNOW_TRACE_CAP";
 
 /// Default per-thread ring capacity, in records.
 pub const DEFAULT_TRACE_CAP: usize = 65_536;
@@ -47,6 +47,23 @@ pub struct RingRecord {
     pub data: RingData,
 }
 
+/// Work attributed to a span: the growth of the opening thread's
+/// kernel and allocator totals between span open and close. Inclusive
+/// of child spans on the same thread (like `dur_ns`); work done by
+/// other threads inside the span is attributed to *their* spans, and
+/// [`crate::Aggregate`] rolls it up the span tree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct SpanPerf {
+    /// Floating-point operations performed by instrumented kernels.
+    pub flops: u64,
+    /// Bytes moved by instrumented kernels (compulsory operand traffic).
+    pub bytes: u64,
+    /// Heap allocations (0 unless `FEDKNOW_PROF_ALLOC` tracking is on).
+    pub allocs: u64,
+    /// Bytes requested by those allocations.
+    pub alloc_bytes: u64,
+}
+
 /// The payload of a flight-recorder record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum RingData {
@@ -61,6 +78,10 @@ pub enum RingData {
         path: String,
         /// Span duration in nanoseconds.
         dur_ns: u64,
+        /// Work attributed to the span, when the profiling layer
+        /// observed any; `None` in older bundles and when nothing was
+        /// counted.
+        perf: Option<SpanPerf>,
     },
     /// A counter was bumped.
     Count {
@@ -140,6 +161,18 @@ pub enum RingData {
     },
 }
 
+/// One thread's records: a drained ring in a bundle, or the lines one
+/// thread wrote to a stream.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ThreadTrack {
+    /// Thread label (`ThreadId(..)` debug form).
+    pub thread: String,
+    /// Records lost to the ring bound (always 0 for a stream).
+    pub dropped: u64,
+    /// Held records, oldest first.
+    pub events: Vec<RingRecord>,
+}
+
 /// A fixed-capacity overwrite-oldest ring of [`RingRecord`]s.
 #[derive(Debug)]
 pub struct RingBuf {
@@ -201,8 +234,9 @@ impl RingBuf {
     }
 }
 
-/// One thread's ring plus its label, as registered globally so dumps
-/// can reach rings of threads that have already exited.
+/// One thread's label and ring, as registered globally so dumps can
+/// reach rings of threads that have already exited.
+#[derive(Clone)]
 struct ThreadRing {
     label: String,
     buf: Arc<Mutex<RingBuf>>,
@@ -214,103 +248,79 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-static RING_ON: AtomicBool = AtomicBool::new(false);
+/// Whether [`emit`] has anywhere to put a record: the ring is on or a
+/// stream is attached. Set once, when observability comes up.
+static RECORDING: AtomicBool = AtomicBool::new(false);
 static RINGS: Mutex<Vec<ThreadRing>> = Mutex::new(Vec::new());
 static EPOCH: OnceLock<Instant> = OnceLock::new();
-static CAP: OnceLock<usize> = OnceLock::new();
 
 thread_local! {
-    static LOCAL: RefCell<Option<Arc<Mutex<RingBuf>>>> = const { RefCell::new(None) };
+    static LOCAL: RefCell<Option<ThreadRing>> = const { RefCell::new(None) };
 }
 
-/// Whether the flight recorder is recording. One relaxed atomic load.
-#[inline]
-pub fn ring_enabled() -> bool {
-    RING_ON.load(Ordering::Relaxed)
-}
-
-/// Per-thread ring capacity (`FEDKNOW_TRACE_CAP`, parsed once).
-pub fn ring_cap() -> usize {
-    *CAP.get_or_init(|| {
-        std::env::var(ENV_TRACE_CAP)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(DEFAULT_TRACE_CAP)
-    })
-}
-
-/// Switch recording on (idempotent; stays on for the process). Called
-/// by [`crate::enable`]/[`crate::init_from_env`] — the recorder is on
-/// whenever observability is.
-pub(crate) fn enable_ring() {
-    if ring_cap() == 0 {
-        return;
-    }
+/// Start the recording epoch and switch [`emit`] on when the ring has
+/// capacity or a stream is attached. Called once, as observability
+/// comes up.
+pub(crate) fn start(on: bool) {
     EPOCH.get_or_init(Instant::now);
-    RING_ON.store(true, Ordering::Release);
-}
-
-/// Nanoseconds since the recording epoch.
-pub(crate) fn epoch_ns() -> u64 {
-    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
+    RECORDING.store(on, Ordering::Release);
 }
 
 /// Nanoseconds since this process's recording epoch — the timescale of
-/// every ring record and of the send timestamps embedded in wire trace
+/// every record and of the send timestamps embedded in wire trace
 /// contexts. Public so the transport can stamp frames on the same
 /// clock the recorder uses; each process has its own epoch, and the
 /// trace merger estimates the offsets between them.
 pub fn now_ns() -> u64 {
-    epoch_ns()
+    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-/// Record into the current thread's ring. No-op (one relaxed load)
-/// while the recorder is off.
-#[inline]
-pub(crate) fn record(data: RingData) {
-    if !ring_enabled() {
-        return;
-    }
-    record_at(epoch_ns(), data);
-}
-
-/// Record with an explicit timestamp (span opens reuse their already
-/// taken `Instant`).
-pub(crate) fn record_at(ts_ns: u64, data: RingData) {
-    if !ring_enabled() {
+/// The one emit path: stamp `data` with the time and the ambient round,
+/// append it to the JSONL stream (when attached) under the calling
+/// thread's label, and push it into the thread's ring (a no-op at
+/// capacity 0). A relaxed load and nothing else while neither keeps
+/// records.
+pub(crate) fn emit(data: RingData) {
+    if !RECORDING.load(Ordering::Relaxed) {
         return;
     }
     let rec = RingRecord {
-        ts_ns,
+        ts_ns: now_ns(),
         round: crate::round_index(),
         data,
     };
     LOCAL.with(|l| {
         let mut l = l.borrow_mut();
-        let arc = l.get_or_insert_with(register_current_thread);
-        lock(arc).push(rec);
+        let local = l.get_or_insert_with(register_current_thread);
+        if let Some(stream) = crate::stream() {
+            stream.append(&local.label, &rec);
+        }
+        lock(&local.buf).push(rec);
     });
 }
 
 /// Create + globally register the calling thread's ring.
-fn register_current_thread() -> Arc<Mutex<RingBuf>> {
-    let buf = Arc::new(Mutex::new(RingBuf::new(ring_cap())));
-    lock(&RINGS).push(ThreadRing {
+fn register_current_thread() -> ThreadRing {
+    let ring = ThreadRing {
         label: format!("{:?}", std::thread::current().id()),
-        buf: Arc::clone(&buf),
-    });
-    buf
+        buf: Arc::new(Mutex::new(RingBuf::new(crate::config().trace_cap))),
+    };
+    lock(&RINGS).push(ring.clone());
+    ring
 }
 
-/// Drain every registered ring: `(thread label, dropped, records)` per
-/// thread, oldest record first, threads in registration order. Rings
-/// are left intact.
-pub fn drain_all() -> Vec<(String, u64, Vec<RingRecord>)> {
+/// Drain every registered ring, oldest record first, threads in
+/// registration order. Rings are left intact.
+pub fn drain_all() -> Vec<ThreadTrack> {
     lock(&RINGS)
         .iter()
         .map(|t| {
             let b = lock(&t.buf);
-            (t.label.clone(), b.dropped(), b.drain_ordered())
+            ThreadTrack {
+                thread: t.label.clone(),
+                dropped: b.dropped(),
+                events: b.drain_ordered(),
+            }
         })
         .collect()
 }

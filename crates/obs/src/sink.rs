@@ -1,29 +1,37 @@
-//! Event sinks and the JSONL reader/aggregator.
+//! The JSONL stream writer and the one reader of recordings.
 //!
-//! The in-memory aggregator is the [`Registry`](crate::registry::Registry)
-//! itself; this module adds the optional JSONL file sink (one event per
-//! line) and the reverse direction: reading a JSONL stream back into an
-//! [`Aggregate`] with exact per-metric sample sets, used by the
-//! `obs_report` binary and the round-trip tests.
+//! With `FEDKNOW_OBS=<path>` every [`RingRecord`] is appended to
+//! `<path>` as one JSON object per line: the record's own fields plus
+//! the `thread` label of the thread that emitted it. A postmortem
+//! bundle (see [`crate::bundle`]) holds the same records, grouped into
+//! per-thread tracks. [`Recording`] loads either — the format is
+//! sniffed, not flagged — and [`Aggregate`] totals a recording exactly
+//! (raw sample sets, per-path span totals with attribution rolled up
+//! the span tree) for the `obs report` view and the round-trip tests.
 
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 use parking_lot::Mutex;
+use serde::{Deserialize, Serialize};
+use serde_json::Value;
 
-use crate::event::Event;
+use crate::bundle::{ContextEntry, PostmortemBundle};
+use crate::ring::{RingData, RingRecord, SpanPerf, ThreadTrack};
 
-/// A destination for observability events.
-pub trait Sink: Send + Sync {
-    /// Deliver one event.
-    fn emit(&self, event: &Event);
-    /// Flush any buffered output.
-    fn flush(&self) {}
+/// One line of a stream: a [`RingRecord`]'s fields plus the label of
+/// the thread that emitted it.
+#[derive(Serialize, Deserialize)]
+struct StreamLine {
+    ts_ns: u64,
+    round: u64,
+    data: RingData,
+    thread: String,
 }
 
-/// Appends one JSON object per event to a file (JSONL).
+/// Appends one JSON object per record to a file (JSONL).
 pub struct JsonlSink {
     writer: Mutex<BufWriter<File>>,
 }
@@ -35,39 +43,145 @@ impl JsonlSink {
             writer: Mutex::new(BufWriter::new(File::create(path)?)),
         })
     }
-}
 
-impl Sink for JsonlSink {
-    fn emit(&self, event: &Event) {
-        let line = serde_json::to_string(event).expect("event serialises");
+    /// Append `rec` as one line, labelled with the emitting `thread`.
+    pub fn append(&self, thread: &str, rec: &RingRecord) {
+        let line = StreamLine {
+            ts_ns: rec.ts_ns,
+            round: rec.round,
+            data: rec.data.clone(),
+            thread: thread.to_string(),
+        };
+        let line = serde_json::to_string(&line).expect("record serialises");
         // Ignore write errors: observability must never take down a run.
         let _ = writeln!(self.writer.lock(), "{line}");
     }
 
-    fn flush(&self) {
+    /// Flush buffered lines to the file.
+    pub fn flush(&self) {
         let _ = self.writer.lock().flush();
     }
 }
 
-/// Read every event from a JSONL file. Unparseable lines are an error
-/// (the file format is fully under this crate's control).
-pub fn read_jsonl(path: impl AsRef<Path>) -> std::io::Result<Vec<Event>> {
-    let reader = BufReader::new(File::open(path)?);
-    let mut events = Vec::new();
-    for (i, line) in reader.lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+/// Why a file could not be loaded as a [`Recording`].
+#[derive(Debug)]
+pub enum LoadError {
+    /// The file could not be read (or is not UTF-8).
+    Io(std::io::Error),
+    /// A stream line is not a record (1-based line number). Streams
+    /// written before the record became the one event (`{"Span":…}`
+    /// lines) land here.
+    Line {
+        /// 1-based line number.
+        line: usize,
+        /// What was wrong with it.
+        msg: String,
+    },
+    /// A single JSON document that is not a well-formed bundle.
+    Bundle(String),
+}
+
+impl std::fmt::Display for LoadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LoadError::Io(e) => write!(f, "{e}"),
+            LoadError::Line { line, msg } => write!(f, "line {line}: not a record: {msg}"),
+            LoadError::Bundle(msg) => write!(f, "not a postmortem bundle: {msg}"),
         }
-        let event = serde_json::from_str(&line).map_err(|e| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("line {}: {e}", i + 1),
-            )
-        })?;
-        events.push(event);
     }
-    Ok(events)
+}
+
+impl std::error::Error for LoadError {}
+
+/// A loaded recording: records per thread, plus what only a bundle
+/// knows (its run context and process id).
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Recording {
+    /// Run context the bundle carried (empty for a stream).
+    pub context: Vec<ContextEntry>,
+    /// OS process id the bundle recorded (`None` for a stream and for
+    /// pre-tracing bundles).
+    pub pid: Option<u32>,
+    /// One track per recording thread, ordered by thread label.
+    pub tracks: Vec<ThreadTrack>,
+}
+
+impl From<PostmortemBundle> for Recording {
+    fn from(bundle: PostmortemBundle) -> Self {
+        Recording {
+            context: bundle.context,
+            pid: bundle.pid,
+            tracks: bundle.tracks,
+        }
+    }
+}
+
+impl Recording {
+    /// Load a `FEDKNOW_OBS` stream or a `FEDKNOW_TRACE_DIR` bundle.
+    pub fn load(path: impl AsRef<Path>) -> Result<Self, LoadError> {
+        Self::parse(&std::fs::read_to_string(path).map_err(LoadError::Io)?)
+    }
+
+    /// Parse the text of a stream or a bundle: a single JSON document
+    /// with `version` and `tracks` is a bundle, anything else a stream
+    /// (whose first line stops the whole-text parse, so sniffing a long
+    /// stream costs one line).
+    pub fn parse(text: &str) -> Result<Self, LoadError> {
+        let mut rec = Recording::default();
+        match serde_json::from_str::<Value>(text) {
+            Ok(doc) if doc.get("version").is_some() && doc.get("tracks").is_some() => {
+                let bundle: PostmortemBundle =
+                    serde_json::from_value(doc).map_err(|e| LoadError::Bundle(e.to_string()))?;
+                rec = bundle.into();
+            }
+            _ => {
+                for (i, line) in text.lines().enumerate() {
+                    if line.trim().is_empty() {
+                        continue;
+                    }
+                    let line: StreamLine =
+                        serde_json::from_str(line).map_err(|e| LoadError::Line {
+                            line: i + 1,
+                            msg: e.to_string(),
+                        })?;
+                    rec.push_line(line);
+                }
+            }
+        }
+        rec.tracks.sort_by(|a, b| a.thread.cmp(&b.thread));
+        Ok(rec)
+    }
+
+    /// Append one stream line to its thread's track.
+    fn push_line(&mut self, line: StreamLine) {
+        let record = RingRecord {
+            ts_ns: line.ts_ns,
+            round: line.round,
+            data: line.data,
+        };
+        match self.tracks.iter_mut().find(|t| t.thread == line.thread) {
+            Some(t) => t.events.push(record),
+            None => self.tracks.push(ThreadTrack {
+                thread: line.thread,
+                dropped: 0,
+                events: vec![record],
+            }),
+        }
+    }
+
+    /// Every record with the index of its track, in one globally
+    /// time-ordered sequence. The sort is stable, so equal timestamps
+    /// keep each thread's (causal) internal order.
+    pub fn merged(&self) -> Vec<(usize, &RingRecord)> {
+        let mut recs: Vec<(usize, &RingRecord)> = self
+            .tracks
+            .iter()
+            .enumerate()
+            .flat_map(|(t, track)| track.events.iter().map(move |r| (t, r)))
+            .collect();
+        recs.sort_by_key(|(_, r)| r.ts_ns);
+        recs
+    }
 }
 
 /// Per-span-path totals within an [`Aggregate`].
@@ -77,7 +191,8 @@ pub struct SpanStat {
     pub count: u64,
     /// Total nanoseconds across them.
     pub total_ns: u64,
-    /// Total kernel FLOPs attributed to spans at this path.
+    /// Total kernel FLOPs attributed to spans at this path, including
+    /// descendants that ran on other threads.
     pub flops: u64,
     /// Total kernel bytes moved attributed to spans at this path.
     pub bytes: u64,
@@ -93,13 +208,26 @@ impl SpanStat {
     pub fn gflops_per_sec(&self) -> Option<f64> {
         (self.flops > 0 && self.total_ns > 0).then(|| self.flops as f64 / self.total_ns as f64)
     }
+
+    fn add_perf(&mut self, p: &SpanPerf) {
+        self.flops += p.flops;
+        self.bytes += p.bytes;
+        self.allocs += p.allocs;
+        self.alloc_bytes += p.alloc_bytes;
+    }
 }
 
-/// An exact aggregation of an event stream: counter totals, raw
-/// histogram samples (sorted), per-path span totals, last-written
-/// gauges, and series points in index order.
+/// An exact aggregation of a recording: counter totals, raw histogram
+/// samples (sorted), per-path span totals, last-written gauges, series
+/// points in index order, and the fault / violation / note / wire
+/// records a report lists.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Aggregate {
+    /// Records aggregated.
+    pub records: usize,
+    /// Records the rings overwrote before the dump (0 for a stream):
+    /// when non-zero, every total below covers the retained window only.
+    pub dropped: u64,
     /// Counter totals by name.
     pub counters: BTreeMap<String, u64>,
     /// All samples per histogram metric, sorted ascending.
@@ -109,37 +237,88 @@ pub struct Aggregate {
     /// Last-written gauge values by name.
     pub gauges: BTreeMap<String, f64>,
     /// Series points `(index, value)` by name, index-sorted (ties in
-    /// stream order).
+    /// time order).
     pub series: BTreeMap<String, Vec<(u64, f64)>>,
+    /// Injected faults by kind label.
+    pub faults: BTreeMap<String, u64>,
+    /// Verify violations, `(check, detail)`, in time order.
+    pub violations: Vec<(String, String)>,
+    /// Free-form notes (checkpoint marks, panics), in time order.
+    pub notes: Vec<String>,
+    /// Wire lifecycle points by phase (`enq`/`out`/`in`/`handled`/`drop`).
+    pub wire: BTreeMap<String, u64>,
 }
 
 impl Aggregate {
-    /// Aggregate an event stream.
-    pub fn from_events(events: &[Event]) -> Self {
-        let mut agg = Aggregate::default();
-        for e in events {
-            match e {
-                Event::Count(c) => *agg.counters.entry(c.name.clone()).or_insert(0) += c.delta,
-                Event::Sample(s) => agg.samples.entry(s.name.clone()).or_default().push(s.value),
-                Event::Span(s) => {
-                    let stat = agg.spans.entry(s.path.clone()).or_default();
+    /// Aggregate a recording's tracks.
+    ///
+    /// A span's `perf` is inclusive of its children on the same thread
+    /// only, so a span whose parent is open on a *different* thread (a
+    /// client under a parallel round) also adds its `perf` to every
+    /// ancestor path, credited when that ancestor closes: `run` then
+    /// reads the whole tree's work, and a span still open at the last
+    /// record (a bundle dumped mid-run) gets no row of work without
+    /// time. A parent open on no thread lost its `Begin` to the ring
+    /// bound; whether it already counts the child is unknowable, so
+    /// nothing is added — totals over a truncated window undercount,
+    /// never overcount.
+    pub fn from_records(rec: &Recording) -> Self {
+        let mut agg = Aggregate {
+            dropped: rec.tracks.iter().map(|t| t.dropped).sum(),
+            ..Aggregate::default()
+        };
+        // Per-thread stack of open span paths, to tell a parent opened
+        // on the closing thread from one inherited from another.
+        let mut open: Vec<Vec<&str>> = vec![Vec::new(); rec.tracks.len()];
+        // Work of other threads' descendants, by the ancestor path that
+        // takes it when it closes.
+        let mut pending: BTreeMap<&str, Vec<&SpanPerf>> = BTreeMap::new();
+        for (t, r) in rec.merged() {
+            agg.records += 1;
+            match &r.data {
+                RingData::Begin { path } => open[t].push(path),
+                RingData::End { path, dur_ns, perf } => {
+                    if let Some(pos) = open[t].iter().rposition(|p| p == path) {
+                        open[t].truncate(pos);
+                    }
+                    let stat = agg.spans.entry(path.clone()).or_default();
                     stat.count += 1;
-                    stat.total_ns += s.dur_ns;
-                    if let Some(p) = &s.perf {
-                        stat.flops += p.flops;
-                        stat.bytes += p.bytes;
-                        stat.allocs += p.allocs;
-                        stat.alloc_bytes += p.alloc_bytes;
+                    stat.total_ns += dur_ns;
+                    for p in pending.remove(path.as_str()).into_iter().flatten() {
+                        stat.add_perf(p);
+                    }
+                    let Some(perf) = perf else { continue };
+                    stat.add_perf(perf);
+                    let Some((parent, _)) = path.rsplit_once('/') else {
+                        continue;
+                    };
+                    let holds = |u: usize| open[u].contains(&parent);
+                    if !holds(t) && (0..open.len()).any(holds) {
+                        for (i, _) in path.match_indices('/') {
+                            pending.entry(&path[..i]).or_default().push(perf);
+                        }
                     }
                 }
-                Event::Gauge(g) => {
-                    agg.gauges.insert(g.name.clone(), g.value);
+                RingData::Count { name, delta } => {
+                    *agg.counters.entry(name.clone()).or_insert(0) += delta;
                 }
-                Event::Point(p) => agg
+                RingData::Sample { name, value } => {
+                    agg.samples.entry(name.clone()).or_default().push(*value);
+                }
+                RingData::Gauge { name, value } => {
+                    agg.gauges.insert(name.clone(), *value);
+                }
+                RingData::Point { name, index, value } => agg
                     .series
-                    .entry(p.name.clone())
+                    .entry(name.clone())
                     .or_default()
-                    .push((p.index, p.value)),
+                    .push((*index, *value)),
+                RingData::Fault { kind, .. } => *agg.faults.entry(kind.clone()).or_insert(0) += 1,
+                RingData::Violation { check, detail } => {
+                    agg.violations.push((check.clone(), detail.clone()));
+                }
+                RingData::Note { note } => agg.notes.push(note.clone()),
+                RingData::Wire { phase, .. } => *agg.wire.entry(phase.clone()).or_insert(0) += 1,
             }
         }
         for v in agg.samples.values_mut() {
@@ -172,95 +351,96 @@ impl Aggregate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{CountEvent, GaugeEvent, PointEvent, SampleEvent, SpanEnd};
 
-    fn sample(name: &str, value: u64) -> Event {
-        Event::Sample(SampleEvent {
-            name: name.into(),
-            value,
-        })
+    fn rec(ts_ns: u64, data: RingData) -> RingRecord {
+        let round = 0;
+        RingRecord { ts_ns, round, data }
     }
 
-    #[test]
-    fn aggregate_totals_and_quantiles() {
-        let mut events = vec![
-            Event::Count(CountEvent {
-                name: "bytes".into(),
-                delta: 4,
-            }),
-            Event::Count(CountEvent {
-                name: "bytes".into(),
-                delta: 6,
-            }),
-            Event::Span(SpanEnd {
-                path: "run".into(),
-                dur_ns: 50,
-                thread: "t".into(),
-                perf: None,
-            }),
-            Event::Span(SpanEnd {
-                path: "run".into(),
-                dur_ns: 70,
-                thread: "t".into(),
-                perf: Some(crate::event::SpanPerf {
-                    flops: 140,
-                    bytes: 64,
-                    allocs: 2,
-                    alloc_bytes: 256,
-                }),
-            }),
-        ];
-        for v in [5u64, 1, 9, 3, 7] {
-            events.push(sample("lat", v));
+    fn begin(ts_ns: u64, path: &str) -> RingRecord {
+        rec(ts_ns, RingData::Begin { path: path.into() })
+    }
+
+    fn end(ts_ns: u64, path: &str, dur_ns: u64, flops: u64) -> RingRecord {
+        let perf = SpanPerf {
+            flops,
+            bytes: 64,
+            allocs: 2,
+            alloc_bytes: 256,
+        };
+        let (path, perf) = (path.into(), Some(perf));
+        rec(ts_ns, RingData::End { path, dur_ns, perf })
+    }
+
+    fn recording(tracks: Vec<(u64, Vec<RingRecord>)>) -> Recording {
+        let track = |(i, (dropped, events))| ThreadTrack {
+            thread: format!("ThreadId({i})"),
+            dropped,
+            events,
+        };
+        Recording {
+            tracks: tracks.into_iter().enumerate().map(track).collect(),
+            ..Recording::default()
         }
-        let agg = Aggregate::from_events(&events);
-        assert_eq!(agg.counters["bytes"], 10);
-        assert_eq!(agg.counter("bytes"), 10);
-        assert_eq!(agg.counter("never_touched"), 0);
-        assert_eq!(
-            agg.spans["run"],
-            SpanStat {
-                count: 2,
-                total_ns: 120,
-                flops: 140,
-                bytes: 64,
-                allocs: 2,
-                alloc_bytes: 256,
-            }
-        );
-        // 140 FLOPs over 120 ns: achieved GFLOP/s is FLOPs/ns.
-        let g = agg.spans["run"].gflops_per_sec().unwrap();
-        assert!((g - 140.0 / 120.0).abs() < 1e-12);
-        assert_eq!(agg.samples["lat"], vec![1, 3, 5, 7, 9]);
-        assert_eq!(agg.quantile("lat", 0.5), Some(5));
-        assert_eq!(agg.quantile("lat", 1.0), Some(9));
-        assert_eq!(agg.quantile("missing", 0.5), None);
     }
 
+    /// A client span closed on a worker thread adds its work to every
+    /// ancestor; a child closed on its parent's own thread does not
+    /// (the parent's inclusive `perf` already holds it).
     #[test]
-    fn gauges_keep_last_and_series_sort_by_index() {
-        let events = vec![
-            Event::Gauge(GaugeEvent {
-                name: "g".into(),
-                value: 1.0,
-            }),
-            Event::Gauge(GaugeEvent {
-                name: "g".into(),
-                value: 2.0,
-            }),
-            Event::Point(PointEvent {
-                name: "s".into(),
-                index: 5,
-                value: 0.5,
-            }),
-            Event::Point(PointEvent {
-                name: "s".into(),
-                index: 2,
-                value: 0.25,
-            }),
+    fn perf_rolls_up_across_threads_only() {
+        let coordinator = vec![
+            begin(1, "run"),
+            begin(2, "run/round.0"),
+            end(9, "run/round.0", 7, 10),
+            end(10, "run", 9, 10),
         ];
-        let agg = Aggregate::from_events(&events);
-        assert_eq!(agg.gauges["g"], 2.0);
-        assert_eq!(agg.series["s"], vec![(2, 0.25), (5, 0.5)]);
+        let worker = vec![
+            begin(3, "run/round.0/client.0"),
+            begin(4, "run/round.0/client.0/train"),
+            end(5, "run/round.0/client.0/train", 1, 100),
+            end(6, "run/round.0/client.0", 3, 100),
+        ];
+        let mut whole = recording(vec![(0, coordinator), (0, worker)]);
+        let agg = Aggregate::from_records(&whole);
+        assert_eq!(agg.spans["run/round.0/client.0/train"].flops, 100);
+        assert_eq!(agg.spans["run/round.0/client.0"].flops, 100);
+        assert_eq!(agg.spans["run/round.0"].flops, 110);
+        assert_eq!(agg.spans["run"].flops, 110);
+        assert_eq!(agg.spans["run"].allocs, 4);
+
+        // Dumped mid-run (the coordinator's spans never close): the
+        // worker's work waits for ancestors that never take it, so no
+        // row of FLOPs without time appears.
+        whole.tracks[0].events.truncate(2);
+        let agg = Aggregate::from_records(&whole);
+        assert_eq!(agg.spans["run/round.0/client.0"].flops, 100);
+        assert!(!agg.spans.contains_key("run/round.0") && !agg.spans.contains_key("run"));
+    }
+
+    /// A ring that overwrote its oldest records lost the outer `Begin`s
+    /// first. Their same-thread children then have a parent open on no
+    /// thread: nothing rolls up (the ancestors' own inclusive `End`s
+    /// hold that work), so a truncated window never overcounts.
+    #[test]
+    fn perf_of_a_truncated_track_is_not_counted_twice() {
+        // `run` and `run/round.0` began before the window.
+        let coordinator = vec![
+            begin(3, "run/round.0/aggregate"),
+            end(4, "run/round.0/aggregate", 1, 10),
+            end(8, "run/round.0", 7, 10),
+            end(9, "run", 9, 10),
+        ];
+        // A worker whose parent's `Begin` is gone as well.
+        let worker = vec![
+            begin(5, "run/round.0/client.0"),
+            end(6, "run/round.0/client.0", 1, 100),
+        ];
+        let agg = Aggregate::from_records(&recording(vec![(2, coordinator), (0, worker)]));
+        assert_eq!(agg.dropped, 2);
+        assert_eq!(agg.spans["run/round.0/aggregate"].flops, 10);
+        assert_eq!(agg.spans["run/round.0"].flops, 10);
+        assert_eq!(agg.spans["run"].flops, 10, "undercounts the worker");
+        assert_eq!(agg.spans["run"].count, 1);
     }
 }

@@ -1,9 +1,10 @@
 //! Hierarchical spans and phase timers.
 //!
 //! Spans form a per-thread stack (`run → task → round → client →
-//! phase`); each completed span emits a [`SpanEnd`](crate::event::SpanEnd)
-//! event carrying its slash-joined path and also records its duration
-//! into the `span.<name>_ns` histogram. Worker threads spawned mid-run
+//! phase`); each span emits a `Begin` record when it opens and an `End`
+//! record (slash-joined path, duration, attributed work) when it
+//! closes, and also records its duration into the `span.<name>_ns`
+//! histogram. Worker threads spawned mid-run
 //! inherit the parent's path via [`inherit_path`], which is what keeps
 //! paths correct under parallel client execution.
 //!
@@ -13,8 +14,7 @@
 use std::cell::RefCell;
 use std::time::Instant;
 
-use crate::event::{Event, SpanEnd, SpanPerf};
-use crate::ring::RingData;
+use crate::ring::{RingData, SpanPerf};
 
 thread_local! {
     static SPAN_PATH: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
@@ -61,11 +61,9 @@ pub fn span(name: &str) -> SpanGuard {
     let path = SPAN_PATH.with(|p| {
         let mut p = p.borrow_mut();
         p.push(name.to_string());
-        crate::ring::ring_enabled().then(|| p.join("/"))
+        p.join("/")
     });
-    if let Some(path) = path {
-        crate::ring::record(RingData::Begin { path });
-    }
+    crate::ring::emit(RingData::Begin { path });
     let (flops, bytes) = crate::perf::thread_totals();
     let (allocs, alloc_bytes) = crate::alloc::thread_totals();
     SpanGuard {
@@ -99,21 +97,14 @@ impl Drop for SpanGuard {
             let name = p.pop().unwrap_or_default();
             (path, name)
         });
-        // Registry only: the SpanEnd event below already carries the
-        // duration, so no separate sample event is emitted.
+        // Registry only: the `End` record below already carries the
+        // duration, so no separate `Sample` record is emitted.
         crate::record_in_registry(&format!("span.{name}_ns"), dur_ns);
-        if crate::ring::ring_enabled() {
-            crate::ring::record(RingData::End {
-                path: path.clone(),
-                dur_ns,
-            });
-        }
-        crate::dispatch(&Event::Span(SpanEnd {
+        crate::ring::emit(RingData::End {
             path,
             dur_ns,
-            thread: format!("{:?}", std::thread::current().id()),
-            perf: (!perf.is_zero()).then_some(perf),
-        }));
+            perf: (perf != SpanPerf::default()).then_some(perf),
+        });
     }
 }
 
@@ -149,7 +140,7 @@ impl Drop for PathGuard {
 }
 
 /// RAII phase timer: on drop, records the elapsed nanoseconds into the
-/// named histogram (and emits a sample event to the JSONL sink).
+/// named histogram (and emits a `Sample` record).
 #[must_use = "dropping a TimerGuard immediately records a zero-length phase; bind it to a variable"]
 pub struct TimerGuard {
     name: &'static str,

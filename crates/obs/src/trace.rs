@@ -1,6 +1,6 @@
-//! Chrome `trace_event` JSON export of postmortem bundles and JSONL
-//! event streams — loadable in Perfetto (<https://ui.perfetto.dev>) or
-//! `chrome://tracing`.
+//! Chrome `trace_event` JSON export of recordings (postmortem bundles
+//! and JSONL streams alike, through [`Recording`]) — loadable in
+//! Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`.
 //!
 //! The timeline is laid out as one process (`pid` 1) with one track
 //! per actor: `tid` 0 is the coordinator, `tid` `c + 1` is client `c`
@@ -18,10 +18,9 @@
 //!   deltas are accumulated into running-total counter tracks.
 //!
 //! Timestamps are microseconds (fractional) since the recording
-//! epoch. JSONL streams carry only span *ends*, so [`jsonl_to_trace`]
-//! lays slices end-to-end per track with synthetic start offsets —
-//! durations are exact, offsets are not; bundles are the
-//! high-fidelity path.
+//! epoch. A stream holds the same records as a bundle, so it converts
+//! to the same timeline — and, never truncated by a ring bound, to the
+//! whole run.
 //!
 //! ## Wire lifecycle and multi-process merges
 //!
@@ -34,7 +33,7 @@
 //! A dropped frame starts a flow that never finishes — a terminated
 //! arrow.
 //!
-//! [`merge_bundles`] fuses per-process postmortem bundles into one
+//! [`merge`] fuses per-process recordings into one
 //! timeline: each bundle keeps its own `pid` (its OS pid when
 //! recorded), and clock offsets between processes are estimated
 //! NTP-style from the send timestamps receivers echo into their `in`
@@ -42,6 +41,10 @@
 //! bounds the skew, and opposing directions split it.
 
 use serde_json::{Number, Value};
+
+use crate::bundle::PostmortemBundle;
+use crate::ring::{RingData, RingRecord};
+use crate::sink::{LoadError, Recording};
 
 /// The `pid` single-bundle traces live under.
 const PID: u64 = 1;
@@ -397,107 +400,91 @@ impl Emitter {
     }
 }
 
-fn ring_record_to_events(em: &mut Emitter, rec: &Value) -> Result<(), String> {
-    let ts_ns = rec
-        .get("ts_ns")
-        .and_then(Value::as_u64)
-        .ok_or("ring record without numeric `ts_ns`")?;
-    let ts_us = ts_ns as f64 / 1000.0;
-    let round = rec.get("round").and_then(Value::as_u64).unwrap_or(0);
-    let data = rec.get("data").ok_or("ring record without `data`")?;
-    let str_of = |v: &Value, key: &str| -> Result<String, String> {
-        v.get(key)
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("ring record missing string `{key}`"))
-    };
-    if let Some(b) = data.get("Begin") {
-        em.begin(ts_us, round, &str_of(b, "path")?);
-    } else if let Some(e) = data.get("End") {
-        let dur = e.get("dur_ns").and_then(Value::as_u64).unwrap_or(0);
-        em.end(ts_us, &str_of(e, "path")?, dur);
-    } else if let Some(f) = data.get("Fault") {
-        let client = f.get("client").and_then(Value::as_u64).unwrap_or(0);
-        let detail = f.get("detail").and_then(Value::as_u64).unwrap_or(0);
-        let kind = str_of(f, "kind")?;
-        em.instant(
+fn ring_record_to_events(em: &mut Emitter, rec: &RingRecord) {
+    let ts_us = rec.ts_ns as f64 / 1000.0;
+    let round = rec.round;
+    match &rec.data {
+        RingData::Begin { path } => em.begin(ts_us, round, path),
+        RingData::End { path, dur_ns, .. } => em.end(ts_us, path, *dur_ns),
+        RingData::Fault {
+            client,
+            kind,
+            detail,
+        } => em.instant(
             ts_us,
             client + 1,
             &format!("fault.{kind}"),
             "fault",
             obj(vec![
-                ("client", vu(client)),
-                ("detail", vu(detail)),
+                ("client", vu(*client)),
+                ("detail", vu(*detail)),
                 ("round", vu(round)),
             ]),
-        );
-    } else if let Some(v) = data.get("Violation") {
-        let check = str_of(v, "check")?;
-        let detail = str_of(v, "detail").unwrap_or_default();
-        em.instant(
+        ),
+        RingData::Violation { check, detail } => em.instant(
             ts_us,
             0,
             &format!("violation.{check}"),
             "verify",
-            obj(vec![("detail", vs(&detail)), ("round", vu(round))]),
-        );
-    } else if let Some(n) = data.get("Note") {
-        let note = str_of(n, "note")?;
-        let short: String = note.chars().take(120).collect();
-        em.instant(ts_us, 0, &short, "note", obj(vec![("round", vu(round))]));
-    } else if let Some(p) = data.get("Point") {
-        let value = p.get("value").and_then(Value::as_f64).unwrap_or(0.0);
-        em.counter(ts_us, &str_of(p, "name")?, value);
-    } else if let Some(g) = data.get("Gauge") {
-        let value = g.get("value").and_then(Value::as_f64).unwrap_or(0.0);
-        em.counter(ts_us, &str_of(g, "name")?, value);
-    } else if let Some(c) = data.get("Count") {
-        let delta = c.get("delta").and_then(Value::as_u64).unwrap_or(0);
-        em.count_delta(ts_us, &str_of(c, "name")?, delta);
-    } else if let Some(w) = data.get("Wire") {
-        let num = |key: &str, default: u64| w.get(key).and_then(Value::as_u64).unwrap_or(default);
-        em.wire(
+            obj(vec![("detail", vs(detail)), ("round", vu(round))]),
+        ),
+        RingData::Note { note } => {
+            let short: String = note.chars().take(120).collect();
+            em.instant(ts_us, 0, &short, "note", obj(vec![("round", vu(round))]));
+        }
+        RingData::Point { name, value, .. } | RingData::Gauge { name, value } => {
+            em.counter(ts_us, name, *value);
+        }
+        RingData::Count { name, delta } => em.count_delta(ts_us, name, *delta),
+        RingData::Wire {
+            phase,
+            conn,
+            span,
+            parent,
+            msg,
+            bytes,
+            peer_ts_ns,
+            ..
+        } => em.wire(
             ts_us,
             round,
-            &str_of(w, "phase")?,
-            &str_of(w, "msg")?,
-            num("conn", u64::MAX),
-            num("span", 0),
-            num("parent", 0),
-            num("bytes", 0),
-            num("peer_ts_ns", 0),
-        );
+            phase,
+            msg,
+            *conn,
+            *span,
+            *parent,
+            *bytes,
+            *peer_ts_ns,
+        ),
+        // `Sample` records are timing raw material for the report's
+        // phase table; they would only blur the timeline.
+        RingData::Sample { .. } => {}
     }
-    // `Sample` records are timing raw material, already summarised in
-    // the bundle's histogram dump; they would only blur the timeline.
-    Ok(())
 }
 
-/// All of a bundle's ring records, merged across its per-thread
-/// tracks into one globally time-ordered stream. The sort is stable,
-/// so equal timestamps keep each ring's (causal) internal order.
-fn bundle_records(bundle: &Value) -> Result<Vec<&Value>, String> {
-    let tracks = bundle
-        .get("tracks")
-        .and_then(Value::as_array)
-        .ok_or("not a postmortem bundle: no `tracks` array")?;
-    let mut recs: Vec<&Value> = Vec::new();
-    for t in tracks {
-        if let Some(events) = t.get("events").and_then(Value::as_array) {
-            recs.extend(events.iter());
-        }
+/// Convert a recording (stream or bundle) into a Chrome trace value.
+pub fn to_trace(recording: &Recording) -> Value {
+    let mut em = Emitter::new();
+    for (_, rec) in recording.merged() {
+        ring_record_to_events(&mut em, rec);
     }
-    recs.sort_by_key(|r| r.get("ts_ns").and_then(Value::as_u64).unwrap_or(0));
-    Ok(recs)
+    em.into_trace()
 }
 
 /// Convert a parsed postmortem bundle into a Chrome trace value.
 pub fn bundle_to_trace(bundle: &Value) -> Result<Value, String> {
-    let mut em = Emitter::new();
-    for rec in bundle_records(bundle)? {
-        ring_record_to_events(&mut em, rec)?;
+    serde_json::from_value::<PostmortemBundle>(bundle.clone())
+        .map(|b| to_trace(&b.into()))
+        .map_err(|e| e.to_string())
+}
+
+/// The trace in `text`: a Chrome trace (an object with `traceEvents`)
+/// as it is, a bundle or a stream converted.
+pub fn from_text(text: &str) -> Result<Value, LoadError> {
+    match serde_json::from_str::<Value>(text) {
+        Ok(doc) if doc.get("traceEvents").is_some() => Ok(doc),
+        _ => Recording::parse(text).map(|r| to_trace(&r)),
     }
-    Ok(em.into_trace())
 }
 
 /// What a multi-process merge established about the run's wire
@@ -520,7 +507,7 @@ pub struct MergeStats {
     pub offsets_us: Vec<f64>,
 }
 
-/// Merge per-process postmortem bundles into one clock-aligned Chrome
+/// Merge per-process recordings into one clock-aligned Chrome
 /// trace. Each bundle becomes its own trace process (keeping the OS
 /// pid it recorded), and inter-process clock offsets are estimated
 /// NTP-style: every receive record echoes the sender's send timestamp,
@@ -529,15 +516,12 @@ pub struct MergeStats {
 /// the delay. Processes exchanging frames in only one direction fall
 /// back to `delay ≈ 0`; processes with no direct traffic to an
 /// already-aligned one stay unshifted.
-pub fn merge_bundles(bundles: &[Value]) -> Result<(Value, MergeStats), String> {
+pub fn merge(bundles: &[Recording]) -> Result<(Value, MergeStats), String> {
     if bundles.is_empty() {
         return Err("no bundles to merge".to_string());
     }
     let n = bundles.len();
-    let mut recs: Vec<Vec<&Value>> = Vec::with_capacity(n);
-    for b in bundles {
-        recs.push(bundle_records(b)?);
-    }
+    let recs: Vec<Vec<(usize, &RingRecord)>> = bundles.iter().map(Recording::merged).collect();
 
     // Pass 1 — wire lifecycle census: which bundle sent each span,
     // which spans were received/handled/dropped, and the per-pair
@@ -546,23 +530,25 @@ pub fn merge_bundles(bundles: &[Value]) -> Result<(Value, MergeStats), String> {
     let mut dropped_spans: Vec<u64> = Vec::new();
     let mut in_recs: Vec<(usize, u64, i128)> = Vec::new(); // (bundle, span, recv − send)
     for (bi, rs) in recs.iter().enumerate() {
-        for r in rs {
-            let Some(w) = r.get("data").and_then(|d| d.get("Wire")) else {
+        for (_, r) in rs {
+            let RingData::Wire {
+                phase,
+                span,
+                peer_ts_ns,
+                ..
+            } = &r.data
+            else {
                 continue;
             };
-            let phase = w.get("phase").and_then(Value::as_str).unwrap_or("");
-            let span = w.get("span").and_then(Value::as_u64).unwrap_or(0);
-            match phase {
+            match phase.as_str() {
                 "enq" | "out" | "drop" => {
-                    sender_of.push((span, bi));
+                    sender_of.push((*span, bi));
                     if phase == "drop" {
-                        dropped_spans.push(span);
+                        dropped_spans.push(*span);
                     }
                 }
                 "in" => {
-                    let ts = r.get("ts_ns").and_then(Value::as_u64).unwrap_or(0);
-                    let peer = w.get("peer_ts_ns").and_then(Value::as_u64).unwrap_or(0);
-                    in_recs.push((bi, span, i128::from(ts) - i128::from(peer)));
+                    in_recs.push((bi, *span, i128::from(r.ts_ns) - i128::from(*peer_ts_ns)));
                 }
                 _ => {}
             }
@@ -623,9 +609,8 @@ pub fn merge_bundles(bundles: &[Value]) -> Result<(Value, MergeStats), String> {
     // Common origin: the earliest aligned timestamp maps to zero.
     let mut origin = f64::INFINITY;
     for (bi, rs) in recs.iter().enumerate() {
-        if let Some(r) = rs.first() {
-            let ts = r.get("ts_ns").and_then(Value::as_u64).unwrap_or(0) as f64;
-            origin = origin.min(ts + shift_ns[bi]);
+        if let Some((_, r)) = rs.first() {
+            origin = origin.min(r.ts_ns as f64 + shift_ns[bi]);
         }
     }
     if !origin.is_finite() {
@@ -637,30 +622,21 @@ pub fn merge_bundles(bundles: &[Value]) -> Result<(Value, MergeStats), String> {
     let mut offsets_us = Vec::with_capacity(n);
     let mut pids_seen: Vec<u64> = Vec::new();
     for (bi, rs) in recs.iter().enumerate() {
-        let mut pid = bundles[bi]
-            .get("pid")
-            .and_then(Value::as_u64)
-            .unwrap_or(1000 + bi as u64);
+        let mut pid = bundles[bi].pid.map_or(1000 + bi as u64, u64::from);
         if pids_seen.contains(&pid) {
             pid = 1000 + bi as u64;
         }
         pids_seen.push(pid);
         let name = bundles[bi]
-            .get("context")
-            .and_then(Value::as_array)
-            .and_then(|ctx| {
-                ctx.iter().find_map(|e| {
-                    (e.get("key").and_then(Value::as_str) == Some("proc.name"))
-                        .then(|| e.get("value").and_then(Value::as_str))
-                        .flatten()
-                })
-            })
-            .map_or_else(|| format!("process {pid}"), str::to_string);
+            .context
+            .iter()
+            .find(|e| e.key == "proc.name")
+            .map_or_else(|| format!("process {pid}"), |e| e.value.clone());
         let off_us = (shift_ns[bi] - origin) / 1000.0;
         offsets_us.push(off_us);
         let mut em = Emitter::with_process(pid, &name, off_us);
-        for r in rs {
-            ring_record_to_events(&mut em, r)?;
+        for (_, r) in rs {
+            ring_record_to_events(&mut em, r);
         }
         parts.push(em.into_parts());
     }
@@ -680,71 +656,6 @@ pub fn merge_bundles(bundles: &[Value]) -> Result<(Value, MergeStats), String> {
         offsets_us,
     };
     Ok((finish_multi(parts), stats))
-}
-
-/// Convert a live JSONL event stream (the `FEDKNOW_OBS` sink format)
-/// into a Chrome trace value. JSONL carries span *ends* only, so each
-/// track's slices are laid end-to-end: durations are exact, start
-/// offsets synthetic.
-pub fn jsonl_to_trace(text: &str) -> Result<Value, String> {
-    let mut em = Emitter::new();
-    // Synthetic per-track clocks, µs.
-    let mut clocks: Vec<(u64, f64)> = Vec::new();
-    let clock = |clocks: &mut Vec<(u64, f64)>, tid: u64| -> f64 {
-        match clocks.iter().find(|(t, _)| *t == tid) {
-            Some((_, c)) => *c,
-            None => {
-                clocks.push((tid, 0.0));
-                0.0
-            }
-        }
-    };
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let ev: Value = serde_json::from_str(line)
-            .map_err(|e| format!("line {}: not JSON: {e}", lineno + 1))?;
-        if let Some(sp) = ev.get("Span") {
-            let path = sp
-                .get("path")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("line {}: Span without path", lineno + 1))?;
-            let dur_us = sp.get("dur_ns").and_then(Value::as_u64).unwrap_or(0) as f64 / 1000.0;
-            let tid = tid_for_path(path);
-            let ts = clock(&mut clocks, tid);
-            em.see_ts(ts + dur_us);
-            em.push(
-                tid,
-                obj(vec![
-                    ("name", vs(leaf(path))),
-                    ("cat", vs("span")),
-                    ("ph", vs("X")),
-                    ("ts", vf(ts)),
-                    ("dur", vf(dur_us)),
-                    ("pid", vu(PID)),
-                    ("tid", vu(tid)),
-                    ("args", obj(vec![("path", vs(path))])),
-                ]),
-            );
-            if let Some((_, c)) = clocks.iter_mut().find(|(t, _)| *t == tid) {
-                *c += dur_us;
-            }
-        } else if let Some(p) = ev.get("Point") {
-            let name = p.get("name").and_then(Value::as_str).unwrap_or("point");
-            let value = p.get("value").and_then(Value::as_f64).unwrap_or(0.0);
-            let ts = clock(&mut clocks, 0);
-            em.counter(ts, name, value);
-        } else if let Some(g) = ev.get("Gauge") {
-            let name = g.get("name").and_then(Value::as_str).unwrap_or("gauge");
-            let value = g.get("value").and_then(Value::as_f64).unwrap_or(0.0);
-            let ts = clock(&mut clocks, 0);
-            em.counter(ts, name, value);
-        }
-        // Count/Sample JSONL events are aggregate material; skipped.
-    }
-    Ok(em.into_trace())
 }
 
 /// Validation summary of a trace (see [`validate`]).
@@ -994,13 +905,13 @@ mod tests {
         assert_eq!(tid_for_path(""), 0);
     }
 
-    fn bundle_with(events: &str) -> Value {
+    fn bundle_with(events: &str) -> Recording {
         let json = format!(
             r#"{{"version":1,"reason":"unit","round":0,"context":[],
                 "metrics":{{"counters":[],"gauges":[],"hists":[],"series":[]}},
                 "tracks":[{{"thread":"ThreadId(1)","dropped":0,"events":[{events}]}}]}}"#
         );
-        serde_json::from_str(&json).unwrap()
+        Recording::parse(&json).unwrap()
     }
 
     #[test]
@@ -1011,7 +922,7 @@ mod tests {
                {"ts_ns":5000,"round":0,"data":{"End":{"path":"run/client.0","dur_ns":3000}}},
                {"ts_ns":9000,"round":0,"data":{"End":{"path":"run","dur_ns":8000}}}"#,
         );
-        let trace = bundle_to_trace(&b).unwrap();
+        let trace = to_trace(&b);
         let stats = validate(&trace).unwrap();
         assert_eq!(stats.slices, 2);
         assert_eq!(stats.tracks, 2, "coordinator + client 0");
@@ -1029,7 +940,7 @@ mod tests {
                {"ts_ns":6000,"round":1,"data":{"Fault":{"client":2,"kind":"crash","detail":0}}},
                {"ts_ns":7000,"round":1,"data":{"Violation":{"check":"qp.kkt","detail":"residual"}}}"#,
         );
-        let trace = bundle_to_trace(&b).unwrap();
+        let trace = to_trace(&b);
         let stats = validate(&trace).unwrap();
         assert_eq!(stats.instants, 2);
         assert_eq!(stats.slices, 2, "one X repair + one auto-closed B");
@@ -1049,7 +960,7 @@ mod tests {
                {"ts_ns":2000,"round":0,"data":{"Count":{"name":"comm.upload_bytes","delta":5}}},
                {"ts_ns":3000,"round":0,"data":{"Point":{"name":"fl.participation","index":0,"value":0.75}}}"#,
         );
-        let trace = bundle_to_trace(&b).unwrap();
+        let trace = to_trace(&b);
         let stats = validate(&trace).unwrap();
         assert_eq!(stats.counters, 3);
         let text = serde_json::to_string(&trace).unwrap();
@@ -1077,27 +988,14 @@ mod tests {
         assert!(validate(&unclosed).unwrap_err().contains("never closed"));
     }
 
-    #[test]
-    fn jsonl_conversion_lays_slices_per_track() {
-        let jsonl = r#"{"Span":{"path":"run/client.0/train","dur_ns":4000,"thread":"ThreadId(2)"}}
-{"Span":{"path":"run/client.1/train","dur_ns":2000,"thread":"ThreadId(3)"}}
-{"Span":{"path":"run/client.0","dur_ns":6000,"thread":"ThreadId(2)"}}
-{"Point":{"name":"fl.participation","index":0,"value":1.0}}"#;
-        let trace = jsonl_to_trace(jsonl).unwrap();
-        let stats = validate(&trace).unwrap();
-        assert_eq!(stats.slices, 3);
-        assert_eq!(stats.counters, 1);
-        assert_eq!(stats.tracks, 3, "client 0, client 1, coordinator counter");
-    }
-
-    fn bundle_with_pid(pid: u64, name: &str, events: &str) -> Value {
+    fn bundle_with_pid(pid: u64, name: &str, events: &str) -> Recording {
         let json = format!(
             r#"{{"version":1,"reason":"unit","round":0,"pid":{pid},
                 "context":[{{"key":"proc.name","value":"{name}"}}],
                 "metrics":{{"counters":[],"gauges":[],"hists":[],"series":[]}},
                 "tracks":[{{"thread":"ThreadId(1)","dropped":0,"events":[{events}]}}]}}"#
         );
-        serde_json::from_str(&json).unwrap()
+        Recording::parse(&json).unwrap()
     }
 
     fn wire_rec(ts: u64, phase: &str, span: u64, peer_ts: u64) -> String {
@@ -1120,7 +1018,7 @@ mod tests {
             ]
             .join(",\n"),
         );
-        let trace = bundle_to_trace(&b).unwrap();
+        let trace = to_trace(&b);
         let stats = validate(&trace).unwrap();
         assert_eq!(stats.flow_starts, 2, "out + drop each start a flow");
         assert_eq!(stats.flow_ends, 1, "only span 9 was handled");
@@ -1165,7 +1063,7 @@ mod tests {
             ]
             .join(",\n"),
         );
-        let (trace, stats) = merge_bundles(&[server, client]).unwrap();
+        let (trace, stats) = merge(&[server, client]).unwrap();
         assert_eq!(stats.bundles, 2);
         assert_eq!(stats.delivered, 2);
         assert_eq!(stats.linked, 2);
@@ -1194,7 +1092,7 @@ mod tests {
             ]
             .join(",\n"),
         );
-        let (trace, stats) = merge_bundles(&[server, client]).unwrap();
+        let (trace, stats) = merge(&[server, client]).unwrap();
         assert_eq!(stats.delivered, 1);
         assert_eq!(stats.linked, 1);
         assert_eq!(stats.dropped, 2);
@@ -1217,7 +1115,7 @@ mod tests {
             r#"{"ts_ns":3000,"round":0,"data":{"Begin":{"path":"run"}}},
                {"ts_ns":4000,"round":0,"data":{"End":{"path":"run","dur_ns":1000}}}"#,
         );
-        let (trace, stats) = merge_bundles(&[a, b]).unwrap();
+        let (trace, stats) = merge(&[a, b]).unwrap();
         assert_eq!(stats.delivered, 0);
         assert!(
             (stats.link_fraction - 1.0).abs() < 1e-12,
@@ -1236,7 +1134,7 @@ mod tests {
                {"ts_ns":9000000,"round":0,"data":{"Begin":{"path":"small"}}},
                {"ts_ns":9001000,"round":0,"data":{"End":{"path":"small","dur_ns":1000}}}"#,
         );
-        let trace = bundle_to_trace(&b).unwrap();
+        let trace = to_trace(&b);
         let table = summarize(&trace, 10).unwrap();
         let big_at = table.find("big").unwrap();
         let small_at = table.find("small").unwrap();

@@ -1,4 +1,4 @@
-//! End-to-end observability: run FedKNOW with the JSONL sink attached
+//! End-to-end observability: run FedKNOW with the JSONL stream attached
 //! and check that every phase of the paper's pipeline — extraction
 //! (§III-B), gradient restoration (Eq. 2), QP gradient integration
 //! (Eqs. 3–5), FedAvg aggregation (§III-A) and communication — receives
@@ -14,8 +14,8 @@ use fedknow_suite::RunSpec;
 #[test]
 fn obs_attributes_time_to_every_paper_phase() {
     let path = std::env::temp_dir().join(format!("fedknow_obs_e2e_{}.jsonl", std::process::id()));
-    // Must be set before the first obs call in this process: the sink is
-    // attached lazily when the simulation calls `init_from_env`.
+    // Must be set before the first obs call in this process: the stream
+    // is attached lazily when the simulation calls `init_from_env`.
     std::env::set_var(fedknow_obs::ENV_JSONL, &path);
 
     let report = RunSpec::quick(1)
@@ -55,9 +55,9 @@ fn obs_attributes_time_to_every_paper_phase() {
     // The JSONL stream reloads into the same attribution: spans nest
     // run -> task -> round -> client even though clients train on worker
     // threads, and counter totals match the registry.
-    let events = fedknow_obs::read_jsonl(&path).expect("JSONL parses");
+    let stream = fedknow_obs::Recording::load(&path).expect("stream loads");
     std::fs::remove_file(&path).ok();
-    let agg = fedknow_obs::Aggregate::from_events(&events);
+    let agg = fedknow_obs::Aggregate::from_records(&stream);
     assert_eq!(agg.counters["comm.upload_bytes"], up);
     assert_eq!(agg.counters["comm.download_bytes"], down);
     assert!(
@@ -69,6 +69,20 @@ fn obs_attributes_time_to_every_paper_phase() {
     );
     assert!(agg.spans.contains_key("run"));
     assert!(agg.quantile("qp.solve_ns", 0.5).is_some());
+
+    // Attribution is rolled up the span tree: the clients train on
+    // worker threads, whose kernel work the per-thread span accounting
+    // leaves off the coordinator's `run` span; the reader adds it back.
+    // Every kernel call of the run happens under some client or round
+    // span, so the `run` row holds exactly the kernel counters' total.
+    let kernel_flops: u64 = agg
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("flops."))
+        .map(|(_, total)| total)
+        .sum();
+    assert!(kernel_flops > 0);
+    assert_eq!(agg.spans["run"].flops, kernel_flops);
 
     // A clean run is a healthy run: no SLO leaves Ok.
     let health = fedknow_obs::health_snapshot().expect("obs enabled");

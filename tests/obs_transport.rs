@@ -1,5 +1,5 @@
 //! End-to-end observability for the transport seam: run a real method
-//! over the actor runtime with the JSONL sink attached and check that
+//! over the actor runtime with the JSONL stream attached and check that
 //! the wire ledger, the comm model, and the observability counters all
 //! tell the same byte story — the third leg of the byte-accounting
 //! parity triangle (socket bytes == modeled bytes == obs counters).
@@ -17,9 +17,12 @@ fn obs_counters_agree_with_the_wire_ledger_and_the_comm_model() {
         "fedknow_obs_transport_{}.jsonl",
         std::process::id()
     ));
-    // Must be set before the first obs call in this process: the sink is
-    // attached lazily when the runtime calls `init_from_env`.
+    // Must be set before the first obs call in this process: the stream
+    // is attached lazily when the runtime calls `init_from_env`.
     std::env::set_var(fedknow_obs::ENV_JSONL, &path);
+    // Large enough that no ring drops a record: the bundle taken below
+    // must hold the whole run, like the stream.
+    std::env::set_var(fedknow_obs::ENV_TRACE_CAP, "1000000");
 
     let (report, stats) = RunSpec::quick(9)
         .with_faults(FaultConfig::crash_loss(0.2))
@@ -60,9 +63,27 @@ fn obs_counters_agree_with_the_wire_ledger_and_the_comm_model() {
     assert_eq!(up + down, report.total_bytes);
 
     // The JSONL stream reloads into the same totals.
-    let events = fedknow_obs::read_jsonl(&path).expect("JSONL parses");
+    let stream = fedknow_obs::Recording::load(&path).expect("stream loads");
     std::fs::remove_file(&path).ok();
-    let agg = fedknow_obs::Aggregate::from_events(&events);
+    let agg = fedknow_obs::Aggregate::from_records(&stream);
     assert_eq!(agg.counters["transport.bytes.payload"], stats.payload);
     assert_eq!(agg.counters["transport.frames"], stats.frames);
+    assert_eq!(
+        agg.faults.values().sum::<u64>(),
+        report.fault_log.len() as u64,
+        "every logged fault is a record in the stream"
+    );
+
+    // The same run as a bundle is the same recording: equal aggregates,
+    // and timelines with the same slices, instants and wire flows.
+    let bundle = serde_json::to_string(&fedknow_obs::collect_bundle("test")).unwrap();
+    let bundle = fedknow_obs::Recording::parse(&bundle).expect("bundle loads");
+    assert_eq!(bundle.tracks, stream.tracks);
+    assert_eq!(fedknow_obs::Aggregate::from_records(&bundle), agg);
+    let timeline = |rec| {
+        fedknow_obs::trace::validate(&fedknow_obs::trace::to_trace(rec)).expect("valid trace")
+    };
+    let (s, b) = (timeline(&stream), timeline(&bundle));
+    assert_eq!(s, b);
+    assert!(s.slices > 0 && s.instants > 0 && s.flow_starts > s.flow_ends && s.flow_ends > 0);
 }
