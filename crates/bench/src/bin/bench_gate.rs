@@ -1,153 +1,110 @@
-//! Bench regression gate.
+//! Bench regression gate: the committed records are the baseline.
 //!
 //! ```text
-//! bench_gate                          # diff every BENCH_*.json in results/
-//!                                     # against its BENCH_*.prev.json
-//! bench_gate prev.json new.json       # diff one explicit pair
+//! bench_gate results /tmp/run                    # every record of a run
+//! bench_gate results /tmp/run/BENCH_kernels.json # one of them
+//! bench_gate base.json new.json                  # one explicit pair
 //! ```
 //!
-//! Flags: `--results DIR` (default the repo's `results/`) and
-//! `--report-only` to print the diff without failing — the mode CI runs
-//! on every push so regressions are visible before the gate is
-//! hardened. There are no tolerance flags: each metric carries the
-//! tolerance its writer recorded, and the baseline's is the one applied.
+//! `BASE` and `NEW` are each a `BENCH_*.json` record or a directory of
+//! them; a directory is paired with the other side by file name. There
+//! are no flags: each metric carries the tolerance its writer recorded,
+//! and the baseline's is the one applied.
 //!
-//! Exit status: 0 when everything is within tolerance (or
-//! `--report-only`), 1 on a regression, 2 on usage/IO errors, 3 when a
-//! current record has no `.prev` baseline to diff against (downgraded
-//! to a note under `--report-only`, since a fresh checkout legitimately
-//! has unrotated records).
+//! Exit status: 0 when every pair is within tolerance; 1 when a metric
+//! regressed, a gated baseline metric is missing from the new record,
+//! the scales differ, or a baseline record has no new record at all; 2
+//! on usage/IO errors; 3 when a new record has no baseline (commit it
+//! under `results/` once it is trusted).
 
-use fedknow_bench::gate::{bench_record_path, compare, read_bench_record, GateReport};
+use fedknow_bench::gate::{compare, read_bench_record};
 use std::path::{Path, PathBuf};
 
-/// Exit code for "record exists but its baseline doesn't".
+const USAGE: &str = "bench_gate BASE NEW   (each a BENCH_*.json record or a directory of them)";
+
+/// Exit code for "a new record exists but its baseline doesn't".
 const EXIT_NO_BASELINE: i32 = 3;
 
 fn main() {
-    let mut results_dir = fedknow_bench::results_dir();
-    let mut report_only = false;
-    let mut pair: Vec<PathBuf> = Vec::new();
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--results" => {
-                i += 1;
-                results_dir = PathBuf::from(argv.get(i).unwrap_or_else(|| usage("--results DIR")));
-            }
-            "--report-only" => report_only = true,
-            other if !other.starts_with("--") => pair.push(PathBuf::from(other)),
-            other => usage(&format!("unknown flag {other}")),
-        }
-        i += 1;
-    }
-
-    let (reports, missing) = match pair.len() {
-        0 => scan_results(&results_dir),
-        2 => {
-            if !pair[0].exists() {
-                missing_baseline_exit(&pair[0].display().to_string(), report_only);
-                return;
-            }
-            (vec![diff(&pair[0], &pair[1])], Vec::new())
-        }
-        _ => usage("expected zero or exactly two record paths"),
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let paths = fedknow_bench::positionals(&argv, USAGE).unwrap_or_else(|e| usage(&e));
+    let [base, new] = paths[..] else {
+        usage("expected exactly two paths");
     };
-
-    if reports.is_empty() && missing.is_empty() {
-        println!(
-            "bench_gate: no BENCH_*.json / BENCH_*.prev.json pairs under {} — nothing to diff",
-            results_dir.display()
-        );
-        return;
-    }
-    let mut regressed = false;
-    for r in &reports {
-        print!("{}", r.render());
-        regressed |= r.regressed();
-    }
-    for name in &missing {
-        println!("== {name} ==\n  NO BASELINE: BENCH_{name}.json has no BENCH_{name}.prev.json",);
-    }
-    if regressed {
-        if report_only {
-            println!("bench_gate: regression detected (report-only, not failing)");
+    let (mut failed, mut no_baseline) = (false, false);
+    for (base, new) in pairs(Path::new(base), Path::new(new)) {
+        if !base.exists() {
+            println!("NO BASELINE: {} has no {}", new.display(), base.display());
+            no_baseline = true;
+        } else if !new.exists() {
+            println!("NO NEW RECORD: {} has no {}", base.display(), new.display());
+            failed = true;
         } else {
-            eprintln!("bench_gate: FAILED — regression beyond tolerance");
-            std::process::exit(1);
+            let read = |path| read_bench_record(path).unwrap_or_else(|e| die(&e));
+            let report = compare(&read(&base), &read(&new));
+            print!("{}", report.render());
+            failed |= report.failed();
         }
-    } else if !missing.is_empty() {
-        missing_baseline_exit(&missing.join(", "), report_only);
-    } else {
-        println!("bench_gate: all benchmarks within tolerance");
     }
-}
-
-/// Report a missing baseline: under `--report-only` it is a note and a
-/// clean exit, otherwise an actionable error with the distinct exit
-/// code so CI can tell "no baseline yet" from "regressed" and "broken".
-fn missing_baseline_exit(what: &str, report_only: bool) {
-    if report_only {
-        println!(
-            "bench_gate: no baseline for {what} (report-only, not failing) — \
-             commit the current record or re-run the benchmark to rotate one"
+    if failed {
+        eprintln!(
+            "bench_gate: FAILED — a record regressed, lost a gated metric or was not produced"
         );
-        return;
+        std::process::exit(1);
     }
-    eprintln!(
-        "bench_gate: NO BASELINE for {what}\n  a record exists but there is no \
-         .prev.json to diff it against.\n  fix: re-run the benchmark (the writer \
-         rotates the old record to .prev.json),\n  or copy the trusted record: \
-         cp BENCH_<name>.json BENCH_<name>.prev.json"
-    );
-    std::process::exit(EXIT_NO_BASELINE);
+    if no_baseline {
+        eprintln!(
+            "bench_gate: NO BASELINE — nothing committed to hold the new record to.\n  \
+             fix: once the record is trusted, commit it under results/"
+        );
+        std::process::exit(EXIT_NO_BASELINE);
+    }
+    println!("bench_gate: all benchmarks within tolerance");
 }
 
-/// Diff one record pair; an unreadable record is fatal.
-fn diff(prev: &Path, new: &Path) -> GateReport {
-    let read = |path| read_bench_record(path).unwrap_or_else(|e| die(&e));
-    compare(&read(prev), &read(new))
-}
-
-/// Diff every current/previous record pair under `dir`; also collect
-/// the names of current records that have no baseline at all.
-fn scan_results(dir: &Path) -> (Vec<GateReport>, Vec<String>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return (Vec::new(), Vec::new());
+/// The (baseline, new) record paths to diff. A side that is a file is
+/// itself, and names the record a directory on the other side must hold;
+/// two directories pair on every `BENCH_*.json` name either one holds.
+fn pairs(base: &Path, new: &Path) -> Vec<(PathBuf, PathBuf)> {
+    let names = match [new, base].into_iter().find(|side| !side.is_dir()) {
+        Some(file) => match file.file_name() {
+            Some(name) => vec![PathBuf::from(name)],
+            None => usage(&format!("{} names no record", file.display())),
+        },
+        None => {
+            let mut names = [records_in(base), records_in(new)].concat();
+            names.sort();
+            names.dedup();
+            names
+        }
     };
-    let mut names: Vec<String> = entries
+    let side = |path: &Path, name: &Path| {
+        if path.is_dir() {
+            path.join(name)
+        } else {
+            path.to_path_buf()
+        }
+    };
+    let pair = |name: &PathBuf| (side(base, name), side(new, name));
+    names.iter().map(pair).collect()
+}
+
+/// The `BENCH_*.json` file names under `dir`.
+fn records_in(dir: &Path) -> Vec<PathBuf> {
+    let entries =
+        std::fs::read_dir(dir).unwrap_or_else(|e| die(&format!("{}: {e}", dir.display())));
+    entries
         .flatten()
-        .filter_map(|e| {
-            let file = e.file_name().into_string().ok()?;
-            let stem = file.strip_prefix("BENCH_")?.strip_suffix(".json")?;
-            Some(stem.strip_suffix(".prev").unwrap_or(stem).to_string())
+        .map(|e| PathBuf::from(e.file_name()))
+        .filter(|name| {
+            let name = name.to_string_lossy();
+            name.starts_with("BENCH_") && name.ends_with(".json")
         })
-        .collect();
-    names.sort();
-    names.dedup();
-    let mut reports = Vec::new();
-    let mut missing = Vec::new();
-    for name in &names {
-        let cur = bench_record_path(dir, name);
-        if !cur.exists() {
-            continue; // orphan .prev — nothing current to gate
-        }
-        let prev_path = dir.join(format!("BENCH_{name}.prev.json"));
-        if !prev_path.exists() {
-            missing.push(name.clone());
-            continue;
-        }
-        reports.push(diff(&prev_path, &cur));
-    }
-    (reports, missing)
+        .collect()
 }
 
 fn usage(msg: &str) -> ! {
-    eprintln!(
-        "error: {msg}\nusage: bench_gate [--results DIR] [--report-only] [prev.json new.json]"
-    );
-    std::process::exit(2)
+    fedknow_bench::usage(USAGE, msg)
 }
 
 fn die(msg: &str) -> ! {

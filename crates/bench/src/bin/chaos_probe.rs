@@ -23,85 +23,37 @@
 //!
 //! `--force-violation` switches the verify layer on (counting mode) and
 //! reports one deliberate violation before the run, so the bundle tail
-//! demonstrably contains a `Violation` record. Flags are parsed by hand
-//! because `--panic-after-tasks` is not part of the shared bench CLI.
+//! demonstrably contains a `Violation` record.
 
 use fedknow_baselines::Method;
-use fedknow_bench::{scaled_spec, Scale};
+use fedknow_bench::{flag, flag_with, flags_only, scaled_spec, Scale};
 use fedknow_data::DatasetSpec;
 use fedknow_fl::{FaultConfig, FaultKind, TransportKind};
 
+const USAGE: &str = "chaos_probe [--scale smoke|quick|paper] [--seed N] \
+     [--panic-after-tasks N] [--force-violation] [--transport channel|tcp|unix] \
+     [--listen ADDR | --connect ADDR --client-id N]";
+
 fn main() {
-    let argv: Vec<String> = std::env::args().collect();
-    let mut scale = Scale::Smoke;
-    let mut seed = 42u64;
-    let mut panic_after: Option<usize> = None;
-    let mut force_violation = false;
-    let mut transport: Option<TransportKind> = None;
-    let mut listen: Option<String> = None;
-    let mut connect: Option<String> = None;
-    let mut client_id: Option<u32> = None;
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--listen" => {
-                i += 1;
-                listen = Some(
-                    argv.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| usage("--listen expects an address")),
-                );
-            }
-            "--connect" => {
-                i += 1;
-                connect = Some(
-                    argv.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| usage("--connect expects an address")),
-                );
-            }
-            "--client-id" => {
-                i += 1;
-                client_id = Some(
-                    argv.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--client-id expects an integer")),
-                );
-            }
-            "--scale" => {
-                i += 1;
-                scale = argv
-                    .get(i)
-                    .and_then(|s| Scale::parse(s))
-                    .unwrap_or_else(|| usage("--scale expects smoke|quick|paper"));
-            }
-            "--seed" => {
-                i += 1;
-                seed = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--seed expects an integer"));
-            }
-            "--panic-after-tasks" => {
-                i += 1;
-                panic_after = Some(
-                    argv.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--panic-after-tasks expects an integer")),
-                );
-            }
-            "--force-violation" => force_violation = true,
-            "--transport" => {
-                i += 1;
-                transport = Some(
-                    argv.get(i)
-                        .and_then(|s| TransportKind::parse(s))
-                        .unwrap_or_else(|| usage("--transport expects channel|tcp|unix")),
-                );
-            }
-            other => usage(&format!("unknown argument {other}")),
-        }
-        i += 1;
+    if let Err(e) = run() {
+        fedknow_bench::usage(USAGE, &e);
+    }
+}
+
+/// The probe; `Err` is a command-line error.
+fn run() -> Result<(), String> {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    flags_only(&argv, USAGE)?;
+    let scale = flag_with(&argv, "--scale", Scale::parse)?.unwrap_or(Scale::Smoke);
+    let seed: u64 = flag(&argv, "--seed")?.unwrap_or(42);
+    let panic_after: Option<usize> = flag(&argv, "--panic-after-tasks")?;
+    let force_violation = argv.iter().any(|a| a == "--force-violation");
+    let transport = flag_with(&argv, "--transport", TransportKind::parse)?;
+    let listen: Option<String> = flag(&argv, "--listen")?;
+    let connect: Option<String> = flag(&argv, "--connect")?;
+    let client_id: Option<u32> = flag(&argv, "--client-id")?;
+    if connect.is_some() && client_id.is_none() {
+        return Err("--connect requires --client-id".to_string());
     }
 
     // Arm the recorder before anything runs; FEDKNOW_TRACE_DIR alone is
@@ -123,48 +75,18 @@ fn main() {
 
     // Multi-process roles: each process dumps its own bundle, named in
     // its bundle context so the merged timeline labels its track.
-    if let Some(addr) = listen {
-        fedknow_obs::set_context("proc.name", "server");
-        let (report, stats) = spec
-            .serve_over(Method::FedKnow, &addr)
-            .expect("serve failed");
-        println!(
-            "[chaos_probe] serve {addr}: {} frames ({} dropped), {} data bytes, \
-             {} overhead, {} malformed quarantined",
-            stats.frames,
-            stats.frames_dropped,
-            stats.payload,
-            stats.overhead,
-            stats.malformed_frames
-        );
-        let tasks = report.accuracy.num_tasks();
-        println!(
-            "[chaos_probe] {} tasks, final accuracy {:.4}, faults: {} crashes, \
-             {} rejoins, {} lost uploads, {} quarantined",
-            tasks,
-            report.accuracy.avg_accuracy_after(tasks - 1),
-            report.fault_count(FaultKind::Crash),
-            report.fault_count(FaultKind::Rejoin),
-            report.fault_count(FaultKind::UploadLost),
-            report.fault_count(FaultKind::UploadRejected),
-        );
-        dump_probe_bundle();
-        return;
-    }
-    if let Some(addr) = connect {
-        let id = client_id.unwrap_or_else(|| usage("--connect requires --client-id"));
+    if let (None, Some(addr), Some(id)) = (&listen, &connect, client_id) {
         fedknow_obs::set_context("proc.name", &format!("client{id}"));
-        let joined = spec.join_over(Method::FedKnow, &addr, id);
+        let joined = spec.join_over(Method::FedKnow, addr, id);
         dump_probe_bundle();
         if let Err(e) = joined {
             eprintln!("[chaos_probe] client {id} against {addr}: {e}");
             std::process::exit(1);
         }
         println!("[chaos_probe] client {id} finished against {addr}");
-        return;
+        return Ok(());
     }
-
-    if let Some(n) = panic_after {
+    if let (None, Some(n)) = (&listen, panic_after) {
         let mut sim = spec.build(Method::FedKnow);
         let ck = sim.checkpoint(n).expect("checkpoint failed");
         eprintln!(
@@ -174,28 +96,35 @@ fn main() {
         panic!("chaos_probe: deliberate panic after {n} tasks");
     }
 
-    // With `--transport` the faults are realized on a real wire: lost
-    // uploads are dropped frames, crashes are closed connections, and
-    // the quarantine/degradation paths the recorder watches are the
-    // live transport ones, not modeled stand-ins.
-    let report = match transport {
-        Some(kind) => {
-            let (report, stats) = spec
-                .run_over(Method::FedKnow, kind)
-                .expect("transport run failed");
-            println!(
-                "[chaos_probe] {kind}: {} frames ({} dropped), {} data bytes, \
-                 {} overhead, {} malformed quarantined",
-                stats.frames,
-                stats.frames_dropped,
-                stats.payload,
-                stats.overhead,
-                stats.malformed_frames
-            );
-            report
-        }
-        None => spec.run(Method::FedKnow).expect("simulation failed"),
+    // On a wire (`--listen`, `--transport`) the faults are realized
+    // physically: lost uploads are dropped frames, crashes are closed
+    // connections, and the quarantine/degradation paths the recorder
+    // watches are the live transport ones, not modeled stand-ins.
+    let (report, wire) = if let Some(addr) = &listen {
+        fedknow_obs::set_context("proc.name", "server");
+        let served = spec.serve_over(Method::FedKnow, addr);
+        let (report, stats) = served.expect("serve failed");
+        (report, Some((format!("serve {addr}"), stats)))
+    } else if let Some(kind) = transport {
+        let (report, stats) = spec
+            .run_over(Method::FedKnow, kind)
+            .expect("transport run failed");
+        (report, Some((kind.to_string(), stats)))
+    } else {
+        let report = spec.run(Method::FedKnow).expect("simulation failed");
+        (report, None)
     };
+    if let Some((what, stats)) = wire {
+        println!(
+            "[chaos_probe] {what}: {} frames ({} dropped), {} data bytes, \
+             {} overhead, {} malformed quarantined",
+            stats.frames,
+            stats.frames_dropped,
+            stats.payload,
+            stats.overhead,
+            stats.malformed_frames
+        );
+    }
     let tasks = report.accuracy.num_tasks();
     println!(
         "[chaos_probe] {} tasks, final accuracy {:.4}, faults: {} crashes, \
@@ -208,6 +137,7 @@ fn main() {
         report.fault_count(FaultKind::UploadRejected),
     );
     dump_probe_bundle();
+    Ok(())
 }
 
 fn dump_probe_bundle() {
@@ -215,14 +145,4 @@ fn dump_probe_bundle() {
         Some(path) => println!("[chaos_probe] bundle {}", path.display()),
         None => println!("[chaos_probe] no bundle (FEDKNOW_TRACE_DIR unset)"),
     }
-}
-
-fn usage(msg: &str) -> ! {
-    eprintln!(
-        "error: {msg}\n\
-         usage: chaos_probe [--scale smoke|quick|paper] [--seed N] \
-         [--panic-after-tasks N] [--force-violation] [--transport channel|tcp|unix] \
-         [--listen ADDR | --connect ADDR --client-id N]"
-    );
-    std::process::exit(2)
 }

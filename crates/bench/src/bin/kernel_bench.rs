@@ -21,17 +21,18 @@
 //! prints the per-layer µs table — where a train step's time goes beside
 //! what its kernels could deliver. Those rows are `Info` metrics.
 //!
-//! The run is distilled into `results/BENCH_kernels.json` through the
-//! usual rotation machinery — one `gflops <kernel> [<shape>]` metric per
+//! The run is distilled into `BENCH_kernels.json` under `--results DIR`
+//! (default `results`) — one `gflops <kernel> [<shape>]` metric per
 //! point — so `bench_gate` diffs each kernel's throughput against the
-//! previous record; the roofline detail (`flops`, `bytes`, `min_ns`,
-//! intensity) goes to `results/kernels.json` for `obs roofline`.
+//! committed record; the roofline detail (`flops`, `bytes`, `min_ns`,
+//! intensity) goes to `kernels.json` beside it for `obs roofline`.
 //!
 //! Exit status: 0 on success, 1 when a cross-check fails, 2 on usage
 //! errors.
 
 use fedknow_bench::{
-    results_dir, write_bench_record, write_json_to, BenchRecord, Better, KernelEntry, Metric, Tol,
+    flag, flag_with, flags_only, results_flag, write_json, BenchRecord, Better, KernelEntry,
+    Metric, Tol,
 };
 use fedknow_math::flops::{self, Cost};
 use fedknow_math::qp::{integrate_gradient, QpConfig};
@@ -54,52 +55,19 @@ struct Opts {
     results: PathBuf,
 }
 
-fn parse_opts() -> Opts {
-    let mut o = Opts {
-        smoke: false,
-        seed: 42,
-        reps: 0,
-        results: results_dir(),
-    };
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--smoke" => o.smoke = true,
-            "--seed" => {
-                i += 1;
-                o.seed = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--seed expects an integer"));
-            }
-            "--reps" => {
-                i += 1;
-                o.reps = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--reps expects an integer"));
-            }
-            "--results" => {
-                i += 1;
-                o.results = PathBuf::from(
-                    argv.get(i)
-                        .unwrap_or_else(|| usage("--results expects DIR")),
-                );
-            }
-            other => usage(&format!("unknown argument {other}")),
-        }
-        i += 1;
-    }
-    if o.reps == 0 {
-        o.reps = if o.smoke { 5 } else { 15 };
-    }
-    o
-}
+const USAGE: &str = "kernel_bench [--smoke] [--seed N] [--reps K] [--results DIR]";
 
-fn usage(msg: &str) -> ! {
-    eprintln!("error: {msg}\nusage: kernel_bench [--smoke] [--seed N] [--reps K] [--results DIR]");
-    std::process::exit(2)
+fn parse_opts() -> Result<Opts, String> {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    flags_only(&argv, USAGE)?;
+    let smoke = argv.iter().any(|a| a == "--smoke");
+    Ok(Opts {
+        smoke,
+        seed: flag(&argv, "--seed")?.unwrap_or(42),
+        reps: flag_with(&argv, "--reps", |s| s.parse().ok().filter(|&k| k > 0))?
+            .unwrap_or(if smoke { 5 } else { 15 }),
+        results: results_flag(&argv)?,
+    })
 }
 
 /// Deterministic pseudo-random values in roughly `[-0.5, 0.5)` — the
@@ -422,7 +390,7 @@ fn bench_fedavg(opts: &Opts, clients: usize, dim: usize, out: &mut Vec<KernelEnt
 }
 
 fn main() {
-    let opts = parse_opts();
+    let opts = parse_opts().unwrap_or_else(|e| fedknow_bench::usage(USAGE, &e));
     // The counter cross-checks need the registry live; the per-call
     // cost (two atomic adds per kernel invocation) is noise next to the
     // kernels themselves, so timing runs with it on too — exactly the
@@ -526,7 +494,6 @@ fn main() {
         ));
     }
     let scale = if opts.smoke { "smoke" } else { "quick" };
-    let rec = BenchRecord::new("kernels", scale, opts.seed, metrics);
-    write_bench_record(&opts.results, &rec);
-    write_json_to(&opts.results, "kernels", &entries);
+    BenchRecord::new("kernels", scale, opts.seed, metrics).write(&opts.results);
+    write_json(&opts.results, "kernels", &entries);
 }

@@ -36,7 +36,7 @@
 //! Exit codes: 0 ok, 1 invalid input or failed validation, 2 usage/IO
 //! error.
 
-use fedknow_bench::{fmt_ns, KernelEntry};
+use fedknow_bench::{flag, flags_only, fmt_ns, positionals, KernelEntry};
 use fedknow_obs::{trace, Recording};
 use serde_json::Value;
 
@@ -49,78 +49,56 @@ fn main() {
             Some("convert") => convert(&argv[1..]),
             Some("validate") => validate(&argv[1..]),
             Some("summary") => summary(&argv[1..]),
-            Some("merge") => merge(&argv[1..]),
-            Some(other) => usage(&format!("unknown trace subcommand {other}")),
-            None => usage("missing trace subcommand"),
+            Some("merge") => merge(&argv[2..]),
+            Some(other) => Err(format!("unknown trace subcommand {other}")),
+            None => Err("missing trace subcommand".to_string()),
         },
-        Some(other) => usage(&format!("unknown subcommand {other}")),
-        None => usage("missing subcommand"),
+        Some(other) => Err(format!("unknown subcommand {other}")),
+        None => Err("missing subcommand".to_string()),
     };
-    std::process::exit(code);
+    std::process::exit(code.unwrap_or_else(|e| fedknow_bench::usage(USAGE, &e)));
 }
 
-fn usage(msg: &str) -> i32 {
-    eprintln!(
-        "error: {msg}\n\
-         usage: obs report   <stream.jsonl|bundle.json> [--top N]\n\
-         \x20      obs roofline [--record PATH]\n\
-         \x20      obs trace convert  <stream.jsonl|bundle.json|trace.json> [-o out.json]\n\
-         \x20      obs trace validate <input>\n\
-         \x20      obs trace summary  <input> [--top N]\n\
-         \x20      obs trace merge    <bundle.json...> [-o out.json] [--min-link F]"
-    );
-    2
-}
+/// What a subcommand returns: its exit code, or a command-line error to
+/// report with [`USAGE`].
+type Exit = Result<i32, String>;
 
-/// The value following `flag`, parsed; `Ok(None)` when the flag is
-/// absent, `Err` when its value is missing or malformed.
-fn flag<T: std::str::FromStr>(argv: &[String], flag: &str) -> Result<Option<T>, ()> {
-    match argv.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => argv
-            .get(i + 1)
-            .and_then(|s| s.parse().ok())
-            .map(Some)
-            .ok_or(()),
-    }
-}
+const USAGE: &str = "obs report   <stream.jsonl|bundle.json> [--top N]
+       obs roofline [--record PATH]
+       obs trace convert  <stream.jsonl|bundle.json|trace.json> [-o out.json]
+       obs trace validate <input>
+       obs trace summary  <input> [--top N]
+       obs trace merge    <bundle.json...> [-o out.json] [--min-link F]";
 
-fn report(argv: &[String]) -> i32 {
+fn report(argv: &[String]) -> Exit {
     let Some(path) = argv.first().filter(|a| !a.starts_with("--")) else {
-        return usage("report expects a stream or bundle file");
+        return Err("report expects a stream or bundle file".to_string());
     };
-    let Ok(top) = flag::<usize>(argv, "--top") else {
-        return usage("--top expects an integer");
-    };
+    let top = flag::<usize>(argv, "--top")?;
     let rec = match Recording::load(path) {
         Ok(rec) => rec,
         Err(e) => {
             eprintln!("error: {path}: {e}");
-            return 1;
+            return Ok(1);
         }
     };
     if rec.tracks.iter().all(|t| t.events.is_empty()) {
         eprintln!("error: {path} holds no records");
-        return 1;
+        return Ok(1);
     }
     fedknow_bench::report::print(&rec, top.unwrap_or(usize::MAX));
-    0
+    Ok(0)
 }
 
-fn roofline(argv: &[String]) -> i32 {
-    if argv.first().is_some_and(|a| a != "--record") {
-        return usage(&format!("unknown argument {}", argv[0]));
-    }
-    let path = match flag::<std::path::PathBuf>(argv, "--record") {
-        Ok(Some(path)) => path,
-        Ok(None) => fedknow_bench::results_dir().join("kernels.json"),
-        Err(()) => return usage("--record expects PATH"),
-    };
+fn roofline(argv: &[String]) -> Exit {
+    flags_only(argv, "[--record PATH]")?;
+    let path: std::path::PathBuf =
+        flag(argv, "--record")?.unwrap_or_else(|| "results/kernels.json".into());
     let kernels: Vec<KernelEntry> = match std::fs::read_to_string(&path) {
         Ok(text) => serde_json::from_str(&text).unwrap_or_default(),
         Err(e) => {
             eprintln!("error: read {}: {e}", path.display());
-            return 1;
+            return Ok(1);
         }
     };
     if kernels.is_empty() {
@@ -129,7 +107,7 @@ fn roofline(argv: &[String]) -> i32 {
              run kernel_bench first",
             path.display()
         );
-        return 1;
+        return Ok(1);
     }
     // Roofs implied by the record: best achieved compute rate and best
     // achieved memory traffic rate across all measured points.
@@ -179,7 +157,7 @@ fn roofline(argv: &[String]) -> i32 {
             "#".repeat(bar_len.min(20)),
         );
     }
-    0
+    Ok(0)
 }
 
 /// Load the input file as trace JSON: a trace as it is, a stream or a
@@ -189,32 +167,27 @@ fn load_trace(path: &str) -> Result<Value, String> {
     trace::from_text(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn convert(argv: &[String]) -> i32 {
-    let Some(input) = argv.get(1) else {
-        return usage("convert expects an input file");
-    };
-    let out = argv
-        .iter()
-        .position(|a| a == "-o")
-        .and_then(|i| argv.get(i + 1));
+fn convert(argv: &[String]) -> Exit {
+    let input = argv.get(1).ok_or("convert expects an input file")?;
+    let out = flag::<String>(argv, "-o")?;
     let trace_doc = match load_trace(input) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("error: {e}");
-            return 1;
+            return Ok(1);
         }
     };
     // Converting implies validating: never emit a file Perfetto rejects.
     if let Err(e) = trace::validate(&trace_doc) {
         eprintln!("error: converted trace failed validation: {e}");
-        return 1;
+        return Ok(1);
     }
-    write_trace(&trace_doc, out)
+    Ok(write_trace(&trace_doc, out.as_deref()))
 }
 
 /// Write a trace to `out` (stdout when `None`); exit code 2 on an I/O
 /// error.
-fn write_trace(trace_doc: &Value, out: Option<&String>) -> i32 {
+fn write_trace(trace_doc: &Value, out: Option<&str>) -> i32 {
     let json = serde_json::to_string(trace_doc).expect("serialise trace");
     match out {
         Some(path) => {
@@ -229,10 +202,8 @@ fn write_trace(trace_doc: &Value, out: Option<&String>) -> i32 {
     0
 }
 
-fn validate(argv: &[String]) -> i32 {
-    let Some(input) = argv.get(1) else {
-        return usage("validate expects an input file");
-    };
+fn validate(argv: &[String]) -> Exit {
+    let input = argv.get(1).ok_or("validate expects an input file")?;
     match load_trace(input).and_then(|t| trace::validate(&t)) {
         Ok(stats) => {
             println!(
@@ -247,41 +218,21 @@ fn validate(argv: &[String]) -> i32 {
                 stats.tracks,
                 stats.max_ts_us / 1_000.0
             );
-            0
+            Ok(0)
         }
         Err(e) => {
             eprintln!("error: {e}");
-            1
+            Ok(1)
         }
     }
 }
 
-fn merge(argv: &[String]) -> i32 {
-    let mut inputs: Vec<&String> = Vec::new();
-    let mut out: Option<&String> = None;
-    let mut min_link: Option<f64> = None;
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "-o" => {
-                out = argv.get(i + 1);
-                i += 2;
-            }
-            "--min-link" => {
-                let Some(f) = argv.get(i + 1).and_then(|s| s.parse::<f64>().ok()) else {
-                    return usage("--min-link expects a fraction in [0, 1]");
-                };
-                min_link = Some(f);
-                i += 2;
-            }
-            _ => {
-                inputs.push(&argv[i]);
-                i += 1;
-            }
-        }
-    }
+fn merge(argv: &[String]) -> Exit {
+    let inputs = positionals(argv, "[-o out.json] [--min-link F]")?;
+    let out = flag::<String>(argv, "-o")?;
+    let min_link = flag::<f64>(argv, "--min-link")?;
     if inputs.is_empty() {
-        return usage("merge expects at least one bundle file");
+        return Err("merge expects at least one bundle file".to_string());
     }
     let mut bundles = Vec::with_capacity(inputs.len());
     for path in &inputs {
@@ -289,11 +240,11 @@ fn merge(argv: &[String]) -> i32 {
             Ok(rec) => bundles.push(rec),
             Err(fedknow_obs::LoadError::Io(e)) => {
                 eprintln!("error: read {path}: {e}");
-                return 2;
+                return Ok(2);
             }
             Err(e) => {
                 eprintln!("error: {path}: {e}");
-                return 1;
+                return Ok(1);
             }
         }
     }
@@ -301,12 +252,12 @@ fn merge(argv: &[String]) -> i32 {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: merge: {e}");
-            return 1;
+            return Ok(1);
         }
     };
     if let Err(e) = trace::validate(&trace_doc) {
         eprintln!("error: merged trace failed validation: {e}");
-        return 1;
+        return Ok(1);
     }
     let offsets: Vec<String> = stats
         .offsets_us
@@ -323,33 +274,29 @@ fn merge(argv: &[String]) -> i32 {
         stats.dropped,
         offsets.join(", ")
     );
-    match (write_trace(&trace_doc, out), min_link) {
+    match (write_trace(&trace_doc, out.as_deref()), min_link) {
         (0, Some(min)) if stats.link_fraction < min => {
             eprintln!(
                 "error: link fraction {:.4} below required {min}",
                 stats.link_fraction
             );
-            1
+            Ok(1)
         }
-        (code, _) => code,
+        (code, _) => Ok(code),
     }
 }
 
-fn summary(argv: &[String]) -> i32 {
-    let Some(input) = argv.get(1) else {
-        return usage("summary expects an input file");
-    };
-    let Ok(top) = flag::<usize>(argv, "--top") else {
-        return usage("--top expects an integer");
-    };
+fn summary(argv: &[String]) -> Exit {
+    let input = argv.get(1).ok_or("summary expects an input file")?;
+    let top = flag::<usize>(argv, "--top")?;
     match load_trace(input).and_then(|t| trace::summarize(&t, top.unwrap_or(10))) {
         Ok(table) => {
             println!("{table}");
-            0
+            Ok(0)
         }
         Err(e) => {
             eprintln!("error: {e}");
-            1
+            Ok(1)
         }
     }
 }

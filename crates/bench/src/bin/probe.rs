@@ -8,52 +8,47 @@
 //! ```
 
 use fedknow_baselines::Method;
-use fedknow_bench::MethodCurve;
+use fedknow_bench::{flag, flag_with, flags_only, MethodCurve};
 use fedknow_data::DatasetSpec;
 use fedknow_nn::ModelKind;
 use fedknow_suite::RunSpec;
 
-fn main() {
-    let argv: Vec<String> = std::env::args().collect();
-    let get = |flag: &str, default: &str| -> String {
-        argv.iter()
-            .position(|a| a == flag)
-            .and_then(|i| argv.get(i + 1))
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
-    };
-    let (method, dataset) = (get("--method", "fedknow"), get("--dataset", "cifar100"));
-    let method = Method::from_name(&method).unwrap_or_else(|| {
-        eprintln!("unknown method {method}");
-        std::process::exit(2);
-    });
-    let dataset = DatasetSpec::by_name(&dataset).unwrap_or_else(|| {
-        eprintln!("unknown dataset {dataset}");
-        std::process::exit(2);
-    });
-    let model = match get("--model", "auto").as_str() {
-        "auto" => fedknow_bench::paper_model_for(&dataset.name),
-        "sixcnn" => ModelKind::SixCnn,
-        "resnet18" => ModelKind::ResNet18,
-        other => {
-            eprintln!("unknown model {other}");
-            std::process::exit(2);
-        }
-    };
-    let tasks: usize = get("--tasks", "3").parse().expect("--tasks");
-    let samples: f64 = get("--samples", "1.0").parse().expect("--samples");
-    let hw: usize = get("--hw", "8").parse().expect("--hw");
+const USAGE: &str = "probe [--method NAME] [--dataset NAME] [--model auto|sixcnn|resnet18] \
+     [--tasks N] [--clients N] [--rounds N] [--iters N] [--samples F] [--hw N] [--seed N]";
+
+/// The flags as a method and the run to put it through.
+fn parse_opts() -> Result<(Method, RunSpec), String> {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    flags_only(&argv, USAGE)?;
+    let method = flag_with(&argv, "--method", Method::from_name)?.unwrap_or(Method::FedKnow);
+    let dataset =
+        flag_with(&argv, "--dataset", DatasetSpec::by_name)?.unwrap_or_else(DatasetSpec::cifar100);
+    let auto = fedknow_bench::paper_model_for(&dataset.name);
+    let model = flag_with(&argv, "--model", |s| match s {
+        "auto" => Some(auto),
+        "sixcnn" => Some(ModelKind::SixCnn),
+        "resnet18" => Some(ModelKind::ResNet18),
+        _ => None,
+    })?;
+    let samples = flag(&argv, "--samples")?.unwrap_or(1.0);
+    let hw = flag(&argv, "--hw")?.unwrap_or(8);
+    let tasks = flag(&argv, "--tasks")?.unwrap_or(3);
     let spec = RunSpec {
         dataset: dataset.scaled(samples, hw).with_tasks(tasks),
-        model,
+        model: model.unwrap_or(auto),
         width: 1.0,
-        num_clients: get("--clients", "4").parse().expect("--clients"),
-        rounds_per_task: get("--rounds", "3").parse().expect("--rounds"),
-        iters_per_round: get("--iters", "8").parse().expect("--iters"),
-        seed: get("--seed", "42").parse().expect("--seed"),
+        num_clients: flag(&argv, "--clients")?.unwrap_or(4),
+        rounds_per_task: flag(&argv, "--rounds")?.unwrap_or(3),
+        iters_per_round: flag(&argv, "--iters")?.unwrap_or(8),
+        seed: flag(&argv, "--seed")?.unwrap_or(42),
         method_cfg: Default::default(),
         faults: Default::default(),
     };
+    Ok((method, spec))
+}
+
+fn main() {
+    let (method, spec) = parse_opts().unwrap_or_else(|e| fedknow_bench::usage(USAGE, &e));
     // All timing below comes from the obs layer (phase timers + the run
     // span) rather than an ad-hoc Instant, so this binary reports
     // through the same path as `obs report` and the JSONL stream.

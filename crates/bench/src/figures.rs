@@ -4,29 +4,30 @@
 //! forgetting / time curves*. Each figure is a short function over the
 //! shared pieces below (`run_reports` / `run_curves`, `print_curves`,
 //! [`shrunk_cluster`]); [`FIGURES`] maps the `figures --fig` ids to them
-//! and to the `results/` file each one writes.
+//! and to the file each one writes under `--results DIR`. The fault
+//! sweep (`resilience`) rides the same table.
 
 use crate::{
-    peak_rss_bytes, print_table, results_dir, scaled_spec, usage, write_bench_record, write_json,
-    Args, BenchRecord, MethodCurve, Scale,
+    peak_rss_bytes, print_table, scaled_spec, usage, write_json, Args, BenchRecord, MethodCurve,
+    Scale, USAGE,
 };
 use fedknow_baselines::factory::MethodConfig;
 use fedknow_baselines::Method;
 use fedknow_data::{ContinualDataset, DatasetSpec};
-use fedknow_fl::{CommModel, DeviceProfile, SimReport};
+use fedknow_fl::{CommModel, DeviceProfile, FaultConfig, FaultKind, SimReport, TransportKind};
 use fedknow_math::stats::{mean, percent_improvement};
 use fedknow_nn::ModelKind;
 use fedknow_suite::RunSpec;
 use serde::Serialize;
 use std::time::Instant;
 
-/// `(--fig id, stem, figure)`: the figure writes `results/<stem>.json`,
-/// or one `results/<stem>_<dataset>.json` per dataset (`4`, `4h`).
+/// `(--fig id, stem, figure)`: the figure writes `<stem>.json`, or one
+/// `<stem>_<dataset>.json` per dataset (`4`, `4h`), under `args.results`.
 pub type Figure = (&'static str, &'static str, fn(&Args, &str));
 
 /// The driver table, in the order a full campaign runs it (`t1` reads
 /// what `4` wrote).
-pub const FIGURES: [Figure; 12] = [
+pub const FIGURES: [Figure; 13] = [
     ("4", "fig4", fig4),
     ("4h", "fig4_hetero", fig4_hetero),
     ("5", "fig5_comm_workloads", fig5),
@@ -39,6 +40,7 @@ pub const FIGURES: [Figure; 12] = [
     ("ablations", "ablations", ablations),
     ("hparams", "hyperparam_search", hparams),
     ("convergence", "convergence_check", convergence),
+    ("resilience", "resilience", resilience),
 ];
 
 /// Run the figures `args.fig` selects (all of them when absent), in
@@ -51,10 +53,10 @@ pub fn run(args: &Args) {
     for id in args.fig.iter().flatten() {
         if !FIGURES.iter().any(|(known, ..)| known == id) {
             let ids: Vec<&str> = FIGURES.iter().map(|&(id, ..)| id).collect();
-            usage(&format!(
-                "--fig: no figure `{id}`; the ids are {}",
-                ids.join(",")
-            ));
+            usage(
+                USAGE,
+                &format!("--fig: no figure `{id}`; the ids are {}", ids.join(",")),
+            );
         }
     }
     for (_, stem, figure) in FIGURES.iter().filter(|(id, ..)| selected(id)) {
@@ -81,13 +83,17 @@ pub fn shrunk_cluster(n: usize) -> Vec<DeviceProfile> {
 
 /// Run `methods` one after another under `spec` on `devices` over the
 /// paper's default link, keeping each report with the real seconds it
-/// took. `stream` replaces the dataset `spec` would generate.
+/// took. `stream` replaces the dataset `spec` would generate; without
+/// one, `transport` runs the actor runtime over that wire instead of the
+/// in-process simulator — the same report bit for bit, faults realised
+/// at the wire seam.
 fn run_reports(
     label: &str,
     spec: &RunSpec,
     stream: Option<&ContinualDataset>,
     methods: &[Method],
     devices: Vec<DeviceProfile>,
+    transport: Option<TransportKind>,
 ) -> Vec<(SimReport, f64)> {
     methods
         .iter()
@@ -95,9 +101,12 @@ fn run_reports(
             eprintln!("[{label}] {} ...", method.name());
             let (devices, comm) = (devices.clone(), CommModel::paper_default());
             let started = Instant::now();
-            let report = match stream {
-                Some(data) => spec.run_on_dataset(method, data, devices, comm),
-                None => spec.run_on(method, devices, comm),
+            let report = match (stream, transport) {
+                (Some(data), _) => spec.run_on_dataset(method, data, devices, comm),
+                (None, None) => spec.run_on(method, devices, comm),
+                (None, Some(kind)) => spec
+                    .run_over_on(method, devices, comm, kind)
+                    .map(|(report, _wire)| report),
             }
             .expect("simulation failed");
             (report, started.elapsed().as_secs_f64())
@@ -116,7 +125,7 @@ fn curves(runs: &[(SimReport, f64)]) -> Vec<MethodCurve> {
 /// [`MethodCurve`] per method.
 fn run_curves(label: &str, spec: &RunSpec, methods: &[Method]) -> Vec<MethodCurve> {
     let devices = DeviceProfile::uniform_cluster(spec.num_clients);
-    curves(&run_reports(label, spec, None, methods, devices))
+    curves(&run_reports(label, spec, None, methods, devices, None))
 }
 
 fn run_one(label: &str, spec: &RunSpec, method: Method) -> MethodCurve {
@@ -151,7 +160,7 @@ fn fig4(args: &Args, stem: &str) {
             .iter()
             .map(|n| {
                 DatasetSpec::by_name(n)
-                    .unwrap_or_else(|| usage(&format!("--only: no dataset `{n}`")))
+                    .unwrap_or_else(|| usage(USAGE, &format!("--only: no dataset `{n}`")))
             })
             .collect(),
         // The smoke pass covers one CNN and one ResNet dataset.
@@ -165,15 +174,14 @@ fn fig4(args: &Args, stem: &str) {
             Scale::Paper => DeviceProfile::jetson_cluster(),
             _ => shrunk_cluster(spec.num_clients),
         };
-        let runs = run_reports(&name, &spec, None, &Method::COMPARISON, devices);
+        let runs = run_reports(&name, &spec, None, &Method::COMPARISON, devices, None);
         for (report, wall) in runs.iter().filter(|(r, _)| r.method == "fedknow") {
             let scale = args.scale.name();
-            let rec = BenchRecord::from_report(&name, scale, args.seed, report, *wall);
-            write_bench_record(&results_dir(), &rec);
+            BenchRecord::from_report(&name, scale, args.seed, report, *wall).write(&args.results);
         }
         let curves = curves(&runs);
         print_curves(&format!("Fig.4 {name}"), &curves, &[ACCURACY, TIME]);
-        write_json(&name, &curves);
+        write_json(&args.results, &name, &curves);
     }
 }
 
@@ -206,7 +214,7 @@ fn fig4_hetero(args: &Args, stem: &str) {
             ],
         };
         spec.num_clients = devices.len();
-        let runs = run_reports(&name, &spec, None, &STRONGEST, devices);
+        let runs = run_reports(&name, &spec, None, &STRONGEST, devices, None);
         for (r, _) in runs.iter().filter(|(r, _)| !r.dropouts.is_empty()) {
             eprintln!(
                 "[{name}] {} dropouts: {:?} (client, task) — memory-gated",
@@ -215,7 +223,7 @@ fn fig4_hetero(args: &Args, stem: &str) {
         }
         let curves = curves(&runs);
         print_curves(&format!("Fig.4(d-f) {name}"), &curves, &[ACCURACY, TIME]);
-        write_json(&name, &curves);
+        write_json(&args.results, &name, &curves);
     }
 }
 
@@ -256,7 +264,7 @@ fn fig5(args: &Args, stem: &str) {
     }
     let columns = vec!["fedknow(s)".to_string(), "fedweit(s)".to_string()];
     print_table("Fig.5 — communication time per workload", &columns, &rows);
-    write_json(stem, &results);
+    write_json(&args.results, stem, &results);
 }
 
 #[derive(Serialize)]
@@ -310,7 +318,7 @@ fn fig6(args: &Args, stem: &str) {
         &columns,
         &rows,
     );
-    write_json(stem, &results);
+    write_json(&args.results, stem, &results);
 }
 
 /// MiniImageNet + CIFAR-100 + TinyImageNet combined into one stream,
@@ -335,10 +343,10 @@ fn fig7(args: &Args, stem: &str) {
     };
     let label = format!("fig7 {num_tasks} tasks");
     let devices = DeviceProfile::uniform_cluster(clients);
-    let runs = run_reports(&label, &spec, Some(&stream), &STRONGEST, devices);
+    let runs = run_reports(&label, &spec, Some(&stream), &STRONGEST, devices, None);
     let curves = curves(&runs);
     print_curves("Fig.7 combined stream", &curves, &[ACCURACY, FORGETTING]);
-    write_json(stem, &curves);
+    write_json(&args.results, stem, &curves);
 }
 
 #[derive(Serialize)]
@@ -369,7 +377,7 @@ fn fig8(args: &Args, stem: &str) {
         spec.num_clients = n;
         let label = format!("fig8 {n} clients");
         let devices = DeviceProfile::uniform_cluster(n);
-        let runs = run_reports(&label, &spec, None, &STRONGEST, devices);
+        let runs = run_reports(&label, &spec, None, &STRONGEST, devices, None);
         let curves = curves(&runs);
         print_curves(
             &format!("Fig.8 {n} clients"),
@@ -403,7 +411,7 @@ fn fig8(args: &Args, stem: &str) {
             peak_rss_bytes: rss,
         });
     }
-    write_json(stem, &results);
+    write_json(&args.results, stem, &results);
 }
 
 #[derive(Serialize)]
@@ -440,7 +448,7 @@ fn fig9(args: &Args, stem: &str) {
             curves,
         });
     }
-    write_json(stem, &results);
+    write_json(&args.results, stem, &results);
 }
 
 #[derive(Serialize)]
@@ -489,7 +497,7 @@ fn fig10(args: &Args, stem: &str) {
         &["accuracy".into(), "seconds".into()],
         &rows,
     );
-    write_json(stem, &results);
+    write_json(&args.results, stem, &results);
 }
 
 #[derive(Serialize)]
@@ -504,12 +512,12 @@ struct Improvement {
 /// The per-task percentage accuracy improvement of FedKNOW over the
 /// average of all 11 baselines, recomputed from the files Fig. 4 wrote
 /// so the two artifacts stay consistent.
-fn table1(_args: &Args, stem: &str) {
+fn table1(args: &Args, stem: &str) {
     let mut out = Vec::new();
     let mut rows = Vec::new();
     for ds in DatasetSpec::all_benchmarks() {
         let ds = ds.name;
-        let path = results_dir().join(format!("fig4_{ds}.json"));
+        let path = args.results.join(format!("fig4_{ds}.json"));
         let Ok(raw) = std::fs::read_to_string(&path) else {
             eprintln!(
                 "[table1] skipping {ds}: run `figures --fig 4` first ({} missing)",
@@ -552,7 +560,7 @@ fn table1(_args: &Args, stem: &str) {
     );
     let overall = mean(&out.iter().map(|i| i.mean_percent).collect::<Vec<_>>());
     println!("\noverall mean improvement: {overall:.2}%");
-    write_json(stem, &out);
+    write_json(&args.results, stem, &out);
 }
 
 #[derive(Serialize)]
@@ -637,7 +645,7 @@ fn ablations(args: &Args, stem: &str) {
         .collect();
     print_table("ablation wall time", &["seconds".into()], &wall_rows);
     crate::print_phase_breakdown(&fedknow_fl::PhaseBreakdown::from_metrics(&diff));
-    write_json(stem, &results);
+    write_json(&args.results, stem, &results);
 }
 
 #[derive(Serialize)]
@@ -738,7 +746,7 @@ fn hparams(args: &Args, stem: &str) {
         ],
         &rows,
     );
-    write_json(stem, &results);
+    write_json(&args.results, stem, &results);
 }
 
 #[derive(Serialize)]
@@ -806,7 +814,117 @@ fn convergence(args: &Args, stem: &str) {
         &columns,
         &rows,
     );
-    write_json(stem, &results);
+    write_json(&args.results, stem, &results);
+}
+
+/// One (method, fault-rate) cell of the resilience sweep.
+#[derive(Serialize)]
+struct ResilienceRow {
+    method: String,
+    fault_rate: f64,
+    final_accuracy: f64,
+    final_forgetting: f64,
+    /// Accuracy lost vs the same method's fault-free run (positive =
+    /// worse under faults).
+    degradation: f64,
+    comm_seconds: f64,
+    total_bytes: u64,
+    crashes: u64,
+    rejoins: u64,
+    lost_uploads: u64,
+    retries: u64,
+    deadline_misses: u64,
+    rejected_uploads: u64,
+}
+
+/// FedKNOW vs FedAvg under growing fault pressure: the crash/upload-loss
+/// rate swept from 0 % to 30 % at a fixed seed — how final accuracy,
+/// forgetting and communication time degrade, plus each run's fault
+/// census. `--transport` realises the faults on a wire. The fault-free
+/// FedKNOW run also feeds the regression gate: a resilience-protocol
+/// change that costs clean-run accuracy shows up there.
+fn resilience(args: &Args, stem: &str) {
+    const METHODS: [Method; 2] = [Method::FedKnow, Method::FedAvg];
+    let rates: &[f64] = match args.scale {
+        Scale::Smoke => &[0.0, 0.3],
+        _ => &[0.0, 0.1, 0.2, 0.3],
+    };
+    let base = scaled_spec(DatasetSpec::cifar100(), args.scale, args.seed);
+    // Fast AGX down to Nano, so the deadline and straggler machinery has
+    // a spread to bite on.
+    let devices = shrunk_cluster(base.num_clients);
+    let mut rows: Vec<ResilienceRow> = Vec::new();
+    for method in METHODS {
+        let mut clean_accuracy = 0.0;
+        for &rate in rates {
+            let spec = base.clone().with_faults(FaultConfig::crash_loss(rate));
+            let label = format!("{stem} @ {:.0}% crash/loss", 100.0 * rate);
+            let (report, wall) = run_reports(
+                &label,
+                &spec,
+                None,
+                &[method],
+                devices.clone(),
+                args.transport,
+            )
+            .remove(0);
+            let last = report.accuracy.num_tasks() - 1;
+            let final_accuracy = report.accuracy.avg_accuracy_after(last);
+            if rate == 0.0 {
+                clean_accuracy = final_accuracy;
+                if method == Method::FedKnow {
+                    let scale = args.scale.name();
+                    BenchRecord::from_report(stem, scale, args.seed, &report, wall)
+                        .write(&args.results);
+                }
+            }
+            let count = |kind| report.fault_count(kind) as u64;
+            rows.push(ResilienceRow {
+                method: report.method.clone(),
+                fault_rate: rate,
+                final_accuracy,
+                final_forgetting: report.accuracy.avg_forgetting_after(last),
+                degradation: clean_accuracy - final_accuracy,
+                comm_seconds: report.task_comm_seconds.iter().sum(),
+                total_bytes: report.total_bytes,
+                crashes: count(FaultKind::Crash),
+                rejoins: count(FaultKind::Rejoin),
+                lost_uploads: count(FaultKind::UploadLost),
+                retries: count(FaultKind::UploadRetry),
+                deadline_misses: count(FaultKind::DeadlineMiss),
+                rejected_uploads: count(FaultKind::UploadRejected),
+            });
+        }
+    }
+    let columns: Vec<String> = rates.iter().map(|r| format!("{:.0}%", 100.0 * r)).collect();
+    // `rows` is method-major: one chunk of `rates.len()` cells per method.
+    let table = |title: &str, field: fn(&ResilienceRow) -> f64| {
+        let per_method = rows.chunks(rates.len());
+        let lines: Vec<(String, Vec<f64>)> = per_method
+            .map(|cells| (cells[0].method.clone(), cells.iter().map(field).collect()))
+            .collect();
+        print_table(&format!("Resilience — {title}"), &columns, &lines);
+    };
+    table("final accuracy vs fault rate", |r| r.final_accuracy);
+    table("accuracy degradation vs fault-free", |r| r.degradation);
+    table("comm seconds (retries + backoff charged)", |r| {
+        r.comm_seconds
+    });
+    for r in rows.iter().filter(|r| r.fault_rate > 0.0) {
+        println!(
+            "[faults] {} @ {:.0}%: {} crashes, {} rejoins, {} lost uploads, \
+             {} retries, {} deadline misses, {} quarantined",
+            r.method,
+            100.0 * r.fault_rate,
+            r.crashes,
+            r.rejoins,
+            r.lost_uploads,
+            r.retries,
+            r.deadline_misses,
+            r.rejected_uploads
+        );
+    }
+    write_json(&args.results, stem, &rows);
 }
 
 #[cfg(test)]
@@ -824,7 +942,9 @@ mod tests {
             } else {
                 ""
             };
-            let file = results_dir().join(format!("{stem}{per_dataset}.json"));
+            // Unit tests run in the crate's directory, two below the root.
+            let file = format!("../../results/{stem}{per_dataset}.json");
+            let file = std::path::Path::new(&file);
             assert!(file.exists(), "--fig {id}: {} missing", file.display());
         }
         ids.sort_unstable();

@@ -1,15 +1,16 @@
 //! Normalized benchmark records and the regression gate.
 //!
 //! A [`BenchRecord`] is a named list of [`Metric`]s, each carrying its
-//! own unit, direction and tolerance, written as
-//! `results/BENCH_<name>.json`; the previous record (if any) is rotated
-//! to `BENCH_<name>.prev.json`. The `bench_gate` binary diffs the pair
-//! metric by metric and exits non-zero when one moved past its
-//! tolerance in its bad direction — cheap CI insurance that a change
-//! didn't silently cost accuracy, throughput or memory.
+//! own unit, direction and tolerance, written as `BENCH_<name>.json`
+//! under the run's `--results DIR`. The records committed under
+//! `results/` are the baseline: the `bench_gate` binary diffs a fresh
+//! record against the committed one metric by metric and exits non-zero
+//! when one moved past its tolerance in its bad direction, or is gone —
+//! cheap CI insurance that a change didn't silently cost accuracy or
+//! throughput.
 
 use serde::{Deserialize, Serialize};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Which way a metric should move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -91,8 +92,10 @@ impl BenchRecord {
     }
 
     /// Distil a finished simulation report: final average accuracy and
-    /// forgetting, real wall seconds, and (when the observability layer
-    /// was on) the name-sorted phase totals as context.
+    /// forgetting are gated; real wall seconds and (when the
+    /// observability layer was on) the name-sorted phase totals are
+    /// context — wall clock across machines is noise, the ladder
+    /// benchmark judges it on one machine in alternated pairs.
     pub fn from_report(
         name: &str,
         scale: &str,
@@ -109,8 +112,7 @@ impl BenchRecord {
         let mut metrics = vec![
             Metric::new("final_accuracy", accuracy, "fraction", Higher, Abs(0.02)),
             Metric::new("final_forgetting", forgetting, "fraction", Lower, Abs(0.02)),
-            // Generous: CI machines are noisy.
-            Metric::new("wall_seconds", wall_seconds, "s", Lower, Rel(0.5)),
+            Metric::info("wall_seconds", wall_seconds, "s"),
         ];
         // Name-sorted already: a breakdown is built from a `BTreeMap`.
         let phases = report.phase_breakdown.iter().flat_map(|b| &b.phases);
@@ -122,36 +124,16 @@ impl BenchRecord {
         Self::new(name, scale, seed, metrics)
     }
 
+    /// Write the record as `dir/BENCH_<name>.json` through
+    /// [`crate::write_json`].
+    pub fn write(&self, dir: &Path) {
+        crate::write_json(dir, &format!("BENCH_{}", self.name), self)
+    }
+
     /// Look a metric up by name.
     pub fn metric(&self, name: &str) -> Option<&Metric> {
         self.metrics.iter().find(|m| m.name == name)
     }
-}
-
-/// Where `BENCH_<name>.json` lives under a results directory.
-pub fn bench_record_path(dir: &Path, name: &str) -> PathBuf {
-    dir.join(format!("BENCH_{name}.json"))
-}
-
-/// Write `dir/BENCH_<name>.json`, first rotating any existing record to
-/// `BENCH_<name>.prev.json` so the gate has a pair to diff, and
-/// announce the path. A record that cannot be written is fatal (exit
-/// 2), like a figure file that cannot be.
-pub fn write_bench_record(dir: &Path, rec: &BenchRecord) {
-    let path = bench_record_path(dir, &rec.name);
-    let write = || -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        if path.exists() {
-            std::fs::rename(&path, dir.join(format!("BENCH_{}.prev.json", rec.name)))?;
-        }
-        let json = serde_json::to_string_pretty(rec).expect("serialise bench record");
-        std::fs::write(&path, json)
-    };
-    if let Err(e) = write() {
-        eprintln!("[bench] {} not written: {e}", path.display());
-        std::process::exit(2);
-    }
-    println!("[bench] {}", path.display());
 }
 
 /// Read a record back; errors carry the path for usable CLI messages.
@@ -174,11 +156,12 @@ pub fn read_bench_record(path: &Path) -> Result<BenchRecord, String> {
 pub struct Finding {
     /// Metric name.
     pub metric: String,
-    /// Previous value.
+    /// Baseline value.
     pub prev: f64,
-    /// New value.
-    pub new: f64,
-    /// Whether the change exceeds its tolerance in the bad direction.
+    /// New value; `None` when the new record no longer carries the metric.
+    pub new: Option<f64>,
+    /// Whether the metric is gone, or moved past its tolerance in the
+    /// bad direction.
     pub regressed: bool,
 }
 
@@ -187,27 +170,33 @@ pub struct Finding {
 pub struct GateReport {
     /// Benchmark name.
     pub name: String,
-    /// Pair-level problems (scale mismatch) that make the diff moot.
+    /// A pair-level failure (scale mismatch) that makes the diff moot.
     pub incomparable: Option<String>,
     /// Per-metric comparisons.
     pub findings: Vec<Finding>,
 }
 
 impl GateReport {
-    /// True when any metric regressed past tolerance.
-    pub fn regressed(&self) -> bool {
-        self.findings.iter().any(|f| f.regressed)
+    /// True when the pair is incomparable, or any gated baseline metric
+    /// is missing or regressed past tolerance.
+    pub fn failed(&self) -> bool {
+        self.incomparable.is_some() || self.findings.iter().any(|f| f.regressed)
     }
 
     /// Human-readable diff, one line per metric.
     pub fn render(&self) -> String {
         let mut out = format!("== {} ==\n", self.name);
         if let Some(why) = &self.incomparable {
-            out.push_str(&format!("  SKIPPED: {why}\n"));
+            out.push_str(&format!("  INCOMPARABLE: {why}\n"));
             return out;
         }
         for f in &self.findings {
-            let delta = f.new - f.prev;
+            let Some(new) = f.new else {
+                let (metric, prev) = (&f.metric, f.prev);
+                out.push_str(&format!("  {metric:<18} {prev:>12.4} -> MISSING\n"));
+                continue;
+            };
+            let delta = new - f.prev;
             let tag = if f.regressed {
                 "REGRESSION"
             } else if delta == 0.0 {
@@ -217,53 +206,50 @@ impl GateReport {
             };
             out.push_str(&format!(
                 "  {:<18} {:>12.4} -> {:>12.4}  ({:+.4})  {tag}\n",
-                f.metric, f.prev, f.new, delta
+                f.metric, f.prev, new, delta
             ));
         }
         out
     }
 }
 
-/// Diff two records: every gated baseline metric the new record also
-/// carries is held to the *baseline's* tolerance. Metrics only one side
-/// has (a new kernel shape, a reshaped probe) are a different
-/// experiment, not a regression, and are skipped.
+/// Diff two records: every gated baseline metric is held to the
+/// *baseline's* tolerance, and one the new record lacks fails like a
+/// regression — a check that stopped running must not pass. Records at
+/// different scales fail as a pair. Metrics only the new record has are
+/// not compared until they are in a committed baseline.
 pub fn compare(prev: &BenchRecord, new: &BenchRecord) -> GateReport {
-    if prev.scale != new.scale {
-        return GateReport {
-            name: new.name.clone(),
-            incomparable: Some(format!(
-                "scale changed {} -> {}; records not comparable",
-                prev.scale, new.scale
-            )),
-            findings: Vec::new(),
-        };
-    }
-    let mut findings = Vec::new();
-    for p in &prev.metrics {
-        let Some(n) = new.metric(&p.name) else {
-            continue;
-        };
-        let worse_by = match p.better {
-            Better::Higher => p.value - n.value,
-            Better::Lower => n.value - p.value,
-            Better::Info => continue,
-        };
-        findings.push(Finding {
-            metric: p.name.clone(),
-            prev: p.value,
-            new: n.value,
-            regressed: match p.tol {
-                Tol::Abs(t) => worse_by > t,
-                Tol::Rel(t) => p.value > 0.0 && worse_by / p.value > t,
-            },
-        });
-    }
-    GateReport {
+    let mut report = GateReport {
         name: new.name.clone(),
         incomparable: None,
-        findings,
+        findings: Vec::new(),
+    };
+    if prev.scale != new.scale {
+        report.incomparable = Some(format!(
+            "scale changed {} -> {}; records not comparable",
+            prev.scale, new.scale
+        ));
+        return report;
     }
+    for p in prev.metrics.iter().filter(|p| p.better != Better::Info) {
+        let new = new.metric(&p.name).map(|n| n.value);
+        let worse_by = new.map(|n| match p.better {
+            Better::Higher => p.value - n,
+            _ => n - p.value,
+        });
+        let regressed = match (worse_by, p.tol) {
+            (None, _) => true,
+            (Some(w), Tol::Abs(t)) => w > t,
+            (Some(w), Tol::Rel(t)) => p.value > 0.0 && w / p.value > t,
+        };
+        report.findings.push(Finding {
+            metric: p.name.clone(),
+            prev: p.value,
+            new,
+            regressed,
+        });
+    }
+    report
 }
 
 #[cfg(test)]
@@ -275,11 +261,11 @@ mod tests {
     }
 
     fn sim_record(acc: f64, forget: f64, wall: f64) -> BenchRecord {
-        use {Better::*, Tol::*};
+        use {Better::*, Tol::Abs};
         record(vec![
             Metric::new("final_accuracy", acc, "fraction", Higher, Abs(0.02)),
             Metric::new("final_forgetting", forget, "fraction", Lower, Abs(0.02)),
-            Metric::new("wall_seconds", wall, "s", Lower, Rel(0.5)),
+            Metric::info("wall_seconds", wall, "s"),
             Metric::info("qp.solve_ns", 12345.0, "ns"),
         ])
     }
@@ -325,14 +311,17 @@ mod tests {
                 "{better:?} {tol:?} {prev} -> {new}: {}",
                 r.render()
             );
-            assert_eq!(r.regressed(), expect == Some(true));
-            // The same movement under another name is a different
-            // experiment: skipped, never failed.
+            assert_eq!(r.failed(), expect == Some(true));
+            // Under another name the baseline's metric is gone from the
+            // new record: a gated one fails however the value moved, and
+            // the new record's extra metric is not compared.
             let renamed = compare(
                 &record(vec![metric("m [20000x3]", prev)]),
                 &record(vec![metric("m [7x3]", new)]),
             );
-            assert!(renamed.findings.is_empty(), "{}", renamed.render());
+            assert_eq!(renamed.failed(), better != Info, "{}", renamed.render());
+            let mut names = renamed.findings.iter().map(|f| &*f.metric);
+            assert!(names.all(|n| n == "m [20000x3]"), "{}", renamed.render());
         }
     }
 
@@ -341,26 +330,43 @@ mod tests {
         let gflops =
             |value, tol| record(vec![Metric::new("g", value, "GF/s", Better::Higher, tol)]);
         let (tight, loose) = (gflops(4.0, Tol::Rel(0.1)), gflops(3.0, Tol::Rel(0.9)));
-        assert!(compare(&tight, &loose).regressed());
-        assert!(!compare(&loose, &tight).regressed());
+        assert!(compare(&tight, &loose).failed());
+        assert!(!compare(&loose, &tight).failed());
     }
 
     #[test]
     fn five_percent_accuracy_drop_regresses_by_name() {
         let r = compare(&sim_record(0.60, 0.1, 10.0), &sim_record(0.57, 0.1, 10.0));
-        assert!(r.regressed());
+        assert!(r.failed());
         assert!(r.render().contains("REGRESSION"), "{}", r.render());
         assert!(r.render().contains("final_accuracy"));
         assert!(!r.render().contains("qp.solve_ns"), "Info is not rendered");
     }
 
     #[test]
-    fn scale_mismatch_is_incomparable_not_regressed() {
-        let mut newer = sim_record(0.1, 0.9, 99.0);
+    fn scale_mismatch_is_incomparable_and_fails() {
+        let mut newer = sim_record(0.9, 0.0, 1.0);
         newer.scale = "quick".to_string();
         let r = compare(&sim_record(0.6, 0.1, 1.0), &newer);
-        assert!(!r.regressed());
-        assert!(r.render().contains("SKIPPED"));
+        assert!(r.failed());
+        assert!(r.findings.is_empty());
+        assert!(r.render().contains("smoke -> quick"), "{}", r.render());
+    }
+
+    #[test]
+    fn a_report_gates_accuracy_and_forgetting_and_records_wall_as_context() {
+        let report = fedknow_suite::RunSpec::quick(7)
+            .run(fedknow_baselines::Method::FedAvg)
+            .expect("simulation");
+        let rec = BenchRecord::from_report("x", "quick", 7, &report, 1.5);
+        let gated: Vec<&str> = rec
+            .metrics
+            .iter()
+            .filter(|m| m.better != Better::Info)
+            .map(|m| &*m.name)
+            .collect();
+        assert_eq!(gated, ["final_accuracy", "final_forgetting"]);
+        assert_eq!(rec.metric("wall_seconds").map(|m| m.value), Some(1.5));
     }
 
     #[test]
@@ -373,19 +379,16 @@ mod tests {
     }
 
     #[test]
-    fn write_rotates_previous_record() {
-        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../../target/test-scratch")
-            .join(format!("gate_{}", std::process::id()));
+    fn write_replaces_the_record_and_rotates_nothing() {
+        let dir = std::env::temp_dir().join(format!("gate_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        write_bench_record(&dir, &sim_record(0.5, 0.1, 10.0));
-        write_bench_record(&dir, &sim_record(0.6, 0.1, 10.0));
-        let acc = |file: &str| {
-            let rec = read_bench_record(&dir.join(file)).unwrap();
-            rec.metric("final_accuracy").unwrap().value
-        };
-        assert_eq!(acc("BENCH_fig4_cifar100.json"), 0.6);
-        assert_eq!(acc("BENCH_fig4_cifar100.prev.json"), 0.5);
+        sim_record(0.5, 0.1, 10.0).write(&dir);
+        sim_record(0.6, 0.1, 10.0).write(&dir);
+        let files: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().collect();
+        assert_eq!(files.len(), 1, "{files:?}");
+        let rec = read_bench_record(&files[0].path()).unwrap();
+        assert_eq!(files[0].file_name(), "BENCH_fig4_cifar100.json");
+        assert_eq!(rec.metric("final_accuracy").unwrap().value, 0.6);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -4,15 +4,17 @@
 //! * [`figures`] — every table and figure of the paper's evaluation as
 //!   one driver (the `figures` binary, `--fig` picks which to run). Each
 //!   builds its runs through [`scaled_spec`], prints human-readable
-//!   tables, and writes machine-readable JSON under `results/` —
+//!   tables, and writes machine-readable JSON under `--results DIR` —
 //!   EXPERIMENTS.md is generated from those files.
 //! * [`gate`] — the one [`BenchRecord`] every gated binary writes (a
 //!   list of named metrics, each with its unit, direction and
 //!   tolerance) and the one loop `bench_gate` diffs a pair with.
 //! * [`report`] — the `obs report` view of a stream or a bundle.
 //!
-//! Binaries that run at a scale accept `--scale smoke|quick|paper`
-//! (default `quick`) and `--seed N` through [`parse_args`].
+//! Every binary reads its flags through [`flag`] / [`positionals`] and
+//! rejects what it does not know with its own usage line ([`usage`],
+//! exit 2); the ones that write results take `--results DIR`
+//! ([`results_flag`]) and write through [`write_json`].
 //!
 //! Scales: `smoke` is a seconds-long sanity pass, `quick` (default)
 //! reproduces every curve's *shape* in minutes on one CPU core, and
@@ -30,7 +32,7 @@ pub mod figures;
 pub mod gate;
 pub mod report;
 
-pub use gate::{compare, read_bench_record, write_bench_record, BenchRecord, Better, Metric, Tol};
+pub use gate::{compare, read_bench_record, BenchRecord, Better, Metric, Tol};
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +66,7 @@ impl Scale {
     }
 }
 
-/// Parsed common CLI arguments.
+/// What the `figures` driver takes.
 #[derive(Debug, Clone)]
 pub struct Args {
     /// Selected scale.
@@ -74,78 +76,106 @@ pub struct Args {
     /// Optional comma-separated dataset names — Fig. 4 runs these
     /// instead of its per-scale default set.
     pub only: Option<Vec<String>>,
-    /// Which figures the `figures` driver runs (comma-separated ids of
+    /// Which figures the driver runs (comma-separated ids of
     /// [`figures::FIGURES`]); all of them when absent.
     pub fig: Option<Vec<String>>,
-    /// Optional transport backend: run over the actor runtime instead
-    /// of the in-process simulator. Binaries that support it honour it.
+    /// Optional transport backend: the `resilience` sweep runs over the
+    /// actor runtime instead of the in-process simulator.
     pub transport: Option<fedknow_fl::TransportKind>,
+    /// Where every figure file and gate record of the run is written.
+    pub results: PathBuf,
 }
 
-/// Parse `--scale`, `--seed`, `--only`, `--fig` and `--transport` from
-/// `std::env::args`, with defaults. Exits with a usage message on
-/// malformed input.
+/// The `figures` usage line.
+pub const USAGE: &str = "figures [--fig id,id] [--scale smoke|quick|paper] [--seed N] \
+     [--only a,b,c] [--transport channel|tcp|unix] [--results DIR]";
+
+/// Parse the `figures` flags from `std::env::args`, with defaults
+/// (`--scale quick --seed 42`). Exits 2 with [`USAGE`] on malformed input.
 pub fn parse_args() -> Args {
-    let mut scale = Scale::Quick;
-    let mut seed = 42u64;
-    let mut only: Option<Vec<String>> = None;
-    let mut fig: Option<Vec<String>> = None;
-    let mut transport: Option<fedknow_fl::TransportKind> = None;
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = argv
-                    .get(i)
-                    .and_then(|s| Scale::parse(s))
-                    .unwrap_or_else(|| usage("--scale expects smoke|quick|paper"));
-            }
-            "--seed" => {
-                i += 1;
-                seed = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--seed expects an integer"));
-            }
-            flag @ ("--only" | "--fig") => {
-                i += 1;
-                let list = argv
-                    .get(i)
-                    .unwrap_or_else(|| usage(&format!("{flag} expects a comma-separated list")))
-                    .split(',')
-                    .map(str::to_string)
-                    .collect();
-                let slot = if flag == "--fig" { &mut fig } else { &mut only };
-                *slot = Some(list);
-            }
-            "--transport" => {
-                i += 1;
-                transport = Some(
-                    argv.get(i)
-                        .and_then(|s| fedknow_fl::TransportKind::parse(s))
-                        .unwrap_or_else(|| usage("--transport expects channel|tcp|unix")),
-                );
-            }
-            other => usage(&format!("unknown argument {other}")),
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let parse = || -> Result<Args, String> {
+        flags_only(&argv, USAGE)?;
+        let list = |name| {
+            flag_with(&argv, name, |s| {
+                Some(s.split(',').map(str::to_string).collect())
+            })
+        };
+        Ok(Args {
+            scale: flag_with(&argv, "--scale", Scale::parse)?.unwrap_or(Scale::Quick),
+            seed: flag(&argv, "--seed")?.unwrap_or(42),
+            only: list("--only")?,
+            fig: list("--fig")?,
+            transport: flag_with(&argv, "--transport", fedknow_fl::TransportKind::parse)?,
+            results: results_flag(&argv)?,
+        })
+    };
+    parse().unwrap_or_else(|e| usage(USAGE, &e))
+}
+
+/// The value following the flag `name`, through `parse`: `Ok(None)` when
+/// the flag is absent, `Err` naming it when its value is missing or
+/// `parse` refuses it. The one flag parser of the bench binaries.
+pub fn flag_with<T>(
+    argv: &[String],
+    name: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    let Some(i) = argv.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    let value = argv
+        .get(i + 1)
+        .ok_or_else(|| format!("{name} expects a value"))?;
+    let parsed = parse(value).ok_or_else(|| format!("{name}: cannot use `{value}`"))?;
+    Ok(Some(parsed))
+}
+
+/// [`flag_with`] for a value that parses through [`std::str::FromStr`].
+pub fn flag<T: std::str::FromStr>(argv: &[String], name: &str) -> Result<Option<T>, String> {
+    flag_with(argv, name, |s| s.parse().ok())
+}
+
+/// `--results DIR`, where a binary writes (or reads) its figure files
+/// and gate records: `results` under the current directory by default.
+pub fn results_flag(argv: &[String]) -> Result<PathBuf, String> {
+    Ok(flag(argv, "--results")?.unwrap_or_else(|| PathBuf::from("results")))
+}
+
+/// What is left of `argv` once the flags `usage` lists are taken out —
+/// the positional arguments. The usage line is the flag set: a `-x` or
+/// `--x` token in it that closes its bracket (`[--smoke]`) is a bare
+/// switch, any other takes the value after it (`[--seed N]`). An argument
+/// starting with `-` that the line does not list is an error.
+pub fn positionals<'a>(argv: &'a [String], usage: &str) -> Result<Vec<&'a str>, String> {
+    let listed = |arg: &str| {
+        let mut tokens = usage.split_whitespace().map(|t| t.trim_start_matches('['));
+        tokens.find(|t| t.starts_with('-') && t.trim_end_matches(']') == arg)
+    };
+    let mut rest = Vec::new();
+    let mut args = argv.iter().map(String::as_str);
+    while let Some(arg) = args.next() {
+        match listed(arg) {
+            Some(switch) if switch.ends_with(']') => {}
+            Some(_valued) => drop(args.next()),
+            None if arg.starts_with('-') => return Err(format!("unknown flag {arg}")),
+            None => rest.push(arg),
         }
-        i += 1;
     }
-    Args {
-        scale,
-        seed,
-        only,
-        fig,
-        transport,
+    Ok(rest)
+}
+
+/// [`positionals`] for a binary that takes none: the first is an error.
+pub fn flags_only(argv: &[String], usage: &str) -> Result<(), String> {
+    match positionals(argv, usage)?.first() {
+        Some(stray) => Err(format!("unexpected argument {stray}")),
+        None => Ok(()),
     }
 }
 
-pub(crate) fn usage(msg: &str) -> ! {
-    eprintln!(
-        "error: {msg}\nusage: <bin> [--scale smoke|quick|paper] [--seed N] [--only a,b,c] \
-         [--fig id,id] [--transport channel|tcp|unix]"
-    );
+/// Report a command-line error with the binary's usage line; exit 2.
+pub fn usage(line: &str, msg: &str) -> ! {
+    eprintln!("error: {msg}\nusage: {line}");
     std::process::exit(2)
 }
 
@@ -193,30 +223,18 @@ pub fn scaled_spec(base: DatasetSpec, scale: Scale, seed: u64) -> RunSpec {
     }
 }
 
-/// Write a serialisable result to `results/<name>.json` (repo-relative,
-/// falling back to the current directory).
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    write_json_to(&results_dir(), name, value)
-}
-
-/// [`write_json`] into an explicit directory.
-pub fn write_json_to<T: Serialize>(dir: &Path, name: &str, value: &T) {
-    std::fs::create_dir_all(dir).expect("create results dir");
+/// Write `value` as `dir/<name>.json` and announce the path — the one
+/// writer of figure files and gate records. An existing file is
+/// replaced, never rotated; one that cannot be written is fatal (exit 2,
+/// naming the path).
+pub fn write_json<T: Serialize>(dir: &Path, name: &str, value: &T) {
     let path = dir.join(format!("{name}.json"));
     let json = serde_json::to_string_pretty(value).expect("serialise result");
-    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, json)) {
+        eprintln!("error: {} not written: {e}", path.display());
+        std::process::exit(2);
+    }
     println!("[written] {}", path.display());
-}
-
-/// Locate the `results/` directory next to the workspace root.
-pub fn results_dir() -> PathBuf {
-    // CARGO_MANIFEST_DIR of this crate is <repo>/crates/bench.
-    let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .parent()
-        .and_then(|p| p.parent())
-        .map(|root| root.join("results"))
-        .unwrap_or_else(|| PathBuf::from("results"))
 }
 
 /// Peak resident set size of this process in bytes (Linux `VmHWM`); 0
@@ -382,9 +400,20 @@ mod tests {
     }
 
     #[test]
-    fn results_dir_points_into_repo() {
-        let d = results_dir();
-        assert!(d.ends_with("results"));
+    fn flags_parse_by_name_and_leftovers_are_positionals_or_errors() {
+        let argv: Vec<String> = ["a.json", "--seed", "7", "--smoke", "b.json", "--top"]
+            .map(String::from)
+            .to_vec();
+        assert_eq!(flag::<u64>(&argv, "--seed"), Ok(Some(7)));
+        assert_eq!(flag::<u64>(&argv, "--reps"), Ok(None));
+        assert!(flag::<u64>(&argv, "--top").unwrap_err().contains("--top"));
+        let bad = flag_with(&argv, "--seed", Scale::parse).unwrap_err();
+        assert!(bad.contains("--seed") && bad.contains('7'), "{bad}");
+        assert_eq!(results_flag(&argv), Ok(PathBuf::from("results")));
+        let usage = "bin <file...> [--smoke] [--seed N | --top K]";
+        assert_eq!(positionals(&argv, usage), Ok(vec!["a.json", "b.json"]));
+        let unknown = positionals(&argv, "bin [--seed N] [--top K]").unwrap_err();
+        assert!(unknown.contains("--smoke"), "{unknown}");
     }
 }
 

@@ -1,174 +1,187 @@
-//! End-to-end coverage of the `bench_gate` binary over fixture record
-//! pairs: exit status and human-readable diff output for an improved
-//! run, a within-tolerance noisy run, and a genuine 5% accuracy
-//! regression (`tests/fixtures/BENCH_*.json`); plus the `figures`
-//! driver's `--fig` validation.
+//! End-to-end coverage of the `bench_gate` binary over fixture records
+//! (`tests/fixtures/base/` is the committed baseline, `tests/fixtures/new/`
+//! a fresh run): exit status and human-readable diff for an improved
+//! run, a within-tolerance noisy run and a genuine 5% accuracy
+//! regression, and every way a pair can fail to be one.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::Command;
 
-fn fixtures() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
+fn fixtures(side: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(side)
 }
 
-fn run_gate(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_bench_gate"))
-        .args(args)
-        .output()
-        .expect("spawn bench_gate")
+/// Run `bin` on `args`: its exit code and everything it printed.
+fn run(bin: &str, args: &[&Path]) -> (Option<i32>, String) {
+    let out = Command::new(bin).args(args).output().expect("spawn");
+    let text = [out.stdout, out.stderr].concat();
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&text).into_owned(),
+    )
 }
 
-fn run_pair(name: &str, extra: &[&str]) -> Output {
-    let prev = fixtures().join(format!("BENCH_{name}.prev.json"));
-    let new = fixtures().join(format!("BENCH_{name}.json"));
-    let mut args: Vec<&str> = extra.to_vec();
-    let (prev, new) = (
-        prev.to_str().unwrap().to_string(),
-        new.to_str().unwrap().to_string(),
-    );
-    let prev_ref = prev.clone();
-    let new_ref = new.clone();
-    args.push(&prev_ref);
-    args.push(&new_ref);
-    run_gate(&args)
+fn gate(args: &[&Path]) -> (Option<i32>, String) {
+    run(env!("CARGO_BIN_EXE_bench_gate"), args)
+}
+
+fn gate_pair(name: &str) -> (Option<i32>, String) {
+    let file = format!("BENCH_{name}.json");
+    gate(&[&fixtures("base").join(&file), &fixtures("new").join(&file)])
+}
+
+/// Fresh `base/` and `new/` directories holding copies of the named
+/// fixture records.
+fn scratch(tag: &str, names: &[&str]) -> [PathBuf; 2] {
+    let root =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../target/test-scratch/gate_{tag}"));
+    let _ = std::fs::remove_dir_all(&root);
+    ["base", "new"].map(|side| {
+        std::fs::create_dir_all(root.join(side)).unwrap();
+        for name in names {
+            let file = format!("BENCH_{name}.json");
+            std::fs::copy(fixtures(side).join(&file), root.join(side).join(&file)).unwrap();
+        }
+        root.join(side)
+    })
+}
+
+/// Rewrite one record in place, `from` -> `to`.
+fn edit(path: &Path, from: &str, to: &str) {
+    let text = std::fs::read_to_string(path).unwrap();
+    assert!(text.contains(from), "{from} not in {}", path.display());
+    std::fs::write(path, text.replace(from, to)).unwrap();
 }
 
 #[test]
 fn improvement_passes() {
-    let out = run_pair("improve", &[]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
-    assert!(stdout.contains("within tolerance"), "{stdout}");
-    assert!(stdout.contains("final_accuracy"), "{stdout}");
+    let (code, text) = gate_pair("improve");
+    assert_eq!(code, Some(0), "{text}");
+    assert!(text.contains("within tolerance"), "{text}");
+    assert!(text.contains("final_accuracy"), "{text}");
     assert!(
-        stdout.contains("+0.1250"),
-        "diff should show the gain: {stdout}"
+        text.contains("+0.1250"),
+        "diff should show the gain: {text}"
     );
 }
 
 #[test]
 fn noise_within_tolerance_passes() {
-    let out = run_pair("noise", &[]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
-    assert!(!stdout.contains("REGRESSION"), "{stdout}");
+    let (code, text) = gate_pair("noise");
+    assert_eq!(code, Some(0), "{text}");
+    assert!(!text.contains("REGRESSION"), "{text}");
 }
 
 #[test]
 fn five_percent_accuracy_regression_fails() {
-    let out = run_pair("regress", &[]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(1), "{stdout}");
-    assert!(stdout.contains("REGRESSION"), "{stdout}");
-    assert!(stdout.contains("final_accuracy"), "{stdout}");
-    assert!(
-        stdout.contains("0.6000") && stdout.contains("0.5700"),
-        "diff must show both values: {stdout}"
-    );
+    let (code, text) = gate_pair("regress");
+    assert_eq!(code, Some(1), "{text}");
+    assert!(text.contains("REGRESSION"), "{text}");
+    assert!(text.contains("final_accuracy"), "{text}");
+    let both = text.contains("0.6000") && text.contains("0.5700");
+    assert!(both, "diff must show both values: {text}");
 }
 
-#[test]
-fn report_only_downgrades_regression_to_exit_zero() {
-    let out = run_pair("regress", &["--report-only"]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
-    assert!(stdout.contains("report-only"), "{stdout}");
-    assert!(stdout.contains("REGRESSION"), "{stdout}");
-}
-
+/// Two directories are paired by file name: every record either side
+/// holds is reported, and the verdicts combine (a regression outranks a
+/// missing baseline).
 #[test]
 fn directory_scan_finds_all_fixture_pairs() {
-    let dir = fixtures();
-    let out = run_gate(&["--report-only", "--results", dir.to_str().unwrap()]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
-    for name in ["improve", "noise", "obs_overhead", "regress", "verify"] {
-        assert!(stdout.contains(&format!("== {name} ==")), "{stdout}");
+    let (code, text) = gate(&[&fixtures("base"), &fixtures("new")]);
+    assert_eq!(code, Some(1), "{text}");
+    for name in ["improve", "noise", "regress"] {
+        assert!(text.contains(&format!("== {name} ==")), "{text}");
     }
-    // The deliberately unpaired fixture is reported, not silently skipped.
-    assert!(stdout.contains("nobaseline"), "{stdout}");
+    assert!(text.contains("NO BASELINE: "), "{text}");
+    assert!(text.contains("BENCH_nobaseline.json"), "{text}");
+
+    // Without the regressing record the same directories pass, and a
+    // directory pairs with a single record too.
+    let [base, new] = scratch("dirs", &["improve", "noise"]);
+    let (code, text) = gate(&[&base, &new]);
+    assert_eq!(code, Some(0), "{text}");
+    assert!(text.contains("== improve ==") && text.contains("== noise =="));
+    let (code, text) = gate(&[&base, &new.join("BENCH_noise.json")]);
+    assert_eq!(code, Some(0), "{text}");
+    assert!(text.contains("== noise ==") && !text.contains("== improve =="));
+
+    // A baseline record the run did not produce is a check that did not
+    // run: exit 1, naming it.
+    std::fs::remove_file(new.join("BENCH_noise.json")).unwrap();
+    let (code, text) = gate(&[&base, &new]);
+    assert_eq!(code, Some(1), "{text}");
+    assert!(text.contains("NO NEW RECORD: "), "{text}");
+    assert!(text.contains("BENCH_noise.json"), "{text}");
 }
 
-/// A record with no `.prev` baseline is its own failure mode: exit 3
-/// (distinct from 1 = regression and 2 = usage/IO), with an actionable
-/// message, downgraded to a note under `--report-only`.
+/// A new record with nothing committed to hold it to is its own failure
+/// mode: exit 3 (distinct from 1 = failed and 2 = usage/IO), saying what
+/// to do about it.
 #[test]
 fn missing_baseline_scan_exits_three_with_actionable_error() {
-    let dir = std::env::temp_dir().join(format!("gate_nobase_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::copy(
-        fixtures().join("BENCH_nobaseline.json"),
-        dir.join("BENCH_nobaseline.json"),
-    )
-    .unwrap();
-
-    let out = run_gate(&["--results", dir.to_str().unwrap()]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(3), "{stderr}");
-    assert!(stderr.contains("NO BASELINE"), "{stderr}");
-    assert!(
-        stderr.contains(".prev.json"),
-        "error must say how to create the baseline: {stderr}"
-    );
-
-    let out = run_gate(&["--report-only", "--results", dir.to_str().unwrap()]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
-    assert!(stdout.contains("no baseline"), "{stdout}");
-
-    std::fs::remove_dir_all(&dir).unwrap();
+    let [base, new] = scratch("nobase", &[]);
+    let record = "BENCH_nobaseline.json";
+    std::fs::copy(fixtures("new").join(record), new.join(record)).unwrap();
+    let (code, text) = gate(&[&base, &new]);
+    assert_eq!(code, Some(3), "{text}");
+    assert!(text.contains("NO BASELINE"), "{text}");
+    let remedy = text.contains("commit it under results/");
+    assert!(remedy, "error must say how to create the baseline: {text}");
 }
 
 #[test]
 fn missing_baseline_pair_mode_exits_three() {
-    let new = fixtures().join("BENCH_nobaseline.json");
-    let out = run_gate(&["/nonexistent/BENCH_x.prev.json", new.to_str().unwrap()]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(3), "{stderr}");
-    assert!(stderr.contains("NO BASELINE"), "{stderr}");
+    let new = fixtures("new").join("BENCH_nobaseline.json");
+    let (code, text) = gate(&[Path::new("/nonexistent/BENCH_x.json"), &new]);
+    assert_eq!(code, Some(3), "{text}");
+    assert!(text.contains("NO BASELINE"), "{text}");
 }
 
-/// The differential suite feeds the gate through `BENCH_verify.json`:
-/// a 5% mismatch rate (the fixture pair's `pass_fraction` 1.0 -> 0.95)
-/// must trip the gate.
+/// The gate gates: a gated metric the new record lost fails by name
+/// (a check that stopped reporting must not pass), a metric only the
+/// new record has is not compared, and records at different scales fail
+/// as a pair even when every value improved.
 #[test]
-fn oracle_pass_rate_drop_fails_the_gate() {
-    let out = run_pair("verify", &[]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(1), "{stdout}");
-    assert!(stdout.contains("REGRESSION"), "{stdout}");
-    assert!(stdout.contains("pass_fraction"), "{stdout}");
-    assert!(!stdout.contains("matmul"), "case counts are Info: {stdout}");
-}
+fn lost_metric_and_scale_mismatch_fail_and_new_metrics_are_ignored() {
+    let [base, new] = scratch("lost", &["improve", "noise"]);
+    let (noise, improve) = (new.join("BENCH_noise.json"), new.join("BENCH_improve.json"));
+    edit(&noise, "final_accuracy", "renamed_accuracy");
+    let (code, text) = gate(&[&base, &noise]);
+    assert_eq!(code, Some(1), "{text}");
+    let lost = text.lines().find(|l| l.contains("MISSING"));
+    assert!(lost.is_some_and(|l| l.contains("final_accuracy")), "{text}");
+    assert!(!text.contains("renamed_accuracy"), "{text}");
+    assert!(!text.contains("REGRESSION"), "{text}");
 
-/// `obs_overhead` records the flight-recorder overhead ratio with a
-/// 0.02 absolute rise tolerance: the fixture pair jumps 2% -> 10%
-/// overhead and must fail.
-#[test]
-fn recorder_overhead_rise_fails_the_gate() {
-    let out = run_pair("obs_overhead", &[]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(1), "{stdout}");
-    assert!(stdout.contains("REGRESSION"), "{stdout}");
-    assert!(stdout.contains("recorder_overhead"), "{stdout}");
-    assert!(
-        stdout.contains("0.0200") && stdout.contains("0.1000"),
-        "diff must show both overhead ratios: {stdout}"
-    );
+    // A metric only the new record carries has nothing to be held to
+    // yet, whatever its value: the pair passes without mentioning it.
+    let extra = r#""metrics": [
+    {"name": "extra", "value": -1.0, "unit": "u", "better": "Higher", "tol": {"Abs": 0.0}},"#;
+    edit(&improve, "\"metrics\": [", extra);
+    let (code, text) = gate(&[&base, &improve]);
+    assert_eq!(code, Some(0), "{text}");
+    assert!(!text.contains("extra"), "{text}");
+
+    edit(&improve, "\"smoke\"", "\"quick\"");
+    let (code, text) = gate(&[&base, &improve]);
+    assert_eq!(code, Some(1), "{text}");
+    assert!(text.contains("smoke -> quick"), "{text}");
 }
 
 #[test]
 fn usage_errors_exit_two() {
-    let out = run_gate(&["only_one_path.json"]);
-    assert_eq!(out.status.code(), Some(2));
-    // The tolerance is a property of the metric, not a flag.
-    let out = run_gate(&["--acc-tol", "0.05"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    let usage = stderr.split("usage:").nth(1).expect("usage line");
-    assert!(usage.contains("--results") && usage.contains("--report-only"));
-    assert!(!usage.contains("-tol"), "{usage}");
+    // Neither the tolerance nor the leniency is a flag: the tolerance is
+    // a property of the metric, and the gate always gates.
+    for args in ["only_one_path.json", "--acc-tol 0.05", "--lenient a b"] {
+        let args: Vec<&Path> = args.split(' ').map(Path::new).collect();
+        let (code, text) = gate(&args);
+        assert_eq!(code, Some(2), "{args:?}");
+        let usage = text.split("usage:").nth(1).expect("usage line");
+        assert!(usage.contains("BASE NEW"), "{usage}");
+        assert!(!usage.contains("--"), "the gate has no flags: {usage}");
+    }
 }
 
 /// A record written before the `metrics` list existed must stop the
@@ -176,37 +189,34 @@ fn usage_errors_exit_two() {
 /// an empty list that gates nothing.
 #[test]
 fn old_shape_record_exits_two_and_says_regenerate() {
-    let dir = std::env::temp_dir().join(format!("gate_oldshape_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dirs = scratch("oldshape", &[]);
     let old = r#"{"name": "x", "scale": "smoke", "seed": 1, "final_accuracy": 0.5,
         "final_forgetting": 0.1, "wall_seconds": 1.0, "phases": []}"#;
-    for file in ["BENCH_x.json", "BENCH_x.prev.json"] {
-        std::fs::write(dir.join(file), old).unwrap();
+    for dir in &dirs {
+        std::fs::write(dir.join("BENCH_x.json"), old).unwrap();
     }
-    let out = run_gate(&["--results", dir.to_str().unwrap()]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("BENCH_x"), "{stderr}");
-    assert!(stderr.contains("regenerate"), "{stderr}");
-    std::fs::remove_dir_all(&dir).unwrap();
+    let (code, text) = gate(&[&dirs[0], &dirs[1]]);
+    assert_eq!(code, Some(2), "{text}");
+    assert!(text.contains("BENCH_x"), "{text}");
+    assert!(text.contains("regenerate"), "{text}");
 }
 
-/// The figure driver rejects an id its table does not have and lists
-/// the ones it does.
+/// A results directory that cannot be written is exit 2 naming the path
+/// — for the figure file and the gate record alike, never a panic.
 #[test]
-fn figures_rejects_an_unknown_id_and_lists_the_valid_ones() {
-    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
-        .args(["--fig", "4,nope", "--scale", "smoke"])
-        .output()
-        .expect("spawn figures");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("`nope`"), "{stderr}");
-    let ids: Vec<&str> = fedknow_bench::figures::FIGURES
-        .iter()
-        .map(|&(id, ..)| id)
-        .collect();
-    assert!(stderr.contains(&ids.join(",")), "{stderr}");
-    assert!(out.stdout.is_empty(), "nothing may run before the check");
+fn unwritable_results_dir_exits_two_with_the_path() {
+    let [_, new] = scratch("unwritable", &["noise"]);
+    // A directory cannot be created under a regular file.
+    let under_a_file = new.join("BENCH_noise.json").join("results");
+    let args = ["--fig", "convergence", "--scale", "smoke", "--results"].map(Path::new);
+    let (code, text) = run(
+        env!("CARGO_BIN_EXE_figures"),
+        &[&args[..], &[&under_a_file]].concat(),
+    );
+    assert_eq!(code, Some(2), "{text}");
+    let path = under_a_file.join("convergence_check.json");
+    assert!(
+        text.contains(&format!("{} not written", path.display())),
+        "{text}"
+    );
 }

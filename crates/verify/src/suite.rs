@@ -4,8 +4,8 @@
 //! QP, the top-ρ cut) are driven end-to-end here. Kernels owned by
 //! higher crates (`Conv2d` in `fedknow-nn`, `fedavg` in `fedknow-fl`)
 //! would create a dependency cycle, so their suites take the production
-//! kernel as a closure — the integration tests and the `verify_suite`
-//! bench binary supply the real one, the mutation tests supply broken
+//! kernel as a closure — `tests/differential.rs`, the suites' one
+//! runner, supplies the real one, the mutation tests supply broken
 //! ones.
 
 use crate::check;

@@ -9,22 +9,6 @@ use fedknow_fl::{FclClient, ModelTemplate};
 use fedknow_math::rng::seeded;
 use fedknow_nn::ModelKind;
 
-const ALL_METHODS: [Method; 13] = [
-    Method::FedKnow,
-    Method::Gem,
-    Method::Bcn,
-    Method::Co2l,
-    Method::Ewc,
-    Method::Mas,
-    Method::AgsCl,
-    Method::FedAvg,
-    Method::Apfl,
-    Method::FedRep,
-    Method::Flcn,
-    Method::FedWeit,
-    Method::FedWeitOwn,
-];
-
 fn setup() -> (ModelTemplate, Vec<ClientTask>) {
     let spec = DatasetSpec::cifar100().scaled(0.3, 8).with_tasks(2);
     let data = generate(&spec, 17);
@@ -76,7 +60,7 @@ fn drive(client: &mut dyn FclClient, tasks: &[ClientTask], dim: usize) {
 #[test]
 fn every_method_satisfies_the_protocol_contract() {
     let (template, tasks) = setup();
-    for method in ALL_METHODS {
+    for method in Method::ALL {
         let mut client = build_client(method, &template, &MethodConfig::default(), vec![3, 8, 8]);
         drive(client.as_mut(), &tasks, template.param_count());
         for task in &tasks {
@@ -100,31 +84,29 @@ fn continual_methods_retain_state_stateless_methods_do_not() {
     let retainers = [
         Method::FedKnow,
         Method::Gem,
+        Method::AGem,
         Method::Bcn,
         Method::Co2l,
         Method::Ewc,
         Method::Mas,
         Method::AgsCl,
         Method::FedWeit,
+        Method::FedWeitOwn,
     ];
     let stateless = [Method::FedAvg, Method::Apfl, Method::FedRep, Method::Flcn];
-    for method in retainers {
-        let mut client = build_client(method, &template, &MethodConfig::default(), vec![3, 8, 8]);
-        drive(client.as_mut(), &tasks, template.param_count());
-        assert!(
-            client.retained_bytes() > 0,
-            "{}: continual method retained nothing",
-            method.name()
-        );
-    }
-    for method in stateless {
+    // The two classes partition `Method::ALL`: a new method must be put
+    // in one of them before this test passes.
+    for method in Method::ALL {
+        let classes = [retainers.contains(&method), stateless.contains(&method)];
+        assert_ne!(classes[0], classes[1], "{}: classify it", method.name());
         let mut client = build_client(method, &template, &MethodConfig::default(), vec![3, 8, 8]);
         drive(client.as_mut(), &tasks, template.param_count());
         assert_eq!(
-            client.retained_bytes(),
-            0,
-            "{}: should retain no client-side continual state",
-            method.name()
+            client.retained_bytes() > 0,
+            classes[0],
+            "{}: continual methods retain state, stateless ones none ({} bytes)",
+            method.name(),
+            client.retained_bytes()
         );
     }
 }
@@ -146,7 +128,7 @@ fn methods_are_deterministic_given_seeds() {
 #[test]
 fn training_moves_parameters_for_every_method() {
     let (template, tasks) = setup();
-    for method in ALL_METHODS {
+    for method in Method::ALL {
         let mut client = build_client(method, &template, &MethodConfig::default(), vec![3, 8, 8]);
         let mut rng = seeded(4);
         client.start_task(&tasks[0], &mut rng);
