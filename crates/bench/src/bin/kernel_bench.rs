@@ -19,7 +19,10 @@
 //! It then times every layer of the SixCnn, forward and backward, inside
 //! one batch-12 training step (the `cnn_*` ladder workloads' step) and
 //! prints the per-layer µs table — where a train step's time goes beside
-//! what its kernels could deliver. Those rows are `Info` metrics.
+//! what its kernels could deliver. A third column times one backward of
+//! nine stacked output gradients, the replay shape of `cnn_fedknow_t10`'s
+//! last task (the training gradient and eight signature tasks'). Those
+//! rows are `Info` metrics.
 //!
 //! The run is distilled into `BENCH_kernels.json` under `--results DIR`
 //! (default `results`) — one `gflops <kernel> [<shape>]` metric per
@@ -251,17 +254,24 @@ fn bench_conv(
     out.push(entry("conv2d_bwd", &shape, bwd, bwd_ns));
 }
 
+/// Output gradients one stacked backward of the per-layer table carries.
+const STACKED_SLOTS: usize = 9;
+
 /// One row of the per-layer table.
 struct LayerRow {
     label: String,
     fwd_ns: u64,
     bwd_ns: u64,
+    /// One backward of [`STACKED_SLOTS`] stacked output gradients.
+    bwd_stacked_ns: u64,
 }
 
 /// Fastest forward and backward of every SixCnn layer inside one training
-/// step at the ladder's `cnn_*` batch (12 × 3×16×16). Activations are the
-/// real ones of a forward over N(0, 1) inputs, so the data-dependent
-/// layers (ReLU, MaxPool) see the sign-random values training gives them.
+/// step at the ladder's `cnn_*` batch (12 × 3×16×16), and its backward of
+/// [`STACKED_SLOTS`] stacked output gradients (the step's own followed by
+/// fresh N(0, 1) ones). Activations are the real ones of a forward over
+/// N(0, 1) inputs, so the data-dependent layers (ReLU, MaxPool) see the
+/// sign-random values training gives them.
 fn bench_sixcnn_layers(opts: &Opts) -> Vec<LayerRow> {
     const BATCH: usize = 12;
     // Layers run for 10–500 µs: more repetitions than the kernels' sweep,
@@ -285,6 +295,21 @@ fn bench_sixcnn_layers(opts: &Opts) -> Vec<LayerRow> {
         g = l.backward(g);
     }
     out_grads.reverse();
+    let stacked_grads: Vec<Tensor> = out_grads
+        .iter()
+        .map(|g| {
+            let mut data = g.data().to_vec();
+            data.extend(normal_vec(
+                &mut rng,
+                (STACKED_SLOTS - 1) * g.len(),
+                0.0,
+                1.0,
+            ));
+            let mut shape = g.shape().to_vec();
+            shape[0] *= STACKED_SLOTS;
+            Tensor::from_vec(data, &shape)
+        })
+        .collect();
     layers
         .iter_mut()
         .enumerate()
@@ -303,10 +328,18 @@ fn bench_sixcnn_layers(opts: &Opts) -> Vec<LayerRow> {
                     black_box(l.backward(g));
                 },
             );
+            let bwd_stacked_ns = min_of_k_with(
+                reps,
+                || stacked_grads[i].clone(),
+                |g| {
+                    black_box(l.backward(g));
+                },
+            );
             LayerRow {
                 label: format!("{i:02} {} {:?}", l.name(), acts[i].shape()),
                 fwd_ns,
                 bwd_ns,
+                bwd_stacked_ns,
             }
         })
         .collect()
@@ -447,26 +480,32 @@ fn main() {
 
     let layers = bench_sixcnn_layers(&opts);
     let us = |ns: u64| ns as f64 / 1e3;
-    let (fwd_total, bwd_total) = layers
-        .iter()
-        .fold((0, 0), |(f, b), r| (f + r.fwd_ns, b + r.bwd_ns));
+    let total = |pick: fn(&LayerRow) -> u64| layers.iter().map(pick).sum::<u64>();
+    let (fwd_total, bwd_total, stacked_total) = (
+        total(|r| r.fwd_ns),
+        total(|r| r.bwd_ns),
+        total(|r| r.bwd_stacked_ns),
+    );
+    let stacked_col = format!("bwd×{STACKED_SLOTS} us");
     println!(
-        "\nsixcnn train step, batch 12, per layer (min-of-k)\n{:<34}{:>10}{:>10}",
-        "layer [input shape]", "fwd us", "bwd us"
+        "\nsixcnn train step, batch 12, per layer (min-of-k)\n{:<34}{:>10}{:>10}{:>12}",
+        "layer [input shape]", "fwd us", "bwd us", stacked_col
     );
     for r in &layers {
         println!(
-            "{:<34}{:>10.1}{:>10.1}",
+            "{:<34}{:>10.1}{:>10.1}{:>12.1}",
             r.label,
             us(r.fwd_ns),
-            us(r.bwd_ns)
+            us(r.bwd_ns),
+            us(r.bwd_stacked_ns)
         );
     }
     println!(
-        "{:<34}{:>10.1}{:>10.1}",
+        "{:<34}{:>10.1}{:>10.1}{:>12.1}",
         "total",
         us(fwd_total),
-        us(bwd_total)
+        us(bwd_total),
+        us(stacked_total)
     );
 
     // A kernel may lose up to 60% of its throughput before the gate
@@ -478,9 +517,11 @@ fn main() {
             Metric::new(name, e.gflops, "GF/s", Better::Higher, Tol::Rel(0.6))
         })
         .collect();
+    let stacked_dir = format!("bwd×{STACKED_SLOTS}");
     for (dir, total, pick) in [
         ("fwd", fwd_total, (|r| r.fwd_ns) as fn(&LayerRow) -> u64),
         ("bwd", bwd_total, |r| r.bwd_ns),
+        (stacked_dir.as_str(), stacked_total, |r| r.bwd_stacked_ns),
     ] {
         metrics.extend(
             layers.iter().map(|r| {

@@ -1,5 +1,13 @@
 //! The FedKNOW client — wiring the extractor, restorer and integrator
 //! into the federated round protocol (§III-A, Figure 3).
+//!
+//! Wherever the client needs a batch's training gradient and the
+//! restored gradients of signature tasks on the same batch — every
+//! training iteration, the selection probe, each post-aggregation
+//! fine-tune step's `g_after` — it runs one training forward and one
+//! backward of `t + 1` stacked output gradients: the training loss's as
+//! slot 0, the `t` tasks' distillation gradients behind it. The device
+//! clock still debits `iteration_flops × 2/3` per restored gradient.
 
 use crate::config::FedKnowConfig;
 use crate::extractor::KnowledgeExtractor;
@@ -95,23 +103,38 @@ impl FedKnowClient {
         &mut self.trainer
     }
 
-    /// Restored gradient (Eq. 2) of retained task `i` on the batch the
-    /// trainer drew last: that batch's rows of the task's pseudo-label
-    /// table, and one backward pass over the activations of the training
-    /// forward that produced `logits`.
-    fn replay(&mut self, i: usize, logits: &Tensor) -> Vec<f32> {
-        let target = self.teacher[i].gather_rows(self.trainer.batch_indices());
-        // One backward: 2/3 of an iteration.
-        self.pending_flops += self.trainer.iteration_flops() * 2 / 3;
-        self.restorer
-            .replay(&mut self.trainer.model, logits, &target)
+    /// Eq. 2's targets of the retained tasks `tasks` on the batch the
+    /// trainer drew last: that batch's rows of their pseudo-label tables.
+    fn targets(&self, tasks: impl Iterator<Item = usize>) -> Vec<Tensor> {
+        let rows = self.trainer.batch_indices();
+        tasks.map(|i| self.teacher[i].gather_rows(rows)).collect()
     }
 
-    /// [`Self::replay`] for every current signature task.
-    fn replay_selected(&mut self, logits: &Tensor) -> Vec<Vec<f32>> {
-        (0..self.selected.len())
-            .map(|s| self.replay(self.selected[s], logits))
-            .collect()
+    /// The gradients of one batch from one forward and one backward pass:
+    /// the training gradient, left in the model's gradient buffers, and
+    /// the restored gradient (Eq. 2) of every one of `targets`, returned
+    /// in order — their output gradients ride behind the training loss's
+    /// as slots `1..=t` of the one backward. Returns the loss too (zero,
+    /// with nothing restored, for an empty batch).
+    fn gradients(
+        &mut self,
+        x: &Tensor,
+        labels: &[usize],
+        targets: &[Tensor],
+    ) -> (f32, Vec<Vec<f32>>) {
+        let Some((loss, logits, grad)) = self.trainer.forward_loss(x, labels) else {
+            return (0.0, Vec::new());
+        };
+        if targets.is_empty() {
+            self.trainer.backward(grad);
+            return (loss, Vec::new());
+        }
+        // Each restored gradient: one backward, 2/3 of an iteration.
+        self.pending_flops += targets.len() as u64 * (self.trainer.iteration_flops() * 2 / 3);
+        let restored = self
+            .restorer
+            .replay(&mut self.trainer.model, &logits, Some(grad), targets);
+        (loss, restored)
     }
 
     /// Re-rank signature tasks on a fresh batch (run at task start and
@@ -123,14 +146,15 @@ impl FedKnowClient {
             return;
         }
         let (x, labels) = self.trainer.next_batch(rng);
-        let (_, logits) = self.trainer.compute_grads_logits(&x, &labels);
+        let targets = self.targets(0..self.teacher.len());
+        let (_, restored) = self.gradients(&x, &labels, &targets);
         let g = self.trainer.model.flat_grads();
         // The probe forward/backward; each candidate's backward is
-        // debited by `replay`.
+        // debited by `gradients`.
         self.pending_flops += self.trainer.iteration_flops();
-        let (restorer, k, metric) = (self.restorer, self.cfg.k, self.cfg.metric);
-        let restored = (0..self.teacher.len()).map(|i| self.replay(i, &logits));
-        self.selected = restorer.select_among(restored, &g, k, metric);
+        self.selected = self
+            .restorer
+            .select_among(&restored, &g, self.cfg.k, self.cfg.metric);
     }
 }
 
@@ -161,12 +185,12 @@ impl FclClient for FedKnowClient {
 
     fn train_iteration(&mut self, rng: &mut StdRng) -> IterationStats {
         let (x, labels) = self.trainer.next_batch(rng);
-        let (loss, logits) = self.trainer.compute_grads_logits(&x, &labels);
+        let targets = self.targets(self.selected.iter().copied());
+        let (loss, restored) = self.gradients(&x, &labels, &targets);
         let g = self.trainer.model.flat_grads();
-        let update = if self.selected.is_empty() {
+        let update = if restored.is_empty() {
             g
         } else {
-            let restored = self.replay_selected(&logits);
             self.integrator.integrate(&g, &restored)
         };
         let flops = self.trainer.iteration_flops() + self.pending_flops;
@@ -203,16 +227,17 @@ impl FclClient for FedKnowClient {
                 self.trainer.compute_grads(&x, &labels);
                 let g_before = self.trainer.model.flat_grads();
                 // ...so that the gradient after aggregation (at the
-                // adopted weights, same batch) is the forward the
-                // signature-task restores replay.
+                // adopted weights, same batch) shares its forward and
+                // backward with the signature-task restores.
                 self.trainer.model.set_flat_params(&now);
-                let (_, logits) = self.trainer.compute_grads_logits(&x, &labels);
+                let targets = self.targets(self.selected.iter().copied());
+                let (_, restored) = self.gradients(&x, &labels, &targets);
                 let g_after = self.trainer.model.flat_grads();
                 // Constraints: the post-aggregation gradient (negative-
                 // transfer prevention) plus the signature-task gradients
                 // (the fine-tune must not undo forgetting prevention).
                 let mut constraints = vec![g_after];
-                constraints.extend(self.replay_selected(&logits));
+                constraints.extend(restored);
                 let update = self.integrator.integrate(&g_before, &constraints);
                 let lr = self.global_opt.next_lr() as f32;
                 self.trainer.model.apply_update(&update, lr);

@@ -6,6 +6,13 @@
 //! gradient is ∇ of the cross-entropy between the live model's
 //! predictions and those pseudo-labels — the direction that keeps the
 //! live model consistent with what task `i` knew.
+//!
+//! Every restored gradient of a batch differentiates the same training
+//! forward, so they share one backward pass: the k distillation
+//! gradients at the output are stacked into slots (see
+//! `fedknow_nn::Layer::backward`), behind the training loss's own
+//! gradient when the caller has one, and the network is walked once.
+//! Every slot's result is bit-identical to a backward of it alone.
 
 use fedknow_data::{to_tensor, Sample};
 use fedknow_math::distance::{most_dissimilar, DistanceMetric};
@@ -45,10 +52,12 @@ fn mean_row_entropy(dist: &Tensor) -> f64 {
 /// Eq. 2 is three steps, each one method: the pruned snapshot's
 /// [`pseudo_labels`](Self::pseudo_labels) on a batch, the live model's
 /// training forward on it, and a [`replay`](Self::replay) of the
-/// backward pass against those labels. [`restore`](Self::restore) runs
-/// all three; a caller that already holds the batch's logits (it just
-/// trained on it) and the labels (they cannot change while the task's
-/// data and the knowledge stay put) calls `replay` alone.
+/// backward pass against those labels — one pass for every task's labels
+/// at once. [`restore`](Self::restore) runs all three for one task; a
+/// caller that already holds the batch's logits (it just trained on it)
+/// and the labels (they cannot change while the task's data and the
+/// knowledge stay put) calls `replay` alone, stacking its training
+/// gradient in front.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GradientRestorer;
 
@@ -96,32 +105,41 @@ impl GradientRestorer {
         Tensor::from_vec(rows, &[samples.len(), classes])
     }
 
-    /// The restored gradient: ∇ of the cross-entropy between `logits`
-    /// and the pseudo-labels `target`, by one backward pass over the
-    /// activations the training forward that produced `logits` left in
-    /// `model`. That forward must be the model's most recent one, at its
-    /// current weights. Gradient buffers are zero on exit.
-    pub fn replay(&self, model: &mut Model, logits: &Tensor, target: &Tensor) -> Vec<f32> {
+    /// The restored gradients of the pseudo-label distributions
+    /// `targets`, in order: ∇ of the cross-entropy between `logits` and
+    /// each target, all from one backward pass over the activations the
+    /// training forward that produced `logits` left in `model`. That
+    /// forward must be the model's most recent one, at its current
+    /// weights.
+    ///
+    /// With `lead`, an output gradient of the same forward (the training
+    /// loss's), that gradient is slot 0 of the pass and its parameter
+    /// gradient is left in the gradient buffers; without, the buffers are
+    /// zero on exit.
+    pub fn replay(
+        &self,
+        model: &mut Model,
+        logits: &Tensor,
+        lead: Option<Tensor>,
+        targets: &[Tensor],
+    ) -> Vec<Vec<f32>> {
         let _t = fedknow_obs::timer("restore.distill_ns");
         model.zero_grad();
-        let (loss, grad) = soft_cross_entropy(logits, target);
-        if fedknow_verify::is_enabled() {
-            let (rows, cols) = (logits.shape()[0], logits.shape()[1]);
-            fedknow_verify::report(
-                "restorer.grad_rows",
-                fedknow_verify::check::grad_rows_sum_zero(grad.data(), rows, cols),
-            );
+        let (rows, cols) = (logits.shape()[0], logits.shape()[1]);
+        let slots = usize::from(lead.is_some()) + targets.len();
+        let mut stacked = Vec::with_capacity(slots * rows * cols);
+        if let Some(grad) = &lead {
+            stacked.extend_from_slice(grad.data());
         }
-        if fedknow_obs::is_enabled() {
-            DISTILL_LOSS_MNAT.record((loss.max(0.0) * 1000.0).round() as u64);
-            let entropy = mean_row_entropy(target);
-            PSEUDO_ENTROPY_MNAT.record((entropy * 1000.0).round() as u64);
-            fedknow_obs::series("restore.distill_loss", loss as f64);
-            fedknow_obs::series("restore.pseudo_entropy", entropy);
+        for target in targets {
+            stacked.extend_from_slice(distill_grad(logits, target).data());
         }
-        model.backward(grad);
-        let restored = model.flat_grads();
-        model.zero_grad();
+        model.backward(Tensor::from_vec(stacked, &[slots * rows, cols]));
+        let mut restored = model.take_slot_grads();
+        if lead.is_none() {
+            restored.insert(0, model.flat_grads());
+            model.zero_grad();
+        }
         restored
     }
 
@@ -133,16 +151,16 @@ impl GradientRestorer {
     pub fn restore(&self, model: &mut Model, knowledge: &SparseVec, x: &Tensor) -> Vec<f32> {
         let target = self.pseudo_labels(model, knowledge, x);
         let logits = model.forward(x.clone(), true);
-        self.replay(model, &logits, &target)
+        let mut restored = self.replay(model, &logits, None, &[target]);
+        restored.pop().expect("one target, one gradient")
     }
 
     /// Rank restored gradients: the indices of the `k` of them most
     /// dissimilar from `current_grad` (the signature tasks, §III-C).
-    /// `restored` yields one gradient per retained task, in task order,
-    /// and is drained here so the restores count as selection time.
+    /// `restored` holds one gradient per retained task, in task order.
     pub fn select_among(
         &self,
-        restored: impl Iterator<Item = Vec<f32>>,
+        restored: &[Vec<f32>],
         current_grad: &[f32],
         k: usize,
         metric: DistanceMetric,
@@ -151,15 +169,14 @@ impl GradientRestorer {
             return Vec::new();
         }
         let _t = fedknow_obs::timer("restore.select_ns");
-        let candidates: Vec<Vec<f32>> = restored.collect();
-        most_dissimilar(metric, current_grad, &candidates, k)
+        most_dissimilar(metric, current_grad, restored, k)
     }
 
     /// Restore gradients for every knowledge entry and rank them: returns
     /// the indices of the `k` tasks whose restored gradients are most
     /// dissimilar from `current_grad` (the signature tasks, §III-C). All
     /// candidates are restored at the same weights on the same batch, so
-    /// they share one live forward.
+    /// they share one live forward and one backward pass.
     pub fn select_signature_tasks(
         &self,
         model: &mut Model,
@@ -177,9 +194,31 @@ impl GradientRestorer {
             .map(|w| self.pseudo_labels(model, w, x))
             .collect();
         let logits = model.forward(x.clone(), true);
-        let restored = targets.iter().map(|t| self.replay(model, &logits, t));
-        self.select_among(restored, current_grad, k, metric)
+        let restored = self.replay(model, &logits, None, &targets);
+        self.select_among(&restored, current_grad, k, metric)
     }
+}
+
+/// Eq. 2's output gradient for one target — the soft cross-entropy's
+/// gradient at `logits` — with the per-target verify check and
+/// distillation telemetry.
+fn distill_grad(logits: &Tensor, target: &Tensor) -> Tensor {
+    let (loss, grad) = soft_cross_entropy(logits, target);
+    if fedknow_verify::is_enabled() {
+        let (rows, cols) = (logits.shape()[0], logits.shape()[1]);
+        fedknow_verify::report(
+            "restorer.grad_rows",
+            fedknow_verify::check::grad_rows_sum_zero(grad.data(), rows, cols),
+        );
+    }
+    if fedknow_obs::is_enabled() {
+        DISTILL_LOSS_MNAT.record((loss.max(0.0) * 1000.0).round() as u64);
+        let entropy = mean_row_entropy(target);
+        PSEUDO_ENTROPY_MNAT.record((entropy * 1000.0).round() as u64);
+        fedknow_obs::series("restore.distill_loss", loss as f64);
+        fedknow_obs::series("restore.pseudo_entropy", entropy);
+    }
+    grad
 }
 
 #[cfg(test)]
@@ -239,11 +278,51 @@ mod tests {
         let logits = model.forward(x.clone(), true);
         // Any number of replays over the one forward, all the same.
         for _ in 0..2 {
-            let replayed = GradientRestorer.replay(&mut model, &logits, &target);
-            assert_eq!(bits(&replayed), bits(&one_shot));
+            let replayed =
+                GradientRestorer.replay(&mut model, &logits, None, std::slice::from_ref(&target));
+            assert_eq!(replayed.len(), 1);
+            assert_eq!(bits(&replayed[0]), bits(&one_shot));
             assert_eq!(model.flat_params(), before);
             assert!(model.flat_grads().iter().all(|&v| v == 0.0));
         }
+    }
+
+    #[test]
+    fn one_replay_of_many_targets_behind_a_lead_is_each_backward_alone() {
+        let (mut model, x) = model_and_batch();
+        let params = model.flat_params();
+        let targets: Vec<Tensor> = (1..=3)
+            .map(|i| {
+                let w = SparseVec::top_fraction_by_magnitude(&params, 0.05 * i as f64);
+                GradientRestorer.pseudo_labels(&mut model, &w, &x)
+            })
+            .collect();
+        let logits = model.forward(x.clone(), true);
+        let lead = Tensor::from_vec(normal_vec(&mut seeded(4), logits.len(), 0.0, 0.1), &[4, 10]);
+        // Each gradient by a backward of its own over the one forward.
+        let alone: Vec<Vec<f32>> = targets
+            .iter()
+            .map(|t| {
+                GradientRestorer
+                    .replay(&mut model, &logits, None, std::slice::from_ref(t))
+                    .remove(0)
+            })
+            .collect();
+        model.zero_grad();
+        model.backward(lead.clone());
+        let lead_grad = model.flat_grads();
+
+        let stacked = GradientRestorer.replay(&mut model, &logits, Some(lead), &targets);
+        assert_eq!(stacked.len(), 3);
+        for (got, want) in stacked.iter().zip(&alone) {
+            assert_eq!(bits(got), bits(want));
+        }
+        assert_eq!(
+            bits(&model.flat_grads()),
+            bits(&lead_grad),
+            "the lead's gradient stays in the buffers"
+        );
+        assert!(model.take_slot_grads().is_empty(), "no slot storage left");
     }
 
     #[test]

@@ -90,26 +90,39 @@ impl LocalTrainer {
     /// leaves gradients in the model's buffers. An empty batch is a
     /// no-op with zero loss (zero gradients), never a NaN.
     pub fn compute_grads(&mut self, x: &Tensor, labels: &[usize]) -> f32 {
-        self.compute_grads_logits(x, labels).0
+        match self.forward_loss(x, labels) {
+            Some((loss, _, grad)) => {
+                self.backward(grad);
+                loss
+            }
+            None => 0.0,
+        }
     }
 
-    /// [`LocalTrainer::compute_grads`], also handing back the training
-    /// forward's logits (`[0, classes]` for an empty batch). The model
-    /// keeps that forward's activations, so the caller can run further
-    /// backward passes against other losses on the same logits.
-    pub fn compute_grads_logits(&mut self, x: &Tensor, labels: &[usize]) -> (f32, Tensor) {
+    /// The first half of [`LocalTrainer::compute_grads`]: zero grads,
+    /// forward, cross-entropy. Returns the loss, the training forward's
+    /// logits and the loss gradient at them, and leaves the backward to
+    /// the caller, who may stack further output gradients of the same
+    /// forward behind this one (see [`fedknow_nn::Layer::backward`]).
+    /// `None` for an empty batch (zero gradients, nothing to run).
+    pub fn forward_loss(&mut self, x: &Tensor, labels: &[usize]) -> Option<(f32, Tensor, Tensor)> {
         self.model.zero_grad();
         if labels.is_empty() {
-            return (0.0, Tensor::zeros(&[0, self.model.num_classes()]));
+            return None;
         }
         let logits = {
             let _t = CONV_FWD_NS.timer();
             self.model.forward(x.clone(), true)
         };
         let (loss, grad) = cross_entropy(&logits, labels);
+        Some((loss, logits, grad))
+    }
+
+    /// The training backward of [`LocalTrainer::forward_loss`]'s
+    /// gradient, timed as `conv.bwd_ns`.
+    pub fn backward(&mut self, grad: Tensor) {
         let _t = CONV_BWD_NS.timer();
         self.model.backward(grad);
-        (loss, logits)
     }
 
     /// One plain SGD iteration on the current task. Returns the loss.

@@ -22,9 +22,10 @@
 //! *patch panels* straight into the same blocked kernel without
 //! materializing the full column matrix.
 //!
-//! The four dense sources fall in two classes. [`DenseATrans`] and
+//! The five dense sources fall in two classes. [`DenseATrans`] and
 //! [`DenseB`] are stored along the packing direction: a packed row is a
-//! straight copy. [`DenseA`] and [`DenseBTrans`] are stored across it (k
+//! straight copy. [`DenseA`], its block-strided generalisation
+//! [`DenseABlocks`] and [`DenseBTrans`] are stored across it (k
 //! contiguous), so packing them is a transpose; they share one blocked
 //! walk, `pack_transposed`, that moves 16-deep blocks of 8 source rows at
 //! a time instead of one strided scalar store per element.
@@ -82,7 +83,36 @@ pub struct DenseA<'a> {
 
 impl APanels for DenseA<'_> {
     fn pack(&self, dst: &mut [f32], i0: usize, mc: usize, k0: usize, kc: usize, mr: usize) {
-        pack_transposed(&self.data[i0 * self.k + k0..], self.k, mc, kc, dst, mr);
+        let k = self.k;
+        pack_transposed(&self.data[i0 * k + k0..], |x| x * k, mc, kc, dst, mr);
+    }
+}
+
+/// Row-major left operand `[m, k]` stored in equal blocks of `rows` rows
+/// spaced `stride` floats apart: row `i` starts at
+/// `data[(i / rows)·stride + (i % rows)·k]`. `rows` rows of each of `s`
+/// stacked slots (`m = s·rows`) multiply one shared right operand in one
+/// GEMM, so its pack is shared too. Packing transposes, like [`DenseA`]
+/// (which is the one-block case).
+pub struct DenseABlocks<'a> {
+    /// Data holding every block.
+    pub data: &'a [f32],
+    /// Row stride within a block (the k dimension).
+    pub k: usize,
+    /// Rows per block.
+    pub rows: usize,
+    /// Distance between the starts of consecutive blocks.
+    pub stride: usize,
+}
+
+impl APanels for DenseABlocks<'_> {
+    fn pack(&self, dst: &mut [f32], i0: usize, mc: usize, k0: usize, kc: usize, mr: usize) {
+        let (k, rows, stride) = (self.k, self.rows, self.stride);
+        let row = |x: usize| {
+            let i = i0 + x;
+            (i / rows) * stride + (i % rows) * k
+        };
+        pack_transposed(&self.data[k0..], row, mc, kc, dst, mr);
     }
 }
 
@@ -146,7 +176,8 @@ pub struct DenseBTrans<'a> {
 
 impl BPanels for DenseBTrans<'_> {
     fn pack(&self, dst: &mut [f32], k0: usize, kc: usize, j0: usize, nc: usize, nr: usize) {
-        pack_transposed(&self.data[j0 * self.k + k0..], self.k, nc, kc, dst, nr);
+        let k = self.k;
+        pack_transposed(&self.data[j0 * k + k0..], |x| x * k, nc, kc, dst, nr);
     }
 }
 
@@ -155,11 +186,11 @@ impl BPanels for DenseBTrans<'_> {
 const TB: usize = 16;
 
 /// The pack of a source stored across the packing direction, shared by
-/// [`DenseA`] and [`DenseBTrans`]: source row `x` (starting at
-/// `src[x·stride]`, running along k) becomes column `x % r` of strip
-/// `x / r`,
+/// [`DenseA`], [`DenseABlocks`] and [`DenseBTrans`]: source row `x`
+/// (starting at `src[row(x)]`, running along k) becomes column `x % r` of
+/// strip `x / r`,
 ///
-/// `dst[(x / r)·kc·r + p·r + x % r] = src[x·stride + p]`, `x < xc`, `p < kc`,
+/// `dst[(x / r)·kc·r + p·r + x % r] = src[row(x) + p]`, `x < xc`, `p < kc`,
 ///
 /// and the columns of the last strip past `xc` are zeroed.
 ///
@@ -170,7 +201,14 @@ const TB: usize = 16;
 /// blocks — read as row segments, transposed in a stack tile, written as
 /// 8-float runs, bounds checked once per segment and run rather than per
 /// element. The ragged edges (and any other `r`) take the element walk.
-fn pack_transposed(src: &[f32], stride: usize, xc: usize, kc: usize, dst: &mut [f32], r: usize) {
+fn pack_transposed(
+    src: &[f32],
+    row: impl Fn(usize) -> usize,
+    xc: usize,
+    kc: usize,
+    dst: &mut [f32],
+    r: usize,
+) {
     let strips = xc.div_ceil(r);
     let dst = &mut dst[..strips * kc * r];
     if !xc.is_multiple_of(r) {
@@ -184,10 +222,11 @@ fn pack_transposed(src: &[f32], stride: usize, xc: usize, kc: usize, dst: &mut [
     };
     for x in (0..xb).step_by(8) {
         let run = &mut dst[col(x)..];
+        let starts: [usize; 8] = std::array::from_fn(|j| row(x + j));
         for p0 in (0..kb).step_by(TB) {
             let mut tile = [[0.0f32; 8]; TB];
-            for j in 0..8 {
-                let seg = &src[(x + j) * stride + p0..][..TB];
+            for (j, &s) in starts.iter().enumerate() {
+                let seg = &src[s + p0..][..TB];
                 for (t, &v) in tile.iter_mut().zip(seg) {
                     t[j] = v;
                 }
@@ -199,7 +238,7 @@ fn pack_transposed(src: &[f32], stride: usize, xc: usize, kc: usize, dst: &mut [
     }
     for x in 0..xc {
         let done = if x < xb { kb } else { 0 };
-        let row = &src[x * stride..][..kc];
+        let row = &src[row(x)..][..kc];
         let out = &mut dst[col(x)..];
         for p in done..kc {
             out[p * r] = row[p];
@@ -512,8 +551,21 @@ fn microkernel_edge(
 // Blocked driver
 // ---------------------------------------------------------------------------
 
-fn buf_lens(mr: usize, nr: usize) -> (usize, usize) {
-    (MC.div_ceil(mr) * mr * KC, NC.div_ceil(nr) * nr * KC)
+/// Lengths of the A-block and B-panel pack buffers of a `rows × k × n`
+/// product: what the product fills, rounded up to a power of two, and at
+/// most a full `MC × KC` block and `KC × NC` panel. A small GEMM does not
+/// park a megabyte panel in the pool, and the rounding keeps the pool's
+/// size classes — each holds buffers of its own — to a handful.
+fn buf_lens(mr: usize, nr: usize, rows: usize, k: usize, n: usize) -> (usize, usize) {
+    let kc = k.min(KC);
+    let fit = |need: usize, full: usize| need.next_power_of_two().min(full);
+    (
+        fit(
+            rows.min(MC).div_ceil(mr) * mr * kc,
+            MC.div_ceil(mr) * mr * KC,
+        ),
+        fit(n.min(NC).div_ceil(nr) * nr * kc, NC.div_ceil(nr) * nr * KC),
+    )
 }
 
 /// Serial blocked GEMM over rows `[row0, row0+rows)`, writing into
@@ -531,7 +583,7 @@ fn gemm_rows(
     out_rows: &mut [f32],
 ) {
     let (mr, nr) = which.tile();
-    let (pa_len, pb_len) = buf_lens(mr, nr);
+    let (pa_len, pb_len) = buf_lens(mr, nr, rows, k, n);
     let mut pa = pool::take(pa_len);
     let mut pb = pool::take(pb_len);
     let mut tile = pool::take(mr * nr);
@@ -735,6 +787,37 @@ mod tests {
             &mut via_bt,
         );
         assert_eq!(want, via_bt, "transposed-B pack must be bit-identical");
+    }
+
+    #[test]
+    fn block_strided_rows_are_the_per_block_gemms() {
+        // 3 blocks of 7 rows, 5 floats of padding between them: one GEMM
+        // over all 21 rows gives each block's rows bit-equal to that
+        // block's own GEMM (rows cross strip and block boundaries).
+        let (rows, k, n, blocks) = (7, 37, 29, 3);
+        let stride = rows * k + 5;
+        let data = vals(blocks * stride, 12);
+        let b = vals(k * n, 13);
+        let mut stacked = vec![0.0f32; blocks * rows * n];
+        let a = DenseABlocks {
+            data: &data,
+            k,
+            rows,
+            stride,
+        };
+        gemm(
+            blocks * rows,
+            k,
+            n,
+            &a,
+            &DenseB { data: &b, n },
+            &mut stacked,
+        );
+        for j in 0..blocks {
+            let mut one = vec![0.0f32; rows * n];
+            gemm_dense(rows, k, n, &data[j * stride..][..rows * k], &b, &mut one);
+            assert_eq!(stacked[j * rows * n..][..rows * n], one[..], "block {j}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Elementwise activation layers.
 
-use crate::layer::Layer;
+use crate::layer::{slot_count, Layer};
 use fedknow_math::Tensor;
 
 /// Rectified linear unit. Caches the activation mask for backward.
@@ -38,13 +38,12 @@ impl Layer for ReLU {
     }
 
     fn backward(&mut self, mut grad: Tensor) -> Tensor {
-        assert_eq!(
-            grad.len(),
-            self.mask.len(),
-            "ReLU backward before forward(train)"
-        );
-        for (g, &m) in grad.data_mut().iter_mut().zip(&self.mask) {
-            *g = if m { *g } else { 0.0 };
+        let n = self.mask.len();
+        // Every slot of a stacked gradient takes the one forward's mask.
+        for j in 0..slot_count(grad.len(), n, "ReLU") {
+            for (g, &m) in grad.data_mut()[j * n..][..n].iter_mut().zip(&self.mask) {
+                *g = if m { *g } else { 0.0 };
+            }
         }
         grad
     }
@@ -91,13 +90,14 @@ impl Layer for Sigmoid {
     }
 
     fn backward(&mut self, mut grad: Tensor) -> Tensor {
-        assert_eq!(
-            grad.len(),
-            self.cached_out.len(),
-            "Sigmoid backward before forward(train)"
-        );
-        for (g, &s) in grad.data_mut().iter_mut().zip(&self.cached_out) {
-            *g *= s * (1.0 - s);
+        let n = self.cached_out.len();
+        for j in 0..slot_count(grad.len(), n, "Sigmoid") {
+            for (g, &s) in grad.data_mut()[j * n..][..n]
+                .iter_mut()
+                .zip(&self.cached_out)
+            {
+                *g *= s * (1.0 - s);
+            }
         }
         grad
     }
@@ -209,13 +209,11 @@ impl Layer for Dropout {
         if self.p == 0.0 || self.mask.is_empty() {
             return grad;
         }
-        assert_eq!(
-            grad.len(),
-            self.mask.len(),
-            "Dropout backward before forward(train)"
-        );
-        for (g, &m) in grad.data_mut().iter_mut().zip(&self.mask) {
-            *g *= m;
+        let n = self.mask.len();
+        for j in 0..slot_count(grad.len(), n, "Dropout") {
+            for (g, &m) in grad.data_mut()[j * n..][..n].iter_mut().zip(&self.mask) {
+                *g *= m;
+            }
         }
         grad
     }

@@ -7,7 +7,7 @@
 //! residuals (MobileNetV2, via `Residual` with a depthwise main path).
 
 use crate::activations::{ReLU, Sigmoid};
-use crate::layer::{Layer, ParamVisitor, Sequential};
+use crate::layer::{slot_count, Layer, ParamVisitor, Sequential};
 use crate::linear::Linear;
 use fedknow_math::Tensor;
 use rand::rngs::StdRng;
@@ -70,6 +70,13 @@ impl Layer for Residual {
         self.main.visit_params(v);
         if let Some(s) = &mut self.shortcut {
             s.visit_params(v);
+        }
+    }
+
+    fn take_grad_slots(&mut self, v: &mut dyn FnMut(usize, Vec<f32>)) {
+        self.main.take_grad_slots(v);
+        if let Some(s) = &mut self.shortcut {
+            s.take_grad_slots(v);
         }
     }
 
@@ -163,26 +170,31 @@ impl Layer for SEScale {
         let s = x.shape().to_vec();
         let (b, c, h, w) = (s[0], s[1], s[2], s[3]);
         let plane = h * w;
-        // ∂L/∂gate[b,c] = Σ_hw gy·x ; direct path ∂L/∂x = gy·gate.
-        let mut g_gate = vec![0.0f32; b * c];
+        let slots = slot_count(grad.len(), x.len(), "SEScale");
+        // ∂L/∂gate[b,c] = Σ_hw gy·x ; direct path ∂L/∂x = gy·gate. Row
+        // `sbc` of a stacked gradient is row `sbc % (b·c)` of the forward.
+        let mut g_gate = vec![0.0f32; slots * b * c];
         let mut gx = grad.clone();
-        for (bc, gg) in g_gate.iter_mut().enumerate() {
-            let gslice = &grad.data()[bc * plane..(bc + 1) * plane];
+        for (sbc, gg) in g_gate.iter_mut().enumerate() {
+            let bc = sbc % (b * c);
+            let gslice = &grad.data()[sbc * plane..(sbc + 1) * plane];
             let xslice = &x.data()[bc * plane..(bc + 1) * plane];
             *gg = gslice.iter().zip(xslice).map(|(&g, &xv)| g * xv).sum();
             let gt = self.cached_gate[bc];
-            for v in &mut gx.data_mut()[bc * plane..(bc + 1) * plane] {
+            for v in &mut gx.data_mut()[sbc * plane..(sbc + 1) * plane] {
                 *v *= gt;
             }
         }
         // Back through the excitation MLP.
-        let gz = self.sigmoid.backward(Tensor::from_vec(g_gate, &[b, c]));
+        let gz = self
+            .sigmoid
+            .backward(Tensor::from_vec(g_gate, &[slots * b, c]));
         let gz = self.fc2.backward(gz);
         let gz = self.relu.backward(gz);
         let g_squeezed = self.fc1.backward(gz);
         // Back through the squeeze (mean over the plane).
         let inv = 1.0 / plane as f32;
-        for bc in 0..b * c {
+        for bc in 0..slots * b * c {
             let gs = g_squeezed.data()[bc] * inv;
             for v in &mut gx.data_mut()[bc * plane..(bc + 1) * plane] {
                 *v += gs;
@@ -194,6 +206,11 @@ impl Layer for SEScale {
     fn visit_params(&mut self, v: &mut dyn ParamVisitor) {
         self.fc1.visit_params(v);
         self.fc2.visit_params(v);
+    }
+
+    fn take_grad_slots(&mut self, v: &mut dyn FnMut(usize, Vec<f32>)) {
+        self.fc1.take_grad_slots(v);
+        self.fc2.take_grad_slots(v);
     }
 
     fn zero_grad(&mut self) {
@@ -273,6 +290,12 @@ impl Layer for Concat {
     fn visit_params(&mut self, v: &mut dyn ParamVisitor) {
         for br in &mut self.branches {
             br.visit_params(v);
+        }
+    }
+
+    fn take_grad_slots(&mut self, v: &mut dyn FnMut(usize, Vec<f32>)) {
+        for br in &mut self.branches {
+            br.take_grad_slots(v);
         }
     }
 
@@ -359,6 +382,12 @@ impl Layer for SplitConcat {
     fn visit_params(&mut self, v: &mut dyn ParamVisitor) {
         for br in &mut self.branches {
             br.visit_params(v);
+        }
+    }
+
+    fn take_grad_slots(&mut self, v: &mut dyn FnMut(usize, Vec<f32>)) {
+        for br in &mut self.branches {
+            br.take_grad_slots(v);
         }
     }
 

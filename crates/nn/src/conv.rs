@@ -26,6 +26,16 @@
 //!   panel row from `k`-float runs, which costs several times the GEMM it
 //!   feeds. The input-gradient GEMM then overwrites `gcol` with `W_gᵀ ·
 //!   gy` and `col2im` scatter-accumulates it. Nothing outlives the call.
+//! * **Stacked output gradients share the column work.** A backward of
+//!   `s` slots (see [`Layer::backward`]) packs each sample's column
+//!   matrix once and runs one weight-gradient GEMM of `s·ocg` rows over
+//!   it — the slots' `gy` rows read in place through [`DenseABlocks`] —
+//!   so the transposing pack of `colᵀ` serves every slot. The
+//!   input-gradient GEMM and `col2im` stay per slot. Each sample's
+//!   weight-gradient rows are added into the gradient slots as soon as
+//!   they exist, so the scratch is one sample's worth. When the input is
+//!   as large as the output, the input gradient overwrites the output
+//!   gradient it came from (serial path).
 //! * **A same-padded stride-1 convolution moves whole planes.** Row
 //!   `(c, ky, kx)` of its column matrix is input plane `c` shifted by
 //!   `(ky − pad)·w + (kx − pad)` with the columns that left the image
@@ -40,18 +50,17 @@
 //! ## Parallelism and determinism
 //!
 //! When [`fedknow_math::parallel::threads`] > 1, the batch dimension is
-//! split across scoped threads (each sample's output/input-gradient region
-//! is disjoint) and the GEMM inside each worker is pinned serial. Weight
-//! gradients are computed into per-(sample, group) slots of a scratch
-//! buffer and reduced into `grad_weight` on the calling thread in
-//! ascending (sample, group) order — the same order, and therefore the
-//! same f32 rounding, as the serial path. With one thread the GEMM itself
-//! may parallelise over output rows, which is bit-identical by the GEMM's
-//! own determinism contract. `crates/nn/tests/properties.rs` pins
-//! bit-identity across thread counts.
+//! split across scoped threads and the GEMM inside each worker is pinned
+//! serial. The backward's workers fill per-sample parts (input and
+//! weight gradients), which the calling thread scatters and reduces into
+//! the gradient slots in ascending sample order — the order, and
+//! therefore the f32 rounding, of the serial path. With one thread the
+//! GEMM itself may parallelise over output rows, which is bit-identical
+//! by the GEMM's own determinism contract. `crates/nn/tests/properties.rs`
+//! and `determinism.rs` pin bit-identity across thread counts.
 
-use crate::layer::{Layer, ParamVisitor};
-use fedknow_math::gemm::{self, BPanels, DenseA, DenseATrans, DenseB, DenseBTrans};
+use crate::layer::{slot_count, Grad, Layer, ParamVisitor};
+use fedknow_math::gemm::{self, BPanels, DenseA, DenseABlocks, DenseATrans, DenseB, DenseBTrans};
 use fedknow_math::rng::kaiming_vec;
 use fedknow_math::{flops, parallel, pool, Tensor};
 use fedknow_obs::PerfCounter;
@@ -228,8 +237,8 @@ pub struct Conv2d {
     /// `[OC, (C/groups) * k * k]`
     weight: Tensor,
     bias: Tensor,
-    grad_weight: Tensor,
-    grad_bias: Tensor,
+    grad_weight: Grad,
+    grad_bias: Grad,
     /// Input cached (by ownership) from the training forward pass — the
     /// backward rebuilds each sample's column matrix from it instead of
     /// storing column matrices.
@@ -269,8 +278,8 @@ impl Conv2d {
             groups,
             weight,
             bias: Tensor::zeros(&[out_channels]),
-            grad_weight: Tensor::zeros(&[out_channels, fan_in]),
-            grad_bias: Tensor::zeros(&[out_channels]),
+            grad_weight: Grad::zeros(out_channels * fan_in),
+            grad_bias: Grad::zeros(out_channels),
             cached_input: None,
         }
     }
@@ -355,16 +364,18 @@ impl Conv2d {
         }
     }
 
-    /// Backward for one sample: writes the input gradient into `gx_s`
-    /// (zeroed on entry) and the per-group weight-gradient contributions
-    /// into `gw_s` (`groups·ocg·fan`, overwritten). `gcol` (`fan·ncols`)
-    /// is scratch: first the group's column matrix, then its gradient.
+    /// Weight-gradient contributions of one sample over every slot,
+    /// written to `gw_s` (`[groups][s][ocg·fan]`, overwritten). Slot `j`
+    /// of the sample's output gradient is `gy[j·gy_stride..]`. Per group,
+    /// the sample's column matrix is packed into the scratch `gcol` once
+    /// and one GEMM of `s·ocg` rows reads it for all slots.
     #[allow(clippy::too_many_arguments)]
-    fn bwd_sample(
+    fn weight_grads_sample(
         &self,
         xs: &[f32],
-        grad_s: &[f32],
-        gx_s: &mut [f32],
+        gy: &[f32],
+        gy_stride: usize,
+        s: usize,
         gw_s: &mut [f32],
         gcol: &mut [f32],
         h: usize,
@@ -377,39 +388,62 @@ impl Conv2d {
         let ocg = self.out_channels / self.groups;
         let fan = cg * self.kernel * self.kernel;
         for gi in 0..self.groups {
-            let gy = &grad_s[gi * ocg * ncols..(gi + 1) * ocg * ncols];
             let xg = &xs[gi * cg * h * w..(gi + 1) * cg * h * w];
             // One full-width "strip" of the patch pack is the row-major
             // column matrix [fan, ncols].
             PatchPanels { x: xg, g }.pack(gcol, 0, fan, 0, ncols, ncols);
-            // gW_g [ocg, fan] = gy [ocg, ncols] × colᵀ [ncols, fan]
+            // gW_g of every slot [s·ocg, fan] = gy [s·ocg, ncols] × colᵀ
+            // [ncols, fan]: colᵀ is packed once for all slots.
             gemm::gemm(
-                ocg,
+                s * ocg,
                 ncols,
                 fan,
-                &DenseA { data: gy, k: ncols },
+                &DenseABlocks {
+                    data: &gy[gi * ocg * ncols..],
+                    k: ncols,
+                    rows: ocg,
+                    stride: gy_stride,
+                },
                 &DenseBTrans {
                     data: gcol,
                     k: ncols,
                 },
-                &mut gw_s[gi * ocg * fan..(gi + 1) * ocg * fan],
+                &mut gw_s[gi * s * ocg * fan..(gi + 1) * s * ocg * fan],
             );
-            // gcol [fan, ncols] = W_gᵀ × gy, then scatter back to gx.
-            let wg = &self.weight.data()[gi * ocg * fan..(gi + 1) * ocg * fan];
-            gemm::gemm(
-                fan,
-                ocg,
-                ncols,
-                &DenseATrans { data: wg, m: fan },
-                &DenseB { data: gy, n: ncols },
-                gcol,
-            );
-            self.col2im(
-                gcol,
-                &mut gx_s[gi * cg * h * w..(gi + 1) * cg * h * w],
-                h,
-                w,
-            );
+        }
+    }
+
+    /// Group `gi`'s column gradient `W_gᵀ × gy` of one sample and slot
+    /// into `gcol` (`[fan, ncols]`, overwritten), ready for `col2im`.
+    fn col_grad(&self, gi: usize, gy: &[f32], gcol: &mut [f32]) {
+        let ocg = self.out_channels / self.groups;
+        let fan = self.weight.shape()[1];
+        let ncols = gy.len() / ocg;
+        let wg = &self.weight.data()[gi * ocg * fan..(gi + 1) * ocg * fan];
+        gemm::gemm(
+            fan,
+            ocg,
+            ncols,
+            &DenseATrans { data: wg, m: fan },
+            &DenseB { data: gy, n: ncols },
+            gcol,
+        );
+    }
+
+    /// Add one sample's weight-gradient contributions (`[groups][s][ocg·
+    /// fan]`, as [`weight_grads_sample`](Self::weight_grads_sample)
+    /// writes them) into the `s` gradient slots. Called in ascending
+    /// sample order, this is the f32 addition sequence of a one-slot
+    /// backward for every slot.
+    fn add_weight_grads(&mut self, part: &[f32], s: usize) {
+        let block = self.out_channels / self.groups * self.weight.shape()[1];
+        for (gs, group) in part.chunks_exact(s * block).enumerate() {
+            for (j, src) in group.chunks_exact(block).enumerate() {
+                let dst = &mut self.grad_weight.slot(j)[gs * block..(gs + 1) * block];
+                for (d, &v) in dst.iter_mut().zip(src) {
+                    *d += v;
+                }
+            }
         }
     }
 
@@ -546,88 +580,146 @@ impl Layer for Conv2d {
         let sample_grad = self.out_channels * ncols;
         let sample_in = c * h * w;
         let gw_len = self.groups * ocg * fan;
+        let s = slot_count(grad.len(), b * sample_grad, "Conv2d");
+        self.grad_weight.set_slots(s);
+        self.grad_bias.set_slots(s);
 
-        let mut gx = pool::take_zeroed(b * sample_in);
-        // Per-(sample, group) weight-gradient slots; reduced in fixed
-        // order below so the result is bit-identical for every thread
-        // count (including 1 — the serial path takes the same route).
-        let mut gw_parts = pool::take(b * gw_len);
-        {
-            let this: &Conv2d = self;
-            let gd = grad.data();
-            let xd = this.cached_input.as_ref().unwrap().data();
-            let nthreads = parallel::threads();
-            let chunks = if nthreads <= 1 || b <= 1 {
-                Vec::new()
-            } else {
-                parallel::chunks(b, 1, nthreads)
-            };
-            if chunks.len() <= 1 {
-                let mut gcol = pool::take(fan * ncols);
-                for bi in 0..b {
-                    this.bwd_sample(
-                        &xd[bi * sample_in..(bi + 1) * sample_in],
-                        &gd[bi * sample_grad..(bi + 1) * sample_grad],
-                        &mut gx[bi * sample_in..(bi + 1) * sample_in],
-                        &mut gw_parts[bi * gw_len..(bi + 1) * gw_len],
-                        &mut gcol,
-                        h,
-                        w,
-                    );
+        let (cg, hw) = (c / self.groups, h * w);
+        // Bias gradient first — per slot, the sum of grad over batch and
+        // spatial dims — while every slot's output gradient is intact.
+        let mut gd = grad.into_vec();
+        for j in 0..s {
+            let gb = self.grad_bias.slot(j);
+            for bi in 0..b {
+                for (oc, gb_oc) in gb.iter_mut().enumerate() {
+                    let base = ((j * b + bi) * self.out_channels + oc) * ncols;
+                    *gb_oc += gd[base..base + ncols].iter().sum::<f32>();
                 }
-                pool::give(gcol);
-            } else {
-                std::thread::scope(|sc| {
-                    let mut gx_rest = &mut gx[..];
-                    let mut gw_rest = &mut gw_parts[..];
-                    for &(b0, bl) in &chunks {
-                        let (gx_mine, gx_tail) = gx_rest.split_at_mut(bl * sample_in);
-                        gx_rest = gx_tail;
-                        let (gw_mine, gw_tail) = gw_rest.split_at_mut(bl * gw_len);
-                        gw_rest = gw_tail;
-                        sc.spawn(move || {
-                            parallel::with_threads(1, || {
-                                let mut gcol = pool::take(fan * ncols);
-                                for i in 0..bl {
-                                    let bi = b0 + i;
-                                    this.bwd_sample(
-                                        &xd[bi * sample_in..(bi + 1) * sample_in],
-                                        &gd[bi * sample_grad..(bi + 1) * sample_grad],
-                                        &mut gx_mine[i * sample_in..(i + 1) * sample_in],
-                                        &mut gw_mine[i * gw_len..(i + 1) * gw_len],
-                                        &mut gcol,
-                                        h,
-                                        w,
-                                    );
-                                }
-                                pool::give(gcol);
-                            });
-                        });
+            }
+        }
+        let nthreads = parallel::threads();
+        let chunks = if nthreads <= 1 || b <= 1 {
+            Vec::new()
+        } else {
+            parallel::chunks(b, 1, nthreads)
+        };
+        let gx = if chunks.len() <= 1 {
+            // A layer whose input is as large as its output writes the
+            // input gradient over the output gradient: sample `bi`'s
+            // weight gradients read all of its slots' rows first, and
+            // slot j's group-gi rows are dead once its column gradient
+            // holds them. One stacked buffer instead of two.
+            let mut gx_own =
+                (sample_in != sample_grad).then(|| pool::take_zeroed(s * b * sample_in));
+            // Each sample's weight-gradient contribution goes into the
+            // slots as soon as it exists, in ascending sample order: one
+            // sample's worth of scratch, whatever the batch.
+            let mut gcol = pool::take(fan * ncols);
+            let mut gw_s = pool::take(s * gw_len);
+            for bi in 0..b {
+                let xd = self.cached_input.as_ref().unwrap().data();
+                self.weight_grads_sample(
+                    &xd[bi * sample_in..(bi + 1) * sample_in],
+                    &gd[bi * sample_grad..],
+                    b * sample_grad,
+                    s,
+                    &mut gw_s,
+                    &mut gcol,
+                    h,
+                    w,
+                );
+                self.add_weight_grads(&gw_s, s);
+                for j in 0..s {
+                    for gi in 0..self.groups {
+                        let y = (j * b + bi) * sample_grad + gi * ocg * ncols;
+                        self.col_grad(gi, &gd[y..][..ocg * ncols], &mut gcol);
+                        let dst = match &mut gx_own {
+                            Some(gx) => {
+                                &mut gx[(j * b + bi) * sample_in + gi * cg * hw..][..cg * hw]
+                            }
+                            None => {
+                                let dst = &mut gd[y..][..ocg * ncols];
+                                dst.fill(0.0);
+                                dst
+                            }
+                        };
+                        self.col2im(&mut gcol, dst, h, w);
                     }
-                });
+                }
             }
-        }
-        // Fixed-order reduction: ascending sample index, then group —
-        // identical f32 addition sequence regardless of which thread
-        // produced each part.
-        let gwd = self.grad_weight.data_mut();
-        for part in gw_parts.chunks(gw_len) {
-            for (dst, &src) in gwd.iter_mut().zip(part) {
-                *dst += src;
+            pool::give(gw_s);
+            pool::give(gcol);
+            match gx_own {
+                Some(gx) => {
+                    pool::give(gd);
+                    gx
+                }
+                None => gd,
             }
-        }
-        pool::give(gw_parts);
-        // Bias gradient: sum of grad over batch and spatial dims.
-        let gb = self.grad_bias.data_mut();
-        for bi in 0..b {
-            for (oc, gb_oc) in gb.iter_mut().enumerate() {
-                let base = (bi * self.out_channels + oc) * ncols;
-                *gb_oc += grad.data()[base..base + ncols].iter().sum::<f32>();
+        } else {
+            // Per-sample parts — input gradients sample-major, weight
+            // gradients as `weight_grads_sample` writes them — filled by
+            // the workers, then scattered and reduced here in ascending
+            // sample order: the serial path's addition sequence.
+            let mut gx_parts = pool::take_zeroed(b * s * sample_in);
+            let mut gw_parts = pool::take(b * s * gw_len);
+            let this: &Conv2d = self;
+            let (xd, gds) = (this.cached_input.as_ref().unwrap().data(), &gd[..]);
+            std::thread::scope(|sc| {
+                let mut gx_rest = &mut gx_parts[..];
+                let mut gw_rest = &mut gw_parts[..];
+                for &(b0, bl) in &chunks {
+                    let (gx_mine, gx_tail) = gx_rest.split_at_mut(bl * s * sample_in);
+                    gx_rest = gx_tail;
+                    let (gw_mine, gw_tail) = gw_rest.split_at_mut(bl * s * gw_len);
+                    gw_rest = gw_tail;
+                    sc.spawn(move || {
+                        parallel::with_threads(1, || {
+                            let mut gcol = pool::take(fan * ncols);
+                            for (i, gw_s) in gw_mine.chunks_exact_mut(s * gw_len).enumerate() {
+                                let bi = b0 + i;
+                                this.weight_grads_sample(
+                                    &xd[bi * sample_in..(bi + 1) * sample_in],
+                                    &gds[bi * sample_grad..],
+                                    b * sample_grad,
+                                    s,
+                                    gw_s,
+                                    &mut gcol,
+                                    h,
+                                    w,
+                                );
+                                for j in 0..s {
+                                    for gi in 0..this.groups {
+                                        let y = (j * b + bi) * sample_grad + gi * ocg * ncols;
+                                        this.col_grad(gi, &gds[y..][..ocg * ncols], &mut gcol);
+                                        let x = (i * s + j) * sample_in + gi * cg * hw;
+                                        this.col2im(&mut gcol, &mut gx_mine[x..][..cg * hw], h, w);
+                                    }
+                                }
+                            }
+                            pool::give(gcol);
+                        });
+                    });
+                }
+            });
+            pool::give(gd);
+            let mut gx = pool::take(s * b * sample_in);
+            for (bi, part) in gx_parts.chunks_exact(s * sample_in).enumerate() {
+                for (j, src) in part.chunks_exact(sample_in).enumerate() {
+                    gx[(j * b + bi) * sample_in..][..sample_in].copy_from_slice(src);
+                }
             }
-        }
+            for part in gw_parts.chunks_exact(s * gw_len) {
+                self.add_weight_grads(part, s);
+            }
+            pool::give(gx_parts);
+            pool::give(gw_parts);
+            gx
+        };
+        // The arithmetic of `s` one-slot backwards, so charged as that.
         let cst = flops::conv2d_bwd(&self.cost_shape(b, h, w));
-        PERF_CONV_BWD.op(cst.flops, cst.bytes);
-        Tensor::from_vec(gx, &[b, c, h, w])
+        PERF_CONV_BWD.op(s as u64 * cst.flops, s as u64 * cst.bytes);
+        Tensor::from_vec(gx, &[s * b, c, h, w])
     }
 
     fn visit_params(&mut self, v: &mut dyn ParamVisitor) {
@@ -636,19 +728,24 @@ impl Layer for Conv2d {
             "conv.weight",
             &[self.out_channels, fan],
             self.weight.data_mut(),
-            self.grad_weight.data_mut(),
+            self.grad_weight.main(),
         );
         v.visit(
             "conv.bias",
             &[self.out_channels],
             self.bias.data_mut(),
-            self.grad_bias.data_mut(),
+            self.grad_bias.main(),
         );
     }
 
+    fn take_grad_slots(&mut self, v: &mut dyn FnMut(usize, Vec<f32>)) {
+        self.grad_weight.take_rest(v);
+        self.grad_bias.take_rest(v);
+    }
+
     fn zero_grad(&mut self) {
-        self.grad_weight.data_mut().fill(0.0);
-        self.grad_bias.data_mut().fill(0.0);
+        self.grad_weight.zero();
+        self.grad_bias.zero();
     }
 
     fn flops(&self, in_shape: &[usize]) -> (u64, Vec<usize>) {

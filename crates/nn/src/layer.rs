@@ -5,7 +5,15 @@
 //! *accumulates* parameter gradients into per-layer grad buffers while
 //! returning the gradient with respect to the layer input. A training step
 //! is therefore `zero_grad → forward(train=true) → backward → optimiser`.
+//!
+//! One backward pass can differentiate one forward against several output
+//! gradients at once — FedKNOW's restorer stacks the training loss's
+//! gradient and every signature task's distillation gradient — so each
+//! parameter gradient has *slots* ([`Grad`]): slot 0 is the one
+//! [`Layer::visit_params`] exposes, slots `1..s` are handed out by
+//! [`Layer::take_grad_slots`].
 
+use fedknow_math::tensor::MAX_RANK;
 use fedknow_math::Tensor;
 
 /// Callback used to walk a layer tree's parameters in a stable order.
@@ -35,19 +43,36 @@ pub trait Layer: Send {
     /// Backward pass: consume ∂L/∂output, accumulate parameter gradients,
     /// return ∂L/∂input.
     ///
+    /// `grad` holds `s ≥ 1` output gradients of the cached forward
+    /// (*slots*), stacked slot-major along the batch dimension: for a
+    /// forward over `B` samples it is `[s·B, …]`, rows `j·B..(j+1)·B`
+    /// being slot `j`. Every layer infers `s` as `grad`'s batch over the
+    /// cached one. The returned input gradient is stacked the same way,
+    /// slot `j`'s parameter gradient accumulates into gradient slot `j`,
+    /// and each slot's result is bit-identical to a backward of that slot
+    /// alone. `s = 1` is training.
+    ///
     /// May be called any number of times after one `forward(x, true)`:
     /// it reads the cached activations without consuming them, so each
-    /// call differentiates the same forward against a new output
-    /// gradient. Parameter gradients accumulate across calls; the caller
-    /// zeroes them in between (FedKNOW's restorer replays one training
-    /// forward once per signature task this way).
+    /// call differentiates the same forward against new output
+    /// gradients. Parameter gradients accumulate across calls; the caller
+    /// zeroes them in between.
     fn backward(&mut self, grad: Tensor) -> Tensor;
 
-    /// Visit every (parameter, gradient) pair in a deterministic order.
-    /// The default is a no-op for parameter-free layers.
+    /// Visit every (parameter, gradient) pair in a deterministic order;
+    /// the gradient is slot 0. The default is a no-op for parameter-free
+    /// layers.
     fn visit_params(&mut self, _v: &mut dyn ParamVisitor) {}
 
-    /// Zero all gradient buffers. Default no-op for parameter-free layers.
+    /// Hand the gradient slots `1..s` of the last `s`-slot backward to
+    /// `v`, one call per parameter tensor in
+    /// [`visit_params`](Self::visit_params) order with the tensor's
+    /// length and its `(s − 1)·len` floats (slot-major), and release
+    /// them. Slot 0 stays. Default no-op for parameter-free layers.
+    fn take_grad_slots(&mut self, _v: &mut dyn FnMut(usize, Vec<f32>)) {}
+
+    /// Zero all gradient buffers (every slot). Default no-op for
+    /// parameter-free layers.
     fn zero_grad(&mut self) {}
 
     /// Approximate FLOPs of one forward pass at the given input shape,
@@ -57,6 +82,83 @@ pub trait Layer: Send {
 
     /// Human-readable layer kind for diagnostics.
     fn name(&self) -> &'static str;
+}
+
+/// One parameter tensor's gradient buffer, in slots (see [`Layer::backward`]):
+/// slot 0, which [`Layer::visit_params`] exposes, and the slots `1..s` of
+/// the last `s`-slot backward, kept until [`take_rest`](Self::take_rest)
+/// hands them out. A single-slot backward holds no storage beyond slot 0.
+pub(crate) struct Grad {
+    main: Vec<f32>,
+    rest: Vec<f32>,
+}
+
+impl Grad {
+    /// A zeroed gradient of `len` floats.
+    pub(crate) fn zeros(len: usize) -> Self {
+        Self {
+            main: vec![0.0; len],
+            rest: Vec::new(),
+        }
+    }
+
+    /// Slot 0.
+    pub(crate) fn main(&mut self) -> &mut [f32] {
+        &mut self.main
+    }
+
+    /// Size the buffer for an `s`-slot backward: slots `1..s` keep what
+    /// they hold, new ones start at zero, slots past `s` are dropped
+    /// (their storage is kept, so a steady state does not allocate).
+    pub(crate) fn set_slots(&mut self, s: usize) {
+        self.rest.resize((s - 1) * self.main.len(), 0.0);
+    }
+
+    /// Slot `j`, of the `s` set by [`set_slots`](Self::set_slots).
+    pub(crate) fn slot(&mut self, j: usize) -> &mut [f32] {
+        if j == 0 {
+            return &mut self.main;
+        }
+        let len = self.main.len();
+        &mut self.rest[(j - 1) * len..j * len]
+    }
+
+    /// Zero every slot.
+    pub(crate) fn zero(&mut self) {
+        self.main.fill(0.0);
+        self.rest.fill(0.0);
+    }
+
+    /// [`Layer::take_grad_slots`] for this tensor.
+    pub(crate) fn take_rest(&mut self, v: &mut dyn FnMut(usize, Vec<f32>)) {
+        v(self.main.len(), std::mem::take(&mut self.rest));
+    }
+}
+
+/// How many slots a stacked output gradient of `grad_len` floats holds
+/// when the cached forward's output (one slot) held `out_len`. Panics
+/// unless it is a whole number of at least one.
+pub(crate) fn slot_count(grad_len: usize, out_len: usize, layer: &str) -> usize {
+    if out_len == 0 {
+        assert_eq!(grad_len, 0, "{layer} backward before forward(train)");
+        return 1;
+    }
+    assert!(
+        grad_len >= out_len && grad_len.is_multiple_of(out_len),
+        "{layer} backward before forward(train), or a gradient of {grad_len} floats \
+         that is no stack of {out_len}-float slots"
+    );
+    grad_len / out_len
+}
+
+/// `shape` with its batch dimension multiplied by `s`: the shape of `s`
+/// stacked slots. Built inline (rank ≤ 4) so a backward stays
+/// allocation-free; use as `&dims[..shape.len()]`.
+pub(crate) fn stacked_shape(shape: &[usize], s: usize) -> [usize; MAX_RANK] {
+    let mut dims = [0usize; MAX_RANK];
+    dims[..shape.len()].copy_from_slice(shape);
+    dims[0] *= s;
+    dims
 }
 
 /// Ordered composition of layers.
@@ -142,6 +244,12 @@ impl Layer for Sequential {
     fn visit_params(&mut self, v: &mut dyn ParamVisitor) {
         for l in &mut self.layers {
             l.visit_params(v);
+        }
+    }
+
+    fn take_grad_slots(&mut self, v: &mut dyn FnMut(usize, Vec<f32>)) {
+        for l in &mut self.layers {
+            l.take_grad_slots(v);
         }
     }
 

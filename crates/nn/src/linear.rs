@@ -1,8 +1,8 @@
 //! Fully-connected layer.
 
-use crate::layer::{Layer, ParamVisitor};
+use crate::layer::{slot_count, Grad, Layer, ParamVisitor};
 use fedknow_math::rng::kaiming_vec;
-use fedknow_math::Tensor;
+use fedknow_math::{pool, Tensor};
 use rand::rngs::StdRng;
 
 /// `y = x Wᵀ + b`, with `x: [B, in]`, `W: [out, in]`, `b: [out]`.
@@ -11,8 +11,8 @@ pub struct Linear {
     out_features: usize,
     weight: Tensor,
     bias: Tensor,
-    grad_weight: Tensor,
-    grad_bias: Tensor,
+    grad_weight: Grad,
+    grad_bias: Grad,
     cached_input: Option<Tensor>,
 }
 
@@ -28,8 +28,8 @@ impl Linear {
             out_features,
             weight,
             bias: Tensor::zeros(&[out_features]),
-            grad_weight: Tensor::zeros(&[out_features, in_features]),
-            grad_bias: Tensor::zeros(&[out_features]),
+            grad_weight: Grad::zeros(out_features * in_features),
+            grad_bias: Grad::zeros(out_features),
             cached_input: None,
         }
     }
@@ -72,18 +72,30 @@ impl Layer for Linear {
             .cached_input
             .as_ref()
             .expect("backward before forward(train)");
-        // ∂L/∂W [out,in] = gradᵀ [out,B] · x [B,in]
-        let gw = grad.matmul_tn(x);
-        self.grad_weight.add_assign(&gw);
-        // ∂L/∂b = column sums of grad
         let n = self.out_features;
-        let gb = self.grad_bias.data_mut();
-        for row in grad.data().chunks_exact(n) {
-            for (g, &r) in gb.iter_mut().zip(row) {
-                *g += r;
+        let b = x.shape()[0];
+        let slots = slot_count(grad.len(), b * n, "Linear");
+        self.grad_weight.set_slots(slots);
+        self.grad_bias.set_slots(slots);
+        for j in 0..slots {
+            let gy = &grad.data()[j * b * n..][..b * n];
+            // ∂L/∂W [out,in] = gradᵀ [out,B] · x [B,in], slot by slot.
+            let mut rows = pool::take(b * n);
+            rows.copy_from_slice(gy);
+            let gw = Tensor::from_vec(rows, &[b, n]).matmul_tn(x);
+            for (g, &v) in self.grad_weight.slot(j).iter_mut().zip(gw.data()) {
+                *g += v;
+            }
+            // ∂L/∂b = column sums of grad
+            let gb = self.grad_bias.slot(j);
+            for row in gy.chunks_exact(n) {
+                for (g, &r) in gb.iter_mut().zip(row) {
+                    *g += r;
+                }
             }
         }
-        // ∂L/∂x [B,in] = grad [B,out] · W [out,in]
+        // ∂L/∂x [s·B,in] = grad [s·B,out] · W [out,in]: one GEMM for
+        // every slot.
         grad.matmul(&self.weight)
     }
 
@@ -92,19 +104,24 @@ impl Layer for Linear {
             "linear.weight",
             &[self.out_features, self.in_features],
             self.weight.data_mut(),
-            self.grad_weight.data_mut(),
+            self.grad_weight.main(),
         );
         v.visit(
             "linear.bias",
             &[self.out_features],
             self.bias.data_mut(),
-            self.grad_bias.data_mut(),
+            self.grad_bias.main(),
         );
     }
 
+    fn take_grad_slots(&mut self, v: &mut dyn FnMut(usize, Vec<f32>)) {
+        self.grad_weight.take_rest(v);
+        self.grad_bias.take_rest(v);
+    }
+
     fn zero_grad(&mut self) {
-        self.grad_weight.data_mut().fill(0.0);
-        self.grad_bias.data_mut().fill(0.0);
+        self.grad_weight.zero();
+        self.grad_bias.zero();
     }
 
     fn flops(&self, in_shape: &[usize]) -> (u64, Vec<usize>) {
@@ -144,7 +161,7 @@ mod tests {
         let _ = l.forward(x, true);
         let g = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
         let _ = l.backward(g);
-        assert_eq!(l.grad_bias.data(), &[4.0, 6.0]);
+        assert_eq!(l.grad_bias.main(), &[4.0, 6.0]);
     }
 
     #[test]
@@ -154,7 +171,7 @@ mod tests {
         let _ = l.forward(Tensor::zeros(&[1, 2]), true);
         let _ = l.backward(Tensor::from_vec(vec![1.0, 1.0], &[1, 2]));
         l.zero_grad();
-        assert!(l.grad_weight.data().iter().all(|&x| x == 0.0));
-        assert!(l.grad_bias.data().iter().all(|&x| x == 0.0));
+        assert!(l.grad_weight.main().iter().all(|&x| x == 0.0));
+        assert!(l.grad_bias.main().iter().all(|&x| x == 0.0));
     }
 }

@@ -90,9 +90,41 @@ impl Model {
         self.root.forward(x, train)
     }
 
-    /// Backward pass from the loss gradient at the output.
+    /// Backward pass from the loss gradient at the output — or from `s`
+    /// of them stacked slot-major (`[s·B, classes]` for a `B`-row
+    /// forward; see [`Layer::backward`]): slot 0's parameter gradient
+    /// lands in the gradient buffers, slots `1..s` are read with
+    /// [`take_slot_grads`](Self::take_slot_grads).
     pub fn backward(&mut self, grad: Tensor) -> Tensor {
         self.root.backward(grad)
+    }
+
+    /// The parameter gradients of slots `1..s` of the last `s`-slot
+    /// backward, one flat vector (stable order) per slot; their storage
+    /// in the layers is released. Slot 0 stays in the gradient buffers.
+    /// Empty after a one-slot backward.
+    pub fn take_slot_grads(&mut self) -> Vec<Vec<f32>> {
+        let p = self.param_count;
+        let mut slots: Vec<Vec<f32>> = Vec::new();
+        self.root
+            .take_grad_slots(&mut |len: usize, rest: Vec<f32>| {
+                if len == 0 {
+                    return;
+                }
+                if slots.is_empty() {
+                    slots = (0..rest.len() / len)
+                        .map(|_| Vec::with_capacity(p))
+                        .collect();
+                }
+                for (flat, part) in slots.iter_mut().zip(rest.chunks_exact(len)) {
+                    flat.extend_from_slice(part);
+                }
+            });
+        assert!(
+            slots.iter().all(|g| g.len() == p),
+            "gradient slots differ in count between layers"
+        );
+        slots
     }
 
     /// Zero all gradient buffers.
@@ -110,7 +142,7 @@ impl Model {
         out
     }
 
-    /// Copy all gradients into one flat vector (stable order).
+    /// Copy all gradients (slot 0) into one flat vector (stable order).
     pub fn flat_grads(&mut self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.param_count);
         self.root

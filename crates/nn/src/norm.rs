@@ -1,7 +1,7 @@
 //! Batch normalisation.
 
-use crate::layer::{Layer, ParamVisitor};
-use fedknow_math::{pool, Tensor};
+use crate::layer::{slot_count, Grad, Layer, ParamVisitor};
+use fedknow_math::Tensor;
 
 /// Per-channel batch normalisation over `[B, C, H, W]`.
 ///
@@ -15,8 +15,8 @@ pub struct BatchNorm2d {
     momentum: f32,
     gamma: Tensor,
     beta: Tensor,
-    grad_gamma: Tensor,
-    grad_beta: Tensor,
+    grad_gamma: Grad,
+    grad_beta: Grad,
     running_mean: Vec<f32>,
     running_var: Vec<f32>,
     // Training-forward caches.
@@ -34,8 +34,8 @@ impl BatchNorm2d {
             momentum: 0.1,
             gamma: Tensor::full(&[channels], 1.0),
             beta: Tensor::zeros(&[channels]),
-            grad_gamma: Tensor::zeros(&[channels]),
-            grad_beta: Tensor::zeros(&[channels]),
+            grad_gamma: Grad::zeros(channels),
+            grad_beta: Grad::zeros(channels),
             running_mean: vec![0.0; channels],
             running_var: vec![1.0; channels],
             cached_xhat: Vec::new(),
@@ -123,33 +123,43 @@ impl Layer for BatchNorm2d {
         );
         let plane = h * w;
         let n = (b * plane) as f32;
-        let gy = grad.data();
-        let mut gx = pool::take_zeroed(gy.len());
-        for ch in 0..c {
-            let g = self.gamma.data()[ch];
-            let inv_std = self.cached_inv_std[ch];
-            // Reductions: Σgy, Σ gy·x̂.
-            let (mut sum_gy, mut sum_gy_xhat) = (0.0f32, 0.0f32);
-            for bi in 0..b {
-                let base = (bi * c + ch) * plane;
-                let gys = &gy[base..base + plane];
-                let xhats = &self.cached_xhat[base..base + plane];
-                for (&g_i, &xh) in gys.iter().zip(xhats) {
-                    sum_gy += g_i;
-                    sum_gy_xhat += g_i * xh;
+        let len = self.cached_xhat.len();
+        let slots = slot_count(grad.len(), len, "BatchNorm2d");
+        self.grad_gamma.set_slots(slots);
+        self.grad_beta.set_slots(slots);
+        // The input gradient overwrites the output gradient: a channel's
+        // entries are rewritten only after its two reductions read them.
+        let mut gd = grad;
+        // Each slot against the one forward's x̂ and batch statistics.
+        for j in 0..slots {
+            let g_slot = &mut gd.data_mut()[j * len..][..len];
+            for ch in 0..c {
+                let g = self.gamma.data()[ch];
+                let inv_std = self.cached_inv_std[ch];
+                // Reductions: Σgy, Σ gy·x̂.
+                let (mut sum_gy, mut sum_gy_xhat) = (0.0f32, 0.0f32);
+                for bi in 0..b {
+                    let base = (bi * c + ch) * plane;
+                    let gys = &g_slot[base..base + plane];
+                    let xhats = &self.cached_xhat[base..base + plane];
+                    for (&g_i, &xh) in gys.iter().zip(xhats) {
+                        sum_gy += g_i;
+                        sum_gy_xhat += g_i * xh;
+                    }
                 }
-            }
-            self.grad_beta.data_mut()[ch] += sum_gy;
-            self.grad_gamma.data_mut()[ch] += sum_gy_xhat;
-            let k = g * inv_std / n;
-            for bi in 0..b {
-                let base = (bi * c + ch) * plane;
-                for i in base..base + plane {
-                    gx[i] = k * (n * gy[i] - sum_gy - self.cached_xhat[i] * sum_gy_xhat);
+                self.grad_beta.slot(j)[ch] += sum_gy;
+                self.grad_gamma.slot(j)[ch] += sum_gy_xhat;
+                let k = g * inv_std / n;
+                for bi in 0..b {
+                    let base = (bi * c + ch) * plane;
+                    let xhats = &self.cached_xhat[base..base + plane];
+                    for (gy, &xh) in g_slot[base..base + plane].iter_mut().zip(xhats) {
+                        *gy = k * (n * *gy - sum_gy - xh * sum_gy_xhat);
+                    }
                 }
             }
         }
-        Tensor::from_vec(gx, &[b, c, h, w])
+        gd
     }
 
     fn visit_params(&mut self, v: &mut dyn ParamVisitor) {
@@ -157,19 +167,24 @@ impl Layer for BatchNorm2d {
             "bn.gamma",
             &[self.channels],
             self.gamma.data_mut(),
-            self.grad_gamma.data_mut(),
+            self.grad_gamma.main(),
         );
         v.visit(
             "bn.beta",
             &[self.channels],
             self.beta.data_mut(),
-            self.grad_beta.data_mut(),
+            self.grad_beta.main(),
         );
     }
 
+    fn take_grad_slots(&mut self, v: &mut dyn FnMut(usize, Vec<f32>)) {
+        self.grad_gamma.take_rest(v);
+        self.grad_beta.take_rest(v);
+    }
+
     fn zero_grad(&mut self) {
-        self.grad_gamma.data_mut().fill(0.0);
-        self.grad_beta.data_mut().fill(0.0);
+        self.grad_gamma.zero();
+        self.grad_beta.zero();
     }
 
     fn flops(&self, in_shape: &[usize]) -> (u64, Vec<usize>) {

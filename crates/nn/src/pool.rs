@@ -5,7 +5,7 @@
 //! steady-state training loop performs no heap allocation (pinned by
 //! `crates/nn/tests/alloc_steady_state.rs`).
 
-use crate::layer::Layer;
+use crate::layer::{slot_count, stacked_shape, Layer};
 use fedknow_math::{pool, Tensor};
 
 /// 2×2 (or k×k) max pooling with stride = kernel.
@@ -82,10 +82,18 @@ impl Layer for MaxPool2d {
 
     fn backward(&mut self, grad: Tensor) -> Tensor {
         assert!(!self.in_shape.is_empty(), "backward before forward(train)");
-        let mut gx = Tensor::zeros(&self.in_shape);
-        let gxd = gx.data_mut();
-        for (g, &idx) in grad.data().iter().zip(&self.argmax) {
-            gxd[idx as usize] += g;
+        let s = slot_count(grad.len(), self.argmax.len(), "MaxPool2d");
+        let mut gx = Tensor::zeros(&stacked_shape(&self.in_shape, s)[..4]);
+        let (in_len, out_len) = (gx.len() / s, self.argmax.len());
+        // Each slot routes through the one forward's argmax.
+        for j in 0..s {
+            let gxd = &mut gx.data_mut()[j * in_len..][..in_len];
+            for (g, &idx) in grad.data()[j * out_len..][..out_len]
+                .iter()
+                .zip(&self.argmax)
+            {
+                gxd[idx as usize] += g;
+            }
         }
         gx
     }
@@ -143,9 +151,15 @@ impl Layer for GlobalAvgPool {
 
     fn backward(&mut self, grad: Tensor) -> Tensor {
         assert!(!self.in_shape.is_empty(), "backward before forward(train)");
-        let (h, w) = (self.in_shape[2], self.in_shape[3]);
+        let (b, c, h, w) = (
+            self.in_shape[0],
+            self.in_shape[1],
+            self.in_shape[2],
+            self.in_shape[3],
+        );
+        let s = slot_count(grad.len(), b * c, "GlobalAvgPool");
         let inv = 1.0 / (h * w) as f32;
-        let mut gx = Tensor::zeros(&self.in_shape);
+        let mut gx = Tensor::zeros(&stacked_shape(&self.in_shape, s)[..4]);
         for (bc, &g) in grad.data().iter().enumerate() {
             for v in &mut gx.data_mut()[bc * h * w..(bc + 1) * h * w] {
                 *v = g * inv;
@@ -200,7 +214,8 @@ impl Layer for Flatten {
 
     fn backward(&mut self, grad: Tensor) -> Tensor {
         assert!(!self.in_shape.is_empty(), "backward before forward(train)");
-        grad.reshape(&self.in_shape)
+        let s = slot_count(grad.len(), self.in_shape.iter().product(), "Flatten");
+        grad.reshape(&stacked_shape(&self.in_shape, s)[..self.in_shape.len()])
     }
 
     fn flops(&self, in_shape: &[usize]) -> (u64, Vec<usize>) {
@@ -330,10 +345,11 @@ impl Layer for AvgPool2d {
         );
         let k = self.kernel;
         let (oh, ow) = (h / k, w / k);
+        let s = slot_count(grad.len(), b * c * oh * ow, "AvgPool2d");
         let inv = 1.0 / (k * k) as f32;
-        let mut gx = Tensor::zeros(&self.in_shape);
+        let mut gx = Tensor::zeros(&stacked_shape(&self.in_shape, s)[..4]);
         let gxd = gx.data_mut();
-        for bc in 0..b * c {
+        for bc in 0..s * b * c {
             for oy in 0..oh {
                 for ox in 0..ow {
                     let g = grad.data()[bc * oh * ow + oy * ow + ox] * inv;

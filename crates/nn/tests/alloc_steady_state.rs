@@ -107,3 +107,45 @@ fn steady_state_eval_forward_is_allocation_free() {
 
     assert_eq!(a1 - a0, 0, "eval forward allocated {} times", a1 - a0);
 }
+
+/// The same pin for `cnn_fedknow_t10`'s hot path: a training forward
+/// followed by one backward of four stacked output gradients (the
+/// training loss's and three signature tasks') is allocation-free after
+/// warmup too — the extra gradient slots stay sized between calls.
+#[test]
+fn steady_state_stacked_backward_is_allocation_free() {
+    let mut rng = seeded(9);
+    let mut model = six_cnn(&mut rng, 3, 10, 1.0);
+    let (b, slots) = (4, 4);
+    let input = Tensor::from_vec(
+        (0..b * 3 * 16 * 16)
+            .map(|i| ((i * 31 % 89) as f32 / 89.0) - 0.5)
+            .collect(),
+        &[b, 3, 16, 16],
+    );
+    let grad = Tensor::from_vec(
+        (0..slots * b * 10)
+            .map(|i| ((i * 7 % 13) as f32 / 13.0) - 0.5)
+            .collect(),
+        &[slots * b, 10],
+    );
+    let step = |model: &mut Model| {
+        model.zero_grad();
+        let _ = model.forward(input.clone(), true);
+        model.backward(grad.clone())
+    };
+    for _ in 0..3 {
+        step(&mut model);
+    }
+
+    alloc::set_tracking(true);
+    let (a0, _) = alloc::thread_totals();
+    for _ in 0..5 {
+        let gx = step(&mut model);
+        assert_eq!(gx.shape(), &[slots * b, 3, 16, 16]);
+    }
+    let (a1, _) = alloc::thread_totals();
+    alloc::set_tracking(false);
+
+    assert_eq!(a1 - a0, 0, "stacked backward allocated {} times", a1 - a0);
+}

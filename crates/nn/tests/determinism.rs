@@ -211,3 +211,76 @@ fn eval_forward_rows_do_not_depend_on_the_batch_for_every_model() {
         }
     }
 }
+
+/// A backward of `s` stacked output gradients is `s` backwards of one:
+/// after one training forward, each slot's rows of the input gradient
+/// and its parameter gradients are bit-equal to a single-gradient
+/// backward of that slot on the same forward. FedKNOW's restorer stacks
+/// the training gradient and every signature task's behind it.
+#[test]
+fn stacked_backward_is_one_backward_per_slot_for_every_model() {
+    let x = input(&[3, 3, 8, 8], 54);
+    for kind in ModelKind::ALL {
+        let mut m = kind.build(&mut seeded(55), 3, 5, 1.0);
+        let _ = m.forward(x.clone(), true);
+        for s in [1, 2, 5] {
+            let g = input(&[s * 3, 5], 56 + s as u64);
+            let singles: Vec<(Vec<u32>, Vec<u32>)> = (0..s)
+                .map(|j| {
+                    m.zero_grad();
+                    let gx = m.backward(g.gather_rows(&[3 * j, 3 * j + 1, 3 * j + 2]));
+                    (bits(gx.data()), bits(&m.flat_grads()))
+                })
+                .collect();
+            m.zero_grad();
+            let gx = m.backward(g.clone());
+            assert_eq!(gx.shape()[0], s * 3, "{}: stacked batch", kind.name());
+            let mut grads = vec![m.flat_grads()];
+            grads.extend(m.take_slot_grads());
+            assert_eq!(grads.len(), s, "{}: slot count", kind.name());
+            let per = gx.len() / s;
+            for (j, (gx_j, grads_j)) in singles.iter().enumerate() {
+                assert!(
+                    bits(&gx.data()[j * per..(j + 1) * per]) == *gx_j,
+                    "{}: s = {s}, slot {j}: input gradient",
+                    kind.name()
+                );
+                assert!(
+                    bits(&grads[j]) == *grads_j,
+                    "{}: s = {s}, slot {j}: parameter gradients",
+                    kind.name()
+                );
+            }
+            assert!(m.take_slot_grads().is_empty(), "slots are released");
+        }
+    }
+}
+
+/// The batch-parallel conv backward scatters its per-sample parts into
+/// the stacked layout: a 3-slot backward is bit-identical for every
+/// thread count.
+#[test]
+fn stacked_conv_backward_is_bit_identical_across_thread_counts() {
+    let mut rng = seeded(57);
+    let mut conv = Conv2d::new(&mut rng, 4, 6, 3, 2, 1, 2);
+    let x = input(&[8, 4, 9, 7], 58);
+    let g = input(&[3 * 8, 6, 5, 4], 59);
+    let run = |conv: &mut Conv2d| {
+        conv.zero_grad();
+        let _ = conv.forward(x.clone(), true);
+        let gx = conv.backward(g.clone());
+        let mut grads = Vec::new();
+        conv.visit_params(&mut |_: &str, _: &[usize], _: &mut [f32], g: &mut [f32]| {
+            grads.extend(bits(g));
+        });
+        conv.take_grad_slots(&mut |_, rest| grads.extend(bits(&rest)));
+        (bits(gx.data()), grads)
+    };
+    let reference = parallel::with_threads(1, || run(&mut conv));
+    for t in [2, 4, 8] {
+        assert!(
+            parallel::with_threads(t, || run(&mut conv)) == reference,
+            "stacked conv backward differs at {t} threads"
+        );
+    }
+}
