@@ -454,6 +454,10 @@ fn main() {
     bench_conv(&opts, 12, 8, 8, 16, &mut entries);
     bench_conv(&opts, 12, 16, 16, 8, &mut entries);
     bench_conv(&opts, 12, 64, 64, 2, &mut entries);
+    // `tcp_wide_fedavg`'s deepest stage (ResNet18 at width 4, batch 8):
+    // 2×2 and 1×1 maps, where a chunk of samples is the GEMM's only width.
+    bench_conv(&opts, 8, 256, 256, 2, &mut entries);
+    bench_conv(&opts, 8, 256, 256, 1, &mut entries);
     // Signature-task machinery: GEM dual QP, Wasserstein ranking, and
     // the server's weighted average.
     bench_qp(&opts, 8, 4096, &mut entries);

@@ -22,9 +22,10 @@
 //! *patch panels* straight into the same blocked kernel without
 //! materializing the full column matrix.
 //!
-//! The five dense sources fall in two classes. [`DenseATrans`] and
-//! [`DenseB`] are stored along the packing direction: a packed row is a
-//! straight copy. [`DenseA`], its block-strided generalisation
+//! The six dense sources fall in two classes. [`DenseATrans`],
+//! [`DenseB`] and its block-strided generalisation [`DenseBBlocks`] are
+//! stored along the packing direction: a packed row is a straight copy
+//! (split at block edges). [`DenseA`], its block-strided generalisation
 //! [`DenseABlocks`] and [`DenseBTrans`] are stored across it (k
 //! contiguous), so packing them is a transpose; they share one blocked
 //! walk, `pack_transposed`, that moves 16-deep blocks of 8 source rows at
@@ -160,6 +161,48 @@ impl BPanels for DenseB<'_> {
                 let row = &mut strip[p * nr..(p + 1) * nr];
                 row[..w].copy_from_slice(src);
                 row[w..].fill(0.0);
+            }
+        }
+    }
+}
+
+/// Row-major right operand `[k, n]` stored in equal blocks of `cols`
+/// columns spaced `stride` floats apart: column `j` of row `p` is
+/// `data[(j / cols)·stride + p·cols + j % cols]`. The `[k, cols]` matrices
+/// of `n / cols` stacked units sit side by side along N and share one
+/// left operand's pack — the mirror of [`DenseABlocks`]. Packing copies,
+/// like [`DenseB`] (which is the one-block case), split at block edges.
+pub struct DenseBBlocks<'a> {
+    /// Data holding every block.
+    pub data: &'a [f32],
+    /// Columns per block (the row stride within a block).
+    pub cols: usize,
+    /// Distance between the starts of consecutive blocks.
+    pub stride: usize,
+}
+
+impl BPanels for DenseBBlocks<'_> {
+    fn pack(&self, dst: &mut [f32], k0: usize, kc: usize, j0: usize, nc: usize, nr: usize) {
+        let (cols, stride) = (self.cols, self.stride);
+        for (s, c0) in (0..nc).step_by(nr).enumerate() {
+            let w = nr.min(nc - c0);
+            let strip = &mut dst[s * kc * nr..(s * kc * nr) + kc * nr];
+            if w < nr {
+                for row in strip.chunks_exact_mut(nr) {
+                    row[w..].fill(0.0);
+                }
+            }
+            // One block segment at a time, every packed row of it.
+            let mut t = 0;
+            while t < w {
+                let j = j0 + c0 + t;
+                let (blk, q) = (j / cols, j % cols);
+                let seg = (cols - q).min(w - t);
+                let src = &self.data[blk * stride + k0 * cols + q..];
+                for (p, row) in strip.chunks_exact_mut(nr).enumerate() {
+                    row[t..t + seg].copy_from_slice(&src[p * cols..][..seg]);
+                }
+                t += seg;
             }
         }
     }
@@ -817,6 +860,39 @@ mod tests {
             let mut one = vec![0.0f32; rows * n];
             gemm_dense(rows, k, n, &data[j * stride..][..rows * k], &b, &mut one);
             assert_eq!(stacked[j * rows * n..][..rows * n], one[..], "block {j}");
+        }
+    }
+
+    #[test]
+    fn block_strided_columns_are_the_per_block_gemms() {
+        // 5 blocks of 7 columns, 3 floats of padding between them: one
+        // GEMM over all 35 columns gives each block's columns bit-equal to
+        // that block's own GEMM (strips straddle block edges for every
+        // tile width), across a KC slab boundary.
+        let (m, cols, blocks) = (9, 7, 5);
+        for k in [13, KC + 3] {
+            let stride = k * cols + 3;
+            let a = vals(m * k, 14);
+            let data = vals(blocks * stride, 15);
+            let n = blocks * cols;
+            let mut side_by_side = vec![0.0f32; m * n];
+            let b = DenseBBlocks {
+                data: &data,
+                cols,
+                stride,
+            };
+            gemm(m, k, n, &DenseA { data: &a, k }, &b, &mut side_by_side);
+            for j in 0..blocks {
+                let mut one = vec![0.0f32; m * cols];
+                gemm_dense(m, k, cols, &a, &data[j * stride..][..k * cols], &mut one);
+                for i in 0..m {
+                    assert_eq!(
+                        side_by_side[i * n + j * cols..][..cols],
+                        one[i * cols..][..cols],
+                        "k {k} block {j} row {i}"
+                    );
+                }
+            }
         }
     }
 

@@ -3,7 +3,9 @@
 use fedknow_math::distance::{
     cosine_distance, euclidean, most_dissimilar, wasserstein_1d, DistanceMetric,
 };
-use fedknow_math::gemm::{APanels, BPanels, DenseA, DenseATrans, DenseB, DenseBTrans};
+use fedknow_math::gemm::{
+    APanels, BPanels, DenseA, DenseATrans, DenseB, DenseBBlocks, DenseBTrans,
+};
 use fedknow_math::qp::{integrate_gradient, QpConfig};
 use fedknow_math::sparse::SparseVec;
 use fedknow_math::tensor::Tensor;
@@ -72,6 +74,18 @@ proptest! {
         check("DenseATrans", mr, &|dst| dat.pack(dst, x0, xc, k0, kc, mr))?;
         check("DenseB", nr, &|dst| db.pack(dst, k0, kc, x0, xc, nr))?;
         check("DenseBTrans", nr, &|dst| dbt.pack(dst, k0, kc, x0, xc, nr))?;
+        // The same columns in blocks of `cols`, 3 floats of gap between
+        // blocks, so strips straddle block edges at every offset.
+        let cols = 1 + (a * 7 + d) % extent;
+        let stride = depth * cols + 3;
+        let mut blocked = vec![f32::NAN; extent.div_ceil(cols) * stride];
+        for x in 0..extent {
+            for p in 0..depth {
+                blocked[(x / cols) * stride + p * cols + x % cols] = logical(x, p);
+            }
+        }
+        let dbb = DenseBBlocks { data: &blocked, cols, stride };
+        check("DenseBBlocks", nr, &|dst| dbb.pack(dst, k0, kc, x0, xc, nr))?;
     }
 }
 

@@ -12,30 +12,47 @@
 //! matrix per (sample, group) — `k²` times the input — keeps it for the
 //! backward pass, and runs GEMMs over it. Here:
 //!
+//! * **One GEMM per (chunk, group), not per sample.** A pass walks the
+//!   batch in *chunks*: runs of whole samples (forward) or whole
+//!   (slot, sample) units (input gradient) laid side by side along the
+//!   GEMM's N, up to [`CHUNK_COLS`] output columns. Per group, one blocked
+//!   GEMM covers the chunk, so the weights are packed once per chunk
+//!   instead of once per sample, and a deep stage's 2×2 or 1×1 maps fill
+//!   register tiles that one sample alone would leave 1–4 columns wide. A
+//!   sample wider than the budget is a chunk of its own. The budget bounds
+//!   the chunk's scratch (`ocg` rows of output, `fan` rows of column
+//!   gradient), which keeps peak memory where the one-sample passes had
+//!   it; it is a constant, not a knob.
 //! * **Forward is fused.** The column matrix is never built:
 //!   [`PatchPanels`] implements the GEMM's [`BPanels`] pack-source trait
-//!   and fills each packed `KC × NR` panel straight from the input planes,
-//!   one blocked GEMM per (sample, group) writing directly into the
-//!   output tensor.
-//! * **Backward materialises one sample's column matrix, for the length
-//!   of that sample's backward.** A full-width `PatchPanels` pack *is*
-//!   row-major im2col, written into the `gcol` scratch the input-gradient
-//!   path already owns. The weight-gradient GEMM `gW = gy · colᵀ` reads it
-//!   through [`DenseBTrans`], whose transposing pack moves 8×16 blocks;
-//!   packing `colᵀ` straight from the image instead would assemble every
-//!   panel row from `k`-float runs, which costs several times the GEMM it
-//!   feeds. The input-gradient GEMM then overwrites `gcol` with `W_gᵀ ·
-//!   gy` and `col2im` scatter-accumulates it. Nothing outlives the call.
-//! * **Stacked output gradients share the column work.** A backward of
-//!   `s` slots (see [`Layer::backward`]) packs each sample's column
-//!   matrix once and runs one weight-gradient GEMM of `s·ocg` rows over
-//!   it — the slots' `gy` rows read in place through [`DenseABlocks`] —
-//!   so the transposing pack of `colᵀ` serves every slot. The
-//!   input-gradient GEMM and `col2im` stay per slot. Each sample's
-//!   weight-gradient rows are added into the gradient slots as soon as
-//!   they exist, so the scratch is one sample's worth. When the input is
-//!   as large as the output, the input gradient overwrites the output
-//!   gradient it came from (serial path).
+//!   and fills each packed `KC × NR` panel straight from the input planes
+//!   of the chunk's samples, splitting a strip where it crosses from one
+//!   sample into the next. The product lands in an `ocg × nb·ncols`
+//!   scratch and is scattered into `[B, OC, oh, ow]` (a one-sample chunk
+//!   writes the output directly), then the bias is added.
+//! * **The input gradient stacks slots and samples along N.** A backward
+//!   of `s` slots (see [`Layer::backward`]) holds `s·B` units of output
+//!   gradient, slot-major, each `sample_grad` floats from the last. A
+//!   chunk of consecutive units is therefore one block-strided right
+//!   operand ([`DenseBBlocks`], read in place), and one GEMM `W_gᵀ [fan,
+//!   ocg] × gy [ocg, U·ncols]` per group gives every unit's column
+//!   gradient, which `col2im` scatters unit by unit at row stride
+//!   `U·ncols`.
+//! * **The weight gradient stays one GEMM per sample.** A full-width
+//!   `PatchPanels` pack *is* row-major im2col, written into scratch; one
+//!   GEMM of `s·ocg` rows — the slots' `gy` rows read in place through
+//!   [`DenseABlocks`] — reads it through [`DenseBTrans`], whose
+//!   transposing pack moves 8×16 blocks, so the pack of `colᵀ` serves
+//!   every slot. Each sample's rows are added into the gradient slots as
+//!   soon as they exist, in ascending sample order: that per-sample
+//!   rounding is the one-slot, one-sample backward's, bit for bit.
+//! * **In place, weight gradients first.** When the input is as large as
+//!   the output, the input gradient overwrites the output gradient it
+//!   came from. A chunk's units are then dead once its GEMMs have read
+//!   them — except to the weight gradients of their samples, which read
+//!   every slot. So before a chunk's input-gradient GEMMs, the weight
+//!   gradients of every sample it touches that are not done yet are
+//!   computed, in ascending sample order.
 //! * **A same-padded stride-1 convolution moves whole planes.** Row
 //!   `(c, ky, kx)` of its column matrix is input plane `c` shifted by
 //!   `(ky − pad)·w + (kx − pad)` with the columns that left the image
@@ -43,24 +60,33 @@
 //!   are one long copy / accumulate per row plus a strided fix-up. Other
 //!   geometries (stride 2, unpadded) gather element by element.
 //!
+//! Batching along N changes no bit: by the GEMM's determinism contract
+//! every output element is its own ascending-k FMA chain wherever its
+//! column lands, edge tiles included.
+//!
 //! The training cache is therefore just the input tensor itself (taken by
 //! ownership — `forward` consumes its argument), not `k²`-inflated column
 //! matrices.
 //!
 //! ## Parallelism and determinism
 //!
-//! When [`fedknow_math::parallel::threads`] > 1, the batch dimension is
-//! split across scoped threads and the GEMM inside each worker is pinned
-//! serial. The backward's workers fill per-sample parts (input and
-//! weight gradients), which the calling thread scatters and reduces into
-//! the gradient slots in ascending sample order — the order, and
-//! therefore the f32 rounding, of the serial path. With one thread the
-//! GEMM itself may parallelise over output rows, which is bit-identical
-//! by the GEMM's own determinism contract. `crates/nn/tests/properties.rs`
-//! and `determinism.rs` pin bit-identity across thread counts.
+//! When [`fedknow_math::parallel::threads`] > 1, the chunks are split
+//! across scoped threads — whole chunks, aligned to the serial path's, so
+//! every thread runs the same chunk code on the same chunks — and the
+//! GEMM inside each worker is pinned serial. The backward first has the
+//! workers fill per-sample weight-gradient parts, which the calling
+//! thread reduces into the slots in ascending sample order (the serial
+//! path's addition sequence), and then splits the input-gradient chunks,
+//! each worker writing its own units' rows. With one thread the GEMM
+//! itself may parallelise over output rows, which is bit-identical by the
+//! GEMM's own determinism contract. `crates/nn/tests/properties.rs` and
+//! `determinism.rs` pin bit-identity across thread counts and batch
+//! sizes.
 
 use crate::layer::{slot_count, Grad, Layer, ParamVisitor};
-use fedknow_math::gemm::{self, BPanels, DenseA, DenseABlocks, DenseATrans, DenseB, DenseBTrans};
+use fedknow_math::gemm::{
+    self, BPanels, DenseA, DenseABlocks, DenseATrans, DenseBBlocks, DenseBTrans,
+};
 use fedknow_math::rng::kaiming_vec;
 use fedknow_math::{flops, parallel, pool, Tensor};
 use fedknow_obs::PerfCounter;
@@ -72,6 +98,17 @@ use rand::rngs::StdRng;
 static PERF_CONV_FWD: PerfCounter = PerfCounter::new("conv2d_fwd");
 static PERF_CONV_BWD: PerfCounter = PerfCounter::new("conv2d_bwd");
 
+/// Output columns one chunk may hold: whole samples (forward) or whole
+/// (slot, sample) units (input gradient) side by side, at least one.
+/// Bounds the chunk's scratch; `gemm::NC` (960) measurably raised peak
+/// memory on ResNet18 for no further speed.
+pub const CHUNK_COLS: usize = 256;
+
+/// Samples or units per chunk at `ncols` output columns each.
+fn per_chunk(ncols: usize) -> usize {
+    (CHUNK_COLS / ncols).max(1)
+}
+
 /// Convolution geometry shared by the patch-panel pack sources.
 #[derive(Clone, Copy)]
 struct PatchGeom {
@@ -80,6 +117,7 @@ struct PatchGeom {
     pad: usize,
     h: usize,
     w: usize,
+    oh: usize,
     ow: usize,
 }
 
@@ -121,106 +159,157 @@ impl PatchGeom {
             w - w.min(kx - self.pad)..w
         }
     }
+
+    /// Tap `(ky, kx)` with what every fill of its rows shares.
+    #[inline]
+    fn tap(&self, ky: usize, kx: usize) -> Tap {
+        Tap {
+            ky,
+            kx,
+            shift: self.tap_shift(ky, kx),
+            wrapped: self.wrapped_columns(kx),
+        }
+    }
+
+    /// Fill `d` with output positions `q0..q0 + d.len()` of one sample's
+    /// column-matrix row `(c, tap)`, where `q0` is output position
+    /// `(oy, ox)`; `plane` is that sample's input plane `c`.
+    #[inline]
+    fn patch_row(&self, plane: &[f32], tap: &Tap, oy: usize, ox: usize, d: &mut [f32]) {
+        let wd = d.len();
+        let (h, w, ow) = (self.h, self.w, self.ow);
+        let q0 = oy * ow + ox;
+        if self.same() {
+            // Output position q reads `plane[q + shift]`, so the row is
+            // the plane itself, shifted: one copy, clamped to the plane at
+            // both ends (the rows above and below the image), after which
+            // the columns whose ix left the image — the copy wrapped them
+            // into the neighbouring image row — are zeroed.
+            let shift = tap.shift;
+            let lo = (-shift - q0 as isize).clamp(0, wd as isize) as usize;
+            let hi = ((h * w) as isize - shift - q0 as isize).clamp(lo as isize, wd as isize) as usize;
+            d[..lo].fill(0.0);
+            d[hi..].fill(0.0);
+            if hi > lo {
+                let s0 = ((q0 + lo) as isize + shift) as usize;
+                d[lo..hi].copy_from_slice(&plane[s0..s0 + (hi - lo)]);
+            }
+            let wrapped = &tap.wrapped;
+            if !wrapped.is_empty() {
+                let mut row = q0 - ox;
+                while row < q0 + wd {
+                    for q in (row + wrapped.start).max(q0)..(row + wrapped.end).min(q0 + wd) {
+                        d[q - q0] = 0.0;
+                    }
+                    row += ow;
+                }
+            }
+            return;
+        }
+        // Gather one output row (fixed oy) at a time.
+        let (mut oy, mut ox) = (oy, ox);
+        let mut j = 0;
+        while j < wd {
+            let seg = (ow - ox).min(wd - j);
+            let dseg = &mut d[j..j + seg];
+            let iy = (oy * self.stride + tap.ky) as isize - self.pad as isize;
+            if iy < 0 || iy >= h as isize {
+                dseg.fill(0.0);
+            } else {
+                let irow = &plane[iy as usize * w..(iy as usize + 1) * w];
+                for (t, v) in dseg.iter_mut().enumerate() {
+                    let ix = ((ox + t) * self.stride + tap.kx) as isize - self.pad as isize;
+                    *v = if ix >= 0 && (ix as usize) < w {
+                        irow[ix as usize]
+                    } else {
+                        0.0
+                    };
+                }
+            }
+            j += seg;
+            ox += seg;
+            if ox == ow {
+                ox = 0;
+                oy += 1;
+            }
+        }
+    }
 }
 
-/// The logical im2col matrix `[cg·k², oh·ow]` of one (sample, group) as a
-/// GEMM pack source. `x` holds that group's `cg` input planes.
+/// Kernel tap `(ky, kx)` with, for a [`same`](PatchGeom::same) geometry,
+/// its [`tap_shift`](PatchGeom::tap_shift) and
+/// [`wrapped_columns`](PatchGeom::wrapped_columns).
+struct Tap {
+    ky: usize,
+    kx: usize,
+    shift: isize,
+    wrapped: std::ops::Range<usize>,
+}
+
+/// The logical im2col matrix of a run of samples for one group, `[cg·k²,
+/// nb·oh·ow]`: sample `i`'s `[cg·k², oh·ow]` block sits beside sample
+/// `i − 1`'s along N. `x` starts at the first sample's `cg` group planes,
+/// and sample `i`'s are `i·sample` floats further on.
 struct PatchPanels<'a> {
     x: &'a [f32],
+    sample: usize,
     g: PatchGeom,
 }
 
 impl BPanels for PatchPanels<'_> {
     fn pack(&self, dst: &mut [f32], k0: usize, kc: usize, j0: usize, nc: usize, nr: usize) {
-        let PatchGeom {
-            k,
-            stride,
-            pad,
-            h,
-            w,
-            ow,
-        } = self.g;
+        let g = self.g;
+        let (hw, ncols) = (g.h * g.w, g.oh * g.ow);
         let nstrips = nc.div_ceil(nr);
-        // All index decompositions walk incrementally — no div/mod in the
-        // hot loops, which matters when `ow` is small and segments short.
-        let (mut c0, mut ky0, mut kx0) = self.g.fan_split(k0);
-        let (oy0, ox0) = (j0 / ow, j0 % ow);
+        // Row p of the panel is built whole — one call per sample it
+        // spans, each a long run — and then dealt out to the strips as
+        // plain `nr`-float copies; a one-strip panel (the weight
+        // gradient's full-width im2col) is built in place.
+        let mut row = [0.0f32; gemm::NC];
+        assert!(nstrips == 1 || nc <= gemm::NC, "panel wider than NC");
+        // The fan index walks incrementally — no div/mod per packed row.
+        let (mut c, mut ky, mut kx) = g.fan_split(k0);
+        let (i0, q0) = (j0 / ncols, j0 % ncols);
+        let (oy0, ox0) = (q0 / g.ow, q0 % g.ow);
         for p in 0..kc {
-            let (c, ky, kx) = (c0, ky0, kx0);
-            kx0 += 1;
-            if kx0 == k {
-                kx0 = 0;
-                ky0 += 1;
-                if ky0 == k {
-                    ky0 = 0;
-                    c0 += 1;
+            let tap = g.tap(ky, kx);
+            let plane = c * hw;
+            kx += 1;
+            if kx == g.k {
+                kx = 0;
+                ky += 1;
+                if ky == g.k {
+                    ky = 0;
+                    c += 1;
                 }
             }
-            let plane = &self.x[c * h * w..(c + 1) * h * w];
-            if self.g.same() {
-                // Output position q reads `plane[q + shift]`, so this row
-                // of the column matrix is the plane itself, shifted: one
-                // copy per strip, clamped to the plane at both ends (the
-                // rows above and below the image), after which the
-                // columns whose ix left the image — the copy wrapped them
-                // into the neighbouring image row — are zeroed.
-                let shift = self.g.tap_shift(ky, kx);
-                let wrapped = self.g.wrapped_columns(kx);
-                for s in 0..nstrips {
-                    let j = j0 + s * nr;
-                    let wd = nr.min(nc - s * nr);
-                    let drow = &mut dst[s * kc * nr + p * nr..s * kc * nr + p * nr + nr];
-                    let lo = (-shift - j as isize).clamp(0, wd as isize) as usize;
-                    let hi = ((h * w) as isize - shift - j as isize).clamp(lo as isize, wd as isize)
-                        as usize;
-                    drow[..lo].fill(0.0);
-                    drow[hi..].fill(0.0);
-                    if hi > lo {
-                        let s0 = ((j + lo) as isize + shift) as usize;
-                        drow[lo..hi].copy_from_slice(&plane[s0..s0 + (hi - lo)]);
-                    }
-                    let mut row = j / ow * ow;
-                    while row < j + wd {
-                        for q in (row + wrapped.start).max(j)..(row + wrapped.end).min(j + wd) {
-                            drow[q - j] = 0.0;
-                        }
-                        row += ow;
-                    }
-                }
+            let (strip0, rest) = dst[p * nr..].split_at_mut(nr);
+            let full = if nstrips == 1 {
+                &mut strip0[..nc]
+            } else {
+                &mut row[..nc]
+            };
+            // The run in sample i0 from (oy0, ox0), then whole samples.
+            let mut t = (ncols - q0).min(nc);
+            g.patch_row(&self.x[i0 * self.sample + plane..][..hw], &tap, oy0, ox0, &mut full[..t]);
+            let mut i = i0 + 1;
+            while t < nc {
+                let seg = ncols.min(nc - t);
+                let x = &self.x[i * self.sample + plane..][..hw];
+                g.patch_row(x, &tap, 0, 0, &mut full[t..t + seg]);
+                t += seg;
+                i += 1;
+            }
+            if nstrips == 1 {
+                strip0[nc..].fill(0.0);
                 continue;
             }
-            let (mut oy, mut ox) = (oy0, ox0);
-            for s in 0..nstrips {
-                let wd = nr.min(nc - s * nr);
-                let drow = &mut dst[s * kc * nr + p * nr..s * kc * nr + p * nr + nr];
-                drow[wd..].fill(0.0);
-                // Columns are consecutive output positions; gather one
-                // output row (fixed oy) at a time.
-                let mut j = 0;
-                while j < wd {
-                    let seg = (ow - ox).min(wd - j);
-                    let dseg = &mut drow[j..j + seg];
-                    let iy = (oy * stride + ky) as isize - pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        dseg.fill(0.0);
-                    } else {
-                        let irow = &plane[iy as usize * w..(iy as usize + 1) * w];
-                        for (t, d) in dseg.iter_mut().enumerate() {
-                            let ix = ((ox + t) * stride + kx) as isize - pad as isize;
-                            *d = if ix >= 0 && (ix as usize) < w {
-                                irow[ix as usize]
-                            } else {
-                                0.0
-                            };
-                        }
-                    }
-                    j += seg;
-                    ox += seg;
-                    if ox == ow {
-                        ox = 0;
-                        oy += 1;
-                    }
-                }
+            let mut runs = row[..nc].chunks(nr);
+            strip0.copy_from_slice(runs.next().expect("nc > nr"));
+            for (s, run) in runs.enumerate() {
+                let drow = &mut rest[s * kc * nr + (kc - 1) * nr..][..nr];
+                drow[..run.len()].copy_from_slice(run);
+                drow[run.len()..].fill(0.0);
             }
         }
     }
@@ -306,13 +395,14 @@ impl Conv2d {
     }
 
     fn geom(&self, h: usize, w: usize) -> PatchGeom {
-        let (_, ow) = self.out_hw(h, w);
+        let (oh, ow) = self.out_hw(h, w);
         PatchGeom {
             k: self.kernel,
             stride: self.stride,
             pad: self.padding,
             h,
             w,
+            oh,
             ow,
         }
     }
@@ -332,36 +422,63 @@ impl Conv2d {
         }
     }
 
-    /// Fused forward for one sample: per group, one blocked GEMM
-    /// `W_g [ocg, fan] × patches [fan, ncols]` written directly into this
-    /// sample's `[OC, ncols]` output slice, then the bias broadcast.
-    fn fwd_sample(&self, xs: &[f32], out_s: &mut [f32], h: usize, w: usize) {
+    /// Fused forward of a run of samples (`x` their inputs, `out` their
+    /// outputs), one chunk at a time: per group, one blocked GEMM
+    /// `W_g [ocg, fan] × patches [fan, nb·ncols]`, scattered into the
+    /// chunk's outputs, then the bias broadcast.
+    fn forward_run(&self, x: &[f32], out: &mut [f32], h: usize, w: usize) {
         let g = self.geom(h, w);
-        let (oh, ow) = self.out_hw(h, w);
-        let ncols = oh * ow;
+        let ncols = g.oh * g.ow;
         let cg = self.in_channels / self.groups;
         let ocg = self.out_channels / self.groups;
         let fan = cg * self.kernel * self.kernel;
-        for gi in 0..self.groups {
-            let wg = &self.weight.data()[gi * ocg * fan..(gi + 1) * ocg * fan];
-            let patches = PatchPanels {
-                x: &xs[gi * cg * h * w..(gi + 1) * cg * h * w],
-                g,
-            };
-            gemm::gemm(
-                ocg,
-                fan,
-                ncols,
-                &DenseA { data: wg, k: fan },
-                &patches,
-                &mut out_s[gi * ocg * ncols..(gi + 1) * ocg * ncols],
-            );
-        }
-        for (oc, &bv) in self.bias.data().iter().enumerate() {
-            for o in &mut out_s[oc * ncols..(oc + 1) * ncols] {
-                *o += bv;
+        let (sample_in, sample_out) = (self.in_channels * h * w, self.out_channels * ncols);
+        let per = per_chunk(ncols);
+        // A one-sample chunk's product is its output slice already.
+        let mut y = pool::take(if per > 1 {
+            ocg * per.min(out.len() / sample_out) * ncols
+        } else {
+            0
+        });
+        for (xs, os) in x
+            .chunks(per * sample_in)
+            .zip(out.chunks_mut(per * sample_out))
+        {
+            let nb = os.len() / sample_out;
+            let n = nb * ncols;
+            for gi in 0..self.groups {
+                let a = DenseA {
+                    data: &self.weight.data()[gi * ocg * fan..(gi + 1) * ocg * fan],
+                    k: fan,
+                };
+                let patches = PatchPanels {
+                    x: &xs[gi * cg * h * w..],
+                    sample: sample_in,
+                    g,
+                };
+                if nb == 1 {
+                    let dst = &mut os[gi * ocg * ncols..(gi + 1) * ocg * ncols];
+                    gemm::gemm(ocg, fan, ncols, &a, &patches, dst);
+                    continue;
+                }
+                let y = &mut y[..ocg * n];
+                gemm::gemm(ocg, fan, n, &a, &patches, y);
+                // Row o holds channel gi·ocg + o of every sample, side by
+                // side.
+                for (o, row) in y.chunks_exact(n).enumerate() {
+                    for (i, src) in row.chunks_exact(ncols).enumerate() {
+                        os[i * sample_out + (gi * ocg + o) * ncols..][..ncols].copy_from_slice(src);
+                    }
+                }
+            }
+            for (r, plane) in os.chunks_exact_mut(ncols).enumerate() {
+                let bv = self.bias.data()[r % self.out_channels];
+                for o in plane {
+                    *o += bv;
+                }
             }
         }
+        pool::give(y);
     }
 
     /// Weight-gradient contributions of one sample over every slot,
@@ -382,16 +499,19 @@ impl Conv2d {
         w: usize,
     ) {
         let g = self.geom(h, w);
-        let (oh, ow) = self.out_hw(h, w);
-        let ncols = oh * ow;
+        let ncols = g.oh * g.ow;
         let cg = self.in_channels / self.groups;
         let ocg = self.out_channels / self.groups;
         let fan = cg * self.kernel * self.kernel;
         for gi in 0..self.groups {
-            let xg = &xs[gi * cg * h * w..(gi + 1) * cg * h * w];
+            let patches = PatchPanels {
+                x: &xs[gi * cg * h * w..(gi + 1) * cg * h * w],
+                sample: 0,
+                g,
+            };
             // One full-width "strip" of the patch pack is the row-major
             // column matrix [fan, ncols].
-            PatchPanels { x: xg, g }.pack(gcol, 0, fan, 0, ncols, ncols);
+            patches.pack(gcol, 0, fan, 0, ncols, ncols);
             // gW_g of every slot [s·ocg, fan] = gy [s·ocg, ncols] × colᵀ
             // [ncols, fan]: colᵀ is packed once for all slots.
             gemm::gemm(
@@ -413,23 +533,6 @@ impl Conv2d {
         }
     }
 
-    /// Group `gi`'s column gradient `W_gᵀ × gy` of one sample and slot
-    /// into `gcol` (`[fan, ncols]`, overwritten), ready for `col2im`.
-    fn col_grad(&self, gi: usize, gy: &[f32], gcol: &mut [f32]) {
-        let ocg = self.out_channels / self.groups;
-        let fan = self.weight.shape()[1];
-        let ncols = gy.len() / ocg;
-        let wg = &self.weight.data()[gi * ocg * fan..(gi + 1) * ocg * fan];
-        gemm::gemm(
-            fan,
-            ocg,
-            ncols,
-            &DenseATrans { data: wg, m: fan },
-            &DenseB { data: gy, n: ncols },
-            gcol,
-        );
-    }
-
     /// Add one sample's weight-gradient contributions (`[groups][s][ocg·
     /// fan]`, as [`weight_grads_sample`](Self::weight_grads_sample)
     /// writes them) into the `s` gradient slots. Called in ascending
@@ -447,12 +550,64 @@ impl Conv2d {
         }
     }
 
-    /// Scatter-accumulate a `[cg·k², oh·ow]` col-gradient into one group's
-    /// input-gradient planes. `col` is scratch: the same-padded stride-1
-    /// walk zeroes the entries it must not add.
-    fn col2im(&self, col: &mut [f32], gx: &mut [f32], h: usize, w: usize) {
-        let g = self.geom(h, w);
+    /// Input gradients of one chunk of consecutive (slot, sample) units.
+    /// `gy` holds the chunk's output gradients, `sample_grad` floats per
+    /// unit; `gx` its input gradients (zeroed), or `None` to overwrite
+    /// `gy` with them. Per group, one GEMM `W_gᵀ [fan, ocg] × gy [ocg,
+    /// U·ncols]` puts every unit's column gradient side by side in
+    /// `gcol`, and `col2im` scatter-accumulates each unit's.
+    fn input_grad_chunk(
+        &self,
+        gy: &mut [f32],
+        mut gx: Option<&mut [f32]>,
+        gcol: &mut [f32],
+        h: usize,
+        w: usize,
+    ) {
         let (oh, ow) = self.out_hw(h, w);
+        let ncols = oh * ow;
+        let cg = self.in_channels / self.groups;
+        let ocg = self.out_channels / self.groups;
+        let fan = self.weight.shape()[1];
+        let (sample_in, sample_grad) = (self.in_channels * h * w, self.out_channels * ncols);
+        let units = gy.len() / sample_grad;
+        let n = units * ncols;
+        let col = &mut gcol[..fan * n];
+        for gi in 0..self.groups {
+            let wg = &self.weight.data()[gi * ocg * fan..(gi + 1) * ocg * fan];
+            gemm::gemm(
+                fan,
+                ocg,
+                n,
+                &DenseATrans { data: wg, m: fan },
+                &DenseBBlocks {
+                    data: &gy[gi * ocg * ncols..],
+                    cols: ncols,
+                    stride: sample_grad,
+                },
+                col,
+            );
+            for u in 0..units {
+                let dst = match gx.as_deref_mut() {
+                    Some(gx) => &mut gx[u * sample_in + gi * cg * h * w..][..cg * h * w],
+                    None => {
+                        let dst = &mut gy[u * sample_grad + gi * ocg * ncols..][..ocg * ncols];
+                        dst.fill(0.0);
+                        dst
+                    }
+                };
+                self.col2im(&mut col[u * ncols..], n, dst, h, w);
+            }
+        }
+    }
+
+    /// Scatter-accumulate one unit's `[cg·k², oh·ow]` column gradient —
+    /// row `r` at `col[r·ld..]` — into one group's input-gradient planes.
+    /// `col` is scratch: the same-padded stride-1 walk zeroes the entries
+    /// it must not add.
+    fn col2im(&self, col: &mut [f32], ld: usize, gx: &mut [f32], h: usize, w: usize) {
+        let g = self.geom(h, w);
+        let (oh, ow) = (g.oh, g.ow);
         let k = self.kernel;
         let ncols = oh * ow;
         let cg = self.in_channels / self.groups;
@@ -461,7 +616,7 @@ impl Conv2d {
             let plane = &mut gx[c * h * w..(c + 1) * h * w];
             for ky in 0..k {
                 for kx in 0..k {
-                    let row = ((c * k + ky) * k + kx) * ncols;
+                    let row = ((c * k + ky) * k + kx) * ld;
                     if g.same() {
                         // The mirror of the patch pack: `plane[q + shift]
                         // += col[q]` over the whole row at once, clamped
@@ -514,44 +669,32 @@ impl Layer for Conv2d {
         let (b, c, h, w) = (s[0], s[1], s[2], s[3]);
         assert_eq!(c, self.in_channels, "Conv2d channel mismatch");
         let (oh, ow) = self.out_hw(h, w);
-        let sample_out = self.out_channels * oh * ow;
+        let (sample_in, sample_out) = (c * h * w, self.out_channels * oh * ow);
+        let per = per_chunk(oh * ow);
 
         let mut out = pool::take(b * sample_out);
         // Serial fast path avoids building the (heap-allocated) chunk
         // list: steady-state training must not allocate.
         let nthreads = parallel::threads();
-        let chunks = if nthreads <= 1 || b <= 1 {
+        let parts = if nthreads <= 1 || b <= per {
             Vec::new()
         } else {
-            parallel::chunks(b, 1, nthreads)
+            parallel::chunks(b, per, nthreads)
         };
-        if chunks.len() <= 1 {
-            for bi in 0..b {
-                self.fwd_sample(
-                    &x.data()[bi * c * h * w..(bi + 1) * c * h * w],
-                    &mut out[bi * sample_out..(bi + 1) * sample_out],
-                    h,
-                    w,
-                );
-            }
+        if parts.len() <= 1 {
+            self.forward_run(x.data(), &mut out, h, w);
         } else {
             let this: &Conv2d = self;
             let xd = x.data();
             std::thread::scope(|sc| {
                 let mut rest = &mut out[..];
-                for &(b0, bl) in &chunks {
+                for &(b0, bl) in &parts {
                     let (mine, tail) = rest.split_at_mut(bl * sample_out);
                     rest = tail;
-                    sc.spawn(move || {
-                        // Batch-level parallelism owns the cores; keep the
-                        // GEMM inside each worker serial.
-                        parallel::with_threads(1, || {
-                            for (i, o) in mine.chunks_mut(sample_out).enumerate() {
-                                let bi = b0 + i;
-                                this.fwd_sample(&xd[bi * c * h * w..(bi + 1) * c * h * w], o, h, w);
-                            }
-                        });
-                    });
+                    let xs = &xd[b0 * sample_in..(b0 + bl) * sample_in];
+                    // Chunk-level parallelism owns the cores; keep the
+                    // GEMM inside each worker serial.
+                    sc.spawn(move || parallel::with_threads(1, || this.forward_run(xs, mine, h, w)));
                 }
             });
         }
@@ -575,16 +718,14 @@ impl Layer for Conv2d {
         };
         let (oh, ow) = self.out_hw(h, w);
         let ncols = oh * ow;
-        let ocg = self.out_channels / self.groups;
         let fan = (self.in_channels / self.groups) * self.kernel * self.kernel;
         let sample_grad = self.out_channels * ncols;
         let sample_in = c * h * w;
-        let gw_len = self.groups * ocg * fan;
+        let gw_len = self.out_channels * fan;
         let s = slot_count(grad.len(), b * sample_grad, "Conv2d");
         self.grad_weight.set_slots(s);
         self.grad_bias.set_slots(s);
 
-        let (cg, hw) = (c / self.groups, h * w);
         // Bias gradient first — per slot, the sum of grad over batch and
         // spatial dims — while every slot's output gradient is intact.
         let mut gd = grad.into_vec();
@@ -597,86 +738,74 @@ impl Layer for Conv2d {
                 }
             }
         }
+        // Units (slot j, sample bi) are slot-major, unit j·b + bi. A layer
+        // whose input is as large as its output writes the input gradient
+        // over the output gradient: one stacked buffer instead of two.
+        let units = s * b;
+        let per = per_chunk(ncols);
+        let mut gx_own = (sample_in != sample_grad).then(|| pool::take_zeroed(units * sample_in));
+        // One sample's column matrix (weight gradient) or one chunk's
+        // column gradient (input gradient).
+        let gcol_len = fan * per.min(units) * ncols;
         let nthreads = parallel::threads();
-        let chunks = if nthreads <= 1 || b <= 1 {
-            Vec::new()
-        } else {
-            parallel::chunks(b, 1, nthreads)
-        };
-        let gx = if chunks.len() <= 1 {
-            // A layer whose input is as large as its output writes the
-            // input gradient over the output gradient: sample `bi`'s
-            // weight gradients read all of its slots' rows first, and
-            // slot j's group-gi rows are dead once its column gradient
-            // holds them. One stacked buffer instead of two.
-            let mut gx_own =
-                (sample_in != sample_grad).then(|| pool::take_zeroed(s * b * sample_in));
-            // Each sample's weight-gradient contribution goes into the
-            // slots as soon as it exists, in ascending sample order: one
-            // sample's worth of scratch, whatever the batch.
-            let mut gcol = pool::take(fan * ncols);
+        if nthreads <= 1 || b <= 1 {
+            let mut gcol = pool::take(gcol_len);
             let mut gw_s = pool::take(s * gw_len);
-            for bi in 0..b {
-                let xd = self.cached_input.as_ref().unwrap().data();
-                self.weight_grads_sample(
-                    &xd[bi * sample_in..(bi + 1) * sample_in],
-                    &gd[bi * sample_grad..],
-                    b * sample_grad,
-                    s,
-                    &mut gw_s,
+            // Samples whose weight gradients are in the slots, in order.
+            let mut done = 0;
+            for u0 in (0..units).step_by(per) {
+                let u1 = (u0 + per).min(units);
+                // The samples this chunk touches: all of them once it
+                // wraps past a slot's last sample.
+                let upto = if u1 - u0 >= b || u0 / b != (u1 - 1) / b {
+                    b
+                } else {
+                    (u1 - 1) % b + 1
+                };
+                while done < upto {
+                    let xd = self.cached_input.as_ref().unwrap().data();
+                    self.weight_grads_sample(
+                        &xd[done * sample_in..(done + 1) * sample_in],
+                        &gd[done * sample_grad..],
+                        b * sample_grad,
+                        s,
+                        &mut gw_s,
+                        &mut gcol,
+                        h,
+                        w,
+                    );
+                    self.add_weight_grads(&gw_s, s);
+                    done += 1;
+                }
+                self.input_grad_chunk(
+                    &mut gd[u0 * sample_grad..u1 * sample_grad],
+                    gx_own
+                        .as_deref_mut()
+                        .map(|gx| &mut gx[u0 * sample_in..u1 * sample_in]),
                     &mut gcol,
                     h,
                     w,
                 );
-                self.add_weight_grads(&gw_s, s);
-                for j in 0..s {
-                    for gi in 0..self.groups {
-                        let y = (j * b + bi) * sample_grad + gi * ocg * ncols;
-                        self.col_grad(gi, &gd[y..][..ocg * ncols], &mut gcol);
-                        let dst = match &mut gx_own {
-                            Some(gx) => {
-                                &mut gx[(j * b + bi) * sample_in + gi * cg * hw..][..cg * hw]
-                            }
-                            None => {
-                                let dst = &mut gd[y..][..ocg * ncols];
-                                dst.fill(0.0);
-                                dst
-                            }
-                        };
-                        self.col2im(&mut gcol, dst, h, w);
-                    }
-                }
             }
             pool::give(gw_s);
             pool::give(gcol);
-            match gx_own {
-                Some(gx) => {
-                    pool::give(gd);
-                    gx
-                }
-                None => gd,
-            }
         } else {
-            // Per-sample parts — input gradients sample-major, weight
-            // gradients as `weight_grads_sample` writes them — filled by
-            // the workers, then scattered and reduced here in ascending
-            // sample order: the serial path's addition sequence.
-            let mut gx_parts = pool::take_zeroed(b * s * sample_in);
+            // Weight gradients: per-sample parts filled by the workers,
+            // reduced here in ascending sample order — the serial path's
+            // addition sequence — before any output gradient is
+            // overwritten.
             let mut gw_parts = pool::take(b * s * gw_len);
             let this: &Conv2d = self;
             let (xd, gds) = (this.cached_input.as_ref().unwrap().data(), &gd[..]);
             std::thread::scope(|sc| {
-                let mut gx_rest = &mut gx_parts[..];
-                let mut gw_rest = &mut gw_parts[..];
-                for &(b0, bl) in &chunks {
-                    let (gx_mine, gx_tail) = gx_rest.split_at_mut(bl * s * sample_in);
-                    gx_rest = gx_tail;
-                    let (gw_mine, gw_tail) = gw_rest.split_at_mut(bl * s * gw_len);
-                    gw_rest = gw_tail;
+                let mut rest = &mut gw_parts[..];
+                for (b0, bl) in parallel::chunks(b, 1, nthreads) {
+                    let (mine, tail) = rest.split_at_mut(bl * s * gw_len);
+                    rest = tail;
                     sc.spawn(move || {
                         parallel::with_threads(1, || {
                             let mut gcol = pool::take(fan * ncols);
-                            for (i, gw_s) in gw_mine.chunks_exact_mut(s * gw_len).enumerate() {
+                            for (i, gw_s) in mine.chunks_exact_mut(s * gw_len).enumerate() {
                                 let bi = b0 + i;
                                 this.weight_grads_sample(
                                     &xd[bi * sample_in..(bi + 1) * sample_in],
@@ -688,33 +817,51 @@ impl Layer for Conv2d {
                                     h,
                                     w,
                                 );
-                                for j in 0..s {
-                                    for gi in 0..this.groups {
-                                        let y = (j * b + bi) * sample_grad + gi * ocg * ncols;
-                                        this.col_grad(gi, &gds[y..][..ocg * ncols], &mut gcol);
-                                        let x = (i * s + j) * sample_in + gi * cg * hw;
-                                        this.col2im(&mut gcol, &mut gx_mine[x..][..cg * hw], h, w);
-                                    }
-                                }
                             }
                             pool::give(gcol);
                         });
                     });
                 }
             });
-            pool::give(gd);
-            let mut gx = pool::take(s * b * sample_in);
-            for (bi, part) in gx_parts.chunks_exact(s * sample_in).enumerate() {
-                for (j, src) in part.chunks_exact(sample_in).enumerate() {
-                    gx[(j * b + bi) * sample_in..][..sample_in].copy_from_slice(src);
-                }
-            }
             for part in gw_parts.chunks_exact(s * gw_len) {
                 self.add_weight_grads(part, s);
             }
-            pool::give(gx_parts);
             pool::give(gw_parts);
-            gx
+            // Input gradients: whole chunks split across the workers, each
+            // writing its own units.
+            let this: &Conv2d = self;
+            std::thread::scope(|sc| {
+                let mut gy_rest = &mut gd[..];
+                let mut gx_rest = gx_own.as_deref_mut();
+                for (_, ul) in parallel::chunks(units, per, nthreads) {
+                    let (gy_mine, tail) = std::mem::take(&mut gy_rest).split_at_mut(ul * sample_grad);
+                    gy_rest = tail;
+                    let mut gx_mine = gx_rest.take().map(|gx| {
+                        let (mine, tail) = gx.split_at_mut(ul * sample_in);
+                        gx_rest = Some(tail);
+                        mine
+                    });
+                    sc.spawn(move || {
+                        parallel::with_threads(1, || {
+                            let mut gcol = pool::take(gcol_len);
+                            for (i, gy) in gy_mine.chunks_mut(per * sample_grad).enumerate() {
+                                let gx = gx_mine.as_deref_mut().map(|gx| {
+                                    &mut gx[i * per * sample_in..][..gy.len() / sample_grad * sample_in]
+                                });
+                                this.input_grad_chunk(gy, gx, &mut gcol, h, w);
+                            }
+                            pool::give(gcol);
+                        });
+                    });
+                }
+            });
+        }
+        let gx = match gx_own {
+            Some(gx) => {
+                pool::give(gd);
+                gx
+            }
+            None => gd,
         };
         // The arithmetic of `s` one-slot backwards, so charged as that.
         let cst = flops::conv2d_bwd(&self.cost_shape(b, h, w));

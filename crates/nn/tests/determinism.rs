@@ -256,9 +256,96 @@ fn stacked_backward_is_one_backward_per_slot_for_every_model() {
     }
 }
 
-/// The batch-parallel conv backward scatters its per-sample parts into
-/// the stacked layout: a 3-slot backward is bit-identical for every
-/// thread count.
+/// Every parameter gradient of a conv, slot by slot: `[weight, bias]` of
+/// the training slot, then the weights and the biases of the others.
+fn conv_grads(conv: &mut Conv2d) -> Vec<Vec<f32>> {
+    let mut grads = Vec::new();
+    conv.visit_params(&mut |_: &str, _: &[usize], _: &mut [f32], g: &mut [f32]| {
+        grads.push(g.to_vec());
+    });
+    conv.take_grad_slots(&mut |_, rest| grads.push(rest));
+    grads
+}
+
+/// `Conv2d` runs one GEMM per chunk of samples (forward) or (slot,
+/// sample) units (input gradient) laid side by side along N. Wherever the
+/// chunk and NR-strip boundaries fall, a batch-B pass is B batch-1
+/// passes: forward rows and input-gradient rows bit-equal to each
+/// sample's own, and the weight gradients bit-equal to those per-sample
+/// backwards added up in ascending sample order — under one thread and
+/// under a chunk split across three.
+#[test]
+fn batched_conv_is_per_sample_at_chunk_boundaries() {
+    // (cin, cout, k, stride, pad, groups, h, w, batch): ncols = 20
+    // (stride 2), 36 (groups, in place), 1 (a 1×1 map, in place; batch
+    // 260 > the 256-column budget), 35 (divides neither the budget nor
+    // any NR) and 272 (one sample wider than the budget).
+    let cases = [
+        (4, 6, 3, 2, 1, 1, 9, 7, 26),
+        (6, 6, 3, 1, 1, 2, 6, 6, 16),
+        (8, 8, 3, 1, 1, 1, 1, 1, 260),
+        (3, 5, 3, 1, 1, 1, 5, 7, 17),
+        (2, 3, 3, 1, 1, 1, 17, 16, 3),
+    ];
+    for (n, &(cin, cout, k, st, pd, groups, h, w, b)) in cases.iter().enumerate() {
+        let mut conv = Conv2d::new(&mut seeded(60 + n as u64), cin, cout, k, st, pd, groups);
+        let x = input(&[b, cin, h, w], 70 + n as u64);
+        let (oh, ow) = ((h + 2 * pd - k) / st + 1, (w + 2 * pd - k) / st + 1);
+        let (sample_out, sample_in) = (cout * oh * ow, cin * h * w);
+        for s in [1, 3] {
+            let g = input(&[s * b, cout, oh, ow], 80 + n as u64 + s as u64);
+            // Batch-1 passes, gradients summed in ascending sample order.
+            let mut ys = Vec::new();
+            let mut gxs = Vec::new();
+            let mut sum: Vec<Vec<f32>> = Vec::new();
+            for i in 0..b {
+                conv.zero_grad();
+                ys.push(conv.forward(x.gather_rows(&[i]), true));
+                let rows: Vec<usize> = (0..s).map(|j| j * b + i).collect();
+                gxs.push(conv.backward(g.gather_rows(&rows)));
+                let grads = conv_grads(&mut conv);
+                if sum.is_empty() {
+                    sum = grads.iter().map(|v| vec![0.0; v.len()]).collect();
+                }
+                for (acc, v) in sum.iter_mut().zip(&grads) {
+                    for (a, &x) in acc.iter_mut().zip(v) {
+                        *a += x;
+                    }
+                }
+            }
+            for t in [1, 3] {
+                let (y, gx, grads) = parallel::with_threads(t, || {
+                    conv.zero_grad();
+                    let y = conv.forward(x.clone(), true);
+                    let gx = conv.backward(g.clone());
+                    (y, gx, conv_grads(&mut conv))
+                });
+                let at = format!("case {n}, s = {s}, {t} threads");
+                for (i, (yi, gxi)) in ys.iter().zip(&gxs).enumerate() {
+                    assert!(
+                        bits(&y.data()[i * sample_out..][..sample_out]) == bits(yi.data()),
+                        "{at}: forward row {i}"
+                    );
+                    for j in 0..s {
+                        let row = &gx.data()[(j * b + i) * sample_in..][..sample_in];
+                        assert!(
+                            bits(row) == bits(&gxi.data()[j * sample_in..][..sample_in]),
+                            "{at}: input gradient of slot {j}, sample {i}"
+                        );
+                    }
+                }
+                assert_eq!(grads.len(), sum.len(), "{at}: gradient count");
+                for (p, (got, want)) in grads.iter().zip(&sum).enumerate() {
+                    assert!(bits(got) == bits(want), "{at}: parameter gradient {p}");
+                }
+            }
+        }
+    }
+}
+
+/// The thread-parallel conv backward splits whole chunks of the stacked
+/// layout across its workers: a 3-slot backward is bit-identical for
+/// every thread count.
 #[test]
 fn stacked_conv_backward_is_bit_identical_across_thread_counts() {
     let mut rng = seeded(57);
