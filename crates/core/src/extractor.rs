@@ -109,11 +109,10 @@ impl KnowledgeExtractor {
                         (r, score)
                     })
                     .collect();
-                scored.sort_by(|a, b| {
-                    b.1.partial_cmp(&a.1)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.0.cmp(&b.0))
-                });
+                // A total order on the score's magnitude: a row holding
+                // a NaN or infinity ranks above every finite row, as in
+                // `SparseVec::top_k_by_magnitude`.
+                scored.sort_by(|a, b| b.1.abs().total_cmp(&a.1.abs()).then(a.0.cmp(&b.0)));
                 let keep_rows =
                     (((seg.len as f64) * self.rho / fan as f64).round() as usize).clamp(1, rows);
                 let mut kept: Vec<usize> =
@@ -309,6 +308,34 @@ mod structured_tests {
         // L2: row 1 (norm 1.2 > 1.0).
         assert_eq!(l1.indices(), &[0, 1, 2, 3]);
         assert_eq!(l2.indices(), &[4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn filter_pruning_ranks_non_finite_rows_first() {
+        // 12 filters of 4 weights; rows 1, 4, 7 and 10 hold a NaN (of
+        // either sign) or an infinity. ρ = 0.5 keeps six rows: the four
+        // non-finite ones and the two largest finite ones (rows 11, 9).
+        let mut params: Vec<f32> = (0..48).map(|i| (i / 4) as f32 * 0.25 + 0.1).collect();
+        params[4 + 2] = f32::NAN;
+        params[16] = -f32::NAN;
+        params[28 + 3] = f32::INFINITY;
+        params[40 + 1] = f32::NEG_INFINITY;
+        let layout = vec![fedknow_nn::model::ParamSegment {
+            name: "conv.weight".into(),
+            offset: 0,
+            len: 48,
+            shape: vec![12, 4],
+        }];
+        let rows = [1, 4, 7, 9, 10, 11];
+        let want: Vec<u32> = rows
+            .iter()
+            .flat_map(|r| (4 * r..4 * r + 4).map(|i| i as u32))
+            .collect();
+        for strat in [ExtractionStrategy::FilterL1, ExtractionStrategy::FilterL2] {
+            let k = KnowledgeExtractor::with_strategy(0.5, 0, strat)
+                .extract_structured(&params, &layout);
+            assert_eq!(k.indices(), want.as_slice(), "{strat:?}");
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ use crate::device::DeviceProfile;
 use crate::engine::{self, client_round, ClientLink, RoundContribution, RoundEnv, RunState};
 use crate::faults::{FaultPlan, RoundFaults};
 use crate::framing::TraceCtx;
-use crate::proto::{DecodeError, WireMsg};
+use crate::proto::{encode_broadcast, encode_msg, encode_resync, DecodeError, Encoded, WireMsg};
 use crate::sim::{SimConfig, SimError, SimReport, Simulation};
 use crate::transport::{
     bind, send_upload_faulty, MsgRx, MsgTx, Transport, TransportError, TransportKind,
@@ -700,10 +700,15 @@ impl ServerActor {
     /// Send to client `c` with retry/backoff; on terminal failure the
     /// connection is marked dead and the degradation counted.
     fn send(&mut self, c: usize, msg: &WireMsg) -> bool {
+        self.send_encoded(c, &encode_msg(msg), msg.label())
+    }
+
+    /// [`Self::send`] of a message encoded once for every recipient.
+    fn send_encoded(&mut self, c: usize, enc: &Encoded, label: &str) -> bool {
         let Some(tx) = self.txs[c].as_mut() else {
             return false;
         };
-        if tx.send_with_retry(msg, SEND_RETRIES).is_ok() {
+        if tx.send_encoded_with_retry(enc, label, SEND_RETRIES).is_ok() {
             return true;
         }
         fedknow_obs::mark(&format!("transport.send_failed client {c}"));
@@ -735,9 +740,10 @@ impl ServerActor {
     /// for a crashed client's redial first.
     fn fan_out(&mut self, mask: &[bool], msg: &WireMsg) {
         self.drain_pending();
+        let enc = encode_msg(msg);
         for c in (0..self.n).filter(|&c| mask[c]) {
             if self.ensure_conn(c) {
-                self.send(c, msg);
+                self.send_encoded(c, &enc, msg.label());
             }
         }
     }
@@ -791,8 +797,7 @@ impl ClientLink for ServerActor {
         let _scope = self.enter_round(round);
         self.drain_pending();
         if self.ensure_conn(c) {
-            let global = global.to_vec();
-            self.send(c, &WireMsg::Resync { round, global });
+            self.send_encoded(c, &encode_resync(round, global), "resync");
         }
         self.rejoin_base_down[c]
     }
@@ -867,13 +872,10 @@ impl ClientLink for ServerActor {
         let _scope = self.enter_round(round);
         // The message always goes out (it closes the client's round);
         // the modeled download is only charged when a global exists.
-        let bcast = WireMsg::Broadcast {
-            round,
-            global: global.map(<[f32]>::to_vec),
-            payloads,
-        };
+        // Encoded once, from the borrowed aggregate, for every client.
+        let bcast = encode_broadcast(round, global, &payloads);
         for c in (0..self.n).filter(|&c| part[c]) {
-            self.send(c, &bcast);
+            self.send_encoded(c, &bcast, "broadcast");
         }
     }
 

@@ -18,12 +18,15 @@
 //! block is fixed-size and read into a stack buffer, so hostile or
 //! truncated context bytes are rejected before any allocation.
 //!
-//! Both transport backends move the same frame bytes — the channel
-//! backend ships encoded frames through an in-process queue, the socket
-//! backend writes them to a stream — so framing bugs and in-flight
-//! damage behave identically on both.
+//! Every transport backend moves the same frame bytes, and
+//! [`FrameHead`] is the one writer of the head. A socket backend writes
+//! the head and then the encoded payload in place, so a model-sized
+//! payload is never copied to be framed; the channel backend, which
+//! ships owned buffers through an in-process queue, copies it once into
+//! its frame. Framing bugs and in-flight damage behave identically on
+//! all of them.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 /// Hard cap on a frame's payload length. Anything larger is rejected at
 /// encode time and, crucially, at decode time before allocation — a
@@ -142,32 +145,80 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
+/// Bytes a frame puts before its payload: the length word, then the
+/// trace-context block if the frame carries one. Built only by
+/// [`FrameHead::new`], the one place the head format is written; the
+/// payload follows it on the wire as it is, never copied behind it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FrameHead {
+    bytes: [u8; FRAME_HEADER_BYTES + TRACE_CTX_BYTES],
+    len: usize,
+}
+
+impl FrameHead {
+    /// The head of a frame carrying `payload_len` bytes, optionally
+    /// tagged with a trace context (a v2 flagged frame). Context bytes
+    /// are framing overhead — they never count toward the payload
+    /// length in the header. An oversize payload is rejected here,
+    /// before anything is written.
+    pub fn new(payload_len: usize, ctx: Option<&TraceCtx>) -> Result<Self, FrameError> {
+        if payload_len > MAX_FRAME_BYTES {
+            return Err(FrameError::Oversize {
+                len: payload_len as u64,
+            });
+        }
+        let mut bytes = [0u8; FRAME_HEADER_BYTES + TRACE_CTX_BYTES];
+        let mut word = payload_len as u32;
+        let mut len = FRAME_HEADER_BYTES;
+        if let Some(c) = ctx {
+            word |= FRAME_FLAG_CTX;
+            bytes[FRAME_HEADER_BYTES..].copy_from_slice(&c.to_bytes());
+            len += TRACE_CTX_BYTES;
+        }
+        bytes[..FRAME_HEADER_BYTES].copy_from_slice(&word.to_le_bytes());
+        Ok(Self { bytes, len })
+    }
+
+    /// The head's bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+
+    /// The whole frame, head and `payload`, as one owned buffer.
+    pub fn frame(&self, payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.len + payload.len());
+        buf.extend_from_slice(self.as_bytes());
+        buf.extend_from_slice(payload);
+        buf
+    }
+
+    /// Write the head and then `payload` in place (one vectored write
+    /// where the writer supports it), and flush.
+    pub fn write_with<W: Write>(&self, w: &mut W, payload: &[u8]) -> std::io::Result<()> {
+        let mut slices = [IoSlice::new(self.as_bytes()), IoSlice::new(payload)];
+        let mut rest = &mut slices[..];
+        while !rest.is_empty() {
+            match w.write_vectored(rest) {
+                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut rest, n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        w.flush()
+    }
+}
+
 /// Wrap a payload in a frame (header + payload) as one buffer.
 pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>, FrameError> {
     encode_frame_traced(payload, None)
 }
 
 /// Wrap a payload in a frame, optionally tagging it with a trace
-/// context (a v2 flagged frame). Context bytes are framing overhead —
-/// they never count toward the payload length in the header.
+/// context, as one owned buffer — what a transport that moves owned
+/// frames (the channel backend) ships.
 pub fn encode_frame_traced(payload: &[u8], ctx: Option<&TraceCtx>) -> Result<Vec<u8>, FrameError> {
-    if payload.len() > MAX_FRAME_BYTES {
-        return Err(FrameError::Oversize {
-            len: payload.len() as u64,
-        });
-    }
-    let ctx_len = if ctx.is_some() { TRACE_CTX_BYTES } else { 0 };
-    let mut buf = Vec::with_capacity(FRAME_HEADER_BYTES + ctx_len + payload.len());
-    let mut word = payload.len() as u32;
-    if ctx.is_some() {
-        word |= FRAME_FLAG_CTX;
-    }
-    buf.extend_from_slice(&word.to_le_bytes());
-    if let Some(c) = ctx {
-        buf.extend_from_slice(&c.to_bytes());
-    }
-    buf.extend_from_slice(payload);
-    Ok(buf)
+    Ok(FrameHead::new(payload.len(), ctx)?.frame(payload))
 }
 
 /// Write one frame to a stream.
@@ -175,15 +226,14 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), FrameError
     write_frame_traced(w, payload, None)
 }
 
-/// Write one optionally-tagged frame to a stream.
+/// Write one optionally-tagged frame to a stream: the head, then the
+/// payload in place.
 pub fn write_frame_traced<W: Write>(
     w: &mut W,
     payload: &[u8],
     ctx: Option<&TraceCtx>,
 ) -> Result<(), FrameError> {
-    let buf = encode_frame_traced(payload, ctx)?;
-    w.write_all(&buf)?;
-    w.flush()?;
+    FrameHead::new(payload.len(), ctx)?.write_with(w, payload)?;
     Ok(())
 }
 

@@ -10,6 +10,14 @@
 //! possible: message tags, counts, and upload metadata are *overhead*,
 //! reported separately.
 //!
+//! Encoding reserves the whole buffer once (the fixed fields' bound
+//! plus the data plane's exact size) and writes a parameter vector in
+//! bulk, a stack chunk of little-endian floats per copy. The two
+//! messages the server sends from its own aggregate have per-kind
+//! encoders over a borrowed slice, `encode_resync` and
+//! `encode_broadcast`, which [`encode_msg`] uses too: a round's
+//! broadcast is encoded once and the same bytes go to every client.
+//!
 //! Decoding never trusts the peer: lengths are validated against the
 //! remaining buffer before allocation, sparse payload indices are
 //! validated before constructing a [`SparseVec`], and any violation is
@@ -237,6 +245,14 @@ const TAG_EVAL: u8 = 11;
 const TAG_EVAL_ROW: u8 = 12;
 const TAG_SHUTDOWN: u8 = 13;
 
+/// Upper bound on the fixed-size fields of any message (tag, round,
+/// client, upload metadata, presence flags) — with the data plane's
+/// exact size, the one reservation an encoding makes.
+const FIXED_BYTES_MAX: usize = 96;
+
+/// Floats converted per stack chunk by [`put_f32s`].
+const F32_CHUNK: usize = 1024;
+
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
@@ -247,6 +263,19 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
 
 fn put_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append `vals` little-endian a stack chunk at a time: one bulk copy
+/// per chunk instead of one `extend_from_slice` per float.
+fn put_f32s(buf: &mut Vec<u8>, vals: &[f32]) {
+    let mut chunk = [0u8; 4 * F32_CHUNK];
+    for run in vals.chunks(F32_CHUNK) {
+        let bytes = &mut chunk[..4 * run.len()];
+        for (dst, v) in bytes.chunks_exact_mut(4).zip(run) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
+        buf.extend_from_slice(bytes);
+    }
 }
 
 fn put_meta(buf: &mut Vec<u8>, m: &UploadMeta) {
@@ -261,13 +290,22 @@ fn put_meta(buf: &mut Vec<u8>, m: &UploadMeta) {
     buf.push(u8::from(m.had_params));
 }
 
+/// Encoded size of a length-prefixed parameter vector.
+fn params_bytes(params: &[f32]) -> usize {
+    4 + 4 * params.len()
+}
+
+/// Encoded size of a payload list (count prefix, then per payload a
+/// 20-byte header and `8 · nnz` index/value bytes).
+fn payloads_bytes(ps: &[Payload]) -> usize {
+    4 + ps.iter().map(|p| 20 + 8 * p.sparse.nnz()).sum::<usize>()
+}
+
 /// Append the flat parameter vector; returns its data-plane size
 /// (`4 · len`) — the `len` prefix itself is overhead.
 fn put_params(buf: &mut Vec<u8>, params: &[f32]) -> u64 {
     put_u32(buf, params.len() as u32);
-    for v in params {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
+    put_f32s(buf, params);
     (params.len() * 4) as u64
 }
 
@@ -282,9 +320,7 @@ fn put_payload(buf: &mut Vec<u8>, p: &Payload) -> u64 {
     for i in p.sparse.indices() {
         put_u32(buf, *i);
     }
-    for v in p.sparse.values() {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
+    put_f32s(buf, p.sparse.values());
     p.size_bytes()
 }
 
@@ -293,11 +329,73 @@ fn put_payloads(buf: &mut Vec<u8>, ps: &[Payload]) -> u64 {
     ps.iter().map(|p| put_payload(buf, p)).sum()
 }
 
-/// Encode a message for the wire.
+impl Encoded {
+    /// An empty encoding whose buffer already holds room for `data`
+    /// variable-length bytes plus any message's fixed fields, so
+    /// encoding never reallocates.
+    fn reserve(data: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(FIXED_BYTES_MAX + data),
+            data_bytes: 0,
+            params_span: None,
+        }
+    }
+}
+
+/// Encode [`WireMsg::Resync`] from a borrowed model — the bytes
+/// [`encode_msg`] produces for the owned message, without the copy
+/// that building one would take.
+pub(crate) fn encode_resync(round: u64, global: &[f32]) -> Encoded {
+    let mut enc = Encoded::reserve(params_bytes(global));
+    enc.buf.push(TAG_RESYNC);
+    put_u64(&mut enc.buf, round);
+    enc.data_bytes += put_params(&mut enc.buf, global);
+    enc
+}
+
+/// Encode [`WireMsg::Broadcast`] from a borrowed aggregate — the bytes
+/// [`encode_msg`] produces for the owned message. The server encodes a
+/// round's broadcast once and sends the result to every participant.
+pub(crate) fn encode_broadcast(
+    round: u64,
+    global: Option<&[f32]>,
+    payloads: &[Payload],
+) -> Encoded {
+    let mut enc = Encoded::reserve(global.map_or(0, params_bytes) + payloads_bytes(payloads));
+    enc.buf.push(TAG_BROADCAST);
+    put_u64(&mut enc.buf, round);
+    match global {
+        Some(g) => {
+            enc.buf.push(1);
+            enc.data_bytes += put_params(&mut enc.buf, g);
+        }
+        None => enc.buf.push(0),
+    }
+    enc.data_bytes += put_payloads(&mut enc.buf, payloads);
+    enc
+}
+
+/// Encode a message for the wire, into one buffer reserved up front.
 pub fn encode_msg(msg: &WireMsg) -> Encoded {
-    let mut buf = Vec::new();
-    let mut data_bytes = 0u64;
-    let mut params_span = None;
+    let data = match msg {
+        WireMsg::Resync { round, global } => return encode_resync(*round, global),
+        WireMsg::Broadcast {
+            round,
+            global,
+            payloads,
+        } => return encode_broadcast(*round, global.as_deref(), payloads),
+        WireMsg::Upload {
+            params, payloads, ..
+        } => params.as_deref().map_or(0, params_bytes) + payloads_bytes(payloads),
+        WireMsg::UploadFailed { payloads, .. } => payloads_bytes(payloads),
+        WireMsg::EvalRow { row, .. } => 4 + 8 * row.len(),
+        _ => 0,
+    };
+    let Encoded {
+        mut buf,
+        mut data_bytes,
+        mut params_span,
+    } = Encoded::reserve(data);
     match msg {
         WireMsg::Hello { client } => {
             buf.push(TAG_HELLO);
@@ -311,11 +409,6 @@ pub fn encode_msg(msg: &WireMsg) -> Encoded {
         WireMsg::StartTask { task } => {
             buf.push(TAG_START_TASK);
             put_u32(&mut buf, *task);
-        }
-        WireMsg::Resync { round, global } => {
-            buf.push(TAG_RESYNC);
-            put_u64(&mut buf, *round);
-            data_bytes += put_params(&mut buf, global);
         }
         WireMsg::RoundStart { round } => {
             buf.push(TAG_ROUND_START);
@@ -360,22 +453,6 @@ pub fn encode_msg(msg: &WireMsg) -> Encoded {
             put_u64(&mut buf, *round);
             put_u32(&mut buf, *client);
         }
-        WireMsg::Broadcast {
-            round,
-            global,
-            payloads,
-        } => {
-            buf.push(TAG_BROADCAST);
-            put_u64(&mut buf, *round);
-            match global {
-                Some(g) => {
-                    buf.push(1);
-                    data_bytes += put_params(&mut buf, g);
-                }
-                None => buf.push(0),
-            }
-            data_bytes += put_payloads(&mut buf, payloads);
-        }
         WireMsg::FinishTask => buf.push(TAG_FINISH_TASK),
         WireMsg::TaskDone { client, retained } => {
             buf.push(TAG_TASK_DONE);
@@ -395,6 +472,7 @@ pub fn encode_msg(msg: &WireMsg) -> Encoded {
             }
         }
         WireMsg::Shutdown => buf.push(TAG_SHUTDOWN),
+        WireMsg::Resync { .. } | WireMsg::Broadcast { .. } => unreachable!("encoded above"),
     }
     Encoded {
         buf,
@@ -590,6 +668,7 @@ pub fn decode_msg(buf: &[u8]) -> Result<WireMsg, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framing::{encode_frame_traced, write_frame_traced, TraceCtx};
 
     fn sample_payload(from: usize) -> Payload {
         Payload {
@@ -606,8 +685,8 @@ mod tests {
         enc
     }
 
-    #[test]
-    fn all_messages_roundtrip() {
+    /// One of every message kind (both arms of each optional field).
+    fn all_messages() -> Vec<WireMsg> {
         let meta = UploadMeta {
             weight: 100,
             flops: 12_345,
@@ -619,7 +698,7 @@ mod tests {
             extra_down: 16,
             had_params: true,
         };
-        let msgs = vec![
+        vec![
             WireMsg::Hello { client: 3 },
             WireMsg::Rejoin {
                 client: 1,
@@ -676,9 +755,95 @@ mod tests {
                 row: vec![0.5, 0.75, 0.875],
             },
             WireMsg::Shutdown,
+        ]
+    }
+
+    #[test]
+    fn all_messages_roundtrip() {
+        for m in &all_messages() {
+            roundtrip(m);
+        }
+    }
+
+    #[test]
+    fn frames_written_in_place_equal_the_copied_frame() {
+        let ctx = TraceCtx {
+            trace: 0x5EED,
+            span: 11,
+            parent: 4,
+            round: 9,
+            send_ts_ns: 123_456_789,
+        };
+        for m in &all_messages() {
+            let enc = encode_msg(m);
+            let mut wire = Vec::new();
+            write_frame_traced(&mut wire, &enc.buf, Some(&ctx)).unwrap();
+            let copied = encode_frame_traced(&enc.buf, Some(&ctx)).unwrap();
+            assert_eq!(wire, copied, "{}", m.label());
+            let mut wire = Vec::new();
+            write_frame_traced(&mut wire, &enc.buf, None).unwrap();
+            assert_eq!(wire, encode_frame_traced(&enc.buf, None).unwrap());
+        }
+    }
+
+    #[test]
+    fn borrowed_encoders_equal_the_owned_messages() {
+        let same = |a: &Encoded, b: &Encoded, what: &str| {
+            assert_eq!(a.buf, b.buf, "{what}");
+            assert_eq!(a.data_bytes, b.data_bytes, "{what}");
+            assert_eq!(a.params_span, b.params_span, "{what}");
+        };
+        for m in &all_messages() {
+            match m {
+                WireMsg::Resync { round, global } => {
+                    same(&encode_resync(*round, global), &encode_msg(m), "resync");
+                }
+                WireMsg::Broadcast {
+                    round,
+                    global,
+                    payloads,
+                } => same(
+                    &encode_broadcast(*round, global.as_deref(), payloads),
+                    &encode_msg(m),
+                    "broadcast",
+                ),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn a_model_sized_encoding_reserves_once() {
+        let params: Vec<f32> = (0..100_003).map(|i| i as f32 * 0.5 - 7.0).collect();
+        let payloads = vec![sample_payload(0), sample_payload(1)];
+        let msgs = [
+            WireMsg::Upload {
+                round: 2,
+                client: 1,
+                meta: UploadMeta::default(),
+                params: Some(params.clone()),
+                payloads: payloads.clone(),
+            },
+            WireMsg::Broadcast {
+                round: 2,
+                global: Some(params.clone()),
+                payloads,
+            },
+            WireMsg::Resync {
+                round: 2,
+                global: params,
+            },
         ];
         for m in &msgs {
-            roundtrip(m);
+            let enc = roundtrip(m);
+            // A buffer that had grown would hold about twice its length.
+            assert!(
+                enc.buf.capacity() <= enc.buf.len() + FIXED_BYTES_MAX,
+                "{}: {} bytes in a {}-byte buffer",
+                m.label(),
+                enc.buf.len(),
+                enc.buf.capacity()
+            );
         }
     }
 

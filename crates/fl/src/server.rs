@@ -15,6 +15,11 @@ use fedknow_obs::PerfCounter;
 /// screening is not counted as kernel work).
 static PERF_FEDAVG: PerfCounter = PerfCounter::new("fedavg");
 
+/// Output elements [`fedavg`] computes per block: the block's f64
+/// accumulators stay on the stack while every accepted upload's slice
+/// of the block is added in.
+const FEDAVG_BLOCK: usize = 512;
+
 /// Why an individual upload was quarantined rather than aggregated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
@@ -128,6 +133,14 @@ fn consensus_dim<'a, I: Iterator<Item = &'a Vec<f32>>>(candidates: I) -> Option<
 /// dimension are skipped and reported in [`Aggregation::rejected`], each
 /// bumping the `fl.uploads_rejected` counter. Only a malformed *call*
 /// (mismatched slice lengths) is an [`AggregateError`].
+///
+/// Every upload is validated first, then the average is one fused pass:
+/// per block of [`FEDAVG_BLOCK`] coordinates, each output element is
+/// the f64 sum of `w · u` over the accepted uploads in client order,
+/// scaled by `1/Σw` and cast — bit for bit what a whole-vector f64
+/// accumulator gives, without allocating one. The mass the
+/// `fedknow_verify` conservation check reads is summed only when
+/// verification is on.
 pub fn fedavg(
     uploads: &[Option<Vec<f32>>],
     weights: &[usize],
@@ -148,10 +161,8 @@ pub fn fedavg(
             .filter_map(|(u, _)| u.as_ref()),
     );
 
-    let mut acc: Vec<f64> = vec![0.0; dim.unwrap_or(0)];
-    let mut weighted_mass = 0.0f64;
+    let mut accepted: Vec<(&[f32], f64)> = Vec::new();
     let mut total = 0.0f64;
-    let mut accepted = 0usize;
     let mut rejected = Vec::new();
     for (client, (u, &w)) in uploads.iter().zip(weights).enumerate() {
         let Some(u) = u else { continue };
@@ -174,26 +185,36 @@ pub fn fedavg(
             continue;
         }
         let wf = w as f64;
-        let mut mass = 0.0f64;
-        for (ai, &ui) in acc.iter_mut().zip(u) {
-            *ai += wf * ui as f64;
-            mass += ui as f64;
-        }
-        weighted_mass += wf * mass;
         total += wf;
-        accepted += 1;
+        accepted.push((u, wf));
     }
 
-    let global: Option<Vec<f32>> = (accepted > 0).then(|| {
+    let global: Option<Vec<f32>> = (!accepted.is_empty()).then(|| {
+        let dim = dim.unwrap_or(0);
         let inv = 1.0 / total;
-        acc.into_iter().map(|v| (v * inv) as f32).collect()
+        let mut out = Vec::with_capacity(dim);
+        let mut block = [0.0f64; FEDAVG_BLOCK];
+        for start in (0..dim).step_by(FEDAVG_BLOCK) {
+            let acc = &mut block[..FEDAVG_BLOCK.min(dim - start)];
+            acc.fill(0.0);
+            for &(u, wf) in &accepted {
+                for (a, &x) in acc.iter_mut().zip(&u[start..]) {
+                    *a += wf * x as f64;
+                }
+            }
+            out.extend(acc.iter().map(|&v| (v * inv) as f32));
+        }
+        out
     });
-    if accepted > 0 {
-        let c = fedknow_math::flops::fedavg(accepted, dim.unwrap_or(0));
+    if !accepted.is_empty() {
+        let c = fedknow_math::flops::fedavg(accepted.len(), dim.unwrap_or(0));
         PERF_FEDAVG.op(c.flops, c.bytes);
     }
     if fedknow_verify::is_enabled() {
         if let Some(g) = &global {
+            let weighted_mass = accepted.iter().fold(0.0f64, |m, &(u, wf)| {
+                m + wf * u.iter().fold(0.0f64, |s, &x| s + x as f64)
+            });
             fedknow_verify::report(
                 "fedavg.mass",
                 fedknow_verify::check::mass_conservation(g, weighted_mass, total),
@@ -203,7 +224,7 @@ pub fn fedavg(
     Ok(Aggregation {
         global,
         rejected,
-        accepted,
+        accepted: accepted.len(),
     })
 }
 

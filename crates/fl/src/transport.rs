@@ -25,12 +25,11 @@
 
 use crate::faults::RoundFaults;
 use crate::framing::{
-    encode_frame_traced, read_frame_traced, FrameDecoder, FrameError, TraceCtx, FRAME_HEADER_BYTES,
+    read_frame_traced, FrameDecoder, FrameError, FrameHead, TraceCtx, FRAME_HEADER_BYTES,
     TRACE_CTX_BYTES,
 };
 use crate::proto::{decode_msg, encode_msg, DecodeError, Encoded, WireMsg};
 use crate::wiretrace;
-use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -244,7 +243,9 @@ impl MsgTx {
     /// lifecycle records. Every frame leaves with a freshly stamped
     /// trace context (v2 flagged frame); the context bytes count as
     /// framing overhead, never data-plane bytes, so byte parity with
-    /// the comm model is untouched.
+    /// the comm model is untouched. A socket backend writes the frame
+    /// head and then `enc.buf` in place; the channel backend copies
+    /// them into the one owned buffer its queue carries.
     pub(crate) fn send_encoded_labeled(
         &mut self,
         enc: &Encoded,
@@ -252,9 +253,17 @@ impl MsgTx {
     ) -> Result<(), TransportError> {
         let ctx = wiretrace::ctx_for_send();
         wiretrace::record_send("enq", &ctx, self.peer, label, enc.data_bytes);
-        let frame = encode_frame_traced(&enc.buf, Some(&ctx))?;
-        self.stats.on_send(enc.data_bytes, frame.len() as u64, true);
-        self.transmit(frame)?;
+        let head = FrameHead::new(enc.buf.len(), Some(&ctx))?;
+        let total = head.as_bytes().len() + enc.buf.len();
+        self.stats.on_send(enc.data_bytes, total as u64, true);
+        match &mut self.inner {
+            TxInner::Channel(tx) => tx
+                .send(head.frame(&enc.buf))
+                .map_err(|_| TransportError::Closed)?,
+            TxInner::Tcp(s) => head.write_with(s, &enc.buf).map_err(socket_error)?,
+            #[cfg(unix)]
+            TxInner::Unix(s) => head.write_with(s, &enc.buf).map_err(socket_error)?,
+        }
         wiretrace::record_send("out", &ctx, self.peer, label, enc.data_bytes);
         Ok(())
     }
@@ -280,43 +289,44 @@ impl MsgTx {
     /// server's guard against transient send failures; a peer that is
     /// genuinely gone stays [`TransportError::Closed`].
     pub fn send_with_retry(&mut self, msg: &WireMsg, retries: u32) -> Result<(), TransportError> {
-        let enc = encode_msg(msg);
+        self.send_encoded_with_retry(&encode_msg(msg), msg.label(), retries)
+    }
+
+    /// [`Self::send_with_retry`] for a message already encoded — one
+    /// encoding sent to many peers, or resent on every retry.
+    pub(crate) fn send_encoded_with_retry(
+        &mut self,
+        enc: &Encoded,
+        label: &str,
+        retries: u32,
+    ) -> Result<(), TransportError> {
         let mut wait = Duration::from_millis(1);
-        let mut last = self.send_encoded_labeled(&enc, msg.label());
+        let mut last = self.send_encoded_labeled(enc, label);
         for _ in 0..retries {
             if last.is_ok() {
                 return Ok(());
             }
             std::thread::sleep(wait);
             wait *= 2;
-            last = self.send_encoded_labeled(&enc, msg.label());
+            last = self.send_encoded_labeled(enc, label);
         }
         if last.is_err() {
             self.stats.on_send_failure();
         }
         last
     }
-
-    fn transmit(&mut self, frame: Vec<u8>) -> Result<(), TransportError> {
-        match &mut self.inner {
-            TxInner::Channel(tx) => tx.send(frame).map_err(|_| TransportError::Closed),
-            TxInner::Tcp(s) => write_all_frame(s, &frame),
-            #[cfg(unix)]
-            TxInner::Unix(s) => write_all_frame(s, &frame),
-        }
-    }
 }
 
-fn write_all_frame<W: Write>(w: &mut W, frame: &[u8]) -> Result<(), TransportError> {
-    w.write_all(frame)
-        .and_then(|_| w.flush())
-        .map_err(|e| match e.kind() {
-            std::io::ErrorKind::BrokenPipe
-            | std::io::ErrorKind::ConnectionReset
-            | std::io::ErrorKind::ConnectionAborted
-            | std::io::ErrorKind::NotConnected => TransportError::Closed,
-            k => TransportError::Frame(FrameError::Io(k)),
-        })
+/// A failed socket write: a peer that hung up is [`TransportError::Closed`],
+/// anything else a frame-layer I/O error.
+fn socket_error(e: std::io::Error) -> TransportError {
+    match e.kind() {
+        std::io::ErrorKind::BrokenPipe
+        | std::io::ErrorKind::ConnectionReset
+        | std::io::ErrorKind::ConnectionAborted
+        | std::io::ErrorKind::NotConnected => TransportError::Closed,
+        k => TransportError::Frame(FrameError::Io(k)),
+    }
 }
 
 enum RxInner {
@@ -776,6 +786,7 @@ mod tests {
     use super::*;
     use crate::faults::{Corruption, CorruptionMode};
     use crate::proto::UploadMeta;
+    use std::io::Write;
 
     fn kinds() -> Vec<TransportKind> {
         let mut k = vec![TransportKind::Channel, TransportKind::Tcp];

@@ -5,7 +5,7 @@
 use fedknow_data::{generate::generate, partition, ClientTask, DatasetSpec, PartitionConfig};
 use fedknow_fl::metrics::AccuracyMatrix;
 use fedknow_fl::proto::{decode_msg, encode_msg};
-use fedknow_fl::server::fedavg;
+use fedknow_fl::server::{fedavg, RejectReason, RejectedUpload};
 use fedknow_fl::{
     CommModel, DeviceProfile, FaultConfig, FclClient, IterationStats, Payload, SimConfig,
     SimReport, Simulation, UploadMeta, WireMsg,
@@ -75,6 +75,112 @@ fn faulty_report(seed: u64, parallel: bool) -> SimReport {
     faulty_sim(seed, parallel)
         .run()
         .expect("faulty sim completes")
+}
+
+/// FedAvg as one whole-vector f64 accumulator: the consensus (modal,
+/// first-seen on ties) dimension over live positive-weight uploads,
+/// then per accepted upload in client order `acc[i] += w · u[i]`,
+/// scaled by `1/Σw` and cast.
+fn fedavg_reference(
+    uploads: &[Option<Vec<f32>>],
+    weights: &[usize],
+) -> (Option<Vec<f32>>, Vec<RejectedUpload>) {
+    let live: Vec<(usize, &Vec<f32>, usize)> = uploads
+        .iter()
+        .zip(weights)
+        .enumerate()
+        .filter_map(|(c, (u, &w))| u.as_ref().filter(|_| w > 0).map(|u| (c, u, w)))
+        .collect();
+    let mut votes: Vec<(usize, usize)> = Vec::new();
+    for (_, u, _) in &live {
+        match votes.iter_mut().find(|v| v.0 == u.len()) {
+            Some(v) => v.1 += 1,
+            None => votes.push((u.len(), 1)),
+        }
+    }
+    let most = votes.iter().map(|v| v.1).max().unwrap_or(0);
+    let dim = votes.iter().find(|v| v.1 == most).map_or(0, |v| v.0);
+    let mut acc = vec![0.0f64; dim];
+    let (mut total, mut accepted, mut rejected) = (0.0f64, 0, Vec::new());
+    for (client, u, w) in live {
+        let reason = if u.len() != dim {
+            Some(RejectReason::DimensionMismatch {
+                expected: dim,
+                got: u.len(),
+            })
+        } else {
+            u.iter()
+                .position(|v| !v.is_finite())
+                .map(|index| RejectReason::NonFinite { index })
+        };
+        if let Some(reason) = reason {
+            rejected.push(RejectedUpload { client, reason });
+            continue;
+        }
+        for (a, &x) in acc.iter_mut().zip(u) {
+            *a += w as f64 * x as f64;
+        }
+        total += w as f64;
+        accepted += 1;
+    }
+    let global = (accepted > 0).then(|| acc.iter().map(|&v| (v * (1.0 / total)) as f32).collect());
+    (global, rejected)
+}
+
+/// The fused, blocked FedAvg is bit-equal to the whole-vector
+/// reference, with the same rejections, at dimensions on and off the
+/// block size and with every kind of upload the quarantine screens.
+#[test]
+fn fedavg_is_bit_equal_to_a_whole_vector_f64_reference() {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        // Magnitudes across 2^±30, so the f64 sums round and a change
+        // of summation order shows in the bits.
+        let mantissa = (state >> 40) as f32 / (1u64 << 24) as f32 - 0.5;
+        mantissa * 2f32.powi((state % 61) as i32 - 30)
+    };
+    for dim in [0, 1, 7, 255, 256, 511, 512, 513, 1024, 1500, 4099] {
+        let mut vector = || (0..dim).map(|_| next()).collect::<Vec<f32>>();
+        let mut nan = vector();
+        if dim > 0 {
+            nan[dim / 2] = f32::NAN;
+        }
+        // Clients 0 and 5 cancel exactly, so client 6's small values
+        // survive only in client order.
+        let big = vector();
+        let cancel = big.iter().map(|v| -v).collect();
+        let small = vector().iter().map(|v| v * 2f32.powi(-40)).collect();
+        let uploads = vec![
+            Some(big),
+            None,
+            Some(nan),
+            Some(vec![1.0; dim + 1]),
+            Some(vector()),
+            Some(cancel),
+            Some(small),
+        ];
+        let weights = [3, 5, 2, 4, 0, 3, 1];
+        let agg = fedavg(&uploads, &weights).unwrap();
+        let (want, want_rejected) = fedavg_reference(&uploads, &weights);
+        let bits = |g: &Option<Vec<f32>>| {
+            g.as_ref()
+                .map(|g| g.iter().map(|v| v.to_bits()).collect::<Vec<u32>>())
+        };
+        assert_eq!(bits(&agg.global), bits(&want), "dim {dim}");
+        assert_eq!(agg.rejected, want_rejected, "dim {dim}");
+        // The NaN upload is only rejected where it has a coordinate.
+        let nan_rejected = usize::from(dim > 0);
+        assert_eq!(agg.accepted, 4 - nan_rejected, "dim {dim}");
+        assert_eq!(agg.rejected.len(), 1 + nan_rejected, "dim {dim}");
+        // Nothing accepted: no global, the same rejections.
+        let none = fedavg(&uploads[1..4], &weights[1..4]).unwrap();
+        let (want, want_rejected) = fedavg_reference(&uploads[1..4], &weights[1..4]);
+        assert_eq!(bits(&none.global), bits(&want), "dim {dim}");
+        assert_eq!(none.rejected, want_rejected, "dim {dim}");
+    }
 }
 
 proptest! {

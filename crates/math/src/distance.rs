@@ -56,25 +56,37 @@ pub fn wasserstein_1d(a: &[f32], b: &[f32]) -> f64 {
     if a.is_empty() {
         return 0.0;
     }
-    let c = crate::flops::wasserstein(a.len());
-    PERF_WASSERSTEIN.op(c.flops, c.bytes);
-    if !all_finite(a) || !all_finite(b) {
+    let Some(sa) = sorted_finite(a) else {
         return f64::INFINITY;
-    }
-    let mut sa: Vec<f32> = a.to_vec();
-    let mut sb: Vec<f32> = b.to_vec();
-    sa.sort_unstable_by(f32::total_cmp);
-    sb.sort_unstable_by(f32::total_cmp);
-    let total: f64 = sa
-        .iter()
-        .zip(&sb)
-        .map(|(&x, &y)| ((x - y).abs()) as f64)
-        .sum();
-    total / a.len() as f64
+    };
+    sorted_finite(b).map_or(f64::INFINITY, |sb| sorted_l1(&sa, &sb))
 }
 
-fn all_finite(v: &[f32]) -> bool {
-    v.iter().all(|x| x.is_finite())
+/// A copy of `v` sorted for the Wasserstein sweep, charging
+/// [`crate::flops::wasserstein_sort`]; `None` (and no sort) when `v`
+/// holds a NaN or infinity.
+fn sorted_finite(v: &[f32]) -> Option<Vec<f32>> {
+    if !v.iter().all(|x| x.is_finite()) {
+        return None;
+    }
+    let c = crate::flops::wasserstein_sort(v.len());
+    PERF_WASSERSTEIN.op(c.flops, c.bytes);
+    let mut s = v.to_vec();
+    s.sort_unstable_by(f32::total_cmp);
+    Some(s)
+}
+
+/// Mean absolute difference of two equal-length sorted samples — the
+/// 1-D Wasserstein distance once both are sorted.
+fn sorted_l1(sa: &[f32], sb: &[f32]) -> f64 {
+    let c = crate::flops::wasserstein_sweep(sa.len());
+    PERF_WASSERSTEIN.op(c.flops, c.bytes);
+    let total: f64 = sa
+        .iter()
+        .zip(sb)
+        .map(|(&x, &y)| ((x - y).abs()) as f64)
+        .sum();
+    total / sa.len() as f64
 }
 
 /// `1 − cosine similarity`. Ranges over `[0, 2]`; `0` for parallel,
@@ -114,6 +126,19 @@ pub fn most_dissimilar(
     candidates: &[Vec<f32>],
     k: usize,
 ) -> Vec<usize> {
+    // Under Wasserstein the reference is sorted once, not once per
+    // candidate; each distance is then the same value
+    // `wasserstein_1d(reference, c)` returns.
+    let sorted_ref = (metric == DistanceMetric::Wasserstein && !reference.is_empty())
+        .then(|| sorted_finite(reference));
+    let distance = |c: &[f32]| {
+        assert_eq!(reference.len(), c.len(), "gradient lengths differ");
+        match &sorted_ref {
+            None => gradient_distance(metric, reference, c),
+            Some(None) => f64::INFINITY,
+            Some(Some(sr)) => sorted_finite(c).map_or(f64::INFINITY, |sc| sorted_l1(sr, &sc)),
+        }
+    };
     let mut scored: Vec<(usize, f64)> = candidates
         .iter()
         .enumerate()
@@ -121,7 +146,7 @@ pub fn most_dissimilar(
         // as maximally dissimilar, matching `wasserstein_1d`'s convention
         // for non-finite inputs, instead of corrupting the sort order.
         .map(|(i, c)| {
-            let d = gradient_distance(metric, reference, c);
+            let d = distance(c);
             (i, if d.is_nan() { f64::INFINITY } else { d })
         })
         .collect();
@@ -213,6 +238,37 @@ mod tests {
         }
         // Finite inputs are unaffected by the guard.
         assert!((wasserstein_1d(&clean, &clean)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn most_dissimilar_sorting_the_reference_once_ranks_as_pairwise_wasserstein() {
+        let sample = |seed: u32| -> Vec<f32> {
+            (0..257u32)
+                .map(|i| {
+                    (i.wrapping_mul(2_654_435_761).wrapping_add(seed * 40_503) >> 20) as f32 / 409.6
+                        - 5.0
+                })
+                .collect()
+        };
+        let reference = sample(1);
+        let mut candidates: Vec<Vec<f32>> = (2..9).map(sample).collect();
+        candidates[3][17] = f32::NAN;
+        candidates.push(reference.clone());
+        let mut want: Vec<(usize, f64)> = candidates
+            .iter()
+            .map(|c| wasserstein_1d(&reference, c))
+            .enumerate()
+            .collect();
+        want.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        let want: Vec<usize> = want.into_iter().map(|(i, _)| i).collect();
+        let got = most_dissimilar(DistanceMetric::Wasserstein, &reference, &candidates, 9);
+        assert_eq!(got, want);
+        assert_eq!(got[0], 3, "the NaN candidate ranks first");
+        // A non-finite reference is infinitely far from everything.
+        let mut poisoned = reference.clone();
+        poisoned[0] = f32::INFINITY;
+        let got = most_dissimilar(DistanceMetric::Wasserstein, &poisoned, &candidates, 3);
+        assert_eq!(got, vec![0, 1, 2]);
     }
 
     #[test]

@@ -54,7 +54,8 @@ impl SparseVec {
     ///
     /// This is the paper's magnitude-based pruning: the retained entries are
     /// the signature knowledge of a task. Ties are broken by lower index so
-    /// the result is deterministic.
+    /// the result is deterministic. Non-finite entries rank above every
+    /// finite one (NaN above infinity).
     pub fn top_k_by_magnitude(dense: &[f32], keep: usize) -> Self {
         let keep = keep.min(dense.len());
         if keep == 0 {
@@ -66,11 +67,12 @@ impl SparseVec {
         }
         // Select-nth on |value| descending, then sort the kept indices.
         let mut idx: Vec<u32> = (0..dense.len() as u32).collect();
+        // `total_cmp` on |value| is a total order: NaN and infinity rank
+        // largest, so a non-finite weight is kept rather than landing
+        // wherever an inconsistent comparator happened to leave it.
         idx.select_nth_unstable_by(keep - 1, |&a, &b| {
             let (va, vb) = (dense[a as usize].abs(), dense[b as usize].abs());
-            vb.partial_cmp(&va)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
+            vb.total_cmp(&va).then(a.cmp(&b))
         });
         idx.truncate(keep);
         idx.sort_unstable();
@@ -192,6 +194,46 @@ mod tests {
         let s = SparseVec::top_k_by_magnitude(&dense, 2);
         assert_eq!(s.indices(), &[1, 3]);
         assert_eq!(s.values(), &[-5.0, 2.0]);
+    }
+
+    #[test]
+    fn top_k_ranks_non_finite_weights_above_every_finite_one() {
+        // Every 31st weight NaN, two infinities: all of them are kept,
+        // and the rest of the budget goes to the largest finite
+        // magnitudes, exactly as on the finite weights alone.
+        let mut dense: Vec<f32> = (0..4096)
+            .map(|i| ((i * 7919) % 4096) as f32 / 100.0 - 20.0)
+            .collect();
+        for i in (0..dense.len()).step_by(31) {
+            dense[i] = f32::NAN;
+        }
+        dense[100] = f32::INFINITY;
+        dense[2000] = f32::NEG_INFINITY;
+        let k = 400;
+        let mut want: Vec<u32> = (0..dense.len() as u32)
+            .filter(|&i| !dense[i as usize].is_finite())
+            .collect();
+        let mut finite: Vec<u32> = (0..dense.len() as u32)
+            .filter(|&i| dense[i as usize].is_finite())
+            .collect();
+        finite.sort_by(|&a, &b| {
+            let (va, vb) = (dense[a as usize].abs(), dense[b as usize].abs());
+            vb.partial_cmp(&va).unwrap().then(a.cmp(&b))
+        });
+        want.extend(&finite[..k - want.len()]);
+        want.sort_unstable();
+        let s = SparseVec::top_k_by_magnitude(&dense, k);
+        assert_eq!(s.indices(), want.as_slice());
+
+        // More NaNs than the budget (every third weight): the kept
+        // entries are the lowest-indexed NaNs, none finite.
+        let dense: Vec<f32> = (0..4096)
+            .map(|i| if i % 3 == 0 { f32::NAN } else { i as f32 })
+            .collect();
+        let s = SparseVec::top_k_by_magnitude(&dense, k);
+        let want: Vec<u32> = (0..k as u32).map(|i| 3 * i).collect();
+        assert_eq!(s.indices(), want.as_slice());
+        assert!(s.values().iter().all(|v| v.is_nan()));
     }
 
     #[test]

@@ -187,7 +187,8 @@ impl PatchGeom {
             // into the neighbouring image row — are zeroed.
             let shift = tap.shift;
             let lo = (-shift - q0 as isize).clamp(0, wd as isize) as usize;
-            let hi = ((h * w) as isize - shift - q0 as isize).clamp(lo as isize, wd as isize) as usize;
+            let hi =
+                ((h * w) as isize - shift - q0 as isize).clamp(lo as isize, wd as isize) as usize;
             d[..lo].fill(0.0);
             d[hi..].fill(0.0);
             if hi > lo {
@@ -291,7 +292,13 @@ impl BPanels for PatchPanels<'_> {
             };
             // The run in sample i0 from (oy0, ox0), then whole samples.
             let mut t = (ncols - q0).min(nc);
-            g.patch_row(&self.x[i0 * self.sample + plane..][..hw], &tap, oy0, ox0, &mut full[..t]);
+            g.patch_row(
+                &self.x[i0 * self.sample + plane..][..hw],
+                &tap,
+                oy0,
+                ox0,
+                &mut full[..t],
+            );
             let mut i = i0 + 1;
             while t < nc {
                 let seg = ncols.min(nc - t);
@@ -694,7 +701,9 @@ impl Layer for Conv2d {
                     let xs = &xd[b0 * sample_in..(b0 + bl) * sample_in];
                     // Chunk-level parallelism owns the cores; keep the
                     // GEMM inside each worker serial.
-                    sc.spawn(move || parallel::with_threads(1, || this.forward_run(xs, mine, h, w)));
+                    sc.spawn(move || {
+                        parallel::with_threads(1, || this.forward_run(xs, mine, h, w))
+                    });
                 }
             });
         }
@@ -834,7 +843,8 @@ impl Layer for Conv2d {
                 let mut gy_rest = &mut gd[..];
                 let mut gx_rest = gx_own.as_deref_mut();
                 for (_, ul) in parallel::chunks(units, per, nthreads) {
-                    let (gy_mine, tail) = std::mem::take(&mut gy_rest).split_at_mut(ul * sample_grad);
+                    let (gy_mine, tail) =
+                        std::mem::take(&mut gy_rest).split_at_mut(ul * sample_grad);
                     gy_rest = tail;
                     let mut gx_mine = gx_rest.take().map(|gx| {
                         let (mine, tail) = gx.split_at_mut(ul * sample_in);
@@ -846,7 +856,8 @@ impl Layer for Conv2d {
                             let mut gcol = pool::take(gcol_len);
                             for (i, gy) in gy_mine.chunks_mut(per * sample_grad).enumerate() {
                                 let gx = gx_mine.as_deref_mut().map(|gx| {
-                                    &mut gx[i * per * sample_in..][..gy.len() / sample_grad * sample_in]
+                                    &mut gx[i * per * sample_in..]
+                                        [..gy.len() / sample_grad * sample_in]
                                 });
                                 this.input_grad_chunk(gy, gx, &mut gcol, h, w);
                             }
