@@ -38,7 +38,7 @@ use crate::framing::TraceCtx;
 use crate::proto::{encode_broadcast, encode_msg, encode_resync, DecodeError, Encoded, WireMsg};
 use crate::sim::{SimConfig, SimError, SimReport, Simulation};
 use crate::transport::{
-    bind, send_upload_faulty, MsgRx, MsgTx, Transport, TransportError, TransportKind,
+    bind, send_upload_faulty, Conn, MsgRx, MsgTx, Spares, Transport, TransportError, TransportKind,
     TransportListener, WireStats, WireStatsSnapshot,
 };
 use crate::wiretrace;
@@ -184,12 +184,20 @@ impl FederationRuntime {
                 Arc::new(Mutex::new(Vec::new()));
             let stop = Arc::new(AtomicBool::new(false));
             let depth = Arc::new(AtomicU64::new(0));
+            // Every reader decodes uploads into vectors the engine has
+            // finished aggregating.
+            let spares = Spares::default();
             let (inbox_tx, inbox_rx) = mpsc::channel();
             let pump = {
-                let (readers, stop, stats, depth) =
-                    (readers.clone(), stop.clone(), stats.clone(), depth.clone());
+                let (readers, stop, stats, depth, spares) = (
+                    readers.clone(),
+                    stop.clone(),
+                    stats.clone(),
+                    depth.clone(),
+                    spares.clone(),
+                );
                 std::thread::spawn(move || {
-                    accept_pump(listener, inbox_tx, readers, stop, stats, depth)
+                    accept_pump(listener, inbox_tx, readers, stop, stats, depth, spares)
                 })
             };
 
@@ -220,6 +228,8 @@ impl FederationRuntime {
                 rejoin_base_down: vec![0; n],
                 stash: VecDeque::new(),
                 round_scope: None,
+                enc: Encoded::default(),
+                spares,
             };
             let result = match server.await_hellos() {
                 Ok(()) => engine::advance(&mut server, &env, st, num_tasks),
@@ -270,7 +280,8 @@ pub fn run_remote_client(
 }
 
 /// Accept connections for the whole run, spawning a reader thread per
-/// connection. Each accept gets a fresh epoch.
+/// connection. Each accept gets a fresh epoch, and decodes into the
+/// shared `spares`.
 fn accept_pump(
     mut listener: Box<dyn TransportListener>,
     inbox: mpsc::Sender<NetEvent>,
@@ -278,12 +289,14 @@ fn accept_pump(
     stop: Arc<AtomicBool>,
     stats: Arc<WireStats>,
     depth: Arc<AtomicU64>,
+    spares: Spares,
 ) {
     let mut epoch = 0u64;
     while !stop.load(Ordering::Relaxed) {
         match listener.accept(Duration::from_millis(25)) {
-            Ok(conn) => {
+            Ok(mut conn) => {
                 epoch += 1;
+                conn.rx.share_spares(spares.clone());
                 let (inbox, stats, depth) = (inbox.clone(), stats.clone(), depth.clone());
                 let handle = std::thread::spawn(move || {
                     reader(conn.rx, conn.tx, epoch, inbox, stats, depth)
@@ -410,7 +423,7 @@ impl ClientActor {
         }
     }
 
-    fn connect(&self) -> Result<crate::transport::Conn, TransportError> {
+    fn connect(&self) -> Result<Conn, TransportError> {
         let mut conn = self.transport.connect()?;
         conn.tx.set_peer(self.id);
         conn.rx.set_peer(self.id);
@@ -448,6 +461,8 @@ impl ClientActor {
                     self.client
                         .start_task(&self.data.tasks[step], &mut self.rng);
                 }
+                // A received model is dropped once applied: the next
+                // one decodes into this client's next upload (`round`).
                 WireMsg::Resync { global, .. } => {
                     self.client.receive_global(&global, &mut self.rng);
                 }
@@ -474,7 +489,7 @@ impl ClientActor {
                         })?;
                         continue;
                     }
-                    self.round(round, step, &f, &mut conn.tx)?;
+                    self.round(round, step, &f, &mut conn)?;
                 }
                 WireMsg::Ack { .. } => {
                     // Upload → Ack round trip: one RTT sample for the
@@ -523,12 +538,18 @@ impl ClientActor {
     /// `UploadFailed` control message — the bookkeeping (and the method
     /// payloads, which the protocol exchanges regardless of upload
     /// loss) must still reach the server.
+    ///
+    /// The upload is encoded into the buffer the connection reads its
+    /// frames into, and once sent, its parameter vector is where the
+    /// next model this client receives is decoded: the vector
+    /// [`FclClient::upload`] returns is the one model-sized allocation
+    /// a client makes per round.
     fn round(
         &mut self,
         round: u64,
         step: usize,
         f: &RoundFaults,
-        tx: &mut MsgTx,
+        conn: &mut Conn,
     ) -> Result<(), TransportError> {
         let RoundContribution {
             meta,
@@ -553,20 +574,31 @@ impl ClientActor {
             params,
             payloads,
         };
-        if !meta.had_params {
-            // Nothing to lose on the wire: the bookkeeping travels the
-            // control plane untouched by upload faults.
-            tx.send(&msg)?;
-        } else if !send_upload_faulty(tx, &msg, f, STRAGGLE_DELAY)? {
-            let WireMsg::Upload { payloads, .. } = msg else {
-                unreachable!("built as an Upload above");
-            };
-            tx.send(&WireMsg::UploadFailed {
+        let delivered = conn.send_via_frame_buffer(|tx| {
+            if meta.had_params {
+                send_upload_faulty(tx, &msg, f, STRAGGLE_DELAY)
+            } else {
+                // Nothing to lose on the wire: the bookkeeping travels
+                // the control plane untouched by upload faults.
+                tx.send(&msg).map(|()| true)
+            }
+        })?;
+        let WireMsg::Upload {
+            params, payloads, ..
+        } = msg
+        else {
+            unreachable!("built as an Upload above");
+        };
+        if !delivered {
+            conn.tx.send(&WireMsg::UploadFailed {
                 round,
                 client: self.id,
                 meta,
                 payloads,
             })?;
+        }
+        if let Some(spent) = params {
+            conn.rx.recycle(spent);
         }
         self.upload_sent_at = Some(Instant::now());
         Ok(())
@@ -596,6 +628,12 @@ struct ServerActor {
     /// RoundStart fan-out, upload Acks, the aggregate Broadcast —
     /// carries one round-scoped parent span.
     round_scope: Option<(u64, u64)>,
+    /// The round's broadcast, or a resync, encoded once for every
+    /// recipient into a buffer kept across rounds.
+    enc: Encoded,
+    /// Shared with every reader thread: spent uploads go back here as
+    /// the storage the next round's uploads are decoded into.
+    spares: Spares,
 }
 
 impl ServerActor {
@@ -703,6 +741,22 @@ impl ServerActor {
         self.send_encoded(c, &encode_msg(msg), msg.label())
     }
 
+    /// Encode a model-sized message into the kept buffer and send it to
+    /// every client `to` selects, with [`Self::send_encoded`].
+    fn send_kept(
+        &mut self,
+        to: impl Iterator<Item = usize>,
+        label: &str,
+        encode: impl FnOnce(&mut Encoded),
+    ) {
+        let mut enc = std::mem::take(&mut self.enc);
+        encode(&mut enc);
+        for c in to {
+            self.send_encoded(c, &enc, label);
+        }
+        self.enc = enc;
+    }
+
     /// [`Self::send`] of a message encoded once for every recipient.
     fn send_encoded(&mut self, c: usize, enc: &Encoded, label: &str) -> bool {
         let Some(tx) = self.txs[c].as_mut() else {
@@ -797,7 +851,9 @@ impl ClientLink for ServerActor {
         let _scope = self.enter_round(round);
         self.drain_pending();
         if self.ensure_conn(c) {
-            self.send_encoded(c, &encode_resync(round, global), "resync");
+            self.send_kept(std::iter::once(c), "resync", |enc| {
+                encode_resync(round, global, enc)
+            });
         }
         self.rejoin_base_down[c]
     }
@@ -868,14 +924,18 @@ impl ClientLink for ServerActor {
         round: u64,
         global: Option<&[f32]>,
         payloads: Vec<Payload>,
+        spent: Vec<Option<Vec<f32>>>,
     ) {
         let _scope = self.enter_round(round);
         // The message always goes out (it closes the client's round);
         // the modeled download is only charged when a global exists.
         // Encoded once, from the borrowed aggregate, for every client.
-        let bcast = encode_broadcast(round, global, &payloads);
-        for c in (0..self.n).filter(|&c| part[c]) {
-            self.send_encoded(c, &bcast, "broadcast");
+        let to = (0..self.n).filter(|&c| part[c]);
+        self.send_kept(to, "broadcast", |enc| {
+            encode_broadcast(round, global, &payloads, enc)
+        });
+        for upload in spent.into_iter().flatten() {
+            self.spares.put(upload);
         }
     }
 

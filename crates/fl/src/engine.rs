@@ -25,7 +25,7 @@ use crate::faults::{FaultEvent, FaultPlan, RoundFaults};
 use crate::metrics::{mean_matrix, AccuracyMatrix};
 use crate::proto::UploadMeta;
 use crate::protocol;
-use crate::server::fedavg;
+use crate::server::fedavg_into;
 use crate::sim::{PhaseBreakdown, SimConfig, SimError, SimReport};
 use fedknow_data::ClientTask;
 use fedknow_math::rng::substream;
@@ -58,13 +58,16 @@ pub(crate) trait ClientLink {
         faults: &[RoundFaults],
     ) -> Vec<Option<RoundContribution>>;
     /// Deliver the aggregate and the round's payload set to every
-    /// participant.
+    /// participant. `spent` is the round's uploads, aggregated and done
+    /// with: a link that decoded them may decode the next ones into
+    /// their storage.
     fn broadcast(
         &mut self,
         part: &[bool],
         round: u64,
         global: Option<&[f32]>,
         payloads: Vec<Payload>,
+        spent: Vec<Option<Vec<f32>>>,
     );
     /// Consolidate the task on every active client; their retained
     /// bytes.
@@ -327,17 +330,20 @@ pub(crate) fn advance(
                 uploads.push(up);
             }
 
-            // Aggregation; validation quarantines malformed uploads.
+            // Aggregation; validation quarantines malformed uploads. The
+            // aggregate overwrites the last one in place, and only when
+            // some upload was accepted: a round without one keeps the
+            // previous global for later resyncs.
             let weights: Vec<usize> = metas.iter().map(|m| m.weight as usize).collect();
-            let agg = fedavg(&uploads, &weights)?;
+            let screening = fedavg_into(&uploads, &weights, &mut st.last_global)?;
             protocol::quarantine_rejected(
-                &agg.rejected,
+                &screening.rejected,
                 &mut uploads,
                 global_round,
                 &mut st.fault_log,
             );
-            let global = agg.global;
-            protocol::fold_aggregate_telemetry(&uploads, &global, &mut st.prev_global);
+            let global = st.last_global.as_deref().filter(|_| screening.accepted > 0);
+            protocol::fold_aggregate_telemetry(&uploads, global, &mut st.prev_global);
 
             // Method payload exchange through the server (e.g. FedWEIT
             // adaptive weights).
@@ -375,21 +381,20 @@ pub(crate) fn advance(
                 &faults,
                 &assess.actual,
                 uploads.iter().filter(|u| u.is_some()).count() as u64,
-                agg.rejected.len() as u64,
+                screening.rejected.len() as u64,
                 assess.round_compute + round_comm,
                 link.queue_depth(),
             );
 
             // Broadcast the aggregate and the payload set; crashed
             // clients miss it and are owed a rejoin.
-            link.broadcast(&part, global_round, global.as_deref(), payloads);
+            link.broadcast(&part, global_round, global, payloads, uploads);
             if global.is_some() {
                 for (c, &went) in part.iter().enumerate() {
                     if st.active[c] && !went {
                         st.missed_broadcast[c] = true;
                     }
                 }
-                st.last_global = global;
             }
         }
 
@@ -467,7 +472,14 @@ mod tests {
                 .collect()
         }
 
-        fn broadcast(&mut self, _: &[bool], _: u64, global: Option<&[f32]>, _: Vec<Payload>) {
+        fn broadcast(
+            &mut self,
+            _: &[bool],
+            _: u64,
+            global: Option<&[f32]>,
+            _: Vec<Payload>,
+            _: Vec<Option<Vec<f32>>>,
+        ) {
             self.globals.push(global.map(<[f32]>::to_vec));
         }
 

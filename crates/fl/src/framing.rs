@@ -25,6 +25,10 @@
 //! ships owned buffers through an in-process queue, copies it once into
 //! its frame. Framing bugs and in-flight damage behave identically on
 //! all of them.
+//!
+//! A socket connection reads every frame into one buffer it keeps
+//! ([`read_frame_traced_into`]); the buffer grows with the payload
+//! bytes that actually arrive, never with what a header claims.
 
 use std::io::{IoSlice, Read, Write};
 
@@ -238,19 +242,40 @@ pub fn write_frame_traced<W: Write>(
 }
 
 /// Read one frame from a stream, discarding any trace context. See
-/// [`read_frame_traced`] for the close/truncation contract.
+/// [`read_frame_traced_into`] for the close/truncation contract.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, FrameError> {
     Ok(read_frame_traced(r)?.map(|(_, payload)| payload))
 }
 
-/// Read one frame from a stream, surfacing the trace context if the
-/// frame carries one. `Ok(None)` is a clean close — the stream ended
-/// exactly on a frame boundary. A stream that ends after one or more
-/// header/context/payload bytes is [`FrameError::Truncated`]. The
-/// context block is read into a stack buffer and the payload length is
-/// validated first, so neither a hostile length nor truncated context
-/// bytes can trigger an allocation.
+/// Read one frame from a stream into a fresh buffer, surfacing the
+/// trace context if the frame carries one. See
+/// [`read_frame_traced_into`] for the close/truncation contract.
 pub fn read_frame_traced<R: Read>(r: &mut R) -> Result<Option<TracedFrame>, FrameError> {
+    let mut payload = Vec::new();
+    Ok(read_frame_traced_into(r, &mut payload)?.map(|ctx| (ctx, payload)))
+}
+
+/// Bytes a frame read asks to reserve beyond what has arrived: a
+/// claimed length is only a promise, so the payload buffer grows with
+/// the bytes actually received. (A `Vec` grows at least twofold, so
+/// its capacity stays within twice what arrived, or one step.)
+const READ_STEP: usize = 256 * 1024;
+
+/// Read one frame from a stream into `payload`, replacing its contents
+/// and keeping its allocation — a connection reads every frame into the
+/// same buffer. Returns the frame's trace context, if it carries one.
+/// `Ok(None)` is a clean close — the stream ended exactly on a frame
+/// boundary. A stream that ends after one or more
+/// header/context/payload bytes is [`FrameError::Truncated`]. The
+/// payload length is validated and the context block is read into a
+/// stack buffer before anything is reserved, and the payload buffer
+/// grows only as payload bytes arrive — to at most twice what arrived,
+/// or 256 KiB — so a hostile length can neither allocate nor pin memory
+/// the peer did not actually send.
+pub fn read_frame_traced_into<R: Read>(
+    r: &mut R,
+    payload: &mut Vec<u8>,
+) -> Result<Option<Option<TraceCtx>>, FrameError> {
     let mut header = [0u8; FRAME_HEADER_BYTES];
     let mut got = 0usize;
     while got < header.len() {
@@ -279,9 +304,19 @@ pub fn read_frame_traced<R: Read>(r: &mut R) -> Result<Option<TracedFrame>, Fram
     } else {
         None
     };
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some((ctx, payload)))
+    payload.clear();
+    while payload.len() < len {
+        if payload.len() == payload.capacity() {
+            payload.reserve((len - payload.len()).min(READ_STEP));
+        }
+        // Read straight into the spare capacity (no zero-fill), never
+        // past the frame's end.
+        let room = (len.min(payload.capacity()) - payload.len()) as u64;
+        if r.by_ref().take(room).read_to_end(payload)? == 0 {
+            return Err(FrameError::Truncated);
+        }
+    }
+    Ok(Some(ctx))
 }
 
 /// Incremental frame decoder for transports that deliver arbitrary byte
@@ -393,6 +428,58 @@ mod tests {
             d.next_frame().unwrap_err(),
             FrameError::Oversize { .. }
         ));
+    }
+
+    #[test]
+    fn a_hostile_length_reserves_only_what_arrives() {
+        // A header claiming the full cap, then 10 payload bytes and EOF:
+        // Truncated, and the buffer grew with the bytes that came, not
+        // with the claim — through the fresh-buffer reader too.
+        let mut wire = (MAX_FRAME_BYTES as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&[7u8; 10]);
+        let _tracking = fedknow_obs::alloc::track();
+        let (_, before) = fedknow_obs::alloc::thread_totals();
+        assert_eq!(
+            read_frame(&mut wire.as_slice()).unwrap_err(),
+            FrameError::Truncated
+        );
+        let (_, after) = fedknow_obs::alloc::thread_totals();
+        assert!(
+            after - before < 1 << 20,
+            "a 10-byte frame body allocated {} bytes",
+            after - before
+        );
+        let mut payload = Vec::new();
+        assert_eq!(
+            read_frame_traced_into(&mut wire.as_slice(), &mut payload).unwrap_err(),
+            FrameError::Truncated
+        );
+        assert!(payload.capacity() < 1 << 20, "{}", payload.capacity());
+    }
+
+    #[test]
+    fn a_kept_buffer_reads_each_frame_exactly() {
+        // Large, then small, then empty, then large again into one
+        // buffer: no stale tail, and the allocation is kept.
+        let frames: Vec<Vec<u8>> = vec![
+            (0..600_000).map(|i| i as u8).collect(),
+            b"short".to_vec(),
+            Vec::new(),
+            vec![9u8; 300_000],
+        ];
+        let mut wire = Vec::new();
+        for f in &frames {
+            write_frame_traced(&mut wire, f, Some(&ctx())).unwrap();
+        }
+        let mut r = wire.as_slice();
+        let mut payload = Vec::new();
+        for f in &frames {
+            let got = read_frame_traced_into(&mut r, &mut payload).unwrap();
+            assert_eq!(got, Some(Some(ctx())));
+            assert_eq!(&payload, f);
+        }
+        assert!(payload.capacity() >= 600_000);
+        assert_eq!(read_frame_traced_into(&mut r, &mut payload).unwrap(), None);
     }
 
     #[test]

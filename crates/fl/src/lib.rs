@@ -56,7 +56,7 @@ pub use framing::{
 };
 pub use metrics::{AccuracyMatrix, RowLengthMismatch};
 pub use proto::{DecodeError, Encoded, UploadMeta, WireMsg};
-pub use server::{AggregateError, Aggregation, RejectReason, RejectedUpload};
+pub use server::{AggregateError, Aggregation, RejectReason, RejectedUpload, Screening};
 pub use sim::{
     PhaseBreakdown, PhaseStat, SimCheckpoint, SimConfig, SimError, SimReport, Simulation,
 };

@@ -17,6 +17,11 @@
 //! encoders over a borrowed slice, `encode_resync` and
 //! `encode_broadcast`, which [`encode_msg`] uses too: a round's
 //! broadcast is encoded once and the same bytes go to every client.
+//! Each encoder writes into an [`Encoded`] its caller keeps
+//! ([`encode_msg_into`]), and [`decode_msg_into`] decodes a parameter
+//! vector into storage its caller hands back, so a connection moves
+//! model after model without allocating one; [`encode_msg`] and
+//! [`decode_msg`] are those forms over fresh buffers.
 //!
 //! Decoding never trusts the peer: lengths are validated against the
 //! remaining buffer before allocation, sparse payload indices are
@@ -192,7 +197,7 @@ impl WireMsg {
 /// `buf` so the wire fault injector can damage them in flight.
 ///
 /// [`CommModel`]: crate::comm::CommModel
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Encoded {
     /// The message bytes (unframed).
     pub buf: Vec<u8>,
@@ -330,38 +335,39 @@ fn put_payloads(buf: &mut Vec<u8>, ps: &[Payload]) -> u64 {
 }
 
 impl Encoded {
-    /// An empty encoding whose buffer already holds room for `data`
-    /// variable-length bytes plus any message's fixed fields, so
-    /// encoding never reallocates.
-    fn reserve(data: usize) -> Self {
-        Self {
-            buf: Vec::with_capacity(FIXED_BYTES_MAX + data),
-            data_bytes: 0,
-            params_span: None,
-        }
+    /// Empty this encoding, keeping its buffer, and make room for
+    /// `data` variable-length bytes plus any message's fixed fields, so
+    /// encoding never reallocates (and a buffer already that large
+    /// never allocates).
+    fn start(&mut self, data: usize) {
+        self.buf.clear();
+        self.buf.reserve(FIXED_BYTES_MAX + data);
+        self.data_bytes = 0;
+        self.params_span = None;
     }
 }
 
-/// Encode [`WireMsg::Resync`] from a borrowed model — the bytes
-/// [`encode_msg`] produces for the owned message, without the copy
-/// that building one would take.
-pub(crate) fn encode_resync(round: u64, global: &[f32]) -> Encoded {
-    let mut enc = Encoded::reserve(params_bytes(global));
+/// Encode [`WireMsg::Resync`] from a borrowed model into `enc` — the
+/// bytes [`encode_msg`] produces for the owned message, without the
+/// copy that building one would take.
+pub(crate) fn encode_resync(round: u64, global: &[f32], enc: &mut Encoded) {
+    enc.start(params_bytes(global));
     enc.buf.push(TAG_RESYNC);
     put_u64(&mut enc.buf, round);
     enc.data_bytes += put_params(&mut enc.buf, global);
-    enc
 }
 
-/// Encode [`WireMsg::Broadcast`] from a borrowed aggregate — the bytes
-/// [`encode_msg`] produces for the owned message. The server encodes a
-/// round's broadcast once and sends the result to every participant.
+/// Encode [`WireMsg::Broadcast`] from a borrowed aggregate into `enc` —
+/// the bytes [`encode_msg`] produces for the owned message. The server
+/// encodes a round's broadcast once and sends the result to every
+/// participant.
 pub(crate) fn encode_broadcast(
     round: u64,
     global: Option<&[f32]>,
     payloads: &[Payload],
-) -> Encoded {
-    let mut enc = Encoded::reserve(global.map_or(0, params_bytes) + payloads_bytes(payloads));
+    enc: &mut Encoded,
+) {
+    enc.start(global.map_or(0, params_bytes) + payloads_bytes(payloads));
     enc.buf.push(TAG_BROADCAST);
     put_u64(&mut enc.buf, round);
     match global {
@@ -372,18 +378,27 @@ pub(crate) fn encode_broadcast(
         None => enc.buf.push(0),
     }
     enc.data_bytes += put_payloads(&mut enc.buf, payloads);
-    enc
 }
 
 /// Encode a message for the wire, into one buffer reserved up front.
 pub fn encode_msg(msg: &WireMsg) -> Encoded {
+    let mut enc = Encoded::default();
+    encode_msg_into(msg, &mut enc);
+    enc
+}
+
+/// Encode a message into `enc`, replacing its contents and keeping its
+/// buffer: a sender that encodes every message into the same
+/// [`Encoded`] allocates only while the buffer grows to its largest
+/// message.
+pub fn encode_msg_into(msg: &WireMsg, enc: &mut Encoded) {
     let data = match msg {
-        WireMsg::Resync { round, global } => return encode_resync(*round, global),
+        WireMsg::Resync { round, global } => return encode_resync(*round, global, enc),
         WireMsg::Broadcast {
             round,
             global,
             payloads,
-        } => return encode_broadcast(*round, global.as_deref(), payloads),
+        } => return encode_broadcast(*round, global.as_deref(), payloads, enc),
         WireMsg::Upload {
             params, payloads, ..
         } => params.as_deref().map_or(0, params_bytes) + payloads_bytes(payloads),
@@ -391,28 +406,29 @@ pub fn encode_msg(msg: &WireMsg) -> Encoded {
         WireMsg::EvalRow { row, .. } => 4 + 8 * row.len(),
         _ => 0,
     };
+    enc.start(data);
     let Encoded {
-        mut buf,
-        mut data_bytes,
-        mut params_span,
-    } = Encoded::reserve(data);
+        buf,
+        data_bytes,
+        params_span,
+    } = enc;
     match msg {
         WireMsg::Hello { client } => {
             buf.push(TAG_HELLO);
-            put_u32(&mut buf, *client);
+            put_u32(buf, *client);
         }
         WireMsg::Rejoin { client, base_down } => {
             buf.push(TAG_REJOIN);
-            put_u32(&mut buf, *client);
-            put_u64(&mut buf, *base_down);
+            put_u32(buf, *client);
+            put_u64(buf, *base_down);
         }
         WireMsg::StartTask { task } => {
             buf.push(TAG_START_TASK);
-            put_u32(&mut buf, *task);
+            put_u32(buf, *task);
         }
         WireMsg::RoundStart { round } => {
             buf.push(TAG_ROUND_START);
-            put_u64(&mut buf, *round);
+            put_u64(buf, *round);
         }
         WireMsg::Upload {
             round,
@@ -422,19 +438,19 @@ pub fn encode_msg(msg: &WireMsg) -> Encoded {
             payloads,
         } => {
             buf.push(TAG_UPLOAD);
-            put_u64(&mut buf, *round);
-            put_u32(&mut buf, *client);
-            put_meta(&mut buf, meta);
+            put_u64(buf, *round);
+            put_u32(buf, *client);
+            put_meta(buf, meta);
             match params {
                 Some(p) => {
                     buf.push(1);
                     let off = buf.len() + 4; // skip the len prefix
-                    data_bytes += put_params(&mut buf, p);
-                    params_span = Some((off, p.len() * 4));
+                    *data_bytes += put_params(buf, p);
+                    *params_span = Some((off, p.len() * 4));
                 }
                 None => buf.push(0),
             }
-            data_bytes += put_payloads(&mut buf, payloads);
+            *data_bytes += put_payloads(buf, payloads);
         }
         WireMsg::UploadFailed {
             round,
@@ -443,41 +459,36 @@ pub fn encode_msg(msg: &WireMsg) -> Encoded {
             payloads,
         } => {
             buf.push(TAG_UPLOAD_FAILED);
-            put_u64(&mut buf, *round);
-            put_u32(&mut buf, *client);
-            put_meta(&mut buf, meta);
-            data_bytes += put_payloads(&mut buf, payloads);
+            put_u64(buf, *round);
+            put_u32(buf, *client);
+            put_meta(buf, meta);
+            *data_bytes += put_payloads(buf, payloads);
         }
         WireMsg::Ack { round, client } => {
             buf.push(TAG_ACK);
-            put_u64(&mut buf, *round);
-            put_u32(&mut buf, *client);
+            put_u64(buf, *round);
+            put_u32(buf, *client);
         }
         WireMsg::FinishTask => buf.push(TAG_FINISH_TASK),
         WireMsg::TaskDone { client, retained } => {
             buf.push(TAG_TASK_DONE);
-            put_u32(&mut buf, *client);
-            put_u64(&mut buf, *retained);
+            put_u32(buf, *client);
+            put_u64(buf, *retained);
         }
         WireMsg::Eval { upto } => {
             buf.push(TAG_EVAL);
-            put_u32(&mut buf, *upto);
+            put_u32(buf, *upto);
         }
         WireMsg::EvalRow { client, row } => {
             buf.push(TAG_EVAL_ROW);
-            put_u32(&mut buf, *client);
-            put_u32(&mut buf, row.len() as u32);
+            put_u32(buf, *client);
+            put_u32(buf, row.len() as u32);
             for v in row {
-                put_f64(&mut buf, *v);
+                put_f64(buf, *v);
             }
         }
         WireMsg::Shutdown => buf.push(TAG_SHUTDOWN),
         WireMsg::Resync { .. } | WireMsg::Broadcast { .. } => unreachable!("encoded above"),
-    }
-    Encoded {
-        buf,
-        data_bytes,
-        params_span,
     }
 }
 
@@ -526,15 +537,19 @@ impl<'a> Rd<'a> {
         })
     }
 
-    /// A length-prefixed `f32` vector; the length is validated against
-    /// the remaining buffer *before* allocating.
-    fn params(&mut self) -> Result<Vec<f32>, DecodeError> {
+    /// A length-prefixed `f32` vector, decoded into `spare`'s storage
+    /// (taken, leaving `spare` empty); the length is validated against
+    /// the remaining buffer *before* anything is reserved.
+    fn params(&mut self, spare: &mut Vec<f32>) -> Result<Vec<f32>, DecodeError> {
         let len = self.u32()? as usize;
         let raw = self.take(len * 4)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|w| f32::from_le_bytes(w.try_into().unwrap()))
-            .collect())
+        let mut out = std::mem::take(spare);
+        out.clear();
+        out.extend(
+            raw.chunks_exact(4)
+                .map(|w| f32::from_le_bytes(w.try_into().unwrap())),
+        );
+        Ok(out)
     }
 
     fn payload(&mut self) -> Result<Payload, DecodeError> {
@@ -585,6 +600,16 @@ impl<'a> Rd<'a> {
 
 /// Decode one message. The whole buffer must be consumed.
 pub fn decode_msg(buf: &[u8]) -> Result<WireMsg, DecodeError> {
+    decode_msg_into(buf, &mut Vec::new())
+}
+
+/// Decode one message, the whole buffer consumed, decoding its
+/// parameter vector (a `Resync`'s or `Broadcast`'s global, an
+/// `Upload`'s params) into `spare`'s storage: the vector moves into the
+/// message and `spare` is left empty. A message without one leaves
+/// `spare` as it was. A receiver that hands each decoded vector back
+/// as the next `spare` decodes every model without allocating.
+pub fn decode_msg_into(buf: &[u8], spare: &mut Vec<f32>) -> Result<WireMsg, DecodeError> {
     let mut rd = Rd { b: buf };
     let tag = rd.u8()?;
     let msg = match tag {
@@ -596,7 +621,7 @@ pub fn decode_msg(buf: &[u8]) -> Result<WireMsg, DecodeError> {
         TAG_START_TASK => WireMsg::StartTask { task: rd.u32()? },
         TAG_RESYNC => WireMsg::Resync {
             round: rd.u64()?,
-            global: rd.params()?,
+            global: rd.params(spare)?,
         },
         TAG_ROUND_START => WireMsg::RoundStart { round: rd.u64()? },
         TAG_UPLOAD => {
@@ -604,7 +629,7 @@ pub fn decode_msg(buf: &[u8]) -> Result<WireMsg, DecodeError> {
             let client = rd.u32()?;
             let meta = rd.meta()?;
             let params = if rd.u8()? != 0 {
-                Some(rd.params()?)
+                Some(rd.params(spare)?)
             } else {
                 None
             };
@@ -630,7 +655,7 @@ pub fn decode_msg(buf: &[u8]) -> Result<WireMsg, DecodeError> {
         TAG_BROADCAST => {
             let round = rd.u64()?;
             let global = if rd.u8()? != 0 {
-                Some(rd.params()?)
+                Some(rd.params(spare)?)
             } else {
                 None
             };
@@ -786,30 +811,71 @@ mod tests {
         }
     }
 
+    fn same(a: &Encoded, b: &Encoded, what: &str) {
+        assert_eq!(a.buf, b.buf, "{what}");
+        assert_eq!(a.data_bytes, b.data_bytes, "{what}");
+        assert_eq!(a.params_span, b.params_span, "{what}");
+    }
+
     #[test]
     fn borrowed_encoders_equal_the_owned_messages() {
-        let same = |a: &Encoded, b: &Encoded, what: &str| {
-            assert_eq!(a.buf, b.buf, "{what}");
-            assert_eq!(a.data_bytes, b.data_bytes, "{what}");
-            assert_eq!(a.params_span, b.params_span, "{what}");
-        };
+        // One kept buffer for every encoding, as a sender holds it.
+        let mut enc = Encoded::default();
         for m in &all_messages() {
             match m {
                 WireMsg::Resync { round, global } => {
-                    same(&encode_resync(*round, global), &encode_msg(m), "resync");
+                    encode_resync(*round, global, &mut enc);
+                    same(&enc, &encode_msg(m), "resync");
                 }
                 WireMsg::Broadcast {
                     round,
                     global,
                     payloads,
-                } => same(
-                    &encode_broadcast(*round, global.as_deref(), payloads),
-                    &encode_msg(m),
-                    "broadcast",
-                ),
+                } => {
+                    encode_broadcast(*round, global.as_deref(), payloads, &mut enc);
+                    same(&enc, &encode_msg(m), "broadcast");
+                }
                 _ => {}
             }
         }
+    }
+
+    #[test]
+    fn kept_buffers_carry_nothing_between_messages() {
+        // Largest first, so every later message lands in a buffer that
+        // still holds a longer one's bytes.
+        let big = WireMsg::Broadcast {
+            round: 1,
+            global: Some((0..1000).map(|i| i as f32).collect()),
+            payloads: vec![sample_payload(0)],
+        };
+        let mut msgs = vec![big];
+        msgs.extend(all_messages());
+        let mut enc = Encoded::default();
+        let mut spare = Vec::new();
+        for m in &msgs {
+            encode_msg_into(m, &mut enc);
+            same(&enc, &encode_msg(m), m.label());
+            let back = decode_msg_into(&enc.buf, &mut spare).expect("decodes");
+            assert_eq!(&back, m, "{}", m.label());
+            // Hand the decoded vector back, as a receiver does.
+            match back {
+                WireMsg::Resync { global, .. }
+                | WireMsg::Broadcast {
+                    global: Some(global),
+                    ..
+                }
+                | WireMsg::Upload {
+                    params: Some(global),
+                    ..
+                } => spare = global,
+                _ => {}
+            }
+        }
+        assert!(
+            spare.capacity() >= 1000,
+            "the first model's storage is kept"
+        );
     }
 
     #[test]

@@ -366,7 +366,7 @@ pub(crate) fn relative_l2(prev: &[f32], now: &[f32]) -> f64 {
 /// series and nothing else functional).
 pub(crate) fn fold_aggregate_telemetry(
     uploads: &[Option<Vec<f32>>],
-    global: &Option<Vec<f32>>,
+    global: Option<&[f32]>,
     prev_global: &mut Option<Vec<f32>>,
 ) {
     if !fedknow_obs::is_enabled() {
@@ -380,7 +380,11 @@ pub(crate) fn fold_aggregate_telemetry(
         if let Some(prev) = prev_global {
             fedknow_obs::series("fl.global_drift", relative_l2(prev, g));
         }
-        *prev_global = Some(g.clone());
+        // Copied into the kept buffer: no model-sized allocation per
+        // round once the first one is there.
+        let prev = prev_global.get_or_insert_with(Vec::new);
+        prev.clear();
+        prev.extend_from_slice(g);
     }
 }
 

@@ -73,6 +73,16 @@ pub struct Aggregation {
     pub accepted: usize,
 }
 
+/// What [`fedavg_into`] decided about a round's uploads; the aggregate
+/// itself is written into the caller's buffer.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Screening {
+    /// Uploads excluded by validation, in client order.
+    pub rejected: Vec<RejectedUpload>,
+    /// Number of uploads that entered the average.
+    pub accepted: usize,
+}
+
 /// The caller broke the aggregation contract — unlike a bad *upload*
 /// (which is quarantined per client), a malformed *call* is an error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,6 +155,24 @@ pub fn fedavg(
     uploads: &[Option<Vec<f32>>],
     weights: &[usize],
 ) -> Result<Aggregation, AggregateError> {
+    let mut global = None;
+    let Screening { rejected, accepted } = fedavg_into(uploads, weights, &mut global)?;
+    Ok(Aggregation {
+        global,
+        rejected,
+        accepted,
+    })
+}
+
+/// [`fedavg`] into a buffer the caller keeps across rounds: when any
+/// upload is accepted, their average overwrites `global` in place
+/// (allocating only when it is `None` or shorter); when none is,
+/// `global` is left exactly as it was — the previous round's aggregate.
+pub fn fedavg_into(
+    uploads: &[Option<Vec<f32>>],
+    weights: &[usize],
+    global: &mut Option<Vec<f32>>,
+) -> Result<Screening, AggregateError> {
     if uploads.len() != weights.len() {
         return Err(AggregateError::LengthMismatch {
             uploads: uploads.len(),
@@ -189,10 +217,12 @@ pub fn fedavg(
         accepted.push((u, wf));
     }
 
-    let global: Option<Vec<f32>> = (!accepted.is_empty()).then(|| {
+    if !accepted.is_empty() {
         let dim = dim.unwrap_or(0);
         let inv = 1.0 / total;
-        let mut out = Vec::with_capacity(dim);
+        let out = global.get_or_insert_with(Vec::new);
+        out.clear();
+        out.reserve(dim);
         let mut block = [0.0f64; FEDAVG_BLOCK];
         for start in (0..dim).step_by(FEDAVG_BLOCK) {
             let acc = &mut block[..FEDAVG_BLOCK.min(dim - start)];
@@ -204,25 +234,19 @@ pub fn fedavg(
             }
             out.extend(acc.iter().map(|&v| (v * inv) as f32));
         }
-        out
-    });
-    if !accepted.is_empty() {
-        let c = fedknow_math::flops::fedavg(accepted.len(), dim.unwrap_or(0));
+        let c = fedknow_math::flops::fedavg(accepted.len(), dim);
         PERF_FEDAVG.op(c.flops, c.bytes);
-    }
-    if fedknow_verify::is_enabled() {
-        if let Some(g) = &global {
+        if fedknow_verify::is_enabled() {
             let weighted_mass = accepted.iter().fold(0.0f64, |m, &(u, wf)| {
                 m + wf * u.iter().fold(0.0f64, |s, &x| s + x as f64)
             });
             fedknow_verify::report(
                 "fedavg.mass",
-                fedknow_verify::check::mass_conservation(g, weighted_mass, total),
+                fedknow_verify::check::mass_conservation(out, weighted_mass, total),
             );
         }
     }
-    Ok(Aggregation {
-        global,
+    Ok(Screening {
         rejected,
         accepted: accepted.len(),
     })
@@ -329,6 +353,23 @@ mod tests {
         assert!(agg.global.is_none());
         assert_eq!(agg.accepted, 0);
         assert_eq!(agg.rejected.len(), 2);
+    }
+
+    #[test]
+    fn a_kept_buffer_is_overwritten_in_place_or_left_alone() {
+        let mut kept = None;
+        let round = |a: f32| vec![Some(vec![a; 1000]), Some(vec![a + 2.0; 1000])];
+        fedavg_into(&round(1.0), &[1, 1], &mut kept).unwrap();
+        let storage = kept.as_ref().unwrap().as_ptr();
+        let s = fedavg_into(&round(5.0), &[1, 1], &mut kept).unwrap();
+        assert_eq!(s.accepted, 2);
+        assert_eq!(kept.as_deref(), global(&round(5.0), &[1, 1]).as_deref());
+        assert_eq!(kept.as_ref().unwrap().as_ptr(), storage, "no new buffer");
+        // Nothing accepted: the previous aggregate stays, untouched.
+        let s = fedavg_into(&[Some(vec![f32::NAN; 1000]), None], &[1, 1], &mut kept).unwrap();
+        assert_eq!(s.accepted, 0);
+        assert_eq!(s.rejected.len(), 1);
+        assert_eq!(kept, Some(vec![6.0; 1000]));
     }
 
     #[test]

@@ -678,6 +678,7 @@ impl ClientLink for LocalLink<'_> {
         _round: u64,
         global: Option<&[f32]>,
         payloads: Vec<Payload>,
+        _spent: Vec<Option<Vec<f32>>>,
     ) {
         if global.is_none() && payloads.is_empty() {
             return;

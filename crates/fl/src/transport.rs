@@ -20,15 +20,21 @@
 //! [`CommModel`] models) and *overhead* (frame headers, message tags,
 //! metadata), mirrored into the `transport.*` obs counters.
 //!
+//! A connection's buffers live as long as it does: [`MsgTx`] encodes
+//! every message into one kept buffer, and [`MsgRx`] reads every frame
+//! into one and decodes each parameter vector into storage handed back
+//! by whoever consumed the previous one (see DESIGN.md, "Buffer
+//! ownership on the wire").
+//!
 //! [`framing`]: crate::framing
 //! [`CommModel`]: crate::comm::CommModel
 
 use crate::faults::RoundFaults;
 use crate::framing::{
-    read_frame_traced, FrameDecoder, FrameError, FrameHead, TraceCtx, FRAME_HEADER_BYTES,
+    read_frame_traced_into, FrameDecoder, FrameError, FrameHead, TraceCtx, FRAME_HEADER_BYTES,
     TRACE_CTX_BYTES,
 };
-use crate::proto::{decode_msg, encode_msg, DecodeError, Encoded, WireMsg};
+use crate::proto::{decode_msg_into, encode_msg_into, DecodeError, Encoded, WireMsg};
 use crate::wiretrace;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -218,19 +224,43 @@ pub struct MsgTx {
     /// The peer's client id, once known (set after Hello/accept) —
     /// carried by the wire lifecycle records.
     peer: Option<u32>,
+    /// Every message this half sends is encoded here, and the buffer
+    /// stays as large as the largest one.
+    enc: Encoded,
 }
 
 impl MsgTx {
+    fn new(inner: TxInner, stats: Arc<WireStats>) -> Self {
+        Self {
+            inner,
+            stats,
+            peer: None,
+            enc: Encoded::default(),
+        }
+    }
+
     /// Attribute this half to a peer client id (trace events carry it
     /// from now on).
     pub fn set_peer(&mut self, client: u32) {
         self.peer = Some(client);
     }
 
+    /// Encode `msg` into this half's kept buffer and hand it to `f`.
+    fn with_encoded<T>(
+        &mut self,
+        msg: &WireMsg,
+        f: impl FnOnce(&mut Self, &mut Encoded) -> T,
+    ) -> T {
+        let mut enc = std::mem::take(&mut self.enc);
+        encode_msg_into(msg, &mut enc);
+        let out = f(self, &mut enc);
+        self.enc = enc;
+        out
+    }
+
     /// Encode and send one message as one frame.
     pub fn send(&mut self, msg: &WireMsg) -> Result<(), TransportError> {
-        let enc = encode_msg(msg);
-        self.send_encoded_labeled(&enc, msg.label())
+        self.with_encoded(msg, |tx, enc| tx.send_encoded_labeled(enc, msg.label()))
     }
 
     /// Send an already-encoded message. Counts the frame in the wire
@@ -289,7 +319,9 @@ impl MsgTx {
     /// server's guard against transient send failures; a peer that is
     /// genuinely gone stays [`TransportError::Closed`].
     pub fn send_with_retry(&mut self, msg: &WireMsg, retries: u32) -> Result<(), TransportError> {
-        self.send_encoded_with_retry(&encode_msg(msg), msg.label(), retries)
+        self.with_encoded(msg, |tx, enc| {
+            tx.send_encoded_with_retry(enc, msg.label(), retries)
+        })
     }
 
     /// [`Self::send_with_retry`] for a message already encoded — one
@@ -339,17 +371,70 @@ enum RxInner {
     Unix(std::os::unix::net::UnixStream),
 }
 
+/// Parameter vectors a receiver decodes into: whoever consumes a
+/// decoded model hands its storage back here, and the next model's
+/// decode takes it instead of allocating. Clones share one stack — the
+/// server's reader threads share the one its round engine refills with
+/// spent uploads.
+#[derive(Clone, Default)]
+pub(crate) struct Spares(Arc<Mutex<Vec<Vec<f32>>>>);
+
+impl Spares {
+    /// Hand a consumed vector's storage back (an empty one has none).
+    pub fn put(&self, v: Vec<f32>) {
+        if v.capacity() > 0 {
+            self.0.lock().expect("spares lock").push(v);
+        }
+    }
+
+    /// Storage to decode the next vector into: a spent one if any is
+    /// waiting, else a new empty one.
+    fn take(&self) -> Vec<f32> {
+        self.0
+            .lock()
+            .expect("spares lock")
+            .pop()
+            .unwrap_or_default()
+    }
+}
+
 /// The receiving half of a connection.
 pub struct MsgRx {
     inner: RxInner,
     /// The peer's client id, once known — tags wire-in records.
     peer: Option<u32>,
+    /// Every socket frame is read into this one buffer (the channel
+    /// backend's owned frames replace it).
+    frame: Vec<u8>,
+    /// Where decoded parameter vectors come from and go back to.
+    spares: Spares,
 }
 
 impl MsgRx {
+    fn new(inner: RxInner) -> Self {
+        Self {
+            inner,
+            peer: None,
+            frame: Vec::new(),
+            spares: Spares::default(),
+        }
+    }
+
     /// Attribute this half to a peer client id.
     pub fn set_peer(&mut self, client: u32) {
         self.peer = Some(client);
+    }
+
+    /// Decode parameter vectors into (and take them back through)
+    /// `spares` — shared with the other connections holding a clone.
+    pub(crate) fn share_spares(&mut self, spares: Spares) {
+        self.spares = spares;
+    }
+
+    /// Hand a decoded parameter vector back once it has been consumed:
+    /// the next one this connection decodes reuses its storage.
+    pub(crate) fn recycle(&self, v: Vec<f32>) {
+        self.spares.put(v);
     }
 
     /// Block for the next message. `Ok(None)` is a clean close (the
@@ -363,10 +448,11 @@ impl MsgRx {
     /// caller can record the `handled` lifecycle point. The `in` point
     /// (frame off the wire, message decoded) is recorded here.
     pub fn recv_traced(&mut self) -> Result<Option<(WireMsg, Option<TraceCtx>)>, TransportError> {
-        let (ctx, payload) = match &mut self.inner {
+        let ctx = match &mut self.inner {
             RxInner::Channel { rx, decoder } => loop {
-                if let Some(frame) = decoder.next_frame_traced()? {
-                    break frame;
+                if let Some((ctx, payload)) = decoder.next_frame_traced()? {
+                    self.frame = payload;
+                    break ctx;
                 }
                 match rx.recv() {
                     Ok(bytes) => decoder.feed(&bytes),
@@ -378,19 +464,22 @@ impl MsgRx {
                     }
                 }
             },
-            RxInner::Tcp(s) => match read_frame_traced(s)? {
-                Some(p) => p,
+            RxInner::Tcp(s) => match read_frame_traced_into(s, &mut self.frame)? {
+                Some(ctx) => ctx,
                 None => return Ok(None),
             },
             #[cfg(unix)]
-            RxInner::Unix(s) => match read_frame_traced(s)? {
-                Some(p) => p,
+            RxInner::Unix(s) => match read_frame_traced_into(s, &mut self.frame)? {
+                Some(ctx) => ctx,
                 None => return Ok(None),
             },
         };
-        let msg = decode_msg(&payload)?;
+        let mut spare = self.spares.take();
+        let decoded = decode_msg_into(&self.frame, &mut spare);
+        self.spares.put(spare);
+        let msg = decoded?;
         if let Some(c) = &ctx {
-            wiretrace::record_recv("in", c, self.peer, msg.label(), payload.len() as u64);
+            wiretrace::record_recv("in", c, self.peer, msg.label(), self.frame.len() as u64);
         }
         Ok(Some((msg, ctx)))
     }
@@ -402,6 +491,19 @@ pub struct Conn {
     pub tx: MsgTx,
     /// Receiving half.
     pub rx: MsgRx,
+}
+
+impl Conn {
+    /// Run `send` with the receiving half's frame buffer as the sending
+    /// half's encode buffer. A peer that reads and writes one message
+    /// at a time (a client) needs one byte buffer for both directions,
+    /// sized by its largest frame either way.
+    pub(crate) fn send_via_frame_buffer<T>(&mut self, send: impl FnOnce(&mut MsgTx) -> T) -> T {
+        std::mem::swap(&mut self.tx.enc.buf, &mut self.rx.frame);
+        let out = send(&mut self.tx);
+        std::mem::swap(&mut self.tx.enc.buf, &mut self.rx.frame);
+        out
+    }
 }
 
 /// Client-side connection factory. Cloneable across client actor
@@ -536,18 +638,11 @@ impl Transport for ChannelTransport {
             .send((to_client_tx, to_server_rx))
             .map_err(|_| TransportError::Closed)?;
         Ok(Conn {
-            tx: MsgTx {
-                inner: TxInner::Channel(to_server_tx),
-                stats: self.stats.clone(),
-                peer: None,
-            },
-            rx: MsgRx {
-                inner: RxInner::Channel {
-                    rx: to_client_rx,
-                    decoder: FrameDecoder::new(),
-                },
-                peer: None,
-            },
+            tx: MsgTx::new(TxInner::Channel(to_server_tx), self.stats.clone()),
+            rx: MsgRx::new(RxInner::Channel {
+                rx: to_client_rx,
+                decoder: FrameDecoder::new(),
+            }),
         })
     }
 
@@ -568,18 +663,11 @@ impl TransportListener for ChannelListener {
             .recv_timeout(timeout)
             .map_err(|_| TransportError::AcceptTimeout)?;
         Ok(Conn {
-            tx: MsgTx {
-                inner: TxInner::Channel(tx),
-                stats: self.stats.clone(),
-                peer: None,
-            },
-            rx: MsgRx {
-                inner: RxInner::Channel {
-                    rx,
-                    decoder: FrameDecoder::new(),
-                },
-                peer: None,
-            },
+            tx: MsgTx::new(TxInner::Channel(tx), self.stats.clone()),
+            rx: MsgRx::new(RxInner::Channel {
+                rx,
+                decoder: FrameDecoder::new(),
+            }),
         })
     }
 }
@@ -624,15 +712,8 @@ fn tcp_conn(stream: TcpStream, stats: Arc<WireStats>) -> Result<Conn, TransportE
         .try_clone()
         .map_err(|e| TransportError::Setup(e.kind()))?;
     Ok(Conn {
-        tx: MsgTx {
-            inner: TxInner::Tcp(stream),
-            stats,
-            peer: None,
-        },
-        rx: MsgRx {
-            inner: RxInner::Tcp(read_half),
-            peer: None,
-        },
+        tx: MsgTx::new(TxInner::Tcp(stream), stats),
+        rx: MsgRx::new(RxInner::Tcp(read_half)),
     })
 }
 
@@ -691,15 +772,8 @@ fn unix_conn(
         .try_clone()
         .map_err(|e| TransportError::Setup(e.kind()))?;
     Ok(Conn {
-        tx: MsgTx {
-            inner: TxInner::Unix(stream),
-            stats,
-            peer: None,
-        },
-        rx: MsgRx {
-            inner: RxInner::Unix(read_half),
-            peer: None,
-        },
+        tx: MsgTx::new(TxInner::Unix(stream), stats),
+        rx: MsgRx::new(RxInner::Unix(read_half)),
     })
 }
 
@@ -753,7 +827,9 @@ impl Drop for UnixAcceptor {
 ///
 /// Returns whether a frame was actually delivered (`false` when every
 /// attempt was lost — the caller then reports the loss through the
-/// reliable control plane).
+/// reliable control plane). The upload is encoded into `tx`'s kept
+/// buffer and damaged there; the next message's encoding overwrites
+/// every byte of it.
 ///
 /// [`Corruption::apply_bytes`]: crate::faults::Corruption::apply_bytes
 pub fn send_upload_faulty(
@@ -762,23 +838,24 @@ pub fn send_upload_faulty(
     f: &RoundFaults,
     straggle_delay_unit: Duration,
 ) -> Result<bool, TransportError> {
-    let mut enc = encode_msg(msg);
-    if f.slowdown > 1.0 && !straggle_delay_unit.is_zero() {
-        // Bounded so pathological slowdowns cannot wedge a test run.
-        let scale = (f.slowdown - 1.0).min(16.0);
-        std::thread::sleep(straggle_delay_unit.mul_f64(scale));
-    }
-    if let (Some(corr), Some((off, len))) = (f.corruption, enc.params_span) {
-        corr.apply_bytes(&mut enc.buf[off..off + len]);
-    }
-    for _ in 0..f.lost_attempts {
-        tx.drop_encoded_labeled(&enc, msg.label());
-    }
-    if f.upload_lost {
-        return Ok(false);
-    }
-    tx.send_encoded_labeled(&enc, msg.label())?;
-    Ok(true)
+    tx.with_encoded(msg, |tx, enc| {
+        if f.slowdown > 1.0 && !straggle_delay_unit.is_zero() {
+            // Bounded so pathological slowdowns cannot wedge a test run.
+            let scale = (f.slowdown - 1.0).min(16.0);
+            std::thread::sleep(straggle_delay_unit.mul_f64(scale));
+        }
+        if let (Some(corr), Some((off, len))) = (f.corruption, enc.params_span) {
+            corr.apply_bytes(&mut enc.buf[off..off + len]);
+        }
+        for _ in 0..f.lost_attempts {
+            tx.drop_encoded_labeled(enc, msg.label());
+        }
+        if f.upload_lost {
+            return Ok(false);
+        }
+        tx.send_encoded_labeled(enc, msg.label())?;
+        Ok(true)
+    })
 }
 
 #[cfg(test)]
@@ -837,6 +914,105 @@ mod tests {
             assert_eq!(s.frames, 2);
             assert_eq!(s.payload, 12, "3 f32 params are the data plane");
             assert!(s.overhead > 0);
+
+            // Kept buffers: the same sequence on a connection and then
+            // on a redialed one (a rejoin), whose server half decodes
+            // into the spares the first one handed back.
+            let spares = Spares::default();
+            for _ in 0..2 {
+                let mut client = transport.connect().expect("connect");
+                let mut server = listener.accept(Duration::from_secs(5)).expect("accept");
+                server.rx.share_spares(spares.clone());
+                kept_buffers_carry_nothing(&mut client, &mut server, kind);
+            }
+        }
+    }
+
+    fn model(n: usize, first: f32) -> Vec<f32> {
+        (0..n).map(|i| first + i as f32 * 0.25).collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Each message lands in buffers an earlier, larger one left behind,
+    /// on both halves, and must decode to exactly what was sent: a
+    /// model-sized broadcast, a smaller one, a resync, then an upload
+    /// damaged in flight followed by a clean one (encoded, as a client
+    /// does, into the buffer its frames are read into). Every decoded
+    /// model is handed back for the next decode.
+    fn kept_buffers_carry_nothing(client: &mut Conn, server: &mut Conn, kind: TransportKind) {
+        let down = [
+            WireMsg::Broadcast {
+                round: 2,
+                global: Some(model(70_000, 1.0)),
+                payloads: vec![],
+            },
+            WireMsg::Broadcast {
+                round: 3,
+                global: Some(model(5, -3.0)),
+                payloads: vec![],
+            },
+            WireMsg::Resync {
+                round: 4,
+                global: model(1000, 7.0),
+            },
+        ];
+        // A model-sized frame outgrows a socket's buffer: the sender
+        // runs beside the receiver.
+        for msg in &down {
+            let got = std::thread::scope(|s| {
+                s.spawn(|| server.tx.send(msg).expect("send"));
+                client.rx.recv().expect("recv").expect("a message")
+            });
+            assert_eq!(&got, msg, "{kind}: {}", msg.label());
+            if let WireMsg::Broadcast {
+                global: Some(g), ..
+            }
+            | WireMsg::Resync { global: g, .. } = got
+            {
+                client.rx.recycle(g);
+            }
+        }
+        let clean = model(70_000, 2.0);
+        let corr = Corruption {
+            mode: CorruptionMode::BitFlip,
+            pos_fraction: 0.5,
+            bit: 31,
+        };
+        let mut damaged = clean.clone();
+        corr.apply(&mut damaged);
+        let corrupted = RoundFaults {
+            corruption: Some(corr),
+            ..RoundFaults::none()
+        };
+        for (f, want) in [(corrupted, damaged), (RoundFaults::none(), clean.clone())] {
+            let got = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let delivered = client
+                        .send_via_frame_buffer(|tx| {
+                            send_upload_faulty(tx, &upload(clean.clone()), &f, Duration::ZERO)
+                        })
+                        .expect("send");
+                    assert!(delivered);
+                });
+                server.rx.recv().expect("recv").expect("a message")
+            });
+            match got {
+                WireMsg::Upload {
+                    params: Some(p), ..
+                } => {
+                    assert_eq!(
+                        bits(&p),
+                        bits(&want),
+                        "{kind}: corrupted {}",
+                        f.corruption.is_some()
+                    );
+                    server.rx.recycle(p);
+                }
+                other => panic!("{kind}: unexpected {other:?}"),
+            }
         }
     }
 
@@ -937,10 +1113,7 @@ mod tests {
             s.write_all(&[7u8; 10]).unwrap();
         });
         let (stream, _) = listener.accept().unwrap();
-        let mut rx = MsgRx {
-            inner: RxInner::Tcp(stream),
-            peer: None,
-        };
+        let mut rx = MsgRx::new(RxInner::Tcp(stream));
         writer.join().unwrap();
         assert_eq!(
             rx.recv().unwrap_err(),

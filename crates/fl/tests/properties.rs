@@ -342,7 +342,7 @@ fn sample_msgs() -> Vec<WireMsg> {
 /// multiple covers the decoded form of the densest input: a 72-byte
 /// `Payload` per 20 wire bytes.
 fn decode_within_budget(buf: &[u8]) -> Result<(), TestCaseError> {
-    fedknow_obs::alloc::set_tracking(true);
+    let _tracking = fedknow_obs::alloc::track();
     let (_, before) = fedknow_obs::alloc::thread_totals();
     let decoded = decode_msg(buf);
     let (_, after) = fedknow_obs::alloc::thread_totals();

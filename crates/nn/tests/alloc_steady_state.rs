@@ -12,7 +12,8 @@
 //! Measured with the `FEDKNOW_PROF_ALLOC` tracking allocator that
 //! `fedknow-obs` installs as the global allocator: per-thread running
 //! totals are diffed around the measured span, so concurrent test
-//! threads cannot pollute the count.
+//! threads cannot pollute the count, and each test holds a tracking
+//! scope, so none can switch tracking off under another.
 
 use fedknow_math::rng::seeded;
 use fedknow_math::Tensor;
@@ -52,7 +53,7 @@ fn steady_state_train_step_is_allocation_free() {
     }
 
     let mut losses = Vec::with_capacity(5); // allocated before the span
-    alloc::set_tracking(true);
+    let scope = alloc::track();
     let (allocs_before, bytes_before) = alloc::thread_totals();
     for _ in 0..5 {
         let (a0, _) = alloc::thread_totals();
@@ -67,7 +68,7 @@ fn steady_state_train_step_is_allocation_free() {
         losses.push(loss);
     }
     let (allocs_after, bytes_after) = alloc::thread_totals();
-    alloc::set_tracking(false);
+    drop(scope);
 
     assert_eq!(
         allocs_after - allocs_before,
@@ -97,13 +98,13 @@ fn steady_state_eval_forward_is_allocation_free() {
         let _ = model.forward(input.clone(), false);
     }
 
-    alloc::set_tracking(true);
+    let scope = alloc::track();
     let (a0, _) = alloc::thread_totals();
     for _ in 0..5 {
         let _ = model.forward(input.clone(), false);
     }
     let (a1, _) = alloc::thread_totals();
-    alloc::set_tracking(false);
+    drop(scope);
 
     assert_eq!(a1 - a0, 0, "eval forward allocated {} times", a1 - a0);
 }
@@ -138,14 +139,14 @@ fn steady_state_stacked_backward_is_allocation_free() {
         step(&mut model);
     }
 
-    alloc::set_tracking(true);
+    let scope = alloc::track();
     let (a0, _) = alloc::thread_totals();
     for _ in 0..5 {
         let gx = step(&mut model);
         assert_eq!(gx.shape(), &[slots * b, 3, 16, 16]);
     }
     let (a1, _) = alloc::thread_totals();
-    alloc::set_tracking(false);
+    drop(scope);
 
     assert_eq!(a1 - a0, 0, "stacked backward allocated {} times", a1 - a0);
 }

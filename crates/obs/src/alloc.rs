@@ -4,14 +4,18 @@
 //! the `#[global_allocator]` of every binary that links this crate. It
 //! is **off by default**: each allocator call pays exactly one relaxed
 //! atomic load and a predictable branch — nothing else — until tracking
-//! is switched on with `FEDKNOW_PROF_ALLOC=1` (read by
-//! [`init_from_env`](crate::init_from_env)) or [`set_tracking`].
+//! is switched on. Tracking is on while any [`TrackingScope`] is open
+//! ([`track`]); `FEDKNOW_PROF_ALLOC=1` (read by
+//! [`init_from_env`](crate::init_from_env)) opens one for the rest of
+//! the process. Scopes are counted, so tests measuring in parallel
+//! cannot switch tracking off under each other.
 //!
 //! When on, every allocation bumps
 //!
 //! * global totals (`alloc.count`, `alloc.bytes`, live bytes and the
 //!   high-water mark `alloc.peak_bytes`, mirrored into the registry at
-//!   flush time), and
+//!   flush time, and the count of allocations of at least
+//!   [`LARGE_ALLOC_BYTES`]), and
 //! * per-thread running totals, which span guards diff to attribute
 //!   allocation counts to span paths (see
 //!   [`SpanPerf`](crate::ring::SpanPerf)) — the per-call-site
@@ -24,32 +28,53 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering::Relaxed};
 
-static TRACKING: AtomicBool = AtomicBool::new(false);
+/// Allocations at least this large are counted apart: glibc's default
+/// mmap threshold, above which a fresh block may come from new,
+/// zero-filled pages (each touched page a minor fault).
+pub const LARGE_ALLOC_BYTES: usize = 128 * 1024;
+
+/// Open [`TrackingScope`]s; tracking is on while this is non-zero.
+static SCOPES: AtomicUsize = AtomicUsize::new(0);
 static TOTAL_ALLOCS: AtomicU64 = AtomicU64::new(0);
 static TOTAL_BYTES: AtomicU64 = AtomicU64::new(0);
 /// Signed: deallocations of blocks allocated before tracking was
 /// enabled would otherwise underflow.
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
+static LARGE_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static TL_ALLOCS: Cell<u64> = const { Cell::new(0) };
     static TL_BYTES: Cell<u64> = const { Cell::new(0) };
+    static TL_LARGE: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Whether allocation tracking is currently on.
+/// Whether allocation tracking is currently on (some scope is open).
 #[inline]
 pub fn tracking_enabled() -> bool {
-    TRACKING.load(Relaxed)
+    SCOPES.load(Relaxed) > 0
 }
 
-/// Switch allocation tracking on or off at runtime (used by the
-/// overhead harness and tests; normal runs go through
-/// [`init_from_env`](crate::init_from_env)).
-pub fn set_tracking(on: bool) {
-    TRACKING.store(on, Relaxed);
+/// Allocation tracking held on: every allocation, on every thread, is
+/// counted from [`track`] until the last open scope is dropped.
+#[must_use = "tracking stops when the scope is dropped"]
+#[derive(Debug)]
+pub struct TrackingScope(());
+
+/// Open a tracking scope. Tracking stays on while any scope is open, so
+/// one caller closing its scope never switches off another's
+/// measurement.
+pub fn track() -> TrackingScope {
+    SCOPES.fetch_add(1, Relaxed);
+    TrackingScope(())
+}
+
+impl Drop for TrackingScope {
+    fn drop(&mut self) {
+        SCOPES.fetch_sub(1, Relaxed);
+    }
 }
 
 /// A point-in-time copy of the global allocation totals.
@@ -64,6 +89,8 @@ pub struct AllocStats {
     pub live_bytes: u64,
     /// High-water mark of `live_bytes`.
     pub peak_bytes: u64,
+    /// Allocations of at least [`LARGE_ALLOC_BYTES`].
+    pub large: u64,
 }
 
 /// Current global allocation totals.
@@ -73,6 +100,7 @@ pub fn stats() -> AllocStats {
         bytes: TOTAL_BYTES.load(Relaxed),
         live_bytes: LIVE_BYTES.load(Relaxed).max(0) as u64,
         peak_bytes: PEAK_BYTES.load(Relaxed),
+        large: LARGE_ALLOCS.load(Relaxed),
     }
 }
 
@@ -80,6 +108,12 @@ pub fn stats() -> AllocStats {
 /// reads to attribute allocations to a span.
 pub fn thread_totals() -> (u64, u64) {
     (TL_ALLOCS.with(Cell::get), TL_BYTES.with(Cell::get))
+}
+
+/// This thread's running count of allocations of at least
+/// [`LARGE_ALLOC_BYTES`].
+pub fn thread_large() -> u64 {
+    TL_LARGE.with(Cell::get)
 }
 
 /// Mirror the global totals into the metrics registry (`alloc.count`,
@@ -117,6 +151,10 @@ fn note_alloc(size: usize) {
     }
     let _ = TL_ALLOCS.try_with(|c| c.set(c.get().wrapping_add(1)));
     let _ = TL_BYTES.try_with(|c| c.set(c.get().wrapping_add(size)));
+    if size >= LARGE_ALLOC_BYTES as u64 {
+        LARGE_ALLOCS.fetch_add(1, Relaxed);
+        let _ = TL_LARGE.try_with(|c| c.set(c.get().wrapping_add(1)));
+    }
 }
 
 #[inline]
@@ -172,27 +210,27 @@ mod tests {
 
     #[test]
     fn tracking_counts_allocations_and_peak() {
-        // Off: a fresh allocation leaves the totals alone.
-        set_tracking(false);
-        let before = stats();
-        let (ta0, _) = thread_totals();
-        std::hint::black_box(vec![0u8; 4096]);
-        assert_eq!(stats().count, before.count);
-        assert_eq!(thread_totals().0, ta0);
-
-        // On: totals, thread totals and the peak all move.
-        set_tracking(true);
+        // Inside a scope: totals, thread totals and the peak all move,
+        // whatever other tests open or close meanwhile. (That nothing
+        // is counted with no scope open is pinned by
+        // `tests/alloc_scopes.rs`, a binary of its own.)
+        let scope = track();
+        assert!(tracking_enabled());
         let before = stats();
         let (ta1, tb1) = thread_totals();
+        let large1 = thread_large();
         let v = std::hint::black_box(vec![7u8; 8192]);
+        let big = std::hint::black_box(vec![1u8; LARGE_ALLOC_BYTES]);
         let after = stats();
         assert!(after.count > before.count);
         assert!(after.bytes >= before.bytes + 8192);
         assert!(after.peak_bytes >= 8192);
+        assert!(after.large > before.large);
         let (ta2, tb2) = thread_totals();
         assert!(ta2 > ta1);
-        assert!(tb2 - tb1 >= 8192);
-        drop(v);
-        set_tracking(false);
+        assert!(tb2 - tb1 >= 8192 + LARGE_ALLOC_BYTES as u64);
+        assert_eq!(thread_large() - large1, 1, "only the big one is large");
+        drop((v, big));
+        drop(scope);
     }
 }

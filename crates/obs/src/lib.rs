@@ -187,9 +187,10 @@ pub fn init_from_env() -> bool {
     }
     if is_enabled() {
         // Allocation tracking needs the registry mirror, hence piggy-
-        // backs on general enablement.
+        // backs on general enablement; its scope never closes.
         if cfg.prof_alloc {
-            alloc::set_tracking(true);
+            static PROCESS_SCOPE: std::sync::Once = std::sync::Once::new();
+            PROCESS_SCOPE.call_once(|| std::mem::forget(alloc::track()));
         }
         bundle::install_panic_hook();
     }
