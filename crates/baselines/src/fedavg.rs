@@ -61,6 +61,22 @@ impl FclClient for FedAvgClient {
         self.trainer.evaluate_task(task)
     }
 
+    /// FedAvg's whole state at a task boundary: the weights, then the
+    /// model's state buffers (BatchNorm's running statistics).
+    fn checkpoint_params(&mut self) -> Option<Vec<f32>> {
+        let model = &mut self.trainer.model;
+        let mut stream = model.flat_params();
+        stream.extend(model.flat_buffers());
+        Some(stream)
+    }
+
+    fn restore_checkpoint(&mut self, params: &[f32], _rng: &mut StdRng) {
+        let model = &mut self.trainer.model;
+        let (weights, buffers) = params.split_at(model.param_count());
+        model.set_flat_params(weights);
+        model.set_flat_buffers(buffers);
+    }
+
     fn method_name(&self) -> &'static str {
         "fedavg"
     }

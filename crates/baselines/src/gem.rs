@@ -9,9 +9,9 @@
 //! storage-versus-knowledge trade-off the paper's Figure 10 probes.
 
 use crate::common::EpisodicMemory;
+use fedknow::GradientIntegrator;
 use fedknow_data::ClientTask;
 use fedknow_fl::{FclClient, IterationStats, LocalTrainer, ModelTemplate};
-use fedknow_math::qp::{integrate_gradient, QpConfig};
 use fedknow_nn::optim::{LrSchedule, Sgd};
 use rand::rngs::StdRng;
 
@@ -22,7 +22,9 @@ pub struct GemClient {
     memory: EpisodicMemory,
     /// Fraction of each task's samples kept in memory.
     pub memory_fraction: f64,
-    qp: QpConfig,
+    /// FedKNOW's integrator at margin 0: GEM's projection is the same
+    /// QP, so its solves and fallbacks land in the same `qp.*` counters.
+    integrator: GradientIntegrator,
     current_task: Option<ClientTask>,
 }
 
@@ -46,14 +48,9 @@ impl GemClient {
             trainer: LocalTrainer::new(template.instantiate(), opt, batch_size, image_shape),
             memory: EpisodicMemory::new(),
             memory_fraction,
-            qp: QpConfig::default(),
+            integrator: GradientIntegrator::new(0.0),
             current_task: None,
         }
-    }
-
-    /// Stored rehearsal sample count (tests/benches).
-    pub fn memory_samples(&self) -> usize {
-        self.memory.total_samples()
     }
 }
 
@@ -84,9 +81,7 @@ impl FclClient for GemClient {
         let update = if constraints.is_empty() {
             g
         } else {
-            integrate_gradient(&g, &constraints, &self.qp)
-                .map(|r| r.gradient)
-                .unwrap_or(g)
+            self.integrator.integrate(&g, &constraints)
         };
         let lr = self.trainer.opt.next_lr() as f32;
         self.trainer.model.apply_update(&update, lr);
@@ -241,9 +236,10 @@ impl FclClient for AGemClient {
                 self.inner.trainer.model.flat_grads()
             });
         let update = match constraint {
-            Some(c) => integrate_gradient(&g, std::slice::from_ref(&c), &self.inner.qp)
-                .map(|r| r.gradient)
-                .unwrap_or(g),
+            Some(c) => self
+                .inner
+                .integrator
+                .integrate(&g, std::slice::from_ref(&c)),
             None => g,
         };
         let lr = self.inner.trainer.opt.next_lr() as f32;

@@ -280,11 +280,12 @@ impl FclClient for FedKnowClient {
     }
 
     /// At a task boundary the FedKNOW state beyond the flat weights is
-    /// the retained knowledge set and the pending-FLOPs debit (`selected`
-    /// is cleared by `finish_task`, both optimisers reset at
-    /// `start_task`). All of it is folded into the flat stream —
-    /// integers as 16-bit limbs so every value survives an f32 (and
-    /// JSON) round trip exactly.
+    /// the pending-FLOPs debit, the retained knowledge set and the
+    /// model's state buffers (`selected` is cleared by `finish_task`,
+    /// both optimisers reset at `start_task`). All of it is folded into
+    /// the flat stream, in that order, the buffers last — integers as
+    /// 16-bit limbs so every value survives an f32 (and JSON) round trip
+    /// exactly.
     fn checkpoint_params(&mut self) -> Option<Vec<f32>> {
         let weights = self.trainer.model.flat_params();
         let mut buf = Vec::with_capacity(weights.len() + 8);
@@ -300,6 +301,7 @@ impl FclClient for FedKnowClient {
             }
             buf.extend_from_slice(k.values());
         }
+        buf.extend(self.trainer.model.flat_buffers());
         Some(buf)
     }
 
@@ -308,11 +310,10 @@ impl FclClient for FedKnowClient {
         let n = cur.u32() as usize;
         assert_eq!(
             n,
-            self.trainer.model.flat_params().len(),
+            self.trainer.model.param_count(),
             "FedKNOW checkpoint was taken on a different architecture"
         );
-        let weights = cur.slice(n).to_vec();
-        self.trainer.model.set_flat_params(&weights);
+        self.trainer.model.set_flat_params(cur.slice(n));
         self.pending_flops = cur.u64();
         let tasks = cur.u32() as usize;
         self.knowledges.clear();
@@ -324,6 +325,7 @@ impl FclClient for FedKnowClient {
             self.knowledges
                 .push(SparseVec::new(dense_len, indices, values));
         }
+        self.trainer.model.set_flat_buffers(cur.rest());
         self.selected.clear();
         self.teacher.clear();
     }
@@ -360,6 +362,11 @@ impl<'a> CkCursor<'a> {
         let s = &self.data[self.pos..self.pos + n];
         self.pos += n;
         s
+    }
+
+    /// Everything not yet read.
+    fn rest(self) -> &'a [f32] {
+        &self.data[self.pos..]
     }
 
     fn u32(&mut self) -> u32 {

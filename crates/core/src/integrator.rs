@@ -14,6 +14,10 @@
 //!   plus a per-round f64 series).
 //! * series `integrate.conflict_angle_deg` — mean pre-QP angle per
 //!   call, round-indexed for trajectory plots (`obs report`).
+//!
+//! GEM and A-GEM project through this type too (at margin 0), so every
+//! `qp.*` counter and histogram includes their solves alongside
+//! FedKNOW's.
 
 use fedknow_math::qp::{integrate_gradient, QpConfig};
 use fedknow_math::MathError;

@@ -27,7 +27,6 @@ pub mod config;
 pub mod extractor;
 pub mod integrator;
 pub mod restorer;
-pub mod wire;
 
 pub use client::FedKnowClient;
 pub use config::FedKnowConfig;

@@ -1,6 +1,5 @@
 //! Property-based tests for the FedKNOW components.
 
-use fedknow::wire::{decode_knowledge, encode_framed_knowledge, encode_knowledge};
 use fedknow::{ExtractionStrategy, GradientIntegrator, GradientRestorer, KnowledgeExtractor};
 use fedknow_fl::framing::{
     read_frame, read_frame_traced, write_frame, write_frame_traced, FrameDecoder, FrameError,
@@ -13,36 +12,6 @@ use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The wire format round-trips arbitrary sparse knowledge exactly.
-    #[test]
-    fn wire_roundtrip(
-        task_id in 0u32..10_000,
-        dense_len in 1usize..500,
-        entries in prop::collection::vec((any::<u16>(), -100.0f32..100.0), 0..64),
-    ) {
-        // Build a valid strictly-increasing index set within bounds.
-        let mut idx: Vec<u32> =
-            entries.iter().map(|(i, _)| (*i as u32) % dense_len as u32).collect();
-        idx.sort_unstable();
-        idx.dedup();
-        let values: Vec<f32> = entries.iter().take(idx.len()).map(|(_, v)| *v).collect();
-        let k = SparseVec::new(dense_len, idx, values);
-        let blob = encode_knowledge(task_id, &k);
-        let (t, back) = decode_knowledge(&blob).unwrap();
-        prop_assert_eq!(t, task_id);
-        prop_assert_eq!(back, k);
-    }
-
-    /// Truncating a valid blob anywhere must error, never panic or
-    /// return garbage.
-    #[test]
-    fn wire_truncation_always_errors(cut_frac in 0.0f64..0.999) {
-        let k = SparseVec::new(50, vec![1, 5, 30], vec![1.0, -2.0, 3.0]);
-        let blob = encode_knowledge(3, &k);
-        let cut = ((blob.len() as f64) * cut_frac) as usize;
-        prop_assert!(decode_knowledge(&blob[..cut]).is_err());
-    }
 
     /// The integrated gradient never conflicts with any constraint, for
     /// random gradients of realistic dimensionality.
@@ -268,32 +237,5 @@ proptest! {
             let err = read_frame_traced(&mut r).unwrap_err();
             prop_assert!(err == FrameError::Truncated, "cut at {cut}: {err:?}");
         }
-    }
-
-    /// Framed knowledge blobs survive the full stack: knowledge →
-    /// blob → frame → fragmented transport → frame → blob → knowledge.
-    #[test]
-    fn framed_knowledge_roundtrips_fragmented(
-        task_id in 0u32..1000,
-        dense_len in 1usize..300,
-        n in 0usize..20,
-        chunk in 1usize..32,
-    ) {
-        let idx: Vec<u32> = (0..n.min(dense_len)).map(|i| i as u32).collect();
-        let values: Vec<f32> = idx.iter().map(|&i| i as f32 * 0.5 - 1.0).collect();
-        let k = SparseVec::new(dense_len, idx, values);
-        let framed = encode_framed_knowledge(task_id, &k).unwrap();
-        let mut d = FrameDecoder::new();
-        let mut got = None;
-        for piece in framed.chunks(chunk) {
-            d.feed(piece);
-            if let Some(f) = d.next_frame().unwrap() {
-                got = Some(f);
-            }
-        }
-        let payload = got.expect("one complete frame");
-        let (t, back) = decode_knowledge(&payload).unwrap();
-        prop_assert_eq!(t, task_id);
-        prop_assert_eq!(back, k);
     }
 }

@@ -209,17 +209,27 @@ pub trait FclClient: Send {
         0
     }
 
-    /// Flat parameters to persist in a simulation checkpoint. Default:
-    /// the same view [`Self::upload`] exposes. Methods whose full state
-    /// is their flat parameter vector (FedAvg-style) get exact
-    /// checkpoint/resume for free; methods with richer retained state
-    /// may override this and [`Self::restore_checkpoint`] together.
+    /// The client-state stream: everything this client must keep across
+    /// a task boundary, as one flat vector, for a simulation checkpoint.
+    /// A method that opts in returns its weights, any state it retains
+    /// across tasks, and the model's state buffers
+    /// ([`Model::flat_buffers`]), so that [`Self::restore_checkpoint`]
+    /// on a fresh client continues bit-identically.
+    ///
+    /// Default: `None` — this method's state is not known to fit the
+    /// stream, and [`Simulation::checkpoint`] refuses it with
+    /// [`SimError::BadCheckpoint`] rather than resume differently.
+    ///
+    /// [`Simulation::checkpoint`]: crate::Simulation::checkpoint
+    /// [`SimError::BadCheckpoint`]: crate::SimError::BadCheckpoint
     fn checkpoint_params(&mut self) -> Option<Vec<f32>> {
-        self.upload()
+        None
     }
 
-    /// Restore from parameters captured by [`Self::checkpoint_params`].
-    /// Default: treat them as an incoming global model.
+    /// Restore a fresh client from a stream captured by
+    /// [`Self::checkpoint_params`]. Only called for methods that opted
+    /// in. Default: treat the stream as an incoming global model, which
+    /// fits a method whose whole state is the vector it uploads.
     fn restore_checkpoint(&mut self, params: &[f32], rng: &mut StdRng) {
         self.receive_global(params, rng);
     }

@@ -26,13 +26,15 @@
 //! ## Checkpoint / resume
 //!
 //! [`Simulation::checkpoint`] runs a prefix of the task stream and
-//! captures a [`SimCheckpoint`] at the task boundary (driver
-//! bookkeeping, per-client parameters via
-//! [`FclClient::checkpoint_params`] stored as `fedknow-nn` checkpoints,
-//! and the exact RNG states). [`Simulation::resume`] restores the state
-//! into a freshly built simulation and completes the run; for methods
-//! whose state is their flat parameter vector the resumed [`SimReport`]
-//! is bit-identical to an uninterrupted run.
+//! captures a [`SimCheckpoint`] at the task boundary: driver
+//! bookkeeping, each client's state stream
+//! ([`FclClient::checkpoint_params`]) and the exact RNG states.
+//! [`Simulation::resume`] restores the state into a freshly built
+//! simulation and completes the run, and the resumed [`SimReport`] is
+//! bit-identical to an uninterrupted run. A method whose state is not
+//! known to fit the stream (its `checkpoint_params` returns `None`) is
+//! refused with [`SimError::BadCheckpoint`] before anything runs, so a
+//! resume never diverges silently.
 //!
 //! [`FaultPlan`]: crate::faults::FaultPlan
 
@@ -46,7 +48,6 @@ use crate::server::AggregateError;
 use crate::transport::TransportError;
 use fedknow_data::ClientDataset;
 use fedknow_math::rng::substream;
-use fedknow_nn::checkpoint::Checkpoint as ParamCheckpoint;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
@@ -296,13 +297,13 @@ pub struct SimCheckpoint {
     /// Exact per-client RNG states (4 words each; a `Vec` because the
     /// vendored serde has no fixed-size-array support).
     pub rng_states: Vec<Vec<u64>>,
-    /// Per-client parameters, as `fedknow-nn` model checkpoints.
-    pub client_params: Vec<Option<ParamCheckpoint>>,
+    /// Per-client state streams ([`FclClient::checkpoint_params`]).
+    pub client_params: Vec<Vec<f32>>,
 }
 
 impl SimCheckpoint {
     /// Current format version.
-    pub const VERSION: u16 = 1;
+    pub const VERSION: u16 = 2;
 }
 
 /// A configured simulation: clients (one algorithm instance each), their
@@ -356,21 +357,26 @@ impl Simulation {
     /// boundary. Feeding it to [`Self::resume`] on a freshly built,
     /// identically configured simulation completes the run;
     /// `tasks >= the stream length` checkpoints the completed run.
+    ///
+    /// Refused with [`SimError::BadCheckpoint`], before the prefix runs,
+    /// when a client's method does not declare its whole state
+    /// ([`FclClient::checkpoint_params`] returns `None`).
     pub fn checkpoint(&mut self, tasks: usize) -> Result<SimCheckpoint, SimError> {
+        self.client_states()?;
         engine::init_run(&self.cfg, self.clients[0].method_name());
         let (mut st, mut rngs) = self.fresh_state();
         let until = tasks.min(self.data[0].tasks.len());
         let (mut link, env) = self.split(&mut rngs);
         engine::advance(&mut link, &env, &mut st, until)?;
         fedknow_obs::mark(&format!("checkpoint.capture tasks={until}"));
-        let ck = self.capture(&st, &rngs);
+        let ck = self.capture(&st, &rngs)?;
         if fedknow_verify::is_enabled() {
             // Capturing must be a pure read: a second capture of the same
             // state has to be identical, or resume would replay from a
             // snapshot that drifted from the run it claims to freeze.
             fedknow_verify::report(
                 "sim.checkpoint_stable",
-                if self.capture(&st, &rngs) == ck {
+                if matches!(self.capture(&st, &rngs), Ok(again) if again == ck) {
                     Ok(())
                 } else {
                     Err("capturing the same state twice produced different checkpoints".into())
@@ -382,10 +388,9 @@ impl Simulation {
 
     /// Restore a checkpointed run into this (freshly built) simulation
     /// and complete it. The configuration must match the interrupted
-    /// run's; per-client parameters are restored through
-    /// [`FclClient::restore_checkpoint`], so for methods whose state is
-    /// their flat parameter vector the final report is bit-identical to
-    /// an uninterrupted [`Self::run`].
+    /// run's; each client's state stream is restored through
+    /// [`FclClient::restore_checkpoint`], and the final report is
+    /// bit-identical to an uninterrupted [`Self::run`].
     pub fn resume(&mut self, ck: &SimCheckpoint) -> Result<SimReport, SimError> {
         fedknow_obs::init_from_env();
         fedknow_obs::mark(&format!("checkpoint.resume next_task={}", ck.next_task));
@@ -419,21 +424,27 @@ impl Simulation {
         (link, env)
     }
 
-    /// Snapshot the driver state and every client's parameters.
-    fn capture(&mut self, st: &RunState, rngs: &[StdRng]) -> SimCheckpoint {
-        let client_params = self
-            .clients
+    /// Every client's state stream, or the refusal naming the method
+    /// when a client does not declare one.
+    fn client_states(&mut self) -> Result<Vec<Vec<f32>>, SimError> {
+        let method = self.clients[0].method_name();
+        self.clients
             .iter_mut()
             .map(|c| {
-                c.checkpoint_params().map(|params| ParamCheckpoint {
-                    version: 1,
-                    param_count: params.len(),
-                    segment_lens: vec![params.len()],
-                    params,
+                c.checkpoint_params().ok_or_else(|| {
+                    SimError::BadCheckpoint(format!(
+                        "method '{method}' does not declare its whole client state, \
+                         so a resume could not reproduce the run"
+                    ))
                 })
             })
-            .collect();
-        SimCheckpoint {
+            .collect()
+    }
+
+    /// Snapshot the driver state and every client's state stream.
+    fn capture(&mut self, st: &RunState, rngs: &[StdRng]) -> Result<SimCheckpoint, SimError> {
+        let client_params = self.client_states()?;
+        Ok(SimCheckpoint {
             version: SimCheckpoint::VERSION,
             method: self.clients[0].method_name().to_string(),
             seed: self.cfg.seed,
@@ -454,11 +465,11 @@ impl Simulation {
             fault_log: st.fault_log.clone(),
             rng_states: rngs.iter().map(|r| r.state().to_vec()).collect(),
             client_params,
-        }
+        })
     }
 
     /// Validate a checkpoint against this simulation and rebuild the
-    /// driver state, restoring client parameters and RNG streams.
+    /// driver state, restoring client state streams and RNG streams.
     fn restore_state(&mut self, ck: &SimCheckpoint) -> Result<(RunState, Vec<StdRng>), SimError> {
         let n = self.clients.len();
         let bad = |msg: String| SimError::BadCheckpoint(msg);
@@ -513,34 +524,27 @@ impl Simulation {
             })?;
             rngs.push(StdRng::from_state(state));
         }
-        for (c, saved) in ck.client_params.iter().enumerate() {
-            let Some(saved) = saved else { continue };
-            if saved.param_count != saved.params.len() {
+        // A fresh client's stream is the floor: methods with retained
+        // state (FedKNOW's knowledge) only grow past it, so a saved
+        // stream shorter than a fresh one is a different architecture.
+        // Exact validation of grown streams is the method's own job
+        // inside `restore_checkpoint`.
+        let fresh = self.client_states()?;
+        for (c, (saved, fresh)) in ck.client_params.iter().zip(&fresh).enumerate() {
+            if saved.len() < fresh.len() {
                 return Err(bad(format!(
-                    "client {c} params: count field {} but {} values",
-                    saved.param_count,
-                    saved.params.len()
+                    "client {c} architecture mismatch: checkpoint holds a {}-float state stream, a fresh client's already has {}",
+                    saved.len(),
+                    fresh.len()
                 )));
             }
-            // A fresh client's state is the floor: methods with retained
-            // state (FedKNOW's knowledge) only grow past it, so a saved
-            // stream shorter than a fresh one is a different architecture.
-            // Exact validation of grown streams is the method's own job
-            // inside `restore_checkpoint`.
-            if let Some(current) = self.clients[c].checkpoint_params() {
-                if saved.param_count < current.len() {
-                    return Err(bad(format!(
-                        "client {c} architecture mismatch: checkpoint holds {} params, a fresh model already has {}",
-                        saved.param_count,
-                        current.len()
-                    )));
-                }
-            }
+        }
+        for (c, saved) in ck.client_params.iter().enumerate() {
             // Restoration draws no method randomness by contract; a
             // scratch stream satisfies the signature without touching
             // the restored training streams.
             let mut scratch = substream(0, 0xC0DE ^ c as u64);
-            self.clients[c].restore_checkpoint(&saved.params, &mut scratch);
+            self.clients[c].restore_checkpoint(saved, &mut scratch);
         }
         let st = RunState {
             next_task: ck.next_task,
@@ -763,6 +767,9 @@ mod tests {
         }
         fn retained_bytes(&self) -> u64 {
             self.retained
+        }
+        fn checkpoint_params(&mut self) -> Option<Vec<f32>> {
+            Some(self.params.clone())
         }
         fn method_name(&self) -> &'static str {
             "stub"
@@ -1063,6 +1070,14 @@ mod tests {
         // Version from the future.
         let mut broken = ck.clone();
         broken.version = 99;
+        assert!(matches!(
+            stub_sim(false, 0, FaultConfig::default()).resume(&broken),
+            Err(SimError::BadCheckpoint(_))
+        ));
+        // A client stream shorter than a fresh client's: another
+        // architecture.
+        let mut broken = ck.clone();
+        broken.client_params[0].pop();
         assert!(matches!(
             stub_sim(false, 0, FaultConfig::default()).resume(&broken),
             Err(SimError::BadCheckpoint(_))

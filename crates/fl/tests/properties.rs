@@ -40,6 +40,9 @@ impl FclClient for DriftClient {
     fn evaluate(&mut self, _t: &ClientTask) -> f64 {
         (f64::from(self.params[0]).sin() + 1.0) / 2.0
     }
+    fn checkpoint_params(&mut self) -> Option<Vec<f32>> {
+        Some(self.params.clone())
+    }
     fn method_name(&self) -> &'static str {
         "drift"
     }

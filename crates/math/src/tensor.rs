@@ -426,21 +426,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// `y += alpha * x` over raw slices.
-#[inline]
-pub fn axpy_slice(alpha: f32, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
-/// Euclidean norm of a slice.
-#[inline]
-pub fn norm_slice(a: &[f32]) -> f32 {
-    a.iter().map(|x| x * x).sum::<f32>().sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -80,6 +80,13 @@ impl Layer for Residual {
         }
     }
 
+    fn visit_buffers(&mut self, v: &mut dyn FnMut(&mut [f32])) {
+        self.main.visit_buffers(v);
+        if let Some(s) = &mut self.shortcut {
+            s.visit_buffers(v);
+        }
+    }
+
     fn zero_grad(&mut self) {
         self.main.zero_grad();
         if let Some(s) = &mut self.shortcut {
@@ -299,6 +306,12 @@ impl Layer for Concat {
         }
     }
 
+    fn visit_buffers(&mut self, v: &mut dyn FnMut(&mut [f32])) {
+        for br in &mut self.branches {
+            br.visit_buffers(v);
+        }
+    }
+
     fn zero_grad(&mut self) {
         for br in &mut self.branches {
             br.zero_grad();
@@ -388,6 +401,12 @@ impl Layer for SplitConcat {
     fn take_grad_slots(&mut self, v: &mut dyn FnMut(usize, Vec<f32>)) {
         for br in &mut self.branches {
             br.take_grad_slots(v);
+        }
+    }
+
+    fn visit_buffers(&mut self, v: &mut dyn FnMut(&mut [f32])) {
+        for br in &mut self.branches {
+            br.visit_buffers(v);
         }
     }
 

@@ -71,6 +71,12 @@ pub trait Layer: Send {
     /// them. Slot 0 stays. Default no-op for parameter-free layers.
     fn take_grad_slots(&mut self, _v: &mut dyn FnMut(usize, Vec<f32>)) {}
 
+    /// Visit every state buffer that is not a parameter but that
+    /// inference reads (BatchNorm's running statistics), in a
+    /// deterministic order. Composites forward the call to their
+    /// children. The default is a no-op for layers without such state.
+    fn visit_buffers(&mut self, _v: &mut dyn FnMut(&mut [f32])) {}
+
     /// Zero all gradient buffers (every slot). Default no-op for
     /// parameter-free layers.
     fn zero_grad(&mut self) {}
@@ -250,6 +256,12 @@ impl Layer for Sequential {
     fn take_grad_slots(&mut self, v: &mut dyn FnMut(usize, Vec<f32>)) {
         for l in &mut self.layers {
             l.take_grad_slots(v);
+        }
+    }
+
+    fn visit_buffers(&mut self, v: &mut dyn FnMut(&mut [f32])) {
+        for l in &mut self.layers {
+            l.visit_buffers(v);
         }
     }
 

@@ -17,7 +17,6 @@
 
 pub mod activations;
 pub mod blocks;
-pub mod checkpoint;
 pub mod conv;
 pub mod layer;
 pub mod linear;

@@ -168,20 +168,27 @@ impl Model {
             });
     }
 
-    /// Overwrite all gradient buffers from a flat vector (used after
-    /// gradient integration rewrites the update direction).
-    pub fn set_flat_grads(&mut self, flat: &[f32]) {
-        assert_eq!(
-            flat.len(),
-            self.param_count,
-            "flat gradient length mismatch"
-        );
-        let mut off = 0usize;
+    /// Copy every layer's state buffers ([`Layer::visit_buffers`]: the
+    /// BatchNorm running statistics) into one flat vector, in visit
+    /// order. Empty for a model without such state.
+    pub fn flat_buffers(&mut self) -> Vec<f32> {
+        let mut out = Vec::new();
         self.root
-            .visit_params(&mut |_: &str, _: &[usize], _: &mut [f32], g: &mut [f32]| {
-                g.copy_from_slice(&flat[off..off + g.len()]);
-                off += g.len();
-            });
+            .visit_buffers(&mut |b: &mut [f32]| out.extend_from_slice(b));
+        out
+    }
+
+    /// Overwrite every state buffer from a vector produced by
+    /// [`flat_buffers`](Self::flat_buffers). Panics on length mismatch.
+    pub fn set_flat_buffers(&mut self, flat: &[f32]) {
+        let mut rest = flat;
+        self.root.visit_buffers(&mut |b: &mut [f32]| {
+            assert!(rest.len() >= b.len(), "flat buffer length mismatch");
+            let (head, tail) = rest.split_at(b.len());
+            b.copy_from_slice(head);
+            rest = tail;
+        });
+        assert!(rest.is_empty(), "flat buffer length mismatch");
     }
 
     /// `w ← w − lr · update` over the flat view, without materialising the

@@ -184,6 +184,28 @@ mod tests {
         }
     }
 
+    /// Every BatchNorm's running statistics reach `flat_buffers`,
+    /// whichever composites hold it, and `set_flat_buffers` puts them
+    /// back after a training forward moved them.
+    #[test]
+    fn zoo_buffers_cover_every_batchnorm() {
+        for kind in ModelKind::ALL {
+            let mut m = kind.build(&mut seeded(3), 3, 5, 1.0);
+            let bn: usize = m
+                .layout()
+                .iter()
+                .filter(|s| s.name == "bn.gamma")
+                .map(|s| s.len)
+                .sum();
+            let before = m.flat_buffers();
+            assert_eq!(before.len(), 2 * bn, "{}", kind.name());
+            m.forward(Tensor::full(&[2, 3, 8, 8], 0.1), true);
+            assert!(bn == 0 || m.flat_buffers() != before, "{}", kind.name());
+            m.set_flat_buffers(&before);
+            assert_eq!(m.flat_buffers(), before, "{}", kind.name());
+        }
+    }
+
     /// Width multiplier must grow the parameter count.
     #[test]
     fn width_mult_scales_parameters() {

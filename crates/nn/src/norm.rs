@@ -182,6 +182,11 @@ impl Layer for BatchNorm2d {
         self.grad_beta.take_rest(v);
     }
 
+    fn visit_buffers(&mut self, v: &mut dyn FnMut(&mut [f32])) {
+        v(&mut self.running_mean);
+        v(&mut self.running_var);
+    }
+
     fn zero_grad(&mut self) {
         self.grad_gamma.zero();
         self.grad_beta.zero();

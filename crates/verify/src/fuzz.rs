@@ -27,14 +27,6 @@ impl Tol {
             rel: 1e-3,
         }
     }
-
-    /// Tight tolerance for kernels that accumulate in f64 themselves.
-    pub fn f64_accumulate() -> Self {
-        Tol {
-            abs: 1e-9,
-            rel: 1e-8,
-        }
-    }
 }
 
 /// Units-in-the-last-place distance between two finite `f32`s — the

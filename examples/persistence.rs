@@ -1,20 +1,19 @@
-//! Device restart survival: persist a client's model checkpoint and its
-//! signature-task knowledge to disk, "reboot", and resume with retention
-//! intact.
+//! Device restart survival: persist a client's whole state — weights,
+//! signature-task knowledge, BatchNorm statistics — to disk, "reboot",
+//! and resume with retention intact; then do the same for a whole
+//! federation mid-stream.
 //!
-//! Uses `fedknow_nn::checkpoint` for the weights and `fedknow::wire`'s
-//! binary knowledge format (what the communication model's byte counts
-//! correspond to).
+//! Both use the one client-state stream,
+//! `FclClient::checkpoint_params` / `restore_checkpoint`.
 //!
 //! Run with: `cargo run --release --example persistence`
 
-use fedknow::wire::{decode_knowledge, encode_knowledge};
-use fedknow::{FedKnowClient, FedKnowConfig, GradientRestorer};
+use fedknow::{FedKnowClient, FedKnowConfig};
 use fedknow_baselines::Method;
 use fedknow_data::{generate::generate, partition, DatasetSpec, PartitionConfig};
 use fedknow_fl::{FaultConfig, FclClient, ModelTemplate, SimCheckpoint};
 use fedknow_math::rng::seeded;
-use fedknow_nn::{checkpoint, ModelKind};
+use fedknow_nn::ModelKind;
 use fedknow_suite::RunSpec;
 
 fn main() {
@@ -25,9 +24,10 @@ fn main() {
     let dataset = generate(&spec, 21);
     let tasks = &partition(&dataset, 1, &PartitionConfig::default(), 21)[0].tasks;
     let template = ModelTemplate::new(ModelKind::SixCnn, 3, spec.total_classes(), 1.0, 21);
+    let new_client = || FedKnowClient::new(&template, FedKnowConfig::default(), 8, vec![3, 8, 8]);
 
-    // --- Session 1: learn both tasks, persist everything. ---
-    let mut client = FedKnowClient::new(&template, FedKnowConfig::default(), 8, vec![3, 8, 8]);
+    // --- Session 1: learn both tasks, persist the client's state. ---
+    let mut client = new_client();
     let mut rng = seeded(1);
     for task in tasks {
         client.start_task(task, &mut rng);
@@ -37,50 +37,39 @@ fn main() {
         client.finish_task(&mut rng);
     }
     let acc_before: Vec<f64> = tasks.iter().map(|t| client.evaluate(t)).collect();
-    checkpoint::save(&mut client.trainer_mut().model, &dir.join("model.json")).expect("save model");
-    let mut total_bytes = 0usize;
-    for (i, k) in client.knowledges().iter().enumerate() {
-        let blob = encode_knowledge(i as u32, k);
-        total_bytes += blob.len();
-        std::fs::write(dir.join(format!("knowledge_{i}.bin")), &blob).expect("save knowledge");
-    }
+    let state_path = dir.join("client.state.json");
+    let stream = client
+        .checkpoint_params()
+        .expect("FedKNOW declares its state");
+    let blob = serde_json::to_string(&stream).expect("serialise client state");
+    std::fs::write(&state_path, &blob).expect("write client state");
     println!(
-        "session 1: accuracies {acc_before:?}, persisted model + {} knowledge blobs ({total_bytes} bytes)",
-        client.knowledges().len()
+        "session 1: accuracies {acc_before:?}, persisted {} knowledge sets ({} bytes)",
+        client.knowledges().len(),
+        blob.len()
     );
     drop(client); // the device "powers off"
 
-    // --- Session 2: fresh process state, restore from disk. ---
-    let mut restored = template.instantiate();
-    checkpoint::load(&mut restored, &dir.join("model.json")).expect("load model");
-    let mut knowledges = Vec::new();
-    for i in 0.. {
-        let path = dir.join(format!("knowledge_{i}.bin"));
-        let Ok(blob) = std::fs::read(&path) else {
-            break;
-        };
-        let (task_id, k) = decode_knowledge(&blob).expect("decode knowledge");
-        assert_eq!(task_id as usize, i);
-        knowledges.push(k);
-    }
+    // --- Session 2: a fresh client, restored from disk. ---
+    let stream: Vec<f32> =
+        serde_json::from_str(&std::fs::read_to_string(&state_path).expect("read client state"))
+            .expect("parse client state");
+    let mut restored = new_client();
+    restored.restore_checkpoint(&stream, &mut seeded(2));
+    let acc_after: Vec<f64> = tasks.iter().map(|t| restored.evaluate(t)).collect();
+    assert_eq!(restored.knowledges().len(), tasks.len());
+    assert!(
+        acc_before
+            .iter()
+            .zip(&acc_after)
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "restored accuracies {acc_after:?} differ from {acc_before:?}"
+    );
     println!(
-        "session 2: restored model + {} knowledge sets",
-        knowledges.len()
+        "session 2: restored {} knowledge sets, accuracies bit-equal",
+        restored.knowledges().len()
     );
 
-    // The restored knowledge still drives the gradient restorer: its
-    // pseudo-gradients are finite and non-trivial, so continual learning
-    // can resume exactly where it stopped.
-    let batch = {
-        let refs: Vec<&fedknow_data::Sample> = tasks[1].train.iter().take(8).collect();
-        fedknow_data::to_tensor(&refs, &[3, 8, 8]).0
-    };
-    for (i, k) in knowledges.iter().enumerate() {
-        let g = GradientRestorer.restore(&mut restored, k, &batch);
-        let norm: f32 = g.iter().map(|v| v * v).sum::<f32>().sqrt();
-        println!("restored gradient for task {i}: ‖g‖ = {norm:.4}");
-        assert!(norm.is_finite());
-    }
     // --- Session 3: the whole federation checkpoints mid-stream. ---
     // One client device is not the only thing that reboots; the
     // coordinator can too. Checkpoint a fault-injected federation after

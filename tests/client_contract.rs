@@ -5,9 +5,10 @@
 use fedknow_baselines::factory::MethodConfig;
 use fedknow_baselines::{build_client, Method};
 use fedknow_data::{generate::generate, partition, ClientTask, DatasetSpec, PartitionConfig};
-use fedknow_fl::{FclClient, ModelTemplate};
+use fedknow_fl::{FclClient, ModelTemplate, SimError};
 use fedknow_math::rng::seeded;
 use fedknow_nn::ModelKind;
+use fedknow_suite::RunSpec;
 
 fn setup() -> (ModelTemplate, Vec<ClientTask>) {
     let spec = DatasetSpec::cifar100().scaled(0.3, 8).with_tasks(2);
@@ -138,5 +139,59 @@ fn training_moves_parameters_for_every_method() {
         }
         let after = client.upload().unwrap();
         assert_ne!(before, after, "{}: training was a no-op", method.name());
+    }
+}
+
+/// Checkpoint `method` after task 1 and resume: `None` when the
+/// checkpoint is refused with a typed error (before anything runs),
+/// otherwise whether the resumed report equals the uninterrupted one.
+fn resume_row(spec: &RunSpec, method: Method) -> Option<bool> {
+    let ck = match spec.build(method).checkpoint(1) {
+        Ok(ck) => ck,
+        Err(SimError::BadCheckpoint(_)) => return None,
+        Err(e) => panic!("{}: checkpoint failed: {e}", method.name()),
+    };
+    let resumed = spec
+        .build(method)
+        .resume(&ck)
+        .unwrap_or_else(|e| panic!("{}: resume failed: {e}", method.name()));
+    let full = spec.build(method).run().expect("uninterrupted run");
+    Some(full == resumed)
+}
+
+/// Every method either resumes to the uninterrupted report or refuses
+/// the checkpoint; FedKNOW and FedAvg resume exactly, also on a model
+/// whose BatchNorm running statistics are part of the state.
+#[test]
+fn resume_is_exact_or_refused() {
+    let sixcnn = RunSpec {
+        num_clients: 2,
+        ..RunSpec::quick(7)
+    };
+    let resnet = RunSpec {
+        model: ModelKind::ResNet18,
+        width: 0.25,
+        rounds_per_task: 1,
+        iters_per_round: 2,
+        ..sixcnn.clone()
+    };
+    for method in Method::ALL {
+        let row = resume_row(&sixcnn, method);
+        assert_ne!(
+            row,
+            Some(false),
+            "sixcnn {}: resumed differently",
+            method.name()
+        );
+        if matches!(method, Method::FedKnow | Method::FedAvg) {
+            assert_eq!(row, Some(true), "sixcnn {}: must resume", method.name());
+            let row = resume_row(&resnet, method);
+            assert_eq!(
+                row,
+                Some(true),
+                "resnet18 {}: must resume exactly",
+                method.name()
+            );
+        }
     }
 }
