@@ -48,11 +48,10 @@ impl ApflClient {
     }
 
     /// `ᾱ·v + (1−ᾱ)·w` as a flat vector.
-    fn mixed_params(&mut self) -> Vec<f32> {
-        let w = self.trainer.model.flat_params();
+    fn mixed_params(&self) -> Vec<f32> {
         self.personal
             .iter()
-            .zip(&w)
+            .zip(self.trainer.model.params())
             .map(|(&v, &wi)| self.alpha * v + (1.0 - self.alpha) * wi)
             .collect()
     }
@@ -72,12 +71,12 @@ impl FclClient for ApflClient {
 
         // 2. Personal step: gradient of the mixture loss, applied to v
         //    (chain rule factor ᾱ) and to ᾱ itself.
-        let w = self.trainer.model.flat_params();
-        let mixed = self.mixed_params();
-        self.trainer.model.set_flat_params(&mixed);
+        let mut mixed = self.mixed_params();
+        self.trainer.model.swap_params(&mut mixed);
         let _ = self.trainer.compute_grads(&x, &labels);
-        let g_mixed = self.trainer.model.flat_grads();
-        self.trainer.model.set_flat_params(&w);
+        self.trainer.model.swap_params(&mut mixed);
+        let w = self.trainer.model.params();
+        let g_mixed = self.trainer.model.grad_slot(0);
         // ∂L/∂ᾱ = ⟨g_mixed, v − w⟩.
         let mut dalpha = 0.0f32;
         for i in 0..self.personal.len() {
@@ -105,12 +104,11 @@ impl FclClient for ApflClient {
 
     fn evaluate(&mut self, task: &ClientTask) -> f64 {
         // Predict with the personalised mixture.
-        let w = self.trainer.model.flat_params();
-        let mixed = self.mixed_params();
-        self.trainer.model.set_flat_params(&mixed);
+        let mut mixed = self.mixed_params();
+        self.trainer.model.swap_params(&mut mixed);
         let image_shape = self.trainer.image_shape().to_vec();
         let acc = evaluate_model(&mut self.trainer.model, task, &image_shape);
-        self.trainer.model.set_flat_params(&w);
+        self.trainer.model.swap_params(&mut mixed);
         acc
     }
 

@@ -73,24 +73,22 @@ impl FclClient for Co2lClient {
         let mut flops = self.trainer.iteration_flops();
 
         // Distillation from the previous-task snapshot on rehearsal data.
-        if let Some(snapshot) = self.snapshot.clone() {
+        if let Some(snapshot) = self.snapshot.as_mut() {
             let image_shape = self.trainer.image_shape().to_vec();
             if let Some((mx, _)) =
                 self.memory
                     .sample_mixed_batch(self.trainer.batch_size, &image_shape, rng)
             {
                 // Teacher distribution from the frozen snapshot.
-                let live = self.trainer.model.flat_params();
-                self.trainer.model.set_flat_params(&snapshot);
+                self.trainer.model.swap_params(snapshot);
                 let teacher = self.trainer.model.forward(mx.clone(), false).softmax_rows();
-                self.trainer.model.set_flat_params(&live);
+                self.trainer.model.swap_params(snapshot);
                 // Student gradient against the teacher.
                 self.trainer.model.zero_grad();
                 let logits = self.trainer.model.forward(mx, true);
                 let (_, grad) = soft_cross_entropy(&logits, &teacher);
                 self.trainer.model.backward(grad);
-                let distill = self.trainer.model.flat_grads();
-                for (u, d) in update.iter_mut().zip(&distill) {
+                for (u, d) in update.iter_mut().zip(self.trainer.model.grad_slot(0)) {
                     *u += self.distill_weight * d;
                 }
                 flops += self.trainer.iteration_flops() * 4 / 3;

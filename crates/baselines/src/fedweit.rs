@@ -88,8 +88,8 @@ impl FedWeitClient {
 
     /// Per-layer top-`q` sparsification of `w − base` (FedWEIT masks per
     /// layer, which is what starves small layers).
-    fn current_adaptive(&mut self) -> SparseVec {
-        let w = self.trainer.model.flat_params();
+    fn current_adaptive(&self) -> SparseVec {
+        let w = self.trainer.model.params();
         let n = w.len();
         let mut indices = Vec::new();
         let mut values = Vec::new();
@@ -122,7 +122,7 @@ impl FclClient for FedWeitClient {
         let loss = self.trainer.compute_grads(&x, &labels);
         let mut update = self.trainer.model.flat_grads();
         // Drift regulariser toward the shared base.
-        let params = self.trainer.model.flat_params();
+        let params = self.trainer.model.params();
         for i in 0..update.len() {
             update[i] += self.drift_lambda * (params[i] - self.base[i]);
         }
@@ -177,14 +177,13 @@ impl FclClient for FedWeitClient {
         }
         // Weighted inter-client transfer: blend a small attention-
         // weighted average of the received adaptives into the weights.
-        let mut w = self.trainer.model.flat_params();
+        let w = self.trainer.model.params_mut();
         let scale = self.transfer_weight / fresh.len() as f32;
         for p in fresh {
             for (&i, &v) in p.sparse.indices().iter().zip(p.sparse.values()) {
                 w[i as usize] += scale * v;
             }
         }
-        self.trainer.model.set_flat_params(&w);
     }
 
     fn finish_task(&mut self, _rng: &mut StdRng) {
@@ -196,19 +195,18 @@ impl FclClient for FedWeitClient {
         // Task-conditioned model: base + that task's retained adaptive.
         match self.own_adaptives.get(&task.task_id) {
             Some(a) => {
-                let w = self.trainer.model.flat_params();
                 let mut cond = self.base.clone();
                 for (&i, &v) in a.indices().iter().zip(a.values()) {
                     cond[i as usize] += v;
                 }
-                self.trainer.model.set_flat_params(&cond);
+                self.trainer.model.swap_params(&mut cond);
                 let image_shape = self.trainer.image_shape().to_vec();
                 let acc = fedknow_fl::trainer::evaluate_model(
                     &mut self.trainer.model,
                     task,
                     &image_shape,
                 );
-                self.trainer.model.set_flat_params(&w);
+                self.trainer.model.swap_params(&mut cond);
                 acc
             }
             None => self.trainer.evaluate_task(task),

@@ -43,7 +43,7 @@ use fedknow_math::rng::normal_vec;
 use fedknow_math::{distance, Tensor};
 use fedknow_nn::conv::Conv2d;
 use fedknow_nn::models::six_cnn_layers;
-use fedknow_nn::Layer;
+use fedknow_nn::Model;
 use fedknow_verify::oracle::{self, ConvSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -180,7 +180,11 @@ fn bench_conv(
 ) {
     let shape = format!("b{b} {cin}->{cout} k3 s1 p1 {hw}x{hw}");
     let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut conv = Conv2d::conv3x3(&mut rng, cin, cout, 1);
+    let mut conv = Model::new(
+        Conv2d::conv3x3(&mut rng, cin, cout, 1),
+        &[cin, hw, hw],
+        cout,
+    );
     let x = Tensor::from_vec(vals(b * cin * hw * hw, 3), &[b, cin, hw, hw]);
     let s = flops::Conv2dShape {
         batch: b,
@@ -278,7 +282,12 @@ fn bench_sixcnn_layers(opts: &Opts) -> Vec<LayerRow> {
     // same min-of-k reading.
     let reps = opts.reps * 20;
     let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut layers = six_cnn_layers(&mut rng, 3, 10, 1.0).into_layers();
+    // Each layer alone in a model: the arena its weights bind into.
+    let (names, mut layers): (Vec<&str>, Vec<Model>) = six_cnn_layers(&mut rng, 3, 10, 1.0)
+        .into_layers()
+        .into_iter()
+        .map(|l| (l.name(), Model::from_boxed(l, &[], 0)))
+        .unzip();
     let shape = [BATCH, 3, 16, 16];
     let x = normal_vec(&mut rng, shape.iter().product(), 0.0, 1.0);
     // acts[i] is layer i's input; out_grads[i] the gradient at its output.
@@ -336,7 +345,7 @@ fn bench_sixcnn_layers(opts: &Opts) -> Vec<LayerRow> {
                 },
             );
             LayerRow {
-                label: format!("{i:02} {} {:?}", l.name(), acts[i].shape()),
+                label: format!("{i:02} {} {:?}", names[i], acts[i].shape()),
                 fwd_ns,
                 bwd_ns,
                 bwd_stacked_ns,

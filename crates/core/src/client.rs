@@ -110,31 +110,31 @@ impl FedKnowClient {
         tasks.map(|i| self.teacher[i].gather_rows(rows)).collect()
     }
 
-    /// The gradients of one batch from one forward and one backward pass:
-    /// the training gradient, left in the model's gradient buffers, and
-    /// the restored gradient (Eq. 2) of every one of `targets`, returned
-    /// in order — their output gradients ride behind the training loss's
-    /// as slots `1..=t` of the one backward. Returns the loss too (zero,
-    /// with nothing restored, for an empty batch).
-    fn gradients(
-        &mut self,
-        x: &Tensor,
-        labels: &[usize],
-        targets: &[Tensor],
-    ) -> (f32, Vec<Vec<f32>>) {
+    /// The gradients of one batch from one forward and one backward pass,
+    /// left in the model's gradient slab: the training gradient in slot 0
+    /// and the restored gradient (Eq. 2) of `targets[i]` in slot `i + 1`
+    /// — their output gradients ride behind the training loss's as slots
+    /// `1..=t` of the one backward. Returns the loss and the count of
+    /// restored gradients (zero and none, with slot 0 zero, for an empty
+    /// batch).
+    fn gradients(&mut self, x: &Tensor, labels: &[usize], targets: &[Tensor]) -> (f32, usize) {
         let Some((loss, logits, grad)) = self.trainer.forward_loss(x, labels) else {
-            return (0.0, Vec::new());
+            return (0.0, 0);
         };
         if targets.is_empty() {
             self.trainer.backward(grad);
-            return (loss, Vec::new());
+            return (loss, 0);
         }
         // Each restored gradient: one backward, 2/3 of an iteration.
         self.pending_flops += targets.len() as u64 * (self.trainer.iteration_flops() * 2 / 3);
-        let restored = self
-            .restorer
+        self.restorer
             .replay(&mut self.trainer.model, &logits, Some(grad), targets);
-        (loss, restored)
+        (loss, targets.len())
+    }
+
+    /// Gradient slots `range` of the model, borrowed.
+    fn slots(&self, range: std::ops::RangeInclusive<usize>) -> Vec<&[f32]> {
+        range.map(|j| self.trainer.model.grad_slot(j)).collect()
     }
 
     /// Re-rank signature tasks on a fresh batch (run at task start and
@@ -147,14 +147,16 @@ impl FedKnowClient {
         }
         let (x, labels) = self.trainer.next_batch(rng);
         let targets = self.targets(0..self.teacher.len());
-        let (_, restored) = self.gradients(&x, &labels, &targets);
-        let g = self.trainer.model.flat_grads();
+        let (_, t) = self.gradients(&x, &labels, &targets);
         // The probe forward/backward; each candidate's backward is
         // debited by `gradients`.
         self.pending_flops += self.trainer.iteration_flops();
-        self.selected = self
-            .restorer
-            .select_among(&restored, &g, self.cfg.k, self.cfg.metric);
+        self.selected = self.restorer.select_among(
+            &self.slots(1..=t),
+            self.trainer.model.grad_slot(0),
+            self.cfg.k,
+            self.cfg.metric,
+        );
     }
 }
 
@@ -186,17 +188,18 @@ impl FclClient for FedKnowClient {
     fn train_iteration(&mut self, rng: &mut StdRng) -> IterationStats {
         let (x, labels) = self.trainer.next_batch(rng);
         let targets = self.targets(self.selected.iter().copied());
-        let (loss, restored) = self.gradients(&x, &labels, &targets);
-        let g = self.trainer.model.flat_grads();
-        let update = if restored.is_empty() {
-            g
-        } else {
-            self.integrator.integrate(&g, &restored)
-        };
+        let (loss, t) = self.gradients(&x, &labels, &targets);
+        let update = (t > 0).then(|| {
+            self.integrator
+                .integrate(self.trainer.model.grad_slot(0), &self.slots(1..=t))
+        });
         let flops = self.trainer.iteration_flops() + self.pending_flops;
         self.pending_flops = 0;
         let lr = self.trainer.opt.next_lr() as f32;
-        self.trainer.model.apply_update(&update, lr);
+        match update {
+            Some(update) => self.trainer.model.apply_update(&update, lr),
+            None => self.trainer.model.sgd_step(lr),
+        }
         IterationStats {
             loss: loss as f64,
             flops,
@@ -209,36 +212,36 @@ impl FclClient for FedKnowClient {
 
     fn receive_global(&mut self, global: &[f32], rng: &mut StdRng) {
         // Keep the pre-aggregation model for the cross-aggregation
-        // integration, then adopt the global model.
-        let local = self.trainer.model.flat_params();
-        self.trainer.model.set_flat_params(global);
+        // integration, then adopt the global model: `parked` holds the
+        // weights the model does not.
+        let mut parked = global.to_vec();
+        self.trainer.model.swap_params(&mut parked);
         if self.trainer.num_samples() > 0 {
             let epoch = self.trainer.num_samples().div_ceil(self.trainer.batch_size);
             let iters = self
                 .cfg
                 .post_agg_iters
                 .map_or(epoch, |n| n.min(epoch.max(1)));
+            let mut g_before = Vec::with_capacity(parked.len());
             for _ in 0..iters {
                 let (x, labels) = self.trainer.next_batch(rng);
                 // Gradient before aggregation (at the saved local
                 // weights) first...
-                let now = self.trainer.model.flat_params();
-                self.trainer.model.set_flat_params(&local);
+                self.trainer.model.swap_params(&mut parked);
                 self.trainer.compute_grads(&x, &labels);
-                let g_before = self.trainer.model.flat_grads();
+                g_before.clear();
+                g_before.extend_from_slice(self.trainer.model.grad_slot(0));
                 // ...so that the gradient after aggregation (at the
                 // adopted weights, same batch) shares its forward and
                 // backward with the signature-task restores.
-                self.trainer.model.set_flat_params(&now);
+                self.trainer.model.swap_params(&mut parked);
                 let targets = self.targets(self.selected.iter().copied());
-                let (_, restored) = self.gradients(&x, &labels, &targets);
-                let g_after = self.trainer.model.flat_grads();
-                // Constraints: the post-aggregation gradient (negative-
-                // transfer prevention) plus the signature-task gradients
-                // (the fine-tune must not undo forgetting prevention).
-                let mut constraints = vec![g_after];
-                constraints.extend(restored);
-                let update = self.integrator.integrate(&g_before, &constraints);
+                let (_, t) = self.gradients(&x, &labels, &targets);
+                // Constraints: the post-aggregation gradient in slot 0
+                // (negative-transfer prevention), then the signature-task
+                // gradients (the fine-tune must not undo forgetting
+                // prevention).
+                let update = self.integrator.integrate(&g_before, &self.slots(0..=t));
                 let lr = self.global_opt.next_lr() as f32;
                 self.trainer.model.apply_update(&update, lr);
                 self.pending_flops += 2 * self.trainer.iteration_flops();
@@ -287,10 +290,10 @@ impl FclClient for FedKnowClient {
     /// 16-bit limbs so every value survives an f32 (and JSON) round trip
     /// exactly.
     fn checkpoint_params(&mut self) -> Option<Vec<f32>> {
-        let weights = self.trainer.model.flat_params();
+        let weights = self.trainer.model.params();
         let mut buf = Vec::with_capacity(weights.len() + 8);
         push_u32(&mut buf, weights.len() as u32);
-        buf.extend_from_slice(&weights);
+        buf.extend_from_slice(weights);
         push_u64(&mut buf, self.pending_flops);
         push_u32(&mut buf, self.knowledges.len() as u32);
         for k in &self.knowledges {

@@ -84,8 +84,9 @@ impl GradientIntegrator {
         }
     }
 
-    /// Integrate `g` against the signature gradients `constraints`:
-    /// returns `g'` minimally rotated so `⟨g_i, g'⟩ ≥ 0` for all `i`.
+    /// Integrate `g` against the signature gradients `constraints` (owned
+    /// vectors, or slots borrowed from a model's gradient slab): returns
+    /// `g'` minimally rotated so `⟨g_i, g'⟩ ≥ 0` for all `i`.
     ///
     /// Falls back to the un-rotated gradient, counted in `qp.fallback`,
     /// when the QP does not converge within its iteration cap — so that
@@ -93,7 +94,7 @@ impl GradientIntegrator {
     /// 4-client SixCnn `probe` run (seed 7) falls back on 90 of its 330
     /// solves (114 take the fast path, 126 converge). Fixing the solver
     /// is ROADMAP item 4(a).
-    pub fn integrate(&self, g: &[f32], constraints: &[Vec<f32>]) -> Vec<f32> {
+    pub fn integrate<C: AsRef<[f32]>>(&self, g: &[f32], constraints: &[C]) -> Vec<f32> {
         if fedknow_obs::is_enabled() {
             self.record_pre_qp(g, constraints);
         }
@@ -139,14 +140,14 @@ impl GradientIntegrator {
 
     /// Pre-QP learning dynamics: per-signature-task conflict angles and
     /// the count of violated acute-angle constraints (Eq. 3).
-    fn record_pre_qp(&self, g: &[f32], constraints: &[Vec<f32>]) {
+    fn record_pre_qp<C: AsRef<[f32]>>(&self, g: &[f32], constraints: &[C]) {
         if constraints.is_empty() {
             return;
         }
         let mut sum = 0.0f64;
         let mut violations = 0u64;
         for c in constraints {
-            let deg = angle_deg(g, c);
+            let deg = angle_deg(g, c.as_ref());
             CONFLICT_ANGLE_CDEG.record((deg * 100.0).round() as u64);
             if deg > 90.0 {
                 violations += 1;
@@ -164,22 +165,13 @@ impl GradientIntegrator {
 
     /// Post-QP dynamics: the rotated angles (should be ≤ 90°) and the
     /// relative rotation magnitude `‖g' − g‖ / ‖g‖` (Eq. 5).
-    fn record_post_qp(&self, g: &[f32], constraints: &[Vec<f32>], rotated: &[f32]) {
+    fn record_post_qp<C: AsRef<[f32]>>(&self, g: &[f32], constraints: &[C], rotated: &[f32]) {
         for c in constraints {
-            POST_ANGLE_CDEG.record((angle_deg(rotated, c) * 100.0).round() as u64);
+            POST_ANGLE_CDEG.record((angle_deg(rotated, c.as_ref()) * 100.0).round() as u64);
         }
         let rotation = relative_rotation(g, rotated);
         ROTATION_PM.record((rotation * 1000.0).round() as u64);
         fedknow_obs::series("integrate.rotation", rotation);
-    }
-
-    /// The cross-aggregation integration (§III-A): rotate the
-    /// pre-aggregation gradient `g_before` to have an acute angle with
-    /// the post-aggregation gradient `g_after`, producing the update
-    /// that "incorporates global information from other clients, while
-    /// avoiding decreasing model accuracy in local data".
-    pub fn integrate_across_aggregation(&self, g_before: &[f32], g_after: &[f32]) -> Vec<f32> {
-        self.integrate(g_before, std::slice::from_ref(&g_after.to_vec()))
     }
 }
 
@@ -202,12 +194,15 @@ mod tests {
         }
     }
 
+    /// The cross-aggregation integration (§III-A): the pre-aggregation
+    /// gradient `g_before` rotated to an acute angle with the
+    /// post-aggregation gradient `g_after`.
     #[test]
     fn aggregation_integration_respects_global_direction() {
         let integ = GradientIntegrator::new(0.0);
         let g_before = vec![1.0, 0.0];
         let g_after = vec![-1.0, 1.0];
-        let out = integ.integrate_across_aggregation(&g_before, &g_after);
+        let out = integ.integrate(&g_before, std::slice::from_ref(&g_after));
         assert!(
             dot(&g_after, &out) >= -1e-4,
             "conflict with post-aggregation gradient"
@@ -240,7 +235,8 @@ mod tests {
     fn aligned_gradients_pass_through() {
         let integ = GradientIntegrator::new(0.0);
         let g = vec![1.0, 1.0];
-        let out = integ.integrate_across_aggregation(&g, &[2.0, 2.0]);
+        let g_after = vec![2.0, 2.0];
+        let out = integ.integrate(&g, std::slice::from_ref(&g_after));
         assert_eq!(out, g);
     }
 }

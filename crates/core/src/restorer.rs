@@ -12,7 +12,8 @@
 //! gradients at the output are stacked into slots (see
 //! `fedknow_nn::Layer::backward`), behind the training loss's own
 //! gradient when the caller has one, and the network is walked once.
-//! Every slot's result is bit-identical to a backward of it alone.
+//! Every slot's result is bit-identical to a backward of it alone, and
+//! stays in the model's gradient slab, where the caller borrows it.
 
 use fedknow_data::{to_tensor, Sample};
 use fedknow_math::distance::{most_dissimilar, DistanceMetric};
@@ -65,23 +66,23 @@ impl GradientRestorer {
     /// The pseudo-label distribution `[B, C]` task `i`'s knowledge
     /// predicts on the batch `x`.
     ///
-    /// The model's parameters are temporarily replaced by the dense
-    /// expansion of `knowledge` (retained weights keep their value,
-    /// pruned ones are zero) for one eval-mode forward (no caches,
-    /// running BN statistics) and put back on exit. Eval-mode rows are
+    /// The model's parameters are swapped with the dense expansion of
+    /// `knowledge` (retained weights keep their value, pruned ones are
+    /// zero) for one eval-mode forward (no caches, running BN
+    /// statistics) and swapped back on exit. Eval-mode rows are
     /// independent of each other, so a sample's row does not depend on
     /// the batch it is forwarded in.
     pub fn pseudo_labels(&self, model: &mut Model, knowledge: &SparseVec, x: &Tensor) -> Tensor {
         let _t = fedknow_obs::timer("restore.teacher_ns");
-        let current = model.flat_params();
         assert_eq!(
             knowledge.dense_len(),
-            current.len(),
+            model.param_count(),
             "knowledge/model size mismatch"
         );
-        model.set_flat_params(&knowledge.to_dense());
+        let mut teacher = knowledge.to_dense();
+        model.swap_params(&mut teacher);
         let target = model.forward(x.clone(), false).softmax_rows();
-        model.set_flat_params(&current);
+        model.swap_params(&mut teacher);
         target
     }
 
@@ -106,23 +107,23 @@ impl GradientRestorer {
     }
 
     /// The restored gradients of the pseudo-label distributions
-    /// `targets`, in order: ∇ of the cross-entropy between `logits` and
-    /// each target, all from one backward pass over the activations the
+    /// `targets`: ∇ of the cross-entropy between `logits` and each
+    /// target, all from one backward pass over the activations the
     /// training forward that produced `logits` left in `model`. That
     /// forward must be the model's most recent one, at its current
     /// weights.
     ///
-    /// With `lead`, an output gradient of the same forward (the training
-    /// loss's), that gradient is slot 0 of the pass and its parameter
-    /// gradient is left in the gradient buffers; without, the buffers are
-    /// zero on exit.
+    /// Every gradient stays in the model's gradient slab: target `i`'s in
+    /// [`Model::grad_slot`]`(i)`, or `(i + 1)` with `lead`, an output
+    /// gradient of the same forward (the training loss's) whose parameter
+    /// gradient is then slot 0.
     pub fn replay(
         &self,
         model: &mut Model,
         logits: &Tensor,
         lead: Option<Tensor>,
         targets: &[Tensor],
-    ) -> Vec<Vec<f32>> {
+    ) {
         let _t = fedknow_obs::timer("restore.distill_ns");
         model.zero_grad();
         let (rows, cols) = (logits.shape()[0], logits.shape()[1]);
@@ -135,32 +136,29 @@ impl GradientRestorer {
             stacked.extend_from_slice(distill_grad(logits, target).data());
         }
         model.backward(Tensor::from_vec(stacked, &[slots * rows, cols]));
-        let mut restored = model.take_slot_grads();
-        if lead.is_none() {
-            restored.insert(0, model.flat_grads());
-            model.zero_grad();
-        }
-        restored
     }
 
     /// Restore task `i`'s gradient on the batch `x` (Eq. 2): the
     /// gradient at the *current* weights against the distribution
-    /// `knowledge` predicts. Parameters and gradient buffers are as they
-    /// were on exit; a BatchNorm model's running statistics advance by
-    /// the one training forward.
+    /// `knowledge` predicts. Parameters are as they were on exit, and the
+    /// gradient slots are zero; a BatchNorm model's running statistics
+    /// advance by the one training forward.
     pub fn restore(&self, model: &mut Model, knowledge: &SparseVec, x: &Tensor) -> Vec<f32> {
         let target = self.pseudo_labels(model, knowledge, x);
         let logits = model.forward(x.clone(), true);
-        let mut restored = self.replay(model, &logits, None, &[target]);
-        restored.pop().expect("one target, one gradient")
+        self.replay(model, &logits, None, &[target]);
+        let restored = model.grad_slot(0).to_vec();
+        model.zero_grad();
+        restored
     }
 
     /// Rank restored gradients: the indices of the `k` of them most
     /// dissimilar from `current_grad` (the signature tasks, §III-C).
-    /// `restored` holds one gradient per retained task, in task order.
-    pub fn select_among(
+    /// `restored` holds one gradient per retained task, in task order
+    /// (owned vectors, or slots borrowed from a model's gradient slab).
+    pub fn select_among<C: AsRef<[f32]>>(
         &self,
-        restored: &[Vec<f32>],
+        restored: &[C],
         current_grad: &[f32],
         k: usize,
         metric: DistanceMetric,
@@ -176,7 +174,9 @@ impl GradientRestorer {
     /// the indices of the `k` tasks whose restored gradients are most
     /// dissimilar from `current_grad` (the signature tasks, §III-C). All
     /// candidates are restored at the same weights on the same batch, so
-    /// they share one live forward and one backward pass.
+    /// they share one live forward and one backward pass, and are ranked
+    /// where they lie: candidate `i`'s gradient is in gradient slot `i`
+    /// on exit.
     pub fn select_signature_tasks(
         &self,
         model: &mut Model,
@@ -194,7 +194,8 @@ impl GradientRestorer {
             .map(|w| self.pseudo_labels(model, w, x))
             .collect();
         let logits = model.forward(x.clone(), true);
-        let restored = self.replay(model, &logits, None, &targets);
+        self.replay(model, &logits, None, &targets);
+        let restored: Vec<&[f32]> = (0..targets.len()).map(|i| model.grad_slot(i)).collect();
         self.select_among(&restored, current_grad, k, metric)
     }
 }
@@ -278,12 +279,9 @@ mod tests {
         let logits = model.forward(x.clone(), true);
         // Any number of replays over the one forward, all the same.
         for _ in 0..2 {
-            let replayed =
-                GradientRestorer.replay(&mut model, &logits, None, std::slice::from_ref(&target));
-            assert_eq!(replayed.len(), 1);
-            assert_eq!(bits(&replayed[0]), bits(&one_shot));
+            GradientRestorer.replay(&mut model, &logits, None, std::slice::from_ref(&target));
+            assert_eq!(bits(model.grad_slot(0)), bits(&one_shot));
             assert_eq!(model.flat_params(), before);
-            assert!(model.flat_grads().iter().all(|&v| v == 0.0));
         }
     }
 
@@ -303,26 +301,23 @@ mod tests {
         let alone: Vec<Vec<f32>> = targets
             .iter()
             .map(|t| {
-                GradientRestorer
-                    .replay(&mut model, &logits, None, std::slice::from_ref(t))
-                    .remove(0)
+                GradientRestorer.replay(&mut model, &logits, None, std::slice::from_ref(t));
+                model.flat_grads()
             })
             .collect();
         model.zero_grad();
         model.backward(lead.clone());
         let lead_grad = model.flat_grads();
 
-        let stacked = GradientRestorer.replay(&mut model, &logits, Some(lead), &targets);
-        assert_eq!(stacked.len(), 3);
-        for (got, want) in stacked.iter().zip(&alone) {
-            assert_eq!(bits(got), bits(want));
+        GradientRestorer.replay(&mut model, &logits, Some(lead), &targets);
+        for (i, want) in alone.iter().enumerate() {
+            assert_eq!(bits(model.grad_slot(i + 1)), bits(want));
         }
         assert_eq!(
-            bits(&model.flat_grads()),
+            bits(model.grad_slot(0)),
             bits(&lead_grad),
-            "the lead's gradient stays in the buffers"
+            "the lead's gradient is slot 0"
         );
-        assert!(model.take_slot_grads().is_empty(), "no slot storage left");
     }
 
     #[test]

@@ -116,14 +116,14 @@ pub fn euclidean(a: &[f32], b: &[f32]) -> f64 {
         .sqrt()
 }
 
-/// Rank `candidates` by descending distance from `reference` and return the
-/// indices of the `k` most dissimilar ones (the paper's signature-task
-/// selection rule). Stable for ties (lower index first). `k` is clamped to
-/// the candidate count.
-pub fn most_dissimilar(
+/// Rank `candidates` (owned vectors or borrowed slices) by descending
+/// distance from `reference` and return the indices of the `k` most
+/// dissimilar ones (the paper's signature-task selection rule). Stable
+/// for ties (lower index first). `k` is clamped to the candidate count.
+pub fn most_dissimilar<C: AsRef<[f32]>>(
     metric: DistanceMetric,
     reference: &[f32],
-    candidates: &[Vec<f32>],
+    candidates: &[C],
     k: usize,
 ) -> Vec<usize> {
     // Under Wasserstein the reference is sorted once, not once per
@@ -146,7 +146,7 @@ pub fn most_dissimilar(
         // as maximally dissimilar, matching `wasserstein_1d`'s convention
         // for non-finite inputs, instead of corrupting the sort order.
         .map(|(i, c)| {
-            let d = distance(c);
+            let d = distance(c.as_ref());
             (i, if d.is_nan() { f64::INFINITY } else { d })
         })
         .collect();

@@ -73,7 +73,8 @@ pub struct Integrated {
 
 /// Solve `min ½‖g'−g‖²  s.t.  ⟨g_i, g'⟩ ≥ 0 ∀i` via the dual QP.
 ///
-/// `constraints` holds the signature-task gradients `g_1..g_k`; each must
+/// `constraints` holds the signature-task gradients `g_1..g_k` (owned
+/// vectors or slices borrowed from a model's gradient slab); each must
 /// have the same length as `g`. Returns the rotated gradient; when `g`
 /// already has an acute angle with every constraint the input is returned
 /// unchanged (fast path, no QP solve).
@@ -88,15 +89,16 @@ pub struct Integrated {
 /// let dot: f32 = r.gradient.iter().zip(&signature[0]).map(|(a, b)| a * b).sum();
 /// assert!(dot >= -1e-5);
 /// ```
-pub fn integrate_gradient(
+pub fn integrate_gradient<C: AsRef<[f32]>>(
     g: &[f32],
-    constraints: &[Vec<f32>],
+    constraints: &[C],
     config: &QpConfig,
 ) -> Result<Integrated, MathError> {
     if g.is_empty() {
         return Err(MathError::EmptyInput);
     }
-    for c in constraints {
+    let constraints: Vec<&[f32]> = constraints.iter().map(AsRef::as_ref).collect();
+    for c in &constraints {
         if c.len() != g.len() {
             return Err(MathError::DimensionMismatch {
                 expected: g.len(),
@@ -147,7 +149,7 @@ pub fn integrate_gradient(
         for j in i..k {
             let d: f64 = constraints[i]
                 .iter()
-                .zip(&constraints[j])
+                .zip(constraints[j])
                 .map(|(&a, &b)| a as f64 * b as f64)
                 .sum();
             gram[i * k + j] = d;
@@ -324,14 +326,14 @@ mod tests {
     #[test]
     fn empty_constraint_set_is_identity() {
         let g = vec![1.0, 2.0];
-        let r = integrate_gradient(&g, &[], &QpConfig::default()).unwrap();
+        let r = integrate_gradient::<Vec<f32>>(&g, &[], &QpConfig::default()).unwrap();
         assert!(r.already_feasible);
         assert_eq!(r.gradient, g);
     }
 
     #[test]
     fn empty_gradient_is_error() {
-        let r = integrate_gradient(&[], &[], &QpConfig::default());
+        let r = integrate_gradient::<Vec<f32>>(&[], &[], &QpConfig::default());
         assert_eq!(r.unwrap_err(), MathError::EmptyInput);
     }
 

@@ -218,20 +218,21 @@ impl Tensor {
     /// [`crate::gemm`] (AVX-512/AVX2 microkernels with a portable
     /// fallback, runtime-detected).
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        let out = self.matmul_raw(other);
-        let c = crate::flops::matmul(self.shape.dims[0], self.shape.dims[1], other.shape.dims[1]);
-        PERF_MATMUL.op(c.flops, c.bytes);
-        out
+        assert_eq!(other.shape.rank, 2, "matmul rhs must be rank-2");
+        self.matmul_slice(&other.data, other.shape.dims[1])
     }
 
-    /// [`matmul`](Self::matmul) without perf accounting, for callers
-    /// (conv2d) that attribute the work to their own kernel counters.
-    pub fn matmul_raw(&self, other: &Tensor) -> Tensor {
+    /// [`matmul`](Self::matmul) against a row-major `[k, n]` matrix held
+    /// as a slice (a layer's weights, borrowed from its model's arena).
+    pub fn matmul_slice(&self, other: &[f32], n: usize) -> Tensor {
         assert_eq!(self.shape.rank, 2, "matmul lhs must be rank-2");
-        assert_eq!(other.shape.rank, 2, "matmul rhs must be rank-2");
         let (m, k) = (self.shape.dims[0], self.shape.dims[1]);
-        let (k2, n) = (other.shape.dims[0], other.shape.dims[1]);
-        assert_eq!(k, k2, "matmul inner dims differ: {k} vs {k2}");
+        assert_eq!(
+            other.len(),
+            k * n,
+            "matmul inner dims differ: {k} vs {}",
+            other.len() / n.max(1)
+        );
         let mut out = pool::take(m * n);
         crate::gemm::gemm(
             m,
@@ -241,26 +242,17 @@ impl Tensor {
                 data: &self.data,
                 k,
             },
-            &crate::gemm::DenseB {
-                data: &other.data,
-                n,
-            },
+            &crate::gemm::DenseB { data: other, n },
             &mut out,
         );
+        let c = crate::flops::matmul(m, k, n);
+        PERF_MATMUL.op(c.flops, c.bytes);
         Tensor::from_pooled(out, &[m, n])
     }
 
     /// `selfᵀ × other`: `self [k,m]`, `other [k,n]` → `[m,n]`, without
     /// materialising the transpose.
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
-        let out = self.matmul_tn_raw(other);
-        let c = crate::flops::matmul(self.shape.dims[1], self.shape.dims[0], other.shape.dims[1]);
-        PERF_MATMUL_TN.op(c.flops, c.bytes);
-        out
-    }
-
-    /// [`matmul_tn`](Self::matmul_tn) without perf accounting.
-    pub fn matmul_tn_raw(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.shape.rank, 2);
         assert_eq!(other.shape.rank, 2);
         let (k, m) = (self.shape.dims[0], self.shape.dims[1]);
@@ -281,25 +273,29 @@ impl Tensor {
             },
             &mut out,
         );
+        let c = crate::flops::matmul(m, k, n);
+        PERF_MATMUL_TN.op(c.flops, c.bytes);
         Tensor::from_pooled(out, &[m, n])
     }
 
     /// `self × otherᵀ`: `self [m,k]`, `other [n,k]` → `[m,n]`, without
     /// materialising the transpose.
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        let out = self.matmul_nt_raw(other);
-        let c = crate::flops::matmul(self.shape.dims[0], self.shape.dims[1], other.shape.dims[0]);
-        PERF_MATMUL_NT.op(c.flops, c.bytes);
-        out
+        assert_eq!(other.shape.rank, 2);
+        self.matmul_nt_slice(&other.data, other.shape.dims[0])
     }
 
-    /// [`matmul_nt`](Self::matmul_nt) without perf accounting.
-    pub fn matmul_nt_raw(&self, other: &Tensor) -> Tensor {
+    /// [`matmul_nt`](Self::matmul_nt) against a row-major `[n, k]`
+    /// matrix held as a slice.
+    pub fn matmul_nt_slice(&self, other: &[f32], n: usize) -> Tensor {
         assert_eq!(self.shape.rank, 2);
-        assert_eq!(other.shape.rank, 2);
         let (m, k) = (self.shape.dims[0], self.shape.dims[1]);
-        let (n, k2) = (other.shape.dims[0], other.shape.dims[1]);
-        assert_eq!(k, k2, "matmul_nt inner dims differ: {k} vs {k2}");
+        assert_eq!(
+            other.len(),
+            n * k,
+            "matmul_nt inner dims differ: {k} vs {}",
+            other.len() / n.max(1)
+        );
         let mut out = pool::take(m * n);
         crate::gemm::gemm(
             m,
@@ -309,12 +305,11 @@ impl Tensor {
                 data: &self.data,
                 k,
             },
-            &crate::gemm::DenseBTrans {
-                data: &other.data,
-                k,
-            },
+            &crate::gemm::DenseBTrans { data: other, k },
             &mut out,
         );
+        let c = crate::flops::matmul(m, k, n);
+        PERF_MATMUL_NT.op(c.flops, c.bytes);
         Tensor::from_pooled(out, &[m, n])
     }
 

@@ -22,7 +22,7 @@ impl Default for ReLU {
 }
 
 impl Layer for ReLU {
-    fn forward(&mut self, mut x: Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, _params: &[f32], mut x: Tensor, train: bool) -> Tensor {
         if train {
             // clear + extend reuses the mask's capacity: steady-state
             // training allocates nothing here after the first step.
@@ -37,7 +37,7 @@ impl Layer for ReLU {
         x
     }
 
-    fn backward(&mut self, mut grad: Tensor) -> Tensor {
+    fn backward(&mut self, _params: &[f32], _grads: &mut [f32], mut grad: Tensor) -> Tensor {
         let n = self.mask.len();
         // Every slot of a stacked gradient takes the one forward's mask.
         for j in 0..slot_count(grad.len(), n, "ReLU") {
@@ -78,7 +78,7 @@ impl Default for Sigmoid {
 }
 
 impl Layer for Sigmoid {
-    fn forward(&mut self, mut x: Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, _params: &[f32], mut x: Tensor, train: bool) -> Tensor {
         for v in x.data_mut() {
             *v = 1.0 / (1.0 + (-*v).exp());
         }
@@ -89,7 +89,7 @@ impl Layer for Sigmoid {
         x
     }
 
-    fn backward(&mut self, mut grad: Tensor) -> Tensor {
+    fn backward(&mut self, _params: &[f32], _grads: &mut [f32], mut grad: Tensor) -> Tensor {
         let n = self.cached_out.len();
         for j in 0..slot_count(grad.len(), n, "Sigmoid") {
             for (g, &s) in grad.data_mut()[j * n..][..n]
@@ -122,9 +122,9 @@ mod tests {
     fn relu_clamps_negative_and_masks_gradient() {
         let mut r = ReLU::new();
         let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[3]);
-        let y = r.forward(x, true);
+        let y = r.forward(&[], x, true);
         assert_eq!(y.data(), &[0.0, 0.0, 2.0]);
-        let g = r.backward(Tensor::from_vec(vec![1.0, 1.0, 1.0], &[3]));
+        let g = r.backward(&[], &mut [], Tensor::from_vec(vec![1.0, 1.0, 1.0], &[3]));
         assert_eq!(g.data(), &[0.0, 0.0, 1.0]);
     }
 
@@ -134,23 +134,27 @@ mod tests {
     fn relu_leaves_negative_zero_and_nan_and_masks_them() {
         let mut r = ReLU::new();
         let x = Tensor::from_vec(vec![-0.0, f32::NAN, 0.0, -3.0, f32::MIN_POSITIVE], &[5]);
-        let y = r.forward(x, true);
+        let y = r.forward(&[], x, true);
         assert_eq!(y.data()[0].to_bits(), (-0.0f32).to_bits());
         assert!(y.data()[1].is_nan());
         assert_eq!(y.data()[2].to_bits(), 0.0f32.to_bits());
         assert_eq!(y.data()[3].to_bits(), 0.0f32.to_bits());
         assert_eq!(y.data()[4], f32::MIN_POSITIVE);
         assert_eq!(r.mask, [false, false, false, false, true]);
-        let g = r.backward(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0], &[5]));
+        let g = r.backward(
+            &[],
+            &mut [],
+            Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0], &[5]),
+        );
         assert_eq!(g.data(), &[0.0, 0.0, 0.0, 0.0, 5.0]);
     }
 
     #[test]
     fn sigmoid_midpoint_and_derivative() {
         let mut s = Sigmoid::new();
-        let y = s.forward(Tensor::from_vec(vec![0.0], &[1]), true);
+        let y = s.forward(&[], Tensor::from_vec(vec![0.0], &[1]), true);
         assert!((y.data()[0] - 0.5).abs() < 1e-6);
-        let g = s.backward(Tensor::from_vec(vec![1.0], &[1]));
+        let g = s.backward(&[], &mut [], Tensor::from_vec(vec![1.0], &[1]));
         assert!((g.data()[0] - 0.25).abs() < 1e-6);
     }
 }
@@ -184,7 +188,7 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, mut x: Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, _params: &[f32], mut x: Tensor, train: bool) -> Tensor {
         if !train || self.p == 0.0 {
             return x;
         }
@@ -205,7 +209,7 @@ impl Layer for Dropout {
         x
     }
 
-    fn backward(&mut self, mut grad: Tensor) -> Tensor {
+    fn backward(&mut self, _params: &[f32], _grads: &mut [f32], mut grad: Tensor) -> Tensor {
         if self.p == 0.0 || self.mask.is_empty() {
             return grad;
         }
@@ -235,7 +239,7 @@ mod dropout_tests {
     fn eval_mode_is_identity() {
         let mut d = Dropout::new(0.5);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]);
-        let y = d.forward(x.clone(), false);
+        let y = d.forward(&[], x.clone(), false);
         assert_eq!(y, x);
     }
 
@@ -244,7 +248,7 @@ mod dropout_tests {
         let mut d = Dropout::new(0.5);
         let n = 10_000;
         let x = Tensor::full(&[n], 1.0);
-        let y = d.forward(x, true);
+        let y = d.forward(&[], x, true);
         let mean = y.sum() / n as f32;
         assert!((mean - 1.0).abs() < 0.05, "mean {mean}");
         // Surviving entries are scaled to 2.0, dropped to 0.0.
@@ -255,8 +259,8 @@ mod dropout_tests {
     fn gradient_respects_the_same_mask() {
         let mut d = Dropout::new(0.3);
         let x = Tensor::full(&[64], 1.0);
-        let y = d.forward(x, true);
-        let g = d.backward(Tensor::full(&[64], 1.0));
+        let y = d.forward(&[], x, true);
+        let g = d.backward(&[], &mut [], Tensor::full(&[64], 1.0));
         for (yv, gv) in y.data().iter().zip(g.data()) {
             // Both zero or both scaled.
             assert_eq!(*yv == 0.0, *gv == 0.0);

@@ -7,7 +7,7 @@
 //! residuals (MobileNetV2, via `Residual` with a depthwise main path).
 
 use crate::activations::{ReLU, Sigmoid};
-use crate::layer::{slot_count, Layer, ParamVisitor, Sequential};
+use crate::layer::{slot_count, Bind, Layer, Sequential};
 use crate::linear::Linear;
 use fedknow_math::Tensor;
 use rand::rngs::StdRng;
@@ -33,10 +33,10 @@ impl Residual {
 }
 
 impl Layer for Residual {
-    fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
-        let main_out = self.main.forward(x.clone(), train);
+    fn forward(&mut self, params: &[f32], x: Tensor, train: bool) -> Tensor {
+        let main_out = self.main.forward(params, x.clone(), train);
         let short_out = match &mut self.shortcut {
-            Some(s) => s.forward(x, train),
+            Some(s) => s.forward(params, x, train),
             None => x,
         };
         assert_eq!(
@@ -47,36 +47,29 @@ impl Layer for Residual {
         let mut y = main_out;
         y.add_assign(&short_out);
         match &mut self.final_relu {
-            Some(relu) => relu.forward(y, train),
+            Some(relu) => relu.forward(params, y, train),
             None => y,
         }
     }
 
-    fn backward(&mut self, grad: Tensor) -> Tensor {
+    fn backward(&mut self, params: &[f32], grads: &mut [f32], grad: Tensor) -> Tensor {
         let grad = match &mut self.final_relu {
-            Some(relu) => relu.backward(grad),
+            Some(relu) => relu.backward(params, grads, grad),
             None => grad,
         };
-        let mut gx = self.main.backward(grad.clone());
+        let mut gx = self.main.backward(params, grads, grad.clone());
         let gs = match &mut self.shortcut {
-            Some(s) => s.backward(grad),
+            Some(s) => s.backward(params, grads, grad),
             None => grad,
         };
         gx.add_assign(&gs);
         gx
     }
 
-    fn visit_params(&mut self, v: &mut dyn ParamVisitor) {
-        self.main.visit_params(v);
+    fn bind(&mut self, bind: &mut Bind) {
+        self.main.bind(bind);
         if let Some(s) = &mut self.shortcut {
-            s.visit_params(v);
-        }
-    }
-
-    fn take_grad_slots(&mut self, v: &mut dyn FnMut(usize, Vec<f32>)) {
-        self.main.take_grad_slots(v);
-        if let Some(s) = &mut self.shortcut {
-            s.take_grad_slots(v);
+            s.bind(bind);
         }
     }
 
@@ -84,13 +77,6 @@ impl Layer for Residual {
         self.main.visit_buffers(v);
         if let Some(s) = &mut self.shortcut {
             s.visit_buffers(v);
-        }
-    }
-
-    fn zero_grad(&mut self) {
-        self.main.zero_grad();
-        if let Some(s) = &mut self.shortcut {
-            s.zero_grad();
         }
     }
 
@@ -137,7 +123,7 @@ impl SEScale {
 }
 
 impl Layer for SEScale {
-    fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, params: &[f32], x: Tensor, train: bool) -> Tensor {
         let s = x.shape().to_vec();
         assert_eq!(s.len(), 4, "SEScale expects [B,C,H,W]");
         let (b, c, h, w) = (s[0], s[1], s[2], s[3]);
@@ -150,10 +136,12 @@ impl Layer for SEScale {
             *sq = x.data()[bc * plane..(bc + 1) * plane].iter().sum::<f32>() * inv;
         }
         // Excite.
-        let z = self.fc1.forward(Tensor::from_vec(squeezed, &[b, c]), train);
-        let z = self.relu.forward(z, train);
-        let z = self.fc2.forward(z, train);
-        let gate = self.sigmoid.forward(z, train);
+        let z = self
+            .fc1
+            .forward(params, Tensor::from_vec(squeezed, &[b, c]), train);
+        let z = self.relu.forward(params, z, train);
+        let z = self.fc2.forward(params, z, train);
+        let gate = self.sigmoid.forward(params, z, train);
         // Scale.
         let mut y = x.clone();
         for bc in 0..b * c {
@@ -169,7 +157,7 @@ impl Layer for SEScale {
         y
     }
 
-    fn backward(&mut self, grad: Tensor) -> Tensor {
+    fn backward(&mut self, params: &[f32], grads: &mut [f32], grad: Tensor) -> Tensor {
         let x = self
             .cached_input
             .as_ref()
@@ -195,10 +183,10 @@ impl Layer for SEScale {
         // Back through the excitation MLP.
         let gz = self
             .sigmoid
-            .backward(Tensor::from_vec(g_gate, &[slots * b, c]));
-        let gz = self.fc2.backward(gz);
-        let gz = self.relu.backward(gz);
-        let g_squeezed = self.fc1.backward(gz);
+            .backward(params, grads, Tensor::from_vec(g_gate, &[slots * b, c]));
+        let gz = self.fc2.backward(params, grads, gz);
+        let gz = self.relu.backward(params, grads, gz);
+        let g_squeezed = self.fc1.backward(params, grads, gz);
         // Back through the squeeze (mean over the plane).
         let inv = 1.0 / plane as f32;
         for bc in 0..slots * b * c {
@@ -210,19 +198,9 @@ impl Layer for SEScale {
         gx
     }
 
-    fn visit_params(&mut self, v: &mut dyn ParamVisitor) {
-        self.fc1.visit_params(v);
-        self.fc2.visit_params(v);
-    }
-
-    fn take_grad_slots(&mut self, v: &mut dyn FnMut(usize, Vec<f32>)) {
-        self.fc1.take_grad_slots(v);
-        self.fc2.take_grad_slots(v);
-    }
-
-    fn zero_grad(&mut self) {
-        self.fc1.zero_grad();
-        self.fc2.zero_grad();
+    fn bind(&mut self, bind: &mut Bind) {
+        self.fc1.bind(bind);
+        self.fc2.bind(bind);
     }
 
     fn flops(&self, in_shape: &[usize]) -> (u64, Vec<usize>) {
@@ -256,11 +234,11 @@ impl Concat {
 }
 
 impl Layer for Concat {
-    fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, params: &[f32], x: Tensor, train: bool) -> Tensor {
         let outs: Vec<Tensor> = self
             .branches
             .iter_mut()
-            .map(|br| br.forward(x.clone(), train))
+            .map(|br| br.forward(params, x.clone(), train))
             .collect();
         let (b, h, w) = (outs[0].shape()[0], outs[0].shape()[2], outs[0].shape()[3]);
         for o in &outs {
@@ -277,7 +255,7 @@ impl Layer for Concat {
         concat_channels(&outs)
     }
 
-    fn backward(&mut self, grad: Tensor) -> Tensor {
+    fn backward(&mut self, params: &[f32], grads: &mut [f32], grad: Tensor) -> Tensor {
         assert!(
             !self.cached_channels.is_empty(),
             "backward before forward(train)"
@@ -285,7 +263,7 @@ impl Layer for Concat {
         let parts = split_channels(&grad, &self.cached_channels);
         let mut gx: Option<Tensor> = None;
         for (br, part) in self.branches.iter_mut().zip(parts) {
-            let g = br.backward(part);
+            let g = br.backward(params, grads, part);
             match &mut gx {
                 Some(acc) => acc.add_assign(&g),
                 None => gx = Some(g),
@@ -294,27 +272,15 @@ impl Layer for Concat {
         gx.expect("Concat has at least one branch")
     }
 
-    fn visit_params(&mut self, v: &mut dyn ParamVisitor) {
+    fn bind(&mut self, bind: &mut Bind) {
         for br in &mut self.branches {
-            br.visit_params(v);
-        }
-    }
-
-    fn take_grad_slots(&mut self, v: &mut dyn FnMut(usize, Vec<f32>)) {
-        for br in &mut self.branches {
-            br.take_grad_slots(v);
+            br.bind(bind);
         }
     }
 
     fn visit_buffers(&mut self, v: &mut dyn FnMut(&mut [f32])) {
         for br in &mut self.branches {
             br.visit_buffers(v);
-        }
-    }
-
-    fn zero_grad(&mut self) {
-        for br in &mut self.branches {
-            br.zero_grad();
         }
     }
 
@@ -358,7 +324,7 @@ impl SplitConcat {
 }
 
 impl Layer for SplitConcat {
-    fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, params: &[f32], x: Tensor, train: bool) -> Tensor {
         assert_eq!(
             x.shape()[1],
             self.splits.iter().sum::<usize>(),
@@ -369,7 +335,7 @@ impl Layer for SplitConcat {
             .branches
             .iter_mut()
             .zip(parts)
-            .map(|(br, p)| br.forward(p, train))
+            .map(|(br, p)| br.forward(params, p, train))
             .collect();
         if train {
             self.cached_out_channels = outs.iter().map(|o| o.shape()[1]).collect();
@@ -377,7 +343,7 @@ impl Layer for SplitConcat {
         concat_channels(&outs)
     }
 
-    fn backward(&mut self, grad: Tensor) -> Tensor {
+    fn backward(&mut self, params: &[f32], grads: &mut [f32], grad: Tensor) -> Tensor {
         assert!(
             !self.cached_out_channels.is_empty(),
             "backward before forward(train)"
@@ -387,32 +353,20 @@ impl Layer for SplitConcat {
             .branches
             .iter_mut()
             .zip(parts)
-            .map(|(br, p)| br.backward(p))
+            .map(|(br, p)| br.backward(params, grads, p))
             .collect();
         concat_channels(&gins)
     }
 
-    fn visit_params(&mut self, v: &mut dyn ParamVisitor) {
+    fn bind(&mut self, bind: &mut Bind) {
         for br in &mut self.branches {
-            br.visit_params(v);
-        }
-    }
-
-    fn take_grad_slots(&mut self, v: &mut dyn FnMut(usize, Vec<f32>)) {
-        for br in &mut self.branches {
-            br.take_grad_slots(v);
+            br.bind(bind);
         }
     }
 
     fn visit_buffers(&mut self, v: &mut dyn FnMut(&mut [f32])) {
         for br in &mut self.branches {
             br.visit_buffers(v);
-        }
-    }
-
-    fn zero_grad(&mut self) {
-        for br in &mut self.branches {
-            br.zero_grad();
         }
     }
 
@@ -473,11 +427,11 @@ impl ChannelShuffle {
 }
 
 impl Layer for ChannelShuffle {
-    fn forward(&mut self, x: Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, _params: &[f32], x: Tensor, _train: bool) -> Tensor {
         self.permute(&x, false)
     }
 
-    fn backward(&mut self, grad: Tensor) -> Tensor {
+    fn backward(&mut self, _params: &[f32], _grads: &mut [f32], grad: Tensor) -> Tensor {
         self.permute(&grad, true)
     }
 
@@ -542,12 +496,18 @@ fn split_channels(x: &Tensor, sizes: &[usize]) -> Vec<Tensor> {
 mod tests {
     use super::*;
     use crate::conv::Conv2d;
+    use crate::Model;
     use fedknow_math::rng::seeded;
+
+    /// `layer` alone in a model, the arena its parameters bound into.
+    fn model(layer: impl Layer + 'static) -> Model {
+        Model::new(layer, &[], 0)
+    }
 
     #[test]
     fn identity_residual_doubles_then_relu() {
         // main = empty Sequential (identity) → y = relu(x + x).
-        let mut r = Residual::new(Sequential::new(), None, true);
+        let mut r = model(Residual::new(Sequential::new(), None, true));
         let x = Tensor::from_vec(vec![-1.0, 2.0], &[1, 1, 1, 2]);
         let y = r.forward(x, true);
         assert_eq!(y.data(), &[0.0, 4.0]);
@@ -558,7 +518,7 @@ mod tests {
 
     #[test]
     fn concat_stacks_channels() {
-        let mut c = Concat::new(vec![Sequential::new(), Sequential::new()]);
+        let mut c = model(Concat::new(vec![Sequential::new(), Sequential::new()]));
         let x = Tensor::from_vec(vec![1.0, 2.0], &[1, 1, 1, 2]);
         let y = c.forward(x, true);
         assert_eq!(y.shape(), &[1, 2, 1, 2]);
@@ -570,7 +530,10 @@ mod tests {
 
     #[test]
     fn split_concat_routes_ranges() {
-        let mut sc = SplitConcat::new(vec![1, 1], vec![Sequential::new(), Sequential::new()]);
+        let mut sc = model(SplitConcat::new(
+            vec![1, 1],
+            vec![Sequential::new(), Sequential::new()],
+        ));
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 2, 1, 2]);
         let y = sc.forward(x.clone(), true);
         assert_eq!(y, x, "identity branches reconstruct the input");
@@ -580,7 +543,7 @@ mod tests {
 
     #[test]
     fn channel_shuffle_backward_inverts_forward() {
-        let mut cs = ChannelShuffle::new(2);
+        let mut cs = model(ChannelShuffle::new(2));
         let x = Tensor::from_vec((0..8).map(|i| i as f32).collect(), &[1, 4, 1, 2]);
         let y = cs.forward(x.clone(), true);
         assert_ne!(y, x, "shuffle must actually permute");
@@ -591,7 +554,7 @@ mod tests {
     #[test]
     fn se_scale_gates_channels() {
         let mut rng = seeded(3);
-        let mut se = SEScale::new(&mut rng, 4, 2);
+        let mut se = model(SEScale::new(&mut rng, 4, 2));
         let x = Tensor::full(&[2, 4, 3, 3], 1.0);
         let y = se.forward(x, true);
         assert_eq!(y.shape(), &[2, 4, 3, 3]);
@@ -606,7 +569,7 @@ mod tests {
         let mut rng = seeded(5);
         let main = Sequential::new().push(Conv2d::conv3x3(&mut rng, 2, 4, 2));
         let short = Sequential::new().push(Conv2d::conv1x1(&mut rng, 2, 4, 2));
-        let mut r = Residual::new(main, Some(short), true);
+        let mut r = model(Residual::new(main, Some(short), true));
         let x = Tensor::full(&[1, 2, 4, 4], 0.3);
         let y = r.forward(x, true);
         assert_eq!(y.shape(), &[1, 4, 2, 2]);

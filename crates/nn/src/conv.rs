@@ -83,7 +83,7 @@
 //! `determinism.rs` pin bit-identity across thread counts and batch
 //! sizes.
 
-use crate::layer::{slot_count, Grad, Layer, ParamVisitor};
+use crate::layer::{grad_slot, slot_count, Bind, Layer};
 use fedknow_math::gemm::{
     self, BPanels, DenseA, DenseABlocks, DenseATrans, DenseBBlocks, DenseBTrans,
 };
@@ -323,6 +323,8 @@ impl BPanels for PatchPanels<'_> {
 }
 
 /// 2-D convolution: input `[B, C, H, W]` → output `[B, OC, OH, OW]`.
+/// The weight `[OC, (C/groups)·k·k]` and then the bias `[OC]` sit in the
+/// model's arena from offset `off`.
 pub struct Conv2d {
     in_channels: usize,
     out_channels: usize,
@@ -330,11 +332,9 @@ pub struct Conv2d {
     stride: usize,
     padding: usize,
     groups: usize,
-    /// `[OC, (C/groups) * k * k]`
-    weight: Tensor,
-    bias: Tensor,
-    grad_weight: Grad,
-    grad_bias: Grad,
+    /// The drawn weight until [`Layer::bind`] moves it into the arena.
+    init: Vec<f32>,
+    off: usize,
     /// Input cached (by ownership) from the training forward pass — the
     /// backward rebuilds each sample's column matrix from it instead of
     /// storing column matrices.
@@ -359,12 +359,7 @@ impl Conv2d {
                 && out_channels.is_multiple_of(groups),
             "groups {groups} must divide in {in_channels} and out {out_channels}"
         );
-        let cg = in_channels / groups;
-        let fan_in = cg * kernel * kernel;
-        let weight = Tensor::from_vec(
-            kaiming_vec(rng, out_channels * fan_in, fan_in),
-            &[out_channels, fan_in],
-        );
+        let fan_in = in_channels / groups * kernel * kernel;
         Self {
             in_channels,
             out_channels,
@@ -372,10 +367,8 @@ impl Conv2d {
             stride,
             padding,
             groups,
-            weight,
-            bias: Tensor::zeros(&[out_channels]),
-            grad_weight: Grad::zeros(out_channels * fan_in),
-            grad_bias: Grad::zeros(out_channels),
+            init: kaiming_vec(rng, out_channels * fan_in, fan_in),
+            off: 0,
             cached_input: None,
         }
     }
@@ -393,6 +386,17 @@ impl Conv2d {
     /// Depthwise 3×3 convolution.
     pub fn depthwise3x3(rng: &mut StdRng, channels: usize, stride: usize) -> Self {
         Self::new(rng, channels, channels, 3, stride, 1, channels)
+    }
+
+    /// Columns of the weight matrix: `(C/groups)·k·k`.
+    fn fan(&self) -> usize {
+        self.in_channels / self.groups * self.kernel * self.kernel
+    }
+
+    /// The weight and the bias in the arena `params`.
+    fn weights<'p>(&self, params: &'p [f32]) -> (&'p [f32], &'p [f32]) {
+        let wlen = self.out_channels * self.fan();
+        params[self.off..][..wlen + self.out_channels].split_at(wlen)
     }
 
     fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
@@ -433,7 +437,15 @@ impl Conv2d {
     /// outputs), one chunk at a time: per group, one blocked GEMM
     /// `W_g [ocg, fan] × patches [fan, nb·ncols]`, scattered into the
     /// chunk's outputs, then the bias broadcast.
-    fn forward_run(&self, x: &[f32], out: &mut [f32], h: usize, w: usize) {
+    fn forward_run(
+        &self,
+        wt: &[f32],
+        bias: &[f32],
+        x: &[f32],
+        out: &mut [f32],
+        h: usize,
+        w: usize,
+    ) {
         let g = self.geom(h, w);
         let ncols = g.oh * g.ow;
         let cg = self.in_channels / self.groups;
@@ -455,7 +467,7 @@ impl Conv2d {
             let n = nb * ncols;
             for gi in 0..self.groups {
                 let a = DenseA {
-                    data: &self.weight.data()[gi * ocg * fan..(gi + 1) * ocg * fan],
+                    data: &wt[gi * ocg * fan..(gi + 1) * ocg * fan],
                     k: fan,
                 };
                 let patches = PatchPanels {
@@ -479,7 +491,7 @@ impl Conv2d {
                 }
             }
             for (r, plane) in os.chunks_exact_mut(ncols).enumerate() {
-                let bv = self.bias.data()[r % self.out_channels];
+                let bv = bias[r % self.out_channels];
                 for o in plane {
                     *o += bv;
                 }
@@ -542,14 +554,14 @@ impl Conv2d {
 
     /// Add one sample's weight-gradient contributions (`[groups][s][ocg·
     /// fan]`, as [`weight_grads_sample`](Self::weight_grads_sample)
-    /// writes them) into the `s` gradient slots. Called in ascending
-    /// sample order, this is the f32 addition sequence of a one-slot
-    /// backward for every slot.
-    fn add_weight_grads(&mut self, part: &[f32], s: usize) {
-        let block = self.out_channels / self.groups * self.weight.shape()[1];
+    /// writes them) into the `s` slots of the gradient slab `grads`.
+    /// Called in ascending sample order, this is the f32 addition
+    /// sequence of a one-slot backward for every slot.
+    fn add_weight_grads(&self, grads: &mut [f32], part: &[f32], s: usize) {
+        let block = self.out_channels / self.groups * self.fan();
         for (gs, group) in part.chunks_exact(s * block).enumerate() {
             for (j, src) in group.chunks_exact(block).enumerate() {
-                let dst = &mut self.grad_weight.slot(j)[gs * block..(gs + 1) * block];
+                let dst = grad_slot(grads, s, j, self.off + gs * block, block);
                 for (d, &v) in dst.iter_mut().zip(src) {
                     *d += v;
                 }
@@ -562,9 +574,11 @@ impl Conv2d {
     /// unit; `gx` its input gradients (zeroed), or `None` to overwrite
     /// `gy` with them. Per group, one GEMM `W_gᵀ [fan, ocg] × gy [ocg,
     /// U·ncols]` puts every unit's column gradient side by side in
-    /// `gcol`, and `col2im` scatter-accumulates each unit's.
+    /// `gcol`, and `col2im` scatter-accumulates each unit's. `wt` is the
+    /// weight.
     fn input_grad_chunk(
         &self,
+        wt: &[f32],
         gy: &mut [f32],
         mut gx: Option<&mut [f32]>,
         gcol: &mut [f32],
@@ -575,13 +589,13 @@ impl Conv2d {
         let ncols = oh * ow;
         let cg = self.in_channels / self.groups;
         let ocg = self.out_channels / self.groups;
-        let fan = self.weight.shape()[1];
+        let fan = self.fan();
         let (sample_in, sample_grad) = (self.in_channels * h * w, self.out_channels * ncols);
         let units = gy.len() / sample_grad;
         let n = units * ncols;
         let col = &mut gcol[..fan * n];
         for gi in 0..self.groups {
-            let wg = &self.weight.data()[gi * ocg * fan..(gi + 1) * ocg * fan];
+            let wg = &wt[gi * ocg * fan..(gi + 1) * ocg * fan];
             gemm::gemm(
                 fan,
                 ocg,
@@ -670,7 +684,8 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, params: &[f32], x: Tensor, train: bool) -> Tensor {
+        let (wt, bias) = self.weights(params);
         let s = x.shape();
         assert_eq!(s.len(), 4, "Conv2d expects [B,C,H,W]");
         let (b, c, h, w) = (s[0], s[1], s[2], s[3]);
@@ -689,7 +704,7 @@ impl Layer for Conv2d {
             parallel::chunks(b, per, nthreads)
         };
         if parts.len() <= 1 {
-            self.forward_run(x.data(), &mut out, h, w);
+            self.forward_run(wt, bias, x.data(), &mut out, h, w);
         } else {
             let this: &Conv2d = self;
             let xd = x.data();
@@ -702,7 +717,7 @@ impl Layer for Conv2d {
                     // Chunk-level parallelism owns the cores; keep the
                     // GEMM inside each worker serial.
                     sc.spawn(move || {
-                        parallel::with_threads(1, || this.forward_run(xs, mine, h, w))
+                        parallel::with_threads(1, || this.forward_run(wt, bias, xs, mine, h, w))
                     });
                 }
             });
@@ -716,7 +731,8 @@ impl Layer for Conv2d {
         Tensor::from_vec(out, &[b, self.out_channels, oh, ow])
     }
 
-    fn backward(&mut self, grad: Tensor) -> Tensor {
+    fn backward(&mut self, params: &[f32], grads: &mut [f32], grad: Tensor) -> Tensor {
+        let wt = self.weights(params).0;
         let (b, c, h, w) = {
             let x = self
                 .cached_input
@@ -727,19 +743,17 @@ impl Layer for Conv2d {
         };
         let (oh, ow) = self.out_hw(h, w);
         let ncols = oh * ow;
-        let fan = (self.in_channels / self.groups) * self.kernel * self.kernel;
+        let fan = self.fan();
         let sample_grad = self.out_channels * ncols;
         let sample_in = c * h * w;
         let gw_len = self.out_channels * fan;
         let s = slot_count(grad.len(), b * sample_grad, "Conv2d");
-        self.grad_weight.set_slots(s);
-        self.grad_bias.set_slots(s);
 
         // Bias gradient first — per slot, the sum of grad over batch and
         // spatial dims — while every slot's output gradient is intact.
         let mut gd = grad.into_vec();
         for j in 0..s {
-            let gb = self.grad_bias.slot(j);
+            let gb = grad_slot(grads, s, j, self.off + gw_len, self.out_channels);
             for bi in 0..b {
                 for (oc, gb_oc) in gb.iter_mut().enumerate() {
                     let base = ((j * b + bi) * self.out_channels + oc) * ncols;
@@ -783,10 +797,11 @@ impl Layer for Conv2d {
                         h,
                         w,
                     );
-                    self.add_weight_grads(&gw_s, s);
+                    self.add_weight_grads(grads, &gw_s, s);
                     done += 1;
                 }
                 self.input_grad_chunk(
+                    wt,
                     &mut gd[u0 * sample_grad..u1 * sample_grad],
                     gx_own
                         .as_deref_mut()
@@ -833,7 +848,7 @@ impl Layer for Conv2d {
                 }
             });
             for part in gw_parts.chunks_exact(s * gw_len) {
-                self.add_weight_grads(part, s);
+                self.add_weight_grads(grads, part, s);
             }
             pool::give(gw_parts);
             // Input gradients: whole chunks split across the workers, each
@@ -859,7 +874,7 @@ impl Layer for Conv2d {
                                     &mut gx[i * per * sample_in..]
                                         [..gy.len() / sample_grad * sample_in]
                                 });
-                                this.input_grad_chunk(gy, gx, &mut gcol, h, w);
+                                this.input_grad_chunk(wt, gy, gx, &mut gcol, h, w);
                             }
                             pool::give(gcol);
                         });
@@ -880,30 +895,11 @@ impl Layer for Conv2d {
         Tensor::from_vec(gx, &[s * b, c, h, w])
     }
 
-    fn visit_params(&mut self, v: &mut dyn ParamVisitor) {
-        let fan = (self.in_channels / self.groups) * self.kernel * self.kernel;
-        v.visit(
-            "conv.weight",
-            &[self.out_channels, fan],
-            self.weight.data_mut(),
-            self.grad_weight.main(),
-        );
-        v.visit(
-            "conv.bias",
-            &[self.out_channels],
-            self.bias.data_mut(),
-            self.grad_bias.main(),
-        );
-    }
-
-    fn take_grad_slots(&mut self, v: &mut dyn FnMut(usize, Vec<f32>)) {
-        self.grad_weight.take_rest(v);
-        self.grad_bias.take_rest(v);
-    }
-
-    fn zero_grad(&mut self) {
-        self.grad_weight.zero();
-        self.grad_bias.zero();
+    fn bind(&mut self, bind: &mut Bind) {
+        let oc = self.out_channels;
+        let init = std::mem::take(&mut self.init);
+        self.off = bind("conv.weight", &[oc, self.fan()], init);
+        bind("conv.bias", &[oc], vec![0.0; oc]);
     }
 
     fn flops(&self, in_shape: &[usize]) -> (u64, Vec<usize>) {
@@ -924,14 +920,21 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Model;
     use fedknow_math::rng::seeded;
+
+    /// `conv` alone in a model, its weight and then its bias overwritten
+    /// by `wb`.
+    fn model(conv: Conv2d, wb: &[f32]) -> Model {
+        let mut m = Model::new(conv, &[], 0);
+        m.params_mut().copy_from_slice(wb);
+        m
+    }
 
     #[test]
     fn identity_kernel_reproduces_input() {
         let mut rng = seeded(0);
-        let mut conv = Conv2d::new(&mut rng, 1, 1, 1, 1, 0, 1);
-        conv.weight = Tensor::from_vec(vec![1.0], &[1, 1]);
-        conv.bias = Tensor::zeros(&[1]);
+        let mut conv = model(Conv2d::new(&mut rng, 1, 1, 1, 1, 0, 1), &[1.0, 0.0]);
         let x = Tensor::from_vec((0..9).map(|i| i as f32).collect(), &[1, 1, 3, 3]);
         let y = conv.forward(x.clone(), false);
         assert_eq!(y, x);
@@ -940,9 +943,9 @@ mod tests {
     #[test]
     fn known_3x3_sum_kernel() {
         let mut rng = seeded(0);
-        let mut conv = Conv2d::conv3x3(&mut rng, 1, 1, 1);
-        conv.weight = Tensor::full(&[1, 9], 1.0);
-        conv.bias = Tensor::zeros(&[1]);
+        let mut wb = vec![1.0f32; 9];
+        wb.push(0.0);
+        let mut conv = model(Conv2d::conv3x3(&mut rng, 1, 1, 1), &wb);
         let x = Tensor::full(&[1, 1, 3, 3], 1.0);
         let y = conv.forward(x, false);
         // Centre pixel sees all 9 ones; corners see 4.
@@ -962,12 +965,11 @@ mod tests {
     #[test]
     fn depthwise_keeps_channels_independent() {
         let mut rng = seeded(0);
-        let mut conv = Conv2d::depthwise3x3(&mut rng, 2, 1);
-        // Channel 0 kernel all zero, channel 1 kernel identity-at-centre.
-        let mut w = vec![0.0f32; 18];
+        // Channel 0 kernel all zero, channel 1 kernel identity-at-centre;
+        // zero biases.
+        let mut w = vec![0.0f32; 18 + 2];
         w[9 + 4] = 1.0;
-        conv.weight = Tensor::from_vec(w, &[2, 9]);
-        conv.bias = Tensor::zeros(&[2]);
+        let mut conv = model(Conv2d::depthwise3x3(&mut rng, 2, 1), &w);
         let x = Tensor::full(&[1, 2, 3, 3], 2.0);
         let y = conv.forward(x, false);
         assert!(
@@ -984,13 +986,13 @@ mod tests {
         let (_, shape) = conv.flops(&[1, 8, 5, 5]);
         assert_eq!(shape, vec![1, 16, 5, 5]);
         // Weight is [16, (8/4)*9] = [16, 18].
-        assert_eq!(conv.weight.shape(), &[16, 18]);
+        assert_eq!(Model::new(conv, &[], 0).layout()[0].shape, vec![16, 18]);
     }
 
     #[test]
     fn backward_shapes_match_input() {
         let mut rng = seeded(0);
-        let mut conv = Conv2d::conv3x3(&mut rng, 3, 4, 2);
+        let mut conv = Model::new(Conv2d::conv3x3(&mut rng, 3, 4, 2), &[], 0);
         let x = Tensor::full(&[2, 3, 6, 6], 0.5);
         let y = conv.forward(x, true);
         let gx = conv.backward(Tensor::full(y.shape(), 1.0));
@@ -999,7 +1001,8 @@ mod tests {
 
     /// Reference forward straight from the convolution definition —
     /// no im2col, no GEMM — for differential checks on the fused path.
-    fn naive_forward(conv: &Conv2d, x: &Tensor) -> Tensor {
+    fn naive_forward(conv: &Conv2d, params: &[f32], x: &Tensor) -> Tensor {
+        let (weight, bias) = conv.weights(params);
         let s = x.shape();
         let (b, _, h, w) = (s[0], s[1], s[2], s[3]);
         let (oh, ow) = conv.out_hw(h, w);
@@ -1013,7 +1016,7 @@ mod tests {
                 let gi = oc / ocg;
                 for oy in 0..oh {
                     for ox in 0..ow {
-                        let mut acc = conv.bias.data()[oc] as f64;
+                        let mut acc = bias[oc] as f64;
                         for ci in 0..cg {
                             for ky in 0..k {
                                 for kx in 0..k {
@@ -1026,7 +1029,7 @@ mod tests {
                                         + iy as usize)
                                         * w
                                         + ix as usize];
-                                    let wi = conv.weight.data()[oc * fan + (ci * k + ky) * k + kx];
+                                    let wi = weight[oc * fan + (ci * k + ky) * k + kx];
                                     acc += (xi as f64) * (wi as f64);
                                 }
                             }
@@ -1056,7 +1059,10 @@ mod tests {
         ];
         for (i, &(cin, cout, k, st, pd, g, h, w)) in cases.iter().enumerate() {
             let mut rng = seeded(42 + i as u64);
-            let mut conv = Conv2d::new(&mut rng, cin, cout, k, st, pd, g);
+            // The reference reads the weights the model bound, through a
+            // layer of the same geometry.
+            let geometry = || Conv2d::new(&mut seeded(0), cin, cout, k, st, pd, g);
+            let mut conv = Model::new(Conv2d::new(&mut rng, cin, cout, k, st, pd, g), &[], 0);
             let n = 2 * cin * h * w;
             let x = Tensor::from_vec(
                 (0..n)
@@ -1065,7 +1071,7 @@ mod tests {
                 &[2, cin, h, w],
             );
             let got = conv.forward(x.clone(), false);
-            let want = naive_forward(&conv, &x);
+            let want = naive_forward(&geometry(), conv.params(), &x);
             assert_eq!(got.shape(), want.shape(), "case {i}");
             for (p, (&a, &e)) in got.data().iter().zip(want.data()).enumerate() {
                 assert!(

@@ -2,84 +2,72 @@
 //!
 //! Layers are stateful: `forward` caches whatever the matching `backward`
 //! needs (inputs, masks, normalisation statistics), and `backward`
-//! *accumulates* parameter gradients into per-layer grad buffers while
-//! returning the gradient with respect to the layer input. A training step
-//! is therefore `zero_grad → forward(train=true) → backward → optimiser`.
+//! *accumulates* parameter gradients while returning the gradient with
+//! respect to the layer input. A training step is therefore
+//! `zero_grad → forward(train=true) → backward → optimiser`.
+//!
+//! A layer owns no parameter or gradient storage. Its [`crate::Model`]
+//! owns one parameter arena and one gradient slab; [`Layer::bind`] moves
+//! each layer's initial weights into the arena when the model is built,
+//! after which the layer keeps only the offset of its first tensor, and
+//! `forward` / `backward` borrow the arena and the slab from the model.
 //!
 //! One backward pass can differentiate one forward against several output
 //! gradients at once — FedKNOW's restorer stacks the training loss's
-//! gradient and every signature task's distillation gradient — so each
-//! parameter gradient has *slots* ([`Grad`]): slot 0 is the one
-//! [`Layer::visit_params`] exposes, slots `1..s` are handed out by
-//! [`Layer::take_grad_slots`].
+//! gradient and every signature task's distillation gradient — so the
+//! slab has *slots*: `s` arena-sized gradients, slot-major, slot `j` of
+//! the parameter at arena offset `o` at `o + j·P`.
 
 use fedknow_math::tensor::MAX_RANK;
 use fedknow_math::Tensor;
 
-/// Callback used to walk a layer tree's parameters in a stable order.
-///
-/// `visit` receives the parameter name (diagnostic, stable across runs),
-/// the parameter buffer, and its gradient buffer — always the same length.
-pub trait ParamVisitor {
-    /// Visit one parameter tensor with its logical shape (e.g.
-    /// `[out, in]` for a linear weight, `[oc, cg·k·k]` for a conv
-    /// kernel) and its gradient buffer.
-    fn visit(&mut self, name: &str, shape: &[usize], params: &mut [f32], grads: &mut [f32]);
-}
-
-impl<F: FnMut(&str, &[usize], &mut [f32], &mut [f32])> ParamVisitor for F {
-    fn visit(&mut self, name: &str, shape: &[usize], params: &mut [f32], grads: &mut [f32]) {
-        self(name, shape, params, grads)
-    }
-}
+/// The callback of [`Layer::bind`]: append one parameter tensor (a
+/// diagnostic name, its logical shape, its initial values) to the arena
+/// and return its offset there.
+pub type Bind<'a> = dyn FnMut(&'static str, &[usize], Vec<f32>) -> usize + 'a;
 
 /// A differentiable module with manually implemented backpropagation.
 pub trait Layer: Send {
-    /// Forward pass. `train` selects training behaviour (e.g. batch
-    /// statistics in [`crate::norm::BatchNorm2d`]); backward may only be
-    /// called after a `forward` with `train = true`.
-    fn forward(&mut self, x: Tensor, train: bool) -> Tensor;
+    /// Forward pass. `params` is the model's parameter arena; the layer reads
+    /// its own tensors at the offsets [`bind`](Self::bind) returned.
+    /// `train` selects training behaviour (e.g. batch statistics in
+    /// [`crate::norm::BatchNorm2d`]); backward may only be called after a
+    /// `forward` with `train = true`.
+    fn forward(&mut self, params: &[f32], x: Tensor, train: bool) -> Tensor;
 
-    /// Backward pass: consume ∂L/∂output, accumulate parameter gradients,
-    /// return ∂L/∂input.
+    /// Backward pass: consume ∂L/∂output, accumulate parameter gradients
+    /// into the gradient slab `grads`, return ∂L/∂input. `params` is the
+    /// arena the forward read.
     ///
     /// `grad` holds `s ≥ 1` output gradients of the cached forward
     /// (*slots*), stacked slot-major along the batch dimension: for a
     /// forward over `B` samples it is `[s·B, …]`, rows `j·B..(j+1)·B`
     /// being slot `j`. Every layer infers `s` as `grad`'s batch over the
-    /// cached one. The returned input gradient is stacked the same way,
-    /// slot `j`'s parameter gradient accumulates into gradient slot `j`,
-    /// and each slot's result is bit-identical to a backward of that slot
-    /// alone. `s = 1` is training.
+    /// cached one, and the slab holds `s` arena-sized slots
+    /// ([`crate::Model::grad_slot`]). The returned input gradient is stacked the same
+    /// way, slot `j`'s parameter gradient accumulates into gradient slot
+    /// `j`, and each slot's result is bit-identical to a backward of that
+    /// slot alone. `s = 1` is training.
     ///
     /// May be called any number of times after one `forward(x, true)`:
     /// it reads the cached activations without consuming them, so each
     /// call differentiates the same forward against new output
     /// gradients. Parameter gradients accumulate across calls; the caller
     /// zeroes them in between.
-    fn backward(&mut self, grad: Tensor) -> Tensor;
+    fn backward(&mut self, params: &[f32], grads: &mut [f32], grad: Tensor) -> Tensor;
 
-    /// Visit every (parameter, gradient) pair in a deterministic order;
-    /// the gradient is slot 0. The default is a no-op for parameter-free
+    /// Move the layer's initial parameters into the arena through `bind`,
+    /// in a deterministic order, and keep the offsets it returns.
+    /// Composites forward the call to their children. Called once, by
+    /// [`crate::Model::new`]. The default is a no-op for parameter-free
     /// layers.
-    fn visit_params(&mut self, _v: &mut dyn ParamVisitor) {}
-
-    /// Hand the gradient slots `1..s` of the last `s`-slot backward to
-    /// `v`, one call per parameter tensor in
-    /// [`visit_params`](Self::visit_params) order with the tensor's
-    /// length and its `(s − 1)·len` floats (slot-major), and release
-    /// them. Slot 0 stays. Default no-op for parameter-free layers.
-    fn take_grad_slots(&mut self, _v: &mut dyn FnMut(usize, Vec<f32>)) {}
+    fn bind(&mut self, _bind: &mut Bind) {}
 
     /// Visit every state buffer that is not a parameter but that
     /// inference reads (BatchNorm's running statistics), in a
     /// deterministic order. Composites forward the call to their
     /// children. The default is a no-op for layers without such state.
     fn visit_buffers(&mut self, _v: &mut dyn FnMut(&mut [f32])) {}
-
-    /// Zero all gradient buffers (every slot). Default no-op for
-    /// parameter-free layers.
-    fn zero_grad(&mut self) {}
 
     /// Approximate FLOPs of one forward pass at the given input shape,
     /// and the output shape the layer produces. Drives the edge-device
@@ -90,55 +78,17 @@ pub trait Layer: Send {
     fn name(&self) -> &'static str;
 }
 
-/// One parameter tensor's gradient buffer, in slots (see [`Layer::backward`]):
-/// slot 0, which [`Layer::visit_params`] exposes, and the slots `1..s` of
-/// the last `s`-slot backward, kept until [`take_rest`](Self::take_rest)
-/// hands them out. A single-slot backward holds no storage beyond slot 0.
-pub(crate) struct Grad {
-    main: Vec<f32>,
-    rest: Vec<f32>,
-}
-
-impl Grad {
-    /// A zeroed gradient of `len` floats.
-    pub(crate) fn zeros(len: usize) -> Self {
-        Self {
-            main: vec![0.0; len],
-            rest: Vec::new(),
-        }
-    }
-
-    /// Slot 0.
-    pub(crate) fn main(&mut self) -> &mut [f32] {
-        &mut self.main
-    }
-
-    /// Size the buffer for an `s`-slot backward: slots `1..s` keep what
-    /// they hold, new ones start at zero, slots past `s` are dropped
-    /// (their storage is kept, so a steady state does not allocate).
-    pub(crate) fn set_slots(&mut self, s: usize) {
-        self.rest.resize((s - 1) * self.main.len(), 0.0);
-    }
-
-    /// Slot `j`, of the `s` set by [`set_slots`](Self::set_slots).
-    pub(crate) fn slot(&mut self, j: usize) -> &mut [f32] {
-        if j == 0 {
-            return &mut self.main;
-        }
-        let len = self.main.len();
-        &mut self.rest[(j - 1) * len..j * len]
-    }
-
-    /// Zero every slot.
-    pub(crate) fn zero(&mut self) {
-        self.main.fill(0.0);
-        self.rest.fill(0.0);
-    }
-
-    /// [`Layer::take_grad_slots`] for this tensor.
-    pub(crate) fn take_rest(&mut self, v: &mut dyn FnMut(usize, Vec<f32>)) {
-        v(self.main.len(), std::mem::take(&mut self.rest));
-    }
+/// Gradient slot `j` of the parameter run `off..off + len` in an
+/// `s`-slot slab (see [`Layer::backward`]).
+pub(crate) fn grad_slot(
+    grads: &mut [f32],
+    s: usize,
+    j: usize,
+    off: usize,
+    len: usize,
+) -> &mut [f32] {
+    let stride = grads.len() / s;
+    &mut grads[j * stride + off..][..len]
 }
 
 /// How many slots a stacked output gradient of `grad_len` floats holds
@@ -219,10 +169,10 @@ impl Default for Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, mut x: Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, params: &[f32], mut x: Tensor, train: bool) -> Tensor {
         let verify = fedknow_verify::is_enabled();
         for l in &mut self.layers {
-            x = l.forward(x, train);
+            x = l.forward(params, x, train);
             if verify {
                 fedknow_verify::report(
                     "nn.finite_activation",
@@ -233,10 +183,10 @@ impl Layer for Sequential {
         x
     }
 
-    fn backward(&mut self, mut grad: Tensor) -> Tensor {
+    fn backward(&mut self, params: &[f32], grads: &mut [f32], mut grad: Tensor) -> Tensor {
         let verify = fedknow_verify::is_enabled();
         for l in self.layers.iter_mut().rev() {
-            grad = l.backward(grad);
+            grad = l.backward(params, grads, grad);
             if verify {
                 fedknow_verify::report(
                     "nn.finite_gradient",
@@ -247,27 +197,15 @@ impl Layer for Sequential {
         grad
     }
 
-    fn visit_params(&mut self, v: &mut dyn ParamVisitor) {
+    fn bind(&mut self, bind: &mut Bind) {
         for l in &mut self.layers {
-            l.visit_params(v);
-        }
-    }
-
-    fn take_grad_slots(&mut self, v: &mut dyn FnMut(usize, Vec<f32>)) {
-        for l in &mut self.layers {
-            l.take_grad_slots(v);
+            l.bind(bind);
         }
     }
 
     fn visit_buffers(&mut self, v: &mut dyn FnMut(&mut [f32])) {
         for l in &mut self.layers {
             l.visit_buffers(v);
-        }
-    }
-
-    fn zero_grad(&mut self) {
-        for l in &mut self.layers {
-            l.zero_grad();
         }
     }
 
@@ -292,32 +230,30 @@ mod tests {
     use super::*;
     use crate::activations::ReLU;
     use crate::linear::Linear;
+    use crate::Model;
     use fedknow_math::rng::seeded;
 
     #[test]
     fn sequential_chains_forward_and_shapes() {
         let mut rng = seeded(1);
-        let mut seq = Sequential::new()
+        let seq = Sequential::new()
             .push(Linear::new(&mut rng, 4, 8))
             .push(ReLU::new())
             .push(Linear::new(&mut rng, 8, 3));
+        let mut m = Model::new(seq, &[4], 3);
         let x = Tensor::zeros(&[2, 4]);
-        let y = seq.forward(x, false);
+        let y = m.forward(x, false);
         assert_eq!(y.shape(), &[2, 3]);
     }
 
     #[test]
-    fn visit_params_order_is_stable() {
+    fn bind_order_is_stable() {
         let mut rng = seeded(1);
-        let mut seq = Sequential::new()
+        let seq = Sequential::new()
             .push(Linear::new(&mut rng, 4, 8))
             .push(Linear::new(&mut rng, 8, 3));
-        let mut names = Vec::new();
-        seq.visit_params(
-            &mut |name: &str, _: &[usize], _: &mut [f32], _: &mut [f32]| {
-                names.push(name.to_string());
-            },
-        );
+        let m = Model::new(seq, &[4], 3);
+        let names: Vec<&str> = m.layout().iter().map(|s| s.name.as_str()).collect();
         assert_eq!(
             names,
             vec![

@@ -10,10 +10,13 @@
 //! finite-difference gradient checks (see `tests/gradcheck.rs`).
 //!
 //! The FCL algorithms above this crate never touch layers directly — they
-//! operate on a [`model::Model`]'s *flat parameter/gradient vectors*
-//! ([`model::Model::flat_params`], [`model::Model::flat_grads`]), which is
-//! exactly the representation FedKNOW's pruning, distillation and QP
-//! integration need.
+//! operate on a [`model::Model`]'s *parameter arena* and *gradient slots*
+//! ([`model::Model::params`], [`model::Model::grad_slot`]): one flat
+//! vector of every weight and one of every gradient per backward slot,
+//! which is exactly the representation FedKNOW's pruning, distillation
+//! and QP integration need. The model owns both; a layer keeps only the
+//! offsets [`layer::Layer::bind`] gave it and reads the arena the model
+//! passes to `forward` and `backward`.
 
 pub mod activations;
 pub mod blocks;
@@ -27,6 +30,6 @@ pub mod norm;
 pub mod optim;
 pub mod pool;
 
-pub use layer::{Layer, ParamVisitor, Sequential};
+pub use layer::{Layer, Sequential};
 pub use model::Model;
 pub use models::ModelKind;

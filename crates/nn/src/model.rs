@@ -1,5 +1,5 @@
-//! The [`Model`] wrapper: a layer tree plus the flat parameter/gradient
-//! view every FCL algorithm in the workspace operates on.
+//! The [`Model`] wrapper: a layer tree plus the parameter arena and
+//! gradient slab every FCL algorithm in the workspace operates on.
 
 use crate::layer::Layer;
 use fedknow_math::Tensor;
@@ -18,14 +18,22 @@ pub struct ParamSegment {
     pub shape: Vec<usize>,
 }
 
-/// A trainable model: a root layer, its input shape, and flat-vector access
-/// to all parameters and gradients.
+/// A trainable model: a root layer, its input shape, and the storage of
+/// all its parameters and gradients.
+///
+/// The parameters are one arena of `P` floats in [`layout`](Self::layout)
+/// order; the gradients are one slab of `s·P` floats, slot-major, for the
+/// `s` output gradients of the last backward (see [`Layer::backward`]).
 pub struct Model {
     root: Box<dyn Layer>,
     input_shape: Vec<usize>,
     num_classes: usize,
     layout: Vec<ParamSegment>,
-    param_count: usize,
+    params: Vec<f32>,
+    grads: Vec<f32>,
+    /// Batch of the last training forward: a backward's slot count is
+    /// its gradient's batch over this one.
+    batch: usize,
 }
 
 impl Model {
@@ -35,37 +43,45 @@ impl Model {
         Self::from_boxed(Box::new(root), input_shape, num_classes)
     }
 
-    /// Wrap an already-boxed root layer.
+    /// Wrap an already-boxed root layer, moving every layer's initial
+    /// weights into the arena ([`Layer::bind`]).
     pub fn from_boxed(mut root: Box<dyn Layer>, input_shape: &[usize], num_classes: usize) -> Self {
         let mut layout = Vec::new();
-        let mut offset = 0usize;
-        root.visit_params(
-            &mut |name: &str, shape: &[usize], p: &mut [f32], _: &mut [f32]| {
-                layout.push(ParamSegment {
-                    name: name.to_string(),
-                    offset,
-                    len: p.len(),
-                    shape: shape.to_vec(),
-                });
-                offset += p.len();
-            },
-        );
+        let mut inits = Vec::new();
+        let mut len = 0;
+        root.bind(&mut |name, shape, init| {
+            let offset = len;
+            len += init.len();
+            layout.push(ParamSegment {
+                name: name.to_string(),
+                offset,
+                len: init.len(),
+                shape: shape.to_vec(),
+            });
+            inits.push(init);
+            offset
+        });
+        // One exact allocation and one copy: growing the arena tensor by
+        // tensor would copy a large model several times over.
+        let params = inits.concat();
         Self {
             root,
             input_shape: input_shape.to_vec(),
             num_classes,
             layout,
-            param_count: offset,
+            grads: vec![0.0; params.len()],
+            params,
+            batch: 0,
         }
     }
 
     /// Total number of trainable parameters.
     pub fn param_count(&self) -> usize {
-        self.param_count
+        self.params.len()
     }
 
     /// Parameter-vector layout: one segment per parameter tensor, in the
-    /// stable visit order.
+    /// stable bind order.
     pub fn layout(&self) -> &[ParamSegment] {
         &self.layout
     }
@@ -82,74 +98,76 @@ impl Model {
 
     /// Model size on the wire, assuming `f32` parameters.
     pub fn size_bytes(&self) -> usize {
-        self.param_count * std::mem::size_of::<f32>()
+        self.param_count() * std::mem::size_of::<f32>()
     }
 
     /// Forward pass. `x` is `[B, ...input_shape]`.
     pub fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
-        self.root.forward(x, train)
+        if train {
+            self.batch = x.shape()[0];
+        }
+        self.root.forward(&self.params, x, train)
     }
 
     /// Backward pass from the loss gradient at the output — or from `s`
     /// of them stacked slot-major (`[s·B, classes]` for a `B`-row
-    /// forward; see [`Layer::backward`]): slot 0's parameter gradient
-    /// lands in the gradient buffers, slots `1..s` are read with
-    /// [`take_slot_grads`](Self::take_slot_grads).
+    /// forward; see [`Layer::backward`]): slot `j`'s parameter gradient
+    /// accumulates into [`grad_slot`](Self::grad_slot)`(j)`. Slots kept
+    /// from the last backward keep what they hold, new ones start at
+    /// zero.
     pub fn backward(&mut self, grad: Tensor) -> Tensor {
-        self.root.backward(grad)
+        let s = match self.batch {
+            0 => 1,
+            b => (grad.shape()[0] / b).max(1),
+        };
+        self.grads.resize(s * self.params.len(), 0.0);
+        self.root.backward(&self.params, &mut self.grads, grad)
     }
 
-    /// The parameter gradients of slots `1..s` of the last `s`-slot
-    /// backward, one flat vector (stable order) per slot; their storage
-    /// in the layers is released. Slot 0 stays in the gradient buffers.
-    /// Empty after a one-slot backward.
-    pub fn take_slot_grads(&mut self) -> Vec<Vec<f32>> {
-        let p = self.param_count;
-        let mut slots: Vec<Vec<f32>> = Vec::new();
-        self.root
-            .take_grad_slots(&mut |len: usize, rest: Vec<f32>| {
-                if len == 0 {
-                    return;
-                }
-                if slots.is_empty() {
-                    slots = (0..rest.len() / len)
-                        .map(|_| Vec::with_capacity(p))
-                        .collect();
-                }
-                for (flat, part) in slots.iter_mut().zip(rest.chunks_exact(len)) {
-                    flat.extend_from_slice(part);
-                }
-            });
-        assert!(
-            slots.iter().all(|g| g.len() == p),
-            "gradient slots differ in count between layers"
+    /// The parameters, in layout order.
+    pub fn params(&self) -> &[f32] {
+        &self.params
+    }
+
+    /// The parameters, in layout order, to write in place.
+    pub fn params_mut(&mut self) -> &mut [f32] {
+        &mut self.params
+    }
+
+    /// Exchange the parameters with `other`: the model takes `other`'s
+    /// values and `other` holds the model's. Two calls around a forward
+    /// run it at other weights without copying any. Panics on length
+    /// mismatch.
+    pub fn swap_params(&mut self, other: &mut Vec<f32>) {
+        assert_eq!(
+            other.len(),
+            self.params.len(),
+            "swapped parameter length mismatch"
         );
-        slots
+        std::mem::swap(&mut self.params, other);
     }
 
-    /// Zero all gradient buffers.
+    /// Gradient slot `j` of the last backward, in layout order: slot 0 is
+    /// the training gradient. Panics unless that backward had more than
+    /// `j` slots.
+    pub fn grad_slot(&self, j: usize) -> &[f32] {
+        let p = self.params.len();
+        &self.grads[j * p..(j + 1) * p]
+    }
+
+    /// Zero all gradient slots.
     pub fn zero_grad(&mut self) {
-        self.root.zero_grad();
+        self.grads.fill(0.0);
     }
 
     /// Copy all parameters into one flat vector (stable order).
     pub fn flat_params(&mut self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count);
-        self.root
-            .visit_params(&mut |_: &str, _: &[usize], p: &mut [f32], _: &mut [f32]| {
-                out.extend_from_slice(p);
-            });
-        out
+        self.params.to_vec()
     }
 
     /// Copy all gradients (slot 0) into one flat vector (stable order).
     pub fn flat_grads(&mut self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count);
-        self.root
-            .visit_params(&mut |_: &str, _: &[usize], _: &mut [f32], g: &mut [f32]| {
-                out.extend_from_slice(g);
-            });
-        out
+        self.grad_slot(0).to_vec()
     }
 
     /// Overwrite all parameters from a flat vector. Panics on length
@@ -157,15 +175,10 @@ impl Model {
     pub fn set_flat_params(&mut self, flat: &[f32]) {
         assert_eq!(
             flat.len(),
-            self.param_count,
+            self.params.len(),
             "flat parameter length mismatch"
         );
-        let mut off = 0usize;
-        self.root
-            .visit_params(&mut |_: &str, _: &[usize], p: &mut [f32], _: &mut [f32]| {
-                p.copy_from_slice(&flat[off..off + p.len()]);
-                off += p.len();
-            });
+        self.params.copy_from_slice(flat);
     }
 
     /// Copy every layer's state buffers ([`Layer::visit_buffers`]: the
@@ -191,29 +204,19 @@ impl Model {
         assert!(rest.is_empty(), "flat buffer length mismatch");
     }
 
-    /// `w ← w − lr · update` over the flat view, without materialising the
-    /// parameter vector.
+    /// `w ← w − lr · update`.
     pub fn apply_update(&mut self, update: &[f32], lr: f32) {
-        assert_eq!(update.len(), self.param_count, "update length mismatch");
-        let mut off = 0usize;
-        self.root
-            .visit_params(&mut |_: &str, _: &[usize], p: &mut [f32], _: &mut [f32]| {
-                let len = p.len();
-                for (w, &u) in p.iter_mut().zip(&update[off..off + len]) {
-                    *w -= lr * u;
-                }
-                off += len;
-            });
+        assert_eq!(update.len(), self.params.len(), "update length mismatch");
+        for (w, &u) in self.params.iter_mut().zip(update) {
+            *w -= lr * u;
+        }
     }
 
-    /// `w ← w − lr · grad` using each layer's own gradient buffers.
+    /// `w ← w − lr · grad`, with gradient slot 0.
     pub fn sgd_step(&mut self, lr: f32) {
-        self.root
-            .visit_params(&mut |_: &str, _: &[usize], p: &mut [f32], g: &mut [f32]| {
-                for (w, &gi) in p.iter_mut().zip(g.iter()) {
-                    *w -= lr * gi;
-                }
-            });
+        for (w, &g) in self.params.iter_mut().zip(&self.grads) {
+            *w -= lr * g;
+        }
     }
 
     /// Forward-pass FLOPs for a given batch size.
@@ -261,6 +264,20 @@ mod tests {
         let doubled: Vec<f32> = orig.iter().map(|x| x * 2.0).collect();
         m.set_flat_params(&doubled);
         assert_eq!(m.flat_params(), doubled);
+        // Two swaps put the weights back; in between the model holds the
+        // other vector's and the other vector the model's.
+        let mut other = orig.clone();
+        m.swap_params(&mut other);
+        assert_eq!(m.params(), &orig[..]);
+        assert_eq!(other, doubled);
+        m.swap_params(&mut other);
+        assert_eq!(m.params(), &doubled[..]);
+        assert_eq!(other, orig);
+        let mut short = vec![0.0f32; orig.len() - 1];
+        let swapped =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.swap_params(&mut short)));
+        assert!(swapped.is_err(), "a mismatched length must panic");
+        assert_eq!(m.params(), &doubled[..], "and leave the weights alone");
     }
 
     #[test]

@@ -82,8 +82,7 @@ mod tests {
     #[test]
     fn dense_layer_grows_channels() {
         let mut rng = seeded(0);
-        let mut l = dense_layer(&mut rng, 4, 3);
-        use crate::layer::Layer;
+        let mut l = Model::new(dense_layer(&mut rng, 4, 3), &[], 0);
         let y = l.forward(Tensor::zeros(&[1, 4, 4, 4]), false);
         assert_eq!(y.shape(), &[1, 7, 4, 4]);
     }

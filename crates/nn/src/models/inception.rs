@@ -64,14 +64,13 @@ pub fn inception_v3(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::Layer;
     use fedknow_math::rng::seeded;
     use fedknow_math::Tensor;
 
     #[test]
     fn module_concatenates_four_branches() {
         let mut rng = seeded(0);
-        let mut m = inception_module(&mut rng, 8, 4);
+        let mut m = Model::new(inception_module(&mut rng, 8, 4), &[], 0);
         let y = m.forward(Tensor::zeros(&[1, 8, 8, 8]), false);
         assert_eq!(y.shape(), &[1, 16, 8, 8]);
     }

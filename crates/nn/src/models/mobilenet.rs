@@ -81,10 +81,12 @@ mod tests {
     #[test]
     fn stride1_same_channels_gets_residual() {
         let mut rng = seeded(0);
-        let mut block = inverted_residual(&mut rng, 8, 8, 1, 4);
+        let block = inverted_residual(&mut rng, 8, 8, 1, 4);
         assert_eq!(block.name(), "Residual");
-        let mut strided = inverted_residual(&mut rng, 8, 16, 2, 4);
+        let strided = inverted_residual(&mut rng, 8, 16, 2, 4);
         assert_eq!(strided.name(), "Sequential");
+        let mut block = Model::from_boxed(block, &[], 0);
+        let mut strided = Model::from_boxed(strided, &[], 0);
         let y = block.forward(Tensor::full(&[1, 8, 4, 4], 0.1), false);
         assert_eq!(y.shape(), &[1, 8, 4, 4]);
         let y2 = strided.forward(Tensor::full(&[1, 8, 4, 4], 0.1), false);

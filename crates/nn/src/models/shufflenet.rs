@@ -84,14 +84,13 @@ pub fn shufflenet_v2(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::Layer;
     use fedknow_math::rng::seeded;
     use fedknow_math::Tensor;
 
     #[test]
     fn basic_unit_preserves_shape() {
         let mut rng = seeded(0);
-        let mut u = basic_unit(&mut rng, 8);
+        let mut u = Model::new(basic_unit(&mut rng, 8), &[], 0);
         let y = u.forward(Tensor::full(&[1, 8, 4, 4], 0.1), false);
         assert_eq!(y.shape(), &[1, 8, 4, 4]);
     }
@@ -99,7 +98,7 @@ mod tests {
     #[test]
     fn down_unit_halves_spatial_doubles_channels() {
         let mut rng = seeded(0);
-        let mut u = down_unit(&mut rng, 8, 16);
+        let mut u = Model::new(down_unit(&mut rng, 8, 16), &[], 0);
         let y = u.forward(Tensor::full(&[1, 8, 8, 8], 0.1), false);
         assert_eq!(y.shape(), &[1, 16, 4, 4]);
     }

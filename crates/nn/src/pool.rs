@@ -33,7 +33,7 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, _params: &[f32], x: Tensor, train: bool) -> Tensor {
         let s = x.shape();
         assert_eq!(s.len(), 4, "MaxPool2d expects [B,C,H,W]");
         let (b, c, h, w) = (s[0], s[1], s[2], s[3]);
@@ -80,7 +80,7 @@ impl Layer for MaxPool2d {
         Tensor::from_vec(out, &[b, c, oh, ow])
     }
 
-    fn backward(&mut self, grad: Tensor) -> Tensor {
+    fn backward(&mut self, _params: &[f32], _grads: &mut [f32], grad: Tensor) -> Tensor {
         assert!(!self.in_shape.is_empty(), "backward before forward(train)");
         let s = slot_count(grad.len(), self.argmax.len(), "MaxPool2d");
         let mut gx = Tensor::zeros(&stacked_shape(&self.in_shape, s)[..4]);
@@ -133,7 +133,7 @@ impl Default for GlobalAvgPool {
 }
 
 impl Layer for GlobalAvgPool {
-    fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, _params: &[f32], x: Tensor, train: bool) -> Tensor {
         let s = x.shape();
         assert_eq!(s.len(), 4, "GlobalAvgPool expects [B,C,H,W]");
         let (b, c, h, w) = (s[0], s[1], s[2], s[3]);
@@ -149,7 +149,7 @@ impl Layer for GlobalAvgPool {
         Tensor::from_vec(out, &[b, c])
     }
 
-    fn backward(&mut self, grad: Tensor) -> Tensor {
+    fn backward(&mut self, _params: &[f32], _grads: &mut [f32], grad: Tensor) -> Tensor {
         assert!(!self.in_shape.is_empty(), "backward before forward(train)");
         let (b, c, h, w) = (
             self.in_shape[0],
@@ -201,7 +201,7 @@ impl Default for Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, _params: &[f32], x: Tensor, train: bool) -> Tensor {
         let s = x.shape();
         let b = s[0];
         let rest: usize = s[1..].iter().product();
@@ -212,7 +212,7 @@ impl Layer for Flatten {
         x.reshape(&[b, rest])
     }
 
-    fn backward(&mut self, grad: Tensor) -> Tensor {
+    fn backward(&mut self, _params: &[f32], _grads: &mut [f32], grad: Tensor) -> Tensor {
         assert!(!self.in_shape.is_empty(), "backward before forward(train)");
         let s = slot_count(grad.len(), self.in_shape.iter().product(), "Flatten");
         grad.reshape(&stacked_shape(&self.in_shape, s)[..self.in_shape.len()])
@@ -236,9 +236,9 @@ mod tests {
     fn maxpool_picks_max_and_routes_gradient() {
         let mut p = MaxPool2d::new(2);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]);
-        let y = p.forward(x, true);
+        let y = p.forward(&[], x, true);
         assert_eq!(y.data(), &[4.0]);
-        let gx = p.backward(Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]));
+        let gx = p.backward(&[], &mut [], Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]));
         assert_eq!(gx.data(), &[0.0, 0.0, 0.0, 5.0]);
     }
 
@@ -258,10 +258,14 @@ mod tests {
             ],
             &[1, 1, 2, 6],
         );
-        let y = p.forward(x, true);
+        let y = p.forward(&[], x, true);
         assert_eq!(y.data(), &[7.0, ninf, ninf]);
         assert_eq!(p.argmax, [1, 0, 0]);
-        let gx = p.backward(Tensor::from_vec(vec![1.0, 2.0, 4.0], &[1, 1, 1, 3]));
+        let gx = p.backward(
+            &[],
+            &mut [],
+            Tensor::from_vec(vec![1.0, 2.0, 4.0], &[1, 1, 1, 3]),
+        );
         assert_eq!(gx.data()[..2], [6.0, 1.0]);
         assert!(gx.data()[2..].iter().all(|&v| v == 0.0));
     }
@@ -270,9 +274,9 @@ mod tests {
     fn gap_averages_and_spreads_gradient() {
         let mut p = GlobalAvgPool::new();
         let x = Tensor::from_vec(vec![1.0, 3.0, 5.0, 7.0], &[1, 1, 2, 2]);
-        let y = p.forward(x, true);
+        let y = p.forward(&[], x, true);
         assert_eq!(y.data(), &[4.0]);
-        let gx = p.backward(Tensor::from_vec(vec![4.0], &[1, 1]));
+        let gx = p.backward(&[], &mut [], Tensor::from_vec(vec![4.0], &[1, 1]));
         assert_eq!(gx.data(), &[1.0, 1.0, 1.0, 1.0]);
     }
 
@@ -280,9 +284,9 @@ mod tests {
     fn flatten_roundtrip() {
         let mut f = Flatten::new();
         let x = Tensor::zeros(&[2, 3, 4, 4]);
-        let y = f.forward(x, true);
+        let y = f.forward(&[], x, true);
         assert_eq!(y.shape(), &[2, 48]);
-        let gx = f.backward(Tensor::zeros(&[2, 48]));
+        let gx = f.backward(&[], &mut [], Tensor::zeros(&[2, 48]));
         assert_eq!(gx.shape(), &[2, 3, 4, 4]);
     }
 }
@@ -305,7 +309,7 @@ impl AvgPool2d {
 }
 
 impl Layer for AvgPool2d {
-    fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, _params: &[f32], x: Tensor, train: bool) -> Tensor {
         let s = x.shape();
         assert_eq!(s.len(), 4, "AvgPool2d expects [B,C,H,W]");
         let (b, c, h, w) = (s[0], s[1], s[2], s[3]);
@@ -335,7 +339,7 @@ impl Layer for AvgPool2d {
         Tensor::from_vec(out, &[b, c, oh, ow])
     }
 
-    fn backward(&mut self, grad: Tensor) -> Tensor {
+    fn backward(&mut self, _params: &[f32], _grads: &mut [f32], grad: Tensor) -> Tensor {
         assert!(!self.in_shape.is_empty(), "backward before forward(train)");
         let (b, c, h, w) = (
             self.in_shape[0],
@@ -385,9 +389,9 @@ mod avgpool_tests {
     fn avgpool_averages_and_spreads_gradient() {
         let mut p = AvgPool2d::new(2);
         let x = Tensor::from_vec(vec![1.0, 3.0, 5.0, 7.0], &[1, 1, 2, 2]);
-        let y = p.forward(x, true);
+        let y = p.forward(&[], x, true);
         assert_eq!(y.data(), &[4.0]);
-        let gx = p.backward(Tensor::from_vec(vec![8.0], &[1, 1, 1, 1]));
+        let gx = p.backward(&[], &mut [], Tensor::from_vec(vec![8.0], &[1, 1, 1, 1]));
         assert_eq!(gx.data(), &[2.0, 2.0, 2.0, 2.0]);
     }
 

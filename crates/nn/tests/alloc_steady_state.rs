@@ -111,8 +111,10 @@ fn steady_state_eval_forward_is_allocation_free() {
 
 /// The same pin for `cnn_fedknow_t10`'s hot path: a training forward
 /// followed by one backward of four stacked output gradients (the
-/// training loss's and three signature tasks') is allocation-free after
-/// warmup too — the extra gradient slots stay sized between calls.
+/// training loss's and three signature tasks') and a read of every
+/// slot's parameter gradient is allocation-free after warmup too — the
+/// gradient slab stays sized between calls and each slot is read where
+/// it lies.
 #[test]
 fn steady_state_stacked_backward_is_allocation_free() {
     let mut rng = seeded(9);
@@ -133,7 +135,12 @@ fn steady_state_stacked_backward_is_allocation_free() {
     let step = |model: &mut Model| {
         model.zero_grad();
         let _ = model.forward(input.clone(), true);
-        model.backward(grad.clone())
+        let gx = model.backward(grad.clone());
+        for j in 0..slots {
+            let sq: f32 = model.grad_slot(j).iter().map(|g| g * g).sum();
+            assert!(sq.is_finite() && sq > 0.0, "slot {j} holds no gradient");
+        }
+        gx
     };
     for _ in 0..3 {
         step(&mut model);

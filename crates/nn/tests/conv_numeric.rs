@@ -5,10 +5,10 @@
 use fedknow_math::rng::seeded;
 use fedknow_math::Tensor;
 use fedknow_nn::conv::Conv2d;
-use fedknow_nn::layer::Layer;
 use fedknow_nn::norm::BatchNorm2d;
+use fedknow_nn::Model;
 
-fn numeric_input_grad(layer: &mut dyn Layer, x: &Tensor) -> Vec<f64> {
+fn numeric_input_grad(layer: &mut Model, x: &Tensor) -> Vec<f64> {
     let eps = 1e-3f32;
     let mut out = Vec::new();
     for i in 0..x.len() {
@@ -36,7 +36,7 @@ fn numeric_input_grad(layer: &mut dyn Layer, x: &Tensor) -> Vec<f64> {
 #[test]
 fn conv_input_grad_numeric() {
     let mut rng = seeded(3);
-    let mut conv = Conv2d::conv3x3(&mut rng, 2, 3, 2);
+    let mut conv = Model::new(Conv2d::conv3x3(&mut rng, 2, 3, 2), &[2, 4, 4], 3);
     let x = Tensor::from_vec(
         fedknow_math::rng::normal_vec(&mut rng, 2 * 2 * 4 * 4, 0.0, 1.0),
         &[2, 2, 4, 4],
@@ -53,7 +53,7 @@ fn conv_input_grad_numeric() {
 
 #[test]
 fn bn_input_grad_numeric() {
-    let mut bn = BatchNorm2d::new(3);
+    let mut bn = Model::new(BatchNorm2d::new(3), &[3, 2, 2], 3);
     let mut rng = seeded(5);
     let x = Tensor::from_vec(
         fedknow_math::rng::normal_vec(&mut rng, 2 * 3 * 2 * 2, 0.0, 1.0),

@@ -21,7 +21,7 @@ use fedknow_math::{parallel, pool, Tensor};
 use fedknow_nn::conv::Conv2d;
 use fedknow_nn::loss::cross_entropy;
 use fedknow_nn::models::six_cnn;
-use fedknow_nn::{Layer, ModelKind};
+use fedknow_nn::{Model, ModelKind};
 
 fn input(shape: &[usize], seed: u64) -> Tensor {
     let mut rng = seeded(seed);
@@ -29,19 +29,20 @@ fn input(shape: &[usize], seed: u64) -> Tensor {
     Tensor::from_vec(data, shape)
 }
 
+/// `conv` alone in a model: the arena its weights bind into.
+fn conv_model(conv: Conv2d) -> Model {
+    Model::new(conv, &[], 0)
+}
+
 /// One conv forward+backward; returns `(y, gx, flat grads)` as raw bits.
-fn conv_round_trip(conv: &mut Conv2d, x: &Tensor) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+fn conv_round_trip(conv: &mut Model, x: &Tensor) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
     conv.zero_grad();
     let y = conv.forward(x.clone(), true);
     let gx = conv.backward(y.clone());
-    let mut grads = Vec::new();
-    conv.visit_params(&mut |_: &str, _: &[usize], _: &mut [f32], g: &mut [f32]| {
-        grads.extend(g.iter().map(|v| v.to_bits()));
-    });
     (
         y.data().iter().map(|v| v.to_bits()).collect(),
         gx.data().iter().map(|v| v.to_bits()).collect(),
-        grads,
+        conv.grad_slot(0).iter().map(|v| v.to_bits()).collect(),
     )
 }
 
@@ -50,7 +51,7 @@ fn conv_is_bit_identical_across_thread_counts() {
     let mut rng = seeded(41);
     // Batch 8 so every thread count {1,2,4,8} gets a non-trivial split;
     // 17×13 input crosses the packed column tiles.
-    let mut conv = Conv2d::new(&mut rng, 3, 8, 3, 1, 1, 1);
+    let mut conv = conv_model(Conv2d::new(&mut rng, 3, 8, 3, 1, 1, 1));
     let x = input(&[8, 3, 17, 13], 42);
     let reference = parallel::with_threads(1, || conv_round_trip(&mut conv, &x));
     for t in [2, 4, 8] {
@@ -235,9 +236,7 @@ fn stacked_backward_is_one_backward_per_slot_for_every_model() {
             m.zero_grad();
             let gx = m.backward(g.clone());
             assert_eq!(gx.shape()[0], s * 3, "{}: stacked batch", kind.name());
-            let mut grads = vec![m.flat_grads()];
-            grads.extend(m.take_slot_grads());
-            assert_eq!(grads.len(), s, "{}: slot count", kind.name());
+            let grads: Vec<&[f32]> = (0..s).map(|j| m.grad_slot(j)).collect();
             let per = gx.len() / s;
             for (j, (gx_j, grads_j)) in singles.iter().enumerate() {
                 assert!(
@@ -246,25 +245,19 @@ fn stacked_backward_is_one_backward_per_slot_for_every_model() {
                     kind.name()
                 );
                 assert!(
-                    bits(&grads[j]) == *grads_j,
+                    bits(grads[j]) == *grads_j,
                     "{}: s = {s}, slot {j}: parameter gradients",
                     kind.name()
                 );
             }
-            assert!(m.take_slot_grads().is_empty(), "slots are released");
         }
     }
 }
 
-/// Every parameter gradient of a conv, slot by slot: `[weight, bias]` of
-/// the training slot, then the weights and the biases of the others.
-fn conv_grads(conv: &mut Conv2d) -> Vec<Vec<f32>> {
-    let mut grads = Vec::new();
-    conv.visit_params(&mut |_: &str, _: &[usize], _: &mut [f32], g: &mut [f32]| {
-        grads.push(g.to_vec());
-    });
-    conv.take_grad_slots(&mut |_, rest| grads.push(rest));
-    grads
+/// Every parameter gradient of a conv model's `s`-slot backward, slot by
+/// slot, each `[weight, bias]`.
+fn conv_grads(conv: &Model, s: usize) -> Vec<Vec<f32>> {
+    (0..s).map(|j| conv.grad_slot(j).to_vec()).collect()
 }
 
 /// `Conv2d` runs one GEMM per chunk of samples (forward) or (slot,
@@ -288,7 +281,8 @@ fn batched_conv_is_per_sample_at_chunk_boundaries() {
         (2, 3, 3, 1, 1, 1, 17, 16, 3),
     ];
     for (n, &(cin, cout, k, st, pd, groups, h, w, b)) in cases.iter().enumerate() {
-        let mut conv = Conv2d::new(&mut seeded(60 + n as u64), cin, cout, k, st, pd, groups);
+        let conv = Conv2d::new(&mut seeded(60 + n as u64), cin, cout, k, st, pd, groups);
+        let mut conv = conv_model(conv);
         let x = input(&[b, cin, h, w], 70 + n as u64);
         let (oh, ow) = ((h + 2 * pd - k) / st + 1, (w + 2 * pd - k) / st + 1);
         let (sample_out, sample_in) = (cout * oh * ow, cin * h * w);
@@ -303,7 +297,7 @@ fn batched_conv_is_per_sample_at_chunk_boundaries() {
                 ys.push(conv.forward(x.gather_rows(&[i]), true));
                 let rows: Vec<usize> = (0..s).map(|j| j * b + i).collect();
                 gxs.push(conv.backward(g.gather_rows(&rows)));
-                let grads = conv_grads(&mut conv);
+                let grads = conv_grads(&conv, s);
                 if sum.is_empty() {
                     sum = grads.iter().map(|v| vec![0.0; v.len()]).collect();
                 }
@@ -318,7 +312,7 @@ fn batched_conv_is_per_sample_at_chunk_boundaries() {
                     conv.zero_grad();
                     let y = conv.forward(x.clone(), true);
                     let gx = conv.backward(g.clone());
-                    (y, gx, conv_grads(&mut conv))
+                    (y, gx, conv_grads(&conv, s))
                 });
                 let at = format!("case {n}, s = {s}, {t} threads");
                 for (i, (yi, gxi)) in ys.iter().zip(&gxs).enumerate() {
@@ -349,18 +343,14 @@ fn batched_conv_is_per_sample_at_chunk_boundaries() {
 #[test]
 fn stacked_conv_backward_is_bit_identical_across_thread_counts() {
     let mut rng = seeded(57);
-    let mut conv = Conv2d::new(&mut rng, 4, 6, 3, 2, 1, 2);
+    let mut conv = conv_model(Conv2d::new(&mut rng, 4, 6, 3, 2, 1, 2));
     let x = input(&[8, 4, 9, 7], 58);
     let g = input(&[3 * 8, 6, 5, 4], 59);
-    let run = |conv: &mut Conv2d| {
+    let run = |conv: &mut Model| {
         conv.zero_grad();
         let _ = conv.forward(x.clone(), true);
         let gx = conv.backward(g.clone());
-        let mut grads = Vec::new();
-        conv.visit_params(&mut |_: &str, _: &[usize], _: &mut [f32], g: &mut [f32]| {
-            grads.extend(bits(g));
-        });
-        conv.take_grad_slots(&mut |_, rest| grads.extend(bits(&rest)));
+        let grads: Vec<u32> = (0..3).flat_map(|j| bits(conv.grad_slot(j))).collect();
         (bits(gx.data()), grads)
     };
     let reference = parallel::with_threads(1, || run(&mut conv));

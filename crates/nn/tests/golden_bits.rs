@@ -28,7 +28,7 @@ use fedknow_math::rng::{normal_vec, seeded};
 use fedknow_math::Tensor;
 use fedknow_nn::conv::Conv2d;
 use fedknow_nn::loss::cross_entropy;
-use fedknow_nn::{Layer, ModelKind};
+use fedknow_nn::{Model, ModelKind};
 
 /// FNV-1a (64-bit) over the little-endian bytes of each value's bits.
 fn fnv1a(parts: &[&[f32]]) -> u64 {
@@ -80,18 +80,15 @@ fn conv_digests() -> Vec<(String, u64)> {
         .enumerate()
         .map(|(i, &(cin, cout, k, st, pd, g, h, w))| {
             let mut rng = seeded(100 + i as u64);
-            let mut conv = Conv2d::new(&mut rng, cin, cout, k, st, pd, g);
+            let conv = Conv2d::new(&mut rng, cin, cout, k, st, pd, g);
+            let mut conv = Model::new(conv, &[cin, h, w], cout);
             let x = input(&[3, cin, h, w], 200 + i as u64);
             let y = conv.forward(x, true);
             let gy = input(y.shape(), 300 + i as u64);
             let gx = conv.backward(gy);
-            let mut grads = Vec::new();
-            conv.visit_params(&mut |_: &str, _: &[usize], _: &mut [f32], g: &mut [f32]| {
-                grads.extend_from_slice(g);
-            });
             (
                 format!("conv {cin}>{cout} k{k} s{st} p{pd} g{g} {h}x{w}"),
-                fnv1a(&[y.data(), gx.data(), &grads]),
+                fnv1a(&[y.data(), gx.data(), conv.grad_slot(0)]),
             )
         })
         .collect()

@@ -331,8 +331,9 @@ fn pooling_layers_are_train_eval_equivalent() {
         Box::new(Flatten::new()),
     ];
     for l in &mut layers {
-        let yt = l.forward(x.clone(), true);
-        let ye = l.forward(x.clone(), false);
+        // Parameter-free: an empty arena.
+        let yt = l.forward(&[], x.clone(), true);
+        let ye = l.forward(&[], x.clone(), false);
         assert_eq!(yt.data(), ye.data(), "{} train/eval mismatch", l.name());
         assert!(ye.data().iter().all(|v| v.is_finite()));
     }
@@ -344,8 +345,8 @@ fn pooling_layers_are_train_eval_equivalent() {
 #[should_panic(expected = "backward before forward(train)")]
 fn maxpool_backward_requires_train_forward() {
     let mut p = MaxPool2d::new(2);
-    let y = p.forward(input(&[1, 1, 4, 4], 33), false);
-    let _ = p.backward(y);
+    let y = p.forward(&[], input(&[1, 1, 4, 4], 33), false);
+    let _ = p.backward(&[], &mut [], y);
 }
 
 /// BatchNorm eval mode normalises with running statistics: finite from
@@ -353,7 +354,7 @@ fn maxpool_backward_requires_train_forward() {
 /// train-mode normalisation as the running estimates absorb the batch.
 #[test]
 fn batchnorm_eval_mode_tracks_running_statistics() {
-    let mut bn = BatchNorm2d::new(3);
+    let mut bn = Model::new(BatchNorm2d::new(3), &[3, 3, 3], 3);
     let x = input(&[4, 3, 3, 3], 34);
     let fresh = bn.forward(x.clone(), false);
     assert!(fresh.data().iter().all(|v| v.is_finite()));

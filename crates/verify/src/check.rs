@@ -23,9 +23,15 @@ fn norm64(a: &[f32]) -> f64 {
 ///
 /// The residual is `max_i` of `|∇_i|` on the active set (`v_i > 0`) and
 /// `max(−∇_i, 0)` off it; it is 0 at the exact optimum.
-pub fn kkt_residual(constraints: &[Vec<f32>], dual: &[f64], rotated: &[f32], margin: f64) -> f64 {
+pub fn kkt_residual<C: AsRef<[f32]>>(
+    constraints: &[C],
+    dual: &[f64],
+    rotated: &[f32],
+    margin: f64,
+) -> f64 {
     let mut residual = 0.0f64;
     for (c, &v) in constraints.iter().zip(dual) {
+        let c = c.as_ref();
         let grad = dot64(c, rotated) - margin * norm64(c);
         let r = if v > 0.0 {
             grad.abs()
@@ -41,9 +47,9 @@ pub fn kkt_residual(constraints: &[Vec<f32>], dual: &[f64], rotated: &[f32], mar
 /// KKT-certified solution of the dual QP — non-negative dual, residual
 /// within a scale-aware tolerance — and must keep an acute (margin-
 /// shifted) angle with every signature-task gradient.
-pub fn integrator_rotation(
+pub fn integrator_rotation<C: AsRef<[f32]>>(
     g: &[f32],
-    constraints: &[Vec<f32>],
+    constraints: &[C],
     dual: &[f64],
     rotated: &[f32],
     margin: f64,
@@ -70,8 +76,14 @@ pub fn integrator_rotation(
     // Tolerance: the solver itself accepts residuals up to
     // 100·tol·(1+trace); add an f32-rounding term for the recovery step
     // (g' is accumulated in f32) proportional to the problem scale.
-    let trace: f64 = constraints.iter().map(|c| dot64(c, c)).sum();
-    let max_c = constraints.iter().map(|c| norm64(c)).fold(0.0, f64::max);
+    let trace: f64 = constraints
+        .iter()
+        .map(|c| dot64(c.as_ref(), c.as_ref()))
+        .sum();
+    let max_c = constraints
+        .iter()
+        .map(|c| norm64(c.as_ref()))
+        .fold(0.0, f64::max);
     let scale = max_c * norm64(rotated) * (g.len() as f64).sqrt();
     let tol = 100.0 * 1e-7 * (1.0 + trace) + 1e-6 * (1.0 + scale);
     let residual = kkt_residual(constraints, dual, rotated, margin);
@@ -83,6 +95,7 @@ pub fn integrator_rotation(
     // Acute-angle certificate: every constraint dot-product must clear
     // (the margin-shifted) zero, up to the same tolerance.
     for (i, c) in constraints.iter().enumerate() {
+        let c = c.as_ref();
         let d = dot64(c, rotated) - margin * norm64(c);
         if d < -tol {
             return Err(format!(

@@ -5,7 +5,7 @@
 
 use fedknow_math::Tensor;
 use fedknow_nn::conv::Conv2d;
-use fedknow_nn::Layer;
+use fedknow_nn::Model;
 use fedknow_verify::fuzz::{cases_from_env, seed_from_env};
 use fedknow_verify::suite::{self, ConvCase, DEFAULT_CASES, DEFAULT_SEED};
 
@@ -17,24 +17,23 @@ fn seed() -> u64 {
     seed_from_env(DEFAULT_SEED)
 }
 
-/// Build the production `Conv2d` for a case with the case's exact
-/// weight/bias planted through `visit_params`.
-fn production_conv(c: &ConvCase) -> Conv2d {
+/// Build the production `Conv2d`, alone in a model, with the case's
+/// exact weight/bias planted in the model's parameter arena.
+fn production_conv(c: &ConvCase) -> Model {
     let s = &c.spec;
     let mut rng = fedknow_math::rng::seeded(0);
-    let mut conv = Conv2d::new(
+    let conv = Conv2d::new(
         &mut rng, s.in_c, s.out_c, s.kernel, s.stride, s.padding, s.groups,
     );
-    conv.visit_params(
-        &mut |name: &str, _: &[usize], params: &mut [f32], _: &mut [f32]| {
-            let src = match name {
-                "conv.weight" => &c.weight,
-                "conv.bias" => &c.bias,
-                other => panic!("unexpected Conv2d parameter {other}"),
-            };
-            params.copy_from_slice(src);
-        },
-    );
+    let mut conv = Model::new(conv, &[s.in_c, s.h, s.w], s.out_c);
+    for seg in conv.layout().to_vec() {
+        let src = match seg.name.as_str() {
+            "conv.weight" => &c.weight,
+            "conv.bias" => &c.bias,
+            other => panic!("unexpected Conv2d parameter {other}"),
+        };
+        conv.params_mut()[seg.offset..seg.offset + seg.len].copy_from_slice(src);
+    }
     conv
 }
 
@@ -61,11 +60,7 @@ fn conv2d_backward_matches_direct_loop_oracle() {
         let (oh, ow) = s.out_hw();
         let gy = Tensor::from_vec(c.gy.clone(), &[s.batch, s.out_c, oh, ow]);
         let mut out = conv.backward(gy).into_vec();
-        conv.visit_params(
-            &mut |_: &str, _: &[usize], _: &mut [f32], grads: &mut [f32]| {
-                out.extend_from_slice(grads);
-            },
-        );
+        out.extend_from_slice(conv.grad_slot(0));
         Some(out)
     })
     .assert_clean();
@@ -103,11 +98,7 @@ fn conv2d_backward_on_tile_boundaries_matches_oracle() {
         let (oh, ow) = s.out_hw();
         let gy = Tensor::from_vec(c.gy.clone(), &[s.batch, s.out_c, oh, ow]);
         let mut out = conv.backward(gy).into_vec();
-        conv.visit_params(
-            &mut |_: &str, _: &[usize], _: &mut [f32], grads: &mut [f32]| {
-                out.extend_from_slice(grads);
-            },
-        );
+        out.extend_from_slice(conv.grad_slot(0));
         Some(out)
     })
     .assert_clean();

@@ -51,8 +51,10 @@ fn main() {
     let dataset = generate(&spec, 5);
     let parts = partition(&dataset, 1, &PartitionConfig::default(), 5);
 
-    // Wrap the custom architecture in a template: FedKNOW only needs the
-    // flat parameter vector, so any Layer tree plugs in.
+    // Wrap the custom architecture in a template: `Model::new` binds every
+    // layer's weights into one parameter arena, and FedKNOW only reads
+    // that arena and the model's gradient slots, so any Layer tree plugs
+    // in.
     let num_classes = spec.total_classes();
     let probe = build_custom(num_classes, 5);
     println!(
