@@ -1,7 +1,7 @@
 //! The one reader of what `fedknow-obs` records.
 //!
 //! ```text
-//! obs report   <stream|bundle> [--top N]         # where the time went, is the run healthy
+//! obs report   <stream|bundle> [--top N]         # where the time went, what faults it counted
 //! obs roofline [--record PATH]                   # kernel roofline from results/kernels.json
 //! obs trace convert  <input> [-o trace.json]     # stream/bundle/trace -> Chrome trace
 //! obs trace validate <input>                     # structural checks, exit 1 on bad

@@ -13,7 +13,6 @@
 //!   other threads included) as achieved GFLOP/s and, for recordings
 //!   taken under `FEDKNOW_PROF_ALLOC=1`, heap allocations.
 //! * **kernel totals** — `flops.*` / `bytes.*` per kernel.
-//! * **health** — the streaming SLO verdicts.
 //! * **faults** — injected faults by kind, participation, verify
 //!   violations, wire frames, notes.
 //! * **forgetting** / **trajectories** — per-task heat strips and
@@ -54,7 +53,6 @@ pub fn print(rec: &Recording, top: usize) {
     print_phases(&agg, wall, top);
     print_spans(&agg, wall, top);
     print_kernels(&agg);
-    print_health(&agg);
     print_faults(&agg);
     print_forgetting(&agg);
     print_trajectories(&agg);
@@ -181,37 +179,6 @@ fn print_kernels(agg: &Aggregate) {
     for (kernel, f, b) in kernels {
         let ai = if b > 0 { f as f64 / b as f64 } else { 0.0 };
         println!("{kernel:<16}{f:>16}{b:>16}{ai:>12.3}");
-    }
-}
-
-/// Streaming health-engine verdict: per-SLO state and value from the
-/// `health.*` gauges the engine publishes each round.
-fn print_health(agg: &Aggregate) {
-    let gauge = |name: &str| agg.gauges.get(name).copied().unwrap_or(0.0);
-    let rounds = gauge("health.rounds");
-    if rounds <= 0.0 {
-        return;
-    }
-    let glyph = |state: f64| match state as u64 {
-        0 => "ok",
-        1 => "WARN",
-        _ => "CRITICAL",
-    };
-    println!(
-        "\n== health ({} rounds observed, worst: {}) ==",
-        rounds as u64,
-        glyph(gauge("health.worst"))
-    );
-    println!(
-        "  round time               p50 {:.3}s  p99 {:.3}s",
-        gauge("health.round_p50_seconds"),
-        gauge("health.round_p99_seconds")
-    );
-    for (name, state) in &agg.gauges {
-        if let Some(slo) = name.strip_prefix("health.slo.") {
-            let value = gauge(&format!("health.{slo}"));
-            println!("  {slo:<24} {:<8} {value:.4}", glyph(*state));
-        }
     }
 }
 

@@ -270,7 +270,6 @@ fn fixture_reports_byte_for_byte_as_stream_and_as_bundle() {
         round: 0,
         context: Vec::new(),
         metrics: fedknow_obs::MetricsDump::default(),
-        health: None,
         pid: None,
         tracks: fedknow_obs::Recording::load(&stream).unwrap().tracks,
     };

@@ -90,10 +90,9 @@ impl GradientIntegrator {
     ///
     /// Falls back to the un-rotated gradient, counted in `qp.fallback`,
     /// when the QP does not converge within its iteration cap — so that
-    /// training never aborts on a batch. That is not rare: a 10-task,
-    /// 4-client SixCnn `probe` run (seed 7) falls back on 90 of its 330
-    /// solves (114 take the fast path, 126 converge). Fixing the solver
-    /// is ROADMAP item 4(a).
+    /// training never aborts on a batch. That is not rare on a 10-task
+    /// `probe` run; replacing the solver with an exact one is ROADMAP
+    /// item 1.
     pub fn integrate<C: AsRef<[f32]>>(&self, g: &[f32], constraints: &[C]) -> Vec<f32> {
         if fedknow_obs::is_enabled() {
             self.record_pre_qp(g, constraints);

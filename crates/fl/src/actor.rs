@@ -45,7 +45,7 @@ use crate::wiretrace;
 use fedknow_data::ClientDataset;
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -183,21 +183,15 @@ impl FederationRuntime {
             let readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
                 Arc::new(Mutex::new(Vec::new()));
             let stop = Arc::new(AtomicBool::new(false));
-            let depth = Arc::new(AtomicU64::new(0));
             // Every reader decodes uploads into vectors the engine has
             // finished aggregating.
             let spares = Spares::default();
             let (inbox_tx, inbox_rx) = mpsc::channel();
             let pump = {
-                let (readers, stop, stats, depth, spares) = (
-                    readers.clone(),
-                    stop.clone(),
-                    stats.clone(),
-                    depth.clone(),
-                    spares.clone(),
-                );
+                let (readers, stop, stats, spares) =
+                    (readers.clone(), stop.clone(), stats.clone(), spares.clone());
                 std::thread::spawn(move || {
-                    accept_pump(listener, inbox_tx, readers, stop, stats, depth, spares)
+                    accept_pump(listener, inbox_tx, readers, stop, stats, spares)
                 })
             };
 
@@ -222,7 +216,6 @@ impl FederationRuntime {
             let mut server = ServerActor {
                 n,
                 inbox: inbox_rx,
-                depth,
                 txs: (0..n).map(|_| None).collect(),
                 epoch_of: vec![0; n],
                 rejoin_base_down: vec![0; n],
@@ -288,7 +281,6 @@ fn accept_pump(
     readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
     stop: Arc<AtomicBool>,
     stats: Arc<WireStats>,
-    depth: Arc<AtomicU64>,
     spares: Spares,
 ) {
     let mut epoch = 0u64;
@@ -297,29 +289,15 @@ fn accept_pump(
             Ok(mut conn) => {
                 epoch += 1;
                 conn.rx.share_spares(spares.clone());
-                let (inbox, stats, depth) = (inbox.clone(), stats.clone(), depth.clone());
-                let handle = std::thread::spawn(move || {
-                    reader(conn.rx, conn.tx, epoch, inbox, stats, depth)
-                });
+                let (inbox, stats) = (inbox.clone(), stats.clone());
+                let handle =
+                    std::thread::spawn(move || reader(conn.rx, conn.tx, epoch, inbox, stats));
                 readers.lock().expect("reader registry").push(handle);
             }
             Err(TransportError::AcceptTimeout) => continue,
             Err(_) => return,
         }
     }
-}
-
-/// Forward one event into the server inbox, growing the tracked queue
-/// depth. The matching decrement happens when the server pops it.
-/// `Err(())` means the server hung up and the reader should stop.
-fn inbox_push(inbox: &mpsc::Sender<NetEvent>, depth: &AtomicU64, ev: NetEvent) -> Result<(), ()> {
-    let d = depth.fetch_add(1, Ordering::Relaxed) + 1;
-    fedknow_obs::observe_queue_depth(d as f64);
-    if inbox.send(ev).is_err() {
-        depth.fetch_sub(1, Ordering::Relaxed);
-        return Err(());
-    }
-    Ok(())
 }
 
 /// Drain one connection into the server inbox. The first message must
@@ -333,7 +311,6 @@ fn reader(
     epoch: u64,
     inbox: mpsc::Sender<NetEvent>,
     stats: Arc<WireStats>,
-    depth: Arc<AtomicU64>,
 ) {
     let (client, rejoin, base_down) = match rx.recv_traced() {
         Ok(Some((WireMsg::Hello { client }, _))) => (client, false, 0),
@@ -356,18 +333,18 @@ fn reader(
         base_down,
         tx: Box::new(tx),
     };
-    if inbox_push(&inbox, &depth, connected).is_err() {
+    if inbox.send(connected).is_err() {
         return;
     }
     loop {
         match rx.recv_traced() {
             Ok(Some((msg, ctx))) => {
-                if inbox_push(&inbox, &depth, NetEvent::Msg { client, msg, ctx }).is_err() {
+                if inbox.send(NetEvent::Msg { client, msg, ctx }).is_err() {
                     return;
                 }
             }
             Ok(None) => {
-                let _ = inbox_push(&inbox, &depth, NetEvent::Closed { client, epoch });
+                let _ = inbox.send(NetEvent::Closed { client, epoch });
                 return;
             }
             Err(e) => {
@@ -376,7 +353,7 @@ fn reader(
                     "transport.quarantine client {client} epoch {epoch}: {e}"
                 ));
                 fedknow_obs::dump_trigger("transport_malformed");
-                let _ = inbox_push(&inbox, &depth, NetEvent::Closed { client, epoch });
+                let _ = inbox.send(NetEvent::Closed { client, epoch });
                 return;
             }
         }
@@ -492,12 +469,9 @@ impl ClientActor {
                     self.round(round, step, &f, &mut conn)?;
                 }
                 WireMsg::Ack { .. } => {
-                    // Upload → Ack round trip: one RTT sample for the
-                    // health engine and the RTT histogram.
+                    // Upload → Ack round trip: one RTT histogram sample.
                     if let Some(t0) = self.upload_sent_at.take() {
-                        let rtt = t0.elapsed();
-                        fedknow_obs::observe_message_rtt(rtt.as_secs_f64());
-                        fedknow_obs::record("transport.rtt_ns", rtt.as_nanos() as u64);
+                        fedknow_obs::record("transport.rtt_ns", t0.elapsed().as_nanos() as u64);
                     }
                 }
                 WireMsg::Broadcast {
@@ -612,9 +586,6 @@ impl ClientActor {
 struct ServerActor {
     n: usize,
     inbox: mpsc::Receiver<NetEvent>,
-    /// Inbox backlog gauge; readers increment on push, [`Self::popped`]
-    /// decrements on pop.
-    depth: Arc<AtomicU64>,
     txs: Vec<Option<Box<MsgTx>>>,
     epoch_of: Vec<u64>,
     rejoin_base_down: Vec<u64>,
@@ -672,11 +643,10 @@ impl ServerActor {
         }
     }
 
-    /// Bookkeeping for an event leaving the inbox: shrink the backlog
-    /// gauge and close the message lifecycle — a traced `Msg` popped
-    /// here is `handled`, the fourth and final lifecycle point.
+    /// Bookkeeping for an event leaving the inbox: close the message
+    /// lifecycle — a traced `Msg` popped here is `handled`, the fourth
+    /// and final lifecycle point.
     fn popped(&self, ev: &NetEvent) {
-        self.depth.fetch_sub(1, Ordering::Relaxed);
         if let NetEvent::Msg {
             client,
             msg,
@@ -964,9 +934,5 @@ impl ClientLink for ServerActor {
             other => Some(other),
         });
         rows
-    }
-
-    fn queue_depth(&self) -> u64 {
-        self.depth.load(Ordering::Relaxed)
     }
 }

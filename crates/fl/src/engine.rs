@@ -75,10 +75,6 @@ pub(crate) trait ClientLink {
     /// Every client's accuracy on its learned tasks `0..=step`
     /// (dropped clients included — they keep a stale model).
     fn evaluate(&mut self, step: usize) -> Vec<Option<Vec<f64>>>;
-    /// Replies waiting to be read — none when a reply is a return value.
-    fn queue_depth(&self) -> u64 {
-        0
-    }
 }
 
 /// Client `c`'s training stream — the same wherever the client lives.
@@ -179,6 +175,15 @@ pub(crate) fn init_run(cfg: &SimConfig, method: &str) {
     }
     fedknow_obs::set_context("sim.method", method);
     fedknow_obs::set_context("sim.seed", &cfg.seed.to_string());
+    fedknow_obs::set_context("kernel.isa", fedknow_math::gemm::isa_name());
+    let threads = fedknow_math::parallel::threads().to_string();
+    fedknow_obs::set_context("kernel.threads", &threads);
+    let verify = match (fedknow_verify::is_enabled(), fedknow_verify::is_strict()) {
+        (false, _) => "off",
+        (true, false) => "on",
+        (true, true) => "strict",
+    };
+    fedknow_obs::set_context("verify.mode", verify);
     if let Ok(cfg) = serde_json::to_string(cfg) {
         fedknow_obs::set_context("sim.config", &cfg);
     }
@@ -374,17 +379,9 @@ pub(crate) fn advance(
             );
             comm_secs += round_comm;
 
-            protocol::fold_round_telemetry(
-                global_round,
-                &st.active,
-                &part,
-                &faults,
-                &assess.actual,
-                uploads.iter().filter(|u| u.is_some()).count() as u64,
-                screening.rejected.len() as u64,
-                assess.round_compute + round_comm,
-                link.queue_depth(),
-            );
+            for seconds in assess.actual.iter().flatten() {
+                fedknow_obs::record("client.sim_compute_ns", (seconds * 1e9) as u64);
+            }
 
             // Broadcast the aggregate and the payload set; crashed
             // clients miss it and are owed a rejoin.

@@ -388,43 +388,6 @@ pub(crate) fn fold_aggregate_telemetry(
     }
 }
 
-/// Per-round telemetry fold: the clients' simulated compute times and
-/// the streaming health engine's SLO update.
-/// `queue_depth` is the server inbox backlog observed at fold time —
-/// zero for the in-process backend, whose "inbox" is a function call.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fold_round_telemetry(
-    round: u64,
-    active: &[bool],
-    part: &[bool],
-    faults: &[RoundFaults],
-    actual: &[Option<f64>],
-    completed: u64,
-    quarantined: u64,
-    round_seconds: f64,
-    queue_depth: u64,
-) {
-    if !fedknow_obs::is_enabled() {
-        return;
-    }
-    fedknow_obs::observe_queue_depth(queue_depth as f64);
-    let n = active.len();
-    for seconds in actual.iter().flatten() {
-        fedknow_obs::record("client.sim_compute_ns", (seconds * 1e9) as u64);
-    }
-    fedknow_obs::observe_round(&fedknow_obs::RoundObservation {
-        round,
-        expected: active.iter().filter(|&&a| a).count() as u64,
-        completed,
-        stragglers: (0..n)
-            .filter(|&c| part[c] && faults[c].slowdown > 1.0)
-            .count() as u64,
-        quarantined,
-        uploads_lost: (0..n).filter(|&c| part[c] && faults[c].upload_lost).count() as u64,
-        round_seconds,
-    });
-}
-
 /// Task-boundary forgetting telemetry: after learning task `step`,
 /// per-task series `fl.forgetting.task{k}` (mean over clients, indexed
 /// by `step` — the heat-strip rows in `obs report`), the aggregate

@@ -751,6 +751,20 @@ mod tests {
             .collect()
     }
 
+    /// A requested tile that is unknown or unavailable on this CPU must
+    /// fail loudly: otherwise a run "under the avx2 tile" silently
+    /// re-tests the detected one.
+    #[test]
+    fn requested_isa_is_in_effect() {
+        if let Ok(req) = std::env::var("FEDKNOW_KERNEL_ISA") {
+            assert!(
+                isa_name().starts_with(&req),
+                "FEDKNOW_KERNEL_ISA={req:?} requested, {:?} in effect",
+                isa_name()
+            );
+        }
+    }
+
     #[test]
     fn matches_naive_on_awkward_shapes() {
         let (mr, nr) = tile_params();

@@ -163,9 +163,6 @@ pub struct PostmortemBundle {
     pub context: Vec<ContextEntry>,
     /// Metrics registry dump.
     pub metrics: MetricsDump,
-    /// Streaming health engine state at dump time (absent in
-    /// pre-health bundles, or when no rounds were observed).
-    pub health: Option<crate::health::HealthSnapshot>,
     /// OS process id of the dumping process (absent in pre-tracing
     /// bundles). The multi-process trace merger uses it to label and
     /// separate per-process timelines.
@@ -218,7 +215,6 @@ pub fn collect_bundle(reason: &str) -> PostmortemBundle {
         round: crate::round_index(),
         context: context_entries(),
         metrics,
-        health: crate::health_snapshot().filter(|h| h.rounds > 0),
         pid: Some(std::process::id()),
         tracks: ring::drain_all(),
     }
@@ -347,17 +343,6 @@ mod tests {
                     points: vec![(0, 1.0), (1, 0.8)],
                 }],
             },
-            health: {
-                let mut e = crate::health::HealthEngine::new();
-                e.observe_round(&crate::health::RoundObservation {
-                    round: 7,
-                    expected: 10,
-                    completed: 10,
-                    round_seconds: 1.0,
-                    ..Default::default()
-                });
-                Some(e.snapshot())
-            },
             pid: Some(4242),
             tracks: vec![ThreadTrack {
                 thread: "ThreadId(1)".to_string(),
@@ -378,21 +363,20 @@ mod tests {
 
     #[test]
     fn pre_sketch_bundles_still_parse() {
-        // Schema-v1 bundles written before health and pid existed must
-        // keep loading (`obs` reads old dumps).
+        // Schema-v1 bundles written before pid existed must keep
+        // loading (`obs` reads old dumps).
         let json = r#"{"version":1,"reason":"old","round":3,"context":[],
             "metrics":{"counters":[],"gauges":[],"hists":[],"series":[]},
             "tracks":[]}"#;
         let b: PostmortemBundle = serde_json::from_str(json).unwrap();
         assert_eq!(b.round, 3);
-        assert!(b.health.is_none());
         assert!(b.pid.is_none());
     }
 
     #[test]
     fn bundles_with_sketches_and_cohorts_still_load() {
         // Bundles written by binaries that still had quantile sketches,
-        // cohort sets and the forgetting_drift SLO carry keys this
+        // cohort sets and the health engine's SLOs carry keys this
         // schema no longer names; they must parse (unknown keys are
         // skipped) and still convert to a valid trace.
         let json = r#"{"version":1,"reason":"probe","round":3,
@@ -418,7 +402,6 @@ mod tests {
         let b: PostmortemBundle = serde_json::from_str(json).unwrap();
         assert_eq!(b.metrics.counters[0].value, 61);
         assert_eq!(b.metrics.series[0].points.len(), 2);
-        assert_eq!(b.health.unwrap().worst(), crate::health::SloState::Critical);
         assert_eq!(b.tracks[0].events.len(), 3);
 
         let value: serde_json::Value = serde_json::from_str(json).unwrap();

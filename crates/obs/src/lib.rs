@@ -49,7 +49,6 @@
 pub mod alloc;
 pub mod bundle;
 pub mod handle;
-pub mod health;
 pub mod hist;
 pub mod perf;
 pub mod registry;
@@ -64,7 +63,6 @@ pub use bundle::{
     PostmortemBundle,
 };
 pub use handle::{CounterHandle, HandleTimer, HistHandle};
-pub use health::{HealthEngine, HealthSnapshot, RoundObservation, SloState, SloStatus};
 pub use hist::{HistSnapshot, LogHistogram};
 pub use perf::PerfCounter;
 pub use registry::{
@@ -73,8 +71,6 @@ pub use registry::{
 pub use ring::{now_ns, RingBuf, RingData, RingRecord, SpanPerf, ThreadTrack, DEFAULT_TRACE_CAP};
 pub use sink::{Aggregate, JsonlSink, LoadError, Recording, SpanStat};
 pub use span::{current_path, inherit_path, span, timer, PathGuard, SpanGuard, TimerGuard};
-
-use parking_lot::Mutex;
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -102,8 +98,6 @@ static STATE: OnceLock<State> = OnceLock::new();
 /// Ambient round index for series points recorded deep in the stack
 /// (integrator, restorer) that don't know the round they run in.
 static ROUND: AtomicU64 = AtomicU64::new(0);
-/// The streaming health engine (armed lazily on first observation).
-static HEALTH: OnceLock<Mutex<health::HealthEngine>> = OnceLock::new();
 
 /// The four observability variables, read once — the first time
 /// [`init_from_env`] or [`enable`] runs.
@@ -261,44 +255,6 @@ pub fn series_at(name: &str, index: u64, value: f64) {
     });
 }
 
-fn health_engine() -> &'static Mutex<health::HealthEngine> {
-    HEALTH.get_or_init(|| Mutex::new(health::HealthEngine::new()))
-}
-
-/// Publish a health snapshot into `health.*` gauges so streams and
-/// bundles see SLO state without extra plumbing.
-fn publish_health(h: &health::HealthSnapshot) {
-    gauge("health.rounds", h.rounds as f64);
-    gauge("health.round_p50_seconds", h.round_p50_seconds);
-    gauge("health.round_p99_seconds", h.round_p99_seconds);
-    gauge("health.worst", h.worst().as_gauge());
-    for slo in &h.slos {
-        gauge(&format!("health.{}", slo.name), slo.value);
-        gauge(&format!("health.slo.{}", slo.name), slo.state.as_gauge());
-    }
-}
-
-/// Fold one round of telemetry: the streaming health engine updates
-/// its SLO states (mirrored into `health.*` gauges). The simulation
-/// calls this once per round. No-op when disabled.
-pub fn observe_round(o: &health::RoundObservation) {
-    if !is_enabled() {
-        return;
-    }
-    let snap = {
-        let mut eng = health_engine().lock();
-        eng.observe_round(o);
-        eng.snapshot()
-    };
-    publish_health(&snap);
-}
-
-/// The health engine's current SLO evaluation, or `None` while
-/// disabled.
-pub fn health_snapshot() -> Option<health::HealthSnapshot> {
-    is_enabled().then(|| health_engine().lock().snapshot())
-}
-
 /// Publish the current global round index (the simulation calls this at
 /// every round boundary) so instrumentation deep in the stack can tag
 /// series points with the round they belong to.
@@ -355,27 +311,6 @@ pub fn wire_event(
         bytes,
         peer_ts_ns,
     });
-}
-
-/// Feed one message round-trip time (seconds) to the health engine's
-/// transport RTT SLO. The SLO gauges refresh at the next round fold
-/// ([`observe_round`]), so this stays cheap per message. No-op when
-/// disabled.
-pub fn observe_message_rtt(rtt_seconds: f64) {
-    if !is_enabled() {
-        return;
-    }
-    health_engine().lock().observe_message_rtt(rtt_seconds);
-}
-
-/// Feed the server inbox depth observed while handling a message to
-/// the health engine's queue-depth SLO (it tracks the maximum). No-op
-/// when disabled.
-pub fn observe_queue_depth(depth: f64) {
-    if !is_enabled() {
-        return;
-    }
-    health_engine().lock().observe_queue_depth(depth);
 }
 
 /// Record a runtime invariant violation into the flight recorder.
@@ -464,8 +399,6 @@ mod tests {
         LIFECYCLE_COUNTER.add(9);
         LIFECYCLE_HIST.record(9);
         LIFECYCLE_KERNEL.op(100, 50);
-        observe_round(&RoundObservation::default());
-        assert!(health_snapshot().is_none());
         assert_eq!(perf::thread_totals(), (0, 0));
         {
             let _t = timer("lifecycle.t_ns");
@@ -535,21 +468,6 @@ mod tests {
         count("lifecycle.handle_c", 1);
         let s2 = snapshot().unwrap().since(&s0);
         assert_eq!(s2.counters["lifecycle.handle_c"], 6);
-
-        // The health engine: one folded round publishes the gauges.
-        observe_round(&RoundObservation {
-            round: 3,
-            expected: 2,
-            completed: 2,
-            round_seconds: 1.0,
-            ..Default::default()
-        });
-        let s3 = snapshot().unwrap().since(&s0);
-        assert_eq!(s3.gauges["health.rounds"], 1.0);
-        assert!(s3.gauges.contains_key("health.slo.straggler_rate"));
-        let h = health_snapshot().unwrap();
-        assert_eq!(h.rounds, 1);
-        assert_eq!(h.worst(), SloState::Ok);
 
         // Worker-thread path inheritance.
         let root = span("lifecycle_root");

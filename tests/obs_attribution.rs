@@ -84,12 +84,29 @@ fn obs_attributes_time_to_every_paper_phase() {
     assert!(kernel_flops > 0);
     assert_eq!(agg.spans["run"].flops, kernel_flops);
 
-    // A clean run is a healthy run: no SLO leaves Ok.
-    let health = fedknow_obs::health_snapshot().expect("obs enabled");
-    assert_eq!(
-        health.worst(),
-        fedknow_obs::SloState::Ok,
-        "SLOs tripped on a clean run: {:?}",
-        health.slos
+    // A clean run is a healthy run: the report's fault panel, the
+    // health answer, has nothing to print.
+    assert!(
+        agg.faults.is_empty(),
+        "faults on a clean run: {:?}",
+        agg.faults
     );
+    assert!(
+        agg.violations.is_empty(),
+        "violations on a clean run: {:?}",
+        agg.violations
+    );
+    // (A run without a fault plan records no participation series.)
+    let participation = agg.series.get("fl.participation");
+    assert!(
+        participation.is_none_or(|pts| pts.iter().all(|&(_, v)| v == 1.0)),
+        "participation dropped on a clean run: {participation:?}"
+    );
+
+    // Bundles say which kernel tile the run used.
+    let isa = fedknow_obs::bundle::context_entries()
+        .into_iter()
+        .find(|e| e.key == "kernel.isa")
+        .expect("kernel.isa context entry");
+    assert_eq!(isa.value, fedknow_math::gemm::isa_name());
 }
