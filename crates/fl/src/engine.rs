@@ -176,8 +176,6 @@ pub(crate) fn init_run(cfg: &SimConfig, method: &str) {
     fedknow_obs::set_context("sim.method", method);
     fedknow_obs::set_context("sim.seed", &cfg.seed.to_string());
     fedknow_obs::set_context("kernel.isa", fedknow_math::gemm::isa_name());
-    let threads = fedknow_math::parallel::threads().to_string();
-    fedknow_obs::set_context("kernel.threads", &threads);
     let verify = match (fedknow_verify::is_enabled(), fedknow_verify::is_strict()) {
         (false, _) => "off",
         (true, false) => "on",

@@ -9,7 +9,8 @@
 //!
 //! Three microkernels are provided and selected once per process by
 //! runtime CPU detection (overridable with `FEDKNOW_KERNEL_ISA=
-//! avx512|avx2|scalar` for differential testing):
+//! avx512|avx2|scalar` for differential testing; a tile that is unknown,
+//! or that this CPU cannot run, panics at first use):
 //!
 //! | ISA            | MR×NR | registers                         |
 //! |----------------|-------|-----------------------------------|
@@ -36,13 +37,11 @@
 //! For a fixed ISA, every output element `out[i][j]` is the sum of
 //! `a[i][p]·b[p][j]` accumulated in strictly ascending `p` order (KC
 //! slabs in order, FMA chain within a slab), regardless of which row
-//! strip, column panel, or thread computed it. Row-partitioned
-//! parallelism therefore produces **bit-identical** results to the serial
-//! path for every thread count — each output element is written by
-//! exactly one thread executing exactly the serial instruction sequence.
-//! `crates/nn/tests/determinism.rs` pins this for {1, 2, 4, 8} threads.
+//! strip or column panel computed it. Where a row or column lands in the
+//! blocking (full tile or edge tile, first block or last) changes no bit,
+//! and a GEMM runs on the calling thread.
 
-use crate::{parallel, pool};
+use crate::pool;
 
 /// Depth of one packed k-slab.
 pub const KC: usize = 256;
@@ -57,7 +56,7 @@ pub const NC: usize = 960;
 /// laid out as `MR`-row strips, k-major within a strip:
 /// `dst[s·(kc·mr) + p·mr + r] = A[i0 + s·mr + r][k0 + p]`,
 /// with rows past the block's end zero-filled.
-pub trait APanels: Sync {
+pub trait APanels {
     /// Pack one `mc × kc` block into `mr`-row strips (see trait docs).
     fn pack(&self, dst: &mut [f32], i0: usize, mc: usize, k0: usize, kc: usize, mr: usize);
 }
@@ -68,7 +67,7 @@ pub trait APanels: Sync {
 /// laid out as `NR`-column strips, k-major within a strip:
 /// `dst[s·(kc·nr) + p·nr + j] = B[k0 + p][j0 + s·nr + j]`,
 /// with columns past the panel's end zero-filled.
-pub trait BPanels: Sync {
+pub trait BPanels {
     /// Pack one `kc × nc` panel into `nr`-column strips (see trait docs).
     fn pack(&self, dst: &mut [f32], k0: usize, kc: usize, j0: usize, nc: usize, nr: usize);
 }
@@ -308,28 +307,50 @@ impl Isa {
             Isa::Scalar => (4, 16),
         }
     }
-}
 
-fn detect_isa() -> Isa {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let req = std::env::var("FEDKNOW_KERNEL_ISA").unwrap_or_default();
-        let avx512 = is_x86_feature_detected!("avx512f");
-        let avx2 = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
-        match req.as_str() {
-            "scalar" => return Isa::Scalar,
-            "avx2" if avx2 => return Isa::Avx2,
-            "avx512" if avx512 => return Isa::Avx512,
-            _ => {}
-        }
-        if avx512 {
-            return Isa::Avx512;
-        }
-        if avx2 {
-            return Isa::Avx2;
+    /// Whether this CPU can run the tile's microkernels.
+    fn available(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => is_x86_feature_detected!("avx512f"),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
+            #[cfg(not(target_arch = "x86_64"))]
+            Isa::Avx512 | Isa::Avx2 => false,
+            Isa::Scalar => true,
         }
     }
-    Isa::Scalar
+}
+
+/// A `FEDKNOW_KERNEL_ISA` value: `None` for empty (use the detected
+/// tile), the named tile otherwise.
+fn parse_isa(v: &str) -> Result<Option<Isa>, &'static str> {
+    match v {
+        "" => Ok(None),
+        "avx512" => Ok(Some(Isa::Avx512)),
+        "avx2" => Ok(Some(Isa::Avx2)),
+        "scalar" => Ok(Some(Isa::Scalar)),
+        _ => Err("not a tile; accepted: avx512, avx2, scalar"),
+    }
+}
+
+/// The best tile this CPU runs, or the one `FEDKNOW_KERNEL_ISA` names.
+/// An unknown tile, or one this CPU cannot run, panics: a run "under the
+/// avx2 tile" must not quietly test another.
+fn detect_isa() -> Isa {
+    let detected = [Isa::Avx512, Isa::Avx2]
+        .into_iter()
+        .find(|isa| isa.available())
+        .unwrap_or(Isa::Scalar);
+    let req = std::env::var("FEDKNOW_KERNEL_ISA").unwrap_or_default();
+    match parse_isa(&req) {
+        Ok(None) => detected,
+        Ok(Some(isa)) if isa.available() => isa,
+        r => panic!(
+            "FEDKNOW_KERNEL_ISA={req:?}: {}; detected tile: {detected:?}",
+            r.err().unwrap_or("this CPU cannot run that tile")
+        ),
+    }
 }
 
 fn isa() -> Isa {
@@ -550,7 +571,7 @@ fn microkernel(which: Isa, pa: &[f32], pb: &[f32], c: &mut [f32], ldc: usize, kc
 /// does not pay for 48 lanes of FMA. Every variant accumulates each
 /// output element through the identical ascending-k chain, so edge tiles
 /// are bit-identical to full tiles (and to each other) — the width choice
-/// depends only on the strip, never on the thread partition.
+/// depends only on the strip.
 ///
 /// `c` is the caller's `mr × nr` scratch tile (row stride `nr`).
 #[allow(unused_variables)] // `w` is unused on non-x86_64 targets
@@ -611,19 +632,16 @@ fn buf_lens(mr: usize, nr: usize, rows: usize, k: usize, n: usize) -> (usize, us
     )
 }
 
-/// Serial blocked GEMM over rows `[row0, row0+rows)`, writing into
-/// `out_rows` (that row range's slice, row stride `n`). `out_rows` must
-/// already be zeroed.
-#[allow(clippy::too_many_arguments)]
+/// Blocked GEMM of all `rows` rows into `out` (row stride `n`), which
+/// must already be zeroed.
 fn gemm_rows(
     which: Isa,
-    row0: usize,
     rows: usize,
     k: usize,
     n: usize,
     a: &dyn APanels,
     b: &dyn BPanels,
-    out_rows: &mut [f32],
+    out: &mut [f32],
 ) {
     let (mr, nr) = which.tile();
     let (pa_len, pb_len) = buf_lens(mr, nr, rows, k, n);
@@ -642,7 +660,7 @@ fn gemm_rows(
             let mut ii = 0;
             while ii < rows {
                 let mc = MC.min(rows - ii);
-                a.pack(&mut pa, row0 + ii, mc, kk, kc, mr);
+                a.pack(&mut pa, ii, mc, kk, kc, mr);
                 let mstrips = mc.div_ceil(mr);
                 for js in 0..nstrips {
                     let j0 = jj + js * nr;
@@ -653,7 +671,7 @@ fn gemm_rows(
                         let hm = mr.min(rows - i0);
                         let pas = &pa[is * kc * mr..(is * kc * mr) + kc * mr];
                         if hm == mr && w == nr {
-                            let c = &mut out_rows[i0 * n + j0..];
+                            let c = &mut out[i0 * n + j0..];
                             microkernel(which, pas, pbs, c, n, kc);
                         } else {
                             // Edge tile: narrowest covering microkernel
@@ -663,7 +681,7 @@ fn gemm_rows(
                             tile.fill(0.0);
                             microkernel_edge(which, pas, pbs, &mut tile, nr, kc, w);
                             for r in 0..hm {
-                                let dst = &mut out_rows[(i0 + r) * n + j0..(i0 + r) * n + j0 + w];
+                                let dst = &mut out[(i0 + r) * n + j0..(i0 + r) * n + j0 + w];
                                 let src = &tile[r * nr..r * nr + w];
                                 for (o, &v) in dst.iter_mut().zip(src) {
                                     *o += v;
@@ -685,37 +703,14 @@ fn gemm_rows(
 }
 
 /// `out[m × n] = A[m × k] · B[k × n]` with packed panels and register
-/// tiles. `out` is overwritten. Parallelizes over output-row chunks when
-/// [`parallel::threads`] > 1; results are bit-identical for every thread
-/// count (see module docs).
+/// tiles. `out` is overwritten.
 pub fn gemm(m: usize, k: usize, n: usize, a: &dyn APanels, b: &dyn BPanels, out: &mut [f32]) {
     assert_eq!(out.len(), m * n, "gemm output length mismatch");
     out.fill(0.0);
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let which = isa();
-    let (mr, _) = which.tile();
-    let t = parallel::threads();
-    // Serial fast path before building the chunk list: the steady-state
-    // training loop must not allocate (alloc_steady_state pins this).
-    if t <= 1 || m <= mr {
-        gemm_rows(which, 0, m, k, n, a, b, out);
-        return;
-    }
-    let chunks = parallel::chunks(m, mr, t);
-    if chunks.len() <= 1 {
-        gemm_rows(which, 0, m, k, n, a, b, out);
-        return;
-    }
-    std::thread::scope(|s| {
-        let mut rest = out;
-        for &(row0, rows) in &chunks {
-            let (mine, tail) = rest.split_at_mut(rows * n);
-            rest = tail;
-            s.spawn(move || gemm_rows(which, row0, rows, k, n, a, b, mine));
-        }
-    });
+    gemm_rows(isa(), m, k, n, a, b, out);
 }
 
 /// Convenience wrapper: dense row-major `A[m,k] · B[k,n]`.
@@ -763,6 +758,14 @@ mod tests {
                 isa_name()
             );
         }
+    }
+
+    #[test]
+    fn isa_values_are_the_three_tiles_or_empty() {
+        assert_eq!(parse_isa(""), Ok(None));
+        assert_eq!(parse_isa("scalar"), Ok(Some(Isa::Scalar)));
+        assert_eq!(parse_isa("avx2"), Ok(Some(Isa::Avx2)));
+        assert!(parse_isa("avx").unwrap_err().contains("avx2, scalar"));
     }
 
     #[test]
@@ -907,20 +910,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn parallel_is_bit_identical_to_serial() {
-        let (m, k, n) = (67, 123, 95);
-        let a = vals(m * k, 7);
-        let b = vals(k * n, 8);
-        let mut serial = vec![0.0f32; m * n];
-        parallel::with_threads(1, || gemm_dense(m, k, n, &a, &b, &mut serial));
-        for t in [2, 4, 8] {
-            let mut par = vec![0.0f32; m * n];
-            parallel::with_threads(t, || gemm_dense(m, k, n, &a, &b, &mut par));
-            assert_eq!(serial, par, "threads={t}");
         }
     }
 

@@ -18,8 +18,8 @@
 //! * [`gemm`] — the cache-blocked, register-tiled GEMM (packed A/B panels,
 //!   AVX-512/AVX2 microkernels with a portable fallback) that every matmul
 //!   and conv lowers onto,
-//! * [`parallel`] — the kernel thread-count policy and deterministic work
-//!   partitioner (`FEDKNOW_KERNEL_THREADS`),
+//! * [`parallel`] — the kernel thread count, which is 1: kernels run on
+//!   the calling thread,
 //! * [`pool`] — a thread-local buffer recycler that keeps the steady-state
 //!   training loop allocation-free.
 //!

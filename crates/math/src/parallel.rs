@@ -1,132 +1,8 @@
-//! Intra-client kernel parallelism policy.
-//!
-//! The federation already runs one actor thread per client; kernels layer
-//! *data* parallelism underneath it — scoped threads over output-row
-//! blocks (GEMM) or batch samples (conv). The thread count is a policy
-//! decision made here, once, so every kernel agrees:
-//!
-//! * default **1** (serial) — edge devices in the paper are single-board
-//!   computers, and cross-client actor threads already occupy the cores;
-//! * `FEDKNOW_KERNEL_THREADS=N` opts a process in;
-//! * [`with_threads`] scopes an override to a closure (used by the
-//!   bit-identity property tests to sweep {1, 2, 4, 8}).
-//!
-//! Determinism contract: every kernel that consults [`threads`] must
-//! produce **bit-identical** results for every thread count. GEMM
-//! partitions output rows (each output element is computed by exactly one
-//! thread, with an accumulation order that depends only on the k-blocking,
-//! not on the partition); conv partitions batch samples and reduces
-//! per-sample weight-gradient contributions in fixed sample order on the
-//! calling thread. `crates/math/tests/properties.rs` and
-//! `crates/nn/tests/properties.rs` pin this.
+//! Kernel thread count. Kernels run on the calling thread: each client is
+//! a single-board edge device in the paper, and the federation already
+//! spreads clients over the cores (DESIGN.md, "Determinism").
 
-use std::cell::Cell;
-use std::sync::OnceLock;
-
-thread_local! {
-    static OVERRIDE: Cell<usize> = const { Cell::new(0) };
-}
-
-fn env_threads() -> usize {
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("FEDKNOW_KERNEL_THREADS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1)
-            .min(64)
-    })
-}
-
-/// Thread count kernels should use right now on this thread.
+/// Threads a kernel uses: the calling thread alone.
 pub fn threads() -> usize {
-    let o = OVERRIDE.with(|c| c.get());
-    if o >= 1 {
-        o
-    } else {
-        env_threads()
-    }
-}
-
-/// Run `f` with the kernel thread count pinned to `n` on this thread.
-pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    assert!(n >= 1, "thread count must be >= 1");
-    let prev = OVERRIDE.with(|c| c.replace(n));
-    struct Reset(usize);
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _reset = Reset(prev);
-    f()
-}
-
-/// Split `total` work units into at most `t` contiguous chunks, each a
-/// multiple of `unit` (except possibly the last). Returns `(start, len)`
-/// pairs covering `[0, total)` exactly; empty when `total == 0`.
-pub fn chunks(total: usize, unit: usize, t: usize) -> Vec<(usize, usize)> {
-    assert!(unit >= 1);
-    if total == 0 {
-        return Vec::new();
-    }
-    let t = t.max(1);
-    let units = total.div_ceil(unit);
-    let t = t.min(units);
-    let per = units.div_ceil(t);
-    let mut out = Vec::with_capacity(t);
-    let mut start = 0;
-    while start < total {
-        let len = (per * unit).min(total - start);
-        out.push((start, len));
-        start += len;
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_is_serial() {
-        assert!(threads() >= 1);
-    }
-
-    #[test]
-    fn with_threads_scopes_and_restores() {
-        let base = threads();
-        let inner = with_threads(4, || {
-            assert_eq!(threads(), 4);
-            with_threads(2, threads)
-        });
-        assert_eq!(inner, 2);
-        assert_eq!(threads(), base);
-    }
-
-    #[test]
-    fn chunks_cover_exactly() {
-        for &(total, unit, t) in &[
-            (100usize, 8usize, 4usize),
-            (7, 8, 4),
-            (64, 8, 8),
-            (65, 8, 8),
-            (1, 1, 8),
-            (0, 8, 4),
-        ] {
-            let cs = chunks(total, unit, t);
-            let mut covered = 0;
-            for (i, &(s, l)) in cs.iter().enumerate() {
-                assert_eq!(s, covered, "chunks must be contiguous");
-                assert!(l > 0);
-                if i + 1 < cs.len() {
-                    assert_eq!(l % unit, 0, "non-final chunk must be unit-aligned");
-                }
-                covered += l;
-            }
-            assert_eq!(covered, total);
-            assert!(cs.len() <= t.max(1));
-        }
-    }
+    1
 }

@@ -20,10 +20,13 @@
 //! in the dual is the whole point: the expensive part is forming the `k×k`
 //! Gram matrix, after which the QP itself is microseconds.
 //!
-//! The solver is projected gradient descent with an exact Lipschitz step
-//! (1/λ_max of the Gram matrix, bounded by its trace) and a KKT-residual
-//! stopping rule — simple, allocation-free per iteration, and exact enough
-//! for the acute-angle guarantee to hold to float precision.
+//! The solver is projected gradient descent (step 1/trace of the Gram
+//! matrix, a KKT-residual stop), capped at [`QpConfig::max_iters`]. It is
+//! not exact: a solve that reaches the cap is accepted if its residual is
+//! within 100× `tol` (an approximate rotation), and otherwise
+//! `core::integrator` applies the *un-rotated* gradient, counted in
+//! `qp.fallback`. At paper scale on cifar100 about half the solves reach
+//! the cap; an exact active-set solver is ROADMAP item 1.
 
 use crate::MathError;
 use fedknow_obs::PerfCounter;

@@ -67,28 +67,13 @@
 //! The training cache is therefore just the input tensor itself (taken by
 //! ownership — `forward` consumes its argument), not `k²`-inflated column
 //! matrices.
-//!
-//! ## Parallelism and determinism
-//!
-//! When [`fedknow_math::parallel::threads`] > 1, the chunks are split
-//! across scoped threads — whole chunks, aligned to the serial path's, so
-//! every thread runs the same chunk code on the same chunks — and the
-//! GEMM inside each worker is pinned serial. The backward first has the
-//! workers fill per-sample weight-gradient parts, which the calling
-//! thread reduces into the slots in ascending sample order (the serial
-//! path's addition sequence), and then splits the input-gradient chunks,
-//! each worker writing its own units' rows. With one thread the GEMM
-//! itself may parallelise over output rows, which is bit-identical by the
-//! GEMM's own determinism contract. `crates/nn/tests/properties.rs` and
-//! `determinism.rs` pin bit-identity across thread counts and batch
-//! sizes.
 
 use crate::layer::{grad_slot, slot_count, Bind, Layer};
 use fedknow_math::gemm::{
     self, BPanels, DenseA, DenseABlocks, DenseATrans, DenseBBlocks, DenseBTrans,
 };
 use fedknow_math::rng::kaiming_vec;
-use fedknow_math::{flops, parallel, pool, Tensor};
+use fedknow_math::{flops, pool, Tensor};
 use fedknow_obs::PerfCounter;
 use rand::rngs::StdRng;
 
@@ -433,95 +418,36 @@ impl Conv2d {
         }
     }
 
-    /// Fused forward of a run of samples (`x` their inputs, `out` their
-    /// outputs), one chunk at a time: per group, one blocked GEMM
-    /// `W_g [ocg, fan] × patches [fan, nb·ncols]`, scattered into the
-    /// chunk's outputs, then the bias broadcast.
-    fn forward_run(
+    /// Add sample `bi`'s weight gradients into the `s` slots of the
+    /// gradient slab `grads`; `gd` is the stacked output gradient (unit
+    /// `j·B + bi` is slot `j`'s). Per group, the sample's column matrix is
+    /// packed into the scratch `gcol` once, and one GEMM of `s·ocg` rows
+    /// reads it for all slots into the scratch `gw` (`s·ocg·fan`), which
+    /// is then added to the slots. Called in ascending sample order, this
+    /// is the f32 addition sequence of a one-slot backward for every slot.
+    fn add_weight_grads(
         &self,
-        wt: &[f32],
-        bias: &[f32],
-        x: &[f32],
-        out: &mut [f32],
-        h: usize,
-        w: usize,
-    ) {
-        let g = self.geom(h, w);
-        let ncols = g.oh * g.ow;
-        let cg = self.in_channels / self.groups;
-        let ocg = self.out_channels / self.groups;
-        let fan = cg * self.kernel * self.kernel;
-        let (sample_in, sample_out) = (self.in_channels * h * w, self.out_channels * ncols);
-        let per = per_chunk(ncols);
-        // A one-sample chunk's product is its output slice already.
-        let mut y = pool::take(if per > 1 {
-            ocg * per.min(out.len() / sample_out) * ncols
-        } else {
-            0
-        });
-        for (xs, os) in x
-            .chunks(per * sample_in)
-            .zip(out.chunks_mut(per * sample_out))
-        {
-            let nb = os.len() / sample_out;
-            let n = nb * ncols;
-            for gi in 0..self.groups {
-                let a = DenseA {
-                    data: &wt[gi * ocg * fan..(gi + 1) * ocg * fan],
-                    k: fan,
-                };
-                let patches = PatchPanels {
-                    x: &xs[gi * cg * h * w..],
-                    sample: sample_in,
-                    g,
-                };
-                if nb == 1 {
-                    let dst = &mut os[gi * ocg * ncols..(gi + 1) * ocg * ncols];
-                    gemm::gemm(ocg, fan, ncols, &a, &patches, dst);
-                    continue;
-                }
-                let y = &mut y[..ocg * n];
-                gemm::gemm(ocg, fan, n, &a, &patches, y);
-                // Row o holds channel gi·ocg + o of every sample, side by
-                // side.
-                for (o, row) in y.chunks_exact(n).enumerate() {
-                    for (i, src) in row.chunks_exact(ncols).enumerate() {
-                        os[i * sample_out + (gi * ocg + o) * ncols..][..ncols].copy_from_slice(src);
-                    }
-                }
-            }
-            for (r, plane) in os.chunks_exact_mut(ncols).enumerate() {
-                let bv = bias[r % self.out_channels];
-                for o in plane {
-                    *o += bv;
-                }
-            }
-        }
-        pool::give(y);
-    }
-
-    /// Weight-gradient contributions of one sample over every slot,
-    /// written to `gw_s` (`[groups][s][ocg·fan]`, overwritten). Slot `j`
-    /// of the sample's output gradient is `gy[j·gy_stride..]`. Per group,
-    /// the sample's column matrix is packed into the scratch `gcol` once
-    /// and one GEMM of `s·ocg` rows reads it for all slots.
-    #[allow(clippy::too_many_arguments)]
-    fn weight_grads_sample(
-        &self,
-        xs: &[f32],
-        gy: &[f32],
-        gy_stride: usize,
+        grads: &mut [f32],
+        bi: usize,
+        gd: &[f32],
         s: usize,
-        gw_s: &mut [f32],
+        gw: &mut [f32],
         gcol: &mut [f32],
-        h: usize,
-        w: usize,
     ) {
+        let x = self
+            .cached_input
+            .as_ref()
+            .expect("backward before forward(train)");
+        let (b, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
         let g = self.geom(h, w);
         let ncols = g.oh * g.ow;
         let cg = self.in_channels / self.groups;
         let ocg = self.out_channels / self.groups;
         let fan = cg * self.kernel * self.kernel;
+        let block = ocg * fan;
+        let sample_grad = self.out_channels * ncols;
+        let xs = &x.data()[bi * self.in_channels * h * w..];
+        let gy = &gd[bi * sample_grad..];
         for gi in 0..self.groups {
             let patches = PatchPanels {
                 x: &xs[gi * cg * h * w..(gi + 1) * cg * h * w],
@@ -533,6 +459,7 @@ impl Conv2d {
             patches.pack(gcol, 0, fan, 0, ncols, ncols);
             // gW_g of every slot [s·ocg, fan] = gy [s·ocg, ncols] × colᵀ
             // [ncols, fan]: colᵀ is packed once for all slots.
+            let gw = &mut gw[..s * block];
             gemm::gemm(
                 s * ocg,
                 ncols,
@@ -541,27 +468,16 @@ impl Conv2d {
                     data: &gy[gi * ocg * ncols..],
                     k: ncols,
                     rows: ocg,
-                    stride: gy_stride,
+                    stride: b * sample_grad,
                 },
                 &DenseBTrans {
                     data: gcol,
                     k: ncols,
                 },
-                &mut gw_s[gi * s * ocg * fan..(gi + 1) * s * ocg * fan],
+                gw,
             );
-        }
-    }
-
-    /// Add one sample's weight-gradient contributions (`[groups][s][ocg·
-    /// fan]`, as [`weight_grads_sample`](Self::weight_grads_sample)
-    /// writes them) into the `s` slots of the gradient slab `grads`.
-    /// Called in ascending sample order, this is the f32 addition
-    /// sequence of a one-slot backward for every slot.
-    fn add_weight_grads(&self, grads: &mut [f32], part: &[f32], s: usize) {
-        let block = self.out_channels / self.groups * self.fan();
-        for (gs, group) in part.chunks_exact(s * block).enumerate() {
-            for (j, src) in group.chunks_exact(block).enumerate() {
-                let dst = grad_slot(grads, s, j, self.off + gs * block, block);
+            for (j, src) in gw.chunks_exact(block).enumerate() {
+                let dst = grad_slot(grads, s, j, self.off + gi * block, block);
                 for (d, &v) in dst.iter_mut().zip(src) {
                     *d += v;
                 }
@@ -690,38 +606,60 @@ impl Layer for Conv2d {
         assert_eq!(s.len(), 4, "Conv2d expects [B,C,H,W]");
         let (b, c, h, w) = (s[0], s[1], s[2], s[3]);
         assert_eq!(c, self.in_channels, "Conv2d channel mismatch");
-        let (oh, ow) = self.out_hw(h, w);
-        let (sample_in, sample_out) = (c * h * w, self.out_channels * oh * ow);
-        let per = per_chunk(oh * ow);
-
+        let g = self.geom(h, w);
+        let (oh, ow) = (g.oh, g.ow);
+        let ncols = oh * ow;
+        let cg = c / self.groups;
+        let ocg = self.out_channels / self.groups;
+        let fan = cg * self.kernel * self.kernel;
+        let (sample_in, sample_out) = (c * h * w, self.out_channels * ncols);
+        let per = per_chunk(ncols);
+        // Fused, one chunk of samples at a time: per group, one blocked
+        // GEMM `W_g [ocg, fan] × patches [fan, nb·ncols]`, scattered into
+        // the chunk's outputs, then the bias broadcast.
         let mut out = pool::take(b * sample_out);
-        // Serial fast path avoids building the (heap-allocated) chunk
-        // list: steady-state training must not allocate.
-        let nthreads = parallel::threads();
-        let parts = if nthreads <= 1 || b <= per {
-            Vec::new()
-        } else {
-            parallel::chunks(b, per, nthreads)
-        };
-        if parts.len() <= 1 {
-            self.forward_run(wt, bias, x.data(), &mut out, h, w);
-        } else {
-            let this: &Conv2d = self;
-            let xd = x.data();
-            std::thread::scope(|sc| {
-                let mut rest = &mut out[..];
-                for &(b0, bl) in &parts {
-                    let (mine, tail) = rest.split_at_mut(bl * sample_out);
-                    rest = tail;
-                    let xs = &xd[b0 * sample_in..(b0 + bl) * sample_in];
-                    // Chunk-level parallelism owns the cores; keep the
-                    // GEMM inside each worker serial.
-                    sc.spawn(move || {
-                        parallel::with_threads(1, || this.forward_run(wt, bias, xs, mine, h, w))
-                    });
+        // A one-sample chunk's product is its output slice already.
+        let mut y = pool::take(if per > 1 { ocg * per.min(b) * ncols } else { 0 });
+        for (xs, os) in x
+            .data()
+            .chunks(per * sample_in)
+            .zip(out.chunks_mut(per * sample_out))
+        {
+            let nb = os.len() / sample_out;
+            let n = nb * ncols;
+            for gi in 0..self.groups {
+                let a = DenseA {
+                    data: &wt[gi * ocg * fan..(gi + 1) * ocg * fan],
+                    k: fan,
+                };
+                let patches = PatchPanels {
+                    x: &xs[gi * cg * h * w..],
+                    sample: sample_in,
+                    g,
+                };
+                if nb == 1 {
+                    let dst = &mut os[gi * ocg * ncols..(gi + 1) * ocg * ncols];
+                    gemm::gemm(ocg, fan, ncols, &a, &patches, dst);
+                    continue;
                 }
-            });
+                let y = &mut y[..ocg * n];
+                gemm::gemm(ocg, fan, n, &a, &patches, y);
+                // Row o holds channel gi·ocg + o of every sample, side by
+                // side.
+                for (o, row) in y.chunks_exact(n).enumerate() {
+                    for (i, src) in row.chunks_exact(ncols).enumerate() {
+                        os[i * sample_out + (gi * ocg + o) * ncols..][..ncols].copy_from_slice(src);
+                    }
+                }
+            }
+            for (r, plane) in os.chunks_exact_mut(ncols).enumerate() {
+                let bv = bias[r % self.out_channels];
+                for o in plane {
+                    *o += bv;
+                }
+            }
         }
+        pool::give(y);
 
         if train {
             self.cached_input = Some(x);
@@ -769,119 +707,36 @@ impl Layer for Conv2d {
         let mut gx_own = (sample_in != sample_grad).then(|| pool::take_zeroed(units * sample_in));
         // One sample's column matrix (weight gradient) or one chunk's
         // column gradient (input gradient).
-        let gcol_len = fan * per.min(units) * ncols;
-        let nthreads = parallel::threads();
-        if nthreads <= 1 || b <= 1 {
-            let mut gcol = pool::take(gcol_len);
-            let mut gw_s = pool::take(s * gw_len);
-            // Samples whose weight gradients are in the slots, in order.
-            let mut done = 0;
-            for u0 in (0..units).step_by(per) {
-                let u1 = (u0 + per).min(units);
-                // The samples this chunk touches: all of them once it
-                // wraps past a slot's last sample.
-                let upto = if u1 - u0 >= b || u0 / b != (u1 - 1) / b {
-                    b
-                } else {
-                    (u1 - 1) % b + 1
-                };
-                while done < upto {
-                    let xd = self.cached_input.as_ref().unwrap().data();
-                    self.weight_grads_sample(
-                        &xd[done * sample_in..(done + 1) * sample_in],
-                        &gd[done * sample_grad..],
-                        b * sample_grad,
-                        s,
-                        &mut gw_s,
-                        &mut gcol,
-                        h,
-                        w,
-                    );
-                    self.add_weight_grads(grads, &gw_s, s);
-                    done += 1;
-                }
-                self.input_grad_chunk(
-                    wt,
-                    &mut gd[u0 * sample_grad..u1 * sample_grad],
-                    gx_own
-                        .as_deref_mut()
-                        .map(|gx| &mut gx[u0 * sample_in..u1 * sample_in]),
-                    &mut gcol,
-                    h,
-                    w,
-                );
+        let mut gcol = pool::take(fan * per.min(units) * ncols);
+        let mut gw = pool::take(s * gw_len / self.groups);
+        // Samples whose weight gradients are in the slots, in order.
+        let mut done = 0;
+        for u0 in (0..units).step_by(per) {
+            let u1 = (u0 + per).min(units);
+            // The samples this chunk touches: all of them once it
+            // wraps past a slot's last sample.
+            let upto = if u1 - u0 >= b || u0 / b != (u1 - 1) / b {
+                b
+            } else {
+                (u1 - 1) % b + 1
+            };
+            while done < upto {
+                self.add_weight_grads(grads, done, &gd, s, &mut gw, &mut gcol);
+                done += 1;
             }
-            pool::give(gw_s);
-            pool::give(gcol);
-        } else {
-            // Weight gradients: per-sample parts filled by the workers,
-            // reduced here in ascending sample order — the serial path's
-            // addition sequence — before any output gradient is
-            // overwritten.
-            let mut gw_parts = pool::take(b * s * gw_len);
-            let this: &Conv2d = self;
-            let (xd, gds) = (this.cached_input.as_ref().unwrap().data(), &gd[..]);
-            std::thread::scope(|sc| {
-                let mut rest = &mut gw_parts[..];
-                for (b0, bl) in parallel::chunks(b, 1, nthreads) {
-                    let (mine, tail) = rest.split_at_mut(bl * s * gw_len);
-                    rest = tail;
-                    sc.spawn(move || {
-                        parallel::with_threads(1, || {
-                            let mut gcol = pool::take(fan * ncols);
-                            for (i, gw_s) in mine.chunks_exact_mut(s * gw_len).enumerate() {
-                                let bi = b0 + i;
-                                this.weight_grads_sample(
-                                    &xd[bi * sample_in..(bi + 1) * sample_in],
-                                    &gds[bi * sample_grad..],
-                                    b * sample_grad,
-                                    s,
-                                    gw_s,
-                                    &mut gcol,
-                                    h,
-                                    w,
-                                );
-                            }
-                            pool::give(gcol);
-                        });
-                    });
-                }
-            });
-            for part in gw_parts.chunks_exact(s * gw_len) {
-                self.add_weight_grads(grads, part, s);
-            }
-            pool::give(gw_parts);
-            // Input gradients: whole chunks split across the workers, each
-            // writing its own units.
-            let this: &Conv2d = self;
-            std::thread::scope(|sc| {
-                let mut gy_rest = &mut gd[..];
-                let mut gx_rest = gx_own.as_deref_mut();
-                for (_, ul) in parallel::chunks(units, per, nthreads) {
-                    let (gy_mine, tail) =
-                        std::mem::take(&mut gy_rest).split_at_mut(ul * sample_grad);
-                    gy_rest = tail;
-                    let mut gx_mine = gx_rest.take().map(|gx| {
-                        let (mine, tail) = gx.split_at_mut(ul * sample_in);
-                        gx_rest = Some(tail);
-                        mine
-                    });
-                    sc.spawn(move || {
-                        parallel::with_threads(1, || {
-                            let mut gcol = pool::take(gcol_len);
-                            for (i, gy) in gy_mine.chunks_mut(per * sample_grad).enumerate() {
-                                let gx = gx_mine.as_deref_mut().map(|gx| {
-                                    &mut gx[i * per * sample_in..]
-                                        [..gy.len() / sample_grad * sample_in]
-                                });
-                                this.input_grad_chunk(wt, gy, gx, &mut gcol, h, w);
-                            }
-                            pool::give(gcol);
-                        });
-                    });
-                }
-            });
+            self.input_grad_chunk(
+                wt,
+                &mut gd[u0 * sample_grad..u1 * sample_grad],
+                gx_own
+                    .as_deref_mut()
+                    .map(|gx| &mut gx[u0 * sample_in..u1 * sample_in]),
+                &mut gcol,
+                h,
+                w,
+            );
         }
+        pool::give(gw);
+        pool::give(gcol);
         let gx = match gx_own {
             Some(gx) => {
                 pool::give(gd);

@@ -5,19 +5,18 @@
 //! 1. **Workspace reuse is invisible.** Buffers recycled through
 //!    [`fedknow_math::pool`] must produce bit-identical results to fresh
 //!    allocation — recycling may never leak stale values into a result.
-//! 2. **Parallelism is invisible.** The batch-parallel conv and the
-//!    row-parallel GEMM accumulate every output element in the same
-//!    (ascending-k) order regardless of the thread count, so results for
-//!    1, 2, 4 and 8 threads are bit-identical. Federated rounds rely on
-//!    this: a client's update must not depend on how many cores its edge
-//!    device has.
+//! 2. **Batching is invisible.** The conv lays samples side by side along
+//!    the GEMM's N and the GEMM accumulates every output element in the
+//!    same (ascending-k) order wherever it lands, so a batch-B pass is B
+//!    batch-1 passes, bit for bit.
 //!
-//! And two the FedKNOW restorer leans on: `backward` can be replayed over
-//! one training forward, and an eval-mode forward treats every row of a
-//! batch independently.
+//! And three the FedKNOW restorer leans on: `backward` can be replayed
+//! over one training forward, a stacked backward is one backward per
+//! slot, and an eval-mode forward treats every row of a batch
+//! independently.
 
 use fedknow_math::rng::seeded;
-use fedknow_math::{parallel, pool, Tensor};
+use fedknow_math::{pool, Tensor};
 use fedknow_nn::conv::Conv2d;
 use fedknow_nn::loss::cross_entropy;
 use fedknow_nn::models::six_cnn;
@@ -27,85 +26,6 @@ fn input(shape: &[usize], seed: u64) -> Tensor {
     let mut rng = seeded(seed);
     let data = fedknow_math::rng::normal_vec(&mut rng, shape.iter().product(), 0.0, 1.0);
     Tensor::from_vec(data, shape)
-}
-
-/// `conv` alone in a model: the arena its weights bind into.
-fn conv_model(conv: Conv2d) -> Model {
-    Model::new(conv, &[], 0)
-}
-
-/// One conv forward+backward; returns `(y, gx, flat grads)` as raw bits.
-fn conv_round_trip(conv: &mut Model, x: &Tensor) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-    conv.zero_grad();
-    let y = conv.forward(x.clone(), true);
-    let gx = conv.backward(y.clone());
-    (
-        y.data().iter().map(|v| v.to_bits()).collect(),
-        gx.data().iter().map(|v| v.to_bits()).collect(),
-        conv.grad_slot(0).iter().map(|v| v.to_bits()).collect(),
-    )
-}
-
-#[test]
-fn conv_is_bit_identical_across_thread_counts() {
-    let mut rng = seeded(41);
-    // Batch 8 so every thread count {1,2,4,8} gets a non-trivial split;
-    // 17×13 input crosses the packed column tiles.
-    let mut conv = conv_model(Conv2d::new(&mut rng, 3, 8, 3, 1, 1, 1));
-    let x = input(&[8, 3, 17, 13], 42);
-    let reference = parallel::with_threads(1, || conv_round_trip(&mut conv, &x));
-    for t in [2, 4, 8] {
-        let got = parallel::with_threads(t, || conv_round_trip(&mut conv, &x));
-        assert_eq!(got.0, reference.0, "forward differs at {t} threads");
-        assert_eq!(got.1, reference.1, "input grad differs at {t} threads");
-        assert_eq!(got.2, reference.2, "weight grad differs at {t} threads");
-    }
-}
-
-#[test]
-fn matmul_is_bit_identical_across_thread_counts() {
-    // Row count crosses several mr tiles for every ISA tier.
-    let a = input(&[67, 129], 43);
-    let b = input(&[129, 53], 44);
-    let reference = parallel::with_threads(1, || a.matmul(&b));
-    for t in [2, 4, 8] {
-        let got = parallel::with_threads(t, || a.matmul(&b));
-        assert_eq!(
-            got.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>(),
-            reference
-                .data()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<u32>>(),
-            "matmul differs at {t} threads"
-        );
-    }
-}
-
-/// A full train step on the paper's 6-CNN must produce bit-identical
-/// parameters for every thread count.
-#[test]
-fn train_step_is_bit_identical_across_thread_counts() {
-    let x = input(&[8, 3, 16, 16], 45);
-    let labels: Vec<usize> = (0..8).map(|i| i % 10).collect();
-    let step = |threads: usize| -> Vec<u32> {
-        parallel::with_threads(threads, || {
-            let mut rng = seeded(46);
-            let mut m = six_cnn(&mut rng, 3, 10, 1.0);
-            for _ in 0..2 {
-                let logits = m.forward(x.clone(), true);
-                let (_, grad) = cross_entropy(&logits, &labels);
-                m.zero_grad();
-                let _ = m.backward(grad);
-                m.sgd_step(0.05);
-            }
-            m.flat_params().iter().map(|v| v.to_bits()).collect()
-        })
-    };
-    let reference = step(1);
-    for t in [2, 4, 8] {
-        assert_eq!(step(t), reference, "trained params differ at {t} threads");
-    }
 }
 
 /// Recycled workspaces must be invisible: running with the buffer pool
@@ -265,8 +185,7 @@ fn conv_grads(conv: &Model, s: usize) -> Vec<Vec<f32>> {
 /// chunk and NR-strip boundaries fall, a batch-B pass is B batch-1
 /// passes: forward rows and input-gradient rows bit-equal to each
 /// sample's own, and the weight gradients bit-equal to those per-sample
-/// backwards added up in ascending sample order — under one thread and
-/// under a chunk split across three.
+/// backwards added up in ascending sample order.
 #[test]
 fn batched_conv_is_per_sample_at_chunk_boundaries() {
     // (cin, cout, k, stride, pad, groups, h, w, batch): ncols = 20
@@ -282,7 +201,7 @@ fn batched_conv_is_per_sample_at_chunk_boundaries() {
     ];
     for (n, &(cin, cout, k, st, pd, groups, h, w, b)) in cases.iter().enumerate() {
         let conv = Conv2d::new(&mut seeded(60 + n as u64), cin, cout, k, st, pd, groups);
-        let mut conv = conv_model(conv);
+        let mut conv = Model::new(conv, &[], 0);
         let x = input(&[b, cin, h, w], 70 + n as u64);
         let (oh, ow) = ((h + 2 * pd - k) / st + 1, (w + 2 * pd - k) / st + 1);
         let (sample_out, sample_in) = (cout * oh * ow, cin * h * w);
@@ -307,57 +226,28 @@ fn batched_conv_is_per_sample_at_chunk_boundaries() {
                     }
                 }
             }
-            for t in [1, 3] {
-                let (y, gx, grads) = parallel::with_threads(t, || {
-                    conv.zero_grad();
-                    let y = conv.forward(x.clone(), true);
-                    let gx = conv.backward(g.clone());
-                    (y, gx, conv_grads(&conv, s))
-                });
-                let at = format!("case {n}, s = {s}, {t} threads");
-                for (i, (yi, gxi)) in ys.iter().zip(&gxs).enumerate() {
+            conv.zero_grad();
+            let y = conv.forward(x.clone(), true);
+            let gx = conv.backward(g.clone());
+            let grads = conv_grads(&conv, s);
+            let at = format!("case {n}, s = {s}");
+            for (i, (yi, gxi)) in ys.iter().zip(&gxs).enumerate() {
+                assert!(
+                    bits(&y.data()[i * sample_out..][..sample_out]) == bits(yi.data()),
+                    "{at}: forward row {i}"
+                );
+                for j in 0..s {
+                    let row = &gx.data()[(j * b + i) * sample_in..][..sample_in];
                     assert!(
-                        bits(&y.data()[i * sample_out..][..sample_out]) == bits(yi.data()),
-                        "{at}: forward row {i}"
+                        bits(row) == bits(&gxi.data()[j * sample_in..][..sample_in]),
+                        "{at}: input gradient of slot {j}, sample {i}"
                     );
-                    for j in 0..s {
-                        let row = &gx.data()[(j * b + i) * sample_in..][..sample_in];
-                        assert!(
-                            bits(row) == bits(&gxi.data()[j * sample_in..][..sample_in]),
-                            "{at}: input gradient of slot {j}, sample {i}"
-                        );
-                    }
-                }
-                assert_eq!(grads.len(), sum.len(), "{at}: gradient count");
-                for (p, (got, want)) in grads.iter().zip(&sum).enumerate() {
-                    assert!(bits(got) == bits(want), "{at}: parameter gradient {p}");
                 }
             }
+            assert_eq!(grads.len(), sum.len(), "{at}: gradient count");
+            for (p, (got, want)) in grads.iter().zip(&sum).enumerate() {
+                assert!(bits(got) == bits(want), "{at}: parameter gradient {p}");
+            }
         }
-    }
-}
-
-/// The thread-parallel conv backward splits whole chunks of the stacked
-/// layout across its workers: a 3-slot backward is bit-identical for
-/// every thread count.
-#[test]
-fn stacked_conv_backward_is_bit_identical_across_thread_counts() {
-    let mut rng = seeded(57);
-    let mut conv = conv_model(Conv2d::new(&mut rng, 4, 6, 3, 2, 1, 2));
-    let x = input(&[8, 4, 9, 7], 58);
-    let g = input(&[3 * 8, 6, 5, 4], 59);
-    let run = |conv: &mut Model| {
-        conv.zero_grad();
-        let _ = conv.forward(x.clone(), true);
-        let gx = conv.backward(g.clone());
-        let grads: Vec<u32> = (0..3).flat_map(|j| bits(conv.grad_slot(j))).collect();
-        (bits(gx.data()), grads)
-    };
-    let reference = parallel::with_threads(1, || run(&mut conv));
-    for t in [2, 4, 8] {
-        assert!(
-            parallel::with_threads(t, || run(&mut conv)) == reference,
-            "stacked conv backward differs at {t} threads"
-        );
     }
 }

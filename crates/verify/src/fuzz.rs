@@ -188,27 +188,35 @@ pub fn fuzz<C>(
     report
 }
 
-/// Case count for bounded runs: `FEDKNOW_VERIFY_CASES` or the default.
+/// Case count for bounded runs: `FEDKNOW_VERIFY_CASES` (decimal) or the
+/// default when unset or empty. Panics on any other value.
 pub fn cases_from_env(default: usize) -> usize {
-    std::env::var("FEDKNOW_VERIFY_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    from_env("FEDKNOW_VERIFY_CASES", default, parse_cases)
 }
 
 /// Base seed: `FEDKNOW_VERIFY_SEED` (decimal or `0x…` hex) or the
-/// default.
+/// default when unset or empty. Panics on any other value.
 pub fn seed_from_env(default: u64) -> u64 {
-    std::env::var("FEDKNOW_VERIFY_SEED")
-        .ok()
-        .and_then(|v| {
-            if let Some(hex) = v.strip_prefix("0x") {
-                u64::from_str_radix(hex, 16).ok()
-            } else {
-                v.parse().ok()
-            }
-        })
-        .unwrap_or(default)
+    from_env("FEDKNOW_VERIFY_SEED", default, parse_seed)
+}
+
+fn from_env<T>(name: &str, default: T, parse: fn(&str) -> Result<T, &'static str>) -> T {
+    match std::env::var(name).unwrap_or_default().as_str() {
+        "" => default,
+        v => parse(v).unwrap_or_else(|e| panic!("{name}={v:?}: {e}")),
+    }
+}
+
+fn parse_cases(v: &str) -> Result<usize, &'static str> {
+    v.parse().map_err(|_| "accepted is a decimal count")
+}
+
+fn parse_seed(v: &str) -> Result<u64, &'static str> {
+    match v.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => v.parse(),
+    }
+    .map_err(|_| "accepted is a decimal or 0x hex seed")
 }
 
 #[cfg(test)]
@@ -285,5 +293,10 @@ mod tests {
         if std::env::var("FEDKNOW_VERIFY_SEED").is_err() {
             assert_eq!(seed_from_env(9), 9);
         }
+        assert_eq!(parse_cases("50"), Ok(50));
+        assert!(parse_cases("fifty").is_err());
+        assert_eq!(parse_seed("12"), Ok(12));
+        assert_eq!(parse_seed("0xFED5EED"), Ok(0xFED5EED));
+        assert!(parse_seed("0xZZ").is_err());
     }
 }

@@ -31,7 +31,8 @@ pub mod oracle;
 pub mod suite;
 
 /// Environment variable that switches the runtime invariant mode on:
-/// `1`/`true`/`on` count and report violations, `strict` also panics.
+/// `1`/`true`/`on` count and report violations, `strict` also panics;
+/// empty, `0`, `off` and `false` leave it off. Any other value panics.
 pub const ENV_VERIFY: &str = "FEDKNOW_VERIFY";
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -68,14 +69,28 @@ pub fn disable() {
     STRICT.store(false, Ordering::Relaxed);
 }
 
+/// A `FEDKNOW_VERIFY` value: `None` is off, `Some(strict)` on.
+fn parse_mode(v: &str) -> Result<Option<bool>, String> {
+    match v {
+        "" | "0" | "off" | "false" => Ok(None),
+        "1" | "on" | "true" => Ok(Some(false)),
+        "strict" => Ok(Some(true)),
+        _ => Err(format!(
+            "{ENV_VERIFY}={v:?}: accepted are \"\", 0, off, false, 1, on, true and strict"
+        )),
+    }
+}
+
 /// Enable from the `FEDKNOW_VERIFY` environment variable. Idempotent and
 /// additive (it never disables a mode a caller enabled directly).
-/// Returns whether the mode is on afterwards.
+/// Returns whether the mode is on afterwards. Panics on a value that
+/// names no mode.
 pub fn init_from_env() -> bool {
-    match std::env::var(ENV_VERIFY).ok().as_deref() {
-        Some("strict") => enable_strict(),
-        Some("1") | Some("true") | Some("on") => enable(),
-        _ => {}
+    let v = std::env::var(ENV_VERIFY).unwrap_or_default();
+    match parse_mode(&v).unwrap_or_else(|e| panic!("{e}")) {
+        Some(true) => enable_strict(),
+        Some(false) => enable(),
+        None => {}
     }
     is_enabled()
 }
@@ -132,5 +147,15 @@ mod tests {
         assert!(panicked, "strict mode must turn a violation into a panic");
         disable();
         assert!(!is_enabled() && !is_strict());
+    }
+
+    #[test]
+    fn verify_values_name_a_mode_or_are_refused() {
+        assert_eq!(parse_mode(""), Ok(None));
+        assert_eq!(parse_mode("off"), Ok(None));
+        assert_eq!(parse_mode("1"), Ok(Some(false)));
+        assert_eq!(parse_mode("strict"), Ok(Some(true)));
+        assert!(parse_mode("yes").unwrap_err().contains("strict"));
+        assert!(parse_mode("STRICT").is_err());
     }
 }
