@@ -56,7 +56,10 @@ fn input(shape: &[usize], seed: u64) -> Tensor {
 /// every pack edge: stride 2, pad 0, 1×1, depthwise and `groups = 4`,
 /// `ncols` = 49 / 15 / 25 (not a multiple of 16 or 48), `fan` = 27 / 72 /
 /// 144, and a 32×32 input whose `ncols = 1024` crosses `KC` four times in
-/// the weight-gradient GEMM.
+/// the weight-gradient GEMM. The last five have kernel taps that read only
+/// padding: a 3×3 kernel on a 1×1 map (plain, with a 288-row fan that
+/// crosses `KC`, and depthwise), stride 2 into a 1×1 map (4 of 9 taps
+/// read the image), and a 5×5 kernel on a 2×2 map (9 of 25).
 #[allow(clippy::type_complexity)]
 const CONV_CASES: &[(usize, usize, usize, usize, usize, usize, usize, usize)] = &[
     (3, 8, 3, 1, 1, 1, 16, 16),
@@ -72,6 +75,11 @@ const CONV_CASES: &[(usize, usize, usize, usize, usize, usize, usize, usize)] = 
     (8, 16, 3, 1, 1, 4, 5, 3),
     (2, 4, 5, 2, 2, 1, 11, 8),
     (3, 8, 3, 1, 1, 1, 32, 32),
+    (16, 16, 3, 1, 1, 1, 1, 1),
+    (8, 16, 3, 2, 1, 1, 2, 2),
+    (32, 8, 3, 1, 1, 1, 1, 1),
+    (6, 6, 3, 1, 1, 6, 1, 1),
+    (4, 8, 5, 1, 2, 1, 2, 2),
 ];
 
 fn conv_digests() -> Vec<(String, u64)> {
@@ -135,6 +143,11 @@ fn golden(isa: &str) -> Option<&'static [(&'static str, u64)]> {
             ("conv 8>16 k3 s1 p1 g4 5x3", 0x08220da7a2f37cf9),
             ("conv 2>4 k5 s2 p2 g1 11x8", 0x2c3526b6cea4dafe),
             ("conv 3>8 k3 s1 p1 g1 32x32", 0x1208f4d0e28760bf),
+            ("conv 16>16 k3 s1 p1 g1 1x1", 0x228f741df45b09f9),
+            ("conv 8>16 k3 s2 p1 g1 2x2", 0x24540b8987eac661),
+            ("conv 32>8 k3 s1 p1 g1 1x1", 0x63b6156af8f4b1de),
+            ("conv 6>6 k3 s1 p1 g6 1x1", 0x154edf732f38ff64),
+            ("conv 4>8 k5 s1 p2 g1 2x2", 0xddc59a24c6ce64fc),
             ("model sixcnn", 0x192956e1e682415e),
             ("model resnet18", 0xf9726105a7564630),
             ("model wideresnet50", 0xe27c8e9bb17dd3af),
@@ -160,6 +173,11 @@ fn golden(isa: &str) -> Option<&'static [(&'static str, u64)]> {
             ("conv 8>16 k3 s1 p1 g4 5x3", 0x6713e3c92b94129d),
             ("conv 2>4 k5 s2 p2 g1 11x8", 0x73b23ff6089b8360),
             ("conv 3>8 k3 s1 p1 g1 32x32", 0x0f85e785ae49130e),
+            ("conv 16>16 k3 s1 p1 g1 1x1", 0xc09bffef85cb70fe),
+            ("conv 8>16 k3 s2 p1 g1 2x2", 0xcd63ed68fa114b65),
+            ("conv 32>8 k3 s1 p1 g1 1x1", 0xdf3ebff51b4465ce),
+            ("conv 6>6 k3 s1 p1 g6 1x1", 0x154edf732f38ff64),
+            ("conv 4>8 k5 s1 p2 g1 2x2", 0xd3402fb608a21faa),
             ("model sixcnn", 0xfd37425b980d170d),
             ("model resnet18", 0xcb6df5faff767560),
             ("model wideresnet50", 0xb0a85c95ccf597c4),
