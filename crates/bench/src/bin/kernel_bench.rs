@@ -170,18 +170,21 @@ fn bench_matmul(opts: &Opts, m: usize, k: usize, n: usize, out: &mut Vec<KernelE
     out.push(entry("matmul", &shape, model, min_ns));
 }
 
+/// A 3×3, padding-1 convolution of stride `st` on a batch of `b`
+/// `cin × hw × hw` inputs.
 fn bench_conv(
     opts: &Opts,
     b: usize,
     cin: usize,
     cout: usize,
+    st: usize,
     hw: usize,
     out: &mut Vec<KernelEntry>,
 ) {
-    let shape = format!("b{b} {cin}->{cout} k3 s1 p1 {hw}x{hw}");
+    let shape = format!("b{b} {cin}->{cout} k3 s{st} p1 {hw}x{hw}");
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let mut conv = Model::new(
-        Conv2d::conv3x3(&mut rng, cin, cout, 1),
+        Conv2d::conv3x3(&mut rng, cin, cout, st),
         &[cin, hw, hw],
         cout,
     );
@@ -191,7 +194,7 @@ fn bench_conv(
         in_c: cin,
         out_c: cout,
         kernel: 3,
-        stride: 1,
+        stride: st,
         padding: 1,
         groups: 1,
         h: hw,
@@ -202,7 +205,7 @@ fn bench_conv(
         in_c: cin,
         out_c: cout,
         kernel: 3,
-        stride: 1,
+        stride: st,
         padding: 1,
         groups: 1,
         h: hw,
@@ -238,7 +241,8 @@ fn bench_conv(
         fwd.flops,
         cf,
     );
-    let gy_t = Tensor::from_vec(gy.clone(), &[b, cout, hw, hw]);
+    let (oh, ow) = s.out_hw();
+    let gy_t = Tensor::from_vec(gy.clone(), &[b, cout, oh, ow]);
     let (cbk, _) = counted_invocation("conv2d_bwd", || {
         black_box(conv.backward(gy_t.clone()));
     });
@@ -452,21 +456,24 @@ fn main() {
     bench_matmul(&opts, 512, 512, 512, &mut entries);
     // SixCNN stem on CIFAR-sized inputs (Fig. 4) and a ResNet-18 inner
     // block at the reduced resolution the Fig. 9 zoo uses.
-    bench_conv(&opts, 4, 3, 32, 32, &mut entries);
-    bench_conv(&opts, 2, 64, 64, 8, &mut entries);
+    bench_conv(&opts, 4, 3, 32, 1, 32, &mut entries);
+    bench_conv(&opts, 2, 64, 64, 1, 8, &mut entries);
     // A deep-layer workhorse shape: per-sample GEMM [64, 288] × [288, 256],
     // big enough that panel packing and fused patch tiles dominate.
-    bench_conv(&opts, 4, 32, 64, 16, &mut entries);
+    bench_conv(&opts, 4, 32, 64, 1, 16, &mut entries);
     // The ladder's own per-sample shapes at its batch 12: SixCnn's second
     // and fourth conv (`cnn_*` workloads) and ResNet18's last stage
     // (`resnet_fedknow_t4`), where N = oh·ow is 256, 64 and 4.
-    bench_conv(&opts, 12, 8, 8, 16, &mut entries);
-    bench_conv(&opts, 12, 16, 16, 8, &mut entries);
-    bench_conv(&opts, 12, 64, 64, 2, &mut entries);
+    bench_conv(&opts, 12, 8, 8, 1, 16, &mut entries);
+    bench_conv(&opts, 12, 16, 16, 1, 8, &mut entries);
+    bench_conv(&opts, 12, 64, 64, 1, 2, &mut entries);
     // `tcp_wide_fedavg`'s deepest stage (ResNet18 at width 4, batch 8):
     // 2×2 and 1×1 maps, where a chunk of samples is the GEMM's only width.
-    bench_conv(&opts, 8, 256, 256, 2, &mut entries);
-    bench_conv(&opts, 8, 256, 256, 1, &mut entries);
+    // On the 1×1 map 8 of the 9 taps read only padding, and the stride-2
+    // transition into it from 2×2 keeps 4 of 9 live.
+    bench_conv(&opts, 8, 256, 256, 1, 2, &mut entries);
+    bench_conv(&opts, 8, 256, 256, 1, 1, &mut entries);
+    bench_conv(&opts, 8, 128, 256, 2, 2, &mut entries);
     // Signature-task machinery: GEM dual QP, Wasserstein ranking, and
     // the server's weighted average.
     bench_qp(&opts, 8, 4096, &mut entries);

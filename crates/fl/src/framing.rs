@@ -213,11 +213,6 @@ impl FrameHead {
     }
 }
 
-/// Wrap a payload in a frame (header + payload) as one buffer.
-pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>, FrameError> {
-    encode_frame_traced(payload, None)
-}
-
 /// Wrap a payload in a frame, optionally tagging it with a trace
 /// context, as one owned buffer — what a transport that moves owned
 /// frames (the channel backend) ships.
@@ -487,7 +482,7 @@ mod tests {
         // Claim only — don't materialize 64 MiB; write_frame checks len.
         let big = vec![0u8; MAX_FRAME_BYTES + 1];
         assert!(matches!(
-            encode_frame(&big).unwrap_err(),
+            encode_frame_traced(&big, None).unwrap_err(),
             FrameError::Oversize { .. }
         ));
         let mut sink = Vec::new();

@@ -128,7 +128,8 @@ impl Conv2dShape {
 /// Conv2d forward: one MAC per tap per output element plus one bias add
 /// per output element — `b·OC·oh·ow·(2·cg·k² + 1)`, identical to
 /// `fedknow-nn`'s `Layer::flops` for conv and to the forward oracle's
-/// loop-trip count.
+/// loop-trip count. Nominal where taps read only padding: the production
+/// conv skips those, and this model still charges them.
 pub fn conv2d_fwd(s: &Conv2dShape) -> Cost {
     let out = s.output_len() as u64;
     Cost {

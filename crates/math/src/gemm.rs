@@ -633,7 +633,9 @@ fn buf_lens(mr: usize, nr: usize, rows: usize, k: usize, n: usize) -> (usize, us
 }
 
 /// Blocked GEMM of all `rows` rows into `out` (row stride `n`), which
-/// must already be zeroed.
+/// must already be zeroed; the k-slab that starts at `kk` ends at
+/// `slab_end(kk).min(k)`.
+#[allow(clippy::too_many_arguments)]
 fn gemm_rows(
     which: Isa,
     rows: usize,
@@ -642,6 +644,7 @@ fn gemm_rows(
     a: &dyn APanels,
     b: &dyn BPanels,
     out: &mut [f32],
+    slab_end: &dyn Fn(usize) -> usize,
 ) {
     let (mr, nr) = which.tile();
     let (pa_len, pb_len) = buf_lens(mr, nr, rows, k, n);
@@ -651,7 +654,8 @@ fn gemm_rows(
 
     let mut kk = 0;
     while kk < k {
-        let kc = KC.min(k - kk);
+        let kc = slab_end(kk).min(k) - kk;
+        assert!((1..=KC).contains(&kc), "k-slab of depth {kc} at {kk}");
         let mut jj = 0;
         while jj < n {
             let nc = NC.min(n - jj);
@@ -705,12 +709,31 @@ fn gemm_rows(
 /// `out[m × n] = A[m × k] · B[k × n]` with packed panels and register
 /// tiles. `out` is overwritten.
 pub fn gemm(m: usize, k: usize, n: usize, a: &dyn APanels, b: &dyn BPanels, out: &mut [f32]) {
+    gemm_slabs(m, k, n, a, b, out, &|kk| kk + KC);
+}
+
+/// [`gemm`] with the k dimension cut into slabs where the caller says:
+/// the slab that starts at `kk` ends at `slab_end(kk).min(k)`, at most
+/// `KC` further on. [`gemm`] cuts at the multiples of `KC`. A caller that
+/// leaves out rows of B that are all +0.0 passes the cuts of the full k
+/// mapped onto the rows it keeps: each output element is then the chain
+/// the full product computes, minus terms that add +0.0 to an
+/// accumulator that is never -0.0 — the same bits.
+pub fn gemm_slabs(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &dyn APanels,
+    b: &dyn BPanels,
+    out: &mut [f32],
+    slab_end: &dyn Fn(usize) -> usize,
+) {
     assert_eq!(out.len(), m * n, "gemm output length mismatch");
     out.fill(0.0);
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    gemm_rows(isa(), m, k, n, a, b, out);
+    gemm_rows(isa(), m, k, n, a, b, out, slab_end);
 }
 
 /// Convenience wrapper: dense row-major `A[m,k] · B[k,n]`.
@@ -804,6 +827,46 @@ mod tests {
                 assert!((g - w).abs() <= 1e-3 * (1.0 + w.abs()), "k={k}");
             }
         }
+    }
+
+    #[test]
+    fn zero_rows_left_out_at_the_full_cuts_keep_the_bits() {
+        // B's rows 3 mod 5 are +0.0. The product over the other rows, cut
+        // where KC cuts the full k, is the full product bit for bit.
+        let (m, k, n) = (9, 2 * KC + 40, 50);
+        let a = vals(m * k, 5);
+        let mut b = vals(k * n, 6);
+        for row in b.chunks_exact_mut(n).skip(3).step_by(5) {
+            row.fill(0.0);
+        }
+        let mut want = vec![0.0f32; m * n];
+        gemm_dense(m, k, n, &a, &b, &mut want);
+        let kept: Vec<usize> = (0..k).filter(|p| p % 5 != 3).collect();
+        let kl = kept.len();
+        let al: Vec<f32> = a
+            .chunks_exact(k)
+            .flat_map(|row| kept.iter().map(|&p| row[p]))
+            .collect();
+        let bl: Vec<f32> = kept
+            .iter()
+            .flat_map(|&p| b[p * n..(p + 1) * n].iter().copied())
+            .collect();
+        let cut = |q: usize| {
+            let end = (kept[q] / KC + 1) * KC;
+            kept.partition_point(|&p| p < end)
+        };
+        let mut got = vec![0.0f32; m * n];
+        gemm_slabs(
+            m,
+            kl,
+            n,
+            &DenseA { data: &al, k: kl },
+            &DenseB { data: &bl, n },
+            &mut got,
+            &cut,
+        );
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

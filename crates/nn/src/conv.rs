@@ -20,9 +20,9 @@
 //!   instead of once per sample, and a deep stage's 2×2 or 1×1 maps fill
 //!   register tiles that one sample alone would leave 1–4 columns wide. A
 //!   sample wider than the budget is a chunk of its own. The budget bounds
-//!   the chunk's scratch (`ocg` rows of output, `fan` rows of column
-//!   gradient), which keeps peak memory where the one-sample passes had
-//!   it; it is a constant, not a knob.
+//!   the chunk's scratch (`ocg` rows of output, one row of column
+//!   gradient per live fan row), which keeps peak memory where the
+//!   one-sample passes had it; it is a constant, not a knob.
 //! * **Forward is fused.** The column matrix is never built:
 //!   [`PatchPanels`] implements the GEMM's [`BPanels`] pack-source trait
 //!   and fills each packed `KC × NR` panel straight from the input planes
@@ -59,6 +59,24 @@
 //!   zeroed ([`PatchGeom::same`]), so both the patch pack and `col2im`
 //!   are one long copy / accumulate per row plus a strided fix-up. Other
 //!   geometries (stride 2, unpadded) gather element by element.
+//! * **Dead taps.** A kernel tap `(ky, kx)` is *live* when some output
+//!   position reads an in-image pixel through it ([`PatchGeom::live`]);
+//!   a dead one reads only padding, as 8 of the 9 taps of a 3×3 kernel
+//!   on a 1×1 map do. Every call takes its live taps from `(h, w, k,
+//!   stride, pad)` and runs over the *live fan* `cg·|live|`: the patch
+//!   pack and the weight operand hold only live rows, the weight-gradient
+//!   GEMM is `s·ocg × cg·|live|` and is added into each slot's live
+//!   columns, and the input-gradient GEMM and `col2im` cover live rows
+//!   only. The bits are the full fan's: a dead row's patch entries are
+//!   +0.0, so its FMA terms leave every chain as it was (an accumulator
+//!   that starts at +0.0 never holds -0.0); its weight-gradient entries
+//!   would add +0.0, and `col2im` never adds its rows. One condition
+//!   remains, the *slab rule*: the forward's GEMM cuts its live k into
+//!   slabs exactly where `gemm::KC` cuts the full fan ([`slab_end`],
+//!   through [`gemm::gemm_slabs`]), since a slab's chain is added into the
+//!   output as one term. With every tap live — every layer of SixCnn, and
+//!   of ResNet18 on 16×16 inputs — the live fan is the fan and the
+//!   arithmetic is the full one's.
 //!
 //! Batching along N changes no bit: by the GEMM's determinism contract
 //! every output element is its own ascending-k FMA chain wherever its
@@ -107,12 +125,17 @@ struct PatchGeom {
 }
 
 impl PatchGeom {
-    /// Decompose a row index of the logical column matrix into
-    /// (channel, ky, kx).
-    #[inline]
-    fn fan_split(&self, f: usize) -> (usize, usize, usize) {
-        let kk = self.k * self.k;
-        (f / kk, (f % kk) / self.k, f % self.k)
+    /// Whether tap `(ky, kx)` is *live*: some output position reads an
+    /// in-image pixel through it. A dead tap reads only padding, so its
+    /// rows of the column matrix are all +0.0.
+    fn live(&self, ky: usize, kx: usize) -> bool {
+        // Along one axis, the first output index whose input index
+        // `o·stride + t − pad` is not left of the image must be inside it.
+        let reads = |t: usize, on: usize, n: usize| {
+            let o = self.pad.saturating_sub(t).div_ceil(self.stride);
+            o < on && o * self.stride + t < n + self.pad
+        };
+        reads(ky, self.oh, self.h) && reads(kx, self.ow, self.w)
     }
 
     /// Stride 1 with the output as wide as the input (`2·pad = k − 1`, so
@@ -232,14 +255,26 @@ struct Tap {
     wrapped: std::ops::Range<usize>,
 }
 
-/// The logical im2col matrix of a run of samples for one group, `[cg·k²,
-/// nb·oh·ow]`: sample `i`'s `[cg·k², oh·ow]` block sits beside sample
+/// Where the forward's k-slab that starts at live fan row `p` ends:
+/// `gemm::KC` cuts the full fan `cg·k²`, and the live rows keep its cuts.
+fn slab_end(taps: &[usize], k2: usize, p: usize) -> usize {
+    let nl = taps.len();
+    let f = p / nl * k2 + taps[p % nl];
+    let end = (f / gemm::KC + 1) * gemm::KC;
+    end / k2 * nl + taps.partition_point(|&t| t < end % k2)
+}
+
+/// The live rows of the logical im2col matrix of a run of samples for one
+/// group, `[cg·|taps|, nb·oh·ow]`: row `p` is channel `p / |taps|` at tap
+/// `taps[p % |taps|]`, and sample `i`'s `oh·ow` columns sit beside sample
 /// `i − 1`'s along N. `x` starts at the first sample's `cg` group planes,
 /// and sample `i`'s are `i·sample` floats further on.
 struct PatchPanels<'a> {
     x: &'a [f32],
     sample: usize,
     g: PatchGeom,
+    /// The live taps `ky·k + kx`, ascending.
+    taps: &'a [usize],
 }
 
 impl BPanels for PatchPanels<'_> {
@@ -253,21 +288,19 @@ impl BPanels for PatchPanels<'_> {
         // gradient's full-width im2col) is built in place.
         let mut row = [0.0f32; gemm::NC];
         assert!(nstrips == 1 || nc <= gemm::NC, "panel wider than NC");
-        // The fan index walks incrementally — no div/mod per packed row.
-        let (mut c, mut ky, mut kx) = g.fan_split(k0);
+        // The fan row walks incrementally — no div/mod per packed row.
+        let nl = self.taps.len();
+        let (mut c, mut ti) = (k0 / nl, k0 % nl);
         let (i0, q0) = (j0 / ncols, j0 % ncols);
         let (oy0, ox0) = (q0 / g.ow, q0 % g.ow);
         for p in 0..kc {
-            let tap = g.tap(ky, kx);
+            let t = self.taps[ti];
+            let tap = g.tap(t / g.k, t % g.k);
             let plane = c * hw;
-            kx += 1;
-            if kx == g.k {
-                kx = 0;
-                ky += 1;
-                if ky == g.k {
-                    ky = 0;
-                    c += 1;
-                }
+            ti += 1;
+            if ti == nl {
+                ti = 0;
+                c += 1;
             }
             let (strip0, rest) = dst[p * nr..].split_at_mut(nr);
             let full = if nstrips == 1 {
@@ -324,6 +357,9 @@ pub struct Conv2d {
     /// backward rebuilds each sample's column matrix from it instead of
     /// storing column matrices.
     cached_input: Option<Tensor>,
+    /// Scratch: the live taps `ky·k + kx`, ascending, of the call in
+    /// progress; every forward and backward sets them from its geometry.
+    taps: Vec<usize>,
 }
 
 impl Conv2d {
@@ -355,6 +391,7 @@ impl Conv2d {
             init: kaiming_vec(rng, out_channels * fan_in, fan_in),
             off: 0,
             cached_input: None,
+            taps: Vec::new(),
         }
     }
 
@@ -390,9 +427,11 @@ impl Conv2d {
         (oh, ow)
     }
 
-    fn geom(&self, h: usize, w: usize) -> PatchGeom {
+    /// The geometry of a call on an `h × w` input; sets `self.taps` to
+    /// its live taps.
+    fn geom(&mut self, h: usize, w: usize) -> PatchGeom {
         let (oh, ow) = self.out_hw(h, w);
-        PatchGeom {
+        let g = PatchGeom {
             k: self.kernel,
             stride: self.stride,
             pad: self.padding,
@@ -400,7 +439,25 @@ impl Conv2d {
             w,
             oh,
             ow,
-        }
+        };
+        let k = self.kernel;
+        self.taps.clear();
+        self.taps
+            .extend((0..k * k).filter(|&t| g.live(t / k, t % k)));
+        g
+    }
+
+    /// The weight's live columns, `[OC, cg·|taps|]`, in a pool buffer —
+    /// or `None` when every tap is live and the weight is its own.
+    fn live_weight(&self, wt: &[f32]) -> Option<Vec<f32>> {
+        let (k2, nl) = (self.kernel * self.kernel, self.taps.len());
+        (nl < k2).then(|| {
+            let mut wl = pool::take(wt.len() / k2 * nl);
+            for (j, v) in wl.iter_mut().enumerate() {
+                *v = wt[j / nl * k2 + self.taps[j % nl]];
+            }
+            wl
+        })
     }
 
     /// The cost-model shape of one invocation on a `[b, C, h, w]` input.
@@ -420,13 +477,16 @@ impl Conv2d {
 
     /// Add sample `bi`'s weight gradients into the `s` slots of the
     /// gradient slab `grads`; `gd` is the stacked output gradient (unit
-    /// `j·B + bi` is slot `j`'s). Per group, the sample's column matrix is
-    /// packed into the scratch `gcol` once, and one GEMM of `s·ocg` rows
-    /// reads it for all slots into the scratch `gw` (`s·ocg·fan`), which
-    /// is then added to the slots. Called in ascending sample order, this
-    /// is the f32 addition sequence of a one-slot backward for every slot.
+    /// `j·B + bi` is slot `j`'s). Per group, the live rows of the sample's
+    /// column matrix are packed into the scratch `gcol` once, and one GEMM
+    /// of `s·ocg` rows reads them for all slots into the scratch `gw`
+    /// (`s·ocg·cg·|taps|`), which is then added into the slots' live
+    /// columns. Called in ascending sample order, this is the f32 addition
+    /// sequence of a one-slot backward for every slot.
+    #[allow(clippy::too_many_arguments)]
     fn add_weight_grads(
         &self,
+        g: PatchGeom,
         grads: &mut [f32],
         bi: usize,
         gd: &[f32],
@@ -434,36 +494,41 @@ impl Conv2d {
         gw: &mut [f32],
         gcol: &mut [f32],
     ) {
+        let nl = self.taps.len();
+        if nl == 0 {
+            return;
+        }
         let x = self
             .cached_input
             .as_ref()
             .expect("backward before forward(train)");
-        let (b, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
-        let g = self.geom(h, w);
+        let (b, hw) = (x.shape()[0], g.h * g.w);
         let ncols = g.oh * g.ow;
         let cg = self.in_channels / self.groups;
         let ocg = self.out_channels / self.groups;
-        let fan = cg * self.kernel * self.kernel;
-        let block = ocg * fan;
+        let k2 = self.kernel * self.kernel;
+        let lfan = cg * nl;
+        let (block, lblock) = (ocg * cg * k2, ocg * lfan);
         let sample_grad = self.out_channels * ncols;
-        let xs = &x.data()[bi * self.in_channels * h * w..];
+        let xs = &x.data()[bi * self.in_channels * hw..];
         let gy = &gd[bi * sample_grad..];
         for gi in 0..self.groups {
             let patches = PatchPanels {
-                x: &xs[gi * cg * h * w..(gi + 1) * cg * h * w],
+                x: &xs[gi * cg * hw..(gi + 1) * cg * hw],
                 sample: 0,
                 g,
+                taps: &self.taps,
             };
             // One full-width "strip" of the patch pack is the row-major
-            // column matrix [fan, ncols].
-            patches.pack(gcol, 0, fan, 0, ncols, ncols);
-            // gW_g of every slot [s·ocg, fan] = gy [s·ocg, ncols] × colᵀ
-            // [ncols, fan]: colᵀ is packed once for all slots.
-            let gw = &mut gw[..s * block];
+            // column matrix [lfan, ncols].
+            patches.pack(gcol, 0, lfan, 0, ncols, ncols);
+            // gW_g of every slot [s·ocg, lfan] = gy [s·ocg, ncols] × colᵀ
+            // [ncols, lfan]: colᵀ is packed once for all slots.
+            let gw = &mut gw[..s * lblock];
             gemm::gemm(
                 s * ocg,
                 ncols,
-                fan,
+                lfan,
                 &DenseABlocks {
                     data: &gy[gi * ocg * ncols..],
                     k: ncols,
@@ -476,10 +541,19 @@ impl Conv2d {
                 },
                 gw,
             );
-            for (j, src) in gw.chunks_exact(block).enumerate() {
+            for (j, src) in gw.chunks_exact(lblock).enumerate() {
                 let dst = grad_slot(grads, s, j, self.off + gi * block, block);
-                for (d, &v) in dst.iter_mut().zip(src) {
-                    *d += v;
+                if nl == k2 {
+                    for (d, &v) in dst.iter_mut().zip(src) {
+                        *d += v;
+                    }
+                    continue;
+                }
+                // Row (o, c) of the weight is k² wide, its live part nl.
+                for (d, src) in dst.chunks_exact_mut(k2).zip(src.chunks_exact(nl)) {
+                    for (&t, &v) in self.taps.iter().zip(src) {
+                        d[t] += v;
+                    }
                 }
             }
         }
@@ -488,35 +562,34 @@ impl Conv2d {
     /// Input gradients of one chunk of consecutive (slot, sample) units.
     /// `gy` holds the chunk's output gradients, `sample_grad` floats per
     /// unit; `gx` its input gradients (zeroed), or `None` to overwrite
-    /// `gy` with them. Per group, one GEMM `W_gᵀ [fan, ocg] × gy [ocg,
-    /// U·ncols]` puts every unit's column gradient side by side in
-    /// `gcol`, and `col2im` scatter-accumulates each unit's. `wt` is the
-    /// weight.
+    /// `gy` with them. Per group, one GEMM `W_gᵀ [lfan, ocg] × gy [ocg,
+    /// U·ncols]` puts every unit's live column gradient side by side in
+    /// `gcol`, and `col2im` scatter-accumulates each unit's. `wl` is the
+    /// weight's live columns.
     fn input_grad_chunk(
         &self,
-        wt: &[f32],
+        g: PatchGeom,
+        wl: &[f32],
         gy: &mut [f32],
         mut gx: Option<&mut [f32]>,
         gcol: &mut [f32],
-        h: usize,
-        w: usize,
     ) {
-        let (oh, ow) = self.out_hw(h, w);
-        let ncols = oh * ow;
+        let ncols = g.oh * g.ow;
+        let hw = g.h * g.w;
         let cg = self.in_channels / self.groups;
         let ocg = self.out_channels / self.groups;
-        let fan = self.fan();
-        let (sample_in, sample_grad) = (self.in_channels * h * w, self.out_channels * ncols);
+        let lfan = cg * self.taps.len();
+        let (sample_in, sample_grad) = (self.in_channels * hw, self.out_channels * ncols);
         let units = gy.len() / sample_grad;
         let n = units * ncols;
-        let col = &mut gcol[..fan * n];
+        let col = &mut gcol[..lfan * n];
         for gi in 0..self.groups {
-            let wg = &wt[gi * ocg * fan..(gi + 1) * ocg * fan];
+            let wg = &wl[gi * ocg * lfan..(gi + 1) * ocg * lfan];
             gemm::gemm(
-                fan,
+                lfan,
                 ocg,
                 n,
-                &DenseATrans { data: wg, m: fan },
+                &DenseATrans { data: wg, m: lfan },
                 &DenseBBlocks {
                     data: &gy[gi * ocg * ncols..],
                     cols: ncols,
@@ -526,72 +599,70 @@ impl Conv2d {
             );
             for u in 0..units {
                 let dst = match gx.as_deref_mut() {
-                    Some(gx) => &mut gx[u * sample_in + gi * cg * h * w..][..cg * h * w],
+                    Some(gx) => &mut gx[u * sample_in + gi * cg * hw..][..cg * hw],
                     None => {
                         let dst = &mut gy[u * sample_grad + gi * ocg * ncols..][..ocg * ncols];
                         dst.fill(0.0);
                         dst
                     }
                 };
-                self.col2im(&mut col[u * ncols..], n, dst, h, w);
+                self.col2im(g, col, u * ncols, n, dst);
             }
         }
     }
 
-    /// Scatter-accumulate one unit's `[cg·k², oh·ow]` column gradient —
-    /// row `r` at `col[r·ld..]` — into one group's input-gradient planes.
-    /// `col` is scratch: the same-padded stride-1 walk zeroes the entries
-    /// it must not add.
-    fn col2im(&self, col: &mut [f32], ld: usize, gx: &mut [f32], h: usize, w: usize) {
-        let g = self.geom(h, w);
-        let (oh, ow) = (g.oh, g.ow);
+    /// Scatter-accumulate one unit's live `[cg·|taps|, oh·ow]` column
+    /// gradient — row `r` at `col[at + r·ld..]` — into one group's
+    /// input-gradient planes. `col` is scratch: the same-padded stride-1
+    /// walk zeroes the entries it must not add.
+    fn col2im(&self, g: PatchGeom, col: &mut [f32], at: usize, ld: usize, gx: &mut [f32]) {
+        let (h, w, oh, ow) = (g.h, g.w, g.oh, g.ow);
         let k = self.kernel;
         let ncols = oh * ow;
         let cg = self.in_channels / self.groups;
         let pad = self.padding;
+        let nl = self.taps.len();
         for c in 0..cg {
             let plane = &mut gx[c * h * w..(c + 1) * h * w];
-            for ky in 0..k {
-                for kx in 0..k {
-                    let row = ((c * k + ky) * k + kx) * ld;
-                    if g.same() {
-                        // The mirror of the patch pack: `plane[q + shift]
-                        // += col[q]` over the whole row at once, clamped
-                        // to the plane, with the wrapped columns' entries
-                        // zeroed first. Adding their +0.0 is exact: an
-                        // accumulator that starts at +0.0 never holds -0.0.
-                        let crow = &mut col[row..row + ncols];
-                        let wrapped = g.wrapped_columns(kx);
-                        if !wrapped.is_empty() {
-                            for r in crow.chunks_exact_mut(ow) {
-                                r[wrapped.clone()].fill(0.0);
-                            }
+            for (ti, &t) in self.taps.iter().enumerate() {
+                let (ky, kx) = (t / k, t % k);
+                let row = at + (c * nl + ti) * ld;
+                if g.same() {
+                    // The mirror of the patch pack: `plane[q + shift]
+                    // += col[q]` over the whole row at once, clamped
+                    // to the plane, with the wrapped columns' entries
+                    // zeroed first. Adding their +0.0 is exact: an
+                    // accumulator that starts at +0.0 never holds -0.0.
+                    let crow = &mut col[row..row + ncols];
+                    let wrapped = g.wrapped_columns(kx);
+                    if !wrapped.is_empty() {
+                        for r in crow.chunks_exact_mut(ow) {
+                            r[wrapped.clone()].fill(0.0);
                         }
-                        let shift = g.tap_shift(ky, kx);
-                        let lo = (-shift).clamp(0, ncols as isize) as usize;
-                        let hi =
-                            (ncols as isize - shift).clamp(lo as isize, ncols as isize) as usize;
-                        if hi > lo {
-                            let d0 = (lo as isize + shift) as usize;
-                            for (d, &v) in plane[d0..d0 + (hi - lo)].iter_mut().zip(&crow[lo..hi]) {
-                                *d += v;
-                            }
+                    }
+                    let shift = g.tap_shift(ky, kx);
+                    let lo = (-shift).clamp(0, ncols as isize) as usize;
+                    let hi = (ncols as isize - shift).clamp(lo as isize, ncols as isize) as usize;
+                    if hi > lo {
+                        let d0 = (lo as isize + shift) as usize;
+                        for (d, &v) in plane[d0..d0 + (hi - lo)].iter_mut().zip(&crow[lo..hi]) {
+                            *d += v;
                         }
+                    }
+                    continue;
+                }
+                for oy in 0..oh {
+                    let iy = (oy * self.stride + ky) as isize - pad as isize;
+                    if iy < 0 || iy >= h as isize {
                         continue;
                     }
-                    for oy in 0..oh {
-                        let iy = (oy * self.stride + ky) as isize - pad as isize;
-                        if iy < 0 || iy >= h as isize {
+                    let iy = iy as usize;
+                    for ox in 0..ow {
+                        let ix = (ox * self.stride + kx) as isize - pad as isize;
+                        if ix < 0 || ix >= w as isize {
                             continue;
                         }
-                        let iy = iy as usize;
-                        for ox in 0..ow {
-                            let ix = (ox * self.stride + kx) as isize - pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            plane[iy * w + ix as usize] += col[row + oy * ow + ox];
-                        }
+                        plane[iy * w + ix as usize] += col[row + oy * ow + ox];
                     }
                 }
             }
@@ -601,22 +672,26 @@ impl Conv2d {
 
 impl Layer for Conv2d {
     fn forward(&mut self, params: &[f32], x: Tensor, train: bool) -> Tensor {
-        let (wt, bias) = self.weights(params);
         let s = x.shape();
         assert_eq!(s.len(), 4, "Conv2d expects [B,C,H,W]");
         let (b, c, h, w) = (s[0], s[1], s[2], s[3]);
         assert_eq!(c, self.in_channels, "Conv2d channel mismatch");
         let g = self.geom(h, w);
+        let (wt, bias) = self.weights(params);
         let (oh, ow) = (g.oh, g.ow);
         let ncols = oh * ow;
         let cg = c / self.groups;
         let ocg = self.out_channels / self.groups;
-        let fan = cg * self.kernel * self.kernel;
+        let k2 = self.kernel * self.kernel;
+        let lfan = cg * self.taps.len();
         let (sample_in, sample_out) = (c * h * w, self.out_channels * ncols);
         let per = per_chunk(ncols);
+        let wl = self.live_weight(wt);
+        let wt = wl.as_deref().unwrap_or(wt);
+        let cut = |p| slab_end(&self.taps, k2, p);
         // Fused, one chunk of samples at a time: per group, one blocked
-        // GEMM `W_g [ocg, fan] × patches [fan, nb·ncols]`, scattered into
-        // the chunk's outputs, then the bias broadcast.
+        // GEMM `W_g [ocg, lfan] × patches [lfan, nb·ncols]`, scattered
+        // into the chunk's outputs, then the bias broadcast.
         let mut out = pool::take(b * sample_out);
         // A one-sample chunk's product is its output slice already.
         let mut y = pool::take(if per > 1 { ocg * per.min(b) * ncols } else { 0 });
@@ -629,21 +704,22 @@ impl Layer for Conv2d {
             let n = nb * ncols;
             for gi in 0..self.groups {
                 let a = DenseA {
-                    data: &wt[gi * ocg * fan..(gi + 1) * ocg * fan],
-                    k: fan,
+                    data: &wt[gi * ocg * lfan..(gi + 1) * ocg * lfan],
+                    k: lfan,
                 };
                 let patches = PatchPanels {
                     x: &xs[gi * cg * h * w..],
                     sample: sample_in,
                     g,
+                    taps: &self.taps,
                 };
                 if nb == 1 {
                     let dst = &mut os[gi * ocg * ncols..(gi + 1) * ocg * ncols];
-                    gemm::gemm(ocg, fan, ncols, &a, &patches, dst);
+                    gemm::gemm_slabs(ocg, lfan, ncols, &a, &patches, dst, &cut);
                     continue;
                 }
                 let y = &mut y[..ocg * n];
-                gemm::gemm(ocg, fan, n, &a, &patches, y);
+                gemm::gemm_slabs(ocg, lfan, n, &a, &patches, y, &cut);
                 // Row o holds channel gi·ocg + o of every sample, side by
                 // side.
                 for (o, row) in y.chunks_exact(n).enumerate() {
@@ -660,6 +736,9 @@ impl Layer for Conv2d {
             }
         }
         pool::give(y);
+        if let Some(wl) = wl {
+            pool::give(wl);
+        }
 
         if train {
             self.cached_input = Some(x);
@@ -670,7 +749,6 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, params: &[f32], grads: &mut [f32], grad: Tensor) -> Tensor {
-        let wt = self.weights(params).0;
         let (b, c, h, w) = {
             let x = self
                 .cached_input
@@ -679,12 +757,13 @@ impl Layer for Conv2d {
             let s = x.shape();
             (s[0], s[1], s[2], s[3])
         };
-        let (oh, ow) = self.out_hw(h, w);
-        let ncols = oh * ow;
-        let fan = self.fan();
+        let g = self.geom(h, w);
+        let wt = self.weights(params).0;
+        let ncols = g.oh * g.ow;
+        let lfan = c / self.groups * self.taps.len();
         let sample_grad = self.out_channels * ncols;
         let sample_in = c * h * w;
-        let gw_len = self.out_channels * fan;
+        let gw_len = self.out_channels * self.fan();
         let s = slot_count(grad.len(), b * sample_grad, "Conv2d");
 
         // Bias gradient first — per slot, the sum of grad over batch and
@@ -705,10 +784,11 @@ impl Layer for Conv2d {
         let units = s * b;
         let per = per_chunk(ncols);
         let mut gx_own = (sample_in != sample_grad).then(|| pool::take_zeroed(units * sample_in));
-        // One sample's column matrix (weight gradient) or one chunk's
-        // column gradient (input gradient).
-        let mut gcol = pool::take(fan * per.min(units) * ncols);
-        let mut gw = pool::take(s * gw_len / self.groups);
+        let wl = self.live_weight(wt);
+        // One sample's live column matrix (weight gradient) or one
+        // chunk's live column gradient (input gradient).
+        let mut gcol = pool::take(lfan * per.min(units) * ncols);
+        let mut gw = pool::take(s * self.out_channels / self.groups * lfan);
         // Samples whose weight gradients are in the slots, in order.
         let mut done = 0;
         for u0 in (0..units).step_by(per) {
@@ -721,19 +801,21 @@ impl Layer for Conv2d {
                 (u1 - 1) % b + 1
             };
             while done < upto {
-                self.add_weight_grads(grads, done, &gd, s, &mut gw, &mut gcol);
+                self.add_weight_grads(g, grads, done, &gd, s, &mut gw, &mut gcol);
                 done += 1;
             }
             self.input_grad_chunk(
-                wt,
+                g,
+                wl.as_deref().unwrap_or(wt),
                 &mut gd[u0 * sample_grad..u1 * sample_grad],
                 gx_own
                     .as_deref_mut()
                     .map(|gx| &mut gx[u0 * sample_in..u1 * sample_in]),
                 &mut gcol,
-                h,
-                w,
             );
+        }
+        if let Some(wl) = wl {
+            pool::give(wl);
         }
         pool::give(gw);
         pool::give(gcol);
@@ -749,7 +831,6 @@ impl Layer for Conv2d {
         PERF_CONV_BWD.op(s as u64 * cst.flops, s as u64 * cst.bytes);
         Tensor::from_vec(gx, &[s * b, c, h, w])
     }
-
     fn bind(&mut self, bind: &mut Bind) {
         let oc = self.out_channels;
         let init = std::mem::take(&mut self.init);
@@ -854,6 +935,27 @@ mod tests {
         assert_eq!(gx.shape(), &[2, 3, 6, 6]);
     }
 
+    #[test]
+    fn live_taps_are_those_that_read_the_image() {
+        // (k, stride, pad, h): the live taps of a square input.
+        let cases: &[(usize, usize, usize, usize, &[usize])] = &[
+            (3, 1, 1, 8, &[0, 1, 2, 3, 4, 5, 6, 7, 8]),
+            (3, 1, 1, 1, &[4]),
+            (3, 2, 1, 2, &[4, 5, 7, 8]),
+            (5, 1, 2, 2, &[6, 7, 8, 11, 12, 13, 16, 17, 18]),
+            // Padding wider than half the kernel: the middle row and
+            // column fall between the image and the next output's reach.
+            (3, 2, 2, 1, &[0, 2, 6, 8]),
+            // Every window lands in padding.
+            (2, 4, 2, 1, &[]),
+        ];
+        for &(k, st, pd, h, want) in cases {
+            let mut conv = Conv2d::new(&mut seeded(0), 1, 1, k, st, pd, 1);
+            conv.geom(h, h);
+            assert_eq!(conv.taps, want, "k{k} s{st} p{pd} {h}x{h}");
+        }
+    }
+
     /// Reference forward straight from the convolution definition —
     /// no im2col, no GEMM — for differential checks on the fused path.
     fn naive_forward(conv: &Conv2d, params: &[f32], x: &Tensor) -> Tensor {
@@ -911,6 +1013,8 @@ mod tests {
             (2, 4, 5, 2, 2, 1, 11, 8),
             (1, 3, 2, 3, 0, 1, 10, 10),
             (3, 3, 3, 1, 1, 1, 1, 9),
+            (3, 4, 3, 2, 2, 1, 1, 1),
+            (2, 3, 2, 4, 2, 1, 1, 1),
         ];
         for (i, &(cin, cout, k, st, pd, g, h, w)) in cases.iter().enumerate() {
             let mut rng = seeded(42 + i as u64);

@@ -54,7 +54,7 @@ pub fn inception_v3(
         .push(BatchNorm2d::new(stem_c))
         .push(ReLU::new())
         .push(inception_module(rng, stem_c, b1))
-        .push(MaxPool2d::new(2))
+        .push(MaxPool2d::new())
         .push(inception_module(rng, 4 * b1, b2))
         .push(GlobalAvgPool::new())
         .push(Linear::new(rng, 4 * b2, num_classes));

@@ -34,12 +34,12 @@ pub fn six_cnn_layers(
         .push(ReLU::new())
         .push(Conv2d::conv3x3(rng, c1, c1, 1))
         .push(ReLU::new())
-        .push(MaxPool2d::new(2))
+        .push(MaxPool2d::new())
         .push(Conv2d::conv3x3(rng, c1, c2, 1))
         .push(ReLU::new())
         .push(Conv2d::conv3x3(rng, c2, c2, 1))
         .push(ReLU::new())
-        .push(MaxPool2d::new(2))
+        .push(MaxPool2d::new())
         .push(GlobalAvgPool::new())
         .push(Linear::new(rng, c2, hidden))
         .push(ReLU::new())

@@ -1,9 +1,10 @@
 //! SGD with the learning-rate schedules from the convergence theorem.
 //!
-//! Theorem 1 of the paper requires the *local* learning rate to decay at
-//! `O(r^{-1/2})` and the *global* (post-aggregation fine-tune) rate at
-//! `O(r^{-1})`. [`LrSchedule`] provides both, plus the paper's evaluation
-//! setting of a base rate with a small per-step decrease rate.
+//! Theorem 1 of the paper requires the *global* (post-aggregation
+//! fine-tune) learning rate to decay at `O(r^{-1})`, which
+//! [`LrSchedule::Inverse`] gives. Local training runs the paper's
+//! evaluation setting instead: a base rate with a small per-step decrease
+//! rate ([`LrSchedule::LinearDecrease`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -18,9 +19,6 @@ pub enum LrSchedule {
         /// Per-step decrease rate (e.g. `1e-4`).
         decrease: f64,
     },
-    /// `lr / sqrt(1 + r)` — the `O(r^{-1/2})` decay Theorem 1 requires for
-    /// local weights.
-    InverseSqrt,
     /// `lr / (1 + r)` — the `O(r^{-1})` decay Theorem 1 requires for
     /// global weights.
     Inverse,
@@ -32,7 +30,6 @@ impl LrSchedule {
         match self {
             LrSchedule::Constant => lr,
             LrSchedule::LinearDecrease { decrease } => lr / (1.0 + decrease * r as f64),
-            LrSchedule::InverseSqrt => lr / (1.0 + r as f64).sqrt(),
             LrSchedule::Inverse => lr / (1.0 + r as f64),
         }
     }
@@ -90,19 +87,9 @@ mod tests {
     fn schedules_decay_as_specified() {
         let lr = 1.0;
         assert_eq!(LrSchedule::Constant.at(lr, 100), 1.0);
-        assert!((LrSchedule::InverseSqrt.at(lr, 3) - 0.5).abs() < 1e-12);
         assert!((LrSchedule::Inverse.at(lr, 3) - 0.25).abs() < 1e-12);
         let lin = LrSchedule::LinearDecrease { decrease: 0.1 };
         assert!((lin.at(lr, 10) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn inverse_sqrt_dominates_inverse() {
-        // O(r^{-1/2}) decays slower than O(r^{-1}) — the local rate stays
-        // above the global rate at every step (Theorem 1's asymmetry).
-        for r in 1..100 {
-            assert!(LrSchedule::InverseSqrt.at(1.0, r) > LrSchedule::Inverse.at(1.0, r));
-        }
     }
 
     #[test]

@@ -8,27 +8,31 @@
 use crate::layer::{slot_count, stacked_shape, Layer};
 use fedknow_math::{pool, Tensor};
 
-/// 2×2 (or k×k) max pooling with stride = kernel.
+/// 2×2 max pooling with stride 2, the one pool the model zoo builds. An
+/// odd last row or column is dropped.
 pub struct MaxPool2d {
-    kernel: usize,
     /// For each output element, the flat input index of its argmax.
     argmax: Vec<u32>,
     in_shape: Vec<usize>,
 }
 
 impl MaxPool2d {
-    /// Non-overlapping max pooling with the given kernel/stride.
-    pub fn new(kernel: usize) -> Self {
-        assert!(kernel >= 1);
+    /// New 2×2, stride-2 max-pooling layer.
+    pub fn new() -> Self {
         Self {
-            kernel,
             argmax: Vec::new(),
             in_shape: Vec::new(),
         }
     }
 
-    fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        (h / self.kernel, w / self.kernel)
+    fn out_hw(h: usize, w: usize) -> (usize, usize) {
+        (h / 2, w / 2)
+    }
+}
+
+impl Default for MaxPool2d {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -37,8 +41,7 @@ impl Layer for MaxPool2d {
         let s = x.shape();
         assert_eq!(s.len(), 4, "MaxPool2d expects [B,C,H,W]");
         let (b, c, h, w) = (s[0], s[1], s[2], s[3]);
-        let (oh, ow) = self.out_hw(h, w);
-        let k = self.kernel;
+        let (oh, ow) = Self::out_hw(h, w);
         let mut out = pool::take(b * c * oh * ow);
         if train {
             self.in_shape.clear();
@@ -48,8 +51,12 @@ impl Layer for MaxPool2d {
         }
         let xd = x.data();
         for bc in 0..b * c {
-            let plane = &xd[bc * h * w..(bc + 1) * h * w];
             for oy in 0..oh {
+                // The window's top-left, top-right, bottom-left and
+                // bottom-right input indices, in that order.
+                let top = bc * h * w + 2 * oy * w;
+                let at = [top, top + 1, top + w, top + w + 1];
+                let o0 = (bc * oh + oy) * ow;
                 for ox in 0..ow {
                     // Running best and its index live in locals and are
                     // updated by selects: which element of a window wins
@@ -57,22 +64,16 @@ impl Layer for MaxPool2d {
                     // Strict `>` from -inf: the first maximum wins, NaN
                     // never does, an unbeaten window keeps index 0.
                     let (mut best, mut arg) = (f32::NEG_INFINITY, 0u32);
-                    for ky in 0..k {
-                        let row = (oy * k + ky) * w + ox * k;
-                        for (kx, &v) in plane[row..row + k].iter().enumerate() {
-                            let wins = v > best;
-                            best = if wins { v } else { best };
-                            arg = if wins {
-                                (bc * h * w + row + kx) as u32
-                            } else {
-                                arg
-                            };
-                        }
+                    for i in at {
+                        let i = i + 2 * ox;
+                        let v = xd[i];
+                        let wins = v > best;
+                        best = if wins { v } else { best };
+                        arg = if wins { i as u32 } else { arg };
                     }
-                    let oidx = bc * oh * ow + oy * ow + ox;
-                    out[oidx] = best;
+                    out[o0 + ox] = best;
                     if train {
-                        self.argmax[oidx] = arg;
+                        self.argmax[o0 + ox] = arg;
                     }
                 }
             }
@@ -100,7 +101,7 @@ impl Layer for MaxPool2d {
 
     fn flops(&self, in_shape: &[usize]) -> (u64, Vec<usize>) {
         let (b, c, h, w) = (in_shape[0], in_shape[1], in_shape[2], in_shape[3]);
-        let (oh, ow) = self.out_hw(h, w);
+        let (oh, ow) = Self::out_hw(h, w);
         (
             in_shape.iter().product::<usize>() as u64,
             vec![b, c, oh, ow],
@@ -234,7 +235,7 @@ mod tests {
 
     #[test]
     fn maxpool_picks_max_and_routes_gradient() {
-        let mut p = MaxPool2d::new(2);
+        let mut p = MaxPool2d::new();
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]);
         let y = p.forward(&[], x, true);
         assert_eq!(y.data(), &[4.0]);
@@ -248,7 +249,7 @@ mod tests {
     /// flat index 0.
     #[test]
     fn maxpool_ties_go_to_the_first_and_unbeaten_windows_stay_neg_inf() {
-        let mut p = MaxPool2d::new(2);
+        let mut p = MaxPool2d::new();
         let (nan, ninf) = (f32::NAN, f32::NEG_INFINITY);
         #[rustfmt::skip]
         let x = Tensor::from_vec(

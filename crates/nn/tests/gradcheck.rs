@@ -144,7 +144,7 @@ fn gradcheck_maxpool() {
     let seq = Sequential::new()
         .push(Conv2d::conv3x3(&mut rng, 2, 4, 1))
         .push(ReLU::new())
-        .push(MaxPool2d::new(2))
+        .push(MaxPool2d::new())
         .push(Flatten::new())
         .push(Linear::new(&mut rng, 4 * 2 * 2, 3));
     gradcheck(
@@ -325,7 +325,7 @@ fn pooling_layers_are_train_eval_equivalent() {
     use fedknow_nn::pool::AvgPool2d;
     let x = input(&[2, 2, 4, 4], 32);
     let mut layers: Vec<Box<dyn Layer>> = vec![
-        Box::new(MaxPool2d::new(2)),
+        Box::new(MaxPool2d::new()),
         Box::new(AvgPool2d::new(2)),
         Box::new(GlobalAvgPool::new()),
         Box::new(Flatten::new()),
@@ -344,7 +344,7 @@ fn pooling_layers_are_train_eval_equivalent() {
 #[test]
 #[should_panic(expected = "backward before forward(train)")]
 fn maxpool_backward_requires_train_forward() {
-    let mut p = MaxPool2d::new(2);
+    let mut p = MaxPool2d::new();
     let y = p.forward(&[], input(&[1, 1, 4, 4], 33), false);
     let _ = p.backward(&[], &mut [], y);
 }

@@ -26,7 +26,7 @@ fn random_cnn(channels: Vec<u8>, use_bn: bool, use_pool: bool, classes: usize) -
         }
         seq = seq.push(ReLU::new());
         if use_pool && i == 0 {
-            seq = seq.push(MaxPool2d::new(2));
+            seq = seq.push(MaxPool2d::new());
         }
         cin = cout;
     }
