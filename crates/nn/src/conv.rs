@@ -65,9 +65,12 @@
 //!   on a 1×1 map do. Every call takes its live taps from `(h, w, k,
 //!   stride, pad)` and runs over the *live fan* `cg·|live|`: the patch
 //!   pack and the weight operand hold only live rows, the weight-gradient
-//!   GEMM is `s·ocg × cg·|live|` and is added into each slot's live
-//!   columns, and the input-gradient GEMM and `col2im` cover live rows
-//!   only. The bits are the full fan's: a dead row's patch entries are
+//!   GEMM is `s·ocg × cg·|live|`, and the input-gradient GEMM and
+//!   `col2im` cover live rows only. Each sample's weight gradients are
+//!   added into a compact copy of the slots' live columns, which goes
+//!   back to the slab once per backward: the same f32 additions, without
+//!   a pass over the whole slab per sample. The bits are the full fan's:
+//!   a dead row's patch entries are
 //!   +0.0, so its FMA terms leave every chain as it was (an accumulator
 //!   that starts at +0.0 never holds -0.0); its weight-gradient entries
 //!   would add +0.0, and `col2im` never adds its rows. One condition
@@ -447,15 +450,46 @@ impl Conv2d {
         g
     }
 
+    /// Whether some tap is dead, so that the live fan is narrower than
+    /// the weight.
+    fn dead_taps(&self) -> bool {
+        self.taps.len() < self.kernel * self.kernel
+    }
+
+    /// Copy the live columns of weight-shaped rows, `full` `[rows, cg·k²]`,
+    /// into `live` `[rows, cg·|taps|]`.
+    fn gather_live(&self, full: &[f32], live: &mut [f32]) {
+        let (k2, nl) = (self.kernel * self.kernel, self.taps.len());
+        if nl == 0 {
+            return;
+        }
+        for (row, dst) in full.chunks_exact(k2).zip(live.chunks_exact_mut(nl)) {
+            for (d, &t) in dst.iter_mut().zip(&self.taps) {
+                *d = row[t];
+            }
+        }
+    }
+
+    /// Write `live` back into the live columns of `full`: the inverse of
+    /// [`gather_live`](Self::gather_live).
+    fn scatter_live(&self, live: &[f32], full: &mut [f32]) {
+        let (k2, nl) = (self.kernel * self.kernel, self.taps.len());
+        if nl == 0 {
+            return;
+        }
+        for (row, src) in full.chunks_exact_mut(k2).zip(live.chunks_exact(nl)) {
+            for (&t, &v) in self.taps.iter().zip(src) {
+                row[t] = v;
+            }
+        }
+    }
+
     /// The weight's live columns, `[OC, cg·|taps|]`, in a pool buffer —
     /// or `None` when every tap is live and the weight is its own.
     fn live_weight(&self, wt: &[f32]) -> Option<Vec<f32>> {
-        let (k2, nl) = (self.kernel * self.kernel, self.taps.len());
-        (nl < k2).then(|| {
-            let mut wl = pool::take(wt.len() / k2 * nl);
-            for (j, v) in wl.iter_mut().enumerate() {
-                *v = wt[j / nl * k2 + self.taps[j % nl]];
-            }
+        self.dead_taps().then(|| {
+            let mut wl = pool::take(wt.len() / (self.kernel * self.kernel) * self.taps.len());
+            self.gather_live(wt, &mut wl);
             wl
         })
     }
@@ -475,19 +509,21 @@ impl Conv2d {
         }
     }
 
-    /// Add sample `bi`'s weight gradients into the `s` slots of the
-    /// gradient slab `grads`; `gd` is the stacked output gradient (unit
-    /// `j·B + bi` is slot `j`'s). Per group, the live rows of the sample's
-    /// column matrix are packed into the scratch `gcol` once, and one GEMM
-    /// of `s·ocg` rows reads them for all slots into the scratch `gw`
-    /// (`s·ocg·cg·|taps|`), which is then added into the slots' live
-    /// columns. Called in ascending sample order, this is the f32 addition
+    /// Add sample `bi`'s weight gradients into the `s` slots of `acc`, the
+    /// slots' live weight gradients: `s` equal runs, each holding
+    /// `[OC, cg·|taps|]` from offset `off`. `gd` is the stacked output
+    /// gradient (unit `j·B + bi` is slot `j`'s). Per group, the live rows
+    /// of the sample's column matrix are packed into the scratch `gcol`
+    /// once, and one GEMM of `s·ocg` rows reads them for all slots into
+    /// the scratch `gw` (`s·ocg·cg·|taps|`), which is then added to the
+    /// slots. Called in ascending sample order, this is the f32 addition
     /// sequence of a one-slot backward for every slot.
     #[allow(clippy::too_many_arguments)]
     fn add_weight_grads(
         &self,
         g: PatchGeom,
-        grads: &mut [f32],
+        acc: &mut [f32],
+        off: usize,
         bi: usize,
         gd: &[f32],
         s: usize,
@@ -506,9 +542,8 @@ impl Conv2d {
         let ncols = g.oh * g.ow;
         let cg = self.in_channels / self.groups;
         let ocg = self.out_channels / self.groups;
-        let k2 = self.kernel * self.kernel;
         let lfan = cg * nl;
-        let (block, lblock) = (ocg * cg * k2, ocg * lfan);
+        let block = ocg * lfan;
         let sample_grad = self.out_channels * ncols;
         let xs = &x.data()[bi * self.in_channels * hw..];
         let gy = &gd[bi * sample_grad..];
@@ -524,7 +559,7 @@ impl Conv2d {
             patches.pack(gcol, 0, lfan, 0, ncols, ncols);
             // gW_g of every slot [s·ocg, lfan] = gy [s·ocg, ncols] × colᵀ
             // [ncols, lfan]: colᵀ is packed once for all slots.
-            let gw = &mut gw[..s * lblock];
+            let gw = &mut gw[..s * block];
             gemm::gemm(
                 s * ocg,
                 ncols,
@@ -541,19 +576,10 @@ impl Conv2d {
                 },
                 gw,
             );
-            for (j, src) in gw.chunks_exact(lblock).enumerate() {
-                let dst = grad_slot(grads, s, j, self.off + gi * block, block);
-                if nl == k2 {
-                    for (d, &v) in dst.iter_mut().zip(src) {
-                        *d += v;
-                    }
-                    continue;
-                }
-                // Row (o, c) of the weight is k² wide, its live part nl.
-                for (d, src) in dst.chunks_exact_mut(k2).zip(src.chunks_exact(nl)) {
-                    for (&t, &v) in self.taps.iter().zip(src) {
-                        d[t] += v;
-                    }
+            for (j, src) in gw.chunks_exact(block).enumerate() {
+                let dst = grad_slot(acc, s, j, off + gi * block, block);
+                for (d, &v) in dst.iter_mut().zip(src) {
+                    *d += v;
                 }
             }
         }
@@ -785,6 +811,19 @@ impl Layer for Conv2d {
         let per = per_chunk(ncols);
         let mut gx_own = (sample_in != sample_grad).then(|| pool::take_zeroed(units * sample_in));
         let wl = self.live_weight(wt);
+        // The slots' weight gradients take every sample's additions in a
+        // compact copy of their live columns when some tap is dead — one
+        // pass over the slab per backward instead of one per sample — and
+        // go back to the slab at the end. The f32 additions are the same.
+        let lw_len = self.out_channels * lfan;
+        let mut live_gw = self.dead_taps().then(|| {
+            let mut v = pool::take(s * lw_len);
+            for j in 0..s {
+                let slot = grad_slot(grads, s, j, self.off, gw_len);
+                self.gather_live(slot, &mut v[j * lw_len..(j + 1) * lw_len]);
+            }
+            v
+        });
         // One sample's live column matrix (weight gradient) or one
         // chunk's live column gradient (input gradient).
         let mut gcol = pool::take(lfan * per.min(units) * ncols);
@@ -801,7 +840,11 @@ impl Layer for Conv2d {
                 (u1 - 1) % b + 1
             };
             while done < upto {
-                self.add_weight_grads(g, grads, done, &gd, s, &mut gw, &mut gcol);
+                let (acc, off) = match live_gw.as_deref_mut() {
+                    Some(v) => (v, 0),
+                    None => (&mut *grads, self.off),
+                };
+                self.add_weight_grads(g, acc, off, done, &gd, s, &mut gw, &mut gcol);
                 done += 1;
             }
             self.input_grad_chunk(
@@ -813,6 +856,13 @@ impl Layer for Conv2d {
                     .map(|gx| &mut gx[u0 * sample_in..u1 * sample_in]),
                 &mut gcol,
             );
+        }
+        if let Some(v) = live_gw {
+            for j in 0..s {
+                let slot = grad_slot(grads, s, j, self.off, gw_len);
+                self.scatter_live(&v[j * lw_len..(j + 1) * lw_len], slot);
+            }
+            pool::give(v);
         }
         if let Some(wl) = wl {
             pool::give(wl);
