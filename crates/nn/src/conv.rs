@@ -70,10 +70,10 @@
 //!   added into a compact copy of the slots' live columns, which goes
 //!   back to the slab once per backward: the same f32 additions, without
 //!   a pass over the whole slab per sample. The bits are the full fan's:
-//!   a dead row's patch entries are
-//!   +0.0, so its FMA terms leave every chain as it was (an accumulator
-//!   that starts at +0.0 never holds -0.0); its weight-gradient entries
-//!   would add +0.0, and `col2im` never adds its rows. One condition
+//!   a dead row's patch entries are +0.0, so its FMA terms leave every
+//!   chain as it was (an accumulator that starts at +0.0 never holds
+//!   -0.0); its weight-gradient entries would add +0.0, and `col2im`
+//!   never adds its rows. One condition
 //!   remains, the *slab rule*: the forward's GEMM cuts its live k into
 //!   slabs exactly where `gemm::KC` cuts the full fan ([`slab_end`],
 //!   through [`gemm::gemm_slabs`]), since a slab's chain is added into the
