@@ -118,7 +118,6 @@ fn per_chunk(ncols: usize) -> usize {
 /// Convolution geometry shared by the patch-panel pack sources.
 #[derive(Clone, Copy)]
 struct PatchGeom {
-    k: usize,
     stride: usize,
     pad: usize,
     h: usize,
@@ -260,11 +259,12 @@ struct Tap {
 
 /// Where the forward's k-slab that starts at live fan row `p` ends:
 /// `gemm::KC` cuts the full fan `cg·k²`, and the live rows keep its cuts.
-fn slab_end(taps: &[usize], k2: usize, p: usize) -> usize {
-    let nl = taps.len();
-    let f = p / nl * k2 + taps[p % nl];
+fn slab_end(taps: &[(usize, usize)], k: usize, p: usize) -> usize {
+    let (nl, k2) = (taps.len(), k * k);
+    let tap = |(ky, kx): (usize, usize)| ky * k + kx;
+    let f = p / nl * k2 + tap(taps[p % nl]);
     let end = (f / gemm::KC + 1) * gemm::KC;
-    end / k2 * nl + taps.partition_point(|&t| t < end % k2)
+    end / k2 * nl + taps.partition_point(|&t| tap(t) < end % k2)
 }
 
 /// The live rows of the logical im2col matrix of a run of samples for one
@@ -276,8 +276,8 @@ struct PatchPanels<'a> {
     x: &'a [f32],
     sample: usize,
     g: PatchGeom,
-    /// The live taps `ky·k + kx`, ascending.
-    taps: &'a [usize],
+    /// The live taps `(ky, kx)`, ascending.
+    taps: &'a [(usize, usize)],
 }
 
 impl BPanels for PatchPanels<'_> {
@@ -297,8 +297,8 @@ impl BPanels for PatchPanels<'_> {
         let (i0, q0) = (j0 / ncols, j0 % ncols);
         let (oy0, ox0) = (q0 / g.ow, q0 % g.ow);
         for p in 0..kc {
-            let t = self.taps[ti];
-            let tap = g.tap(t / g.k, t % g.k);
+            let (ky, kx) = self.taps[ti];
+            let tap = g.tap(ky, kx);
             let plane = c * hw;
             ti += 1;
             if ti == nl {
@@ -360,9 +360,9 @@ pub struct Conv2d {
     /// backward rebuilds each sample's column matrix from it instead of
     /// storing column matrices.
     cached_input: Option<Tensor>,
-    /// Scratch: the live taps `ky·k + kx`, ascending, of the call in
+    /// Scratch: the live taps `(ky, kx)`, ascending, of the call in
     /// progress; every forward and backward sets them from its geometry.
-    taps: Vec<usize>,
+    taps: Vec<(usize, usize)>,
 }
 
 impl Conv2d {
@@ -435,7 +435,6 @@ impl Conv2d {
     fn geom(&mut self, h: usize, w: usize) -> PatchGeom {
         let (oh, ow) = self.out_hw(h, w);
         let g = PatchGeom {
-            k: self.kernel,
             stride: self.stride,
             pad: self.padding,
             h,
@@ -445,8 +444,11 @@ impl Conv2d {
         };
         let k = self.kernel;
         self.taps.clear();
-        self.taps
-            .extend((0..k * k).filter(|&t| g.live(t / k, t % k)));
+        self.taps.extend(
+            (0..k)
+                .flat_map(|ky| (0..k).map(move |kx| (ky, kx)))
+                .filter(|&(ky, kx)| g.live(ky, kx)),
+        );
         g
     }
 
@@ -459,13 +461,13 @@ impl Conv2d {
     /// Copy the live columns of weight-shaped rows, `full` `[rows, cg·k²]`,
     /// into `live` `[rows, cg·|taps|]`.
     fn gather_live(&self, full: &[f32], live: &mut [f32]) {
-        let (k2, nl) = (self.kernel * self.kernel, self.taps.len());
+        let (k, nl) = (self.kernel, self.taps.len());
         if nl == 0 {
             return;
         }
-        for (row, dst) in full.chunks_exact(k2).zip(live.chunks_exact_mut(nl)) {
-            for (d, &t) in dst.iter_mut().zip(&self.taps) {
-                *d = row[t];
+        for (row, dst) in full.chunks_exact(k * k).zip(live.chunks_exact_mut(nl)) {
+            for (d, &(ky, kx)) in dst.iter_mut().zip(&self.taps) {
+                *d = row[ky * k + kx];
             }
         }
     }
@@ -473,13 +475,13 @@ impl Conv2d {
     /// Write `live` back into the live columns of `full`: the inverse of
     /// [`gather_live`](Self::gather_live).
     fn scatter_live(&self, live: &[f32], full: &mut [f32]) {
-        let (k2, nl) = (self.kernel * self.kernel, self.taps.len());
+        let (k, nl) = (self.kernel, self.taps.len());
         if nl == 0 {
             return;
         }
-        for (row, src) in full.chunks_exact_mut(k2).zip(live.chunks_exact(nl)) {
-            for (&t, &v) in self.taps.iter().zip(src) {
-                row[t] = v;
+        for (row, src) in full.chunks_exact_mut(k * k).zip(live.chunks_exact(nl)) {
+            for (&(ky, kx), &v) in self.taps.iter().zip(src) {
+                row[ky * k + kx] = v;
             }
         }
     }
@@ -643,15 +645,13 @@ impl Conv2d {
     /// walk zeroes the entries it must not add.
     fn col2im(&self, g: PatchGeom, col: &mut [f32], at: usize, ld: usize, gx: &mut [f32]) {
         let (h, w, oh, ow) = (g.h, g.w, g.oh, g.ow);
-        let k = self.kernel;
         let ncols = oh * ow;
         let cg = self.in_channels / self.groups;
         let pad = self.padding;
         let nl = self.taps.len();
         for c in 0..cg {
             let plane = &mut gx[c * h * w..(c + 1) * h * w];
-            for (ti, &t) in self.taps.iter().enumerate() {
-                let (ky, kx) = (t / k, t % k);
+            for (ti, &(ky, kx)) in self.taps.iter().enumerate() {
                 let row = at + (c * nl + ti) * ld;
                 if g.same() {
                     // The mirror of the patch pack: `plane[q + shift]
@@ -708,13 +708,12 @@ impl Layer for Conv2d {
         let ncols = oh * ow;
         let cg = c / self.groups;
         let ocg = self.out_channels / self.groups;
-        let k2 = self.kernel * self.kernel;
         let lfan = cg * self.taps.len();
         let (sample_in, sample_out) = (c * h * w, self.out_channels * ncols);
         let per = per_chunk(ncols);
         let wl = self.live_weight(wt);
         let wt = wl.as_deref().unwrap_or(wt);
-        let cut = |p| slab_end(&self.taps, k2, p);
+        let cut = |p| slab_end(&self.taps, self.kernel, p);
         // Fused, one chunk of samples at a time: per group, one blocked
         // GEMM `W_g [ocg, lfan] × patches [lfan, nb·ncols]`, scattered
         // into the chunk's outputs, then the bias broadcast.
@@ -1002,7 +1001,8 @@ mod tests {
         for &(k, st, pd, h, want) in cases {
             let mut conv = Conv2d::new(&mut seeded(0), 1, 1, k, st, pd, 1);
             conv.geom(h, h);
-            assert_eq!(conv.taps, want, "k{k} s{st} p{pd} {h}x{h}");
+            let got: Vec<usize> = conv.taps.iter().map(|&(ky, kx)| ky * k + kx).collect();
+            assert_eq!(got, want, "k{k} s{st} p{pd} {h}x{h}");
         }
     }
 
