@@ -35,9 +35,10 @@
 //! ## Determinism
 //!
 //! For a fixed ISA, every output element `out[i][j]` is the sum of
-//! `a[i][p]·b[p][j]` accumulated in strictly ascending `p` order (KC
-//! slabs in order, FMA chain within a slab), regardless of which row
-//! strip or column panel computed it. Where a row or column lands in the
+//! `a[i][p]·b[p][j]` accumulated in strictly ascending `p` order (k-slabs
+//! in order, each slab's FMA chain added into the output as one term; the
+//! slabs are `KC` deep unless [`gemm_slabs`] is told where to cut),
+//! regardless of which row strip or column panel computed it. Where a row or column lands in the
 //! blocking (full tile or edge tile, first block or last) changes no bit,
 //! and a GEMM runs on the calling thread.
 
@@ -644,7 +645,7 @@ fn gemm_rows(
     a: &dyn APanels,
     b: &dyn BPanels,
     out: &mut [f32],
-    slab_end: &dyn Fn(usize) -> usize,
+    slab_end: impl Fn(usize) -> usize,
 ) {
     let (mr, nr) = which.tile();
     let (pa_len, pb_len) = buf_lens(mr, nr, rows, k, n);
@@ -709,7 +710,7 @@ fn gemm_rows(
 /// `out[m × n] = A[m × k] · B[k × n]` with packed panels and register
 /// tiles. `out` is overwritten.
 pub fn gemm(m: usize, k: usize, n: usize, a: &dyn APanels, b: &dyn BPanels, out: &mut [f32]) {
-    gemm_slabs(m, k, n, a, b, out, &|kk| kk + KC);
+    gemm_slabs(m, k, n, a, b, out, |kk| kk + KC);
 }
 
 /// [`gemm`] with the k dimension cut into slabs where the caller says:
@@ -726,7 +727,7 @@ pub fn gemm_slabs(
     a: &dyn APanels,
     b: &dyn BPanels,
     out: &mut [f32],
-    slab_end: &dyn Fn(usize) -> usize,
+    slab_end: impl Fn(usize) -> usize,
 ) {
     assert_eq!(out.len(), m * n, "gemm output length mismatch");
     out.fill(0.0);
@@ -863,7 +864,7 @@ mod tests {
             &DenseA { data: &al, k: kl },
             &DenseB { data: &bl, n },
             &mut got,
-            &cut,
+            cut,
         );
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got), bits(&want));

@@ -740,11 +740,11 @@ impl Layer for Conv2d {
                 };
                 if nb == 1 {
                     let dst = &mut os[gi * ocg * ncols..(gi + 1) * ocg * ncols];
-                    gemm::gemm_slabs(ocg, lfan, ncols, &a, &patches, dst, &cut);
+                    gemm::gemm_slabs(ocg, lfan, ncols, &a, &patches, dst, cut);
                     continue;
                 }
                 let y = &mut y[..ocg * n];
-                gemm::gemm_slabs(ocg, lfan, n, &a, &patches, y, &cut);
+                gemm::gemm_slabs(ocg, lfan, n, &a, &patches, y, cut);
                 // Row o holds channel gi·ocg + o of every sample, side by
                 // side.
                 for (o, row) in y.chunks_exact(n).enumerate() {
