@@ -73,13 +73,13 @@
 //!   a dead row's patch entries are +0.0, so its FMA terms leave every
 //!   chain as it was (an accumulator that starts at +0.0 never holds
 //!   -0.0); its weight-gradient entries would add +0.0, and `col2im`
-//!   never adds its rows. One condition
-//!   remains, the *slab rule*: the forward's GEMM cuts its live k into
-//!   slabs exactly where `gemm::KC` cuts the full fan ([`slab_end`],
-//!   through [`gemm::gemm_slabs`]), since a slab's chain is added into the
-//!   output as one term. With every tap live — every layer of SixCnn, and
-//!   of ResNet18 on 16×16 inputs — the live fan is the fan and the
-//!   arithmetic is the full one's.
+//!   never adds its rows. One condition remains, the *slab rule*: the
+//!   forward's GEMM cuts its live k into slabs exactly where `gemm::KC`
+//!   cuts the full fan ([`slab_end`], through [`gemm::gemm_slabs`]),
+//!   since a slab's chain is added into the output as one term. With
+//!   every tap live — every layer of SixCnn, and of ResNet18 on 16×16
+//!   inputs — the live fan is the fan and the arithmetic is the full
+//!   one's.
 //!
 //! Batching along N changes no bit: by the GEMM's determinism contract
 //! every output element is its own ascending-k FMA chain wherever its
@@ -185,8 +185,8 @@ impl PatchGeom {
     /// column-matrix row `(c, tap)`, where `q0` is output position
     /// `(oy, ox)`; `plane` is that sample's input plane `c`. Always
     /// inlined: a pack calls it once per sample a row spans — twelve
-    /// times per row on a 2×2 map — and as a call it cost a 512→512 2×2
-    /// forward about 8 %.
+    /// times per row on a 2×2 map at batch 12 — and left as a call it
+    /// cost a 512→512 2×2 forward about 8 % on a 2-core AVX-512 machine.
     #[inline(always)]
     fn patch_row(&self, plane: &[f32], tap: &Tap, oy: usize, ox: usize, d: &mut [f32]) {
         let wd = d.len();
@@ -457,7 +457,7 @@ impl Conv2d {
 
     /// Whether some tap is dead, so that the live fan is narrower than
     /// the weight.
-    fn dead_taps(&self) -> bool {
+    fn has_dead_taps(&self) -> bool {
         self.taps.len() < self.kernel * self.kernel
     }
 
@@ -492,7 +492,7 @@ impl Conv2d {
     /// The weight's live columns, `[OC, cg·|taps|]`, in a pool buffer —
     /// or `None` when every tap is live and the weight is its own.
     fn live_weight(&self, wt: &[f32]) -> Option<Vec<f32>> {
-        self.dead_taps().then(|| {
+        self.has_dead_taps().then(|| {
             let mut wl = pool::take(wt.len() / (self.kernel * self.kernel) * self.taps.len());
             self.gather_live(wt, &mut wl);
             wl
@@ -818,7 +818,7 @@ impl Layer for Conv2d {
         // pass over the slab per backward instead of one per sample — and
         // go back to the slab at the end. The f32 additions are the same.
         let lw_len = self.out_channels * lfan;
-        let mut live_gw = self.dead_taps().then(|| {
+        let mut live_gw = self.has_dead_taps().then(|| {
             let mut v = pool::take(s * lw_len);
             for j in 0..s {
                 let slot = grad_slot(grads, s, j, self.off, gw_len);
