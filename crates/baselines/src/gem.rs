@@ -63,7 +63,7 @@ impl FclClient for GemClient {
     fn train_iteration(&mut self, rng: &mut StdRng) -> IterationStats {
         let (x, labels) = self.trainer.next_batch(rng);
         let loss = self.trainer.compute_grads(&x, &labels);
-        let g = self.trainer.model.flat_grads();
+        let mut g = self.trainer.model.flat_grads();
         let mut flops = self.trainer.iteration_flops();
         // One gradient per stored past task.
         let image_shape = self.trainer.image_shape().to_vec();
@@ -78,13 +78,11 @@ impl FclClient for GemClient {
                 flops += self.trainer.iteration_flops();
             }
         }
-        let update = if constraints.is_empty() {
-            g
-        } else {
-            self.integrator.integrate(&g, &constraints)
-        };
+        if !constraints.is_empty() {
+            self.integrator.rotate(&mut g, &constraints);
+        }
         let lr = self.trainer.opt.next_lr() as f32;
-        self.trainer.model.apply_update(&update, lr);
+        self.trainer.model.apply_update(&g, lr);
         IterationStats {
             loss: loss as f64,
             flops,
@@ -222,7 +220,7 @@ impl FclClient for AGemClient {
     fn train_iteration(&mut self, rng: &mut StdRng) -> IterationStats {
         let (x, labels) = self.inner.trainer.next_batch(rng);
         let loss = self.inner.trainer.compute_grads(&x, &labels);
-        let g = self.inner.trainer.model.flat_grads();
+        let mut g = self.inner.trainer.model.flat_grads();
         let mut flops = self.inner.trainer.iteration_flops();
         // One averaged gradient over a mixed memory batch.
         let image_shape = self.inner.trainer.image_shape().to_vec();
@@ -235,15 +233,13 @@ impl FclClient for AGemClient {
                 flops += self.inner.trainer.iteration_flops();
                 self.inner.trainer.model.flat_grads()
             });
-        let update = match constraint {
-            Some(c) => self
-                .inner
+        if let Some(c) = constraint {
+            self.inner
                 .integrator
-                .integrate(&g, std::slice::from_ref(&c)),
-            None => g,
-        };
+                .rotate(&mut g, std::slice::from_ref(&c));
+        }
         let lr = self.inner.trainer.opt.next_lr() as f32;
-        self.inner.trainer.model.apply_update(&update, lr);
+        self.inner.trainer.model.apply_update(&g, lr);
         IterationStats {
             loss: loss as f64,
             flops,

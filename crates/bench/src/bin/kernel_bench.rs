@@ -38,7 +38,7 @@ use fedknow_bench::{
     Metric, Tol,
 };
 use fedknow_math::flops::{self, Cost};
-use fedknow_math::qp::{integrate_gradient, QpConfig};
+use fedknow_math::qp::{integrate_gradient, recover, QpConfig};
 use fedknow_math::rng::normal_vec;
 use fedknow_math::{distance, Tensor};
 use fedknow_nn::conv::Conv2d;
@@ -88,9 +88,9 @@ fn vals(n: usize, salt: u64) -> Vec<f32> {
 /// Per-invocation `flops.<kernel>` / `bytes.<kernel>` counter delta
 /// around one call of `f` — what the production instrumentation
 /// actually charged.
-fn counted_invocation(kernel: &str, mut f: impl FnMut()) -> (u64, u64) {
+fn counted_invocation<R>(kernel: &str, f: impl FnOnce() -> R) -> (u64, u64) {
     let before = fedknow_obs::snapshot().expect("obs enabled");
-    f();
+    black_box(f());
     let delta = fedknow_obs::snapshot().expect("obs enabled").since(&before);
     (
         delta
@@ -107,20 +107,24 @@ fn counted_invocation(kernel: &str, mut f: impl FnMut()) -> (u64, u64) {
 }
 
 /// Fastest of `warmup + reps` invocations, nanoseconds.
-fn min_of_k(reps: usize, mut f: impl FnMut()) -> u64 {
+fn min_of_k<R>(reps: usize, mut f: impl FnMut() -> R) -> u64 {
     min_of_k_with(reps, || (), |()| f())
 }
 
 /// [`min_of_k`] for an `f` that consumes its argument: `setup` builds one
 /// per invocation, outside the timed region.
-fn min_of_k_with<T>(reps: usize, mut setup: impl FnMut() -> T, mut f: impl FnMut(T)) -> u64 {
-    f(setup());
-    f(setup());
+fn min_of_k_with<T, R>(
+    reps: usize,
+    mut setup: impl FnMut() -> T,
+    mut f: impl FnMut(T) -> R,
+) -> u64 {
+    black_box(f(setup()));
+    black_box(f(setup()));
     let mut best = u64::MAX;
     for _ in 0..reps {
         let arg = setup();
         let t = Instant::now();
-        f(arg);
+        black_box(f(arg));
         best = best.min(t.elapsed().as_nanos() as u64);
     }
     best
@@ -159,14 +163,10 @@ fn bench_matmul(opts: &Opts, m: usize, k: usize, n: usize, out: &mut Vec<KernelE
         model.flops,
         2 * macs,
     );
-    let (cf, cb) = counted_invocation("matmul", || {
-        black_box(a.matmul(black_box(&b)));
-    });
+    let (cf, cb) = counted_invocation("matmul", || a.matmul(black_box(&b)));
     check(&format!("matmul {shape} model vs counter"), model.flops, cf);
     check(&format!("matmul {shape} bytes vs counter"), model.bytes, cb);
-    let min_ns = min_of_k(opts.reps, || {
-        black_box(a.matmul(black_box(&b)));
-    });
+    let min_ns = min_of_k(opts.reps, || a.matmul(black_box(&b)));
     out.push(entry("matmul", &shape, model, min_ns));
 }
 
@@ -233,9 +233,7 @@ fn bench_conv(
     );
 
     // Production counters.
-    let (cf, _) = counted_invocation("conv2d_fwd", || {
-        black_box(conv.forward(x.clone(), true));
-    });
+    let (cf, _) = counted_invocation("conv2d_fwd", || conv.forward(x.clone(), true));
     check(
         &format!("conv2d_fwd {shape} model vs counter"),
         fwd.flops,
@@ -243,22 +241,17 @@ fn bench_conv(
     );
     let (oh, ow) = s.out_hw();
     let gy_t = Tensor::from_vec(gy.clone(), &[b, cout, oh, ow]);
-    let (cbk, _) = counted_invocation("conv2d_bwd", || {
-        black_box(conv.backward(gy_t.clone()));
-    });
+    let (cbk, _) = counted_invocation("conv2d_bwd", || conv.backward(gy_t.clone()));
     check(
         &format!("conv2d_bwd {shape} model vs counter"),
         bwd.flops,
         cbk,
     );
 
-    let fwd_ns = min_of_k(opts.reps, || {
-        black_box(conv.forward(x.clone(), true));
-    });
+    // The input (output gradient) is cloned outside the timed call.
+    let fwd_ns = min_of_k_with(opts.reps, || x.clone(), |x| conv.forward(x, true));
     out.push(entry("conv2d_fwd", &shape, fwd, fwd_ns));
-    let bwd_ns = min_of_k(opts.reps, || {
-        black_box(conv.backward(gy_t.clone()));
-    });
+    let bwd_ns = min_of_k_with(opts.reps, || gy_t.clone(), |gy| conv.backward(gy));
     out.push(entry("conv2d_bwd", &shape, bwd, bwd_ns));
 }
 
@@ -327,27 +320,10 @@ fn bench_sixcnn_layers(opts: &Opts) -> Vec<LayerRow> {
         .iter_mut()
         .enumerate()
         .map(|(i, l)| {
-            let fwd_ns = min_of_k_with(
-                reps,
-                || acts[i].clone(),
-                |x| {
-                    black_box(l.forward(x, true));
-                },
-            );
-            let bwd_ns = min_of_k_with(
-                reps,
-                || out_grads[i].clone(),
-                |g| {
-                    black_box(l.backward(g));
-                },
-            );
-            let bwd_stacked_ns = min_of_k_with(
-                reps,
-                || stacked_grads[i].clone(),
-                |g| {
-                    black_box(l.backward(g));
-                },
-            );
+            let fwd_ns = min_of_k_with(reps, || acts[i].clone(), |x| l.forward(x, true));
+            let bwd_ns = min_of_k_with(reps, || out_grads[i].clone(), |g| l.backward(g));
+            let bwd_stacked_ns =
+                min_of_k_with(reps, || stacked_grads[i].clone(), |g| l.backward(g));
             LayerRow {
                 label: format!("{i:02} {} {:?}", names[i], acts[i].shape()),
                 fwd_ns,
@@ -376,21 +352,27 @@ fn bench_qp(opts: &Opts, k: usize, n: usize, out: &mut Vec<KernelEntry>) {
     let cfg = QpConfig::default();
     let r = integrate_gradient(&g, &constraints, &cfg).expect("qp solve");
     assert!(!r.already_feasible, "bench QP must take the solve path");
+    // One integration is the dual solve plus the in-place recovery, both
+    // timed and counted; the copy of `g` they rotate is made outside.
+    let integrate = |mut rotated: Vec<f32>| {
+        let r = integrate_gradient(black_box(&rotated), &constraints, &cfg).unwrap();
+        recover(&mut rotated, &constraints, &r.dual);
+        rotated
+    };
     // The QP's FLOPs depend on the iteration count the solver actually
-    // took, so the model is evaluated at that count and checked against
-    // the production counter.
-    let model = flops::qp_screen(k, n).plus(flops::qp_solve(k, n, r.iterations));
-    let (cf, _) = counted_invocation("qp", || {
-        black_box(integrate_gradient(black_box(&g), &constraints, &cfg).unwrap());
-    });
+    // took and on how many duals are non-zero, so the model is evaluated
+    // at those and checked against the production counter.
+    let applied = r.dual.iter().filter(|&&v| v != 0.0).count();
+    let model = flops::qp_screen(k, n, false)
+        .plus(flops::qp_solve(k, n, r.iterations))
+        .plus(flops::qp_recover(applied, n));
+    let (cf, _) = counted_invocation("qp", || integrate(g.clone()));
     check(
         &format!("qp {shape} model({} iters) vs counter", r.iterations),
         model.flops,
         cf,
     );
-    let min_ns = min_of_k(opts.reps, || {
-        black_box(integrate_gradient(black_box(&g), &constraints, &cfg).unwrap());
-    });
+    let min_ns = min_of_k_with(opts.reps, || g.clone(), integrate);
     out.push(entry("qp", &shape, model, min_ns));
 }
 
@@ -400,7 +382,7 @@ fn bench_wasserstein(opts: &Opts, n: usize, out: &mut Vec<KernelEntry>) {
     let b = vals(n, 10);
     let model = flops::wasserstein(n);
     let (cf, cb) = counted_invocation("wasserstein", || {
-        black_box(distance::wasserstein_1d(black_box(&a), black_box(&b)));
+        distance::wasserstein_1d(black_box(&a), black_box(&b))
     });
     check(
         &format!("wasserstein {shape} model vs counter"),
@@ -413,7 +395,7 @@ fn bench_wasserstein(opts: &Opts, n: usize, out: &mut Vec<KernelEntry>) {
         cb,
     );
     let min_ns = min_of_k(opts.reps, || {
-        black_box(distance::wasserstein_1d(black_box(&a), black_box(&b)));
+        distance::wasserstein_1d(black_box(&a), black_box(&b))
     });
     out.push(entry("wasserstein", &shape, model, min_ns));
 }
@@ -426,11 +408,11 @@ fn bench_fedavg(opts: &Opts, clients: usize, dim: usize, out: &mut Vec<KernelEnt
     let weights: Vec<usize> = (1..=clients).collect();
     let model = flops::fedavg(clients, dim);
     let (cf, _) = counted_invocation("fedavg", || {
-        black_box(fedknow_fl::server::fedavg(black_box(&uploads), &weights).unwrap());
+        fedknow_fl::server::fedavg(black_box(&uploads), &weights).unwrap()
     });
     check(&format!("fedavg {shape} model vs counter"), model.flops, cf);
     let min_ns = min_of_k(opts.reps, || {
-        black_box(fedknow_fl::server::fedavg(black_box(&uploads), &weights).unwrap());
+        fedknow_fl::server::fedavg(black_box(&uploads), &weights).unwrap()
     });
     out.push(entry("fedavg", &shape, model, min_ns));
 }

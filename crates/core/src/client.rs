@@ -189,17 +189,15 @@ impl FclClient for FedKnowClient {
         let (x, labels) = self.trainer.next_batch(rng);
         let targets = self.targets(self.selected.iter().copied());
         let (loss, t) = self.gradients(&x, &labels, &targets);
-        let update = (t > 0).then(|| {
-            self.integrator
-                .integrate(self.trainer.model.grad_slot(0), &self.slots(1..=t))
-        });
+        if t > 0 {
+            // The training gradient in slot 0, against the restored ones.
+            let (g, restored) = self.trainer.model.grad_slots_split();
+            self.integrator.rotate(g, &restored);
+        }
         let flops = self.trainer.iteration_flops() + self.pending_flops;
         self.pending_flops = 0;
         let lr = self.trainer.opt.next_lr() as f32;
-        match update {
-            Some(update) => self.trainer.model.apply_update(&update, lr),
-            None => self.trainer.model.sgd_step(lr),
-        }
+        self.trainer.model.sgd_step(lr);
         IterationStats {
             loss: loss as f64,
             flops,
@@ -241,9 +239,9 @@ impl FclClient for FedKnowClient {
                 // (negative-transfer prevention), then the signature-task
                 // gradients (the fine-tune must not undo forgetting
                 // prevention).
-                let update = self.integrator.integrate(&g_before, &self.slots(0..=t));
+                self.integrator.rotate(&mut g_before, &self.slots(0..=t));
                 let lr = self.global_opt.next_lr() as f32;
-                self.trainer.model.apply_update(&update, lr);
+                self.trainer.model.apply_update(&g_before, lr);
                 self.pending_flops += 2 * self.trainer.iteration_flops();
             }
         }

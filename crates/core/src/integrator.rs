@@ -1,6 +1,7 @@
 //! Gradient integrator (§III-D) — a thin, configured wrapper over the
-//! dual-QP solver in `fedknow_math::qp`, instrumented with the
-//! learning-dynamics metrics the paper's Eqs. 3–5 hinge on:
+//! dual-QP solver in `fedknow_math::qp` that rotates a gradient in place
+//! (the dual, then Eq. 5's `g' = Gᵀv + g` written over `g`), instrumented
+//! with the learning-dynamics metrics the paper's Eqs. 3–5 hinge on:
 //!
 //! * `integrate.conflict_angle_cdeg` — pre-QP angle (centi-degrees)
 //!   between the task gradient `g` and each signature-task gradient
@@ -15,11 +16,15 @@
 //! * series `integrate.conflict_angle_deg` — mean pre-QP angle per
 //!   call, round-indexed for trajectory plots (`obs report`).
 //!
+//! The post-QP telemetry and the verify rotation check compare against
+//! the pre-rotation gradient, so a call copies `g` only while obs or
+//! verify is on.
+//!
 //! GEM and A-GEM project through this type too (at margin 0), so every
 //! `qp.*` counter and histogram includes their solves alongside
 //! FedKNOW's.
 
-use fedknow_math::qp::{integrate_gradient, QpConfig};
+use fedknow_math::qp::{integrate_gradient, pair_dots, recover, QpConfig};
 use fedknow_math::MathError;
 use fedknow_obs::{CounterHandle, HistHandle};
 
@@ -32,23 +37,28 @@ static POST_ANGLE_CDEG: HistHandle = HistHandle::new("integrate.post_angle_cdeg"
 static VIOLATIONS: CounterHandle = CounterHandle::new("integrate.violations");
 static ROTATION_PM: HistHandle = HistHandle::new("integrate.rotation_pm");
 
-/// Angle between two vectors in degrees (`0` for a zero vector).
-fn angle_deg(a: &[f32], b: &[f32]) -> f64 {
-    let mut dot = 0.0f64;
-    let mut na = 0.0f64;
-    let mut nb = 0.0f64;
-    for (&x, &y) in a.iter().zip(b) {
-        dot += x as f64 * y as f64;
-        na += x as f64 * x as f64;
-        nb += y as f64 * y as f64;
+/// The angle in degrees between `g` and each constraint (`0` against a
+/// zero vector), from one [`pair_dots`] call over `g·g`, then `g·c_i`
+/// and `c_i·c_i` per `i`.
+fn angles<C: AsRef<[f32]>>(g: &[f32], constraints: &[C]) -> Vec<f64> {
+    let mut pairs = vec![(g, g)];
+    for c in constraints {
+        pairs.extend([(g, c.as_ref()), (c.as_ref(), c.as_ref())]);
     }
-    if na == 0.0 || nb == 0.0 {
-        return 0.0;
-    }
-    (dot / (na.sqrt() * nb.sqrt()))
-        .clamp(-1.0, 1.0)
-        .acos()
-        .to_degrees()
+    let dots = pair_dots(&pairs);
+    let gg = dots[0];
+    dots[1..]
+        .chunks_exact(2)
+        .map(|d| {
+            if gg == 0.0 || d[1] == 0.0 {
+                return 0.0;
+            }
+            (d[0] / (gg.sqrt() * d[1].sqrt()))
+                .clamp(-1.0, 1.0)
+                .acos()
+                .to_degrees()
+        })
+        .collect()
 }
 
 /// Relative rotation `‖g' − g‖ / ‖g‖` (`0` for a zero input gradient).
@@ -84,56 +94,61 @@ impl GradientIntegrator {
         }
     }
 
-    /// Integrate `g` against the signature gradients `constraints` (owned
-    /// vectors, or slots borrowed from a model's gradient slab): returns
-    /// `g'` minimally rotated so `⟨g_i, g'⟩ ≥ 0` for all `i`.
+    /// Rotate `g` in place against the signature gradients `constraints`
+    /// (owned vectors, or slots borrowed from a model's gradient slab),
+    /// minimally, so that `⟨g_i, g⟩ ≥ 0` for all `i`.
     ///
-    /// Falls back to the un-rotated gradient, counted in `qp.fallback`,
-    /// when the QP does not converge within its iteration cap — so that
-    /// training never aborts on a batch. That is not rare on a 10-task
-    /// `probe` run; replacing the solver with an exact one is ROADMAP
-    /// item 1.
-    pub fn integrate<C: AsRef<[f32]>>(&self, g: &[f32], constraints: &[C]) -> Vec<f32> {
-        if fedknow_obs::is_enabled() {
+    /// Leaves `g` un-rotated, counted in `qp.fallback`, when the QP does
+    /// not converge within its iteration cap — so that training never
+    /// aborts on a batch. That is not rare on a 10-task `probe` run;
+    /// replacing the solver with an exact one is ROADMAP item 1.
+    pub fn rotate<C: AsRef<[f32]>>(&self, g: &mut [f32], constraints: &[C]) {
+        let observed = fedknow_obs::is_enabled();
+        let verified = fedknow_verify::is_enabled();
+        if observed {
             self.record_pre_qp(g, constraints);
         }
+        let before = (observed || verified).then(|| g.to_vec());
         let result = {
-            // Timer scoped to the solve alone: the angle/rotation
-            // telemetry and verify checks below must not inflate
-            // qp.solve_ns.
+            // Timer scoped to the solve and the recovery: the
+            // angle/rotation telemetry and verify checks must not
+            // inflate qp.solve_ns.
             let _t = QP_SOLVE_NS.timer();
             integrate_gradient(g, constraints, &self.qp)
+                .inspect(|r| recover(g, constraints, &r.dual))
         };
-        let out = match result {
+        match result {
             Ok(r) => {
                 if r.already_feasible {
                     QP_FAST_PATH.add(1);
                 } else {
                     QP_ITERS.record(r.iterations as u64);
                 }
-                if fedknow_verify::is_enabled() {
+                if let Some(before) = before.as_deref().filter(|_| verified) {
                     fedknow_verify::report(
                         "integrator.rotation",
                         fedknow_verify::check::integrator_rotation(
-                            g,
+                            before,
                             constraints,
                             &r.dual,
-                            &r.gradient,
+                            g,
                             self.qp.margin,
                         ),
                     );
                 }
-                r.gradient
             }
-            Err(MathError::QpNotConverged { .. }) => {
-                QP_FALLBACK.add(1);
-                g.to_vec()
-            }
+            Err(MathError::QpNotConverged { .. }) => QP_FALLBACK.add(1),
             Err(e) => panic!("gradient integration failed: {e}"),
-        };
-        if fedknow_obs::is_enabled() {
-            self.record_post_qp(g, constraints, &out);
         }
+        if let Some(before) = before.as_deref().filter(|_| observed) {
+            self.record_post_qp(before, constraints, g);
+        }
+    }
+
+    /// [`rotate`](Self::rotate) into a copy of `g`, returned.
+    pub fn integrate<C: AsRef<[f32]>>(&self, g: &[f32], constraints: &[C]) -> Vec<f32> {
+        let mut out = g.to_vec();
+        self.rotate(&mut out, constraints);
         out
     }
 
@@ -145,8 +160,7 @@ impl GradientIntegrator {
         }
         let mut sum = 0.0f64;
         let mut violations = 0u64;
-        for c in constraints {
-            let deg = angle_deg(g, c.as_ref());
+        for deg in angles(g, constraints) {
             CONFLICT_ANGLE_CDEG.record((deg * 100.0).round() as u64);
             if deg > 90.0 {
                 violations += 1;
@@ -165,8 +179,8 @@ impl GradientIntegrator {
     /// Post-QP dynamics: the rotated angles (should be ≤ 90°) and the
     /// relative rotation magnitude `‖g' − g‖ / ‖g‖` (Eq. 5).
     fn record_post_qp<C: AsRef<[f32]>>(&self, g: &[f32], constraints: &[C], rotated: &[f32]) {
-        for c in constraints {
-            POST_ANGLE_CDEG.record((angle_deg(rotated, c.as_ref()) * 100.0).round() as u64);
+        for deg in angles(rotated, constraints) {
+            POST_ANGLE_CDEG.record((deg * 100.0).round() as u64);
         }
         let rotation = relative_rotation(g, rotated);
         ROTATION_PM.record((rotation * 1000.0).round() as u64);
@@ -223,9 +237,12 @@ mod tests {
 
     #[test]
     fn angle_and_rotation_helpers() {
-        assert!((angle_deg(&[1.0, 0.0], &[0.0, 1.0]) - 90.0).abs() < 1e-9);
-        assert!((angle_deg(&[1.0, 0.0], &[-1.0, 0.0]) - 180.0).abs() < 1e-9);
-        assert_eq!(angle_deg(&[0.0, 0.0], &[1.0, 0.0]), 0.0);
+        let deg = angles(&[1.0, 0.0], &[[0.0, 1.0], [-1.0, 0.0], [2.0, 2.0]]);
+        assert!((deg[0] - 90.0).abs() < 1e-9);
+        assert!((deg[1] - 180.0).abs() < 1e-9);
+        assert!((deg[2] - 45.0).abs() < 1e-9);
+        assert_eq!(angles(&[0.0, 0.0], &[[1.0, 0.0]]), vec![0.0]);
+        assert_eq!(angles(&[1.0, 0.0], &[[0.0, 0.0]]), vec![0.0]);
         assert!((relative_rotation(&[3.0, 0.0], &[3.0, 4.0]) - 4.0 / 3.0).abs() < 1e-9);
         assert_eq!(relative_rotation(&[0.0], &[1.0]), 0.0);
     }

@@ -2,7 +2,7 @@
 
 use fedknow::{ExtractionStrategy, GradientIntegrator, GradientRestorer, KnowledgeExtractor};
 use fedknow_fl::framing::{
-    read_frame, read_frame_traced, write_frame, write_frame_traced, FrameDecoder, FrameError,
+    read_frame, read_frame_traced_into, write_frame, write_frame_traced, FrameDecoder, FrameError,
     TraceCtx, FRAME_FLAG_CTX, MAX_FRAME_BYTES,
 };
 use fedknow_math::rng::seeded;
@@ -134,7 +134,7 @@ proptest! {
         let mut out = Vec::new();
         for piece in wire.chunks(chunk) {
             d.feed(piece);
-            while let Some(f) = d.next_frame().unwrap() {
+            while let Some((_, f)) = d.next_frame_traced().unwrap() {
                 out.push(f);
             }
         }
@@ -162,7 +162,7 @@ proptest! {
         let mut d = FrameDecoder::new();
         d.feed(&wire);
         prop_assert_eq!(
-            d.next_frame().unwrap_err(),
+            d.next_frame_traced().unwrap_err(),
             FrameError::Oversize { len: claimed }
         );
     }
@@ -200,10 +200,12 @@ proptest! {
             want.push((ctx, payload.clone()));
         }
         let mut r = wire.as_slice();
-        for w in &want {
-            prop_assert_eq!(read_frame_traced(&mut r).unwrap().as_ref(), Some(w));
+        let mut payload = Vec::new();
+        for (ctx, p) in &want {
+            prop_assert_eq!(read_frame_traced_into(&mut r, &mut payload).unwrap(), Some(*ctx));
+            prop_assert_eq!(&payload, p);
         }
-        prop_assert_eq!(read_frame_traced(&mut r).unwrap(), None);
+        prop_assert_eq!(read_frame_traced_into(&mut r, &mut payload).unwrap(), None);
         let mut r = wire.as_slice();
         for (_, p) in &want {
             prop_assert_eq!(read_frame(&mut r).unwrap().as_ref(), Some(p));
@@ -234,7 +236,7 @@ proptest! {
         write_frame_traced(&mut wire, &payload, Some(&ctx)).unwrap();
         for cut in 1..wire.len() {
             let mut r = &wire[..cut];
-            let err = read_frame_traced(&mut r).unwrap_err();
+            let err = read_frame_traced_into(&mut r, &mut Vec::new()).unwrap_err();
             prop_assert!(err == FrameError::Truncated, "cut at {cut}: {err:?}");
         }
     }

@@ -1,9 +1,10 @@
 //! Allocation pin for a FedKNOW training iteration: after warm-up, one
-//! `train_iteration` at t = 4 signature tasks makes at most one
-//! model-sized allocation — the integrated gradient the QP returns.
+//! `train_iteration` at t = 4 signature tasks makes no model-sized
+//! allocation.
 //!
 //! The training gradient and the four restored gradients stay in the
-//! model's gradient slab, and the integrator reads them there. A
+//! model's gradient slab: the integrator reads them there and rotates
+//! the training gradient in place, and the SGD step reads it there. A
 //! model-sized block is one of at least `alloc::LARGE_ALLOC_BYTES`
 //! (128 KiB); SixCnn at width 4 holds 321 KB of parameters, so every
 //! copy of the model counts. This binary holds one test: the tracker's
@@ -58,8 +59,8 @@ fn warmed_train_iteration_allocates_at_most_the_qp_output() {
         large.push(alloc::thread_large() - before);
     }
     drop(scope);
-    assert!(
-        large.iter().all(|&n| n <= 1),
-        "model-sized allocations per warmed train_iteration: {large:?}"
+    assert_eq!(
+        large, [0; 5],
+        "model-sized allocations per warmed train_iteration"
     );
 }

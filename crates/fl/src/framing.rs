@@ -19,7 +19,7 @@
 //! truncated context bytes are rejected before any allocation.
 //!
 //! Every transport backend moves the same frame bytes, and
-//! [`FrameHead`] is the one writer of the head. A socket backend writes
+//! `FrameHead` is the one writer of the head. A socket backend writes
 //! the head and then the encoded payload in place, so a model-sized
 //! payload is never copied to be framed; the channel backend, which
 //! ships owned buffers through an in-process queue, copies it once into
@@ -236,18 +236,12 @@ pub fn write_frame_traced<W: Write>(
     Ok(())
 }
 
-/// Read one frame from a stream, discarding any trace context. See
-/// [`read_frame_traced_into`] for the close/truncation contract.
+/// Read one frame from a stream into a fresh buffer, discarding any
+/// trace context. See [`read_frame_traced_into`] for the
+/// close/truncation contract.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, FrameError> {
-    Ok(read_frame_traced(r)?.map(|(_, payload)| payload))
-}
-
-/// Read one frame from a stream into a fresh buffer, surfacing the
-/// trace context if the frame carries one. See
-/// [`read_frame_traced_into`] for the close/truncation contract.
-pub fn read_frame_traced<R: Read>(r: &mut R) -> Result<Option<TracedFrame>, FrameError> {
     let mut payload = Vec::new();
-    Ok(read_frame_traced_into(r, &mut payload)?.map(|ctx| (ctx, payload)))
+    Ok(read_frame_traced_into(r, &mut payload)?.map(|_| payload))
 }
 
 /// Bytes a frame read asks to reserve beyond what has arrived: a
@@ -335,13 +329,8 @@ impl FrameDecoder {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Pop the next complete frame, if one is fully buffered,
-    /// discarding any trace context.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        Ok(self.next_frame_traced()?.map(|(_, payload)| payload))
-    }
-
-    /// Pop the next complete frame with its trace context (if tagged).
+    /// Pop the next complete frame, if one is fully buffered, with its
+    /// trace context (if tagged).
     /// The oversize check runs on the masked length as soon as the four
     /// header bytes are present — before the claimed payload (or its
     /// context block) is waited for.
@@ -420,7 +409,7 @@ mod tests {
         let mut d = FrameDecoder::new();
         d.feed(&wire);
         assert!(matches!(
-            d.next_frame().unwrap_err(),
+            d.next_frame_traced().unwrap_err(),
             FrameError::Oversize { .. }
         ));
     }
@@ -518,7 +507,7 @@ mod tests {
         let mut out = Vec::new();
         for &b in &wire {
             d.feed(&[b]);
-            while let Some(f) = d.next_frame().unwrap() {
+            while let Some((_, f)) = d.next_frame_traced().unwrap() {
                 out.push(f);
             }
         }
@@ -547,10 +536,15 @@ mod tests {
         );
 
         let mut r = wire.as_slice();
-        let (got_ctx, got) = read_frame_traced(&mut r).unwrap().unwrap();
+        let mut got = Vec::new();
+        let got_ctx = read_frame_traced_into(&mut r, &mut got).unwrap().unwrap();
         assert_eq!(got_ctx, Some(ctx()));
         assert_eq!(got, payload);
-        assert_eq!(read_frame_traced(&mut r).unwrap(), None, "clean close");
+        assert_eq!(
+            read_frame_traced_into(&mut r, &mut got).unwrap(),
+            None,
+            "clean close"
+        );
 
         // Byte-at-a-time through the incremental decoder.
         let mut d = FrameDecoder::new();
@@ -567,14 +561,18 @@ mod tests {
 
     #[test]
     fn untraced_reader_skips_the_context() {
-        // The v1-shaped API still works on v2 frames: ctx is dropped.
+        // The v1-shaped reader still works on v2 frames: ctx is dropped
+        // (the decoder hands it over with the payload).
         let mut wire = Vec::new();
         write_frame_traced(&mut wire, b"x", Some(&ctx())).unwrap();
         let mut r = wire.as_slice();
         assert_eq!(read_frame(&mut r).unwrap(), Some(b"x".to_vec()));
         let mut d = FrameDecoder::new();
         d.feed(&wire);
-        assert_eq!(d.next_frame().unwrap(), Some(b"x".to_vec()));
+        assert_eq!(
+            d.next_frame_traced().unwrap(),
+            Some((Some(ctx()), b"x".to_vec()))
+        );
     }
 
     #[test]
@@ -586,19 +584,15 @@ mod tests {
         write_frame_traced(&mut wire, b"new", Some(&ctx())).unwrap();
         write_frame(&mut wire, b"old2").unwrap();
         let mut r = wire.as_slice();
-        assert_eq!(
-            read_frame_traced(&mut r).unwrap(),
-            Some((None, b"old".to_vec()))
-        );
-        assert_eq!(
-            read_frame_traced(&mut r).unwrap(),
-            Some((Some(ctx()), b"new".to_vec()))
-        );
-        assert_eq!(
-            read_frame_traced(&mut r).unwrap(),
-            Some((None, b"old2".to_vec()))
-        );
-        assert_eq!(read_frame_traced(&mut r).unwrap(), None);
+        let mut got = Vec::new();
+        for (want_ctx, want) in [(None, &b"old"[..]), (Some(ctx()), b"new"), (None, b"old2")] {
+            assert_eq!(
+                read_frame_traced_into(&mut r, &mut got).unwrap(),
+                Some(want_ctx)
+            );
+            assert_eq!(got, want);
+        }
+        assert_eq!(read_frame_traced_into(&mut r, &mut got).unwrap(), None);
     }
 
     #[test]
@@ -610,7 +604,7 @@ mod tests {
         for cut in 1..wire.len() {
             let mut r = &wire[..cut];
             assert_eq!(
-                read_frame_traced(&mut r).unwrap_err(),
+                read_frame_traced_into(&mut r, &mut Vec::new()).unwrap_err(),
                 FrameError::Truncated,
                 "cut at {cut}"
             );

@@ -145,7 +145,7 @@ fn consensus_dim<'a, I: Iterator<Item = &'a Vec<f32>>>(candidates: I) -> Option<
 /// (mismatched slice lengths) is an [`AggregateError`].
 ///
 /// Every upload is validated first, then the average is one fused pass:
-/// per block of [`FEDAVG_BLOCK`] coordinates, each output element is
+/// per block of `FEDAVG_BLOCK` coordinates, each output element is
 /// the f64 sum of `w · u` over the accepted uploads in client order,
 /// scaled by `1/Σw` and cast — bit for bit what a whole-vector f64
 /// accumulator gives, without allocating one. The mass the

@@ -299,15 +299,10 @@ impl MsgTx {
     }
 
     /// Burn an encoded message's bytes without delivering it — the wire
-    /// fault injector's dropped frame.
-    pub fn drop_encoded(&mut self, enc: &Encoded) {
-        self.drop_encoded_labeled(enc, "raw");
-    }
-
-    /// [`Self::drop_encoded`] with a message-kind label. The dropped
-    /// attempt gets its own span id and a `drop` lifecycle record — in
-    /// a merged trace it shows up as a flow that starts and never
-    /// finishes (a terminated flow).
+    /// fault injector's dropped frame — under a message-kind label. The
+    /// dropped attempt gets its own span id and a `drop` lifecycle
+    /// record — in a merged trace it shows up as a flow that starts and
+    /// never finishes (a terminated flow).
     pub(crate) fn drop_encoded_labeled(&mut self, enc: &Encoded, label: &str) {
         let ctx = wiretrace::ctx_for_send();
         let total = (FRAME_HEADER_BYTES + TRACE_CTX_BYTES + enc.buf.len()) as u64;
@@ -315,17 +310,10 @@ impl MsgTx {
         wiretrace::record_send("drop", &ctx, self.peer, label, enc.data_bytes);
     }
 
-    /// Retry a send a few times with a short real backoff — the
-    /// server's guard against transient send failures; a peer that is
-    /// genuinely gone stays [`TransportError::Closed`].
-    pub fn send_with_retry(&mut self, msg: &WireMsg, retries: u32) -> Result<(), TransportError> {
-        self.with_encoded(msg, |tx, enc| {
-            tx.send_encoded_with_retry(enc, msg.label(), retries)
-        })
-    }
-
-    /// [`Self::send_with_retry`] for a message already encoded — one
-    /// encoding sent to many peers, or resent on every retry.
+    /// Send an encoded message, retrying a few times with a short real
+    /// backoff — the server's guard against transient send failures; a
+    /// peer that is genuinely gone stays [`TransportError::Closed`]. One
+    /// encoding is sent to many peers, and resent on every retry.
     pub(crate) fn send_encoded_with_retry(
         &mut self,
         enc: &Encoded,

@@ -94,12 +94,8 @@ fn sorted_l1(sa: &[f32], sb: &[f32]) -> f64 {
 /// orthogonal to everything (distance 1).
 pub fn cosine_distance(a: &[f32], b: &[f32]) -> f64 {
     assert_eq!(a.len(), b.len(), "cosine_distance requires equal lengths");
-    let (mut dot, mut na, mut nb) = (0.0f64, 0.0f64, 0.0f64);
-    for (&x, &y) in a.iter().zip(b) {
-        dot += x as f64 * y as f64;
-        na += (x as f64) * (x as f64);
-        nb += (y as f64) * (y as f64);
-    }
+    let d = crate::qp::pair_dots(&[(a, b), (a, a), (b, b)]);
+    let (dot, na, nb) = (d[0], d[1], d[2]);
     if na == 0.0 || nb == 0.0 {
         return 1.0;
     }

@@ -10,9 +10,9 @@
 //!
 //! * **FLOPs are exact operation counts** under the multiply-accumulate
 //!   = 2 FLOPs convention used by [`fedknow_nn`'s `Layer::flops`]. For
-//!   convolution the count includes taps that fall in the zero padding:
-//!   the im2col+GEMM implementation really multiplies those zeros, and
-//!   the verify oracles count loop-trip entries the same way.
+//!   convolution the count includes taps that fall in the zero padding,
+//!   as the verify oracles count loop-trip entries, so it is nominal
+//!   where the kernel skips taps that read only padding.
 //! * **Bytes are compulsory operand traffic**: each logical operand
 //!   read or written once at `f32` width (4 bytes), plus explicitly
 //!   materialised intermediates (the im2col column buffer) counted once
@@ -164,28 +164,41 @@ pub fn conv2d_bwd(s: &Conv2dShape) -> Cost {
 }
 
 /// Feasibility screen of the gradient integrator: `Gg` (k dots of
-/// length n) plus the k constraint norms for the margin — always paid,
-/// fast path or not.
-pub fn qp_screen(k: usize, n: usize) -> Cost {
-    let (k, n) = (k as u64, n as u64);
+/// length n), plus the k constraint norms when `norms` (a non-zero
+/// margin scales them) — always paid, fast path or not.
+pub fn qp_screen(k: usize, n: usize, norms: bool) -> Cost {
+    let (k, n, norms) = (k as u64, n as u64, u64::from(norms));
     Cost {
-        flops: 2 * k * n + k * (2 * n + 1),
-        bytes: 4 * (2 * k * n + n + k),
+        flops: 2 * k * n + norms * k * (2 * n + 1),
+        bytes: 4 * (k * n + n) + norms * 4 * (k * n + k),
     }
 }
 
 /// Dual QP solve past the screen: the k×k Gram matrix (`k(k+1)/2` dots
 /// of length n) plus `iters` projected-gradient steps (`2k²` for
-/// `Qv+q`, `~4k` for residual + update) and the primal recovery
-/// (`2·k·n` for `g' = Gᵀv + g`).
+/// `Qv+q`, `~4k` for residual + update). The primal recovery is
+/// [`qp_recover`].
 pub fn qp_solve(k: usize, n: usize, iters: usize) -> Cost {
     let (k, n, iters) = (k as u64, n as u64, iters as u64);
     Cost {
-        flops: n * k * (k + 1) + iters * (2 * k * k + 4 * k) + 2 * k * n,
+        flops: n * k * (k + 1) + iters * (2 * k * k + 4 * k),
         bytes: 4 * (k * n)            // constraint rows re-read for the Gram
             + 8 * (k * k)             // Gram store (f64)
-            + iters * 8 * (k * k + 3 * k) // Qv+q reads, v/grad traffic
-            + 4 * (k * n + n), // primal recovery reads + write
+            + iters * 8 * (k * k + 3 * k), // Qv+q reads, v/grad traffic
+    }
+}
+
+/// Primal recovery `g ← g + Gᵀv` over the `m` constraints whose dual is
+/// non-zero (`2·m·n`; a zero dual adds nothing): their rows read, `g`
+/// read and written. Nothing at all when `m = 0`.
+pub fn qp_recover(m: usize, n: usize) -> Cost {
+    if m == 0 {
+        return Cost::default();
+    }
+    let (m, n) = (m as u64, n as u64);
+    Cost {
+        flops: 2 * m * n,
+        bytes: 4 * (m * n + 2 * n),
     }
 }
 
@@ -290,7 +303,10 @@ mod tests {
 
     #[test]
     fn qp_and_fedavg_and_wasserstein_scale_as_expected() {
-        assert_eq!(qp_screen(0, 10).flops, 0);
+        assert_eq!(qp_screen(0, 10, true).flops, 0);
+        assert_eq!(qp_screen(3, 100, false).flops, 2 * 3 * 100);
+        assert_eq!(qp_recover(0, 100), Cost::default());
+        assert_eq!(qp_recover(2, 100).flops, 2 * 2 * 100);
         let one_iter = qp_solve(3, 100, 1).flops;
         let two_iter = qp_solve(3, 100, 2).flops;
         assert_eq!(two_iter - one_iter, 2 * 9 + 4 * 3);

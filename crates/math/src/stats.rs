@@ -17,11 +17,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64
 }
 
-/// Standard deviation (population).
-pub fn stddev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
 /// Linear-interpolated quantile, `q ∈ [0, 1]`. Panics on empty input.
 pub fn quantile(xs: &[f64], q: f64) -> f64 {
     assert!(!xs.is_empty(), "quantile of empty slice");
@@ -59,7 +54,6 @@ mod tests {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
         assert!((variance(&xs) - 4.0).abs() < 1e-12);
-        assert!((stddev(&xs) - 2.0).abs() < 1e-12);
     }
 
     #[test]

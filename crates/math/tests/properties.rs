@@ -6,7 +6,7 @@ use fedknow_math::distance::{
 use fedknow_math::gemm::{
     APanels, BPanels, DenseA, DenseATrans, DenseB, DenseBBlocks, DenseBTrans,
 };
-use fedknow_math::qp::{integrate_gradient, QpConfig};
+use fedknow_math::qp::{integrate_gradient, recover, QpConfig};
 use fedknow_math::sparse::SparseVec;
 use fedknow_math::tensor::Tensor;
 use proptest::prelude::*;
@@ -213,11 +213,13 @@ proptest! {
         cons in prop::collection::vec(vec_f32(8), 1..5)
     ) {
         let r = integrate_gradient(&g, &cons, &QpConfig::default()).unwrap();
+        let mut rotated = g.clone();
+        recover(&mut rotated, &cons, &r.dual);
         for c in &cons {
-            let d: f64 = c.iter().zip(&r.gradient)
+            let d: f64 = c.iter().zip(&rotated)
                 .map(|(&x, &y)| x as f64 * y as f64).sum();
             let cn: f64 = c.iter().map(|&x| (x as f64).powi(2)).sum::<f64>().sqrt();
-            let gn: f64 = r.gradient.iter().map(|&x| (x as f64).powi(2)).sum::<f64>().sqrt();
+            let gn: f64 = rotated.iter().map(|&x| (x as f64).powi(2)).sum::<f64>().sqrt();
             prop_assert!(d >= -1e-3 * (1.0 + cn * gn), "violated: {} (scale {})", d, cn * gn);
         }
         for &v in &r.dual {
@@ -232,6 +234,8 @@ proptest! {
         let cons = vec![g.clone()];
         let r = integrate_gradient(&g, &cons, &QpConfig::default()).unwrap();
         prop_assert!(r.already_feasible);
-        prop_assert_eq!(r.gradient, g);
+        let mut rotated = g.clone();
+        recover(&mut rotated, &cons, &r.dual);
+        prop_assert_eq!(rotated, g);
     }
 }

@@ -158,118 +158,3 @@ mod tests {
         assert!((g.data()[0] - 0.25).abs() < 1e-6);
     }
 }
-
-/// Inverted dropout: active only in training mode, where surviving
-/// activations are scaled by `1/(1−p)` so evaluation needs no rescale.
-/// The mask is drawn from the layer's own deterministic stream, keeping
-/// runs reproducible without threading an RNG through `forward`.
-pub struct Dropout {
-    /// Drop probability.
-    p: f32,
-    mask: Vec<f32>,
-    stream: u64,
-    counter: u64,
-}
-
-impl Dropout {
-    /// New dropout layer with drop probability `p ∈ [0, 1)`.
-    pub fn new(p: f32) -> Self {
-        assert!(
-            (0.0..1.0).contains(&p),
-            "dropout probability must be in [0,1)"
-        );
-        Self {
-            p,
-            mask: Vec::new(),
-            stream: 0xD80D_0000,
-            counter: 0,
-        }
-    }
-}
-
-impl Layer for Dropout {
-    fn forward(&mut self, _params: &[f32], mut x: Tensor, train: bool) -> Tensor {
-        if !train || self.p == 0.0 {
-            return x;
-        }
-        use rand::Rng;
-        let mut rng = fedknow_math::rng::substream(self.stream, self.counter);
-        self.counter += 1;
-        let keep = 1.0 - self.p;
-        let scale = 1.0 / keep;
-        self.mask.clear();
-        self.mask.extend(
-            x.data()
-                .iter()
-                .map(|_| if rng.gen::<f32>() < keep { scale } else { 0.0 }),
-        );
-        for (v, &m) in x.data_mut().iter_mut().zip(&self.mask) {
-            *v *= m;
-        }
-        x
-    }
-
-    fn backward(&mut self, _params: &[f32], _grads: &mut [f32], mut grad: Tensor) -> Tensor {
-        if self.p == 0.0 || self.mask.is_empty() {
-            return grad;
-        }
-        let n = self.mask.len();
-        for j in 0..slot_count(grad.len(), n, "Dropout") {
-            for (g, &m) in grad.data_mut()[j * n..][..n].iter_mut().zip(&self.mask) {
-                *g *= m;
-            }
-        }
-        grad
-    }
-
-    fn flops(&self, in_shape: &[usize]) -> (u64, Vec<usize>) {
-        (in_shape.iter().product::<usize>() as u64, in_shape.to_vec())
-    }
-
-    fn name(&self) -> &'static str {
-        "Dropout"
-    }
-}
-
-#[cfg(test)]
-mod dropout_tests {
-    use super::*;
-
-    #[test]
-    fn eval_mode_is_identity() {
-        let mut d = Dropout::new(0.5);
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]);
-        let y = d.forward(&[], x.clone(), false);
-        assert_eq!(y, x);
-    }
-
-    #[test]
-    fn train_mode_preserves_expectation_roughly() {
-        let mut d = Dropout::new(0.5);
-        let n = 10_000;
-        let x = Tensor::full(&[n], 1.0);
-        let y = d.forward(&[], x, true);
-        let mean = y.sum() / n as f32;
-        assert!((mean - 1.0).abs() < 0.05, "mean {mean}");
-        // Surviving entries are scaled to 2.0, dropped to 0.0.
-        assert!(y.data().iter().all(|&v| v == 0.0 || (v - 2.0).abs() < 1e-6));
-    }
-
-    #[test]
-    fn gradient_respects_the_same_mask() {
-        let mut d = Dropout::new(0.3);
-        let x = Tensor::full(&[64], 1.0);
-        let y = d.forward(&[], x, true);
-        let g = d.backward(&[], &mut [], Tensor::full(&[64], 1.0));
-        for (yv, gv) in y.data().iter().zip(g.data()) {
-            // Both zero or both scaled.
-            assert_eq!(*yv == 0.0, *gv == 0.0);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn rejects_p_one() {
-        let _ = Dropout::new(1.0);
-    }
-}

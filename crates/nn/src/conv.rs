@@ -24,7 +24,7 @@
 //!   gradient per live fan row), which keeps peak memory where the
 //!   one-sample passes had it; it is a constant, not a knob.
 //! * **Forward is fused.** The column matrix is never built:
-//!   [`PatchPanels`] implements the GEMM's [`BPanels`] pack-source trait
+//!   `PatchPanels` implements the GEMM's [`BPanels`] pack-source trait
 //!   and fills each packed `KC × NR` panel straight from the input planes
 //!   of the chunk's samples, splitting a strip where it crosses from one
 //!   sample into the next. The product lands in an `ocg × nb·ncols`
@@ -56,11 +56,11 @@
 //! * **A same-padded stride-1 convolution moves whole planes.** Row
 //!   `(c, ky, kx)` of its column matrix is input plane `c` shifted by
 //!   `(ky − pad)·w + (kx − pad)` with the columns that left the image
-//!   zeroed ([`PatchGeom::same`]), so both the patch pack and `col2im`
+//!   zeroed (`PatchGeom::same`), so both the patch pack and `col2im`
 //!   are one long copy / accumulate per row plus a strided fix-up. Other
 //!   geometries (stride 2, unpadded) gather element by element.
 //! * **Dead taps.** A kernel tap `(ky, kx)` is *live* when some output
-//!   position reads an in-image pixel through it ([`PatchGeom::live`]);
+//!   position reads an in-image pixel through it (`PatchGeom::live`);
 //!   a dead one reads only padding, as 8 of the 9 taps of a 3×3 kernel
 //!   on a 1×1 map do. Every call takes its live taps from `(h, w, k,
 //!   stride, pad)` and runs over the *live fan* `cg·|live|`: the patch
@@ -75,7 +75,7 @@
 //!   -0.0); its weight-gradient entries would add +0.0, and `col2im`
 //!   never adds its rows. One condition remains, the *slab rule*: the
 //!   forward's GEMM cuts its live k into slabs exactly where `gemm::KC`
-//!   cuts the full fan ([`slab_end`], through [`gemm::gemm_slabs`]),
+//!   cuts the full fan (`slab_end`, through [`gemm::gemm_slabs`]),
 //!   since a slab's chain is added into the output as one term. With
 //!   every tap live — every layer of SixCnn, and of ResNet18 on 16×16
 //!   inputs — the live fan is the fan and the arithmetic is the full

@@ -155,6 +155,16 @@ impl Model {
         &self.grads[j * p..(j + 1) * p]
     }
 
+    /// Gradient slot 0 of the last backward, to write in place, beside
+    /// its later slots `1..s`, read-only: what rotating the training
+    /// gradient against the others borrows.
+    pub fn grad_slots_split(&mut self) -> (&mut [f32], Vec<&[f32]>) {
+        let p = self.params.len();
+        let (first, rest) = self.grads.split_at_mut(p);
+        let rest: &[f32] = rest;
+        (first, rest.chunks_exact(p.max(1)).collect())
+    }
+
     /// Zero all gradient slots.
     pub fn zero_grad(&mut self) {
         self.grads.fill(0.0);

@@ -68,11 +68,6 @@ impl Sgd {
         lr
     }
 
-    /// Steps taken so far.
-    pub fn step_count(&self) -> u64 {
-        self.step
-    }
-
     /// Reset the step counter (used when a new task starts).
     pub fn reset(&mut self) {
         self.step = 0;
@@ -97,7 +92,6 @@ mod tests {
         let mut opt = Sgd::new(1.0, LrSchedule::Inverse);
         assert_eq!(opt.next_lr(), 1.0);
         assert_eq!(opt.next_lr(), 0.5);
-        assert_eq!(opt.step_count(), 2);
         opt.reset();
         assert_eq!(opt.next_lr(), 1.0);
     }

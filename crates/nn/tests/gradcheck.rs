@@ -444,13 +444,10 @@ fn gradcheck_grouped_conv_full_padding() {
 fn gradcheck_avgpool_and_dropout_free_path() {
     use fedknow_nn::pool::AvgPool2d;
     let mut rng = seeded(23);
-    // Dropout at p=0 is exactly identity, so the analytic check stays
-    // deterministic; AvgPool2d's gradient is exercised for real.
     let seq = Sequential::new()
         .push(Conv2d::conv3x3(&mut rng, 2, 4, 1))
         .push(ReLU::new())
         .push(AvgPool2d::new(2))
-        .push(fedknow_nn::activations::Dropout::new(0.0))
         .push(Flatten::new())
         .push(Linear::new(&mut rng, 4 * 2 * 2, 3));
     gradcheck(

@@ -269,7 +269,7 @@ pub fn dump_now(reason: &str) -> Option<PathBuf> {
     Some(path)
 }
 
-/// Throttled automatic dump: at most [`MAX_AUTO_DUMPS_PER_REASON`]
+/// Throttled automatic dump: at most `MAX_AUTO_DUMPS_PER_REASON`
 /// bundles per distinct reason per process, so fault-heavy chaos runs
 /// keep the first occurrences without flooding the directory. Cheap
 /// no-op when `FEDKNOW_TRACE_DIR` is unset.

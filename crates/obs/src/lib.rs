@@ -27,7 +27,7 @@
 //!
 //! ## Vocabulary
 //!
-//! * [`span`] — hierarchical timed regions (`run → task → round →
+//! * [`span`](mod@span) — hierarchical timed regions (`run → task → round →
 //!   client`); worker threads join the hierarchy via [`current_path`] +
 //!   [`inherit_path`].
 //! * [`timer`] — RAII phase timers feeding named histograms

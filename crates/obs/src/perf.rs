@@ -6,7 +6,7 @@
 //! record per call — because kernel call sites (every `matmul`, every
 //! conv image) fire orders of magnitude more often than round-level
 //! metrics and per-call records would dominate the run. Recordings
-//! still see the totals: [`flush_deltas`] (called from
+//! still see the totals: `flush_deltas` (called from
 //! [`flush`](crate::flush) at the end of a run and before every dump)
 //! emits one `Count` record per perf counter carrying the delta since
 //! the previous flush.

@@ -3,7 +3,7 @@
 //! Every instrumentation site (span begin/end, counter delta, histogram
 //! sample, gauge update, series point, fault injection, verify
 //! violation, free-form note, wire lifecycle point) builds one
-//! [`RingData`] and hands it to [`emit`], which stamps it into a
+//! [`RingData`] and hands it to `emit`, which stamps it into a
 //! [`RingRecord`], appends it to the `FEDKNOW_OBS` JSONL stream when
 //! one is attached, and pushes it into the recording thread's ring.
 //! Rings are bounded — `FEDKNOW_TRACE_CAP` records per thread, default

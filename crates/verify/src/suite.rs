@@ -11,7 +11,7 @@
 use crate::check;
 use crate::fuzz::{self, FuzzReport, Tol};
 use crate::oracle::{self, ConvSpec};
-use fedknow_math::qp::{integrate_gradient, QpConfig};
+use fedknow_math::qp::{integrate_gradient, recover, QpConfig};
 use fedknow_math::rng::normal_vec;
 use fedknow_math::{distance, rng, MathError, SparseVec, Tensor};
 use rand::rngs::StdRng;
@@ -483,7 +483,11 @@ pub fn qp_production(c: &QpCase) -> Option<Vec<f32>> {
         ..Default::default()
     };
     match integrate_gradient(&c.g, &c.constraints, &cfg) {
-        Ok(r) => Some(r.gradient),
+        Ok(r) => {
+            let mut rotated = c.g.clone();
+            recover(&mut rotated, &c.constraints, &r.dual);
+            Some(rotated)
+        }
         Err(MathError::QpNotConverged { .. }) => None,
         Err(e) => panic!("unexpected QP error on a generated case: {e}"),
     }
@@ -535,11 +539,13 @@ pub fn qp_certify(seed: u64, cases: usize) -> FuzzReport {
         };
         match integrate_gradient(&problem.g, &problem.constraints, &cfg) {
             Ok(r) => {
+                let mut rotated = problem.g.clone();
+                recover(&mut rotated, &problem.constraints, &r.dual);
                 if let Err(detail) = check::integrator_rotation(
                     &problem.g,
                     &problem.constraints,
                     &r.dual,
-                    &r.gradient,
+                    &rotated,
                     problem.margin,
                 ) {
                     report.failures.push(fuzz::Failure {
