@@ -26,6 +26,12 @@ pub struct GemClient {
     /// QP, so its solves and fallbacks land in the same `qp.*` counters.
     integrator: GradientIntegrator,
     current_task: Option<ClientTask>,
+    /// The training gradient, rotated in place: kept across iterations.
+    g: Vec<f32>,
+    /// One rehearsal gradient per past task that drew a batch this
+    /// iteration, in task order: kept across iterations, grown once per
+    /// task.
+    rehearsal: Vec<Vec<f32>>,
 }
 
 impl GemClient {
@@ -50,6 +56,8 @@ impl GemClient {
             memory_fraction,
             integrator: GradientIntegrator::new(0.0),
             current_task: None,
+            g: Vec::new(),
+            rehearsal: Vec::new(),
         }
     }
 }
@@ -63,26 +71,30 @@ impl FclClient for GemClient {
     fn train_iteration(&mut self, rng: &mut StdRng) -> IterationStats {
         let (x, labels) = self.trainer.next_batch(rng);
         let loss = self.trainer.compute_grads(&x, &labels);
-        let mut g = self.trainer.model.flat_grads();
+        copy_slot0(&mut self.g, &self.trainer);
         let mut flops = self.trainer.iteration_flops();
         // One gradient per stored past task.
         let image_shape = self.trainer.image_shape().to_vec();
-        let mut constraints = Vec::with_capacity(self.memory.num_tasks());
+        let mut used = 0;
         for t in 0..self.memory.num_tasks() {
             if let Some((mx, mlabels)) =
                 self.memory
                     .sample_task_batch(t, self.trainer.batch_size, &image_shape, rng)
             {
                 self.trainer.compute_grads(&mx, &mlabels);
-                constraints.push(self.trainer.model.flat_grads());
+                if self.rehearsal.len() == used {
+                    self.rehearsal.push(Vec::new());
+                }
+                copy_slot0(&mut self.rehearsal[used], &self.trainer);
+                used += 1;
                 flops += self.trainer.iteration_flops();
             }
         }
-        if !constraints.is_empty() {
-            self.integrator.rotate(&mut g, &constraints);
+        if used > 0 {
+            self.integrator.rotate(&mut self.g, &self.rehearsal[..used]);
         }
         let lr = self.trainer.opt.next_lr() as f32;
-        self.trainer.model.apply_update(&g, lr);
+        self.trainer.model.apply_update(&self.g, lr);
         IterationStats {
             loss: loss as f64,
             flops,
@@ -114,6 +126,13 @@ impl FclClient for GemClient {
     fn method_name(&self) -> &'static str {
         "gem"
     }
+}
+
+/// Overwrite `dst` with the trainer's gradient slot 0, reusing its
+/// allocation.
+fn copy_slot0(dst: &mut Vec<f32>, trainer: &LocalTrainer) {
+    dst.clear();
+    dst.extend_from_slice(trainer.model.grad_slot(0));
 }
 
 #[cfg(test)]
@@ -219,27 +238,27 @@ impl FclClient for AGemClient {
 
     fn train_iteration(&mut self, rng: &mut StdRng) -> IterationStats {
         let (x, labels) = self.inner.trainer.next_batch(rng);
-        let loss = self.inner.trainer.compute_grads(&x, &labels);
-        let mut g = self.inner.trainer.model.flat_grads();
-        let mut flops = self.inner.trainer.iteration_flops();
+        let inner = &mut self.inner;
+        let loss = inner.trainer.compute_grads(&x, &labels);
+        copy_slot0(&mut inner.g, &inner.trainer);
+        let mut flops = inner.trainer.iteration_flops();
         // One averaged gradient over a mixed memory batch.
-        let image_shape = self.inner.trainer.image_shape().to_vec();
-        let constraint = self
-            .inner
-            .memory
-            .sample_mixed_batch(self.inner.trainer.batch_size, &image_shape, rng)
-            .map(|(mx, mlabels)| {
-                self.inner.trainer.compute_grads(&mx, &mlabels);
-                flops += self.inner.trainer.iteration_flops();
-                self.inner.trainer.model.flat_grads()
-            });
-        if let Some(c) = constraint {
-            self.inner
-                .integrator
-                .rotate(&mut g, std::slice::from_ref(&c));
+        let image_shape = inner.trainer.image_shape().to_vec();
+        if let Some((mx, mlabels)) =
+            inner
+                .memory
+                .sample_mixed_batch(inner.trainer.batch_size, &image_shape, rng)
+        {
+            inner.trainer.compute_grads(&mx, &mlabels);
+            flops += inner.trainer.iteration_flops();
+            if inner.rehearsal.is_empty() {
+                inner.rehearsal.push(Vec::new());
+            }
+            copy_slot0(&mut inner.rehearsal[0], &inner.trainer);
+            inner.integrator.rotate(&mut inner.g, &inner.rehearsal[..1]);
         }
-        let lr = self.inner.trainer.opt.next_lr() as f32;
-        self.inner.trainer.model.apply_update(&g, lr);
+        let lr = inner.trainer.opt.next_lr() as f32;
+        inner.trainer.model.apply_update(&inner.g, lr);
         IterationStats {
             loss: loss as f64,
             flops,

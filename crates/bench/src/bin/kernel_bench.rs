@@ -338,8 +338,8 @@ fn bench_qp(opts: &Opts, k: usize, n: usize, out: &mut Vec<KernelEntry>) {
     let shape = format!("k{k} n{n}");
     let g = vals(n, 7);
     // Constraints with a conflicting component along −g plus an
-    // independent random part: infeasible (the screen fails) but with a
-    // well-conditioned Gram so the projected-gradient solve converges.
+    // independent random part: infeasible (the screen fails), so the
+    // Gram and the active-set solve run.
     let constraints: Vec<Vec<f32>> = (0..k)
         .map(|i| {
             let noise = vals(n, 8 + i as u64);
@@ -359,16 +359,16 @@ fn bench_qp(opts: &Opts, k: usize, n: usize, out: &mut Vec<KernelEntry>) {
         recover(&mut rotated, &constraints, &r.dual);
         rotated
     };
-    // The QP's FLOPs depend on the iteration count the solver actually
-    // took and on how many duals are non-zero, so the model is evaluated
-    // at those and checked against the production counter.
+    // The QP's FLOPs depend on the pivots the solver actually took and
+    // on how many duals are non-zero, so the model is evaluated at those
+    // and checked against the production counter.
     let applied = r.dual.iter().filter(|&&v| v != 0.0).count();
     let model = flops::qp_screen(k, n, false)
         .plus(flops::qp_solve(k, n, r.iterations))
         .plus(flops::qp_recover(applied, n));
     let (cf, _) = counted_invocation("qp", || integrate(g.clone()));
     check(
-        &format!("qp {shape} model({} iters) vs counter", r.iterations),
+        &format!("qp {shape} model({} pivots) vs counter", r.iterations),
         model.flops,
         cf,
     );

@@ -8,6 +8,14 @@
 //! backward of `t + 1` stacked output gradients: the training loss's as
 //! slot 0, the `t` tasks' distillation gradients behind it. The device
 //! clock still debits `iteration_flops × 2/3` per restored gradient.
+//!
+//! Signature selection (§III-C) picks the `k` retained tasks whose
+//! restored gradients are most dissimilar from the training gradient.
+//! With `t ≤ k` retained tasks it picks them all, and the dual solve is
+//! exact, so the order it would rank them in cannot move `g'` beyond
+//! rounding: the client then selects `0..t` without a probe — no batch,
+//! no forward or backward, no ranking — and the device clock debits
+//! nothing for it. The probe runs only for `t > k`.
 
 use crate::config::FedKnowConfig;
 use crate::extractor::KnowledgeExtractor;
@@ -139,10 +147,15 @@ impl FedKnowClient {
 
     /// Re-rank signature tasks on a fresh batch (run at task start and
     /// after every aggregation, so selection tracks the moving model).
+    /// With at most `k` retained tasks every one is selected, in task
+    /// order, and no probe runs (see the module docs).
     fn reselect(&mut self, rng: &mut StdRng) {
         self.selected.clear();
-        // No table, nothing to rank: no knowledge yet, no samples, k = 0.
-        if self.teacher.is_empty() {
+        // Nothing to rank: no table (no knowledge yet, no samples, k = 0)
+        // or no more tasks than signature slots.
+        let t = self.teacher.len();
+        if t <= self.cfg.k {
+            self.selected.extend(0..t);
             return;
         }
         let (x, labels) = self.trainer.next_batch(rng);

@@ -139,39 +139,44 @@ impl KnowledgeExtractor {
     /// the current task data (masked SGD — gradients outside the
     /// knowledge support are zeroed), and return the refreshed knowledge.
     ///
+    /// The masking works on the model's gradient slot in place, so a
+    /// fine-tune iteration copies nothing model-sized.
+    ///
     /// Returns the extracted knowledge and the extra FLOPs spent.
     pub fn extract_and_finetune(
         &self,
         trainer: &mut LocalTrainer,
         rng: &mut StdRng,
     ) -> (SparseVec, u64) {
-        let params = trainer.model.flat_params();
-        let layout = trainer.model.layout().to_vec();
-        let mut knowledge = self.extract_structured(&params, &layout);
+        let mut knowledge = self.extract_structured(trainer.model.params(), trainer.model.layout());
         if trainer.num_samples() == 0 {
             return (knowledge, 0);
         }
-        let mask = knowledge.mask();
         let mut flops = 0u64;
         let _t = fedknow_obs::timer("extract.finetune_ns");
         for _ in 0..self.finetune_iters {
             let (x, labels) = trainer.next_batch(rng);
             trainer.compute_grads(&x, &labels);
-            let mut grads = trainer.model.flat_grads();
-            for (g, &m) in grads.iter_mut().zip(&mask) {
-                if !m {
-                    *g = 0.0;
-                }
-            }
+            let (grads, _) = trainer.model.grad_slots_split();
+            zero_off_support(grads, knowledge.indices());
             let lr = trainer.opt.current_lr() as f32;
-            trainer.model.apply_update(&grads, lr);
+            trainer.model.sgd_step(lr);
             flops += trainer.iteration_flops();
         }
         // Refresh the stored values from the fine-tuned model.
-        let tuned = trainer.model.flat_params();
-        knowledge.gather_from(&tuned);
+        knowledge.gather_from(trainer.model.params());
         (knowledge, flops)
     }
+}
+
+/// Zero every entry of `grads` outside the ascending index set `support`.
+fn zero_off_support(grads: &mut [f32], support: &[u32]) {
+    let mut next = 0;
+    for &i in support {
+        grads[next..i as usize].fill(0.0);
+        next = i as usize + 1;
+    }
+    grads[next..].fill(0.0);
 }
 
 #[cfg(test)]

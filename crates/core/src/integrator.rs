@@ -1,7 +1,11 @@
 //! Gradient integrator (§III-D) — a thin, configured wrapper over the
-//! dual-QP solver in `fedknow_math::qp` that rotates a gradient in place
-//! (the dual, then Eq. 5's `g' = Gᵀv + g` written over `g`), instrumented
-//! with the learning-dynamics metrics the paper's Eqs. 3–5 hinge on:
+//! exact dual-QP solver in `fedknow_math::qp` that rotates a gradient in
+//! place (the dual, then Eq. 5's `g' = Gᵀv + g` written over `g`).
+//! `qp.iters` samples the solve's active-set pivots; `QpConfig::max_iters`
+//! bounds them, and an exact solve never reaches that bound. The only
+//! un-rotated outcome is a non-finite screen or Gram (`qp.fallback`).
+//! The integrator is instrumented with the learning-dynamics metrics
+//! the paper's Eqs. 3–5 hinge on:
 //!
 //! * `integrate.conflict_angle_cdeg` — pre-QP angle (centi-degrees)
 //!   between the task gradient `g` and each signature-task gradient
@@ -98,10 +102,11 @@ impl GradientIntegrator {
     /// (owned vectors, or slots borrowed from a model's gradient slab),
     /// minimally, so that `⟨g_i, g⟩ ≥ 0` for all `i`.
     ///
-    /// Leaves `g` un-rotated, counted in `qp.fallback`, when the QP does
-    /// not converge within its iteration cap — so that training never
-    /// aborts on a batch. That is not rare on a 10-task `probe` run;
-    /// replacing the solver with an exact one is ROADMAP item 1.
+    /// The solve is exact. Only a gradient or constraint holding a NaN
+    /// or an infinity (a non-finite screen or Gram) leaves `g`
+    /// un-rotated, counted in `qp.fallback` and, in verify mode, reported
+    /// as a failed `integrator.rotation` check, so that training never
+    /// aborts on a batch. Any other solver error is a defect and panics.
     pub fn rotate<C: AsRef<[f32]>>(&self, g: &mut [f32], constraints: &[C]) {
         let observed = fedknow_obs::is_enabled();
         let verified = fedknow_verify::is_enabled();
@@ -137,7 +142,15 @@ impl GradientIntegrator {
                     );
                 }
             }
-            Err(MathError::QpNotConverged { .. }) => QP_FALLBACK.add(1),
+            Err(e @ MathError::NonFinite { .. }) => {
+                QP_FALLBACK.add(1);
+                if verified {
+                    fedknow_verify::report(
+                        "integrator.rotation",
+                        Err(format!("{e}: the gradient was applied un-rotated")),
+                    );
+                }
+            }
             Err(e) => panic!("gradient integration failed: {e}"),
         }
         if let Some(before) = before.as_deref().filter(|_| observed) {
@@ -254,5 +267,15 @@ mod tests {
         let g_after = vec![2.0, 2.0];
         let out = integ.integrate(&g, std::slice::from_ref(&g_after));
         assert_eq!(out, g);
+    }
+
+    #[test]
+    fn non_finite_constraint_leaves_the_gradient_unrotated() {
+        let integ = GradientIntegrator::new(0.0);
+        let g = vec![1.0, 0.0];
+        for bad in [f32::NAN, f32::NEG_INFINITY] {
+            let out = integ.integrate(&g, &[vec![-1.0, bad]]);
+            assert_eq!(out, g);
+        }
     }
 }

@@ -58,6 +58,11 @@ impl Reference {
             self.selected.clear();
             return;
         }
+        // At most k tasks: all of them, in task order, with no probe.
+        if self.knowledges.len() <= self.cfg.k {
+            self.selected = (0..self.knowledges.len()).collect();
+            return;
+        }
         let (x, labels) = self.trainer.next_batch(rng);
         self.trainer.compute_grads(&x, &labels);
         let g = self.trainer.model.flat_grads();

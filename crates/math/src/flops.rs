@@ -175,16 +175,16 @@ pub fn qp_screen(k: usize, n: usize, norms: bool) -> Cost {
 }
 
 /// Dual QP solve past the screen: the k×k Gram matrix (`k(k+1)/2` dots
-/// of length n) plus `iters` projected-gradient steps (`2k²` for
-/// `Qv+q`, `~4k` for residual + update). The primal recovery is
-/// [`qp_recover`].
-pub fn qp_solve(k: usize, n: usize, iters: usize) -> Cost {
-    let (k, n, iters) = (k as u64, n as u64, iters as u64);
+/// of length n) plus, per active-set pivot, a Cholesky solve of a
+/// passive block of at most k (`k³/3 + 2k²`) and the dual gradient
+/// `Qv + q` (`2k²`). The primal recovery is [`qp_recover`].
+pub fn qp_solve(k: usize, n: usize, pivots: usize) -> Cost {
+    let (k, n, pivots) = (k as u64, n as u64, pivots as u64);
     Cost {
-        flops: n * k * (k + 1) + iters * (2 * k * k + 4 * k),
+        flops: n * k * (k + 1) + pivots * (k * k * k / 3 + 4 * k * k),
         bytes: 4 * (k * n)            // constraint rows re-read for the Gram
             + 8 * (k * k)             // Gram store (f64)
-            + iters * 8 * (k * k + 3 * k), // Qv+q reads, v/grad traffic
+            + pivots * 8 * (2 * k * k + 3 * k), // block + gradient reads, v/z/grad traffic
     }
 }
 
@@ -307,9 +307,9 @@ mod tests {
         assert_eq!(qp_screen(3, 100, false).flops, 2 * 3 * 100);
         assert_eq!(qp_recover(0, 100), Cost::default());
         assert_eq!(qp_recover(2, 100).flops, 2 * 2 * 100);
-        let one_iter = qp_solve(3, 100, 1).flops;
-        let two_iter = qp_solve(3, 100, 2).flops;
-        assert_eq!(two_iter - one_iter, 2 * 9 + 4 * 3);
+        let one_pivot = qp_solve(3, 100, 1).flops;
+        let two_pivots = qp_solve(3, 100, 2).flops;
+        assert_eq!(two_pivots - one_pivot, 27 / 3 + 4 * 9);
         assert_eq!(fedavg(4, 10).flops, 2 * 4 * 10 + 10);
         // n = 8: log2 = 4 (⌈log₂8⌉ via bit width of 8 = 1000b).
         let w = wasserstein(8);

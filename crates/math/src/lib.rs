@@ -44,11 +44,17 @@ pub use tensor::Tensor;
 /// Errors surfaced by numerical routines that can fail on valid inputs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MathError {
-    /// The QP solver failed to reach the requested tolerance within its
-    /// iteration budget. Contains the residual that was achieved.
+    /// The dual QP solve took more pivots than its bound, or its dual
+    /// failed the KKT check. An exact solve of a finite problem never
+    /// does; contains the residual that was reached.
     QpNotConverged {
         /// KKT residual at the final iterate.
         residual: f64,
+    },
+    /// A QP input held a NaN or an infinity.
+    NonFinite {
+        /// Which input: `"screen"` (`Gg` and the norms) or `"gram"`.
+        input: &'static str,
     },
     /// An input had a dimension that does not match its partner.
     DimensionMismatch {
@@ -67,6 +73,7 @@ impl std::fmt::Display for MathError {
             MathError::QpNotConverged { residual } => {
                 write!(f, "QP solver did not converge (residual {residual:.3e})")
             }
+            MathError::NonFinite { input } => write!(f, "non-finite QP {input}"),
             MathError::DimensionMismatch { expected, got } => {
                 write!(f, "dimension mismatch: expected {expected}, got {got}")
             }

@@ -73,19 +73,17 @@ pub fn integrator_rotation<C: AsRef<[f32]>>(
             return Err(format!("dual[{i}] = {v} is negative or NaN"));
         }
     }
-    // Tolerance: the solver itself accepts residuals up to
-    // 100·tol·(1+trace); add an f32-rounding term for the recovery step
-    // (g' is accumulated in f32) proportional to the problem scale.
-    let trace: f64 = constraints
-        .iter()
-        .map(|c| dot64(c.as_ref(), c.as_ref()))
-        .sum();
+    // Tolerance: the dual solve's own KKT tolerance (1e-10 of the scale
+    // of the dual gradient's terms, `‖q‖∞ + max‖c‖²·Σv`, taken at 1e-9
+    // here), plus the f32 rounding of g' (one rounding per element moves
+    // ⟨c, g'⟩ by at most 2⁻²⁴·‖c‖·‖g'‖; 1e-6 is 16× that).
     let max_c = constraints
         .iter()
         .map(|c| norm64(c.as_ref()))
         .fold(0.0, f64::max);
-    let scale = max_c * norm64(rotated) * (g.len() as f64).sqrt();
-    let tol = 100.0 * 1e-7 * (1.0 + trace) + 1e-6 * (1.0 + scale);
+    let dual_sum: f64 = dual.iter().sum();
+    let tol = 1e-9 * max_c * (norm64(g) + margin.abs() + max_c * dual_sum)
+        + 1e-6 * (1.0 + max_c * norm64(rotated));
     let residual = kkt_residual(constraints, dual, rotated, margin);
     if residual > tol {
         return Err(format!(

@@ -348,14 +348,8 @@ fn solve_dense(mut a: Vec<Vec<f64>>, mut rhs: Vec<f64>) -> Option<Vec<f64>> {
 
 /// Exhaustive active-set solve of the GEM dual QP (paper Eq. 4):
 /// `min ½vᵀ(GGᵀ)v + (Gg − m)ᵀv, v ≥ 0`, returning the *rotated
-/// gradient* `g' = g + Gᵀv` (paper Eq. 5) in `f64`.
-///
-/// Every support set `S ⊆ {1..k}` is tried: solve the equality system
-/// `Q_SS v_S = −q_S`, then check dual feasibility (`v_S ≥ 0`) and
-/// stationarity off the support (`(Qv + q)_i ≥ 0`). The primal optimum
-/// is unique (strictly convex projection), so the first KKT point found
-/// determines `g'`. Feasible for `k ≤` [`QP_EXHAUSTIVE_CAP`]; `None`
-/// above the cap or if no support passes the feasibility tolerances.
+/// gradient* `g' = g + Gᵀv` (paper Eq. 5) in `f64`. The dual is
+/// [`dual`]'s on the Gram matrix and `Gg − m` (all in `f64`).
 pub fn integrate(g: &[f32], constraints: &[Vec<f32>], margin: f64) -> Option<Vec<f64>> {
     let k = constraints.len();
     let gf: Vec<f64> = g.iter().map(|&v| v as f64).collect();
@@ -374,19 +368,55 @@ pub fn integrate(g: &[f32], constraints: &[Vec<f32>], margin: f64) -> Option<Vec
     if q.iter().all(|&v| v >= 0.0) {
         return Some(gf); // already feasible, v = 0
     }
-    let gram: Vec<Vec<f64>> = constraints
+    let gram: Vec<f64> = constraints
         .iter()
-        .map(|a| constraints.iter().map(|b| dot(a, b)).collect())
+        .flat_map(|a| constraints.iter().map(|b| dot(a, b)))
         .collect();
-    let trace: f64 = (0..k).map(|i| gram[i][i]).sum();
+    let v = dual(&gram, &q)?;
+    let mut out = gf;
+    for (c, &vi) in constraints.iter().zip(&v) {
+        if vi != 0.0 {
+            for (o, &ci) in out.iter_mut().zip(c) {
+                *o += vi * ci as f64;
+            }
+        }
+    }
+    Some(out)
+}
+
+/// Exhaustive active-set solve of `min ½vᵀQv + qᵀv, v ≥ 0` for a `k×k`
+/// Gram matrix `Q` (row-major) and the dual's linear term `q`.
+///
+/// Every support set `S ⊆ {1..k}` is tried: solve the equality system
+/// `Q_SS v_S = −q_S`, then check dual feasibility (`v_S ≥ 0`) and
+/// stationarity off the support (`(Qv + q)_i ≥ 0`), each within a
+/// tolerance. Of the supports that pass, the one with the lowest dual
+/// objective is returned (the first on a tie): near-parallel rows can
+/// let a support pass within the tolerance that is not the optimum.
+/// The primal optimum is unique (strictly convex projection), so that
+/// dual determines `g'`. Feasible for `k ≤` [`QP_EXHAUSTIVE_CAP`];
+/// `None` above the cap or if no support passes.
+pub fn dual(gram: &[f64], q: &[f64]) -> Option<Vec<f64>> {
+    let k = q.len();
+    assert_eq!(gram.len(), k * k, "the Gram matrix is k×k");
+    if k > QP_EXHAUSTIVE_CAP {
+        return None;
+    }
+    let trace: f64 = (0..k).map(|i| gram[i * k + i]).sum();
     let eps = 1e-8 * (1.0 + trace);
+    let objective = |v: &[f64]| -> f64 {
+        (0..k)
+            .map(|i| v[i] * (q[i] + 0.5 * (0..k).map(|j| gram[i * k + j] * v[j]).sum::<f64>()))
+            .sum()
+    };
+    let mut best: Option<(f64, Vec<f64>)> = None;
     for support in 0u32..(1u32 << k) {
         let s: Vec<usize> = (0..k).filter(|&i| support & (1 << i) != 0).collect();
         let mut v = vec![0.0f64; k];
         if !s.is_empty() {
             let sub: Vec<Vec<f64>> = s
                 .iter()
-                .map(|&r| s.iter().map(|&c| gram[r][c]).collect())
+                .map(|&r| s.iter().map(|&c| gram[r * k + c]).collect())
                 .collect();
             let rhs: Vec<f64> = s.iter().map(|&r| -q[r]).collect();
             let Some(vs) = solve_dense(sub, rhs) else {
@@ -401,7 +431,7 @@ pub fn integrate(g: &[f32], constraints: &[Vec<f32>], margin: f64) -> Option<Vec
         }
         // Stationarity off the support: (Qv + q)_i ≥ 0.
         let feasible = (0..k).all(|i| {
-            let grad_i: f64 = (0..k).map(|j| gram[i][j] * v[j]).sum::<f64>() + q[i];
+            let grad_i: f64 = (0..k).map(|j| gram[i * k + j] * v[j]).sum::<f64>() + q[i];
             if v[i] > 0.0 {
                 grad_i.abs() <= eps.max(1e-7 * (1.0 + grad_i.abs()))
             } else {
@@ -411,17 +441,12 @@ pub fn integrate(g: &[f32], constraints: &[Vec<f32>], margin: f64) -> Option<Vec
         if !feasible {
             continue;
         }
-        let mut out = gf.clone();
-        for (c, &vi) in constraints.iter().zip(&v) {
-            if vi != 0.0 {
-                for (o, &ci) in out.iter_mut().zip(c) {
-                    *o += vi * ci as f64;
-                }
-            }
+        let f = objective(&v);
+        if best.as_ref().is_none_or(|(b, _)| f < *b) {
+            best = Some((f, v));
         }
-        return Some(out);
     }
-    None
+    best.map(|(_, v)| v)
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ use crate::fuzz::{self, FuzzReport, Tol};
 use crate::oracle::{self, ConvSpec};
 use fedknow_math::qp::{integrate_gradient, recover, QpConfig};
 use fedknow_math::rng::normal_vec;
-use fedknow_math::{distance, rng, MathError, SparseVec, Tensor};
+use fedknow_math::{distance, rng, SparseVec, Tensor};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -474,23 +474,19 @@ pub fn gen_qp(rng: &mut StdRng) -> QpCase {
     gen_qp_sized(rng, 1, 8)
 }
 
-/// Production runner: the projected-gradient dual solve plus Eq. 5
-/// recovery. `None` (skip) when the solver reports non-convergence —
-/// the production code path falls back to the raw gradient there.
+/// Production runner: the exact dual solve plus Eq. 5 recovery. Every
+/// generated case is finite, so any solver error is a defect and
+/// panics.
 pub fn qp_production(c: &QpCase) -> Option<Vec<f32>> {
     let cfg = QpConfig {
         margin: c.margin,
         ..Default::default()
     };
-    match integrate_gradient(&c.g, &c.constraints, &cfg) {
-        Ok(r) => {
-            let mut rotated = c.g.clone();
-            recover(&mut rotated, &c.constraints, &r.dual);
-            Some(rotated)
-        }
-        Err(MathError::QpNotConverged { .. }) => None,
-        Err(e) => panic!("unexpected QP error on a generated case: {e}"),
-    }
+    let r = integrate_gradient(&c.g, &c.constraints, &cfg)
+        .unwrap_or_else(|e| panic!("QP error on a generated case: {e}"));
+    let mut rotated = c.g.clone();
+    recover(&mut rotated, &c.constraints, &r.dual);
+    Some(rotated)
 }
 
 /// Differential suite: production rotation vs the exhaustive
@@ -508,12 +504,11 @@ pub fn qp_with(seed: u64, cases: usize, run: impl Fn(&QpCase) -> Option<Vec<f32>
         gen_qp,
         run,
         |c| oracle::integrate(&c.g, &c.constraints, c.margin),
-        // The production dual stops at a finite KKT residual and
-        // recovers in f32; allow proportionally more slack than pure
-        // element-wise kernels.
+        // The production dual is exact up to rounding; its recovery
+        // adds `v_i·c_i` in f32 (a few ulps of the largest term).
         &Tol {
-            abs: 1e-2,
-            rel: 1e-2,
+            abs: 1e-4,
+            rel: 1e-4,
         },
     )
 }
@@ -555,8 +550,243 @@ pub fn qp_certify(seed: u64, cases: usize) -> FuzzReport {
                     });
                 }
             }
-            Err(MathError::QpNotConverged { .. }) => report.skipped += 1,
-            Err(e) => panic!("unexpected QP error on a generated case: {e}"),
+            Err(e) => report.failures.push(fuzz::Failure {
+                case,
+                seed: cseed,
+                detail: format!("QP error on a finite case: {e}"),
+            }),
+        }
+    }
+    if !report.ok() {
+        eprint!("{}", report.render());
+    }
+    report
+}
+
+// ------------------------------------------------------------- qp dual
+
+/// The shape of a [`DualCase`]'s constraint rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DualKind {
+    /// Independent rows leaning against `g`.
+    Random,
+    /// Rows `b + ε·n_i`, `ε ∈ [1e-4, 1e-2]`: nearly parallel.
+    NearParallel,
+    /// `U·diag(σ)·Vᵀ` with orthonormal `U`, `V` and `σ_i` log-spaced from
+    /// 1 down to `√(1/cond)`: a Gram condition number `cond` up to 1e8.
+    Conditioned,
+    /// A row repeated, or repeated scaled: a singular Gram.
+    Singular,
+    /// A zero row: a zero row and column in the Gram.
+    ZeroRow,
+}
+
+/// One dual QP given in Gram space. The rows are `f64` and the Gram
+/// matrix and linear term are built from them directly in `f64` — no
+/// `f32` rows, no dot kernel — so the solver sees exactly the problem
+/// designed; `g` and the rows only serve to read `g' = g + Gᵀv` back.
+#[derive(Debug, Clone)]
+pub struct DualCase {
+    /// How the rows were drawn.
+    pub kind: DualKind,
+    /// Task gradient.
+    pub g: Vec<f64>,
+    /// Constraint rows.
+    pub rows: Vec<Vec<f64>>,
+    /// `k×k` Gram matrix of the rows, row-major.
+    pub gram: Vec<f64>,
+    /// `q_i = ⟨c_i, g⟩ − margin·‖c_i‖`.
+    pub q: Vec<f64>,
+}
+
+fn dot64(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+fn normal64(rng: &mut StdRng, n: usize) -> Vec<f64> {
+    normal_vec(rng, n, 0.0, 1.0)
+        .into_iter()
+        .map(f64::from)
+        .collect()
+}
+
+/// `m` orthonormal vectors of length `n ≥ m` (Gram–Schmidt, twice).
+fn orthonormal(rng: &mut StdRng, m: usize, n: usize) -> Vec<Vec<f64>> {
+    let mut basis: Vec<Vec<f64>> = Vec::with_capacity(m);
+    while basis.len() < m {
+        let mut v = normal64(rng, n);
+        for _ in 0..2 {
+            for b in &basis {
+                let d = dot64(&v, b);
+                v.iter_mut().zip(b).for_each(|(x, y)| *x -= d * y);
+            }
+        }
+        let norm = dot64(&v, &v).sqrt();
+        if norm > 1e-6 {
+            basis.push(v.into_iter().map(|x| x / norm).collect());
+        }
+    }
+    basis
+}
+
+/// Draw one Gram-space dual case: `k ≤ 12`, every [`DualKind`] equally
+/// likely, a margin of 0.1 on a quarter of the cases.
+pub fn gen_dual(rng: &mut StdRng) -> DualCase {
+    let k = rng.gen_range(1..=oracle::QP_EXHAUSTIVE_CAP);
+    let n = k + rng.gen_range(1..=4usize);
+    let kind = [
+        DualKind::Random,
+        DualKind::NearParallel,
+        DualKind::Conditioned,
+        DualKind::Singular,
+        DualKind::ZeroRow,
+    ][rng.gen_range(0..5usize)];
+    let mut rows: Vec<Vec<f64>> = match kind {
+        DualKind::NearParallel => {
+            let base = normal64(rng, n);
+            let eps = 10f64.powf(-rng.gen_range(2.0..4.0f64));
+            (0..k)
+                .map(|_| {
+                    let noise = normal64(rng, n);
+                    base.iter().zip(noise).map(|(b, e)| b + eps * e).collect()
+                })
+                .collect()
+        }
+        DualKind::Conditioned => {
+            let decades = rng.gen_range(0.0..8.0f64);
+            let u = orthonormal(rng, k, k);
+            let v = orthonormal(rng, k, n);
+            let sigma: Vec<f64> = (0..k)
+                .map(|i| 10f64.powf(-decades / 2.0 * i as f64 / (k.max(2) - 1) as f64))
+                .collect();
+            (0..k)
+                .map(|r| {
+                    (0..n)
+                        .map(|c| (0..k).map(|i| u[r][i] * sigma[i] * v[i][c]).sum())
+                        .collect()
+                })
+                .collect()
+        }
+        _ => (0..k).map(|_| normal64(rng, n)).collect(),
+    };
+    let i = rng.gen_range(0..k);
+    match kind {
+        DualKind::Singular if k > 1 => {
+            let j = (i + 1 + rng.gen_range(0..k - 1)) % k;
+            let scale = [1.0, 2.0, 0.5][rng.gen_range(0..3usize)];
+            rows[j] = rows[i].iter().map(|x| scale * x).collect();
+        }
+        DualKind::ZeroRow => rows[i] = vec![0.0; n],
+        _ => {}
+    }
+    // g leans against a random non-negative mix of the rows, so the
+    // screen fails and several constraints are active.
+    let mut g = normal64(rng, n);
+    for r in &rows {
+        let a = rng.gen_range(0.0..1.5f64);
+        g.iter_mut().zip(r).for_each(|(x, c)| *x -= a * c);
+    }
+    let margin = if rng.gen_range(0..4u32) == 0 {
+        0.1
+    } else {
+        0.0
+    };
+    let gram = rows
+        .iter()
+        .flat_map(|a| rows.iter().map(|b| dot64(a, b)))
+        .collect();
+    let q = rows
+        .iter()
+        .map(|r| dot64(r, &g) - margin * dot64(r, r).sqrt())
+        .collect();
+    DualCase {
+        kind,
+        g,
+        rows,
+        gram,
+        q,
+    }
+}
+
+/// `g + Gᵀv` in `f64`.
+fn rotated64(c: &DualCase, v: &[f64]) -> Vec<f64> {
+    let mut out = c.g.clone();
+    for (r, &vi) in c.rows.iter().zip(v) {
+        out.iter_mut().zip(r).for_each(|(o, x)| *o += vi * x);
+    }
+    out
+}
+
+/// Relative tolerance of [`qp_dual`]: the production and the oracle
+/// `g'` agree within `QP_DUAL_TOL · (1 + ‖g‖∞ + ‖g'‖∞)` per entry.
+pub const QP_DUAL_TOL: f64 = 1e-6;
+
+/// Differential suite in Gram space: the production `k×k` solve
+/// (`qp::solve_dual`) against the exhaustive oracle (`oracle::dual`) on
+/// [`gen_dual`]'s cases. A case fails unless the production dual is
+/// non-negative and KKT-certified (the dual gradient `Qv + q` within
+/// `1e-9 · (‖q‖∞ + max_i Q_ii · Σv)` of zero on the support and above
+/// it off the support) and the two `g'` agree within [`QP_DUAL_TOL`].
+/// Cases the oracle cannot solve are skipped.
+pub fn qp_dual(seed: u64, cases: usize) -> FuzzReport {
+    let mut report = FuzzReport {
+        kernel: "qp.dual".to_string(),
+        base_seed: seed,
+        cases,
+        skipped: 0,
+        failures: Vec::new(),
+    };
+    for case in 0..cases {
+        let cseed = fuzz::reproducer_seed(seed, case as u64);
+        let c = gen_dual(&mut rng::seeded(cseed));
+        let mut fail = |detail: String| {
+            report.failures.push(fuzz::Failure {
+                case,
+                seed: cseed,
+                detail: format!("{:?} k={}: {detail}", c.kind, c.q.len()),
+            })
+        };
+        let v = match fedknow_math::qp::solve_dual(&c.gram, &c.q, QpConfig::default().max_iters) {
+            Ok((v, _)) => v,
+            Err(e) => {
+                fail(format!("solver error {e}"));
+                continue;
+            }
+        };
+        let k = c.q.len();
+        let dmax = (0..k).map(|i| c.gram[i * k + i]).fold(0.0f64, f64::max);
+        let qmax = c.q.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+        let tol = 1e-9 * (qmax + dmax * v.iter().sum::<f64>());
+        for i in 0..k {
+            let grad = c.q[i] + (0..k).map(|j| c.gram[i * k + j] * v[j]).sum::<f64>();
+            let residual = if v[i] > 0.0 {
+                grad.abs()
+            } else {
+                (-grad).max(0.0)
+            };
+            if v[i] < 0.0 || residual > tol {
+                fail(format!(
+                    "KKT: v[{i}] = {:e}, residual {residual:e} > {tol:e}",
+                    v[i]
+                ));
+            }
+        }
+        let Some(want) = oracle::dual(&c.gram, &c.q) else {
+            report.skipped += 1;
+            continue;
+        };
+        let (got, want) = (rotated64(&c, &v), rotated64(&c, &want));
+        let inf = |x: &[f64]| x.iter().fold(0.0f64, |m, y| m.max(y.abs()));
+        let bound = QP_DUAL_TOL * (1.0 + inf(&c.g) + inf(&want));
+        let err = got
+            .iter()
+            .zip(&want)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, f64::max);
+        if err > bound {
+            fail(format!(
+                "g' differs from the oracle's by {err:e} > {bound:e}"
+            ));
         }
     }
     if !report.ok() {
@@ -739,6 +969,9 @@ mod tests {
         r.assert_clean();
         assert!(r.compared() > 0, "exhaustive oracle never engaged");
         qp_certify(DEFAULT_SEED, 5).assert_clean();
+        let r = qp_dual(DEFAULT_SEED, 30);
+        r.assert_clean();
+        assert!(r.compared() > 0, "exhaustive oracle never engaged");
     }
 
     #[test]

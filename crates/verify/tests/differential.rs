@@ -125,6 +125,16 @@ fn qp_above_cap_is_kkt_certified() {
     assert!(r.compared() >= cases() / 2);
 }
 
+/// The `k×k` solve on Gram matrices built directly (`k ≤ 12`:
+/// near-parallel rows, condition numbers up to 1e8, singular Grams, zero
+/// rows): KKT-certified, and `g'` within `QP_DUAL_TOL` of the oracle's.
+#[test]
+fn qp_dual_matches_the_oracle_on_built_gram_matrices() {
+    let r = suite::qp_dual(seed(), cases());
+    r.assert_clean();
+    assert!(r.compared() >= cases() / 2);
+}
+
 #[test]
 fn wasserstein_matches_explicit_cdf_oracle() {
     let r = suite::wasserstein(seed(), cases());

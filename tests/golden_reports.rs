@@ -6,6 +6,10 @@
 //! FNV-1a, the `f64::to_bits` of its accuracy matrix, `total_bytes`, the
 //! dropout list and the fault log, then compares the digest with a constant
 //! recorded at `cd2aeae` (before the telemetry scale plane was deleted).
+//! The FedKNOW rows and the ResNet18 GEM rows were re-recorded when the
+//! dual QP became an exact active-set solve and FedKNOW stopped probing
+//! its selection with no more retained tasks than `k`; every other row
+//! kept its digest.
 //!
 //! The cross is {SixCnn, ResNet18 width 1} × {fault-free,
 //! `FaultConfig::crash_loss(0.3)`}, seed 7, over every `Method::ALL` entry
@@ -99,7 +103,7 @@ fn golden(isa: &str) -> Option<&'static [(&'static str, u64)]> {
     match isa {
         // Both FMA microkernels run the same ascending-k chain per element.
         "avx512 8x48" | "avx2+fma 6x16" => Some(&[
-            ("sixcnn clean fedknow", 0x3bd85148bf59df4b),
+            ("sixcnn clean fedknow", 0xd673fcafd7aa5e65),
             ("sixcnn clean gem", 0x97c045bb8a6c213c),
             ("sixcnn clean bcn", 0x82ea923d944e5639),
             ("sixcnn clean co2l", 0x6212991335f5c181),
@@ -113,7 +117,7 @@ fn golden(isa: &str) -> Option<&'static [(&'static str, u64)]> {
             ("sixcnn clean fedweit", 0xf37e38ca25f941ef),
             ("sixcnn clean fedweit-own", 0x79c4e1a2d9948402),
             ("sixcnn clean agem", 0xb916011b7053c0bd),
-            ("sixcnn chaos fedknow", 0xfd8f10e7e890a0b9),
+            ("sixcnn chaos fedknow", 0xe08628c7a22a1479),
             ("sixcnn chaos gem", 0x4fd4d32277368f93),
             ("sixcnn chaos bcn", 0x163397be28140fd6),
             ("sixcnn chaos co2l", 0x8e822a96384b5e5f),
@@ -127,15 +131,15 @@ fn golden(isa: &str) -> Option<&'static [(&'static str, u64)]> {
             ("sixcnn chaos fedweit", 0x0fc34841dddc26ed),
             ("sixcnn chaos fedweit-own", 0x23947fa146e2af6a),
             ("sixcnn chaos agem", 0x14956ccc3ae6d9e8),
-            ("resnet18 clean fedknow", 0x1f617015b7ccf0ad),
+            ("resnet18 clean fedknow", 0xad95253704a7c2bb),
             ("resnet18 clean fedavg", 0x81a98ba1150342b0),
-            ("resnet18 clean gem", 0x10c60cc5720b6f18),
-            ("resnet18 chaos fedknow", 0x8d4812bb278286e0),
+            ("resnet18 clean gem", 0x59d1a06d98749446),
+            ("resnet18 chaos fedknow", 0x9296e73fdc9ef511),
             ("resnet18 chaos fedavg", 0xd8bc161f1131930b),
-            ("resnet18 chaos gem", 0x3b2c1b4a11a9e7c4),
+            ("resnet18 chaos gem", 0x10ea41ba15ca3161),
         ]),
         "scalar 4x16" => Some(&[
-            ("sixcnn clean fedknow", 0x973e7b4a4876a9ca),
+            ("sixcnn clean fedknow", 0xd673fcafd7aa5e65),
             ("sixcnn clean gem", 0x97c045bb8a6c213c),
             ("sixcnn clean bcn", 0x82ea923d944e5639),
             ("sixcnn clean co2l", 0x6212991335f5c181),
@@ -149,7 +153,7 @@ fn golden(isa: &str) -> Option<&'static [(&'static str, u64)]> {
             ("sixcnn clean fedweit", 0xf37e38ca25f941ef),
             ("sixcnn clean fedweit-own", 0x79c4e1a2d9948402),
             ("sixcnn clean agem", 0xb916011b7053c0bd),
-            ("sixcnn chaos fedknow", 0xfd8f10e7e890a0b9),
+            ("sixcnn chaos fedknow", 0xe08628c7a22a1479),
             ("sixcnn chaos gem", 0x4fd4d32277368f93),
             ("sixcnn chaos bcn", 0x163397be28140fd6),
             ("sixcnn chaos co2l", 0x8e822a96384b5e5f),
@@ -163,12 +167,12 @@ fn golden(isa: &str) -> Option<&'static [(&'static str, u64)]> {
             ("sixcnn chaos fedweit", 0x0fc34841dddc26ed),
             ("sixcnn chaos fedweit-own", 0x64db403dfc629e10),
             ("sixcnn chaos agem", 0x14956ccc3ae6d9e8),
-            ("resnet18 clean fedknow", 0x6230c4d36aafd0d4),
+            ("resnet18 clean fedknow", 0x496537ab21f08027),
             ("resnet18 clean fedavg", 0x8784c707f6445f91),
-            ("resnet18 clean gem", 0xff9ce2e7d526d853),
-            ("resnet18 chaos fedknow", 0xb16933624c8ba96d),
+            ("resnet18 clean gem", 0x02caa28eef4e4fa4),
+            ("resnet18 chaos fedknow", 0x4f8aec525cf36c1e),
             ("resnet18 chaos fedavg", 0x6fc85f8ff49ada02),
-            ("resnet18 chaos gem", 0x70443d69c53e40e6),
+            ("resnet18 chaos gem", 0x3e30ee5661fa1cc3),
         ]),
         _ => None,
     }
