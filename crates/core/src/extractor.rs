@@ -187,6 +187,15 @@ mod tests {
     use fedknow_nn::optim::{LrSchedule, Sgd};
     use fedknow_nn::ModelKind;
 
+    /// True at the positions `k` retains.
+    pub(super) fn support_mask(k: &SparseVec) -> Vec<bool> {
+        let mut mask = vec![false; k.dense_len()];
+        for &i in k.indices() {
+            mask[i as usize] = true;
+        }
+        mask
+    }
+
     fn trainer_with_task() -> (LocalTrainer, fedknow_data::ClientTask) {
         let spec = DatasetSpec::cifar100().scaled(0.3, 8).with_tasks(1);
         let data = generate(&spec, 3);
@@ -222,7 +231,7 @@ mod tests {
         let before = trainer.model.flat_params();
         let (knowledge, flops) = ex.extract_and_finetune(&mut trainer, &mut rng);
         let after = trainer.model.flat_params();
-        let mask = knowledge.mask();
+        let mask = support_mask(&knowledge);
         let mut touched = 0usize;
         for i in 0..before.len() {
             if mask[i] {
@@ -275,7 +284,7 @@ mod structured_tests {
         let ex = KnowledgeExtractor::with_strategy(0.2, 0, ExtractionStrategy::FilterL1);
         let k = ex.extract_structured(&params, &layout);
         // Every rank-2 segment's retained indices must form complete rows.
-        let mask = k.mask();
+        let mask = tests::support_mask(&k);
         for seg in &layout {
             if seg.shape.len() == 2 && seg.shape[0] > 1 {
                 let fan = seg.shape[1];

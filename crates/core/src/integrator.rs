@@ -2,8 +2,9 @@
 //! exact dual-QP solver in `fedknow_math::qp` that rotates a gradient in
 //! place (the dual, then Eq. 5's `g' = Gᵀv + g` written over `g`).
 //! `qp.iters` samples the solve's active-set pivots; `QpConfig::max_iters`
-//! bounds them, and an exact solve never reaches that bound. The only
-//! un-rotated outcome is a non-finite screen or Gram (`qp.fallback`).
+//! bounds them, and an exact solve never reaches that bound. A
+//! non-finite screen or Gram, or a dual that fails the solver's KKT
+//! certificate, leaves the gradient un-rotated (`qp.fallback`).
 //! The integrator is instrumented with the learning-dynamics metrics
 //! the paper's Eqs. 3–5 hinge on:
 //!
@@ -102,11 +103,13 @@ impl GradientIntegrator {
     /// (owned vectors, or slots borrowed from a model's gradient slab),
     /// minimally, so that `⟨g_i, g⟩ ≥ 0` for all `i`.
     ///
-    /// The solve is exact. Only a gradient or constraint holding a NaN
-    /// or an infinity (a non-finite screen or Gram) leaves `g`
-    /// un-rotated, counted in `qp.fallback` and, in verify mode, reported
-    /// as a failed `integrator.rotation` check, so that training never
-    /// aborts on a batch. Any other solver error is a defect and panics.
+    /// The solve is exact. A gradient or constraint holding a NaN or an
+    /// infinity (a non-finite screen or Gram), or a dual the solver
+    /// cannot certify (`QpNotConverged`, which no measured run has
+    /// produced), leaves `g` un-rotated, counted in `qp.fallback` and,
+    /// in verify mode, reported as a failed `integrator.rotation` check,
+    /// so that training never aborts on a batch. A length mismatch or an
+    /// empty gradient is a defect and panics.
     pub fn rotate<C: AsRef<[f32]>>(&self, g: &mut [f32], constraints: &[C]) {
         let observed = fedknow_obs::is_enabled();
         let verified = fedknow_verify::is_enabled();
@@ -142,7 +145,7 @@ impl GradientIntegrator {
                     );
                 }
             }
-            Err(e @ MathError::NonFinite { .. }) => {
+            Err(e @ (MathError::NonFinite { .. } | MathError::QpNotConverged { .. })) => {
                 QP_FALLBACK.add(1);
                 if verified {
                     fedknow_verify::report(
@@ -277,5 +280,19 @@ mod tests {
             let out = integ.integrate(&g, &[vec![-1.0, bad]]);
             assert_eq!(out, g);
         }
+    }
+
+    #[test]
+    fn an_uncertified_solve_leaves_the_gradient_unrotated() {
+        // A pivot bound of 0 stops the solve before its first pivot.
+        let integ = GradientIntegrator {
+            qp: QpConfig {
+                max_iters: 0,
+                margin: 0.0,
+            },
+        };
+        let g = vec![1.0, 0.0];
+        let out = integ.integrate(&g, &[vec![-1.0, 1.0]]);
+        assert_eq!(out, g);
     }
 }

@@ -42,8 +42,9 @@
 //!   `1e-10 · (‖q‖∞ + max_i Q_ii · Σv)`, the scale of its terms.
 //!   Anything else is [`MathError::QpNotConverged`].
 //! * **Non-finite input.** A non-finite screen or Gram is
-//!   [`MathError::NonFinite`]; `core::integrator` then applies the
-//!   un-rotated gradient, counted in `qp.fallback`.
+//!   [`MathError::NonFinite`]. On it, as on `QpNotConverged`,
+//!   `core::integrator` applies the un-rotated gradient, counted in
+//!   `qp.fallback`.
 
 use crate::MathError;
 use fedknow_obs::PerfCounter;

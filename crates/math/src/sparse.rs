@@ -149,15 +149,6 @@ impl SparseVec {
         self.indices.len() * (std::mem::size_of::<u32>() + std::mem::size_of::<f32>())
     }
 
-    /// A boolean mask over the dense vector, true at retained positions.
-    pub fn mask(&self) -> Vec<bool> {
-        let mut m = vec![false; self.dense_len];
-        for &i in &self.indices {
-            m[i as usize] = true;
-        }
-        m
-    }
-
     /// Jaccard similarity of the retained-index *supports*:
     /// `|A ∩ B| / |A ∪ B|`, in `[0, 1]`. Two empty supports count as
     /// fully overlapping (1.0). Linear two-pointer merge over the

@@ -71,8 +71,8 @@ fn fedweit_moves_more_bytes_than_fedknow() {
 fn chaos_run_survives_thirty_percent_faults() {
     // 30% of clients crash or lose their upload every round. The run
     // must complete every task without a panic, crashed clients must be
-    // re-sent the global model when they rejoin, and accuracy must not
-    // collapse against the fault-free run at the same seed.
+    // re-sent the global model when they rejoin, and accuracy must stay
+    // within the seed spread of the fault-free run at the same seed.
     let spec = RunSpec::quick(42);
     let clean = spec.run(Method::FedKnow).expect("fault-free run");
     let chaotic = spec
@@ -103,18 +103,52 @@ fn chaos_run_survives_thirty_percent_faults() {
             e.round
         );
     }
-    // The clean run logs nothing. The faults cost accuracy: over seeds
-    // 40–55 at this scale the chaotic run trails the clean one by 0.09
-    // on average and by up to 0.24, so the check is for a collapse — a
-    // rejoin that missed the global model falls towards chance —
-    // not for closeness.
+    // The clean run logs nothing; the protocols otherwise agree.
     assert!(clean.fault_log.is_empty());
-    let clean_acc = clean.accuracy.avg_accuracy_after(2);
-    let chaos_acc = chaotic.accuracy.avg_accuracy_after(2);
+    let gap = clean.accuracy.avg_accuracy_after(2) - chaotic.accuracy.avg_accuracy_after(2);
     assert!(
-        chaos_acc >= 0.5 * clean_acc,
-        "chaos accuracy {chaos_acc} fell below half of the clean run's {clean_acc}"
+        gap.abs() <= CHAOS_GAP_BOUND,
+        "chaos accuracy strayed {gap:.4} from the clean run's (bound {CHAOS_GAP_BOUND})"
     );
+}
+
+/// Largest `|clean − chaos|` accuracy gap a correct run may show under
+/// `crash_loss(0.3)` at quick scale. The faults cost real training: a
+/// crashed client misses a third of a task's rounds. Over seeds 0–63
+/// the gap averages 0.07 with a standard deviation of 0.06, peaks at
+/// 0.24 and exceeds 0.05 on 42 of the 64 seeds, so a closer bound at
+/// one seed holds or fails by draw. `chaos_gap_holds_over_a_seed_sweep`
+/// re-derives these figures.
+const CHAOS_GAP_BOUND: f64 = 0.27;
+
+/// `avg_accuracy_after(2)` of the fault-free run minus that of the
+/// `crash_loss(0.3)` run, at `spec`'s seed.
+fn chaos_accuracy_gap(spec: &RunSpec) -> f64 {
+    let acc = |spec: &RunSpec| {
+        spec.run(Method::FedKnow)
+            .expect("run completes")
+            .accuracy
+            .avg_accuracy_after(2)
+    };
+    acc(spec) - acc(&spec.clone().with_faults(FaultConfig::crash_loss(0.3)))
+}
+
+#[test]
+#[ignore = "128 quick runs; run with --ignored to re-derive CHAOS_GAP_BOUND"]
+fn chaos_gap_holds_over_a_seed_sweep() {
+    let gaps: Vec<f64> = (0..64)
+        .map(|seed| chaos_accuracy_gap(&RunSpec::quick(seed)))
+        .collect();
+    let n = gaps.len() as f64;
+    let mean = gaps.iter().sum::<f64>() / n;
+    let sd = (gaps.iter().map(|g| (g - mean).powi(2)).sum::<f64>() / (n - 1.0)).sqrt();
+    let worst = gaps.iter().fold(0.0f64, |m, g| m.max(g.abs()));
+    let over = gaps.iter().filter(|g| g.abs() > 0.05).count();
+    println!("gap mean {mean:.4} sd {sd:.4} max |gap| {worst:.4}; {over}/64 seeds over 0.05");
+    assert!(worst <= CHAOS_GAP_BOUND, "a seed strayed {worst:.4}");
+    // The mean of 64 draws moves by about sd/8; a fault path that costs
+    // more than the missed rounds shows here before it shows at one seed.
+    assert!(mean <= 0.12, "mean gap {mean:.4}");
 }
 
 #[test]
