@@ -449,6 +449,19 @@ fn main() {
     bench_conv(&opts, 12, 8, 8, 1, 16, &mut entries);
     bench_conv(&opts, 12, 16, 16, 1, 8, &mut entries);
     bench_conv(&opts, 12, 64, 64, 1, 2, &mut entries);
+    // The narrow layers the rest of the ladder runs, which take the
+    // direct lowering under the AVX-512 tile: SixCnn's first and third
+    // conv, ResNet18's 4×4 stage at width 1 (`resnet_fedknow_t4`, whose
+    // stem is the 3->8 row) and ResNet18's stem and first two stages at
+    // width 4 on 8×8 inputs (`tcp_wide_fedavg`). The wide rows above (b4
+    // 32->64 16x16, b2 64->64 8x8) stay on the GEMM.
+    bench_conv(&opts, 12, 3, 8, 1, 16, &mut entries);
+    bench_conv(&opts, 12, 8, 16, 1, 8, &mut entries);
+    bench_conv(&opts, 12, 16, 16, 1, 4, &mut entries);
+    bench_conv(&opts, 12, 32, 32, 1, 4, &mut entries);
+    bench_conv(&opts, 12, 3, 32, 1, 8, &mut entries);
+    bench_conv(&opts, 12, 32, 32, 1, 8, &mut entries);
+    bench_conv(&opts, 12, 64, 64, 1, 4, &mut entries);
     // `tcp_wide_fedavg`'s deepest stage (ResNet18 at width 4, batch 8):
     // 2×2 and 1×1 maps, where a chunk of samples is the GEMM's only width.
     // On the 1×1 map 8 of the 9 taps read only padding, and the stride-2

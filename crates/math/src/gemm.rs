@@ -365,6 +365,12 @@ pub fn tile_params() -> (usize, usize) {
     isa().tile()
 }
 
+/// Whether the selected tile is the AVX-512 one: the condition under
+/// which [`direct`](crate::direct)'s kernels run.
+pub(crate) fn avx512_selected() -> bool {
+    isa() == Isa::Avx512
+}
+
 /// Name of the selected microkernel, for bench/report output.
 pub fn isa_name() -> &'static str {
     match isa() {

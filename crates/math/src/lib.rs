@@ -18,6 +18,9 @@
 //! * [`gemm`] — the cache-blocked, register-tiled GEMM (packed A/B panels,
 //!   AVX-512/AVX2 microkernels with a portable fallback) that every matmul
 //!   and conv lowers onto,
+//! * [`direct`] — direct 3×3 convolution kernels for narrow layers on
+//!   small square maps (AVX-512 tile only), bit-identical to the GEMM
+//!   lowering they stand in for,
 //! * [`parallel`] — the kernel thread count, which is 1: kernels run on
 //!   the calling thread,
 //! * [`pool`] — a thread-local buffer recycler that keeps the steady-state
@@ -27,6 +30,7 @@
 //! programmer error (shape mismatches); recoverable conditions return
 //! [`MathError`].
 
+pub mod direct;
 pub mod distance;
 pub mod flops;
 pub mod gemm;

@@ -1,10 +1,13 @@
 //! 2-D convolution via **fused im2col + GEMM**, with grouped and depthwise
-//! variants.
+//! variants, and a **direct lowering** for narrow 3×3 layers.
 //!
 //! One implementation covers the whole model zoo: `groups = 1` is ordinary
 //! convolution, `groups = cardinality` gives ResNeXt's grouped convolution,
 //! and `groups = in_channels` gives MobileNet/ShuffleNet depthwise
-//! convolution.
+//! convolution. Under the AVX-512 tile, the narrow same-padded 3×3 layers
+//! of SixCnn and ResNet18 run their forward and input gradient on the
+//! direct kernels of [`fedknow_math::direct`] instead, with the same bits
+//! ("Direct lowering" below); the GEMM lowering stays the reference.
 //!
 //! ## Fusion
 //!
@@ -80,6 +83,10 @@
 //!   every tap live — every layer of SixCnn, and of ResNet18 on 16×16
 //!   inputs — the live fan is the fan and the arithmetic is the full
 //!   one's.
+//! * **Narrow same-padded 3×3 layers skip the packs.** Under the AVX-512
+//!   tile their forward and input gradient run on direct kernels — no
+//!   patch pack, no column gradient, no `col2im` — with the GEMM's bits
+//!   ("Direct lowering" below); their weight gradient is the GEMM above.
 //!
 //! Batching along N changes no bit: by the GEMM's determinism contract
 //! every output element is its own ascending-k FMA chain wherever its
@@ -88,8 +95,43 @@
 //! The training cache is therefore just the input tensor itself (taken by
 //! ownership — `forward` consumes its argument), not `k²`-inflated column
 //! matrices.
+//!
+//! ## Direct lowering
+//!
+//! At 3–64 channels a GEMM-lowered layer spends most of its time packing
+//! B panels, and its input gradient writes a column matrix `k²` times the
+//! input that `col2im` reads back. [`direct::forward`] and
+//! [`direct::input_grad`] skip both: vector lanes run over positions of
+//! the flattened plane, and each tap is a masked load of the shifted
+//! plane (the `PatchGeom::same` identity). The weight gradient stays on
+//! the GEMM (`add_weight_grads`).
+//!
+//! * **Selection** (`takes_direct`) is a function of the geometry and
+//!   the selected tile only: an ungrouped 3×3, stride-1, padding-1 layer
+//!   on a 4×4, 8×8 or 16×16 map (every tap live), under the AVX-512
+//!   tile, whose samples hold at most `DIRECT_MAX_SAMPLE` floats in and
+//!   out — every conv of SixCnn, ResNet18's at width 1 on 16×16 inputs
+//!   down to its 4×4 stage, and at width 4 on 8×8 inputs down to its 4×4
+//!   stage. Stride 2, 1×1, grouped, 2×2 and 1×1 maps, wide layers, and
+//!   the AVX2 and scalar tiles keep the GEMM lowering; `kernel_bench`'s
+//!   conv rows pin the rule on both sides.
+//! * **Bit identity.** An output element is the GEMM's sum: one FMA
+//!   chain over the fan in ascending `(c, ky, kx)` order, an out-of-image
+//!   tap a +0.0 lane that still takes its FMA, cut where `gemm::KC` cuts
+//!   it, each slab added into a +0.0 output, then `+ bias`. An input
+//!   gradient element is `col2im`'s: per tap in ascending order, the
+//!   column entry (an FMA chain over the output channels, added to +0.0)
+//!   added into a plane that starts at +0.0, an out-of-image entry being
+//!   +0.0 added to a value that is never −0.0. The unit tests compare
+//!   both lowerings with `to_bits`, and `golden_bits.rs` pins one layer
+//!   per map size with digests recorded on the GEMM.
+//! * **In place.** When the input gradient overwrites the output
+//!   gradient, each unit's output gradient is first copied to one unit
+//!   of scratch (the front of `gcol`); the weight gradients still run
+//!   first ("In place, weight gradients first" above).
 
 use crate::layer::{grad_slot, slot_count, Bind, Layer};
+use fedknow_math::direct;
 use fedknow_math::gemm::{
     self, BPanels, DenseA, DenseABlocks, DenseATrans, DenseBBlocks, DenseBTrans,
 };
@@ -109,6 +151,13 @@ static PERF_CONV_BWD: PerfCounter = PerfCounter::new("conv2d_bwd");
 /// Bounds the chunk's scratch; `gemm::NC` (960) measurably raised peak
 /// memory on ResNet18 for no further speed.
 pub const CHUNK_COLS: usize = 256;
+
+/// The most floats one sample's input or output may hold for the layer to
+/// take the direct lowering (`Conv2d::takes_direct`): 8 KB, so that a
+/// tile's reads of the shifted planes stay in L1. Wider layers — 64→64
+/// at 8×8, 32→64 at 16×16 — run faster on the GEMM, whose packs block
+/// for the cache (`kernel_bench`'s conv rows).
+const DIRECT_MAX_SAMPLE: usize = 2048;
 
 /// Samples or units per chunk at `ncols` output columns each.
 fn per_chunk(ncols: usize) -> usize {
@@ -461,6 +510,25 @@ impl Conv2d {
         self.taps.len() < self.kernel * self.kernel
     }
 
+    /// Whether the direct kernels can run this layer on an `h × w` input:
+    /// an ungrouped 3×3, stride-1, padding-1 layer on a map they fit,
+    /// under the AVX-512 tile, with at most `KC` output channels (one
+    /// slab for the input gradient's chain).
+    fn direct_fits(&self, h: usize, w: usize) -> bool {
+        (self.kernel, self.stride, self.padding, self.groups) == (3, 1, 1, 1)
+            && self.out_channels <= gemm::KC
+            && direct::fits(h, w)
+            && direct::available()
+    }
+
+    /// The lowering rule: the direct path when it fits and the layer is
+    /// narrow, at most `DIRECT_MAX_SAMPLE` floats per sample in and out.
+    /// A function of the geometry and the selected tile only.
+    fn takes_direct(&self, h: usize, w: usize) -> bool {
+        self.in_channels.max(self.out_channels) * h * w <= DIRECT_MAX_SAMPLE
+            && self.direct_fits(h, w)
+    }
+
     /// Copy the live columns of weight-shaped rows, `full` `[rows, cg·k²]`,
     /// into `live` `[rows, cg·|taps|]`.
     fn gather_live(&self, full: &[f32], live: &mut [f32]) {
@@ -596,7 +664,9 @@ impl Conv2d {
     /// `gy` with them. Per group, one GEMM `W_gᵀ [lfan, ocg] × gy [ocg,
     /// U·ncols]` puts every unit's live column gradient side by side in
     /// `gcol`, and `col2im` scatter-accumulates each unit's. `wl` is the
-    /// weight's live columns.
+    /// weight's live columns. On the `direct` lowering each unit's input
+    /// gradient comes from `direct::input_grad` instead, and in place
+    /// from a copy of the unit's output gradient in `gcol`.
     fn input_grad_chunk(
         &self,
         g: PatchGeom,
@@ -604,8 +674,26 @@ impl Conv2d {
         gy: &mut [f32],
         mut gx: Option<&mut [f32]>,
         gcol: &mut [f32],
+        direct: bool,
     ) {
         let ncols = g.oh * g.ow;
+        if direct {
+            let (sample_in, sample_grad) =
+                (self.in_channels * g.h * g.w, self.out_channels * ncols);
+            for (u, gy) in gy.chunks_exact_mut(sample_grad).enumerate() {
+                match gx.as_deref_mut() {
+                    Some(gx) => {
+                        direct::input_grad(gy, g.h, wl, &mut gx[u * sample_in..][..sample_in])
+                    }
+                    None => {
+                        let copy = &mut gcol[..sample_grad];
+                        copy.copy_from_slice(gy);
+                        direct::input_grad(copy, g.h, wl, gy);
+                    }
+                }
+            }
+            return;
+        }
         let hw = g.h * g.w;
         let cg = self.in_channels / self.groups;
         let ocg = self.out_channels / self.groups;
@@ -699,32 +787,46 @@ impl Conv2d {
     }
 }
 
-impl Layer for Conv2d {
-    fn forward(&mut self, params: &[f32], x: Tensor, train: bool) -> Tensor {
+impl Conv2d {
+    /// The forward on the direct lowering or the GEMM one; `direct`
+    /// requires `direct_fits`.
+    fn forward_lowered(&mut self, params: &[f32], x: Tensor, train: bool, direct: bool) -> Tensor {
         let s = x.shape();
-        assert_eq!(s.len(), 4, "Conv2d expects [B,C,H,W]");
         let (b, c, h, w) = (s[0], s[1], s[2], s[3]);
-        assert_eq!(c, self.in_channels, "Conv2d channel mismatch");
         let g = self.geom(h, w);
         let (wt, bias) = self.weights(params);
-        let (oh, ow) = (g.oh, g.ow);
-        let ncols = oh * ow;
-        let cg = c / self.groups;
+        let mut out = pool::take(b * self.out_channels * g.oh * g.ow);
+        if direct {
+            direct::forward(x.data(), c, h, wt, bias, &mut out);
+        } else {
+            self.forward_gemm(g, x.data(), wt, bias, &mut out);
+        }
+        if train {
+            self.cached_input = Some(x);
+        }
+        let cst = flops::conv2d_fwd(&self.cost_shape(b, h, w));
+        PERF_CONV_FWD.op(cst.flops, cst.bytes);
+        Tensor::from_vec(out, &[b, self.out_channels, g.oh, g.ow])
+    }
+
+    /// The GEMM lowering of the forward of the batch `x` into `out`.
+    /// Fused, one chunk of samples at a time: per group, one blocked
+    /// GEMM `W_g [ocg, lfan] × patches [lfan, nb·ncols]`, scattered into
+    /// the chunk's outputs, then the bias broadcast.
+    fn forward_gemm(&self, g: PatchGeom, x: &[f32], wt: &[f32], bias: &[f32], out: &mut [f32]) {
+        let ncols = g.oh * g.ow;
+        let cg = self.in_channels / self.groups;
         let ocg = self.out_channels / self.groups;
         let lfan = cg * self.taps.len();
-        let (sample_in, sample_out) = (c * h * w, self.out_channels * ncols);
+        let (sample_in, sample_out) = (self.in_channels * g.h * g.w, self.out_channels * ncols);
+        let b = x.len() / sample_in;
         let per = per_chunk(ncols);
         let wl = self.live_weight(wt);
         let wt = wl.as_deref().unwrap_or(wt);
         let cut = |p| slab_end(&self.taps, self.kernel, p);
-        // Fused, one chunk of samples at a time: per group, one blocked
-        // GEMM `W_g [ocg, lfan] × patches [lfan, nb·ncols]`, scattered
-        // into the chunk's outputs, then the bias broadcast.
-        let mut out = pool::take(b * sample_out);
         // A one-sample chunk's product is its output slice already.
         let mut y = pool::take(if per > 1 { ocg * per.min(b) * ncols } else { 0 });
         for (xs, os) in x
-            .data()
             .chunks(per * sample_in)
             .zip(out.chunks_mut(per * sample_out))
         {
@@ -736,7 +838,7 @@ impl Layer for Conv2d {
                     k: lfan,
                 };
                 let patches = PatchPanels {
-                    x: &xs[gi * cg * h * w..],
+                    x: &xs[gi * cg * g.h * g.w..],
                     sample: sample_in,
                     g,
                     taps: &self.taps,
@@ -767,16 +869,18 @@ impl Layer for Conv2d {
         if let Some(wl) = wl {
             pool::give(wl);
         }
-
-        if train {
-            self.cached_input = Some(x);
-        }
-        let cst = flops::conv2d_fwd(&self.cost_shape(b, h, w));
-        PERF_CONV_FWD.op(cst.flops, cst.bytes);
-        Tensor::from_vec(out, &[b, self.out_channels, oh, ow])
     }
 
-    fn backward(&mut self, params: &[f32], grads: &mut [f32], grad: Tensor) -> Tensor {
+    /// The backward with the input gradient on the direct lowering or the
+    /// GEMM one; `direct` requires `direct_fits`. The bias and weight
+    /// gradients are the same on both.
+    fn backward_lowered(
+        &mut self,
+        params: &[f32],
+        grads: &mut [f32],
+        grad: Tensor,
+        direct: bool,
+    ) -> Tensor {
         let (b, c, h, w) = {
             let x = self
                 .cached_input
@@ -826,9 +930,12 @@ impl Layer for Conv2d {
             }
             v
         });
-        // One sample's live column matrix (weight gradient) or one
-        // chunk's live column gradient (input gradient).
-        let mut gcol = pool::take(lfan * per.min(units) * ncols);
+        // One sample's live column matrix (weight gradient) and, on the
+        // GEMM lowering, one chunk's live column gradient (input
+        // gradient). The direct lowering's in-place copy of one unit's
+        // output gradient fits in one sample's: in place, `c == oc`.
+        let col_units = if direct { 1 } else { per.min(units) };
+        let mut gcol = pool::take(lfan * col_units * ncols);
         let mut gw = pool::take(s * self.out_channels / self.groups * lfan);
         // Samples whose weight gradients are in the slots, in order.
         let mut done = 0;
@@ -857,6 +964,7 @@ impl Layer for Conv2d {
                     .as_deref_mut()
                     .map(|gx| &mut gx[u0 * sample_in..u1 * sample_in]),
                 &mut gcol,
+                direct,
             );
         }
         if let Some(v) = live_gw {
@@ -883,6 +991,27 @@ impl Layer for Conv2d {
         PERF_CONV_BWD.op(s as u64 * cst.flops, s as u64 * cst.bytes);
         Tensor::from_vec(gx, &[s * b, c, h, w])
     }
+}
+
+impl Layer for Conv2d {
+    fn forward(&mut self, params: &[f32], x: Tensor, train: bool) -> Tensor {
+        let s = x.shape();
+        assert_eq!(s.len(), 4, "Conv2d expects [B,C,H,W]");
+        assert_eq!(s[1], self.in_channels, "Conv2d channel mismatch");
+        let direct = self.takes_direct(s[2], s[3]);
+        self.forward_lowered(params, x, train, direct)
+    }
+
+    fn backward(&mut self, params: &[f32], grads: &mut [f32], grad: Tensor) -> Tensor {
+        let s = self
+            .cached_input
+            .as_ref()
+            .expect("backward before forward(train)")
+            .shape();
+        let direct = self.takes_direct(s[2], s[3]);
+        self.backward_lowered(params, grads, grad, direct)
+    }
+
     fn bind(&mut self, bind: &mut Bind) {
         let oc = self.out_channels;
         let init = std::mem::take(&mut self.init);
@@ -1007,6 +1136,133 @@ mod tests {
             let got: Vec<usize> = conv.taps.iter().map(|&(ky, kx)| ky * k + kx).collect();
             assert_eq!(got, want, "k{k} s{st} p{pd} {h}x{h}");
         }
+    }
+
+    /// Bits of a slice, for exact comparisons (`-0.0 != 0.0`, NaN == NaN).
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Seeded values with exact +0.0 and -0.0 sprinkled in.
+    fn values(n: usize, seed: u64) -> Vec<f32> {
+        let mut v = fedknow_math::rng::normal_vec(&mut seeded(seed), n, 0.0, 1.0);
+        for (i, x) in v.iter_mut().enumerate() {
+            if i % 7 == 3 {
+                *x = 0.0;
+            } else if i % 11 == 5 {
+                *x = -0.0;
+            }
+        }
+        v
+    }
+
+    #[test]
+    fn direct_lowering_is_the_gemm_lowering_bit_for_bit() {
+        // Under the AVX2 and scalar tiles the direct kernels do not run
+        // and there is one lowering.
+        if !direct::available() {
+            return;
+        }
+        // Every map the kernels fit × channels in and out (`c == oc`
+        // writes the input gradient over the output gradient; fan 288 and
+        // 576 cross `KC`), cycling through the batches and slot counts.
+        let widths = [3, 8, 16, 32, 64];
+        let runs = [
+            (1, 1),
+            (5, 3),
+            (12, 10),
+            (1, 3),
+            (5, 10),
+            (12, 1),
+            (1, 10),
+            (5, 1),
+            (12, 3),
+        ];
+        let mut case = 0;
+        for n in [4, 8, 16] {
+            for cin in widths {
+                for cout in widths {
+                    let (b, s) = runs[case % runs.len()];
+                    case += 1;
+                    let what = format!("{cin}->{cout} {n}x{n} b{b} s{s}");
+                    let mut conv = Conv2d::conv3x3(&mut seeded(case as u64), cin, cout, 1);
+                    assert!(conv.direct_fits(n, n), "{what}");
+                    let mut params = Vec::new();
+                    conv.bind(&mut |_, _, init: Vec<f32>| {
+                        let off = params.len();
+                        params.extend(init);
+                        off
+                    });
+                    params[cout * cin * 9..].copy_from_slice(&values(cout, 7 * case as u64));
+                    let x =
+                        Tensor::from_vec(values(b * cin * n * n, 2 * case as u64), &[b, cin, n, n]);
+                    let gy = Tensor::from_vec(
+                        values(s * b * cout * n * n, 3 * case as u64),
+                        &[s * b, cout, n, n],
+                    );
+                    // Slots that already hold gradients: the backward adds.
+                    let slab = values(s * params.len(), 5 * case as u64);
+                    let mut run = |direct: bool| {
+                        let y = conv.forward_lowered(&params, x.clone(), true, direct);
+                        let mut grads = slab.clone();
+                        let gx = conv.backward_lowered(&params, &mut grads, gy.clone(), direct);
+                        (y, gx, grads)
+                    };
+                    let (y_g, gx_g, gr_g) = run(false);
+                    let (y_d, gx_d, gr_d) = run(true);
+                    assert_eq!(bits(y_d.data()), bits(y_g.data()), "output {what}");
+                    assert_eq!(gx_d.shape(), gx_g.shape(), "{what}");
+                    assert_eq!(
+                        bits(gx_d.data()),
+                        bits(gx_g.data()),
+                        "input gradient {what}"
+                    );
+                    for (j, (d, g)) in gr_d
+                        .chunks(params.len())
+                        .zip(gr_g.chunks(params.len()))
+                        .enumerate()
+                    {
+                        assert_eq!(bits(d), bits(g), "slot {j} gradient {what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn direct_rule_takes_narrow_same_padded_layers_only() {
+        let rule = |cin, cout, k, st, pd, g, n| {
+            Conv2d::new(&mut seeded(0), cin, cout, k, st, pd, g).takes_direct(n, n)
+        };
+        let want = direct::available();
+        for (cin, cout, n) in [
+            (3, 8, 16),
+            (8, 8, 16),
+            (8, 16, 8),
+            (16, 16, 4),
+            (32, 32, 4),
+            (3, 32, 8),
+            (32, 32, 8),
+            (64, 64, 4),
+        ] {
+            assert_eq!(
+                rule(cin, cout, 3, 1, 1, 1, n),
+                want,
+                "{cin}->{cout} {n}x{n}"
+            );
+        }
+        // Stride 2, 1×1, grouped, maps it does not fit, wide layers.
+        assert!(!rule(8, 16, 3, 2, 1, 1, 16));
+        assert!(!rule(8, 16, 1, 1, 0, 1, 8));
+        assert!(!rule(8, 8, 3, 1, 1, 2, 8));
+        assert!(!rule(8, 8, 3, 1, 1, 8, 8));
+        assert!(!rule(8, 8, 3, 1, 1, 1, 2));
+        assert!(!rule(8, 8, 3, 1, 1, 1, 32));
+        assert!(!rule(8, 8, 3, 1, 1, 1, 7));
+        assert!(!rule(64, 64, 3, 1, 1, 1, 8));
+        assert!(!rule(32, 64, 3, 1, 1, 1, 16));
+        assert!(!rule(32, 32, 3, 1, 1, 1, 16));
+        assert!(!rule(16, 16, 3, 1, 1, 1, 16));
     }
 
     /// Reference forward straight from the convolution definition —

@@ -59,7 +59,12 @@ fn input(shape: &[usize], seed: u64) -> Tensor {
 /// the weight-gradient GEMM. The last five have kernel taps that read only
 /// padding: a 3×3 kernel on a 1×1 map (plain, with a 288-row fan that
 /// crosses `KC`, and depthwise), stride 2 into a 1×1 map (4 of 9 taps
-/// read the image), and a 5×5 kernel on a 2×2 map (9 of 25).
+/// read the image), and a 5×5 kernel on a 2×2 map (9 of 25). Under the
+/// AVX-512 tile the first three and the last take the direct lowering
+/// (`conv.rs`, "Direct lowering"), one per map it covers — 16×16, 8×8
+/// and 4×4, the last with a 288-row fan that crosses `KC` and the input
+/// gradient written over the output gradient; their digests were
+/// recorded on the GEMM lowering.
 #[allow(clippy::type_complexity)]
 const CONV_CASES: &[(usize, usize, usize, usize, usize, usize, usize, usize)] = &[
     (3, 8, 3, 1, 1, 1, 16, 16),
@@ -80,6 +85,7 @@ const CONV_CASES: &[(usize, usize, usize, usize, usize, usize, usize, usize)] = 
     (32, 8, 3, 1, 1, 1, 1, 1),
     (6, 6, 3, 1, 1, 6, 1, 1),
     (4, 8, 5, 1, 2, 1, 2, 2),
+    (32, 32, 3, 1, 1, 1, 4, 4),
 ];
 
 fn conv_digests() -> Vec<(String, u64)> {
@@ -148,6 +154,7 @@ fn golden(isa: &str) -> Option<&'static [(&'static str, u64)]> {
             ("conv 32>8 k3 s1 p1 g1 1x1", 0x63b6156af8f4b1de),
             ("conv 6>6 k3 s1 p1 g6 1x1", 0x154edf732f38ff64),
             ("conv 4>8 k5 s1 p2 g1 2x2", 0xddc59a24c6ce64fc),
+            ("conv 32>32 k3 s1 p1 g1 4x4", 0x756953b24a223229),
             ("model sixcnn", 0x192956e1e682415e),
             ("model resnet18", 0xf9726105a7564630),
             ("model wideresnet50", 0xe27c8e9bb17dd3af),
@@ -178,6 +185,7 @@ fn golden(isa: &str) -> Option<&'static [(&'static str, u64)]> {
             ("conv 32>8 k3 s1 p1 g1 1x1", 0xdf3ebff51b4465ce),
             ("conv 6>6 k3 s1 p1 g6 1x1", 0x154edf732f38ff64),
             ("conv 4>8 k5 s1 p2 g1 2x2", 0xd3402fb608a21faa),
+            ("conv 32>32 k3 s1 p1 g1 4x4", 0xcbac5d5f4f8c82e6),
             ("model sixcnn", 0xfd37425b980d170d),
             ("model resnet18", 0xcb6df5faff767560),
             ("model wideresnet50", 0xb0a85c95ccf597c4),
