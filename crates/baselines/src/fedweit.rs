@@ -104,11 +104,6 @@ impl FedWeitClient {
         }
         SparseVec::new(n, indices, values)
     }
-
-    /// Number of retained adaptive sets (own + foreign) — tests.
-    pub fn knowledge_counts(&self) -> (usize, usize) {
-        (self.own_adaptives.len(), self.foreign.len())
-    }
 }
 
 impl FclClient for FedWeitClient {
@@ -306,7 +301,7 @@ mod tests {
             .collect();
         let before = c.retained_bytes();
         c.payloads_in(&payloads, &mut rng);
-        assert_eq!(c.knowledge_counts().1, 4);
+        assert_eq!(c.foreign.len(), 4);
         assert!(
             c.retained_bytes() > before,
             "foreign knowledge must cost memory"
@@ -322,7 +317,7 @@ mod tests {
             c.train_iteration(&mut rng);
         }
         c.finish_task(&mut rng);
-        assert_eq!(c.knowledge_counts().0, 1);
+        assert_eq!(c.own_adaptives.len(), 1);
         // Evaluate must not clobber the working weights.
         let before = c.trainer.model.flat_params();
         let _ = c.evaluate(&tasks[0]);

@@ -1,6 +1,7 @@
 //! Free-form single-run probe: run one method on one configuration and
-//! print its curves. Useful for hyper-parameter exploration beyond the
-//! fixed figures.
+//! print its curves, then the `obs report` view of the run's own
+//! recording (where the time went). Useful for hyper-parameter
+//! exploration beyond the fixed figures.
 //!
 //! ```text
 //! probe --method fedknow --dataset cifar100 --tasks 4 --clients 6 \
@@ -49,9 +50,8 @@ fn parse_opts() -> Result<(Method, RunSpec), String> {
 
 fn main() {
     let (method, spec) = parse_opts().unwrap_or_else(|e| fedknow_bench::usage(USAGE, &e));
-    // All timing below comes from the obs layer (phase timers + the run
-    // span) rather than an ad-hoc Instant, so this binary reports
-    // through the same path as `obs report` and the JSONL stream.
+    // The timing comes from the run's recording, printed by the same
+    // code as `obs report` prints a stream or a bundle.
     fedknow_obs::enable();
     let report = spec.run(method).expect("simulation failed");
     let curve = MethodCurve::from_report(&report);
@@ -66,11 +66,7 @@ fn main() {
     println!("forgetting  {:?}", curve.forgetting);
     println!("comm (s)    {:.3}", curve.comm_seconds);
     println!("bytes       {}", curve.total_bytes);
-    let breakdown = report
-        .phase_breakdown
-        .as_ref()
-        .expect("obs enabled before the run");
-    let wall = breakdown.phase("span.run_ns").map_or(0, |p| p.total_ns);
-    println!("wall clock  {}", fedknow_bench::fmt_ns(wall));
-    fedknow_bench::print_phase_breakdown(breakdown);
+    println!();
+    let recording = fedknow_obs::Recording::from(fedknow_obs::collect_bundle("probe"));
+    fedknow_bench::report::print(&recording, usize::MAX);
 }

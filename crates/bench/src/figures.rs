@@ -577,10 +577,6 @@ struct AblationResult {
 fn ablations(args: &Args, stem: &str) {
     use fedknow::ExtractionStrategy::{FilterL1, FilterL2, Magnitude};
     use fedknow_math::distance::DistanceMetric::{Cosine, Euclidean, Wasserstein};
-    // Per-setting wall time and the aggregate phase shares come from
-    // the obs layer's in-memory aggregator.
-    fedknow_obs::enable();
-    let obs_start = fedknow_obs::snapshot().expect("obs enabled");
     let base = scaled_spec(DatasetSpec::cifar100(), args.scale, args.seed);
     let mut settings: Vec<(&str, String, RunSpec)> = Vec::new();
     let mut setting = |ablation, label: &str, tweak: &dyn Fn(&mut fedknow::FedKnowConfig)| {
@@ -612,11 +608,14 @@ fn ablations(args: &Args, stem: &str) {
     }
     let mut results = Vec::new();
     let mut rows = Vec::new();
+    let mut wall_rows = Vec::new();
     for (ablation, label, spec) in settings {
+        let start = Instant::now();
         let curve = {
             let _span = fedknow_obs::obs_span!("ablation-{label}");
             run_one(&format!("ablation {label}"), &spec, Method::FedKnow)
         };
+        wall_rows.push((label.clone(), vec![start.elapsed().as_secs_f64()]));
         rows.push((
             label.clone(),
             vec![curve.final_accuracy(), *curve.forgetting.last().unwrap()],
@@ -632,19 +631,7 @@ fn ablations(args: &Args, stem: &str) {
         &["accuracy".into(), "forgetting".into()],
         &rows,
     );
-    let diff = fedknow_obs::snapshot()
-        .expect("obs enabled")
-        .since(&obs_start);
-    let wall_rows: Vec<(String, Vec<f64>)> = diff
-        .hists
-        .iter()
-        .filter_map(|(name, h)| {
-            let label = name.strip_prefix("span.ablation-")?.strip_suffix("_ns")?;
-            Some((label.to_string(), vec![h.sum() as f64 / 1e9]))
-        })
-        .collect();
     print_table("ablation wall time", &["seconds".into()], &wall_rows);
-    crate::print_phase_breakdown(&fedknow_fl::PhaseBreakdown::from_metrics(&diff));
     write_json(&args.results, stem, &results);
 }
 

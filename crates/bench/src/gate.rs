@@ -92,10 +92,9 @@ impl BenchRecord {
     }
 
     /// Distil a finished simulation report: final average accuracy and
-    /// forgetting are gated; real wall seconds and (when the
-    /// observability layer was on) the name-sorted phase totals are
-    /// context — wall clock across machines is noise, the ladder
-    /// benchmark judges it on one machine in alternated pairs.
+    /// forgetting are gated; real wall seconds are context — wall clock
+    /// across machines is noise, the ladder benchmark judges it on one
+    /// machine in alternated pairs.
     pub fn from_report(
         name: &str,
         scale: &str,
@@ -109,18 +108,11 @@ impl BenchRecord {
             last(report.accuracy.forgetting_curve()),
         );
         use {Better::*, Tol::*};
-        let mut metrics = vec![
+        let metrics = vec![
             Metric::new("final_accuracy", accuracy, "fraction", Higher, Abs(0.02)),
             Metric::new("final_forgetting", forgetting, "fraction", Lower, Abs(0.02)),
             Metric::info("wall_seconds", wall_seconds, "s"),
         ];
-        // Name-sorted already: a breakdown is built from a `BTreeMap`.
-        let phases = report.phase_breakdown.iter().flat_map(|b| &b.phases);
-        metrics.extend(
-            phases
-                .filter(|p| p.name.ends_with("_ns"))
-                .map(|p| Metric::info(p.name.as_str(), p.total_ns as f64, "ns")),
-        );
         Self::new(name, scale, seed, metrics)
     }
 

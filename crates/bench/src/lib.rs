@@ -293,54 +293,15 @@ pub fn fmt_metric(name: &str, value: u64) -> String {
     }
 }
 
-/// A phase total as a share of wall time, for [`print_phase_table`]. Only
-/// wall-clock durations have one: counts (`qp.iters`) and simulated
-/// time (`comm.sim_transfer_ns`, `client.sim_compute_ns`) print `-`.
+/// A phase total as a share of wall time, for the phase table of
+/// [`report`]. Only wall-clock durations have one: counts (`qp.iters`)
+/// and simulated time (`comm.sim_transfer_ns`,
+/// `client.sim_compute_ns`) print `-`.
 pub fn phase_share(name: &str, total_ns: u64, wall_ns: u64) -> String {
     if wall_ns > 0 && name.ends_with("_ns") && !name.contains(".sim_") {
         format!("{:.1}%", 100.0 * total_ns as f64 / wall_ns as f64)
     } else {
         "-".to_string()
-    }
-}
-
-/// The phase table of `obs report` and [`print_phase_breakdown`]: the
-/// `top` largest phases by total, each with its share of `wall`.
-pub fn print_phase_table(mut phases: Vec<fedknow_fl::PhaseStat>, wall: u64, top: usize) {
-    println!(
-        "{:<28}{:>10}{:>12}{:>12}{:>12}{:>12}{:>8}",
-        "phase", "count", "total", "mean", "p50", "p99", "share"
-    );
-    phases.sort_by_key(|p| std::cmp::Reverse(p.total_ns));
-    for p in phases.into_iter().take(top) {
-        println!(
-            "{:<28}{:>10}{:>12}{:>12}{:>12}{:>12}{:>8}",
-            p.name,
-            p.count,
-            fmt_metric(&p.name, p.total_ns),
-            fmt_metric(&p.name, p.mean_ns as u64),
-            fmt_metric(&p.name, p.p50_ns),
-            fmt_metric(&p.name, p.p99_ns),
-            phase_share(&p.name, p.total_ns, wall),
-        );
-    }
-}
-
-/// Print a run's [`fedknow_fl::PhaseBreakdown`] as a per-phase summary
-/// table — the single reporting path the bench binaries share with
-/// `obs report`. Phase shares are relative to the `span.run_ns` wall
-/// time; with parallel clients the phase totals can legitimately sum to
-/// more than 100%.
-pub fn print_phase_breakdown(b: &fedknow_fl::PhaseBreakdown) {
-    let wall = b.phase("span.run_ns").map(|p| p.total_ns).unwrap_or(0);
-    println!("\n== phase breakdown (wall {}) ==", fmt_ns(wall));
-    let phases = b.phases.iter().filter(|p| !p.name.starts_with("span."));
-    print_phase_table(phases.cloned().collect(), wall, usize::MAX);
-    if !b.counters.is_empty() {
-        println!("{:<28}{:>10}", "counter", "total");
-        for (name, v) in &b.counters {
-            println!("{name:<28}{v:>10}");
-        }
     }
 }
 

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 
 use fedknow_obs::{Aggregate, Recording, SpanStat};
 
-use crate::{fmt_ns, print_phase_table};
+use crate::{fmt_metric, fmt_ns, phase_share};
 
 /// Print the report for `rec`, keeping the `top` largest rows of the
 /// phase and span tables.
@@ -72,23 +72,48 @@ fn wall_ns(rec: &Recording, agg: &Aggregate) -> (u64, &'static str) {
     (window, " (no closed `run` span: first to last record)")
 }
 
+/// One row of the phase table: a sampled metric's exact totals.
+struct PhaseRow<'a> {
+    name: &'a str,
+    count: u64,
+    total: u64,
+    p50: u64,
+    p99: u64,
+}
+
 fn print_phases(agg: &Aggregate, wall: u64, top: usize) {
     if agg.samples.is_empty() {
         return;
     }
     println!("\n== phases (share of wall; parallel phases may exceed 100%) ==");
-    let phases = agg.samples.iter().map(|(name, xs)| {
-        let total_ns: u64 = xs.iter().sum();
-        fedknow_fl::PhaseStat {
-            name: name.clone(),
+    let mut rows: Vec<PhaseRow> = agg
+        .samples
+        .iter()
+        .map(|(name, xs)| PhaseRow {
+            name,
             count: xs.len() as u64,
-            total_ns,
-            mean_ns: total_ns as f64 / xs.len() as f64,
-            p50_ns: agg.quantile(name, 0.5).unwrap_or(0),
-            p99_ns: agg.quantile(name, 0.99).unwrap_or(0),
-        }
-    });
-    print_phase_table(phases.collect(), wall, top);
+            total: xs.iter().sum(),
+            p50: agg.quantile(name, 0.5).unwrap_or(0),
+            p99: agg.quantile(name, 0.99).unwrap_or(0),
+        })
+        .collect();
+    rows.sort_by_key(|r| std::cmp::Reverse(r.total));
+    println!(
+        "{:<28}{:>10}{:>12}{:>12}{:>12}{:>12}{:>8}",
+        "phase", "count", "total", "mean", "p50", "p99", "share"
+    );
+    for r in rows.into_iter().take(top) {
+        println!(
+            "{:<28}{:>10}{:>12}{:>12}{:>12}{:>12}{:>8}",
+            r.name,
+            r.count,
+            fmt_metric(r.name, r.total),
+            fmt_metric(r.name, r.total / r.count.max(1)),
+            fmt_metric(r.name, r.p50),
+            fmt_metric(r.name, r.p99),
+            phase_share(r.name, r.total, wall),
+        );
+    }
 }
 
 fn print_spans(agg: &Aggregate, wall: u64, top: usize) {

@@ -25,13 +25,7 @@ use fedknow_data::ClientTask;
 use fedknow_fl::{FclClient, IterationStats, LocalTrainer, ModelTemplate};
 use fedknow_math::{SparseVec, Tensor};
 use fedknow_nn::optim::{LrSchedule, Sgd};
-use fedknow_obs::HistHandle;
 use rand::rngs::StdRng;
-
-/// Jaccard overlap (per-mille) of a freshly extracted knowledge mask
-/// against each previously retained task's mask — how much the top-ρ
-/// supports of different tasks coincide (Eq. 1 across tasks).
-static MASK_JACCARD_PM: HistHandle = HistHandle::new("extract.mask_jaccard_pm");
 
 /// A FedKNOW client.
 ///
@@ -268,8 +262,10 @@ impl FclClient for FedKnowClient {
         if fedknow_obs::is_enabled() && !self.knowledges.is_empty() {
             let mut sum = 0.0f64;
             for prev in &self.knowledges {
+                // Per-mille overlap of the fresh top-ρ support with each
+                // retained task's (Eq. 1 across tasks).
                 let j = knowledge.jaccard(prev);
-                MASK_JACCARD_PM.record((j * 1000.0).round() as u64);
+                fedknow_obs::record("extract.mask_jaccard_pm", (j * 1000.0).round() as u64);
                 sum += j;
             }
             // Indexed by the finished task, not the round: the overlap

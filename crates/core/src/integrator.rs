@@ -26,21 +26,16 @@
 //! verify is on.
 //!
 //! GEM and A-GEM project through this type too (at margin 0), so every
-//! `qp.*` counter and histogram includes their solves alongside
+//! `qp.*` counter and sample includes their solves alongside
 //! FedKNOW's.
 
 use fedknow_math::qp::{integrate_gradient, pair_dots, recover, QpConfig};
 use fedknow_math::MathError;
-use fedknow_obs::{CounterHandle, HistHandle};
+use fedknow_obs::{record, CounterHandle};
 
-static QP_SOLVE_NS: HistHandle = HistHandle::new("qp.solve_ns");
-static QP_ITERS: HistHandle = HistHandle::new("qp.iters");
 static QP_FAST_PATH: CounterHandle = CounterHandle::new("qp.fast_path");
 static QP_FALLBACK: CounterHandle = CounterHandle::new("qp.fallback");
-static CONFLICT_ANGLE_CDEG: HistHandle = HistHandle::new("integrate.conflict_angle_cdeg");
-static POST_ANGLE_CDEG: HistHandle = HistHandle::new("integrate.post_angle_cdeg");
 static VIOLATIONS: CounterHandle = CounterHandle::new("integrate.violations");
-static ROTATION_PM: HistHandle = HistHandle::new("integrate.rotation_pm");
 
 /// The angle in degrees between `g` and each constraint (`0` against a
 /// zero vector), from one [`pair_dots`] call over `g·g`, then `g·c_i`
@@ -121,7 +116,7 @@ impl GradientIntegrator {
             // Timer scoped to the solve and the recovery: the
             // angle/rotation telemetry and verify checks must not
             // inflate qp.solve_ns.
-            let _t = QP_SOLVE_NS.timer();
+            let _t = fedknow_obs::timer("qp.solve_ns");
             integrate_gradient(g, constraints, &self.qp)
                 .inspect(|r| recover(g, constraints, &r.dual))
         };
@@ -130,7 +125,7 @@ impl GradientIntegrator {
                 if r.already_feasible {
                     QP_FAST_PATH.add(1);
                 } else {
-                    QP_ITERS.record(r.iterations as u64);
+                    record("qp.iters", r.iterations as u64);
                 }
                 if let Some(before) = before.as_deref().filter(|_| verified) {
                     fedknow_verify::report(
@@ -177,7 +172,10 @@ impl GradientIntegrator {
         let mut sum = 0.0f64;
         let mut violations = 0u64;
         for deg in angles(g, constraints) {
-            CONFLICT_ANGLE_CDEG.record((deg * 100.0).round() as u64);
+            record(
+                "integrate.conflict_angle_cdeg",
+                (deg * 100.0).round() as u64,
+            );
             if deg > 90.0 {
                 violations += 1;
             }
@@ -196,10 +194,10 @@ impl GradientIntegrator {
     /// relative rotation magnitude `‖g' − g‖ / ‖g‖` (Eq. 5).
     fn record_post_qp<C: AsRef<[f32]>>(&self, g: &[f32], constraints: &[C], rotated: &[f32]) {
         for deg in angles(rotated, constraints) {
-            POST_ANGLE_CDEG.record((deg * 100.0).round() as u64);
+            record("integrate.post_angle_cdeg", (deg * 100.0).round() as u64);
         }
         let rotation = relative_rotation(g, rotated);
-        ROTATION_PM.record((rotation * 1000.0).round() as u64);
+        record("integrate.rotation_pm", (rotation * 1000.0).round() as u64);
         fedknow_obs::series("integrate.rotation", rotation);
     }
 }

@@ -20,15 +20,6 @@ use fedknow_math::distance::{most_dissimilar, DistanceMetric};
 use fedknow_math::{SparseVec, Tensor};
 use fedknow_nn::loss::soft_cross_entropy;
 use fedknow_nn::Model;
-use fedknow_obs::HistHandle;
-
-/// Distillation loss per restore call, in milli-nats (Eq. 2's CE
-/// between live predictions and pseudo-labels).
-static DISTILL_LOSS_MNAT: HistHandle = HistHandle::new("restore.distill_loss_mnat");
-/// Mean pseudo-label entropy per restore call, in milli-nats — high
-/// entropy means the pruned teacher is uncertain and its restored
-/// gradient carries little signal.
-static PSEUDO_ENTROPY_MNAT: HistHandle = HistHandle::new("restore.pseudo_entropy_mnat");
 
 /// Mean Shannon entropy (nats) of the rows of a `[n, c]` distribution.
 fn mean_row_entropy(dist: &Tensor) -> f64 {
@@ -213,9 +204,14 @@ fn distill_grad(logits: &Tensor, target: &Tensor) -> Tensor {
         );
     }
     if fedknow_obs::is_enabled() {
-        DISTILL_LOSS_MNAT.record((loss.max(0.0) * 1000.0).round() as u64);
+        // Eq. 2's CE between live predictions and pseudo-labels, and the
+        // mean pseudo-label entropy, both in milli-nats: high entropy
+        // means the pruned teacher is uncertain and its restored
+        // gradient carries little signal.
+        let mnat = |x: f64| (x.max(0.0) * 1000.0).round() as u64;
+        fedknow_obs::record("restore.distill_loss_mnat", mnat(loss as f64));
         let entropy = mean_row_entropy(target);
-        PSEUDO_ENTROPY_MNAT.record((entropy * 1000.0).round() as u64);
+        fedknow_obs::record("restore.pseudo_entropy_mnat", mnat(entropy));
         fedknow_obs::series("restore.distill_loss", loss as f64);
         fedknow_obs::series("restore.pseudo_entropy", entropy);
     }

@@ -2,8 +2,8 @@
 //! `t ≤ k` retained tasks the client selects all of them, in task order,
 //! without a probe: no batch, no forward or backward, and no ranking, so
 //! no `restore.select_ns` sample. With `t > k` the probe ranks them and
-//! keeps `k`. This binary holds one test: it turns on the process-wide
-//! observability registry and counts that histogram's samples.
+//! keeps `k`. This binary holds one test: it turns on process-wide
+//! observability and counts that metric's samples in the recording.
 
 use fedknow::{FedKnowClient, FedKnowConfig};
 use fedknow_data::{generate::generate, partition, DatasetSpec, PartitionConfig};
@@ -12,8 +12,12 @@ use fedknow_math::rng::seeded;
 use fedknow_nn::ModelKind;
 
 fn select_samples() -> u64 {
-    let snap = fedknow_obs::snapshot().expect("observability is on");
-    snap.hists.get("restore.select_ns").map_or(0, |h| h.count())
+    let rec = fedknow_obs::Recording::from(fedknow_obs::collect_bundle("selection"));
+    let agg = fedknow_obs::Aggregate::from_records(&rec);
+    assert_eq!(agg.dropped, 0, "the rings hold the whole run");
+    agg.samples
+        .get("restore.select_ns")
+        .map_or(0, |xs| xs.len() as u64)
 }
 
 #[test]

@@ -63,11 +63,6 @@ impl Batcher {
         self.cursor = end;
         slice
     }
-
-    /// Number of batches per epoch.
-    pub fn batches_per_epoch(&self) -> usize {
-        self.order.len().div_ceil(self.batch_size)
-    }
 }
 
 #[cfg(test)]
@@ -96,7 +91,8 @@ mod tests {
         let mut rng = seeded(1);
         let mut b = Batcher::new(&mut rng, 10, 3);
         let mut seen = Vec::new();
-        for _ in 0..b.batches_per_epoch() {
+        // An epoch of 10 indices in batches of 3: four batches.
+        for _ in 0..4 {
             seen.extend_from_slice(b.next_batch(&mut rng));
         }
         seen.sort_unstable();
@@ -108,12 +104,5 @@ mod tests {
         let mut rng = seeded(1);
         let mut b = Batcher::new(&mut rng, 0, 4);
         assert!(b.next_batch(&mut rng).is_empty());
-    }
-
-    #[test]
-    fn batches_per_epoch_rounds_up() {
-        let mut rng = seeded(1);
-        let b = Batcher::new(&mut rng, 10, 4);
-        assert_eq!(b.batches_per_epoch(), 3);
     }
 }

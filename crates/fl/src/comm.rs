@@ -76,7 +76,7 @@ impl CommModel {
     }
 
     /// Seconds to transfer `bytes` over this link. Each call records the
-    /// *simulated* duration into the `comm.sim_transfer_ns` histogram
+    /// *simulated* duration as a `comm.sim_transfer_ns` sample
     /// (simulated link time, not wall time — the byte counters in the
     /// round loop carry the wire-volume side).
     pub fn transfer_seconds(&self, bytes: u64) -> f64 {

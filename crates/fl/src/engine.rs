@@ -26,7 +26,7 @@ use crate::metrics::{mean_matrix, AccuracyMatrix};
 use crate::proto::UploadMeta;
 use crate::protocol;
 use crate::server::fedavg_into;
-use crate::sim::{PhaseBreakdown, SimConfig, SimError, SimReport};
+use crate::sim::{SimConfig, SimError, SimReport};
 use fedknow_data::ClientTask;
 use fedknow_math::rng::substream;
 use rand::rngs::StdRng;
@@ -188,8 +188,7 @@ pub(crate) fn init_run(cfg: &SimConfig, method: &str) {
 }
 
 /// Run `body` (which advances `st` to the end of the task stream) under
-/// the `run` span and assemble the report, attributing the run's
-/// metrics by registry snapshot difference.
+/// the `run` span and assemble the report.
 pub(crate) fn run_reported(
     env: &RoundEnv<'_>,
     method: &str,
@@ -197,14 +196,10 @@ pub(crate) fn run_reported(
     body: impl FnOnce(&mut RunState) -> Result<(), SimError>,
 ) -> Result<SimReport, SimError> {
     init_run(env.cfg, method);
-    let obs_before = fedknow_obs::snapshot();
     let run_span = fedknow_obs::span("run");
     body(&mut st)?;
-    // Close the run span before diffing so its duration is included.
+    // Close the run span before flushing so its record is streamed.
     drop(run_span);
-    let phase_breakdown = obs_before.and_then(|before| {
-        fedknow_obs::snapshot().map(|after| PhaseBreakdown::from_metrics(&after.since(&before)))
-    });
     fedknow_obs::flush();
     Ok(SimReport {
         method: method.to_string(),
@@ -214,7 +209,6 @@ pub(crate) fn run_reported(
         total_bytes: st.total_bytes,
         dropouts: st.dropouts,
         task_mean_loss: st.task_loss,
-        phase_breakdown,
         fault_log: st.fault_log,
     })
 }

@@ -57,8 +57,6 @@ pub use framing::{
 pub use metrics::{AccuracyMatrix, RowLengthMismatch};
 pub use proto::{DecodeError, Encoded, UploadMeta, WireMsg};
 pub use server::{AggregateError, Aggregation, RejectReason, RejectedUpload, Screening};
-pub use sim::{
-    PhaseBreakdown, PhaseStat, SimCheckpoint, SimConfig, SimError, SimReport, Simulation,
-};
+pub use sim::{SimCheckpoint, SimConfig, SimError, SimReport, Simulation};
 pub use trainer::LocalTrainer;
 pub use transport::{TransportError, TransportKind, WireStats, WireStatsSnapshot};

@@ -223,39 +223,3 @@ mod tests {
         assert!((m.at(0, 0) - 0.4).abs() < 1e-12);
     }
 }
-
-impl AccuracyMatrix {
-    /// Backward transfer after learning task `m`: the mean *signed*
-    /// change in previous tasks' accuracy relative to when they were
-    /// learned, `mean_k (acc[m][k] − acc[k][k])` for `k < m`. Positive
-    /// values mean later learning improved earlier tasks; catastrophic
-    /// forgetting shows as strongly negative BWT. Zero for the first
-    /// task.
-    pub fn backward_transfer_after(&self, m: usize) -> f64 {
-        if m == 0 {
-            return 0.0;
-        }
-        (0..m)
-            .map(|k| self.rows[m][k] - self.rows[k][k])
-            .sum::<f64>()
-            / m as f64
-    }
-}
-
-#[cfg(test)]
-mod bwt_tests {
-    use super::*;
-
-    #[test]
-    fn backward_transfer_signs() {
-        let mut a = AccuracyMatrix::new();
-        a.push_row(vec![0.5]).unwrap();
-        a.push_row(vec![0.7, 0.6]).unwrap(); // task 0 improved: positive BWT
-        assert!((a.backward_transfer_after(1) - 0.2).abs() < 1e-12);
-        let mut b = AccuracyMatrix::new();
-        b.push_row(vec![0.8]).unwrap();
-        b.push_row(vec![0.3, 0.6]).unwrap(); // task 0 collapsed: negative BWT
-        assert!((b.backward_transfer_after(1) + 0.5).abs() < 1e-12);
-        assert_eq!(b.backward_transfer_after(0), 0.0);
-    }
-}

@@ -147,82 +147,9 @@ pub struct SimReport {
     pub dropouts: Vec<(usize, usize)>,
     /// Mean training loss per task step (diagnostic).
     pub task_mean_loss: Vec<f64>,
-    /// Per-phase time/bytes attribution for this run, present when the
-    /// observability layer was enabled (`FEDKNOW_OBS` or
-    /// `fedknow_obs::enable`) — see [`PhaseBreakdown`].
-    pub phase_breakdown: Option<PhaseBreakdown>,
     /// Every injected fault and resilience action in draw order — a pure
     /// function of `(seed, FaultConfig)`. Empty for inert configs.
     pub fault_log: Vec<FaultEvent>,
-}
-
-/// Aggregated timing for one phase metric (a `*_ns` histogram such as
-/// `qp.solve_ns` or `restore.distill_ns`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PhaseStat {
-    /// Metric name.
-    pub name: String,
-    /// Number of recorded samples.
-    pub count: u64,
-    /// Sum over all samples (nanoseconds for `*_ns` metrics).
-    pub total_ns: u64,
-    /// Mean sample.
-    pub mean_ns: f64,
-    /// Median (~2% relative error, log-bucketed).
-    pub p50_ns: u64,
-    /// 99th percentile (~2% relative error).
-    pub p99_ns: u64,
-}
-
-/// The observability attribution of one run: every histogram metric that
-/// grew during the run (phase timers and span durations) plus every
-/// counter delta (byte counters, QP fallback/fast-path events). Built by
-/// diffing registry snapshots taken at the start and end of
-/// [`Simulation::run`], so concurrent runs in other threads of the same
-/// process can pollute it — a per-run `FEDKNOW_OBS` stream (or a
-/// bundle), read with `obs report`, is the precise source.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PhaseBreakdown {
-    /// One entry per histogram metric, name-sorted.
-    pub phases: Vec<PhaseStat>,
-    /// Counter deltas `(name, value)`, name-sorted.
-    pub counters: Vec<(String, u64)>,
-}
-
-impl PhaseBreakdown {
-    /// Summarise a metrics snapshot (typically a [`MetricsSnapshot::since`]
-    /// diff scoping the metrics to one run or sweep).
-    ///
-    /// [`MetricsSnapshot::since`]: fedknow_obs::MetricsSnapshot::since
-    pub fn from_metrics(s: &fedknow_obs::MetricsSnapshot) -> Self {
-        let phases = s
-            .hists
-            .iter()
-            .map(|(name, h)| PhaseStat {
-                name: name.clone(),
-                count: h.count(),
-                total_ns: h.sum(),
-                mean_ns: h.mean(),
-                p50_ns: h.quantile(0.5),
-                p99_ns: h.quantile(0.99),
-            })
-            .collect();
-        let counters = s.counters.iter().map(|(k, &v)| (k.clone(), v)).collect();
-        Self { phases, counters }
-    }
-
-    /// Look up one phase by metric name.
-    pub fn phase(&self, name: &str) -> Option<&PhaseStat> {
-        self.phases.iter().find(|p| p.name == name)
-    }
-
-    /// Look up one counter by name.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-    }
 }
 
 impl SimReport {

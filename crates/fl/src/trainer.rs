@@ -5,16 +5,8 @@ use fedknow_math::Tensor;
 use fedknow_nn::loss::cross_entropy;
 use fedknow_nn::optim::Sgd;
 use fedknow_nn::Model;
-use fedknow_obs::HistHandle;
+use fedknow_obs::timer;
 use rand::rngs::StdRng;
-
-// These fire once per training iteration on every client — the hottest
-// instrument sites in the workspace — so they use pre-registered
-// handles instead of the name-lookup string API.
-static CONV_FWD_NS: HistHandle = HistHandle::new("conv.fwd_ns");
-static CONV_BWD_NS: HistHandle = HistHandle::new("conv.bwd_ns");
-static TRAIN_BATCH_NS: HistHandle = HistHandle::new("train.batch_ns");
-static TRAIN_STEP_NS: HistHandle = HistHandle::new("train.step_ns");
 
 /// A model plus the current task's data and an optimiser — the part of a
 /// client every method shares. Algorithm crates hold one of these and add
@@ -111,7 +103,7 @@ impl LocalTrainer {
             return None;
         }
         let logits = {
-            let _t = CONV_FWD_NS.timer();
+            let _t = timer("conv.fwd_ns");
             self.model.forward(x.clone(), true)
         };
         let (loss, grad) = cross_entropy(&logits, labels);
@@ -121,17 +113,17 @@ impl LocalTrainer {
     /// The training backward of [`LocalTrainer::forward_loss`]'s
     /// gradient, timed as `conv.bwd_ns`.
     pub fn backward(&mut self, grad: Tensor) {
-        let _t = CONV_BWD_NS.timer();
+        let _t = timer("conv.bwd_ns");
         self.model.backward(grad);
     }
 
     /// One plain SGD iteration on the current task. Returns the loss.
     pub fn sgd_iteration(&mut self, rng: &mut StdRng) -> f32 {
-        let _batch = TRAIN_BATCH_NS.timer();
+        let _batch = timer("train.batch_ns");
         let (x, labels) = self.next_batch(rng);
         let loss = self.compute_grads(&x, &labels);
         let lr = self.opt.next_lr() as f32;
-        let _t = TRAIN_STEP_NS.timer();
+        let _t = timer("train.step_ns");
         self.model.sgd_step(lr);
         loss
     }

@@ -125,15 +125,6 @@ impl SparseVec {
         out
     }
 
-    /// Overwrite the retained positions of `dense` with the stored values,
-    /// leaving other positions untouched.
-    pub fn scatter_into(&self, dense: &mut [f32]) {
-        assert_eq!(dense.len(), self.dense_len, "scatter_into length mismatch");
-        for (&i, &v) in self.indices.iter().zip(&self.values) {
-            dense[i as usize] = v;
-        }
-    }
-
     /// Read the current values of the retained positions out of `dense`
     /// (used when fine-tuning only the knowledge weights).
     pub fn gather_from(&mut self, dense: &[f32]) {
@@ -240,15 +231,6 @@ mod tests {
         let dense = vec![1.0, -2.0, 3.0, -4.0];
         let s = SparseVec::top_k_by_magnitude(&dense, 2);
         assert_eq!(s.to_dense(), vec![0.0, 0.0, 3.0, -4.0]);
-    }
-
-    #[test]
-    fn scatter_preserves_untouched_positions() {
-        let orig = vec![1.0, -2.0, 3.0, -4.0];
-        let s = SparseVec::top_k_by_magnitude(&orig, 2);
-        let mut target = vec![9.0; 4];
-        s.scatter_into(&mut target);
-        assert_eq!(target, vec![9.0, 9.0, 3.0, -4.0]);
     }
 
     #[test]

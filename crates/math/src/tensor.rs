@@ -334,14 +334,6 @@ impl Tensor {
         }
     }
 
-    /// Elementwise in-place `self += alpha * other`.
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
-        assert_eq!(self.shape(), other.shape(), "axpy shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-    }
-
     /// Elementwise in-place scaling.
     pub fn scale(&mut self, alpha: f32) {
         for a in &mut self.data {
@@ -521,11 +513,8 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_scale() {
-        let mut a = Tensor::full(&[4], 1.0);
-        let b = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[4]);
-        a.axpy(0.5, &b);
-        assert_eq!(a.data(), &[1.5, 2.0, 2.5, 3.0]);
+    fn scale_multiplies_every_element() {
+        let mut a = Tensor::from_vec(vec![1.5, 2.0, 2.5, 3.0], &[4]);
         a.scale(2.0);
         assert_eq!(a.data(), &[3.0, 4.0, 5.0, 6.0]);
     }

@@ -51,17 +51,6 @@ pub fn soft_cross_entropy(logits: &Tensor, target: &Tensor) -> (f32, Tensor) {
     (loss * inv_b, grad)
 }
 
-/// Top-1 accuracy of `logits [B, C]` against hard labels, in `[0, 1]`.
-pub fn top1_accuracy(logits: &Tensor, labels: &[usize]) -> f64 {
-    assert_eq!(logits.shape()[0], labels.len());
-    if labels.is_empty() {
-        return 0.0;
-    }
-    let pred = logits.argmax_rows();
-    let correct = pred.iter().zip(labels).filter(|(p, y)| p == y).count();
-    correct as f64 / labels.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,19 +90,5 @@ mod tests {
         for (a, b) in g_soft.data().iter().zip(g_hard.data()) {
             assert!((a - b).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn accuracy_counts_matches() {
-        let logits = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]);
-        assert_eq!(top1_accuracy(&logits, &[0, 1]), 1.0);
-        assert_eq!(top1_accuracy(&logits, &[1, 0]), 0.0);
-        assert_eq!(top1_accuracy(&logits, &[0, 0]), 0.5);
-    }
-
-    #[test]
-    fn empty_batch_accuracy_is_zero() {
-        let logits = Tensor::zeros(&[0, 3]);
-        assert_eq!(top1_accuracy(&logits, &[]), 0.0);
     }
 }

@@ -13,9 +13,8 @@
 //! When on, every allocation bumps
 //!
 //! * global totals (`alloc.count`, `alloc.bytes`, live bytes and the
-//!   high-water mark `alloc.peak_bytes`, mirrored into the registry at
-//!   flush time, and the count of allocations of at least
-//!   [`LARGE_ALLOC_BYTES`]), and
+//!   high-water mark `alloc.peak_bytes`, recorded at flush time, and
+//!   the count of allocations of at least [`LARGE_ALLOC_BYTES`]), and
 //! * per-thread running totals, which span guards diff to attribute
 //!   allocation counts to span paths (see
 //!   [`SpanPerf`](crate::ring::SpanPerf)) — the per-call-site
@@ -116,9 +115,10 @@ pub fn thread_large() -> u64 {
     TL_LARGE.with(Cell::get)
 }
 
-/// Mirror the global totals into the metrics registry (`alloc.count`,
-/// `alloc.bytes` counters; `alloc.peak_bytes`, `alloc.live_bytes`
-/// gauges) so snapshots and reports see them.
+/// Mirror the global totals into the registry's `alloc.count` /
+/// `alloc.bytes` counters (emitted as records by the perf flush) and
+/// record `alloc.peak_bytes` / `alloc.live_bytes` as gauges, so
+/// snapshots and reports see them.
 /// Called from the flush path; cheap no-op when nothing was tracked.
 pub(crate) fn sync_registry() {
     if !crate::is_enabled() {
@@ -136,8 +136,8 @@ pub(crate) fn sync_registry() {
             c.add(total - cur);
         }
     }
-    reg.set_gauge("alloc.peak_bytes", s.peak_bytes as f64);
-    reg.set_gauge("alloc.live_bytes", s.live_bytes as f64);
+    crate::gauge("alloc.peak_bytes", s.peak_bytes as f64);
+    crate::gauge("alloc.live_bytes", s.live_bytes as f64);
 }
 
 #[inline]

@@ -9,8 +9,7 @@
 //! * the trigger reason and ambient round index,
 //! * run context registered via [`crate::set_context`] (seed, sim
 //!   config, method name),
-//! * a dump of the metrics registry (counters, gauges, histogram
-//!   summaries, series),
+//! * the registry's exact counter totals,
 //! * every thread's drained flight-recorder ring (see [`crate::ring`]).
 //!
 //! Before the bundle is written the JSONL stream is flushed, so a
@@ -55,96 +54,26 @@ pub struct CounterDump {
     pub value: u64,
 }
 
-/// A gauge's value at dump time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GaugeDump {
-    /// Gauge name.
-    pub name: String,
-    /// Last-set value.
-    pub value: f64,
-}
-
-/// A histogram summary at dump time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HistDump {
-    /// Histogram name.
-    pub name: String,
-    /// Sample count.
-    pub count: u64,
-    /// Sample sum.
-    pub sum: u64,
-    /// Median estimate.
-    pub p50: u64,
-    /// 99th-percentile estimate.
-    pub p99: u64,
-    /// Largest sample.
-    pub max: u64,
-}
-
-/// A series' points at dump time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SeriesDump {
-    /// Series name.
-    pub name: String,
-    /// `(index, value)` points in append order.
-    pub points: Vec<(u64, f64)>,
-}
-
-/// A serialisable dump of the metrics registry. (The live
+/// A serialisable dump of the registry's counters. (The live
 /// [`MetricsSnapshot`] is map-based and stays the programmatic API;
-/// this flat form is what lands in the bundle JSON.)
+/// this flat form is what lands in the bundle JSON.) Bundles written
+/// while the registry also kept histograms, gauges and series carry
+/// those sections too; they are skipped on load.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct MetricsDump {
     /// All counters.
     pub counters: Vec<CounterDump>,
-    /// All gauges.
-    pub gauges: Vec<GaugeDump>,
-    /// All histogram summaries.
-    pub hists: Vec<HistDump>,
-    /// All series.
-    pub series: Vec<SeriesDump>,
 }
 
 impl MetricsDump {
     /// Flatten a registry snapshot.
     pub fn from_snapshot(s: &MetricsSnapshot) -> Self {
+        let counters = s.counters.iter().map(|(name, &value)| CounterDump {
+            name: name.clone(),
+            value,
+        });
         Self {
-            counters: s
-                .counters
-                .iter()
-                .map(|(name, &value)| CounterDump {
-                    name: name.clone(),
-                    value,
-                })
-                .collect(),
-            gauges: s
-                .gauges
-                .iter()
-                .map(|(name, &value)| GaugeDump {
-                    name: name.clone(),
-                    value,
-                })
-                .collect(),
-            hists: s
-                .hists
-                .iter()
-                .map(|(name, h)| HistDump {
-                    name: name.clone(),
-                    count: h.count(),
-                    sum: h.sum(),
-                    p50: h.quantile(0.5),
-                    p99: h.quantile(0.99),
-                    max: h.max(),
-                })
-                .collect(),
-            series: s
-                .series
-                .iter()
-                .map(|(name, points)| SeriesDump {
-                    name: name.clone(),
-                    points: points.clone(),
-                })
-                .collect(),
+            counters: counters.collect(),
         }
     }
 }
@@ -161,7 +90,7 @@ pub struct PostmortemBundle {
     pub round: u64,
     /// Registered run context (seed, config, method).
     pub context: Vec<ContextEntry>,
-    /// Metrics registry dump.
+    /// The registry's counters.
     pub metrics: MetricsDump,
     /// OS process id of the dumping process (absent in pre-tracing
     /// bundles). The multi-process trace merger uses it to label and
@@ -336,12 +265,6 @@ mod tests {
                     name: "fl.crashes".to_string(),
                     value: 3,
                 }],
-                gauges: vec![],
-                hists: vec![],
-                series: vec![SeriesDump {
-                    name: "fl.participation".to_string(),
-                    points: vec![(0, 1.0), (1, 0.8)],
-                }],
             },
             pid: Some(4242),
             tracks: vec![ThreadTrack {
@@ -401,13 +324,40 @@ mod tests {
               {"ts_ns":90,"round":0,"data":{"End":{"path":"run","dur_ns":80}}}]}]}"#;
         let b: PostmortemBundle = serde_json::from_str(json).unwrap();
         assert_eq!(b.metrics.counters[0].value, 61);
-        assert_eq!(b.metrics.series[0].points.len(), 2);
         assert_eq!(b.tracks[0].events.len(), 3);
 
-        let value: serde_json::Value = serde_json::from_str(json).unwrap();
-        let trace = crate::trace::bundle_to_trace(&value).unwrap();
+        let trace = crate::trace::to_trace(&crate::Recording::parse(json).unwrap());
         let stats = crate::trace::validate(&trace).unwrap();
         assert_eq!(stats.slices, 1);
         assert_eq!(stats.counters, 1);
+    }
+
+    #[test]
+    fn registry_sections_of_older_bundles_load_into_the_same_recording() {
+        // Before the registry kept counters only, bundles also dumped
+        // its histograms, gauges and series. A bundle carrying them
+        // loads into the same recording as one without.
+        let tracks = r#""tracks":[{"thread":"ThreadId(1)","dropped":0,"events":[
+              {"ts_ns":10,"round":0,"data":{"Begin":{"path":"run"}}},
+              {"ts_ns":20,"round":0,"data":{"Sample":{"name":"qp.solve_ns","value":400}}},
+              {"ts_ns":90,"round":0,"data":{"End":{"path":"run","dur_ns":80}}}]}]"#;
+        let head = r#"{"version":1,"reason":"probe","round":3,
+            "context":[{"key":"sim.seed","value":"7"}],"pid":6245,"#;
+        let old = format!(
+            r#"{head}"metrics":{{
+              "counters":[{{"name":"transport.frames","value":61}}],
+              "gauges":[{{"name":"alloc.peak_bytes","value":2048.0}}],
+              "hists":[{{"name":"qp.solve_ns","count":1,"sum":400,"p50":400,"p99":400,"max":400}}],
+              "series":[{{"name":"fl.participation","points":[[0,1.0],[1,0.5]]}}]}},
+              {tracks}}}"#
+        );
+        let new = format!(
+            r#"{head}"metrics":{{"counters":[{{"name":"transport.frames","value":61}}]}},
+              {tracks}}}"#
+        );
+        let old = crate::Recording::parse(&old).unwrap();
+        assert_eq!(old, crate::Recording::parse(&new).unwrap());
+        assert_eq!(old.tracks[0].events.len(), 3);
+        assert_eq!(old.pid, Some(6245));
     }
 }

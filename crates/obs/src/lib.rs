@@ -1,10 +1,9 @@
 //! # fedknow-obs
 //!
 //! Observability for the FedKNOW simulation stack: hierarchical spans,
-//! phase timers, a thread-safe metrics registry of counters and
-//! log-bucketed histograms, and one telemetry event — the flight
-//! recorder's [`RingRecord`] — kept in bounded per-thread rings and,
-//! optionally, streamed to a JSONL file.
+//! phase timers, a thread-safe registry of exact counters, and one
+//! telemetry event — the flight recorder's [`RingRecord`] — kept in
+//! bounded per-thread rings and, optionally, streamed to a JSONL file.
 //!
 //! ## Cost model
 //!
@@ -30,12 +29,16 @@
 //! * [`span`](mod@span) — hierarchical timed regions (`run → task → round →
 //!   client`); worker threads join the hierarchy via [`current_path`] +
 //!   [`inherit_path`].
-//! * [`timer`] — RAII phase timers feeding named histograms
-//!   (`qp.solve_ns`, `extract.topk_ns`, …).
-//! * [`count`] / [`record`] — plain counters (`comm.upload_bytes`,
-//!   `qp.fallback`) and histogram samples (`qp.iters`).
-//! * [`snapshot`] — copy of the registry; [`MetricsSnapshot::since`]
-//!   attributes metrics to a single run by diffing two snapshots.
+//! * [`timer`] / [`record`] — phase timings (`qp.solve_ns`,
+//!   `extract.topk_ns`, …) and other samples (`qp.iters`), one `Sample`
+//!   record each; [`gauge`] / [`series`] — last values and
+//!   round-indexed points, one record each.
+//! * [`count`] — exact counters (`comm.upload_bytes`, `qp.fallback`):
+//!   a record and a registry total, which stays exact whatever the
+//!   rings overwrote.
+//! * [`snapshot`] — copy of the registry's counters;
+//!   [`MetricsSnapshot::since`] attributes counts to one interval by
+//!   diffing two snapshots.
 //! * [`ring`] — the one event and the flight recorder: every site above
 //!   builds one [`RingData`], which lands in the recording thread's
 //!   bounded ring and, with `FEDKNOW_OBS=<path>`, as one line of the
@@ -43,13 +46,12 @@
 //!   panic, strict verify violations, injected faults, or an explicit
 //!   [`dump_now`].
 //! * [`Recording`] — the one reader: loads a stream or a bundle into
-//!   records per thread; [`Aggregate`] totals it for reports and
-//!   [`trace`] renders it as a Chrome/Perfetto timeline.
+//!   records per thread; [`Aggregate`] totals it exactly for reports
+//!   and [`trace`] renders it as a Chrome/Perfetto timeline.
 
 pub mod alloc;
 pub mod bundle;
 pub mod handle;
-pub mod hist;
 pub mod perf;
 pub mod registry;
 pub mod ring;
@@ -62,12 +64,9 @@ pub use bundle::{
     collect_bundle, dump_now, dump_trigger, set_context, ContextEntry, MetricsDump,
     PostmortemBundle,
 };
-pub use handle::{CounterHandle, HandleTimer, HistHandle};
-pub use hist::{HistSnapshot, LogHistogram};
+pub use handle::CounterHandle;
 pub use perf::PerfCounter;
-pub use registry::{
-    Counter, Gauge, MetricsSnapshot, Registry, Series, DEFAULT_MAX_NAMES, SERIES_POINT_CAP,
-};
+pub use registry::{Counter, MetricsSnapshot, Registry, DEFAULT_MAX_NAMES};
 pub use ring::{now_ns, RingBuf, RingData, RingRecord, SpanPerf, ThreadTrack, DEFAULT_TRACE_CAP};
 pub use sink::{Aggregate, JsonlSink, LoadError, Recording, SpanStat};
 pub use span::{current_path, inherit_path, span, timer, PathGuard, SpanGuard, TimerGuard};
@@ -211,12 +210,12 @@ pub fn count(name: &str, delta: u64) {
     });
 }
 
-/// Record `value` into the histogram `name`. No-op when disabled.
+/// Record the sample `value` of the metric `name`. No-op when
+/// disabled.
 pub fn record(name: &str, value: u64) {
     if !is_enabled() {
         return;
     }
-    state().registry.record(name, value);
     ring::emit(RingData::Sample {
         name: name.to_string(),
         value,
@@ -228,7 +227,6 @@ pub fn gauge(name: &str, value: f64) {
     if !is_enabled() {
         return;
     }
-    state().registry.set_gauge(name, value);
     ring::emit(RingData::Gauge {
         name: name.to_string(),
         value,
@@ -247,7 +245,6 @@ pub fn series_at(name: &str, index: u64, value: f64) {
     if !is_enabled() {
         return;
     }
-    state().registry.push_series(name, index, value);
     ring::emit(RingData::Point {
         name: name.to_string(),
         index,
@@ -336,14 +333,6 @@ pub fn mark(note: &str) {
     });
 }
 
-/// Record into the registry without emitting a `Sample` record (spans
-/// emit their own richer `End`).
-pub(crate) fn record_in_registry(name: &str, value: u64) {
-    if is_enabled() {
-        state().registry.record(name, value);
-    }
-}
-
 /// Open a span with a formatted name (`obs_span!("client.{c}")`)
 /// without paying for the `format!` when observability is disabled:
 /// the arguments are only evaluated behind the enabled check.
@@ -358,7 +347,7 @@ macro_rules! obs_span {
     };
 }
 
-/// A copy of the global registry, or `None` while disabled.
+/// A copy of the global registry's counters, or `None` while disabled.
 pub fn snapshot() -> Option<MetricsSnapshot> {
     is_enabled().then(|| state().registry.snapshot())
 }
@@ -381,8 +370,12 @@ mod tests {
     use super::*;
 
     static LIFECYCLE_COUNTER: CounterHandle = CounterHandle::new("lifecycle.handle_c");
-    static LIFECYCLE_HIST: HistHandle = HistHandle::new("lifecycle.handle_h_ns");
     static LIFECYCLE_KERNEL: PerfCounter = PerfCounter::new("lifecycle_kernel");
+
+    /// Everything this process's rings hold, aggregated.
+    fn recorded() -> Aggregate {
+        Aggregate::from_records(&Recording::from(collect_bundle("lifecycle")))
+    }
 
     /// The global facade is process-wide state, so the whole sequence
     /// lives in one test: disabled behaviour first, then enable and
@@ -397,12 +390,10 @@ mod tests {
         gauge("lifecycle.g", 9.0);
         series("lifecycle.s", 9.0);
         LIFECYCLE_COUNTER.add(9);
-        LIFECYCLE_HIST.record(9);
         LIFECYCLE_KERNEL.op(100, 50);
         assert_eq!(perf::thread_totals(), (0, 0));
         {
             let _t = timer("lifecycle.t_ns");
-            let _ht = LIFECYCLE_HIST.timer();
             let _s = span("lifecycle_span");
             assert_eq!(current_path(), "");
         }
@@ -414,10 +405,11 @@ mod tests {
         // The disabled-phase calls must have left no trace.
         let s0 = snapshot().unwrap();
         assert!(!s0.counters.contains_key("lifecycle.c"));
-        assert!(!s0.hists.contains_key("lifecycle.h"));
-        assert!(!s0.gauges.contains_key("lifecycle.g"));
-        assert!(!s0.series.contains_key("lifecycle.s"));
         assert!(!s0.counters.contains_key("lifecycle.handle_c"));
+        let a0 = recorded();
+        assert!(!a0.samples.contains_key("lifecycle.h"));
+        assert!(!a0.gauges.contains_key("lifecycle.g"));
+        assert!(!a0.series.contains_key("lifecycle.s"));
 
         count("lifecycle.c", 5);
         count("lifecycle.c", 2);
@@ -430,15 +422,11 @@ mod tests {
         series_at("lifecycle.s", 7, 0.25);
         LIFECYCLE_COUNTER.add(2);
         LIFECYCLE_COUNTER.add(3);
-        LIFECYCLE_HIST.record(7);
         let (f0, b0) = perf::thread_totals();
         LIFECYCLE_KERNEL.op(64, 32);
         LIFECYCLE_KERNEL.op(6, 3);
         let (f1, b1) = perf::thread_totals();
         assert_eq!((f1 - f0, b1 - b0), (70, 35));
-        {
-            let _ht = LIFECYCLE_HIST.timer();
-        }
         {
             let _t = timer("lifecycle.t_ns");
             let outer = span("lifecycle_outer");
@@ -452,15 +440,8 @@ mod tests {
         }
         let s = snapshot().unwrap().since(&s0);
         assert_eq!(s.counters["lifecycle.c"], 7);
-        assert_eq!(s.hists["lifecycle.h"].count(), 1);
-        assert_eq!(s.hists["lifecycle.t_ns"].count(), 1);
-        assert_eq!(s.hists["span.lifecycle_outer_ns"].count(), 1);
-        assert_eq!(s.hists["span.lifecycle_inner_ns"].count(), 1);
-        assert_eq!(s.gauges["lifecycle.g"], 2.5);
-        assert_eq!(s.series["lifecycle.s"], vec![(3, 0.5), (7, 0.25)]);
-        // Handles feed the same registry slots as the string API.
+        // Handles feed the same registry counters as the string API.
         assert_eq!(s.counters["lifecycle.handle_c"], 5);
-        assert_eq!(s.hists["lifecycle.handle_h_ns"].count(), 2);
         // Perf counters land under the flops./bytes. namespaces, and the
         // disabled-phase op left no trace.
         assert_eq!(s.counters["flops.lifecycle_kernel"], 70);
@@ -468,6 +449,16 @@ mod tests {
         count("lifecycle.handle_c", 1);
         let s2 = snapshot().unwrap().since(&s0);
         assert_eq!(s2.counters["lifecycle.handle_c"], 6);
+        // Samples, gauges, series and span durations are records only.
+        let a = recorded();
+        assert_eq!(a.samples["lifecycle.h"], vec![40]);
+        assert_eq!(a.samples["lifecycle.t_ns"].len(), 1);
+        assert_eq!(a.spans["lifecycle_outer"].count, 1);
+        assert_eq!(a.spans["lifecycle_outer/lifecycle_inner"].count, 1);
+        assert_eq!(a.gauges["lifecycle.g"], 2.5);
+        assert_eq!(a.series["lifecycle.s"], vec![(3, 0.5), (7, 0.25)]);
+        assert_eq!(a.counter("lifecycle.c"), 7);
+        assert_eq!(a.counter("lifecycle.handle_c"), 6);
 
         // Worker-thread path inheritance.
         let root = span("lifecycle_root");

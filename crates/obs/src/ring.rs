@@ -1,7 +1,7 @@
 //! The one telemetry event and the flight recorder that holds it.
 //!
-//! Every instrumentation site (span begin/end, counter delta, histogram
-//! sample, gauge update, series point, fault injection, verify
+//! Every instrumentation site (span begin/end, counter delta, sample,
+//! gauge update, series point, fault injection, verify
 //! violation, free-form note, wire lifecycle point) builds one
 //! [`RingData`] and hands it to `emit`, which stamps it into a
 //! [`RingRecord`], appends it to the `FEDKNOW_OBS` JSONL stream when
@@ -90,9 +90,9 @@ pub enum RingData {
         /// Increment.
         delta: u64,
     },
-    /// A histogram sample was recorded.
+    /// A sample (a phase timing, an iteration count, …) was recorded.
     Sample {
-        /// Histogram name.
+        /// Metric name.
         name: String,
         /// Sampled value.
         value: u64,

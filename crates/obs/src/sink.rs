@@ -217,8 +217,8 @@ impl SpanStat {
     }
 }
 
-/// An exact aggregation of a recording: counter totals, raw histogram
-/// samples (sorted), per-path span totals, last-written gauges, series
+/// An exact aggregation of a recording: counter totals, raw samples
+/// (sorted), per-path span totals, last-written gauges, series
 /// points in index order, and the fault / violation / note / wire
 /// records a report lists.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -230,7 +230,7 @@ pub struct Aggregate {
     pub dropped: u64,
     /// Counter totals by name.
     pub counters: BTreeMap<String, u64>,
-    /// All samples per histogram metric, sorted ascending.
+    /// All samples per metric, sorted ascending.
     pub samples: BTreeMap<String, Vec<u64>>,
     /// Span totals by hierarchical path.
     pub spans: BTreeMap<String, SpanStat>,

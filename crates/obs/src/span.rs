@@ -3,10 +3,9 @@
 //! Spans form a per-thread stack (`run → task → round → client →
 //! phase`); each span emits a `Begin` record when it opens and an `End`
 //! record (slash-joined path, duration, attributed work) when it
-//! closes, and also records its duration into the `span.<name>_ns`
-//! histogram. Worker threads spawned mid-run
-//! inherit the parent's path via [`inherit_path`], which is what keeps
-//! paths correct under parallel client execution.
+//! closes. Worker threads spawned mid-run inherit the parent's path via
+//! [`inherit_path`], which is what keeps paths correct under parallel
+//! client execution.
 //!
 //! All constructors return inert guards when observability is disabled:
 //! no clock read, no allocation.
@@ -91,15 +90,12 @@ impl Drop for SpanGuard {
             allocs: allocs.wrapping_sub(start.allocs),
             alloc_bytes: alloc_bytes.wrapping_sub(start.alloc_bytes),
         };
-        let (path, name) = SPAN_PATH.with(|p| {
+        let path = SPAN_PATH.with(|p| {
             let mut p = p.borrow_mut();
             let path = p.join("/");
-            let name = p.pop().unwrap_or_default();
-            (path, name)
+            p.pop();
+            path
         });
-        // Registry only: the `End` record below already carries the
-        // duration, so no separate `Sample` record is emitted.
-        crate::record_in_registry(&format!("span.{name}_ns"), dur_ns);
         crate::ring::emit(RingData::End {
             path,
             dur_ns,
@@ -139,8 +135,8 @@ impl Drop for PathGuard {
     }
 }
 
-/// RAII phase timer: on drop, records the elapsed nanoseconds into the
-/// named histogram (and emits a `Sample` record).
+/// RAII phase timer: on drop, records the elapsed nanoseconds as one
+/// `Sample` record of the named metric.
 #[must_use = "dropping a TimerGuard immediately records a zero-length phase; bind it to a variable"]
 pub struct TimerGuard {
     name: &'static str,

@@ -42,7 +42,6 @@
 
 use serde_json::{Number, Value};
 
-use crate::bundle::PostmortemBundle;
 use crate::ring::{RingData, RingRecord};
 use crate::sink::{LoadError, Recording};
 
@@ -469,13 +468,6 @@ pub fn to_trace(recording: &Recording) -> Value {
         ring_record_to_events(&mut em, rec);
     }
     em.into_trace()
-}
-
-/// Convert a parsed postmortem bundle into a Chrome trace value.
-pub fn bundle_to_trace(bundle: &Value) -> Result<Value, String> {
-    serde_json::from_value::<PostmortemBundle>(bundle.clone())
-        .map(|b| to_trace(&b.into()))
-        .map_err(|e| e.to_string())
 }
 
 /// The trace in `text`: a Chrome trace (an object with `traceEvents`)
@@ -908,7 +900,7 @@ mod tests {
     fn bundle_with(events: &str) -> Recording {
         let json = format!(
             r#"{{"version":1,"reason":"unit","round":0,"context":[],
-                "metrics":{{"counters":[],"gauges":[],"hists":[],"series":[]}},
+                "metrics":{{"counters":[]}},
                 "tracks":[{{"thread":"ThreadId(1)","dropped":0,"events":[{events}]}}]}}"#
         );
         Recording::parse(&json).unwrap()
@@ -992,7 +984,7 @@ mod tests {
         let json = format!(
             r#"{{"version":1,"reason":"unit","round":0,"pid":{pid},
                 "context":[{{"key":"proc.name","value":"{name}"}}],
-                "metrics":{{"counters":[],"gauges":[],"hists":[],"series":[]}},
+                "metrics":{{"counters":[]}},
                 "tracks":[{{"thread":"ThreadId(1)","dropped":0,"events":[{events}]}}]}}"#
         );
         Recording::parse(&json).unwrap()

@@ -1,68 +1,83 @@
 //! Property and concurrency tests for the observability layer:
-//! histogram quantiles against a sorted-vector oracle, counter
-//! atomicity under concurrent writers, span nesting, the stream /
-//! bundle round-trip into the aggregator, and the loader on hostile
-//! bytes.
+//! aggregated quantiles against a sorted-vector oracle, counter
+//! atomicity and sample completeness under concurrent writers, span
+//! nesting, the stream / bundle round-trip into the aggregator, and the
+//! loader on hostile bytes.
 
 use fedknow_obs::{
-    Aggregate, JsonlSink, LoadError, LogHistogram, Recording, Registry, RingData, RingRecord,
-    SpanPerf, SpanStat, ThreadTrack,
+    Aggregate, JsonlSink, LoadError, Recording, Registry, RingData, RingRecord, SpanPerf, SpanStat,
+    ThreadTrack,
 };
 use proptest::prelude::*;
 
 /// Exact nearest-rank quantile over raw samples — the oracle the
-/// histogram estimate is checked against.
+/// aggregate is checked against.
 fn oracle_quantile(sorted: &[u64], q: f64) -> u64 {
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
 }
 
+/// `values` as `Sample` records of `name`, dealt round-robin onto
+/// `threads` tracks with interleaved timestamps.
+fn sampled(name: &str, values: &[u64], threads: usize) -> Recording {
+    let mut tracks: Vec<ThreadTrack> = (0..threads)
+        .map(|t| ThreadTrack {
+            thread: format!("ThreadId({t})"),
+            dropped: 0,
+            events: Vec::new(),
+        })
+        .collect();
+    for (i, &value) in values.iter().enumerate() {
+        let data = RingData::Sample {
+            name: name.into(),
+            value,
+        };
+        let (ts_ns, round) = (i as u64, 0);
+        tracks[i % threads]
+            .events
+            .push(RingRecord { ts_ns, round, data });
+    }
+    Recording {
+        tracks,
+        ..Recording::default()
+    }
+}
+
+/// Everything this process's rings hold, aggregated.
+fn recorded() -> Aggregate {
+    Aggregate::from_records(&Recording::from(fedknow_obs::collect_bundle("test")))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Histogram quantiles track the exact order statistic within the
-    /// sub-bucket relative error bound (~2%) at every probed q.
+    /// Quantiles of samples recorded on several threads are the exact
+    /// order statistic at every probed q, and min/max are exact.
     #[test]
     fn quantiles_match_sorted_oracle(
         small in prop::collection::vec(0u64..1024, 1..200),
         large in prop::collection::vec(1u64..u64::MAX / 2, 0..200),
+        threads in 1usize..5,
         q in 0.01f64..1.0,
     ) {
-        let h = LogHistogram::new();
         let mut all: Vec<u64> = small.iter().chain(&large).copied().collect();
-        for &v in &all {
-            h.record(v);
-        }
+        let agg = Aggregate::from_records(&sampled("lat_ns", &all, threads));
         all.sort_unstable();
-        let s = h.snapshot();
-        prop_assert_eq!(s.count(), all.len() as u64);
-        prop_assert_eq!(s.min(), all[0]);
-        prop_assert_eq!(s.max(), *all.last().unwrap());
+        prop_assert_eq!(&agg.samples["lat_ns"], &all);
+        prop_assert_eq!(agg.quantile("lat_ns", 0.0), Some(all[0]));
+        prop_assert_eq!(agg.quantile("lat_ns", 1.0), all.last().copied());
         for q in [0.01, 0.25, 0.5, 0.9, 0.99, q] {
-            let exact = oracle_quantile(&all, q) as f64;
-            let est = s.quantile(q) as f64;
-            // The estimate's bucket contains the exact order statistic,
-            // so mid-point error is bounded by half the bucket width
-            // (1/32 relative) plus integer rounding.
-            prop_assert!(
-                (est - exact).abs() <= exact * (1.0 / 32.0) + 1.0,
-                "q={} est={} exact={}", q, est, exact
-            );
+            prop_assert_eq!(agg.quantile("lat_ns", q), Some(oracle_quantile(&all, q)));
         }
     }
 
-    /// Histogram sum/mean are exact regardless of bucketing.
+    /// Sample sums and counts are exact.
     #[test]
     fn sums_are_exact(values in prop::collection::vec(0u64..1_000_000, 1..100)) {
-        let h = LogHistogram::new();
-        for &v in &values {
-            h.record(v);
-        }
-        let s = h.snapshot();
-        let exact: u64 = values.iter().sum();
-        prop_assert_eq!(s.sum(), exact);
-        let mean = exact as f64 / values.len() as f64;
-        prop_assert!((s.mean() - mean).abs() < 1e-9);
+        let agg = Aggregate::from_records(&sampled("lat_ns", &values, 3));
+        let xs = &agg.samples["lat_ns"];
+        prop_assert_eq!(xs.len(), values.len());
+        prop_assert_eq!(xs.iter().sum::<u64>(), values.iter().sum::<u64>());
     }
 }
 
@@ -92,35 +107,39 @@ fn counters_are_atomic_under_concurrent_writers() {
     assert_eq!(snap.counters["concurrent.lookup"], threads as u64 * 2);
 }
 
+/// Every sample recorded through the facade from concurrent threads is
+/// a record of its thread's ring, so the aggregate holds them all.
 #[test]
 fn histograms_lose_nothing_under_concurrent_writers() {
-    let registry = Registry::new();
+    fedknow_obs::enable();
     let threads = 8u64;
     let per_thread = 5_000u64;
-    let registry = &registry;
     crossbeam::thread::scope(|s| {
         for t in 0..threads {
             s.spawn(move |_| {
-                let h = registry.hist("concurrent.lat_ns");
                 for i in 0..per_thread {
-                    h.record(t * 1000 + i);
+                    fedknow_obs::record("concurrent.lat_ns", t * 1000 + i);
                 }
             });
         }
     })
     .expect("worker thread panicked");
-    let s = registry.snapshot().hists["concurrent.lat_ns"].clone();
-    assert_eq!(s.count(), threads * per_thread);
+    let agg = recorded();
+    assert_eq!(agg.dropped, 0);
+    let xs = &agg.samples["concurrent.lat_ns"];
+    assert_eq!(xs.len() as u64, threads * per_thread);
+    let sum: u64 = (0..threads)
+        .flat_map(|t| (0..per_thread).map(move |i| t * 1000 + i))
+        .sum();
+    assert_eq!(xs.iter().sum::<u64>(), sum);
 }
 
 /// Span nesting and cross-thread path inheritance. Uses the global
-/// facade, which this test enables for the whole process — safe here
-/// because this integration test binary runs in its own process and
-/// every other test in this file uses instance APIs.
+/// facade, which this binary's facade tests enable for the whole
+/// process; the other tests in this file use instance APIs.
 #[test]
 fn spans_nest_and_inherit_across_threads() {
     fedknow_obs::enable();
-    let before = fedknow_obs::snapshot().unwrap();
     {
         let _run = fedknow_obs::span("t_run");
         let _task = fedknow_obs::span("t_task");
@@ -139,10 +158,10 @@ fn spans_nest_and_inherit_across_threads() {
         assert_eq!(fedknow_obs::current_path(), "t_run/t_task");
     }
     assert_eq!(fedknow_obs::current_path(), "");
-    let diff = fedknow_obs::snapshot().unwrap().since(&before);
-    assert_eq!(diff.hists["span.t_client_ns"].count(), 4);
-    assert_eq!(diff.hists["span.t_task_ns"].count(), 1);
-    assert_eq!(diff.hists["span.t_run_ns"].count(), 1);
+    let spans = recorded().spans;
+    assert_eq!(spans["t_run/t_task/t_client"].count, 4);
+    assert_eq!(spans["t_run/t_task"].count, 1);
+    assert_eq!(spans["t_run"].count, 1);
 }
 
 /// Two threads' worth of records covering every aggregated kind.

@@ -157,16 +157,12 @@ fn fedknow_is_bit_identical_over_the_socket_transport() {
     // framed messages over a real stream socket, with 20% crash/loss
     // faults realized at the wire seam — must reproduce the in-process
     // simulator bit-for-bit: same accuracy matrix, same byte ledger,
-    // same fault-event log. Only the phase breakdown may differ (obs
-    // may be enabled by a sibling test in this process; it is
-    // attribution metadata, not protocol state).
+    // same fault-event log.
     let spec = RunSpec::quick(7).with_faults(FaultConfig::crash_loss(0.2));
-    let mut want = spec.run(Method::FedKnow).expect("simulated run");
-    let (mut got, stats) = spec
+    let want = spec.run(Method::FedKnow).expect("simulated run");
+    let (got, stats) = spec
         .run_over(Method::FedKnow, TransportKind::Tcp)
         .expect("socket-backed run");
-    want.phase_breakdown = None;
-    got.phase_breakdown = None;
     assert!(
         !want.fault_log.is_empty(),
         "crash_loss(0.2) must log faults"

@@ -29,10 +29,6 @@ fn obs_counters_agree_with_the_wire_ledger_and_the_comm_model() {
         .run_over(Method::FedAvg, TransportKind::Channel)
         .expect("transport run failed");
 
-    let b = report
-        .phase_breakdown
-        .expect("FEDKNOW_OBS set => breakdown present");
-
     // FedAvg exchanges no knowledge payloads, so the data plane on the
     // wire is exactly the modeled traffic — uploads and broadcasts of
     // `model_bytes`, lost attempts burned on both ledgers.
@@ -45,8 +41,14 @@ fn obs_counters_agree_with_the_wire_ledger_and_the_comm_model() {
         "crash_loss(0.2) logged faults"
     );
 
-    // The obs counters mirror the wire ledger one-for-one.
-    let counter = |name: &str| b.counter(name).unwrap_or_else(|| panic!("{name} missing"));
+    // The registry's counters mirror the wire ledger one-for-one. (This
+    // binary runs one federation, so the registry's totals are its.)
+    let registry = fedknow_obs::snapshot().expect("obs enabled").counters;
+    let counter = |name: &str| {
+        *registry
+            .get(name)
+            .unwrap_or_else(|| panic!("{name} missing"))
+    };
     assert_eq!(counter("transport.bytes.payload"), stats.payload);
     assert_eq!(counter("transport.bytes.overhead"), stats.overhead);
     assert_eq!(counter("transport.frames"), stats.frames);
@@ -58,8 +60,7 @@ fn obs_counters_agree_with_the_wire_ledger_and_the_comm_model() {
 
     // The comm-model counters close the triangle: modeled upload +
     // download bytes equal the report total, which equals wire payload.
-    let up = b.counter("comm.upload_bytes").expect("upload counter");
-    let down = b.counter("comm.download_bytes").expect("download counter");
+    let (up, down) = (counter("comm.upload_bytes"), counter("comm.download_bytes"));
     assert_eq!(up + down, report.total_bytes);
 
     // The JSONL stream reloads into the same totals.
