@@ -108,6 +108,43 @@ fn conv_digests() -> Vec<(String, u64)> {
         .collect()
 }
 
+/// `(cin, cout, n, slots)`: a backward of `slots` stacked output
+/// gradients on an `n × n` map, the replay shape of FedKNOW's restorer,
+/// hashed over every slot's parameter gradient. Every map the direct
+/// lowering covers, at 3 and 10 slots; `s·oc` = 24 or 30 is not a whole
+/// number of 16-lane vectors, and the 4×4 rows' 288-row fan crosses `KC`.
+const STACKED_CASES: &[(usize, usize, usize, usize)] = &[
+    (8, 8, 16, 3),
+    (3, 8, 16, 10),
+    (16, 16, 8, 10),
+    (8, 16, 8, 3),
+    (32, 32, 4, 10),
+    (32, 8, 4, 3),
+    (16, 16, 4, 3),
+];
+
+fn stacked_digests() -> Vec<(String, u64)> {
+    STACKED_CASES
+        .iter()
+        .enumerate()
+        .map(|(i, &(cin, cout, n, s))| {
+            let mut rng = seeded(600 + i as u64);
+            let conv = Conv2d::conv3x3(&mut rng, cin, cout, 1);
+            let mut conv = Model::new(conv, &[cin, n, n], cout);
+            let x = input(&[5, cin, n, n], 700 + i as u64);
+            let y = conv.forward(x, true);
+            let gy = input(&[s * 5, cout, n, n], 800 + i as u64);
+            let gx = conv.backward(gy);
+            let mut parts = vec![y.data(), gx.data()];
+            parts.extend((0..s).map(|j| conv.grad_slot(j)));
+            (
+                format!("conv {cin}>{cout} k3 s1 p1 g1 {n}x{n} x{s} slots"),
+                fnv1a(&parts),
+            )
+        })
+        .collect()
+}
+
 fn model_digests() -> Vec<(String, u64)> {
     ModelKind::ALL
         .iter()
@@ -155,6 +192,13 @@ fn golden(isa: &str) -> Option<&'static [(&'static str, u64)]> {
             ("conv 6>6 k3 s1 p1 g6 1x1", 0x154edf732f38ff64),
             ("conv 4>8 k5 s1 p2 g1 2x2", 0xddc59a24c6ce64fc),
             ("conv 32>32 k3 s1 p1 g1 4x4", 0x756953b24a223229),
+            ("conv 8>8 k3 s1 p1 g1 16x16 x3 slots", 0x07c36119fdc41032),
+            ("conv 3>8 k3 s1 p1 g1 16x16 x10 slots", 0x3a0a72dd62093675),
+            ("conv 16>16 k3 s1 p1 g1 8x8 x10 slots", 0x33df67b61c3533a4),
+            ("conv 8>16 k3 s1 p1 g1 8x8 x3 slots", 0x6fb3a68aa6f248d6),
+            ("conv 32>32 k3 s1 p1 g1 4x4 x10 slots", 0xba82bd087d53039d),
+            ("conv 32>8 k3 s1 p1 g1 4x4 x3 slots", 0xdff27ee747370a74),
+            ("conv 16>16 k3 s1 p1 g1 4x4 x3 slots", 0x8dc3f8dd4f1c540b),
             ("model sixcnn", 0x192956e1e682415e),
             ("model resnet18", 0xf9726105a7564630),
             ("model wideresnet50", 0xe27c8e9bb17dd3af),
@@ -186,6 +230,13 @@ fn golden(isa: &str) -> Option<&'static [(&'static str, u64)]> {
             ("conv 6>6 k3 s1 p1 g6 1x1", 0x154edf732f38ff64),
             ("conv 4>8 k5 s1 p2 g1 2x2", 0xd3402fb608a21faa),
             ("conv 32>32 k3 s1 p1 g1 4x4", 0xcbac5d5f4f8c82e6),
+            ("conv 8>8 k3 s1 p1 g1 16x16 x3 slots", 0xef7ad97cedf2dec8),
+            ("conv 3>8 k3 s1 p1 g1 16x16 x10 slots", 0xc8ce4af0ef0e741a),
+            ("conv 16>16 k3 s1 p1 g1 8x8 x10 slots", 0x42d85a1276a3dd1e),
+            ("conv 8>16 k3 s1 p1 g1 8x8 x3 slots", 0xbe21f94b4bc795ea),
+            ("conv 32>32 k3 s1 p1 g1 4x4 x10 slots", 0x893f171ee9f29024),
+            ("conv 32>8 k3 s1 p1 g1 4x4 x3 slots", 0x7fc982d0121841d3),
+            ("conv 16>16 k3 s1 p1 g1 4x4 x3 slots", 0xfd5d47b716d8651e),
             ("model sixcnn", 0xfd37425b980d170d),
             ("model resnet18", 0xcb6df5faff767560),
             ("model wideresnet50", 0xb0a85c95ccf597c4),
@@ -205,6 +256,7 @@ fn golden(isa: &str) -> Option<&'static [(&'static str, u64)]> {
 fn forward_backward_bits_match_the_recorded_digests() {
     let isa = gemm::isa_name();
     let mut got = conv_digests();
+    got.extend(stacked_digests());
     got.extend(model_digests());
     let table: String = got
         .iter()
