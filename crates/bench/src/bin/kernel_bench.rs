@@ -16,6 +16,10 @@
 //! 2. **times a min-of-k sweep** (`--reps`, default 15, `--smoke` 5)
 //!    and reports achieved GFLOP/s and arithmetic intensity.
 //!
+//! The conv backward rows ending in `x9` run nine stacked output
+//! gradients through one backward, the replay shape of the FedKNOW
+//! restorer, at the narrow layers the two FedKNOW ladder workloads run.
+//!
 //! It then times every layer of the SixCnn, forward and backward, inside
 //! one batch-12 training step (the `cnn_*` ladder workloads' step) and
 //! prints the per-layer µs table — where a train step's time goes beside
@@ -255,6 +259,61 @@ fn bench_conv(
     out.push(entry("conv2d_bwd", &shape, bwd, bwd_ns));
 }
 
+/// One backward of [`STACKED_SLOTS`] stacked output gradients through a
+/// 3×3, stride-1, padding-1 layer on a batch of `b` `cin × hw × hw`
+/// inputs: the restorer's replay of the training gradient and eight
+/// signature tasks' at the FedKNOW workloads' narrow shapes. The FLOP
+/// model is that of [`STACKED_SLOTS`] one-slot backwards, as charged.
+fn bench_conv_stacked(
+    opts: &Opts,
+    b: usize,
+    cin: usize,
+    cout: usize,
+    hw: usize,
+    out: &mut Vec<KernelEntry>,
+) {
+    let shape = format!("b{b} {cin}->{cout} k3 s1 p1 {hw}x{hw} x{STACKED_SLOTS}");
+    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let mut conv = Model::new(
+        Conv2d::conv3x3(&mut rng, cin, cout, 1),
+        &[cin, hw, hw],
+        cout,
+    );
+    let s = flops::Conv2dShape {
+        batch: b,
+        in_c: cin,
+        out_c: cout,
+        kernel: 3,
+        stride: 1,
+        padding: 1,
+        groups: 1,
+        h: hw,
+        w: hw,
+    };
+    let one = flops::conv2d_bwd(&s);
+    let slots = STACKED_SLOTS as u64;
+    let model = Cost {
+        flops: slots * one.flops,
+        bytes: slots * one.bytes,
+    };
+    conv.forward(
+        Tensor::from_vec(vals(b * cin * hw * hw, 3), &[b, cin, hw, hw]),
+        true,
+    );
+    let gy = Tensor::from_vec(
+        vals(STACKED_SLOTS * s.output_len(), 6),
+        &[STACKED_SLOTS * b, cout, hw, hw],
+    );
+    let (cbk, _) = counted_invocation("conv2d_bwd", || conv.backward(gy.clone()));
+    check(
+        &format!("conv2d_bwd {shape} model vs counter"),
+        model.flops,
+        cbk,
+    );
+    let bwd_ns = min_of_k_with(opts.reps, || gy.clone(), |gy| conv.backward(gy));
+    out.push(entry("conv2d_bwd", &shape, model, bwd_ns));
+}
+
 /// Output gradients one stacked backward of the per-layer table carries.
 const STACKED_SLOTS: usize = 9;
 
@@ -462,6 +521,14 @@ fn main() {
     bench_conv(&opts, 12, 3, 32, 1, 8, &mut entries);
     bench_conv(&opts, 12, 32, 32, 1, 8, &mut entries);
     bench_conv(&opts, 12, 64, 64, 1, 4, &mut entries);
+    // The stacked backward of the narrow layers both FedKNOW workloads
+    // run: SixCnn's four convs (`cnn_fedknow_t10`) and ResNet18's stem,
+    // first stage, 8×8 and 4×4 stages at width 1 (`resnet_fedknow_t4`).
+    bench_conv_stacked(&opts, 12, 3, 8, 16, &mut entries);
+    bench_conv_stacked(&opts, 12, 8, 8, 16, &mut entries);
+    bench_conv_stacked(&opts, 12, 8, 16, 8, &mut entries);
+    bench_conv_stacked(&opts, 12, 16, 16, 8, &mut entries);
+    bench_conv_stacked(&opts, 12, 32, 32, 4, &mut entries);
     // `tcp_wide_fedavg`'s deepest stage (ResNet18 at width 4, batch 8):
     // 2×2 and 1×1 maps, where a chunk of samples is the GEMM's only width.
     // On the 1×1 map 8 of the 9 taps read only padding, and the stride-2

@@ -6,13 +6,16 @@
 //! reading +0.0 (the same-padded identity `fedknow-nn`'s patch pack
 //! uses). At the 3–64 channel widths of SixCnn and ResNet18 the GEMM
 //! lowering of such a layer spends more time packing panels than
-//! multiplying; these kernels skip the packs: vector lanes run over
-//! positions of the flattened plane and every load is a masked load of a
-//! shifted plane.
+//! multiplying; these kernels skip the packs. In [`forward`] and
+//! [`input_grad`] vector lanes run over positions of the flattened plane
+//! and every load is a masked load of a shifted plane; in
+//! [`weight_grad`] they run over the stacked output rows, and each fan
+//! row is a broadcast of the zero-bordered input plane at its tap's
+//! shift.
 //!
 //! ## Bit identity with the GEMM lowering
 //!
-//! Both kernels form exactly the sums the AVX-512 GEMM lowering forms.
+//! The kernels form exactly the sums the AVX-512 GEMM lowering forms.
 //!
 //! * [`forward`]: output element `(o, q)` is one FMA chain
 //!   `acc = fma(W[o][f], patch[f][q], acc)` over the fan `f = (c, ky,
@@ -32,12 +35,22 @@
 //!   skipped entry is a masked lane: its chain is +0.0, and adding +0.0
 //!   to an accumulator that starts at +0.0 (and so never holds −0.0)
 //!   changes no bit.
+//! * [`weight_grad`]: the per-sample weight-gradient GEMM `gy [s·oc, n²]
+//!   × colᵀ [n², c·9]` makes element `(r, f)` one FMA chain
+//!   `fma(gy[r][q], patch[f][q], acc)` over the positions `q` in
+//!   ascending order from +0.0 (one slab: `n² ≤ 256 = KC`), added to
+//!   +0.0, and the caller adds it into the slot in ascending sample
+//!   order. Here lane `r` runs the same chain, reading `patch[f][q]` from
+//!   the input plane with a +0.0 border, so an out-of-image tap is an
+//!   FMA with +0.0 as the column matrix's zero entry is, and adds the
+//!   chain to +0.0 and then into the accumulator, sample by sample.
 //!
 //! The kernels run only under the AVX-512 tile ([`available`]): the other
 //! tiles' GEMMs are the lowering there. Like the GEMM, they run on the
 //! calling thread.
 
-use crate::gemm::{self, KC};
+use crate::gemm::{self, APanels, KC};
+use crate::pool;
 
 /// Positions per vector: one 16-lane `zmm` register of f32.
 const LANES: usize = 16;
@@ -387,6 +400,163 @@ unsafe fn bwd_tile<const R: usize, const V: usize>(
             _mm512_storeu_ps(d, gv);
         }
     }
+}
+
+/// The row stride of [`weight_grad`]'s accumulator for `m` stacked
+/// output rows: `m` rounded up to whole vectors, and one vector more when
+/// that is a multiple of 128 floats. At a multiple of 512 B, rows a few
+/// apart lie a multiple of 4 KB apart, and a tile's read of one row
+/// waits on its write of another to the same page offset (4K aliasing):
+/// at `s·oc = 256` on 4×4 maps that made the kernel slower than the GEMM.
+pub fn weight_grad_stride(m: usize) -> usize {
+    let rs = m.next_multiple_of(LANES);
+    if rs.is_multiple_of(128) {
+        rs + LANES
+    } else {
+        rs
+    }
+}
+
+/// Add one sample's weight gradient into `gwt`, the transposed weight
+/// gradients of `m` stacked output rows: `gwt[f·rs + r] += Σ_q gy[r][q] ·
+/// patch[f][q]` for fan row `f = (c, ky, kx)` and `rs =`
+/// [`weight_grad_stride`]`(m)`; a lane from `m` to `rs` holds no row: it
+/// takes +0.0 terms or is not touched. `x` is the sample's input `[c, n,
+/// n]`; `gy` gives the
+/// rows `[m, n·n]` (row `r` is output channel `r % rows` of block `r /
+/// rows`, the slot-major stack of a backward). Panics unless the kernels
+/// are [`available`], the map [`fits`] and the lengths agree.
+pub fn weight_grad(x: &[f32], n: usize, gy: &gemm::DenseABlocks, m: usize, gwt: &mut [f32]) {
+    assert!(
+        available() && fits(n, n),
+        "direct 3x3 weight gradient on {n}x{n}"
+    );
+    let (hw, np) = (n * n, n + 2);
+    let (c, rs) = (x.len() / hw, weight_grad_stride(m));
+    assert!(
+        c > 0 && c * hw == x.len() && gy.k == hw && gwt.len() == c * 9 * rs,
+        "direct 3x3 weight gradient: shape mismatch"
+    );
+    // The input planes with a border of +0.0: tap `(ky, kx)` of output
+    // position `(y, x)` is `xp[(y + ky)·np + x + kx]`, an out-of-image
+    // tap an FMA with +0.0 as in the column matrix.
+    let mut xp = pool::take_zeroed(c * np * np);
+    for (src, dst) in x.chunks_exact(hw).zip(xp.chunks_exact_mut(np * np)) {
+        for (s, d) in src.chunks_exact(n).zip(dst[np + 1..].chunks_mut(np)) {
+            d[..n].copy_from_slice(s);
+        }
+    }
+    // `gy` transposed into 16-row strips, `gyt[(v·hw + q)·16 + l] =
+    // gy[16v + l][q]`, rows past `m` +0.0: the GEMM's own A pack.
+    let nv = m.div_ceil(LANES);
+    let mut gyt = pool::take(nv * LANES * hw);
+    gy.pack(&mut gyt, 0, m, 0, hw, LANES);
+    let args = WgArgs {
+        n,
+        xp: &xp,
+        gyt: &gyt,
+        rs,
+    };
+    // Lanes over rows, one broadcast of the padded plane per fan row:
+    // all nine taps of a channel per tile, two channels on a one-vector
+    // tile and up to three vectors on one channel otherwise, so that at
+    // least 18 chains are in flight.
+    for v0 in (0..nv).step_by(WG_VECTORS) {
+        let v = WG_VECTORS.min(nv - v0);
+        let step = if v == 1 { 2 } else { 1 };
+        for c0 in (0..c).step_by(step) {
+            // SAFETY: `available()` holds; channels `c0..c0 + step`
+            // (clipped to `c`) are planes of `xp` and row blocks of
+            // `gwt`, vectors `v0..v0 + v` lie in `gyt`'s strips and in
+            // `gwt`'s rows, by the checks above.
+            unsafe {
+                match (v, step.min(c - c0)) {
+                    (1, 2) => wg_tile::<2, 1>(&args, gwt, c0, v0),
+                    (1, _) => wg_tile::<1, 1>(&args, gwt, c0, v0),
+                    (2, _) => wg_tile::<1, 2>(&args, gwt, c0, v0),
+                    _ => wg_tile::<1, 3>(&args, gwt, c0, v0),
+                }
+            }
+        }
+    }
+    pool::give(gyt);
+    pool::give(xp);
+}
+
+/// Row vectors per weight-gradient tile: 27 chains on one channel.
+const WG_VECTORS: usize = 3;
+
+/// What every weight-gradient tile of one sample reads.
+struct WgArgs<'a> {
+    n: usize,
+    /// The zero-bordered input planes, `[c, (n + 2)²]`.
+    xp: &'a [f32],
+    /// The output-gradient rows transposed into 16-lane strips.
+    gyt: &'a [f32],
+    /// Row stride of `gwt`, a whole number of vectors.
+    rs: usize,
+}
+
+/// `C` channels' nine fan rows × `V` row vectors from `v0` of one
+/// sample's weight gradient: each element one FMA chain over the
+/// positions in ascending order from +0.0, added to +0.0 and then into
+/// `gwt`.
+///
+/// # Safety
+/// Requires AVX-512F. Channels `c0..c0 + C` must be planes of `xp` and
+/// row blocks of `gwt`, and vectors `v0..v0 + V` strips of `gyt` and
+/// vectors of a `gwt` row.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn wg_tile<const C: usize, const V: usize>(
+    a: &WgArgs,
+    gwt: &mut [f32],
+    c0: usize,
+    v0: usize,
+) {
+    use std::arch::x86_64::*;
+    let (n, np) = (a.n, a.n + 2);
+    let (hw, pp) = (n * n, np * np);
+    let mut acc = [[[_mm512_setzero_ps(); V]; 9]; C];
+    let g = a.gyt[v0 * hw * LANES..].as_ptr();
+    let xp = a.xp[c0 * pp..].as_ptr();
+    for y in 0..n {
+        for x in 0..n {
+            let q = y * n + x;
+            let mut gv = [_mm512_setzero_ps(); V];
+            for (v, gv) in gv.iter_mut().enumerate() {
+                // In bounds: strip `v0 + v` holds `hw` positions.
+                *gv = _mm512_loadu_ps(g.add((v * hw + q) * LANES));
+            }
+            let xq = xp.add(y * np + x);
+            for (ch, acc_c) in acc.iter_mut().enumerate() {
+                for (t, acc_t) in acc_c.iter_mut().enumerate() {
+                    // In bounds: `(y + ky)·np + x + kx < np²` in plane
+                    // `c0 + ch`.
+                    let xv = _mm512_set1_ps(*xq.add(ch * pp + t / 3 * np + t % 3));
+                    for (acc_v, &gv) in acc_t.iter_mut().zip(&gv) {
+                        *acc_v = _mm512_fmadd_ps(gv, xv, *acc_v);
+                    }
+                }
+            }
+        }
+    }
+    for (ch, acc_c) in acc.iter().enumerate() {
+        for (t, acc_t) in acc_c.iter().enumerate() {
+            let row = ((c0 + ch) * 9 + t) * a.rs + v0 * LANES;
+            for (v, &acc_v) in acc_t.iter().enumerate() {
+                let d = gwt[row + v * LANES..][..LANES].as_mut_ptr();
+                // The GEMM's entry is the chain added to +0.0.
+                let e = _mm512_add_ps(_mm512_setzero_ps(), acc_v);
+                _mm512_storeu_ps(d, _mm512_add_ps(_mm512_loadu_ps(d), e));
+            }
+        }
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+unsafe fn wg_tile<const C: usize, const V: usize>(_: &WgArgs, _: &mut [f32], _: usize, _: usize) {
+    unreachable!("the direct kernels need the AVX-512 tile")
 }
 
 #[cfg(not(target_arch = "x86_64"))]

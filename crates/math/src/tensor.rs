@@ -388,22 +388,6 @@ impl Tensor {
             shape: self.shape,
         }
     }
-
-    /// Index of the maximum element per row of a rank-2 tensor.
-    pub fn argmax_rows(&self) -> Vec<usize> {
-        assert_eq!(self.shape.rank, 2);
-        let (m, n) = (self.shape.dims[0], self.shape.dims[1]);
-        (0..m)
-            .map(|i| {
-                let row = &self.data[i * n..(i + 1) * n];
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                    .map(|(j, _)| j)
-                    .unwrap_or(0)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -472,12 +456,6 @@ mod tests {
         }
         assert!(s.at2(0, 2) > s.at2(0, 1));
         assert!(s.at2(1, 2) > 0.99, "large logit should dominate");
-    }
-
-    #[test]
-    fn argmax_rows_picks_largest() {
-        let t = Tensor::from_vec(vec![0.1, 0.9, 0.0, 5.0, -2.0, 3.0], &[2, 3]);
-        assert_eq!(t.argmax_rows(), vec![1, 0]);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! convolution, `groups = cardinality` gives ResNeXt's grouped convolution,
 //! and `groups = in_channels` gives MobileNet/ShuffleNet depthwise
 //! convolution. Under the AVX-512 tile, the narrow same-padded 3×3 layers
-//! of SixCnn and ResNet18 run their forward and input gradient on the
-//! direct kernels of [`fedknow_math::direct`] instead, with the same bits
-//! ("Direct lowering" below); the GEMM lowering stays the reference.
+//! of SixCnn and ResNet18 run their forward, input gradient and weight
+//! gradient on the direct kernels of [`fedknow_math::direct`] instead,
+//! with the same bits ("Direct lowering" below); the GEMM lowering stays
+//! the reference.
 //!
 //! ## Fusion
 //!
@@ -41,7 +42,7 @@
 //!   ocg] × gy [ocg, U·ncols]` per group gives every unit's column
 //!   gradient, which `col2im` scatters unit by unit at row stride
 //!   `U·ncols`.
-//! * **The weight gradient stays one GEMM per sample.** A full-width
+//! * **The weight gradient is one GEMM per sample.** A full-width
 //!   `PatchPanels` pack *is* row-major im2col, written into scratch; one
 //!   GEMM of `s·ocg` rows — the slots' `gy` rows read in place through
 //!   [`DenseABlocks`] — reads it through [`DenseBTrans`], whose
@@ -49,6 +50,10 @@
 //!   every slot. Each sample's rows are added into the gradient slots as
 //!   soon as they exist, in ascending sample order: that per-sample
 //!   rounding is the one-slot, one-sample backward's, bit for bit.
+//! * **The bias gradient** of each (slot, sample, channel) is its row's
+//!   `.sum()`: from −0.0, element by element, added into the slot in
+//!   ascending sample order. Eight rows' chains run interleaved
+//!   (`add_row_sums`), so each add does not wait on the one before.
 //! * **In place, weight gradients first.** When the input is as large as
 //!   the output, the input gradient overwrites the output gradient it
 //!   came from. A chunk's units are then dead once its GEMMs have read
@@ -84,9 +89,9 @@
 //!   inputs — the live fan is the fan and the arithmetic is the full
 //!   one's.
 //! * **Narrow same-padded 3×3 layers skip the packs.** Under the AVX-512
-//!   tile their forward and input gradient run on direct kernels — no
-//!   patch pack, no column gradient, no `col2im` — with the GEMM's bits
-//!   ("Direct lowering" below); their weight gradient is the GEMM above.
+//!   tile their forward, input gradient and weight gradient run on direct
+//!   kernels — no patch pack, no `colᵀ` pack, no column gradient, no
+//!   `col2im` — with the GEMM's bits ("Direct lowering" below).
 //!
 //! Batching along N changes no bit: by the GEMM's determinism contract
 //! every output element is its own ascending-k FMA chain wherever its
@@ -99,12 +104,18 @@
 //! ## Direct lowering
 //!
 //! At 3–64 channels a GEMM-lowered layer spends most of its time packing
-//! B panels, and its input gradient writes a column matrix `k²` times the
-//! input that `col2im` reads back. [`direct::forward`] and
-//! [`direct::input_grad`] skip both: vector lanes run over positions of
-//! the flattened plane, and each tap is a masked load of the shifted
-//! plane (the `PatchGeom::same` identity). The weight gradient stays on
-//! the GEMM (`add_weight_grads`).
+//! panels: the forward's patches, the weight gradient's column matrix
+//! and its transpose, and the input gradient's column matrix `k²` times
+//! the input that `col2im` reads back. [`direct::forward`] and
+//! [`direct::input_grad`] skip them with vector lanes over positions of
+//! the flattened plane, each tap a masked load of the shifted plane (the
+//! `PatchGeom::same` identity). [`direct::weight_grad`] runs its lanes
+//! over the stacked output rows `(slot, o)` instead, from a per-sample
+//! transpose of the output gradient (the GEMM's own A pack), and each
+//! fan row `(c, ky, kx)` is a broadcast of the zero-bordered input plane
+//! at the tap's shift. Every sample's weight gradient goes into a
+//! transposed copy of the slots' (`[fan, s·oc]`), gathered once per
+//! backward and written back once.
 //!
 //! * **Selection** (`takes_direct`) is a function of the geometry and
 //!   the selected tile only: an ungrouped 3×3, stride-1, padding-1 layer
@@ -114,7 +125,12 @@
 //!   down to its 4×4 stage, and at width 4 on 8×8 inputs down to its 4×4
 //!   stage. Stride 2, 1×1, grouped, 2×2 and 1×1 maps, wide layers, and
 //!   the AVX2 and scalar tiles keep the GEMM lowering; `kernel_bench`'s
-//!   conv rows pin the rule on both sides.
+//!   conv rows pin the rule on both sides. The weight gradient takes the
+//!   same rule at every slot count: once the accumulator's row stride
+//!   kept off multiples of 512 B (`direct::weight_grad_stride`), no layer
+//!   the rule takes ran its backward measurably faster with the GEMM's
+//!   weight gradient at 1 to 16 slots (`kernel_bench`'s `x9` rows are the
+//!   stacked side).
 //! * **Bit identity.** An output element is the GEMM's sum: one FMA
 //!   chain over the fan in ascending `(c, ky, kx)` order, an out-of-image
 //!   tap a +0.0 lane that still takes its FMA, cut where `gemm::KC` cuts
@@ -122,13 +138,19 @@
 //!   gradient element is `col2im`'s: per tap in ascending order, the
 //!   column entry (an FMA chain over the output channels, added to +0.0)
 //!   added into a plane that starts at +0.0, an out-of-image entry being
-//!   +0.0 added to a value that is never −0.0. The unit tests compare
-//!   both lowerings with `to_bits`, and `golden_bits.rs` pins one layer
-//!   per map size with digests recorded on the GEMM.
+//!   +0.0 added to a value that is never −0.0. A weight-gradient element
+//!   is the per-sample GEMM's: one FMA chain over the positions in
+//!   ascending order from +0.0 (one slab: `n·n ≤ 256 = KC`), an
+//!   out-of-image tap an FMA with the +0.0 border, added to +0.0 and then
+//!   into the slot in ascending sample order. The unit tests compare both
+//!   lowerings with `to_bits`, and `golden_bits.rs` pins one layer per
+//!   map size, and stacked backwards of 3 and 10 slots, with digests
+//!   recorded on the GEMM.
 //! * **In place.** When the input gradient overwrites the output
 //!   gradient, each unit's output gradient is first copied to one unit
-//!   of scratch (the front of `gcol`); the weight gradients still run
-//!   first ("In place, weight gradients first" above).
+//!   of scratch (`gcol`, which holds nothing else on this lowering); the
+//!   weight gradients still run first ("In place, weight gradients
+//!   first" above).
 
 use crate::layer::{grad_slot, slot_count, Bind, Layer};
 use fedknow_math::direct;
@@ -158,6 +180,50 @@ pub const CHUNK_COLS: usize = 256;
 /// at 8×8, 32→64 at 16×16 — run faster on the GEMM, whose packs block
 /// for the cache (`kernel_bench`'s conv rows).
 const DIRECT_MAX_SAMPLE: usize = 2048;
+
+/// Add the sum of each `n`-float row of `rows` into `acc[r % acc.len()]`,
+/// in row order. Each sum is `.sum::<f32>()`'s: from −0.0, element by
+/// element. Eight rows' chains run interleaved, so the adds do not wait
+/// on one another.
+fn add_row_sums(rows: &[f32], n: usize, acc: &mut [f32]) {
+    const WAYS: usize = 8;
+    let len = acc.len();
+    for (g, group) in rows.chunks(WAYS * n).enumerate() {
+        let mut sums = [-0.0f32; WAYS];
+        let k = group.len() / n;
+        if k == WAYS {
+            for q in 0..n {
+                for (i, sum) in sums.iter_mut().enumerate() {
+                    *sum += group[i * n + q];
+                }
+            }
+        } else {
+            for (sum, row) in sums.iter_mut().zip(group.chunks_exact(n)) {
+                *sum = row.iter().sum::<f32>();
+            }
+        }
+        for (i, &sum) in sums[..k].iter().enumerate() {
+            acc[(g * WAYS + i) % len] += sum;
+        }
+    }
+}
+
+/// `dst[c·ld_dst + r] = src[r·ld_src + c]` for `r < rows`, `c < cols`,
+/// in 16 × 16 tiles that stay in L1 (a column walk of a wide `dst`
+/// misses on every store).
+fn transpose(src: &[f32], ld_src: usize, rows: usize, cols: usize, dst: &mut [f32], ld_dst: usize) {
+    const T: usize = 16;
+    for r0 in (0..rows).step_by(T) {
+        for c0 in (0..cols).step_by(T) {
+            for r in r0..(r0 + T).min(rows) {
+                let src = &src[r * ld_src..];
+                for c in c0..(c0 + T).min(cols) {
+                    dst[c * ld_dst + r] = src[c];
+                }
+            }
+        }
+    }
+}
 
 /// Samples or units per chunk at `ncols` output columns each.
 fn per_chunk(ncols: usize) -> usize {
@@ -871,9 +937,8 @@ impl Conv2d {
         }
     }
 
-    /// The backward with the input gradient on the direct lowering or the
-    /// GEMM one; `direct` requires `direct_fits`. The bias and weight
-    /// gradients are the same on both.
+    /// The backward on the direct lowering or the GEMM one; `direct`
+    /// requires `direct_fits`. The bias gradient is the same on both.
     fn backward_lowered(
         &mut self,
         params: &[f32],
@@ -901,14 +966,9 @@ impl Conv2d {
         // Bias gradient first — per slot, the sum of grad over batch and
         // spatial dims — while every slot's output gradient is intact.
         let mut gd = grad.into_vec();
-        for j in 0..s {
+        for (j, gy) in gd.chunks_exact(b * sample_grad).enumerate() {
             let gb = grad_slot(grads, s, j, self.off + gw_len, self.out_channels);
-            for bi in 0..b {
-                for (oc, gb_oc) in gb.iter_mut().enumerate() {
-                    let base = ((j * b + bi) * self.out_channels + oc) * ncols;
-                    *gb_oc += gd[base..base + ncols].iter().sum::<f32>();
-                }
-            }
+            add_row_sums(gy, ncols, gb);
         }
         // Units (slot j, sample bi) are slot-major, unit j·b + bi. A layer
         // whose input is as large as its output writes the input gradient
@@ -930,13 +990,35 @@ impl Conv2d {
             }
             v
         });
-        // One sample's live column matrix (weight gradient) and, on the
-        // GEMM lowering, one chunk's live column gradient (input
-        // gradient). The direct lowering's in-place copy of one unit's
-        // output gradient fits in one sample's: in place, `c == oc`.
-        let col_units = if direct { 1 } else { per.min(units) };
-        let mut gcol = pool::take(lfan * col_units * ncols);
-        let mut gw = pool::take(s * self.out_channels / self.groups * lfan);
+        // The direct weight gradient adds every sample's into a
+        // transposed copy of the slots' weight gradients, `[fan, s·oc]`
+        // at row stride `rs`, which goes back to the slab once.
+        let (oc, fan) = (self.out_channels, self.fan());
+        let rs = direct::weight_grad_stride(s * oc);
+        let mut gwt = direct.then(|| {
+            let mut v = pool::take(fan * rs);
+            for j in 0..s {
+                let slot = grad_slot(grads, s, j, self.off, gw_len);
+                transpose(slot, fan, oc, fan, &mut v[j * oc..], rs);
+            }
+            // The lanes past the rows hold no gradient; +0.0, not stale
+            // bits, so that no denormal or NaN reaches the adds.
+            for row in v.chunks_exact_mut(rs) {
+                row[s * oc..].fill(0.0);
+            }
+            v
+        });
+        // On the GEMM lowering, one sample's live column matrix (weight
+        // gradient) and one chunk's live column gradient (input
+        // gradient), and the weight-gradient GEMM's product; on the
+        // direct lowering, in place, one unit's output gradient.
+        let (gcol_len, gw_scratch) = if direct {
+            (if gx_own.is_none() { sample_grad } else { 0 }, 0)
+        } else {
+            (lfan * per.min(units) * ncols, s * oc / self.groups * lfan)
+        };
+        let mut gcol = pool::take(gcol_len);
+        let mut gw = pool::take(gw_scratch);
         // Samples whose weight gradients are in the slots, in order.
         let mut done = 0;
         for u0 in (0..units).step_by(per) {
@@ -949,11 +1031,23 @@ impl Conv2d {
                 (u1 - 1) % b + 1
             };
             while done < upto {
-                let (acc, off) = match live_gw.as_deref_mut() {
-                    Some(v) => (v, 0),
-                    None => (&mut *grads, self.off),
-                };
-                self.add_weight_grads(g, acc, off, done, &gd, s, &mut gw, &mut gcol);
+                if let Some(gwt) = gwt.as_deref_mut() {
+                    let x = self.cached_input.as_ref().expect("cached above");
+                    let gy = DenseABlocks {
+                        data: &gd[done * sample_grad..],
+                        k: ncols,
+                        rows: oc,
+                        stride: b * sample_grad,
+                    };
+                    let xs = &x.data()[done * sample_in..][..sample_in];
+                    direct::weight_grad(xs, h, &gy, s * oc, gwt);
+                } else {
+                    let (acc, off) = match live_gw.as_deref_mut() {
+                        Some(v) => (v, 0),
+                        None => (&mut *grads, self.off),
+                    };
+                    self.add_weight_grads(g, acc, off, done, &gd, s, &mut gw, &mut gcol);
+                }
                 done += 1;
             }
             self.input_grad_chunk(
@@ -971,6 +1065,13 @@ impl Conv2d {
             for j in 0..s {
                 let slot = grad_slot(grads, s, j, self.off, gw_len);
                 self.scatter_live(&v[j * lw_len..(j + 1) * lw_len], slot);
+            }
+            pool::give(v);
+        }
+        if let Some(v) = gwt {
+            for j in 0..s {
+                let slot = grad_slot(grads, s, j, self.off, gw_len);
+                transpose(&v[j * oc..], rs, fan, oc, slot, fan);
             }
             pool::give(v);
         }
@@ -1178,54 +1279,93 @@ mod tests {
             (5, 1),
             (12, 3),
         ];
-        let mut case = 0;
+        let mut cases = Vec::new();
         for n in [4, 8, 16] {
             for cin in widths {
                 for cout in widths {
-                    let (b, s) = runs[case % runs.len()];
-                    case += 1;
-                    let what = format!("{cin}->{cout} {n}x{n} b{b} s{s}");
-                    let mut conv = Conv2d::conv3x3(&mut seeded(case as u64), cin, cout, 1);
-                    assert!(conv.direct_fits(n, n), "{what}");
-                    let mut params = Vec::new();
-                    conv.bind(&mut |_, _, init: Vec<f32>| {
-                        let off = params.len();
-                        params.extend(init);
-                        off
-                    });
-                    params[cout * cin * 9..].copy_from_slice(&values(cout, 7 * case as u64));
-                    let x =
-                        Tensor::from_vec(values(b * cin * n * n, 2 * case as u64), &[b, cin, n, n]);
-                    let gy = Tensor::from_vec(
-                        values(s * b * cout * n * n, 3 * case as u64),
-                        &[s * b, cout, n, n],
-                    );
-                    // Slots that already hold gradients: the backward adds.
-                    let slab = values(s * params.len(), 5 * case as u64);
-                    let mut run = |direct: bool| {
-                        let y = conv.forward_lowered(&params, x.clone(), true, direct);
-                        let mut grads = slab.clone();
-                        let gx = conv.backward_lowered(&params, &mut grads, gy.clone(), direct);
-                        (y, gx, grads)
-                    };
-                    let (y_g, gx_g, gr_g) = run(false);
-                    let (y_d, gx_d, gr_d) = run(true);
-                    assert_eq!(bits(y_d.data()), bits(y_g.data()), "output {what}");
-                    assert_eq!(gx_d.shape(), gx_g.shape(), "{what}");
-                    assert_eq!(
-                        bits(gx_d.data()),
-                        bits(gx_g.data()),
-                        "input gradient {what}"
-                    );
-                    for (j, (d, g)) in gr_d
-                        .chunks(params.len())
-                        .zip(gr_g.chunks(params.len()))
-                        .enumerate()
-                    {
-                        assert_eq!(bits(d), bits(g), "slot {j} gradient {what}");
-                    }
+                    let (b, s) = runs[cases.len() % runs.len()];
+                    cases.push((cin, cout, n, b, s));
                 }
             }
+        }
+        // Stacked rows `s·oc` that are odd, a whole number of vectors, or
+        // a multiple of 128 (the weight gradient's padded stride).
+        cases.extend([
+            (5, 7, 16, 3, 3),
+            (7, 9, 8, 2, 11),
+            (9, 13, 4, 5, 3),
+            (24, 40, 4, 3, 7),
+            (32, 32, 4, 2, 8),
+            (64, 48, 4, 2, 8),
+            (16, 16, 8, 3, 16),
+        ]);
+        for (i, &(cin, cout, n, b, s)) in cases.iter().enumerate() {
+            let case = i as u64 + 1;
+            let what = format!("{cin}->{cout} {n}x{n} b{b} s{s}");
+            let mut conv = Conv2d::conv3x3(&mut seeded(case), cin, cout, 1);
+            assert!(conv.direct_fits(n, n), "{what}");
+            let mut params = Vec::new();
+            conv.bind(&mut |_, _, init: Vec<f32>| {
+                let off = params.len();
+                params.extend(init);
+                off
+            });
+            params[cout * cin * 9..].copy_from_slice(&values(cout, 7 * case));
+            let x = Tensor::from_vec(values(b * cin * n * n, 2 * case), &[b, cin, n, n]);
+            // Every other case has a unit of −0.0 and a channel of +0.0:
+            // bias sums of −0.0, weight-gradient chains of zero terms.
+            let mut gy = values(s * b * cout * n * n, 3 * case);
+            if i % 2 == 1 {
+                let (unit, last) = (cout * n * n, gy.len() - cout * n * n);
+                gy[..unit].fill(-0.0);
+                gy[last..][..n * n].fill(0.0);
+            }
+            let gy = Tensor::from_vec(gy, &[s * b, cout, n, n]);
+            // Slots that already hold gradients: the backward adds.
+            let slab = values(s * params.len(), 5 * case);
+            let mut run = |direct: bool| {
+                let y = conv.forward_lowered(&params, x.clone(), true, direct);
+                let mut grads = slab.clone();
+                let gx = conv.backward_lowered(&params, &mut grads, gy.clone(), direct);
+                (y, gx, grads)
+            };
+            let (y_g, gx_g, gr_g) = run(false);
+            let (y_d, gx_d, gr_d) = run(true);
+            assert_eq!(bits(y_d.data()), bits(y_g.data()), "output {what}");
+            assert_eq!(gx_d.shape(), gx_g.shape(), "{what}");
+            assert_eq!(
+                bits(gx_d.data()),
+                bits(gx_g.data()),
+                "input gradient {what}"
+            );
+            for (j, (d, g)) in gr_d
+                .chunks(params.len())
+                .zip(gr_g.chunks(params.len()))
+                .enumerate()
+            {
+                assert_eq!(bits(d), bits(g), "slot {j} gradient {what}");
+            }
+        }
+    }
+
+    #[test]
+    fn interleaved_row_sums_are_serial_sums() {
+        // 21 rows: two full groups of eight and a ragged one; a row of
+        // −0.0 (its sum stays −0.0) and one of mixed ±0.0.
+        let n = 13;
+        let mut rows = values(21 * n, 9);
+        rows[2 * n..3 * n].fill(-0.0);
+        for (i, v) in rows[9 * n..10 * n].iter_mut().enumerate() {
+            *v = if i % 2 == 0 { -0.0 } else { 0.0 };
+        }
+        for width in [3, 8, 21] {
+            let mut got = values(width, 4);
+            let mut want = got.clone();
+            add_row_sums(&rows, n, &mut got);
+            for (r, row) in rows.chunks_exact(n).enumerate() {
+                want[r % width] += row.iter().sum::<f32>();
+            }
+            assert_eq!(bits(&got), bits(&want), "{width} accumulators");
         }
     }
 

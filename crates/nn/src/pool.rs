@@ -30,6 +30,47 @@ impl MaxPool2d {
     }
 }
 
+/// Pooling windows per step of [`MaxPool2d`]'s forward: four lanes, one
+/// SSE register, which every x86-64 has without a target feature.
+const POOL_LANES: usize = 4;
+
+/// Windows `ox..ox + L` of one output row into `out[..L]` and their flat
+/// input indices into `arg[..L]`: window `ox` reads `top[2·ox]`,
+/// `top[2·ox + 1]`, `bot[2·ox]` and `bot[2·ox + 1]`, in that order, and
+/// `bot` is the row after `top`, which starts at flat index `at`. Each
+/// window keeps a running best and its index, updated by selects, lane
+/// by lane (a branch on which element wins is data-random and
+/// mispredicts): strict `>` from −inf, so the first maximum wins, NaN
+/// never does and an unbeaten window keeps index 0.
+#[inline(always)]
+fn max_windows<const L: usize>(
+    top: &[f32],
+    bot: &[f32],
+    at: usize,
+    ox: usize,
+    out: &mut [f32],
+    arg: &mut [u32],
+) {
+    let (w, x0) = (top.len(), 2 * ox);
+    let (top, bot) = (&top[x0..][..2 * L], &bot[x0..][..2 * L]);
+    let mut best = [f32::NEG_INFINITY; L];
+    let mut idx = [0u32; L];
+    for (row, dx, di) in [(top, 0, 0), (top, 1, 1), (bot, 0, w), (bot, 1, w + 1)] {
+        for i in 0..L {
+            let v = row[2 * i + dx];
+            let wins = v > best[i];
+            best[i] = if wins { v } else { best[i] };
+            idx[i] = if wins {
+                (at + x0 + 2 * i + di) as u32
+            } else {
+                idx[i]
+            };
+        }
+    }
+    out[..L].copy_from_slice(&best);
+    arg[..L].copy_from_slice(&idx);
+}
+
 impl Default for MaxPool2d {
     fn default() -> Self {
         Self::new()
@@ -50,30 +91,26 @@ impl Layer for MaxPool2d {
             self.argmax.resize(b * c * oh * ow, 0);
         }
         let xd = x.data();
+        // Without training the indices go to a scratch row.
+        let mut scratch = [0u32; POOL_LANES];
         for bc in 0..b * c {
             for oy in 0..oh {
-                // The window's top-left, top-right, bottom-left and
-                // bottom-right input indices, in that order.
-                let top = bc * h * w + 2 * oy * w;
-                let at = [top, top + 1, top + w, top + w + 1];
-                let o0 = (bc * oh + oy) * ow;
-                for ox in 0..ow {
-                    // Running best and its index live in locals and are
-                    // updated by selects: which element of a window wins
-                    // is data-random, so a compare-and-store mispredicts.
-                    // Strict `>` from -inf: the first maximum wins, NaN
-                    // never does, an unbeaten window keeps index 0.
-                    let (mut best, mut arg) = (f32::NEG_INFINITY, 0u32);
-                    for i in at {
-                        let i = i + 2 * ox;
-                        let v = xd[i];
-                        let wins = v > best;
-                        best = if wins { v } else { best };
-                        arg = if wins { i as u32 } else { arg };
-                    }
-                    out[o0 + ox] = best;
-                    if train {
-                        self.argmax[o0 + ox] = arg;
+                let (r, at) = (bc * oh + oy, bc * h * w + 2 * oy * w);
+                let (top, bot) = (&xd[at..][..w], &xd[at + w..][..w]);
+                let o = &mut out[r * ow..][..ow];
+                let mut arg = train.then(|| &mut self.argmax[r * ow..][..ow]);
+                let mut ox = 0;
+                while ox < ow {
+                    let a = match arg.as_deref_mut() {
+                        Some(a) => &mut a[ox..],
+                        None => &mut scratch[..],
+                    };
+                    if ow - ox >= POOL_LANES {
+                        max_windows::<POOL_LANES>(top, bot, at, ox, &mut o[ox..], a);
+                        ox += POOL_LANES;
+                    } else {
+                        max_windows::<1>(top, bot, at, ox, &mut o[ox..], a);
+                        ox += 1;
                     }
                 }
             }
@@ -241,6 +278,72 @@ mod tests {
         assert_eq!(y.data(), &[4.0]);
         let gx = p.backward(&[], &mut [], Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]));
         assert_eq!(gx.data(), &[0.0, 0.0, 0.0, 5.0]);
+    }
+
+    /// The scalar loop the vectorised forward replaced: per window, the
+    /// four reads in order, strict `>` from −inf.
+    fn scalar_maxpool(x: &[f32], bc: usize, h: usize, w: usize) -> (Vec<f32>, Vec<u32>) {
+        let (oh, ow) = (h / 2, w / 2);
+        let (mut out, mut arg) = (Vec::new(), Vec::new());
+        for p in 0..bc {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let top = p * h * w + 2 * oy * w + 2 * ox;
+                    let (mut best, mut at) = (f32::NEG_INFINITY, 0u32);
+                    for i in [top, top + 1, top + w, top + w + 1] {
+                        if x[i] > best {
+                            (best, at) = (x[i], i as u32);
+                        }
+                    }
+                    out.push(best);
+                    arg.push(at);
+                }
+            }
+        }
+        (out, arg)
+    }
+
+    #[test]
+    fn vectorised_forward_is_the_scalar_loop() {
+        let (nan, inf) = (f32::NAN, f32::INFINITY);
+        // Few distinct values, so windows tie; NaN, ±inf and ±0.0 mixed in.
+        let pick = [1.0, 2.0, -0.0, 0.0, nan, -inf, inf, 2.0, -1.0, -inf];
+        for (i, &(b, c, h, w)) in [
+            (2, 3, 16, 16),
+            (1, 2, 8, 8),
+            (3, 1, 4, 4),
+            (1, 1, 2, 2),
+            (2, 2, 5, 11),
+            (1, 3, 6, 18),
+            (1, 1, 1, 9),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let len = b * c * h * w;
+            let mut x: Vec<f32> = (0..len)
+                .map(|j| pick[(j * 7 + j / 5 + i) % pick.len()])
+                .collect();
+            // Whole windows of −inf, of NaN and of ±0.0.
+            if h >= 2 && w >= 6 {
+                for (k, v) in [(0, -inf), (2, nan), (4, -0.0)] {
+                    x[k] = v;
+                    x[k + 1] = v;
+                    x[w + k] = if v == 0.0 { 0.0 } else { v };
+                    x[w + k + 1] = v;
+                }
+            }
+            let (want, want_arg) = scalar_maxpool(&x, b * c, h, w);
+            for train in [true, false] {
+                let mut p = MaxPool2d::new();
+                let y = p.forward(&[], Tensor::from_vec(x.clone(), &[b, c, h, w]), train);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(y.data()), bits(&want), "case {i} train {train}");
+                if train {
+                    assert_eq!(p.argmax, want_arg, "case {i}");
+                }
+            }
+        }
     }
 
     /// The comparison is a strict `>` against a running best that starts
