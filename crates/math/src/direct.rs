@@ -483,6 +483,116 @@ pub fn weight_grad(x: &[f32], n: usize, gy: &gemm::DenseABlocks, m: usize, gwt: 
     pool::give(xp);
 }
 
+/// `dst[c·ld_dst + r] = src[r·ld_src + c]` for `r < rows`, `c < cols`:
+/// the gather and the write-back of [`weight_grad`]'s transposed
+/// accumulator. Whole 16 × 16 tiles are transposed in registers, the
+/// edges element by element; a tiled scalar walk took 4–5× as long, a
+/// fifth of a 32→32 4×4 layer's 4-slot backward. Panics unless the
+/// kernels are [`available`] and the slices hold the matrices.
+pub fn transpose(
+    src: &[f32],
+    ld_src: usize,
+    rows: usize,
+    cols: usize,
+    dst: &mut [f32],
+    ld_dst: usize,
+) {
+    if rows == 0 || cols == 0 {
+        return;
+    }
+    assert!(available(), "direct transpose without AVX-512");
+    assert!(
+        cols <= ld_src
+            && rows <= ld_dst
+            && src.len() >= (rows - 1) * ld_src + cols
+            && dst.len() >= (cols - 1) * ld_dst + rows,
+        "direct transpose: shape mismatch"
+    );
+    const T: usize = LANES;
+    for r0 in (0..rows).step_by(T) {
+        for c0 in (0..cols).step_by(T) {
+            if r0 + T <= rows && c0 + T <= cols {
+                // SAFETY: `available()` holds; rows `r0..r0 + 16` of
+                // `src` and `c0..c0 + 16` of `dst` lie in the matrices
+                // the assert above bounds, 16 floats from column `c0`
+                // and row `r0`.
+                unsafe {
+                    transpose_tile(
+                        src[r0 * ld_src + c0..].as_ptr(),
+                        ld_src,
+                        dst[c0 * ld_dst + r0..].as_mut_ptr(),
+                        ld_dst,
+                    )
+                };
+                continue;
+            }
+            for r in r0..(r0 + T).min(rows) {
+                for c in c0..(c0 + T).min(cols) {
+                    dst[c * ld_dst + r] = src[r * ld_src + c];
+                }
+            }
+        }
+    }
+}
+
+/// A 16 × 16 transpose in registers,
+/// `dst[c·ld_dst + r] = src[r·ld_src + c]`: rows are interleaved in
+/// pairs by element, then by element pair, and then the 128-bit blocks
+/// of four rows are exchanged twice.
+///
+/// # Safety
+/// Requires AVX-512F; `src` must hold 16 rows of 16 floats at stride
+/// `ld_src` and `dst` 16 rows of 16 at stride `ld_dst`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn transpose_tile(src: *const f32, ld_src: usize, dst: *mut f32, ld_dst: usize) {
+    use std::arch::x86_64::*;
+    let r: [__m512; 16] = std::array::from_fn(|i| _mm512_loadu_ps(src.add(i * ld_src)));
+    // t[2k], t[2k + 1]: rows 2k and 2k + 1 interleaved, lanes
+    // {0, 1} and {2, 3} of each 128-bit block.
+    let t: [__m512; 16] = std::array::from_fn(|i| {
+        let (a, b) = (r[i & !1], r[i | 1]);
+        if i % 2 == 0 {
+            _mm512_unpacklo_ps(a, b)
+        } else {
+            _mm512_unpackhi_ps(a, b)
+        }
+    });
+    // u[4g + k]: rows 4g..4g + 4 of columns k, k + 4, k + 8, k + 12,
+    // one per 128-bit block.
+    let u: [__m512; 16] = std::array::from_fn(|i| {
+        let (g, k) = (i / 4 * 4, i % 4);
+        let a = _mm512_castps_pd(t[g + k / 2]);
+        let b = _mm512_castps_pd(t[g + 2 + k / 2]);
+        _mm512_castpd_ps(if k % 2 == 0 {
+            _mm512_unpacklo_pd(a, b)
+        } else {
+            _mm512_unpackhi_pd(a, b)
+        })
+    });
+    for k in 0..4 {
+        // Blocks 0 and 2 (0x88) or 1 and 3 (0xdd) of two groups' u.
+        let v = _mm512_shuffle_f32x4::<0x88>(u[k], u[4 + k]);
+        let w = _mm512_shuffle_f32x4::<0xdd>(u[k], u[4 + k]);
+        let v2 = _mm512_shuffle_f32x4::<0x88>(u[8 + k], u[12 + k]);
+        let w2 = _mm512_shuffle_f32x4::<0xdd>(u[8 + k], u[12 + k]);
+        let out = [
+            (k, _mm512_shuffle_f32x4::<0x88>(v, v2)),
+            (k + 4, _mm512_shuffle_f32x4::<0x88>(w, w2)),
+            (k + 8, _mm512_shuffle_f32x4::<0xdd>(v, v2)),
+            (k + 12, _mm512_shuffle_f32x4::<0xdd>(w, w2)),
+        ];
+        for (c, row) in out {
+            _mm512_storeu_ps(dst.add(c * ld_dst), row);
+        }
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+unsafe fn transpose_tile(_: *const f32, _: usize, _: *mut f32, _: usize) {
+    unreachable!("the direct kernels need the AVX-512 tile")
+}
+
 /// Row vectors per weight-gradient tile: 27 chains on one channel.
 const WG_VECTORS: usize = 3;
 
@@ -567,4 +677,42 @@ unsafe fn fwd_tile<const R: usize, const V: usize>(_: &FwdArgs, _: &mut [f32]) {
 #[cfg(not(target_arch = "x86_64"))]
 unsafe fn bwd_tile<const R: usize, const V: usize>(_: &BwdArgs, _: &mut [f32], _: usize, _: usize) {
     unreachable!("the direct kernels need the AVX-512 tile")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn transpose_is_the_element_walk() {
+        if !available() {
+            return;
+        }
+        // (rows, cols, ld_src, ld_dst): whole tiles, ragged edges on
+        // either side, padded strides, and the accumulator of a 64→64
+        // layer at 4 slots (row stride 272).
+        for (rows, cols, ld_src, ld_dst) in [
+            (16, 16, 16, 16),
+            (1, 1, 1, 1),
+            (37, 50, 53, 41),
+            (5, 70, 70, 9),
+            (64, 576, 576, 272),
+            (576, 64, 272, 576),
+        ] {
+            let src: Vec<f32> = (0..(rows - 1) * ld_src + cols)
+                .map(|i| i as f32 * 0.5 - 7.0)
+                .collect();
+            let len = (cols - 1) * ld_dst + rows;
+            let mut got = vec![f32::NAN; len];
+            let mut want = got.clone();
+            transpose(&src, ld_src, rows, cols, &mut got, ld_dst);
+            for r in 0..rows {
+                for c in 0..cols {
+                    want[c * ld_dst + r] = src[r * ld_src + c];
+                }
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{rows}x{cols}");
+        }
+    }
 }

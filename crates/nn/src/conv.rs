@@ -208,23 +208,6 @@ fn add_row_sums(rows: &[f32], n: usize, acc: &mut [f32]) {
     }
 }
 
-/// `dst[c·ld_dst + r] = src[r·ld_src + c]` for `r < rows`, `c < cols`,
-/// in 16 × 16 tiles that stay in L1 (a column walk of a wide `dst`
-/// misses on every store).
-fn transpose(src: &[f32], ld_src: usize, rows: usize, cols: usize, dst: &mut [f32], ld_dst: usize) {
-    const T: usize = 16;
-    for r0 in (0..rows).step_by(T) {
-        for c0 in (0..cols).step_by(T) {
-            for r in r0..(r0 + T).min(rows) {
-                let src = &src[r * ld_src..];
-                for c in c0..(c0 + T).min(cols) {
-                    dst[c * ld_dst + r] = src[c];
-                }
-            }
-        }
-    }
-}
-
 /// Samples or units per chunk at `ncols` output columns each.
 fn per_chunk(ncols: usize) -> usize {
     (CHUNK_COLS / ncols).max(1)
@@ -999,7 +982,7 @@ impl Conv2d {
             let mut v = pool::take(fan * rs);
             for j in 0..s {
                 let slot = grad_slot(grads, s, j, self.off, gw_len);
-                transpose(slot, fan, oc, fan, &mut v[j * oc..], rs);
+                direct::transpose(slot, fan, oc, fan, &mut v[j * oc..], rs);
             }
             // The lanes past the rows hold no gradient; +0.0, not stale
             // bits, so that no denormal or NaN reaches the adds.
@@ -1071,7 +1054,7 @@ impl Conv2d {
         if let Some(v) = gwt {
             for j in 0..s {
                 let slot = grad_slot(grads, s, j, self.off, gw_len);
-                transpose(&v[j * oc..], rs, fan, oc, slot, fan);
+                direct::transpose(&v[j * oc..], rs, fan, oc, slot, fan);
             }
             pool::give(v);
         }
