@@ -174,6 +174,22 @@ fn bench_matmul(opts: &Opts, m: usize, k: usize, n: usize, out: &mut Vec<KernelE
     out.push(entry("matmul", &shape, model, min_ns));
 }
 
+/// The cost-model shape of a 3×3, padding-1 convolution of stride `st`
+/// on a batch of `b` `cin × hw × hw` inputs.
+fn conv3x3_shape(b: usize, cin: usize, cout: usize, st: usize, hw: usize) -> flops::Conv2dShape {
+    flops::Conv2dShape {
+        batch: b,
+        in_c: cin,
+        out_c: cout,
+        kernel: 3,
+        stride: st,
+        padding: 1,
+        groups: 1,
+        h: hw,
+        w: hw,
+    }
+}
+
 /// A 3×3, padding-1 convolution of stride `st` on a batch of `b`
 /// `cin × hw × hw` inputs.
 fn bench_conv(
@@ -193,17 +209,7 @@ fn bench_conv(
         cout,
     );
     let x = Tensor::from_vec(vals(b * cin * hw * hw, 3), &[b, cin, hw, hw]);
-    let s = flops::Conv2dShape {
-        batch: b,
-        in_c: cin,
-        out_c: cout,
-        kernel: 3,
-        stride: st,
-        padding: 1,
-        groups: 1,
-        h: hw,
-        w: hw,
-    };
+    let s = conv3x3_shape(b, cin, cout, st, hw);
     let spec = ConvSpec {
         batch: b,
         in_c: cin,
@@ -279,17 +285,7 @@ fn bench_conv_stacked(
         &[cin, hw, hw],
         cout,
     );
-    let s = flops::Conv2dShape {
-        batch: b,
-        in_c: cin,
-        out_c: cout,
-        kernel: 3,
-        stride: 1,
-        padding: 1,
-        groups: 1,
-        h: hw,
-        w: hw,
-    };
+    let s = conv3x3_shape(b, cin, cout, 1, hw);
     let one = flops::conv2d_bwd(&s);
     let slots = STACKED_SLOTS as u64;
     let model = Cost {

@@ -421,11 +421,11 @@ pub fn weight_grad_stride(m: usize) -> usize {
 /// gradients of `m` stacked output rows: `gwt[f·rs + r] += Σ_q gy[r][q] ·
 /// patch[f][q]` for fan row `f = (c, ky, kx)` and `rs =`
 /// [`weight_grad_stride`]`(m)`; a lane from `m` to `rs` holds no row: it
-/// takes +0.0 terms or is not touched. `x` is the sample's input `[c, n,
-/// n]`; `gy` gives the
-/// rows `[m, n·n]` (row `r` is output channel `r % rows` of block `r /
-/// rows`, the slot-major stack of a backward). Panics unless the kernels
-/// are [`available`], the map [`fits`] and the lengths agree.
+/// takes +0.0 terms or is not touched. `x` is the sample's input
+/// `[c, n, n]`; `gy` gives the rows `[m, n·n]` (row `r` is output channel
+/// `r % rows` of block `r / rows`, the slot-major stack of a backward).
+/// Panics unless the kernels are [`available`], the map [`fits`] and the
+/// lengths agree.
 pub fn weight_grad(x: &[f32], n: usize, gy: &gemm::DenseABlocks, m: usize, gwt: &mut [f32]) {
     assert!(
         available() && fits(n, n),
