@@ -486,7 +486,7 @@ pub fn weight_grad(x: &[f32], n: usize, gy: &gemm::DenseABlocks, m: usize, gwt: 
 /// `dst[c·ld_dst + r] = src[r·ld_src + c]` for `r < rows`, `c < cols`:
 /// the gather and the write-back of [`weight_grad`]'s transposed
 /// accumulator. Whole 16 × 16 tiles are transposed in registers, the
-/// edges element by element; a tiled scalar walk took 4–5× as long, a
+/// edges element by element; a tiled scalar walk took 5–6× as long, a
 /// fifth of a 32→32 4×4 layer's 4-slot backward. Panics unless the
 /// kernels are [`available`] and the slices hold the matrices.
 pub fn transpose(
