@@ -10,7 +10,7 @@
 //! ```text
 //! FEDKNOW_TRACE_DIR=out/ chaos_probe [--scale smoke|quick|paper] [--seed N]
 //!                                    [--panic-after-tasks N] [--force-violation]
-//!                                    [--transport channel|tcp|unix]
+//!                                    [--transport tcp|unix]
 //!                                    [--listen ADDR | --connect ADDR --client-id N]
 //! ```
 //!
@@ -31,7 +31,7 @@ use fedknow_data::DatasetSpec;
 use fedknow_fl::{FaultConfig, FaultKind, TransportKind};
 
 const USAGE: &str = "chaos_probe [--scale smoke|quick|paper] [--seed N] \
-     [--panic-after-tasks N] [--force-violation] [--transport channel|tcp|unix] \
+     [--panic-after-tasks N] [--force-violation] [--transport tcp|unix] \
      [--listen ADDR | --connect ADDR --client-id N]";
 
 fn main() {

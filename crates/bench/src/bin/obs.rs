@@ -5,7 +5,6 @@
 //! obs roofline [--record PATH]                   # kernel roofline from results/kernels.json
 //! obs trace convert  <input> [-o trace.json]     # stream/bundle/trace -> Chrome trace
 //! obs trace validate <input>                     # structural checks, exit 1 on bad
-//! obs trace summary  <input> [--top N]           # top-N slice table
 //! obs trace merge    <bundle...> [-o out.json] [--min-link F]
 //!                                                # clock-aligned multi-process trace
 //! ```
@@ -48,7 +47,6 @@ fn main() {
         Some("trace") => match argv.get(1).map(String::as_str) {
             Some("convert") => convert(&argv[1..]),
             Some("validate") => validate(&argv[1..]),
-            Some("summary") => summary(&argv[1..]),
             Some("merge") => merge(&argv[2..]),
             Some(other) => Err(format!("unknown trace subcommand {other}")),
             None => Err("missing trace subcommand".to_string()),
@@ -67,7 +65,6 @@ const USAGE: &str = "obs report   <stream.jsonl|bundle.json> [--top N]
        obs roofline [--record PATH]
        obs trace convert  <stream.jsonl|bundle.json|trace.json> [-o out.json]
        obs trace validate <input>
-       obs trace summary  <input> [--top N]
        obs trace merge    <bundle.json...> [-o out.json] [--min-link F]";
 
 fn report(argv: &[String]) -> Exit {
@@ -283,20 +280,5 @@ fn merge(argv: &[String]) -> Exit {
             Ok(1)
         }
         (code, _) => Ok(code),
-    }
-}
-
-fn summary(argv: &[String]) -> Exit {
-    let input = argv.get(1).ok_or("summary expects an input file")?;
-    let top = flag::<usize>(argv, "--top")?;
-    match load_trace(input).and_then(|t| trace::summarize(&t, top.unwrap_or(10))) {
-        Ok(table) => {
-            println!("{table}");
-            Ok(0)
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            Ok(1)
-        }
     }
 }

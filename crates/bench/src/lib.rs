@@ -88,7 +88,7 @@ pub struct Args {
 
 /// The `figures` usage line.
 pub const USAGE: &str = "figures [--fig id,id] [--scale smoke|quick|paper] [--seed N] \
-     [--only a,b,c] [--transport channel|tcp|unix] [--results DIR]";
+     [--only a,b,c] [--transport tcp|unix] [--results DIR]";
 
 /// Parse the `figures` flags from `std::env::args`, with defaults
 /// (`--scale quick --seed 42`). Exits 2 with [`USAGE`] on malformed input.

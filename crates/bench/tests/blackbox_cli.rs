@@ -139,17 +139,9 @@ fn chaos_run_produces_convertible_bundle_with_fault_tail() {
         String::from_utf8_lossy(&revalid.stderr)
     );
 
-    // The summary renders a non-empty top-N table from the same trace.
-    let summary = run_trace(&["summary", trace_path.to_str().unwrap(), "--top", "5"]);
-    assert!(summary.status.success());
-    let summary_out = String::from_utf8_lossy(&summary.stdout);
-    assert!(
-        summary_out.contains("run") && summary_out.contains("total ms"),
-        "{summary_out}"
-    );
-
     // The bundle reports like a stream: the forced violation, a fault
-    // row, and how it was recorded.
+    // row, how it was recorded, and where the time went (the span
+    // table).
     let report = run_obs(&["report", bundle_path]);
     let report_out = String::from_utf8_lossy(&report.stdout);
     assert!(report.status.success(), "{report_out}");

@@ -36,14 +36,39 @@ fn unknown_flags_and_missing_values_exit_two_with_the_usage_line() {
     ];
     for (name, bin, bad) in table {
         for args in bad {
-            let out = run(bin, args);
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(out.status.code(), Some(2), "{name} {args}: {stderr}");
-            let usage = format!("usage: {name} ");
-            assert!(stderr.contains(&usage), "{name} {args}: {stderr}");
-            assert!(out.stdout.is_empty(), "{name} {args} ran before the check");
+            refused(name, bin, args);
         }
     }
+}
+
+/// Run `bin args`, assert it exits 2 with `name`'s usage line before
+/// doing anything, and return its stderr.
+fn refused(name: &str, bin: &str, args: &str) -> String {
+    let out = run(bin, args);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{name} {args}: {stderr}");
+    let usage = format!("usage: {name} ");
+    assert!(stderr.contains(&usage), "{name} {args}: {stderr}");
+    assert!(out.stdout.is_empty(), "{name} {args} ran before the check");
+    stderr
+}
+
+/// A value or subcommand that was removed is refused like any bad
+/// input, and the usage line offers only what is left.
+#[test]
+fn removed_values_exit_two_with_the_usage_line() {
+    for (name, bin) in [
+        ("figures", env!("CARGO_BIN_EXE_figures")),
+        ("chaos_probe", env!("CARGO_BIN_EXE_chaos_probe")),
+    ] {
+        let stderr = refused(name, bin, "--transport channel");
+        assert!(
+            stderr.contains("[--transport tcp|unix]"),
+            "{name}: {stderr}"
+        );
+    }
+    let stderr = refused("obs", env!("CARGO_BIN_EXE_obs"), "trace summary x");
+    assert!(!stderr.contains("obs trace summary"), "{stderr}");
 }
 
 #[test]

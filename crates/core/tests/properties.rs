@@ -2,8 +2,8 @@
 
 use fedknow::{ExtractionStrategy, GradientIntegrator, GradientRestorer, KnowledgeExtractor};
 use fedknow_fl::framing::{
-    read_frame, read_frame_traced_into, write_frame, write_frame_traced, FrameDecoder, FrameError,
-    TraceCtx, FRAME_FLAG_CTX, MAX_FRAME_BYTES,
+    read_frame, read_frame_traced_into, write_frame, write_frame_traced, FrameError, TraceCtx,
+    MAX_FRAME_BYTES,
 };
 use fedknow_math::rng::seeded;
 use fedknow_math::{SparseVec, Tensor};
@@ -83,8 +83,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The transport frame layer round-trips arbitrary payloads exactly,
-    /// both through a stream and through the incremental decoder.
+    /// The transport frame layer round-trips arbitrary payloads exactly
+    /// through a stream.
     #[test]
     fn frames_roundtrip(payloads in prop::collection::vec(
         prop::collection::vec(any::<u8>(), 0..300), 1..6
@@ -116,110 +116,64 @@ proptest! {
         }
     }
 
-    /// The incremental decoder reassembles frames from arbitrary
-    /// fragmentation — interleaved partial reads of any chunk size
-    /// yield exactly the frames that were sent.
+    /// The one frame parser reassembles frames from arbitrary
+    /// fragmentation: a stream that hands out 1..=`chunk` bytes per read
+    /// and fails some reads with `Interrupted` yields exactly the
+    /// payloads and contexts that were sent, then a clean close.
     #[test]
-    fn frame_decoder_survives_arbitrary_fragmentation(
-        payloads in prop::collection::vec(
-            prop::collection::vec(any::<u8>(), 0..200), 1..5
-        ),
-        chunk in 1usize..64,
-    ) {
-        let mut wire = Vec::new();
-        for p in &payloads {
-            write_frame(&mut wire, p).unwrap();
-        }
-        let mut d = FrameDecoder::new();
-        let mut out = Vec::new();
-        for piece in wire.chunks(chunk) {
-            d.feed(piece);
-            while let Some((_, f)) = d.next_frame_traced().unwrap() {
-                out.push(f);
-            }
-        }
-        prop_assert_eq!(out, payloads);
-        prop_assert!(d.is_empty());
-    }
-
-    /// Any length header beyond the cap is rejected before allocation,
-    /// on both the stream reader and the incremental decoder. Bit 31 is
-    /// the v2 context flag, not part of the length: a hostile word with
-    /// it set is judged (and reported) on the *masked* length.
-    #[test]
-    fn oversize_headers_always_rejected(
-        extra in 1u64..(1u64 << 31) - MAX_FRAME_BYTES as u64,
-        flagged in any::<bool>(),
-    ) {
-        let claimed = MAX_FRAME_BYTES as u64 + extra;
-        let word = claimed as u32 | if flagged { FRAME_FLAG_CTX } else { 0 };
-        let wire = word.to_le_bytes().to_vec();
-        let mut r = wire.as_slice();
-        prop_assert_eq!(
-            read_frame(&mut r).unwrap_err(),
-            FrameError::Oversize { len: claimed }
-        );
-        let mut d = FrameDecoder::new();
-        d.feed(&wire);
-        prop_assert_eq!(
-            d.next_frame_traced().unwrap_err(),
-            FrameError::Oversize { len: claimed }
-        );
-    }
-
-    /// v1 (bare) and v2 (context-carrying) frames interleave freely on
-    /// one stream: the traced reader surfaces exactly the contexts that
-    /// were attached, the legacy reader sees the same payloads while
-    /// skipping the context blocks, and the incremental decoder agrees
-    /// under arbitrary fragmentation.
-    #[test]
-    fn mixed_version_frames_interoperate(
+    fn frames_survive_arbitrary_fragmentation(
         frames in prop::collection::vec(
             (
                 prop::collection::vec(any::<u8>(), 0..200),
-                any::<bool>(),
                 (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
             ),
-            1..6
+            1..7
         ),
-        chunk in 1usize..48,
+        chunk in 1usize..64,
+        seed in any::<u64>(),
     ) {
         let mut wire = Vec::new();
         let mut want = Vec::new();
-        for (payload, traced, (trace, span, parent, round)) in &frames {
+        for (payload, (trace, span, parent, round)) in &frames {
             // Every u64 bit pattern is a valid context field, so a
             // derived timestamp loses no coverage over a drawn one.
-            let ctx = traced.then(|| TraceCtx {
+            let ctx = TraceCtx {
                 trace: *trace,
                 span: *span,
                 parent: *parent,
                 round: *round,
                 send_ts_ns: trace.rotate_left(17) ^ span,
-            });
-            write_frame_traced(&mut wire, payload, ctx.as_ref()).unwrap();
+            };
+            write_frame_traced(&mut wire, payload, &ctx).unwrap();
             want.push((ctx, payload.clone()));
         }
-        let mut r = wire.as_slice();
+        let mut r = Fragmenting { wire: &wire, chunk, state: seed, interrupted: false };
         let mut payload = Vec::new();
         for (ctx, p) in &want {
             prop_assert_eq!(read_frame_traced_into(&mut r, &mut payload).unwrap(), Some(*ctx));
             prop_assert_eq!(&payload, p);
         }
         prop_assert_eq!(read_frame_traced_into(&mut r, &mut payload).unwrap(), None);
-        let mut r = wire.as_slice();
-        for (_, p) in &want {
-            prop_assert_eq!(read_frame(&mut r).unwrap().as_ref(), Some(p));
-        }
-        let mut d = FrameDecoder::new();
-        let mut got = Vec::new();
-        for piece in wire.chunks(chunk) {
-            d.feed(piece);
-            while let Some(f) = d.next_frame_traced().unwrap() {
-                got.push(f);
-            }
-        }
-        prop_assert_eq!(got, want);
-        prop_assert!(d.is_empty());
+    }
+
+    /// Any length word beyond the cap — bit 31 included — is `Oversize`
+    /// before the context block is waited for or a byte is reserved.
+    #[test]
+    fn oversize_headers_always_rejected(
+        extra in 1u64..=u64::from(u32::MAX) - MAX_FRAME_BYTES as u64,
+    ) {
+        let claimed = MAX_FRAME_BYTES as u64 + extra;
+        let wire = (claimed as u32).to_le_bytes();
+        let mut payload = Vec::new();
+        prop_assert_eq!(
+            read_frame_traced_into(&mut wire.as_slice(), &mut payload).unwrap_err(),
+            FrameError::Oversize { len: claimed }
+        );
+        prop_assert_eq!(payload.capacity(), 0);
+        prop_assert_eq!(
+            read_frame(&mut wire.as_slice()).unwrap_err(),
+            FrameError::Oversize { len: claimed }
+        );
     }
 
     /// Truncating a context-carrying frame at *every* byte offset —
@@ -233,11 +187,42 @@ proptest! {
         let (trace, span, parent, round) = ids;
         let ctx = TraceCtx { trace, span, parent, round, send_ts_ns: trace ^ round };
         let mut wire = Vec::new();
-        write_frame_traced(&mut wire, &payload, Some(&ctx)).unwrap();
+        write_frame_traced(&mut wire, &payload, &ctx).unwrap();
         for cut in 1..wire.len() {
             let mut r = &wire[..cut];
             let err = read_frame_traced_into(&mut r, &mut Vec::new()).unwrap_err();
             prop_assert!(err == FrameError::Truncated, "cut at {cut}: {err:?}");
         }
+    }
+}
+
+/// A stream that hands out a drawn 1..=`chunk` bytes per read and fails
+/// some reads with `Interrupted` (never two in a row), as a socket does
+/// under signals and short reads.
+struct Fragmenting<'a> {
+    wire: &'a [u8],
+    chunk: usize,
+    state: u64,
+    interrupted: bool,
+}
+
+impl std::io::Read for Fragmenting<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        // xorshift64*: the draw for this call.
+        self.state ^= self.state << 13;
+        self.state ^= self.state >> 7;
+        self.state ^= self.state << 17;
+        let draw = self.state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32;
+        if !self.interrupted && draw.is_multiple_of(4) {
+            self.interrupted = true;
+            return Err(std::io::ErrorKind::Interrupted.into());
+        }
+        self.interrupted = false;
+        let n = (1 + draw as usize % self.chunk)
+            .min(buf.len())
+            .min(self.wire.len());
+        buf[..n].copy_from_slice(&self.wire[..n]);
+        self.wire = &self.wire[n..];
+        Ok(n)
     }
 }

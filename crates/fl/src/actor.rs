@@ -77,10 +77,10 @@ enum NetEvent {
     Msg {
         client: u32,
         msg: WireMsg,
-        /// The frame's wire-trace context, when the peer sent one: the
-        /// server records the `handled` lifecycle point against it at
-        /// the moment the event leaves the inbox.
-        ctx: Option<TraceCtx>,
+        /// The frame's wire-trace context: the server records the
+        /// `handled` lifecycle point against it at the moment the event
+        /// leaves the inbox.
+        ctx: TraceCtx,
     },
     /// The connection ended: a clean close, or a quarantine after a
     /// frame that would not decode.
@@ -429,9 +429,7 @@ impl ClientActor {
             let (msg, ctx) = conn.rx.recv_traced()?.ok_or(TransportError::Closed)?;
             // The client consumes synchronously: `handled` immediately
             // follows `in`.
-            if let Some(c) = &ctx {
-                wiretrace::record_recv("handled", c, Some(self.id), msg.label(), 0);
-            }
+            wiretrace::record_recv("handled", &ctx, Some(self.id), msg.label(), 0);
             match msg {
                 WireMsg::StartTask { task } => {
                     step = self.task(task)?;
@@ -644,15 +642,10 @@ impl ServerActor {
     }
 
     /// Bookkeeping for an event leaving the inbox: close the message
-    /// lifecycle — a traced `Msg` popped here is `handled`, the fourth
-    /// and final lifecycle point.
+    /// lifecycle — a `Msg` popped here is `handled`, the fourth and
+    /// final lifecycle point.
     fn popped(&self, ev: &NetEvent) {
-        if let NetEvent::Msg {
-            client,
-            msg,
-            ctx: Some(ctx),
-        } = ev
-        {
+        if let NetEvent::Msg { client, msg, ctx } = ev {
             wiretrace::record_recv("handled", ctx, Some(*client), msg.label(), 0);
         }
     }

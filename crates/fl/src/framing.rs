@@ -1,34 +1,24 @@
 //! Length-prefixed frame layer — the unit of transmission on every
 //! transport backend.
 //!
-//! A frame is a 4-byte little-endian length header followed by exactly
-//! that many payload bytes. The header is capped at [`MAX_FRAME_BYTES`]
-//! so a corrupt or hostile length can never trigger a multi-gigabyte
-//! allocation: the cap is checked *before* any buffer is reserved, and
-//! a torn read (stream ends mid-header or mid-payload) is a typed
-//! [`FrameError::Truncated`], never a panic.
+//! A frame is a 4-byte little-endian payload length, a fixed
+//! [`TRACE_CTX_BYTES`]-byte [`TraceCtx`] block, and exactly that many
+//! payload bytes: `[u32 length][TraceCtx][payload]`. The context is
+//! framing, never payload — the length counts the payload only. The
+//! length is capped at [`MAX_FRAME_BYTES`] so a corrupt or hostile
+//! header can never trigger a multi-gigabyte allocation: the cap is
+//! checked as soon as the four length bytes are in, *before* any buffer
+//! is reserved or the context is read, and a torn read (stream ends
+//! mid-header, mid-context or mid-payload) is a typed
+//! [`FrameError::Truncated`], never a panic. The context block is read
+//! into a stack buffer.
 //!
-//! Frame format v2 adds an optional distributed-tracing context: when
-//! bit 31 of the length word ([`FRAME_FLAG_CTX`]) is set, a fixed
-//! [`TRACE_CTX_BYTES`]-byte [`TraceCtx`] block sits between the header
-//! and the payload. The payload cap is far below 2^31, so the flag bit
-//! can never be part of a legitimate v1 length — v1 frames parse
-//! unchanged through the same decoder, and a v2-aware reader skips the
-//! context transparently for callers that don't want it. The context
-//! block is fixed-size and read into a stack buffer, so hostile or
-//! truncated context bytes are rejected before any allocation.
-//!
-//! Every transport backend moves the same frame bytes, and
-//! `FrameHead` is the one writer of the head. A socket backend writes
-//! the head and then the encoded payload in place, so a model-sized
-//! payload is never copied to be framed; the channel backend, which
-//! ships owned buffers through an in-process queue, copies it once into
-//! its frame. Framing bugs and in-flight damage behave identically on
-//! all of them.
-//!
-//! A socket connection reads every frame into one buffer it keeps
-//! ([`read_frame_traced_into`]); the buffer grows with the payload
-//! bytes that actually arrive, never with what a header claims.
+//! `FrameHead` is the one writer of a frame's head. A sender writes the
+//! head and then the encoded payload in place, so a model-sized payload
+//! is never copied to be framed, and [`read_frame_traced_into`] is the
+//! one parser: a socket connection reads every frame into one buffer it
+//! keeps, which grows with the payload bytes that actually arrive,
+//! never with what a header claims.
 
 use std::io::{IoSlice, Read, Write};
 
@@ -38,21 +28,16 @@ use std::io::{IoSlice, Read, Write};
 /// allocation it claims to need.
 pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
 
-/// Bytes of framing prepended to every payload (the length header).
+/// Bytes of a frame's length word.
 pub const FRAME_HEADER_BYTES: usize = 4;
 
-/// Size of the wire trace-context block carried by flagged (v2) frames:
-/// five little-endian u64s — trace id, span id, parent span id, logical
-/// round, and the sender's send timestamp in ns since its obs epoch.
+/// Size of the trace-context block every frame carries after its length
+/// word: five little-endian u64s — trace id, span id, parent span id,
+/// logical round, and the sender's send timestamp in ns since its obs
+/// epoch.
 pub const TRACE_CTX_BYTES: usize = 40;
 
-/// Bit 31 of the length word marks a frame that carries a
-/// [`TraceCtx`] block between the header and the payload.
-/// `MAX_FRAME_BYTES` is 2^26, so this bit is never set by a legitimate
-/// v1 length — old frames parse unchanged.
-pub const FRAME_FLAG_CTX: u32 = 1 << 31;
-
-/// Compact trace context embedded in a v2 frame header: enough to
+/// Compact trace context embedded in every frame's head: enough to
 /// causally link the sender's span to every downstream event the frame
 /// triggers on the receiver, and to align the two process clocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -105,9 +90,6 @@ impl TraceCtx {
     }
 }
 
-/// A decoded frame: its optional trace context plus the payload bytes.
-pub type TracedFrame = (Option<TraceCtx>, Vec<u8>);
-
 /// Errors in the frame layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
@@ -117,7 +99,7 @@ pub enum FrameError {
         /// The length the header claimed.
         len: u64,
     },
-    /// The stream or buffer ended mid-header or mid-payload (a torn
+    /// The stream ended mid-header, mid-context or mid-payload (a torn
     /// read / partial write on the other side).
     Truncated,
     /// The underlying transport failed.
@@ -149,57 +131,35 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-/// Bytes a frame puts before its payload: the length word, then the
-/// trace-context block if the frame carries one. Built only by
-/// [`FrameHead::new`], the one place the head format is written; the
-/// payload follows it on the wire as it is, never copied behind it.
+/// A frame's head: the length word, then the trace-context block. Built
+/// only by [`FrameHead::new`], the one place the head format is written;
+/// the payload follows it on the wire as it is, never copied behind it.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct FrameHead {
-    bytes: [u8; FRAME_HEADER_BYTES + TRACE_CTX_BYTES],
-    len: usize,
-}
+pub(crate) struct FrameHead([u8; FrameHead::BYTES]);
 
 impl FrameHead {
-    /// The head of a frame carrying `payload_len` bytes, optionally
-    /// tagged with a trace context (a v2 flagged frame). Context bytes
-    /// are framing overhead — they never count toward the payload
-    /// length in the header. An oversize payload is rejected here,
-    /// before anything is written.
-    pub fn new(payload_len: usize, ctx: Option<&TraceCtx>) -> Result<Self, FrameError> {
+    /// Bytes of framing before every payload.
+    pub const BYTES: usize = FRAME_HEADER_BYTES + TRACE_CTX_BYTES;
+
+    /// The head of a frame carrying `payload_len` bytes under `ctx`.
+    /// An oversize payload is rejected here, before anything is
+    /// written.
+    pub fn new(payload_len: usize, ctx: &TraceCtx) -> Result<Self, FrameError> {
         if payload_len > MAX_FRAME_BYTES {
             return Err(FrameError::Oversize {
                 len: payload_len as u64,
             });
         }
-        let mut bytes = [0u8; FRAME_HEADER_BYTES + TRACE_CTX_BYTES];
-        let mut word = payload_len as u32;
-        let mut len = FRAME_HEADER_BYTES;
-        if let Some(c) = ctx {
-            word |= FRAME_FLAG_CTX;
-            bytes[FRAME_HEADER_BYTES..].copy_from_slice(&c.to_bytes());
-            len += TRACE_CTX_BYTES;
-        }
-        bytes[..FRAME_HEADER_BYTES].copy_from_slice(&word.to_le_bytes());
-        Ok(Self { bytes, len })
-    }
-
-    /// The head's bytes.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes[..self.len]
-    }
-
-    /// The whole frame, head and `payload`, as one owned buffer.
-    pub fn frame(&self, payload: &[u8]) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.len + payload.len());
-        buf.extend_from_slice(self.as_bytes());
-        buf.extend_from_slice(payload);
-        buf
+        let mut bytes = [0u8; Self::BYTES];
+        bytes[..FRAME_HEADER_BYTES].copy_from_slice(&(payload_len as u32).to_le_bytes());
+        bytes[FRAME_HEADER_BYTES..].copy_from_slice(&ctx.to_bytes());
+        Ok(Self(bytes))
     }
 
     /// Write the head and then `payload` in place (one vectored write
     /// where the writer supports it), and flush.
     pub fn write_with<W: Write>(&self, w: &mut W, payload: &[u8]) -> std::io::Result<()> {
-        let mut slices = [IoSlice::new(self.as_bytes()), IoSlice::new(payload)];
+        let mut slices = [IoSlice::new(&self.0), IoSlice::new(payload)];
         let mut rest = &mut slices[..];
         while !rest.is_empty() {
             match w.write_vectored(rest) {
@@ -213,30 +173,23 @@ impl FrameHead {
     }
 }
 
-/// Wrap a payload in a frame, optionally tagging it with a trace
-/// context, as one owned buffer — what a transport that moves owned
-/// frames (the channel backend) ships.
-pub fn encode_frame_traced(payload: &[u8], ctx: Option<&TraceCtx>) -> Result<Vec<u8>, FrameError> {
-    Ok(FrameHead::new(payload.len(), ctx)?.frame(payload))
-}
-
-/// Write one frame to a stream.
+/// Write one frame to a stream under a default (all-zero) context.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), FrameError> {
-    write_frame_traced(w, payload, None)
+    write_frame_traced(w, payload, &TraceCtx::default())
 }
 
-/// Write one optionally-tagged frame to a stream: the head, then the
-/// payload in place.
+/// Write one frame to a stream under `ctx`: the head, then the payload
+/// in place.
 pub fn write_frame_traced<W: Write>(
     w: &mut W,
     payload: &[u8],
-    ctx: Option<&TraceCtx>,
+    ctx: &TraceCtx,
 ) -> Result<(), FrameError> {
     FrameHead::new(payload.len(), ctx)?.write_with(w, payload)?;
     Ok(())
 }
 
-/// Read one frame from a stream into a fresh buffer, discarding any
+/// Read one frame from a stream into a fresh buffer, discarding its
 /// trace context. See [`read_frame_traced_into`] for the
 /// close/truncation contract.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, FrameError> {
@@ -252,10 +205,10 @@ const READ_STEP: usize = 256 * 1024;
 
 /// Read one frame from a stream into `payload`, replacing its contents
 /// and keeping its allocation — a connection reads every frame into the
-/// same buffer. Returns the frame's trace context, if it carries one.
-/// `Ok(None)` is a clean close — the stream ended exactly on a frame
-/// boundary. A stream that ends after one or more
-/// header/context/payload bytes is [`FrameError::Truncated`]. The
+/// same buffer. Returns the frame's trace context. `Ok(None)` is a clean
+/// close — the stream ended exactly on a frame boundary. A stream that
+/// ends after one or more header/context/payload bytes is
+/// [`FrameError::Truncated`]. A read the OS interrupts is retried. The
 /// payload length is validated and the context block is read into a
 /// stack buffer before anything is reserved, and the payload buffer
 /// grows only as payload bytes arrive — to at most twice what arrived,
@@ -264,7 +217,7 @@ const READ_STEP: usize = 256 * 1024;
 pub fn read_frame_traced_into<R: Read>(
     r: &mut R,
     payload: &mut Vec<u8>,
-) -> Result<Option<Option<TraceCtx>>, FrameError> {
+) -> Result<Option<TraceCtx>, FrameError> {
     let mut header = [0u8; FRAME_HEADER_BYTES];
     let mut got = 0usize;
     while got < header.len() {
@@ -281,18 +234,12 @@ pub fn read_frame_traced_into<R: Read>(
             Err(e) => return Err(e.into()),
         }
     }
-    let word = u32::from_le_bytes(header);
-    let len = (word & !FRAME_FLAG_CTX) as usize;
+    let len = u32::from_le_bytes(header) as usize;
     if len > MAX_FRAME_BYTES {
         return Err(FrameError::Oversize { len: len as u64 });
     }
-    let ctx = if word & FRAME_FLAG_CTX != 0 {
-        let mut block = [0u8; TRACE_CTX_BYTES];
-        r.read_exact(&mut block)?;
-        Some(TraceCtx::from_bytes(&block))
-    } else {
-        None
-    };
+    let mut block = [0u8; TRACE_CTX_BYTES];
+    r.read_exact(&mut block)?;
     payload.clear();
     while payload.len() < len {
         if payload.len() == payload.capacity() {
@@ -305,70 +252,7 @@ pub fn read_frame_traced_into<R: Read>(
             return Err(FrameError::Truncated);
         }
     }
-    Ok(Some(ctx))
-}
-
-/// Incremental frame decoder for transports that deliver arbitrary byte
-/// chunks (interleaved partial reads). Feed bytes in any fragmentation;
-/// complete frames come out exactly as sent. An oversize header is
-/// reported as soon as the four header bytes are present — before the
-/// claimed payload is buffered.
-#[derive(Debug, Default)]
-pub struct FrameDecoder {
-    buf: Vec<u8>,
-}
-
-impl FrameDecoder {
-    /// Fresh decoder with no buffered bytes.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append raw bytes from the transport.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Pop the next complete frame, if one is fully buffered, with its
-    /// trace context (if tagged).
-    /// The oversize check runs on the masked length as soon as the four
-    /// header bytes are present — before the claimed payload (or its
-    /// context block) is waited for.
-    pub fn next_frame_traced(&mut self) -> Result<Option<TracedFrame>, FrameError> {
-        if self.buf.len() < FRAME_HEADER_BYTES {
-            return Ok(None);
-        }
-        let word = u32::from_le_bytes(self.buf[..FRAME_HEADER_BYTES].try_into().unwrap());
-        let len = (word & !FRAME_FLAG_CTX) as usize;
-        if len > MAX_FRAME_BYTES {
-            return Err(FrameError::Oversize { len: len as u64 });
-        }
-        let ctx_len = if word & FRAME_FLAG_CTX != 0 {
-            TRACE_CTX_BYTES
-        } else {
-            0
-        };
-        let total = FRAME_HEADER_BYTES + ctx_len + len;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let ctx = (ctx_len > 0).then(|| {
-            TraceCtx::from_bytes(
-                self.buf[FRAME_HEADER_BYTES..FRAME_HEADER_BYTES + TRACE_CTX_BYTES]
-                    .try_into()
-                    .unwrap(),
-            )
-        });
-        let payload = self.buf[FRAME_HEADER_BYTES + ctx_len..total].to_vec();
-        self.buf.drain(..total);
-        Ok(Some((ctx, payload)))
-    }
-
-    /// Whether the decoder holds no partial data — a peer that closes
-    /// while this is `false` tore a frame mid-send.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
+    Ok(Some(TraceCtx::from_bytes(&block)))
 }
 
 #[cfg(test)]
@@ -380,7 +264,10 @@ mod tests {
         let payload = b"hello frames".to_vec();
         let mut wire = Vec::new();
         write_frame(&mut wire, &payload).unwrap();
-        assert_eq!(wire.len(), FRAME_HEADER_BYTES + payload.len());
+        assert_eq!(
+            wire.len(),
+            FRAME_HEADER_BYTES + TRACE_CTX_BYTES + payload.len()
+        );
         let mut r = wire.as_slice();
         assert_eq!(read_frame(&mut r).unwrap(), Some(payload));
         assert_eq!(read_frame(&mut r).unwrap(), None, "clean close");
@@ -397,29 +284,26 @@ mod tests {
     #[test]
     fn oversize_header_rejected_before_allocation() {
         // A header claiming u32::MAX bytes: must error, not allocate
-        // gigabytes. Bit 31 is the ctx flag, so the claimed length is
-        // the masked word — still far beyond the cap.
+        // gigabytes — and before the context block is waited for.
         let wire = u32::MAX.to_le_bytes().to_vec();
-        let claimed = u64::from(!FRAME_FLAG_CTX);
-        let mut r = wire.as_slice();
+        let mut payload = Vec::new();
         assert_eq!(
-            read_frame(&mut r).unwrap_err(),
-            FrameError::Oversize { len: claimed }
+            read_frame_traced_into(&mut wire.as_slice(), &mut payload).unwrap_err(),
+            FrameError::Oversize {
+                len: u64::from(u32::MAX)
+            }
         );
-        let mut d = FrameDecoder::new();
-        d.feed(&wire);
-        assert!(matches!(
-            d.next_frame_traced().unwrap_err(),
-            FrameError::Oversize { .. }
-        ));
+        assert_eq!(payload.capacity(), 0);
     }
 
     #[test]
     fn a_hostile_length_reserves_only_what_arrives() {
-        // A header claiming the full cap, then 10 payload bytes and EOF:
-        // Truncated, and the buffer grew with the bytes that came, not
-        // with the claim — through the fresh-buffer reader too.
+        // A header claiming the full cap, a context, then 10 payload
+        // bytes and EOF: Truncated, and the buffer grew with the bytes
+        // that came, not with the claim — through the fresh-buffer
+        // reader too.
         let mut wire = (MAX_FRAME_BYTES as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&ctx().to_bytes());
         wire.extend_from_slice(&[7u8; 10]);
         let _tracking = fedknow_obs::alloc::track();
         let (_, before) = fedknow_obs::alloc::thread_totals();
@@ -453,13 +337,13 @@ mod tests {
         ];
         let mut wire = Vec::new();
         for f in &frames {
-            write_frame_traced(&mut wire, f, Some(&ctx())).unwrap();
+            write_frame_traced(&mut wire, f, &ctx()).unwrap();
         }
         let mut r = wire.as_slice();
         let mut payload = Vec::new();
         for f in &frames {
             let got = read_frame_traced_into(&mut r, &mut payload).unwrap();
-            assert_eq!(got, Some(Some(ctx())));
+            assert_eq!(got, Some(ctx()));
             assert_eq!(&payload, f);
         }
         assert!(payload.capacity() >= 600_000);
@@ -470,15 +354,12 @@ mod tests {
     fn oversize_payload_rejected_at_encode() {
         // Claim only — don't materialize 64 MiB; write_frame checks len.
         let big = vec![0u8; MAX_FRAME_BYTES + 1];
-        assert!(matches!(
-            encode_frame_traced(&big, None).unwrap_err(),
-            FrameError::Oversize { .. }
-        ));
         let mut sink = Vec::new();
         assert!(matches!(
             write_frame(&mut sink, &big).unwrap_err(),
             FrameError::Oversize { .. }
         ));
+        assert!(sink.is_empty(), "nothing is written");
     }
 
     #[test]
@@ -495,26 +376,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn decoder_handles_interleaved_partial_feeds() {
-        let frames: Vec<Vec<u8>> = vec![b"a".to_vec(), b"".to_vec(), vec![7u8; 300]];
-        let mut wire = Vec::new();
-        for f in &frames {
-            write_frame(&mut wire, f).unwrap();
-        }
-        // Feed one byte at a time — worst-case fragmentation.
-        let mut d = FrameDecoder::new();
-        let mut out = Vec::new();
-        for &b in &wire {
-            d.feed(&[b]);
-            while let Some((_, f)) = d.next_frame_traced().unwrap() {
-                out.push(f);
-            }
-        }
-        assert_eq!(out, frames);
-        assert!(d.is_empty());
-    }
-
     fn ctx() -> TraceCtx {
         TraceCtx {
             trace: 0xABCD_1234,
@@ -526,18 +387,23 @@ mod tests {
     }
 
     #[test]
-    fn traced_frame_roundtrips_via_stream_and_decoder() {
+    fn traced_frame_roundtrips_via_stream() {
         let payload = b"traced payload".to_vec();
         let mut wire = Vec::new();
-        write_frame_traced(&mut wire, &payload, Some(&ctx())).unwrap();
+        write_frame_traced(&mut wire, &payload, &ctx()).unwrap();
         assert_eq!(
             wire.len(),
             FRAME_HEADER_BYTES + TRACE_CTX_BYTES + payload.len()
         );
+        assert_eq!(wire[..FRAME_HEADER_BYTES], 14u32.to_le_bytes());
+        assert_eq!(
+            wire[FRAME_HEADER_BYTES..][..TRACE_CTX_BYTES],
+            ctx().to_bytes()
+        );
 
         let mut r = wire.as_slice();
         let mut got = Vec::new();
-        let got_ctx = read_frame_traced_into(&mut r, &mut got).unwrap().unwrap();
+        let got_ctx = read_frame_traced_into(&mut r, &mut got).unwrap();
         assert_eq!(got_ctx, Some(ctx()));
         assert_eq!(got, payload);
         assert_eq!(
@@ -545,54 +411,23 @@ mod tests {
             None,
             "clean close"
         );
-
-        // Byte-at-a-time through the incremental decoder.
-        let mut d = FrameDecoder::new();
-        let mut out = None;
-        for &b in &wire {
-            d.feed(&[b]);
-            if let Some(f) = d.next_frame_traced().unwrap() {
-                out = Some(f);
-            }
-        }
-        assert_eq!(out, Some((Some(ctx()), payload)));
-        assert!(d.is_empty());
     }
 
     #[test]
     fn untraced_reader_skips_the_context() {
-        // The v1-shaped reader still works on v2 frames: ctx is dropped
-        // (the decoder hands it over with the payload).
+        // `read_frame` drops whatever context a frame carries, and
+        // `write_frame` writes an all-zero one.
         let mut wire = Vec::new();
-        write_frame_traced(&mut wire, b"x", Some(&ctx())).unwrap();
+        write_frame_traced(&mut wire, b"x", &ctx()).unwrap();
+        write_frame(&mut wire, b"y").unwrap();
         let mut r = wire.as_slice();
         assert_eq!(read_frame(&mut r).unwrap(), Some(b"x".to_vec()));
-        let mut d = FrameDecoder::new();
-        d.feed(&wire);
-        assert_eq!(
-            d.next_frame_traced().unwrap(),
-            Some((Some(ctx()), b"x".to_vec()))
-        );
-    }
-
-    #[test]
-    fn mixed_version_streams_interleave() {
-        // v1 and v2 frames on the same stream, decoded in order by one
-        // reader — old frames still parse.
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"old").unwrap();
-        write_frame_traced(&mut wire, b"new", Some(&ctx())).unwrap();
-        write_frame(&mut wire, b"old2").unwrap();
-        let mut r = wire.as_slice();
         let mut got = Vec::new();
-        for (want_ctx, want) in [(None, &b"old"[..]), (Some(ctx()), b"new"), (None, b"old2")] {
-            assert_eq!(
-                read_frame_traced_into(&mut r, &mut got).unwrap(),
-                Some(want_ctx)
-            );
-            assert_eq!(got, want);
-        }
-        assert_eq!(read_frame_traced_into(&mut r, &mut got).unwrap(), None);
+        let second = read_frame_traced_into(&mut r, &mut got).unwrap();
+        assert_eq!(
+            (second, got.as_slice()),
+            (Some(TraceCtx::default()), &b"y"[..])
+        );
     }
 
     #[test]
@@ -600,7 +435,7 @@ mod tests {
         // Cut the stream at every offset inside the context block and
         // the payload: always Truncated, never a panic or partial frame.
         let mut wire = Vec::new();
-        write_frame_traced(&mut wire, b"0123456789", Some(&ctx())).unwrap();
+        write_frame_traced(&mut wire, b"0123456789", &ctx()).unwrap();
         for cut in 1..wire.len() {
             let mut r = &wire[..cut];
             assert_eq!(

@@ -24,9 +24,9 @@
 //!   trained in parallel threads; checkpoint/resume.
 //! * [`framing`] / [`proto`] / [`transport`] / [`actor`] —
 //!   [`FederationRuntime`]: the same loop over framed messages:
-//!   length-prefixed frames, typed wire messages, swappable
-//!   channel/TCP/Unix-socket backends with fault injection at the wire
-//!   seam, and the server/client actor threads.
+//!   length-prefixed frames that each carry a trace context, typed wire
+//!   messages, TCP or Unix-socket backends with fault injection at the
+//!   wire seam, and the server/client actor threads.
 
 pub mod actor;
 pub mod client;
@@ -51,9 +51,7 @@ pub use device::DeviceProfile;
 pub use faults::{
     Corruption, CorruptionMode, FaultConfig, FaultEvent, FaultKind, FaultPlan, RoundFaults,
 };
-pub use framing::{
-    FrameDecoder, FrameError, TraceCtx, FRAME_HEADER_BYTES, MAX_FRAME_BYTES, TRACE_CTX_BYTES,
-};
+pub use framing::{FrameError, TraceCtx, FRAME_HEADER_BYTES, MAX_FRAME_BYTES, TRACE_CTX_BYTES};
 pub use metrics::{AccuracyMatrix, RowLengthMismatch};
 pub use proto::{DecodeError, Encoded, UploadMeta, WireMsg};
 pub use server::{AggregateError, Aggregation, RejectReason, RejectedUpload, Screening};

@@ -693,7 +693,7 @@ pub fn decode_msg_into(buf: &[u8], spare: &mut Vec<f32>) -> Result<WireMsg, Deco
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framing::{encode_frame_traced, write_frame_traced, TraceCtx};
+    use crate::framing::{write_frame, write_frame_traced, TraceCtx};
 
     fn sample_payload(from: usize) -> Payload {
         Payload {
@@ -799,15 +799,21 @@ mod tests {
             round: 9,
             send_ts_ns: 123_456_789,
         };
+        // The frame assembled by copying: length word, context, payload.
+        let copied = |buf: &[u8], ctx: &TraceCtx| {
+            let mut frame = (buf.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&ctx.to_bytes());
+            frame.extend_from_slice(buf);
+            frame
+        };
         for m in &all_messages() {
             let enc = encode_msg(m);
             let mut wire = Vec::new();
-            write_frame_traced(&mut wire, &enc.buf, Some(&ctx)).unwrap();
-            let copied = encode_frame_traced(&enc.buf, Some(&ctx)).unwrap();
-            assert_eq!(wire, copied, "{}", m.label());
+            write_frame_traced(&mut wire, &enc.buf, &ctx).unwrap();
+            assert_eq!(wire, copied(&enc.buf, &ctx), "{}", m.label());
             let mut wire = Vec::new();
-            write_frame_traced(&mut wire, &enc.buf, None).unwrap();
-            assert_eq!(wire, encode_frame_traced(&enc.buf, None).unwrap());
+            write_frame(&mut wire, &enc.buf).unwrap();
+            assert_eq!(wire, copied(&enc.buf, &TraceCtx::default()));
         }
     }
 

@@ -1,12 +1,15 @@
 //! Swappable message transports for the federation actors.
 //!
 //! A [`Transport`] hands out full-duplex connections that carry typed
-//! [`WireMsg`]s as length-prefixed frames (see [`framing`]). Three
-//! backends exist, all moving the *same frame bytes*:
+//! [`WireMsg`]s as length-prefixed frames (see [`framing`]). Two socket
+//! backends exist, moving the *same frame bytes* through the same
+//! connection code — they differ only in how a stream is dialed and
+//! accepted:
 //!
-//! * **Channel** — in-process byte queues; the reference backend.
-//! * **Tcp** — loopback TCP sockets; real streams, real closes.
+//! * **Tcp** — TCP sockets (loopback, or a remote server's address).
 //! * **Unix** — Unix-domain sockets (unix targets only).
+//!
+//! (The in-process case is [`Simulation`], which needs no wire.)
 //!
 //! Fault injection lives at this seam: [`send_upload_faulty`] realizes
 //! a round's drawn [`RoundFaults`] on the wire — lost attempts are
@@ -28,24 +31,21 @@
 //!
 //! [`framing`]: crate::framing
 //! [`CommModel`]: crate::comm::CommModel
+//! [`Simulation`]: crate::sim::Simulation
 
 use crate::faults::RoundFaults;
-use crate::framing::{
-    read_frame_traced_into, FrameDecoder, FrameError, FrameHead, TraceCtx, FRAME_HEADER_BYTES,
-    TRACE_CTX_BYTES,
-};
+use crate::framing::{read_frame_traced_into, FrameError, FrameHead, TraceCtx};
 use crate::proto::{decode_msg_into, encode_msg_into, DecodeError, Encoded, WireMsg};
 use crate::wiretrace;
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Which transport backend to run the federation over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportKind {
-    /// In-process byte channels (the reference backend).
-    Channel,
     /// TCP over loopback.
     Tcp,
     /// Unix-domain sockets.
@@ -54,10 +54,9 @@ pub enum TransportKind {
 }
 
 impl TransportKind {
-    /// Parse a CLI flag value (`channel`, `tcp`, `unix`).
+    /// Parse a CLI flag value (`tcp`, `unix`).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
-            "channel" => Some(Self::Channel),
             "tcp" => Some(Self::Tcp),
             #[cfg(unix)]
             "unix" => Some(Self::Unix),
@@ -68,7 +67,6 @@ impl TransportKind {
     /// The flag value this kind parses from.
     pub fn label(&self) -> &'static str {
         match self {
-            Self::Channel => "channel",
             Self::Tcp => "tcp",
             #[cfg(unix)]
             Self::Unix => "unix",
@@ -210,16 +208,9 @@ impl WireStats {
     }
 }
 
-enum TxInner {
-    Channel(mpsc::Sender<Vec<u8>>),
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(std::os::unix::net::UnixStream),
-}
-
 /// The sending half of a connection.
 pub struct MsgTx {
-    inner: TxInner,
+    stream: Box<dyn Write + Send>,
     stats: Arc<WireStats>,
     /// The peer's client id, once known (set after Hello/accept) —
     /// carried by the wire lifecycle records.
@@ -230,9 +221,9 @@ pub struct MsgTx {
 }
 
 impl MsgTx {
-    fn new(inner: TxInner, stats: Arc<WireStats>) -> Self {
+    fn new(stream: Box<dyn Write + Send>, stats: Arc<WireStats>) -> Self {
         Self {
-            inner,
+            stream,
             stats,
             peer: None,
             enc: Encoded::default(),
@@ -271,11 +262,10 @@ impl MsgTx {
 
     /// [`Self::send_encoded`] with a message-kind label for the wire
     /// lifecycle records. Every frame leaves with a freshly stamped
-    /// trace context (v2 flagged frame); the context bytes count as
-    /// framing overhead, never data-plane bytes, so byte parity with
-    /// the comm model is untouched. A socket backend writes the frame
-    /// head and then `enc.buf` in place; the channel backend copies
-    /// them into the one owned buffer its queue carries.
+    /// trace context; the context bytes count as framing overhead,
+    /// never data-plane bytes, so byte parity with the comm model is
+    /// untouched. The frame head and then `enc.buf` are written in
+    /// place, in one vectored write.
     pub(crate) fn send_encoded_labeled(
         &mut self,
         enc: &Encoded,
@@ -283,17 +273,10 @@ impl MsgTx {
     ) -> Result<(), TransportError> {
         let ctx = wiretrace::ctx_for_send();
         wiretrace::record_send("enq", &ctx, self.peer, label, enc.data_bytes);
-        let head = FrameHead::new(enc.buf.len(), Some(&ctx))?;
-        let total = head.as_bytes().len() + enc.buf.len();
-        self.stats.on_send(enc.data_bytes, total as u64, true);
-        match &mut self.inner {
-            TxInner::Channel(tx) => tx
-                .send(head.frame(&enc.buf))
-                .map_err(|_| TransportError::Closed)?,
-            TxInner::Tcp(s) => head.write_with(s, &enc.buf).map_err(socket_error)?,
-            #[cfg(unix)]
-            TxInner::Unix(s) => head.write_with(s, &enc.buf).map_err(socket_error)?,
-        }
+        let head = FrameHead::new(enc.buf.len(), &ctx)?;
+        self.stats.on_send(enc.data_bytes, frame_bytes(enc), true);
+        head.write_with(&mut self.stream, &enc.buf)
+            .map_err(socket_error)?;
         wiretrace::record_send("out", &ctx, self.peer, label, enc.data_bytes);
         Ok(())
     }
@@ -305,8 +288,7 @@ impl MsgTx {
     /// never finishes (a terminated flow).
     pub(crate) fn drop_encoded_labeled(&mut self, enc: &Encoded, label: &str) {
         let ctx = wiretrace::ctx_for_send();
-        let total = (FRAME_HEADER_BYTES + TRACE_CTX_BYTES + enc.buf.len()) as u64;
-        self.stats.on_send(enc.data_bytes, total, false);
+        self.stats.on_send(enc.data_bytes, frame_bytes(enc), false);
         wiretrace::record_send("drop", &ctx, self.peer, label, enc.data_bytes);
     }
 
@@ -337,6 +319,11 @@ impl MsgTx {
     }
 }
 
+/// Bytes `enc` takes on the wire once framed.
+fn frame_bytes(enc: &Encoded) -> u64 {
+    (FrameHead::BYTES + enc.buf.len()) as u64
+}
+
 /// A failed socket write: a peer that hung up is [`TransportError::Closed`],
 /// anything else a frame-layer I/O error.
 fn socket_error(e: std::io::Error) -> TransportError {
@@ -347,16 +334,6 @@ fn socket_error(e: std::io::Error) -> TransportError {
         | std::io::ErrorKind::NotConnected => TransportError::Closed,
         k => TransportError::Frame(FrameError::Io(k)),
     }
-}
-
-enum RxInner {
-    Channel {
-        rx: mpsc::Receiver<Vec<u8>>,
-        decoder: FrameDecoder,
-    },
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(std::os::unix::net::UnixStream),
 }
 
 /// Parameter vectors a receiver decodes into: whoever consumes a
@@ -388,20 +365,19 @@ impl Spares {
 
 /// The receiving half of a connection.
 pub struct MsgRx {
-    inner: RxInner,
+    stream: Box<dyn Read + Send>,
     /// The peer's client id, once known — tags wire-in records.
     peer: Option<u32>,
-    /// Every socket frame is read into this one buffer (the channel
-    /// backend's owned frames replace it).
+    /// Every frame is read into this one buffer.
     frame: Vec<u8>,
     /// Where decoded parameter vectors come from and go back to.
     spares: Spares,
 }
 
 impl MsgRx {
-    fn new(inner: RxInner) -> Self {
+    fn new(stream: Box<dyn Read + Send>) -> Self {
         Self {
-            inner,
+            stream,
             peer: None,
             frame: Vec::new(),
             spares: Spares::default(),
@@ -435,40 +411,15 @@ impl MsgRx {
     /// [`Self::recv`], surfacing the frame's trace context so the
     /// caller can record the `handled` lifecycle point. The `in` point
     /// (frame off the wire, message decoded) is recorded here.
-    pub fn recv_traced(&mut self) -> Result<Option<(WireMsg, Option<TraceCtx>)>, TransportError> {
-        let ctx = match &mut self.inner {
-            RxInner::Channel { rx, decoder } => loop {
-                if let Some((ctx, payload)) = decoder.next_frame_traced()? {
-                    self.frame = payload;
-                    break ctx;
-                }
-                match rx.recv() {
-                    Ok(bytes) => decoder.feed(&bytes),
-                    Err(_) => {
-                        if decoder.is_empty() {
-                            return Ok(None);
-                        }
-                        return Err(TransportError::Frame(FrameError::Truncated));
-                    }
-                }
-            },
-            RxInner::Tcp(s) => match read_frame_traced_into(s, &mut self.frame)? {
-                Some(ctx) => ctx,
-                None => return Ok(None),
-            },
-            #[cfg(unix)]
-            RxInner::Unix(s) => match read_frame_traced_into(s, &mut self.frame)? {
-                Some(ctx) => ctx,
-                None => return Ok(None),
-            },
+    pub fn recv_traced(&mut self) -> Result<Option<(WireMsg, TraceCtx)>, TransportError> {
+        let Some(ctx) = read_frame_traced_into(&mut self.stream, &mut self.frame)? else {
+            return Ok(None);
         };
         let mut spare = self.spares.take();
         let decoded = decode_msg_into(&self.frame, &mut spare);
         self.spares.put(spare);
         let msg = decoded?;
-        if let Some(c) = &ctx {
-            wiretrace::record_recv("in", c, self.peer, msg.label(), self.frame.len() as u64);
-        }
+        wiretrace::record_recv("in", &ctx, self.peer, msg.label(), self.frame.len() as u64);
         Ok(Some((msg, ctx)))
     }
 }
@@ -518,32 +469,16 @@ pub type Endpoint = (Arc<dyn Transport>, Box<dyn TransportListener>);
 /// `stats` ledger.
 pub fn bind(kind: TransportKind, stats: Arc<WireStats>) -> Result<Endpoint, TransportError> {
     match kind {
-        TransportKind::Channel => {
-            let (reg_tx, reg_rx) = mpsc::channel();
-            Ok((
-                Arc::new(ChannelTransport {
-                    reg: Mutex::new(reg_tx),
-                    stats: stats.clone(),
-                }),
-                Box::new(ChannelListener { reg: reg_rx, stats }),
-            ))
-        }
         TransportKind::Tcp => {
-            let listener =
-                TcpListener::bind("127.0.0.1:0").map_err(|e| TransportError::Setup(e.kind()))?;
-            let addr = listener
-                .local_addr()
-                .map_err(|e| TransportError::Setup(e.kind()))?;
-            listener
-                .set_nonblocking(true)
-                .map_err(|e| TransportError::Setup(e.kind()))?;
+            let listener = TcpListener::bind("127.0.0.1:0").map_err(setup)?;
+            let addr = listener.local_addr().map_err(setup)?;
             Ok((
                 Arc::new(TcpTransport {
                     addr,
                     stats: stats.clone(),
                     dial_window: Duration::ZERO,
                 }),
-                Box::new(TcpAcceptor { listener, stats }),
+                Acceptor::boxed(listener, None, stats)?,
             ))
         }
         #[cfg(unix)]
@@ -555,21 +490,13 @@ pub fn bind(kind: TransportKind, stats: Arc<WireStats>) -> Result<Endpoint, Tran
                 SOCK_SEQ.fetch_add(1, Ordering::Relaxed)
             ));
             let _ = std::fs::remove_file(&path);
-            let listener = std::os::unix::net::UnixListener::bind(&path)
-                .map_err(|e| TransportError::Setup(e.kind()))?;
-            listener
-                .set_nonblocking(true)
-                .map_err(|e| TransportError::Setup(e.kind()))?;
+            let listener = std::os::unix::net::UnixListener::bind(&path).map_err(setup)?;
             Ok((
                 Arc::new(UnixTransport {
                     path: path.clone(),
                     stats: stats.clone(),
                 }),
-                Box::new(UnixAcceptor {
-                    listener,
-                    path,
-                    stats,
-                }),
+                Acceptor::boxed(listener, Some(path), stats)?,
             ))
         }
     }
@@ -583,11 +510,7 @@ pub fn bind_tcp_at(
     addr: &str,
     stats: Arc<WireStats>,
 ) -> Result<Box<dyn TransportListener>, TransportError> {
-    let listener = TcpListener::bind(addr).map_err(|e| TransportError::Setup(e.kind()))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| TransportError::Setup(e.kind()))?;
-    Ok(Box::new(TcpAcceptor { listener, stats }))
+    Acceptor::boxed(TcpListener::bind(addr).map_err(setup)?, None, stats)
 }
 
 /// A TCP connector dialing a remote server at `addr` from a client
@@ -607,56 +530,135 @@ pub fn tcp_connector(
     }))
 }
 
-/// The two stream halves a channel `connect` hands the server side.
-type ChannelHalves = (mpsc::Sender<Vec<u8>>, mpsc::Receiver<Vec<u8>>);
-
-struct ChannelTransport {
-    /// Registration queue: each connect pushes the server's two halves.
-    reg: Mutex<mpsc::Sender<ChannelHalves>>,
-    stats: Arc<WireStats>,
+/// An endpoint that could not be set up.
+fn setup(e: std::io::Error) -> TransportError {
+    TransportError::Setup(e.kind())
 }
 
-impl Transport for ChannelTransport {
-    fn connect(&self) -> Result<Conn, TransportError> {
-        let (to_server_tx, to_server_rx) = mpsc::channel();
-        let (to_client_tx, to_client_rx) = mpsc::channel();
-        self.reg
-            .lock()
-            .expect("registration lock")
-            .send((to_client_tx, to_server_rx))
-            .map_err(|_| TransportError::Closed)?;
-        Ok(Conn {
-            tx: MsgTx::new(TxInner::Channel(to_server_tx), self.stats.clone()),
-            rx: MsgRx::new(RxInner::Channel {
-                rx: to_client_rx,
-                decoder: FrameDecoder::new(),
-            }),
-        })
+/// A connected stream socket, as a [`Conn`] runs over it.
+trait Socket: Read + Write + Send + Sized + 'static {
+    /// A second handle on the same socket, for the receiving half.
+    fn read_half(&self) -> std::io::Result<Self>;
+    /// Make a freshly connected or accepted stream ready for frames:
+    /// blocking, and sent without delay.
+    fn ready(&self);
+}
+
+impl Socket for TcpStream {
+    fn read_half(&self) -> std::io::Result<Self> {
+        self.try_clone()
     }
 
-    fn kind(&self) -> TransportKind {
-        TransportKind::Channel
+    fn ready(&self) {
+        self.set_nonblocking(false).ok();
+        self.set_nodelay(true).ok();
     }
 }
 
-struct ChannelListener {
-    reg: mpsc::Receiver<ChannelHalves>,
+#[cfg(unix)]
+impl Socket for std::os::unix::net::UnixStream {
+    fn read_half(&self) -> std::io::Result<Self> {
+        self.try_clone()
+    }
+
+    fn ready(&self) {
+        self.set_nonblocking(false).ok();
+    }
+}
+
+/// The one connection constructor: the socket is the sending half, a
+/// clone of it the receiving half.
+fn conn<S: Socket>(stream: S, stats: Arc<WireStats>) -> Result<Conn, TransportError> {
+    stream.ready();
+    let read_half = stream.read_half().map_err(setup)?;
+    Ok(Conn {
+        tx: MsgTx::new(Box::new(stream), stats),
+        rx: MsgRx::new(Box::new(read_half)),
+    })
+}
+
+/// A listening socket that [`Acceptor`] polls.
+trait Listen: Send + 'static {
+    /// The streams it accepts.
+    type Stream: Socket;
+    /// Accept one pending connection, `WouldBlock` if none is waiting.
+    fn accept_stream(&self) -> std::io::Result<Self::Stream>;
+    /// Stop blocking in `accept`, so the acceptor can keep a deadline.
+    fn poll_mode(&self) -> std::io::Result<()>;
+}
+
+impl Listen for TcpListener {
+    type Stream = TcpStream;
+
+    fn accept_stream(&self) -> std::io::Result<TcpStream> {
+        self.accept().map(|(s, _)| s)
+    }
+
+    fn poll_mode(&self) -> std::io::Result<()> {
+        self.set_nonblocking(true)
+    }
+}
+
+#[cfg(unix)]
+impl Listen for std::os::unix::net::UnixListener {
+    type Stream = std::os::unix::net::UnixStream;
+
+    fn accept_stream(&self) -> std::io::Result<Self::Stream> {
+        self.accept().map(|(s, _)| s)
+    }
+
+    fn poll_mode(&self) -> std::io::Result<()> {
+        self.set_nonblocking(true)
+    }
+}
+
+/// The one accept loop, over a non-blocking listening socket.
+struct Acceptor<L> {
+    listener: L,
+    /// The socket file a Unix listener is bound to, removed on drop.
+    socket_file: Option<std::path::PathBuf>,
     stats: Arc<WireStats>,
 }
 
-impl TransportListener for ChannelListener {
+impl<L: Listen> Acceptor<L> {
+    /// Put `listener` in poll mode behind the listener seam.
+    fn boxed(
+        listener: L,
+        socket_file: Option<std::path::PathBuf>,
+        stats: Arc<WireStats>,
+    ) -> Result<Box<dyn TransportListener>, TransportError> {
+        listener.poll_mode().map_err(setup)?;
+        Ok(Box::new(Self {
+            listener,
+            socket_file,
+            stats,
+        }))
+    }
+}
+
+impl<L: Listen> TransportListener for Acceptor<L> {
     fn accept(&mut self, timeout: Duration) -> Result<Conn, TransportError> {
-        let (tx, rx) = self
-            .reg
-            .recv_timeout(timeout)
-            .map_err(|_| TransportError::AcceptTimeout)?;
-        Ok(Conn {
-            tx: MsgTx::new(TxInner::Channel(tx), self.stats.clone()),
-            rx: MsgRx::new(RxInner::Channel {
-                rx,
-                decoder: FrameDecoder::new(),
-            }),
-        })
+        let deadline = Instant::now() + timeout;
+        loop {
+            match self.listener.accept_stream() {
+                Ok(stream) => return conn(stream, self.stats.clone()),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    if Instant::now() >= deadline {
+                        return Err(TransportError::AcceptTimeout);
+                    }
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                Err(e) => return Err(setup(e)),
+            }
+        }
+    }
+}
+
+impl<L> Drop for Acceptor<L> {
+    fn drop(&mut self) {
+        if let Some(path) = &self.socket_file {
+            let _ = std::fs::remove_file(path);
+        }
     }
 }
 
@@ -683,52 +685,14 @@ impl Transport for TcpTransport {
                 {
                     std::thread::sleep(Duration::from_millis(20));
                 }
-                Err(e) => return Err(TransportError::Setup(e.kind())),
+                Err(e) => return Err(setup(e)),
             }
         };
-        stream.set_nodelay(true).ok();
-        tcp_conn(stream, self.stats.clone())
+        conn(stream, self.stats.clone())
     }
 
     fn kind(&self) -> TransportKind {
         TransportKind::Tcp
-    }
-}
-
-fn tcp_conn(stream: TcpStream, stats: Arc<WireStats>) -> Result<Conn, TransportError> {
-    let read_half = stream
-        .try_clone()
-        .map_err(|e| TransportError::Setup(e.kind()))?;
-    Ok(Conn {
-        tx: MsgTx::new(TxInner::Tcp(stream), stats),
-        rx: MsgRx::new(RxInner::Tcp(read_half)),
-    })
-}
-
-struct TcpAcceptor {
-    listener: TcpListener,
-    stats: Arc<WireStats>,
-}
-
-impl TransportListener for TcpAcceptor {
-    fn accept(&mut self, timeout: Duration) -> Result<Conn, TransportError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false).ok();
-                    stream.set_nodelay(true).ok();
-                    return tcp_conn(stream, self.stats.clone());
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        return Err(TransportError::AcceptTimeout);
-                    }
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-                Err(e) => return Err(TransportError::Setup(e.kind())),
-            }
-        }
     }
 }
 
@@ -741,63 +705,12 @@ struct UnixTransport {
 #[cfg(unix)]
 impl Transport for UnixTransport {
     fn connect(&self) -> Result<Conn, TransportError> {
-        let stream = std::os::unix::net::UnixStream::connect(&self.path)
-            .map_err(|e| TransportError::Setup(e.kind()))?;
-        unix_conn(stream, self.stats.clone())
+        let stream = std::os::unix::net::UnixStream::connect(&self.path).map_err(setup)?;
+        conn(stream, self.stats.clone())
     }
 
     fn kind(&self) -> TransportKind {
         TransportKind::Unix
-    }
-}
-
-#[cfg(unix)]
-fn unix_conn(
-    stream: std::os::unix::net::UnixStream,
-    stats: Arc<WireStats>,
-) -> Result<Conn, TransportError> {
-    let read_half = stream
-        .try_clone()
-        .map_err(|e| TransportError::Setup(e.kind()))?;
-    Ok(Conn {
-        tx: MsgTx::new(TxInner::Unix(stream), stats),
-        rx: MsgRx::new(RxInner::Unix(read_half)),
-    })
-}
-
-#[cfg(unix)]
-struct UnixAcceptor {
-    listener: std::os::unix::net::UnixListener,
-    path: std::path::PathBuf,
-    stats: Arc<WireStats>,
-}
-
-#[cfg(unix)]
-impl TransportListener for UnixAcceptor {
-    fn accept(&mut self, timeout: Duration) -> Result<Conn, TransportError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false).ok();
-                    return unix_conn(stream, self.stats.clone());
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        return Err(TransportError::AcceptTimeout);
-                    }
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-                Err(e) => return Err(TransportError::Setup(e.kind())),
-            }
-        }
-    }
-}
-
-#[cfg(unix)]
-impl Drop for UnixAcceptor {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
     }
 }
 
@@ -850,11 +763,12 @@ pub fn send_upload_faulty(
 mod tests {
     use super::*;
     use crate::faults::{Corruption, CorruptionMode};
+    use crate::framing::{FRAME_HEADER_BYTES, TRACE_CTX_BYTES};
     use crate::proto::UploadMeta;
     use std::io::Write;
 
     fn kinds() -> Vec<TransportKind> {
-        let mut k = vec![TransportKind::Channel, TransportKind::Tcp];
+        let mut k = vec![TransportKind::Tcp];
         #[cfg(unix)]
         k.push(TransportKind::Unix);
         k
@@ -1019,7 +933,7 @@ mod tests {
     #[test]
     fn lost_attempts_burn_bytes_but_never_arrive() {
         let stats = Arc::new(WireStats::new());
-        let (transport, mut listener) = bind(TransportKind::Channel, stats.clone()).expect("bind");
+        let (transport, mut listener) = bind(TransportKind::Tcp, stats.clone()).expect("bind");
         let mut client = transport.connect().expect("connect");
         let mut server = listener.accept(Duration::from_secs(1)).expect("accept");
 
@@ -1036,6 +950,13 @@ mod tests {
         let s = stats.snapshot();
         assert_eq!(s.frames_dropped, 3);
         assert_eq!(s.payload, 3 * 32, "each lost attempt burned 8 f32s");
+        // Every attempt's overhead is the frame head plus what the
+        // encoding adds around the 8 floats.
+        let enc = crate::proto::encode_msg(&upload(vec![1.0; 8]));
+        let head = (FRAME_HEADER_BYTES + TRACE_CTX_BYTES) as u64;
+        let per_frame = head + enc.buf.len() as u64 - enc.data_bytes;
+        assert_eq!(s.overhead, 3 * per_frame);
+        assert_eq!(s.bytes_dropped, 3 * (per_frame + enc.data_bytes));
 
         // One retry then success: exactly one frame arrives.
         let f = RoundFaults {
@@ -1055,6 +976,11 @@ mod tests {
         let s = stats.snapshot();
         assert_eq!(s.frames_dropped, 4);
         assert_eq!(s.frames, 5, "3 + 1 dropped, 1 delivered, counted once each");
+        assert_eq!(
+            s.overhead,
+            5 * per_frame,
+            "a delivered frame costs a dropped one's"
+        );
     }
 
     #[test]
@@ -1096,12 +1022,14 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let writer = std::thread::spawn(move || {
             let mut s = TcpStream::connect(addr).unwrap();
-            // Header claims 100 bytes; send only 10 and slam the door.
+            // Header claims 100 bytes; send the context and only 10
+            // payload bytes, then slam the door.
             s.write_all(&100u32.to_le_bytes()).unwrap();
+            s.write_all(&[0u8; TRACE_CTX_BYTES]).unwrap();
             s.write_all(&[7u8; 10]).unwrap();
         });
         let (stream, _) = listener.accept().unwrap();
-        let mut rx = MsgRx::new(RxInner::Tcp(stream));
+        let mut rx = MsgRx::new(Box::new(stream));
         writer.join().unwrap();
         assert_eq!(
             rx.recv().unwrap_err(),
@@ -1112,7 +1040,7 @@ mod tests {
     #[test]
     fn garbage_frame_is_a_decode_error_not_a_panic() {
         let stats = Arc::new(WireStats::new());
-        let (transport, mut listener) = bind(TransportKind::Channel, stats.clone()).expect("bind");
+        let (transport, mut listener) = bind(TransportKind::Tcp, stats.clone()).expect("bind");
         let client = transport.connect().expect("connect");
         let mut server = listener.accept(Duration::from_secs(1)).expect("accept");
         let mut tx = client.tx;

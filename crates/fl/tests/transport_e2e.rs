@@ -15,7 +15,7 @@ use fedknow_math::SparseVec;
 
 /// Every backend compiled on this platform.
 fn backends() -> Vec<TransportKind> {
-    let mut v = vec![TransportKind::Channel, TransportKind::Tcp];
+    let mut v = vec![TransportKind::Tcp];
     #[cfg(unix)]
     v.push(TransportKind::Unix);
     v
@@ -268,7 +268,7 @@ fn wire_data_bytes_reconcile_under_upload_loss() {
     // wire (frames counted, never delivered), so exact parity holds
     // even under loss and crash faults.
     let faults = FaultConfig::crash_loss(0.3);
-    let (report, stats) = actor_report(stub_clients(), faults, TransportKind::Channel);
+    let (report, stats) = actor_report(stub_clients(), faults, TransportKind::Tcp);
     assert!(!report.fault_log.is_empty());
     assert_eq!(
         stats.payload, report.total_bytes,
@@ -294,7 +294,7 @@ fn payload_wire_bytes_exceed_modeled_by_the_own_payload_echo() {
     let (report, stats) = actor_report(
         payload_clients(),
         FaultConfig::default(),
-        TransportKind::Channel,
+        TransportKind::Tcp,
     );
     assert!(
         stats.payload > report.total_bytes,
@@ -369,7 +369,7 @@ fn a_server_that_drops_the_connection_fails_the_remote_client() {
 fn out_of_range_task_indices_are_rejected_like_malformed_frames() {
     for hostile in [WireMsg::Eval { upto: 99 }, WireMsg::StartTask { task: 99 }] {
         let stats = std::sync::Arc::new(WireStats::new());
-        let (transport, mut listener) = bind(TransportKind::Channel, stats).expect("bind");
+        let (transport, mut listener) = bind(TransportKind::Tcp, stats).expect("bind");
         let (client, data) = lone_client();
         let cfg = config(FaultConfig::default());
         let remote = std::thread::spawn(move || {

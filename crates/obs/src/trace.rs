@@ -817,73 +817,6 @@ pub fn validate(trace: &Value) -> Result<TraceStats, String> {
     Ok(stats)
 }
 
-/// Top-`n` slice table: per span name, the occurrence count and total/
-/// mean/max duration, ordered by total time, formatted for terminals.
-pub fn summarize(trace: &Value, n: usize) -> Result<String, String> {
-    let events = trace
-        .get("traceEvents")
-        .and_then(Value::as_array)
-        .ok_or("trace has no `traceEvents` array")?;
-    // name -> (count, total_us, max_us)
-    let mut agg: Vec<(String, u64, f64, f64)> = Vec::new();
-    let mut add = |name: &str, dur: f64| match agg.iter_mut().find(|(n, ..)| n == name) {
-        Some((_, c, t, m)) => {
-            *c += 1;
-            *t += dur;
-            if dur > *m {
-                *m = dur;
-            }
-        }
-        None => agg.push((name.to_string(), 1, dur, dur)),
-    };
-    // B/E pairing per track mirrors the validator's stack walk.
-    type OpenStack = Vec<(String, f64)>;
-    let mut stacks: Vec<((u64, u64), OpenStack)> = Vec::new();
-    for ev in events {
-        let ph = ev.get("ph").and_then(Value::as_str).unwrap_or("");
-        let name = ev.get("name").and_then(Value::as_str).unwrap_or("");
-        let ts = ev.get("ts").and_then(Value::as_f64).unwrap_or(0.0);
-        let key = (
-            ev.get("pid").and_then(Value::as_u64).unwrap_or(0),
-            ev.get("tid").and_then(Value::as_u64).unwrap_or(0),
-        );
-        match ph {
-            "X" => add(name, ev.get("dur").and_then(Value::as_f64).unwrap_or(0.0)),
-            "B" => {
-                match stacks.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, s)) => s.push((name.to_string(), ts)),
-                    None => stacks.push((key, vec![(name.to_string(), ts)])),
-                };
-            }
-            "E" => {
-                if let Some((_, s)) = stacks.iter_mut().find(|(k, _)| *k == key) {
-                    if let Some((n, t0)) = s.pop() {
-                        add(&n, ts - t0);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    agg.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<28} {:>8} {:>12} {:>12} {:>12}\n",
-        "slice", "count", "total ms", "mean ms", "max ms"
-    ));
-    for (name, count, total, max) in agg.iter().take(n) {
-        out.push_str(&format!(
-            "{:<28} {:>8} {:>12.3} {:>12.3} {:>12.3}\n",
-            name,
-            count,
-            total / 1000.0,
-            total / 1000.0 / *count as f64,
-            max / 1000.0
-        ));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1116,20 +1049,5 @@ mod tests {
         let vstats = validate(&trace).unwrap();
         assert_eq!(vstats.slices, 2);
         assert_eq!(vstats.tracks, 2, "same tid 0 under two distinct pids");
-    }
-
-    #[test]
-    fn summary_ranks_by_total_time() {
-        let b = bundle_with(
-            r#"{"ts_ns":0,"round":0,"data":{"Begin":{"path":"big"}}},
-               {"ts_ns":9000000,"round":0,"data":{"End":{"path":"big","dur_ns":9000000}}},
-               {"ts_ns":9000000,"round":0,"data":{"Begin":{"path":"small"}}},
-               {"ts_ns":9001000,"round":0,"data":{"End":{"path":"small","dur_ns":1000}}}"#,
-        );
-        let trace = to_trace(&b);
-        let table = summarize(&trace, 10).unwrap();
-        let big_at = table.find("big").unwrap();
-        let small_at = table.find("small").unwrap();
-        assert!(big_at < small_at, "{table}");
     }
 }

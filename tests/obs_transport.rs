@@ -26,7 +26,7 @@ fn obs_counters_agree_with_the_wire_ledger_and_the_comm_model() {
 
     let (report, stats) = RunSpec::quick(9)
         .with_faults(FaultConfig::crash_loss(0.2))
-        .run_over(Method::FedAvg, TransportKind::Channel)
+        .run_over(Method::FedAvg, TransportKind::Tcp)
         .expect("transport run failed");
 
     // FedAvg exchanges no knowledge payloads, so the data plane on the
