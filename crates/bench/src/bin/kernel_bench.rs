@@ -1,4 +1,4 @@
-//! Roofline microbenchmark of the instrumented hot kernels.
+//! Microbenchmark of the instrumented hot kernels.
 //!
 //! ```text
 //! kernel_bench [--smoke] [--seed N] [--reps K] [--results DIR]
@@ -31,16 +31,12 @@
 //! The run is distilled into `BENCH_kernels.json` under `--results DIR`
 //! (default `results`) — one `gflops <kernel> [<shape>]` metric per
 //! point — so `bench_gate` diffs each kernel's throughput against the
-//! committed record; the roofline detail (`flops`, `bytes`, `min_ns`,
-//! intensity) goes to `kernels.json` beside it for `obs roofline`.
+//! committed record.
 //!
 //! Exit status: 0 on success, 1 when a cross-check fails, 2 on usage
 //! errors.
 
-use fedknow_bench::{
-    flag, flag_with, flags_only, results_flag, write_json, BenchRecord, Better, KernelEntry,
-    Metric, Tol,
-};
+use fedknow_bench::{flag, flag_with, flags_only, results_flag, BenchRecord, Better, Metric, Tol};
 use fedknow_math::flops::{self, Cost};
 use fedknow_math::qp::{integrate_gradient, recover, QpConfig};
 use fedknow_math::rng::normal_vec;
@@ -134,15 +130,29 @@ fn min_of_k_with<T, R>(
     best
 }
 
-fn entry(kernel: &str, shape: &str, model: Cost, min_ns: u64) -> KernelEntry {
-    KernelEntry {
-        kernel: kernel.to_string(),
-        shape: shape.to_string(),
-        flops: model.flops,
-        bytes: model.bytes,
+/// One microbenchmarked kernel/shape point: the modelled work of one
+/// invocation and the fastest observed one.
+struct Entry {
+    kernel: &'static str,
+    shape: String,
+    model: Cost,
+    min_ns: u64,
+}
+
+impl Entry {
+    /// Achieved GFLOP/s at the fastest invocation.
+    fn gflops(&self) -> f64 {
+        self.model.flops as f64 / self.min_ns.max(1) as f64
+    }
+}
+
+fn entry(kernel: &'static str, shape: &str, model: Cost, min_ns: u64) -> Entry {
+    let shape = shape.to_string();
+    Entry {
+        kernel,
+        shape,
+        model,
         min_ns,
-        gflops: model.flops as f64 / min_ns.max(1) as f64,
-        intensity: model.intensity().unwrap_or(0.0),
     }
 }
 
@@ -154,7 +164,7 @@ fn check(what: &str, lhs: u64, rhs: u64) {
     }
 }
 
-fn bench_matmul(opts: &Opts, m: usize, k: usize, n: usize, out: &mut Vec<KernelEntry>) {
+fn bench_matmul(opts: &Opts, m: usize, k: usize, n: usize, out: &mut Vec<Entry>) {
     let shape = format!("{m}x{k}x{n}");
     let a = Tensor::from_vec(vals(m * k, 1), &[m, k]);
     let b = Tensor::from_vec(vals(k * n, 2), &[k, n]);
@@ -199,7 +209,7 @@ fn bench_conv(
     cout: usize,
     st: usize,
     hw: usize,
-    out: &mut Vec<KernelEntry>,
+    out: &mut Vec<Entry>,
 ) {
     let shape = format!("b{b} {cin}->{cout} k3 s{st} p1 {hw}x{hw}");
     let mut rng = StdRng::seed_from_u64(opts.seed);
@@ -276,7 +286,7 @@ fn bench_conv_stacked(
     cin: usize,
     cout: usize,
     hw: usize,
-    out: &mut Vec<KernelEntry>,
+    out: &mut Vec<Entry>,
 ) {
     let shape = format!("b{b} {cin}->{cout} k3 s1 p1 {hw}x{hw} x{STACKED_SLOTS}");
     let mut rng = StdRng::seed_from_u64(opts.seed);
@@ -389,7 +399,7 @@ fn bench_sixcnn_layers(opts: &Opts) -> Vec<LayerRow> {
         .collect()
 }
 
-fn bench_qp(opts: &Opts, k: usize, n: usize, out: &mut Vec<KernelEntry>) {
+fn bench_qp(opts: &Opts, k: usize, n: usize, out: &mut Vec<Entry>) {
     let shape = format!("k{k} n{n}");
     let g = vals(n, 7);
     // Constraints with a conflicting component along −g plus an
@@ -431,7 +441,7 @@ fn bench_qp(opts: &Opts, k: usize, n: usize, out: &mut Vec<KernelEntry>) {
     out.push(entry("qp", &shape, model, min_ns));
 }
 
-fn bench_wasserstein(opts: &Opts, n: usize, out: &mut Vec<KernelEntry>) {
+fn bench_wasserstein(opts: &Opts, n: usize, out: &mut Vec<Entry>) {
     let shape = format!("n{n}");
     let a = vals(n, 9);
     let b = vals(n, 10);
@@ -455,7 +465,7 @@ fn bench_wasserstein(opts: &Opts, n: usize, out: &mut Vec<KernelEntry>) {
     out.push(entry("wasserstein", &shape, model, min_ns));
 }
 
-fn bench_fedavg(opts: &Opts, clients: usize, dim: usize, out: &mut Vec<KernelEntry>) {
+fn bench_fedavg(opts: &Opts, clients: usize, dim: usize, out: &mut Vec<Entry>) {
     let shape = format!("c{clients} d{dim}");
     let uploads: Vec<Option<Vec<f32>>> = (0..clients)
         .map(|i| Some(vals(dim, 11 + i as u64)))
@@ -480,7 +490,7 @@ fn main() {
     // condition a profiled training run sees.
     fedknow_obs::enable();
 
-    let mut entries: Vec<KernelEntry> = Vec::new();
+    let mut entries: Vec<Entry> = Vec::new();
     eprintln!("[kernel_bench] reps={} (min-of-k)", opts.reps);
     // GEMM at a square shape and at the SixCNN stem's im2col shape
     // (weight [32, 27] × col [27, 32·32]).
@@ -547,11 +557,11 @@ fn main() {
             "{:<12}{:<26}{:>14}{:>12}{:>12}{:>10.3}{:>12.3}",
             e.kernel,
             e.shape,
-            e.flops,
-            e.bytes,
+            e.model.flops,
+            e.model.bytes,
             fedknow_bench::fmt_ns(e.min_ns),
-            e.gflops,
-            e.intensity,
+            e.gflops(),
+            e.model.intensity().unwrap_or(0.0),
         );
     }
     println!("[kernel_bench] all FLOP/byte models cross-checked against oracle trips and counters");
@@ -592,7 +602,7 @@ fn main() {
         .iter()
         .map(|e| {
             let name = format!("gflops {} [{}]", e.kernel, e.shape);
-            Metric::new(name, e.gflops, "GF/s", Better::Higher, Tol::Rel(0.6))
+            Metric::new(name, e.gflops(), "GF/s", Better::Higher, Tol::Rel(0.6))
         })
         .collect();
     let stacked_dir = format!("bwd×{STACKED_SLOTS}");
@@ -614,5 +624,4 @@ fn main() {
     }
     let scale = if opts.smoke { "smoke" } else { "quick" };
     BenchRecord::new("kernels", scale, opts.seed, metrics).write(&opts.results);
-    write_json(&opts.results, "kernels", &entries);
 }

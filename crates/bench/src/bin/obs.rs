@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! obs report   <stream|bundle> [--top N]         # where the time went, what faults it counted
-//! obs roofline [--record PATH]                   # kernel roofline from results/kernels.json
 //! obs trace convert  <input> [-o trace.json]     # stream/bundle/trace -> Chrome trace
 //! obs trace validate <input>                     # structural checks, exit 1 on bad
 //! obs trace merge    <bundle...> [-o out.json] [--min-link F]
@@ -12,14 +11,6 @@
 //! `report` prints [`fedknow_bench::report`]'s tables for a
 //! `FEDKNOW_OBS=<path>` stream or a `FEDKNOW_TRACE_DIR` bundle — the
 //! format is sniffed, not flagged.
-//!
-//! `roofline` plots each microbenchmarked kernel of a `kernel_bench`
-//! detail file against the machine roofline implied by the record
-//! itself: the best observed GFLOP/s is the compute roof, the best
-//! observed bytes/s the bandwidth roof, and their ratio the machine
-//! balance point. Kernels with arithmetic intensity below the balance
-//! point are classified memory-bound (their ceiling is `intensity ×
-//! bandwidth`), the rest compute-bound.
 //!
 //! `trace` turns recordings into Chrome `trace_event` JSON that loads
 //! directly into Perfetto (ui.perfetto.dev) or `chrome://tracing`; an
@@ -35,7 +26,7 @@
 //! Exit codes: 0 ok, 1 invalid input or failed validation, 2 usage/IO
 //! error.
 
-use fedknow_bench::{flag, flags_only, fmt_ns, positionals, KernelEntry};
+use fedknow_bench::{flag, positionals};
 use fedknow_obs::{trace, Recording};
 use serde_json::Value;
 
@@ -43,7 +34,6 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let code = match argv.first().map(String::as_str) {
         Some("report") => report(&argv[1..]),
-        Some("roofline") => roofline(&argv[1..]),
         Some("trace") => match argv.get(1).map(String::as_str) {
             Some("convert") => convert(&argv[1..]),
             Some("validate") => validate(&argv[1..]),
@@ -62,7 +52,6 @@ fn main() {
 type Exit = Result<i32, String>;
 
 const USAGE: &str = "obs report   <stream.jsonl|bundle.json> [--top N]
-       obs roofline [--record PATH]
        obs trace convert  <stream.jsonl|bundle.json|trace.json> [-o out.json]
        obs trace validate <input>
        obs trace merge    <bundle.json...> [-o out.json] [--min-link F]";
@@ -84,76 +73,6 @@ fn report(argv: &[String]) -> Exit {
         return Ok(1);
     }
     fedknow_bench::report::print(&rec, top.unwrap_or(usize::MAX));
-    Ok(0)
-}
-
-fn roofline(argv: &[String]) -> Exit {
-    flags_only(argv, "[--record PATH]")?;
-    let path: std::path::PathBuf =
-        flag(argv, "--record")?.unwrap_or_else(|| "results/kernels.json".into());
-    let kernels: Vec<KernelEntry> = match std::fs::read_to_string(&path) {
-        Ok(text) => serde_json::from_str(&text).unwrap_or_default(),
-        Err(e) => {
-            eprintln!("error: read {}: {e}", path.display());
-            return Ok(1);
-        }
-    };
-    if kernels.is_empty() {
-        eprintln!(
-            "error: {} is not a kernel_bench detail file (results/kernels.json) — \
-             run kernel_bench first",
-            path.display()
-        );
-        return Ok(1);
-    }
-    // Roofs implied by the record: best achieved compute rate and best
-    // achieved memory traffic rate across all measured points.
-    let peak_gflops = kernels.iter().map(|k| k.gflops).fold(0.0f64, f64::max);
-    let peak_gbps = kernels
-        .iter()
-        .map(|k| k.bytes as f64 / k.min_ns.max(1) as f64)
-        .fold(0.0f64, f64::max);
-    let balance = peak_gflops / peak_gbps.max(f64::MIN_POSITIVE);
-
-    println!("record        {}", path.display());
-    println!("compute roof  {peak_gflops:.3} GFLOP/s (best observed)");
-    println!("memory roof   {peak_gbps:.3} GB/s (best observed)");
-    println!("balance       {balance:.3} FLOP/byte");
-
-    let mut sorted: Vec<&KernelEntry> = kernels.iter().collect();
-    sorted.sort_by(|a, b| b.gflops.total_cmp(&a.gflops));
-    println!(
-        "\n{:<12}{:<26}{:>10}{:>12}{:>10}{:>8}  {:<12}utilisation",
-        "kernel", "shape", "GF/s", "flops/byte", "min", "%roof", "bound"
-    );
-    for k in sorted {
-        // The ceiling this kernel could reach on this machine: the
-        // bandwidth roof scaled by its intensity, capped by the
-        // compute roof.
-        let ceiling = (k.intensity * peak_gbps).min(peak_gflops);
-        let bound = if k.intensity < balance {
-            "memory"
-        } else {
-            "compute"
-        };
-        let util = if ceiling > 0.0 {
-            k.gflops / ceiling
-        } else {
-            0.0
-        };
-        let bar_len = (util * 20.0).round() as usize;
-        println!(
-            "{:<12}{:<26}{:>10.3}{:>12.3}{:>10}{:>7.0}%  {:<12}{}",
-            k.kernel,
-            k.shape,
-            k.gflops,
-            k.intensity,
-            fmt_ns(k.min_ns),
-            100.0 * util,
-            bound,
-            "#".repeat(bar_len.min(20)),
-        );
-    }
     Ok(0)
 }
 

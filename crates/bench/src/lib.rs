@@ -378,29 +378,6 @@ mod tests {
     }
 }
 
-/// One microbenchmarked kernel/shape point from `kernel_bench`:
-/// modelled work (via `fedknow_math::flops`), min-of-k wall time, and
-/// the derived roofline coordinates. `results/kernels.json` is a list
-/// of these; `obs roofline` draws the roofline from it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct KernelEntry {
-    /// Kernel name, matching the `flops.<kernel>` counter namespace
-    /// (`matmul`, `conv2d_fwd`, `qp`, …).
-    pub kernel: String,
-    /// Human-readable shape tag (`128x128x128`, `b8 3->32 k3 s1 p1 32x32`).
-    pub shape: String,
-    /// Modelled FLOPs for one invocation.
-    pub flops: u64,
-    /// Modelled bytes moved for one invocation.
-    pub bytes: u64,
-    /// Fastest observed invocation, nanoseconds (min-of-k).
-    pub min_ns: u64,
-    /// Achieved GFLOP/s at the fastest invocation.
-    pub gflops: f64,
-    /// Arithmetic intensity, FLOPs per byte.
-    pub intensity: f64,
-}
-
 /// One method's curves from a finished run — the unit every figure's
 /// JSON output is built from.
 #[derive(Debug, Clone, Serialize, Deserialize)]

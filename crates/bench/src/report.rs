@@ -10,8 +10,7 @@
 //!   With parallel clients, shares can sum past 100%.
 //! * **spans** — the run hierarchy rolled up by shape (`task.3` →
 //!   `task.*`), with the kernel FLOPs of the whole subtree (work on
-//!   other threads included) as achieved GFLOP/s and, for recordings
-//!   taken under `FEDKNOW_PROF_ALLOC=1`, heap allocations.
+//!   other threads included) as achieved GFLOP/s and heap allocations.
 //! * **kernel totals** — `flops.*` / `bytes.*` per kernel.
 //! * **faults** — injected faults by kind, participation, verify
 //!   violations, wire frames, notes.
@@ -150,9 +149,6 @@ fn print_spans(agg: &Aggregate, wall: u64, top: usize) {
             stat.allocs,
             stat.alloc_bytes,
         );
-    }
-    if rolled.values().all(|s| s.allocs == 0) {
-        println!("(allocation columns are zero — not recorded under FEDKNOW_PROF_ALLOC=1)");
     }
 }
 

@@ -297,7 +297,6 @@ fn obs_cli_errors() {
         &["trace", "frobnicate", "x.json"],
         &["report"],
         &["report", "x.jsonl", "--top", "many"],
-        &["roofline", "--record"],
     ] {
         assert_eq!(run_obs(usage).status.code(), Some(2), "{usage:?}");
     }

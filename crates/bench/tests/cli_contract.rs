@@ -31,7 +31,7 @@ fn unknown_flags_and_missing_values_exit_two_with_the_usage_line() {
         row!("figures", "--fig 4 --lenient", "--fig 4 --results"),
         row!("kernel_bench", "--smoke --scale smoke", "--smoke --reps"),
         row!("make_experiments_md", "--out x.md", "--results"),
-        row!("obs", "roofline --frob", "trace merge a.json --min-link"),
+        row!("obs", "trace merge --frob", "trace merge a.json --min-link"),
         row!("probe", "--tasks 2 --frob", "--tasks"),
     ];
     for (name, bin, bad) in table {

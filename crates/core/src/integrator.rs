@@ -16,7 +16,7 @@
 //! * `integrate.violations` — count of acute-angle constraint
 //!   violations (`⟨g_i, g⟩ < 0`) observed before solving.
 //! * `integrate.rotation_pm` / series `integrate.rotation` — how far
-//!   the QP moved the gradient, `‖g' − g‖ / ‖g‖` (per-mille histogram
+//!   the QP moved the gradient, `‖g' − g‖ / ‖g‖` (per-mille samples
 //!   plus a per-round f64 series).
 //! * series `integrate.conflict_angle_deg` — mean pre-QP angle per
 //!   call, round-indexed for trajectory plots (`obs report`).
@@ -31,11 +31,7 @@
 
 use fedknow_math::qp::{integrate_gradient, pair_dots, recover, QpConfig};
 use fedknow_math::MathError;
-use fedknow_obs::{record, CounterHandle};
-
-static QP_FAST_PATH: CounterHandle = CounterHandle::new("qp.fast_path");
-static QP_FALLBACK: CounterHandle = CounterHandle::new("qp.fallback");
-static VIOLATIONS: CounterHandle = CounterHandle::new("integrate.violations");
+use fedknow_obs::{count, record};
 
 /// The angle in degrees between `g` and each constraint (`0` against a
 /// zero vector), from one [`pair_dots`] call over `g·g`, then `g·c_i`
@@ -123,7 +119,7 @@ impl GradientIntegrator {
         match result {
             Ok(r) => {
                 if r.already_feasible {
-                    QP_FAST_PATH.add(1);
+                    count("qp.fast_path", 1);
                 } else {
                     record("qp.iters", r.iterations as u64);
                 }
@@ -141,7 +137,7 @@ impl GradientIntegrator {
                 }
             }
             Err(e @ (MathError::NonFinite { .. } | MathError::QpNotConverged { .. })) => {
-                QP_FALLBACK.add(1);
+                count("qp.fallback", 1);
                 if verified {
                     fedknow_verify::report(
                         "integrator.rotation",
@@ -182,7 +178,7 @@ impl GradientIntegrator {
             sum += deg;
         }
         if violations > 0 {
-            VIOLATIONS.add(violations);
+            count("integrate.violations", violations);
         }
         fedknow_obs::series(
             "integrate.conflict_angle_deg",

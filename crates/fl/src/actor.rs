@@ -467,7 +467,7 @@ impl ClientActor {
                     self.round(round, step, &f, &mut conn)?;
                 }
                 WireMsg::Ack { .. } => {
-                    // Upload → Ack round trip: one RTT histogram sample.
+                    // Upload → Ack round trip: one RTT sample.
                     if let Some(t0) = self.upload_sent_at.take() {
                         fedknow_obs::record("transport.rtt_ns", t0.elapsed().as_nanos() as u64);
                     }

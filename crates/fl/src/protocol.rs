@@ -374,7 +374,6 @@ pub(crate) fn fold_aggregate_telemetry(
     }
     if let Some(g) = global {
         if let Some(div) = upload_divergence(uploads, g) {
-            fedknow_obs::gauge("fl.update_divergence", div);
             fedknow_obs::series("fl.update_divergence", div);
         }
         if let Some(prev) = prev_global {
@@ -391,7 +390,7 @@ pub(crate) fn fold_aggregate_telemetry(
 /// Task-boundary forgetting telemetry: after learning task `step`,
 /// per-task series `fl.forgetting.task{k}` (mean over clients, indexed
 /// by `step` — the heat-strip rows in `obs report`), the aggregate
-/// series `fl.avg_forgetting`, and a per-client per-task histogram
+/// series `fl.avg_forgetting`, and per-client per-task samples of
 /// `fl.client_forgetting_pm` (per-mille) exposing the distribution
 /// behind the means.
 pub(crate) fn record_forgetting(matrices: &[AccuracyMatrix], step: usize) {

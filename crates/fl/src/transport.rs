@@ -183,7 +183,7 @@ impl WireStats {
     }
 
     /// Record a send that failed because the peer is gone.
-    pub fn on_send_failure(&self) {
+    fn on_send_failure(&self) {
         self.send_failures.fetch_add(1, Ordering::Relaxed);
         fedknow_obs::count("transport.send_failures", 1);
     }

@@ -33,7 +33,7 @@ pub enum DistanceMetric {
 ///
 /// Panics if the lengths differ (gradient vectors in one model always
 /// agree in length; a mismatch is a programming error).
-pub fn gradient_distance(metric: DistanceMetric, a: &[f32], b: &[f32]) -> f64 {
+fn gradient_distance(metric: DistanceMetric, a: &[f32], b: &[f32]) -> f64 {
     assert_eq!(a.len(), b.len(), "gradient lengths differ");
     match metric {
         DistanceMetric::Wasserstein => wasserstein_1d(a, b),

@@ -16,8 +16,7 @@
 //! * **Bytes are compulsory operand traffic**: each logical operand
 //!   read or written once at `f32` width (4 bytes), plus explicitly
 //!   materialised intermediates (the im2col column buffer) counted once
-//!   per write and once per read. Cache reuse is deliberately ignored —
-//!   this is the numerator convention of a classical roofline model,
+//!   per write and once per read. Cache reuse is deliberately ignored,
 //!   so `flops/bytes` is the *arithmetic intensity* an infinite cache
 //!   would see.
 //! * Comparison-dominated kernels (sorting inside the Wasserstein

@@ -9,7 +9,7 @@
 //! iterations populate those pools; from then on the loop must not touch
 //! the system allocator at all.
 //!
-//! Measured with the `FEDKNOW_PROF_ALLOC` tracking allocator that
+//! Measured with the tracking allocator that
 //! `fedknow-obs` installs as the global allocator: per-thread running
 //! totals are diffed around the measured span, so concurrent test
 //! threads cannot pollute the count, and each test holds a tracking

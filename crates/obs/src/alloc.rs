@@ -5,16 +5,16 @@
 //! is **off by default**: each allocator call pays exactly one relaxed
 //! atomic load and a predictable branch — nothing else — until tracking
 //! is switched on. Tracking is on while any [`TrackingScope`] is open
-//! ([`track`]); `FEDKNOW_PROF_ALLOC=1` (read by
-//! [`init_from_env`](crate::init_from_env)) opens one for the rest of
-//! the process. Scopes are counted, so tests measuring in parallel
-//! cannot switch tracking off under each other.
+//! ([`track`]); observability coming up (see [`crate::enable`]) opens
+//! one for the rest of the process. Scopes are counted, so tests
+//! measuring in parallel cannot switch tracking off under each other.
 //!
 //! When on, every allocation bumps
 //!
-//! * global totals (`alloc.count`, `alloc.bytes`, live bytes and the
-//!   high-water mark `alloc.peak_bytes`, recorded at flush time, and
-//!   the count of allocations of at least [`LARGE_ALLOC_BYTES`]), and
+//! * global totals ([`stats`]: count and bytes, mirrored at flush time
+//!   into the `alloc.count` / `alloc.bytes` counters, live bytes, their
+//!   high-water mark, and the count of allocations of at least
+//!   [`LARGE_ALLOC_BYTES`]), and
 //! * per-thread running totals, which span guards diff to attribute
 //!   allocation counts to span paths (see
 //!   [`SpanPerf`](crate::ring::SpanPerf)) — the per-call-site
@@ -116,8 +116,7 @@ pub fn thread_large() -> u64 {
 }
 
 /// Mirror the global totals into the registry's `alloc.count` /
-/// `alloc.bytes` counters (emitted as records by the perf flush) and
-/// record `alloc.peak_bytes` / `alloc.live_bytes` as gauges, so
+/// `alloc.bytes` counters (emitted as records by the perf flush), so
 /// snapshots and reports see them.
 /// Called from the flush path; cheap no-op when nothing was tracked.
 pub(crate) fn sync_registry() {
@@ -136,8 +135,6 @@ pub(crate) fn sync_registry() {
             c.add(total - cur);
         }
     }
-    crate::gauge("alloc.peak_bytes", s.peak_bytes as f64);
-    crate::gauge("alloc.live_bytes", s.live_bytes as f64);
 }
 
 #[inline]

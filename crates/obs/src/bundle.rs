@@ -67,7 +67,7 @@ pub struct MetricsDump {
 
 impl MetricsDump {
     /// Flatten a registry snapshot.
-    pub fn from_snapshot(s: &MetricsSnapshot) -> Self {
+    fn from_snapshot(s: &MetricsSnapshot) -> Self {
         let counters = s.counters.iter().map(|(name, &value)| CounterDump {
             name: name.clone(),
             value,

@@ -12,17 +12,17 @@
 //! immediately — no clock reads, no allocation, no locks. It turns on
 //! in two ways:
 //!
-//! * `FEDKNOW_OBS=<path>`, `FEDKNOW_TRACE_DIR=<dir>` or
-//!   `FEDKNOW_PROF_ALLOC=1` in the environment (checked by
-//!   [`init_from_env`], which the simulation calls once per run).
+//! * `FEDKNOW_OBS=<path>` or `FEDKNOW_TRACE_DIR=<dir>` in the
+//!   environment (checked by [`init_from_env`], which the simulation
+//!   calls once per run).
 //! * [`enable`] from code (used by the report binaries and tests).
 //!
-//! Either way the four `FEDKNOW_OBS` / `FEDKNOW_TRACE_DIR` /
-//! `FEDKNOW_TRACE_CAP` / `FEDKNOW_PROF_ALLOC` variables are read once,
-//! the first time observability is asked for, and their effective
-//! values are registered as `obs.*` context entries so every bundle
-//! says how it was recorded. Once enabled, observability stays enabled
-//! for the process.
+//! Either way the two variables are read once, the first time
+//! observability is asked for, and their effective values are
+//! registered as `obs.*` context entries so every bundle says how it
+//! was recorded. Once enabled, observability stays enabled for the
+//! process, and so does heap-allocation accounting (see [`alloc`]).
+//! Each thread's ring holds the last [`DEFAULT_TRACE_CAP`] records.
 //!
 //! ## Vocabulary
 //!
@@ -31,8 +31,7 @@
 //!   [`inherit_path`].
 //! * [`timer`] / [`record`] — phase timings (`qp.solve_ns`,
 //!   `extract.topk_ns`, …) and other samples (`qp.iters`), one `Sample`
-//!   record each; [`gauge`] / [`series`] — last values and
-//!   round-indexed points, one record each.
+//!   record each; [`series`] — round-indexed points, one record each.
 //! * [`count`] — exact counters (`comm.upload_bytes`, `qp.fallback`):
 //!   a record and a registry total, which stays exact whatever the
 //!   rings overwrote.
@@ -51,7 +50,6 @@
 
 pub mod alloc;
 pub mod bundle;
-pub mod handle;
 pub mod perf;
 pub mod registry;
 pub mod ring;
@@ -64,9 +62,8 @@ pub use bundle::{
     collect_bundle, dump_now, dump_trigger, set_context, ContextEntry, MetricsDump,
     PostmortemBundle,
 };
-pub use handle::CounterHandle;
 pub use perf::PerfCounter;
-pub use registry::{Counter, MetricsSnapshot, Registry, DEFAULT_MAX_NAMES};
+pub use registry::{Counter, MetricsSnapshot, Registry};
 pub use ring::{now_ns, RingBuf, RingData, RingRecord, SpanPerf, ThreadTrack, DEFAULT_TRACE_CAP};
 pub use sink::{Aggregate, JsonlSink, LoadError, Recording, SpanStat};
 pub use span::{current_path, inherit_path, span, timer, PathGuard, SpanGuard, TimerGuard};
@@ -80,15 +77,10 @@ pub const ENV_JSONL: &str = "FEDKNOW_OBS";
 /// Environment variable naming the directory postmortem bundles are
 /// written to. Setting it enables observability on its own.
 pub const ENV_TRACE_DIR: &str = "FEDKNOW_TRACE_DIR";
-/// Environment variable bounding each thread's ring, in records. `0`
-/// turns the in-memory ring off.
-pub const ENV_TRACE_CAP: &str = "FEDKNOW_TRACE_CAP";
-/// Environment variable enabling allocation tracking (`1`/any non-`0`).
-pub const ENV_PROF_ALLOC: &str = "FEDKNOW_PROF_ALLOC";
 
 /// Every binary linking this crate routes heap allocation through the
 /// tracking wrapper. Disabled it costs one relaxed load per allocator
-/// call; `FEDKNOW_PROF_ALLOC=1` turns the accounting on (see [`alloc`]).
+/// call; observability coming up turns the accounting on (see [`alloc`]).
 #[global_allocator]
 static GLOBAL_ALLOC: TrackingAllocator = TrackingAllocator;
 
@@ -98,13 +90,11 @@ static STATE: OnceLock<State> = OnceLock::new();
 /// (integrator, restorer) that don't know the round they run in.
 static ROUND: AtomicU64 = AtomicU64::new(0);
 
-/// The four observability variables, read once — the first time
+/// The two observability variables, read once — the first time
 /// [`init_from_env`] or [`enable`] runs.
 pub(crate) struct Config {
     jsonl: Option<String>,
     pub(crate) trace_dir: Option<PathBuf>,
-    pub(crate) trace_cap: usize,
-    prof_alloc: bool,
 }
 
 pub(crate) fn config() -> &'static Config {
@@ -112,11 +102,6 @@ pub(crate) fn config() -> &'static Config {
     CONFIG.get_or_init(|| Config {
         jsonl: std::env::var(ENV_JSONL).ok(),
         trace_dir: std::env::var_os(ENV_TRACE_DIR).map(PathBuf::from),
-        trace_cap: std::env::var(ENV_TRACE_CAP)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_TRACE_CAP),
-        prof_alloc: std::env::var(ENV_PROF_ALLOC).is_ok_and(|v| !v.is_empty() && v != "0"),
     })
 }
 
@@ -125,8 +110,9 @@ struct State {
     jsonl: Option<JsonlSink>,
 }
 
-/// Bring observability up: open the stream, start the recorder, and
-/// register the effective configuration as bundle context.
+/// Bring observability up: open the stream, start the recorder and
+/// the allocation accounting, and register the effective
+/// configuration as bundle context.
 fn state() -> &'static State {
     STATE.get_or_init(|| {
         let cfg = config();
@@ -142,12 +128,12 @@ fn state() -> &'static State {
         for (key, value) in [
             ("obs.jsonl", cfg.jsonl.clone()),
             ("obs.trace_dir", trace_dir),
-            ("obs.trace_cap", Some(cfg.trace_cap.to_string())),
-            ("obs.prof_alloc", Some(cfg.prof_alloc.to_string())),
         ] {
             set_context(key, value.as_deref().unwrap_or("unset"));
         }
-        ring::start(cfg.trace_cap > 0 || jsonl.is_some());
+        ring::start();
+        // This scope never closes: accounting stays on with observability.
+        std::mem::forget(alloc::track());
         State {
             registry: Registry::new(),
             jsonl,
@@ -167,24 +153,17 @@ pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Enable observability if `FEDKNOW_OBS` (JSONL stream),
-/// `FEDKNOW_TRACE_DIR` (postmortem bundle directory) or
-/// `FEDKNOW_PROF_ALLOC` (allocation accounting) is set in the
+/// Enable observability if `FEDKNOW_OBS` (JSONL stream) or
+/// `FEDKNOW_TRACE_DIR` (postmortem bundle directory) is set in the
 /// environment. Whenever observability is up, the crash-flush panic
 /// hook is installed (see [`bundle`]). Idempotent; returns whether
 /// observability is enabled afterwards.
 pub fn init_from_env() -> bool {
     let cfg = config();
-    if cfg.jsonl.is_some() || cfg.trace_dir.is_some() || cfg.prof_alloc {
+    if cfg.jsonl.is_some() || cfg.trace_dir.is_some() {
         enable();
     }
     if is_enabled() {
-        // Allocation tracking needs the registry mirror, hence piggy-
-        // backs on general enablement; its scope never closes.
-        if cfg.prof_alloc {
-            static PROCESS_SCOPE: std::sync::Once = std::sync::Once::new();
-            PROCESS_SCOPE.call_once(|| std::mem::forget(alloc::track()));
-        }
         bundle::install_panic_hook();
     }
     is_enabled()
@@ -217,17 +196,6 @@ pub fn record(name: &str, value: u64) {
         return;
     }
     ring::emit(RingData::Sample {
-        name: name.to_string(),
-        value,
-    });
-}
-
-/// Set the gauge `name` to `value`. No-op when disabled.
-pub fn gauge(name: &str, value: f64) {
-    if !is_enabled() {
-        return;
-    }
-    ring::emit(RingData::Gauge {
         name: name.to_string(),
         value,
     });
@@ -369,7 +337,6 @@ pub fn flush() {
 mod tests {
     use super::*;
 
-    static LIFECYCLE_COUNTER: CounterHandle = CounterHandle::new("lifecycle.handle_c");
     static LIFECYCLE_KERNEL: PerfCounter = PerfCounter::new("lifecycle_kernel");
 
     /// Everything this process's rings hold, aggregated.
@@ -387,9 +354,7 @@ mod tests {
         assert!(!is_enabled());
         count("lifecycle.c", 5);
         record("lifecycle.h", 5);
-        gauge("lifecycle.g", 9.0);
         series("lifecycle.s", 9.0);
-        LIFECYCLE_COUNTER.add(9);
         LIFECYCLE_KERNEL.op(100, 50);
         assert_eq!(perf::thread_totals(), (0, 0));
         {
@@ -402,26 +367,24 @@ mod tests {
 
         enable();
         assert!(is_enabled());
+        assert!(
+            alloc::tracking_enabled(),
+            "allocation accounting follows observability"
+        );
         // The disabled-phase calls must have left no trace.
         let s0 = snapshot().unwrap();
         assert!(!s0.counters.contains_key("lifecycle.c"));
-        assert!(!s0.counters.contains_key("lifecycle.handle_c"));
         let a0 = recorded();
         assert!(!a0.samples.contains_key("lifecycle.h"));
-        assert!(!a0.gauges.contains_key("lifecycle.g"));
         assert!(!a0.series.contains_key("lifecycle.s"));
 
         count("lifecycle.c", 5);
         count("lifecycle.c", 2);
         record("lifecycle.h", 40);
-        gauge("lifecycle.g", 1.0);
-        gauge("lifecycle.g", 2.5);
         set_round(3);
         assert_eq!(round_index(), 3);
         series("lifecycle.s", 0.5); // lands at the ambient round 3
         series_at("lifecycle.s", 7, 0.25);
-        LIFECYCLE_COUNTER.add(2);
-        LIFECYCLE_COUNTER.add(3);
         let (f0, b0) = perf::thread_totals();
         LIFECYCLE_KERNEL.op(64, 32);
         LIFECYCLE_KERNEL.op(6, 3);
@@ -440,25 +403,18 @@ mod tests {
         }
         let s = snapshot().unwrap().since(&s0);
         assert_eq!(s.counters["lifecycle.c"], 7);
-        // Handles feed the same registry counters as the string API.
-        assert_eq!(s.counters["lifecycle.handle_c"], 5);
         // Perf counters land under the flops./bytes. namespaces, and the
         // disabled-phase op left no trace.
         assert_eq!(s.counters["flops.lifecycle_kernel"], 70);
         assert_eq!(s.counters["bytes.lifecycle_kernel"], 35);
-        count("lifecycle.handle_c", 1);
-        let s2 = snapshot().unwrap().since(&s0);
-        assert_eq!(s2.counters["lifecycle.handle_c"], 6);
-        // Samples, gauges, series and span durations are records only.
+        // Samples, series and span durations are records only.
         let a = recorded();
         assert_eq!(a.samples["lifecycle.h"], vec![40]);
         assert_eq!(a.samples["lifecycle.t_ns"].len(), 1);
         assert_eq!(a.spans["lifecycle_outer"].count, 1);
         assert_eq!(a.spans["lifecycle_outer/lifecycle_inner"].count, 1);
-        assert_eq!(a.gauges["lifecycle.g"], 2.5);
         assert_eq!(a.series["lifecycle.s"], vec![(3, 0.5), (7, 0.25)]);
         assert_eq!(a.counter("lifecycle.c"), 7);
-        assert_eq!(a.counter("lifecycle.handle_c"), 6);
 
         // Worker-thread path inheritance.
         let root = span("lifecycle_root");

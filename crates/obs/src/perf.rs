@@ -1,9 +1,9 @@
 //! FLOP/byte performance accounting for the numerical kernels.
 //!
-//! A [`PerfCounter`] is the hot-path variant of
-//! [`CounterHandle`](crate::handle::CounterHandle): it feeds the pair of
-//! registry counters `flops.<kernel>` / `bytes.<kernel>` **only** — no
-//! record per call — because kernel call sites (every `matmul`, every
+//! A [`PerfCounter`] is the hot-path variant of [`count`](crate::count):
+//! it resolves its registry slots once and feeds the pair of registry
+//! counters `flops.<kernel>` / `bytes.<kernel>` **only** — no record per
+//! call — because kernel call sites (every `matmul`, every
 //! conv image) fire orders of magnitude more often than round-level
 //! metrics and per-call records would dominate the run. Recordings
 //! still see the totals: `flush_deltas` (called from

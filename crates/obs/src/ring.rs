@@ -1,13 +1,13 @@
 //! The one telemetry event and the flight recorder that holds it.
 //!
 //! Every instrumentation site (span begin/end, counter delta, sample,
-//! gauge update, series point, fault injection, verify
+//! series point, fault injection, verify
 //! violation, free-form note, wire lifecycle point) builds one
 //! [`RingData`] and hands it to `emit`, which stamps it into a
 //! [`RingRecord`], appends it to the `FEDKNOW_OBS` JSONL stream when
 //! one is attached, and pushes it into the recording thread's ring.
-//! Rings are bounded — `FEDKNOW_TRACE_CAP` records per thread, default
-//! 65 536 — so a run of any length holds only the most recent window,
+//! Rings are bounded — [`DEFAULT_TRACE_CAP`] records per thread — so a
+//! run of any length holds only the most recent window,
 //! like an aircraft black box. When a dump trigger fires (panic, strict
 //! verify violation, injected fault, explicit [`crate::dump_now`]),
 //! every ring is drained into a postmortem bundle (see
@@ -21,17 +21,15 @@
 //! enabled, a record is a thread-local borrow, an uncontended
 //! mutex lock (contended only while a dump drains), and
 //! a slot write — bounded memory, no reallocation after the ring
-//! fills. `FEDKNOW_TRACE_CAP=0` switches the in-memory ring off while
-//! the stream and the rest of the observability stack stay up.
+//! fills.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-/// Default per-thread ring capacity, in records.
+/// Per-thread ring capacity, in records.
 pub const DEFAULT_TRACE_CAP: usize = 65_536;
 
 /// One flight-recorder record: what happened ([`RingData`]), when
@@ -58,7 +56,7 @@ pub struct SpanPerf {
     pub flops: u64,
     /// Bytes moved by instrumented kernels (compulsory operand traffic).
     pub bytes: u64,
-    /// Heap allocations (0 unless `FEDKNOW_PROF_ALLOC` tracking is on).
+    /// Heap allocations.
     pub allocs: u64,
     /// Bytes requested by those allocations.
     pub alloc_bytes: u64,
@@ -96,13 +94,6 @@ pub enum RingData {
         name: String,
         /// Sampled value.
         value: u64,
-    },
-    /// A gauge was set.
-    Gauge {
-        /// Gauge name.
-        name: String,
-        /// New value.
-        value: f64,
     },
     /// A series point was appended.
     Point {
@@ -185,10 +176,10 @@ pub struct RingBuf {
 }
 
 impl RingBuf {
-    /// An empty ring holding at most `cap` records.
+    /// An empty ring holding at most `cap` records (at least one).
     pub fn new(cap: usize) -> Self {
         Self {
-            cap,
+            cap: cap.max(1),
             records: Vec::new(),
             head: 0,
             dropped: 0,
@@ -197,9 +188,6 @@ impl RingBuf {
 
     /// Append a record, overwriting the oldest once full.
     pub fn push(&mut self, r: RingRecord) {
-        if self.cap == 0 {
-            return;
-        }
         if self.records.len() < self.cap {
             self.records.push(r);
         } else {
@@ -248,9 +236,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Whether [`emit`] has anywhere to put a record: the ring is on or a
-/// stream is attached. Set once, when observability comes up.
-static RECORDING: AtomicBool = AtomicBool::new(false);
 static RINGS: Mutex<Vec<ThreadRing>> = Mutex::new(Vec::new());
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
@@ -258,12 +243,9 @@ thread_local! {
     static LOCAL: RefCell<Option<ThreadRing>> = const { RefCell::new(None) };
 }
 
-/// Start the recording epoch and switch [`emit`] on when the ring has
-/// capacity or a stream is attached. Called once, as observability
-/// comes up.
-pub(crate) fn start(on: bool) {
+/// Start the recording epoch. Called once, as observability comes up.
+pub(crate) fn start() {
     EPOCH.get_or_init(Instant::now);
-    RECORDING.store(on, Ordering::Release);
 }
 
 /// Nanoseconds since this process's recording epoch — the timescale of
@@ -277,13 +259,9 @@ pub fn now_ns() -> u64 {
 
 /// The one emit path: stamp `data` with the time and the ambient round,
 /// append it to the JSONL stream (when attached) under the calling
-/// thread's label, and push it into the thread's ring (a no-op at
-/// capacity 0). A relaxed load and nothing else while neither keeps
-/// records.
+/// thread's label, and push it into the thread's ring. Every caller
+/// has checked [`crate::is_enabled`] first.
 pub(crate) fn emit(data: RingData) {
-    if !RECORDING.load(Ordering::Relaxed) {
-        return;
-    }
     let rec = RingRecord {
         ts_ns: now_ns(),
         round: crate::round_index(),
@@ -303,7 +281,7 @@ pub(crate) fn emit(data: RingData) {
 fn register_current_thread() -> ThreadRing {
     let ring = ThreadRing {
         label: format!("{:?}", std::thread::current().id()),
-        buf: Arc::new(Mutex::new(RingBuf::new(crate::config().trace_cap))),
+        buf: Arc::new(Mutex::new(RingBuf::new(DEFAULT_TRACE_CAP))),
     };
     lock(&RINGS).push(ring.clone());
     ring
@@ -352,14 +330,6 @@ mod tests {
         assert_eq!(ts, vec![2, 3, 4]);
         // Drains are non-destructive.
         assert_eq!(r.drain_ordered().len(), 3);
-    }
-
-    #[test]
-    fn zero_capacity_ring_records_nothing() {
-        let mut r = RingBuf::new(0);
-        r.push(rec(1, "x"));
-        assert!(r.is_empty());
-        assert!(r.drain_ordered().is_empty());
     }
 
     #[test]

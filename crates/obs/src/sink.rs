@@ -196,7 +196,7 @@ pub struct SpanStat {
     pub flops: u64,
     /// Total kernel bytes moved attributed to spans at this path.
     pub bytes: u64,
-    /// Total heap allocations attributed (0 without `FEDKNOW_PROF_ALLOC`).
+    /// Total heap allocations attributed.
     pub allocs: u64,
     /// Total bytes requested by those allocations.
     pub alloc_bytes: u64,
@@ -218,9 +218,8 @@ impl SpanStat {
 }
 
 /// An exact aggregation of a recording: counter totals, raw samples
-/// (sorted), per-path span totals, last-written gauges, series
-/// points in index order, and the fault / violation / note / wire
-/// records a report lists.
+/// (sorted), per-path span totals, series points in index order, and
+/// the fault / violation / note / wire records a report lists.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Aggregate {
     /// Records aggregated.
@@ -234,8 +233,6 @@ pub struct Aggregate {
     pub samples: BTreeMap<String, Vec<u64>>,
     /// Span totals by hierarchical path.
     pub spans: BTreeMap<String, SpanStat>,
-    /// Last-written gauge values by name.
-    pub gauges: BTreeMap<String, f64>,
     /// Series points `(index, value)` by name, index-sorted (ties in
     /// time order).
     pub series: BTreeMap<String, Vec<(u64, f64)>>,
@@ -304,9 +301,6 @@ impl Aggregate {
                 }
                 RingData::Sample { name, value } => {
                     agg.samples.entry(name.clone()).or_default().push(*value);
-                }
-                RingData::Gauge { name, value } => {
-                    agg.gauges.insert(name.clone(), *value);
                 }
                 RingData::Point { name, index, value } => agg
                     .series

@@ -14,7 +14,7 @@
 //!   timestamp.
 //! * Fault injections and verify violations become instant (`i`)
 //!   events on the affected client's track / the coordinator track.
-//! * Series points and gauges become counter (`C`) tracks; counter
+//! * Series points become counter (`C`) tracks; counter
 //!   deltas are accumulated into running-total counter tracks.
 //!
 //! Timestamps are microseconds (fractional) since the recording
@@ -431,9 +431,7 @@ fn ring_record_to_events(em: &mut Emitter, rec: &RingRecord) {
             let short: String = note.chars().take(120).collect();
             em.instant(ts_us, 0, &short, "note", obj(vec![("round", vu(round))]));
         }
-        RingData::Point { name, value, .. } | RingData::Gauge { name, value } => {
-            em.counter(ts_us, name, *value);
-        }
+        RingData::Point { name, value, .. } => em.counter(ts_us, name, *value),
         RingData::Count { name, delta } => em.count_delta(ts_us, name, *delta),
         RingData::Wire {
             phase,

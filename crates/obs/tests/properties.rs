@@ -184,10 +184,6 @@ fn sample_tracks() -> Vec<ThreadTrack> {
         name: name.into(),
         value,
     };
-    let gauge = |value| RingData::Gauge {
-        name: "g".into(),
-        value,
-    };
     let point = |index, value| RingData::Point {
         name: "s".into(),
         index,
@@ -208,7 +204,6 @@ fn sample_tracks() -> Vec<ThreadTrack> {
                 rec(20, count(4096)),
                 rec(30, sample("qp.solve_ns", 42)),
                 rec(40, sample("qp.iters", 17)),
-                rec(50, gauge(1.0)),
                 rec(60, point(5, 0.5)),
                 rec(500, end("run", 490, None)),
             ],
@@ -226,7 +221,6 @@ fn sample_tracks() -> Vec<ThreadTrack> {
                 rec(150, count(1024)),
                 rec(160, sample("qp.solve_ns", 58)),
                 rec(170, sample("qp.solve_ns", 7)),
-                rec(180, gauge(2.0)),
                 rec(190, point(2, 0.25)),
                 rec(300, end("run/task.0", 200, Some(perf))),
                 rec(400, end("run/task.0", 50, None)),
@@ -270,7 +264,7 @@ fn stream_and_bundle_roundtrip_into_the_same_aggregate() {
 
     let agg = Aggregate::from_records(&from_stream);
     assert_eq!(agg, Aggregate::from_records(&from_bundle));
-    assert_eq!(agg.records, 15);
+    assert_eq!(agg.records, 13);
     assert_eq!(agg.counter("comm.upload_bytes"), 5120);
     assert_eq!(agg.counter("never_touched"), 0);
     assert_eq!(agg.samples["qp.solve_ns"], vec![7, 42, 58]);
@@ -278,7 +272,6 @@ fn stream_and_bundle_roundtrip_into_the_same_aggregate() {
     assert_eq!(agg.quantile("qp.solve_ns", 1.0), Some(58));
     assert_eq!(agg.quantile("qp.iters", 0.5), Some(17));
     assert_eq!(agg.quantile("missing", 0.5), None);
-    assert_eq!(agg.gauges["g"], 2.0, "last write wins");
     assert_eq!(agg.series["s"], vec![(2, 0.25), (5, 0.5)], "index order");
     let task = SpanStat {
         count: 2,
@@ -302,15 +295,15 @@ fn stream_and_bundle_roundtrip_into_the_same_aggregate() {
 #[test]
 fn loader_rejects_garbage() {
     let text = stream_text(&sample_tracks(), "bad");
-    // After fifteen good lines, a line of the stream format before the
+    // After thirteen good lines, a line of the stream format before the
     // record became the one event, or plain garbage: it is named.
     for bad in [
         r#"{"Span":{"path":"run","dur_ns":5,"thread":"t"}}"#,
         "not json",
     ] {
         let err = Recording::parse(&format!("{text}{bad}\n")).unwrap_err();
-        assert!(matches!(err, LoadError::Line { line: 16, .. }), "{err:?}");
-        assert!(err.to_string().starts_with("line 16:"), "{err}");
+        assert!(matches!(err, LoadError::Line { line: 14, .. }), "{err:?}");
+        assert!(err.to_string().starts_with("line 14:"), "{err}");
         // Alone, it is a one-line stream, not a malformed bundle.
         assert!(matches!(
             Recording::parse(bad),

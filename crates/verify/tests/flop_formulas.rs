@@ -4,7 +4,7 @@
 //! The models drive the profiler (`flops.*` counters, `kernel_bench`
 //! GFLOP/s); the oracles are the most literal transcription of each
 //! kernel's definition. Tying the two together means a formula bug is a
-//! failing test, not a silently wrong roofline.
+//! failing test, not a silently wrong GF/s figure.
 //!
 //! Conventions under test (documented in `fedknow_math::flops`):
 //! one MAC = 2 FLOPs; conv trips include taps that fall in the zero

@@ -20,9 +20,6 @@ fn obs_counters_agree_with_the_wire_ledger_and_the_comm_model() {
     // Must be set before the first obs call in this process: the stream
     // is attached lazily when the runtime calls `init_from_env`.
     std::env::set_var(fedknow_obs::ENV_JSONL, &path);
-    // Large enough that no ring drops a record: the bundle taken below
-    // must hold the whole run, like the stream.
-    std::env::set_var(fedknow_obs::ENV_TRACE_CAP, "1000000");
 
     let (report, stats) = RunSpec::quick(9)
         .with_faults(FaultConfig::crash_loss(0.2))
@@ -76,9 +73,14 @@ fn obs_counters_agree_with_the_wire_ledger_and_the_comm_model() {
     );
 
     // The same run as a bundle is the same recording: equal aggregates,
-    // and timelines with the same slices, instants and wire flows.
+    // and timelines with the same slices, instants and wire flows. That
+    // holds because no ring reached its bound, so each still holds the
+    // whole run, like the stream.
     let bundle = serde_json::to_string(&fedknow_obs::collect_bundle("test")).unwrap();
     let bundle = fedknow_obs::Recording::parse(&bundle).expect("bundle loads");
+    for track in &bundle.tracks {
+        assert_eq!(track.dropped, 0, "{} overwrote records", track.thread);
+    }
     assert_eq!(bundle.tracks, stream.tracks);
     assert_eq!(fedknow_obs::Aggregate::from_records(&bundle), agg);
     let timeline = |rec| {
