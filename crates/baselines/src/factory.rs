@@ -124,16 +124,8 @@ pub struct MethodConfig {
     pub batch_size: usize,
     /// Rehearsal fraction for memory methods (paper: 10 %).
     pub memory_fraction: f64,
-    /// EWC penalty (paper: 40000, scaled to this loss landscape).
-    pub ewc_lambda: f32,
-    /// MAS penalty (paper: 100, scaled).
-    pub mas_lambda: f32,
-    /// AGS-CL penalty.
-    pub agscl_lambda: f32,
     /// FedKNOW configuration (ρ, k, metric, ...).
     pub fedknow: FedKnowConfig,
-    /// FedWEIT adaptive fraction.
-    pub fedweit_fraction: f64,
 }
 
 impl Default for MethodConfig {
@@ -143,11 +135,7 @@ impl Default for MethodConfig {
             lr_decrease: 1e-4,
             batch_size: 16,
             memory_fraction: 0.10,
-            ewc_lambda: 1.0,
-            mas_lambda: 1.0,
-            agscl_lambda: 3.0,
             fedknow: FedKnowConfig::default(),
-            fedweit_fraction: 0.10,
         }
     }
 }
@@ -197,7 +185,7 @@ pub fn build_client(
         Method::Ewc => Box::new(RegularizedClient::new(
             template,
             ImportanceKind::Fisher,
-            cfg.ewc_lambda,
+            1.0, // paper: 40000, scaled to this loss landscape
             lr,
             dec,
             bs,
@@ -206,7 +194,7 @@ pub fn build_client(
         Method::Mas => Box::new(RegularizedClient::new(
             template,
             ImportanceKind::Mas,
-            cfg.mas_lambda,
+            1.0, // paper: 100, scaled likewise
             lr,
             dec,
             bs,
@@ -215,7 +203,7 @@ pub fn build_client(
         Method::AgsCl => Box::new(RegularizedClient::new(
             template,
             ImportanceKind::PathIntegral,
-            cfg.agscl_lambda,
+            3.0,
             lr,
             dec,
             bs,
@@ -234,7 +222,7 @@ pub fn build_client(
         )),
         Method::FedWeit => Box::new(FedWeitClient::new(
             template,
-            cfg.fedweit_fraction,
+            0.10,
             false,
             lr,
             dec,
@@ -243,7 +231,7 @@ pub fn build_client(
         )),
         Method::FedWeitOwn => Box::new(FedWeitClient::new(
             template,
-            cfg.fedweit_fraction,
+            0.10,
             true,
             lr,
             dec,

@@ -6,19 +6,18 @@
 //! client over a [`Transport`]. This module is only that wire half:
 //! connections, the server inbox, send fan-outs and reply collection on
 //! one side, the client's message loop on the other. The ledger — fault
-//! log, byte accounting, simulated deadline math — is the engine's, so
+//! log, byte accounting, simulated compute time — is the engine's, so
 //! a seeded run reports the same on every backend as in process.
 //!
 //! Faults are realized at the wire seam from the pure [`FaultPlan`]
 //! both sides draw from: a crash is a genuinely closed connection
 //! followed by a `Rejoin` redial, a lost upload is a frame dropped in
 //! flight (with the bookkeeping arriving over the reliable
-//! `UploadFailed` control message), corruption damages the parameter
-//! bytes inside the frame, and stragglers delay delivery. Liveness
-//! comes from physical signals (uploads, control messages, connection
-//! closes); a generous wall-clock deadline per wait is only a safety
-//! net — when it fires, the link hands the engine no reply for that
-//! client (counting `transport.round_timeouts`) instead of hanging.
+//! `UploadFailed` control message). Liveness comes from physical
+//! signals (uploads, control messages, connection closes); a generous
+//! wall-clock deadline per wait is only a safety net — when it fires,
+//! the link hands the engine no reply for that client (counting
+//! `transport.round_timeouts`) instead of hanging.
 //!
 //! Malformed frames — bytes that fail frame or message decoding —
 //! quarantine the connection: the reader stops, the event is counted
@@ -56,9 +55,6 @@ use std::time::{Duration, Instant};
 /// eval rows). When it fires the server proceeds without the missing
 /// clients instead of hanging.
 const ROUND_DEADLINE: Duration = Duration::from_secs(30);
-/// Real delay per unit of drawn straggler slowdown applied before a
-/// straggler's upload leaves the client.
-const STRAGGLE_DELAY: Duration = Duration::from_millis(1);
 /// Retries (with backoff) for server-side sends.
 const SEND_RETRIES: u32 = 3;
 
@@ -548,7 +544,7 @@ impl ClientActor {
         };
         let delivered = conn.send_via_frame_buffer(|tx| {
             if meta.had_params {
-                send_upload_faulty(tx, &msg, f, STRAGGLE_DELAY)
+                send_upload_faulty(tx, &msg, f)
             } else {
                 // Nothing to lose on the wire: the bookkeeping travels
                 // the control plane untouched by upload faults.

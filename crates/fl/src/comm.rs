@@ -46,7 +46,7 @@ impl CommModel {
     /// Validated constructor: rejects zero, negative, and non-finite
     /// bandwidths instead of letting `transfer_seconds` return
     /// `inf`/`NaN` silently.
-    pub fn bytes_per_sec(bytes: f64) -> Result<Self, InvalidBandwidth> {
+    fn bytes_per_sec(bytes: f64) -> Result<Self, InvalidBandwidth> {
         if bytes.is_finite() && bytes > 0.0 {
             Ok(Self {
                 bandwidth_bytes_per_sec: bytes,
@@ -59,9 +59,9 @@ impl CommModel {
     }
 
     /// Arbitrary bandwidth in KB/s (the unit of the Figure 6 sweep).
-    /// Non-positive or non-finite rates panic — sweep constructors are
-    /// always called with literals; use [`Self::bytes_per_sec`] for
-    /// untrusted input.
+    /// Non-positive or non-finite rates panic, naming the
+    /// [`InvalidBandwidth`] — sweep constructors are always called with
+    /// literals.
     pub fn kb_per_sec(kb: f64) -> Self {
         Self::bytes_per_sec(kb * 1000.0)
             .unwrap_or_else(|e| panic!("CommModel::kb_per_sec({kb}): {e}"))

@@ -34,7 +34,7 @@ pub struct DeviceProfile {
 /// Raspberry Pi (10 MiB budget) is exhausted around task 7 while 4/8 GB
 /// devices survive the 10-task stream. See
 /// `calibration_tests::fedweit_knowledge_ooms_2gb_rpi_around_task_seven`.
-pub const RETAINED_BUDGET_PER_GB: u64 = 5 * 1024 * 1024;
+const RETAINED_BUDGET_PER_GB: u64 = 5 * 1024 * 1024;
 
 impl DeviceProfile {
     fn new(name: &str, flops_per_sec: f64, mem_gb: u64) -> Self {

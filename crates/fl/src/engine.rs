@@ -49,7 +49,7 @@ pub(crate) trait ClientLink {
     fn resync(&mut self, c: usize, round: u64, global: &[f32]) -> u64;
     /// Run `round` on every participant: local training, then the
     /// upload through this round's drawn faults. Loss leaves `params`
-    /// empty, corruption leaves them damaged.
+    /// empty.
     fn round(
         &mut self,
         round: u64,
@@ -279,28 +279,18 @@ pub(crate) fn advance(
                 loss_iters += rc.meta.iters as usize;
             }
 
-            // The slowest participant gates the synchronous round;
-            // stragglers run `slowdown ×` their nominal time, and an
-            // optional deadline (a multiple of the slowest *nominal*
-            // time) caps how long the server waits.
+            // The slowest participant gates the synchronous round.
             let flops: Vec<Option<u64>> = contributions
                 .iter()
                 .map(|rc| rc.as_ref().map(|rc| rc.meta.flops))
                 .collect();
-            let assess = protocol::assess_compute(
-                &flops,
-                env.devices,
-                &faults,
-                plan.config().deadline_factor,
-                global_round,
-                &mut st.fault_log,
-            );
-            compute_secs += assess.round_compute;
+            let seconds = protocol::assess_compute(&flops, env.devices);
+            compute_secs += seconds.iter().flatten().copied().fold(0.0, f64::max);
 
-            // Ledger the uploads (the link already realized loss and
-            // corruption) and the modeled comm sizes. `attempts` counts
-            // transmissions of the base upload: retries burn wire bytes
-            // even when they fail.
+            // Ledger the uploads (the link already realized loss) and
+            // the modeled comm sizes. `attempts` counts transmissions of
+            // the base upload: retries burn wire bytes even when they
+            // fail.
             let mut uploads: Vec<Option<Vec<f32>>> = Vec::with_capacity(n);
             let mut attempts = vec![0u32; n];
             let mut backoff = vec![0.0f64; n];
@@ -316,8 +306,6 @@ pub(crate) fn advance(
                     &mut up,
                     rc.meta.had_params,
                     &faults[c],
-                    &plan,
-                    assess.deadline_missed[c],
                     global_round,
                     c,
                     &mut st.fault_log,
@@ -371,8 +359,8 @@ pub(crate) fn advance(
             );
             comm_secs += round_comm;
 
-            for seconds in assess.actual.iter().flatten() {
-                fedknow_obs::record("client.sim_compute_ns", (seconds * 1e9) as u64);
+            for s in seconds.iter().flatten() {
+                fedknow_obs::record("client.sim_compute_ns", (s * 1e9) as u64);
             }
 
             // Broadcast the aggregate and the payload set; crashed

@@ -1,12 +1,13 @@
 //! Deterministic fault injection for the federation loop.
 //!
 //! The paper runs on a physical edge testbed where devices genuinely
-//! misbehave: the 2 GB Raspberry Pi runs out of memory mid-stream,
-//! Raspberry Pis train ~12× slower than the Jetson average, and radio
-//! links drop uploads (§V-B). The simulation substitutes that flakiness
-//! with a [`FaultPlan`]: per-client, per-round fault events drawn from
-//! seeded substreams, so every fault sequence is **bit-reproducible**
-//! across thread counts and across runs at the same seed.
+//! misbehave: the 2 GB Raspberry Pi runs out of memory mid-stream and
+//! radio links drop uploads (§V-B). The simulation substitutes that
+//! flakiness with a [`FaultPlan`]: per-client, per-round fault events
+//! drawn from seeded substreams, so every fault sequence is
+//! **bit-reproducible** across thread counts and across runs at the
+//! same seed. (Device speed and memory heterogeneity is the device
+//! model's, `crate::device`, not a fault.)
 //!
 //! Determinism is structural, not incidental: a fault draw for
 //! `(client, round)` comes from a fresh [`substream`] keyed only by the
@@ -16,27 +17,21 @@
 //! dispatching client work, and logs events in client order — the fault
 //! event log of a run is a pure function of `(seed, FaultConfig)`.
 //!
-//! Fault classes (all off by default):
+//! Fault classes (both off by default):
 //!
 //! * **Crash-for-round** — the client misses a whole round: no local
 //!   training, no upload, and it misses the broadcast. It rejoins the
 //!   next round and is re-sent the current global model first
 //!   ([`FaultKind::Rejoin`]).
-//! * **Straggler slowdown** — the client's round compute is multiplied
-//!   by [`FaultConfig::straggler_slowdown`]. When a round deadline is
-//!   configured ([`FaultConfig::deadline_factor`]) and the slowed
-//!   client overshoots it, its upload is excluded from that round's
-//!   FedAvg ([`FaultKind::DeadlineMiss`]).
 //! * **Upload loss** — each upload attempt is lost with
-//!   [`FaultConfig::loss_prob`]; the client retries up to
-//!   [`FaultConfig::max_retries`] times with exponential backoff
-//!   charged to its communication time. Losing every attempt drops the
-//!   upload from aggregation ([`FaultKind::UploadLost`]).
-//! * **Payload corruption** — the upload vector is damaged in flight:
-//!   a NaN or infinity poisons one coordinate, or one bit of one `f32`
-//!   is flipped. The server's upload validation quarantines non-finite
-//!   payloads (`fl.uploads_rejected`); a bit flip that stays finite is
-//!   deliberately *silent* corruption the aggregation must absorb.
+//!   [`FaultConfig::loss_prob`]; the client retries up to two times
+//!   with exponential backoff (0.5 s, then 1 s) charged to its
+//!   communication time. Losing every attempt drops the upload from
+//!   aggregation ([`FaultKind::UploadLost`]).
+//!
+//! The server's upload validation is not an injected fault: it
+//! quarantines any upload holding non-finite values, as a diverged
+//! client produces ([`FaultKind::UploadRejected`]).
 
 use fedknow_math::rng::{splitmix64, substream};
 use rand::rngs::StdRng;
@@ -47,142 +42,47 @@ use serde::{Deserialize, Serialize};
 /// experiment seed (clients use `0xF1_0000 + c`).
 const FAULT_STREAM_TAG: u64 = 0xFA17_0000_0000_0000;
 
-/// Fault-injection knobs. The default is inert (all probabilities zero),
-/// so a `SimConfig::default()` run is byte-identical to the fault-free
-/// protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Retries after a lost upload attempt before giving up on the round's
+/// upload entirely.
+const MAX_RETRIES: u32 = 2;
+
+/// Backoff before the first retry, in simulated seconds; doubles on
+/// every further retry and is charged to the client's comm time.
+const BACKOFF_BASE_SECS: f64 = 0.5;
+
+/// Fault-injection knobs. The default is inert (both probabilities
+/// zero), so a `SimConfig::default()` run is byte-identical to the
+/// fault-free protocol.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultConfig {
     /// Per-client, per-round probability of crashing for the round.
     pub crash_prob: f64,
-    /// Per-client, per-round probability of straggling.
-    pub straggler_prob: f64,
-    /// Compute-time multiplier applied to a straggling client (≥ 1).
-    pub straggler_slowdown: f64,
-    /// Round deadline as a multiple of the slowest *nominal* (un-slowed)
-    /// client's round time. `<= 0` disables the deadline: the server
-    /// waits for every straggler. With a deadline, a client whose slowed
-    /// compute time overshoots it is excluded from that round's FedAvg.
-    pub deadline_factor: f64,
     /// Probability each individual upload attempt is lost in transit.
     pub loss_prob: f64,
-    /// Retries after a lost upload attempt before giving up on the
-    /// round's upload entirely.
-    pub max_retries: u32,
-    /// Backoff before the first retry, in simulated seconds; doubles on
-    /// every further retry and is charged to the client's comm time.
-    pub backoff_base_secs: f64,
-    /// Per-client, per-round probability the upload is corrupted.
-    pub corrupt_prob: f64,
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        Self {
-            crash_prob: 0.0,
-            straggler_prob: 0.0,
-            straggler_slowdown: 4.0,
-            deadline_factor: 0.0,
-            loss_prob: 0.0,
-            max_retries: 2,
-            backoff_base_secs: 0.5,
-            corrupt_prob: 0.0,
-        }
-    }
 }
 
 impl FaultConfig {
     /// A chaos preset: crash and upload loss at the given rate each
-    /// (the sweep axis of the `resilience` bench).
+    /// (the sweep axis of the `resilience` figure).
     pub fn crash_loss(rate: f64) -> Self {
         Self {
             crash_prob: rate,
             loss_prob: rate,
-            ..Self::default()
         }
     }
 
     /// Whether every fault class is disabled — the simulation skips the
     /// fault machinery entirely for inert configs.
     pub fn is_inert(&self) -> bool {
-        self.crash_prob <= 0.0
-            && self.straggler_prob <= 0.0
-            && self.loss_prob <= 0.0
-            && self.corrupt_prob <= 0.0
+        self.crash_prob <= 0.0 && self.loss_prob <= 0.0
     }
 
-    /// Clamp probabilities into `[0, 1]` and the slowdown to ≥ 1 so a
-    /// hand-built config cannot produce negative-probability draws.
-    pub fn sanitized(mut self) -> Self {
+    /// Clamp both probabilities into `[0, 1]` so a hand-built config
+    /// cannot produce out-of-range draws.
+    fn sanitized(mut self) -> Self {
         self.crash_prob = self.crash_prob.clamp(0.0, 1.0);
-        self.straggler_prob = self.straggler_prob.clamp(0.0, 1.0);
         self.loss_prob = self.loss_prob.clamp(0.0, 1.0);
-        self.corrupt_prob = self.corrupt_prob.clamp(0.0, 1.0);
-        self.straggler_slowdown = self.straggler_slowdown.max(1.0);
-        self.backoff_base_secs = self.backoff_base_secs.max(0.0);
         self
-    }
-}
-
-/// How an upload is damaged in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CorruptionMode {
-    /// One coordinate becomes NaN (caught by server validation).
-    NanPoison,
-    /// One coordinate becomes +∞ (caught by server validation).
-    InfPoison,
-    /// One bit of one `f32` flips (may stay finite — silent corruption).
-    BitFlip,
-}
-
-/// A drawn corruption: mode plus the pre-drawn target position, so
-/// applying it is pure and order-independent.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Corruption {
-    /// Damage mode.
-    pub mode: CorruptionMode,
-    /// Target coordinate as a fraction of the vector length, drawn in
-    /// `[0, 1)` so it is valid for any upload dimension.
-    pub pos_fraction: f64,
-    /// Bit to flip for [`CorruptionMode::BitFlip`] (0–31).
-    pub bit: u32,
-}
-
-impl Corruption {
-    /// Damage `upload` in place. A zero-length upload is left alone.
-    pub fn apply(&self, upload: &mut [f32]) {
-        if upload.is_empty() {
-            return;
-        }
-        let i = ((self.pos_fraction * upload.len() as f64) as usize).min(upload.len() - 1);
-        upload[i] = match self.mode {
-            CorruptionMode::NanPoison => f32::NAN,
-            CorruptionMode::InfPoison => f32::INFINITY,
-            CorruptionMode::BitFlip => f32::from_bits(upload[i].to_bits() ^ (1 << self.bit)),
-        };
-    }
-
-    /// The wire-seam realization of [`Self::apply`]: damage the
-    /// little-endian `f32` encoding of the upload *in the frame bytes*,
-    /// so a transport corrupts data genuinely in flight yet the decoded
-    /// vector is bit-identical to what `apply` produces in process.
-    /// Trailing bytes that are not part of a full `f32` word are left
-    /// alone.
-    pub fn apply_bytes(&self, encoded: &mut [u8]) {
-        let len = encoded.len() / 4;
-        if len == 0 {
-            return;
-        }
-        let i = ((self.pos_fraction * len as f64) as usize).min(len - 1);
-        let word = &mut encoded[4 * i..4 * i + 4];
-        let replaced = match self.mode {
-            CorruptionMode::NanPoison => f32::NAN,
-            CorruptionMode::InfPoison => f32::INFINITY,
-            CorruptionMode::BitFlip => {
-                let v = f32::from_le_bytes(word.try_into().unwrap());
-                f32::from_bits(v.to_bits() ^ (1 << self.bit))
-            }
-        };
-        word.copy_from_slice(&replaced.to_le_bytes());
     }
 }
 
@@ -191,15 +91,11 @@ impl Corruption {
 pub struct RoundFaults {
     /// Client is down for the whole round.
     pub crash: bool,
-    /// Compute-time multiplier (1.0 = nominal).
-    pub slowdown: f64,
     /// Upload attempts lost in transit before one succeeded (each one
-    /// is retried with backoff, up to `max_retries`).
+    /// is retried with backoff, up to two times).
     pub lost_attempts: u32,
-    /// All `1 + max_retries` attempts were lost: no upload this round.
+    /// All three attempts were lost: no upload this round.
     pub upload_lost: bool,
-    /// In-flight damage to the upload, if drawn.
-    pub corruption: Option<Corruption>,
 }
 
 impl RoundFaults {
@@ -207,10 +103,8 @@ impl RoundFaults {
     pub fn none() -> Self {
         Self {
             crash: false,
-            slowdown: 1.0,
             lost_attempts: 0,
             upload_lost: false,
-            corruption: None,
         }
     }
 
@@ -222,6 +116,24 @@ impl RoundFaults {
         } else {
             self.lost_attempts + u32::from(!self.upload_lost)
         }
+    }
+
+    /// Retries taken after lost attempts (a fully lost upload stops
+    /// retrying after the last one).
+    pub(crate) fn retries(&self) -> u32 {
+        self.lost_attempts.min(MAX_RETRIES)
+    }
+
+    /// Simulated seconds of exponential backoff charged for this
+    /// round's retries: `base · (2^k − 1)` for `k` retries.
+    pub(crate) fn backoff_seconds(&self) -> f64 {
+        let mut total = 0.0;
+        let mut wait = BACKOFF_BASE_SECS;
+        for _ in 0..self.retries() {
+            total += wait;
+            wait *= 2.0;
+        }
+        total
     }
 }
 
@@ -235,7 +147,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Plan from the experiment seed and a (sanitized) config.
+    /// Plan from the experiment seed and a config (probabilities are
+    /// clamped into `[0, 1]`).
     pub fn new(seed: u64, cfg: FaultConfig) -> Self {
         Self {
             seed,
@@ -251,8 +164,8 @@ impl FaultPlan {
     /// Draw the faults afflicting `client` in global round `round`.
     ///
     /// The draw order within one `(client, round)` cell is fixed
-    /// (crash, straggle, loss attempts, corruption), and each cell uses
-    /// its own substream, so no draw ever shifts another cell's stream.
+    /// (crash, one unused draw, loss attempts), and each cell uses its
+    /// own substream, so no draw ever shifts another cell's stream.
     pub fn draw(&self, client: usize, round: u64) -> RoundFaults {
         let mut rng = self.cell_rng(client, round);
         let mut f = RoundFaults::none();
@@ -260,43 +173,18 @@ impl FaultPlan {
             f.crash = true;
             return f;
         }
-        if rng.gen::<f64>() < self.cfg.straggler_prob {
-            f.slowdown = self.cfg.straggler_slowdown;
-        }
-        for _ in 0..=self.cfg.max_retries {
+        // Where a straggler draw used to be: consumed so committed
+        // fault schedules (and every report built on them) are unchanged.
+        let _ = rng.gen::<f64>();
+        for _ in 0..=MAX_RETRIES {
             if rng.gen::<f64>() < self.cfg.loss_prob {
                 f.lost_attempts += 1;
             } else {
                 break;
             }
         }
-        f.upload_lost = f.lost_attempts > self.cfg.max_retries;
-        if rng.gen::<f64>() < self.cfg.corrupt_prob {
-            let mode = match rng.gen_range(0u32..3) {
-                0 => CorruptionMode::NanPoison,
-                1 => CorruptionMode::InfPoison,
-                _ => CorruptionMode::BitFlip,
-            };
-            f.corruption = Some(Corruption {
-                mode,
-                pos_fraction: rng.gen::<f64>(),
-                bit: rng.gen_range(0u32..32),
-            });
-        }
+        f.upload_lost = f.lost_attempts > MAX_RETRIES;
         f
-    }
-
-    /// Simulated seconds of exponential backoff charged for
-    /// `lost_attempts` lost transmissions: `base · (2^k − 1)` summed
-    /// over the retries actually taken.
-    pub fn backoff_seconds(&self, lost_attempts: u32) -> f64 {
-        let mut total = 0.0;
-        let mut wait = self.cfg.backoff_base_secs;
-        for _ in 0..lost_attempts {
-            total += wait;
-            wait *= 2.0;
-        }
-        total
     }
 
     fn cell_rng(&self, client: usize, round: u64) -> StdRng {
@@ -306,9 +194,10 @@ impl FaultPlan {
 }
 
 /// One fault event in a run's log. `detail` carries the event-specific
-/// quantity: lost attempts for [`FaultKind::UploadRetry`], the slowdown
-/// in per-mille for [`FaultKind::Straggle`], the non-finite coordinate
-/// index for [`FaultKind::UploadRejected`], zero otherwise.
+/// quantity: lost attempts for [`FaultKind::UploadRetry`] and
+/// [`FaultKind::UploadLost`], the non-finite coordinate index (or the
+/// received length, on a dimension mismatch) for
+/// [`FaultKind::UploadRejected`], zero otherwise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultEvent {
     /// Global round index (task · rounds_per_task + round).
@@ -328,16 +217,10 @@ pub enum FaultKind {
     Crash,
     /// Client rejoined after a crash and was re-sent the global model.
     Rejoin,
-    /// Client compute was slowed this round.
-    Straggle,
-    /// Slowed client overshot the round deadline; upload excluded.
-    DeadlineMiss,
     /// Upload attempts were lost and retried (detail = lost attempts).
     UploadRetry,
     /// Every upload attempt was lost; nothing reached the server.
     UploadLost,
-    /// Upload was corrupted in flight.
-    Corrupt,
     /// Server validation quarantined the upload (non-finite values).
     UploadRejected,
 }
@@ -349,11 +232,8 @@ impl FaultKind {
         match self {
             FaultKind::Crash => "crash",
             FaultKind::Rejoin => "rejoin",
-            FaultKind::Straggle => "straggle",
-            FaultKind::DeadlineMiss => "deadline_miss",
             FaultKind::UploadRetry => "upload_retry",
             FaultKind::UploadLost => "upload_lost",
-            FaultKind::Corrupt => "corrupt",
             FaultKind::UploadRejected => "upload_rejected",
         }
     }
@@ -366,13 +246,7 @@ mod tests {
     fn chaotic() -> FaultConfig {
         FaultConfig {
             crash_prob: 0.2,
-            straggler_prob: 0.3,
-            straggler_slowdown: 6.0,
-            deadline_factor: 3.0,
             loss_prob: 0.3,
-            max_retries: 2,
-            backoff_base_secs: 0.25,
-            corrupt_prob: 0.3,
         }
     }
 
@@ -387,18 +261,11 @@ mod tests {
     fn sanitize_clamps_hostile_configs() {
         let cfg = FaultConfig {
             crash_prob: 7.0,
-            straggler_prob: -1.0,
-            straggler_slowdown: 0.1,
-            loss_prob: 2.0,
-            backoff_base_secs: -3.0,
-            ..FaultConfig::default()
+            loss_prob: -2.0,
         }
         .sanitized();
         assert_eq!(cfg.crash_prob, 1.0);
-        assert_eq!(cfg.straggler_prob, 0.0);
-        assert_eq!(cfg.straggler_slowdown, 1.0);
-        assert_eq!(cfg.loss_prob, 1.0);
-        assert_eq!(cfg.backoff_base_secs, 0.0);
+        assert_eq!(cfg.loss_prob, 0.0);
     }
 
     #[test]
@@ -432,20 +299,17 @@ mod tests {
         let plan = FaultPlan::new(7, chaotic());
         let n = 4000u64;
         let mut crashes = 0u64;
-        let mut straggles = 0u64;
+        let mut first_attempt_lost = 0u64;
         for r in 0..n {
             let f = plan.draw(0, r);
             crashes += u64::from(f.crash);
-            straggles += u64::from(f.slowdown > 1.0);
+            first_attempt_lost += u64::from(f.lost_attempts > 0);
         }
         let crash_rate = crashes as f64 / n as f64;
         assert!((crash_rate - 0.2).abs() < 0.03, "crash rate {crash_rate}");
-        // Straggles are only drawn on non-crash rounds: 0.8 × 0.3.
-        let straggle_rate = straggles as f64 / n as f64;
-        assert!(
-            (straggle_rate - 0.24).abs() < 0.03,
-            "straggle rate {straggle_rate}"
-        );
+        // Losses are only drawn on non-crash rounds: 0.8 × 0.3.
+        let loss_rate = first_attempt_lost as f64 / n as f64;
+        assert!((loss_rate - 0.24).abs() < 0.03, "loss rate {loss_rate}");
     }
 
     #[test]
@@ -462,7 +326,6 @@ mod tests {
     fn retry_counts_are_bounded_and_lost_flag_consistent() {
         let cfg = FaultConfig {
             loss_prob: 0.9,
-            max_retries: 2,
             ..FaultConfig::default()
         };
         let plan = FaultPlan::new(3, cfg);
@@ -485,87 +348,19 @@ mod tests {
 
     #[test]
     fn backoff_doubles_per_retry() {
-        let plan = FaultPlan::new(0, chaotic()); // base 0.25
-        assert_eq!(plan.backoff_seconds(0), 0.0);
-        assert_eq!(plan.backoff_seconds(1), 0.25);
-        assert_eq!(plan.backoff_seconds(2), 0.75);
-        assert_eq!(plan.backoff_seconds(3), 1.75);
-    }
-
-    #[test]
-    fn corruption_damages_exactly_one_coordinate() {
-        let c = Corruption {
-            mode: CorruptionMode::NanPoison,
-            pos_fraction: 0.5,
-            bit: 0,
+        let backoff = |lost_attempts| {
+            RoundFaults {
+                lost_attempts,
+                upload_lost: lost_attempts > MAX_RETRIES,
+                ..RoundFaults::none()
+            }
+            .backoff_seconds()
         };
-        let mut v = vec![1.0f32; 8];
-        c.apply(&mut v);
-        assert_eq!(v.iter().filter(|x| x.is_nan()).count(), 1);
-        assert!(v[4].is_nan());
-
-        let inf = Corruption {
-            mode: CorruptionMode::InfPoison,
-            pos_fraction: 0.999,
-            bit: 0,
-        };
-        let mut v = vec![0.0f32; 3];
-        inf.apply(&mut v);
-        assert!(v[2].is_infinite());
-
-        let flip = Corruption {
-            mode: CorruptionMode::BitFlip,
-            pos_fraction: 0.0,
-            bit: 31,
-        };
-        let mut v = vec![2.5f32, 1.0];
-        flip.apply(&mut v);
-        assert_eq!(v[0], -2.5, "sign-bit flip negates");
-        assert_eq!(v[1], 1.0);
-
-        // Empty uploads are left alone.
-        c.apply(&mut []);
-    }
-
-    #[test]
-    fn byte_level_corruption_matches_in_process_corruption() {
-        // Exhaust all three modes across positions and bits: damaging
-        // the LE byte encoding must decode to exactly what `apply`
-        // produces on the vector (bit patterns included — NaNs compare
-        // by bits here).
-        let cases = [
-            (CorruptionMode::NanPoison, 0.0, 0),
-            (CorruptionMode::NanPoison, 0.73, 0),
-            (CorruptionMode::InfPoison, 0.999, 0),
-            (CorruptionMode::BitFlip, 0.5, 31),
-            (CorruptionMode::BitFlip, 0.25, 0),
-            (CorruptionMode::BitFlip, 0.9, 22),
-        ];
-        let v: Vec<f32> = (0..7).map(|i| i as f32 * 0.37 - 1.0).collect();
-        for (mode, pos_fraction, bit) in cases {
-            let corr = Corruption {
-                mode,
-                pos_fraction,
-                bit,
-            };
-            let mut in_process = v.clone();
-            corr.apply(&mut in_process);
-            let mut wire: Vec<u8> = v.iter().flat_map(|x| x.to_le_bytes()).collect();
-            corr.apply_bytes(&mut wire);
-            let decoded: Vec<f32> = wire
-                .chunks_exact(4)
-                .map(|w| f32::from_le_bytes(w.try_into().unwrap()))
-                .collect();
-            let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&decoded), bits(&in_process), "{mode:?}");
-        }
-        // Empty buffers are left alone on both seams.
-        let corr = Corruption {
-            mode: CorruptionMode::NanPoison,
-            pos_fraction: 0.5,
-            bit: 0,
-        };
-        corr.apply_bytes(&mut []);
+        assert_eq!(backoff(0), 0.0);
+        assert_eq!(backoff(1), 0.5);
+        assert_eq!(backoff(2), 1.5);
+        // A fully lost upload waited before its two retries only.
+        assert_eq!(backoff(3), 1.5);
     }
 
     #[test]

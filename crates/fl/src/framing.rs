@@ -78,7 +78,7 @@ impl TraceCtx {
     /// Deserialize from the fixed wire block. Infallible: the block is
     /// validated to be exactly [`TRACE_CTX_BYTES`] long by the caller,
     /// and every bit pattern is a valid context.
-    pub fn from_bytes(b: &[u8; TRACE_CTX_BYTES]) -> Self {
+    fn from_bytes(b: &[u8; TRACE_CTX_BYTES]) -> Self {
         let word = |i: usize| u64::from_le_bytes(b[i * 8..i * 8 + 8].try_into().unwrap());
         Self {
             trace: word(0),

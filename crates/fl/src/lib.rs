@@ -48,9 +48,7 @@ pub use actor::{run_remote_client, FederationRuntime};
 pub use client::{CommBytes, FclClient, IterationStats, ModelTemplate, Payload};
 pub use comm::{CommModel, InvalidBandwidth};
 pub use device::DeviceProfile;
-pub use faults::{
-    Corruption, CorruptionMode, FaultConfig, FaultEvent, FaultKind, FaultPlan, RoundFaults,
-};
+pub use faults::{FaultConfig, FaultEvent, FaultKind, FaultPlan, RoundFaults};
 pub use framing::{FrameError, TraceCtx, FRAME_HEADER_BYTES, MAX_FRAME_BYTES, TRACE_CTX_BYTES};
 pub use metrics::{AccuracyMatrix, RowLengthMismatch};
 pub use proto::{DecodeError, Encoded, UploadMeta, WireMsg};

@@ -27,8 +27,8 @@
 //! remaining buffer before allocation, sparse payload indices are
 //! validated before constructing a [`SparseVec`], and any violation is
 //! a typed [`DecodeError`] the server quarantines — never a panic.
-//! Parameter values are deliberately *not* validated here: a NaN forged
-//! in flight must reach the aggregator's own quarantine, the same
+//! Parameter values are deliberately *not* validated here: a NaN from a
+//! diverged client must reach the aggregator's own quarantine, the same
 //! validation seam the in-process driver exercises.
 //!
 //! [`framing`]: crate::framing
@@ -193,8 +193,7 @@ impl WireMsg {
 /// A message encoded for the wire, with the split the byte-accounting
 /// ledger needs: `data_bytes` is the portion the [`CommModel`] charges
 /// (parameters and payloads), everything else is framing/protocol
-/// overhead. `params_span` locates the flat parameter bytes inside
-/// `buf` so the wire fault injector can damage them in flight.
+/// overhead.
 ///
 /// [`CommModel`]: crate::comm::CommModel
 #[derive(Debug, Clone, Default)]
@@ -203,8 +202,6 @@ pub struct Encoded {
     pub buf: Vec<u8>,
     /// Data-plane bytes within `buf` (modeled by the comm ledger).
     pub data_bytes: u64,
-    /// `(offset, len_bytes)` of the parameter vector inside `buf`.
-    pub params_span: Option<(usize, usize)>,
 }
 
 /// A peer sent bytes that do not decode to a [`WireMsg`]. The server
@@ -343,7 +340,6 @@ impl Encoded {
         self.buf.clear();
         self.buf.reserve(FIXED_BYTES_MAX + data);
         self.data_bytes = 0;
-        self.params_span = None;
     }
 }
 
@@ -407,11 +403,7 @@ pub fn encode_msg_into(msg: &WireMsg, enc: &mut Encoded) {
         _ => 0,
     };
     enc.start(data);
-    let Encoded {
-        buf,
-        data_bytes,
-        params_span,
-    } = enc;
+    let Encoded { buf, data_bytes } = enc;
     match msg {
         WireMsg::Hello { client } => {
             buf.push(TAG_HELLO);
@@ -444,9 +436,7 @@ pub fn encode_msg_into(msg: &WireMsg, enc: &mut Encoded) {
             match params {
                 Some(p) => {
                     buf.push(1);
-                    let off = buf.len() + 4; // skip the len prefix
                     *data_bytes += put_params(buf, p);
-                    *params_span = Some((off, p.len() * 4));
                 }
                 None => buf.push(0),
             }
@@ -820,7 +810,6 @@ mod tests {
     fn same(a: &Encoded, b: &Encoded, what: &str) {
         assert_eq!(a.buf, b.buf, "{what}");
         assert_eq!(a.data_bytes, b.data_bytes, "{what}");
-        assert_eq!(a.params_span, b.params_span, "{what}");
     }
 
     #[test]
@@ -945,34 +934,6 @@ mod tests {
         });
         assert_eq!(enc.data_bytes, 0);
         assert!(!enc.buf.is_empty());
-    }
-
-    #[test]
-    fn params_span_locates_the_parameter_bytes() {
-        let params = vec![1.5f32, -2.5, 4.0];
-        let enc = encode_msg(&WireMsg::Upload {
-            round: 3,
-            client: 1,
-            meta: UploadMeta::default(),
-            params: Some(params.clone()),
-            payloads: vec![],
-        });
-        let (off, len) = enc.params_span.expect("params present");
-        assert_eq!(len, 12);
-        let decoded: Vec<f32> = enc.buf[off..off + len]
-            .chunks_exact(4)
-            .map(|w| f32::from_le_bytes(w.try_into().unwrap()))
-            .collect();
-        assert_eq!(decoded, params);
-        // Damaging the span must surface in the decoded message.
-        let mut damaged = enc.buf.clone();
-        damaged[off..off + 4].copy_from_slice(&f32::NAN.to_le_bytes());
-        match decode_msg(&damaged).unwrap() {
-            WireMsg::Upload { params, .. } => {
-                assert!(params.unwrap()[0].is_nan(), "NaN must survive decode");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

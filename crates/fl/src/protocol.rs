@@ -1,10 +1,10 @@
-//! The round protocol's *ledger*: fault drawing, compute/deadline
-//! assessment, upload staging, communication accounting, and telemetry
+//! The round protocol's *ledger*: fault drawing, compute assessment,
+//! upload staging, communication accounting, and telemetry
 //! folds — the steps the round [`engine`] calls, in its one fixed
 //! order, on what a [`ClientLink`] hands back.
 //!
 //! Everything that feeds the [`SimReport`] — the fault event log (order
-//! included), byte and link-time accounting, simulated deadline math —
+//! included), byte and link-time accounting, simulated compute time —
 //! lives here as pure-ish functions of the round's inputs. Nothing in
 //! this module knows how a client was reached.
 //!
@@ -107,80 +107,14 @@ pub(crate) fn mark_crashes(
     part
 }
 
-/// The simulated-time view of one round's local training: per-client
-/// actual seconds (nominal × straggler slowdown), which clients
-/// overshoot the deadline, and the compute seconds the synchronous
-/// server spends waiting.
-pub(crate) struct ComputeAssessment {
-    /// Per-client actual seconds, `None` for absent clients.
-    pub actual: Vec<Option<f64>>,
-    /// Clients excluded from this round's FedAvg by the deadline.
-    pub deadline_missed: Vec<bool>,
-    /// The round's simulated compute seconds (slowest survivor, or the
-    /// full deadline window when anyone missed it).
-    pub round_compute: f64,
-}
-
-/// Assess the round's compute time and deadline, logging Straggle and
-/// DeadlineMiss events exactly as the round protocol always has: one
-/// client-order pass for slowdowns, then one for deadline misses.
-pub(crate) fn assess_compute(
-    flops: &[Option<u64>],
-    devices: &[DeviceProfile],
-    faults: &[RoundFaults],
-    deadline_factor: f64,
-    round: u64,
-    log: &mut Vec<FaultEvent>,
-) -> ComputeAssessment {
-    let n = flops.len();
-    let mut nominal_max = 0.0f64;
-    let mut actual = vec![None::<f64>; n];
-    for (c, f) in flops.iter().enumerate() {
-        if let Some(f) = f {
-            let nominal = devices[c].compute_seconds(*f);
-            nominal_max = nominal_max.max(nominal);
-            actual[c] = Some(nominal * faults[c].slowdown);
-            if faults[c].slowdown > 1.0 {
-                record_fault(
-                    log,
-                    round,
-                    c,
-                    FaultKind::Straggle,
-                    (faults[c].slowdown * 1000.0).round() as u64,
-                );
-            }
-        }
-    }
-    let deadline = (deadline_factor > 0.0).then_some(deadline_factor * nominal_max);
-    let mut deadline_missed = vec![false; n];
-    let mut round_compute: f64 = 0.0;
-    let mut any_miss = false;
-    for c in 0..n {
-        let Some(a) = actual[c] else { continue };
-        if deadline.is_some_and(|d| a > d) {
-            deadline_missed[c] = true;
-            any_miss = true;
-            fedknow_obs::count("fl.deadline_misses", 1);
-            record_fault(
-                log,
-                round,
-                c,
-                FaultKind::DeadlineMiss,
-                (faults[c].slowdown * 1000.0).round() as u64,
-            );
-        } else {
-            round_compute = round_compute.max(a);
-        }
-    }
-    if any_miss {
-        // The server waits out the full deadline window.
-        round_compute = round_compute.max(deadline.unwrap_or(0.0));
-    }
-    ComputeAssessment {
-        actual,
-        deadline_missed,
-        round_compute,
-    }
+/// Per-client simulated seconds of one round's local training (`None`
+/// for absent clients): each device's nominal time for the FLOPs it ran.
+pub(crate) fn assess_compute(flops: &[Option<u64>], devices: &[DeviceProfile]) -> Vec<Option<f64>> {
+    flops
+        .iter()
+        .zip(devices)
+        .map(|(f, d)| f.map(|f| d.compute_seconds(f)))
+        .collect()
 }
 
 /// Ledger outcome of staging one client's upload through the faulty
@@ -194,21 +128,17 @@ pub(crate) struct StagedUpload {
 }
 
 /// Stage one participating client's upload through this round's faults:
-/// corruption, loss/retry with backoff, and deadline exclusion, logging
-/// Corrupt / UploadRetry / UploadLost events in the protocol's order.
+/// loss/retry with backoff, logging UploadRetry / UploadLost events.
 ///
 /// `had_upload` is whether the client produced an upload at all — it
 /// reports that in its upload metadata, because on a wire a fully lost
-/// upload arrives as nothing. The link has already realized the damage
-/// (dropped frames, corrupted bytes); only the *events* are ledgered
-/// here, and an upload the server must not use is nulled.
-#[allow(clippy::too_many_arguments)]
+/// upload arrives as nothing. The link has already realized the loss
+/// (dropped frames); only the *events* are ledgered here, and a lost
+/// upload is nulled.
 pub(crate) fn stage_upload(
     up: &mut Option<Vec<f32>>,
     had_upload: bool,
     f: &RoundFaults,
-    plan: &FaultPlan,
-    deadline_missed: bool,
     round: u64,
     client: usize,
     log: &mut Vec<FaultEvent>,
@@ -220,15 +150,11 @@ pub(crate) fn stage_upload(
     if !had_upload {
         return staged;
     }
-    if let Some(corr) = f.corruption {
-        record_fault(log, round, client, FaultKind::Corrupt, corr.mode as u64);
-    }
     staged.attempts = f.upload_attempts();
     let lost = f.lost_attempts;
     if lost > 0 {
-        let retries = lost.min(plan.config().max_retries);
-        fedknow_obs::count("fl.retries", retries as u64);
-        staged.backoff = plan.backoff_seconds(retries);
+        fedknow_obs::count("fl.retries", f.retries() as u64);
+        staged.backoff = f.backoff_seconds();
         if f.upload_lost {
             *up = None;
             fedknow_obs::count("fl.uploads_lost", 1);
@@ -236,11 +162,6 @@ pub(crate) fn stage_upload(
         } else {
             record_fault(log, round, client, FaultKind::UploadRetry, lost as u64);
         }
-    }
-    if deadline_missed {
-        // Transmitted, but arrived after the server closed the round:
-        // excluded from FedAvg.
-        *up = None;
     }
     staged
 }
@@ -440,7 +361,6 @@ mod tests {
         // must still log the loss exactly as the in-process driver does.
         let cfg = crate::faults::FaultConfig {
             loss_prob: 1.0,
-            max_retries: 2,
             ..Default::default()
         };
         let plan = FaultPlan::new(9, cfg);
@@ -454,10 +374,10 @@ mod tests {
         };
         let mut log_a = Vec::new();
         let mut up_a = Some(vec![1.0f32; 4]);
-        let a = stage_upload(&mut up_a, true, &f, &plan, false, round, 0, &mut log_a);
+        let a = stage_upload(&mut up_a, true, &f, round, 0, &mut log_a);
         let mut log_b = Vec::new();
         let mut up_b: Option<Vec<f32>> = None;
-        let b = stage_upload(&mut up_b, true, &f, &plan, false, round, 0, &mut log_b);
+        let b = stage_upload(&mut up_b, true, &f, round, 0, &mut log_b);
         assert_eq!(up_a, None);
         assert_eq!(up_b, None);
         assert_eq!(a.attempts, b.attempts);

@@ -15,10 +15,10 @@
 //!
 //! With a non-inert [`FaultConfig`] the round protocol exercises the
 //! failure modes of the paper's physical testbed: clients crash for a
-//! round and rejoin at the next broadcast, stragglers overshoot the
-//! round deadline and are excluded from that round's FedAvg, uploads are
-//! lost and retried with exponential backoff charged to comm time, and
-//! corrupted payloads are quarantined by the server's upload validation.
+//! round and rejoin at the next broadcast, and uploads are lost and
+//! retried with exponential backoff charged to comm time. Whatever the
+//! config, the server's upload validation quarantines a non-finite
+//! upload (a diverged client) instead of averaging it.
 //! Every fault is drawn on the coordinator thread from per-`(client,
 //! round)` substreams ([`FaultPlan`]), so the fault event log — and the
 //! whole [`SimReport`] — is bit-reproducible across thread counts.
@@ -62,8 +62,8 @@ pub struct SimConfig {
     pub seed: u64,
     /// Train clients on parallel threads.
     pub parallel: bool,
-    /// Fault injection. The default is inert: no crashes, stragglers,
-    /// losses, corruption, or round deadline.
+    /// Fault injection. The default is inert: no crashes and no upload
+    /// losses.
     pub faults: FaultConfig,
 }
 
@@ -230,7 +230,7 @@ pub struct SimCheckpoint {
 
 impl SimCheckpoint {
     /// Current format version.
-    pub const VERSION: u16 = 2;
+    const VERSION: u16 = 3;
 }
 
 /// A configured simulation: clients (one algorithm instance each), their
@@ -589,17 +589,11 @@ impl ClientLink for LocalLink<'_> {
         _round: u64,
         step: usize,
         part: &[bool],
-        faults: &[RoundFaults],
+        _faults: &[RoundFaults],
     ) -> Vec<Option<RoundContribution>> {
         let (iters, model_bytes) = (self.cfg.iters_per_round, self.model_bytes);
         self.fan_out(part, |c, client, data, rng| {
-            let mut rc = client_round(c, client, &data.tasks[step], rng, iters, model_bytes);
-            // In-flight corruption, applied where a wire link damages
-            // the frame's bytes.
-            if let (Some(corr), Some(v)) = (faults[c].corruption, rc.params.as_mut()) {
-                corr.apply(v);
-            }
-            rc
+            client_round(c, client, &data.tasks[step], rng, iters, model_bytes)
         })
     }
 
@@ -829,8 +823,6 @@ mod tests {
     fn lost_uploads_burn_bytes_and_backoff() {
         let faults = FaultConfig {
             loss_prob: 1.0,
-            max_retries: 2,
-            backoff_base_secs: 0.5,
             ..FaultConfig::default()
         };
         let r = stub_sim(false, 0, faults).run().expect("runs");
@@ -845,42 +837,107 @@ mod tests {
         assert!((r.task_comm_seconds[0] - 2.0 * per_round).abs() < 1e-9);
     }
 
-    #[test]
-    fn deadline_excludes_stragglers_and_caps_round_time() {
-        let faults = FaultConfig {
-            straggler_prob: 1.0,
-            straggler_slowdown: 10.0,
-            deadline_factor: 2.0,
-            ..FaultConfig::default()
+    /// A stub whose global shows in its accuracy, and whose uploads are
+    /// offset by `bias` (so who is averaged in shows in the global).
+    /// With `corrupt` set every upload holds a NaN, as from a client
+    /// whose local model has diverged; with `withhold` set it uploads
+    /// nothing.
+    struct CorruptStub {
+        inner: StubClient,
+        bias: f32,
+        corrupt: bool,
+        withhold: bool,
+    }
+
+    impl FclClient for CorruptStub {
+        fn start_task(&mut self, t: &ClientTask, rng: &mut rand::rngs::StdRng) {
+            self.inner.start_task(t, rng);
+        }
+        fn train_iteration(&mut self, rng: &mut rand::rngs::StdRng) -> IterationStats {
+            self.inner.train_iteration(rng)
+        }
+        fn upload(&mut self) -> Option<Vec<f32>> {
+            if self.withhold {
+                return None;
+            }
+            let mut up = self.inner.upload()?;
+            up.iter_mut().for_each(|p| *p += self.bias);
+            if self.corrupt {
+                up[1] = f32::NAN;
+            }
+            Some(up)
+        }
+        fn receive_global(&mut self, g: &[f32], rng: &mut rand::rngs::StdRng) {
+            self.inner.receive_global(g, rng);
+        }
+        fn finish_task(&mut self, rng: &mut rand::rngs::StdRng) {
+            self.inner.finish_task(rng);
+        }
+        fn evaluate(&mut self, _t: &ClientTask) -> f64 {
+            self.inner.params.iter().map(|&p| p as f64).sum()
+        }
+        fn method_name(&self) -> &'static str {
+            "corrupt-stub"
+        }
+    }
+
+    /// Three biased stubs; client 0's uploads are corrupted or withheld.
+    fn corrupt_sim(corrupt: bool, withhold: bool) -> SimReport {
+        let clients: Vec<Box<dyn FclClient>> = (0..3)
+            .map(|c| {
+                Box::new(CorruptStub {
+                    inner: StubClient::new(0.0, 0),
+                    bias: 10.0 * c as f32,
+                    corrupt: corrupt && c == 0,
+                    withhold: withhold && c == 0,
+                }) as Box<dyn FclClient>
+            })
+            .collect();
+        let devices = vec![
+            DeviceProfile::jetson_agx(),
+            DeviceProfile::jetson_nano(),
+            DeviceProfile::raspberry_pi(2),
+        ];
+        let cfg = SimConfig {
+            rounds_per_task: 2,
+            iters_per_round: 3,
+            seed: 5,
+            parallel: false,
+            faults: FaultConfig::default(),
         };
-        let r = stub_sim(false, 0, faults).run().expect("runs");
-        // Everyone straggles 10×; the deadline is 2× the slowest nominal
-        // (the RPi). The 10×-slowed AGX still finishes ~24× faster than
-        // the RPi's nominal, so only the Nano and the RPi overshoot:
-        // 2 clients × 3 tasks × 2 rounds.
-        assert_eq!(r.fault_count(FaultKind::Straggle), 3 * 2 * 3);
-        assert_eq!(r.fault_count(FaultKind::DeadlineMiss), 3 * 2 * 2);
-        // The server waits out exactly the deadline window per round:
-        // 2 × (slowest nominal = RPi, 3 iters × 1000 flops / 2.4e10).
-        let nominal_max = 3.0 * 1000.0 / 2.4e10;
-        assert!((r.task_compute_seconds[0] - 2.0 * (2.0 * nominal_max)).abs() < 1e-12);
+        Simulation::new(
+            clients,
+            tiny_data(3),
+            devices,
+            CommModel::paper_default(),
+            cfg,
+            16,
+        )
+        .run()
+        .expect("runs")
     }
 
     #[test]
     fn corrupted_uploads_are_quarantined() {
-        let faults = FaultConfig {
-            corrupt_prob: 1.0,
-            ..FaultConfig::default()
-        };
-        let r = stub_sim(false, 0, faults).run().expect("runs");
-        // Every upload is corrupted; the non-finite modes (two thirds in
-        // expectation) must be caught by server validation.
-        assert_eq!(r.fault_count(FaultKind::Corrupt), 3 * 2 * 3);
-        assert!(r.fault_count(FaultKind::UploadRejected) > 0);
-        assert!(
-            r.fault_count(FaultKind::UploadRejected) <= r.fault_count(FaultKind::Corrupt),
-            "only corrupted uploads can be rejected here"
-        );
+        let r = corrupt_sim(true, false);
+        // Every one of client 0's uploads (3 tasks × 2 rounds) is caught
+        // by server validation, pointing at the non-finite coordinate.
+        assert_eq!(r.fault_log.len(), 3 * 2);
+        for e in &r.fault_log {
+            assert_eq!(
+                (e.client, e.kind, e.detail),
+                (0, FaultKind::UploadRejected, 1)
+            );
+        }
+        // Quarantined uploads are left out of FedAvg: the globals every
+        // client adopts equal those of a run where client 0 never
+        // uploads, and stay finite.
+        let withheld = corrupt_sim(false, true);
+        assert!(withheld.fault_log.is_empty());
+        assert_eq!(r.accuracy, withheld.accuracy);
+        assert!(r.accuracy.accuracy_curve().iter().all(|a| a.is_finite()));
+        let clean = corrupt_sim(false, false);
+        assert_ne!(r.accuracy, clean.accuracy, "the exclusion must show");
     }
 
     /// Replays the crash/rejoin/loss protocol independently from the

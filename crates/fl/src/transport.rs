@@ -14,9 +14,8 @@
 //! Fault injection lives at this seam: [`send_upload_faulty`] realizes
 //! a round's drawn [`RoundFaults`] on the wire — lost attempts are
 //! frames dropped before delivery (their bytes still burned and
-//! counted), corruption damages the parameter bytes inside the encoded
-//! frame in flight, and stragglers delay delivery. Crashes are realized
-//! by the client actor closing its connection.
+//! counted). Crashes are realized by the client actor closing its
+//! connection.
 //!
 //! Every send is tallied in a [`WireStats`] ledger split into
 //! *data-plane* bytes (model parameters and payloads — the portion the
@@ -237,14 +236,10 @@ impl MsgTx {
     }
 
     /// Encode `msg` into this half's kept buffer and hand it to `f`.
-    fn with_encoded<T>(
-        &mut self,
-        msg: &WireMsg,
-        f: impl FnOnce(&mut Self, &mut Encoded) -> T,
-    ) -> T {
+    fn with_encoded<T>(&mut self, msg: &WireMsg, f: impl FnOnce(&mut Self, &Encoded) -> T) -> T {
         let mut enc = std::mem::take(&mut self.enc);
         encode_msg_into(msg, &mut enc);
-        let out = f(self, &mut enc);
+        let out = f(self, &enc);
         self.enc = enc;
         out
     }
@@ -715,39 +710,20 @@ impl Transport for UnixTransport {
 }
 
 /// Send an upload through the wire fault injector, realizing this
-/// round's drawn faults at the transport seam:
-///
-/// * **Straggle** — delivery is delayed by a real (small) sleep scaled
-///   with the drawn slowdown.
-/// * **Lost attempts** — each lost transmission burns its bytes in the
-///   wire ledger but the frame is dropped before delivery.
-/// * **Corruption** — the parameter bytes inside the *final, delivered*
-///   frame are damaged in flight ([`Corruption::apply_bytes`]), so the
-///   server receives genuinely corrupt data and its own validation must
-///   quarantine it.
+/// round's lost attempts at the transport seam: each lost transmission
+/// burns its bytes in the wire ledger but the frame is dropped before
+/// delivery.
 ///
 /// Returns whether a frame was actually delivered (`false` when every
 /// attempt was lost — the caller then reports the loss through the
-/// reliable control plane). The upload is encoded into `tx`'s kept
-/// buffer and damaged there; the next message's encoding overwrites
-/// every byte of it.
-///
-/// [`Corruption::apply_bytes`]: crate::faults::Corruption::apply_bytes
+/// reliable control plane). The upload is encoded once, into `tx`'s
+/// kept buffer.
 pub fn send_upload_faulty(
     tx: &mut MsgTx,
     msg: &WireMsg,
     f: &RoundFaults,
-    straggle_delay_unit: Duration,
 ) -> Result<bool, TransportError> {
     tx.with_encoded(msg, |tx, enc| {
-        if f.slowdown > 1.0 && !straggle_delay_unit.is_zero() {
-            // Bounded so pathological slowdowns cannot wedge a test run.
-            let scale = (f.slowdown - 1.0).min(16.0);
-            std::thread::sleep(straggle_delay_unit.mul_f64(scale));
-        }
-        if let (Some(corr), Some((off, len))) = (f.corruption, enc.params_span) {
-            corr.apply_bytes(&mut enc.buf[off..off + len]);
-        }
         for _ in 0..f.lost_attempts {
             tx.drop_encoded_labeled(enc, msg.label());
         }
@@ -762,7 +738,6 @@ pub fn send_upload_faulty(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{Corruption, CorruptionMode};
     use crate::framing::{FRAME_HEADER_BYTES, TRACE_CTX_BYTES};
     use crate::proto::UploadMeta;
     use std::io::Write;
@@ -840,10 +815,10 @@ mod tests {
 
     /// Each message lands in buffers an earlier, larger one left behind,
     /// on both halves, and must decode to exactly what was sent: a
-    /// model-sized broadcast, a smaller one, a resync, then an upload
-    /// damaged in flight followed by a clean one (encoded, as a client
-    /// does, into the buffer its frames are read into). Every decoded
-    /// model is handed back for the next decode.
+    /// model-sized broadcast, a smaller one, a resync, then a
+    /// model-sized upload followed by a smaller one (encoded, as a
+    /// client does, into the buffer its frames are read into). Every
+    /// decoded model is handed back for the next decode.
     fn kept_buffers_carry_nothing(client: &mut Conn, server: &mut Conn, kind: TransportKind) {
         let down = [
             WireMsg::Broadcast {
@@ -877,24 +852,12 @@ mod tests {
                 client.rx.recycle(g);
             }
         }
-        let clean = model(70_000, 2.0);
-        let corr = Corruption {
-            mode: CorruptionMode::BitFlip,
-            pos_fraction: 0.5,
-            bit: 31,
-        };
-        let mut damaged = clean.clone();
-        corr.apply(&mut damaged);
-        let corrupted = RoundFaults {
-            corruption: Some(corr),
-            ..RoundFaults::none()
-        };
-        for (f, want) in [(corrupted, damaged), (RoundFaults::none(), clean.clone())] {
+        for want in [model(70_000, 2.0), model(7, -5.0)] {
             let got = std::thread::scope(|s| {
                 s.spawn(|| {
                     let delivered = client
                         .send_via_frame_buffer(|tx| {
-                            send_upload_faulty(tx, &upload(clean.clone()), &f, Duration::ZERO)
+                            send_upload_faulty(tx, &upload(want.clone()), &RoundFaults::none())
                         })
                         .expect("send");
                     assert!(delivered);
@@ -905,12 +868,7 @@ mod tests {
                 WireMsg::Upload {
                     params: Some(p), ..
                 } => {
-                    assert_eq!(
-                        bits(&p),
-                        bits(&want),
-                        "{kind}: corrupted {}",
-                        f.corruption.is_some()
-                    );
+                    assert_eq!(bits(&p), bits(&want), "{kind}: {} floats", want.len());
                     server.rx.recycle(p);
                 }
                 other => panic!("{kind}: unexpected {other:?}"),
@@ -944,8 +902,7 @@ mod tests {
             ..RoundFaults::none()
         };
         let delivered =
-            send_upload_faulty(&mut client.tx, &upload(vec![1.0; 8]), &f, Duration::ZERO)
-                .expect("inject");
+            send_upload_faulty(&mut client.tx, &upload(vec![1.0; 8]), &f).expect("inject");
         assert!(!delivered);
         let s = stats.snapshot();
         assert_eq!(s.frames_dropped, 3);
@@ -965,8 +922,7 @@ mod tests {
             ..RoundFaults::none()
         };
         let delivered =
-            send_upload_faulty(&mut client.tx, &upload(vec![2.0; 8]), &f, Duration::ZERO)
-                .expect("inject");
+            send_upload_faulty(&mut client.tx, &upload(vec![2.0; 8]), &f).expect("inject");
         assert!(delivered);
         let got = server.rx.recv().expect("recv").expect("msg");
         match got {
@@ -981,36 +937,6 @@ mod tests {
             5 * per_frame,
             "a delivered frame costs a dropped one's"
         );
-    }
-
-    #[test]
-    fn corruption_damages_bytes_in_flight_exactly_like_in_process() {
-        let corr = Corruption {
-            mode: CorruptionMode::BitFlip,
-            pos_fraction: 0.5,
-            bit: 31,
-        };
-        let clean: Vec<f32> = (0..6).map(|i| i as f32 + 0.5).collect();
-        let mut expected = clean.clone();
-        corr.apply(&mut expected);
-
-        let stats = Arc::new(WireStats::new());
-        let (transport, mut listener) = bind(TransportKind::Tcp, stats).expect("bind");
-        let mut client = transport.connect().expect("connect");
-        let mut server = listener.accept(Duration::from_secs(5)).expect("accept");
-        let f = RoundFaults {
-            corruption: Some(corr),
-            ..RoundFaults::none()
-        };
-        send_upload_faulty(&mut client.tx, &upload(clean), &f, Duration::ZERO).expect("inject");
-        match server.rx.recv().expect("recv").expect("msg") {
-            WireMsg::Upload { params, .. } => {
-                let got = params.unwrap();
-                let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got), bits(&expected));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]
@@ -1048,7 +974,6 @@ mod tests {
         tx.send_encoded(&Encoded {
             buf: vec![250, 1, 2, 3],
             data_bytes: 0,
-            params_span: None,
         })
         .expect("send");
         match server.rx.recv().unwrap_err() {

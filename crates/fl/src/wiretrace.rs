@@ -56,7 +56,7 @@ pub fn seed_trace_id(seed: u64) {
 }
 
 /// The current run's trace id (0 = never seeded).
-pub fn trace_id() -> u64 {
+fn trace_id() -> u64 {
     TRACE_ID.load(Ordering::Relaxed)
 }
 
@@ -75,7 +75,7 @@ pub fn parent_scope(span: u64) -> ParentGuard {
 }
 
 /// The ambient wire parent on this thread (0 = none).
-pub fn current_parent() -> u64 {
+fn current_parent() -> u64 {
     WIRE_PARENT.with(Cell::get)
 }
 

@@ -7,9 +7,9 @@
 use fedknow_data::{generate::generate, partition, ClientTask, DatasetSpec, PartitionConfig};
 use fedknow_fl::transport::{bind, tcp_connector};
 use fedknow_fl::{
-    run_remote_client, CommModel, DecodeError, DeviceProfile, FaultConfig, FclClient,
-    FederationRuntime, IterationStats, Payload, SimConfig, SimError, SimReport, Simulation,
-    TransportError, TransportKind, WireMsg, WireStats, WireStatsSnapshot,
+    run_remote_client, CommModel, DecodeError, DeviceProfile, FaultConfig, FaultEvent, FaultKind,
+    FclClient, FederationRuntime, IterationStats, Payload, SimConfig, SimError, SimReport,
+    Simulation, TransportError, TransportKind, WireMsg, WireStats, WireStatsSnapshot,
 };
 use fedknow_math::SparseVec;
 
@@ -181,20 +181,6 @@ fn actor_report(
     .expect("actor runtime completes")
 }
 
-/// A config that exercises every fault class the wire realizes:
-/// stragglers (delayed delivery), a deadline that excludes them,
-/// upload loss with retries (dropped frames) and in-flight corruption.
-fn chaos_config() -> FaultConfig {
-    FaultConfig {
-        straggler_prob: 0.4,
-        straggler_slowdown: 4.0,
-        deadline_factor: 1.5,
-        loss_prob: 0.3,
-        corrupt_prob: 0.4,
-        ..FaultConfig::default()
-    }
-}
-
 #[test]
 fn fault_free_runs_match_simulation_on_every_backend() {
     let want = sim_report(stub_clients(), FaultConfig::default());
@@ -220,13 +206,118 @@ fn crash_loss_chaos_matches_simulation_on_every_backend() {
     }
 }
 
+/// A stub whose uploads are offset by `bias` (so who is averaged in
+/// shows in the global) and whose local model diverges once: its
+/// `nan_at`-th upload (0-based, one per round it trains) holds a NaN at
+/// coordinate `NAN_INDEX`, or is withheld when `withhold` is set.
+struct DivergingClient {
+    inner: StubClient,
+    bias: f32,
+    uploads: usize,
+    nan_at: usize,
+    withhold: bool,
+}
+
+const NAN_INDEX: usize = 17;
+
+impl FclClient for DivergingClient {
+    fn start_task(&mut self, t: &ClientTask, rng: &mut rand::rngs::StdRng) {
+        self.inner.start_task(t, rng);
+    }
+    fn train_iteration(&mut self, rng: &mut rand::rngs::StdRng) -> IterationStats {
+        self.inner.train_iteration(rng)
+    }
+    fn upload(&mut self) -> Option<Vec<f32>> {
+        let mut up = self.inner.upload()?;
+        up.iter_mut().for_each(|p| *p += self.bias);
+        let diverged = self.uploads == self.nan_at;
+        self.uploads += 1;
+        if diverged {
+            if self.withhold {
+                return None;
+            }
+            up[NAN_INDEX] = f32::NAN;
+        }
+        Some(up)
+    }
+    fn receive_global(&mut self, g: &[f32], rng: &mut rand::rngs::StdRng) {
+        self.inner.receive_global(g, rng);
+    }
+    fn finish_task(&mut self, rng: &mut rand::rngs::StdRng) {
+        self.inner.finish_task(rng);
+    }
+    fn evaluate(&mut self, t: &ClientTask) -> f64 {
+        self.inner.evaluate(t)
+    }
+    fn method_name(&self) -> &'static str {
+        "diverging-stub"
+    }
+}
+
+/// Three biased stubs; client 1 diverges at its `nan_at`-th upload.
+fn diverging_clients(nan_at: usize, withhold: bool) -> Vec<Box<dyn FclClient>> {
+    (0..3)
+        .map(|c| {
+            Box::new(DivergingClient {
+                inner: StubClient::new(0.5 + 0.1 * c as f64),
+                bias: c as f32,
+                uploads: 0,
+                nan_at: if c == 1 { nan_at } else { usize::MAX },
+                withhold,
+            }) as Box<dyn FclClient>
+        })
+        .collect()
+}
+
+#[test]
+fn diverged_upload_is_quarantined_on_every_backend() {
+    // The case the server's quarantine exists for: a client uploads a
+    // non-finite model. The server logs it and leaves it out of that
+    // round's FedAvg, so every later model stays finite.
+    // Client 1's third upload: global round 2.
+    let want = sim_report(diverging_clients(2, false), FaultConfig::default());
+    assert_eq!(
+        want.fault_log,
+        vec![FaultEvent {
+            round: 2,
+            client: 1,
+            kind: FaultKind::UploadRejected,
+            detail: NAN_INDEX as u64,
+        }],
+        "exactly the diverged upload is rejected"
+    );
+    // Left out of the average: the accuracies (which read the global
+    // each client adopts) equal a run where that upload never came.
+    let withheld = sim_report(diverging_clients(2, true), FaultConfig::default());
+    assert!(withheld.fault_log.is_empty());
+    assert_eq!(want.accuracy, withheld.accuracy);
+    let clean = sim_report(diverging_clients(usize::MAX, false), FaultConfig::default());
+    assert_ne!(want.accuracy, clean.accuracy, "the exclusion must show");
+    for kind in backends() {
+        let (got, _) = actor_report(diverging_clients(2, false), FaultConfig::default(), kind);
+        assert_eq!(got, want, "backend {kind} diverged on the quarantine path");
+    }
+}
+
 #[test]
 fn straggler_corruption_chaos_matches_simulation_on_every_backend() {
-    let faults = chaos_config();
-    let want = sim_report(stub_clients(), faults);
-    assert!(!want.fault_log.is_empty(), "chaos config must log faults");
+    // Crash/loss chaos on the heterogeneous fleet (the Raspberry Pi is
+    // the straggler every round waits for) with one corrupted upload:
+    // client 1 diverges at its first upload. The quarantine verdict,
+    // the fault ledger and the round times agree on every backend.
+    let faults = FaultConfig::crash_loss(0.3);
+    let want = sim_report(diverging_clients(0, false), faults);
+    assert!(
+        want.fault_count(FaultKind::Crash) > 0,
+        "chaos config must crash clients"
+    );
+    assert_eq!(
+        want.fault_count(FaultKind::UploadRejected),
+        1,
+        "the corrupted upload must reach the server and be rejected"
+    );
     for kind in backends() {
-        let (got, _) = actor_report(stub_clients(), faults, kind);
+        let (got, _) = actor_report(diverging_clients(0, false), faults, kind);
         assert_eq!(
             got.fault_log, want.fault_log,
             "backend {kind} fault ledger diverged"
@@ -277,7 +368,7 @@ fn wire_data_bytes_reconcile_under_upload_loss() {
     if report
         .fault_log
         .iter()
-        .any(|e| matches!(e.kind, fedknow_fl::FaultKind::UploadRetry))
+        .any(|e| matches!(e.kind, FaultKind::UploadRetry))
     {
         assert!(stats.frames_dropped > 0, "lost attempts must drop frames");
         assert!(stats.bytes_dropped > 0);
