@@ -34,7 +34,7 @@ impl EpisodicMemory {
     }
 
     /// Total stored samples.
-    pub fn total_samples(&self) -> usize {
+    fn total_samples(&self) -> usize {
         self.per_task.iter().map(|v| v.len()).sum()
     }
 

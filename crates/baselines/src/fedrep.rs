@@ -53,11 +53,6 @@ impl FedRepClient {
             head_offset,
         }
     }
-
-    /// Where the personal head begins in the flat vector (tests).
-    pub fn head_offset(&self) -> usize {
-        self.head_offset
-    }
 }
 
 impl FclClient for FedRepClient {
@@ -127,10 +122,10 @@ mod tests {
     fn head_offset_covers_final_classifier() {
         let (c, _) = client();
         let n = c.trainer.model.param_count();
-        assert!(c.head_offset() < n);
+        assert!(c.head_offset < n);
         // SixCNN head: the last two linear layers form the trailing
         // linear run (hidden 32 → classes), so the head is non-trivial.
-        assert!(n - c.head_offset() > 0);
+        assert!(n - c.head_offset > 0);
     }
 
     #[test]
@@ -145,7 +140,7 @@ mod tests {
         let global = vec![0.25f32; before.len()];
         c.receive_global(&global, &mut rng);
         let after = c.upload().unwrap();
-        let h = c.head_offset();
+        let h = c.head_offset;
         assert!(
             after[..h].iter().all(|&v| v == 0.25),
             "representation must be adopted"

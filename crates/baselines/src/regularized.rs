@@ -94,11 +94,6 @@ impl RegularizedClient {
         }
     }
 
-    /// Accumulated importance (tests).
-    pub fn omega(&self) -> &[f32] {
-        &self.omega
-    }
-
     /// Estimate importance on the just-finished task's data and fold it
     /// into Ω.
     fn accumulate_importance(&mut self, rng: &mut StdRng) {
@@ -253,8 +248,8 @@ mod tests {
             c.train_iteration(&mut rng);
         }
         c.finish_task(&mut rng);
-        assert!(c.omega().iter().all(|&o| o >= 0.0));
-        assert!(c.omega().iter().any(|&o| o > 0.0));
+        assert!(c.omega.iter().all(|&o| o >= 0.0));
+        assert!(c.omega.iter().any(|&o| o > 0.0));
         assert!(c.retained_bytes() > 0);
     }
 
@@ -267,7 +262,7 @@ mod tests {
             c.train_iteration(&mut rng);
         }
         c.finish_task(&mut rng);
-        assert!(c.omega().iter().any(|&o| o > 0.0));
+        assert!(c.omega.iter().any(|&o| o > 0.0));
     }
 
     #[test]
@@ -279,7 +274,7 @@ mod tests {
             c.train_iteration(&mut rng);
         }
         c.finish_task(&mut rng);
-        assert!(c.omega().iter().any(|&o| o > 0.0));
+        assert!(c.omega.iter().any(|&o| o > 0.0));
     }
 
     #[test]
@@ -297,7 +292,7 @@ mod tests {
             }
             c.finish_task(&mut rng);
             let anchor = c.trainer.model.flat_params();
-            let omega = c.omega().to_vec();
+            let omega = c.omega.to_vec();
             c.start_task(&tasks[1], &mut rng);
             for _ in 0..15 {
                 c.train_iteration(&mut rng);

@@ -17,9 +17,9 @@
 //! `--listen`/`--connect` split the probe across OS processes: one
 //! `--listen 127.0.0.1:PORT` server plus one `--connect` process per
 //! client, each dumping its own postmortem bundle into its own
-//! `FEDKNOW_TRACE_DIR`. `obs trace merge` fuses the bundles into a
-//! single clock-aligned timeline with causal flow links across the
-//! processes.
+//! `FEDKNOW_TRACE_DIR`. The server prints the same report line as
+//! `--transport tcp` at the same seed: the run is the same pure
+//! function of the seed wherever its clients live.
 //!
 //! `--force-violation` switches the verify layer on (counting mode) and
 //! reports one deliberate violation before the run, so the bundle tail
@@ -73,10 +73,8 @@ fn run() -> Result<(), String> {
     let spec =
         scaled_spec(DatasetSpec::cifar100(), scale, seed).with_faults(FaultConfig::crash_loss(0.3));
 
-    // Multi-process roles: each process dumps its own bundle, named in
-    // its bundle context so the merged timeline labels its track.
+    // Multi-process roles: each process dumps its own bundle.
     if let (None, Some(addr), Some(id)) = (&listen, &connect, client_id) {
-        fedknow_obs::set_context("proc.name", &format!("client{id}"));
         let joined = spec.join_over(Method::FedKnow, addr, id);
         dump_probe_bundle();
         if let Err(e) = joined {
@@ -101,7 +99,6 @@ fn run() -> Result<(), String> {
     // connections, and the quarantine/degradation paths the recorder
     // watches are the live transport ones, not modeled stand-ins.
     let (report, wire) = if let Some(addr) = &listen {
-        fedknow_obs::set_context("proc.name", "server");
         let served = spec.serve_over(Method::FedKnow, addr);
         let (report, stats) = served.expect("serve failed");
         (report, Some((format!("serve {addr}"), stats)))

@@ -4,8 +4,6 @@
 //! obs report   <stream|bundle> [--top N]         # where the time went, what faults it counted
 //! obs trace convert  <input> [-o trace.json]     # stream/bundle/trace -> Chrome trace
 //! obs trace validate <input>                     # structural checks, exit 1 on bad
-//! obs trace merge    <bundle...> [-o out.json] [--min-link F]
-//!                                                # clock-aligned multi-process trace
 //! ```
 //!
 //! `report` prints [`fedknow_bench::report`]'s tables for a
@@ -15,13 +13,7 @@
 //! `trace` turns recordings into Chrome `trace_event` JSON that loads
 //! directly into Perfetto (ui.perfetto.dev) or `chrome://tracing`; an
 //! input that already is a trace (a JSON object with `traceEvents`)
-//! passes through. `merge` fuses one postmortem bundle per process into
-//! a single timeline: clocks are aligned from the send timestamps
-//! echoed in wire receive records, and every delivered frame is drawn
-//! as a causal flow arrow from sender to receiver. With `--min-link F`
-//! the exit code is 1 unless at least fraction `F` of delivered frames
-//! have a complete sender→receiver link — the CI gate for the chaos
-//! smoke.
+//! passes through. Each input is one process's stream or bundle.
 //!
 //! Exit codes: 0 ok, 1 invalid input or failed validation, 2 usage/IO
 //! error.
@@ -35,9 +27,8 @@ fn main() {
     let code = match argv.first().map(String::as_str) {
         Some("report") => report(&argv[1..]),
         Some("trace") => match argv.get(1).map(String::as_str) {
-            Some("convert") => convert(&argv[1..]),
-            Some("validate") => validate(&argv[1..]),
-            Some("merge") => merge(&argv[2..]),
+            Some("convert") => convert(&argv[2..]),
+            Some("validate") => validate(&argv[2..]),
             Some(other) => Err(format!("unknown trace subcommand {other}")),
             None => Err("missing trace subcommand".to_string()),
         },
@@ -53,13 +44,19 @@ type Exit = Result<i32, String>;
 
 const USAGE: &str = "obs report   <stream.jsonl|bundle.json> [--top N]
        obs trace convert  <stream.jsonl|bundle.json|trace.json> [-o out.json]
-       obs trace validate <input>
-       obs trace merge    <bundle.json...> [-o out.json] [--min-link F]";
+       obs trace validate <input>";
+
+/// The one input file among `argv` once the flags `flags` lists are
+/// taken out; anything else is a command-line error.
+fn one_input<'a>(argv: &'a [String], flags: &str, what: &str) -> Result<&'a str, String> {
+    match positionals(argv, flags)?[..] {
+        [input] => Ok(input),
+        _ => Err(format!("{what} expects one input file")),
+    }
+}
 
 fn report(argv: &[String]) -> Exit {
-    let Some(path) = argv.first().filter(|a| !a.starts_with("--")) else {
-        return Err("report expects a stream or bundle file".to_string());
-    };
+    let path = one_input(argv, "[--top N]", "report")?;
     let top = flag::<usize>(argv, "--top")?;
     let rec = match Recording::load(path) {
         Ok(rec) => rec,
@@ -84,7 +81,7 @@ fn load_trace(path: &str) -> Result<Value, String> {
 }
 
 fn convert(argv: &[String]) -> Exit {
-    let input = argv.get(1).ok_or("convert expects an input file")?;
+    let input = one_input(argv, "[-o out.json]", "convert")?;
     let out = flag::<String>(argv, "-o")?;
     let trace_doc = match load_trace(input) {
         Ok(t) => t,
@@ -119,18 +116,16 @@ fn write_trace(trace_doc: &Value, out: Option<&str>) -> i32 {
 }
 
 fn validate(argv: &[String]) -> Exit {
-    let input = argv.get(1).ok_or("validate expects an input file")?;
+    let input = one_input(argv, "", "validate")?;
     match load_trace(input).and_then(|t| trace::validate(&t)) {
         Ok(stats) => {
             println!(
-                "[obs trace] OK: {} events ({} slices, {} instants, {} counter samples, \
-                 {} flows / {} finished) across {} tracks, span {:.3}ms",
+                "[obs trace] OK: {} events ({} slices, {} instants, {} counter samples) \
+                 across {} tracks, span {:.3}ms",
                 stats.events,
                 stats.slices,
                 stats.instants,
                 stats.counters,
-                stats.flow_starts,
-                stats.flow_ends,
                 stats.tracks,
                 stats.max_ts_us / 1_000.0
             );
@@ -140,64 +135,5 @@ fn validate(argv: &[String]) -> Exit {
             eprintln!("error: {e}");
             Ok(1)
         }
-    }
-}
-
-fn merge(argv: &[String]) -> Exit {
-    let inputs = positionals(argv, "[-o out.json] [--min-link F]")?;
-    let out = flag::<String>(argv, "-o")?;
-    let min_link = flag::<f64>(argv, "--min-link")?;
-    if inputs.is_empty() {
-        return Err("merge expects at least one bundle file".to_string());
-    }
-    let mut bundles = Vec::with_capacity(inputs.len());
-    for path in &inputs {
-        match Recording::load(path) {
-            Ok(rec) => bundles.push(rec),
-            Err(fedknow_obs::LoadError::Io(e)) => {
-                eprintln!("error: read {path}: {e}");
-                return Ok(2);
-            }
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return Ok(1);
-            }
-        }
-    }
-    let (trace_doc, stats) = match trace::merge(&bundles) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: merge: {e}");
-            return Ok(1);
-        }
-    };
-    if let Err(e) = trace::validate(&trace_doc) {
-        eprintln!("error: merged trace failed validation: {e}");
-        return Ok(1);
-    }
-    let offsets: Vec<String> = stats
-        .offsets_us
-        .iter()
-        .map(|o| format!("{o:+.1}µs"))
-        .collect();
-    println!(
-        "[obs trace] merged {} bundles: {} delivered frames, {} linked ({:.2}%), \
-         {} dropped, clock offsets [{}]",
-        stats.bundles,
-        stats.delivered,
-        stats.linked,
-        stats.link_fraction * 100.0,
-        stats.dropped,
-        offsets.join(", ")
-    );
-    match (write_trace(&trace_doc, out.as_deref()), min_link) {
-        (0, Some(min)) if stats.link_fraction < min => {
-            eprintln!(
-                "error: link fraction {:.4} below required {min}",
-                stats.link_fraction
-            );
-            Ok(1)
-        }
-        (code, _) => Ok(code),
     }
 }

@@ -3,7 +3,7 @@
 //! setting, for each method, run the federation and keep the accuracy /
 //! forgetting / time curves*. Each figure is a short function over the
 //! shared pieces below (`run_reports` / `run_curves`, `print_curves`,
-//! [`shrunk_cluster`]); [`FIGURES`] maps the `figures --fig` ids to them
+//! `shrunk_cluster`); [`FIGURES`] maps the `figures --fig` ids to them
 //! and to the file each one writes under `--results DIR`. The fault
 //! sweep (`resilience`) rides the same table.
 
@@ -69,7 +69,7 @@ const STRONGEST: [Method; 3] = [Method::Gem, Method::FedWeit, Method::FedKnow];
 
 /// The 20-Jetson cluster shrunk proportionally to `n` devices: AGX,
 /// TX2, NX, Nano, then NX for any further client.
-pub fn shrunk_cluster(n: usize) -> Vec<DeviceProfile> {
+fn shrunk_cluster(n: usize) -> Vec<DeviceProfile> {
     let mut d = vec![
         DeviceProfile::jetson_agx(),
         DeviceProfile::jetson_tx2(),

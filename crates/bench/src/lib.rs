@@ -190,7 +190,7 @@ pub fn paper_model_for(dataset: &str) -> ModelKind {
 
 /// The paper's aggregation-round counts per dataset (§V-B: 15, 15, 15,
 /// 10, 5).
-pub fn paper_rounds_for(dataset: &str) -> usize {
+fn paper_rounds_for(dataset: &str) -> usize {
     match dataset {
         "miniimagenet" => 10,
         "tinyimagenet" => 5,

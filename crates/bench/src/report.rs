@@ -208,7 +208,8 @@ fn print_kernels(agg: &Aggregate) {
 fn print_faults(agg: &Aggregate) {
     let participation = agg.series.get("fl.participation");
     let degraded = participation.is_some_and(|pts| pts.iter().any(|&(_, v)| v < 1.0));
-    let dropped = agg.wire.get("drop").copied().unwrap_or(0);
+    let frames = agg.counter("transport.frames");
+    let dropped = agg.counter("transport.frames_dropped");
     if agg.faults.is_empty()
         && agg.violations.is_empty()
         && agg.notes.is_empty()
@@ -236,15 +237,8 @@ fn print_faults(agg: &Aggregate) {
     for (check, detail) in &agg.violations {
         row(&format!("violation {check}"), detail);
     }
-    if !agg.wire.is_empty() {
-        let n = |phase: &str| agg.wire.get(phase).copied().unwrap_or(0);
-        let line = format!(
-            "{} out  {} in  {} handled  {dropped} dropped",
-            n("out"),
-            n("in"),
-            n("handled")
-        );
-        row("wire frames", &line);
+    if frames > 0 {
+        row("wire frames", &format!("{frames} sent  {dropped} dropped"));
     }
     for note in &agg.notes {
         row("note", note);

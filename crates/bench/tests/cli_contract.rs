@@ -31,7 +31,11 @@ fn unknown_flags_and_missing_values_exit_two_with_the_usage_line() {
         row!("figures", "--fig 4 --lenient", "--fig 4 --results"),
         row!("kernel_bench", "--smoke --scale smoke", "--smoke --reps"),
         row!("make_experiments_md", "--out x.md", "--results"),
-        row!("obs", "trace merge --frob", "trace merge a.json --min-link"),
+        row!(
+            "obs",
+            "trace convert a.json --frob",
+            "trace convert a.json -o"
+        ),
         row!("probe", "--tasks 2 --frob", "--tasks"),
     ];
     for (name, bin, bad) in table {
@@ -67,8 +71,17 @@ fn removed_values_exit_two_with_the_usage_line() {
             "{name}: {stderr}"
         );
     }
-    let stderr = refused("obs", env!("CARGO_BIN_EXE_obs"), "trace summary x");
-    assert!(!stderr.contains("obs trace summary"), "{stderr}");
+    for removed in ["summary", "merge"] {
+        let stderr = refused(
+            "obs",
+            env!("CARGO_BIN_EXE_obs"),
+            &format!("trace {removed} x"),
+        );
+        assert!(
+            !stderr.contains(&format!("obs trace {removed}")),
+            "{stderr}"
+        );
+    }
 }
 
 #[test]

@@ -42,7 +42,7 @@ fn mean_row_entropy(dist: &Tensor) -> f64 {
 /// Restores past-task gradients from retained knowledge.
 ///
 /// Eq. 2 is three steps, each one method: the pruned snapshot's
-/// [`pseudo_labels`](Self::pseudo_labels) on a batch, the live model's
+/// `pseudo_labels` on a batch, the live model's
 /// training forward on it, and a [`replay`](Self::replay) of the
 /// backward pass against those labels — one pass for every task's labels
 /// at once. [`restore`](Self::restore) runs all three for one task; a
@@ -63,7 +63,7 @@ impl GradientRestorer {
     /// statistics) and swapped back on exit. Eval-mode rows are
     /// independent of each other, so a sample's row does not depend on
     /// the batch it is forwarded in.
-    pub fn pseudo_labels(&self, model: &mut Model, knowledge: &SparseVec, x: &Tensor) -> Tensor {
+    fn pseudo_labels(&self, model: &mut Model, knowledge: &SparseVec, x: &Tensor) -> Tensor {
         let _t = fedknow_obs::timer("restore.teacher_ns");
         assert_eq!(
             knowledge.dense_len(),
@@ -77,7 +77,7 @@ impl GradientRestorer {
         target
     }
 
-    /// [`pseudo_labels`](Self::pseudo_labels) on every sample of a
+    /// `pseudo_labels` on every sample of a
     /// task's training set, `[N, C]` with row `j` for `samples[j]`,
     /// forwarded in chunks of at most 64 to bound activation memory.
     pub fn pseudo_label_table(

@@ -1,10 +1,7 @@
 //! Property-based tests for the FedKNOW components.
 
 use fedknow::{ExtractionStrategy, GradientIntegrator, GradientRestorer, KnowledgeExtractor};
-use fedknow_fl::framing::{
-    read_frame, read_frame_traced_into, write_frame, write_frame_traced, FrameError, TraceCtx,
-    MAX_FRAME_BYTES,
-};
+use fedknow_fl::framing::{read_frame, read_frame_into, write_frame, FrameError, MAX_FRAME_BYTES};
 use fedknow_math::rng::seeded;
 use fedknow_math::{SparseVec, Tensor};
 use fedknow_nn::ModelKind;
@@ -119,45 +116,28 @@ proptest! {
     /// The one frame parser reassembles frames from arbitrary
     /// fragmentation: a stream that hands out 1..=`chunk` bytes per read
     /// and fails some reads with `Interrupted` yields exactly the
-    /// payloads and contexts that were sent, then a clean close.
+    /// payloads that were sent, then a clean close.
     #[test]
     fn frames_survive_arbitrary_fragmentation(
-        frames in prop::collection::vec(
-            (
-                prop::collection::vec(any::<u8>(), 0..200),
-                (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-            ),
-            1..7
-        ),
+        frames in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..200), 1..7),
         chunk in 1usize..64,
         seed in any::<u64>(),
     ) {
         let mut wire = Vec::new();
-        let mut want = Vec::new();
-        for (payload, (trace, span, parent, round)) in &frames {
-            // Every u64 bit pattern is a valid context field, so a
-            // derived timestamp loses no coverage over a drawn one.
-            let ctx = TraceCtx {
-                trace: *trace,
-                span: *span,
-                parent: *parent,
-                round: *round,
-                send_ts_ns: trace.rotate_left(17) ^ span,
-            };
-            write_frame_traced(&mut wire, payload, &ctx).unwrap();
-            want.push((ctx, payload.clone()));
+        for payload in &frames {
+            write_frame(&mut wire, payload).unwrap();
         }
         let mut r = Fragmenting { wire: &wire, chunk, state: seed, interrupted: false };
         let mut payload = Vec::new();
-        for (ctx, p) in &want {
-            prop_assert_eq!(read_frame_traced_into(&mut r, &mut payload).unwrap(), Some(*ctx));
+        for p in &frames {
+            prop_assert!(read_frame_into(&mut r, &mut payload).unwrap());
             prop_assert_eq!(&payload, p);
         }
-        prop_assert_eq!(read_frame_traced_into(&mut r, &mut payload).unwrap(), None);
+        prop_assert!(!read_frame_into(&mut r, &mut payload).unwrap());
     }
 
     /// Any length word beyond the cap — bit 31 included — is `Oversize`
-    /// before the context block is waited for or a byte is reserved.
+    /// before a byte is reserved.
     #[test]
     fn oversize_headers_always_rejected(
         extra in 1u64..=u64::from(u32::MAX) - MAX_FRAME_BYTES as u64,
@@ -166,7 +146,7 @@ proptest! {
         let wire = (claimed as u32).to_le_bytes();
         let mut payload = Vec::new();
         prop_assert_eq!(
-            read_frame_traced_into(&mut wire.as_slice(), &mut payload).unwrap_err(),
+            read_frame_into(&mut wire.as_slice(), &mut payload).unwrap_err(),
             FrameError::Oversize { len: claimed }
         );
         prop_assert_eq!(payload.capacity(), 0);
@@ -176,21 +156,29 @@ proptest! {
         );
     }
 
-    /// Truncating a context-carrying frame at *every* byte offset —
-    /// inside the header, the context block, or the payload — is a
-    /// typed `Truncated` error, never a panic or a partial message.
+    /// A frame torn at *every* byte offset — inside its length word or
+    /// its payload — after whole frames read into one kept buffer: the
+    /// whole frames arrive exactly, the torn one is a typed `Truncated`
+    /// error, never a panic or a partial message.
     #[test]
-    fn traced_frame_truncation_at_every_offset_errors(
-        payload in prop::collection::vec(any::<u8>(), 1..100),
-        ids in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+    fn torn_frames_after_whole_ones_are_truncated_into_a_kept_buffer(
+        whole in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..100), 0..3),
+        torn in prop::collection::vec(any::<u8>(), 1..100),
     ) {
-        let (trace, span, parent, round) = ids;
-        let ctx = TraceCtx { trace, span, parent, round, send_ts_ns: trace ^ round };
         let mut wire = Vec::new();
-        write_frame_traced(&mut wire, &payload, &ctx).unwrap();
-        for cut in 1..wire.len() {
+        for p in &whole {
+            write_frame(&mut wire, p).unwrap();
+        }
+        let start = wire.len();
+        write_frame(&mut wire, &torn).unwrap();
+        let mut payload = Vec::new();
+        for cut in start + 1..wire.len() {
             let mut r = &wire[..cut];
-            let err = read_frame_traced_into(&mut r, &mut Vec::new()).unwrap_err();
+            for p in &whole {
+                prop_assert!(read_frame_into(&mut r, &mut payload).unwrap());
+                prop_assert_eq!(&payload, p);
+            }
+            let err = read_frame_into(&mut r, &mut payload).unwrap_err();
             prop_assert!(err == FrameError::Truncated, "cut at {cut}: {err:?}");
         }
     }

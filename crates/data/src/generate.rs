@@ -70,7 +70,7 @@ fn upsample(grid: &[f32], g: usize, h: usize, w: usize) -> Vec<f32> {
 
 /// The prototype image of a global class: smooth, deterministic in
 /// `(seed, spec.seed_salt, class)`.
-pub fn class_prototype(spec: &DatasetSpec, seed: u64, class: usize) -> Vec<f32> {
+fn class_prototype(spec: &DatasetSpec, seed: u64, class: usize) -> Vec<f32> {
     let mut rng = substream(seed ^ spec.seed_salt, 0x7070_0000 + class as u64);
     let g = 4usize;
     let mut proto = Vec::with_capacity(spec.image_len());

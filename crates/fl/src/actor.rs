@@ -33,14 +33,12 @@ use crate::comm::CommModel;
 use crate::device::DeviceProfile;
 use crate::engine::{self, client_round, ClientLink, RoundContribution, RoundEnv, RunState};
 use crate::faults::{FaultPlan, RoundFaults};
-use crate::framing::TraceCtx;
 use crate::proto::{encode_broadcast, encode_msg, encode_resync, DecodeError, Encoded, WireMsg};
 use crate::sim::{SimConfig, SimError, SimReport, Simulation};
 use crate::transport::{
-    bind, send_upload_faulty, Conn, MsgRx, MsgTx, Spares, Transport, TransportError, TransportKind,
-    TransportListener, WireStats, WireStatsSnapshot,
+    bind, lock, send_upload_faulty, Conn, MsgRx, MsgTx, Spares, Transport, TransportError,
+    TransportKind, TransportListener, WireStats, WireStatsSnapshot,
 };
-use crate::wiretrace;
 use fedknow_data::ClientDataset;
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
@@ -73,14 +71,13 @@ enum NetEvent {
     Msg {
         client: u32,
         msg: WireMsg,
-        /// The frame's wire-trace context: the server records the
-        /// `handled` lifecycle point against it at the moment the event
-        /// leaves the inbox.
-        ctx: TraceCtx,
     },
     /// The connection ended: a clean close, or a quarantine after a
     /// frame that would not decode.
-    Closed { client: u32, epoch: u64 },
+    Closed {
+        client: u32,
+        epoch: u64,
+    },
 }
 
 /// The transport-backed federation. Construction is that of
@@ -161,7 +158,6 @@ impl FederationRuntime {
             cfg,
             model_bytes,
         } = self.fleet;
-        wiretrace::seed_trace_id(cfg.seed);
         let n = clients.len();
         let num_tasks = data[0].tasks.len();
         let method = clients[0].method_name();
@@ -216,7 +212,6 @@ impl FederationRuntime {
                 epoch_of: vec![0; n],
                 rejoin_base_down: vec![0; n],
                 stash: VecDeque::new(),
-                round_scope: None,
                 enc: Encoded::default(),
                 spares,
             };
@@ -237,7 +232,7 @@ impl FederationRuntime {
                 let _ = t.join();
             }
             let _ = pump.join();
-            for r in readers.lock().expect("reader registry").drain(..) {
+            for r in lock(&readers).drain(..) {
                 let _ = r.join();
             }
             result
@@ -262,7 +257,6 @@ pub fn run_remote_client(
     model_bytes: u64,
 ) -> Result<(), TransportError> {
     fedknow_obs::init_from_env();
-    wiretrace::seed_trace_id(cfg.seed);
     let result = ClientActor::new(id, client, data, cfg, model_bytes, transport).run();
     fedknow_obs::flush();
     result
@@ -288,7 +282,7 @@ fn accept_pump(
                 let (inbox, stats) = (inbox.clone(), stats.clone());
                 let handle =
                     std::thread::spawn(move || reader(conn.rx, conn.tx, epoch, inbox, stats));
-                readers.lock().expect("reader registry").push(handle);
+                lock(&readers).push(handle);
             }
             Err(TransportError::AcceptTimeout) => continue,
             Err(_) => return,
@@ -303,14 +297,14 @@ fn accept_pump(
 /// — the connection is quarantined.
 fn reader(
     mut rx: MsgRx,
-    mut tx: MsgTx,
+    tx: MsgTx,
     epoch: u64,
     inbox: mpsc::Sender<NetEvent>,
     stats: Arc<WireStats>,
 ) {
-    let (client, rejoin, base_down) = match rx.recv_traced() {
-        Ok(Some((WireMsg::Hello { client }, _))) => (client, false, 0),
-        Ok(Some((WireMsg::Rejoin { client, base_down }, _))) => (client, true, base_down),
+    let (client, rejoin, base_down) = match rx.recv() {
+        Ok(Some(WireMsg::Hello { client })) => (client, false, 0),
+        Ok(Some(WireMsg::Rejoin { client, base_down })) => (client, true, base_down),
         Ok(Some(_)) | Err(_) => {
             // Unidentified or hostile peer: quarantine silently.
             stats.on_malformed();
@@ -320,8 +314,6 @@ fn reader(
         }
         Ok(None) => return,
     };
-    tx.set_peer(client);
-    rx.set_peer(client);
     let connected = NetEvent::Connected {
         client,
         epoch,
@@ -333,9 +325,9 @@ fn reader(
         return;
     }
     loop {
-        match rx.recv_traced() {
-            Ok(Some((msg, ctx))) => {
-                if inbox.send(NetEvent::Msg { client, msg, ctx }).is_err() {
+        match rx.recv() {
+            Ok(Some(msg)) => {
+                if inbox.send(NetEvent::Msg { client, msg }).is_err() {
                     return;
                 }
             }
@@ -396,13 +388,6 @@ impl ClientActor {
         }
     }
 
-    fn connect(&self) -> Result<Conn, TransportError> {
-        let mut conn = self.transport.connect()?;
-        conn.tx.set_peer(self.id);
-        conn.rx.set_peer(self.id);
-        Ok(conn)
-    }
-
     /// The task a server-sent index names. The index is outside input:
     /// one past this client's stream is rejected like a malformed frame.
     fn task(&self, index: u32) -> Result<usize, TransportError> {
@@ -418,14 +403,11 @@ impl ClientActor {
     /// gone, the stream damaged, an index this client cannot honour —
     /// drops the connection and returns the error.
     fn run(mut self) -> Result<(), TransportError> {
-        let mut conn = self.connect()?;
+        let mut conn = self.transport.connect()?;
         conn.tx.send(&WireMsg::Hello { client: self.id })?;
         let mut step = 0usize;
         loop {
-            let (msg, ctx) = conn.rx.recv_traced()?.ok_or(TransportError::Closed)?;
-            // The client consumes synchronously: `handled` immediately
-            // follows `in`.
-            wiretrace::record_recv("handled", &ctx, Some(self.id), msg.label(), 0);
+            let msg = conn.rx.recv()?.ok_or(TransportError::Closed)?;
             match msg {
                 WireMsg::StartTask { task } => {
                     step = self.task(task)?;
@@ -439,8 +421,8 @@ impl ClientActor {
                 }
                 WireMsg::RoundStart { round } => {
                     // Keep this process's ambient round current even
-                    // when the server lives in another process: sent
-                    // frames stamp it into their trace context.
+                    // when the server lives in another process: the
+                    // records it makes carry it.
                     fedknow_obs::set_round(round);
                     let f = if self.plan.config().is_inert() {
                         RoundFaults::none()
@@ -452,7 +434,7 @@ impl ClientActor {
                         // real, then redial as a rejoiner. No training,
                         // no RNG draws — exactly the in-process skip.
                         drop(conn);
-                        conn = self.connect()?;
+                        conn = self.transport.connect()?;
                         let base_down = self.client.base_comm(self.model_bytes).down;
                         conn.tx.send(&WireMsg::Rejoin {
                             client: self.id,
@@ -531,10 +513,6 @@ impl ClientActor {
             self.iters_per_round,
             self.model_bytes,
         );
-        // One logical upload per round: every frame it produces — lost
-        // retry attempts, the delivery, the UploadFailed fallback —
-        // shares this parent span, so the merged timeline groups them.
-        let _upload_scope = wiretrace::parent_scope(wiretrace::next_span_id());
         let msg = WireMsg::Upload {
             round,
             client: self.id,
@@ -589,10 +567,6 @@ struct ServerActor {
     /// so one client's prompt reply is never discarded while the server
     /// waits on another client's reconnection.
     stash: VecDeque<NetEvent>,
-    /// `(round, span)`: every server frame of one round — Resync,
-    /// RoundStart fan-out, upload Acks, the aggregate Broadcast —
-    /// carries one round-scoped parent span.
-    round_scope: Option<(u64, u64)>,
     /// The round's broadcast, or a resync, encoded once for every
     /// recipient into a buffer kept across rounds.
     enc: Encoded,
@@ -637,30 +611,18 @@ impl ServerActor {
         }
     }
 
-    /// Bookkeeping for an event leaving the inbox: close the message
-    /// lifecycle — a `Msg` popped here is `handled`, the fourth and
-    /// final lifecycle point.
-    fn popped(&self, ev: &NetEvent) {
-        if let NetEvent::Msg { client, msg, ctx } = ev {
-            wiretrace::record_recv("handled", ctx, Some(*client), msg.label(), 0);
-        }
-    }
-
     /// Wait until `deadline` for the next inbox event.
     fn recv_until(&mut self, deadline: Instant) -> Option<NetEvent> {
         let now = Instant::now();
         if now >= deadline {
             return None;
         }
-        let ev = self.inbox.recv_timeout(deadline - now).ok()?;
-        self.popped(&ev);
-        Some(ev)
+        self.inbox.recv_timeout(deadline - now).ok()
     }
 
     /// Drain events already queued, without blocking.
     fn drain_pending(&mut self) {
         while let Ok(ev) = self.inbox.try_recv() {
-            self.popped(&ev);
             self.handle(ev);
         }
     }
@@ -697,31 +659,26 @@ impl ServerActor {
     /// Send to client `c` with retry/backoff; on terminal failure the
     /// connection is marked dead and the degradation counted.
     fn send(&mut self, c: usize, msg: &WireMsg) -> bool {
-        self.send_encoded(c, &encode_msg(msg), msg.label())
+        self.send_encoded(c, &encode_msg(msg))
     }
 
     /// Encode a model-sized message into the kept buffer and send it to
     /// every client `to` selects, with [`Self::send_encoded`].
-    fn send_kept(
-        &mut self,
-        to: impl Iterator<Item = usize>,
-        label: &str,
-        encode: impl FnOnce(&mut Encoded),
-    ) {
+    fn send_kept(&mut self, to: impl Iterator<Item = usize>, encode: impl FnOnce(&mut Encoded)) {
         let mut enc = std::mem::take(&mut self.enc);
         encode(&mut enc);
         for c in to {
-            self.send_encoded(c, &enc, label);
+            self.send_encoded(c, &enc);
         }
         self.enc = enc;
     }
 
     /// [`Self::send`] of a message encoded once for every recipient.
-    fn send_encoded(&mut self, c: usize, enc: &Encoded, label: &str) -> bool {
+    fn send_encoded(&mut self, c: usize, enc: &Encoded) -> bool {
         let Some(tx) = self.txs[c].as_mut() else {
             return false;
         };
-        if tx.send_encoded_with_retry(enc, label, SEND_RETRIES).is_ok() {
+        if tx.send_encoded_with_retry(enc, SEND_RETRIES).is_ok() {
             return true;
         }
         fedknow_obs::mark(&format!("transport.send_failed client {c}"));
@@ -738,17 +695,6 @@ impl ServerActor {
         }
     }
 
-    /// Make `round`'s span the ambient wire parent, allocating it the
-    /// first time the round is seen.
-    fn enter_round(&mut self, round: u64) -> wiretrace::ParentGuard {
-        let span = match self.round_scope {
-            Some((r, span)) if r == round => span,
-            _ => wiretrace::next_span_id(),
-        };
-        self.round_scope = Some((round, span));
-        wiretrace::parent_scope(span)
-    }
-
     /// Send `msg` to every client `mask` selects, waiting (bounded)
     /// for a crashed client's redial first.
     fn fan_out(&mut self, mask: &[bool], msg: &WireMsg) {
@@ -756,7 +702,7 @@ impl ServerActor {
         let enc = encode_msg(msg);
         for c in (0..self.n).filter(|&c| mask[c]) {
             if self.ensure_conn(c) {
-                self.send_encoded(c, &enc, msg.label());
+                self.send_encoded(c, &enc);
             }
         }
     }
@@ -784,7 +730,7 @@ impl ServerActor {
                 break;
             };
             match ev {
-                NetEvent::Msg { client, msg, ctx }
+                NetEvent::Msg { client, msg }
                     if (client as usize) < self.n && pending[client as usize] =>
                 {
                     match take(self, client as usize, msg) {
@@ -792,7 +738,7 @@ impl ServerActor {
                             pending[client as usize] = false;
                             missing -= 1;
                         }
-                        Some(msg) => self.handle(NetEvent::Msg { client, msg, ctx }),
+                        Some(msg) => self.handle(NetEvent::Msg { client, msg }),
                     }
                 }
                 other => self.handle(other),
@@ -807,12 +753,9 @@ impl ClientLink for ServerActor {
     }
 
     fn resync(&mut self, c: usize, round: u64, global: &[f32]) -> u64 {
-        let _scope = self.enter_round(round);
         self.drain_pending();
         if self.ensure_conn(c) {
-            self.send_kept(std::iter::once(c), "resync", |enc| {
-                encode_resync(round, global, enc)
-            });
+            self.send_kept(std::iter::once(c), |enc| encode_resync(round, global, enc));
         }
         self.rejoin_base_down[c]
     }
@@ -824,7 +767,6 @@ impl ClientLink for ServerActor {
         part: &[bool],
         faults: &[RoundFaults],
     ) -> Vec<Option<RoundContribution>> {
-        let _scope = self.enter_round(round);
         self.drain_pending();
         // The round begins for every active client, crashed ones
         // included (`faults` draws a crash only for an active client) —
@@ -885,14 +827,11 @@ impl ClientLink for ServerActor {
         payloads: Vec<Payload>,
         spent: Vec<Option<Vec<f32>>>,
     ) {
-        let _scope = self.enter_round(round);
         // The message always goes out (it closes the client's round);
         // the modeled download is only charged when a global exists.
         // Encoded once, from the borrowed aggregate, for every client.
         let to = (0..self.n).filter(|&c| part[c]);
-        self.send_kept(to, "broadcast", |enc| {
-            encode_broadcast(round, global, &payloads, enc)
-        });
+        self.send_kept(to, |enc| encode_broadcast(round, global, &payloads, enc));
         for upload in spent.into_iter().flatten() {
             self.spares.put(upload);
         }

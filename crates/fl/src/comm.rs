@@ -18,7 +18,7 @@ pub struct CommModel {
 /// bandwidth, which would make every transfer time `inf`/`NaN` and
 /// silently poison the simulated comm accounting.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InvalidBandwidth {
+pub(crate) struct InvalidBandwidth {
     /// The rejected bytes-per-second value.
     pub bytes_per_sec: f64,
 }
@@ -60,7 +60,7 @@ impl CommModel {
 
     /// Arbitrary bandwidth in KB/s (the unit of the Figure 6 sweep).
     /// Non-positive or non-finite rates panic, naming the
-    /// [`InvalidBandwidth`] — sweep constructors are always called with
+    /// `InvalidBandwidth` — sweep constructors are always called with
     /// literals.
     pub fn kb_per_sec(kb: f64) -> Self {
         Self::bytes_per_sec(kb * 1000.0)

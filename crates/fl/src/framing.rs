@@ -1,22 +1,18 @@
 //! Length-prefixed frame layer — the unit of transmission on every
 //! transport backend.
 //!
-//! A frame is a 4-byte little-endian payload length, a fixed
-//! [`TRACE_CTX_BYTES`]-byte [`TraceCtx`] block, and exactly that many
-//! payload bytes: `[u32 length][TraceCtx][payload]`. The context is
-//! framing, never payload — the length counts the payload only. The
-//! length is capped at [`MAX_FRAME_BYTES`] so a corrupt or hostile
-//! header can never trigger a multi-gigabyte allocation: the cap is
-//! checked as soon as the four length bytes are in, *before* any buffer
-//! is reserved or the context is read, and a torn read (stream ends
-//! mid-header, mid-context or mid-payload) is a typed
-//! [`FrameError::Truncated`], never a panic. The context block is read
-//! into a stack buffer.
+//! A frame is a 4-byte little-endian payload length and exactly that
+//! many payload bytes: `[u32 length][payload]`. The length is capped at
+//! [`MAX_FRAME_BYTES`] so a corrupt or hostile header can never trigger
+//! a multi-gigabyte allocation: the cap is checked as soon as the four
+//! length bytes are in, *before* any buffer is reserved, and a torn
+//! read (stream ends mid-header or mid-payload) is a typed
+//! [`FrameError::Truncated`], never a panic.
 //!
 //! `FrameHead` is the one writer of a frame's head. A sender writes the
 //! head and then the encoded payload in place, so a model-sized payload
-//! is never copied to be framed, and [`read_frame_traced_into`] is the
-//! one parser: a socket connection reads every frame into one buffer it
+//! is never copied to be framed, and [`read_frame_into`] is the one
+//! parser: a socket connection reads every frame into one buffer it
 //! keeps, which grows with the payload bytes that actually arrive,
 //! never with what a header claims.
 
@@ -28,67 +24,8 @@ use std::io::{IoSlice, Read, Write};
 /// allocation it claims to need.
 pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
 
-/// Bytes of a frame's length word.
+/// Bytes of a frame's length word — the whole framing overhead.
 pub const FRAME_HEADER_BYTES: usize = 4;
-
-/// Size of the trace-context block every frame carries after its length
-/// word: five little-endian u64s — trace id, span id, parent span id,
-/// logical round, and the sender's send timestamp in ns since its obs
-/// epoch.
-pub const TRACE_CTX_BYTES: usize = 40;
-
-/// Compact trace context embedded in every frame's head: enough to
-/// causally link the sender's span to every downstream event the frame
-/// triggers on the receiver, and to align the two process clocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TraceCtx {
-    /// Run-wide trace id (shared by every process of one seeded run).
-    pub trace: u64,
-    /// Id of this frame's own wire span — unique per frame, including
-    /// per retry attempt, so dropped attempts are distinguishable.
-    pub span: u64,
-    /// Id of the sender-side span this frame was sent under (0 = none).
-    pub parent: u64,
-    /// Logical federation round at send time.
-    pub round: u64,
-    /// Send timestamp: ns since the *sender's* obs epoch. Receivers
-    /// record it next to their own clock for offset estimation.
-    pub send_ts_ns: u64,
-}
-
-impl TraceCtx {
-    /// Serialize to the fixed wire block.
-    pub fn to_bytes(&self) -> [u8; TRACE_CTX_BYTES] {
-        let mut b = [0u8; TRACE_CTX_BYTES];
-        for (i, v) in [
-            self.trace,
-            self.span,
-            self.parent,
-            self.round,
-            self.send_ts_ns,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            b[i * 8..i * 8 + 8].copy_from_slice(&v.to_le_bytes());
-        }
-        b
-    }
-
-    /// Deserialize from the fixed wire block. Infallible: the block is
-    /// validated to be exactly [`TRACE_CTX_BYTES`] long by the caller,
-    /// and every bit pattern is a valid context.
-    fn from_bytes(b: &[u8; TRACE_CTX_BYTES]) -> Self {
-        let word = |i: usize| u64::from_le_bytes(b[i * 8..i * 8 + 8].try_into().unwrap());
-        Self {
-            trace: word(0),
-            span: word(1),
-            parent: word(2),
-            round: word(3),
-            send_ts_ns: word(4),
-        }
-    }
-}
 
 /// Errors in the frame layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,8 +36,8 @@ pub enum FrameError {
         /// The length the header claimed.
         len: u64,
     },
-    /// The stream ended mid-header, mid-context or mid-payload (a torn
-    /// read / partial write on the other side).
+    /// The stream ended mid-header or mid-payload (a torn read /
+    /// partial write on the other side).
     Truncated,
     /// The underlying transport failed.
     Io(std::io::ErrorKind),
@@ -131,29 +68,25 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-/// A frame's head: the length word, then the trace-context block. Built
-/// only by [`FrameHead::new`], the one place the head format is written;
-/// the payload follows it on the wire as it is, never copied behind it.
+/// A frame's head: the length word. Built only by [`FrameHead::new`],
+/// the one place the head format is written; the payload follows it on
+/// the wire as it is, never copied behind it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FrameHead([u8; FrameHead::BYTES]);
 
 impl FrameHead {
     /// Bytes of framing before every payload.
-    pub const BYTES: usize = FRAME_HEADER_BYTES + TRACE_CTX_BYTES;
+    pub const BYTES: usize = FRAME_HEADER_BYTES;
 
-    /// The head of a frame carrying `payload_len` bytes under `ctx`.
-    /// An oversize payload is rejected here, before anything is
-    /// written.
-    pub fn new(payload_len: usize, ctx: &TraceCtx) -> Result<Self, FrameError> {
+    /// The head of a frame carrying `payload_len` bytes. An oversize
+    /// payload is rejected here, before anything is written.
+    pub fn new(payload_len: usize) -> Result<Self, FrameError> {
         if payload_len > MAX_FRAME_BYTES {
             return Err(FrameError::Oversize {
                 len: payload_len as u64,
             });
         }
-        let mut bytes = [0u8; Self::BYTES];
-        bytes[..FRAME_HEADER_BYTES].copy_from_slice(&(payload_len as u32).to_le_bytes());
-        bytes[FRAME_HEADER_BYTES..].copy_from_slice(&ctx.to_bytes());
-        Ok(Self(bytes))
+        Ok(Self((payload_len as u32).to_le_bytes()))
     }
 
     /// Write the head and then `payload` in place (one vectored write
@@ -173,28 +106,17 @@ impl FrameHead {
     }
 }
 
-/// Write one frame to a stream under a default (all-zero) context.
+/// Write one frame to a stream: the head, then the payload in place.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), FrameError> {
-    write_frame_traced(w, payload, &TraceCtx::default())
-}
-
-/// Write one frame to a stream under `ctx`: the head, then the payload
-/// in place.
-pub fn write_frame_traced<W: Write>(
-    w: &mut W,
-    payload: &[u8],
-    ctx: &TraceCtx,
-) -> Result<(), FrameError> {
-    FrameHead::new(payload.len(), ctx)?.write_with(w, payload)?;
+    FrameHead::new(payload.len())?.write_with(w, payload)?;
     Ok(())
 }
 
-/// Read one frame from a stream into a fresh buffer, discarding its
-/// trace context. See [`read_frame_traced_into`] for the
-/// close/truncation contract.
+/// Read one frame from a stream into a fresh buffer. See
+/// [`read_frame_into`] for the close/truncation contract.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, FrameError> {
     let mut payload = Vec::new();
-    Ok(read_frame_traced_into(r, &mut payload)?.map(|_| payload))
+    Ok(read_frame_into(r, &mut payload)?.then_some(payload))
 }
 
 /// Bytes a frame read asks to reserve beyond what has arrived: a
@@ -205,26 +127,22 @@ const READ_STEP: usize = 256 * 1024;
 
 /// Read one frame from a stream into `payload`, replacing its contents
 /// and keeping its allocation — a connection reads every frame into the
-/// same buffer. Returns the frame's trace context. `Ok(None)` is a clean
-/// close — the stream ended exactly on a frame boundary. A stream that
-/// ends after one or more header/context/payload bytes is
+/// same buffer. Returns `Ok(true)` for a frame and `Ok(false)` for a
+/// clean close — the stream ended exactly on a frame boundary. A stream
+/// that ends after one or more header/payload bytes is
 /// [`FrameError::Truncated`]. A read the OS interrupts is retried. The
-/// payload length is validated and the context block is read into a
-/// stack buffer before anything is reserved, and the payload buffer
-/// grows only as payload bytes arrive — to at most twice what arrived,
-/// or 256 KiB — so a hostile length can neither allocate nor pin memory
-/// the peer did not actually send.
-pub fn read_frame_traced_into<R: Read>(
-    r: &mut R,
-    payload: &mut Vec<u8>,
-) -> Result<Option<TraceCtx>, FrameError> {
+/// payload length is validated before anything is reserved, and the
+/// payload buffer grows only as payload bytes arrive — to at most twice
+/// what arrived, or 256 KiB — so a hostile length can neither allocate
+/// nor pin memory the peer did not actually send.
+pub fn read_frame_into<R: Read>(r: &mut R, payload: &mut Vec<u8>) -> Result<bool, FrameError> {
     let mut header = [0u8; FRAME_HEADER_BYTES];
     let mut got = 0usize;
     while got < header.len() {
         match r.read(&mut header[got..]) {
             Ok(0) => {
                 return if got == 0 {
-                    Ok(None) // clean close at a frame boundary
+                    Ok(false) // clean close at a frame boundary
                 } else {
                     Err(FrameError::Truncated)
                 };
@@ -238,8 +156,6 @@ pub fn read_frame_traced_into<R: Read>(
     if len > MAX_FRAME_BYTES {
         return Err(FrameError::Oversize { len: len as u64 });
     }
-    let mut block = [0u8; TRACE_CTX_BYTES];
-    r.read_exact(&mut block)?;
     payload.clear();
     while payload.len() < len {
         if payload.len() == payload.capacity() {
@@ -252,7 +168,7 @@ pub fn read_frame_traced_into<R: Read>(
             return Err(FrameError::Truncated);
         }
     }
-    Ok(Some(TraceCtx::from_bytes(&block)))
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -264,10 +180,9 @@ mod tests {
         let payload = b"hello frames".to_vec();
         let mut wire = Vec::new();
         write_frame(&mut wire, &payload).unwrap();
-        assert_eq!(
-            wire.len(),
-            FRAME_HEADER_BYTES + TRACE_CTX_BYTES + payload.len()
-        );
+        assert_eq!(wire.len(), FRAME_HEADER_BYTES + payload.len());
+        assert_eq!(wire[..FRAME_HEADER_BYTES], 12u32.to_le_bytes());
+        assert_eq!(&wire[FRAME_HEADER_BYTES..], &payload[..]);
         let mut r = wire.as_slice();
         assert_eq!(read_frame(&mut r).unwrap(), Some(payload));
         assert_eq!(read_frame(&mut r).unwrap(), None, "clean close");
@@ -284,11 +199,11 @@ mod tests {
     #[test]
     fn oversize_header_rejected_before_allocation() {
         // A header claiming u32::MAX bytes: must error, not allocate
-        // gigabytes — and before the context block is waited for.
+        // gigabytes.
         let wire = u32::MAX.to_le_bytes().to_vec();
         let mut payload = Vec::new();
         assert_eq!(
-            read_frame_traced_into(&mut wire.as_slice(), &mut payload).unwrap_err(),
+            read_frame_into(&mut wire.as_slice(), &mut payload).unwrap_err(),
             FrameError::Oversize {
                 len: u64::from(u32::MAX)
             }
@@ -298,12 +213,10 @@ mod tests {
 
     #[test]
     fn a_hostile_length_reserves_only_what_arrives() {
-        // A header claiming the full cap, a context, then 10 payload
-        // bytes and EOF: Truncated, and the buffer grew with the bytes
-        // that came, not with the claim — through the fresh-buffer
-        // reader too.
+        // A header claiming the full cap, then 10 payload bytes and EOF:
+        // Truncated, and the buffer grew with the bytes that came, not
+        // with the claim — through the fresh-buffer reader too.
         let mut wire = (MAX_FRAME_BYTES as u32).to_le_bytes().to_vec();
-        wire.extend_from_slice(&ctx().to_bytes());
         wire.extend_from_slice(&[7u8; 10]);
         let _tracking = fedknow_obs::alloc::track();
         let (_, before) = fedknow_obs::alloc::thread_totals();
@@ -319,7 +232,7 @@ mod tests {
         );
         let mut payload = Vec::new();
         assert_eq!(
-            read_frame_traced_into(&mut wire.as_slice(), &mut payload).unwrap_err(),
+            read_frame_into(&mut wire.as_slice(), &mut payload).unwrap_err(),
             FrameError::Truncated
         );
         assert!(payload.capacity() < 1 << 20, "{}", payload.capacity());
@@ -337,17 +250,16 @@ mod tests {
         ];
         let mut wire = Vec::new();
         for f in &frames {
-            write_frame_traced(&mut wire, f, &ctx()).unwrap();
+            write_frame(&mut wire, f).unwrap();
         }
         let mut r = wire.as_slice();
         let mut payload = Vec::new();
         for f in &frames {
-            let got = read_frame_traced_into(&mut r, &mut payload).unwrap();
-            assert_eq!(got, Some(ctx()));
+            assert!(read_frame_into(&mut r, &mut payload).unwrap());
             assert_eq!(&payload, f);
         }
         assert!(payload.capacity() >= 600_000);
-        assert_eq!(read_frame_traced_into(&mut r, &mut payload).unwrap(), None);
+        assert!(!read_frame_into(&mut r, &mut payload).unwrap());
     }
 
     #[test]
@@ -364,94 +276,18 @@ mod tests {
 
     #[test]
     fn torn_reads_are_typed_errors() {
+        // Cut the stream at every offset inside the head and the
+        // payload: always Truncated, never a panic or partial frame.
         let mut wire = Vec::new();
         write_frame(&mut wire, b"0123456789").unwrap();
         for cut in 1..wire.len() {
             let mut r = &wire[..cut];
             assert_eq!(
-                read_frame(&mut r).unwrap_err(),
+                read_frame_into(&mut r, &mut Vec::new()).unwrap_err(),
                 FrameError::Truncated,
                 "cut at {cut}"
             );
         }
-    }
-
-    fn ctx() -> TraceCtx {
-        TraceCtx {
-            trace: 0xABCD_1234,
-            span: 7,
-            parent: 3,
-            round: 12,
-            send_ts_ns: 1_000_000_007,
-        }
-    }
-
-    #[test]
-    fn traced_frame_roundtrips_via_stream() {
-        let payload = b"traced payload".to_vec();
-        let mut wire = Vec::new();
-        write_frame_traced(&mut wire, &payload, &ctx()).unwrap();
-        assert_eq!(
-            wire.len(),
-            FRAME_HEADER_BYTES + TRACE_CTX_BYTES + payload.len()
-        );
-        assert_eq!(wire[..FRAME_HEADER_BYTES], 14u32.to_le_bytes());
-        assert_eq!(
-            wire[FRAME_HEADER_BYTES..][..TRACE_CTX_BYTES],
-            ctx().to_bytes()
-        );
-
-        let mut r = wire.as_slice();
-        let mut got = Vec::new();
-        let got_ctx = read_frame_traced_into(&mut r, &mut got).unwrap();
-        assert_eq!(got_ctx, Some(ctx()));
-        assert_eq!(got, payload);
-        assert_eq!(
-            read_frame_traced_into(&mut r, &mut got).unwrap(),
-            None,
-            "clean close"
-        );
-    }
-
-    #[test]
-    fn untraced_reader_skips_the_context() {
-        // `read_frame` drops whatever context a frame carries, and
-        // `write_frame` writes an all-zero one.
-        let mut wire = Vec::new();
-        write_frame_traced(&mut wire, b"x", &ctx()).unwrap();
-        write_frame(&mut wire, b"y").unwrap();
-        let mut r = wire.as_slice();
-        assert_eq!(read_frame(&mut r).unwrap(), Some(b"x".to_vec()));
-        let mut got = Vec::new();
-        let second = read_frame_traced_into(&mut r, &mut got).unwrap();
-        assert_eq!(
-            (second, got.as_slice()),
-            (Some(TraceCtx::default()), &b"y"[..])
-        );
-    }
-
-    #[test]
-    fn torn_context_is_a_typed_error() {
-        // Cut the stream at every offset inside the context block and
-        // the payload: always Truncated, never a panic or partial frame.
-        let mut wire = Vec::new();
-        write_frame_traced(&mut wire, b"0123456789", &ctx()).unwrap();
-        for cut in 1..wire.len() {
-            let mut r = &wire[..cut];
-            assert_eq!(
-                read_frame_traced_into(&mut r, &mut Vec::new()).unwrap_err(),
-                FrameError::Truncated,
-                "cut at {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn trace_ctx_bytes_roundtrip() {
-        let c = ctx();
-        assert_eq!(TraceCtx::from_bytes(&c.to_bytes()), c);
-        let zero = TraceCtx::default();
-        assert_eq!(TraceCtx::from_bytes(&zero.to_bytes()), zero);
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //!   trained in parallel threads; checkpoint/resume.
 //! * [`framing`] / [`proto`] / [`transport`] / [`actor`] —
 //!   [`FederationRuntime`]: the same loop over framed messages:
-//!   length-prefixed frames that each carry a trace context, typed wire
-//!   messages, TCP or Unix-socket backends with fault injection at the
-//!   wire seam, and the server/client actor threads.
+//!   length-prefixed frames, typed wire messages, TCP or Unix-socket
+//!   backends with fault injection at the wire seam, and the
+//!   server/client actor threads.
 
 pub mod actor;
 pub mod client;
@@ -42,14 +42,13 @@ pub mod server;
 pub mod sim;
 pub mod trainer;
 pub mod transport;
-pub mod wiretrace;
 
 pub use actor::{run_remote_client, FederationRuntime};
 pub use client::{CommBytes, FclClient, IterationStats, ModelTemplate, Payload};
-pub use comm::{CommModel, InvalidBandwidth};
+pub use comm::CommModel;
 pub use device::DeviceProfile;
 pub use faults::{FaultConfig, FaultEvent, FaultKind, FaultPlan, RoundFaults};
-pub use framing::{FrameError, TraceCtx, FRAME_HEADER_BYTES, MAX_FRAME_BYTES, TRACE_CTX_BYTES};
+pub use framing::{FrameError, FRAME_HEADER_BYTES, MAX_FRAME_BYTES};
 pub use metrics::{AccuracyMatrix, RowLengthMismatch};
 pub use proto::{DecodeError, Encoded, UploadMeta, WireMsg};
 pub use server::{AggregateError, Aggregation, RejectReason, RejectedUpload, Screening};

@@ -683,7 +683,7 @@ pub fn decode_msg_into(buf: &[u8], spare: &mut Vec<f32>) -> Result<WireMsg, Deco
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framing::{write_frame, write_frame_traced, TraceCtx};
+    use crate::framing::write_frame;
 
     fn sample_payload(from: usize) -> Payload {
         Payload {
@@ -782,28 +782,14 @@ mod tests {
 
     #[test]
     fn frames_written_in_place_equal_the_copied_frame() {
-        let ctx = TraceCtx {
-            trace: 0x5EED,
-            span: 11,
-            parent: 4,
-            round: 9,
-            send_ts_ns: 123_456_789,
-        };
-        // The frame assembled by copying: length word, context, payload.
-        let copied = |buf: &[u8], ctx: &TraceCtx| {
-            let mut frame = (buf.len() as u32).to_le_bytes().to_vec();
-            frame.extend_from_slice(&ctx.to_bytes());
-            frame.extend_from_slice(buf);
-            frame
-        };
         for m in &all_messages() {
             let enc = encode_msg(m);
-            let mut wire = Vec::new();
-            write_frame_traced(&mut wire, &enc.buf, &ctx).unwrap();
-            assert_eq!(wire, copied(&enc.buf, &ctx), "{}", m.label());
+            // The frame assembled by copying: length word, payload.
+            let mut copied = (enc.buf.len() as u32).to_le_bytes().to_vec();
+            copied.extend_from_slice(&enc.buf);
             let mut wire = Vec::new();
             write_frame(&mut wire, &enc.buf).unwrap();
-            assert_eq!(wire, copied(&enc.buf, &TraceCtx::default()));
+            assert_eq!(wire, copied, "{}", m.label());
         }
     }
 

@@ -168,7 +168,8 @@ pub(crate) fn stage_upload(
 
 /// Log quarantined uploads (UploadRejected events, in the aggregator's
 /// rejection order) and null them out so downstream telemetry sees the
-/// server-accepted view.
+/// server-accepted view. The aggregator's screening already counted
+/// each in `fl.uploads_rejected`.
 pub(crate) fn quarantine_rejected(
     rejected: &[RejectedUpload],
     uploads: &mut [Option<Vec<f32>>],
@@ -180,7 +181,6 @@ pub(crate) fn quarantine_rejected(
             RejectReason::NonFinite { index } => index as u64,
             RejectReason::DimensionMismatch { got, .. } => got as u64,
         };
-        fedknow_obs::count("fl.uploads_rejected", 1);
         record_fault(log, round, r.client, FaultKind::UploadRejected, detail);
         uploads[r.client] = None;
     }

@@ -33,13 +33,12 @@
 //! [`Simulation`]: crate::sim::Simulation
 
 use crate::faults::RoundFaults;
-use crate::framing::{read_frame_traced_into, FrameError, FrameHead, TraceCtx};
+use crate::framing::{read_frame_into, FrameError, FrameHead};
 use crate::proto::{decode_msg_into, encode_msg_into, DecodeError, Encoded, WireMsg};
-use crate::wiretrace;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Which transport backend to run the federation over.
@@ -211,9 +210,6 @@ impl WireStats {
 pub struct MsgTx {
     stream: Box<dyn Write + Send>,
     stats: Arc<WireStats>,
-    /// The peer's client id, once known (set after Hello/accept) —
-    /// carried by the wire lifecycle records.
-    peer: Option<u32>,
     /// Every message this half sends is encoded here, and the buffer
     /// stays as large as the largest one.
     enc: Encoded,
@@ -224,15 +220,8 @@ impl MsgTx {
         Self {
             stream,
             stats,
-            peer: None,
             enc: Encoded::default(),
         }
-    }
-
-    /// Attribute this half to a peer client id (trace events carry it
-    /// from now on).
-    pub fn set_peer(&mut self, client: u32) {
-        self.peer = Some(client);
     }
 
     /// Encode `msg` into this half's kept buffer and hand it to `f`.
@@ -246,45 +235,25 @@ impl MsgTx {
 
     /// Encode and send one message as one frame.
     pub fn send(&mut self, msg: &WireMsg) -> Result<(), TransportError> {
-        self.with_encoded(msg, |tx, enc| tx.send_encoded_labeled(enc, msg.label()))
+        self.with_encoded(msg, |tx, enc| tx.send_encoded(enc))
     }
 
-    /// Send an already-encoded message. Counts the frame in the wire
-    /// ledger whether or not the peer is still there to receive it.
+    /// Send an already-encoded message as one frame: the frame head and
+    /// then `enc.buf`, written in place in one vectored write. Counts
+    /// the frame in the wire ledger whether or not the peer is still
+    /// there to receive it; the head counts as framing overhead, never
+    /// data-plane bytes, so byte parity with the comm model holds.
     pub fn send_encoded(&mut self, enc: &Encoded) -> Result<(), TransportError> {
-        self.send_encoded_labeled(enc, "raw")
-    }
-
-    /// [`Self::send_encoded`] with a message-kind label for the wire
-    /// lifecycle records. Every frame leaves with a freshly stamped
-    /// trace context; the context bytes count as framing overhead,
-    /// never data-plane bytes, so byte parity with the comm model is
-    /// untouched. The frame head and then `enc.buf` are written in
-    /// place, in one vectored write.
-    pub(crate) fn send_encoded_labeled(
-        &mut self,
-        enc: &Encoded,
-        label: &str,
-    ) -> Result<(), TransportError> {
-        let ctx = wiretrace::ctx_for_send();
-        wiretrace::record_send("enq", &ctx, self.peer, label, enc.data_bytes);
-        let head = FrameHead::new(enc.buf.len(), &ctx)?;
+        let head = FrameHead::new(enc.buf.len())?;
         self.stats.on_send(enc.data_bytes, frame_bytes(enc), true);
         head.write_with(&mut self.stream, &enc.buf)
-            .map_err(socket_error)?;
-        wiretrace::record_send("out", &ctx, self.peer, label, enc.data_bytes);
-        Ok(())
+            .map_err(socket_error)
     }
 
     /// Burn an encoded message's bytes without delivering it — the wire
-    /// fault injector's dropped frame — under a message-kind label. The
-    /// dropped attempt gets its own span id and a `drop` lifecycle
-    /// record — in a merged trace it shows up as a flow that starts and
-    /// never finishes (a terminated flow).
-    pub(crate) fn drop_encoded_labeled(&mut self, enc: &Encoded, label: &str) {
-        let ctx = wiretrace::ctx_for_send();
+    /// fault injector's dropped frame.
+    fn drop_encoded(&mut self, enc: &Encoded) {
         self.stats.on_send(enc.data_bytes, frame_bytes(enc), false);
-        wiretrace::record_send("drop", &ctx, self.peer, label, enc.data_bytes);
     }
 
     /// Send an encoded message, retrying a few times with a short real
@@ -294,18 +263,17 @@ impl MsgTx {
     pub(crate) fn send_encoded_with_retry(
         &mut self,
         enc: &Encoded,
-        label: &str,
         retries: u32,
     ) -> Result<(), TransportError> {
         let mut wait = Duration::from_millis(1);
-        let mut last = self.send_encoded_labeled(enc, label);
+        let mut last = self.send_encoded(enc);
         for _ in 0..retries {
             if last.is_ok() {
                 return Ok(());
             }
             std::thread::sleep(wait);
             wait *= 2;
-            last = self.send_encoded_labeled(enc, label);
+            last = self.send_encoded(enc);
         }
         if last.is_err() {
             self.stats.on_send_failure();
@@ -343,26 +311,27 @@ impl Spares {
     /// Hand a consumed vector's storage back (an empty one has none).
     pub fn put(&self, v: Vec<f32>) {
         if v.capacity() > 0 {
-            self.0.lock().expect("spares lock").push(v);
+            lock(&self.0).push(v);
         }
     }
 
     /// Storage to decode the next vector into: a spent one if any is
     /// waiting, else a new empty one.
     fn take(&self) -> Vec<f32> {
-        self.0
-            .lock()
-            .expect("spares lock")
-            .pop()
-            .unwrap_or_default()
+        lock(&self.0).pop().unwrap_or_default()
     }
+}
+
+/// A poison-tolerant lock, for state whose every critical section is
+/// one push, pop or drain: a panic elsewhere on the holder's thread
+/// leaves it whole, so a poisoned lock is still sound to use.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// The receiving half of a connection.
 pub struct MsgRx {
     stream: Box<dyn Read + Send>,
-    /// The peer's client id, once known — tags wire-in records.
-    peer: Option<u32>,
     /// Every frame is read into this one buffer.
     frame: Vec<u8>,
     /// Where decoded parameter vectors come from and go back to.
@@ -373,15 +342,9 @@ impl MsgRx {
     fn new(stream: Box<dyn Read + Send>) -> Self {
         Self {
             stream,
-            peer: None,
             frame: Vec::new(),
             spares: Spares::default(),
         }
-    }
-
-    /// Attribute this half to a peer client id.
-    pub fn set_peer(&mut self, client: u32) {
-        self.peer = Some(client);
     }
 
     /// Decode parameter vectors into (and take them back through)
@@ -400,22 +363,13 @@ impl MsgRx {
     /// peer shut the connection on a frame boundary); torn frames,
     /// oversize headers, and undecodable bytes are typed errors.
     pub fn recv(&mut self) -> Result<Option<WireMsg>, TransportError> {
-        Ok(self.recv_traced()?.map(|(msg, _)| msg))
-    }
-
-    /// [`Self::recv`], surfacing the frame's trace context so the
-    /// caller can record the `handled` lifecycle point. The `in` point
-    /// (frame off the wire, message decoded) is recorded here.
-    pub fn recv_traced(&mut self) -> Result<Option<(WireMsg, TraceCtx)>, TransportError> {
-        let Some(ctx) = read_frame_traced_into(&mut self.stream, &mut self.frame)? else {
+        if !read_frame_into(&mut self.stream, &mut self.frame)? {
             return Ok(None);
-        };
+        }
         let mut spare = self.spares.take();
         let decoded = decode_msg_into(&self.frame, &mut spare);
         self.spares.put(spare);
-        let msg = decoded?;
-        wiretrace::record_recv("in", &ctx, self.peer, msg.label(), self.frame.len() as u64);
-        Ok(Some((msg, ctx)))
+        Ok(Some(decoded?))
     }
 }
 
@@ -725,12 +679,12 @@ pub fn send_upload_faulty(
 ) -> Result<bool, TransportError> {
     tx.with_encoded(msg, |tx, enc| {
         for _ in 0..f.lost_attempts {
-            tx.drop_encoded_labeled(enc, msg.label());
+            tx.drop_encoded(enc);
         }
         if f.upload_lost {
             return Ok(false);
         }
-        tx.send_encoded_labeled(enc, msg.label())?;
+        tx.send_encoded(enc)?;
         Ok(true)
     })
 }
@@ -738,7 +692,7 @@ pub fn send_upload_faulty(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framing::{FRAME_HEADER_BYTES, TRACE_CTX_BYTES};
+    use crate::framing::FRAME_HEADER_BYTES;
     use crate::proto::UploadMeta;
     use std::io::Write;
 
@@ -907,11 +861,11 @@ mod tests {
         let s = stats.snapshot();
         assert_eq!(s.frames_dropped, 3);
         assert_eq!(s.payload, 3 * 32, "each lost attempt burned 8 f32s");
-        // Every attempt's overhead is the frame head plus what the
-        // encoding adds around the 8 floats.
+        // Every attempt's overhead is the 4-byte length word plus what
+        // the encoding adds around the 8 floats.
         let enc = crate::proto::encode_msg(&upload(vec![1.0; 8]));
-        let head = (FRAME_HEADER_BYTES + TRACE_CTX_BYTES) as u64;
-        let per_frame = head + enc.buf.len() as u64 - enc.data_bytes;
+        let per_frame = FRAME_HEADER_BYTES as u64 + enc.buf.len() as u64 - enc.data_bytes;
+        assert_eq!(per_frame, 91, "4 head bytes and the upload's fixed fields");
         assert_eq!(s.overhead, 3 * per_frame);
         assert_eq!(s.bytes_dropped, 3 * (per_frame + enc.data_bytes));
 
@@ -948,10 +902,9 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let writer = std::thread::spawn(move || {
             let mut s = TcpStream::connect(addr).unwrap();
-            // Header claims 100 bytes; send the context and only 10
-            // payload bytes, then slam the door.
+            // Header claims 100 bytes; send only 10 payload bytes, then
+            // slam the door.
             s.write_all(&100u32.to_le_bytes()).unwrap();
-            s.write_all(&[0u8; TRACE_CTX_BYTES]).unwrap();
             s.write_all(&[7u8; 10]).unwrap();
         });
         let (stream, _) = listener.accept().unwrap();

@@ -409,6 +409,65 @@ fn lone_client() -> (Box<dyn FclClient>, fedknow_data::ClientDataset) {
 }
 
 #[test]
+fn remote_clients_served_at_an_address_match_simulation_under_chaos() {
+    // The multi-process shape: a server listening at a fixed address and
+    // every client dialing in through `run_remote_client`, as
+    // `chaos_probe --listen/--connect` runs them in separate processes.
+    let faults = FaultConfig::crash_loss(0.3);
+    let want = sim_report(stub_clients(), faults);
+    let lost = want.fault_count(FaultKind::UploadLost) + want.fault_count(FaultKind::UploadRetry);
+    assert!(
+        want.fault_count(FaultKind::Crash) > 0 && lost > 0,
+        "the chaos config must crash clients and lose upload attempts"
+    );
+    let addr = {
+        let free = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        free.local_addr().expect("addr").to_string()
+    };
+    let remotes: Vec<_> = stub_clients()
+        .into_iter()
+        .zip(tiny_data())
+        .enumerate()
+        .map(|(c, (client, data))| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let stats = std::sync::Arc::new(WireStats::new());
+                let transport = tcp_connector(&addr, stats).expect("connector");
+                run_remote_client(
+                    transport,
+                    c as u32,
+                    client,
+                    data,
+                    &config(faults),
+                    MODEL_BYTES,
+                )
+            })
+        })
+        .collect();
+    let (got, stats) = FederationRuntime::new(
+        stub_clients(),
+        tiny_data(),
+        devices(),
+        CommModel::paper_default(),
+        config(faults),
+        MODEL_BYTES,
+        TransportKind::Tcp,
+    )
+    .serve_at(&addr)
+    .expect("the served run completes");
+    for (c, remote) in remotes.into_iter().enumerate() {
+        let done = remote.join().expect("a remote client must not panic");
+        assert_eq!(done, Ok(()), "client {c} must end on Shutdown");
+    }
+    assert_eq!(
+        got.fault_log, want.fault_log,
+        "served fault ledger diverged"
+    );
+    assert_eq!(got, want, "the served run diverged from the simulator");
+    assert!(stats.frames > 0 && stats.malformed_frames == 0, "{stats:?}");
+}
+
+#[test]
 fn serve_at_on_a_bound_address_is_a_transport_error() {
     let taken = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = taken.local_addr().expect("addr").to_string();

@@ -113,7 +113,7 @@ impl Conv2dShape {
     }
 
     /// Elements in the materialised im2col column buffer (whole batch).
-    pub fn col_len(&self) -> usize {
+    fn col_len(&self) -> usize {
         let (oh, ow) = self.out_hw();
         self.batch * self.groups * self.cg() * self.kernel * self.kernel * oh * ow
     }

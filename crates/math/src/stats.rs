@@ -8,15 +8,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Population variance; `0.0` for fewer than two samples.
-pub fn variance(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64
-}
-
 /// Linear-interpolated quantile, `q ∈ [0, 1]`. Panics on empty input.
 pub fn quantile(xs: &[f64], q: f64) -> f64 {
     assert!(!xs.is_empty(), "quantile of empty slice");
@@ -50,16 +41,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_variance_basics() {
+    fn mean_basics() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
-        assert!((variance(&xs) - 4.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_and_singleton_edge_cases() {
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(variance(&[3.0]), 0.0);
+        assert_eq!(mean(&[3.0]), 3.0);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! All three entry points lower onto the packed, cache-blocked GEMM in
 //! [`crate::gemm`]; the `_tn`/`_nt` variants feed transposed pack sources
 //! to the same kernel, so `a.matmul_tn(b)` is **bit-identical** to
-//! `a.transpose2().matmul(b)` — the packed panels are the same bytes.
+//! multiplying the materialised transpose of `a` by `b` — the packed
+//! panels are the same bytes.
 //!
 //! Buffers are recycled through [`crate::pool`]: every tensor returns its
 //! storage to a thread-local free list on drop, and constructors draw
@@ -313,19 +314,6 @@ impl Tensor {
         Tensor::from_pooled(out, &[m, n])
     }
 
-    /// Rank-2 transpose.
-    pub fn transpose2(&self) -> Tensor {
-        assert_eq!(self.shape.rank, 2);
-        let (m, n) = (self.shape.dims[0], self.shape.dims[1]);
-        let mut out = pool::take(m * n);
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = self.data[i * n + j];
-            }
-        }
-        Tensor::from_pooled(out, &[n, m])
-    }
-
     /// Elementwise in-place addition. Panics on shape mismatch.
     pub fn add_assign(&mut self, other: &Tensor) {
         assert_eq!(self.shape(), other.shape(), "add_assign shape mismatch");
@@ -403,11 +391,22 @@ mod tests {
         assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
     }
 
+    /// The materialised rank-2 transpose the `_tn`/`_nt` products are
+    /// checked against.
+    fn transpose(t: &Tensor) -> Tensor {
+        let (m, n) = (t.shape()[0], t.shape()[1]);
+        let d = t.data();
+        Tensor::from_vec(
+            (0..m * n).map(|k| d[(k % m) * n + k / m]).collect(),
+            &[n, m],
+        )
+    }
+
     #[test]
     fn matmul_tn_equals_transpose_then_matmul() {
         let a = Tensor::from_vec((0..12).map(|x| x as f32).collect(), &[4, 3]);
         let b = Tensor::from_vec((0..8).map(|x| (x as f32) * 0.5).collect(), &[4, 2]);
-        let via_t = a.transpose2().matmul(&b);
+        let via_t = transpose(&a).matmul(&b);
         let direct = a.matmul_tn(&b);
         assert_eq!(via_t, direct);
     }
@@ -416,7 +415,7 @@ mod tests {
     fn matmul_nt_equals_matmul_with_transpose() {
         let a = Tensor::from_vec((0..6).map(|x| x as f32).collect(), &[2, 3]);
         let b = Tensor::from_vec((0..12).map(|x| x as f32 - 3.0).collect(), &[4, 3]);
-        let via_t = a.matmul(&b.transpose2());
+        let via_t = a.matmul(&transpose(&b));
         let direct = a.matmul_nt(&b);
         assert_eq!(via_t, direct);
     }
@@ -435,14 +434,14 @@ mod tests {
             (0..k * n).map(|x| (x as f32 * 0.11).cos()).collect(),
             &[k, n],
         );
-        assert_eq!(a.transpose2().matmul(&b), a.matmul_tn(&b));
+        assert_eq!(transpose(&a).matmul(&b), a.matmul_tn(&b));
         let c = Tensor::from_vec(
             (0..n * k).map(|x| (x as f32 * 0.23).sin()).collect(),
             &[n, k],
         );
         assert_eq!(
-            a.transpose2().matmul(&c.transpose2()),
-            a.transpose2().matmul_nt(&c)
+            transpose(&a).matmul(&transpose(&c)),
+            transpose(&a).matmul_nt(&c)
         );
     }
 

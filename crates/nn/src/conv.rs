@@ -19,7 +19,7 @@
 //! * **One GEMM per (chunk, group), not per sample.** A pass walks the
 //!   batch in *chunks*: runs of whole samples (forward) or whole
 //!   (slot, sample) units (input gradient) laid side by side along the
-//!   GEMM's N, up to [`CHUNK_COLS`] output columns. Per group, one blocked
+//!   GEMM's N, up to `CHUNK_COLS` output columns. Per group, one blocked
 //!   GEMM covers the chunk, so the weights are packed once per chunk
 //!   instead of once per sample, and a deep stage's 2×2 or 1×1 maps fill
 //!   register tiles that one sample alone would leave 1–4 columns wide. A
@@ -172,7 +172,7 @@ static PERF_CONV_BWD: PerfCounter = PerfCounter::new("conv2d_bwd");
 /// (slot, sample) units (input gradient) side by side, at least one.
 /// Bounds the chunk's scratch; `gemm::NC` (960) measurably raised peak
 /// memory on ResNet18 for no further speed.
-pub const CHUNK_COLS: usize = 256;
+const CHUNK_COLS: usize = 256;
 
 /// The most floats one sample's input or output may hold for the layer to
 /// take the direct lowering (`Conv2d::takes_direct`): 8 KB, so that a

@@ -27,16 +27,6 @@ impl Linear {
             cached_input: None,
         }
     }
-
-    /// Input feature count.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.out_features
-    }
 }
 
 impl Layer for Linear {

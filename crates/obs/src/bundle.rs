@@ -92,10 +92,6 @@ pub struct PostmortemBundle {
     pub context: Vec<ContextEntry>,
     /// The registry's counters.
     pub metrics: MetricsDump,
-    /// OS process id of the dumping process (absent in pre-tracing
-    /// bundles). The multi-process trace merger uses it to label and
-    /// separate per-process timelines.
-    pub pid: Option<u32>,
     /// One drained ring per recording thread.
     pub tracks: Vec<ThreadTrack>,
 }
@@ -144,7 +140,6 @@ pub fn collect_bundle(reason: &str) -> PostmortemBundle {
         round: crate::round_index(),
         context: context_entries(),
         metrics,
-        pid: Some(std::process::id()),
         tracks: ring::drain_all(),
     }
 }
@@ -266,7 +261,6 @@ mod tests {
                     value: 3,
                 }],
             },
-            pid: Some(4242),
             tracks: vec![ThreadTrack {
                 thread: "ThreadId(1)".to_string(),
                 dropped: 0,
@@ -286,14 +280,18 @@ mod tests {
 
     #[test]
     fn pre_sketch_bundles_still_parse() {
-        // Schema-v1 bundles written before pid existed must keep
-        // loading (`obs` reads old dumps).
+        // Schema-v1 bundles with and without the `pid` key later
+        // bundles carried must keep loading (`obs` reads old dumps).
         let json = r#"{"version":1,"reason":"old","round":3,"context":[],
             "metrics":{"counters":[],"gauges":[],"hists":[],"series":[]},
             "tracks":[]}"#;
         let b: PostmortemBundle = serde_json::from_str(json).unwrap();
         assert_eq!(b.round, 3);
-        assert!(b.pid.is_none());
+        let with_pid = json.replace(r#""round":3,"#, r#""round":3,"pid":4242,"#);
+        assert_eq!(
+            serde_json::from_str::<PostmortemBundle>(&with_pid).unwrap(),
+            b
+        );
     }
 
     #[test]
@@ -358,6 +356,5 @@ mod tests {
         let old = crate::Recording::parse(&old).unwrap();
         assert_eq!(old, crate::Recording::parse(&new).unwrap());
         assert_eq!(old.tracks[0].events.len(), 3);
-        assert_eq!(old.pid, Some(6245));
     }
 }

@@ -64,7 +64,7 @@ pub use bundle::{
 };
 pub use perf::PerfCounter;
 pub use registry::{Counter, MetricsSnapshot, Registry};
-pub use ring::{now_ns, RingBuf, RingData, RingRecord, SpanPerf, ThreadTrack, DEFAULT_TRACE_CAP};
+pub use ring::{RingBuf, RingData, RingRecord, SpanPerf, ThreadTrack, DEFAULT_TRACE_CAP};
 pub use sink::{Aggregate, JsonlSink, LoadError, Recording, SpanStat};
 pub use span::{current_path, inherit_path, span, timer, PathGuard, SpanGuard, TimerGuard};
 
@@ -243,38 +243,6 @@ pub fn fault(client: u64, kind: &str, detail: u64) {
         client,
         kind: kind.to_string(),
         detail,
-    });
-}
-
-/// Record one point of the wire message lifecycle into the flight
-/// recorder: `phase` is `enq`/`out`/`in`/`handled`/`drop`, `conn` the
-/// connection (client id), `trace`/`span`/`parent` the frame's trace
-/// context, `msg` the message-kind label, `bytes` the payload size and
-/// `peer_ts_ns` the sender's send timestamp on receive-side records
-/// (0 elsewhere). One relaxed load when disabled.
-#[allow(clippy::too_many_arguments)]
-pub fn wire_event(
-    phase: &str,
-    conn: u64,
-    trace: u64,
-    span: u64,
-    parent: u64,
-    msg: &str,
-    bytes: u64,
-    peer_ts_ns: u64,
-) {
-    if !is_enabled() {
-        return;
-    }
-    ring::emit(RingData::Wire {
-        phase: phase.to_string(),
-        conn,
-        trace,
-        span,
-        parent,
-        msg: msg.to_string(),
-        bytes,
-        peer_ts_ns,
     });
 }
 

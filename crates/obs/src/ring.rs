@@ -2,7 +2,7 @@
 //!
 //! Every instrumentation site (span begin/end, counter delta, sample,
 //! series point, fault injection, verify
-//! violation, free-form note, wire lifecycle point) builds one
+//! violation, free-form note) builds one
 //! [`RingData`] and hands it to `emit`, which stamps it into a
 //! [`RingRecord`], appends it to the `FEDKNOW_OBS` JSONL stream when
 //! one is attached, and pushes it into the recording thread's ring.
@@ -125,31 +125,6 @@ pub enum RingData {
         /// Marker text.
         note: String,
     },
-    /// One point of the four-phase wire message lifecycle
-    /// (`enq` → `out` → `in` → `handled`, plus `drop` for attempts
-    /// burned by the fault injector). `trace`/`span` tie the record to
-    /// the frame's embedded trace context (`fedknow_fl::framing::TraceCtx`);
-    /// `peer_ts_ns` carries the *sender's* send timestamp on
-    /// receive-side records (zero otherwise) for cross-process clock
-    /// alignment.
-    Wire {
-        /// Lifecycle phase: `enq`, `out`, `in`, `handled`, or `drop`.
-        phase: String,
-        /// Connection / client id the message moved on.
-        conn: u64,
-        /// Run-wide trace id.
-        trace: u64,
-        /// The frame's wire-span id.
-        span: u64,
-        /// Sender-side parent span id (0 = none).
-        parent: u64,
-        /// Message kind label (`upload`, `ack`, …).
-        msg: String,
-        /// Payload bytes of the message.
-        bytes: u64,
-        /// Sender's send timestamp (receive-side records; 0 otherwise).
-        peer_ts_ns: u64,
-    },
 }
 
 /// One thread's records: a drained ring in a bundle, or the lines one
@@ -214,7 +189,7 @@ impl RingBuf {
 
     /// A copy of the held records, oldest first. The ring is left
     /// intact, so successive dumps each capture the current window.
-    pub fn drain_ordered(&self) -> Vec<RingRecord> {
+    fn drain_ordered(&self) -> Vec<RingRecord> {
         let mut out = Vec::with_capacity(self.records.len());
         out.extend_from_slice(&self.records[self.head..]);
         out.extend_from_slice(&self.records[..self.head]);
@@ -249,11 +224,8 @@ pub(crate) fn start() {
 }
 
 /// Nanoseconds since this process's recording epoch — the timescale of
-/// every record and of the send timestamps embedded in wire trace
-/// contexts. Public so the transport can stamp frames on the same
-/// clock the recorder uses; each process has its own epoch, and the
-/// trace merger estimates the offsets between them.
-pub fn now_ns() -> u64 {
+/// every record.
+fn now_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 

@@ -94,14 +94,11 @@ impl std::fmt::Display for LoadError {
 impl std::error::Error for LoadError {}
 
 /// A loaded recording: records per thread, plus what only a bundle
-/// knows (its run context and process id).
+/// knows (its run context).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Recording {
     /// Run context the bundle carried (empty for a stream).
     pub context: Vec<ContextEntry>,
-    /// OS process id the bundle recorded (`None` for a stream and for
-    /// pre-tracing bundles).
-    pub pid: Option<u32>,
     /// One track per recording thread, ordered by thread label.
     pub tracks: Vec<ThreadTrack>,
 }
@@ -110,7 +107,6 @@ impl From<PostmortemBundle> for Recording {
     fn from(bundle: PostmortemBundle) -> Self {
         Recording {
             context: bundle.context,
-            pid: bundle.pid,
             tracks: bundle.tracks,
         }
     }
@@ -219,7 +215,7 @@ impl SpanStat {
 
 /// An exact aggregation of a recording: counter totals, raw samples
 /// (sorted), per-path span totals, series points in index order, and
-/// the fault / violation / note / wire records a report lists.
+/// the fault / violation / note records a report lists.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Aggregate {
     /// Records aggregated.
@@ -242,8 +238,6 @@ pub struct Aggregate {
     pub violations: Vec<(String, String)>,
     /// Free-form notes (checkpoint marks, panics), in time order.
     pub notes: Vec<String>,
-    /// Wire lifecycle points by phase (`enq`/`out`/`in`/`handled`/`drop`).
-    pub wire: BTreeMap<String, u64>,
 }
 
 impl Aggregate {
@@ -312,7 +306,6 @@ impl Aggregate {
                     agg.violations.push((check.clone(), detail.clone()));
                 }
                 RingData::Note { note } => agg.notes.push(note.clone()),
-                RingData::Wire { phase, .. } => *agg.wire.entry(phase.clone()).or_insert(0) += 1,
             }
         }
         for v in agg.samples.values_mut() {

@@ -21,31 +21,13 @@
 //! epoch. A stream holds the same records as a bundle, so it converts
 //! to the same timeline — and, never truncated by a ring bound, to the
 //! whole run.
-//!
-//! ## Wire lifecycle and multi-process merges
-//!
-//! `Wire` ring records (the four-point message lifecycle the transport
-//! stamps: `enq → out → in → handled`, plus `drop` for frames the
-//! fault injector burned) become instant events named
-//! `wire.<phase>.<msg>` *and* Chrome flow events (`s`/`t`/`f`, cat
-//! `wire.flow`, id = the frame's span id in hex) so Perfetto draws a
-//! causal arrow from the sender's transmit to the receiver's handling.
-//! A dropped frame starts a flow that never finishes — a terminated
-//! arrow.
-//!
-//! [`merge`] fuses per-process recordings into one
-//! timeline: each bundle keeps its own `pid` (its OS pid when
-//! recorded), and clock offsets between processes are estimated
-//! NTP-style from the send timestamps receivers echo into their `in`
-//! records — for each process pair the minimum observed one-way delta
-//! bounds the skew, and opposing directions split it.
 
 use serde_json::{Number, Value};
 
 use crate::ring::{RingData, RingRecord};
 use crate::sink::{LoadError, Recording};
 
-/// The `pid` single-bundle traces live under.
+/// The `pid` every event lives under: a recording is one process.
 const PID: u64 = 1;
 
 fn obj(entries: Vec<(&str, Value)>) -> Value {
@@ -71,7 +53,7 @@ fn vf(f: f64) -> Value {
 
 /// Track id for a span path: the deepest `client.<c>` segment maps to
 /// `c + 1`, everything else to the coordinator track 0.
-pub fn tid_for_path(path: &str) -> u64 {
+fn tid_for_path(path: &str) -> u64 {
     path.rsplit('/')
         .find_map(|seg| {
             seg.strip_prefix("client.")
@@ -92,49 +74,7 @@ fn track_name(tid: u64) -> String {
     }
 }
 
-/// One converted process's share of a merged trace: its `pid`, its
-/// display name, its events, and the tids they touched.
-type ProcessPart = (u64, String, Vec<Value>, Vec<u64>);
-
-/// Wrap per-process event sets in the trace envelope, prepending
-/// process/thread-name metadata for every pid and track seen.
-fn finish_multi(parts: Vec<ProcessPart>) -> Value {
-    let mut all: Vec<Value> = Vec::new();
-    let mut bodies: Vec<Value> = Vec::new();
-    for (pid, name, mut events, mut tids) in parts {
-        tids.sort_unstable();
-        tids.dedup();
-        all.push(obj(vec![
-            ("name", vs("process_name")),
-            ("ph", vs("M")),
-            ("pid", vu(pid)),
-            ("args", obj(vec![("name", vs(&name))])),
-        ]));
-        for tid in tids {
-            all.push(obj(vec![
-                ("name", vs("thread_name")),
-                ("ph", vs("M")),
-                ("pid", vu(pid)),
-                ("tid", vu(tid)),
-                ("args", obj(vec![("name", vs(&track_name(tid)))])),
-            ]));
-        }
-        bodies.append(&mut events);
-    }
-    all.append(&mut bodies);
-    obj(vec![
-        ("traceEvents", Value::Array(all)),
-        ("displayTimeUnit", vs("ms")),
-    ])
-}
-
 struct Emitter {
-    /// The `pid` every event of this process carries.
-    pid: u64,
-    /// Display name for the process track.
-    proc_name: String,
-    /// Clock alignment: added to every timestamp at emit time, µs.
-    offset_us: f64,
     events: Vec<Value>,
     tids: Vec<u64>,
     /// Per-tid stack of open `B` paths (for balance repair).
@@ -146,27 +86,13 @@ struct Emitter {
 
 impl Emitter {
     fn new() -> Self {
-        Self::with_process(PID, "fedknow-sim", 0.0)
-    }
-
-    fn with_process(pid: u64, proc_name: &str, offset_us: f64) -> Self {
         Self {
-            pid,
-            proc_name: proc_name.to_string(),
-            offset_us,
             events: Vec::new(),
             tids: Vec::new(),
             stacks: Vec::new(),
             totals: Vec::new(),
             max_ts_us: 0.0,
         }
-    }
-
-    /// Apply this process's clock-alignment offset. Clamped at zero:
-    /// the validator (and Perfetto) reject negative timestamps, and
-    /// anything the clamp touches predates the aligned origin anyway.
-    fn shift(&self, ts_us: f64) -> f64 {
-        (ts_us + self.offset_us).max(0.0)
     }
 
     fn stack(&mut self, tid: u64) -> &mut Vec<String> {
@@ -189,11 +115,9 @@ impl Emitter {
     }
 
     fn begin(&mut self, ts_us: f64, round: u64, path: &str) {
-        let ts_us = self.shift(ts_us);
         let tid = tid_for_path(path);
         self.see_ts(ts_us);
         self.stack(tid).push(path.to_string());
-        let pid = self.pid;
         self.push(
             tid,
             obj(vec![
@@ -201,30 +125,27 @@ impl Emitter {
                 ("cat", vs("span")),
                 ("ph", vs("B")),
                 ("ts", vf(ts_us)),
-                ("pid", vu(pid)),
+                ("pid", vu(PID)),
                 ("tid", vu(tid)),
                 ("args", obj(vec![("path", vs(path)), ("round", vu(round))])),
             ]),
         );
     }
 
-    /// Emit an `E` at an already-shifted timestamp.
     fn emit_end(&mut self, tid: u64, ts_us: f64, name: &str) {
-        let pid = self.pid;
         self.push(
             tid,
             obj(vec![
                 ("name", vs(name)),
                 ("ph", vs("E")),
                 ("ts", vf(ts_us)),
-                ("pid", vu(pid)),
+                ("pid", vu(PID)),
                 ("tid", vu(tid)),
             ]),
         );
     }
 
     fn end(&mut self, ts_us: f64, path: &str, dur_ns: u64) {
-        let ts_us = self.shift(ts_us);
         let tid = tid_for_path(path);
         self.see_ts(ts_us);
         let stack = self.stack(tid);
@@ -244,7 +165,6 @@ impl Emitter {
                 // bound; the duration is still known, so emit a
                 // self-contained complete slice.
                 let dur_us = dur_ns as f64 / 1000.0;
-                let pid = self.pid;
                 self.push(
                     tid,
                     obj(vec![
@@ -253,7 +173,7 @@ impl Emitter {
                         ("ph", vs("X")),
                         ("ts", vf((ts_us - dur_us).max(0.0))),
                         ("dur", vf(dur_us)),
-                        ("pid", vu(pid)),
+                        ("pid", vu(PID)),
                         ("tid", vu(tid)),
                         (
                             "args",
@@ -266,9 +186,7 @@ impl Emitter {
     }
 
     fn instant(&mut self, ts_us: f64, tid: u64, name: &str, cat: &str, args: Value) {
-        let ts_us = self.shift(ts_us);
         self.see_ts(ts_us);
-        let pid = self.pid;
         self.push(
             tid,
             obj(vec![
@@ -276,7 +194,7 @@ impl Emitter {
                 ("cat", vs(cat)),
                 ("ph", vs("i")),
                 ("ts", vf(ts_us)),
-                ("pid", vu(pid)),
+                ("pid", vu(PID)),
                 ("tid", vu(tid)),
                 ("s", vs("t")),
                 ("args", args),
@@ -284,77 +202,15 @@ impl Emitter {
         );
     }
 
-    /// A wire-lifecycle record: an instant on the connection's track,
-    /// plus — for the phases that bound a frame's flight — a Chrome
-    /// flow event keyed by the frame's span id, so the viewer draws the
-    /// causal arrow from sender to receiver. `out` and `drop` start a
-    /// flow (`s`); `in` continues it (`t`); `handled` finishes it
-    /// (`f`). A `drop` therefore leaves a started, never-finished flow:
-    /// the terminated arrow is the dropped frame.
-    #[allow(clippy::too_many_arguments)]
-    fn wire(
-        &mut self,
-        ts_us: f64,
-        round: u64,
-        phase: &str,
-        msg: &str,
-        conn: u64,
-        span: u64,
-        parent: u64,
-        bytes: u64,
-        peer_ts_ns: u64,
-    ) {
-        let tid = if conn == u64::MAX { 0 } else { conn + 1 };
-        self.instant(
-            ts_us,
-            tid,
-            &format!("wire.{phase}.{msg}"),
-            "wire",
-            obj(vec![
-                ("span", vs(&format!("{span:x}"))),
-                ("parent", vs(&format!("{parent:x}"))),
-                ("bytes", vu(bytes)),
-                ("round", vu(round)),
-                ("peer_ts_ns", vu(peer_ts_ns)),
-            ]),
-        );
-        let flow_ph = match phase {
-            "out" | "drop" => Some("s"),
-            "in" => Some("t"),
-            "handled" => Some("f"),
-            _ => None,
-        };
-        if let Some(ph) = flow_ph {
-            let sts = self.shift(ts_us);
-            let pid = self.pid;
-            let mut fields = vec![
-                ("name", vs(&format!("wire.{msg}"))),
-                ("cat", vs("wire.flow")),
-                ("ph", vs(ph)),
-                ("id", vs(&format!("{span:x}"))),
-                ("ts", vf(sts)),
-                ("pid", vu(pid)),
-                ("tid", vu(tid)),
-            ];
-            if ph == "f" {
-                // Bind to the enclosing slice's *end*, not its start.
-                fields.push(("bp", vs("e")));
-            }
-            self.push(tid, obj(fields));
-        }
-    }
-
     fn counter(&mut self, ts_us: f64, name: &str, value: f64) {
-        let ts_us = self.shift(ts_us);
         self.see_ts(ts_us);
-        let pid = self.pid;
         self.push(
             0,
             obj(vec![
                 ("name", vs(name)),
                 ("ph", vs("C")),
                 ("ts", vf(ts_us)),
-                ("pid", vu(pid)),
+                ("pid", vu(PID)),
                 ("tid", vu(0)),
                 ("args", obj(vec![("value", vf(value))])),
             ]),
@@ -387,15 +243,33 @@ impl Emitter {
         }
     }
 
-    /// Close open spans and surrender this process's share of a merged
-    /// trace.
-    fn into_parts(mut self) -> ProcessPart {
+    /// Close open spans and wrap the events in the trace envelope,
+    /// prepending process/thread-name metadata for every track seen.
+    fn into_trace(mut self) -> Value {
         self.close_open_spans();
-        (self.pid, self.proc_name, self.events, self.tids)
-    }
-
-    fn into_trace(self) -> Value {
-        finish_multi(vec![self.into_parts()])
+        let mut tids = std::mem::take(&mut self.tids);
+        tids.sort_unstable();
+        tids.dedup();
+        let mut all = vec![obj(vec![
+            ("name", vs("process_name")),
+            ("ph", vs("M")),
+            ("pid", vu(PID)),
+            ("args", obj(vec![("name", vs("fedknow-sim"))])),
+        ])];
+        for tid in tids {
+            all.push(obj(vec![
+                ("name", vs("thread_name")),
+                ("ph", vs("M")),
+                ("pid", vu(PID)),
+                ("tid", vu(tid)),
+                ("args", obj(vec![("name", vs(&track_name(tid)))])),
+            ]));
+        }
+        all.append(&mut self.events);
+        obj(vec![
+            ("traceEvents", Value::Array(all)),
+            ("displayTimeUnit", vs("ms")),
+        ])
     }
 }
 
@@ -433,26 +307,6 @@ fn ring_record_to_events(em: &mut Emitter, rec: &RingRecord) {
         }
         RingData::Point { name, value, .. } => em.counter(ts_us, name, *value),
         RingData::Count { name, delta } => em.count_delta(ts_us, name, *delta),
-        RingData::Wire {
-            phase,
-            conn,
-            span,
-            parent,
-            msg,
-            bytes,
-            peer_ts_ns,
-            ..
-        } => em.wire(
-            ts_us,
-            round,
-            phase,
-            msg,
-            *conn,
-            *span,
-            *parent,
-            *bytes,
-            *peer_ts_ns,
-        ),
         // `Sample` records are timing raw material for the report's
         // phase table; they would only blur the timeline.
         RingData::Sample { .. } => {}
@@ -477,177 +331,6 @@ pub fn from_text(text: &str) -> Result<Value, LoadError> {
     }
 }
 
-/// What a multi-process merge established about the run's wire
-/// traffic and clocks.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MergeStats {
-    /// Bundles merged.
-    pub bundles: usize,
-    /// Frames some process recorded receiving (`in`).
-    pub delivered: usize,
-    /// Delivered frames whose sender-side record was also found — the
-    /// complete causal flow links.
-    pub linked: usize,
-    /// Frames the fault injector burned (`drop`): terminated flows.
-    pub dropped: usize,
-    /// `linked / delivered` (1.0 when nothing was delivered).
-    pub link_fraction: f64,
-    /// Clock shift applied to each bundle, µs, in input order (offset
-    /// to bundle 0's clock, then a common shift to a zero origin).
-    pub offsets_us: Vec<f64>,
-}
-
-/// Merge per-process recordings into one clock-aligned Chrome
-/// trace. Each bundle becomes its own trace process (keeping the OS
-/// pid it recorded), and inter-process clock offsets are estimated
-/// NTP-style: every receive record echoes the sender's send timestamp,
-/// so for a process pair the minimum observed `recv − send` in each
-/// direction bounds skew-plus-delay, and opposing directions cancel
-/// the delay. Processes exchanging frames in only one direction fall
-/// back to `delay ≈ 0`; processes with no direct traffic to an
-/// already-aligned one stay unshifted.
-pub fn merge(bundles: &[Recording]) -> Result<(Value, MergeStats), String> {
-    if bundles.is_empty() {
-        return Err("no bundles to merge".to_string());
-    }
-    let n = bundles.len();
-    let recs: Vec<Vec<(usize, &RingRecord)>> = bundles.iter().map(Recording::merged).collect();
-
-    // Pass 1 — wire lifecycle census: which bundle sent each span,
-    // which spans were received/handled/dropped, and the per-pair
-    // minimum one-way deltas for clock estimation.
-    let mut sender_of: Vec<(u64, usize)> = Vec::new();
-    let mut dropped_spans: Vec<u64> = Vec::new();
-    let mut in_recs: Vec<(usize, u64, i128)> = Vec::new(); // (bundle, span, recv − send)
-    for (bi, rs) in recs.iter().enumerate() {
-        for (_, r) in rs {
-            let RingData::Wire {
-                phase,
-                span,
-                peer_ts_ns,
-                ..
-            } = &r.data
-            else {
-                continue;
-            };
-            match phase.as_str() {
-                "enq" | "out" | "drop" => {
-                    sender_of.push((*span, bi));
-                    if phase == "drop" {
-                        dropped_spans.push(*span);
-                    }
-                }
-                "in" => {
-                    in_recs.push((bi, *span, i128::from(r.ts_ns) - i128::from(*peer_ts_ns)));
-                }
-                _ => {}
-            }
-        }
-    }
-    sender_of.sort_unstable();
-    sender_of.dedup();
-    let sender = |span: u64| -> Option<usize> {
-        let i = sender_of.partition_point(|&(s, _)| s < span);
-        (i < sender_of.len() && sender_of[i].0 == span).then(|| sender_of[i].1)
-    };
-
-    // d[a][b]: minimum observed (recv_b − send_a) over a→b frames —
-    // true flight delay plus (clock_b − clock_a).
-    let mut d: Vec<Vec<Option<i128>>> = vec![vec![None; n]; n];
-    let mut delivered_spans: Vec<(u64, bool)> = Vec::new();
-    for &(bi, span, delta) in &in_recs {
-        let from = sender(span);
-        delivered_spans.push((span, from.is_some()));
-        if let Some(a) = from {
-            if a != bi {
-                let slot = &mut d[a][bi];
-                *slot = Some(slot.map_or(delta, |cur| cur.min(delta)));
-            }
-        }
-    }
-    delivered_spans.sort_unstable();
-    delivered_spans.dedup();
-    dropped_spans.sort_unstable();
-    dropped_spans.dedup();
-
-    // Pass 2 — align clocks onto bundle 0's, walking the pair graph so
-    // chains (client↔server↔client) resolve even without direct
-    // client↔client traffic.
-    let mut shift_ns: Vec<Option<f64>> = vec![None; n];
-    shift_ns[0] = Some(0.0);
-    let mut frontier = vec![0usize];
-    while let Some(a) = frontier.pop() {
-        let base = shift_ns[a].expect("frontier entries are aligned");
-        for b in 0..n {
-            if shift_ns[b].is_some() {
-                continue;
-            }
-            let skew = match (d[a][b], d[b][a]) {
-                (Some(ab), Some(ba)) => Some((ab as f64 - ba as f64) / 2.0),
-                (Some(ab), None) => Some(ab as f64),
-                (None, Some(ba)) => Some(-(ba as f64)),
-                (None, None) => None,
-            };
-            if let Some(skew) = skew {
-                shift_ns[b] = Some(base - skew);
-                frontier.push(b);
-            }
-        }
-    }
-    let shift_ns: Vec<f64> = shift_ns.into_iter().map(|s| s.unwrap_or(0.0)).collect();
-
-    // Common origin: the earliest aligned timestamp maps to zero.
-    let mut origin = f64::INFINITY;
-    for (bi, rs) in recs.iter().enumerate() {
-        if let Some((_, r)) = rs.first() {
-            origin = origin.min(r.ts_ns as f64 + shift_ns[bi]);
-        }
-    }
-    if !origin.is_finite() {
-        origin = 0.0;
-    }
-
-    // Pass 3 — emit each bundle as its own trace process.
-    let mut parts: Vec<ProcessPart> = Vec::with_capacity(n);
-    let mut offsets_us = Vec::with_capacity(n);
-    let mut pids_seen: Vec<u64> = Vec::new();
-    for (bi, rs) in recs.iter().enumerate() {
-        let mut pid = bundles[bi].pid.map_or(1000 + bi as u64, u64::from);
-        if pids_seen.contains(&pid) {
-            pid = 1000 + bi as u64;
-        }
-        pids_seen.push(pid);
-        let name = bundles[bi]
-            .context
-            .iter()
-            .find(|e| e.key == "proc.name")
-            .map_or_else(|| format!("process {pid}"), |e| e.value.clone());
-        let off_us = (shift_ns[bi] - origin) / 1000.0;
-        offsets_us.push(off_us);
-        let mut em = Emitter::with_process(pid, &name, off_us);
-        for (_, r) in rs {
-            ring_record_to_events(&mut em, r);
-        }
-        parts.push(em.into_parts());
-    }
-
-    let delivered = delivered_spans.len();
-    let linked = delivered_spans.iter().filter(|(_, l)| *l).count();
-    let stats = MergeStats {
-        bundles: n,
-        delivered,
-        linked,
-        dropped: dropped_spans.len(),
-        link_fraction: if delivered == 0 {
-            1.0
-        } else {
-            linked as f64 / delivered as f64
-        },
-        offsets_us,
-    };
-    Ok((finish_multi(parts), stats))
-}
-
 /// Validation summary of a trace (see [`validate`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceStats {
@@ -661,20 +344,13 @@ pub struct TraceStats {
     pub instants: usize,
     /// Counter (`C`) events.
     pub counters: usize,
-    /// Flow starts (`s`) — one per frame put on the wire.
-    pub flow_starts: usize,
-    /// Flow finishes (`f`) — frames whose handling closed the flow.
-    pub flow_ends: usize,
     /// Largest timestamp seen, µs.
     pub max_ts_us: f64,
 }
 
 /// Validate a Chrome trace value: envelope shape, known phase codes,
 /// required fields, per-track monotonically non-decreasing `B`/`E`
-/// timestamps, and balanced, name-matched `B`/`E` nesting. Flow
-/// events are checked in two passes — every `t`/`f` must reference an
-/// `s` id, wherever in the file that `s` lives — so event order
-/// between processes of a merged trace doesn't matter. Returns
+/// timestamps, and balanced, name-matched `B`/`E` nesting. Returns
 /// counting stats on success, the first problem found on failure.
 pub fn validate(trace: &Value) -> Result<TraceStats, String> {
     let events = trace
@@ -687,15 +363,10 @@ pub fn validate(trace: &Value) -> Result<TraceStats, String> {
         slices: 0,
         instants: 0,
         counters: 0,
-        flow_starts: 0,
-        flow_ends: 0,
         max_ts_us: 0.0,
     };
     // Per-(pid, tid): open-B stack of names and the last B/E timestamp.
     let mut tracks: Vec<((u64, u64), Vec<String>, f64)> = Vec::new();
-    // Flow bookkeeping for the second pass.
-    let mut flow_starts: Vec<String> = Vec::new();
-    let mut flow_refs: Vec<(usize, String)> = Vec::new();
     for (i, ev) in events.iter().enumerate() {
         let at = |msg: &str| format!("event {i}: {msg}");
         let ph = ev
@@ -780,35 +451,12 @@ pub fn validate(trace: &Value) -> Result<TraceStats, String> {
                     .ok_or_else(|| at("`C` without args object"))?;
                 stats.counters += 1;
             }
-            "s" | "t" | "f" => {
-                name.ok_or_else(|| at("flow event without name"))?;
-                let id = ev
-                    .get("id")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| at("flow event without string `id`"))?;
-                if ph == "s" {
-                    stats.flow_starts += 1;
-                    flow_starts.push(id.to_string());
-                } else {
-                    if ph == "f" {
-                        stats.flow_ends += 1;
-                    }
-                    flow_refs.push((i, id.to_string()));
-                }
-            }
             other => return Err(at(&format!("unknown phase `{other}`"))),
         }
     }
     for (key, stack, _) in &tracks {
         if let Some(open) = stack.last() {
             return Err(format!("track {key:?}: span `{open}` never closed"));
-        }
-    }
-    flow_starts.sort_unstable();
-    flow_starts.dedup();
-    for (i, id) in &flow_refs {
-        if flow_starts.binary_search(id).is_err() {
-            return Err(format!("event {i}: flow step references unknown id `{id}`"));
         }
     }
     stats.tracks = tracks.len();
@@ -911,141 +559,40 @@ mod tests {
         assert!(validate(&unclosed).unwrap_err().contains("never closed"));
     }
 
-    fn bundle_with_pid(pid: u64, name: &str, events: &str) -> Recording {
-        let json = format!(
-            r#"{{"version":1,"reason":"unit","round":0,"pid":{pid},
-                "context":[{{"key":"proc.name","value":"{name}"}}],
+    #[test]
+    fn validator_rejects_flow_events_and_other_unknown_phases() {
+        // Flow arrows (`s`/`t`/`f`) are not part of the timeline any
+        // more: a trace carrying one is refused like any unknown phase.
+        for ph in ["s", "t", "f", "Q"] {
+            let doc: Value = serde_json::from_str(&format!(
+                r#"{{"traceEvents":[{{"name":"w","ph":"{ph}","id":"1","ts":1.0,"pid":1,"tid":0}}]}}"#
+            ))
+            .unwrap();
+            assert!(
+                validate(&doc).unwrap_err().contains("unknown phase"),
+                "{ph}"
+            );
+        }
+    }
+
+    #[test]
+    fn recordings_holding_wire_records_no_longer_load() {
+        let wire = r#"{"ts_ns":1100,"round":0,"data":{"Wire":{"phase":"out","conn":0,"trace":7,"span":42,"parent":0,"msg":"upload","bytes":64,"peer_ts_ns":0}}"#;
+        let stream = format!(
+            "{{\"ts_ns\":1000,\"round\":0,\"data\":{{\"Begin\":{{\"path\":\"run\"}}}},\"thread\":\"ThreadId(1)\"}}\n{wire},\"thread\":\"ThreadId(1)\"}}\n"
+        );
+        match Recording::parse(&stream) {
+            Err(LoadError::Line { line: 2, .. }) => {}
+            other => panic!("a Wire line must be refused at line 2: {other:?}"),
+        }
+        let bundle = format!(
+            r#"{{"version":1,"reason":"unit","round":0,"context":[],
                 "metrics":{{"counters":[]}},
-                "tracks":[{{"thread":"ThreadId(1)","dropped":0,"events":[{events}]}}]}}"#
+                "tracks":[{{"thread":"ThreadId(1)","dropped":0,"events":[{wire}}}]}}]}}"#
         );
-        Recording::parse(&json).unwrap()
-    }
-
-    fn wire_rec(ts: u64, phase: &str, span: u64, peer_ts: u64) -> String {
-        format!(
-            r#"{{"ts_ns":{ts},"round":0,"data":{{"Wire":{{"phase":"{phase}","conn":0,
-                "trace":7,"span":{span},"parent":0,"msg":"upload","bytes":64,
-                "peer_ts_ns":{peer_ts}}}}}}}"#
-        )
-    }
-
-    #[test]
-    fn wire_records_become_instants_and_flow_events() {
-        let b = bundle_with(
-            &[
-                wire_rec(1000, "enq", 9, 0),
-                wire_rec(1100, "out", 9, 0),
-                wire_rec(1500, "in", 9, 1100),
-                wire_rec(1700, "handled", 9, 1100),
-                wire_rec(2000, "drop", 10, 0),
-            ]
-            .join(",\n"),
-        );
-        let trace = to_trace(&b);
-        let stats = validate(&trace).unwrap();
-        assert_eq!(stats.flow_starts, 2, "out + drop each start a flow");
-        assert_eq!(stats.flow_ends, 1, "only span 9 was handled");
-        assert_eq!(stats.instants, 5, "every lifecycle point is an instant");
-        let text = serde_json::to_string(&trace).unwrap();
-        assert!(text.contains("wire.out.upload") && text.contains("wire.drop.upload"));
-        assert!(text.contains(r#""cat":"wire.flow""#));
-    }
-
-    #[test]
-    fn validator_rejects_flow_steps_with_unknown_ids() {
-        let orphan: Value = serde_json::from_str(
-            r#"{"traceEvents":[
-                {"name":"w","cat":"wire.flow","ph":"t","id":"dead","ts":1.0,"pid":1,"tid":0}]}"#,
-        )
-        .unwrap();
-        assert!(validate(&orphan).unwrap_err().contains("unknown id"));
-    }
-
-    #[test]
-    fn merge_aligns_clocks_and_links_cross_process_flows() {
-        // The client's clock runs 5000 ns ahead of the server's; each
-        // direction's frame flies for 100 ns. The merger should
-        // recover the 5000 ns skew exactly (symmetric delays cancel).
-        let server = bundle_with_pid(
-            11,
-            "server",
-            &[
-                wire_rec(5100, "in", 100, 10000),
-                wire_rec(5200, "handled", 100, 10000),
-                wire_rec(6000, "out", 200, 0),
-            ]
-            .join(",\n"),
-        );
-        let client = bundle_with_pid(
-            22,
-            "client0",
-            &[
-                wire_rec(10000, "out", 100, 0),
-                wire_rec(11100, "in", 200, 6000),
-                wire_rec(11200, "handled", 200, 6000),
-            ]
-            .join(",\n"),
-        );
-        let (trace, stats) = merge(&[server, client]).unwrap();
-        assert_eq!(stats.bundles, 2);
-        assert_eq!(stats.delivered, 2);
-        assert_eq!(stats.linked, 2);
-        assert_eq!(stats.dropped, 0);
-        assert!((stats.link_fraction - 1.0).abs() < 1e-12);
-        let rel = stats.offsets_us[1] - stats.offsets_us[0];
-        assert!((rel + 5.0).abs() < 1e-9, "client shifts −5 µs, got {rel}");
-        let vstats = validate(&trace).unwrap();
-        assert_eq!(vstats.flow_starts, 2);
-        assert_eq!(vstats.flow_ends, 2);
-        let text = serde_json::to_string(&trace).unwrap();
-        assert!(text.contains("server") && text.contains("client0"));
-        assert!(text.contains(r#""pid":11"#) && text.contains(r#""pid":22"#));
-    }
-
-    #[test]
-    fn merge_counts_dropped_frames_as_terminated_flows() {
-        let server = bundle_with_pid(11, "server", &wire_rec(5000, "in", 1, 900));
-        let client = bundle_with_pid(
-            22,
-            "client0",
-            &[
-                wire_rec(900, "out", 1, 0),
-                wire_rec(1000, "drop", 2, 0),
-                wire_rec(1100, "drop", 3, 0),
-            ]
-            .join(",\n"),
-        );
-        let (trace, stats) = merge(&[server, client]).unwrap();
-        assert_eq!(stats.delivered, 1);
-        assert_eq!(stats.linked, 1);
-        assert_eq!(stats.dropped, 2);
-        // A dropped frame is a started flow that never finishes —
-        // still a valid trace.
-        let vstats = validate(&trace).unwrap();
-        assert_eq!(vstats.flow_starts, 3);
-        assert_eq!(vstats.flow_ends, 0);
-    }
-
-    #[test]
-    fn merge_accepts_bundles_without_wire_records() {
-        // Pre-tracing bundles (no Wire records, no pid) still merge:
-        // no links to estimate, offsets stay zero.
-        let a = bundle_with(
-            r#"{"ts_ns":1000,"round":0,"data":{"Begin":{"path":"run"}}},
-               {"ts_ns":2000,"round":0,"data":{"End":{"path":"run","dur_ns":1000}}}"#,
-        );
-        let b = bundle_with(
-            r#"{"ts_ns":3000,"round":0,"data":{"Begin":{"path":"run"}}},
-               {"ts_ns":4000,"round":0,"data":{"End":{"path":"run","dur_ns":1000}}}"#,
-        );
-        let (trace, stats) = merge(&[a, b]).unwrap();
-        assert_eq!(stats.delivered, 0);
-        assert!(
-            (stats.link_fraction - 1.0).abs() < 1e-12,
-            "vacuously linked"
-        );
-        let vstats = validate(&trace).unwrap();
-        assert_eq!(vstats.slices, 2);
-        assert_eq!(vstats.tracks, 2, "same tid 0 under two distinct pids");
+        assert!(matches!(
+            Recording::parse(&bundle),
+            Err(LoadError::Bundle(_))
+        ));
     }
 }

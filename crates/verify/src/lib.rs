@@ -33,7 +33,7 @@ pub mod suite;
 /// Environment variable that switches the runtime invariant mode on:
 /// `1`/`true`/`on` count and report violations, `strict` also panics;
 /// empty, `0`, `off` and `false` leave it off. Any other value panics.
-pub const ENV_VERIFY: &str = "FEDKNOW_VERIFY";
+const ENV_VERIFY: &str = "FEDKNOW_VERIFY";
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static STRICT: AtomicBool = AtomicBool::new(false);

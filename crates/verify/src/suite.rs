@@ -67,7 +67,7 @@ fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
 
 /// Draw one GEMM case (all three entry points, small rectangular
 /// shapes, standard-normal values).
-pub fn gen_matmul(rng: &mut StdRng) -> MatmulCase {
+fn gen_matmul(rng: &mut StdRng) -> MatmulCase {
     let kind = match rng.gen_range(0..3u32) {
         0 => MatmulKind::Plain,
         1 => MatmulKind::TransposedLhs,
@@ -88,7 +88,7 @@ pub fn gen_matmul(rng: &mut StdRng) -> MatmulCase {
 }
 
 /// Production runner for a GEMM case.
-pub fn matmul_production(c: &MatmulCase) -> Option<Vec<f32>> {
+fn matmul_production(c: &MatmulCase) -> Option<Vec<f32>> {
     let out = match c.kind {
         MatmulKind::Plain => Tensor::from_vec(c.a.clone(), &[c.m, c.k])
             .matmul(&Tensor::from_vec(c.b.clone(), &[c.k, c.n])),
@@ -142,7 +142,7 @@ pub struct ConvCase {
 
 /// Draw one conv2d case: grouped/strided/padded shapes small enough
 /// for the direct-loop oracle.
-pub fn gen_conv(rng: &mut StdRng) -> ConvCase {
+fn gen_conv(rng: &mut StdRng) -> ConvCase {
     let groups = [1, 1, 1, 2, 3][rng.gen_range(0..5usize)];
     let in_c = groups * rng.gen_range(1..=3usize);
     let out_c = groups * rng.gen_range(1..=3usize);
@@ -231,7 +231,7 @@ pub fn conv_backward(
 
 /// Dimension candidates that stress the packed-GEMM register tiling for
 /// the ISA actually selected at runtime: tile edges ±1, primes, 1.
-pub fn adversarial_dims() -> Vec<usize> {
+fn adversarial_dims() -> Vec<usize> {
     let (mr, nr) = fedknow_math::gemm::tile_params();
     let mut v = vec![
         1,
@@ -260,7 +260,7 @@ pub fn adversarial_dims() -> Vec<usize> {
 /// Contraction-length candidates: the register-tile set plus the KC
 /// cache-slab boundary ±1 (a k-loop off-by-one drops or double-counts
 /// exactly one rank-1 update at `k = KC + 1`).
-pub fn adversarial_ks() -> Vec<usize> {
+fn adversarial_ks() -> Vec<usize> {
     let mut v = adversarial_dims();
     v.extend_from_slice(&[
         fedknow_math::gemm::KC - 1,
@@ -274,7 +274,7 @@ pub fn adversarial_ks() -> Vec<usize> {
 
 /// Draw one tile-adversarial GEMM case: `m`, `n`, `k` from the boundary
 /// sets, random entry point, standard-normal values.
-pub fn gen_matmul_tiles(rng: &mut StdRng) -> MatmulCase {
+fn gen_matmul_tiles(rng: &mut StdRng) -> MatmulCase {
     let kind = match rng.gen_range(0..3u32) {
         0 => MatmulKind::Plain,
         1 => MatmulKind::TransposedLhs,
@@ -328,7 +328,7 @@ pub fn matmul_tiles_with(
 /// inputs, depthwise groups, and widths that put `out_h · out_w` — the
 /// fused kernel's packed GEMM column count — exactly on the `nr`
 /// register-tile boundary.
-pub fn gen_conv_tiles(rng: &mut StdRng) -> ConvCase {
+fn gen_conv_tiles(rng: &mut StdRng) -> ConvCase {
     let (mr, nr) = fedknow_math::gemm::tile_params();
     let spec = loop {
         let kernel = [1usize, 2, 3, 5][rng.gen_range(0..4usize)];
@@ -477,7 +477,7 @@ pub fn gen_qp(rng: &mut StdRng) -> QpCase {
 /// Production runner: the exact dual solve plus Eq. 5 recovery. Every
 /// generated case is finite, so any solver error is a defect and
 /// panics.
-pub fn qp_production(c: &QpCase) -> Option<Vec<f32>> {
+fn qp_production(c: &QpCase) -> Option<Vec<f32>> {
     let cfg = QpConfig {
         margin: c.margin,
         ..Default::default()
@@ -631,7 +631,7 @@ fn orthonormal(rng: &mut StdRng, m: usize, n: usize) -> Vec<Vec<f64>> {
 
 /// Draw one Gram-space dual case: `k ≤ 12`, every [`DualKind`] equally
 /// likely, a margin of 0.1 on a quarter of the cases.
-pub fn gen_dual(rng: &mut StdRng) -> DualCase {
+fn gen_dual(rng: &mut StdRng) -> DualCase {
     let k = rng.gen_range(1..=oracle::QP_EXHAUSTIVE_CAP);
     let n = k + rng.gen_range(1..=4usize);
     let kind = [
@@ -723,7 +723,7 @@ pub const QP_DUAL_TOL: f64 = 1e-6;
 
 /// Differential suite in Gram space: the production `k×k` solve
 /// (`qp::solve_dual`) against the exhaustive oracle (`oracle::dual`) on
-/// [`gen_dual`]'s cases. A case fails unless the production dual is
+/// `gen_dual`'s cases. A case fails unless the production dual is
 /// non-negative and KKT-certified (the dual gradient `Qv + q` within
 /// `1e-9 · (‖q‖∞ + max_i Q_ii · Σv)` of zero on the support and above
 /// it off the support) and the two `g'` agree within [`QP_DUAL_TOL`].
@@ -806,7 +806,7 @@ pub fn wasserstein(seed: u64, cases: usize) -> FuzzReport {
 }
 
 /// [`wasserstein`] with an injectable kernel (mutation testing).
-pub fn wasserstein_with(
+fn wasserstein_with(
     seed: u64,
     cases: usize,
     run: impl Fn(&(Vec<f32>, Vec<f32>)) -> Option<Vec<f32>>,
@@ -849,7 +849,7 @@ pub struct FedavgCase {
 
 /// Draw one aggregation case. Client 0 always uploads with positive
 /// weight so the round is never empty.
-pub fn gen_fedavg(rng: &mut StdRng) -> FedavgCase {
+fn gen_fedavg(rng: &mut StdRng) -> FedavgCase {
     let clients = rng.gen_range(1..=8usize);
     let dim = rng.gen_range(1..=16usize);
     let mut uploads = Vec::with_capacity(clients);
@@ -899,7 +899,7 @@ pub struct TopRhoCase {
 }
 
 /// Draw one top-ρ case.
-pub fn gen_top_rho(rng: &mut StdRng) -> TopRhoCase {
+fn gen_top_rho(rng: &mut StdRng) -> TopRhoCase {
     let n = rng.gen_range(1..=64usize);
     TopRhoCase {
         dense: normal_vec(rng, n, 0.0, 1.0),
@@ -908,7 +908,7 @@ pub fn gen_top_rho(rng: &mut StdRng) -> TopRhoCase {
 }
 
 /// Production runner: the select-nth magnitude cut, densified.
-pub fn top_rho_production(c: &TopRhoCase) -> Option<Vec<f32>> {
+fn top_rho_production(c: &TopRhoCase) -> Option<Vec<f32>> {
     Some(SparseVec::top_fraction_by_magnitude(&c.dense, c.rho).to_dense())
 }
 

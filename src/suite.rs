@@ -183,7 +183,7 @@ impl RunSpec {
     }
 
     /// [`Self::build`] on an explicit dataset, device list and link.
-    pub fn build_on_dataset(
+    fn build_on_dataset(
         &self,
         method: Method,
         dataset: &fedknow_data::ContinualDataset,

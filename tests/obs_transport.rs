@@ -73,7 +73,7 @@ fn obs_counters_agree_with_the_wire_ledger_and_the_comm_model() {
     );
 
     // The same run as a bundle is the same recording: equal aggregates,
-    // and timelines with the same slices, instants and wire flows. That
+    // and timelines with the same slices, instants and counters. That
     // holds because no ring reached its bound, so each still holds the
     // whole run, like the stream.
     let bundle = serde_json::to_string(&fedknow_obs::collect_bundle("test")).unwrap();
@@ -88,5 +88,5 @@ fn obs_counters_agree_with_the_wire_ledger_and_the_comm_model() {
     };
     let (s, b) = (timeline(&stream), timeline(&bundle));
     assert_eq!(s, b);
-    assert!(s.slices > 0 && s.instants > 0 && s.flow_starts > s.flow_ends && s.flow_ends > 0);
+    assert!(s.slices > 0 && s.instants > 0 && s.counters > 0);
 }
